@@ -1,8 +1,14 @@
 """Group-generated quantum channels and Knill-Laflamme correctability.
 
-The recovery construction diagonalizes the Gram matrix of the compressed
-products P K_i* K_j P and polar-decomposes each rotated operator on the code;
-the completion projector keeps the channel trace preserving.
+Knill-Laflamme tests work on the code basis B, an isometry with P = B B*:
+P X P = c P holds exactly when B* X B = c I_w, with c = tr(B* X B) / w, and
+the two Frobenius distances agree.  kl_correctable forms B* K_i* K_j B for a
+whole row i at once, so memory stays O(K w^2) for K Kraus operators.
+
+The recovery construction diagonalizes the Gram matrix M of the compressed
+products P K_i* K_j P = M_ij P, rotates the Kraus operators by its
+eigenvectors, and polar-decomposes each rotated operator on the code; the
+completion projector keeps the channel trace preserving.
 """
 
 from __future__ import annotations
@@ -88,15 +94,22 @@ def channel_from_model(model: ProjectiveErrorModel, p) -> KrausChannel:
     return KrausChannel(model.dim, kraus)
 
 
+def _scalar_deviation(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, ||X - c I||_F) for each w x w matrix X of a stack, c = tr(X) / w."""
+    w = blocks.shape[-1]
+    c = np.trace(blocks, axis1=-2, axis2=-1) / w
+    dev = np.linalg.norm(blocks - c[..., None, None] * np.eye(w), axis=(-2, -1))
+    return c, dev
+
+
 def kl_detectable(code: CodeSpace, x: np.ndarray) -> complex | None:
     """The scalar c with P x P = c P, or None when x is not detectable."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (code.ambient_dim, code.ambient_dim):
         raise ChannelError("operator dimension does not match the code")
-    p = code.projector()
-    pxp = p @ x @ p
-    c = np.trace(pxp) / code.dim
-    if frobenius(pxp - c * p) < TOL_SCALAR:
+    b = code.basis
+    c, dev = _scalar_deviation(b.conj().T @ x @ b)
+    if dev < TOL_SCALAR:
         return complex(c)
     return None
 
@@ -113,13 +126,16 @@ class KLResult:
 
 
 def kl_correctable(code: CodeSpace, channel: KrausChannel) -> KLResult:
-    """All-pairs test P K_i* K_j P = c_ij P; the witness is the first bad pair."""
+    """All-pairs test P K_i* K_j P = c_ij P; the witness is the first bad pair
+    in row-major order."""
     if channel.ambient_dim != code.ambient_dim:
         raise ChannelError("channel dimension does not match the code")
+    kb = np.einsum("xab,bk->xak", channel.kraus, code.basis)
     for i in range(len(channel)):
-        for j in range(len(channel)):
-            if kl_detectable(code, channel.kraus[i].conj().T @ channel.kraus[j]) is None:
-                return KLResult(False, (i, j))
+        _, dev = _scalar_deviation(np.einsum("ak,jal->jkl", kb[i].conj(), kb))
+        bad = np.flatnonzero(~(dev < TOL_SCALAR))
+        if bad.size:
+            return KLResult(False, (i, int(bad[0])))
     return KLResult(True, None)
 
 
@@ -143,7 +159,8 @@ def build_recovery(code: CodeSpace, channel: KrausChannel) -> KrausChannel:
     for k in range(len(channel)):
         if evals[k] < 1e-12:
             continue
-        rotated = np.einsum("i,iab->ab", evecs[:, k].conj(), channel.kraus)
+        # F_k = sum_i u_ik K_i gives P F_k* F_l P = (U* M U)_kl P = d_k delta_kl P
+        rotated = np.einsum("i,iab->ab", evecs[:, k], channel.kraus)
         isometry = (rotated @ b) / np.sqrt(evals[k])
         ops.append(b @ isometry.conj().T)
         ranges += isometry @ isometry.conj().T

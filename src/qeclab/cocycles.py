@@ -313,15 +313,8 @@ def coboundary(f: PhaseFunction) -> Cocycle:
 
 
 def _greedy_generators(group: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    span = {group.identity}
-    for x in range(group.order):
-        if x not in span:
-            gens.append(x)
-            span = set(group.subgroup_generated(gens).members)
-            if len(span) == group.order:
-                break
-    return gens
+    """FiniteGroup.greedy_generators, under the name codes and search import."""
+    return group.greedy_generators()
 
 
 def _solve_mod(rows: list[list[int]], rhs: list[int], modulus: int) -> list[int] | None:

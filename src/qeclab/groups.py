@@ -26,10 +26,6 @@ __all__ = [
     "max_group_order",
 ]
 
-# Orders above this are validated by sampled (seeded) associativity checks
-# instead of the full n^3 scan.
-_FULL_ASSOC_SCAN_LIMIT = 64
-
 # Hard cap for permutation_semidirect and other combinatorial constructors.
 _MAX_CONSTRUCTED_ORDER = 10**6
 
@@ -80,16 +76,35 @@ class FiniteGroup:
             raise GroupValidationError("identity element does not act as identity")
         if not np.all(mul[np.arange(n), self.inv] == e) or not np.all(mul[self.inv, np.arange(n)] == e):
             raise GroupValidationError("inverse table is wrong")
-        if n <= _FULL_ASSOC_SCAN_LIMIT:
-            left = mul[mul]            # left[x, y, z] = (x*y)*z
-            right = mul[:, mul]        # right[x, y, z] = x*(y*z)
-            if not np.array_equal(left, right):
+        # Light's test: the elements a with (x*a)*y == x*(a*y) for all x, y
+        # are closed under multiplication, so checking a set that reaches every
+        # element by right multiplication from the identity proves the table
+        # associative.
+        for g in self.greedy_generators():
+            if not np.array_equal(mul[mul[:, g]], mul[:, mul[g]]):
                 raise GroupValidationError("multiplication table is not associative")
-        else:
-            rng = np.random.default_rng(0)
-            xs, ys, zs = rng.integers(0, n, size=(3, 20000))
-            if not np.array_equal(mul[mul[xs, ys], zs], mul[xs, mul[ys, zs]]):
-                raise GroupValidationError("multiplication table is not associative")
+
+    def _closure(self, candidates) -> tuple[list[int], list[int]]:
+        """Close {identity} under right multiplication, adjoining in turn each
+        candidate not yet reached; returns (members, adjoined candidates).
+
+        In a group this is the subgroup the candidates generate.  It needs
+        only an in-range table with an identity, so validation can use it.
+        """
+        members, mask = [self.identity], 1 << self.identity
+        adjoined: list[int] = []
+        cols: list[list[int]] = []
+        for x in candidates:
+            if not mask >> x & 1:
+                adjoined.append(x)
+                cols.append(self.mul[:, x].tolist())
+                mask = _extend_closure(members, mask, cols)
+        return members, adjoined
+
+    def greedy_generators(self) -> list[int]:
+        """Each element not in the subgroup generated by its predecessors in
+        this list, taken in index order."""
+        return self._closure(range(self.order))[1]
 
     def name_of(self, x: int) -> str:
         if self.element_names is not None:
@@ -128,22 +143,7 @@ class FiniteGroup:
         return Subgroup(self, range(self.order))
 
     def subgroup_generated(self, gens) -> "Subgroup":
-        members = {self.identity}
-        frontier = [self.identity]
-        gens = sorted(set(int(g) for g in gens) | {self.identity})
-        for g in gens:
-            if g not in members:
-                members.add(g)
-                frontier.append(g)
-        while frontier:
-            x = frontier.pop()
-            # every element is multiplied against everything present when it
-            # is popped; later arrivals pick up the missing pairs on their turn
-            for y in list(members):
-                for z in (self.mul[x, y], self.mul[y, x]):
-                    if z not in members:
-                        members.add(z)
-                        frontier.append(z)
+        members, _ = self._closure(sorted({int(g) for g in gens}))
         return Subgroup(self, members)
 
     def center(self) -> "Subgroup":
@@ -152,11 +152,15 @@ class FiniteGroup:
         return Subgroup(self, members)
 
     def all_subgroups(self, max_order: int | None = None) -> list["Subgroup"]:
-        """Every subgroup, by breadth-first closure extension from the trivial one.
+        """Every subgroup, by cyclic extension from the trivial one.
 
-        Each subgroup is reached by adjoining one generator at a time, so the
-        enumeration is complete.  Guarded by the order cap since subgroup
-        counts grow quickly.
+        Each subgroup H found so far is extended to <H, x> for every x outside
+        H drawn from one representative per cyclic subgroup, closing with H's
+        own generators plus x.  This is complete: every subgroup is reached
+        from the trivial one by adjoining one element at a time, and adjoining
+        x is the same as adjoining <x>.  Subgroups are kept as int bitmasks of
+        their members.  Guarded by the order cap since subgroup counts grow
+        quickly.  The result is sorted by (order, members).
         """
         cap = max_order if max_order is not None else max_group_order()
         if self.order > cap:
@@ -164,19 +168,34 @@ class FiniteGroup:
                 f"subgroup enumeration capped at order {cap} (group has {self.order}); "
                 "raise QECLAB_MAX_ORDER to override"
             )
-        seen = {frozenset([self.identity])}
-        frontier = [frozenset([self.identity])]
-        while frontier:
-            new_frontier = []
-            for sub in frontier:
-                outside = [x for x in range(self.order) if x not in sub]
-                for x in outside:
-                    closure = frozenset(self.subgroup_generated(sub | {x}).members)
-                    if closure not in seen:
-                        seen.add(closure)
-                        new_frontier.append(closure)
-            frontier = new_frontier
-        subs = [Subgroup(self, s) for s in seen]
+        e = self.identity
+        reps: list[tuple[int, list[int]]] = []
+        cyclic_seen = set()
+        for x, col in enumerate(self.mul.T.tolist()):
+            mask, y = 1 << e, x
+            while y != e:
+                mask |= 1 << y
+                y = col[y]
+            if mask not in cyclic_seen:
+                cyclic_seen.add(mask)
+                reps.append((x, col))
+        found = {1 << e}
+        queue = [([e], 1 << e, [])]
+        for members, mask, cols in queue:   # grows while iterated: breadth first
+            # when |<H, x> : H| is prime, <H, y> = <H, x> for every y in
+            # <H, x> outside H, so those y need no closure of their own
+            covered = mask
+            for x, col in reps:
+                if covered >> x & 1:
+                    continue
+                ext_members, ext_cols = list(members), cols + [col]
+                ext_mask = _extend_closure(ext_members, mask, ext_cols)
+                if _is_prime(len(ext_members) // len(members)):
+                    covered |= ext_mask
+                if ext_mask not in found:
+                    found.add(ext_mask)
+                    queue.append((ext_members, ext_mask, ext_cols))
+        subs = [Subgroup(self, members) for members, _, _ in queue]
         subs.sort(key=lambda h: (len(h.members), h.members))
         return subs
 
@@ -283,19 +302,16 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         g = self.parent
-        mem = set(self.members)
-        for x in range(g.order):
-            for h in self.members:
-                if g.conjugate(x, h) not in mem:
-                    return False
-        return True
+        mem = np.array(self.members)
+        inside = np.zeros(g.order, dtype=bool)
+        inside[mem] = True
+        conjugates = g.mul[g.mul[:, mem], g.inv[:, None]]   # [x, h] = x h x^-1
+        return bool(inside[conjugates].all())
 
     def is_abelian(self) -> bool:
-        g = self.parent
-        return all(
-            g.mul[a, b] == g.mul[b, a]
-            for a, b in itertools.combinations(self.members, 2)
-        )
+        mem = np.array(self.members)
+        table = self.parent.mul[np.ix_(mem, mem)]
+        return bool(np.array_equal(table, table.T))
 
     def as_group(self) -> FiniteGroup:
         """The subgroup relabeled as a standalone group on 0..|H|-1.
@@ -479,6 +495,35 @@ def group_from_mul_table(mul, label: str = "G", element_names: list[str] | None 
             raise GroupValidationError("table has no two-sided inverse for some element")
         inv[x] = hits[0]
     return FiniteGroup(n, mul, identity, inv, label=label, element_names=element_names)
+
+
+def _extend_closure(members: list[int], mask: int, cols: list[list[int]]) -> int:
+    """Close a member list under right multiplication by every column in cols.
+
+    members, with bitmask mask, must already be closed under all columns but
+    the last.  members is extended in place and the new bitmask is returned.
+    """
+    last = cols[-1]
+    frontier = []
+    for h in members:
+        y = last[h]
+        if not mask >> y & 1:
+            mask |= 1 << y
+            frontier.append(y)
+    members.extend(frontier)
+    while frontier:
+        x = frontier.pop()
+        for col in cols:
+            y = col[x]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                members.append(y)
+                frontier.append(y)
+    return mask
+
+
+def _is_prime(k: int) -> bool:
+    return k > 1 and all(k % d for d in range(2, int(k**0.5) + 1))
 
 
 def _lcm(a: int, b: int) -> int:

@@ -123,3 +123,45 @@ def random_subgroup(group: FiniteGroup, rng: np.random.Generator) -> Subgroup:
     k = int(rng.integers(1, 3))
     gens = [int(rng.integers(0, group.order)) for _ in range(k)]
     return group.subgroup_generated(gens)
+
+
+def closure_oracle(group: FiniteGroup, gens) -> tuple[int, ...]:
+    """Members of the subgroup generated by gens, by all-pairs closure.
+
+    Every element popped from the frontier is multiplied on both sides by
+    every member present at that moment; later arrivals pick up the missing
+    pairs on their own turn.
+    """
+    members = {group.identity} | {int(g) for g in gens}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for y in list(members):
+            for z in (int(group.mul[x, y]), int(group.mul[y, x])):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    return tuple(sorted(members))
+
+
+def lattice_oracle(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup's sorted members, sorted by (order, members).
+
+    Breadth-first from the trivial subgroup: each subgroup is re-closed with
+    every element outside it, by the all-pairs closure above.
+    """
+    trivial = (group.identity,)
+    seen = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new_frontier = []
+        for sub in frontier:
+            inside = set(sub)
+            for x in range(group.order):
+                if x not in inside:
+                    closure = closure_oracle(group, sub + (x,))
+                    if closure not in seen:
+                        seen.add(closure)
+                        new_frontier.append(closure)
+        frontier = new_frontier
+    return sorted(seen, key=lambda s: (len(s), s))

@@ -176,3 +176,53 @@ def test_full_support_correctable_iff_detectable_everywhere():
     half = CodeSpace.from_vectors(4, [[1, 0, 0, 0], [0, 0, 0, 1]])
     assert set(detectable_set(model, half)) != set(range(16))
     assert not bool(kl_correctable(half, channel))
+
+
+def test_recovery_restores_random_complex_line():
+    # <v|K_i* K_j|v> is complex for a random complex v, so the Gram matrix
+    # of the recovery is complex; every channel is correctable on a line
+    model = _two_qubit_pauli()
+    rng = np.random.default_rng(1)
+    code = CodeSpace.from_vectors(4, [rng.normal(size=4) + 1j * rng.normal(size=4)])
+    p = rng.uniform(0.5, 1.5, size=model.group.order)
+    channel = channel_from_model(model, p / p.sum())
+    assert bool(kl_correctable(code, channel))
+    recovery = build_recovery(code, channel)
+    assert verify_recovery(code, channel, recovery) <= 1e-7
+
+
+def _pairwise_witness(code, channel):
+    for i in range(len(channel)):
+        for j in range(len(channel)):
+            if kl_detectable(code, channel.kraus[i].conj().T @ channel.kraus[j]) is None:
+                return (i, j)
+    return None
+
+
+def test_kl_correctable_witness_matches_pairwise_loop():
+    model = _two_qubit_pauli()
+    rng = np.random.default_rng(2)
+    half = CodeSpace.from_vectors(4, [[1, 0, 0, 0], [0, 0, 0, 1]])
+    codes = [
+        _bell(model),
+        half,
+        CodeSpace.from_vectors(4, rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))),
+    ]
+    cases = []
+    for code in codes:
+        for _ in range(6):
+            support = rng.permutation(model.group.order)[: int(rng.integers(1, 9))]
+            p = np.zeros(model.group.order)
+            p[support] = rng.uniform(0.5, 1.5, size=len(support))
+            cases.append((code, channel_from_model(model, p / p.sum())))
+    # Kraus operators I, X2, X1 on {|00>, |11>}: X1 and X2 are detectable,
+    # X2 X1 is not, so the first bad pair lies past the first row
+    p = np.zeros(model.group.order)
+    p[[0, 2, 8]] = 1 / 3
+    cases.append((half, channel_from_model(model, p)))
+    results = [kl_correctable(code, channel) for code, channel in cases]
+    for (code, channel), result in zip(cases, results):
+        assert result.witness == _pairwise_witness(code, channel)
+        assert bool(result) == (result.witness is None)
+    assert any(results)
+    assert results[-1].witness == (1, 2)

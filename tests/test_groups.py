@@ -1,5 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import closure_oracle, lattice_oracle
+from qeclab.cli import parse_model_spec
 from qeclab.groups import (
     GroupValidationError,
     cyclic,
@@ -197,3 +202,81 @@ def test_element_names_compose():
     assert g.name_of(0) == "1"
     names = {g.name_of(x) for x in range(6)}
     assert len(names) == 6
+
+
+def test_associativity_check_is_conclusive_above_order_64():
+    # XOR table of (Z_2)^9 with one intercalate swapped: still a latin square
+    # with identity and inverses, but only 8144 of its 512^3 triples break
+    # associativity, so 20,000 random triples miss them all about 30% of the
+    # time; a conclusive check must still reject it
+    n = 512
+    idx = np.arange(n)
+    mul = idx[:, None] ^ idx[None, :]
+    mul[[1, 257], [2, 258]] = 259
+    mul[[1, 257], [258, 2]] = 3
+    with pytest.raises(GroupValidationError, match="not associative"):
+        group_from_mul_table(mul)
+
+
+SMALL_CATALOG = (
+    [f"genpauli:{n}" for n in range(2, 7)]
+    + ["pauli:1", "pauli:2"]
+    + [f"xp:{n}" for n in range(2, 19)]
+    + [f"c2d2n:{n}" for n in range(2, 5)]
+    + ["oddfam:3", "permprod(genpauli:2,2)", "prod(genpauli:2,genpauli:3)"]
+)
+
+
+@pytest.mark.parametrize("spec", SMALL_CATALOG)
+def test_all_subgroups_match_oracle(spec):
+    g = parse_model_spec(spec).model.group
+    assert g.order <= 36
+    subs = g.all_subgroups()
+    assert [h.members for h in subs] == lattice_oracle(g)
+    for h in subs:
+        inside = set(h.members)
+        normal = all(g.conjugate(x, m) in inside for x in range(g.order) for m in h.members)
+        abelian = all(g.mul[a, b] == g.mul[b, a] for a in h.members for b in h.members)
+        assert h.is_normal() == normal
+        assert h.is_abelian() == abelian
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        ("prod(genpauli:2,genpauli:4)", 249),
+        ("c2d2n:8", 137),
+        ("genpauli:8", 37),
+        ("pauli:3", 2825),
+    ],
+)
+def test_all_subgroups_counts_at_order_64(spec, count):
+    g = parse_model_spec(spec).model.group
+    assert g.order == 64
+    assert len(g.all_subgroups()) == count
+
+
+def test_all_subgroups_cap_checked_first():
+    g = cyclic(65)
+    with pytest.raises(ValueError, match="capped at order 64"):
+        g.all_subgroups()
+    assert len(g.all_subgroups(max_order=65)) == 4
+
+
+CONSTRUCTED = [
+    cyclic(12),
+    dihedral(6),
+    direct_product(cyclic(2), dihedral(3)),
+    inversion_semidirect(3),
+    symmetric(4),
+    permutation_semidirect(cyclic(2), 2),
+    group_from_mul_table(dihedral(5).mul),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subgroup_generated_matches_oracle(data):
+    g = data.draw(st.sampled_from(CONSTRUCTED))
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    assert g.subgroup_generated(gens).members == closure_oracle(g, gens)
