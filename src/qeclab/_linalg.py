@@ -35,5 +35,10 @@ def projector(basis: np.ndarray) -> np.ndarray:
     return basis @ basis.conj().T
 
 
+def compress(matrices: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """basis* M basis for each matrix M of a stack: the action on a subspace."""
+    return basis.conj().T @ matrices @ basis
+
+
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))

@@ -65,6 +65,7 @@ from .groups import (
     dihedral,
     direct_product,
     inversion_semidirect,
+    max_group_order,
     permutation_semidirect,
     symmetric,
 )
@@ -77,6 +78,7 @@ from .models import (
     family_c2_x_d2n,
     family_odd,
     gen_pauli_model,
+    max_ambient_dim,
     perm_product_model,
     product_model,
 )
@@ -586,12 +588,8 @@ def cmd_reproduce(args) -> int:
 
 
 def _search_caps(args) -> tuple[int, int]:
-    max_order = args.max_order
-    if max_order is None:
-        max_order = int(os.environ.get("QECLAB_MAX_ORDER", "64"))
-    max_dim = args.max_dim
-    if max_dim is None:
-        max_dim = int(os.environ.get("QECLAB_MAX_DIM", "16"))
+    max_order = args.max_order if args.max_order is not None else max_group_order()
+    max_dim = args.max_dim if args.max_dim is not None else max_ambient_dim(16)
     return max_order, max_dim
 
 

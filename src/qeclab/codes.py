@@ -2,15 +2,21 @@
 
 Subspace equality throughout is projector Frobenius distance < 1e-7, which is
 basis independent.  Membership scans use 1e-8.
+
+The action of the model on a code is computed once per code: from the
+projector P, the stacks pi(x) P, P pi(x) and P pi(x) P give per-element
+norms, and the logical group, stabilizer, detectable set, partitioning test
+and Clifford invariance test are all read from those norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import frobenius, nullspace, orthonormal_columns, projector
+from ._linalg import compress, frobenius, nullspace, orthonormal_columns, projector
 from .cocycles import PhaseFunction, _greedy_generators, coboundary
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, product_model
@@ -248,43 +254,82 @@ def clifford_code(model: ProjectiveErrorModel, sub: Subgroup, rho: ProjectiveRep
     return CodeSpace(model.dim, basis)
 
 
+class _Action(NamedTuple):
+    """Per-element norms of the model's action against a code projector P."""
+
+    commutator: np.ndarray  # |P pi(x) - pi(x) P|: zero on the logical group
+    scalars: np.ndarray     # c = tr(P pi(x) P) / dim W
+    scalar_dev: np.ndarray  # |P pi(x) P - c P|: zero where pi(x) acts on W as a scalar
+    inside: np.ndarray      # |pi(x) P - P pi(x) P|: zero where pi(x) maps W into W
+    outside: np.ndarray     # |P pi(x) P|: zero where pi(x) maps W into its complement
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2)))
+
+
+def _code_action(model: ProjectiveErrorModel, code: CodeSpace) -> _Action:
+    p = code.projector()
+    mats = model.rep.matrices
+    mp = mats @ p
+    pmp = p @ mp
+    scalars = np.einsum("xaa->x", pmp) / code.dim
+    return _Action(
+        commutator=_norms(p @ mats - mp),
+        scalars=scalars,
+        scalar_dev=_norms(pmp - scalars[:, None, None] * p),
+        inside=_norms(mp - pmp),
+        outside=_norms(pmp),
+    )
+
+
+def _logical(model: ProjectiveErrorModel, act: _Action) -> Subgroup:
+    return Subgroup(model.group, np.flatnonzero(act.commutator < TOL_MEMBERSHIP))
+
+
+def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, PhaseFunction]:
+    keep = (act.scalar_dev < TOL_MEMBERSHIP) & (np.abs(np.abs(act.scalars) - 1) < TOL_MEMBERSHIP)
+    members = np.flatnonzero(keep)
+    sub = Subgroup(model.group, members)
+    f = PhaseFunction.from_complex(sub, act.scalars[members], max_den=4 * model.group.order)
+    return sub, f
+
+
+def _detectable(act: _Action) -> list[int]:
+    return [int(x) for x in np.flatnonzero(act.scalar_dev < TOL_MEMBERSHIP)]
+
+
+def _partitioning(
+    model: ProjectiveErrorModel,
+    act: _Action,
+    logical: Subgroup,
+    stab: Subgroup,
+    detect: list[int],
+) -> tuple[bool, int | None]:
+    bad = np.flatnonzero((act.inside >= TOL_MEMBERSHIP) & (act.outside >= TOL_MEMBERSHIP))
+    if bad.size:
+        return False, int(bad[0])
+    closed_form = (set(range(model.group.order)) - set(logical.members)) | set(stab.members)
+    if set(detect) != closed_form:
+        raise RuntimeError("partitioning code whose detectable set is not the closed form")
+    return True, None
+
+
 def logical_group(model: ProjectiveErrorModel, code: CodeSpace) -> Subgroup:
     """Elements whose action commutes with the code projector."""
-    p = code.projector()
-    mats = model.rep.matrices
-    dev = np.einsum("ab,xbc->xac", p, mats) - np.einsum("xab,bc->xac", mats, p)
-    norms = np.sqrt(np.sum(np.abs(dev) ** 2, axis=(1, 2)))
-    members = np.flatnonzero(norms < TOL_MEMBERSHIP)
-    return Subgroup(model.group, members)
-
-
-def _compressed_scalars(model: ProjectiveErrorModel, code: CodeSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Per element: c = tr(P pi P)/dim W and the distance of P pi P from c P."""
-    p = code.projector()
-    mats = model.rep.matrices
-    pmp = np.einsum("ab,xbc,cd->xad", p, mats, p)
-    scalars = np.einsum("xaa->x", pmp) / code.dim
-    dev = pmp - scalars[:, None, None] * p
-    dists = np.sqrt(np.sum(np.abs(dev) ** 2, axis=(1, 2)))
-    return scalars, dists
+    return _logical(model, _code_action(model, code))
 
 
 def stabilizer_group(
     model: ProjectiveErrorModel, code: CodeSpace
 ) -> tuple[Subgroup, PhaseFunction]:
     """Elements acting on the code as a unimodular scalar, with that scalar."""
-    scalars, dists = _compressed_scalars(model, code)
-    keep = (dists < TOL_MEMBERSHIP) & (np.abs(np.abs(scalars) - 1) < TOL_MEMBERSHIP)
-    members = np.flatnonzero(keep)
-    sub = Subgroup(model.group, members)
-    f = PhaseFunction.from_complex(sub, scalars[members], max_den=4 * model.group.order)
-    return sub, f
+    return _stabilizer(model, _code_action(model, code))
 
 
 def detectable_set(model: ProjectiveErrorModel, code: CodeSpace) -> list[int]:
     """Elements acting as any scalar (including zero) on the code."""
-    _, dists = _compressed_scalars(model, code)
-    return [int(x) for x in np.flatnonzero(dists < TOL_MEMBERSHIP)]
+    return _detectable(_code_action(model, code))
 
 
 def is_partitioning(
@@ -297,21 +342,10 @@ def is_partitioning(
     against its closed form (complement of the logical group, plus the
     stabilizer).
     """
-    p = code.projector()
-    mats = model.rep.matrices
-    mp = np.einsum("xab,bc->xac", mats, p)
-    pmp = np.einsum("ab,xbc->xac", p, mp)
-    inside = np.sqrt(np.sum(np.abs(mp - pmp) ** 2, axis=(1, 2)))
-    outside = np.sqrt(np.sum(np.abs(pmp) ** 2, axis=(1, 2)))
-    bad = np.flatnonzero((inside >= TOL_MEMBERSHIP) & (outside >= TOL_MEMBERSHIP))
-    if bad.size:
-        return False, int(bad[0])
-    logical = set(logical_group(model, code).members)
-    stab = set(stabilizer_group(model, code)[0].members)
-    closed_form = (set(range(model.group.order)) - logical) | stab
-    if set(detectable_set(model, code)) != closed_form:
-        raise RuntimeError("partitioning code whose detectable set is not the closed form")
-    return True, None
+    act = _code_action(model, code)
+    return _partitioning(
+        model, act, _logical(model, act), _stabilizer(model, act)[0], _detectable(act)
+    )
 
 
 @dataclass(eq=False)
@@ -387,7 +421,9 @@ def _find_normal_reconstruction(
     return None
 
 
-def _clifford_flag(model: ProjectiveErrorModel, code: CodeSpace, logical: Subgroup) -> tuple[bool, object]:
+def _clifford_flag(
+    model: ProjectiveErrorModel, code: CodeSpace, logical: Subgroup, act: _Action
+) -> tuple[bool, object]:
     g = model.group
     dim_v, dim_w = model.dim, code.dim
     if (dim_w * g.order) % dim_v != 0 or len(logical) * dim_v != dim_w * g.order:
@@ -396,13 +432,10 @@ def _clifford_flag(model: ProjectiveErrorModel, code: CodeSpace, logical: Subgro
         )
     if logical.index() * dim_w != dim_v:
         return False, "[G:L] * dim W != dim V"
-    p = code.projector()
-    b = code.basis
-    mats = model.rep.matrices[list(logical.members)]
-    off = np.einsum("xab,bc->xac", mats, p) - np.einsum("ab,xbc,cd->xad", p, mats, p)
-    if np.sqrt(np.sum(np.abs(off) ** 2, axis=(1, 2))).max() > TOL_MEMBERSHIP:
+    members = list(logical.members)
+    if act.inside[members].max() > TOL_MEMBERSHIP:
         return False, "code not invariant under the logical group"
-    small = np.einsum("ab,xbc,cd->xad", b.conj().T, mats, b)
+    small = compress(model.rep.matrices[members], code.basis)
     try:
         rho = make_rep(logical.as_group(), small)
     except Exception as exc:  # pragma: no cover - invariance should preclude this
@@ -418,9 +451,10 @@ def _clifford_flag(model: ProjectiveErrorModel, code: CodeSpace, logical: Subgro
 
 def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
     """Compute the three group invariants and all classification flags."""
-    logical = logical_group(model, code)
-    stab, f = stabilizer_group(model, code)
-    detect = detectable_set(model, code)
+    act = _code_action(model, code)
+    logical = _logical(model, act)
+    stab, f = _stabilizer(model, act)
+    detect = _detectable(act)
     witnesses: dict[str, object] = {}
 
     rebuilt = weak_stabilizer_code(model, stab, f)
@@ -431,7 +465,7 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
     if not is_weak:
         witnesses["is_weak_stabilizer"] = f"projector distance {weak_dist:.3e}"
 
-    is_cliff, cliff_witness = _clifford_flag(model, code, logical)
+    is_cliff, cliff_witness = _clifford_flag(model, code, logical, act)
     if not is_cliff:
         witnesses["is_clifford"] = cliff_witness
 
@@ -461,7 +495,7 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
             is_stab = False
             witnesses["is_stabilizer"] = "not a weak stabilizer code"
 
-    is_part, part_witness = is_partitioning(model, code)
+    is_part, part_witness = _partitioning(model, act, logical, stab, detect)
     if not is_part:
         witnesses["is_partitioning"] = part_witness
 
@@ -494,9 +528,7 @@ def stabilizer_to_clifford(
         raise CodeError("need exact phases to compute the inertia group")
     theta = rep_from_phase_function(f)
     logical = inertia_group(theta, sub, model.cocycle)
-    b = code.basis
-    mats = model.rep.matrices[list(logical.members)]
-    small = np.einsum("ab,xbc,cd->xad", b.conj().T, mats, b)
+    small = compress(model.rep.matrices[list(logical.members)], code.basis)
     rho = make_rep(logical.as_group(), small)
     rebuilt = clifford_code(model, logical, rho)
     if frobenius(rebuilt.projector() - code.projector()) >= TOL_SUBSPACE:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import frobenius, nullspace, orthonormal_columns
+from ._linalg import compress, nullspace, orthonormal_columns
 from .cocycles import PhaseFunction, _greedy_generators, find_trivializing_phase
 from .codes import CodeReport, CodeSpace, classify, clifford_code, weak_stabilizer_code
 from .groups import Subgroup
@@ -34,6 +34,30 @@ def _check_caps(model: ProjectiveErrorModel, max_order: int, max_dim: int) -> No
         )
     if model.dim > max_dim:
         raise SearchError(f"ambient dimension {model.dim} exceeds the search cap {max_dim}")
+
+
+class _ProjectorSet:
+    """Projectors kept so far, for dedup by Frobenius distance < 1e-7.
+
+    A new projector is compared against every kept one in one vectorized
+    norm.  The kept projectors live in one buffer that doubles when full,
+    so no call copies them all.
+    """
+
+    def __init__(self, dim: int):
+        self._buf = np.empty((16, dim, dim), dtype=complex)
+        self._count = 0
+
+    def add_if_new(self, p: np.ndarray) -> bool:
+        """Keep p and return True unless a kept projector is within 1e-7 of it."""
+        kept = self._buf[: self._count]
+        if self._count and (np.linalg.norm(kept - p, axis=(1, 2)) < 1e-7).any():
+            return False
+        if self._count == len(self._buf):
+            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
+        self._buf[self._count] = p
+        self._count += 1
+        return True
 
 
 def _joint_eigenvectors(matrices: np.ndarray, gens: list[int]) -> list[np.ndarray]:
@@ -81,7 +105,7 @@ def enumerate_weak_stabilizer_codes(
     _check_caps(model, max_order, max_dim)
     g = model.group
     results: list[tuple[Subgroup, PhaseFunction, CodeSpace]] = []
-    kept: list[np.ndarray] = []
+    kept = _ProjectorSet(model.dim)
     for sub in g.all_subgroups():
         res = model.cocycle.restrict(sub)
         f0 = find_trivializing_phase(res, domain=sub)
@@ -100,11 +124,8 @@ def enumerate_weak_stabilizer_codes(
             code = weak_stabilizer_code(model, sub, f)
             if code is None:
                 raise RuntimeError("constituent with an empty code space")
-            p = code.projector()
-            if any(frobenius(p - q) < 1e-7 for q in kept):
-                continue
-            kept.append(p)
-            results.append((sub, f, code))
+            if kept.add_if_new(code.projector()):
+                results.append((sub, f, code))
     return results
 
 
@@ -135,7 +156,7 @@ def _irreducible_constituents(
                 continue
             basis = orthonormal_columns(evecs[:, start:k])
             start = k
-            small = np.einsum("ab,xbc,cd->xad", basis.conj().T, rep.matrices, basis)
+            small = compress(rep.matrices, basis)
             try:
                 piece = make_rep(rep.group, small)
             except Exception:
@@ -168,7 +189,7 @@ def q3_probe(
     g = model.group
     hits: list[CodeReport] = []
     candidates: list[CodeReport] = []
-    kept: list[np.ndarray] = []
+    kept = _ProjectorSet(model.dim)
     for sub in g.all_subgroups():
         index = sub.index()
         if model.dim % index != 0:
@@ -181,10 +202,8 @@ def q3_probe(
             if len(hom_space(rho, res)) != 1:
                 continue
             code = clifford_code(model, sub, rho)
-            p = code.projector()
-            if any(frobenius(p - q) < 1e-7 for q in kept):
+            if not kept.add_if_new(code.projector()):
                 continue
-            kept.append(p)
             report = classify(model, code)
             candidates.append(report)
             order_match = g.order == len(report.logical) * len(report.stabilizer)

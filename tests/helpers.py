@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from qeclab.cocycles import Phase, snap_phase_or_none
 from qeclab.groups import FiniteGroup, Subgroup
 
 
@@ -165,3 +166,99 @@ def lattice_oracle(group: FiniteGroup) -> list[tuple[int, ...]]:
                         new_frontier.append(closure)
         frontier = new_frontier
     return sorted(seen, key=lambda s: (len(s), s))
+
+
+# -- per-function references for make_rep, the code scans and dedup ----------
+#
+# The direct forms, one einsum per quantity and one snap_phase per table
+# entry, that make_rep's grouped snapping and classify's shared action must
+# agree with.
+
+TOL_MEMBERSHIP = 1e-8
+
+# Catalog model specs of group order at most 64.
+CATALOG_64 = (
+    [f"genpauli:{n}" for n in range(2, 9)]
+    + ["pauli:1", "pauli:2", "pauli:3"]
+    + [f"xp:{n}" for n in range(2, 17)]
+    + [f"c2d2n:{n}" for n in range(2, 9)]
+    + ["oddfam:3", "permprod(genpauli:2,2)", "prod(genpauli:2,genpauli:3)",
+       "prod(genpauli:2,genpauli:4)"]
+)
+
+
+def raw_scalar_table(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
+    """tr(pi(x) pi(y) pi(xy)^-1) / dim for every (x, y)."""
+    n, dim = group.order, matrices.shape[1]
+    raw = np.zeros((n, n), dtype=complex)
+    for x in range(n):
+        raw[x] = np.einsum(
+            "ab,ybc,yac->y", matrices[x], matrices, matrices[group.mul[x]].conj()
+        ) / dim
+    return raw
+
+
+def snap_each(raw: np.ndarray, max_den: int, tol: float = 1e-9) -> list[list[Phase | None]]:
+    """snap_phase on every entry separately, None where it fails."""
+    return [[snap_phase_or_none(complex(z), max_den, tol) for z in row] for row in raw]
+
+
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2)))
+
+
+def logical_oracle(model, code) -> list[int]:
+    p = code.projector()
+    mats = model.rep.matrices
+    dev = np.einsum("ab,xbc->xac", p, mats) - np.einsum("xab,bc->xac", mats, p)
+    return [int(x) for x in np.flatnonzero(_frobenius_norms(dev) < TOL_MEMBERSHIP)]
+
+
+def compressed_scalars_oracle(model, code) -> tuple[np.ndarray, np.ndarray]:
+    """Per element: c = tr(P pi P) / dim W and the distance of P pi P from c P."""
+    p = code.projector()
+    pmp = np.einsum("ab,xbc,cd->xad", p, model.rep.matrices, p)
+    scalars = np.einsum("xaa->x", pmp) / code.dim
+    return scalars, _frobenius_norms(pmp - scalars[:, None, None] * p)
+
+
+def stabilizer_oracle(model, code) -> tuple[list[int], list[Phase | None]]:
+    """Members acting as a unimodular scalar, and each scalar snapped alone."""
+    scalars, dists = compressed_scalars_oracle(model, code)
+    keep = (dists < TOL_MEMBERSHIP) & (np.abs(np.abs(scalars) - 1) < TOL_MEMBERSHIP)
+    members = [int(x) for x in np.flatnonzero(keep)]
+    max_den = 4 * model.group.order
+    return members, [snap_phase_or_none(complex(scalars[x]), max_den) for x in members]
+
+
+def detectable_oracle(model, code) -> list[int]:
+    _, dists = compressed_scalars_oracle(model, code)
+    return [int(x) for x in np.flatnonzero(dists < TOL_MEMBERSHIP)]
+
+
+def partition_norms_oracle(model, code) -> tuple[np.ndarray, np.ndarray]:
+    """Per element: |pi P - P pi P| (zero when W maps into W) and |P pi P|."""
+    p = code.projector()
+    mp = np.einsum("xab,bc->xac", model.rep.matrices, p)
+    pmp = np.einsum("ab,xbc->xac", p, mp)
+    return _frobenius_norms(mp - pmp), _frobenius_norms(pmp)
+
+
+def partitioning_oracle(model, code) -> tuple[bool, int | None]:
+    """(flag, first element mapping W neither into W nor into its complement)."""
+    inside, outside = partition_norms_oracle(model, code)
+    bad = np.flatnonzero((inside >= TOL_MEMBERSHIP) & (outside >= TOL_MEMBERSHIP))
+    return (False, int(bad[0])) if bad.size else (True, None)
+
+
+class PairwiseDedup:
+    """Projector dedup by comparing with each kept projector in turn."""
+
+    def __init__(self, dim: int):
+        self.kept: list[np.ndarray] = []
+
+    def add_if_new(self, p: np.ndarray) -> bool:
+        if any(np.linalg.norm(p - q) < 1e-7 for q in self.kept):
+            return False
+        self.kept.append(p)
+        return True

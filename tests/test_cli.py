@@ -185,6 +185,21 @@ def test_search_cap_exceeded_is_verification_failure(capsys):
     assert rc == 1
 
 
+def test_search_caps_read_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("QECLAB_MAX_DIM", "2")
+    assert run(capsys, "search", "genpauli:3")[0] == 1
+    assert run(capsys, "search", "genpauli:3", "--max-dim", "3")[0] == 0
+    monkeypatch.delenv("QECLAB_MAX_DIM")
+    monkeypatch.setenv("QECLAB_MAX_ORDER", "4")
+    assert run(capsys, "search", "genpauli:3")[0] == 1
+    monkeypatch.setenv("QECLAB_MAX_ORDER", "nine")
+    assert run(capsys, "search", "genpauli:3")[0] == 1
+    monkeypatch.delenv("QECLAB_MAX_ORDER")
+    # the default order cap is 64
+    assert run(capsys, "search", "genpauli:9")[0] == 1
+    assert run(capsys, "search", "genpauli:3")[0] == 0
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "qeclab.cli", "model", "genpauli:2"],

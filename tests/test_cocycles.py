@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_force_trivializer, restricted_cocycle_table
 
@@ -10,7 +12,8 @@ from qeclab.cocycles import (
     find_trivializing_phase,
 )
 from qeclab.groups import cyclic, dihedral, direct_product
-from qeclab.models import dihedral_xp_model, gen_pauli_model
+from qeclab.models import dihedral_xp_model, gen_pauli_model, product_model
+from qeclab.projreps import tensor
 
 
 def test_phase_normalization():
@@ -155,3 +158,68 @@ def test_trivializer_on_product_group_cocycle():
     h = find_trivializing_phase(sigma)
     assert h is not None
     assert coboundary(h) == sigma
+
+
+def test_trivializer_needs_the_group_exponent():
+    # f(x) = exp(2 pi i x / 8) on Z4 has a coboundary with denominator 2, but
+    # every trivializer takes values in C_8: multiples k <= 2 of the
+    # denominator give only C_4, so only k = exp(Z4) = 4 finds one
+    sub = cyclic(4).full_subgroup()
+    sigma = coboundary(PhaseFunction.exact(sub, [Phase(x, 8) for x in range(4)]))
+    assert sigma.den == 2
+    h = find_trivializing_phase(sigma)
+    assert h is not None
+    assert coboundary(h) == sigma
+
+
+def test_trivializer_hits_on_order_64_product():
+    model = product_model(gen_pauli_model(2), gen_pauli_model(4))
+    subs = model.group.all_subgroups()
+    hits = [
+        find_trivializing_phase(model.rep.cocycle.restrict(sub), domain=sub) is not None
+        for sub in subs
+    ]
+    assert (sum(hits), len(subs)) == (98, 249)
+
+
+def _cocycle_sources():
+    pauli2, pauli3, xp4 = gen_pauli_model(2), gen_pauli_model(3), dihedral_xp_model(4)
+    d3 = dihedral(3).full_subgroup()
+    line = pauli3.group.subgroup_generated([1])
+    return [
+        Cocycle.trivial(cyclic(6)),
+        pauli2.rep.cocycle,
+        pauli3.rep.cocycle.conjugate(),
+        xp4.rep.cocycle,
+        Cocycle.from_json(xp4.group, xp4.rep.cocycle.to_json()),
+        coboundary(PhaseFunction.exact(d3, [Phase(k % 3, 3) for k in range(6)])),
+        pauli3.rep.cocycle.restrict(line),
+        xp4.rep.cocycle.multiply(
+            coboundary(PhaseFunction.exact(xp4.group.full_subgroup(), [Phase(k, 8) for k in range(8)]))
+        ),
+        tensor(pauli2.rep, pauli2.rep).cocycle,
+        product_model(pauli2, gen_pauli_model(4)).rep.cocycle,
+    ]
+
+
+COCYCLE_SOURCES = _cocycle_sources()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_agrees_with_full_scan(data):
+    sigma = data.draw(st.sampled_from(COCYCLE_SOURCES))
+    n = sigma.group.order
+    x = data.draw(st.integers(0, n - 1))
+    y = data.draw(st.integers(0, n - 1))
+    scale = data.draw(st.sampled_from([1, 2, 3]))
+    delta = data.draw(st.integers(0, scale * sigma.den - 1))
+    num = sigma.num * scale
+    if data.draw(st.booleans()):
+        num[x, y] += delta
+    else:
+        # adding delta on the columns of <x> keeps the identity for z in <x>
+        # and breaks it for every other z
+        num[:, list(sigma.group.subgroup_generated([x]).members)] += delta
+    bent = Cocycle(sigma.group, num, scale * sigma.den)
+    assert bent.verify() == (bent.find_violation() is None)

@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
-from helpers import eigenspace_dim, linear_characters
+from helpers import (
+    CATALOG_64,
+    detectable_oracle,
+    eigenspace_dim,
+    linear_characters,
+    logical_oracle,
+    partition_norms_oracle,
+    partitioning_oracle,
+    stabilizer_oracle,
+)
 
+from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Phase, PhaseFunction, find_trivializing_phase
 from qeclab.codes import (
     CodeError,
     CodeSpace,
+    _code_action,
     classify,
     clifford_code,
     code_dimension_formula,
@@ -29,6 +40,7 @@ from qeclab.models import (
     product_model,
 )
 from qeclab.projreps import make_rep
+from qeclab.search import enumerate_weak_stabilizer_codes
 
 
 def _two_qubit_pauli():
@@ -375,3 +387,42 @@ def test_central_type_criterion_never_contradicts():
         crit = report.central_type_criterion
         if crit is not None:
             assert crit["is_weak_stabilizer"] == report.flags["is_weak_stabilizer"]
+
+
+# ------------------------------------------------ shared action against the per-function formulas
+
+
+# pauli:3 is left out: its 2467 codes take half a minute to classify and check.
+@pytest.mark.parametrize("spec", [s for s in CATALOG_64 if s != "pauli:3"])
+def test_classify_matches_per_function_formulas(spec):
+    model = parse_model_spec(spec).model
+    assert model.group.order <= 64
+    for _, _, code in enumerate_weak_stabilizer_codes(model):
+        report = classify(model, code)
+        logical = logical_oracle(model, code)
+        stab, phases = stabilizer_oracle(model, code)
+        detect = detectable_oracle(model, code)
+        part = partitioning_oracle(model, code)
+        assert list(report.logical.members) == logical
+        assert list(report.stabilizer.members) == stab
+        assert list(report.stabilizer_phase.phases) == phases
+        assert report.detectable == detect
+        assert (report.flags["is_partitioning"], report.witnesses.get("is_partitioning")) == part
+        # the norms the Clifford invariance test reads
+        act = _code_action(model, code)
+        inside, outside = partition_norms_oracle(model, code)
+        assert np.abs(act.inside - inside).max() < 1e-12
+        assert np.abs(act.outside - outside).max() < 1e-12
+
+
+def test_public_scans_match_per_function_formulas():
+    model = product_model(gen_pauli_model(2), gen_pauli_model(3))
+    for _, _, code in enumerate_weak_stabilizer_codes(model)[::7]:
+        assert list(logical_group(model, code).members) == logical_oracle(model, code)
+        stab, f = stabilizer_group(model, code)
+        assert (list(stab.members), list(f.phases)) == stabilizer_oracle(model, code)
+        assert detectable_set(model, code) == detectable_oracle(model, code)
+        assert is_partitioning(model, code) == partitioning_oracle(model, code)
+    line = CodeSpace.from_vectors(6, np.arange(6) + 1j)
+    assert is_partitioning(model, line) == partitioning_oracle(model, line)
+    assert not partitioning_oracle(model, line)[0]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from qeclab.cocycles import Phase, PhaseFunction, coboundary
+from helpers import CATALOG_64, raw_scalar_table, snap_each
+
+from qeclab.cli import parse_model_spec
+from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
 from qeclab.groups import cyclic, dihedral
 from qeclab.models import (
     d4_character_table,
@@ -10,7 +13,9 @@ from qeclab.models import (
     gen_pauli_model,
 )
 from qeclab.projreps import (
+    MakeRepError,
     ProjectiveRep,
+    _snap_scalars,
     frobenius_dims,
     hom_space,
     induce,
@@ -195,3 +200,48 @@ def test_d4_projective_rows_orthogonal():
     inner = np.sum(chi1 * np.conj(chi2) * sizes) / 8
     assert abs(inner) < 1e-12
     assert abs(np.sum(np.abs(chi1) ** 2) / 8 - 1) < 1e-12
+
+
+# ------------------------------------------------ make_rep snapping
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_make_rep_snaps_like_snap_phase_per_entry(spec):
+    model = parse_model_spec(spec).model
+    g, mats = model.group, model.rep.matrices
+    assert g.order <= 64
+    raw = raw_scalar_table(g, mats)
+    each = snap_each(raw, 4 * g.order)
+    assert all(p is not None for row in each for p in row)
+    want = Cocycle.from_phases(g, each)
+    num, den = _snap_scalars(raw, 4 * g.order)
+    assert Cocycle(g, num, den) == want
+    assert make_rep(g, mats).cocycle == want
+
+
+def _first_snap_failure(group, mats):
+    each = snap_each(raw_scalar_table(group, mats), 4 * group.order)
+    return next((x, y) for x, row in enumerate(each) for y, p in enumerate(row) if p is None)
+
+
+def test_make_rep_names_first_failing_scalar():
+    model = gen_pauli_model(3)
+    mats = model.rep.matrices.copy()
+    mats[4] = mats[4] * np.exp(1e-6j)        # still unitary, off by a small phase
+    x, y = _first_snap_failure(model.group, mats)
+    with pytest.raises(MakeRepError, match=rf"scalar snap failed at \({x},{y}\)"):
+        make_rep(model.group, mats)
+
+
+def test_make_rep_rejects_non_unitary_matrix():
+    model = gen_pauli_model(3)
+    mats = model.rep.matrices.copy()
+    mats[5, 0, :] *= 1.001
+    x, y = _first_snap_failure(model.group, mats)
+    with pytest.raises(MakeRepError, match=rf"scalar snap failed at \({x},{y}\)"):
+        make_rep(model.group, mats)
+    # a non-unitary matrix whose scalar snaps reaches the unitarity check
+    a = 1.1
+    diag = np.array([[[a, 0], [0, np.cbrt(2 - a**3)]]], dtype=complex)
+    with pytest.raises(MakeRepError, match="not unitary"):
+        make_rep(cyclic(1), diag)

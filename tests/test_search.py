@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
-from qeclab.codes import clifford_code, code_dimension_formula, weak_stabilizer_code
+from helpers import PairwiseDedup
+
+from qeclab import search
+from qeclab.cli import parse_model_spec
+from qeclab.codes import CodeSpace, clifford_code, code_dimension_formula, weak_stabilizer_code
 from qeclab.models import (
     family_c2_x_d2n,
     gen_pauli_model,
@@ -97,3 +102,51 @@ def test_q3_hit_reconstructs_from_its_stabilizer():
     rebuilt = weak_stabilizer_code(model, r.stabilizer, r.stabilizer_phase)
     assert rebuilt is not None
     assert rebuilt.equals(r.code)
+
+
+def _witnesses(found):
+    return [(sub.members, f.phases, code.projector()) for sub, f, code in found]
+
+
+def _summary(report):
+    out = report.to_json()
+    out.pop("code")
+    return out
+
+
+def test_projector_set_matches_pairwise_dedup():
+    rng = np.random.default_rng(3)
+    lines = [
+        CodeSpace.from_vectors(4, rng.normal(size=4) + 1j * rng.normal(size=4)).projector()
+        for _ in range(40)
+    ]
+    stream = [lines[i] + 1e-9 * rng.normal() for i in rng.integers(0, 40, size=300)]
+    fast, slow = search._ProjectorSet(4), PairwiseDedup(4)
+    assert [fast.add_if_new(p) for p in stream] == [slow.add_if_new(p) for p in stream]
+
+
+@pytest.mark.parametrize("spec", ["genpauli:8", "c2d2n:2", "oddfam:3"])
+def test_dedup_keeps_the_pairwise_choice(spec, monkeypatch):
+    # the vectorized dedup keeps the same first witness, in the same order,
+    # as comparing with each kept projector in turn
+    model = parse_model_spec(spec).model
+    found = enumerate_weak_stabilizer_codes(model)
+    hits, candidates = q3_probe(model, return_candidates=True)
+    monkeypatch.setattr(search, "_ProjectorSet", PairwiseDedup)
+    want_found = enumerate_weak_stabilizer_codes(model)
+    want_hits, want_candidates = q3_probe(model, return_candidates=True)
+    assert len(found) == len(want_found) > 16
+    for (s1, f1, p1), (s2, f2, p2) in zip(_witnesses(found), _witnesses(want_found)):
+        assert s1 == s2 and f1 == f2
+        assert np.abs(p1 - p2).max() < 1e-12
+    assert [_summary(r) for r in hits] == [_summary(r) for r in want_hits]
+    assert [_summary(r) for r in candidates] == [_summary(r) for r in want_candidates]
+
+
+@pytest.mark.parametrize(
+    "spec, hits, candidates",
+    [("c2d2n:2", 16, 43), ("oddfam:3", 48, 115), ("genpauli:8", 0, 155)],
+)
+def test_q3_probe_counts(spec, hits, candidates):
+    found, examined = q3_probe(parse_model_spec(spec).model, return_candidates=True)
+    assert (len(found), len(examined)) == (hits, candidates)
