@@ -8,6 +8,7 @@ and makes subgroup/coset computations plain integer array manipulation.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -26,8 +27,9 @@ __all__ = [
     "max_group_order",
 ]
 
-# Hard cap for permutation_semidirect and other combinatorial constructors.
-_MAX_CONSTRUCTED_ORDER = 10**6
+# Largest dense int64 multiplication table (256 MiB, order 5792) a
+# constructor will allocate.
+_MAX_TABLE_BYTES = 2**28
 
 
 def max_group_order(default: int = 64) -> int:
@@ -338,10 +340,21 @@ class Subgroup:
 # -- constructors ------------------------------------------------------------
 
 
+def _check_table_size(order: int) -> None:
+    """Refuse, before any allocation, an order whose table exceeds the cap."""
+    nbytes = order * order * np.dtype(np.int64).itemsize
+    if nbytes > _MAX_TABLE_BYTES:
+        raise ValueError(
+            f"a group of order {order} needs a {nbytes / 2**20:.0f} MiB multiplication "
+            f"table, over the {_MAX_TABLE_BYTES // 2**20} MiB cap"
+        )
+
+
 def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n >= 1, element k standing for g^k."""
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
+    _check_table_size(n)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     inv = (-idx) % n
@@ -356,6 +369,7 @@ def dihedral(n: int) -> FiniteGroup:
     """
     if n < 2:
         raise ValueError("dihedral group needs n >= 2")
+    _check_table_size(2 * n)
     mul = np.zeros((2 * n, 2 * n), dtype=np.int64)
     for k1, l1, k2, l2 in itertools.product(range(2), range(n), range(2), range(n)):
         k = (k1 + k2) % 2
@@ -378,6 +392,7 @@ def dihedral(n: int) -> FiniteGroup:
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product; element (x, y) has index x*|G2| + y."""
     n1, n2 = g1.order, g2.order
+    _check_table_size(n1 * n2)
     x1, y1 = np.divmod(np.arange(n1 * n2), n2)
     mul = g1.mul[np.ix_(x1, x1)] * n2 + g2.mul[np.ix_(y1, y1)]
     identity = g1.identity * n2 + g2.identity
@@ -398,6 +413,7 @@ def inversion_semidirect(n: int) -> FiniteGroup:
     if n < 3 or n % 2 == 0:
         raise ValueError("inversion semidirect product needs odd n >= 3")
     order = 2 * n * n
+    _check_table_size(order)
     mul = np.zeros((order, order), dtype=np.int64)
     def pack(a, b, c):
         return (a * n + b) * 2 + c
@@ -418,6 +434,7 @@ def symmetric(n: int) -> FiniteGroup:
     lexicographic one-line order, product s*t meaning "apply t, then s"."""
     if not 1 <= n <= 6:
         raise ValueError("symmetric group supported for 1 <= n <= 6")
+    _check_table_size(math.factorial(n))
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     order = len(perms)
@@ -437,11 +454,10 @@ def permutation_semidirect(base: FiniteGroup, n: int) -> FiniteGroup:
     Element ((x_1..x_n), t) has index (sum_i x_i * |B|^(n-i)) * n! + t_idx.
     Group law: ((x), s) * ((y), t) = ((x_j * y_{s^-1(j)})_j, s*t).
     """
-    sym = symmetric(n)
     b = base.order
-    order = b**n * sym.order
-    if order > _MAX_CONSTRUCTED_ORDER:
-        raise ValueError(f"constructed order {order} exceeds cap {_MAX_CONSTRUCTED_ORDER}")
+    order = b**n * math.factorial(n)
+    _check_table_size(order)
+    sym = symmetric(n)
     perms = list(itertools.permutations(range(n)))
     tuples = list(itertools.product(range(b), repeat=n))
     tuple_index = {t: i for i, t in enumerate(tuples)}

@@ -48,6 +48,10 @@ __all__ = [
 
 TOL_STRUCTURE = 1e-9
 TOL_DERIVED = 1e-7
+# Most complex entries (256 KiB) in one block of pi(x) pi(y) products.  A
+# block and its temporaries stay in cache; 1 MiB blocks made make_rep's
+# checks slower than one row at a time on order-54 and order-64 reps.
+_PRODUCT_BLOCK_ENTRIES = 2**14
 
 
 class MakeRepError(ValueError):
@@ -86,13 +90,16 @@ class ProjectiveRep:
             raise MakeRepError("cached cocycle violates the cocycle identity")
         phases = self.cocycle.to_complex_table()
         mul = self.group.mul
-        for x in range(self.group.order):
-            products = m[x] @ m
-            expected = phases[x][:, None, None] * m[mul[x]]
-            dev = np.linalg.norm(products - expected, axis=(1, 2)).max()
-            if dev >= TOL_STRUCTURE:
+        for rows, products in _row_products(m):
+            expected = m[mul[rows]]
+            expected *= phases[rows, :, None, None]
+            products -= expected
+            devs = np.linalg.norm(products, axis=(2, 3)).max(axis=1)
+            bad = np.flatnonzero(devs >= TOL_STRUCTURE)
+            if bad.size:
+                x = rows.start + int(bad[0])
                 raise MakeRepError(
-                    f"pi(x)pi(y) != sigma(x,y) pi(xy) at x={x} (deviation {dev:.2e})"
+                    f"pi(x)pi(y) != sigma(x,y) pi(xy) at x={x} (deviation {devs[bad[0]]:.2e})"
                 )
 
     def matrix(self, x: int) -> np.ndarray:
@@ -178,16 +185,34 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     n = group.order
     if matrices.shape[0] != n:
         raise MakeRepError("need one matrix per group element")
-    dim = matrices.shape[1]
-    mul = group.mul
-    flat_conj = matrices.reshape(n, -1).conj()
-    raw = np.empty((n, n), dtype=complex)
-    for x in range(n):
-        products = (matrices[x] @ matrices).reshape(n, -1)
-        raw[x] = np.einsum("yk,yk->y", products, flat_conj[mul[x]]) / dim
-    num, den = _snap_scalars(raw, 4 * n)
+    num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * n)
     cocycle = Cocycle(group, num, den)
     return ProjectiveRep(group, matrices, cocycle, label=label, validate=True)
+
+
+def _raw_scalars(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
+    """tr(pi(x) pi(y) pi(xy)^*) / dim for every (x, y), from _row_products."""
+    n, dim = matrices.shape[0], matrices.shape[1]
+    flat_conj = matrices.reshape(n, -1).conj()
+    raw = np.empty((n, n), dtype=complex)
+    for rows, products in _row_products(matrices):
+        flat = products.reshape(len(products), n, -1)
+        raw[rows] = np.einsum("xyk,xyk->xy", flat, flat_conj[group.mul[rows]]) / dim
+    return raw
+
+
+def _row_products(m: np.ndarray):
+    """Yield (slice(a, b), m[a:b, None] @ m[None]) over consecutive row blocks.
+
+    Row x of a block holds pi(x) pi(y) for every y.  A block holds at most
+    _PRODUCT_BLOCK_ENTRIES complex entries (one row at least), so the
+    products are formed in few batched calls without holding all n^2 of
+    them at once.
+    """
+    n, dim = m.shape[0], m.shape[1]
+    rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * dim * dim))
+    for a in range(0, n, rows):
+        yield slice(a, min(a + rows, n)), m[a : a + rows, None] @ m[None]
 
 
 def _snap_scalars(raw: np.ndarray, max_den: int) -> tuple[np.ndarray, int]:
@@ -269,18 +294,28 @@ def is_projectively_faithful(rep: ProjectiveRep) -> bool:
 
 
 def hom_space(r1: ProjectiveRep, r2: ProjectiveRep, rtol: float = 1e-8) -> list[np.ndarray]:
-    """Orthonormal basis of {T : r2(x) T = T r1(x) for all x}."""
+    """Orthonormal basis of {T : r2(x) T = T r1(x) for all x}.
+
+    T is read row-major as a vector of length d2*d1, so r2(x) T - T r1(x)
+    is the matrix kron(r2(x), I) - kron(I, r1(x)^T) applied to it.  The
+    intertwiners are the nullspace of all n such blocks, one under another;
+    the character inner product cross-checks its dimension.
+
+    The stack is built whole (_constraint_stack) as an array of shape
+    (n, d2, d1, d2, d1), entry [x, i, a, j, b] = r2(x)[i, j] I[a, b] -
+    I[i, j] r1(x)[b, a], read as (n * d2 * d1, d2 * d1).  It is bit for bit
+    the stack of per-element np.kron calls: each product is the same
+    np.multiply of a complex entry by a float identity entry that np.kron
+    forms (signed zeros included), and each entry is one subtraction of
+    the two.  So the SVD input, and with it the basis, is unchanged.
+    """
     if r1.group.order != r2.group.order:
         raise ValueError("reps on groups of different order")
     if r1.cocycle != r2.cocycle:
         raise ValueError("cocycle mismatch")
-    n = r1.group.order
     d1, d2 = r1.dim, r2.dim
-    eye1, eye2 = np.eye(d1), np.eye(d2)
-    blocks = np.zeros((n, d2 * d1, d2 * d1), dtype=complex)
-    for x in range(n):
-        blocks[x] = np.kron(r2.matrices[x], eye1) - np.kron(eye2, r1.matrices[x].T)
-    ns = nullspace(blocks.reshape(n * d2 * d1, d2 * d1), rtol)
+    stack = _constraint_stack(r1.matrices, r2.matrices)
+    ns = nullspace(stack.reshape(-1, d2 * d1), rtol)
     basis = [ns[:, k].reshape(d2, d1) for k in range(ns.shape[1])]
     expected = inner_product(r1.character(), r2.character()).real
     if abs(len(basis) - expected) > TOL_DERIVED * max(1.0, expected):
@@ -288,6 +323,23 @@ def hom_space(r1: ProjectiveRep, r2: ProjectiveRep, rtol: float = 1e-8) -> list[
             f"hom space dimension {len(basis)} disagrees with character count {expected:.6f}"
         )
     return basis
+
+
+def _constraint_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """kron(m2[x], I) - kron(I, m1[x]^T) for every x, shape (n, d2, d1, d2, d1).
+
+    Filled in place (see hom_space for the layout): the left-hand term in
+    one multiply, then the right-hand term subtracted one row block i at a
+    time, so no temporary is larger than 1/d2 of the stack.
+    """
+    n, d1, d2 = m1.shape[0], m1.shape[1], m2.shape[1]
+    eye1, eye2 = np.eye(d1), np.eye(d2)
+    stack = np.empty((n, d2, d1, d2, d1), dtype=complex)
+    np.multiply(m2[:, :, None, :, None], eye1[None, None, :, None, :], out=stack)
+    m1t = m1.transpose(0, 2, 1)[:, :, None, :]
+    for i in range(d2):
+        stack[:, i] -= eye2[i][None, None, :, None] * m1t
+    return stack
 
 
 def restrict(rep: ProjectiveRep, sub: Subgroup) -> ProjectiveRep:

@@ -39,24 +39,33 @@ def _check_caps(model: ProjectiveErrorModel, max_order: int, max_dim: int) -> No
 class _ProjectorSet:
     """Projectors kept so far, for dedup by Frobenius distance < 1e-7.
 
-    A new projector is compared against every kept one in one vectorized
-    norm.  The kept projectors live in one buffer that doubles when full,
-    so no call copies them all.
+    Kept projectors are grouped by rank, round(tr p), in one buffer per
+    rank that doubles when full, so no call copies them all.  A new
+    projector is compared against the kept ones of its own rank in one
+    vectorized norm.  Skipping the other ranks is exact: for projectors P,
+    Q of ranks r != s, |P - Q|^2 = r + s - 2 tr(PQ) >= |r - s| >= 1, since
+    tr(PQ) <= min(r, s).
     """
 
     def __init__(self, dim: int):
-        self._buf = np.empty((16, dim, dim), dtype=complex)
-        self._count = 0
+        self._dim = dim
+        self._bufs: dict[int, np.ndarray] = {}
+        self._counts: dict[int, int] = {}
 
     def add_if_new(self, p: np.ndarray) -> bool:
         """Keep p and return True unless a kept projector is within 1e-7 of it."""
-        kept = self._buf[: self._count]
-        if self._count and (np.linalg.norm(kept - p, axis=(1, 2)) < 1e-7).any():
-            return False
-        if self._count == len(self._buf):
-            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
-        self._buf[self._count] = p
-        self._count += 1
+        rank = round(np.trace(p).real)
+        count = self._counts.get(rank, 0)
+        if count:
+            buf = self._bufs[rank]
+            if (np.linalg.norm(buf[:count] - p, axis=(1, 2)) < 1e-7).any():
+                return False
+            if count == len(buf):
+                buf = self._bufs[rank] = np.concatenate([buf, np.empty_like(buf)])
+        else:
+            buf = self._bufs[rank] = np.empty((16, self._dim, self._dim), dtype=complex)
+        buf[count] = p
+        self._counts[rank] = count + 1
         return True
 
 

@@ -262,3 +262,48 @@ class PairwiseDedup:
             return False
         self.kept.append(p)
         return True
+
+
+# -- the per-element loops that the projreps stacks replaced -----------------
+
+
+def kron_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """kron(m2[x], I) - kron(I, m1[x]^T) for each x, one np.kron pair at a time."""
+    n, d1, d2 = m1.shape[0], m1.shape[1], m2.shape[1]
+    eye1, eye2 = np.eye(d1), np.eye(d2)
+    blocks = np.zeros((n, d2 * d1, d2 * d1), dtype=complex)
+    for x in range(n):
+        blocks[x] = np.kron(m2[x], eye1) - np.kron(eye2, m1[x].T)
+    return blocks
+
+
+def kron_hom_basis(r1, r2, rtol: float = 1e-8) -> list[np.ndarray]:
+    """The intertwiner basis read off the nullspace of kron_stack."""
+    from qeclab._linalg import nullspace
+
+    n, d1, d2 = r1.group.order, r1.dim, r2.dim
+    ns = nullspace(kron_stack(r1.matrices, r2.matrices).reshape(n * d2 * d1, d2 * d1), rtol)
+    return [ns[:, k].reshape(d2, d1) for k in range(ns.shape[1])]
+
+
+def raw_scalars_per_row(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
+    """tr(pi(x) pi(y) pi(xy)^*) / dim, one batched product pi(x) @ pi per row."""
+    n, dim = group.order, matrices.shape[1]
+    flat_conj = matrices.reshape(n, -1).conj()
+    raw = np.empty((n, n), dtype=complex)
+    for x in range(n):
+        products = (matrices[x] @ matrices).reshape(n, -1)
+        raw[x] = np.einsum("yk,yk->y", products, flat_conj[group.mul[x]]) / dim
+    return raw
+
+
+def first_product_failure(group: FiniteGroup, matrices: np.ndarray, cocycle, tol: float = 1e-9):
+    """(x, deviation) of the first row x with |pi(x)pi(y) - sigma(x,y) pi(xy)| >= tol."""
+    phases = cocycle.to_complex_table()
+    for x in range(group.order):
+        products = matrices[x] @ matrices
+        expected = phases[x][:, None, None] * matrices[group.mul[x]]
+        dev = np.linalg.norm(products - expected, axis=(1, 2)).max()
+        if dev >= tol:
+            return x, float(dev)
+    return None

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import closure_oracle, lattice_oracle
+from qeclab import groups
 from qeclab.cli import parse_model_spec
 from qeclab.groups import (
     GroupValidationError,
@@ -280,3 +283,38 @@ def test_subgroup_generated_matches_oracle(data):
     g = data.draw(st.sampled_from(CONSTRUCTED))
     gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
     assert g.subgroup_generated(gens).members == closure_oracle(g, gens)
+
+
+# ------------------------------------------------ table-memory cap
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cyclic(10**6),
+        lambda: dihedral(10**5),
+        lambda: inversion_semidirect(2001),
+        lambda: direct_product(cyclic(100), cyclic(100)),
+        lambda: permutation_semidirect(cyclic(4), 6),
+        lambda: symmetric(12),
+    ],
+    ids=["cyclic", "dihedral", "inversion", "product", "wreath", "symmetric"],
+)
+def test_oversized_table_refused_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_table_cap_is_the_table_memory():
+    limit = int((groups._MAX_TABLE_BYTES // 8) ** 0.5)
+    groups._check_table_size(limit)
+    with pytest.raises(ValueError, match="MiB multiplication table"):
+        groups._check_table_size(limit + 1)
+    with pytest.raises(ValueError, match="MiB multiplication table"):
+        cyclic(limit + 1)

@@ -1,0 +1,154 @@
+"""JSON round trips of the serializable objects, on catalog models.
+
+Every object goes through json.dumps and json.loads, so the payload must be
+plain JSON, and comes back equal: exact phases as the same phases, floats
+bit for bit.
+"""
+
+import json
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import CATALOG_64
+
+from qeclab.channels import KrausChannel, channel_from_model
+from qeclab.cli import parse_model_spec
+from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
+from qeclab.codes import CodeSpace, existence_phase, weak_stabilizer_code
+from qeclab.projreps import ProjectiveRep
+
+SPECS = CATALOG_64
+
+
+@lru_cache(maxsize=None)
+def _model(spec):
+    return parse_model_spec(spec).model
+
+
+def _through_json(obj) -> dict:
+    return json.loads(json.dumps(obj.to_json()))
+
+
+@st.composite
+def models(draw):
+    return _model(draw(st.sampled_from(SPECS)))
+
+
+@st.composite
+def subgroups(draw, group):
+    gens = draw(st.lists(st.integers(0, group.order - 1), min_size=0, max_size=2))
+    return group.subgroup_generated(gens)
+
+
+@st.composite
+def phases(draw, dens=(1, 2, 3, 4, 5, 6, 8, 12)):
+    den = draw(st.sampled_from(dens))
+    return Phase(draw(st.integers(0, den - 1)), den)
+
+
+@st.composite
+def exact_functions(draw, sub, dens=(1, 2, 3, 4, 5, 6, 8, 12)):
+    values = draw(st.lists(phases(dens), min_size=len(sub), max_size=len(sub)))
+    return PhaseFunction.exact(sub, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cocycle_json_round_trip(data):
+    model = data.draw(models())
+    g = model.group
+    sigma = model.cocycle
+    if data.draw(st.booleans()):
+        f = data.draw(exact_functions(g.full_subgroup()))
+        sigma = sigma.multiply(coboundary(f))
+    back = Cocycle.from_json(g, _through_json(sigma))
+    assert back == sigma
+    assert back.den == sigma.den and np.array_equal(back.num, sigma.num)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_phase_function_json_round_trip(data):
+    model = data.draw(models())
+    sub = data.draw(subgroups(model.group))
+    f = data.draw(exact_functions(sub))
+    back = PhaseFunction.from_json(sub, _through_json(f))
+    assert back.is_exact
+    assert back.phases == f.phases
+    assert np.array_equal(back.values, f.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inexact_phase_function_json_round_trip(data):
+    model = data.draw(models())
+    sub = data.draw(subgroups(model.group))
+    turns = data.draw(
+        st.lists(
+            st.one_of(
+                st.floats(0, 1, allow_nan=False),
+                st.fractions(0, 1, max_denominator=8).map(float),
+            ),
+            min_size=len(sub),
+            max_size=len(sub),
+        )
+    )
+    f = PhaseFunction.from_complex(sub, np.exp(2j * np.pi * np.array(turns)), max_den=len(sub))
+    back = PhaseFunction.from_json(sub, _through_json(f))
+    assert back.phases == f.phases
+    inexact = np.array([p is None for p in f.phases], dtype=bool)
+    # inexact entries keep their floats; exact ones come back as their phase
+    assert np.array_equal(back.values[inexact], f.values[inexact])
+    want = [p.to_complex() for p in f.phases if p is not None]
+    assert np.array_equal(back.values[~inexact], np.array(want, dtype=complex))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_code_space_json_round_trip(data):
+    model = data.draw(models())
+    sub = data.draw(subgroups(model.group))
+    f = existence_phase(model, sub)
+    code = weak_stabilizer_code(model, sub, f) if f is not None else None
+    if code is None:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        k = data.draw(st.integers(1, model.dim))
+        code = CodeSpace.from_vectors(
+            model.dim, rng.normal(size=(k, model.dim)) + 1j * rng.normal(size=(k, model.dim))
+        )
+    back = CodeSpace.from_json(_through_json(code))
+    assert back.ambient_dim == code.ambient_dim
+    assert np.array_equal(back.basis, code.basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_projective_rep_json_round_trip(data):
+    model = data.draw(models())
+    rep = model.rep
+    if data.draw(st.booleans()):
+        rep = rep.twist(data.draw(exact_functions(model.group.full_subgroup(), dens=(1, 2, 4))))
+    back = ProjectiveRep.from_json(model.group, _through_json(rep))
+    assert back.dim == rep.dim
+    assert np.array_equal(back.matrices, rep.matrices)
+    assert back.cocycle == rep.cocycle
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kraus_channel_json_round_trip(data):
+    model = data.draw(models())
+    n = model.group.order
+    support = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 12)))
+    weights = data.draw(
+        st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support))
+    )
+    p = np.zeros(n)
+    p[sorted(support)] = weights
+    channel = channel_from_model(model, p / p.sum())
+    back = KrausChannel.from_json(_through_json(channel))
+    assert back.ambient_dim == channel.ambient_dim
+    assert np.array_equal(back.kraus, channel.kraus)

@@ -1,8 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
-from helpers import CATALOG_64, raw_scalar_table, snap_each
+from helpers import (
+    CATALOG_64,
+    first_product_failure,
+    kron_hom_basis,
+    kron_stack,
+    raw_scalar_table,
+    raw_scalars_per_row,
+    snap_each,
+)
 
+from qeclab import projreps, search
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
 from qeclab.groups import cyclic, dihedral
@@ -15,6 +26,8 @@ from qeclab.models import (
 from qeclab.projreps import (
     MakeRepError,
     ProjectiveRep,
+    _constraint_stack,
+    _raw_scalars,
     _snap_scalars,
     frobenius_dims,
     hom_space,
@@ -245,3 +258,99 @@ def test_make_rep_rejects_non_unitary_matrix():
     diag = np.array([[[a, 0], [0, np.cbrt(2 - a**3)]]], dtype=complex)
     with pytest.raises(MakeRepError, match="not unitary"):
         make_rep(cyclic(1), diag)
+
+
+# ------------------------------------------------ whole-array stacks
+
+
+def _hom_pairs(model, subgroups=4):
+    """(rho, pi|H) for the irreducible constituents rho, and (pi|H, pi|H),
+    on a spread of subgroups H from the trivial one to the whole group.
+
+    Constituents are split only where the restricted cocycle has a
+    denominator of at most 4|H|, the largest that make_rep snaps to.
+    """
+    subs = model.group.all_subgroups()
+    step = max(1, len(subs) // subgroups)
+    for sub in subs[::step] + [subs[-1]]:
+        res = model.rep.restrict(sub)
+        yield res, res
+        if res.cocycle.den <= 4 * len(sub):
+            for rho in search._irreducible_constituents(res):
+                yield rho, res
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_hom_space_stack_matches_kron_loop(spec):
+    model = parse_model_spec(spec).model
+    for r1, r2 in _hom_pairs(model):
+        stack = _constraint_stack(r1.matrices, r2.matrices)
+        assert stack.tobytes() == kron_stack(r1.matrices, r2.matrices).tobytes()
+        got, want = hom_space(r1, r2), kron_hom_basis(r1, r2)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_hom_space_stack_keeps_signed_zeros():
+    # entries of +-0 and +-1 make every product and difference a signed-zero
+    # case; the stack must still match np.kron byte for byte
+    rng = np.random.default_rng(8)
+    values = np.array([0.0, -0.0, 1.0, -1.0])
+    for d1, d2 in [(1, 1), (1, 3), (3, 1), (2, 4), (5, 3)]:
+        m1 = rng.choice(values, size=(6, d1, d1)) + 1j * rng.choice(values, size=(6, d1, d1))
+        m2 = rng.choice(values, size=(6, d2, d2)) + 1j * rng.choice(values, size=(6, d2, d2))
+        assert _constraint_stack(m1, m2).tobytes() == kron_stack(m1, m2).tobytes()
+
+
+@pytest.mark.parametrize("spec", CATALOG_64 + ["permprod(genpauli:2,3)"])
+def test_raw_scalars_match_per_row_loop(spec):
+    model = parse_model_spec(spec).model
+    g, mats = model.group, model.rep.matrices
+    raw = _raw_scalars(g, mats)
+    assert raw.tobytes() == raw_scalars_per_row(g, mats).tobytes()
+    assert np.abs(raw - raw_scalar_table(g, mats)).max() < 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 40])
+@pytest.mark.parametrize("spec", ["genpauli:5", "oddfam:3"])
+def test_raw_scalars_do_not_depend_on_the_row_blocks(spec, rows, monkeypatch):
+    # partial last blocks included: 25 and 54 rows are no multiple of 3, 7 or 40
+    model = parse_model_spec(spec).model
+    g, mats = model.group, model.rep.matrices
+    monkeypatch.setattr(projreps, "_PRODUCT_BLOCK_ENTRIES", rows * g.order * model.dim**2)
+    assert len(list(projreps._row_products(mats))) == -(-g.order // rows)
+    assert _raw_scalars(g, mats).tobytes() == raw_scalars_per_row(g, mats).tobytes()
+    assert make_rep(g, mats).cocycle == model.rep.cocycle
+
+
+def _unitary_near_identity(dim, eps, seed):
+    """exp(i eps H) for a random traceless Hermitian H of unit Frobenius norm."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = a + a.conj().T
+    h = h - np.trace(h) / dim * np.eye(dim)
+    w, v = np.linalg.eigh(h / np.linalg.norm(h))
+    return (v * np.exp(1j * eps * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2])
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_product_check_names_first_failing_row(k, rows, monkeypatch):
+    # the scalars still snap (they move by O(eps^2)), the products by O(eps)
+    model = gen_pauli_model(3)
+    g = model.group
+    if rows is not None:
+        monkeypatch.setattr(projreps, "_PRODUCT_BLOCK_ENTRIES", rows * g.order * model.dim**2)
+    mats = model.rep.matrices.copy()
+    mats[k] = _unitary_near_identity(model.dim, 1e-5, seed=k) @ mats[k]
+    assert _snap_scalars(_raw_scalars(g, mats), 4 * g.order)[1] == model.rep.cocycle.den
+    x, dev = first_product_failure(g, mats, model.rep.cocycle)
+    pattern = rf"pi\(x\)pi\(y\) != sigma\(x,y\) pi\(xy\) at x={x} \(deviation ([0-9.e+-]+)\)"
+    for build in (
+        lambda: make_rep(g, mats),
+        lambda: ProjectiveRep(g, mats, model.rep.cocycle, validate=True),
+    ):
+        with pytest.raises(MakeRepError, match=pattern) as info:
+            build()
+        reported = float(re.search(pattern, str(info.value)).group(1))
+        assert reported == pytest.approx(dev, rel=1e-2)

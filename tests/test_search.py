@@ -124,6 +124,29 @@ def test_projector_set_matches_pairwise_dedup():
     fast, slow = search._ProjectorSet(4), PairwiseDedup(4)
     assert [fast.add_if_new(p) for p in stream] == [slow.add_if_new(p) for p in stream]
 
+    # projectors of every rank 1..5 in dimension 6, plus same-rank near
+    # duplicates inside (5e-8) and outside (3e-7) the 1e-7 cut
+    codes = [
+        CodeSpace.from_vectors(6, rng.normal(size=(k, 6)) + 1j * rng.normal(size=(k, 6)))
+        for k in rng.integers(1, 6, size=30)
+    ]
+    assert {c.dim for c in codes} == {1, 2, 3, 4, 5}
+    projectors = [c.projector() for c in codes]
+
+    def perturbed(p, size):
+        a = rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)
+        h = a + a.conj().T
+        return p + size * h / np.linalg.norm(h)
+
+    stream = [projectors[i] + 1e-9 * rng.normal() for i in rng.integers(0, 30, size=200)]
+    stream += [perturbed(p, 5e-8) for p in projectors[:10]]
+    stream += [perturbed(p, 3e-7) for p in projectors[10:20]]
+    stream = [stream[i] for i in rng.permutation(len(stream))]
+    fast, slow = search._ProjectorSet(6), PairwiseDedup(6)
+    kept = [fast.add_if_new(p) for p in stream]
+    assert kept == [slow.add_if_new(p) for p in stream]
+    assert sum(kept) == len(slow.kept) > 30
+
 
 @pytest.mark.parametrize("spec", ["genpauli:8", "c2d2n:2", "oddfam:3"])
 def test_dedup_keeps_the_pairwise_choice(spec, monkeypatch):
