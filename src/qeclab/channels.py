@@ -2,8 +2,12 @@
 
 Knill-Laflamme tests work on the code basis B, an isometry with P = B B*:
 P X P = c P holds exactly when B* X B = c I_w, with c = tr(B* X B) / w, and
-the two Frobenius distances agree.  kl_correctable forms B* K_i* K_j B for a
-whole row i at once, so memory stays O(K w^2) for K Kraus operators.
+the two Frobenius distances agree.  kl_correctable forms K B once and then
+B* K_i* K_j B for a block of rows i and every j with one matrix product; a
+block holds at most _PRODUCT_BLOCK_ENTRIES complex entries (one row at
+least), the bound projreps uses for its products.  KrausChannel.apply works
+on stacks of states under the same bound, so verify_recovery sends its whole
+test set through both channels in one call each.
 
 The recovery construction diagonalizes the Gram matrix M of the compressed
 products P K_i* K_j P = M_ij P, rotates the Kraus operators by its
@@ -20,6 +24,7 @@ import numpy as np
 from ._linalg import frobenius
 from .codes import CodeSpace
 from .models import ProjectiveErrorModel
+from .projreps import _PRODUCT_BLOCK_ENTRIES
 
 __all__ = [
     "ChannelError",
@@ -51,7 +56,8 @@ class KrausChannel:
         self.kraus = np.asarray(self.kraus, dtype=complex)
         if self.kraus.ndim != 3 or self.kraus.shape[1:] != (self.ambient_dim, self.ambient_dim):
             raise ChannelError("kraus must be a stack of ambient_dim square matrices")
-        total = np.einsum("xba,xbc->ac", self.kraus.conj(), self.kraus)
+        stacked = self.kraus.reshape(-1, self.ambient_dim)
+        total = stacked.conj().T @ stacked
         if frobenius(total - np.eye(self.ambient_dim)) > 1e-9:
             raise ChannelError("kraus operators do not sum to the identity")
 
@@ -59,7 +65,33 @@ class KrausChannel:
         return self.kraus.shape[0]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return np.einsum("xab,bc,xdc->ad", self.kraus, rho, self.kraus.conj())
+        """sum_x K_x rho K_x* for one state (d, d) or each state of a stack (s, d, d).
+
+        Operators and states are taken in blocks: m operators stacked as one
+        (m d, d) matrix multiply a block of states, and the products, regrouped
+        as (d, m d) matrices, multiply the stacked K_x*.  No temporary holds
+        more than _PRODUCT_BLOCK_ENTRIES complex entries (one operator and one
+        state at least).
+        """
+        rho = np.asarray(rho)
+        d = self.ambient_dim
+        if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
+            raise ChannelError("states must be one d x d matrix or a stack of them")
+        states = rho.reshape(-1, d, d)
+        out = np.zeros(states.shape, dtype=complex)
+        ops = min(len(self), max(1, _PRODUCT_BLOCK_ENTRIES // (d * d)))
+        for a in range(0, len(self), ops):
+            k = self.kraus[a : a + ops]
+            m = len(k)
+            left = k.reshape(m * d, d)
+            right = k.conj().transpose(0, 2, 1).reshape(m * d, d)
+            rows = max(1, _PRODUCT_BLOCK_ENTRIES // (m * d * d))
+            for t in range(0, len(states), rows):
+                # row (x, a) of left @ state is row a of K_x state
+                kr = left @ states[t : t + rows]
+                kr = kr.reshape(-1, m, d, d).transpose(0, 2, 1, 3).reshape(-1, d, m * d)
+                out[t : t + rows] += kr @ right
+        return out.reshape(rho.shape)
 
     def to_json(self) -> dict:
         return {
@@ -125,24 +157,35 @@ class KLResult:
         return self.ok
 
 
-def kl_correctable(code: CodeSpace, channel: KrausChannel) -> KLResult:
-    """All-pairs test P K_i* K_j P = c_ij P; the witness is the first bad pair
-    in row-major order."""
+def _code_products(code: CodeSpace, channel: KrausChannel) -> np.ndarray:
+    """The stack K_x B of every Kraus operator times the code basis, (n, d, w)."""
     if channel.ambient_dim != code.ambient_dim:
         raise ChannelError("channel dimension does not match the code")
-    kb = np.einsum("xab,bk->xak", channel.kraus, code.basis)
-    for i in range(len(channel)):
-        _, dev = _scalar_deviation(np.einsum("ak,jal->jkl", kb[i].conj(), kb))
+    return channel.kraus @ code.basis
+
+
+def kl_correctable(code: CodeSpace, channel: KrausChannel) -> KLResult:
+    """All-pairs test P K_i* K_j P = c_ij P; the witness is the first bad pair
+    in row-major order.
+
+    Rows i are taken in blocks of at most _PRODUCT_BLOCK_ENTRIES entries of
+    B* K_i* K_j B over every j (one row at least); each block is one
+    (rows w, d) @ (d, n w) product and one scalar test, and the first block
+    with a bad pair ends the search.
+    """
+    kb = _code_products(code, channel)
+    n, d, w = kb.shape
+    right = kb.transpose(1, 0, 2).reshape(d, n * w)  # column (j, l) is K_j B e_l
+    rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * w * w))
+    for a in range(0, n, rows):
+        left = kb[a : a + rows].conj().transpose(0, 2, 1).reshape(-1, d)
+        blocks = (left @ right).reshape(-1, w, n, w).transpose(0, 2, 1, 3)
+        _, dev = _scalar_deviation(blocks)
         bad = np.flatnonzero(~(dev < TOL_SCALAR))
         if bad.size:
-            return KLResult(False, (i, int(bad[0])))
+            i, j = divmod(int(bad[0]), n)
+            return KLResult(False, (a + i, j))
     return KLResult(True, None)
-
-
-def _gram_matrix(code: CodeSpace, channel: KrausChannel) -> np.ndarray:
-    # m[i,j] with P K_i* K_j P = m[i,j] P, read off as tr(B* K_i* K_j B)/dim W
-    kb = np.einsum("xab,bk->xak", channel.kraus, code.basis)
-    return np.einsum("iak,jak->ij", np.conj(kb), kb) / code.dim
 
 
 def build_recovery(code: CodeSpace, channel: KrausChannel) -> KrausChannel:
@@ -150,25 +193,23 @@ def build_recovery(code: CodeSpace, channel: KrausChannel) -> KrausChannel:
     result = kl_correctable(code, channel)
     if not result.ok:
         raise ChannelError(f"channel is not correctable on this code, witness pair {result.witness}")
-    gram = _gram_matrix(code, channel)
+    kb = _code_products(code, channel)
+    n, dim, w = kb.shape
+    flat = kb.reshape(n, dim * w)
+    # m[i,j] with P K_i* K_j P = m[i,j] P, read off as tr(B* K_i* K_j B)/dim W
+    gram = flat.conj() @ flat.T / w
     evals, evecs = np.linalg.eigh(gram)
-    b = code.basis
-    dim = code.ambient_dim
-    ops = []
-    ranges = np.zeros((dim, dim), dtype=complex)
-    for k in range(len(channel)):
-        if evals[k] < 1e-12:
-            continue
-        # F_k = sum_i u_ik K_i gives P F_k* F_l P = (U* M U)_kl P = d_k delta_kl P
-        rotated = np.einsum("i,iab->ab", evecs[:, k], channel.kraus)
-        isometry = (rotated @ b) / np.sqrt(evals[k])
-        ops.append(b @ isometry.conj().T)
-        ranges += isometry @ isometry.conj().T
-    completion = np.eye(dim, dtype=complex) - ranges
-    if frobenius(completion @ completion - completion) > 1e-7:
+    keep = evals >= 1e-12
+    # F_k = sum_i u_ik K_i gives P F_k* F_l P = (U* M U)_kl P = d_k delta_kl P,
+    # and F_k B is the same rotation of the K_i B
+    rotated = (evecs[:, keep].T @ flat).reshape(-1, dim, w)
+    isometries = rotated / np.sqrt(evals[keep])[:, None, None]
+    ops = code.basis @ isometries.conj().transpose(0, 2, 1)
+    ranges = isometries.transpose(1, 0, 2).reshape(dim, -1)
+    completion = np.eye(dim, dtype=complex) - ranges @ ranges.conj().T
+    if frobenius(completion @ completion - completion) > TOL_RECOVERY:
         raise RuntimeError("recovery ranges do not assemble into a projector")
-    ops.append(completion)
-    return KrausChannel(dim, np.array(ops))
+    return KrausChannel(dim, np.concatenate([ops, completion[None]]))
 
 
 def verify_recovery(
@@ -180,22 +221,17 @@ def verify_recovery(
 ) -> float:
     """Max deviation of recovery(channel(rho)) from rho over code test states.
 
-    The test set is every matrix unit over the code basis plus seeded random
-    code states.
+    The test set is every matrix unit |b_i><b_j| over the code basis, in
+    row-major order, then n_random seeded random code states.  The whole set
+    is stacked and sent through channel.apply and recovery.apply once each.
     """
     b = code.basis
-    w = code.dim
-    worst = 0.0
-    for i in range(w):
-        for j in range(w):
-            rho = np.outer(b[:, i], b[:, j].conj())
-            out = recovery.apply(channel.apply(rho))
-            worst = max(worst, frobenius(out - rho))
+    d, w = b.shape
+    units = np.einsum("ai,bj->ijab", b, b.conj()).reshape(w * w, d, d)
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        v = rng.normal(size=w) + 1j * rng.normal(size=w)
-        v = b @ (v / np.linalg.norm(v))
-        rho = np.outer(v, v.conj())
-        out = recovery.apply(channel.apply(rho))
-        worst = max(worst, frobenius(out - rho))
-    return worst
+    draws = rng.normal(size=(n_random, 2, w))  # real then imaginary part, state by state
+    v = draws[:, 0] + 1j * draws[:, 1]
+    v = (v / np.linalg.norm(v, axis=1, keepdims=True)) @ b.T
+    states = np.concatenate([units, v[:, :, None] * v.conj()[:, None, :]])
+    out = recovery.apply(channel.apply(states))
+    return float(np.linalg.norm(out - states, axis=(1, 2)).max())

@@ -43,6 +43,7 @@ import sys
 import numpy as np
 
 from .channels import (
+    TOL_RECOVERY,
     build_recovery,
     channel_from_model,
     kl_correctable,
@@ -449,7 +450,7 @@ def cmd_correct(args) -> int:
         return 1
     recovery = build_recovery(code, channel)
     deviation = verify_recovery(code, channel, recovery)
-    ok = deviation < 1e-7
+    ok = deviation < TOL_RECOVERY
     print(f"correctable: yes ({channel.kraus.shape[0]} Kraus operators)")
     print(f"recovery: {recovery.kraus.shape[0]} operators, max deviation {deviation:.3e}")
     print(("PASS" if ok else "FAIL") + ": recovery restores code states within 1e-7")

@@ -14,7 +14,7 @@ from .cocycles import PhaseFunction, _greedy_generators, find_trivializing_phase
 from .codes import CodeReport, CodeSpace, classify, clifford_code, weak_stabilizer_code
 from .groups import Subgroup
 from .models import ProjectiveErrorModel
-from .projreps import ProjectiveRep, hom_space, inner_product, make_rep, restrict
+from .projreps import MakeRepError, ProjectiveRep, hom_space, inner_product, restrict
 
 __all__ = [
     "SearchError",
@@ -145,7 +145,9 @@ def _irreducible_constituents(
 
     A random Hermitian element of the commutant generically has one
     eigenvalue per irreducible constituent; degenerate draws are detected by
-    the per-piece irreducibility check and retried with the next seed.
+    the per-piece irreducibility check and retried with the next seed.  A
+    piece on an invariant subspace carries the cocycle of rep exactly, so it
+    is validated against that cocycle rather than snapped afresh.
     """
     maps = hom_space(rep, rep)
     if len(maps) == 1:
@@ -167,8 +169,8 @@ def _irreducible_constituents(
             start = k
             small = compress(rep.matrices, basis)
             try:
-                piece = make_rep(rep.group, small)
-            except Exception:
+                piece = ProjectiveRep(rep.group, small, rep.cocycle)
+            except MakeRepError:
                 good = False
                 break
             if abs(inner_product(piece.character(), piece.character()) - 1) > 1e-7:

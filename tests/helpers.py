@@ -307,3 +307,47 @@ def first_product_failure(group: FiniteGroup, matrices: np.ndarray, cocycle, tol
         if dev >= tol:
             return x, float(dev)
     return None
+
+
+# -- the per-state and per-row loops that the channels stacks replaced -------
+
+
+def kraus_apply_oracle(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_x K_x rho K_x* for one state, as one three-operand einsum."""
+    return np.einsum("xab,bc,xdc->ad", kraus, rho, kraus.conj())
+
+
+def verify_recovery_oracle(code, channel, recovery, n_random: int = 20, seed: int = 7) -> float:
+    """Max ||R(E(rho)) - rho||_F over the matrix units, then the seeded random
+    code states, applying both channels to one state at a time."""
+    b = code.basis
+    w = code.dim
+    worst = 0.0
+    for i in range(w):
+        for j in range(w):
+            rho = np.outer(b[:, i], b[:, j].conj())
+            out = kraus_apply_oracle(recovery.kraus, kraus_apply_oracle(channel.kraus, rho))
+            worst = max(worst, float(np.linalg.norm(out - rho)))
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        v = rng.normal(size=w) + 1j * rng.normal(size=w)
+        v = b @ (v / np.linalg.norm(v))
+        rho = np.outer(v, v.conj())
+        out = kraus_apply_oracle(recovery.kraus, kraus_apply_oracle(channel.kraus, rho))
+        worst = max(worst, float(np.linalg.norm(out - rho)))
+    return worst
+
+
+def kl_witness_per_row(code, channel, tol: float = 1e-8) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with B* K_i* K_j B not scalar,
+    forming one row i at a time."""
+    kb = np.einsum("xab,bk->xak", channel.kraus, code.basis)
+    w = code.dim
+    for i in range(len(channel)):
+        blocks = np.einsum("ak,jal->jkl", kb[i].conj(), kb)
+        c = np.trace(blocks, axis1=1, axis2=2) / w
+        dev = np.linalg.norm(blocks - c[:, None, None] * np.eye(w), axis=(1, 2))
+        bad = np.flatnonzero(~(dev < tol))
+        if bad.size:
+            return i, int(bad[0])
+    return None

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import kl_witness_per_row, kraus_apply_oracle, verify_recovery_oracle
+from qeclab import channels
 from qeclab.channels import (
     ChannelError,
     KrausChannel,
@@ -10,6 +14,7 @@ from qeclab.channels import (
     kl_detectable,
     verify_recovery,
 )
+from qeclab.cli import parse_model_spec
 from qeclab.cocycles import PhaseFunction
 from qeclab.codes import CodeSpace, detectable_set, stabilizer_code
 from qeclab.models import gen_pauli_model, product_model
@@ -226,3 +231,135 @@ def test_kl_correctable_witness_matches_pairwise_loop():
         assert bool(result) == (result.witness is None)
     assert any(results)
     assert results[-1].witness == (1, 2)
+
+
+# -- the stacked channel against the per-state and per-row loops --------------
+
+
+def _random_channel(model, rng, size=None):
+    support = rng.permutation(model.group.order)[: size or model.group.order]
+    p = np.zeros(model.group.order)
+    p[support] = rng.uniform(0.5, 1.5, size=len(support))
+    return channel_from_model(model, p / p.sum())
+
+
+def _random_code(d, w, rng):
+    return CodeSpace.from_vectors(d, rng.normal(size=(w, d)) + 1j * rng.normal(size=(w, d)))
+
+
+@pytest.mark.parametrize("spec", ["pauli:2", "permprod(genpauli:2,3)"])
+def test_apply_matches_three_operand_oracle(spec, monkeypatch):
+    model = parse_model_spec(spec).model
+    rng = np.random.default_rng(4)
+    d = model.dim
+    stack = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+    for size in (1, 3, None):
+        channel = _random_channel(model, rng, size)
+        want = np.array([kraus_apply_oracle(channel.kraus, rho) for rho in stack])
+        # default blocks (256 + 128 operators at 384), one operator and one
+        # state per block, and room for five d x d products: five states per
+        # block for one operator, 76 blocks of five and one of four at 384
+        for entries in (channels._PRODUCT_BLOCK_ENTRIES, 1, 5 * d * d):
+            monkeypatch.setattr(channels, "_PRODUCT_BLOCK_ENTRIES", entries)
+            one = channel.apply(stack[0])
+            assert one.shape == (d, d)
+            assert np.abs(one - want[0]).max() < 1e-12
+            for s in (1, 7, 40):
+                got = channel.apply(stack[:s])
+                assert got.shape == (s, d, d)
+                assert np.abs(got - want[:s]).max() < 1e-12
+
+
+def test_apply_rejects_misshapen_states():
+    channel = channel_from_model(gen_pauli_model(2), [0.5, 0.5, 0.0, 0.0])
+    for bad in (np.eye(3), np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2)), np.zeros(4)):
+        with pytest.raises(ChannelError):
+            channel.apply(bad)
+
+
+@pytest.mark.parametrize("spec", ["pauli:2", "permprod(genpauli:2,3)"])
+def test_verify_recovery_matches_per_state_loop(spec):
+    model = parse_model_spec(spec).model
+    rng = np.random.default_rng(6)
+    checked = 0
+    for w in (1, 2, 4):
+        code = _random_code(model.dim, w, rng)
+        for size in (1, 2, 5, None):
+            channel = _random_channel(model, rng, size)
+            # a recovery that restores the code where there is one, and a
+            # channel that does not, so the deviations are O(1) and depend on
+            # every test state and its place in the rng stream
+            recoveries = [_random_channel(model, rng, 3)]
+            if kl_correctable(code, channel):
+                recoveries.append(build_recovery(code, channel))
+            for recovery in recoveries:
+                for n_random in (0, 5, 20):
+                    got = verify_recovery(code, channel, recovery, n_random=n_random, seed=w)
+                    want = verify_recovery_oracle(code, channel, recovery, n_random, seed=w)
+                    assert abs(got - want) < 1e-12
+                    checked += 1
+            if len(recoveries) == 2:
+                assert verify_recovery(code, channel, recoveries[1]) <= 1e-7
+    assert checked > 36
+
+
+def _late_witness_channel():
+    # on {|00>, |11>} every product of the stabilizer Z1 Z2 with I, X1 or X2
+    # is detectable, and X2* X1 is the logical X: the first bad pair of 382
+    # weighted stabilizer elements followed by X2 and X1 is (382, 383)
+    model = _two_qubit_pauli()
+    rng = np.random.default_rng(8)
+    stabilizers = model.rep.matrices[rng.choice([0, 5], size=382)]
+    weights = rng.uniform(0.5, 1.5, size=384)
+    weights /= weights.sum()
+    ops = np.concatenate([stabilizers, model.rep.matrices[[2, 8]]])
+    half = CodeSpace.from_vectors(4, [[1, 0, 0, 0], [0, 0, 0, 1]])
+    return half, KrausChannel(4, np.sqrt(weights)[:, None, None] * ops)
+
+
+def test_kl_correctable_matches_per_row_loop_under_blocks(monkeypatch):
+    rng = np.random.default_rng(9)
+    big = parse_model_spec("permprod(genpauli:2,3)").model
+    cases = [_late_witness_channel()]
+    for w in (1, 2, 4):
+        code = _random_code(big.dim, w, rng)
+        for size in (1, 2, 40, None):
+            cases.append((code, _random_channel(big, rng, size)))
+    line = _random_code(big.dim, 1, rng)
+    cases.append((line, _random_channel(big, rng)))  # every channel is correctable on a line
+    want = [kl_witness_per_row(code, channel) for code, channel in cases]
+    assert want[0] == (382, 383)
+    assert want[-1] is None and max(len(ch) for _, ch in cases) == 384
+    default = channels._PRODUCT_BLOCK_ENTRIES
+    for rows in (1, 3, None):
+        for (code, channel), witness in zip(cases, want):
+            entries = default if rows is None else rows * len(channel) * code.dim**2
+            monkeypatch.setattr(channels, "_PRODUCT_BLOCK_ENTRIES", entries)
+            result = kl_correctable(code, channel)
+            assert result.witness == witness
+            assert bool(result) == (witness is None)
+    # the default block of 384 operators on a 2-dim code holds 10 rows, so
+    # the late witness lies past the first block
+    assert default // (384 * 4) < 382
+
+
+def test_verify_recovery_memory_stays_within_blocks():
+    # pauli:4 (order 256, dim 16) and a uniform channel of 256 operators: the
+    # stacked test set is 21 states, and holding every K_x rho for all of them
+    # at once would take 256 * 21 * 16^2 complex entries (22 MB)
+    model = parse_model_spec("pauli:4").model
+    rng = np.random.default_rng(10)
+    channel = channel_from_model(model, np.full(256, 1 / 256))
+    code = _random_code(16, 1, rng)
+    recovery = build_recovery(code, channel)
+    block_bytes = channels._PRODUCT_BLOCK_ENTRIES * 16
+    stack_bytes = 21 * 16 * 16 * 16
+    tracemalloc.start()
+    try:
+        deviation = verify_recovery(code, channel, recovery)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert deviation <= 1e-7
+    assert peak < 4 * block_bytes + 6 * stack_bytes
+    assert peak < 256 * 21 * 16 * 16 * 16 / 10

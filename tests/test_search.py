@@ -11,6 +11,7 @@ from qeclab.models import (
     gen_pauli_model,
     product_model,
 )
+from qeclab.projreps import inner_product, restrict
 from qeclab.search import SearchError, enumerate_weak_stabilizer_codes, q3_probe
 
 
@@ -173,3 +174,20 @@ def test_dedup_keeps_the_pairwise_choice(spec, monkeypatch):
 def test_q3_probe_counts(spec, hits, candidates):
     found, examined = q3_probe(parse_model_spec(spec).model, return_candidates=True)
     assert (len(found), len(examined)) == (hits, candidates)
+
+
+@pytest.mark.parametrize("spec", ["xp:9", "xp:15"])
+def test_constituents_of_order_two_restrictions(spec):
+    # the restriction to {e, x} inherits a cocycle whose denominator (9 on
+    # xp:9) exceeds 4|H| = 8, so pieces snapped afresh by make_rep fail;
+    # pieces validated against the inherited cocycle split every one
+    model = parse_model_spec(spec).model
+    subs = [sub for sub in model.group.all_subgroups() if len(sub) == 2]
+    assert len(subs) == model.group.order // 2
+    for sub in subs:
+        res = restrict(model.rep, sub)
+        pieces = search._irreducible_constituents(res)
+        assert sum(piece.dim for piece in pieces) == model.dim
+        for piece in pieces:
+            assert piece.cocycle == res.cocycle
+            assert abs(inner_product(piece.character(), piece.character()) - 1) < 1e-7
