@@ -30,11 +30,6 @@ def orthonormal_columns(b: np.ndarray, rtol: float = SVD_RTOL) -> np.ndarray:
     return u[:, :rank]
 
 
-def projector(basis: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of orthonormal columns."""
-    return basis @ basis.conj().T
-
-
 def compress(matrices: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """basis* M basis for each matrix M of a stack: the action on a subspace."""
     return basis.conj().T @ matrices @ basis

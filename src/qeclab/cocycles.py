@@ -75,9 +75,6 @@ class Phase:
     def inverse(self) -> "Phase":
         return Phase(-self.num, self.den) if self.num else Phase(0, 1)
 
-    def conjugate(self) -> "Phase":
-        return self.inverse()
-
     def to_complex(self) -> complex:
         # quarter turns are exact floats; using them keeps integer-valued
         # matrix products and characters bit-exact
@@ -135,10 +132,7 @@ class Cocycle:
 
     @classmethod
     def from_phases(cls, group: FiniteGroup, table: list[list[Phase]]) -> "Cocycle":
-        den = 1
-        for row in table:
-            for p in row:
-                den = den * p.den // math.gcd(den, p.den)
+        den = math.lcm(*(p.den for row in table for p in row))
         num = np.array([[p.num * (den // p.den) for p in row] for row in table], dtype=np.int64)
         return cls(group, num, den)
 
@@ -198,7 +192,7 @@ class Cocycle:
     def multiply(self, other: "Cocycle") -> "Cocycle":
         if other.group.order != self.group.order:
             raise ValueError("cocycles live on groups of different order")
-        den = self.den * other.den // math.gcd(self.den, other.den)
+        den = math.lcm(self.den, other.den)
         num = self.num * (den // self.den) + other.num * (den // other.den)
         return Cocycle(self.group, num, den)
 
@@ -319,9 +313,7 @@ def coboundary(f: PhaseFunction) -> Cocycle:
     """(df)(x, y) = f(x) f(y) conj(f(xy)), a cocycle on the domain subgroup."""
     if not f.is_exact:
         raise ValueError("coboundary needs exact phase values")
-    den = 1
-    for p in f.phases:
-        den = den * p.den // math.gcd(den, p.den)
+    den = math.lcm(*(p.den for p in f.phases))
     num = np.array([p.num * (den // p.den) for p in f.phases], dtype=np.int64)
     group = f.domain.as_group()
     table = (num[:, None] + num[None, :] - num[group.mul]) % den

@@ -7,6 +7,13 @@ The action of the model on a code is computed once per code: from the
 projector P, the stacks pi(x) P, P pi(x) and P pi(x) P give per-element
 norms, and the logical group, stabilizer, detectable set, partitioning test
 and Clifford invariance test are all read from those norms.
+
+Constituents are walked here only (_constituent_phases): with f0 a
+trivializer of the restricted cocycle, the codes on H are the joint
+eigenspaces of the linear rep conj(f0) pi|H.  existence_phase takes the first
+and search.enumerate_weak_stabilizer_codes takes them all.  The action of L
+on an L-invariant code is ProjectiveRep.on_subspace of the restriction to L,
+which carries the restricted cocycle exactly, so it is never snapped afresh.
 """
 
 from __future__ import annotations
@@ -16,17 +23,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import compress, frobenius, nullspace, orthonormal_columns, projector
-from .cocycles import PhaseFunction, _greedy_generators, coboundary
+from ._linalg import frobenius, nullspace, orthonormal_columns
+from .cocycles import PhaseFunction, _greedy_generators, coboundary, find_trivializing_phase
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
+    MakeRepError,
     ProjectiveRep,
     hom_space,
     inertia_group,
-    inner_product,
     is_irreducible,
-    make_rep,
     rep_from_phase_function,
     restrict,
 )
@@ -184,39 +190,69 @@ def stabilizer_code(
     return weak_stabilizer_code(model, sub, f)
 
 
+def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray):
+    """Yield a basis of every nonzero joint eigenspace of matrices[g], g in gens,
+    inside the span of the orthonormal columns of basis.
+
+    Depth first: the eigenvalues of the first generator compressed to the
+    span are sorted by phase angle (angles within 1e-9 of a full turn read
+    as 0, angles within 1e-8 of the last one kept are merged), and each
+    branch intersects the span with a genuine eigenspace before the next
+    generator refines it.  Spurious compressed eigenvalues of noncommuting
+    generators die as empty intersections.  Branches come out in
+    lexicographic angle order, one generator after another.
+    """
+    if not gens:
+        yield basis
+        return
+    m = matrices[gens[0]]
+    angles = np.mod(np.angle(np.linalg.eigvals(basis.conj().T @ m @ basis)) / (2 * np.pi), 1.0)
+    angles[angles > 1 - 1e-9] = 0.0
+    chosen: list[float] = []
+    for a in sorted(angles):
+        if not chosen or a - chosen[-1] > 1e-8:
+            chosen.append(a)
+    eye = np.eye(matrices.shape[1])
+    for a in chosen:
+        ns = nullspace((m - np.exp(2j * np.pi * a) * eye) @ basis)
+        if ns.shape[1]:
+            yield from _joint_eigenspaces(matrices, gens[1:], basis @ ns)
+
+
+def _constituent_phases(model: ProjectiveErrorModel, sub: Subgroup):
+    """Yield every phase function f on sub with a nonzero code, one per constituent.
+
+    With f0 a trivializer of the restricted cocycle, x -> conj(f0(x)) pi(x)
+    is a linear rep of sub; f = f0 chi for the character chi of each of its
+    joint eigenspaces, in _joint_eigenspaces order over the greedy
+    generators.  Yields nothing when the restricted cocycle is not a
+    coboundary.
+    """
+    f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
+    if f0 is None:
+        return
+    lin = model.rep.matrices[list(sub.members)] * f0.values.conj()[:, None, None]
+    gens = _greedy_generators(sub.as_group())
+    for basis in _joint_eigenspaces(lin, gens, np.eye(model.dim, dtype=complex)):
+        v = basis[:, 0]
+        chi_values = np.einsum("a,xab,b->x", v.conj(), lin, v)
+        chi = PhaseFunction.from_complex(sub, chi_values, max_den=len(sub))
+        if not chi.is_exact:
+            raise CodeError("constituent character did not snap to exact phases")
+        yield f0.multiply(chi)
+
+
 def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction | None:
     """A phase function with a guaranteed nonzero code, when one exists.
 
     Needs the subgroup abelian and the restricted cocycle a coboundary.  The
-    choice among the 1-dimensional constituents is deterministic: each
-    generator's eigenvalues are sorted by phase angle and the lowest-index
-    joint eigenvector is taken.
+    choice among the 1-dimensional constituents is deterministic: it is the
+    first one _constituent_phases yields, the lowest phase angle of each
+    generator in turn.
     """
-    from .cocycles import find_trivializing_phase
-
     if not sub.is_abelian():
         return None
-    res = model.cocycle.restrict(sub)
-    f0 = find_trivializing_phase(res, domain=sub)
-    if f0 is None:
-        return None
-    h = sub.as_group()
-    lin = model.rep.matrices[list(sub.members)] * f0.values.conj()[:, None, None]
-    basis = np.eye(model.dim, dtype=complex)
-    for g in _greedy_generators(h):
-        block = basis.conj().T @ lin[g] @ basis
-        eigvals, eigvecs = np.linalg.eig(block)
-        angles = np.mod(np.angle(eigvals) / (2 * np.pi), 1.0)
-        angles[angles > 1 - 1e-9] = 0.0
-        target = angles.min()
-        keep = np.abs(angles - target) < 1e-8
-        basis = basis @ orthonormal_columns(eigvecs[:, keep])
-    v = basis[:, 0]
-    chi_values = np.einsum("a,xab,b->x", v.conj(), lin, v)
-    chi = PhaseFunction.from_complex(sub, chi_values, max_den=len(sub))
-    if not chi.is_exact:
-        raise CodeError("constituent character did not snap to exact phases")
-    return f0.multiply(chi)
+    return next(_constituent_phases(model, sub), None)
 
 
 def code_dimension_formula(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseFunction) -> int:
@@ -435,16 +471,14 @@ def _clifford_flag(
     members = list(logical.members)
     if act.inside[members].max() > TOL_MEMBERSHIP:
         return False, "code not invariant under the logical group"
-    small = compress(model.rep.matrices[members], code.basis)
+    res = restrict(model.rep, logical)
     try:
-        rho = make_rep(logical.as_group(), small)
-    except Exception as exc:  # pragma: no cover - invariance should preclude this
+        rho = res.on_subspace(code.basis)
+    except MakeRepError as exc:
         return False, f"restricted action is not a representation: {exc}"
     if not is_irreducible(rho):
         return False, "restricted action on the code is reducible"
-    if rho.cocycle != model.cocycle.restrict(logical):
-        return False, "restricted action has the wrong cocycle"
-    if len(hom_space(rho, restrict(model.rep, logical))) != 1:
+    if len(hom_space(rho, res)) != 1:
         return False, "restricted action does not have multiplicity one"
     return True, None
 
@@ -528,8 +562,7 @@ def stabilizer_to_clifford(
         raise CodeError("need exact phases to compute the inertia group")
     theta = rep_from_phase_function(f)
     logical = inertia_group(theta, sub, model.cocycle)
-    small = compress(model.rep.matrices[list(logical.members)], code.basis)
-    rho = make_rep(logical.as_group(), small)
+    rho = restrict(model.rep, logical).on_subspace(code.basis)
     rebuilt = clifford_code(model, logical, rho)
     if frobenius(rebuilt.projector() - code.projector()) >= TOL_SUBSPACE:
         raise RuntimeError("Clifford presentation disagrees with the stabilizer code")

@@ -124,10 +124,7 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
-        result = 1
-        for x in range(self.order):
-            result = _lcm(result, self.element_order(x))
-        return result
+        return math.lcm(*(self.element_order(x) for x in range(self.order)))
 
     def conjugate(self, x: int, y: int) -> int:
         """x * y * x^-1."""
@@ -229,11 +226,8 @@ class FiniteGroup:
         mul = np.zeros((q, q), dtype=np.int64)
         for i, r in enumerate(reps):
             mul[i] = projection[self.mul[r, reps]]
-        identity = int(projection[self.identity])
-        inv = np.array([int(np.where(mul[i] == identity)[0][0]) for i in range(q)])
         names = [f"[{self.name_of(r)}]" for r in reps]
-        group = FiniteGroup(q, mul, identity, inv, label=f"{self.label}/N", element_names=names)
-        return group, projection
+        return group_from_mul_table(mul, label=f"{self.label}/N", element_names=names), projection
 
     def coset_representatives(self, sub: "Subgroup") -> list[int]:
         """One representative per left coset xH, the identity representing H.
@@ -376,8 +370,6 @@ def dihedral(n: int) -> FiniteGroup:
         sign = -1 if k2 else 1
         l = (sign * l1 + l2) % n
         mul[k1 * n + l1, k2 * n + l2] = k * n + l
-    identity = 0
-    inv = np.array([int(np.where(mul[x] == identity)[0][0]) for x in range(2 * n)])
     names = []
     for k in range(2):
         for l in range(n):
@@ -386,7 +378,7 @@ def dihedral(n: int) -> FiniteGroup:
                 names.append(a_part or "1")
             else:
                 names.append(("b " + a_part).strip())
-    return FiniteGroup(2 * n, mul, identity, inv, label=f"D{n}", element_names=names)
+    return group_from_mul_table(mul, label=f"D{n}", element_names=names)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -423,10 +415,8 @@ def inversion_semidirect(n: int) -> FiniteGroup:
             a = (a1 + sign * a2) % n
             b = (b1 + sign * b2) % n
             mul[pack(a1, b1, c1), pack(a2, b2, c2)] = pack(a, b, (c1 + c2) % 2)
-    identity = 0
-    inv = np.array([int(np.where(mul[x] == identity)[0][0]) for x in range(order)])
     names = [f"({x // (2 * n)},{(x // 2) % n},{x % 2})" for x in range(order)]
-    return FiniteGroup(order, mul, identity, inv, label=f"(C{n}xC{n}):C2", element_names=names)
+    return group_from_mul_table(mul, label=f"(C{n}xC{n}):C2", element_names=names)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -442,10 +432,8 @@ def symmetric(n: int) -> FiniteGroup:
     for i, s in enumerate(perms):
         for j, t in enumerate(perms):
             mul[i, j] = index[tuple(s[t[k]] for k in range(n))]
-    identity = index[tuple(range(n))]
-    inv = np.array([int(np.where(mul[x] == identity)[0][0]) for x in range(order)])
     names = ["".join(str(v + 1) for v in p) for p in perms]
-    return FiniteGroup(order, mul, identity, inv, label=f"S{n}", element_names=names)
+    return group_from_mul_table(mul, label=f"S{n}", element_names=names)
 
 
 def permutation_semidirect(base: FiniteGroup, n: int) -> FiniteGroup:
@@ -478,18 +466,11 @@ def permutation_semidirect(base: FiniteGroup, n: int) -> FiniteGroup:
                 pv = tuple_index[prod_vec]
                 for ti in range(sym.order):
                     mul[row, pack(wi, ti)] = pack(pv, sym.mul[si, ti])
-    identity = pack(tuple_index[tuple([base.identity] * n)], sym.identity)
-    inv = np.zeros(order, dtype=np.int64)
-    for x in range(order):
-        inv[x] = int(np.where(mul[x] == identity)[0][0])
     names = [
         f"({','.join(base.name_of(v) for v in tuples[x // sym.order])};{sym.name_of(x % sym.order)})"
         for x in range(order)
     ]
-    return FiniteGroup(
-        order, mul, identity, inv,
-        label=f"{base.label}^{n}:S{n}", element_names=names,
-    )
+    return group_from_mul_table(mul, label=f"{base.label}^{n}:S{n}", element_names=names)
 
 
 def group_from_mul_table(mul, label: str = "G", element_names: list[str] | None = None) -> FiniteGroup:
@@ -541,8 +522,3 @@ def _extend_closure(members: list[int], mask: int, cols: list[list[int]]) -> int
 def _is_prime(k: int) -> bool:
     return k > 1 and all(k % d for d in range(2, int(k**0.5) + 1))
 
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import nullspace
+from ._linalg import compress, nullspace
 from .cocycles import (
     Cocycle,
     Phase,
@@ -119,6 +119,16 @@ class ProjectiveRep:
             validate=False,
         )
 
+    def on_subspace(self, basis: np.ndarray) -> "ProjectiveRep":
+        """The action basis* pi(x) basis on the span of orthonormal columns.
+
+        On an invariant subspace it multiplies with this rep's cocycle
+        exactly, so it is validated against that cocycle, not snapped: a
+        snap would need this cocycle's denominator, which can exceed 4|G|.
+        Raises MakeRepError when the subspace is not invariant.
+        """
+        return ProjectiveRep(self.group, compress(self.matrices, basis), self.cocycle)
+
     def twist(self, f: PhaseFunction) -> "ProjectiveRep":
         """Multiply by a phase function on the whole group; the cocycle picks up df."""
         if len(f.domain) != self.group.order:
@@ -139,14 +149,22 @@ class ProjectiveRep:
             [[[float(v.real), float(v.imag)] for v in row] for row in m]
             for m in self.matrices
         ]
-        return {"order": self.group.order, "dim": self.dim, "matrices": mats}
+        return {
+            "order": self.group.order,
+            "dim": self.dim,
+            "matrices": mats,
+            "cocycle": self.cocycle.to_json(),
+        }
 
     @classmethod
     def from_json(cls, group: FiniteGroup, data: dict) -> "ProjectiveRep":
+        """Read to_json's form; files without a "cocycle" key are snapped by make_rep."""
         mats = np.array(
             [[[complex(v[0], v[1]) for v in row] for row in m] for m in data["matrices"]]
         )
-        return make_rep(group, mats)
+        if "cocycle" not in data:
+            return make_rep(group, mats)
+        return cls(group, mats, Cocycle.from_json(group, data["cocycle"]))
 
     def __repr__(self) -> str:
         return f"ProjectiveRep({self.label}, order={self.group.order}, dim={self.dim})"
@@ -356,7 +374,7 @@ def tensor(r1: ProjectiveRep, r2: ProjectiveRep) -> ProjectiveRep:
     mats = np.einsum("xab,ycd->xyacbd", r1.matrices, r2.matrices)
     mats = mats.reshape(n1 * n2, d1 * d2, d1 * d2)
     den1, den2 = r1.cocycle.den, r2.cocycle.den
-    den = den1 * den2 // math.gcd(den1, den2)
+    den = math.lcm(den1, den2)
     num = (
         np.add.outer(r1.cocycle.num * (den // den1), r2.cocycle.num * (den // den2))
         .transpose(0, 2, 1, 3)

@@ -3,18 +3,29 @@
 Both entry points refuse oversized inputs instead of truncating: a partial
 enumeration would silently break the completeness claims downstream tests
 rely on.
+
+The codes of one subgroup come from the constituent walk in codes
+(_constituent_phases); this module loops over subgroups and deduplicates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import compress, nullspace, orthonormal_columns
-from .cocycles import PhaseFunction, _greedy_generators, find_trivializing_phase
-from .codes import CodeReport, CodeSpace, classify, clifford_code, weak_stabilizer_code
+from ._linalg import orthonormal_columns
+from .cocycles import PhaseFunction
+from .codes import (
+    TOL_SUBSPACE,
+    CodeReport,
+    CodeSpace,
+    _constituent_phases,
+    classify,
+    clifford_code,
+    weak_stabilizer_code,
+)
 from .groups import Subgroup
 from .models import ProjectiveErrorModel
-from .projreps import MakeRepError, ProjectiveRep, hom_space, inner_product, restrict
+from .projreps import MakeRepError, ProjectiveRep, hom_space, is_irreducible, restrict
 
 __all__ = [
     "SearchError",
@@ -37,7 +48,7 @@ def _check_caps(model: ProjectiveErrorModel, max_order: int, max_dim: int) -> No
 
 
 class _ProjectorSet:
-    """Projectors kept so far, for dedup by Frobenius distance < 1e-7.
+    """Projectors kept so far, for dedup by Frobenius distance < TOL_SUBSPACE.
 
     Kept projectors are grouped by rank, round(tr p), in one buffer per
     rank that doubles when full, so no call copies them all.  A new
@@ -53,12 +64,12 @@ class _ProjectorSet:
         self._counts: dict[int, int] = {}
 
     def add_if_new(self, p: np.ndarray) -> bool:
-        """Keep p and return True unless a kept projector is within 1e-7 of it."""
+        """Keep p and return True unless a kept projector is within TOL_SUBSPACE of it."""
         rank = round(np.trace(p).real)
         count = self._counts.get(rank, 0)
         if count:
             buf = self._bufs[rank]
-            if (np.linalg.norm(buf[:count] - p, axis=(1, 2)) < 1e-7).any():
+            if (np.linalg.norm(buf[:count] - p, axis=(1, 2)) < TOL_SUBSPACE).any():
                 return False
             if count == len(buf):
                 buf = self._bufs[rank] = np.concatenate([buf, np.empty_like(buf)])
@@ -67,36 +78,6 @@ class _ProjectorSet:
         buf[count] = p
         self._counts[rank] = count + 1
         return True
-
-
-def _joint_eigenvectors(matrices: np.ndarray, gens: list[int]) -> list[np.ndarray]:
-    """Bases of every nonzero joint eigenspace of the generator matrices.
-
-    Works for noncommuting generators too: each branch intersects the running
-    space with a genuine eigenspace, so spurious compressed eigenvalues die as
-    empty intersections.  Branch order is deterministic (eigenvalue phase
-    angle per generator).
-    """
-    dim = matrices.shape[1]
-    branches = [np.eye(dim, dtype=complex)]
-    for g in gens:
-        refined: list[np.ndarray] = []
-        for basis in branches:
-            block = basis.conj().T @ matrices[g] @ basis
-            eigvals = np.linalg.eigvals(block)
-            angles = np.mod(np.angle(eigvals) / (2 * np.pi), 1.0)
-            angles[angles > 1 - 1e-9] = 0.0
-            chosen: list[float] = []
-            for a in sorted(angles):
-                if not chosen or a - chosen[-1] > 1e-8:
-                    chosen.append(a)
-            for a in chosen:
-                c = np.exp(2j * np.pi * a)
-                ns = nullspace((matrices[g] - c * np.eye(dim)) @ basis)
-                if ns.shape[1]:
-                    refined.append(basis @ ns)
-        branches = refined
-    return branches
 
 
 def enumerate_weak_stabilizer_codes(
@@ -116,20 +97,7 @@ def enumerate_weak_stabilizer_codes(
     results: list[tuple[Subgroup, PhaseFunction, CodeSpace]] = []
     kept = _ProjectorSet(model.dim)
     for sub in g.all_subgroups():
-        res = model.cocycle.restrict(sub)
-        f0 = find_trivializing_phase(res, domain=sub)
-        if f0 is None:
-            continue
-        h = sub.as_group()
-        lin = model.rep.matrices[list(sub.members)] * f0.values.conj()[:, None, None]
-        gens = _greedy_generators(h)
-        for basis in _joint_eigenvectors(lin, gens):
-            v = basis[:, 0]
-            chi_values = np.einsum("a,xab,b->x", v.conj(), lin, v)
-            chi = PhaseFunction.from_complex(sub, chi_values, max_den=len(sub))
-            if not chi.is_exact:
-                raise SearchError("constituent character failed to snap to exact phases")
-            f = f0.multiply(chi)
+        for f in _constituent_phases(model, sub):
             code = weak_stabilizer_code(model, sub, f)
             if code is None:
                 raise RuntimeError("constituent with an empty code space")
@@ -145,9 +113,8 @@ def _irreducible_constituents(
 
     A random Hermitian element of the commutant generically has one
     eigenvalue per irreducible constituent; degenerate draws are detected by
-    the per-piece irreducibility check and retried with the next seed.  A
-    piece on an invariant subspace carries the cocycle of rep exactly, so it
-    is validated against that cocycle rather than snapped afresh.
+    the per-piece irreducibility check and retried with the next seed.
+    Pieces are rep.on_subspace, so they keep the cocycle of rep.
     """
     maps = hom_space(rep, rep)
     if len(maps) == 1:
@@ -167,13 +134,12 @@ def _irreducible_constituents(
                 continue
             basis = orthonormal_columns(evecs[:, start:k])
             start = k
-            small = compress(rep.matrices, basis)
             try:
-                piece = ProjectiveRep(rep.group, small, rep.cocycle)
+                piece = rep.on_subspace(basis)
             except MakeRepError:
                 good = False
                 break
-            if abs(inner_product(piece.character(), piece.character()) - 1) > 1e-7:
+            if not is_irreducible(piece):
                 good = False
                 break
             pieces.append(piece)

@@ -351,3 +351,59 @@ def kl_witness_per_row(code, channel, tol: float = 1e-8) -> tuple[int, int] | No
         if bad.size:
             return i, int(bad[0])
     return None
+
+
+def joint_eigenvectors_oracle(matrices: np.ndarray, gens: list[int]) -> list[np.ndarray]:
+    """Bases of every nonzero joint eigenspace of the generator matrices,
+    refined breadth first: one list of branches per generator."""
+    from qeclab._linalg import nullspace
+
+    dim = matrices.shape[1]
+    branches = [np.eye(dim, dtype=complex)]
+    for g in gens:
+        refined: list[np.ndarray] = []
+        for basis in branches:
+            block = basis.conj().T @ matrices[g] @ basis
+            eigvals = np.linalg.eigvals(block)
+            angles = np.mod(np.angle(eigvals) / (2 * np.pi), 1.0)
+            angles[angles > 1 - 1e-9] = 0.0
+            chosen: list[float] = []
+            for a in sorted(angles):
+                if not chosen or a - chosen[-1] > 1e-8:
+                    chosen.append(a)
+            for a in chosen:
+                c = np.exp(2j * np.pi * a)
+                ns = nullspace((matrices[g] - c * np.eye(dim)) @ basis)
+                if ns.shape[1]:
+                    refined.append(basis @ ns)
+        branches = refined
+    return branches
+
+
+def existence_phase_oracle(model, sub):
+    """existence_phase by eig: per generator, keep the eigenvectors of the
+    lowest phase angle, orthonormalized, then read the character of the
+    first joint eigenvector."""
+    from qeclab._linalg import orthonormal_columns
+    from qeclab.cocycles import PhaseFunction, find_trivializing_phase
+
+    if not sub.is_abelian():
+        return None
+    f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
+    if f0 is None:
+        return None
+    h = sub.as_group()
+    lin = model.rep.matrices[list(sub.members)] * f0.values.conj()[:, None, None]
+    basis = np.eye(model.dim, dtype=complex)
+    for g in h.greedy_generators():
+        block = basis.conj().T @ lin[g] @ basis
+        eigvals, eigvecs = np.linalg.eig(block)
+        angles = np.mod(np.angle(eigvals) / (2 * np.pi), 1.0)
+        angles[angles > 1 - 1e-9] = 0.0
+        keep = np.abs(angles - angles.min()) < 1e-8
+        basis = basis @ orthonormal_columns(eigvecs[:, keep])
+    v = basis[:, 0]
+    chi_values = np.einsum("a,xab,b->x", v.conj(), lin, v)
+    chi = PhaseFunction.from_complex(sub, chi_values, max_den=len(sub))
+    assert chi.is_exact
+    return f0.multiply(chi)

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import qeclab
 from qeclab.cli import main, parse_group_spec, parse_model_spec
 
 
@@ -201,9 +204,12 @@ def test_search_caps_read_from_environment(capsys, monkeypatch):
 
 
 def test_console_script_installed():
+    # the subprocess imports the same qeclab as the tests, installed or not
+    src = str(Path(qeclab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "qeclab.cli", "model", "genpauli:2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     # module execution path mirrors the console script
     assert proc.returncode == 0

@@ -5,6 +5,8 @@ from helpers import (
     CATALOG_64,
     detectable_oracle,
     eigenspace_dim,
+    existence_phase_oracle,
+    joint_eigenvectors_oracle,
     linear_characters,
     logical_oracle,
     partition_norms_oracle,
@@ -18,6 +20,7 @@ from qeclab.codes import (
     CodeError,
     CodeSpace,
     _code_action,
+    _joint_eigenspaces,
     classify,
     clifford_code,
     code_dimension_formula,
@@ -201,6 +204,48 @@ def test_existence_phase_deterministic():
     f1 = existence_phase(model, sub)
     f2 = existence_phase(model, sub)
     assert np.allclose(f1.values, f2.values)
+
+
+WALK_SPECS = ["pauli:2", "genpauli:4", "c2d2n:3", "oddfam:3"]
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_joint_eigenspaces_match_breadth_first_walk(spec):
+    # the depth-first walk yields the breadth-first lists bit for bit, in
+    # order, on every subgroup with a trivializer (nonabelian ones included)
+    model = parse_model_spec(spec).model
+    nonabelian = 0
+    for sub in model.group.all_subgroups():
+        f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
+        if f0 is None:
+            continue
+        nonabelian += not sub.is_abelian()
+        lin = model.rep.matrices[list(sub.members)] * f0.values.conj()[:, None, None]
+        gens = sub.as_group().greedy_generators()
+        got = list(_joint_eigenspaces(lin, gens, np.eye(model.dim, dtype=complex)))
+        want = joint_eigenvectors_oracle(lin, gens)
+        assert len(got) == len(want), sub.members
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), sub.members
+    if spec in ("c2d2n:3", "oddfam:3"):
+        assert nonabelian > 0
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_existence_phase_matches_eig_walk(spec):
+    model = parse_model_spec(spec).model
+    found = 0
+    for sub in model.group.all_subgroups():
+        if not sub.is_abelian():
+            continue
+        got, want = existence_phase(model, sub), existence_phase_oracle(model, sub)
+        assert (got is None) == (want is None), sub.members
+        if got is None:
+            continue
+        found += 1
+        assert got.phases == want.phases, sub.members
+        assert np.abs(got.values - want.values).max() <= 1e-12
+    assert found > 0
 
 
 # ----------------------------------------------------- clifford codes

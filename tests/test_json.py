@@ -9,6 +9,7 @@ import json
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,3 +153,26 @@ def test_kraus_channel_json_round_trip(data):
     back = KrausChannel.from_json(_through_json(channel))
     assert back.ambient_dim == channel.ambient_dim
     assert np.array_equal(back.kraus, channel.kraus)
+
+
+@pytest.mark.parametrize("spec, count", [("xp:9", 9), ("xp:15", 15)])
+def test_rep_json_keeps_a_cocycle_make_rep_cannot_snap(spec, count):
+    # the order-2 restrictions inherit cocycle denominators up to 15, past
+    # the 4|H| = 8 that snapping allows
+    model = _model(spec)
+    subs = [sub for sub in model.group.all_subgroups() if len(sub) == 2]
+    assert len(subs) == count
+    for sub in subs:
+        rep = model.rep.restrict(sub)
+        back = ProjectiveRep.from_json(rep.group, _through_json(rep))
+        assert np.array_equal(back.matrices, rep.matrices)
+        assert back.cocycle == rep.cocycle
+
+
+def test_rep_json_without_cocycle_still_loads():
+    model = _model("xp:4")
+    data = _through_json(model.rep)
+    del data["cocycle"]
+    back = ProjectiveRep.from_json(model.group, data)
+    assert np.array_equal(back.matrices, model.rep.matrices)
+    assert back.cocycle == model.rep.cocycle

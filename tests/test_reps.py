@@ -130,6 +130,43 @@ def test_rep_json_round_trip():
     assert back.cocycle == model.rep.cocycle
 
 
+def _pi_x_eigenvector(res):
+    # an eigenvector of pi(x) spans a subspace invariant under {e, x}
+    _, vecs = np.linalg.eig(res.matrices[1])
+    return vecs[:, :1] / np.linalg.norm(vecs[:, 0])
+
+
+@pytest.mark.parametrize("spec, snap_failures", [("xp:9", 6), ("xp:15", 8)])
+def test_on_subspace_keeps_the_cocycle_where_make_rep_fails(spec, snap_failures):
+    model = parse_model_spec(spec).model
+    failures = 0
+    for sub in [sub for sub in model.group.all_subgroups() if len(sub) == 2]:
+        res = model.rep.restrict(sub)
+        basis = _pi_x_eigenvector(res)
+        piece = res.on_subspace(basis)
+        assert piece.cocycle == res.cocycle
+        assert piece.matrices.tobytes() == (basis.conj().T @ res.matrices @ basis).tobytes()
+        try:
+            make_rep(res.group, piece.matrices)
+        except MakeRepError:
+            failures += 1
+    assert failures == snap_failures
+
+
+def test_on_subspace_of_a_code_carries_the_restricted_cocycle():
+    model = parse_model_spec("c2d2n:3").model
+    for sub, _, code in search.enumerate_weak_stabilizer_codes(model):
+        res = model.rep.restrict(sub)
+        assert res.on_subspace(code.basis).cocycle == model.cocycle.restrict(sub)
+
+
+def test_on_subspace_rejects_a_non_invariant_subspace():
+    model = gen_pauli_model(2)
+    basis = np.array([[1.0], [0.0]], dtype=complex)  # |0>, moved by X
+    with pytest.raises(MakeRepError):
+        model.rep.on_subspace(basis)
+
+
 def test_induce_from_trivial_gives_regular_dimension():
     g = dihedral(3)
     triv_sub = g.trivial_subgroup()
