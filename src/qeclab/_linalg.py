@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-SVD_RTOL = 1e-8
+from . import _tol
 
 
-def nullspace(a: np.ndarray, rtol: float = SVD_RTOL) -> np.ndarray:
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of a."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
@@ -16,16 +16,16 @@ def nullspace(a: np.ndarray, rtol: float = SVD_RTOL) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     # operators here are O(1)-normed, so floor the cutoff: a nearly-zero
     # stack must read as rank 0, not as full-rank float noise
-    cutoff = rtol * max(s[0] if len(s) else 0.0, 1.0)
+    cutoff = _tol.SCAN * max(s[0] if len(s) else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
 
 
-def orthonormal_columns(b: np.ndarray, rtol: float = SVD_RTOL) -> np.ndarray:
+def orthonormal_columns(b: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column space of b."""
     b = np.asarray(b, dtype=complex)
     u, s, _ = np.linalg.svd(b, full_matrices=False)
-    cutoff = rtol * (s[0] if len(s) else 0.0)
+    cutoff = _tol.SCAN * (s[0] if len(s) else 0.0)
     rank = int(np.sum(s > cutoff))
     return u[:, :rank]
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _tol
 from ._linalg import frobenius
 from .codes import CodeSpace
 from .models import ProjectiveErrorModel
@@ -36,9 +37,6 @@ __all__ = [
     "build_recovery",
     "verify_recovery",
 ]
-
-TOL_SCALAR = 1e-8
-TOL_RECOVERY = 1e-7
 
 
 class ChannelError(ValueError):
@@ -58,7 +56,7 @@ class KrausChannel:
             raise ChannelError("kraus must be a stack of ambient_dim square matrices")
         stacked = self.kraus.reshape(-1, self.ambient_dim)
         total = stacked.conj().T @ stacked
-        if frobenius(total - np.eye(self.ambient_dim)) > 1e-9:
+        if frobenius(total - np.eye(self.ambient_dim)) > _tol.EXACT:
             raise ChannelError("kraus operators do not sum to the identity")
 
     def __len__(self) -> int:
@@ -119,7 +117,7 @@ def channel_from_model(model: ProjectiveErrorModel, p) -> KrausChannel:
         raise ChannelError("distribution length does not match the group order")
     if p.min() < 0:
         raise ChannelError("distribution has negative entries")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if abs(p.sum() - 1.0) > _tol.DIST_SUM:
         raise ChannelError("distribution does not sum to 1")
     support = np.flatnonzero(p > 0)
     kraus = np.sqrt(p[support])[:, None, None] * model.rep.matrices[support]
@@ -141,7 +139,7 @@ def kl_detectable(code: CodeSpace, x: np.ndarray) -> complex | None:
         raise ChannelError("operator dimension does not match the code")
     b = code.basis
     c, dev = _scalar_deviation(b.conj().T @ x @ b)
-    if dev < TOL_SCALAR:
+    if dev < _tol.SCAN:
         return complex(c)
     return None
 
@@ -181,7 +179,7 @@ def kl_correctable(code: CodeSpace, channel: KrausChannel) -> KLResult:
         left = kb[a : a + rows].conj().transpose(0, 2, 1).reshape(-1, d)
         blocks = (left @ right).reshape(-1, w, n, w).transpose(0, 2, 1, 3)
         _, dev = _scalar_deviation(blocks)
-        bad = np.flatnonzero(~(dev < TOL_SCALAR))
+        bad = np.flatnonzero(~(dev < _tol.SCAN))
         if bad.size:
             i, j = divmod(int(bad[0]), n)
             return KLResult(False, (a + i, j))
@@ -199,7 +197,7 @@ def build_recovery(code: CodeSpace, channel: KrausChannel) -> KrausChannel:
     # m[i,j] with P K_i* K_j P = m[i,j] P, read off as tr(B* K_i* K_j B)/dim W
     gram = flat.conj() @ flat.T / w
     evals, evecs = np.linalg.eigh(gram)
-    keep = evals >= 1e-12
+    keep = evals >= _tol.GRAM_FLOOR
     # F_k = sum_i u_ik K_i gives P F_k* F_l P = (U* M U)_kl P = d_k delta_kl P,
     # and F_k B is the same rotation of the K_i B
     rotated = (evecs[:, keep].T @ flat).reshape(-1, dim, w)
@@ -207,7 +205,7 @@ def build_recovery(code: CodeSpace, channel: KrausChannel) -> KrausChannel:
     ops = code.basis @ isometries.conj().transpose(0, 2, 1)
     ranges = isometries.transpose(1, 0, 2).reshape(dim, -1)
     completion = np.eye(dim, dtype=complex) - ranges @ ranges.conj().T
-    if frobenius(completion @ completion - completion) > TOL_RECOVERY:
+    if frobenius(completion @ completion - completion) > _tol.DERIVED:
         raise RuntimeError("recovery ranges do not assemble into a projector")
     return KrausChannel(dim, np.concatenate([ops, completion[None]]))
 

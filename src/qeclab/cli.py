@@ -42,8 +42,8 @@ import sys
 
 import numpy as np
 
+from . import _tol
 from .channels import (
-    TOL_RECOVERY,
     build_recovery,
     channel_from_model,
     kl_correctable,
@@ -66,7 +66,6 @@ from .groups import (
     dihedral,
     direct_product,
     inversion_semidirect,
-    max_group_order,
     permutation_semidirect,
     symmetric,
 )
@@ -79,7 +78,6 @@ from .models import (
     family_c2_x_d2n,
     family_odd,
     gen_pauli_model,
-    max_ambient_dim,
     perm_product_model,
     product_model,
 )
@@ -450,10 +448,11 @@ def cmd_correct(args) -> int:
         return 1
     recovery = build_recovery(code, channel)
     deviation = verify_recovery(code, channel, recovery)
-    ok = deviation < TOL_RECOVERY
+    ok = deviation < _tol.DERIVED
     print(f"correctable: yes ({channel.kraus.shape[0]} Kraus operators)")
     print(f"recovery: {recovery.kraus.shape[0]} operators, max deviation {deviation:.3e}")
-    print(("PASS" if ok else "FAIL") + ": recovery restores code states within 1e-7")
+    verdict = "PASS" if ok else "FAIL"
+    print(f"{verdict}: recovery restores code states within {_tol.DERIVED:.0e}")
     return 0 if ok else 1
 
 
@@ -471,7 +470,7 @@ def cmd_table(args) -> int:
             worst, max(abs(z - w) for z, w in zip(row, expected[name]))
         )
     print(f"check: max deviation from reference {worst:.2e}")
-    if worst > 1e-9:
+    if worst > _tol.EXACT:
         print("FAIL: table does not match the reference")
         return 1
     return 0
@@ -588,22 +587,17 @@ def cmd_reproduce(args) -> int:
     raise UsageError(f"unknown example {name!r}")
 
 
-def _search_caps(args) -> tuple[int, int]:
-    max_order = args.max_order if args.max_order is not None else max_group_order()
-    max_dim = args.max_dim if args.max_dim is not None else max_ambient_dim(16)
-    return max_order, max_dim
-
-
 def cmd_search(args) -> int:
     parsed = parse_model_spec(args.spec)
     model = parsed.model
-    max_order, max_dim = _search_caps(args)
     if args.q3:
-        hits = q3_probe(model, max_order=max_order, max_dim=max_dim)
+        hits = q3_probe(model, max_order=args.max_order, max_dim=args.max_dim)
         reports = hits
         title = "q3 probe hits"
     else:
-        found = enumerate_weak_stabilizer_codes(model, max_order=max_order, max_dim=max_dim)
+        found = enumerate_weak_stabilizer_codes(
+            model, max_order=args.max_order, max_dim=args.max_dim
+        )
         reports = [classify(model, code) for _, _, code in found]
         title = "weak stabilizer codes"
     for report in reports:

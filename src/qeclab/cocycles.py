@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _tol
 from .groups import FiniteGroup, Subgroup
 
 __all__ = [
@@ -87,24 +88,24 @@ class Phase:
         return f"Phase({self.num}/{self.den})"
 
 
-def snap_phase(z: complex, max_den: int, tol: float = 1e-9) -> Phase:
+def snap_phase(z: complex, max_den: int) -> Phase:
     """Match a unimodular complex number to an exact rational phase.
 
-    Raises PhaseSnapError when z is not within tol of exp(2*pi*i*p/q) for
-    any q <= max_den.
+    Raises PhaseSnapError when |z| is not within _tol.SCAN of 1, or z/|z| is
+    not within _tol.EXACT of exp(2*pi*i*p/q) for any q <= max_den.
     """
-    if abs(abs(z) - 1.0) > max(tol, 1e-8):
+    if abs(abs(z) - 1.0) > _tol.SCAN:
         raise PhaseSnapError(f"|z| = {abs(z)} is not 1")
     angle = Fraction(cmath.phase(z) / (2 * math.pi)).limit_denominator(max_den)
     candidate = Phase.from_fraction(angle)
-    if abs(candidate.to_complex() - z / abs(z)) > tol:
+    if abs(candidate.to_complex() - z / abs(z)) > _tol.EXACT:
         raise PhaseSnapError(f"{z} is {abs(candidate.to_complex() - z)} away from nearest phase")
     return candidate
 
 
-def snap_phase_or_none(z: complex, max_den: int, tol: float = 1e-9) -> Phase | None:
+def snap_phase_or_none(z: complex, max_den: int) -> Phase | None:
     try:
-        return snap_phase(z, max_den, tol)
+        return snap_phase(z, max_den)
     except PhaseSnapError:
         return None
 
@@ -245,9 +246,9 @@ class PhaseFunction:
         return cls(domain, list(phases))
 
     @classmethod
-    def from_complex(cls, domain: Subgroup, values, max_den: int, tol: float = 1e-9) -> "PhaseFunction":
+    def from_complex(cls, domain: Subgroup, values, max_den: int) -> "PhaseFunction":
         values = np.asarray(values, dtype=complex)
-        phases = [snap_phase_or_none(z, max_den, tol) for z in values]
+        phases = [snap_phase_or_none(z, max_den) for z in values]
         return cls(domain, phases, values)
 
     @property
@@ -257,15 +258,8 @@ class PhaseFunction:
     def __len__(self) -> int:
         return len(self.phases)
 
-    def value(self, i: int) -> complex:
-        """Value at position i of the subgroup's own numbering."""
-        return complex(self.values[i])
-
     def value_at(self, parent_index: int) -> complex:
         return complex(self.values[self.domain.position(parent_index)])
-
-    def phase_at(self, parent_index: int) -> Phase | None:
-        return self.phases[self.domain.position(parent_index)]
 
     def multiply(self, other: "PhaseFunction") -> "PhaseFunction":
         if other.domain.members != self.domain.members:

@@ -1,7 +1,7 @@
 """Code constructions, the logical/stabilizer/detectable scans, and classification.
 
-Subspace equality throughout is projector Frobenius distance < 1e-7, which is
-basis independent.  Membership scans use 1e-8.
+Subspace equality throughout is projector Frobenius distance < _tol.DERIVED,
+which is basis independent.  Membership scans use _tol.SCAN.
 
 The action of the model on a code is computed once per code: from the
 projector P, the stacks pi(x) P, P pi(x) and P pi(x) P give per-element
@@ -23,9 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _tol
 from ._linalg import frobenius, nullspace, orthonormal_columns
 from .cocycles import PhaseFunction, _greedy_generators, coboundary, find_trivializing_phase
-from .groups import Subgroup, max_group_order
+from .groups import Subgroup
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     MakeRepError,
@@ -55,9 +56,6 @@ __all__ = [
     "product_code",
 ]
 
-TOL_MEMBERSHIP = 1e-8
-TOL_SUBSPACE = 1e-7
-
 
 class CodeError(ValueError):
     """Raised on construction precondition failures and snap failures."""
@@ -77,7 +75,7 @@ class CodeSpace:
         if self.basis.shape[1] == 0:
             raise CodeError("code spaces must be nonzero")
         gram = self.basis.conj().T @ self.basis
-        if frobenius(gram - np.eye(self.dim)) > 1e-9:
+        if frobenius(gram - np.eye(self.dim)) > _tol.EXACT:
             raise CodeError("basis columns are not orthonormal")
 
     @property
@@ -98,7 +96,7 @@ class CodeSpace:
     def equals(self, other: "CodeSpace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             return False
-        return frobenius(self.projector() - other.projector()) < TOL_SUBSPACE
+        return frobenius(self.projector() - other.projector()) < _tol.DERIVED
 
     def to_json(self) -> dict:
         return {
@@ -128,40 +126,34 @@ def _subgroup_generators(sub: Subgroup) -> list[int]:
     return [sub.members[i] for i in inner]
 
 
-def _eigenspace_basis(model: ProjectiveErrorModel, members, values) -> np.ndarray | None:
-    """Orthonormal basis of {v : pi(x) v = value_x v for the given elements}."""
-    dim = model.dim
-    eye = np.eye(dim, dtype=complex)
-    stacked = np.vstack([model.rep.matrices[x] - c * eye for x, c in zip(members, values)])
-    basis = nullspace(stacked)
-    if basis.shape[1] == 0:
-        return None
-    return basis
-
-
 def weak_stabilizer_code(
     model: ProjectiveErrorModel, sub: Subgroup, f: PhaseFunction
 ) -> CodeSpace | None:
     """Joint eigenspace {v : pi(x) v = f(x) v for all x in the subgroup}.
 
-    Computed over a generating set first, then re-verified on the whole
-    subgroup; if the generator space is too big the full stack is used.
-    Returns None when the space is zero.
+    Computed over a generating set as E, then checked on the whole subgroup.
+    Returns None when E is zero, and also when E fails the check, because
+    the full space F is zero then.  A nonzero v in F gives f(x) f(y) v =
+    pi(x) pi(y) v = sigma(x,y) f(xy) v, so df = sigma|H.  Then every u in E
+    has pi(x) u = f(x) u, by induction on the length of x as a word in the
+    generators (H is finite, so no inverses are needed): pi(e) u =
+    sigma(e,e) u = f(e) u (both identities at x = y = e), and pi(yg) u =
+    pi(y) pi(g) u / sigma(y,g) = f(y) f(g) u / sigma(y,g) = f(yg) u.  So
+    E = F, and E passes the check.
     """
     if f.domain is not sub and tuple(f.domain.members) != tuple(sub.members):
         raise CodeError("phase function domain does not match the subgroup")
+    eye = np.eye(model.dim, dtype=complex)
+    mats = model.rep.matrices
     gens = _subgroup_generators(sub)
-    gen_values = [f.value_at(x) for x in gens]
-    basis = _eigenspace_basis(model, gens, gen_values)
-    if basis is None:
+    basis = nullspace(np.vstack([mats[x] - f.value_at(x) * eye for x in gens]))
+    if basis.shape[1] == 0:
         return None
     all_values = np.array([f.value_at(x) for x in sub.members])
-    resid = np.einsum("xab,bk->xak", model.rep.matrices[list(sub.members)], basis)
+    resid = np.einsum("xab,bk->xak", mats[list(sub.members)], basis)
     resid = resid - all_values[:, None, None] * basis[None, :, :]
-    if np.abs(resid).max() > TOL_MEMBERSHIP:
-        basis = _eigenspace_basis(model, list(sub.members), all_values)
-        if basis is None:
-            return None
+    if np.abs(resid).max() > _tol.SCAN:
+        return None
     code = CodeSpace(model.dim, basis)
     _assert_projective_phase(model, sub, f)
     return code
@@ -177,7 +169,7 @@ def _assert_projective_phase(model: ProjectiveErrorModel, sub: Subgroup, f: Phas
     got = np.multiply.outer(f.values, f.values)
     h = sub.as_group()
     expected = res.to_complex_table() * f.values[h.mul]
-    if np.abs(got - expected).max() > TOL_SUBSPACE:
+    if np.abs(got - expected).max() > _tol.DERIVED:
         raise RuntimeError("nonzero code with delta(f) != restricted cocycle")
 
 
@@ -195,9 +187,9 @@ def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray)
     inside the span of the orthonormal columns of basis.
 
     Depth first: the eigenvalues of the first generator compressed to the
-    span are sorted by phase angle (angles within 1e-9 of a full turn read
-    as 0, angles within 1e-8 of the last one kept are merged), and each
-    branch intersects the span with a genuine eigenspace before the next
+    span are sorted by phase angle (angles within _tol.EXACT of a full turn
+    read as 0, angles within _tol.SCAN of the last one kept are merged), and
+    each branch intersects the span with a genuine eigenspace before the next
     generator refines it.  Spurious compressed eigenvalues of noncommuting
     generators die as empty intersections.  Branches come out in
     lexicographic angle order, one generator after another.
@@ -207,10 +199,10 @@ def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray)
         return
     m = matrices[gens[0]]
     angles = np.mod(np.angle(np.linalg.eigvals(basis.conj().T @ m @ basis)) / (2 * np.pi), 1.0)
-    angles[angles > 1 - 1e-9] = 0.0
+    angles[angles > 1 - _tol.EXACT] = 0.0
     chosen: list[float] = []
     for a in sorted(angles):
-        if not chosen or a - chosen[-1] > 1e-8:
+        if not chosen or a - chosen[-1] > _tol.SCAN:
             chosen.append(a)
     eye = np.eye(matrices.shape[1])
     for a in chosen:
@@ -260,7 +252,7 @@ def code_dimension_formula(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseF
     chi = model.rep.character().values[list(sub.members)]
     total = np.sum(np.conj(f.values) * chi) / len(sub)
     nearest = round(total.real)
-    if abs(total - nearest) > 1e-7 or nearest < 0:
+    if abs(total - nearest) > _tol.DERIVED or nearest < 0:
         raise CodeError(f"dimension formula gave a non-integer value {total}")
     return int(nearest)
 
@@ -320,11 +312,11 @@ def _code_action(model: ProjectiveErrorModel, code: CodeSpace) -> _Action:
 
 
 def _logical(model: ProjectiveErrorModel, act: _Action) -> Subgroup:
-    return Subgroup(model.group, np.flatnonzero(act.commutator < TOL_MEMBERSHIP))
+    return Subgroup(model.group, np.flatnonzero(act.commutator < _tol.SCAN))
 
 
 def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, PhaseFunction]:
-    keep = (act.scalar_dev < TOL_MEMBERSHIP) & (np.abs(np.abs(act.scalars) - 1) < TOL_MEMBERSHIP)
+    keep = (act.scalar_dev < _tol.SCAN) & (np.abs(np.abs(act.scalars) - 1) < _tol.SCAN)
     members = np.flatnonzero(keep)
     sub = Subgroup(model.group, members)
     f = PhaseFunction.from_complex(sub, act.scalars[members], max_den=4 * model.group.order)
@@ -332,7 +324,7 @@ def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, Ph
 
 
 def _detectable(act: _Action) -> list[int]:
-    return [int(x) for x in np.flatnonzero(act.scalar_dev < TOL_MEMBERSHIP)]
+    return [int(x) for x in np.flatnonzero(act.scalar_dev < _tol.SCAN)]
 
 
 def _partitioning(
@@ -342,7 +334,7 @@ def _partitioning(
     stab: Subgroup,
     detect: list[int],
 ) -> tuple[bool, int | None]:
-    bad = np.flatnonzero((act.inside >= TOL_MEMBERSHIP) & (act.outside >= TOL_MEMBERSHIP))
+    bad = np.flatnonzero((act.inside >= _tol.SCAN) & (act.outside >= _tol.SCAN))
     if bad.size:
         return False, int(bad[0])
     closed_form = (set(range(model.group.order)) - set(logical.members)) | set(stab.members)
@@ -439,9 +431,6 @@ def _find_normal_reconstruction(
     f: PhaseFunction,
 ) -> Subgroup | None:
     """A normal-in-G subgroup of the stabilizer whose code equals the input."""
-    cap = max_group_order()
-    if len(stab) > cap:
-        raise CodeError(f"stabilizer order {len(stab)} exceeds subgroup search cap {cap}")
     g = model.group
     sgroup = stab.as_group()
     candidates = sorted(sgroup.all_subgroups(), key=len, reverse=True)
@@ -452,7 +441,7 @@ def _find_normal_reconstruction(
         if not sub.is_normal():
             continue
         rebuilt = weak_stabilizer_code(model, sub, _restrict_phase(f, sub))
-        if rebuilt is not None and frobenius(rebuilt.projector() - p) < TOL_SUBSPACE:
+        if rebuilt is not None and frobenius(rebuilt.projector() - p) < _tol.DERIVED:
             return sub
     return None
 
@@ -469,7 +458,7 @@ def _clifford_flag(
     if logical.index() * dim_w != dim_v:
         return False, "[G:L] * dim W != dim V"
     members = list(logical.members)
-    if act.inside[members].max() > TOL_MEMBERSHIP:
+    if act.inside[members].max() > _tol.SCAN:
         return False, "code not invariant under the logical group"
     res = restrict(model.rep, logical)
     try:
@@ -495,7 +484,7 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
     weak_dist = (
         frobenius(rebuilt.projector() - code.projector()) if rebuilt is not None else np.inf
     )
-    is_weak = weak_dist < TOL_SUBSPACE
+    is_weak = weak_dist < _tol.DERIVED
     if not is_weak:
         witnesses["is_weak_stabilizer"] = f"projector distance {weak_dist:.3e}"
 
@@ -564,7 +553,7 @@ def stabilizer_to_clifford(
     logical = inertia_group(theta, sub, model.cocycle)
     rho = restrict(model.rep, logical).on_subspace(code.basis)
     rebuilt = clifford_code(model, logical, rho)
-    if frobenius(rebuilt.projector() - code.projector()) >= TOL_SUBSPACE:
+    if frobenius(rebuilt.projector() - code.projector()) >= _tol.DERIVED:
         raise RuntimeError("Clifford presentation disagrees with the stabilizer code")
     return logical, rebuilt
 

@@ -32,12 +32,9 @@ __all__ = [
 _MAX_TABLE_BYTES = 2**28
 
 
-def max_group_order(default: int = 64) -> int:
-    """Cap for exhaustive subgroup enumeration, overridable via QECLAB_MAX_ORDER."""
-    value = os.environ.get("QECLAB_MAX_ORDER")
-    if value is None:
-        return default
-    return int(value)
+def max_group_order() -> int:
+    """Cap for exhaustive subgroup enumeration: QECLAB_MAX_ORDER, 64 when unset."""
+    return int(os.environ.get("QECLAB_MAX_ORDER", 64))
 
 
 class GroupValidationError(ValueError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _tol
 from .cocycles import Cocycle, Phase, PhaseFunction, coboundary
 from .groups import (
     FiniteGroup,
@@ -60,11 +61,8 @@ class ModelError(ValueError):
 
 
 def max_ambient_dim(default: int = 64) -> int:
-    """Ambient dimension cap, overridable via QECLAB_MAX_DIM."""
-    value = os.environ.get("QECLAB_MAX_DIM")
-    if value is None:
-        return default
-    return int(value)
+    """Ambient dimension cap: QECLAB_MAX_DIM, default when unset."""
+    return int(os.environ.get("QECLAB_MAX_DIM", default))
 
 
 def zeta(n: int) -> complex:
@@ -94,7 +92,7 @@ class ErrorModel:
             raise ModelError("error model representation must be irreducible")
         flat = self.rep.matrices.reshape(self.group.order, -1)
         for x in range(self.group.order - 1):
-            if np.linalg.norm(flat[x + 1 :] - flat[x], axis=1).min() < 1e-9:
+            if np.linalg.norm(flat[x + 1 :] - flat[x], axis=1).min() < _tol.EXACT:
                 raise ModelError("representation is not faithful")
 
     @property

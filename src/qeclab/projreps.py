@@ -2,7 +2,7 @@
 
 A projective representation keeps one unitary per group element together
 with its exactly-snapped cocycle, so pi(x)pi(y) = sigma(x,y) pi(xy) holds
-to 1e-9 with sigma a table of exact rational phases.  Restriction,
+to _tol.EXACT with sigma a table of exact rational phases.  Restriction,
 induction, tensor products, conjugates, and inertia groups all stay at the
 level of concrete matrices.
 """
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _tol
 from ._linalg import compress, nullspace
 from .cocycles import (
     Cocycle,
@@ -46,8 +47,6 @@ __all__ = [
     "mackey_character_defect",
 ]
 
-TOL_STRUCTURE = 1e-9
-TOL_DERIVED = 1e-7
 # Most complex entries (256 KiB) in one block of pi(x) pi(y) products.  A
 # block and its temporaries stay in cache; 1 MiB blocks made make_rep's
 # checks slower than one row at a time on order-54 and order-64 reps.
@@ -84,7 +83,7 @@ class ProjectiveRep:
         eye = np.eye(self.dim)
         gram = m @ m.conj().transpose(0, 2, 1)
         worst = np.abs(gram - eye).max()
-        if np.linalg.norm(gram - eye, axis=(1, 2)).max() >= TOL_STRUCTURE:
+        if np.linalg.norm(gram - eye, axis=(1, 2)).max() >= _tol.EXACT:
             raise MakeRepError(f"matrices are not unitary (deviation {worst:.2e})")
         if not self.cocycle.verify():
             raise MakeRepError("cached cocycle violates the cocycle identity")
@@ -95,7 +94,7 @@ class ProjectiveRep:
             expected *= phases[rows, :, None, None]
             products -= expected
             devs = np.linalg.norm(products, axis=(2, 3)).max(axis=1)
-            bad = np.flatnonzero(devs >= TOL_STRUCTURE)
+            bad = np.flatnonzero(devs >= _tol.EXACT)
             if bad.size:
                 x = rows.start + int(bad[0])
                 raise MakeRepError(
@@ -180,7 +179,7 @@ class Character:
         self.values = np.asarray(self.values, dtype=complex)
         at_identity = self.values[self.group.identity]
         nearest = round(at_identity.real)
-        if abs(at_identity - nearest) > TOL_STRUCTURE or nearest < 1:
+        if abs(at_identity - nearest) > _tol.EXACT or nearest < 1:
             raise ValueError("character value at the identity must be the dimension")
 
 
@@ -196,7 +195,7 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     checked against its value's phase (see _snap_scalars).  The cocycle
     equals the one snap_phase gives entry by entry: distinct phases with
     denominator at most 4n lie at least 2*pi/(16 n^2) apart on the circle,
-    more than twice the 1e-9 tolerance for every order n below 14,000, so
+    more than twice _tol.EXACT (1e-9) for every order n below 14,000, so
     no scalar lies within tolerance of two of them.
     """
     matrices = np.asarray(matrices, dtype=complex)
@@ -245,20 +244,20 @@ def _snap_scalars(raw: np.ndarray, max_den: int) -> tuple[np.ndarray, int]:
     flat = raw.ravel()
     keys = np.round(np.angle(flat) * (2.0**32 / (2 * np.pi)))
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    phases = [snap_phase_or_none(complex(flat[i]), max_den, TOL_STRUCTURE) for i in first]
+    phases = [snap_phase_or_none(complex(flat[i]), max_den) for i in first]
     snapped = np.array([p is not None for p in phases])
     values = np.array([p.to_complex() if p is not None else 0.0 for p in phases])
     with np.errstate(divide="ignore", invalid="ignore"):
         modulus = np.abs(flat)
         ok = (
             snapped[inverse]
-            & (np.abs(modulus - 1.0) <= max(TOL_STRUCTURE, 1e-8))
-            & (np.abs(values[inverse] - flat / modulus) <= TOL_STRUCTURE)
+            & (np.abs(modulus - 1.0) <= _tol.SCAN)
+            & (np.abs(values[inverse] - flat / modulus) <= _tol.EXACT)
         )
     own: dict[int, Phase] = {}
     for i in np.flatnonzero(~ok):
         try:
-            own[int(i)] = snap_phase(complex(flat[i]), max_den, TOL_STRUCTURE)
+            own[int(i)] = snap_phase(complex(flat[i]), max_den)
         except PhaseSnapError as exc:
             x, y = divmod(int(i), raw.shape[1])
             raise MakeRepError(
@@ -298,7 +297,7 @@ def inner_product(c1: Character, c2: Character) -> complex:
 
 def is_irreducible(rep: ProjectiveRep) -> bool:
     chi = rep.character()
-    return abs(inner_product(chi, chi) - 1) <= TOL_DERIVED
+    return abs(inner_product(chi, chi) - 1) <= _tol.DERIVED
 
 
 def is_projectively_faithful(rep: ProjectiveRep) -> bool:
@@ -307,11 +306,11 @@ def is_projectively_faithful(rep: ProjectiveRep) -> bool:
     scalar_dev = np.linalg.norm(
         m - traces[:, None, None] * np.eye(rep.dim), axis=(1, 2)
     )
-    scalars = np.where(scalar_dev < TOL_STRUCTURE)[0]
+    scalars = np.where(scalar_dev < _tol.EXACT)[0]
     return list(scalars) == [rep.group.identity]
 
 
-def hom_space(r1: ProjectiveRep, r2: ProjectiveRep, rtol: float = 1e-8) -> list[np.ndarray]:
+def hom_space(r1: ProjectiveRep, r2: ProjectiveRep) -> list[np.ndarray]:
     """Orthonormal basis of {T : r2(x) T = T r1(x) for all x}.
 
     T is read row-major as a vector of length d2*d1, so r2(x) T - T r1(x)
@@ -333,10 +332,10 @@ def hom_space(r1: ProjectiveRep, r2: ProjectiveRep, rtol: float = 1e-8) -> list[
         raise ValueError("cocycle mismatch")
     d1, d2 = r1.dim, r2.dim
     stack = _constraint_stack(r1.matrices, r2.matrices)
-    ns = nullspace(stack.reshape(-1, d2 * d1), rtol)
+    ns = nullspace(stack.reshape(-1, d2 * d1))
     basis = [ns[:, k].reshape(d2, d1) for k in range(ns.shape[1])]
     expected = inner_product(r1.character(), r2.character()).real
-    if abs(len(basis) - expected) > TOL_DERIVED * max(1.0, expected):
+    if abs(len(basis) - expected) > _tol.DERIVED * max(1.0, expected):
         raise RuntimeError(
             f"hom space dimension {len(basis)} disagrees with character count {expected:.6f}"
         )
@@ -466,7 +465,7 @@ def inertia_group(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> Subgro
         if any(g.conjugate(g.inv[x], y) not in mem for y in sub.members):
             continue
         values = _conjugate_character_values(chi, sub, x, sigma_complex)
-        if np.abs(values - chi).max() <= TOL_DERIVED:
+        if np.abs(values - chi).max() <= _tol.DERIVED:
             members.append(x)
     return Subgroup(g, members)
 

@@ -2,7 +2,9 @@
 
 Both entry points refuse oversized inputs instead of truncating: a partial
 enumeration would silently break the completeness claims downstream tests
-rely on.
+rely on.  Their max_order and max_dim replace the environment caps,
+max_group_order() and max_ambient_dim(16), in either direction; None keeps
+them.  The order cap is the one all_subgroups is given.
 
 The codes of one subgroup come from the constituent walk in codes
 (_constituent_phases); this module loops over subgroups and deduplicates.
@@ -12,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _tol
 from ._linalg import orthonormal_columns
 from .cocycles import PhaseFunction
 from .codes import (
-    TOL_SUBSPACE,
     CodeReport,
     CodeSpace,
     _constituent_phases,
@@ -23,8 +25,8 @@ from .codes import (
     clifford_code,
     weak_stabilizer_code,
 )
-from .groups import Subgroup
-from .models import ProjectiveErrorModel
+from .groups import Subgroup, max_group_order
+from .models import ProjectiveErrorModel, max_ambient_dim
 from .projreps import MakeRepError, ProjectiveRep, hom_space, is_irreducible, restrict
 
 __all__ = [
@@ -38,17 +40,23 @@ class SearchError(ValueError):
     """Raised when an input exceeds the search caps."""
 
 
-def _check_caps(model: ProjectiveErrorModel, max_order: int, max_dim: int) -> None:
+def _check_caps(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None) -> int:
+    """Raise SearchError past either cap (None: the environment's); return the order cap."""
+    if max_order is None:
+        max_order = max_group_order()
+    if max_dim is None:
+        max_dim = max_ambient_dim(16)
     if model.group.order > max_order:
         raise SearchError(
             f"group order {model.group.order} exceeds the search cap {max_order}"
         )
     if model.dim > max_dim:
         raise SearchError(f"ambient dimension {model.dim} exceeds the search cap {max_dim}")
+    return max_order
 
 
 class _ProjectorSet:
-    """Projectors kept so far, for dedup by Frobenius distance < TOL_SUBSPACE.
+    """Projectors kept so far, for dedup by Frobenius distance < _tol.DERIVED.
 
     Kept projectors are grouped by rank, round(tr p), in one buffer per
     rank that doubles when full, so no call copies them all.  A new
@@ -64,12 +72,12 @@ class _ProjectorSet:
         self._counts: dict[int, int] = {}
 
     def add_if_new(self, p: np.ndarray) -> bool:
-        """Keep p and return True unless a kept projector is within TOL_SUBSPACE of it."""
+        """Keep p and return True unless a kept projector is within _tol.DERIVED of it."""
         rank = round(np.trace(p).real)
         count = self._counts.get(rank, 0)
         if count:
             buf = self._bufs[rank]
-            if (np.linalg.norm(buf[:count] - p, axis=(1, 2)) < TOL_SUBSPACE).any():
+            if (np.linalg.norm(buf[:count] - p, axis=(1, 2)) < _tol.DERIVED).any():
                 return False
             if count == len(buf):
                 buf = self._bufs[rank] = np.concatenate([buf, np.empty_like(buf)])
@@ -82,8 +90,8 @@ class _ProjectorSet:
 
 def enumerate_weak_stabilizer_codes(
     model: ProjectiveErrorModel,
-    max_order: int = 64,
-    max_dim: int = 16,
+    max_order: int | None = None,
+    max_dim: int | None = None,
 ) -> list[tuple[Subgroup, PhaseFunction, CodeSpace]]:
     """Every weak stabilizer code of the model, one (H, f) witness per space.
 
@@ -92,11 +100,11 @@ def enumerate_weak_stabilizer_codes(
     restriction supply exactly the members of that coset with nonzero code.
     Deduplicated by projector, first witness kept, subgroups in order.
     """
-    _check_caps(model, max_order, max_dim)
+    max_order = _check_caps(model, max_order, max_dim)
     g = model.group
     results: list[tuple[Subgroup, PhaseFunction, CodeSpace]] = []
     kept = _ProjectorSet(model.dim)
-    for sub in g.all_subgroups():
+    for sub in g.all_subgroups(max_order):
         for f in _constituent_phases(model, sub):
             code = weak_stabilizer_code(model, sub, f)
             if code is None:
@@ -130,7 +138,7 @@ def _irreducible_constituents(
         start = 0
         good = True
         for k in range(1, dim + 1):
-            if k < dim and evals[k] - evals[k - 1] < 1e-6 * max(1.0, abs(evals[k])):
+            if k < dim and evals[k] - evals[k - 1] < _tol.EIGENGAP * max(1.0, abs(evals[k])):
                 continue
             basis = orthonormal_columns(evecs[:, start:k])
             start = k
@@ -150,8 +158,8 @@ def _irreducible_constituents(
 
 def q3_probe(
     model: ProjectiveErrorModel,
-    max_order: int = 64,
-    max_dim: int = 16,
+    max_order: int | None = None,
+    max_dim: int | None = None,
     return_candidates: bool = False,
 ):
     """Clifford codes of a central-type model whose stabilizer is not normal
@@ -162,12 +170,12 @@ def q3_probe(
     """
     if not model.is_central_type():
         raise SearchError("the probe only applies to central-type models")
-    _check_caps(model, max_order, max_dim)
+    max_order = _check_caps(model, max_order, max_dim)
     g = model.group
     hits: list[CodeReport] = []
     candidates: list[CodeReport] = []
     kept = _ProjectorSet(model.dim)
-    for sub in g.all_subgroups():
+    for sub in g.all_subgroups(max_order):
         index = sub.index()
         if model.dim % index != 0:
             continue

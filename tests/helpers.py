@@ -198,9 +198,9 @@ def raw_scalar_table(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
     return raw
 
 
-def snap_each(raw: np.ndarray, max_den: int, tol: float = 1e-9) -> list[list[Phase | None]]:
+def snap_each(raw: np.ndarray, max_den: int) -> list[list[Phase | None]]:
     """snap_phase on every entry separately, None where it fails."""
-    return [[snap_phase_or_none(complex(z), max_den, tol) for z in row] for row in raw]
+    return [[snap_phase_or_none(complex(z), max_den) for z in row] for row in raw]
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -277,12 +277,12 @@ def kron_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def kron_hom_basis(r1, r2, rtol: float = 1e-8) -> list[np.ndarray]:
+def kron_hom_basis(r1, r2) -> list[np.ndarray]:
     """The intertwiner basis read off the nullspace of kron_stack."""
     from qeclab._linalg import nullspace
 
     n, d1, d2 = r1.group.order, r1.dim, r2.dim
-    ns = nullspace(kron_stack(r1.matrices, r2.matrices).reshape(n * d2 * d1, d2 * d1), rtol)
+    ns = nullspace(kron_stack(r1.matrices, r2.matrices).reshape(n * d2 * d1, d2 * d1))
     return [ns[:, k].reshape(d2, d1) for k in range(ns.shape[1])]
 
 

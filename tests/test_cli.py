@@ -203,6 +203,13 @@ def test_search_caps_read_from_environment(capsys, monkeypatch):
     assert run(capsys, "search", "genpauli:3")[0] == 0
 
 
+def test_search_max_order_flag_above_the_default_cap(capsys, monkeypatch):
+    monkeypatch.delenv("QECLAB_MAX_ORDER", raising=False)
+    rc, out, _ = run(capsys, "search", "xp:36", "--max-order", "72")
+    assert rc == 0
+    assert "weak stabilizer codes for xp:36: 75" in out
+
+
 def test_console_script_installed():
     # the subprocess imports the same qeclab as the tests, installed or not
     src = str(Path(qeclab.__file__).resolve().parent.parent)

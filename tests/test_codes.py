@@ -14,13 +14,15 @@ from helpers import (
     stabilizer_oracle,
 )
 
+from qeclab._linalg import nullspace
 from qeclab.cli import parse_model_spec
-from qeclab.cocycles import Phase, PhaseFunction, find_trivializing_phase
+from qeclab.cocycles import Phase, PhaseFunction, coboundary, find_trivializing_phase
 from qeclab.codes import (
     CodeError,
     CodeSpace,
     _code_action,
     _joint_eigenspaces,
+    _subgroup_generators,
     classify,
     clifford_code,
     code_dimension_formula,
@@ -124,6 +126,27 @@ def test_weak_code_zero_when_phase_has_wrong_coboundary():
     sub = model.group.full_subgroup()
     f = PhaseFunction.constant_one(sub)
     assert weak_stabilizer_code(model, sub, f) is None
+
+
+def test_weak_code_none_when_generator_space_fails_the_check():
+    # f agrees with a genuine code's phases on the generator but not on
+    # (a) the identity or (b) the square of the generator: the generator
+    # eigenspace is nonzero, fails the check on the whole subgroup, and the
+    # full joint eigenspace is zero
+    model = gen_pauli_model(3)
+    g = model.group
+    sub = g.subgroup_generated([1])
+    f = existence_phase(model, sub)
+    (gen,) = _subgroup_generators(sub)
+    square = g.mul[gen, gen]
+    assert nullspace(model.rep.matrices[gen] - f.value_at(gen) * np.eye(3)).shape[1] > 0
+    for x in (g.identity, square):
+        phases = list(f.phases)
+        phases[sub.position(x)] = phases[sub.position(x)] * Phase(1, 3)
+        bad = PhaseFunction.exact(sub, phases)
+        assert bad.value_at(gen) == f.value_at(gen)
+        assert coboundary(bad) != model.cocycle.restrict(sub)
+        assert weak_stabilizer_code(model, sub, bad) is None
 
 
 def test_stabilizer_code_needs_normal_subgroup():

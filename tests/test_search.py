@@ -60,6 +60,19 @@ def test_enumerate_cap_errors_not_truncates():
         enumerate_weak_stabilizer_codes(model, max_order=4)
 
 
+def test_enumerate_max_order_above_the_default_cap(monkeypatch):
+    # xp:36 has order 72; the explicit cap is the one the lattice is built under
+    monkeypatch.delenv("QECLAB_MAX_ORDER", raising=False)
+    model = parse_model_spec("xp:36").model
+    assert len(enumerate_weak_stabilizer_codes(model, max_order=72)) == 75
+
+
+def test_enumerate_default_cap_is_the_environment_cap(monkeypatch):
+    monkeypatch.setenv("QECLAB_MAX_ORDER", "72")
+    model = parse_model_spec("xp:36").model
+    assert len(enumerate_weak_stabilizer_codes(model)) == 75
+
+
 def test_q3_probe_rejects_non_central_type():
     from qeclab.models import dihedral_xp_model
 
