@@ -403,15 +403,13 @@ def inversion_semidirect(n: int) -> FiniteGroup:
         raise ValueError("inversion semidirect product needs odd n >= 3")
     order = 2 * n * n
     _check_table_size(order)
-    mul = np.zeros((order, order), dtype=np.int64)
-    def pack(a, b, c):
-        return (a * n + b) * 2 + c
-    for a1, b1, c1 in itertools.product(range(n), range(n), range(2)):
-        for a2, b2, c2 in itertools.product(range(n), range(n), range(2)):
-            sign = -1 if c1 else 1
-            a = (a1 + sign * a2) % n
-            b = (b1 + sign * b2) % n
-            mul[pack(a1, b1, c1), pack(a2, b2, c2)] = pack(a, b, (c1 + c2) % 2)
+    idx = np.arange(order)
+    a, b, c = idx // (2 * n), (idx // 2) % n, idx % 2
+    sign = (1 - 2 * c)[:, None]
+    mul = (
+        ((a[:, None] + sign * a) % n * n + (b[:, None] + sign * b) % n) * 2
+        + (c[:, None] + c) % 2
+    )
     names = [f"({x // (2 * n)},{(x // 2) % n},{x % 2})" for x in range(order)]
     return group_from_mul_table(mul, label=f"(C{n}xC{n}):C2", element_names=names)
 
@@ -422,14 +420,16 @@ def symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 6:
         raise ValueError("symmetric group supported for 1 <= n <= 6")
     _check_table_size(math.factorial(n))
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    mul = np.zeros((order, order), dtype=np.int64)
-    for i, s in enumerate(perms):
-        for j, t in enumerate(perms):
-            mul[i, j] = index[tuple(s[t[k]] for k in range(n))]
-    names = ["".join(str(v + 1) for v in p) for p in perms]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    # a permutation's one-line digits in base n; lexicographic order makes
+    # these codes increasing, so searchsorted maps a code to its index
+    codes = np.zeros(len(perms), dtype=np.int64)
+    product_codes = np.zeros((len(perms), len(perms)), dtype=np.int64)
+    for k in range(n):
+        codes = codes * n + perms[:, k]
+        product_codes = product_codes * n + perms[:, perms[:, k]]   # [i, j]: s_i(t_j(k))
+    mul = np.searchsorted(codes, product_codes)
+    names = ["".join(str(v + 1) for v in p) for p in perms.tolist()]
     return group_from_mul_table(mul, label=f"S{n}", element_names=names)
 
 
@@ -443,30 +443,15 @@ def permutation_semidirect(base: FiniteGroup, n: int) -> FiniteGroup:
     order = b**n * math.factorial(n)
     _check_table_size(order)
     sym = symmetric(n)
-    perms = list(itertools.permutations(range(n)))
-    tuples = list(itertools.product(range(b), repeat=n))
-    tuple_index = {t: i for i, t in enumerate(tuples)}
-
-    def pack(vec_idx: int, perm_idx: int) -> int:
-        return vec_idx * sym.order + perm_idx
-
-    mul = np.zeros((order, order), dtype=np.int64)
-    for vi, xs in enumerate(tuples):
-        for si, s in enumerate(perms):
-            s_inv_positions = [0] * n
-            for j in range(n):
-                s_inv_positions[s[j]] = j
-            row = pack(vi, si)
-            for wi, ys in enumerate(tuples):
-                permuted = tuple(ys[s_inv_positions[j]] for j in range(n))
-                prod_vec = tuple(int(base.mul[xs[j], permuted[j]]) for j in range(n))
-                pv = tuple_index[prod_vec]
-                for ti in range(sym.order):
-                    mul[row, pack(wi, ti)] = pack(pv, sym.mul[si, ti])
-    names = [
-        f"({','.join(base.name_of(v) for v in tuples[x // sym.order])};{sym.name_of(x % sym.order)})"
-        for x in range(order)
-    ]
+    weights = b ** np.arange(n - 1, -1, -1)
+    digits = np.arange(b**n)[:, None] // weights % b            # [v, j] = x_j of tuple v
+    s_inv = np.argsort(np.array(list(itertools.permutations(range(n)))), axis=1)
+    permuted = digits[:, s_inv].transpose(1, 0, 2)              # [s, w, j] = y_{s^-1(j)}
+    prod_digits = base.mul[digits[:, None, None, :], permuted[None]]  # [v, s, w, j]
+    pv = prod_digits @ weights
+    mul = (pv[..., None] * sym.order + sym.mul[None, :, None, :]).reshape(order, order)
+    vec_names = [",".join(base.name_of(v) for v in row) for row in digits.tolist()]
+    names = [f"({vec_names[x // sym.order]};{sym.name_of(x % sym.order)})" for x in range(order)]
     return group_from_mul_table(mul, label=f"{base.label}^{n}:S{n}", element_names=names)
 
 

@@ -187,49 +187,107 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     """Build a rep from raw matrices, extracting the cocycle exactly.
 
     The scalar tr(pi(x) pi(y) pi(xy)^-1)/dim is snapped to a rational phase
-    with denominator at most 4|G|; failure to snap means the matrices do not
-    form a projective representation, and the error names the first failing
-    (x, y) in row-major order.
+    with denominator at most 4|G|, but only on the rows x in {identity} and
+    group.greedy_generators(): 1 + r rows of n instead of all n.  Every other
+    row is filled exactly, as integer numerators mod the common denominator,
+    along a breadth-first walk of the right Cayley graph from those rows
+    (see _fill_cocycle): for a generator g,
+        sigma(xg, y) = sigma(x, gy) + sigma(g, y) - sigma(x, g)   (in turns),
+    which is the cocycle identity sigma(x,g) sigma(xg,y) = sigma(x,gy)
+    sigma(g,y).  The filled table is refused if any entry's reduced
+    denominator exceeds 4|G|, and is then validated with every pair (x, y)
+    by ProjectiveRep._validate.
 
-    snap_phase runs once per distinct scalar, and every scalar is then
-    checked against its value's phase (see _snap_scalars).  The cocycle
-    equals the one snap_phase gives entry by entry: distinct phases with
-    denominator at most 4n lie at least 2*pi/(16 n^2) apart on the circle,
-    more than twice _tol.EXACT (1e-9) for every order n below 14,000, so
-    no scalar lies within tolerance of two of them.
+    That cocycle is the one that snapping every scalar gives.  Suppose the
+    all-pairs check passes with sigma'.  Then every raw scalar lies within
+    _tol.EXACT/sqrt(dim) of sigma'(x, y), and the denominator guard puts
+    sigma' among the phases of denominator at most 4|G|.  Distinct such
+    phases lie at least 2*pi/(16 n^2) apart on the circle, more than twice
+    _tol.EXACT (1e-9) for every order n below 14,000, so no scalar lies
+    within tolerance of two of them, and snapping each scalar returns
+    sigma'.  The check stays all-pairs: checking the generators alone in
+    floating point would bound the other pairs only by word length times
+    _tol.EXACT.
+
+    When the generator-row snap, the guard or the validation raises
+    MakeRepError, all n^2 scalars are snapped and that table is validated
+    instead, so every error names the first failing (x, y) in row-major
+    order.  Either way snap_phase runs once per distinct scalar, and every
+    scalar is then checked against its value's phase (see _snap_scalars).
     """
     matrices = np.asarray(matrices, dtype=complex)
     n = group.order
     if matrices.shape[0] != n:
         raise MakeRepError("need one matrix per group element")
+    gens = group.greedy_generators()
+    rows = [group.identity, *gens]
+    try:
+        num, den = _snap_scalars(_raw_scalars(group, matrices, rows), 4 * n)
+        num = _fill_cocycle(group, gens, num, den)
+        if (den // np.gcd(num, den)).max() > 4 * n:
+            raise MakeRepError("filled cocycle has a denominator above 4|G|")
+        return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
+    except MakeRepError:
+        pass
     num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * n)
-    cocycle = Cocycle(group, num, den)
-    return ProjectiveRep(group, matrices, cocycle, label=label, validate=True)
+    return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
 
 
-def _raw_scalars(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
-    """tr(pi(x) pi(y) pi(xy)^*) / dim for every (x, y), from _row_products."""
+def _fill_cocycle(group: FiniteGroup, gens: list[int], head: np.ndarray, den: int) -> np.ndarray:
+    """The n x n numerator table from its rows at the identity and gens.
+
+    head holds those rows, in that order, as numerators over den.  Rows are
+    reached breadth first by right multiplication with the generators, one
+    whole level per generator in one array operation:
+    sigma(xg, .) = sigma(x, g .) + sigma(g, .) - sigma(x, g), mod den.
+    """
+    mul = group.mul
+    num = np.empty((group.order, group.order), dtype=np.int64)
+    done = np.zeros(group.order, dtype=bool)
+    frontier = np.array([group.identity, *gens], dtype=np.int64)
+    num[frontier] = head
+    done[frontier] = True
+    while frontier.size:
+        reached = []
+        for g in gens:
+            targets = mul[frontier, g]
+            fresh = ~done[targets]
+            targets, first = np.unique(targets[fresh], return_index=True)
+            src = frontier[fresh][first]
+            num[targets] = (num[src][:, mul[g]] + num[g] - num[src, g][:, None]) % den
+            done[targets] = True
+            reached.append(targets)
+        frontier = np.concatenate(reached) if reached else frontier[:0]
+    return num
+
+
+def _raw_scalars(group: FiniteGroup, matrices: np.ndarray, rows=None) -> np.ndarray:
+    """tr(pi(x) pi(y) pi(xy)^*) / dim for x in rows (every x when None) and
+    every y, one row per x, from _row_products."""
     n, dim = matrices.shape[0], matrices.shape[1]
+    left, mul = (matrices, group.mul) if rows is None else (matrices[rows], group.mul[rows])
     flat_conj = matrices.reshape(n, -1).conj()
-    raw = np.empty((n, n), dtype=complex)
-    for rows, products in _row_products(matrices):
+    raw = np.empty((len(left), n), dtype=complex)
+    for block, products in _row_products(left, matrices):
         flat = products.reshape(len(products), n, -1)
-        raw[rows] = np.einsum("xyk,xyk->xy", flat, flat_conj[group.mul[rows]]) / dim
+        raw[block] = np.einsum("xyk,xyk->xy", flat, flat_conj[mul[block]]) / dim
     return raw
 
 
-def _row_products(m: np.ndarray):
-    """Yield (slice(a, b), m[a:b, None] @ m[None]) over consecutive row blocks.
+def _row_products(m: np.ndarray, right: np.ndarray | None = None):
+    """Yield (slice(a, b), m[a:b, None] @ right[None]) over consecutive row
+    blocks of m; right defaults to m.
 
     Row x of a block holds pi(x) pi(y) for every y.  A block holds at most
     _PRODUCT_BLOCK_ENTRIES complex entries (one row at least), so the
-    products are formed in few batched calls without holding all n^2 of
-    them at once.
+    products are formed in few batched calls without holding all of them
+    at once.
     """
-    n, dim = m.shape[0], m.shape[1]
+    right = m if right is None else right
+    n, dim = right.shape[0], right.shape[1]
     rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * dim * dim))
-    for a in range(0, n, rows):
-        yield slice(a, min(a + rows, n)), m[a : a + rows, None] @ m[None]
+    for a in range(0, len(m), rows):
+        yield slice(a, min(a + rows, len(m))), m[a : a + rows, None] @ right[None]
 
 
 def _snap_scalars(raw: np.ndarray, max_den: int) -> tuple[np.ndarray, int]:

@@ -11,8 +11,9 @@ import itertools
 
 import numpy as np
 
-from qeclab.cocycles import Phase, snap_phase_or_none
-from qeclab.groups import FiniteGroup, Subgroup
+from qeclab.cocycles import Cocycle, Phase, snap_phase_or_none
+from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
+from qeclab.projreps import ProjectiveRep, _raw_scalars, _snap_scalars
 
 
 def regular_matrices(group: FiniteGroup) -> np.ndarray:
@@ -307,6 +308,79 @@ def first_product_failure(group: FiniteGroup, matrices: np.ndarray, cocycle, tol
         if dev >= tol:
             return x, float(dev)
     return None
+
+
+def make_rep_full_snap(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
+    """make_rep by snapping all n^2 scalars, then validating every pair."""
+    matrices = np.asarray(matrices, dtype=complex)
+    num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * group.order)
+    return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
+
+
+# -- the per-entry loops that the whole-array group constructors replaced ----
+
+
+def inversion_semidirect_loop(n: int) -> FiniteGroup:
+    """(Z_n x Z_n) : Z_2, one table entry per pair of digit triples."""
+    order = 2 * n * n
+    mul = np.zeros((order, order), dtype=np.int64)
+
+    def pack(a, b, c):
+        return (a * n + b) * 2 + c
+
+    for a1, b1, c1 in itertools.product(range(n), range(n), range(2)):
+        for a2, b2, c2 in itertools.product(range(n), range(n), range(2)):
+            sign = -1 if c1 else 1
+            a = (a1 + sign * a2) % n
+            b = (b1 + sign * b2) % n
+            mul[pack(a1, b1, c1), pack(a2, b2, c2)] = pack(a, b, (c1 + c2) % 2)
+    names = [f"({x // (2 * n)},{(x // 2) % n},{x % 2})" for x in range(order)]
+    return group_from_mul_table(mul, label=f"(C{n}xC{n}):C2", element_names=names)
+
+
+def symmetric_loop(n: int) -> FiniteGroup:
+    """S_n in lexicographic one-line order, one dict lookup per product."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    order = len(perms)
+    mul = np.zeros((order, order), dtype=np.int64)
+    for i, s in enumerate(perms):
+        for j, t in enumerate(perms):
+            mul[i, j] = index[tuple(s[t[k]] for k in range(n))]
+    names = ["".join(str(v + 1) for v in p) for p in perms]
+    return group_from_mul_table(mul, label=f"S{n}", element_names=names)
+
+
+def permutation_semidirect_loop(base: FiniteGroup, n: int) -> FiniteGroup:
+    """base^n : S_n, one packed index per product of a tuple and a permutation."""
+    b = base.order
+    sym = symmetric_loop(n)
+    order = b**n * sym.order
+    perms = list(itertools.permutations(range(n)))
+    tuples = list(itertools.product(range(b), repeat=n))
+    tuple_index = {t: i for i, t in enumerate(tuples)}
+
+    def pack(vec_idx: int, perm_idx: int) -> int:
+        return vec_idx * sym.order + perm_idx
+
+    mul = np.zeros((order, order), dtype=np.int64)
+    for vi, xs in enumerate(tuples):
+        for si, s in enumerate(perms):
+            s_inv_positions = [0] * n
+            for j in range(n):
+                s_inv_positions[s[j]] = j
+            row = pack(vi, si)
+            for wi, ys in enumerate(tuples):
+                permuted = tuple(ys[s_inv_positions[j]] for j in range(n))
+                prod_vec = tuple(int(base.mul[xs[j], permuted[j]]) for j in range(n))
+                pv = tuple_index[prod_vec]
+                for ti in range(sym.order):
+                    mul[row, pack(wi, ti)] = pack(pv, sym.mul[si, ti])
+    names = [
+        f"({','.join(base.name_of(v) for v in tuples[x // sym.order])};{sym.name_of(x % sym.order)})"
+        for x in range(order)
+    ]
+    return group_from_mul_table(mul, label=f"{base.label}^{n}:S{n}", element_names=names)
 
 
 # -- the per-state and per-row loops that the channels stacks replaced -------

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import closure_oracle, lattice_oracle
+from helpers import (
+    closure_oracle,
+    inversion_semidirect_loop,
+    lattice_oracle,
+    permutation_semidirect_loop,
+    symmetric_loop,
+)
 from qeclab import groups
 from qeclab.cli import parse_model_spec
 from qeclab.groups import (
@@ -318,3 +324,35 @@ def test_table_cap_is_the_table_memory():
         groups._check_table_size(limit + 1)
     with pytest.raises(ValueError, match="MiB multiplication table"):
         cyclic(limit + 1)
+
+
+# ------------------------------------------------ whole-array constructors
+
+
+def _assert_same_group(got, want):
+    assert got.mul.dtype == want.mul.dtype
+    assert got.mul.tobytes() == want.mul.tobytes()
+    assert got.inv.tobytes() == want.inv.tobytes()
+    assert got.identity == want.identity
+    assert got.element_names == want.element_names
+    assert got.label == want.label
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [("genpauli:2", 1), ("genpauli:2", 2), ("genpauli:2", 3), ("pauli:1", 3),
+     ("cyclic:3", 2), ("genpauli:3", 2)],
+)
+def test_permutation_semidirect_matches_the_entry_loop(spec, n):
+    base = cyclic(3) if spec == "cyclic:3" else parse_model_spec(spec).model.group
+    _assert_same_group(permutation_semidirect(base, n), permutation_semidirect_loop(base, n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_matches_the_entry_loop(n):
+    _assert_same_group(symmetric(n), symmetric_loop(n))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_inversion_semidirect_matches_the_entry_loop(n):
+    _assert_same_group(inversion_semidirect(n), inversion_semidirect_loop(n))

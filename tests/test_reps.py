@@ -1,13 +1,18 @@
 import re
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CATALOG_64,
     first_product_failure,
     kron_hom_basis,
     kron_stack,
+    make_rep_full_snap,
     raw_scalar_table,
     raw_scalars_per_row,
     snap_each,
@@ -391,3 +396,76 @@ def test_product_check_names_first_failing_row(k, rows, monkeypatch):
             build()
         reported = float(re.search(pattern, str(info.value)).group(1))
         assert reported == pytest.approx(dev, rel=1e-2)
+
+
+# ------------------------------------------------ generator-row snapping
+
+
+@pytest.mark.parametrize("spec", CATALOG_64 + ["permprod(genpauli:2,3)"])
+def test_make_rep_matches_the_full_snap(spec):
+    model = parse_model_spec(spec).model
+    g, mats = model.group, model.rep.matrices
+    assert make_rep(g, mats).cocycle == make_rep_full_snap(g, mats).cocycle
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_model(spec):
+    return parse_model_spec(spec).model
+
+
+def _cocycle_or_error(build, group, mats):
+    try:
+        return build(group, mats).cocycle
+    except MakeRepError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_make_rep_agrees_with_the_full_snap_on_twisted_reps(data):
+    # denominators 97 and 131 exceed 4|G| on most catalog groups, so both
+    # paths must then raise the same error
+    model = _catalog_model(data.draw(st.sampled_from(CATALOG_64)))
+    g = model.group
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 97, 131]))
+    nums = data.draw(st.lists(st.integers(0, den - 1), min_size=g.order, max_size=g.order))
+    f = PhaseFunction.exact(g.full_subgroup(), [Phase(k, den) for k in nums])
+    mats = model.rep.twist(f).matrices
+    got = _cocycle_or_error(make_rep, g, mats)
+    assert got == _cocycle_or_error(make_rep_full_snap, g, mats)
+
+
+def test_make_rep_refuses_a_filled_denominator_above_4n():
+    # sigma(g, g) = 1/12 and sigma(g, g^2) = 1/11 snap (12 = 4|G|), but the
+    # filled sigma(g^2, g^2) = 1/132 does not
+    g = cyclic(3)
+    mats = np.exp(2j * np.pi * np.array([0, 23, 13]) / 396).reshape(3, 1, 1)
+    assert g.greedy_generators() == [1]
+    with pytest.raises(MakeRepError, match=r"scalar snap failed at \(2,2\)"):
+        make_rep(g, mats)
+    with pytest.raises(MakeRepError, match=r"scalar snap failed at \(2,2\)"):
+        make_rep_full_snap(g, mats)
+    # without the guard the filled table would pass the all-pairs check
+    num, den = _snap_scalars(_raw_scalars(g, mats, [0, 1]), 4 * g.order)
+    filled = Cocycle(g, projreps._fill_cocycle(g, [1], num, den), den)
+    assert filled.phase(1, 1) == Phase(1, 12) and filled.phase(1, 2) == Phase(1, 11)
+    assert filled.phase(2, 2) == Phase(1, 132)
+    ProjectiveRep(g, mats, filled, validate=True)
+
+
+@pytest.mark.parametrize(
+    "spec", ["pauli:3", "genpauli:3", "xp:9", "oddfam:3", "permprod(genpauli:2,3)"]
+)
+def test_make_rep_snaps_only_the_generator_rows(spec, monkeypatch):
+    model = parse_model_spec(spec).model
+    g, mats = model.group, model.rep.matrices
+    shapes = []
+    snap = projreps._snap_scalars
+
+    def recording_snap(raw, max_den):
+        shapes.append(raw.shape)
+        return snap(raw, max_den)
+
+    monkeypatch.setattr(projreps, "_snap_scalars", recording_snap)
+    assert make_rep(g, mats).cocycle == model.rep.cocycle
+    assert shapes == [(1 + len(g.greedy_generators()), g.order)]
