@@ -52,6 +52,7 @@ from .channels import (
 )
 from .cocycles import Phase, PhaseFunction
 from .codes import (
+    CodeError,
     CodeSpace,
     classify,
     clifford_code,
@@ -210,7 +211,10 @@ def _load_phase(sub: Subgroup, path: str | None) -> PhaseFunction:
         return PhaseFunction.constant_one(sub)
     with open(path) as fh:
         raw = json.load(fh)
-    table = {int(k): Phase(int(v[0]), int(v[1])) for k, v in raw.items()}
+    try:
+        table = {int(k): Phase(int(v[0]), int(v[1])) for k, v in raw.items()}
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"phase file {path} must map indices to [num, den > 0]: {exc}") from None
     for idx in table:
         if idx not in sub:
             raise UsageError(f"phase file mentions element {idx} outside the subgroup")
@@ -235,7 +239,13 @@ def _load_code(parsed: ParsedModel, arg: str) -> CodeSpace:
     model = parsed.model
     if os.path.exists(arg):
         with open(arg) as fh:
-            code = CodeSpace.from_json(json.load(fh))
+            data = json.load(fh)
+        try:
+            code = CodeSpace.from_json(data)
+        except CodeError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"code file {arg} is malformed: {exc!r}") from None
         if code.ambient_dim != model.dim:
             raise UsageError(
                 f"code lives in dimension {code.ambient_dim}, model in {model.dim}"

@@ -417,10 +417,18 @@ def find_trivializing_phase(
     last step is conclusive: df = sigma forces f^m to be a character, so any
     trivializer is automatically valued in C_(m*exponent).  The first
     multiple that admits a solution gives the result.
+
+    With f(e) = sigma(e, e) and one unknown per greedy generator g, df =
+    sigma is imposed on the n*r Cayley edges (x, g) only.  For a cocycle
+    sigma that suffices: c = sigma - df is a cocycle with c(x, g) = 0, so
+    c(x, yg) = c(x, y) and c(x, e) = c(e, e) = f(e) - f(e) = 0 make c
+    vanish.  A table that is not a cocycle has no trivializer: None.
     """
     group = sigma.group
     if domain is not None and len(domain) != group.order:
         raise ValueError("domain size does not match the cocycle's group")
+    if not sigma.verify():
+        return None
     result_domain = domain if domain is not None else group.full_subgroup()
     n = group.order
     mul = group.mul
@@ -457,11 +465,12 @@ def find_trivializing_phase(
         if not known.all():
             raise RuntimeError("generator walk failed to cover the group")
 
-        # consistency of f(x) + f(y) - f(xy) = t(x, y) over all pairs
-        cx = coeff[:, None, :] + coeff[None, :, :] - coeff[mul]
-        dv = t - const[:, None] - const[None, :] + const[mul]
+        # f(x) + f(g) - f(xg) = t(x, g) on every Cayley edge
+        ends = mul[:, gens]
+        cx = coeff[:, None, :] + coeff[gens][None, :, :] - coeff[ends]
+        dv = t[:, gens] - const[:, None] - const[gens][None, :] + const[ends]
         system = np.concatenate(
-            [cx.reshape(n * n, r) % modulus, dv.reshape(n * n, 1) % modulus], axis=1
+            [cx.reshape(n * r, r) % modulus, dv.reshape(n * r, 1) % modulus], axis=1
         )
         system = np.unique(system, axis=0)
         rows = [list(map(int, row[:r])) for row in system]

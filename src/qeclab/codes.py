@@ -1,7 +1,7 @@
 """Code constructions, the logical/stabilizer/detectable scans, and classification.
 
-Subspace equality throughout is projector Frobenius distance < _tol.DERIVED,
-which is basis independent.  Membership scans use _tol.SCAN.
+Subspace equality is projector Frobenius distance < _tol.DERIVED, which is
+basis independent.  Membership scans use _tol.SCAN.
 
 The action of the model on a code is computed once per code: from the
 projector P, the stacks pi(x) P, P pi(x) and P pi(x) P give per-element
@@ -14,6 +14,12 @@ eigenspaces of the linear rep conj(f0) pi|H.  existence_phase takes the first
 and search.enumerate_weak_stabilizer_codes takes them all.  The action of L
 on an L-invariant code is ProjectiveRep.on_subspace of the restriction to L,
 which carries the restricted cocycle exactly, so it is never snapped afresh.
+
+classify counts instead of building subspaces.  A code W lies in the (S, f)
+eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
+is weak (W = E), or rebuilt from a normal N, exactly when
+code_dimension_formula gives dim W; the weak witness |P_E - P_W| is
+sqrt(dim E - dim W).  The Clifford flag counts intertwiners by characters.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     MakeRepError,
     ProjectiveRep,
+    _intertwiner_count,
     hom_space,
     inertia_group,
     is_irreducible,
@@ -248,9 +255,13 @@ def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction
 
 
 def code_dimension_formula(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseFunction) -> int:
-    """Average of conj(f) against the model character, snapped to an integer."""
-    chi = model.rep.character().values[list(sub.members)]
-    total = np.sum(np.conj(f.values) * chi) / len(sub)
+    """Average of conj(f), read on the members of sub, against the model
+    character, snapped to an integer: dim of the (sub, f) eigenspace when df
+    is the restricted cocycle."""
+    members = list(sub.members)
+    chi = model.rep.character().values[members]
+    values = f.values[[f.domain.position(x) for x in members]]
+    total = np.sum(np.conj(values) * chi) / len(sub)
     nearest = round(total.real)
     if abs(total - nearest) > _tol.DERIVED or nearest < 0:
         raise CodeError(f"dimension formula gave a non-integer value {total}")
@@ -417,33 +428,15 @@ class CodeReport:
         return out
 
 
-def _restrict_phase(f: PhaseFunction, sub: Subgroup) -> PhaseFunction:
-    positions = [f.domain.position(x) for x in sub.members]
-    if f.is_exact:
-        return PhaseFunction.exact(sub, [f.phases[i] for i in positions])
-    return PhaseFunction(sub, tuple(f.phases[i] for i in positions), f.values[positions])
-
-
-def _find_normal_reconstruction(
-    model: ProjectiveErrorModel,
-    code: CodeSpace,
-    stab: Subgroup,
-    f: PhaseFunction,
-) -> Subgroup | None:
-    """A normal-in-G subgroup of the stabilizer whose code equals the input."""
-    g = model.group
-    sgroup = stab.as_group()
-    candidates = sorted(sgroup.all_subgroups(), key=len, reverse=True)
-    p = code.projector()
-    for inner in candidates:
-        members = [stab.members[i] for i in inner.members]
-        sub = Subgroup(g, members)
-        if not sub.is_normal():
-            continue
-        rebuilt = weak_stabilizer_code(model, sub, _restrict_phase(f, sub))
-        if rebuilt is not None and frobenius(rebuilt.projector() - p) < _tol.DERIVED:
-            return sub
-    return None
+def _has_normal_reconstruction(
+    model: ProjectiveErrorModel, code: CodeSpace, stab: Subgroup, f: PhaseFunction
+) -> bool:
+    """Whether a normal-in-G N <= stab has an (N, f|N) eigenspace of the code's dimension."""
+    for inner in sorted(stab.as_group().all_subgroups(), key=len, reverse=True):
+        sub = Subgroup(model.group, [stab.members[i] for i in inner.members])
+        if sub.is_normal() and code_dimension_formula(model, sub, f) == code.dim:
+            return True
+    return False
 
 
 def _clifford_flag(
@@ -455,8 +448,6 @@ def _clifford_flag(
         return False, (
             f"|L| = {len(logical)} != (dim W / dim V)|G| = {dim_w * g.order / dim_v}"
         )
-    if logical.index() * dim_w != dim_v:
-        return False, "[G:L] * dim W != dim V"
     members = list(logical.members)
     if act.inside[members].max() > _tol.SCAN:
         return False, "code not invariant under the logical group"
@@ -467,7 +458,7 @@ def _clifford_flag(
         return False, f"restricted action is not a representation: {exc}"
     if not is_irreducible(rho):
         return False, "restricted action on the code is reducible"
-    if len(hom_space(rho, res)) != 1:
+    if _intertwiner_count(rho, res) != 1:
         return False, "restricted action does not have multiplicity one"
     return True, None
 
@@ -480,13 +471,11 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
     detect = _detectable(act)
     witnesses: dict[str, object] = {}
 
-    rebuilt = weak_stabilizer_code(model, stab, f)
-    weak_dist = (
-        frobenius(rebuilt.projector() - code.projector()) if rebuilt is not None else np.inf
-    )
-    is_weak = weak_dist < _tol.DERIVED
+    _assert_projective_phase(model, stab, f)
+    extra = code_dimension_formula(model, stab, f) - code.dim
+    is_weak = extra == 0
     if not is_weak:
-        witnesses["is_weak_stabilizer"] = f"projector distance {weak_dist:.3e}"
+        witnesses["is_weak_stabilizer"] = f"projector distance {np.sqrt(extra):.3e}"
 
     is_cliff, cliff_witness = _clifford_flag(model, code, logical, act)
     if not is_cliff:
@@ -507,16 +496,11 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
         elif not is_stab:
             witnesses["is_stabilizer"] = "not a weak stabilizer code"
     else:
-        if is_weak:
-            found = _find_normal_reconstruction(model, code, stab, f)
-            is_stab = found is not None
-            if not is_stab:
-                witnesses["is_stabilizer"] = (
-                    "no normal subgroup of the stabilizer rebuilds the code"
-                )
-        else:
-            is_stab = False
+        is_stab = is_weak and _has_normal_reconstruction(model, code, stab, f)
+        if not is_weak:
             witnesses["is_stabilizer"] = "not a weak stabilizer code"
+        elif not is_stab:
+            witnesses["is_stabilizer"] = "no normal subgroup of the stabilizer rebuilds the code"
 
     is_part, part_witness = _partitioning(model, act, logical, stab, detect)
     if not is_part:

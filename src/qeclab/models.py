@@ -178,23 +178,8 @@ def _tensor_permutation_matrix(perm: tuple[int, ...], dim: int) -> np.ndarray:
     """
     n = len(perm)
     size = dim**n
-    u = np.zeros((size, size), dtype=complex)
-    inv = [0] * n
-    for j, pj in enumerate(perm):
-        inv[pj] = j
-    for src in range(size):
-        digits = []
-        rem = src
-        for _ in range(n):
-            digits.append(rem % dim)
-            rem //= dim
-        digits.reverse()
-        target_digits = [digits[inv[k]] for k in range(n)]
-        dst = 0
-        for d in target_digits:
-            dst = dst * dim + d
-        u[dst, src] = 1
-    return u
+    moved = np.eye(size).reshape([dim] * n + [size]).transpose([*np.argsort(perm), n])
+    return moved.reshape(size, size).astype(complex)
 
 
 def perm_product_model(model: ProjectiveErrorModel, n: int) -> ProjectiveErrorModel:

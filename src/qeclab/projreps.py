@@ -374,7 +374,9 @@ def hom_space(r1: ProjectiveRep, r2: ProjectiveRep) -> list[np.ndarray]:
     T is read row-major as a vector of length d2*d1, so r2(x) T - T r1(x)
     is the matrix kron(r2(x), I) - kron(I, r1(x)^T) applied to it.  The
     intertwiners are the nullspace of all n such blocks, one under another;
-    the character inner product cross-checks its dimension.
+    _intertwiner_count cross-checks its dimension, and callers that need
+    only that number use it.  The basis is used by clifford_code, the
+    commutant of search._irreducible_constituents and frobenius_dims.
 
     The stack is built whole (_constraint_stack) as an array of shape
     (n, d2, d1, d2, d1), entry [x, i, a, j, b] = r2(x)[i, j] I[a, b] -
@@ -392,12 +394,21 @@ def hom_space(r1: ProjectiveRep, r2: ProjectiveRep) -> list[np.ndarray]:
     stack = _constraint_stack(r1.matrices, r2.matrices)
     ns = nullspace(stack.reshape(-1, d2 * d1))
     basis = [ns[:, k].reshape(d2, d1) for k in range(ns.shape[1])]
-    expected = inner_product(r1.character(), r2.character()).real
-    if abs(len(basis) - expected) > _tol.DERIVED * max(1.0, expected):
+    expected = _intertwiner_count(r1, r2)
+    if len(basis) != expected:
         raise RuntimeError(
-            f"hom space dimension {len(basis)} disagrees with character count {expected:.6f}"
+            f"hom space dimension {len(basis)} disagrees with character count {expected}"
         )
     return basis
+
+
+def _intertwiner_count(r1: ProjectiveRep, r2: ProjectiveRep) -> int:
+    """dim Hom(r1, r2) for reps with one cocycle: <chi_r1, chi_r2> as an integer."""
+    total = inner_product(r1.character(), r2.character())
+    nearest = round(total.real)
+    if abs(total - nearest) > _tol.DERIVED * max(1, nearest):
+        raise RuntimeError(f"character count {total.real:.6f} is not an integer")
+    return nearest
 
 
 def _constraint_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -549,7 +560,7 @@ def mackey_character_defect(f: PhaseFunction, pi: ProjectiveRep) -> float:
     res = pi.restrict(sub)
     if theta.cocycle != res.cocycle:
         raise ValueError("df is not the restricted cocycle")
-    ell = len(hom_space(theta, res))
+    ell = _intertwiner_count(theta, res)
     if ell == 0:
         raise ValueError("f does not occur in the restriction")
     inertia = inertia_group(theta, sub, pi.cocycle)

@@ -27,7 +27,7 @@ from .codes import (
 )
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
-from .projreps import MakeRepError, ProjectiveRep, hom_space, is_irreducible, restrict
+from .projreps import MakeRepError, ProjectiveRep, _intertwiner_count, hom_space, is_irreducible, restrict
 
 __all__ = [
     "SearchError",
@@ -114,9 +114,11 @@ def enumerate_weak_stabilizer_codes(
     return results
 
 
-def _irreducible_constituents(
-    rep: ProjectiveRep, seed: int = 11, attempts: int = 8
-) -> list[ProjectiveRep]:
+_SPLIT_SEED = 11
+_SPLIT_ATTEMPTS = 8
+
+
+def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
     """Split a projective rep into irreducible invariant-subspace restrictions.
 
     A random Hermitian element of the commutant generically has one
@@ -124,19 +126,18 @@ def _irreducible_constituents(
     the per-piece irreducibility check and retried with the next seed.
     Pieces are rep.on_subspace, so they keep the cocycle of rep.
     """
-    maps = hom_space(rep, rep)
-    if len(maps) == 1:
+    if is_irreducible(rep):
         return [rep]
+    maps = hom_space(rep, rep)
     dim = rep.dim
-    for attempt in range(attempts):
-        rng = np.random.default_rng(seed + attempt)
+    for attempt in range(_SPLIT_ATTEMPTS):
+        rng = np.random.default_rng(_SPLIT_SEED + attempt)
         coeff = rng.normal(size=len(maps)) + 1j * rng.normal(size=len(maps))
         t = sum(c * m for c, m in zip(coeff, maps))
         t = t + t.conj().T
         evals, evecs = np.linalg.eigh(t)
         pieces: list[ProjectiveRep] = []
         start = 0
-        good = True
         for k in range(1, dim + 1):
             if k < dim and evals[k] - evals[k - 1] < _tol.EIGENGAP * max(1.0, abs(evals[k])):
                 continue
@@ -145,13 +146,11 @@ def _irreducible_constituents(
             try:
                 piece = rep.on_subspace(basis)
             except MakeRepError:
-                good = False
                 break
             if not is_irreducible(piece):
-                good = False
                 break
             pieces.append(piece)
-        if good:
+        else:
             return pieces
     raise RuntimeError("commutant sampling failed to split the representation")
 
@@ -184,7 +183,7 @@ def q3_probe(
         for rho in _irreducible_constituents(res):
             if rho.dim != target:
                 continue
-            if len(hom_space(rho, res)) != 1:
+            if _intertwiner_count(rho, res) != 1:
                 continue
             code = clifford_code(model, sub, rho)
             if not kept.add_if_new(code.projector()):

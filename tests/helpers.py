@@ -481,3 +481,159 @@ def existence_phase_oracle(model, sub):
     chi = PhaseFunction.from_complex(sub, chi_values, max_den=len(sub))
     assert chi.is_exact
     return f0.multiply(chi)
+
+
+def trivializer_all_pairs(sigma, domain=None):
+    """find_trivializing_phase imposing df = sigma on all n^2 pairs (x, y)."""
+    from qeclab.cocycles import PhaseFunction, _solve_mod
+
+    group = sigma.group
+    result_domain = domain if domain is not None else group.full_subgroup()
+    n, mul = group.order, group.mul
+    gens = group.greedy_generators()
+    r = len(gens)
+    exponent = group.exponent()
+    multiples = [k for k in (1, 2) if k <= exponent] + ([exponent] if exponent > 2 else [])
+    for k in multiples:
+        modulus = k * sigma.den
+        t = (sigma.num * k) % modulus
+        coeff = np.zeros((n, r), dtype=np.int64)
+        const = np.zeros(n, dtype=np.int64)
+        known = np.zeros(n, dtype=bool)
+        e = group.identity
+        known[e] = True
+        const[e] = t[e, e]
+        for i, g in enumerate(gens):
+            if not known[g]:
+                known[g] = True
+                coeff[g, i] = 1
+        queue = [e] + list(gens)
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                y = int(mul[x, g])
+                if not known[y]:
+                    known[y] = True
+                    coeff[y] = coeff[x] + coeff[g]
+                    const[y] = const[x] + const[g] - t[x, g]
+                    queue.append(y)
+        cx = coeff[:, None, :] + coeff[None, :, :] - coeff[mul]
+        dv = t - const[:, None] - const[None, :] + const[mul]
+        system = np.concatenate(
+            [cx.reshape(n * n, r) % modulus, dv.reshape(n * n, 1) % modulus], axis=1
+        )
+        system = np.unique(system, axis=0)
+        u = _solve_mod(
+            [list(map(int, row[:r])) for row in system], [int(row[r]) for row in system], modulus
+        )
+        if u is None:
+            continue
+        nums = (coeff @ np.array(u, dtype=np.int64) + const) % modulus
+        return PhaseFunction.exact(result_domain, [Phase(int(v), modulus) for v in nums])
+    return None
+
+
+def tensor_permutation_matrix_loop(perm: tuple[int, ...], dim: int) -> np.ndarray:
+    """The tensor-factor permutation unitary, one basis vector at a time."""
+    n = len(perm)
+    size = dim**n
+    u = np.zeros((size, size), dtype=complex)
+    inv = [0] * n
+    for j, pj in enumerate(perm):
+        inv[pj] = j
+    for src in range(size):
+        digits = []
+        rem = src
+        for _ in range(n):
+            digits.append(rem % dim)
+            rem //= dim
+        digits.reverse()
+        dst = 0
+        for d in [digits[inv[k]] for k in range(n)]:
+            dst = dst * dim + d
+        u[dst, src] = 1
+    return u
+
+
+def multiplicity_oracle(rho, res) -> int:
+    """dim Hom(rho, res) as the length of a hom_space basis."""
+    from qeclab.projreps import hom_space
+
+    return len(hom_space(rho, res))
+
+
+def _restrict_phase_oracle(f, sub):
+    positions = [f.domain.position(x) for x in sub.members]
+    if f.is_exact:
+        return type(f).exact(sub, [f.phases[i] for i in positions])
+    return type(f)(sub, tuple(f.phases[i] for i in positions), f.values[positions])
+
+
+def _rebuilds(model, sub, f, p) -> bool:
+    from qeclab.codes import weak_stabilizer_code
+
+    rebuilt = weak_stabilizer_code(model, sub, f)
+    return rebuilt is not None and np.linalg.norm(rebuilt.projector() - p) < 1e-7
+
+
+def classify_flags_oracle(model, code) -> tuple[dict, dict]:
+    """classify's weak, stabilizer and Clifford flags and witnesses, from
+    rebuilt (S, f) and (N, f|N) eigenspaces compared by projector and from
+    the length of hom_space bases."""
+    from qeclab.codes import logical_group, stabilizer_group, weak_stabilizer_code
+    from qeclab.projreps import MakeRepError, is_irreducible, restrict
+
+    g, mats, p = model.group, model.rep.matrices, code.projector()
+    logical = logical_group(model, code)
+    stab, f = stabilizer_group(model, code)
+    flags, witnesses = {}, {}
+
+    rebuilt = weak_stabilizer_code(model, stab, f)
+    dist = np.linalg.norm(rebuilt.projector() - p) if rebuilt is not None else np.inf
+    flags["is_weak_stabilizer"] = is_weak = bool(dist < 1e-7)
+    if not is_weak:
+        witnesses["is_weak_stabilizer"] = f"projector distance {dist:.3e}"
+
+    def clifford():
+        dim_v, dim_w = model.dim, code.dim
+        if (dim_w * g.order) % dim_v != 0 or len(logical) * dim_v != dim_w * g.order:
+            return f"|L| = {len(logical)} != (dim W / dim V)|G| = {dim_w * g.order / dim_v}"
+        if logical.index() * dim_w != dim_v:
+            return "[G:L] * dim W != dim V"
+        inside = [np.linalg.norm(mats[x] @ p - p @ mats[x] @ p) for x in logical.members]
+        if max(inside) > 1e-8:
+            return "code not invariant under the logical group"
+        res = restrict(model.rep, logical)
+        try:
+            rho = res.on_subspace(code.basis)
+        except MakeRepError as exc:
+            return f"restricted action is not a representation: {exc}"
+        if not is_irreducible(rho):
+            return "restricted action on the code is reducible"
+        if multiplicity_oracle(rho, res) != 1:
+            return "restricted action does not have multiplicity one"
+        return None
+
+    cliff_witness = clifford()
+    flags["is_clifford"] = is_cliff = cliff_witness is None
+    if not is_cliff:
+        witnesses["is_clifford"] = cliff_witness
+
+    if model.is_central_type() and is_cliff:
+        flags["is_stabilizer"] = is_stab = is_weak and stab.is_normal()
+        if not is_stab:
+            witnesses["is_stabilizer"] = (
+                "stabilizer group is not normal" if is_weak else "not a weak stabilizer code"
+            )
+    elif is_weak:
+        inner = sorted(stab.as_group().all_subgroups(), key=len, reverse=True)
+        subs = [Subgroup(g, [stab.members[i] for i in s.members]) for s in inner]
+        flags["is_stabilizer"] = any(
+            s.is_normal() and _rebuilds(model, s, _restrict_phase_oracle(f, s), p) for s in subs
+        )
+        if not flags["is_stabilizer"]:
+            witnesses["is_stabilizer"] = "no normal subgroup of the stabilizer rebuilds the code"
+    else:
+        flags["is_stabilizer"] = False
+        witnesses["is_stabilizer"] = "not a weak stabilizer code"
+    return flags, witnesses

@@ -226,3 +226,52 @@ def test_console_script_installed():
 def test_missing_code_file_is_usage_error(capsys):
     rc, _, err = run(capsys, "classify", "genpauli:2", "--code", "weak!bogus")
     assert rc == 2
+
+
+def _malformed(capsys, tmp_path, content, *argv):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    rc, _, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert rc == 2
+    assert err.startswith("usage error:") and str(path) in err
+
+
+def test_phase_file_with_a_bare_number_is_usage_error(capsys, tmp_path):
+    _malformed(
+        capsys, tmp_path, '{"0": 5}',
+        "code", "weak", "pauli:2", "--subgroup", "10,5", "--phase", "FILE",
+    )
+
+
+def test_phase_file_that_is_a_list_is_usage_error(capsys, tmp_path):
+    _malformed(
+        capsys, tmp_path, "[[1,2]]",
+        "code", "weak", "pauli:2", "--subgroup", "10,5", "--phase", "FILE",
+    )
+
+
+def test_phase_file_with_zero_denominator_is_usage_error(capsys, tmp_path):
+    _malformed(
+        capsys, tmp_path, '{"0": [1, 0]}',
+        "code", "weak", "pauli:2", "--subgroup", "10,5", "--phase", "FILE",
+    )
+
+
+def test_code_file_without_basis_is_usage_error(capsys, tmp_path):
+    _malformed(capsys, tmp_path, '{"ambient_dim": 4}', "classify", "pauli:2", "--code", "FILE")
+
+
+def test_code_file_with_empty_basis_is_usage_error(capsys, tmp_path):
+    _malformed(
+        capsys, tmp_path, '{"ambient_dim": 4, "basis": []}',
+        "classify", "pauli:2", "--code", "FILE",
+    )
+
+
+def test_code_file_failing_orthonormality_exits_one(capsys, tmp_path):
+    path = tmp_path / "code.json"
+    column = [[1, 0], [1, 0], [0, 0], [0, 0]]
+    path.write_text(json.dumps({"ambient_dim": 4, "basis": [column]}))
+    rc, _, err = run(capsys, "classify", "pauli:2", "--code", str(path))
+    assert rc == 1
+    assert "not orthonormal" in err

@@ -2,7 +2,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_trivializer, restricted_cocycle_table
+import pytest
+
+from helpers import brute_force_trivializer, restricted_cocycle_table, trivializer_all_pairs
 
 from qeclab.cocycles import (
     Cocycle,
@@ -11,6 +13,7 @@ from qeclab.cocycles import (
     coboundary,
     find_trivializing_phase,
 )
+from qeclab.cli import parse_model_spec
 from qeclab.groups import cyclic, dihedral, direct_product
 from qeclab.models import dihedral_xp_model, gen_pauli_model, product_model
 from qeclab.projreps import tensor
@@ -180,6 +183,35 @@ def test_trivializer_hits_on_order_64_product():
         for sub in subs
     ]
     assert (sum(hits), len(subs)) == (98, 249)
+
+
+@pytest.mark.parametrize(
+    "spec", ["genpauli:4", "xp:8", "c2d2n:3", "oddfam:3", "prod(genpauli:2,genpauli:4)"]
+)
+def test_trivializer_on_cayley_edges_matches_all_pairs(spec):
+    # the n*r edge rows give the same f0, phase for phase, as all n^2 pairs
+    model = parse_model_spec(spec).model
+    for sub in model.group.all_subgroups():
+        sigma = model.cocycle.restrict(sub)
+        got = find_trivializing_phase(sigma, domain=sub)
+        want = trivializer_all_pairs(sigma, domain=sub)
+        assert (got is None) == (want is None), sub.members
+        if got is not None:
+            assert got.phases == want.phases, sub.members
+
+
+def test_trivializer_rejects_a_non_cocycle():
+    # a table that breaks the cocycle identity only off the Cayley edges of
+    # the generator (x, g) still has no trivializer
+    group = cyclic(4)
+    gen = group.greedy_generators()[0]
+    num = np.zeros((4, 4), dtype=np.int64)
+    x, y = next((x, y) for x in range(4) for y in range(4) if y not in (gen, group.identity))
+    num[x, y] = 1
+    bent = Cocycle(group, num, 2)
+    assert not bent.verify()
+    assert trivializer_all_pairs(bent) is None
+    assert find_trivializing_phase(bent) is None
 
 
 def _cocycle_sources():

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     CATALOG_64,
+    classify_flags_oracle,
     detectable_oracle,
     eigenspace_dim,
     existence_phase_oracle,
@@ -14,8 +15,9 @@ from helpers import (
     stabilizer_oracle,
 )
 
+from qeclab import codes, projreps
 from qeclab._linalg import nullspace
-from qeclab.cli import parse_model_spec
+from qeclab.cli import _dicke_subgroup, parse_model_spec
 from qeclab.cocycles import Phase, PhaseFunction, coboundary, find_trivializing_phase
 from qeclab.codes import (
     CodeError,
@@ -494,3 +496,88 @@ def test_public_scans_match_per_function_formulas():
     line = CodeSpace.from_vectors(6, np.arange(6) + 1j)
     assert is_partitioning(model, line) == partitioning_oracle(model, line)
     assert not partitioning_oracle(model, line)[0]
+
+
+# ------------------------------------------ flags by counting against rebuilt eigenspaces
+
+
+def _flag_path(report) -> str:
+    """Which branch of classify decided is_stabilizer."""
+    if not report.flags["is_weak_stabilizer"]:
+        return "not weak"
+    if report.central_type_criterion is not None:
+        return "central criterion"
+    return "reconstructed" if report.flags["is_stabilizer"] else "not reconstructed"
+
+
+def _enumerate_codes():
+    for spec in ["genpauli:4", "xp:4", "c2d2n:2", "oddfam:3", "permprod(genpauli:2,2)"]:
+        model = parse_model_spec(spec).model
+        yield from ((model, code) for _, _, code in enumerate_weak_stabilizer_codes(model))
+
+
+def _line_codes():
+    rng = np.random.default_rng(2024)
+    for spec in CATALOG_64:
+        model = parse_model_spec(spec).model
+        for _ in range(2):
+            vec = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
+            yield model, CodeSpace.from_vectors(model.dim, vec)
+
+
+def _family_codes():
+    for spec in ["c2d2n:2", "c2d2n:3", "c2d2n:4", "c2d2n:5", "oddfam:3", "oddfam:5"]:
+        parsed = parse_model_spec(spec)
+        yield parsed.model, clifford_code(parsed.model, *parsed.family)
+
+
+def _dicke_codes():
+    for n in (2, 3):
+        parsed = parse_model_spec(f"permprod(genpauli:2,{n})")
+        sub = _dicke_subgroup(parsed)
+        yield parsed.model, weak_stabilizer_code(parsed.model, sub, PhaseFunction.constant_one(sub))
+
+
+@pytest.mark.parametrize(
+    "codes_of, paths",
+    [
+        (_enumerate_codes, {"central criterion", "reconstructed", "not reconstructed"}),
+        (_line_codes, {"not weak"}),
+        (_family_codes, {"not weak"}),
+        (_dicke_codes, {"not reconstructed"}),
+    ],
+    ids=["enumerate", "lines", "family", "dicke"],
+)
+def test_classify_flags_match_rebuilt_eigenspaces(codes_of, paths):
+    # classify counts with code_dimension_formula and characters; the oracle
+    # rebuilds each eigenspace and hom space and must agree, witness texts too
+    seen = set()
+    for model, code in codes_of():
+        report = classify(model, code)
+        flags, witnesses = classify_flags_oracle(model, code)
+        assert {k: report.flags[k] for k in flags} == flags
+        assert {k: report.witnesses.get(k) for k in flags} == {k: witnesses.get(k) for k in flags}
+        seen.add(_flag_path(report))
+    assert seen == paths
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    raw = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_classify_builds_no_hom_space_or_eigenspace(monkeypatch):
+    model = parse_model_spec("c2d2n:2").model
+    found = enumerate_weak_stabilizer_codes(model)
+    calls: dict[str, int] = {}
+    for module in (codes, projreps):
+        _count_calls(monkeypatch, module, "hom_space", calls)
+    _count_calls(monkeypatch, codes, "weak_stabilizer_code", calls)
+    reports = [classify(model, code) for _, _, code in found]
+    assert sum(r.flags["is_clifford"] for r in reports) > 0
+    assert calls == {}

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+
+from helpers import tensor_permutation_matrix_loop
 
 from qeclab.cocycles import Phase, PhaseFunction
 from qeclab.groups import dihedral
@@ -7,6 +11,7 @@ from qeclab.models import (
     ErrorModel,
     ModelError,
     ProjectiveErrorModel,
+    _tensor_permutation_matrix,
     dihedral_xp_model,
     em_from_pem,
     family_c2_x_d2n,
@@ -108,6 +113,16 @@ def test_perm_product_covariance():
     X = base.rep.matrix(2)
     want = np.kron(np.eye(2), X)  # (I, X)
     assert np.max(np.abs(np.abs(got) - np.abs(want))) < 1e-12
+
+
+def test_tensor_permutation_matrix_matches_digit_loop():
+    for n in range(1, 4):
+        for dim in range(1, 5):
+            for perm in itertools.permutations(range(n)):
+                got = _tensor_permutation_matrix(perm, dim)
+                want = tensor_permutation_matrix_loop(perm, dim)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (perm, dim)
 
 
 def test_family_c2_x_d2n_shape():

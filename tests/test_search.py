@@ -3,7 +3,7 @@ import pytest
 
 from helpers import PairwiseDedup
 
-from qeclab import search
+from qeclab import codes, search
 from qeclab.cli import parse_model_spec
 from qeclab.codes import CodeSpace, clifford_code, code_dimension_formula, weak_stabilizer_code
 from qeclab.models import (
@@ -204,3 +204,34 @@ def test_constituents_of_order_two_restrictions(spec):
         for piece in pieces:
             assert piece.cocycle == res.cocycle
             assert abs(inner_product(piece.character(), piece.character()) - 1) < 1e-7
+
+
+def test_q3_probe_builds_hom_spaces_only_for_their_bases(monkeypatch):
+    # a hom space is built for a commutant, hom_space(rep, rep), or for the
+    # intertwiner clifford_code returns; counts come from characters, and
+    # classify rebuilds no eigenspace
+    model = parse_model_spec("oddfam:3").model
+    raw_hom, raw_clifford, raw_weak = search.hom_space, search.clifford_code, codes.weak_stabilizer_code
+    calls = {"commutant": 0, "intertwiner": 0, "clifford_code": 0, "weak_stabilizer_code": 0}
+
+    def hom(r1, r2):
+        calls["commutant" if r1 is r2 else "intertwiner"] += 1
+        return raw_hom(r1, r2)
+
+    def clifford(*args):
+        calls["clifford_code"] += 1
+        return raw_clifford(*args)
+
+    def weak(*args):
+        calls["weak_stabilizer_code"] += 1
+        return raw_weak(*args)
+
+    monkeypatch.setattr(search, "hom_space", hom)
+    monkeypatch.setattr(codes, "hom_space", hom)
+    monkeypatch.setattr(search, "clifford_code", clifford)
+    monkeypatch.setattr(codes, "weak_stabilizer_code", weak)
+    hits, candidates = q3_probe(model, return_candidates=True)
+    assert (len(hits), len(candidates)) == (48, 115)
+    assert calls["weak_stabilizer_code"] == 0
+    assert calls["intertwiner"] == calls["clifford_code"] >= len(candidates)
+    assert calls["commutant"] > 0
