@@ -82,7 +82,7 @@ from .models import (
     perm_product_model,
     product_model,
 )
-from .projreps import ProjectiveRep
+from .projreps import MakeRepError, ProjectiveRep
 from .search import enumerate_weak_stabilizer_codes, q3_probe
 
 
@@ -225,7 +225,12 @@ def _load_phase(sub: Subgroup, path: str | None) -> PhaseFunction:
 def _load_rho(sub: Subgroup, path: str) -> ProjectiveRep:
     with open(path) as fh:
         data = json.load(fh)
-    return ProjectiveRep.from_json(sub.as_group(), data)
+    try:
+        return ProjectiveRep.from_json(sub.as_group(), data)
+    except MakeRepError:
+        raise
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"rep file {path} is malformed: {exc!r}") from None
 
 
 def _dicke_subgroup(parsed: ParsedModel) -> Subgroup:
@@ -439,9 +444,13 @@ def _parse_dist(model: ProjectiveErrorModel, arg: str) -> np.ndarray:
         return p
     if os.path.exists(arg):
         with open(arg) as fh:
-            p = np.asarray(json.load(fh), dtype=float)
+            data = json.load(fh)
+        try:
+            p = np.asarray(data, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"distribution file {arg} must be a list of numbers: {exc}") from None
         if p.shape != (order,):
-            raise UsageError(f"distribution file needs {order} entries, got {p.shape}")
+            raise UsageError(f"distribution file {arg} needs {order} entries, got {p.shape}")
         return p
     raise UsageError(f"--dist wants uniform, point:<x>, or a file, got {arg!r}")
 

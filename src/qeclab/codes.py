@@ -38,7 +38,7 @@ from .projreps import (
     MakeRepError,
     ProjectiveRep,
     _intertwiner_count,
-    hom_space,
+    _reynolds,
     inertia_group,
     is_irreducible,
     rep_from_phase_function,
@@ -269,25 +269,45 @@ def code_dimension_formula(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseF
 
 
 def clifford_code(model: ProjectiveErrorModel, sub: Subgroup, rho: ProjectiveRep) -> CodeSpace:
-    """Image of the unique intertwiner from rho into the restricted action."""
+    """Image of the unique intertwiner from rho into the restricted action.
+
+    Multiplicity one is <chi_rho, chi_res> (_intertwiner_count).  The map
+    is then built without a constraint stack: A -> (1/|H|) sum_x res(x) A
+    rho(x)* is the orthogonal projector onto Hom(rho, res)
+    (projreps._reynolds), a space spanned by one unit T0.  The projector
+    sends the matrix unit E_ab to conj(T0[a, b]) T0 and has trace dim Hom
+    = 1, so its diagonal |T0[a, b]|^2, which is the character product
+    (1/|H|) sum_x res(x)[a, a] conj(rho(x)[b, b]), sums to 1.  The image of
+    the E_ab with the largest diagonal entry is therefore T0 scaled by at
+    least 1/sqrt(dim V dim rho), nonzero, and no draw decides the result.
+    It is checked to intertwine on every x before its image is taken.
+    """
     if not is_irreducible(rho):
         raise CodeError("clifford_code: the small representation must be irreducible")
-    if rho.cocycle != model.cocycle.restrict(sub):
+    res = restrict(model.rep, sub)
+    if rho.cocycle != res.cocycle:
         raise CodeError(
             "clifford_code: the small representation's cocycle must equal the restricted cocycle"
         )
-    res = restrict(model.rep, sub)
-    maps = hom_space(rho, res)
-    if len(maps) != 1:
+    count = _intertwiner_count(rho, res)
+    if count != 1:
         raise CodeError(
-            f"clifford_code: need multiplicity one, got intertwiner space of dim {len(maps)}"
+            f"clifford_code: need multiplicity one, got intertwiner space of dim {count}"
         )
     if sub.index() * rho.dim != model.dim:
         raise CodeError(
             "clifford_code: index times small dimension must equal the ambient dimension "
             f"({sub.index()} * {rho.dim} != {model.dim})"
         )
-    basis = orthonormal_columns(maps[0])
+    r, m = res.matrices, rho.matrices
+    diag = np.einsum("xaa,xbb->ab", r, m.conj()).real
+    a, b = np.unravel_index(np.argmax(diag), diag.shape)
+    unit = np.zeros((model.dim, rho.dim), dtype=complex)
+    unit[a, b] = 1.0
+    t = _reynolds(rho, res, unit)
+    if np.linalg.norm(r @ t - t @ m, axis=(1, 2)).max() > _tol.SCAN * frobenius(t):
+        raise RuntimeError("clifford_code: the averaged map is not an intertwiner")
+    basis = orthonormal_columns(t)
     if basis.shape[1] != rho.dim:
         raise CodeError("clifford_code: intertwiner is not injective")
     return CodeSpace(model.dim, basis)

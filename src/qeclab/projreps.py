@@ -79,24 +79,40 @@ class ProjectiveRep:
             self._validate()
 
     def _validate(self) -> None:
+        """Unitarity, the cocycle identity, then pi(x)pi(y) = sigma(x,y) pi(xy)
+        for every pair, naming the first failing x.
+
+        The products come from one matmul per block of rows x: the rows (x, i)
+        of the block's matrices against pi stacked as one d x (n d) matrix,
+        [k, (y, j)] = pi(y)[k, j], give pi(x)pi(y)[i, j] at [x, i, y, j].
+        They are read through a transposed view into the gathered block
+        sigma(x,y) pi(xy), which stays contiguous at [x, y, i, j].  A block
+        holds at most _PRODUCT_BLOCK_ENTRIES product entries.
+        """
         m = self.matrices
-        eye = np.eye(self.dim)
+        n, dim = m.shape[0], self.dim
         gram = m @ m.conj().transpose(0, 2, 1)
-        worst = np.abs(gram - eye).max()
-        if np.linalg.norm(gram - eye, axis=(1, 2)).max() >= _tol.EXACT:
+        gram -= np.eye(dim)
+        if np.linalg.norm(gram, axis=(1, 2)).max() >= _tol.EXACT:
+            worst = np.abs(gram).max()
             raise MakeRepError(f"matrices are not unitary (deviation {worst:.2e})")
         if not self.cocycle.verify():
             raise MakeRepError("cached cocycle violates the cocycle identity")
         phases = self.cocycle.to_complex_table()
         mul = self.group.mul
-        for rows, products in _row_products(m):
-            expected = m[mul[rows]]
-            expected *= phases[rows, :, None, None]
-            products -= expected
-            devs = np.linalg.norm(products, axis=(2, 3)).max(axis=1)
+        wide = m.transpose(1, 0, 2).reshape(dim, n * dim)
+        step = max(1, _PRODUCT_BLOCK_ENTRIES // (n * dim * dim))
+        for a in range(0, n, step):
+            rows = slice(a, min(a + step, n))
+            products = (m[rows].reshape(-1, dim) @ wide).reshape(-1, dim, n, dim)
+            diff = m[mul[rows]]
+            diff *= phases[rows, :, None, None]
+            diff -= products.transpose(0, 2, 1, 3)
+            parts = diff.view(np.float64).reshape(len(diff), n, -1)
+            devs = np.sqrt(np.einsum("xyk,xyk->xy", parts, parts)).max(axis=1)
             bad = np.flatnonzero(devs >= _tol.EXACT)
             if bad.size:
-                x = rows.start + int(bad[0])
+                x = a + int(bad[0])
                 raise MakeRepError(
                     f"pi(x)pi(y) != sigma(x,y) pi(xy) at x={x} (deviation {devs[bad[0]]:.2e})"
                 )
@@ -375,8 +391,10 @@ def hom_space(r1: ProjectiveRep, r2: ProjectiveRep) -> list[np.ndarray]:
     is the matrix kron(r2(x), I) - kron(I, r1(x)^T) applied to it.  The
     intertwiners are the nullspace of all n such blocks, one under another;
     _intertwiner_count cross-checks its dimension, and callers that need
-    only that number use it.  The basis is used by clifford_code, the
-    commutant of search._irreducible_constituents and frobenius_dims.
+    only that number use it.  Within qeclab only frobenius_dims builds a
+    basis this way: clifford_code and the constituent split in search take
+    their one intertwiner or commutant element from _reynolds, with no
+    (n d2 d1) x (d2 d1) stack and no SVD.
 
     The stack is built whole (_constraint_stack) as an array of shape
     (n, d2, d1, d2, d1), entry [x, i, a, j, b] = r2(x)[i, j] I[a, b] -
@@ -400,6 +418,21 @@ def hom_space(r1: ProjectiveRep, r2: ProjectiveRep) -> list[np.ndarray]:
             f"hom space dimension {len(basis)} disagrees with character count {expected}"
         )
     return basis
+
+
+def _reynolds(r1: ProjectiveRep, r2: ProjectiveRep, a: np.ndarray) -> np.ndarray:
+    """(1/n) sum_x r2(x) a r1(x)*: the orthogonal projection of a onto Hom(r1, r2).
+
+    For reps with one cocycle sigma, r2(y) T r1(y)* = T for every y, because
+    r2(y) r2(x) = sigma(y,x) r2(yx), r1(x)* r1(y)* = conj(sigma(y,x)) r1(yx)*
+    and x -> yx permutes the group (Serre, Linear Representations of Finite
+    Groups, 2.6).  The map fixes every intertwiner and is a mean of unitary
+    maps, so it is the orthogonal projector onto Hom(r1, r2).
+    """
+    if r1.cocycle != r2.cocycle:
+        raise ValueError("cocycle mismatch")
+    m1 = r1.matrices
+    return np.tensordot(r2.matrices @ a, m1.conj(), axes=([0, 2], [0, 2])) / len(m1)
 
 
 def _intertwiner_count(r1: ProjectiveRep, r2: ProjectiveRep) -> int:

@@ -27,7 +27,14 @@ from .codes import (
 )
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
-from .projreps import MakeRepError, ProjectiveRep, _intertwiner_count, hom_space, is_irreducible, restrict
+from .projreps import (
+    MakeRepError,
+    ProjectiveRep,
+    _intertwiner_count,
+    _reynolds,
+    is_irreducible,
+    restrict,
+)
 
 __all__ = [
     "SearchError",
@@ -118,24 +125,47 @@ _SPLIT_SEED = 11
 _SPLIT_ATTEMPTS = 8
 
 
+def _commutant_element(rep: ProjectiveRep, seed: int) -> np.ndarray:
+    """A random Hermitian element of the commutant of rep, seeded.
+
+    The Reynolds average of a Gaussian Hermitian A (projreps._reynolds):
+    the cocycle cancels, so it commutes with every rep(x), and it is the
+    orthogonal projection of A, so it is a Gaussian Hermitian element of
+    the commutant.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
+    t = _reynolds(rep, rep, a + a.conj().T)
+    return (t + t.conj().T) / 2
+
+
+def _canonical_key(piece: ProjectiveRep) -> tuple:
+    """(dim, character values on H, to a grid of _tol.DERIVED): no split basis enters.
+
+    Constituents with one cocycle and equal characters are isomorphic, so
+    only isomorphic pieces tie.
+    """
+    steps = np.round(piece.character().values / _tol.DERIVED).view(np.float64)
+    return (piece.dim, *steps.astype(np.int64).tolist())
+
+
 def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
     """Split a projective rep into irreducible invariant-subspace restrictions.
 
-    A random Hermitian element of the commutant generically has one
-    eigenvalue per irreducible constituent; degenerate draws are detected by
-    the per-piece irreducibility check and retried with the next seed.
-    Pieces are rep.on_subspace, so they keep the cocycle of rep.
+    A random Hermitian element of the commutant (_commutant_element)
+    generically has one eigenvalue per irreducible constituent, counting
+    copies of isomorphic ones separately (Dixon, Math. Comp. 61, 1993).
+    Degenerate draws are detected by the per-piece irreducibility check
+    and retried with the next seed.  Pieces are rep.on_subspace, so they
+    keep the cocycle of rep, and they are returned sorted by
+    _canonical_key, so the order does not depend on the draw except among
+    isomorphic pieces.
     """
     if is_irreducible(rep):
         return [rep]
-    maps = hom_space(rep, rep)
     dim = rep.dim
     for attempt in range(_SPLIT_ATTEMPTS):
-        rng = np.random.default_rng(_SPLIT_SEED + attempt)
-        coeff = rng.normal(size=len(maps)) + 1j * rng.normal(size=len(maps))
-        t = sum(c * m for c, m in zip(coeff, maps))
-        t = t + t.conj().T
-        evals, evecs = np.linalg.eigh(t)
+        evals, evecs = np.linalg.eigh(_commutant_element(rep, _SPLIT_SEED + attempt))
         pieces: list[ProjectiveRep] = []
         start = 0
         for k in range(1, dim + 1):
@@ -151,7 +181,7 @@ def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
                 break
             pieces.append(piece)
         else:
-            return pieces
+            return sorted(pieces, key=_canonical_key)
     raise RuntimeError("commutant sampling failed to split the representation")
 
 
@@ -165,7 +195,10 @@ def q3_probe(
     yet satisfies the weak stabilizer order criterion.
 
     Returns the list of hits; with return_candidates=True also returns every
-    Clifford-code report examined.
+    Clifford-code report examined.  Both are in subgroup lattice order, and
+    the constituents of one restriction in _canonical_key order.  Only
+    isomorphic constituents tie, and they fail the multiplicity-one test,
+    so the order depends on no random draw.
     """
     if not model.is_central_type():
         raise SearchError("the probe only applies to central-type models")

@@ -637,3 +637,57 @@ def classify_flags_oracle(model, code) -> tuple[dict, dict]:
         flags["is_stabilizer"] = False
         witnesses["is_stabilizer"] = "not a weak stabilizer code"
     return flags, witnesses
+
+
+# -- the hom_space-based constituent split and Clifford intertwiner ---------
+
+
+def commutant_split_oracle(rep, seed: int = 11, attempts: int = 8) -> list:
+    """Irreducible pieces of rep from a random combination of an SVD basis of
+    hom_space(rep, rep), in eigenvalue order; the split before Reynolds averaging."""
+    from qeclab import _tol
+    from qeclab._linalg import orthonormal_columns
+    from qeclab.projreps import MakeRepError, hom_space, is_irreducible
+
+    if is_irreducible(rep):
+        return [rep]
+    maps = hom_space(rep, rep)
+    for attempt in range(attempts):
+        rng = np.random.default_rng(seed + attempt)
+        coeff = rng.normal(size=len(maps)) + 1j * rng.normal(size=len(maps))
+        t = sum(c * m for c, m in zip(coeff, maps))
+        evals, evecs = np.linalg.eigh(t + t.conj().T)
+        pieces, start = [], 0
+        for k in range(1, rep.dim + 1):
+            if k < rep.dim and evals[k] - evals[k - 1] < _tol.EIGENGAP * max(1.0, abs(evals[k])):
+                continue
+            basis = orthonormal_columns(evecs[:, start:k])
+            start = k
+            try:
+                piece = rep.on_subspace(basis)
+            except MakeRepError:
+                break
+            if not is_irreducible(piece):
+                break
+            pieces.append(piece)
+        else:
+            return pieces
+    raise RuntimeError("commutant sampling failed to split the representation")
+
+
+def isotypic_projector(rep, piece) -> np.ndarray:
+    """(dim/|H|) sum_x conj(chi_piece(x)) rep(x): the projector onto the sum of
+    rep's constituents isomorphic to the irreducible piece (one cocycle)."""
+    chi = piece.character().values
+    return piece.dim * np.einsum("x,xij->ij", chi.conj(), rep.matrices) / len(chi)
+
+
+def clifford_code_oracle(model, sub, rho):
+    """clifford_code's space as the column span of the one hom_space(rho, Res pi) basis map."""
+    from qeclab._linalg import orthonormal_columns
+    from qeclab.codes import CodeSpace
+    from qeclab.projreps import hom_space, restrict
+
+    maps = hom_space(rho, restrict(model.rep, sub))
+    assert len(maps) == 1
+    return CodeSpace(model.dim, orthonormal_columns(maps[0]))

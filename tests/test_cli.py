@@ -275,3 +275,25 @@ def test_code_file_failing_orthonormality_exits_one(capsys, tmp_path):
     rc, _, err = run(capsys, "classify", "pauli:2", "--code", str(path))
     assert rc == 1
     assert "not orthonormal" in err
+
+
+def test_rep_file_without_a_matrix_list_is_usage_error(capsys, tmp_path):
+    _malformed(
+        capsys, tmp_path, '{"matrices": 5}',
+        "code", "clifford", "pauli:2", "--subgroup", "10,5", "--rho", "FILE",
+    )
+
+
+def test_distribution_file_that_is_a_map_is_usage_error(capsys, tmp_path):
+    _malformed(capsys, tmp_path, '{"a": 1}', "correct", "genpauli:2", "--code", "weak:1", "--dist", "FILE")
+
+
+def test_distribution_file_with_a_string_entry_is_usage_error(capsys, tmp_path):
+    _malformed(
+        capsys, tmp_path, '[1, "x", 0, 0]',
+        "correct", "genpauli:2", "--code", "weak:1", "--dist", "FILE",
+    )
+
+
+def test_distribution_file_of_the_wrong_length_is_usage_error(capsys, tmp_path):
+    _malformed(capsys, tmp_path, "[1, 0]", "correct", "genpauli:2", "--code", "weak:1", "--dist", "FILE")

@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     CATALOG_64,
     classify_flags_oracle,
+    clifford_code_oracle,
     detectable_oracle,
     eigenspace_dim,
     existence_phase_oracle,
@@ -15,7 +16,7 @@ from helpers import (
     stabilizer_oracle,
 )
 
-from qeclab import codes, projreps
+from qeclab import _tol, codes, projreps
 from qeclab._linalg import nullspace
 from qeclab.cli import _dicke_subgroup, parse_model_spec
 from qeclab.cocycles import Phase, PhaseFunction, coboundary, find_trivializing_phase
@@ -575,9 +576,48 @@ def test_classify_builds_no_hom_space_or_eigenspace(monkeypatch):
     model = parse_model_spec("c2d2n:2").model
     found = enumerate_weak_stabilizer_codes(model)
     calls: dict[str, int] = {}
-    for module in (codes, projreps):
-        _count_calls(monkeypatch, module, "hom_space", calls)
+    # codes binds no hom_space of its own, so every call goes through projreps
+    assert not hasattr(codes, "hom_space")
+    _count_calls(monkeypatch, projreps, "hom_space", calls)
     _count_calls(monkeypatch, codes, "weak_stabilizer_code", calls)
     reports = [classify(model, code) for _, _, code in found]
     assert sum(r.flags["is_clifford"] for r in reports) > 0
     assert calls == {}
+
+
+def _clifford_cases():
+    # the whole-space and character-line cases above, then the family codes
+    model = gen_pauli_model(2)
+    yield model, model.group.full_subgroup(), model.rep
+    sub = model.group.subgroup_generated([1])
+    yield model, sub, projreps.rep_from_phase_function(PhaseFunction.constant_one(sub))
+    for spec in ["c2d2n:2", "c2d2n:3", "c2d2n:4", "c2d2n:5", "oddfam:3", "oddfam:5"]:
+        parsed = parse_model_spec(spec)
+        yield (parsed.model, *parsed.family)
+
+
+def test_clifford_code_matches_the_hom_space_oracle():
+    for model, sub, rho in _clifford_cases():
+        got = clifford_code(model, sub, rho)
+        want = clifford_code_oracle(model, sub, rho)
+        assert got.dim == rho.dim
+        assert np.linalg.norm(got.projector() - want.projector()) < _tol.DERIVED
+
+
+@pytest.mark.parametrize("spec", ["c2d2n:2", "oddfam:3"])
+def test_clifford_code_matches_the_oracle_on_every_probe_pair(spec):
+    # every (H, rho) that q3_probe passes to clifford_code
+    from qeclab.search import _irreducible_constituents
+
+    model = parse_model_spec(spec).model
+    pairs = 0
+    for sub in model.group.all_subgroups():
+        res = projreps.restrict(model.rep, sub)
+        for rho in _irreducible_constituents(res):
+            if sub.index() * rho.dim != model.dim or projreps._intertwiner_count(rho, res) != 1:
+                continue
+            got = clifford_code(model, sub, rho)
+            want = clifford_code_oracle(model, sub, rho)
+            assert np.linalg.norm(got.projector() - want.projector()) < _tol.DERIVED
+            pairs += 1
+    assert pairs > 40

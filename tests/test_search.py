@@ -1,9 +1,15 @@
+import functools
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import PairwiseDedup
+from helpers import CATALOG_64, PairwiseDedup, commutant_split_oracle, isotypic_projector
 
-from qeclab import codes, search
+from qeclab import _tol, codes, projreps, search
 from qeclab.cli import parse_model_spec
 from qeclab.codes import CodeSpace, clifford_code, code_dimension_formula, weak_stabilizer_code
 from qeclab.models import (
@@ -11,7 +17,7 @@ from qeclab.models import (
     gen_pauli_model,
     product_model,
 )
-from qeclab.projreps import inner_product, restrict
+from qeclab.projreps import _intertwiner_count, inner_product, is_irreducible, restrict
 from qeclab.search import SearchError, enumerate_weak_stabilizer_codes, q3_probe
 
 
@@ -206,12 +212,12 @@ def test_constituents_of_order_two_restrictions(spec):
             assert abs(inner_product(piece.character(), piece.character()) - 1) < 1e-7
 
 
-def test_q3_probe_builds_hom_spaces_only_for_their_bases(monkeypatch):
-    # a hom space is built for a commutant, hom_space(rep, rep), or for the
-    # intertwiner clifford_code returns; counts come from characters, and
-    # classify rebuilds no eigenspace
+def test_q3_probe_builds_no_hom_space(monkeypatch):
+    # the commutant and the Clifford intertwiner are Reynolds averages, counts
+    # come from characters, and classify rebuilds no eigenspace; neither
+    # search nor codes binds hom_space, so every call goes through projreps
     model = parse_model_spec("oddfam:3").model
-    raw_hom, raw_clifford, raw_weak = search.hom_space, search.clifford_code, codes.weak_stabilizer_code
+    raw_hom, raw_clifford, raw_weak = projreps.hom_space, search.clifford_code, codes.weak_stabilizer_code
     calls = {"commutant": 0, "intertwiner": 0, "clifford_code": 0, "weak_stabilizer_code": 0}
 
     def hom(r1, r2):
@@ -226,12 +232,75 @@ def test_q3_probe_builds_hom_spaces_only_for_their_bases(monkeypatch):
         calls["weak_stabilizer_code"] += 1
         return raw_weak(*args)
 
-    monkeypatch.setattr(search, "hom_space", hom)
-    monkeypatch.setattr(codes, "hom_space", hom)
+    assert not hasattr(search, "hom_space") and not hasattr(codes, "hom_space")
+    monkeypatch.setattr(projreps, "hom_space", hom)
     monkeypatch.setattr(search, "clifford_code", clifford)
     monkeypatch.setattr(codes, "weak_stabilizer_code", weak)
     hits, candidates = q3_probe(model, return_candidates=True)
     assert (len(hits), len(candidates)) == (48, 115)
     assert calls["weak_stabilizer_code"] == 0
-    assert calls["intertwiner"] == calls["clifford_code"] >= len(candidates)
-    assert calls["commutant"] > 0
+    assert calls["commutant"] == calls["intertwiner"] == 0
+    assert calls["clifford_code"] >= len(candidates)
+
+
+@pytest.mark.parametrize("spec", ["genpauli:4", "oddfam:3", "c2d2n:2", "xp:9", "xp:15"])
+def test_constituents_match_the_commutant_svd_split(spec):
+    # the Reynolds split and the hom_space split, both in canonical order,
+    # give the same pieces: same dim, cocycle and character, and the same
+    # isotypic projector, whose trace counts every copy of the piece
+    model = parse_model_spec(spec).model
+    for sub in model.group.all_subgroups():
+        res = restrict(model.rep, sub)
+        got = search._irreducible_constituents(res)
+        want = sorted(commutant_split_oracle(res), key=search._canonical_key)
+        assert [search._canonical_key(p) for p in got] == [search._canonical_key(p) for p in want]
+        for piece, other in zip(got, want):
+            assert piece.cocycle == other.cocycle == res.cocycle
+            projector = isotypic_projector(res, piece)
+            assert np.linalg.norm(projector - isotypic_projector(res, other)) < _tol.DERIVED
+            copies = sum(search._canonical_key(p) == search._canonical_key(piece) for p in got)
+            assert abs(np.trace(projector) - piece.dim * copies) < _tol.DERIVED
+            assert _intertwiner_count(piece, res) == copies
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_model(spec):
+    return parse_model_spec(spec).model
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reynolds_element_commutes_and_pieces_are_irreducible(data):
+    model = _catalog_model(data.draw(st.sampled_from(CATALOG_64)))
+    g = model.group
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=2))
+    res = restrict(model.rep, g.subgroup_generated(gens))
+    t = search._commutant_element(res, data.draw(st.integers(0, 2**16)))
+    assert np.abs(t - t.conj().T).max() == 0
+    commutators = res.matrices @ t - t @ res.matrices
+    assert np.linalg.norm(commutators, axis=(1, 2)).max() < _tol.SCAN * max(1.0, np.linalg.norm(t))
+    pieces = search._irreducible_constituents(res)
+    assert sum(piece.dim for piece in pieces) == res.dim
+    assert all(is_irreducible(piece) and piece.cocycle == res.cocycle for piece in pieces)
+    keys = [search._canonical_key(piece) for piece in pieces]
+    assert keys == sorted(keys)
+
+
+# sha256 of the candidates' (logical, stabilizer, stabilizer phase) in order:
+# subgroups in lattice order, constituents of one restriction by
+# _canonical_key.  A change here is a change of q3_probe's candidate order.
+_CANDIDATE_ORDER = {
+    "c2d2n:2": "aab8ca39611bf8b48fcebdfb355e84fb2dd50d5270f18387f5477de0d57ae993",
+    "oddfam:3": "ad0a1fc283c3eba6566748f68ffbe12b8ef5ce93f4e5ea831a9e0ed220a2d4c8",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_CANDIDATE_ORDER))
+def test_q3_probe_candidate_order_is_pinned(spec):
+    _, candidates = q3_probe(parse_model_spec(spec).model, return_candidates=True)
+    rows = [
+        [r.to_json()[key] for key in ("logical", "stabilizer", "stabilizer_phase")]
+        for r in candidates
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _CANDIDATE_ORDER[spec]
