@@ -82,12 +82,9 @@ class ProjectiveRep:
         """Unitarity, the cocycle identity, then pi(x)pi(y) = sigma(x,y) pi(xy)
         for every pair, naming the first failing x.
 
-        The products come from one matmul per block of rows x: the rows (x, i)
-        of the block's matrices against pi stacked as one d x (n d) matrix,
-        [k, (y, j)] = pi(y)[k, j], give pi(x)pi(y)[i, j] at [x, i, y, j].
-        They are read through a transposed view into the gathered block
-        sigma(x,y) pi(xy), which stays contiguous at [x, y, i, j].  A block
-        holds at most _PRODUCT_BLOCK_ENTRIES product entries.
+        The products come block by block from _row_products, as transposed
+        views that are subtracted from the gathered block sigma(x,y) pi(xy),
+        which stays contiguous at [x, y, i, j].
         """
         m = self.matrices
         n, dim = m.shape[0], self.dim
@@ -100,19 +97,15 @@ class ProjectiveRep:
             raise MakeRepError("cached cocycle violates the cocycle identity")
         phases = self.cocycle.to_complex_table()
         mul = self.group.mul
-        wide = m.transpose(1, 0, 2).reshape(dim, n * dim)
-        step = max(1, _PRODUCT_BLOCK_ENTRIES // (n * dim * dim))
-        for a in range(0, n, step):
-            rows = slice(a, min(a + step, n))
-            products = (m[rows].reshape(-1, dim) @ wide).reshape(-1, dim, n, dim)
+        for rows, products in _row_products(m):
             diff = m[mul[rows]]
             diff *= phases[rows, :, None, None]
-            diff -= products.transpose(0, 2, 1, 3)
+            diff -= products
             parts = diff.view(np.float64).reshape(len(diff), n, -1)
             devs = np.sqrt(np.einsum("xyk,xyk->xy", parts, parts)).max(axis=1)
             bad = np.flatnonzero(devs >= _tol.EXACT)
             if bad.size:
-                x = a + int(bad[0])
+                x = rows.start + int(bad[0])
                 raise MakeRepError(
                     f"pi(x)pi(y) != sigma(x,y) pi(xy) at x={x} (deviation {devs[bad[0]]:.2e})"
                 )
@@ -291,19 +284,24 @@ def _raw_scalars(group: FiniteGroup, matrices: np.ndarray, rows=None) -> np.ndar
 
 
 def _row_products(m: np.ndarray, right: np.ndarray | None = None):
-    """Yield (slice(a, b), m[a:b, None] @ right[None]) over consecutive row
-    blocks of m; right defaults to m.
+    """Yield (slice(a, b), products) over consecutive row blocks of m, with
+    products[x - a, y] = m[x] @ right[y]; right defaults to m.
 
-    Row x of a block holds pi(x) pi(y) for every y.  A block holds at most
-    _PRODUCT_BLOCK_ENTRIES complex entries (one row at least), so the
-    products are formed in few batched calls without holding all of them
-    at once.
+    Each block is one matmul: the rows (x, i) of the block against right
+    stacked as one d x (n d) matrix, [k, (y, j)] = right[y][k, j], give
+    m[x] @ right[y] at [x, i, y, j], yielded as a transposed view indexed
+    [x, y, i, j].  A block holds at most _PRODUCT_BLOCK_ENTRIES complex
+    entries (one row at least), so the products are formed in few calls
+    without holding all of them at once.
     """
     right = m if right is None else right
     n, dim = right.shape[0], right.shape[1]
+    wide = right.transpose(1, 0, 2).reshape(dim, n * dim)
     rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * dim * dim))
     for a in range(0, len(m), rows):
-        yield slice(a, min(a + rows, len(m))), m[a : a + rows, None] @ right[None]
+        block = m[a : a + rows]
+        products = (block.reshape(-1, dim) @ wide).reshape(len(block), dim, n, dim)
+        yield slice(a, a + len(block)), products.transpose(0, 2, 1, 3)
 
 
 def _snap_scalars(raw: np.ndarray, max_den: int) -> tuple[np.ndarray, int]:
@@ -391,10 +389,11 @@ def hom_space(r1: ProjectiveRep, r2: ProjectiveRep) -> list[np.ndarray]:
     is the matrix kron(r2(x), I) - kron(I, r1(x)^T) applied to it.  The
     intertwiners are the nullspace of all n such blocks, one under another;
     _intertwiner_count cross-checks its dimension, and callers that need
-    only that number use it.  Within qeclab only frobenius_dims builds a
-    basis this way: clifford_code and the constituent split in search take
-    their one intertwiner or commutant element from _reynolds, with no
-    (n d2 d1) x (d2 d1) stack and no SVD.
+    only that number use it.  frobenius_dims reads only len(hom_space(...)):
+    an SVD nullity, checked here against the character count.  clifford_code
+    and the constituent split in search take their one intertwiner or
+    commutant element from _reynolds, with no (n d2 d1) x (d2 d1) stack and
+    no SVD.
 
     The stack is built whole (_constraint_stack) as an array of shape
     (n, d2, d1, d2, d1), entry [x, i, a, j, b] = r2(x)[i, j] I[a, b] -

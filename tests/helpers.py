@@ -288,12 +288,14 @@ def kron_hom_basis(r1, r2) -> list[np.ndarray]:
 
 
 def raw_scalars_per_row(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
-    """tr(pi(x) pi(y) pi(xy)^*) / dim, one batched product pi(x) @ pi per row."""
+    """tr(pi(x) pi(y) pi(xy)^*) / dim, one matmul pi(x) @ [pi(0) ... pi(n-1)]
+    per row."""
     n, dim = group.order, matrices.shape[1]
+    wide = matrices.transpose(1, 0, 2).reshape(dim, n * dim)
     flat_conj = matrices.reshape(n, -1).conj()
     raw = np.empty((n, n), dtype=complex)
     for x in range(n):
-        products = (matrices[x] @ matrices).reshape(n, -1)
+        products = (matrices[x] @ wide).reshape(dim, n, dim).transpose(1, 0, 2).reshape(n, -1)
         raw[x] = np.einsum("yk,yk->y", products, flat_conj[group.mul[x]]) / dim
     return raw
 

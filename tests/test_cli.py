@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qeclab
 from qeclab.cli import main, parse_group_spec, parse_model_spec
 
@@ -282,6 +284,29 @@ def test_rep_file_without_a_matrix_list_is_usage_error(capsys, tmp_path):
         capsys, tmp_path, '{"matrices": 5}',
         "code", "clifford", "pauli:2", "--subgroup", "10,5", "--rho", "FILE",
     )
+
+
+_TRIVIAL_TABLE = [[[0, 1]] * 4 for _ in range(4)]
+_BROKEN_TABLE = [row if x != 1 else [[0, 1], [1, 2], [0, 1], [0, 1]] for x, row in enumerate(_TRIVIAL_TABLE)]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"matrices": [[[[2, 0]]]] * 4, "cocycle": {"order": 4, "table": _TRIVIAL_TABLE}}, "not unitary"),
+        ({"matrices": [[[[1, 0]]]] * 4, "cocycle": {"order": 4, "table": _BROKEN_TABLE}}, "cocycle identity"),
+        ({"matrices": [[[[2, 0]]]] * 4}, "scalar snap failed"),
+    ],
+)
+def test_rep_file_failing_validation_exits_one(capsys, tmp_path, data, message):
+    # well-formed files whose rep is wrong are verification failures, not usage errors
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(data))
+    rc, _, err = run(
+        capsys, "code", "clifford", "pauli:2", "--subgroup", "10,5", "--rho", str(path)
+    )
+    assert rc == 1
+    assert not err.startswith("usage error:") and message in err
 
 
 def test_distribution_file_that_is_a_map_is_usage_error(capsys, tmp_path):
