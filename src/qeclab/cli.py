@@ -545,8 +545,8 @@ def _reproduce_odd(n: int) -> list[tuple[str, bool, str]]:
 
 
 def _reproduce_dicke(n: int) -> list[tuple[str, bool, str]]:
-    model = perm_product_model(gen_pauli_model(2), n)
-    sub = model.group.subgroup(range(math.factorial(n)))
+    parsed = parse_model_spec(f"permprod(genpauli:2,{n})")
+    model, sub = parsed.model, _dicke_subgroup(parsed)
     code = weak_stabilizer_code(model, sub, PhaseFunction.constant_one(sub))
     if code is None:
         return [("symmetric subspace nonzero", False, "construction returned None")]

@@ -205,24 +205,9 @@ class FiniteGroup:
             raise ValueError("subgroup belongs to a different group")
         if not normal.is_normal():
             raise ValueError("quotient requires a normal subgroup")
-        members = np.array(normal.members)
-        coset_of: dict[int, int] = {}
-        cosets: list[np.ndarray] = []
-        for x in range(self.order):
-            if x in coset_of:
-                continue
-            coset = np.unique(self.mul[x, members])
-            for y in coset:
-                coset_of[int(y)] = len(cosets)
-            cosets.append(coset)
-        order_keys = sorted(range(len(cosets)), key=lambda i: int(cosets[i].min()))
-        relabel = {old: new for new, old in enumerate(order_keys)}
-        projection = np.array([relabel[coset_of[x]] for x in range(self.order)], dtype=np.int64)
-        reps = [int(cosets[old].min()) for old in order_keys]
-        q = len(reps)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for i, r in enumerate(reps):
-            mul[i] = projection[self.mul[r, reps]]
+        reps, mins = self._left_cosets(normal)
+        projection = np.searchsorted(reps, mins)
+        mul = projection[self.mul[np.ix_(reps, reps)]]
         names = [f"[{self.name_of(r)}]" for r in reps]
         return group_from_mul_table(mul, label=f"{self.label}/N", element_names=names), projection
 
@@ -234,20 +219,14 @@ class FiniteGroup:
         """
         if sub.parent is not self:
             raise ValueError("subgroup belongs to a different group")
-        members = np.array(sub.members)
-        seen = set()
-        reps = []
-        for x in range(self.order):
-            if x in seen:
-                continue
-            coset = np.unique(self.mul[x, members])
-            seen.update(int(y) for y in coset)
-            if self.identity in coset:
-                reps.insert(0, (self.identity, int(coset.min())))
-            else:
-                reps.append((int(coset.min()), int(coset.min())))
-        reps = [reps[0]] + sorted(reps[1:], key=lambda t: t[1])
-        return [r for r, _ in reps]
+        reps, mins = self._left_cosets(sub)
+        return [self.identity, *(int(r) for r in reps if r != mins[self.identity])]
+
+    def _left_cosets(self, sub: "Subgroup") -> tuple[np.ndarray, np.ndarray]:
+        """The minimal elements of the left cosets xH in increasing order, and
+        the minimal element of the coset of each x."""
+        mins = self.mul[:, list(sub.members)].min(axis=1)
+        return np.unique(mins), mins
 
 
 class Subgroup:

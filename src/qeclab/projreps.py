@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tol
-from ._linalg import compress, nullspace
+from ._linalg import compress
 from .cocycles import (
     Cocycle,
     Phase,
@@ -385,32 +385,28 @@ def is_projectively_faithful(rep: ProjectiveRep) -> bool:
 def hom_space(r1: ProjectiveRep, r2: ProjectiveRep) -> list[np.ndarray]:
     """Orthonormal basis of {T : r2(x) T = T r1(x) for all x}.
 
-    T is read row-major as a vector of length d2*d1, so r2(x) T - T r1(x)
-    is the matrix kron(r2(x), I) - kron(I, r1(x)^T) applied to it.  The
-    intertwiners are the nullspace of all n such blocks, one under another;
-    _intertwiner_count cross-checks its dimension, and callers that need
-    only that number use it.  frobenius_dims reads only len(hom_space(...)):
-    an SVD nullity, checked here against the character count.  clifford_code
-    and the constituent split in search take their one intertwiner or
-    commutant element from _reynolds, with no (n d2 d1) x (d2 d1) stack and
-    no SVD.
-
-    The stack is built whole (_constraint_stack) as an array of shape
-    (n, d2, d1, d2, d1), entry [x, i, a, j, b] = r2(x)[i, j] I[a, b] -
-    I[i, j] r1(x)[b, a], read as (n * d2 * d1, d2 * d1).  It is bit for bit
-    the stack of per-element np.kron calls: each product is the same
-    np.multiply of a complex entry by a float identity entry that np.kron
-    forms (signed zeros included), and each entry is one subtraction of
-    the two.  So the SVD input, and with it the basis, is unchanged.
+    T is read row-major as a vector of length d2*d1, so the map
+    T -> r2(x) T r1(x)* is the matrix kron(r2(x), conj(r1(x))), and the
+    Reynolds average of _reynolds is the d2*d1 x d2*d1 matrix
+    R = (1/n) sum_x kron(r2(x), conj(r1(x))).  R is the matrix of the
+    orthogonal projector onto Hom(r1, r2), so it is Hermitian and
+    idempotent and its eigenvalues are 0 or 1 up to rounding: the cut at
+    1/2 cannot misplace one.  The eigenvectors above the cut, read as
+    d2 x d1 matrices, are an orthonormal basis of Hom.  Their number is
+    checked against the character count _intertwiner_count, which callers
+    that need only the dimension use directly.
     """
     if r1.group.order != r2.group.order:
         raise ValueError("reps on groups of different order")
     if r1.cocycle != r2.cocycle:
         raise ValueError("cocycle mismatch")
-    d1, d2 = r1.dim, r2.dim
-    stack = _constraint_stack(r1.matrices, r2.matrices)
-    ns = nullspace(stack.reshape(-1, d2 * d1))
-    basis = [ns[:, k].reshape(d2, d1) for k in range(ns.shape[1])]
+    m1, m2 = r1.matrices, r2.matrices
+    n, d1, d2 = len(m1), r1.dim, r2.dim
+    # one GEMM gives sum_x r2(x)[i, j] conj(r1(x))[a, b] at [(i, j), (a, b)]
+    sums = m2.reshape(n, d2 * d2).T @ m1.conj().reshape(n, d1 * d1)
+    projector = sums.reshape(d2, d2, d1, d1).transpose(0, 2, 1, 3).reshape(d2 * d1, d2 * d1) / n
+    values, vectors = np.linalg.eigh(projector)
+    basis = [v.reshape(d2, d1) for v in vectors[:, values > 0.5].T]
     expected = _intertwiner_count(r1, r2)
     if len(basis) != expected:
         raise RuntimeError(
@@ -426,7 +422,8 @@ def _reynolds(r1: ProjectiveRep, r2: ProjectiveRep, a: np.ndarray) -> np.ndarray
     r2(y) r2(x) = sigma(y,x) r2(yx), r1(x)* r1(y)* = conj(sigma(y,x)) r1(yx)*
     and x -> yx permutes the group (Serre, Linear Representations of Finite
     Groups, 2.6).  The map fixes every intertwiner and is a mean of unitary
-    maps, so it is the orthogonal projector onto Hom(r1, r2).
+    maps, so it is the orthogonal projector onto Hom(r1, r2).  hom_space
+    diagonalizes the same map written as a matrix.
     """
     if r1.cocycle != r2.cocycle:
         raise ValueError("cocycle mismatch")
@@ -441,23 +438,6 @@ def _intertwiner_count(r1: ProjectiveRep, r2: ProjectiveRep) -> int:
     if abs(total - nearest) > _tol.DERIVED * max(1, nearest):
         raise RuntimeError(f"character count {total.real:.6f} is not an integer")
     return nearest
-
-
-def _constraint_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """kron(m2[x], I) - kron(I, m1[x]^T) for every x, shape (n, d2, d1, d2, d1).
-
-    Filled in place (see hom_space for the layout): the left-hand term in
-    one multiply, then the right-hand term subtracted one row block i at a
-    time, so no temporary is larger than 1/d2 of the stack.
-    """
-    n, d1, d2 = m1.shape[0], m1.shape[1], m2.shape[1]
-    eye1, eye2 = np.eye(d1), np.eye(d2)
-    stack = np.empty((n, d2, d1, d2, d1), dtype=complex)
-    np.multiply(m2[:, :, None, :, None], eye1[None, None, :, None, :], out=stack)
-    m1t = m1.transpose(0, 2, 1)[:, :, None, :]
-    for i in range(d2):
-        stack[:, i] -= eye2[i][None, None, :, None] * m1t
-    return stack
 
 
 def restrict(rep: ProjectiveRep, sub: Subgroup) -> ProjectiveRep:
@@ -572,7 +552,12 @@ def inertia_group(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> Subgro
 
 
 def frobenius_dims(theta: ProjectiveRep, sub: Subgroup, pi: ProjectiveRep) -> tuple[int, int]:
-    """Both sides of Frobenius reciprocity as intertwiner-space dimensions."""
+    """Both sides of Frobenius reciprocity as intertwiner-space dimensions.
+
+    Each side is len(hom_space(...)), a count of the Reynolds projector's
+    eigenvalues above 1/2, so the equality is checked independently of the
+    character count that hom_space compares it with.
+    """
     ind = induce(theta, sub, pi.cocycle)
     lhs = len(hom_space(ind, pi))
     rhs = len(hom_space(theta, pi.restrict(sub)))

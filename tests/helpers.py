@@ -279,7 +279,7 @@ def kron_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 
 
 def kron_hom_basis(r1, r2) -> list[np.ndarray]:
-    """The intertwiner basis read off the nullspace of kron_stack."""
+    """An orthonormal intertwiner basis read off the SVD nullspace of kron_stack."""
     from qeclab._linalg import nullspace
 
     n, d1, d2 = r1.group.order, r1.dim, r2.dim
@@ -383,6 +383,50 @@ def permutation_semidirect_loop(base: FiniteGroup, n: int) -> FiniteGroup:
         for x in range(order)
     ]
     return group_from_mul_table(mul, label=f"{base.label}^{n}:S{n}", element_names=names)
+
+
+def coset_representatives_loop(group: FiniteGroup, sub: Subgroup) -> list[int]:
+    """coset_representatives by one np.unique(x H) per uncovered x: the
+    identity first, then each other coset's minimal element in increasing order."""
+    members = np.array(sub.members)
+    seen = set()
+    reps = []
+    for x in range(group.order):
+        if x in seen:
+            continue
+        coset = np.unique(group.mul[x, members])
+        seen.update(int(y) for y in coset)
+        if group.identity in coset:
+            reps.insert(0, (group.identity, int(coset.min())))
+        else:
+            reps.append((int(coset.min()), int(coset.min())))
+    reps = [reps[0]] + sorted(reps[1:], key=lambda t: t[1])
+    return [r for r, _ in reps]
+
+
+def quotient_loop(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
+    """quotient by one np.unique(x N) per uncovered x, cosets ordered by
+    their minimal element."""
+    members = np.array(normal.members)
+    coset_of: dict[int, int] = {}
+    cosets: list[np.ndarray] = []
+    for x in range(group.order):
+        if x in coset_of:
+            continue
+        coset = np.unique(group.mul[x, members])
+        for y in coset:
+            coset_of[int(y)] = len(cosets)
+        cosets.append(coset)
+    order_keys = sorted(range(len(cosets)), key=lambda i: int(cosets[i].min()))
+    relabel = {old: new for new, old in enumerate(order_keys)}
+    projection = np.array([relabel[coset_of[x]] for x in range(group.order)], dtype=np.int64)
+    reps = [int(cosets[old].min()) for old in order_keys]
+    q = len(reps)
+    mul = np.zeros((q, q), dtype=np.int64)
+    for i, r in enumerate(reps):
+        mul[i] = projection[group.mul[r, reps]]
+    names = [f"[{group.name_of(r)}]" for r in reps]
+    return group_from_mul_table(mul, label=f"{group.label}/N", element_names=names), projection
 
 
 # -- the per-state and per-row loops that the channels stacks replaced -------
@@ -558,10 +602,8 @@ def tensor_permutation_matrix_loop(perm: tuple[int, ...], dim: int) -> np.ndarra
 
 
 def multiplicity_oracle(rho, res) -> int:
-    """dim Hom(rho, res) as the length of a hom_space basis."""
-    from qeclab.projreps import hom_space
-
-    return len(hom_space(rho, res))
+    """dim Hom(rho, res) as the length of the stack/SVD basis kron_hom_basis."""
+    return len(kron_hom_basis(rho, res))
 
 
 def _restrict_phase_oracle(f, sub):
@@ -581,7 +623,7 @@ def _rebuilds(model, sub, f, p) -> bool:
 def classify_flags_oracle(model, code) -> tuple[dict, dict]:
     """classify's weak, stabilizer and Clifford flags and witnesses, from
     rebuilt (S, f) and (N, f|N) eigenspaces compared by projector and from
-    the length of hom_space bases."""
+    the length of kron_hom_basis bases."""
     from qeclab.codes import logical_group, stabilizer_group, weak_stabilizer_code
     from qeclab.projreps import MakeRepError, is_irreducible, restrict
 
@@ -641,19 +683,20 @@ def classify_flags_oracle(model, code) -> tuple[dict, dict]:
     return flags, witnesses
 
 
-# -- the hom_space-based constituent split and Clifford intertwiner ---------
+# -- the stack/SVD constituent split and Clifford intertwiner ---------------
 
 
 def commutant_split_oracle(rep, seed: int = 11, attempts: int = 8) -> list:
-    """Irreducible pieces of rep from a random combination of an SVD basis of
-    hom_space(rep, rep), in eigenvalue order; the split before Reynolds averaging."""
+    """Irreducible pieces of rep from a random combination of the SVD basis
+    kron_hom_basis(rep, rep), in eigenvalue order; the split before Reynolds
+    averaging."""
     from qeclab import _tol
     from qeclab._linalg import orthonormal_columns
-    from qeclab.projreps import MakeRepError, hom_space, is_irreducible
+    from qeclab.projreps import MakeRepError, is_irreducible
 
     if is_irreducible(rep):
         return [rep]
-    maps = hom_space(rep, rep)
+    maps = kron_hom_basis(rep, rep)
     for attempt in range(attempts):
         rng = np.random.default_rng(seed + attempt)
         coeff = rng.normal(size=len(maps)) + 1j * rng.normal(size=len(maps))
@@ -685,11 +728,11 @@ def isotypic_projector(rep, piece) -> np.ndarray:
 
 
 def clifford_code_oracle(model, sub, rho):
-    """clifford_code's space as the column span of the one hom_space(rho, Res pi) basis map."""
+    """clifford_code's space as the column span of the one kron_hom_basis(rho, Res pi) map."""
     from qeclab._linalg import orthonormal_columns
     from qeclab.codes import CodeSpace
-    from qeclab.projreps import hom_space, restrict
+    from qeclab.projreps import restrict
 
-    maps = hom_space(rho, restrict(model.rep, sub))
+    maps = kron_hom_basis(rho, restrict(model.rep, sub))
     assert len(maps) == 1
     return CodeSpace(model.dim, orthonormal_columns(maps[0]))

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CATALOG_64,
     closure_oracle,
+    coset_representatives_loop,
     inversion_semidirect_loop,
     lattice_oracle,
     permutation_semidirect_loop,
+    quotient_loop,
+    random_subgroup,
     symmetric_loop,
 )
 from qeclab import groups
@@ -356,3 +360,36 @@ def test_symmetric_matches_the_entry_loop(n):
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_inversion_semidirect_matches_the_entry_loop(n):
     _assert_same_group(inversion_semidirect(n), inversion_semidirect_loop(n))
+
+
+def _relabeled(group: groups.FiniteGroup, seed: int) -> groups.FiniteGroup:
+    """group with its elements renumbered at random, so the identity need not be 0."""
+    perm = np.random.default_rng(seed).permutation(group.order)
+    mul = np.empty_like(group.mul)
+    mul[np.ix_(perm, perm)] = perm[group.mul]
+    return group_from_mul_table(mul, label=f"{group.label}'")
+
+
+@pytest.mark.parametrize(
+    "spec", CATALOG_64 + ["permprod(genpauli:2,3)", "relabeled oddfam:3", "relabeled c2d2n:3"]
+)
+def test_cosets_match_the_per_element_loop(spec):
+    relabel = spec.startswith("relabeled ")
+    g = parse_model_spec(spec.removeprefix("relabeled ")).model.group
+    if relabel:
+        g = _relabeled(g, seed=3)
+        assert g.identity != 0
+    rng = np.random.default_rng(5)
+    if g.order > 64:  # above the lattice cap
+        subs = [g.trivial_subgroup(), g.full_subgroup(), *(random_subgroup(g, rng) for _ in range(40))]
+    else:
+        subs = g.all_subgroups()
+        if len(subs) > 300:
+            subs = [subs[i] for i in rng.choice(len(subs), 300, replace=False)]
+    for sub in subs:
+        assert g.coset_representatives(sub) == coset_representatives_loop(g, sub)
+        if sub.is_normal():
+            (quo, projection), (want, want_projection) = g.quotient(sub), quotient_loop(g, sub)
+            assert np.array_equal(projection, want_projection)
+            assert np.array_equal(quo.mul, want.mul)
+            assert quo.element_names == want.element_names

@@ -11,14 +11,13 @@ from helpers import (
     CATALOG_64,
     first_product_failure,
     kron_hom_basis,
-    kron_stack,
     make_rep_full_snap,
     raw_scalar_table,
     raw_scalars_per_row,
     snap_each,
 )
 
-from qeclab import projreps, search
+from qeclab import _tol, projreps, search
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
 from qeclab.groups import cyclic, dihedral
@@ -31,7 +30,7 @@ from qeclab.models import (
 from qeclab.projreps import (
     MakeRepError,
     ProjectiveRep,
-    _constraint_stack,
+    _intertwiner_count,
     _raw_scalars,
     _snap_scalars,
     frobenius_dims,
@@ -322,26 +321,44 @@ def _hom_pairs(model, subgroups=4):
                 yield rho, res
 
 
+def _assert_hom_basis(r1, r2, basis):
+    """basis is orthonormal to _tol.EXACT, intertwines r1 and r2 to _tol.SCAN
+    and spans the space of the stack/SVD oracle to _tol.DERIVED."""
+    d1, d2 = r1.dim, r2.dim
+    vectors = np.array(basis).reshape(len(basis), d2 * d1)
+    want = np.array(kron_hom_basis(r1, r2)).reshape(-1, d2 * d1)
+    assert len(vectors) == len(want) == _intertwiner_count(r1, r2)
+    assert np.abs(vectors.conj() @ vectors.T - np.eye(len(vectors))).max() < _tol.EXACT
+    for t in basis:
+        dev = r2.matrices @ t - t @ r1.matrices
+        assert np.linalg.norm(dev, axis=(1, 2)).max() < _tol.SCAN
+    span = vectors.T @ vectors.conj()
+    assert np.linalg.norm(span - want.T @ want.conj()) < _tol.DERIVED
+
+
 @pytest.mark.parametrize("spec", CATALOG_64)
 def test_hom_space_stack_matches_kron_loop(spec):
+    # hom_space spans the nullspace of the per-element np.kron stack
     model = parse_model_spec(spec).model
     for r1, r2 in _hom_pairs(model):
-        stack = _constraint_stack(r1.matrices, r2.matrices)
-        assert stack.tobytes() == kron_stack(r1.matrices, r2.matrices).tobytes()
-        got, want = hom_space(r1, r2), kron_hom_basis(r1, r2)
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        _assert_hom_basis(r1, r2, hom_space(r1, r2))
 
 
-def test_hom_space_stack_keeps_signed_zeros():
-    # entries of +-0 and +-1 make every product and difference a signed-zero
-    # case; the stack must still match np.kron byte for byte
-    rng = np.random.default_rng(8)
-    values = np.array([0.0, -0.0, 1.0, -1.0])
-    for d1, d2 in [(1, 1), (1, 3), (3, 1), (2, 4), (5, 3)]:
-        m1 = rng.choice(values, size=(6, d1, d1)) + 1j * rng.choice(values, size=(6, d1, d1))
-        m2 = rng.choice(values, size=(6, d2, d2)) + 1j * rng.choice(values, size=(6, d2, d2))
-        assert _constraint_stack(m1, m2).tobytes() == kron_stack(m1, m2).tobytes()
+@functools.lru_cache(maxsize=None)
+def _catalog_specs_up_to_32():
+    return [spec for spec in CATALOG_64 if _catalog_model(spec).group.order <= 32]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hom_space_into_a_restriction_and_frobenius_dims(data):
+    model = _catalog_model(data.draw(st.sampled_from(_catalog_specs_up_to_32())))
+    sub = data.draw(st.sampled_from(model.group.all_subgroups()))
+    res = model.rep.restrict(sub)
+    theta = data.draw(st.sampled_from(search._irreducible_constituents(res)))
+    _assert_hom_basis(theta, res, hom_space(theta, res))
+    count = _intertwiner_count(theta, res)
+    assert frobenius_dims(theta, sub, model.rep) == (count, count)
 
 
 @pytest.mark.parametrize("spec", CATALOG_64 + ["permprod(genpauli:2,3)"])
