@@ -4,6 +4,19 @@ Phases are rationals q with 0 <= q < 1 standing for exp(2*pi*i*q), so all
 cocycle identities are checked with integer arithmetic, never floats.  A
 cocycle on a group of order n is stored as an n x n numerator table over a
 single common denominator.
+
+A Cocycle does not change after construction: __init__ always builds its
+own numerator array and marks it read-only, so writing into Cocycle.num
+raises ValueError.  That makes two memos safe.  A successful verify() is
+remembered on the object, since the table it checked is the table the
+object keeps; a failing one is recomputed on every call.  restrict(sub) is
+computed once per (subgroup object, cocycle object), and its result lives
+on sub.as_group(), which interned subgroups share.  So the restriction of
+a model's cocycle to a library-built subgroup is one object, and
+ProjectiveRep.restrict, the pieces of on_subspace and
+find_trivializing_phase all verify it once between them.  Each distinct
+restricted cocycle is still verified in full once: only repeats of a
+check already passed on the same read-only table are dropped.
 """
 
 from __future__ import annotations
@@ -114,8 +127,8 @@ class Cocycle:
     """A function G x G -> T with all values rational phases.
 
     Stored as an integer numerator table over one common denominator, kept
-    canonical (the denominator is minimal).  The defining identity
-    s(x,y)s(xy,z) = s(x,yz)s(y,z) is checked by verify().
+    canonical (the denominator is minimal) and read-only.  The defining
+    identity s(x,y)s(xy,z) = s(x,yz)s(y,z) is checked by verify().
     """
 
     def __init__(self, group: FiniteGroup, num, den: int):
@@ -124,6 +137,8 @@ class Cocycle:
         g = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
         self.den = den // g
         self.num = num // g
+        self.num.flags.writeable = False
+        self._verified = False
         if self.num.shape != (group.order, group.order):
             raise ValueError("cocycle table has wrong shape")
 
@@ -174,10 +189,20 @@ class Cocycle:
     def verify(self) -> bool:
         """Whether the cocycle identity holds for every (x, y, z).
 
-        Only z in the group's greedy generators is checked, in O(n^2 r).
-        This is conclusive, by Light's argument in the twisted group
-        algebra (e_x e_y = s(x,y) e_xy): the identity at (x, y, z) says
-        (e_x e_y) e_z = e_x (e_y e_z), and the z for which it holds for
+        A True result is remembered: the numerator table is read-only, so
+        it still holds on every later call.  The check itself is
+        _identity_holds.
+        """
+        if not self._verified:
+            self._verified = self._identity_holds()
+        return self._verified
+
+    def _identity_holds(self) -> bool:
+        """The cocycle identity, checked for z in the greedy generators only.
+
+        This is O(n^2 r) and conclusive, by Light's argument in the twisted
+        group algebra (e_x e_y = s(x,y) e_xy): the identity at (x, y, z)
+        says (e_x e_y) e_z = e_x (e_y e_z), and the z for which it holds for
         all x, y are closed under products, so they are the whole group
         once they contain a generating set.
         """
@@ -201,9 +226,17 @@ class Cocycle:
         return Cocycle(self.group, (-self.num) % self.den, self.den)
 
     def restrict(self, sub: Subgroup) -> "Cocycle":
-        """Restriction to a subgroup, indexed by the subgroup's own numbering."""
-        mem = np.array(sub.members)
-        return Cocycle(sub.as_group(), self.num[np.ix_(mem, mem)], self.den)
+        """Restriction to a subgroup, indexed by the subgroup's own numbering.
+
+        Built once per (sub, self) and kept on sub; its group is
+        sub.as_group().
+        """
+        hit = sub._restrictions.get(id(self))
+        if hit is None:
+            mem = np.array(sub.members)
+            hit = (self, Cocycle(sub.as_group(), self.num[np.ix_(mem, mem)], self.den))
+            sub._restrictions[id(self)] = hit   # holding self keeps its id unique
+        return hit[1]
 
     def to_json(self) -> dict:
         table = [

@@ -20,6 +20,11 @@ eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
 is weak (W = E), or rebuilt from a normal N, exactly when
 code_dimension_formula gives dim W; the weak witness |P_E - P_W| is
 sqrt(dim E - dim W).  The Clifford flag counts intertwiners by characters.
+
+The logical group, the stabilizer and the normal candidates are taken from
+the model group's interning table (see groups), so classify validates no
+member set that the subgroup lattice already holds, and their restricted
+cocycles are the ones the lattice's subgroups already carry.
 """
 
 from __future__ import annotations
@@ -343,13 +348,13 @@ def _code_action(model: ProjectiveErrorModel, code: CodeSpace) -> _Action:
 
 
 def _logical(model: ProjectiveErrorModel, act: _Action) -> Subgroup:
-    return Subgroup(model.group, np.flatnonzero(act.commutator < _tol.SCAN))
+    return model.group._intern(np.flatnonzero(act.commutator < _tol.SCAN))
 
 
 def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, PhaseFunction]:
     keep = (act.scalar_dev < _tol.SCAN) & (np.abs(np.abs(act.scalars) - 1) < _tol.SCAN)
     members = np.flatnonzero(keep)
-    sub = Subgroup(model.group, members)
+    sub = model.group._intern(members)
     f = PhaseFunction.from_complex(sub, act.scalars[members], max_den=4 * model.group.order)
     return sub, f
 
@@ -451,9 +456,14 @@ class CodeReport:
 def _has_normal_reconstruction(
     model: ProjectiveErrorModel, code: CodeSpace, stab: Subgroup, f: PhaseFunction
 ) -> bool:
-    """Whether a normal-in-G N <= stab has an (N, f|N) eigenspace of the code's dimension."""
-    for inner in sorted(stab.as_group().all_subgroups(), key=len, reverse=True):
-        sub = Subgroup(model.group, [stab.members[i] for i in inner.members])
+    """Whether a normal-in-G N <= stab has an (N, f|N) eigenspace of the code's dimension.
+
+    The candidates N are the subgroups of stab.as_group(), mapped to G and
+    taken from G's interning table, which holds them already once G's
+    lattice has been built.
+    """
+    for inner in sorted(stab.as_group()._lattice(), key=len, reverse=True):
+        sub = model.group._intern(stab.members[i] for i in inner)
         if sub.is_normal() and code_dimension_formula(model, sub, f) == code.dim:
             return True
     return False

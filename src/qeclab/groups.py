@@ -3,6 +3,19 @@
 Elements of a group of order n are the integers 0..n-1.  The whole module
 works with dense numpy index tables, which keeps every construction exact
 and makes subgroup/coset computations plain integer array manipulation.
+
+Every subgroup the library builds is interned: a FiniteGroup keeps one
+private table from sorted member tuple to Subgroup, and all_subgroups,
+subgroup, trivial_subgroup, full_subgroup, subgroup_generated, center
+(and the logical groups, stabilizers and inertia groups of codes and
+projreps) return the table's object.  A member set missing from the table
+is validated by the public constructor Subgroup(parent, members), and is
+stored only once that succeeds, so a set that fails is never cached.  No
+check is lost: a Subgroup never changes its parent or members after
+construction, so the closure check made once holds for every later
+lookup, and the subgroup's as_group(), validated by FiniteGroup._validate
+when first built, is shared by every caller of that member set.  The
+public constructor itself is not interned and always validates.
 """
 
 from __future__ import annotations
@@ -10,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +68,9 @@ class FiniteGroup:
     inv: np.ndarray
     label: str = "G"
     element_names: list[str] | None = None
+    # sorted member tuple -> the one library-built Subgroup on those members
+    _interned: dict = field(default_factory=dict, init=False, repr=False)
+    _lattice_members: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.mul = np.asarray(self.mul, dtype=np.int64)
@@ -129,23 +145,32 @@ class FiniteGroup:
 
     # -- subgroups ---------------------------------------------------------
 
+    def _intern(self, members) -> "Subgroup":
+        """The interned Subgroup on a member set, validated on first use."""
+        key = tuple(sorted({int(m) for m in members}))
+        sub = self._interned.get(key)
+        if sub is None:
+            sub = Subgroup(self, key)
+            self._interned[key] = sub
+        return sub
+
     def subgroup(self, members) -> "Subgroup":
-        return Subgroup(self, members)
+        return self._intern(members)
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, [self.identity])
+        return self._intern([self.identity])
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, range(self.order))
+        return self._intern(range(self.order))
 
     def subgroup_generated(self, gens) -> "Subgroup":
         members, _ = self._closure(sorted({int(g) for g in gens}))
-        return Subgroup(self, members)
+        return self._intern(members)
 
     def center(self) -> "Subgroup":
         commutes = self.mul == self.mul.T
         members = [x for x in range(self.order) if commutes[x].all()]
-        return Subgroup(self, members)
+        return self._intern(members)
 
     def all_subgroups(self, max_order: int | None = None) -> list["Subgroup"]:
         """Every subgroup, by cyclic extension from the trivial one.
@@ -156,14 +181,24 @@ class FiniteGroup:
         from the trivial one by adjoining one element at a time, and adjoining
         x is the same as adjoining <x>.  Subgroups are kept as int bitmasks of
         their members.  Guarded by the order cap since subgroup counts grow
-        quickly.  The result is sorted by (order, members).
+        quickly.  The result is sorted by (order, members), and every
+        subgroup in it is interned.
         """
+        return [self._intern(members) for members in self._lattice(max_order)]
+
+    def _lattice(self, max_order: int | None = None) -> list[tuple[int, ...]]:
+        """The sorted member tuples of all_subgroups, built once per group."""
         cap = max_order if max_order is not None else max_group_order()
         if self.order > cap:
             raise ValueError(
                 f"subgroup enumeration capped at order {cap} (group has {self.order}); "
                 "raise QECLAB_MAX_ORDER to override"
             )
+        if self._lattice_members is None:
+            self._lattice_members = self._cyclic_extensions()
+        return self._lattice_members
+
+    def _cyclic_extensions(self) -> list[tuple[int, ...]]:
         e = self.identity
         reps: list[tuple[int, list[int]]] = []
         cyclic_seen = set()
@@ -191,9 +226,9 @@ class FiniteGroup:
                 if ext_mask not in found:
                     found.add(ext_mask)
                     queue.append((ext_members, ext_mask, ext_cols))
-        subs = [Subgroup(self, members) for members, _, _ in queue]
-        subs.sort(key=lambda h: (len(h.members), h.members))
-        return subs
+        lattice = [tuple(sorted(members)) for members, _, _ in queue]
+        lattice.sort(key=lambda m: (len(m), m))
+        return lattice
 
     def quotient(self, normal: "Subgroup") -> tuple["FiniteGroup", np.ndarray]:
         """Quotient by a normal subgroup; also returns the projection map.
@@ -237,6 +272,9 @@ class Subgroup:
         self.members: tuple[int, ...] = tuple(sorted(set(int(m) for m in members)))
         self._position = {m: i for i, m in enumerate(self.members)}
         self._as_group: FiniteGroup | None = None
+        self._normal: bool | None = None
+        # id(cocycle) -> (cocycle, its restriction here), kept by Cocycle.restrict
+        self._restrictions: dict = {}
         if parent.identity not in self._position:
             raise GroupValidationError("subgroup must contain the identity")
         mem = np.array(self.members)
@@ -273,12 +311,14 @@ class Subgroup:
         return self.parent.order // len(self.members)
 
     def is_normal(self) -> bool:
-        g = self.parent
-        mem = np.array(self.members)
-        inside = np.zeros(g.order, dtype=bool)
-        inside[mem] = True
-        conjugates = g.mul[g.mul[:, mem], g.inv[:, None]]   # [x, h] = x h x^-1
-        return bool(inside[conjugates].all())
+        if self._normal is None:
+            g = self.parent
+            mem = np.array(self.members)
+            inside = np.zeros(g.order, dtype=bool)
+            inside[mem] = True
+            conjugates = g.mul[g.mul[:, mem], g.inv[:, None]]   # [x, h] = x h x^-1
+            self._normal = bool(inside[conjugates].all())
+        return self._normal
 
     def is_abelian(self) -> bool:
         mem = np.array(self.members)

@@ -471,35 +471,34 @@ def induce(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> ProjectiveRep
     Basis vectors are r (x) e_i over coset representatives r (identity coset
     first); for x*s = r'*h the action is
     x.(s (x) v) = sigma(x,s) conj(sigma(r',h)) (r' (x) theta(h) v).
+
+    The scale of each block is read, by its integer numerator
+    sigma(x,s) - sigma(r',h) mod den, from a table of Phase(k, den) values,
+    so it is the exact Phase product, quarter turns included.  The result
+    is validated on every pair against sigma itself: no cocycle is snapped.
     """
     g = sub.parent
     if sigma.group.order != g.order:
         raise ValueError("cocycle lives on a different group")
     if sigma.restrict(sub) != theta.cocycle:
         raise ValueError("theta's cocycle is not the restriction of sigma")
-    reps = g.coset_representatives(sub)
-    rep_pos = np.full(g.order, -1, dtype=np.int64)
-    h_pos = np.full(g.order, -1, dtype=np.int64)
-    for ri, r in enumerate(reps):
-        for h in sub.members:
-            y = int(g.mul[r, h])
-            rep_pos[y] = ri
-            h_pos[y] = sub.position(h)
-    q, dt = len(reps), theta.dim
-    dim = q * dt
-    mats = np.zeros((g.order, dim, dim), dtype=complex)
-    for x in range(g.order):
-        for si, s in enumerate(reps):
-            y = int(g.mul[x, s])
-            ri = int(rep_pos[y])
-            hi = int(h_pos[y])
-            h_parent = sub.members[hi]
-            scale = (sigma.phase(x, s) * sigma.phase(reps[ri], h_parent).inverse()).to_complex()
-            mats[x, ri * dt : (ri + 1) * dt, si * dt : (si + 1) * dt] = scale * theta.matrices[hi]
-    result = make_rep(g, mats, label=f"Ind({theta.label})")
-    if result.cocycle != sigma:
-        raise RuntimeError("induced representation's cocycle does not match sigma")
-    return result
+    reps = np.array(g.coset_representatives(sub))
+    mem = np.array(sub.members)
+    q, dt, n = len(reps), theta.dim, g.order
+    rep_pos = np.empty(n, dtype=np.int64)
+    h_pos = np.empty(n, dtype=np.int64)
+    cosets = g.mul[np.ix_(reps, mem)]               # [ri, hi] = r h
+    rep_pos[cosets] = np.arange(q)[:, None]
+    h_pos[cosets] = np.arange(len(mem))[None, :]
+    ends = g.mul[:, reps]                           # [x, si] = x s = r' h
+    ri, hi = rep_pos[ends], h_pos[ends]
+    den = sigma.den
+    turns = (sigma.num[:, reps] - sigma.num[reps[ri], mem[hi]]) % den
+    scales = np.array([Phase(k, den).to_complex() for k in range(den)])[turns]
+    blocks = scales[:, :, None, None] * theta.matrices[hi]
+    mats = np.zeros((n, q, dt, q, dt), dtype=complex)
+    mats[np.arange(n)[:, None], ri, :, np.arange(q)[None, :], :] = blocks
+    return ProjectiveRep(g, mats.reshape(n, q * dt, q * dt), sigma, label=f"Ind({theta.label})")
 
 
 def conjugate_rep(theta: ProjectiveRep, sub: Subgroup, x: int, sigma: Cocycle) -> ProjectiveRep:
@@ -548,7 +547,7 @@ def inertia_group(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> Subgro
         values = _conjugate_character_values(chi, sub, x, sigma_complex)
         if np.abs(values - chi).max() <= _tol.DERIVED:
             members.append(x)
-    return Subgroup(g, members)
+    return g._intern(members)
 
 
 def frobenius_dims(theta: ProjectiveRep, sub: Subgroup, pi: ProjectiveRep) -> tuple[int, int]:

@@ -13,7 +13,8 @@ import numpy as np
 
 from qeclab.cocycles import Cocycle, Phase, snap_phase_or_none
 from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
-from qeclab.projreps import ProjectiveRep, _raw_scalars, _snap_scalars
+from qeclab.models import ProjectiveErrorModel
+from qeclab.projreps import ProjectiveRep, _raw_scalars, _snap_scalars, make_rep
 
 
 def regular_matrices(group: FiniteGroup) -> np.ndarray:
@@ -317,6 +318,45 @@ def make_rep_full_snap(group: FiniteGroup, matrices, label: str = "pi") -> Proje
     matrices = np.asarray(matrices, dtype=complex)
     num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * group.order)
     return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
+
+
+def relabeled_model(model, seed: int):
+    """The same model with its group elements renumbered by a seeded permutation."""
+    g = model.group
+    perm = np.random.default_rng(seed).permutation(g.order)   # new i is old perm[i]
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(g.order)
+    group = group_from_mul_table(pos[g.mul[np.ix_(perm, perm)]], label=g.label)
+    rep = make_rep(group, model.rep.matrices[perm], label=model.rep.label)
+    return ProjectiveErrorModel(rep, label=model.label)
+
+
+def induce_loop(theta: ProjectiveRep, sub: Subgroup, sigma) -> ProjectiveRep:
+    """projreps.induce as a loop over (x, s) with exact Phase arithmetic per
+    block, its cocycle snapped by make_rep and then compared with sigma."""
+    g = sub.parent
+    reps = g.coset_representatives(sub)
+    rep_pos = np.full(g.order, -1, dtype=np.int64)
+    h_pos = np.full(g.order, -1, dtype=np.int64)
+    for ri, r in enumerate(reps):
+        for h in sub.members:
+            y = int(g.mul[r, h])
+            rep_pos[y] = ri
+            h_pos[y] = sub.position(h)
+    q, dt = len(reps), theta.dim
+    dim = q * dt
+    mats = np.zeros((g.order, dim, dim), dtype=complex)
+    for x in range(g.order):
+        for si, s in enumerate(reps):
+            y = int(g.mul[x, s])
+            ri = int(rep_pos[y])
+            hi = int(h_pos[y])
+            h_parent = sub.members[hi]
+            scale = (sigma.phase(x, s) * sigma.phase(reps[ri], h_parent).inverse()).to_complex()
+            mats[x, ri * dt : (ri + 1) * dt, si * dt : (si + 1) * dt] = scale * theta.matrices[hi]
+    result = make_rep(g, mats, label=f"Ind({theta.label})")
+    assert result.cocycle == sigma
+    return result
 
 
 # -- the per-entry loops that the whole-array group constructors replaced ----

@@ -621,3 +621,28 @@ def test_clifford_code_matches_the_oracle_on_every_probe_pair(spec):
             assert np.linalg.norm(got.projector() - want.projector()) < _tol.DERIVED
             pairs += 1
     assert pairs > 40
+
+
+# Positions, in enumerate order, of the 19 of the 147 codes of c2d2n:8 that
+# classify calls stabilizer codes; the other 128 are weak stabilizer codes
+# that no normal subgroup of their stabilizer rebuilds.  Recorded when each
+# normal candidate was still built as a new Subgroup of the model group.
+C2D2N8_STABILIZER_POSITIONS = [0, 1, 2, 35, 36, 37, 38, 71, 72, 73, 74, *range(139, 147)]
+
+
+def test_normal_reconstruction_flags_on_c2d2n8():
+    model = parse_model_spec("c2d2n:8").model
+    assert not model.is_central_type()
+    found = enumerate_weak_stabilizer_codes(model)
+    assert len(found) == 147
+    for i, (_, _, code) in enumerate(found):
+        report = classify(model, code)
+        assert report.flags["is_weak_stabilizer"]
+        if i in C2D2N8_STABILIZER_POSITIONS:
+            assert report.flags["is_stabilizer"]
+            assert "is_stabilizer" not in report.witnesses
+        else:
+            assert not report.flags["is_stabilizer"]
+            assert report.witnesses["is_stabilizer"] == (
+                "no normal subgroup of the stabilizer rebuilds the code"
+            )

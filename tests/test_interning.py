@@ -1,0 +1,151 @@
+"""One Subgroup per member set, one restricted cocycle per subgroup.
+
+The library interns the subgroups it builds in their parent group, so each
+member set is validated once and its as_group() and restricted cocycles
+are shared.  The counters here pin that: a search followed by classify
+validates exactly the lattice, and no cocycle runs its identity check
+twice.  The public Subgroup constructor keeps validating every call.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import CATALOG_64, relabeled_model
+
+from qeclab.cli import parse_model_spec
+from qeclab.cocycles import Cocycle
+from qeclab.codes import classify
+from qeclab.groups import FiniteGroup, GroupValidationError, Subgroup, dihedral
+from qeclab.search import enumerate_weak_stabilizer_codes, q3_probe
+
+
+class _Counters:
+    """Subgroup constructions, group validations and the cocycles whose
+    identity check ran, one entry per run (the objects are kept, so no id
+    is reused while counting)."""
+
+    def __init__(self, monkeypatch):
+        self.subgroups = 0
+        self.validations = 0
+        self.checked: list[Cocycle] = []
+        init, validate, holds = Subgroup.__init__, FiniteGroup._validate, Cocycle._identity_holds
+
+        def counted_init(sub, *args, **kwargs):
+            self.subgroups += 1
+            init(sub, *args, **kwargs)
+
+        def counted_validate(group):
+            self.validations += 1
+            validate(group)
+
+        def counted_holds(sigma):
+            self.checked.append(sigma)
+            return holds(sigma)
+
+        monkeypatch.setattr(Subgroup, "__init__", counted_init)
+        monkeypatch.setattr(FiniteGroup, "_validate", counted_validate)
+        monkeypatch.setattr(Cocycle, "_identity_holds", counted_holds)
+
+    def checked_once_each(self) -> bool:
+        return len({id(c) for c in self.checked}) == len(self.checked)
+
+
+def test_search_and_classify_validate_each_lattice_subgroup_once(monkeypatch):
+    model = relabeled_model(parse_model_spec("prod(genpauli:2,genpauli:4)").model, seed=3)
+    counters = _Counters(monkeypatch)
+    found = enumerate_weak_stabilizer_codes(model)
+    reports = [classify(model, code) for _, _, code in found]
+    lattice = model.group.all_subgroups()
+    assert len(found) == 515
+    assert counters.subgroups == counters.validations == len(lattice) == 249
+    # one restricted cocycle per subgroup, each checked once
+    assert counters.checked_once_each()
+    assert len(counters.checked) == len(lattice)
+    # classify's subgroups are the lattice's objects
+    ids = {id(sub) for sub in lattice}
+    assert all(id(r.logical) in ids and id(r.stabilizer) in ids for r in reports)
+
+
+def test_q3_probe_validates_each_lattice_subgroup_at_most_once(monkeypatch):
+    model = relabeled_model(parse_model_spec("oddfam:3").model, seed=5)
+    counters = _Counters(monkeypatch)
+    hits, candidates = q3_probe(model, return_candidates=True)
+    lattice = model.group.all_subgroups()
+    assert (len(hits), len(candidates)) == (48, 115)
+    assert counters.subgroups == len(lattice)
+    assert counters.validations <= len(lattice)
+    assert counters.checked_once_each()
+    assert len(counters.checked) <= len(lattice)
+
+
+def test_cocycle_numerators_are_read_only():
+    sigma = parse_model_spec("genpauli:3").model.cocycle
+    with pytest.raises(ValueError):
+        sigma.num[0, 0] = 1
+    fresh = Cocycle(sigma.group, sigma.num, sigma.den)
+    assert fresh.num is not sigma.num and not fresh.num.flags.writeable
+
+
+def test_public_constructor_validates_and_failures_are_not_interned():
+    g = dihedral(4)
+    not_closed = [g.identity, 1]                  # a rotation without its powers
+    with pytest.raises(GroupValidationError):
+        Subgroup(g, not_closed)
+    with pytest.raises(GroupValidationError):
+        g.subgroup(not_closed)
+    assert (g.identity, 1) not in g._interned
+    assert Subgroup(g, [g.identity]) is not Subgroup(g, [g.identity])
+    rot = g.subgroup_generated([1])
+    assert g.subgroup(rot.members) is rot
+    assert any(sub is rot for sub in g.all_subgroups())
+
+
+def test_only_a_passed_verify_is_remembered(monkeypatch):
+    model = parse_model_spec("genpauli:4").model
+    good = Cocycle(model.group, model.cocycle.num, model.cocycle.den)
+    num = model.cocycle.num.copy()
+    num[1, 2] += 1
+    bent = Cocycle(model.group, num, model.cocycle.den)
+    counters = _Counters(monkeypatch)
+    assert [good.verify(), good.verify(), bent.verify(), bent.verify()] == [True, True, False, False]
+    assert [c is good for c in counters.checked] == [True, False, False]
+
+
+def test_restriction_is_shared_and_lives_on_the_subgroup_group():
+    model = parse_model_spec("c2d2n:3").model
+    sub = model.group.all_subgroups()[5]
+    res = model.cocycle.restrict(sub)
+    assert model.cocycle.restrict(sub) is res
+    assert res.group is sub.as_group()
+    assert model.rep.restrict(sub).cocycle is res
+    # a separately constructed subgroup gets its own restriction and group
+    other = Subgroup(model.group, sub.members)
+    assert model.cocycle.restrict(other) is not res
+    assert model.cocycle.restrict(other) == res
+
+
+def _small_catalog_models():
+    models = [parse_model_spec(spec).model for spec in CATALOG_64]
+    return [m for m in models if m.group.order <= 32]
+
+
+SMALL_MODELS = _small_catalog_models()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_interned_subgroups_match_freshly_validated_ones(data):
+    model = data.draw(st.sampled_from(SMALL_MODELS))
+    g = model.group
+    members = data.draw(st.sampled_from(g._lattice()))
+    interned = g.subgroup(members)
+    fresh = Subgroup(g, members)
+    assert interned == fresh and interned is not fresh
+    h, h_fresh = interned.as_group(), fresh.as_group()
+    assert np.array_equal(h.mul, h_fresh.mul) and np.array_equal(h.inv, h_fresh.inv)
+    mem = np.array(members)
+    res = model.cocycle.restrict(interned)
+    want = Cocycle(h_fresh, model.cocycle.num[np.ix_(mem, mem)], model.cocycle.den)
+    assert np.array_equal(res.num, want.num) and res.den == want.den

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     CATALOG_64,
     first_product_failure,
+    induce_loop,
     kron_hom_basis,
     make_rep_full_snap,
     raw_scalar_table,
@@ -307,18 +308,14 @@ def test_make_rep_rejects_non_unitary_matrix():
 def _hom_pairs(model, subgroups=4):
     """(rho, pi|H) for the irreducible constituents rho, and (pi|H, pi|H),
     on a spread of subgroups H from the trivial one to the whole group.
-
-    Constituents are split only where the restricted cocycle has a
-    denominator of at most 4|H|, the largest that make_rep snaps to.
     """
     subs = model.group.all_subgroups()
     step = max(1, len(subs) // subgroups)
     for sub in subs[::step] + [subs[-1]]:
         res = model.rep.restrict(sub)
         yield res, res
-        if res.cocycle.den <= 4 * len(sub):
-            for rho in search._irreducible_constituents(res):
-                yield rho, res
+        for rho in search._irreducible_constituents(res):
+            yield rho, res
 
 
 def _assert_hom_basis(r1, r2, basis):
@@ -359,6 +356,20 @@ def test_hom_space_into_a_restriction_and_frobenius_dims(data):
     _assert_hom_basis(theta, res, hom_space(theta, res))
     count = _intertwiner_count(theta, res)
     assert frobenius_dims(theta, sub, model.rep) == (count, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_induce_matches_the_phase_loop(data):
+    # the numerator-table scales are the exact Phase products, quarter turns
+    # included, so the matrices agree bit for bit
+    model = _catalog_model(data.draw(st.sampled_from(CATALOG_64)))
+    sub = data.draw(st.sampled_from(model.group.all_subgroups()))
+    theta = data.draw(st.sampled_from(search._irreducible_constituents(model.rep.restrict(sub))))
+    got = induce(theta, sub, model.cocycle)
+    want = induce_loop(theta, sub, model.cocycle)
+    assert np.array_equal(got.matrices, want.matrices)
+    assert got.cocycle == want.cocycle == model.cocycle
 
 
 @pytest.mark.parametrize("spec", CATALOG_64 + ["permprod(genpauli:2,3)"])
