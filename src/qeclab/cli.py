@@ -29,12 +29,17 @@ pauli:N is the N-qubit Pauli model, i.e. the N-fold product of genpauli:2.
 <gens> is a comma separated list of group element indices.  Phase files map
 element index to [num, den]; elements not listed default to phase 1.
 
+reproduce prints one PASS or FAIL line per claim of a worked example: a
+number as ``x=v (got v)``, a flag as ``flag=true|false`` followed by the
+report's witness in parentheses when it has one.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -57,6 +62,7 @@ from .codes import (
     classify,
     clifford_code,
     detectable_set,
+    product_code,
     stabilizer_code,
     weak_stabilizer_code,
 )
@@ -99,49 +105,17 @@ def _int(s: str, what: str = "integer") -> int:
 
 def _split_args(s: str) -> list[str]:
     """Split on top-level commas only, so nested prod(...) specs survive."""
-    parts: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise UsageError(f"unbalanced parentheses in {s!r}")
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(s):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth < 0:
+            raise UsageError(f"unbalanced parentheses in {s!r}")
         if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
+            parts.append(s[start:i])
+            start = i + 1
     if depth != 0:
         raise UsageError(f"unbalanced parentheses in {s!r}")
-    parts.append("".join(cur))
-    return parts
-
-
-def parse_group_spec(spec: str) -> FiniteGroup:
-    s = spec.strip()
-    if s.startswith("prod(") and s.endswith(")"):
-        args = _split_args(s[5:-1])
-        if len(args) != 2:
-            raise UsageError(f"prod takes two group specs: {spec!r}")
-        return direct_product(parse_group_spec(args[0]), parse_group_spec(args[1]))
-    if s.startswith("permsd(") and s.endswith(")"):
-        args = _split_args(s[7:-1])
-        if len(args) != 2:
-            raise UsageError(f"permsd takes a group spec and a count: {spec!r}")
-        return permutation_semidirect(parse_group_spec(args[0]), _int(args[1]))
-    head, sep, tail = s.partition(":")
-    makers = {
-        "cyclic": cyclic,
-        "dihedral": dihedral,
-        "invsd": inversion_semidirect,
-        "sym": symmetric,
-    }
-    if not sep or head not in makers:
-        raise UsageError(f"unknown group spec {spec!r}")
-    return makers[head](_int(tail))
+    return parts + [s[start:]]
 
 
 class ParsedModel:
@@ -155,44 +129,58 @@ class ParsedModel:
         self.dicke_count: int | None = dicke_count
 
 
-def parse_model_spec(spec: str) -> ParsedModel:
+def _pauli(n: int) -> ProjectiveErrorModel:
+    if n < 1:
+        raise UsageError("pauli:N needs N >= 1")
+    return functools.reduce(product_model, [gen_pauli_model(2) for _ in range(n)])
+
+
+def _family(model, sub, rho) -> ParsedModel:
+    return ParsedModel(model, family=(sub, rho))
+
+
+# spec kind -> (the name(<a>,<b>) nodes, the head:N leaves)
+_SPECS = {
+    "group": (
+        {"prod": lambda a, b: direct_product(parse_group_spec(a), parse_group_spec(b)),
+         "permsd": lambda a, n: permutation_semidirect(parse_group_spec(a), _int(n))},
+        {"cyclic": cyclic, "dihedral": dihedral, "invsd": inversion_semidirect, "sym": symmetric},
+    ),
+    "model": (
+        {"prod": lambda a, b: ParsedModel(
+            product_model(parse_model_spec(a).model, parse_model_spec(b).model)),
+         "permprod": lambda a, n: ParsedModel(
+            perm_product_model(parse_model_spec(a).model, _int(n)), dicke_count=_int(n))},
+        {"genpauli": lambda n: ParsedModel(gen_pauli_model(n)),
+         "pauli": lambda n: ParsedModel(_pauli(n)),
+         "xp": lambda n: ParsedModel(dihedral_xp_model(n)),
+         "c2d2n": lambda n: _family(*family_c2_x_d2n(n)),
+         "oddfam": lambda n: _family(*family_odd(n))},
+    ),
+}
+
+
+def _parse_spec(spec: str, kind: str):
+    nodes, leaves = _SPECS[kind]
     s = spec.strip()
-    if s.startswith("prod(") and s.endswith(")"):
-        args = _split_args(s[5:-1])
+    name, paren, inner = s.partition("(")
+    if paren and name in nodes and inner.endswith(")"):
+        args = _split_args(inner[:-1])
         if len(args) != 2:
-            raise UsageError(f"prod takes two model specs: {spec!r}")
-        m1 = parse_model_spec(args[0]).model
-        m2 = parse_model_spec(args[1]).model
-        return ParsedModel(product_model(m1, m2))
-    if s.startswith("permprod(") and s.endswith(")"):
-        args = _split_args(s[9:-1])
-        if len(args) != 2:
-            raise UsageError(f"permprod takes a model spec and a count: {spec!r}")
-        base = parse_model_spec(args[0]).model
-        n = _int(args[1])
-        return ParsedModel(perm_product_model(base, n), dicke_count=n)
+            raise UsageError(f"{name} takes two arguments: {spec!r}")
+        return nodes[name](*args)
     head, sep, tail = s.partition(":")
-    if not sep:
-        raise UsageError(f"unknown model spec {spec!r}")
-    n = _int(tail)
-    if head == "genpauli":
-        return ParsedModel(gen_pauli_model(n))
-    if head == "pauli":
-        if n < 1:
-            raise UsageError("pauli:N needs N >= 1")
-        model = gen_pauli_model(2)
-        for _ in range(n - 1):
-            model = product_model(model, gen_pauli_model(2))
-        return ParsedModel(model)
-    if head == "xp":
-        return ParsedModel(dihedral_xp_model(n))
-    if head == "c2d2n":
-        model, sub, rho = family_c2_x_d2n(n)
-        return ParsedModel(model, family=(sub, rho))
-    if head == "oddfam":
-        model, sub, rho = family_odd(n)
-        return ParsedModel(model, family=(sub, rho))
-    raise UsageError(f"unknown model spec {spec!r}")
+    if not sep or head not in leaves:
+        raise UsageError(f"unknown {kind} spec {spec!r}")
+    return leaves[head](_int(tail))
+
+
+def parse_group_spec(spec: str) -> FiniteGroup:
+    return _parse_spec(spec, "group")
+
+
+def parse_model_spec(spec: str) -> ParsedModel:
+    return _parse_spec(spec, "model")
 
 
 def _parse_subgroup(group: FiniteGroup, arg: str) -> Subgroup:
@@ -240,8 +228,33 @@ def _dicke_subgroup(parsed: ParsedModel) -> Subgroup:
     return parsed.model.group.subgroup(range(math.factorial(parsed.dicke_count)))
 
 
-def _load_code(parsed: ParsedModel, arg: str) -> CodeSpace:
+def _construct(
+    parsed: ParsedModel, kind: str, gens: str | None = None, path: str | None = None
+) -> CodeSpace | None:
+    """The code of one construction kind (see --code), or None when it is zero.
+
+    gens generate the subgroup, which must be the family's for family; path
+    is the phase file of weak / stab, or the rep file of clifford.
+    """
     model = parsed.model
+    if kind == "family":
+        if parsed.family is None:
+            raise UsageError("'family' only applies to c2d2n / oddfam model specs")
+        sub, rho = parsed.family
+        if gens is not None and _parse_subgroup(model.group, gens) != sub:
+            raise UsageError("--subgroup disagrees with the family subgroup")
+        return clifford_code(model, sub, rho)
+    if kind == "dicke":
+        sub = _dicke_subgroup(parsed)
+        return weak_stabilizer_code(model, sub, PhaseFunction.constant_one(sub))
+    sub = _parse_subgroup(model.group, gens)
+    if kind == "clifford":
+        return clifford_code(model, sub, _load_rho(sub, path))
+    build = weak_stabilizer_code if kind == "weak" else stabilizer_code
+    return build(model, sub, _load_phase(sub, path))
+
+
+def _load_code(parsed: ParsedModel, arg: str) -> CodeSpace:
     if os.path.exists(arg):
         with open(arg) as fh:
             data = json.load(fh)
@@ -251,41 +264,27 @@ def _load_code(parsed: ParsedModel, arg: str) -> CodeSpace:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"code file {arg} is malformed: {exc!r}") from None
-        if code.ambient_dim != model.dim:
+        if code.ambient_dim != parsed.model.dim:
             raise UsageError(
-                f"code lives in dimension {code.ambient_dim}, model in {model.dim}"
+                f"code lives in dimension {code.ambient_dim}, model in {parsed.model.dim}"
             )
         return code
-    if arg == "family":
-        if parsed.family is None:
-            raise UsageError("'family' only applies to c2d2n / oddfam model specs")
-        sub, rho = parsed.family
-        return clifford_code(model, sub, rho)
-    if arg == "dicke":
-        sub = _dicke_subgroup(parsed)
-        code = weak_stabilizer_code(model, sub, PhaseFunction.constant_one(sub))
-        if code is None:
-            raise UsageError("symmetric-subspace construction produced a zero code")
-        return code
-    head, sep, rest = arg.partition(":")
-    if not sep:
+    kind, sep, rest = arg.partition(":")
+    fields = rest.split(":")
+    if arg in ("family", "dicke"):
+        fields = [None]
+    elif not sep:
         raise UsageError(f"--code wants a file or construction, got {arg!r}")
-    parts = rest.split(":")
-    sub = _parse_subgroup(model.group, parts[0])
-    if head in ("weak", "stab"):
-        if len(parts) > 2:
-            raise UsageError(f"too many ':' fields in {arg!r}")
-        f = _load_phase(sub, parts[1] if len(parts) == 2 else None)
-        build = weak_stabilizer_code if head == "weak" else stabilizer_code
-        code = build(model, sub, f)
-        if code is None:
-            raise UsageError(f"construction {arg!r} produced a zero code")
-        return code
-    if head == "clifford":
-        if len(parts) != 2:
-            raise UsageError("clifford:<gens>:<rhofile> needs a rep file")
-        return clifford_code(model, sub, _load_rho(sub, parts[1]))
-    raise UsageError(f"unknown code construction {arg!r}")
+    elif kind not in ("weak", "stab", "clifford"):
+        raise UsageError(f"unknown code construction {arg!r}")
+    elif kind == "clifford" and len(fields) != 2:
+        raise UsageError("clifford:<gens>:<rhofile> needs a rep file")
+    elif len(fields) > 2:
+        raise UsageError(f"too many ':' fields in {arg!r}")
+    code = _construct(parsed, kind, *fields)
+    if code is None:
+        raise UsageError(f"construction {arg!r} produced a zero code")
+    return code
 
 
 def _fmt_complex(z: complex, nd: int = 9) -> str:
@@ -343,34 +342,22 @@ def cmd_model(args) -> int:
 
 def cmd_code(args) -> int:
     parsed = parse_model_spec(args.spec)
-    model = parsed.model
-    if args.kind == "clifford":
-        if args.rho == "family" or (args.rho is None and args.subgroup is None):
-            if parsed.family is None:
-                raise UsageError("--rho family needs a c2d2n / oddfam model spec")
-            sub, rho = parsed.family
-            if args.subgroup is not None:
-                given = _parse_subgroup(model.group, args.subgroup)
-                if tuple(given.members) != tuple(sub.members):
-                    raise UsageError("--subgroup disagrees with the family subgroup")
-        elif args.rho is None:
+    kind, path = args.kind, args.phase
+    if kind == "clifford":
+        path = args.rho
+        if path == "family" or (path is None and args.subgroup is None):
+            kind = "family"
+        elif path is None:
             raise UsageError("code clifford needs --rho <file|family>")
-        else:
-            if args.subgroup is None:
-                raise UsageError("code clifford needs --subgroup with a rep file")
-            sub = _parse_subgroup(model.group, args.subgroup)
-            rho = _load_rho(sub, args.rho)
-        code = clifford_code(model, sub, rho)
-    else:
-        if args.subgroup is None:
-            raise UsageError(f"code {args.kind} needs --subgroup")
-        sub = _parse_subgroup(model.group, args.subgroup)
-        f = _load_phase(sub, args.phase)
-        build = weak_stabilizer_code if args.kind == "weak" else stabilizer_code
-        code = build(model, sub, f)
-        if code is None:
-            print(f"no code: the eigenvalue-1 space on |H|={len(sub)} is zero")
-            return 1
+        elif args.subgroup is None:
+            raise UsageError("code clifford needs --subgroup with a rep file")
+    elif args.subgroup is None:
+        raise UsageError(f"code {kind} needs --subgroup")
+    code = _construct(parsed, kind, args.subgroup, path)
+    if code is None:
+        sub = _parse_subgroup(parsed.model.group, args.subgroup)
+        print(f"no code: the eigenvalue-1 space on |H|={len(sub)} is zero")
+        return 1
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(code.to_json(), fh)
@@ -413,21 +400,15 @@ def cmd_detect(args) -> int:
     model = parsed.model
     code = _load_code(parsed, args.code)
     detect = detectable_set(model, code)
-    rows = []
-    for x in detect:
-        c = kl_detectable(code, model.rep.matrix(x))
-        rows.append({"index": int(x), "name": model.group.name_of(x), "scalar": c})
+    rows = [(int(x), model.group.name_of(x), kl_detectable(code, model.rep.matrix(x)))
+            for x in detect]
     if args.json:
-        out = [
-            {"index": r["index"], "name": r["name"],
-             "scalar": [r["scalar"].real, r["scalar"].imag]}
-            for r in rows
-        ]
+        out = [{"index": x, "name": name, "scalar": [c.real, c.imag]} for x, name, c in rows]
         print(json.dumps({"detectable": out, "count": len(out)}))
         return 0
     print(f"{len(rows)} detectable elements of {model.group.order}")
-    for r in rows:
-        print(f"  {r['index']:>4}  {r['name']:<12} scalar {_fmt_complex(r['scalar'])}")
+    for x, name, c in rows:
+        print(f"  {x:>4}  {name:<12} scalar {_fmt_complex(c)}")
     return 0
 
 
@@ -495,115 +476,71 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _claims_to_exit(claims: list[tuple[str, bool, str]]) -> int:
-    bad = 0
-    for name, ok, detail in claims:
-        tag = "PASS" if ok else "FAIL"
-        line = f"{tag}: {name}"
-        if detail:
-            line += f" ({detail})"
-        print(line)
-        bad += 0 if ok else 1
-    return 0 if bad == 0 else 1
+def _example(spec: str, kind: str) -> tuple[ParsedModel, CodeSpace]:
+    parsed = parse_model_spec(spec)
+    return parsed, _construct(parsed, kind)
 
 
-def _reproduce_c2d2n(n: int) -> list[tuple[str, bool, str]]:
-    model, sub, rho = family_c2_x_d2n(n)
-    code = clifford_code(model, sub, rho)
-    report = classify(model, code)
-    flags = report.flags
-    return [
-        ("dim=2", code.dim == 2, f"got {code.dim}"),
-        ("clifford=true", flags["is_clifford"], ""),
-        ("weak_stabilizer=false", not flags["is_weak_stabilizer"], ""),
-        ("stabilizer=false", not flags["is_stabilizer"], ""),
-        (f"|L|={4 * n}", len(report.logical) == 4 * n, f"got {len(report.logical)}"),
-        ("|S|=1", len(report.stabilizer) == 1, f"got {len(report.stabilizer)}"),
-        (f"|D|={4 * n + 1}", len(report.detectable) == 4 * n + 1,
-         f"got {len(report.detectable)}"),
-    ]
+def _product_example() -> tuple[ParsedModel, CodeSpace]:
+    parsed, code = _example("c2d2n:2", "family")
+    model, code = product_code(parsed.model, code, parsed.model, code)
+    return ParsedModel(model), code
 
 
-def _reproduce_odd(n: int) -> list[tuple[str, bool, str]]:
-    model, sub, rho = family_odd(n)
-    code = clifford_code(model, sub, rho)
-    report = classify(model, code)
-    flags = report.flags
-    crit = report.central_type_criterion
-    return [
-        (f"dim={n} in ambient {2 * n}", code.dim == n and model.dim == 2 * n,
-         f"got {code.dim} in {model.dim}"),
-        ("clifford=true", flags["is_clifford"], ""),
-        ("weak_stabilizer=false", not flags["is_weak_stabilizer"], ""),
-        (f"|L|={2 * n * n}", len(report.logical) == 2 * n * n,
-         f"got {len(report.logical)}"),
-        ("|S|=1", len(report.stabilizer) == 1, f"got {len(report.stabilizer)}"),
-        ("order criterion agrees with direct test",
-         crit is not None and crit["is_weak_stabilizer"] == flags["is_weak_stabilizer"],
-         f"criterion {crit}"),
-    ]
+# worked example -> n -> (model, code, claims in print order).  A claim
+# "x=" or "x<" compares the measure x (see _measure) with its value.
+_EXAMPLES = {
+    "prop8.1": lambda n: (*_example(f"c2d2n:{n}", "family"), [
+        ("dim=", 2), ("clifford=", True), ("weak_stabilizer=", False), ("stabilizer=", False),
+        ("|L|=", 4 * n), ("|S|=", 1), ("|D|=", 4 * n + 1),
+    ]),
+    "prop8.2": lambda n: (*_example(f"oddfam:{n}", "family"), [
+        ("dim=", n), ("ambient=", 2 * n), ("clifford=", True), ("weak_stabilizer=", False),
+        ("|L|=", 2 * n * n), ("|S|=", 1), ("order_criterion_agrees=", True),
+    ]),
+    # |L| stays below the Clifford order (dim W / dim V)|G| = (n+1)! 2^n
+    "prop9.1": lambda n: (*_example(f"permprod(genpauli:2,{n})", "dicke"), [
+        ("dim=", n + 1), ("weak_stabilizer=", True), ("permutations_in_S=", True),
+        ("clifford=", False), ("partitioning=", False), ("|L|<", math.factorial(n + 1) * 2**n),
+    ]),
+    "prod-example": lambda n: (*_product_example(), [
+        ("dim=", 4), ("ambient=", 16), ("|L|=", 64), ("|S|=", 1), ("clifford=", True),
+        ("weak_stabilizer=", False), ("stabilizer=", False),
+    ]),
+}
 
 
-def _reproduce_dicke(n: int) -> list[tuple[str, bool, str]]:
-    parsed = parse_model_spec(f"permprod(genpauli:2,{n})")
-    model, sub = parsed.model, _dicke_subgroup(parsed)
-    code = weak_stabilizer_code(model, sub, PhaseFunction.constant_one(sub))
-    if code is None:
-        return [("symmetric subspace nonzero", False, "construction returned None")]
-    report = classify(model, code)
-    flags = report.flags
-    sn = set(sub.members)
-    witness = report.witnesses.get("is_partitioning")
-    claims = [
-        (f"dim={n + 1}", code.dim == n + 1, f"got {code.dim}"),
-        ("weak_stabilizer=true", flags["is_weak_stabilizer"], ""),
-        ("stabilizer contains the permutation subgroup",
-         sn <= set(report.stabilizer.members),
-         f"|S|={len(report.stabilizer)}"),
-        ("clifford=false", not flags["is_clifford"],
-         str(report.witnesses.get("is_clifford", ""))),
-        ("partitioning=false", not flags["is_partitioning"], f"witness {witness}"),
-    ]
-    # logical group is strictly smaller than the Clifford order formula allows
-    bound = (code.dim * model.group.order) // model.dim
-    claims.append(
-        (f"|L|<{bound}", len(report.logical) < bound, f"got {len(report.logical)}")
-    )
-    return claims
-
-
-def _reproduce_product() -> list[tuple[str, bool, str]]:
-    from .codes import product_code
-
-    model1, sub1, rho1 = family_c2_x_d2n(2)
-    code1 = clifford_code(model1, sub1, rho1)
-    model, code = product_code(model1, code1, model1, code1)
-    report = classify(model, code)
-    flags = report.flags
-    return [
-        ("dim=4 in ambient 16", code.dim == 4 and model.dim == 16,
-         f"got {code.dim} in {model.dim}"),
-        ("|L|=64", len(report.logical) == 64, f"got {len(report.logical)}"),
-        ("|S|=1", len(report.stabilizer) == 1, f"got {len(report.stabilizer)}"),
-        ("clifford=true", flags["is_clifford"], ""),
-        ("weak_stabilizer=false", not flags["is_weak_stabilizer"], ""),
-        ("stabilizer=false", not flags["is_stabilizer"], ""),
-    ]
+def _measure(name: str, parsed: ParsedModel, code: CodeSpace, report) -> tuple:
+    """(value, witness or None) of one claimed quantity; other names are flags."""
+    sizes = {"dim": code.dim, "ambient": parsed.model.dim, "|L|": len(report.logical),
+             "|S|": len(report.stabilizer), "|D|": len(report.detectable)}
+    if name in sizes:
+        return sizes[name], None
+    if name == "order_criterion_agrees":
+        crit = report.central_type_criterion
+        weak = report.flags["is_weak_stabilizer"]
+        return crit is not None and crit["is_weak_stabilizer"] == weak, crit
+    if name == "permutations_in_S":
+        return set(_dicke_subgroup(parsed).members) <= set(report.stabilizer.members), None
+    return report.flags[f"is_{name}"], report.witnesses.get(f"is_{name}")
 
 
 def cmd_reproduce(args) -> int:
-    name = args.name
-    if name == "prod-example":
-        return _claims_to_exit(_reproduce_product())
-    if args.n is None:
-        raise UsageError(f"reproduce {name} needs --n")
-    if name == "prop8.1":
-        return _claims_to_exit(_reproduce_c2d2n(args.n))
-    if name == "prop8.2":
-        return _claims_to_exit(_reproduce_odd(args.n))
-    if name == "prop9.1":
-        return _claims_to_exit(_reproduce_dicke(args.n))
-    raise UsageError(f"unknown example {name!r}")
+    if args.n is None and args.name != "prod-example":
+        raise UsageError(f"reproduce {args.name} needs --n")
+    parsed, code, claims = _EXAMPLES[args.name](args.n)
+    report = classify(parsed.model, code)
+    failed = 0
+    for claim, want in claims:
+        got, witness = _measure(claim[:-1], parsed, code, report)
+        ok = got < want if claim.endswith("<") else got == want
+        if isinstance(want, bool):
+            text = f"{claim}{str(want).lower()}" + ("" if witness is None else f" ({witness})")
+        else:
+            text = f"{claim}{want} (got {got})"
+        print(f"{'PASS' if ok else 'FAIL'}: {text}")
+        failed += not ok
+    return 1 if failed else 0
 
 
 def cmd_search(args) -> int:
@@ -680,9 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.set_defaults(fn=cmd_table)
 
     rp = sub.add_parser("reproduce", help="rerun a documented worked example")
-    rp.add_argument(
-        "name", choices=["prop8.1", "prop8.2", "prop9.1", "prod-example"]
-    )
+    rp.add_argument("name", choices=list(_EXAMPLES))
     rp.add_argument("--n", type=int)
     rp.set_defaults(fn=cmd_reproduce)
 
@@ -700,10 +635,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -472,46 +472,50 @@ def find_trivializing_phase(
     if exponent > 2:
         multiples.append(exponent)
 
+    # one walk serves every multiple: sigma.num < den, so k * sigma.num is
+    # already reduced mod k * den and every constant below scales by k
+    t = sigma.num
+    coeff = np.zeros((n, r), dtype=np.int64)
+    const = np.zeros(n, dtype=np.int64)
+    known = np.zeros(n, dtype=bool)
+    e = group.identity
+    known[e] = True
+    const[e] = t[e, e]            # df(1,1) = f(1) pins the identity value
+    for i, g in enumerate(gens):
+        if not known[g]:
+            known[g] = True
+            coeff[g, i] = 1
+    queue = [e] + [g for g in gens]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = int(mul[x, g])
+            if not known[y]:
+                known[y] = True
+                coeff[y] = coeff[x] + coeff[g]
+                const[y] = const[x] + const[g] - t[x, g]
+                queue.append(y)
+    if not known.all():
+        raise RuntimeError("generator walk failed to cover the group")
+
+    # f(x) + f(g) - f(xg) = t(x, g) on every Cayley edge
+    ends = mul[:, gens]
+    cx = (coeff[:, None, :] + coeff[gens][None, :, :] - coeff[ends]).reshape(n * r, r)
+    dv = (t[:, gens] - const[:, None] - const[gens][None, :] + const[ends]).reshape(n * r, 1)
     for k in multiples:
         modulus = k * sigma.den
-        t = (sigma.num * k) % modulus
-        coeff = np.zeros((n, r), dtype=np.int64)
-        const = np.zeros(n, dtype=np.int64)
-        known = np.zeros(n, dtype=bool)
-        e = group.identity
-        known[e] = True
-        const[e] = t[e, e]            # df(1,1) = f(1) pins the identity value
-        for i, g in enumerate(gens):
-            if not known[g]:
-                known[g] = True
-                coeff[g, i] = 1
-        queue = [e] + [g for g in gens]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = int(mul[x, g])
-                if not known[y]:
-                    known[y] = True
-                    coeff[y] = coeff[x] + coeff[g]
-                    const[y] = const[x] + const[g] - t[x, g]
-                    queue.append(y)
-        if not known.all():
-            raise RuntimeError("generator walk failed to cover the group")
-
-        # f(x) + f(g) - f(xg) = t(x, g) on every Cayley edge
-        ends = mul[:, gens]
-        cx = coeff[:, None, :] + coeff[gens][None, :, :] - coeff[ends]
-        dv = t[:, gens] - const[:, None] - const[gens][None, :] + const[ends]
-        system = np.concatenate(
-            [cx.reshape(n * r, r) % modulus, dv.reshape(n * r, 1) % modulus], axis=1
-        )
-        system = np.unique(system, axis=0)
+        system = np.concatenate([cx % modulus, (k * dv) % modulus], axis=1)
+        # the distinct rows in lexicographic order, as np.unique(axis=0) returns them
+        system = system[np.lexsort(system.T[::-1])]
+        keep = np.ones(len(system), dtype=bool)
+        keep[1:] = (system[1:] != system[:-1]).any(axis=1)
+        system = system[keep]
         rows = [list(map(int, row[:r])) for row in system]
         rhs = [int(row[r]) for row in system]
         u = _solve_mod(rows, rhs, modulus)
         if u is None:
             continue
-        nums = (coeff @ np.array(u, dtype=np.int64) + const) % modulus
+        nums = (coeff @ np.array(u, dtype=np.int64) + k * const) % modulus
         f = PhaseFunction.exact(
             result_domain, [Phase(int(v), modulus) for v in nums]
         )

@@ -380,12 +380,9 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 2:
         raise ValueError("dihedral group needs n >= 2")
     _check_table_size(2 * n)
-    mul = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for k1, l1, k2, l2 in itertools.product(range(2), range(n), range(2), range(n)):
-        k = (k1 + k2) % 2
-        sign = -1 if k2 else 1
-        l = (sign * l1 + l2) % n
-        mul[k1 * n + l1, k2 * n + l2] = k * n + l
+    k, l = np.divmod(np.arange(2 * n), n)
+    # b^k1 a^l1 b^k2 a^l2 = b^(k1+k2) a^(+-l1 + l2), the sign flipped by b^k2
+    mul = (k[:, None] + k[None, :]) % 2 * n + (l[:, None] * (1 - 2 * k[None, :]) + l[None, :]) % n
     names = []
     for k in range(2):
         for l in range(n):

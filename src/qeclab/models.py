@@ -329,23 +329,16 @@ def em_from_pem(
     scale = n // sigma_prime.den
     s_num = sigma_prime.num * scale
     order = n * g.order
-    mul = np.zeros((order, order), dtype=np.int64)
-    for z1 in range(n):
-        base1 = z1 * g.order
-        for x1 in range(g.order):
-            row = base1 + x1
-            zsum = (z1 + np.arange(n)) % n
-            phase_shift = s_num[x1]
-            for z2 in range(n):
-                target_z = (zsum[z2] + phase_shift) % n
-                mul[row, z2 * g.order : (z2 + 1) * g.order] = target_z * g.order + g.mul[x1]
-    names = [f"(w^{x // g.order}|{g.name_of(x % g.order)})" for x in range(order)]
+    # element z * |G| + x is (w^z, x), and (w^z1, x1)(w^z2, x2) = (w^(z1+z2+s'(x1,x2)), x1 x2)
+    z, x = np.divmod(np.arange(order), g.order)
+    pairs = np.ix_(x, x)
+    mul = ((z[:, None] + z[None, :] + s_num[pairs]) % n) * g.order + g.mul[pairs]
+    names = [f"(w^{a}|{g.name_of(b)})" for a, b in zip(z, x)]
     egroup = group_from_mul_table(mul, label=f"C{n}x~{g.label}", element_names=names)
     root = zeta(n) if n > 1 else 1.0
-    mats = np.zeros((order, pem.dim, pem.dim), dtype=complex)
-    for idx in range(order):
-        z, x = divmod(idx, g.order)
-        mats[idx] = (root**z) * f.values[x] * pem.rep.matrices[x]
+    # scalar products, one per element: numpy's array multiply may round differently
+    scales = np.array([root ** (i // g.order) * f.values[i % g.order] for i in range(order)])
+    mats = scales[:, None, None] * pem.rep.matrices[x]
     return ErrorModel(make_rep(egroup, mats, label="lambda"), label=f"em({pem.label})")
 
 

@@ -362,6 +362,25 @@ def induce_loop(theta: ProjectiveRep, sub: Subgroup, sigma) -> ProjectiveRep:
 # -- the per-entry loops that the whole-array group constructors replaced ----
 
 
+def dihedral_loop(n: int) -> FiniteGroup:
+    """D_n with index k*n + l for b^k a^l, one table entry per pair of digit pairs."""
+    mul = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for k1, l1, k2, l2 in itertools.product(range(2), range(n), range(2), range(n)):
+        k = (k1 + k2) % 2
+        sign = -1 if k2 else 1
+        l = (sign * l1 + l2) % n
+        mul[k1 * n + l1, k2 * n + l2] = k * n + l
+    names = []
+    for k in range(2):
+        for l in range(n):
+            a_part = "" if l == 0 else ("a" if l == 1 else f"a^{l}")
+            if k == 0:
+                names.append(a_part or "1")
+            else:
+                names.append(("b " + a_part).strip())
+    return group_from_mul_table(mul, label=f"D{n}", element_names=names)
+
+
 def inversion_semidirect_loop(n: int) -> FiniteGroup:
     """(Z_n x Z_n) : Z_2, one table entry per pair of digit triples."""
     order = 2 * n * n
@@ -617,6 +636,85 @@ def trivializer_all_pairs(sigma, domain=None):
         nums = (coeff @ np.array(u, dtype=np.int64) + const) % modulus
         return PhaseFunction.exact(result_domain, [Phase(int(v), modulus) for v in nums])
     return None
+
+
+def trivializer_per_multiple(sigma, domain=None):
+    """find_trivializing_phase with the generator walk, the Cayley-edge system
+    and np.unique(axis=0) all redone for each denominator multiple k."""
+    from qeclab.cocycles import PhaseFunction, _solve_mod
+
+    group = sigma.group
+    result_domain = domain if domain is not None else group.full_subgroup()
+    n, mul = group.order, group.mul
+    gens = group.greedy_generators()
+    r = len(gens)
+    exponent = group.exponent()
+    multiples = [k for k in (1, 2) if k <= exponent] + ([exponent] if exponent > 2 else [])
+    for k in multiples:
+        modulus = k * sigma.den
+        t = (sigma.num * k) % modulus
+        coeff = np.zeros((n, r), dtype=np.int64)
+        const = np.zeros(n, dtype=np.int64)
+        known = np.zeros(n, dtype=bool)
+        e = group.identity
+        known[e] = True
+        const[e] = t[e, e]
+        for i, g in enumerate(gens):
+            if not known[g]:
+                known[g] = True
+                coeff[g, i] = 1
+        queue = [e] + list(gens)
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                y = int(mul[x, g])
+                if not known[y]:
+                    known[y] = True
+                    coeff[y] = coeff[x] + coeff[g]
+                    const[y] = const[x] + const[g] - t[x, g]
+                    queue.append(y)
+        ends = mul[:, gens]
+        cx = coeff[:, None, :] + coeff[gens][None, :, :] - coeff[ends]
+        dv = t[:, gens] - const[:, None] - const[gens][None, :] + const[ends]
+        system = np.concatenate(
+            [cx.reshape(n * r, r) % modulus, dv.reshape(n * r, 1) % modulus], axis=1
+        )
+        system = np.unique(system, axis=0)
+        u = _solve_mod(
+            [list(map(int, row[:r])) for row in system], [int(row[r]) for row in system], modulus
+        )
+        if u is None:
+            continue
+        nums = (coeff @ np.array(u, dtype=np.int64) + const) % modulus
+        return PhaseFunction.exact(result_domain, [Phase(int(v), modulus) for v in nums])
+    return None
+
+
+def em_from_pem_loop(pem, sigma_prime, f, n):
+    """models.em_from_pem's table and matrices, one block per (z1, x1, z2) and
+    one matrix per element (inputs taken as already checked)."""
+    from qeclab.models import ErrorModel, zeta
+
+    g = pem.group
+    s_num = sigma_prime.num * (n // sigma_prime.den)
+    order = n * g.order
+    mul = np.zeros((order, order), dtype=np.int64)
+    for z1 in range(n):
+        for x1 in range(g.order):
+            zsum = (z1 + np.arange(n)) % n
+            for z2 in range(n):
+                target_z = (zsum[z2] + s_num[x1]) % n
+                mul[z1 * g.order + x1, z2 * g.order : (z2 + 1) * g.order] = (
+                    target_z * g.order + g.mul[x1]
+                )
+    names = [f"(w^{x // g.order}|{g.name_of(x % g.order)})" for x in range(order)]
+    egroup = group_from_mul_table(mul, label=f"C{n}x~{g.label}", element_names=names)
+    root = zeta(n) if n > 1 else 1.0
+    mats = np.zeros((order, pem.dim, pem.dim), dtype=complex)
+    for idx in range(order):
+        z, x = divmod(idx, g.order)
+        mats[idx] = (root**z) * f.values[x] * pem.rep.matrices[x]
+    return ErrorModel(make_rep(egroup, mats, label="lambda"), label=f"em({pem.label})")
 
 
 def tensor_permutation_matrix_loop(perm: tuple[int, ...], dim: int) -> np.ndarray:

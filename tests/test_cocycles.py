@@ -4,7 +4,13 @@ from hypothesis import strategies as st
 
 import pytest
 
-from helpers import brute_force_trivializer, restricted_cocycle_table, trivializer_all_pairs
+from helpers import (
+    CATALOG_64,
+    brute_force_trivializer,
+    restricted_cocycle_table,
+    trivializer_all_pairs,
+    trivializer_per_multiple,
+)
 
 from qeclab.cocycles import (
     Cocycle,
@@ -198,6 +204,48 @@ def test_trivializer_on_cayley_edges_matches_all_pairs(spec):
         assert (got is None) == (want is None), sub.members
         if got is not None:
             assert got.phases == want.phases, sub.members
+
+
+def _same_trivializer(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.phases == want.phases
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec", ["pauli:2", "oddfam:3", "c2d2n:4", "xp:12", "prod(genpauli:2,genpauli:4)"]
+)
+def test_trivializer_matches_the_per_multiple_loop(spec):
+    # one generator walk scaled by k gives each multiple's system exactly, and
+    # the lexsort dedup hands _solve_mod the rows np.unique(axis=0) gave it
+    model = parse_model_spec(spec).model
+    for sub in model.group.all_subgroups():
+        sigma = model.cocycle.restrict(sub)
+        _same_trivializer(
+            find_trivializing_phase(sigma, domain=sub), trivializer_per_multiple(sigma, domain=sub)
+        )
+
+
+_SMALL_CATALOG = [spec for spec in CATALOG_64 if parse_model_spec(spec).model.group.order <= 32]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trivializer_round_trip_through_a_coboundary(data):
+    # sigma and sigma * df have a trivializer together, and the one found
+    # for sigma * df is the per-multiple loop's, phase for phase
+    model = parse_model_spec(data.draw(st.sampled_from(_SMALL_CATALOG))).model
+    sub = data.draw(st.sampled_from(model.group.all_subgroups()))
+    sigma = model.cocycle.restrict(sub)
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    nums = data.draw(st.lists(st.integers(0, den - 1), min_size=len(sub), max_size=len(sub)))
+    twisted = sigma.multiply(coboundary(PhaseFunction.exact(sub, [Phase(k, den) for k in nums])))
+    got = find_trivializing_phase(twisted, domain=sub)
+    assert (got is None) == (find_trivializing_phase(sigma, domain=sub) is None)
+    if got is not None:
+        assert coboundary(got) == twisted
+    _same_trivializer(got, trivializer_per_multiple(twisted, domain=sub))
 
 
 def test_trivializer_rejects_a_non_cocycle():

@@ -9,6 +9,7 @@ from helpers import (
     CATALOG_64,
     closure_oracle,
     coset_representatives_loop,
+    dihedral_loop,
     inversion_semidirect_loop,
     lattice_oracle,
     permutation_semidirect_loop,
@@ -355,6 +356,11 @@ def test_permutation_semidirect_matches_the_entry_loop(spec, n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_symmetric_matches_the_entry_loop(n):
     _assert_same_group(symmetric(n), symmetric_loop(n))
+
+
+@pytest.mark.parametrize("n", range(2, 40))
+def test_dihedral_matches_the_entry_loop(n):
+    _assert_same_group(dihedral(n), dihedral_loop(n))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import tensor_permutation_matrix_loop
+from helpers import em_from_pem_loop, tensor_permutation_matrix_loop
 
-from qeclab.cocycles import Phase, PhaseFunction
+from qeclab.cli import parse_model_spec
+from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
 from qeclab.groups import dihedral
 from qeclab.models import (
     ErrorModel,
@@ -183,6 +184,24 @@ def test_pem_from_em_round_trip():
         b = base.rep.matrix(x)
         overlap = abs(np.trace(a.conj().T @ b)) / 2
         assert abs(overlap - 1) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("spec", ["genpauli:2", "genpauli:3", "xp:4"])
+def test_em_from_pem_matches_the_block_loop(spec, scale):
+    # sigma' = (df) * sigma for a non-constant exact f, extended by C_n with
+    # n = den(sigma') and 2 den(sigma')
+    base = parse_model_spec(spec).model
+    g = base.group
+    f = PhaseFunction.exact(g.full_subgroup(), [Phase(x % 3, 6) for x in range(g.order)])
+    delta = coboundary(f)
+    sigma_prime = Cocycle(g, delta.num, delta.den).multiply(base.cocycle)
+    n = scale * sigma_prime.den
+    got = em_from_pem(base, sigma_prime, f, n=n)
+    want = em_from_pem_loop(base, sigma_prime, f, n)
+    assert np.array_equal(got.group.mul, want.group.mul)
+    assert got.group.element_names == want.group.element_names
+    assert got.rep.matrices.tobytes() == want.rep.matrices.tobytes()
 
 
 def test_em_from_pem_checks_cocycle():
