@@ -35,5 +35,13 @@ def compress(matrices: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis.conj().T @ matrices @ basis
 
 
+def scalar_deviation(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, ||X - c I||_F) for each w x w matrix X of a stack, c = tr(X) / w."""
+    w = blocks.shape[-1]
+    c = np.trace(blocks, axis1=-2, axis2=-1) / w
+    dev = np.linalg.norm(blocks - c[..., None, None] * np.eye(w), axis=(-2, -1))
+    return c, dev
+
+
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tol
-from ._linalg import frobenius
+from ._linalg import compress, frobenius, scalar_deviation
 from .codes import CodeSpace
 from .models import ProjectiveErrorModel
 from .projreps import _PRODUCT_BLOCK_ENTRIES
@@ -124,21 +124,12 @@ def channel_from_model(model: ProjectiveErrorModel, p) -> KrausChannel:
     return KrausChannel(model.dim, kraus)
 
 
-def _scalar_deviation(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, ||X - c I||_F) for each w x w matrix X of a stack, c = tr(X) / w."""
-    w = blocks.shape[-1]
-    c = np.trace(blocks, axis1=-2, axis2=-1) / w
-    dev = np.linalg.norm(blocks - c[..., None, None] * np.eye(w), axis=(-2, -1))
-    return c, dev
-
-
 def kl_detectable(code: CodeSpace, x: np.ndarray) -> complex | None:
     """The scalar c with P x P = c P, or None when x is not detectable."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (code.ambient_dim, code.ambient_dim):
         raise ChannelError("operator dimension does not match the code")
-    b = code.basis
-    c, dev = _scalar_deviation(b.conj().T @ x @ b)
+    c, dev = scalar_deviation(compress(x, code.basis))
     if dev < _tol.SCAN:
         return complex(c)
     return None
@@ -178,7 +169,7 @@ def kl_correctable(code: CodeSpace, channel: KrausChannel) -> KLResult:
     for a in range(0, n, rows):
         left = kb[a : a + rows].conj().transpose(0, 2, 1).reshape(-1, d)
         blocks = (left @ right).reshape(-1, w, n, w).transpose(0, 2, 1, 3)
-        _, dev = _scalar_deviation(blocks)
+        _, dev = scalar_deviation(blocks)
         bad = np.flatnonzero(~(dev < _tol.SCAN))
         if bad.size:
             i, j = divmod(int(bad[0]), n)

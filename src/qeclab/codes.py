@@ -3,10 +3,14 @@
 Subspace equality is projector Frobenius distance < _tol.DERIVED, which is
 basis independent.  Membership scans use _tol.SCAN.
 
-The action of the model on a code is computed once per code: from the
-projector P, the stacks pi(x) P, P pi(x) and P pi(x) P give per-element
-norms, and the logical group, stabilizer, detectable set, partitioning test
-and Clifford invariance test are all read from those norms.
+The action of the model on a code is computed once per code, on its basis B
+(P = B B*).  B is an isometry, so |P pi(x) P| and |pi(x) P - P pi(x) P| are
+the norms of the compressed action C = B* pi(x) B and of pi(x) B - B C, and
+the logical group, stabilizer, detectable set, partitioning test and Clifford
+invariance test are all read from such norms.  The commutator [P, pi(x)]
+needs no product of its own: its blocks (1 - P) pi(x) P and P pi(x) (1 - P)
+are orthogonal, and pi(x)* is a unit multiple of pi(x^-1), so the second
+has the norm of the first at x^-1.
 
 Constituents are walked here only (_constituent_phases): with f0 a
 trivializer of the restricted cocycle, the codes on H are the joint
@@ -35,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import frobenius, nullspace, orthonormal_columns
+from ._linalg import compress, frobenius, nullspace, orthonormal_columns, scalar_deviation
 from .cocycles import PhaseFunction, _greedy_generators, coboundary, find_trivializing_phase
 from .groups import Subgroup
 from .models import ProjectiveErrorModel, product_model
@@ -210,7 +214,7 @@ def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray)
         yield basis
         return
     m = matrices[gens[0]]
-    angles = np.mod(np.angle(np.linalg.eigvals(basis.conj().T @ m @ basis)) / (2 * np.pi), 1.0)
+    angles = np.mod(np.angle(np.linalg.eigvals(compress(m, basis))) / (2 * np.pi), 1.0)
     angles[angles > 1 - _tol.EXACT] = 0.0
     chosen: list[float] = []
     for a in sorted(angles):
@@ -319,31 +323,26 @@ def clifford_code(model: ProjectiveErrorModel, sub: Subgroup, rho: ProjectiveRep
 
 
 class _Action(NamedTuple):
-    """Per-element norms of the model's action against a code projector P."""
+    """Per-element norms of the model's action on a code basis B, C = B* pi(x) B."""
 
-    commutator: np.ndarray  # |P pi(x) - pi(x) P|: zero on the logical group
-    scalars: np.ndarray     # c = tr(P pi(x) P) / dim W
-    scalar_dev: np.ndarray  # |P pi(x) P - c P|: zero where pi(x) acts on W as a scalar
-    inside: np.ndarray      # |pi(x) P - P pi(x) P|: zero where pi(x) maps W into W
-    outside: np.ndarray     # |P pi(x) P|: zero where pi(x) maps W into its complement
-
-
-def _norms(stack: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2)))
+    commutator: np.ndarray  # |P pi(x) - pi(x) P| = hypot(inside[x], inside[x^-1])
+    scalars: np.ndarray     # c = tr(C) / dim W
+    scalar_dev: np.ndarray  # |C - c 1|: zero where pi(x) acts on W as a scalar
+    inside: np.ndarray      # |pi(x) B - B C|: zero where pi(x) maps W into W
+    outside: np.ndarray     # |C|: zero where pi(x) maps W into its complement
 
 
 def _code_action(model: ProjectiveErrorModel, code: CodeSpace) -> _Action:
-    p = code.projector()
-    mats = model.rep.matrices
-    mp = mats @ p
-    pmp = p @ mp
-    scalars = np.einsum("xaa->x", pmp) / code.dim
+    b, mats = code.basis, model.rep.matrices
+    c = compress(mats, b)
+    scalars, scalar_dev = scalar_deviation(c)
+    inside = np.linalg.norm(mats @ b - b @ c, axis=(1, 2))
     return _Action(
-        commutator=_norms(p @ mats - mp),
+        commutator=np.hypot(inside, inside[model.group.inv]),
         scalars=scalars,
-        scalar_dev=_norms(pmp - scalars[:, None, None] * p),
-        inside=_norms(mp - pmp),
-        outside=_norms(pmp),
+        scalar_dev=scalar_dev,
+        inside=inside,
+        outside=np.linalg.norm(c, axis=(1, 2)),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tol
-from ._linalg import compress
+from ._linalg import compress, scalar_deviation
 from .cocycles import (
     Cocycle,
     Phase,
@@ -373,13 +373,8 @@ def is_irreducible(rep: ProjectiveRep) -> bool:
 
 
 def is_projectively_faithful(rep: ProjectiveRep) -> bool:
-    m = rep.matrices
-    traces = np.einsum("naa->n", m) / rep.dim
-    scalar_dev = np.linalg.norm(
-        m - traces[:, None, None] * np.eye(rep.dim), axis=(1, 2)
-    )
-    scalars = np.where(scalar_dev < _tol.EXACT)[0]
-    return list(scalars) == [rep.group.identity]
+    _, dev = scalar_deviation(rep.matrices)
+    return list(np.flatnonzero(dev < _tol.EXACT)) == [rep.group.identity]
 
 
 def hom_space(r1: ProjectiveRep, r2: ProjectiveRep) -> list[np.ndarray]:
@@ -501,53 +496,51 @@ def induce(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> ProjectiveRep
     return ProjectiveRep(g, mats.reshape(n, q * dt, q * dt), sigma, label=f"Ind({theta.label})")
 
 
+def _conjugation(sub: Subgroup, x, sigma: Cocycle) -> tuple[np.ndarray, np.ndarray]:
+    """theta^x(y) = s theta(z) on the members y of sub, z = x^-1 y x, as (pos, s).
+
+    pos is the position of z in sub, -1 where z is not in sub.  The scale
+    s = sigma(x^-1, y) conj(sigma(z, x^-1)) is read, by its integer numerator
+    mod den, from a table of Phase(k, den) values as induce reads its scales,
+    so it is the exact Phase product.  x is one element or an array of them,
+    with one row of each result per element.
+    """
+    g = sub.parent
+    mem = np.array(sub.members)
+    xs = np.asarray(x)
+    xi = g.inv[xs]
+    z = g.mul[g.mul[xi][..., mem], xs[..., None]]
+    pos = np.full(g.order, -1, dtype=np.int64)
+    pos[mem] = np.arange(len(mem))
+    den = sigma.den
+    turns = (sigma.num[xi][..., mem] - sigma.num[z, xi[..., None]]) % den
+    scales = np.array([Phase(k, den).to_complex() for k in range(den)])[turns]
+    return pos[z], scales
+
+
 def conjugate_rep(theta: ProjectiveRep, sub: Subgroup, x: int, sigma: Cocycle) -> ProjectiveRep:
     """theta^x(y) = sigma(x^-1,y) conj(sigma(x^-1 y x, x^-1)) theta(x^-1 y x)."""
-    g = sub.parent
-    xi = int(g.inv[x])
-    mats = np.zeros_like(theta.matrices)
-    for i, y in enumerate(sub.members):
-        z = int(g.mul[g.mul[xi, y], x])
-        if z not in sub:
-            raise ValueError("subgroup is not stable under conjugation by x")
-        scale = (sigma.phase(xi, y) * sigma.phase(z, xi).inverse()).to_complex()
-        mats[i] = scale * theta.matrices[sub.position(z)]
+    pos, scales = _conjugation(sub, x, sigma)
+    if (pos < 0).any():
+        raise ValueError("subgroup is not stable under conjugation by x")
+    mats = scales[:, None, None] * theta.matrices[pos]
     return ProjectiveRep(
         sub.as_group(), mats, theta.cocycle, label=f"{theta.label}^x", validate=False
     )
-
-
-def _conjugate_character_values(
-    chi: np.ndarray, sub: Subgroup, x: int, sigma_complex: np.ndarray
-) -> np.ndarray:
-    """Character of theta^x computed directly from the character of theta."""
-    g = sub.parent
-    xi = int(g.inv[x])
-    out = np.zeros(len(sub.members), dtype=complex)
-    for i, y in enumerate(sub.members):
-        z = int(g.mul[g.mul[xi, y], x])
-        out[i] = sigma_complex[xi, y] * np.conj(sigma_complex[z, xi]) * chi[sub.position(z)]
-    return out
 
 
 def inertia_group(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> Subgroup:
     """I_G(theta) = {x normalizing H : theta^x isomorphic to theta}.
 
     Isomorphism is decided by character equality, valid because conjugates
-    keep the same cocycle.
+    keep the same cocycle.  Every x of G is conjugated in one array pass.
     """
     g = sub.parent
     chi = theta.character().values
-    sigma_complex = sigma.to_complex_table()
-    mem = set(sub.members)
-    members = []
-    for x in range(g.order):
-        if any(g.conjugate(g.inv[x], y) not in mem for y in sub.members):
-            continue
-        values = _conjugate_character_values(chi, sub, x, sigma_complex)
-        if np.abs(values - chi).max() <= _tol.DERIVED:
-            members.append(x)
-    return g._intern(members)
+    pos, scales = _conjugation(sub, np.arange(g.order), sigma)
+    normalizes = (pos >= 0).all(axis=1)
+    same = np.abs(scales * chi[pos] - chi).max(axis=1) <= _tol.DERIVED
+    return g._intern(np.flatnonzero(normalizes & same))
 
 
 def frobenius_dims(theta: ProjectiveRep, sub: Subgroup, pi: ProjectiveRep) -> tuple[int, int]:
@@ -581,10 +574,7 @@ def mackey_character_defect(f: PhaseFunction, pi: ProjectiveRep) -> float:
         raise ValueError("f does not occur in the restriction")
     inertia = inertia_group(theta, sub, pi.cocycle)
     reps = sub.parent.coset_representatives(inertia)
-    sigma_complex = pi.cocycle.to_complex_table()
-    chi = theta.character().values
-    total = np.zeros(len(sub.members), dtype=complex)
-    for r in reps:
-        total += _conjugate_character_values(chi, sub, r, sigma_complex)
+    pos, scales = _conjugation(sub, np.array(reps), pi.cocycle)
+    total = (scales * theta.character().values[pos]).sum(axis=0)
     lhs = res.character().values
     return float(np.abs(lhs - ell * total).max())

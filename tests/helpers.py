@@ -14,7 +14,13 @@ import numpy as np
 from qeclab.cocycles import Cocycle, Phase, snap_phase_or_none
 from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
 from qeclab.models import ProjectiveErrorModel
-from qeclab.projreps import ProjectiveRep, _raw_scalars, _snap_scalars, make_rep
+from qeclab.projreps import (
+    ProjectiveRep,
+    _raw_scalars,
+    _snap_scalars,
+    make_rep,
+    rep_from_phase_function,
+)
 
 
 def regular_matrices(group: FiniteGroup) -> np.ndarray:
@@ -246,6 +252,14 @@ def partition_norms_oracle(model, code) -> tuple[np.ndarray, np.ndarray]:
     return _frobenius_norms(mp - pmp), _frobenius_norms(pmp)
 
 
+def commutator_norms_oracle(model, code) -> np.ndarray:
+    """Per element: |P pi - pi P|, zero exactly on the logical group."""
+    p = code.projector()
+    mats = model.rep.matrices
+    dev = np.einsum("ab,xbc->xac", p, mats) - np.einsum("xab,bc->xac", mats, p)
+    return _frobenius_norms(dev)
+
+
 def partitioning_oracle(model, code) -> tuple[bool, int | None]:
     """(flag, first element mapping W neither into W nor into its complement)."""
     inside, outside = partition_norms_oracle(model, code)
@@ -357,6 +371,64 @@ def induce_loop(theta: ProjectiveRep, sub: Subgroup, sigma) -> ProjectiveRep:
     result = make_rep(g, mats, label=f"Ind({theta.label})")
     assert result.cocycle == sigma
     return result
+
+
+def conjugate_rep_loop(theta: ProjectiveRep, sub: Subgroup, x: int, sigma) -> ProjectiveRep:
+    """projreps.conjugate_rep as one exact Phase product per member y."""
+    g = sub.parent
+    xi = int(g.inv[x])
+    mats = np.zeros_like(theta.matrices)
+    for i, y in enumerate(sub.members):
+        z = int(g.mul[g.mul[xi, y], x])
+        if z not in sub:
+            raise ValueError("subgroup is not stable under conjugation by x")
+        scale = (sigma.phase(xi, y) * sigma.phase(z, xi).inverse()).to_complex()
+        mats[i] = scale * theta.matrices[sub.position(z)]
+    return ProjectiveRep(
+        sub.as_group(), mats, theta.cocycle, label=f"{theta.label}^x", validate=False
+    )
+
+
+def _conjugate_character_loop(chi, sub: Subgroup, x: int, sigma_complex) -> np.ndarray:
+    """Character of theta^x from the character of theta, one member at a time."""
+    g = sub.parent
+    xi = int(g.inv[x])
+    out = np.zeros(len(sub.members), dtype=complex)
+    for i, y in enumerate(sub.members):
+        z = int(g.mul[g.mul[xi, y], x])
+        out[i] = sigma_complex[xi, y] * np.conj(sigma_complex[z, xi]) * chi[sub.position(z)]
+    return out
+
+
+def inertia_group_loop(theta: ProjectiveRep, sub: Subgroup, sigma) -> list[int]:
+    """Members of projreps.inertia_group, testing each x of G in turn."""
+    g = sub.parent
+    chi = theta.character().values
+    sigma_complex = sigma.to_complex_table()
+    mem = set(sub.members)
+    members = []
+    for x in range(g.order):
+        if any(g.conjugate(g.inv[x], y) not in mem for y in sub.members):
+            continue
+        values = _conjugate_character_loop(chi, sub, x, sigma_complex)
+        if np.abs(values - chi).max() <= 1e-7:
+            members.append(x)
+    return members
+
+
+def mackey_defect_loop(f, pi: ProjectiveRep) -> float:
+    """projreps.mackey_character_defect summed over coset representatives in turn."""
+    sub = f.domain
+    theta = rep_from_phase_function(f)
+    res = pi.restrict(sub)
+    ell = round(float(np.mean(theta.character().values.conj() * res.character().values).real))
+    inertia = sub.parent.subgroup(inertia_group_loop(theta, sub, pi.cocycle))
+    sigma_complex = pi.cocycle.to_complex_table()
+    chi = theta.character().values
+    total = np.zeros(len(sub.members), dtype=complex)
+    for r in sub.parent.coset_representatives(inertia):
+        total += _conjugate_character_loop(chi, sub, r, sigma_complex)
+    return float(np.abs(res.character().values - ell * total).max())
 
 
 # -- the per-entry loops that the whole-array group constructors replaced ----

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import kl_witness_per_row, kraus_apply_oracle, verify_recovery_oracle
-from qeclab import channels
+from qeclab import _tol, channels
+from qeclab._linalg import scalar_deviation
 from qeclab.channels import (
     ChannelError,
     KrausChannel,
@@ -94,6 +95,30 @@ def test_kl_detectable_none_on_non_scalar():
     # Z on the first qubit acts as diag(1, -1) inside this code
     z1 = model.rep.matrix(1 * 4 + 0)
     assert kl_detectable(code, z1) is None
+
+
+def test_scalar_deviation_on_stacks_and_block_grids():
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=5) + 1j * rng.normal(size=5)
+    got_c, got_dev = scalar_deviation(c[:, None, None] * np.eye(3))
+    assert np.abs(got_c - c).max() < 1e-15
+    assert got_dev.max() < 1e-15
+    x = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    got_c, got_dev = scalar_deviation(x)
+    for k in range(4):
+        want_c = np.trace(x[k]) / 3
+        assert abs(got_c[k] - want_c) < 1e-14
+        assert abs(got_dev[k] - np.linalg.norm(x[k] - want_c * np.eye(3))) < 1e-14
+    # the (rows, n, w, w) blocks of kl_correctable: one scalar per (i, j)
+    blocks = rng.normal(size=(2, 5, 3, 3)) + 1j * rng.normal(size=(2, 5, 3, 3))
+    blocks[1, 2] = (2 - 1j) * np.eye(3)
+    got_c, got_dev = scalar_deviation(blocks)
+    assert got_c.shape == got_dev.shape == (2, 5)
+    assert abs(got_c[1, 2] - (2 - 1j)) < 1e-15 and got_dev[1, 2] < 1e-15
+    flat_c, flat_dev = scalar_deviation(blocks.reshape(10, 3, 3))
+    assert np.array_equal(got_c.ravel(), flat_c)
+    assert np.array_equal(got_dev.ravel(), flat_dev)
+    assert np.flatnonzero(got_dev.ravel() < _tol.SCAN).tolist() == [7]
 
 
 def test_kl_correctable_bell_single_qubit_errors():

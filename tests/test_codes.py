@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from helpers import (
     CATALOG_64,
     classify_flags_oracle,
     clifford_code_oracle,
+    commutator_norms_oracle,
+    compressed_scalars_oracle,
     detectable_oracle,
     eigenspace_dim,
     existence_phase_oracle,
@@ -13,6 +17,7 @@ from helpers import (
     logical_oracle,
     partition_norms_oracle,
     partitioning_oracle,
+    relabeled_model,
     stabilizer_oracle,
 )
 
@@ -646,3 +651,71 @@ def test_normal_reconstruction_flags_on_c2d2n8():
             assert report.witnesses["is_stabilizer"] == (
                 "no normal subgroup of the stabilizer rebuilds the code"
             )
+
+
+# ------------------------------- the action on the code basis against the projector form
+
+
+def _assert_action_matches_projector_form(model, code):
+    act = _code_action(model, code)
+    scalars, scalar_dev = compressed_scalars_oracle(model, code)
+    inside, outside = partition_norms_oracle(model, code)
+    want = {
+        "commutator": commutator_norms_oracle(model, code),
+        "scalars": scalars,
+        "scalar_dev": scalar_dev,
+        "inside": inside,
+        "outside": outside,
+    }
+    for name, values in want.items():
+        assert np.abs(getattr(act, name) - values).max() < 1e-12, name
+
+
+# pauli:3 is left out for time, as in test_classify_matches_per_function_formulas.
+@pytest.mark.parametrize("spec", [s for s in CATALOG_64 if s != "pauli:3"])
+def test_code_action_matches_projector_form_on_enumerated_codes(spec):
+    model = parse_model_spec(spec).model
+    for _, _, code in enumerate_weak_stabilizer_codes(model):
+        _assert_action_matches_projector_form(model, code)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        parse_model_spec("pauli:2").model,
+        parse_model_spec("xp:8").model,
+        relabeled_model(parse_model_spec("oddfam:3").model, seed=9),
+    ],
+    ids=["pauli:2", "xp:8", "relabeled oddfam:3"],
+)
+def test_code_action_matches_projector_form_on_random_subspaces(model):
+    # generic subspaces: pi(x) moves them, so the commutator is read from
+    # two nonzero residues, at x and at x^-1
+    rng = np.random.default_rng(41)
+    d = model.dim
+    for k in range(1, d):
+        for _ in range(3):
+            vectors = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+            code = CodeSpace.from_vectors(d, vectors)
+            assert code.dim == k
+            act = _code_action(model, code)
+            assert np.sort(act.inside)[1] > 0.1
+            _assert_action_matches_projector_form(model, code)
+
+
+def test_classify_never_forms_the_code_projector(monkeypatch):
+    cases = []
+    for spec in ["pauli:2", "c2d2n:2", "oddfam:3"]:
+        parsed = parse_model_spec(spec)
+        model = parsed.model
+        cases += [(model, code) for _, _, code in enumerate_weak_stabilizer_codes(model)]
+        if parsed.family is not None:
+            cases.append((model, clifford_code(model, *parsed.family)))
+        cases.append((model, CodeSpace.from_vectors(model.dim, np.arange(model.dim) + 1j)))
+    want = [json.dumps(classify(model, code).to_json()) for model, code in cases]
+
+    def refuse(self):
+        raise AssertionError("classify formed the code projector")
+
+    monkeypatch.setattr(CodeSpace, "projector", refuse)
+    assert [json.dumps(classify(model, code).to_json()) for model, code in cases] == want

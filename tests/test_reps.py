@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 
 from helpers import (
     CATALOG_64,
+    conjugate_rep_loop,
     first_product_failure,
     induce_loop,
+    inertia_group_loop,
     kron_hom_basis,
+    mackey_defect_loop,
     make_rep_full_snap,
     raw_scalar_table,
     raw_scalars_per_row,
     snap_each,
 )
 
-from qeclab import _tol, projreps, search
+from qeclab import _tol, codes, projreps, search
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
 from qeclab.groups import cyclic, dihedral
@@ -34,6 +37,7 @@ from qeclab.projreps import (
     _intertwiner_count,
     _raw_scalars,
     _snap_scalars,
+    conjugate_rep,
     frobenius_dims,
     hom_space,
     induce,
@@ -234,6 +238,58 @@ def test_mackey_identity_on_pauli_line():
     f = PhaseFunction.constant_one(sub)
     defect = mackey_character_defect(f, model.rep)
     assert defect < 1e-10
+
+
+CONJUGATION_SPECS = ["pauli:2", "genpauli:3", "xp:4", "c2d2n:2", "oddfam:3"]
+
+
+def _normalizes(g, sub, x) -> bool:
+    return all(g.conjugate(g.inv[x], y) in sub for y in sub.members)
+
+
+@pytest.mark.parametrize("spec", CONJUGATION_SPECS)
+def test_conjugation_matches_the_per_member_loops(spec):
+    model = parse_model_spec(spec).model
+    g, sigma = model.group, model.cocycle
+    for sub in g.all_subgroups():
+        theta = search._irreducible_constituents(model.rep.restrict(sub))[0]
+        inertia = inertia_group(theta, sub, sigma)
+        assert list(inertia.members) == inertia_group_loop(theta, sub, sigma)
+        for x in range(g.order):
+            if not _normalizes(g, sub, x):
+                continue
+            got = conjugate_rep(theta, sub, x, sigma).matrices
+            assert got.tobytes() == conjugate_rep_loop(theta, sub, x, sigma).matrices.tobytes()
+
+
+@pytest.mark.parametrize("spec", CONJUGATION_SPECS)
+def test_mackey_defect_matches_the_per_coset_loop(spec):
+    model = parse_model_spec(spec).model
+    checked = 0
+    for sub in model.group.all_subgroups():
+        if not sub.is_normal():
+            continue
+        for f in codes._constituent_phases(model, sub):
+            got = mackey_character_defect(f, model.rep)
+            assert abs(got - mackey_defect_loop(f, model.rep)) < 1e-12
+            checked += 1
+    assert checked > 0
+
+
+def test_conjugate_rep_refuses_an_element_outside_the_normalizer():
+    model = parse_model_spec("oddfam:3").model
+    g = model.group
+    sub, x = next(
+        (sub, x)
+        for sub in g.all_subgroups()
+        for x in range(g.order)
+        if not _normalizes(g, sub, x)
+    )
+    theta = search._irreducible_constituents(model.rep.restrict(sub))[0]
+    with pytest.raises(ValueError, match="not stable under conjugation by x"):
+        conjugate_rep(theta, sub, x, model.cocycle)
+    with pytest.raises(ValueError, match="not stable under conjugation by x"):
+        conjugate_rep_loop(theta, sub, x, model.cocycle)
 
 
 def test_d4_table_matches_reference():
