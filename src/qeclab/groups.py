@@ -16,10 +16,20 @@ construction, so the closure check made once holds for every later
 lookup, and the subgroup's as_group(), validated by FiniteGroup._validate
 when first built, is shared by every caller of that member set.  The
 public constructor itself is not interned and always validates.
+
+Each FiniteGroup also keeps one breadth-first walk of its right Cayley
+graph over greedy_generators(), built on first use: the generators, the
+edge ends x * c for c in [identity, *gens], and the levels, with each
+element's parent and step, and the greatest word length.
+Group validation, Cocycle.verify, make_rep's cocycle fill and
+ProjectiveRep's edge check all read it, so the greedy closure runs once
+per group.  The trivializer keeps its own depth-first walk, whose visit
+order fixes its particular solution.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -70,6 +80,7 @@ class FiniteGroup:
     element_names: list[str] | None = None
     # sorted member tuple -> the one library-built Subgroup on those members
     _interned: dict = field(default_factory=dict, init=False, repr=False)
+    _walk: "_CayleyWalk | None" = field(default=None, init=False, repr=False)
     _lattice_members: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -119,7 +130,17 @@ class FiniteGroup:
     def greedy_generators(self) -> list[int]:
         """Each element not in the subgroup generated by its predecessors in
         this list, taken in index order."""
-        return self._closure(range(self.order))[1]
+        return list(self._cayley_walk().gens)
+
+    def _cayley_walk(self) -> "_CayleyWalk":
+        """The walk of the right Cayley graph over the greedy generators,
+        built once per group.  It needs only an in-range table with an
+        identity, like _closure, so _validate can read it."""
+        if self._walk is None:
+            gens = self._closure(range(self.order))[1]
+            cols = np.array([self.identity, *gens], dtype=np.int64)
+            self._walk = _CayleyWalk(self.mul, gens, cols)
+        return self._walk
 
     def name_of(self, x: int) -> str:
         if self.element_names is not None:
@@ -262,6 +283,57 @@ class FiniteGroup:
         the minimal element of the coset of each x."""
         mins = self.mul[:, list(sub.members)].min(axis=1)
         return np.unique(mins), mins
+
+
+@dataclass(frozen=True, eq=False)
+class _CayleyWalk:
+    """One breadth-first walk of a group's right Cayley graph.
+
+    gens are the greedy generators and cols = [identity, *gens].  ends,
+    levels and length are built on first use, so a group that only reads
+    its generators keeps no more than them.
+    """
+
+    mul: np.ndarray
+    gens: list[int]
+    cols: np.ndarray
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """ends[x, j] = x * cols[j]: each row holds the ends of the Cayley
+        edges (x, c), c in cols."""
+        return self.mul[:, self.cols]
+
+    @functools.cached_property
+    def levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(elements, parents, steps) of each level: levels[d] holds the
+        elements of word length d in the generators, sorted, and each
+        element y = parent * step for the first (parent, step) reaching it,
+        parents in level order and steps in generator order.  The identity
+        at level 0 has parent and step -1."""
+        e = int(self.cols[0])
+        rows = self.ends[:, 1:].tolist()
+        seen = [False] * len(rows)
+        seen[e] = True
+        level = [e]
+        levels = [(self.cols[:1], np.full(1, -1, dtype=np.int64), np.full(1, -1, dtype=np.int64))]
+        while True:
+            reached: dict[int, tuple[int, int]] = {}
+            for x in level:
+                for g, y in zip(self.gens, rows[x]):
+                    if not seen[y]:
+                        seen[y] = True
+                        reached[y] = (x, g)
+            if not reached:
+                return levels
+            level = sorted(reached)
+            parents, steps = zip(*(reached[y] for y in level))
+            levels.append(tuple(np.array(v, dtype=np.int64) for v in (level, parents, steps)))
+
+    @property
+    def length(self) -> int:
+        """The greatest word length L in the generators."""
+        return len(self.levels) - 1
 
 
 class Subgroup:

@@ -80,11 +80,17 @@ class ProjectiveRep:
 
     def _validate(self) -> None:
         """Unitarity, the cocycle identity, then pi(x)pi(y) = sigma(x,y) pi(xy)
-        for every pair, naming the first failing x.
+        on the Cayley edges, and on every pair when an edge fails.
 
-        The products come block by block from _row_products, as transposed
-        views that are subtracted from the gathered block sigma(x,y) pi(xy),
-        which stays contiguous at [x, y, i, j].
+        The edges are the pairs (x, c) with c in [identity, *gens] of the
+        group's cached walk.  When every edge deviates by less than
+        _edge_tolerance, every pair deviates by less than _tol.EXACT (see
+        make_rep for the bound), and the rep is accepted.  Otherwise every
+        pair is checked and the first failing x is named, so the verdict
+        and the error are those of the all-pairs check.  Its products come
+        block by block from _row_products, as transposed views that are
+        subtracted from the gathered block sigma(x,y) pi(xy), which stays
+        contiguous at [x, y, i, j].
         """
         m = self.matrices
         n, dim = m.shape[0], self.dim
@@ -95,6 +101,9 @@ class ProjectiveRep:
             raise MakeRepError(f"matrices are not unitary (deviation {worst:.2e})")
         if not self.cocycle.verify():
             raise MakeRepError("cached cocycle violates the cocycle identity")
+        walk = self.group._cayley_walk()
+        if _edge_deviation(m, self.cocycle, walk) < _edge_tolerance(walk):
+            return
         phases = self.cocycle.to_complex_table()
         mul = self.group.mul
         for rows, products in _row_products(m):
@@ -133,7 +142,9 @@ class ProjectiveRep:
         On an invariant subspace it multiplies with this rep's cocycle
         exactly, so it is validated against that cocycle, not snapped: a
         snap would need this cocycle's denominator, which can exceed 4|G|.
-        Raises MakeRepError when the subspace is not invariant.
+        The validation reads the Cayley edges, and every pair only when an
+        edge fails (see _validate).  Raises MakeRepError when the subspace
+        is not invariant.
         """
         return ProjectiveRep(self.group, compress(self.matrices, basis), self.cocycle)
 
@@ -204,19 +215,42 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
         sigma(xg, y) = sigma(x, gy) + sigma(g, y) - sigma(x, g)   (in turns),
     which is the cocycle identity sigma(x,g) sigma(xg,y) = sigma(x,gy)
     sigma(g,y).  The filled table is refused if any entry's reduced
-    denominator exceeds 4|G|, and is then validated with every pair (x, y)
-    by ProjectiveRep._validate.
+    denominator exceeds 4|G|, and is then validated by
+    ProjectiveRep._validate.
 
     That cocycle is the one that snapping every scalar gives.  Suppose the
-    all-pairs check passes with sigma'.  Then every raw scalar lies within
+    validation accepts sigma'.  Then every pair deviates by less than
+    _tol.EXACT (below), so every raw scalar lies within
     _tol.EXACT/sqrt(dim) of sigma'(x, y), and the denominator guard puts
     sigma' among the phases of denominator at most 4|G|.  Distinct such
     phases lie at least 2*pi/(16 n^2) apart on the circle, more than twice
     _tol.EXACT (1e-9) for every order n below 14,000, so no scalar lies
     within tolerance of two of them, and snapping each scalar returns
-    sigma'.  The check stays all-pairs: checking the generators alone in
-    floating point would bound the other pairs only by word length times
-    _tol.EXACT.
+    sigma'.
+
+    The validation checks the n(r+1) Cayley edges (x, c), c in
+    [identity, *gens], against delta = _tol.EXACT/(2L), where L is the
+    greatest word length in the generators (the group's cached walk), and
+    that bounds every pair.  Write D(x, y) for the Frobenius norm of
+    pi(x)pi(y) - sigma(x,y) pi(xy) and u = _tol.EXACT/2, and let D < delta
+    on every edge.  Unitarity passed, so |pi(x)pi(x)* - 1| < _tol.EXACT and
+    the operator norm of pi(x) is at most sqrt(1 + _tol.EXACT) <= 1 + u.
+    For y = y'g, with g a generator and y' one word letter shorter,
+        pi(x)pi(y')pi(g) = sigma(x,y') sigma(xy',g) pi(xy) + E1
+                         = sigma(y',g) pi(x)pi(y) + E2,
+    where |E1| <= (1 + u) D(x,y') + delta by the edge (xy', g), and
+    |E2| <= (1 + u) delta by the edge (y', g).  The verified cocycle
+    identity sigma(x,y') sigma(xy',g) = sigma(x,y) sigma(y',g) then gives
+    D(x,y) <= (1 + u) D(x,y') + (2 + u) delta, and induction from the edges
+    (x, g) gives D(x,y) < (2l - 1) delta (1 + u)^l for y of word length
+    l >= 1; (x, identity) is itself an edge.  With l <= L that is below
+    _tol.EXACT (2L - 1)/(2L) (1 + u)^L < _tol.EXACT, since (1 + u)^L <
+    2L/(2L - 1) for every L under 30,000, and L < n is far below that for
+    any order the table cap allows.  That leaves a margin of at least
+    _tol.EXACT/(3L) for the rounding of the computed norms.
+    When an edge reaches delta, _validate checks every pair instead, so
+    edges in [delta, _tol.EXACT) refuse nothing that the all-pairs check
+    accepts.
 
     When the generator-row snap, the guard or the validation raises
     MakeRepError, all n^2 scalars are snapped and that table is validated
@@ -245,29 +279,42 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
 def _fill_cocycle(group: FiniteGroup, gens: list[int], head: np.ndarray, den: int) -> np.ndarray:
     """The n x n numerator table from its rows at the identity and gens.
 
-    head holds those rows, in that order, as numerators over den.  Rows are
-    reached breadth first by right multiplication with the generators, one
-    whole level per generator in one array operation:
+    head holds those rows, in that order, as numerators over den, and gens
+    are group.greedy_generators(): the first level of the group's cached
+    breadth-first walk.  Every deeper level is filled in one array
+    operation from each element's parent x and step g on the walk:
     sigma(xg, .) = sigma(x, g .) + sigma(g, .) - sigma(x, g), mod den.
     """
+    walk = group._cayley_walk()
     mul = group.mul
     num = np.empty((group.order, group.order), dtype=np.int64)
-    done = np.zeros(group.order, dtype=bool)
-    frontier = np.array([group.identity, *gens], dtype=np.int64)
-    num[frontier] = head
-    done[frontier] = True
-    while frontier.size:
-        reached = []
-        for g in gens:
-            targets = mul[frontier, g]
-            fresh = ~done[targets]
-            targets, first = np.unique(targets[fresh], return_index=True)
-            src = frontier[fresh][first]
-            num[targets] = (num[src][:, mul[g]] + num[g] - num[src, g][:, None]) % den
-            done[targets] = True
-            reached.append(targets)
-        frontier = np.concatenate(reached) if reached else frontier[:0]
+    num[[group.identity, *gens]] = head
+    for level, x, g in walk.levels[2:]:
+        num[level] = (num[x[:, None], mul[g]] + num[g] - num[x, g][:, None]) % den
     return num
+
+
+def _edge_tolerance(walk) -> float:
+    """delta = _tol.EXACT/(2L) for the walk's greatest word length L (see make_rep)."""
+    return _tol.EXACT / (2 * max(1, walk.length))
+
+
+def _edge_deviation(m: np.ndarray, cocycle: Cocycle, walk) -> float:
+    """The largest |pi(x)pi(c) - sigma(x,c) pi(xc)| over the Cayley edges
+    (x, c), c in walk.cols, from the walk's cached ends.
+
+    The sigma columns are gathered once, and each row block of edge ends
+    once, against the products of _row_products with pi(c) on the right.
+    """
+    scales = np.exp(2j * np.pi * cocycle.num[:, walk.cols] / cocycle.den)
+    worst = 0.0
+    for rows, products in _row_products(m, m[walk.cols]):
+        diff = m[walk.ends[rows]]
+        diff *= scales[rows, :, None, None]
+        diff -= products
+        parts = diff.view(np.float64).reshape(-1, 2 * m.shape[1] ** 2)
+        worst = max(worst, float(np.einsum("ek,ek->e", parts, parts).max()))
+    return math.sqrt(worst)
 
 
 def _raw_scalars(group: FiniteGroup, matrices: np.ndarray, rows=None) -> np.ndarray:
@@ -470,7 +517,8 @@ def induce(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> ProjectiveRep
     The scale of each block is read, by its integer numerator
     sigma(x,s) - sigma(r',h) mod den, from a table of Phase(k, den) values,
     so it is the exact Phase product, quarter turns included.  The result
-    is validated on every pair against sigma itself: no cocycle is snapped.
+    is validated against sigma itself, on the Cayley edges as
+    ProjectiveRep._validate checks: no cocycle is snapped.
     """
     g = sub.parent
     if sigma.group.order != g.order:

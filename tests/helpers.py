@@ -14,9 +14,12 @@ import numpy as np
 from qeclab.cocycles import Cocycle, Phase, snap_phase_or_none
 from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
 from qeclab.models import ProjectiveErrorModel
+from qeclab import _tol
 from qeclab.projreps import (
+    MakeRepError,
     ProjectiveRep,
     _raw_scalars,
+    _row_products,
     _snap_scalars,
     make_rep,
     rep_from_phase_function,
@@ -325,6 +328,59 @@ def first_product_failure(group: FiniteGroup, matrices: np.ndarray, cocycle, tol
         if dev >= tol:
             return x, float(dev)
     return None
+
+
+def validate_all_pairs(rep: ProjectiveRep) -> None:
+    """ProjectiveRep._validate with pi(x)pi(y) = sigma(x,y) pi(xy) checked on
+    every pair: unitarity, the cocycle identity, then the first failing x."""
+    m = rep.matrices
+    n, dim = m.shape[0], rep.dim
+    gram = m @ m.conj().transpose(0, 2, 1)
+    gram -= np.eye(dim)
+    if np.linalg.norm(gram, axis=(1, 2)).max() >= _tol.EXACT:
+        worst = np.abs(gram).max()
+        raise MakeRepError(f"matrices are not unitary (deviation {worst:.2e})")
+    if not rep.cocycle.verify():
+        raise MakeRepError("cached cocycle violates the cocycle identity")
+    phases = rep.cocycle.to_complex_table()
+    mul = rep.group.mul
+    for rows, products in _row_products(m):
+        diff = m[mul[rows]]
+        diff *= phases[rows, :, None, None]
+        diff -= products
+        parts = diff.view(np.float64).reshape(len(diff), n, -1)
+        devs = np.sqrt(np.einsum("xyk,xyk->xy", parts, parts)).max(axis=1)
+        bad = np.flatnonzero(devs >= _tol.EXACT)
+        if bad.size:
+            x = rows.start + int(bad[0])
+            raise MakeRepError(
+                f"pi(x)pi(y) != sigma(x,y) pi(xy) at x={x} (deviation {devs[bad[0]]:.2e})"
+            )
+
+
+def cayley_bfs_oracle(group: FiniteGroup) -> tuple[list[int], list[int], list[int]]:
+    """(depth, parent, step) per element from a queue walk of the right Cayley
+    graph over the greedy generators, one dict lookup per edge.
+
+    Each level is taken in increasing element order and the generators in
+    their order; the first (x, g) with x g = y makes x the parent and g the
+    step of y.  The identity has parent and step -1.
+    """
+    gens = group.greedy_generators()
+    e = group.identity
+    depth, parent, step = {e: 0}, {e: -1}, {e: -1}
+    level = [e]
+    while level:
+        reached = []
+        for x in sorted(level):
+            for g in gens:
+                y = int(group.mul[x, g])
+                if y not in depth:
+                    depth[y], parent[y], step[y] = depth[x] + 1, x, g
+                    reached.append(y)
+        level = reached
+    n = group.order
+    return [depth[x] for x in range(n)], [parent[x] for x in range(n)], [step[x] for x in range(n)]
 
 
 def make_rep_full_snap(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     CATALOG_64,
+    cayley_bfs_oracle,
     closure_oracle,
     coset_representatives_loop,
     dihedral_loop,
@@ -15,6 +16,7 @@ from helpers import (
     permutation_semidirect_loop,
     quotient_loop,
     random_subgroup,
+    relabeled_model,
     symmetric_loop,
 )
 from qeclab import groups
@@ -399,3 +401,30 @@ def test_cosets_match_the_per_element_loop(spec):
             assert np.array_equal(projection, want_projection)
             assert np.array_equal(quo.mul, want.mul)
             assert quo.element_names == want.element_names
+
+
+# ------------------------------------------------ the cached Cayley walk
+
+
+def _walk_groups():
+    yield from (parse_model_spec(spec).model.group for spec in CATALOG_64 if spec != "pauli:3")
+    yield parse_model_spec("permprod(genpauli:2,3)").model.group
+    yield from (cyclic(1), cyclic(7), dihedral(5), symmetric(4), inversion_semidirect(3))
+    yield relabeled_model(parse_model_spec("c2d2n:4").model, seed=4).group
+
+
+@pytest.mark.parametrize("g", list(_walk_groups()), ids=lambda g: f"{g.label}-{g.order}")
+def test_cached_walk_matches_a_brute_force_bfs(g):
+    walk = g._cayley_walk()
+    assert g._cayley_walk() is walk
+    gens = g._closure(range(g.order))[1]
+    assert walk.gens == gens == g.greedy_generators()
+    assert walk.cols.tolist() == [g.identity, *gens]
+    assert np.array_equal(walk.ends, g.mul[:, walk.cols])
+    depth, parent, step = cayley_bfs_oracle(g)
+    levels = [sorted(x for x in range(g.order) if depth[x] == d) for d in range(max(depth) + 1)]
+    assert [level.tolist() for level, _, _ in walk.levels] == levels
+    assert walk.length == max(depth)
+    for level, parents, steps in walk.levels:
+        assert parents.tolist() == [parent[y] for y in level]
+        assert steps.tolist() == [step[y] for y in level]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import CATALOG_64, relabeled_model
 
 from qeclab.cli import parse_model_spec
-from qeclab.cocycles import Cocycle
+from qeclab.cocycles import Cocycle, find_trivializing_phase
 from qeclab.codes import classify
 from qeclab.groups import FiniteGroup, GroupValidationError, Subgroup, dihedral
 from qeclab.search import enumerate_weak_stabilizer_codes, q3_probe
@@ -149,3 +149,22 @@ def test_interned_subgroups_match_freshly_validated_ones(data):
     res = model.cocycle.restrict(interned)
     want = Cocycle(h_fresh, model.cocycle.num[np.ix_(mem, mem)], model.cocycle.den)
     assert np.array_equal(res.num, want.num) and res.den == want.den
+
+
+def test_one_greedy_closure_per_group(monkeypatch):
+    # building the group validates it (Light's test), make_rep snaps and
+    # fills along the walk and validates on its edges, verify reads the
+    # generators, and so does the trivializer: one closure between them
+    closed = []
+    closure = FiniteGroup._closure
+
+    def counted_closure(group, candidates):
+        closed.append(group)
+        return closure(group, candidates)
+
+    monkeypatch.setattr(FiniteGroup, "_closure", counted_closure)
+    model = relabeled_model(parse_model_spec("genpauli:3").model, seed=2)
+    g = model.group
+    assert find_trivializing_phase(model.cocycle) is None
+    assert model.cocycle.verify() and len(g.greedy_generators()) == 2
+    assert [h for h in closed if h is g] == [g]

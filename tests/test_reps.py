@@ -19,6 +19,7 @@ from helpers import (
     raw_scalar_table,
     raw_scalars_per_row,
     snap_each,
+    validate_all_pairs,
 )
 
 from qeclab import _tol, codes, projreps, search
@@ -553,3 +554,69 @@ def test_make_rep_snaps_only_the_generator_rows(spec, monkeypatch):
     monkeypatch.setattr(projreps, "_snap_scalars", recording_snap)
     assert make_rep(g, mats).cocycle == model.rep.cocycle
     assert shapes == [(1 + len(g.greedy_generators()), g.order)]
+
+
+# ------------------------------------------------ Cayley-edge validation
+
+
+def _verdict(build):
+    try:
+        build()
+    except MakeRepError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(model, k, eps):
+    mats = model.rep.matrices.copy()
+    mats[k] = _unitary_near_identity(model.dim, eps, seed=k) @ mats[k]
+    return mats
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_edge_validation_agrees_with_all_pairs_on_perturbed_reps(data):
+    # every pair through the perturbed pi(k) deviates by about eps: far
+    # below the edge tolerance, at it, between it and EXACT, and above EXACT
+    model = _catalog_model(data.draw(st.sampled_from(CATALOG_64)))
+    g, sigma = model.group, model.rep.cocycle
+    delta = projreps._edge_tolerance(g._cayley_walk())
+    eps = data.draw(st.sampled_from([1e-12, delta, 3e-10, 1e-5]))
+    mats = _perturbed(model, data.draw(st.integers(0, g.order - 1)), eps)
+    want = _verdict(lambda: validate_all_pairs(ProjectiveRep(g, mats, sigma, validate=False)))
+    assert _verdict(lambda: ProjectiveRep(g, mats, sigma)) == want
+
+
+@pytest.mark.parametrize("spec", ["genpauli:3", "xp:8", "oddfam:3", "permprod(genpauli:2,3)"])
+def test_edges_between_the_edge_tolerance_and_exact_are_accepted(spec):
+    model = parse_model_spec(spec).model
+    g, sigma = model.group, model.rep.cocycle
+    walk = g._cayley_walk()
+    k = int(walk.levels[-1][0][-1])
+    mats = _perturbed(model, k, 3e-10)
+    worst = projreps._edge_deviation(mats, sigma, walk)
+    assert projreps._edge_tolerance(walk) <= worst < _tol.EXACT
+    validate_all_pairs(ProjectiveRep(g, mats, sigma, validate=False))
+    ProjectiveRep(g, mats, sigma, validate=True)
+    assert make_rep(g, mats).cocycle == sigma
+
+
+@pytest.mark.parametrize("spec", CATALOG_64[:10] + ["c2d2n:4", "oddfam:3"])
+def test_a_failure_off_the_edge_columns_names_the_oracles_first_x(spec):
+    model = _catalog_model(spec)
+    g, sigma = model.group, model.rep.cocycle
+    cols = set(g._cayley_walk().cols.tolist())
+    k = max(x for x in range(g.order) if x not in cols)
+    mats = _perturbed(model, k, 1e-5)
+    want = _verdict(lambda: validate_all_pairs(ProjectiveRep(g, mats, sigma, validate=False)))
+    assert want is not None
+    assert _verdict(lambda: ProjectiveRep(g, mats, sigma)) == want
+    assert f"at x={first_product_failure(g, mats, sigma)[0]} " in want
+
+
+def test_edge_validation_of_a_trivial_group():
+    g = cyclic(1)
+    assert g._cayley_walk().length == 0
+    ProjectiveRep(g, np.eye(2, dtype=complex)[None], Cocycle.trivial(g))
+    with pytest.raises(MakeRepError, match="at x=0"):
+        ProjectiveRep(g, -np.eye(2, dtype=complex)[None], Cocycle.trivial(g))
