@@ -22,6 +22,7 @@ check already passed on the same read-only table are dropped.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,8 +112,9 @@ def snap_phase(z: complex, max_den: int) -> Phase:
         raise PhaseSnapError(f"|z| = {abs(z)} is not 1")
     angle = Fraction(cmath.phase(z) / (2 * math.pi)).limit_denominator(max_den)
     candidate = Phase.from_fraction(angle)
-    if abs(candidate.to_complex() - z / abs(z)) > _tol.EXACT:
-        raise PhaseSnapError(f"{z} is {abs(candidate.to_complex() - z)} away from nearest phase")
+    distance = abs(candidate.to_complex() - z / abs(z))
+    if distance > _tol.EXACT:
+        raise PhaseSnapError(f"{z} is {distance} away from nearest phase")
     return candidate
 
 
@@ -121,6 +123,69 @@ def snap_phase_or_none(z: complex, max_den: int) -> Phase | None:
         return snap_phase(z, max_den)
     except PhaseSnapError:
         return None
+
+
+# Largest max_den for which _snap_phases snaps by groups (see there).
+_GROUPED_SNAP_MAX_DEN = 2**15
+
+
+def _snap_phases(values, max_den: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """snap_phase on every entry of a complex array, flattened in row-major
+    order, as (numerators over one denominator, that denominator, mask of
+    the entries that snapped); a failed entry has numerator 0.
+
+    Entries are grouped by their angle rounded to 2^-32 of a turn, and
+    snap_phase runs on the first entry of each group.  Every later entry is
+    checked against its group's phase p with snap_phase's own test, the
+    same float expressions, and an entry that fails it goes through
+    snap_phase alone.  The result is snap_phase's on every entry: an entry
+    passing the test lies within _tol.EXACT of p, under 1.6e-10 of a turn,
+    while two fractions with denominators at most q lie at least 1/q^2 of a
+    turn apart, over twice that for q <= 2^15.  So p is the fraction
+    nearest the entry's own angle, which is the candidate snap_phase takes
+    and then tests as above.  Above 2^15 every entry is snapped alone.
+
+    The test runs entry by entry: from_complex sees a few entries at a
+    time, where the dozen numpy calls of an array test cost more than the
+    snaps the grouping saves.
+    """
+    grouped = max_den <= _GROUPED_SNAP_MAX_DEN
+    groups: dict[float, tuple[Phase | None, complex]] = {}
+    entries: list[Phase | None] = []
+    for z in np.asarray(values, dtype=complex).ravel().tolist():
+        # round(.., 0) keeps a NaN angle NaN, a group of its own
+        key = round(cmath.phase(z) * (2.0**32 / (2 * math.pi)), 0)
+        if key not in groups:
+            p = snap_phase_or_none(z, max_den)
+            groups[key] = (p, 0j if p is None else p.to_complex())
+        else:
+            p, c = groups[key]
+            m = abs(z)
+            if not (grouped and p is not None and abs(m - 1.0) <= _tol.SCAN
+                    and abs(c - z / m) <= _tol.EXACT):
+                p = snap_phase_or_none(z, max_den)
+        entries.append(p)
+    den = math.lcm(1, *{p.den for p in entries if p is not None})
+    num = np.array([0 if p is None else p.num * (den // p.den) for p in entries], dtype=np.int64)
+    return num, den, np.array([p is not None for p in entries], dtype=bool)
+
+
+_QUARTER_TURN_VALUES = np.array([_EXACT_QUARTER_TURNS[q] for q in ((0, 1), (1, 4), (1, 2), (3, 4))])
+
+
+def _phase_values(num: np.ndarray, den: int) -> np.ndarray:
+    """Phase(k, den).to_complex() for every numerator k of an array, bit for bit.
+
+    Each k/den is reduced first, as Phase reduces it, and the angle is
+    formed as Phase.to_complex forms it, (2 pi k) / den, so np.exp gives
+    cmath.exp's value; the quarter turns are Phase's exact constants.
+    """
+    g = np.gcd(num, den)
+    k, d = num // g, den // g
+    values = np.exp(1j * ((2 * np.pi * k) / d))
+    quarter = (4 * k) % d == 0
+    values[quarter] = _QUARTER_TURN_VALUES[(4 * k[quarter]) // d[quarter]]
+    return values
 
 
 class Cocycle:
@@ -254,21 +319,53 @@ class Cocycle:
 class PhaseFunction:
     """A phase-valued function on a subgroup.
 
-    Values are exact rational phases whenever possible; entries that failed
-    exact snapping are kept as floats and flagged, so downstream numerics
-    still work while exact operations refuse them.
+    Stored as int64 numerators num over one denominator den, a mask
+    exact_mask of the entries that are exact rational phases, and the
+    complex values.  Entries that failed exact snapping keep their float
+    value and are flagged (their numerator means nothing), so downstream
+    numerics still work while exact operations refuse them.  phases, the
+    exact entries as Phase objects and None elsewhere, is a read-only tuple
+    derived on first read.  The values of an exact function built from
+    phases or numerators are Phase.to_complex of each entry, bit for bit.
     """
 
     def __init__(self, domain: Subgroup, phases: list[Phase | None], floats=None):
-        self.domain = domain
-        self.phases: tuple[Phase | None, ...] = tuple(phases)
-        if len(self.phases) != len(domain):
+        phases = tuple(phases)
+        mask = np.array([p is not None for p in phases], dtype=bool)
+        if floats is None and not mask.all():
+            raise ValueError("inexact entries need explicit float values")
+        den = math.lcm(1, *(p.den for p in phases if p is not None))
+        num = np.array(
+            [p.num * (den // p.den) if p is not None else 0 for p in phases], dtype=np.int64
+        )
+        self._set(domain, num, den, mask, floats)
+        self._phases = phases
+
+    def _set(self, domain: Subgroup, num: np.ndarray, den: int, mask: np.ndarray, floats) -> None:
+        if len(num) != len(domain):
             raise ValueError("value count does not match subgroup order")
-        if floats is None:
-            if any(p is None for p in self.phases):
-                raise ValueError("inexact entries need explicit float values")
-            floats = np.array([p.to_complex() for p in self.phases])
-        self.values = np.asarray(floats, dtype=complex)
+        self.domain = domain
+        self.num = num
+        self.num.flags.writeable = False
+        self.den = den
+        self.exact_mask = mask
+        self.values = _phase_values(num, den) if floats is None else np.asarray(floats, dtype=complex)
+        self._phases: tuple[Phase | None, ...] | None = None
+
+    @classmethod
+    def _from_num(
+        cls, domain: Subgroup, num: np.ndarray, den: int, mask: np.ndarray | None = None, floats=None
+    ) -> "PhaseFunction":
+        """The function with numerators num over den, reduced to the least
+        denominator; exact everywhere when mask is None, and valued by
+        _phase_values when floats is None."""
+        if mask is None:
+            mask = np.ones(len(num), dtype=bool)
+        num = np.asarray(num, dtype=np.int64) % den
+        g = math.gcd(int(np.gcd.reduce(num[mask], initial=0)), den)
+        f = cls.__new__(cls)
+        f._set(domain, num // g, den // g, mask, floats)
+        return f
 
     @classmethod
     def constant_one(cls, domain: Subgroup) -> "PhaseFunction":
@@ -280,16 +377,26 @@ class PhaseFunction:
 
     @classmethod
     def from_complex(cls, domain: Subgroup, values, max_den: int) -> "PhaseFunction":
+        """snap_phase on every value (see _snap_phases); entries that fail are inexact."""
         values = np.asarray(values, dtype=complex)
-        phases = [snap_phase_or_none(z, max_den) for z in values]
-        return cls(domain, phases, values)
+        num, den, mask = _snap_phases(values, max_den)
+        return cls._from_num(domain, num, den, mask, values)
+
+    @property
+    def phases(self) -> tuple[Phase | None, ...]:
+        if self._phases is None:
+            self._phases = tuple(
+                Phase(k, self.den) if ok else None
+                for k, ok in zip(self.num.tolist(), self.exact_mask.tolist())
+            )
+        return self._phases
 
     @property
     def is_exact(self) -> bool:
-        return all(p is not None for p in self.phases)
+        return bool(self.exact_mask.all())
 
     def __len__(self) -> int:
-        return len(self.phases)
+        return len(self.num)
 
     def value_at(self, parent_index: int) -> complex:
         return complex(self.values[self.domain.position(parent_index)])
@@ -297,15 +404,15 @@ class PhaseFunction:
     def multiply(self, other: "PhaseFunction") -> "PhaseFunction":
         if other.domain.members != self.domain.members:
             raise ValueError("phase functions on different domains")
-        phases = [
-            None if (p is None or q is None) else p * q
-            for p, q in zip(self.phases, other.phases)
-        ]
-        return PhaseFunction(self.domain, phases, self.values * other.values)
+        den = math.lcm(self.den, other.den)
+        num = self.num * (den // self.den) + other.num * (den // other.den)
+        mask = self.exact_mask & other.exact_mask
+        return PhaseFunction._from_num(self.domain, num, den, mask, self.values * other.values)
 
     def conjugate(self) -> "PhaseFunction":
-        phases = [None if p is None else p.inverse() for p in self.phases]
-        return PhaseFunction(self.domain, phases, np.conj(self.values))
+        return PhaseFunction._from_num(
+            self.domain, -self.num, self.den, self.exact_mask, np.conj(self.values)
+        )
 
     def to_json(self) -> dict:
         out = {}
@@ -340,11 +447,10 @@ def coboundary(f: PhaseFunction) -> Cocycle:
     """(df)(x, y) = f(x) f(y) conj(f(xy)), a cocycle on the domain subgroup."""
     if not f.is_exact:
         raise ValueError("coboundary needs exact phase values")
-    den = math.lcm(*(p.den for p in f.phases))
-    num = np.array([p.num * (den // p.den) for p in f.phases], dtype=np.int64)
+    num = f.num
     group = f.domain.as_group()
-    table = (num[:, None] + num[None, :] - num[group.mul]) % den
-    return Cocycle(group, table, den)
+    table = (num[:, None] + num[None, :] - num[group.mul]) % f.den
+    return Cocycle(group, table, f.den)
 
 
 def _greedy_generators(group: FiniteGroup) -> list[int]:
@@ -352,17 +458,18 @@ def _greedy_generators(group: FiniteGroup) -> list[int]:
     return group.greedy_generators()
 
 
-def _solve_mod(rows: list[list[int]], rhs: list[int], modulus: int) -> list[int] | None:
-    """One solution u of rows . u == rhs (mod modulus), or None.
+def _diagonalize(a: list[list[int]], b: list[int]) -> tuple[int, list[list[int]]]:
+    """Reduce the k x r integer matrix a to diagonal form in place.
 
-    Diagonalizes the coefficient matrix with integer row and column
-    operations (a Smith-style reduction); column operations are accumulated
-    so the solution can be mapped back.  Exact Python integers throughout.
+    Integer row and column operations (a Smith-style reduction, without the
+    divisibility chain); the row operations are applied to b as well, and
+    the column operations are accumulated in v.  Returns (p, v): after the
+    call a[i][i] is nonzero for i < p and every other entry of a is zero,
+    and a_before . v = P^-1 a_after for the unimodular row operations P.
+    Exact Python integers throughout.
     """
-    k = len(rows)
-    r = len(rows[0]) if k else 0
-    a = [list(row) for row in rows]
-    b = list(rhs)
+    k = len(a)
+    r = len(a[0]) if k else 0
     v = [[int(i == j) for j in range(r)] for i in range(r)]
 
     def swap_rows(i, j):
@@ -416,7 +523,20 @@ def _solve_mod(rows: list[list[int]], rhs: list[int], modulus: int) -> list[int]
                         swap_cols(p, j)
                         dirty = True
         p += 1
+    return p, v
 
+
+def _solve_mod(rows: list[list[int]], rhs: list[int], modulus: int) -> list[int] | None:
+    """One solution u of rows . u == rhs (mod modulus), or None.
+
+    Diagonalizes the coefficient matrix (_diagonalize) and maps the
+    solution of the diagonal system back through the column operations.
+    """
+    k = len(rows)
+    r = len(rows[0]) if k else 0
+    a = [list(row) for row in rows]
+    b = list(rhs)
+    p, v = _diagonalize(a, b)
     y = [0] * r
     for i in range(k):
         pivot = a[i][i] if i < r else 0
@@ -438,11 +558,106 @@ def _solve_mod(rows: list[list[int]], rhs: list[int], modulus: int) -> list[int]
     return [sum(v[i][j] * y[j] for j in range(r)) % modulus for i in range(r)]
 
 
+def _kernel_mod(rows: list[list[int]], r: int, modulus: int) -> np.ndarray:
+    """Every solution u of rows . u == 0 (mod modulus), one per row, in no particular order.
+
+    With a_before . v = P^-1 D (_diagonalize), u is a solution exactly when
+    y = v^-1 u has d_i y_i == 0 for every pivot d_i, that is y_i a multiple
+    of modulus / gcd(d_i, modulus), and y_i free past the pivots.  The
+    solutions are the combinations of the scaled columns of v with
+    coefficients below each one's order: a product of cyclic groups, so the
+    count is the size of the kernel and never (Z/modulus)^r.
+    """
+    a = [list(row) for row in rows]
+    p, v = _diagonalize(a, [0] * len(a))
+    orders = [math.gcd(a[i][i] if i < p else 0, modulus) for i in range(r)]
+    steps = np.array(
+        [[v[j][i] * (modulus // orders[i]) % modulus for j in range(r)] for i in range(r)],
+        dtype=np.int64,
+    ).reshape(r, r)
+    combos = list(itertools.product(*map(range, orders)))
+    return np.array(combos, dtype=np.int64).reshape(len(combos), r) @ steps % modulus
+
+
+def _word_walk(group: FiniteGroup) -> tuple[list[int], np.ndarray, list[tuple[int, int, int]]]:
+    """The depth-first walk of the right Cayley graph that fixes the
+    trivializer's particular solution.
+
+    Returns the greedy generators, the word coefficients coeff (n x r,
+    coeff[x] counts each generator in one word for x, the identity empty
+    and each generator its own letter) and the tree edges (x, g, xg) in
+    visit order.  The walk starts from the identity and the generators,
+    takes the element reached last, and tries the generators in order.
+    """
+    n = group.order
+    mul = group.mul
+    gens = _greedy_generators(group)
+    coeff = np.zeros((n, len(gens)), dtype=np.int64)
+    known = np.zeros(n, dtype=bool)
+    e = group.identity
+    known[e] = True
+    for i, g in enumerate(gens):
+        known[g] = True
+        coeff[g, i] = 1
+    tree: list[tuple[int, int, int]] = []
+    queue = [e] + [g for g in gens]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = int(mul[x, g])
+            if not known[y]:
+                known[y] = True
+                coeff[y] = coeff[x] + coeff[g]
+                tree.append((x, g, y))
+                queue.append(y)
+    if not known.all():
+        raise RuntimeError("generator walk failed to cover the group")
+    return gens, coeff, tree
+
+
+def _edge_coefficients(group: FiniteGroup, gens: list[int], coeff: np.ndarray) -> np.ndarray:
+    """coeff[x] + coeff[g] - coeff[xg] on every Cayley edge (x, g), one row
+    per edge: the left side of df = sigma in the generator unknowns."""
+    n, r = coeff.shape
+    ends = group.mul[:, gens]
+    return (coeff[:, None, :] + coeff[gens][None, :, :] - coeff[ends]).reshape(n * r, r)
+
+
+def _linear_characters(group: FiniteGroup) -> tuple[np.ndarray, int]:
+    """Every linear character of a group, as numerators over e = exp(G).
+
+    Returns (chars, e): chars[j, x] is the j-th character at x, rows in
+    lexicographic order of their values on the greedy generators.  A
+    function chi = coeff . u with u = (chi(g_1), ..., chi(g_r)) is a
+    homomorphism to Z/e exactly when chi(x) + chi(g) = chi(xg) on every
+    Cayley edge, by induction on the word length of the right factor, so
+    the characters are the kernel of the trivializer's homogeneous edge
+    system mod e (_kernel_mod).  Every character of G lands in Z/e, since
+    chi(x)^e = chi(x^e) = 1, so there is one row per character of G/[G, G].
+    """
+    gens, coeff, _ = _word_walk(group)
+    e = group.exponent()
+    rows = sorted(set(map(tuple, (_edge_coefficients(group, gens, coeff) % e).tolist())))
+    values = _kernel_mod(rows, len(gens), e)
+    values = values[sorted(range(len(values)), key=lambda j: values[j].tolist())]
+    return values @ coeff.T % e, e
+
+
 def find_trivializing_phase(
     sigma: Cocycle,
     domain: Subgroup | None = None,
 ) -> PhaseFunction | None:
     """A phase function f with (df) = sigma, or None when none exists.
+
+    On an abelian group the answer is read off first: sigma is a coboundary
+    exactly when its commutator pairing beta(x, y) = sigma(x, y) /
+    sigma(y, x) is 1 (Kleppner, "Multipliers on abelian groups", Math.
+    Ann. 158, 1965).  beta is bimultiplicative, so it is 1 everywhere once
+    it is 1 on pairs of greedy generators: a generator pair with
+    sigma(g_i, g_j) != sigma(g_j, g_i) returns None without a solve.
+    Otherwise, and on every non-abelian group, f is solved for as follows,
+    so a trivializer found is the same phase for phase with or without the
+    pairing test.
 
     A trivializer valued in C_m (m the cocycle denominator) need not exist
     even when one valued in finer roots of unity does, so denominators k*m
@@ -462,11 +677,15 @@ def find_trivializing_phase(
         raise ValueError("domain size does not match the cocycle's group")
     if not sigma.verify():
         return None
-    result_domain = domain if domain is not None else group.full_subgroup()
-    n = group.order
-    mul = group.mul
+    t = sigma.num
     gens = _greedy_generators(group)
-    r = len(gens)
+    if group.is_abelian():
+        pairs = t[np.ix_(gens, gens)]
+        if ((pairs - pairs.T) % sigma.den).any():
+            return None
+    result_domain = domain if domain is not None else group.full_subgroup()
+    n, r = group.order, len(gens)
+    _, coeff, tree = _word_walk(group)
     exponent = group.exponent()
     multiples = [k for k in (1, 2) if k <= exponent]
     if exponent > 2:
@@ -474,33 +693,14 @@ def find_trivializing_phase(
 
     # one walk serves every multiple: sigma.num < den, so k * sigma.num is
     # already reduced mod k * den and every constant below scales by k
-    t = sigma.num
-    coeff = np.zeros((n, r), dtype=np.int64)
     const = np.zeros(n, dtype=np.int64)
-    known = np.zeros(n, dtype=bool)
-    e = group.identity
-    known[e] = True
-    const[e] = t[e, e]            # df(1,1) = f(1) pins the identity value
-    for i, g in enumerate(gens):
-        if not known[g]:
-            known[g] = True
-            coeff[g, i] = 1
-    queue = [e] + [g for g in gens]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = int(mul[x, g])
-            if not known[y]:
-                known[y] = True
-                coeff[y] = coeff[x] + coeff[g]
-                const[y] = const[x] + const[g] - t[x, g]
-                queue.append(y)
-    if not known.all():
-        raise RuntimeError("generator walk failed to cover the group")
+    const[group.identity] = t[group.identity, group.identity]  # df(1,1) = f(1)
+    for x, g, y in tree:
+        const[y] = const[x] + const[g] - t[x, g]
 
     # f(x) + f(g) - f(xg) = t(x, g) on every Cayley edge
-    ends = mul[:, gens]
-    cx = (coeff[:, None, :] + coeff[gens][None, :, :] - coeff[ends]).reshape(n * r, r)
+    ends = group.mul[:, gens]
+    cx = _edge_coefficients(group, gens, coeff)
     dv = (t[:, gens] - const[:, None] - const[gens][None, :] + const[ends]).reshape(n * r, 1)
     for k in multiples:
         modulus = k * sigma.den
@@ -516,9 +716,7 @@ def find_trivializing_phase(
         if u is None:
             continue
         nums = (coeff @ np.array(u, dtype=np.int64) + k * const) % modulus
-        f = PhaseFunction.exact(
-            result_domain, [Phase(int(v), modulus) for v in nums]
-        )
+        f = PhaseFunction._from_num(result_domain, nums, modulus)
         if coboundary(f) != Cocycle(group, sigma.num * k, modulus):
             raise RuntimeError("solver produced a non-trivializing phase function")
         return f

@@ -12,12 +12,15 @@ needs no product of its own: its blocks (1 - P) pi(x) P and P pi(x) (1 - P)
 are orthogonal, and pi(x)* is a unit multiple of pi(x^-1), so the second
 has the norm of the first at x^-1.
 
-Constituents are walked here only (_constituent_phases): with f0 a
-trivializer of the restricted cocycle, the codes on H are the joint
-eigenspaces of the linear rep conj(f0) pi|H.  existence_phase takes the first
-and search.enumerate_weak_stabilizer_codes takes them all.  The action of L
-on an L-invariant code is ProjectiveRep.on_subspace of the restriction to L,
-which carries the restricted cocycle exactly, so it is never snapped afresh.
+Constituents are found here only (_constituent_phases), in exact
+arithmetic: with f0 a trivializer of the restricted cocycle, the codes on
+H are the (H, f0 chi) eigenspaces for the linear characters chi of H, read
+from a diagonal form of an integer system, whose multiplicity in
+conj(f0) pi|H is positive.  No eigenspace is walked and no value is snapped to find them.
+existence_phase takes the first and search.enumerate_weak_stabilizer_codes
+takes them all.  The action of L on an L-invariant code is
+ProjectiveRep.on_subspace of the restriction to L, which carries the
+restricted cocycle exactly, so it is never snapped afresh.
 
 classify counts instead of building subspaces.  A code W lies in the (S, f)
 eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
@@ -33,6 +36,7 @@ cocycles are the ones the lattice's subgroups already carry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,7 +44,14 @@ import numpy as np
 
 from . import _tol
 from ._linalg import compress, frobenius, nullspace, orthonormal_columns, scalar_deviation
-from .cocycles import PhaseFunction, _greedy_generators, coboundary, find_trivializing_phase
+from .cocycles import (
+    PhaseFunction,
+    _greedy_generators,
+    _linear_characters,
+    _phase_values,
+    coboundary,
+    find_trivializing_phase,
+)
 from .groups import Subgroup
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
@@ -198,56 +209,37 @@ def stabilizer_code(
     return weak_stabilizer_code(model, sub, f)
 
 
-def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray):
-    """Yield a basis of every nonzero joint eigenspace of matrices[g], g in gens,
-    inside the span of the orthonormal columns of basis.
-
-    Depth first: the eigenvalues of the first generator compressed to the
-    span are sorted by phase angle (angles within _tol.EXACT of a full turn
-    read as 0, angles within _tol.SCAN of the last one kept are merged), and
-    each branch intersects the span with a genuine eigenspace before the next
-    generator refines it.  Spurious compressed eigenvalues of noncommuting
-    generators die as empty intersections.  Branches come out in
-    lexicographic angle order, one generator after another.
-    """
-    if not gens:
-        yield basis
-        return
-    m = matrices[gens[0]]
-    angles = np.mod(np.angle(np.linalg.eigvals(compress(m, basis))) / (2 * np.pi), 1.0)
-    angles[angles > 1 - _tol.EXACT] = 0.0
-    chosen: list[float] = []
-    for a in sorted(angles):
-        if not chosen or a - chosen[-1] > _tol.SCAN:
-            chosen.append(a)
-    eye = np.eye(matrices.shape[1])
-    for a in chosen:
-        ns = nullspace((m - np.exp(2j * np.pi * a) * eye) @ basis)
-        if ns.shape[1]:
-            yield from _joint_eigenspaces(matrices, gens[1:], basis @ ns)
-
-
 def _constituent_phases(model: ProjectiveErrorModel, sub: Subgroup):
     """Yield every phase function f on sub with a nonzero code, one per constituent.
 
-    With f0 a trivializer of the restricted cocycle, x -> conj(f0(x)) pi(x)
-    is a linear rep of sub; f = f0 chi for the character chi of each of its
-    joint eigenspaces, in _joint_eigenspaces order over the greedy
-    generators.  Yields nothing when the restricted cocycle is not a
-    coboundary.
+    With f0 a trivializer of the restricted cocycle, the admissible f are
+    exactly f0 chi for the linear characters chi of sub: df = sigma|H = df0
+    makes f / f0 a homomorphism to T.  The (sub, f0 chi) code is the chi
+    eigenspace of the linear rep x -> conj(f0(x)) pi(x), so its dimension is
+    the multiplicity m_chi = (1/|H|) sum_h conj(f0 chi)(h) chi_pi(h), the
+    average code_dimension_formula snaps, snapped to an integer here too.
+    The characters are exact (cocycles._linear_characters), so f0 chi is
+    built from integer numerators.  It is yielded for every chi with
+    m_chi > 0, in lexicographic order of chi's values on the greedy
+    generators of sub.as_group(): the order of the joint eigenspace walk
+    (see existence_phase).  Yields nothing when the restricted cocycle is
+    not a coboundary, and raises CodeError when a multiplicity is not a
+    non-negative integer.
     """
     f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
     if f0 is None:
         return
-    lin = model.rep.matrices[list(sub.members)] * f0.values.conj()[:, None, None]
-    gens = _greedy_generators(sub.as_group())
-    for basis in _joint_eigenspaces(lin, gens, np.eye(model.dim, dtype=complex)):
-        v = basis[:, 0]
-        chi_values = np.einsum("a,xab,b->x", v.conj(), lin, v)
-        chi = PhaseFunction.from_complex(sub, chi_values, max_den=len(sub))
-        if not chi.is_exact:
-            raise CodeError("constituent character did not snap to exact phases")
-        yield f0.multiply(chi)
+    chars, e = _linear_characters(sub.as_group())
+    chi_pi = model.rep.character().values[list(sub.members)]
+    totals = np.exp(-2j * np.pi * chars / e) @ (f0.values.conj() * chi_pi) / len(sub)
+    counts = np.rint(totals.real)
+    bad = np.flatnonzero((np.abs(totals - counts) > _tol.DERIVED) | (counts < 0))
+    if bad.size:
+        raise CodeError(f"constituent multiplicity gave a non-integer value {totals[bad[0]]}")
+    den = math.lcm(f0.den, e)
+    nums = (f0.num * (den // f0.den) + chars[counts > 0] * (den // e)) % den
+    for num, values in zip(nums, _phase_values(nums, den)):
+        yield PhaseFunction._from_num(sub, num, den, floats=values)
 
 
 def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction | None:
@@ -256,7 +248,20 @@ def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction
     Needs the subgroup abelian and the restricted cocycle a coboundary.  The
     choice among the 1-dimensional constituents is deterministic: it is the
     first one _constituent_phases yields, the lowest phase angle of each
-    generator in turn.
+    generator g_1, ..., g_r of sub.as_group() in turn.
+
+    That is the choice the joint eigenspace walk made, which split the
+    space by the eigenvalues of conj(f0) pi(g_1), then of g_2 within each
+    eigenspace, and so on, taking angles in [0, 1) in increasing order.  A
+    nonzero joint eigenspace with angles (a_1, ..., a_r) is acted on by
+    every element as a scalar, since its generators act so, and that
+    scalar is a linear character chi with chi(g_i) = a_i and m_chi > 0;
+    conversely the chi eigenspace of a chi with m_chi > 0 lies in that
+    joint eigenspace.  The angles are chi(g_i) = u_i / e with 0 <= u_i < e,
+    so increasing angle, generator after generator, is lexicographic order
+    of (u_1, ..., u_r), the order of _linear_characters.  Two characters
+    differ on some generator by at least 1/e of a turn, far above the
+    walk's merging tolerance _tol.SCAN, so the walk kept every one apart.
     """
     if not sub.is_abelian():
         return None
@@ -277,7 +282,13 @@ def code_dimension_formula(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseF
     return int(nearest)
 
 
-def clifford_code(model: ProjectiveErrorModel, sub: Subgroup, rho: ProjectiveRep) -> CodeSpace:
+def clifford_code(
+    model: ProjectiveErrorModel,
+    sub: Subgroup,
+    rho: ProjectiveRep,
+    _res: ProjectiveRep | None = None,
+    _count: int | None = None,
+) -> CodeSpace:
     """Image of the unique intertwiner from rho into the restricted action.
 
     Multiplicity one is <chi_rho, chi_res> (_intertwiner_count).  The map
@@ -290,15 +301,19 @@ def clifford_code(model: ProjectiveErrorModel, sub: Subgroup, rho: ProjectiveRep
     the E_ab with the largest diagonal entry is therefore T0 scaled by at
     least 1/sqrt(dim V dim rho), nonzero, and no draw decides the result.
     It is checked to intertwine on every x before its image is taken.
+
+    q3_probe passes the restriction of pi and its count, which it has just
+    made, as the private _res and _count, positionally so that a wrapper
+    taking *args still sees them; without them both are computed here.
     """
     if not is_irreducible(rho):
         raise CodeError("clifford_code: the small representation must be irreducible")
-    res = restrict(model.rep, sub)
+    res = restrict(model.rep, sub) if _res is None else _res
     if rho.cocycle != res.cocycle:
         raise CodeError(
             "clifford_code: the small representation's cocycle must equal the restricted cocycle"
         )
-    count = _intertwiner_count(rho, res)
+    count = _intertwiner_count(rho, res) if _count is None else _count
     if count != 1:
         raise CodeError(
             f"clifford_code: need multiplicity one, got intertwiner space of dim {count}"

@@ -81,6 +81,7 @@ class FiniteGroup:
     # sorted member tuple -> the one library-built Subgroup on those members
     _interned: dict = field(default_factory=dict, init=False, repr=False)
     _walk: "_CayleyWalk | None" = field(default=None, init=False, repr=False)
+    _exponent: int | None = field(default=None, init=False, repr=False)
     _lattice_members: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -158,7 +159,10 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
-        return math.lcm(*(self.element_order(x) for x in range(self.order)))
+        """The least common multiple of the element orders, computed once per group."""
+        if self._exponent is None:
+            self._exponent = math.lcm(*(self.element_order(x) for x in range(self.order)))
+        return self._exponent
 
     def conjugate(self, x: int, y: int) -> int:
         """x * y * x^-1."""

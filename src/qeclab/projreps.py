@@ -21,9 +21,9 @@ from .cocycles import (
     Phase,
     PhaseFunction,
     PhaseSnapError,
+    _snap_phases,
     coboundary,
     snap_phase,
-    snap_phase_or_none,
 )
 from .groups import FiniteGroup, Subgroup
 
@@ -255,8 +255,9 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     When the generator-row snap, the guard or the validation raises
     MakeRepError, all n^2 scalars are snapped and that table is validated
     instead, so every error names the first failing (x, y) in row-major
-    order.  Either way snap_phase runs once per distinct scalar, and every
-    scalar is then checked against its value's phase (see _snap_scalars).
+    order.  Either way snap_phase runs once per group of scalars of one
+    angle, and every scalar is then checked against its group's phase (see
+    cocycles._snap_phases).
     """
     matrices = np.asarray(matrices, dtype=complex)
     n = group.order
@@ -354,39 +355,20 @@ def _row_products(m: np.ndarray, right: np.ndarray | None = None):
 def _snap_scalars(raw: np.ndarray, max_den: int) -> tuple[np.ndarray, int]:
     """snap_phase on every entry of raw, as numerators over one denominator.
 
-    Entries are grouped by their angle rounded to 2^-32 of a turn, and
-    snap_phase runs once per group.  Each entry is then checked, as
-    snap_phase checks it, against its group's phase.  Entries that fail go
-    through snap_phase one by one, in row-major order, and the first that
-    snap_phase rejects raises MakeRepError.
+    The entries are snapped by groups (cocycles._snap_phases), which gives
+    snap_phase's result on every entry.  When an entry fails, the first in
+    row-major order raises MakeRepError with snap_phase's reason.
     """
-    flat = raw.ravel()
-    keys = np.round(np.angle(flat) * (2.0**32 / (2 * np.pi)))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    phases = [snap_phase_or_none(complex(flat[i]), max_den) for i in first]
-    snapped = np.array([p is not None for p in phases])
-    values = np.array([p.to_complex() if p is not None else 0.0 for p in phases])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        modulus = np.abs(flat)
-        ok = (
-            snapped[inverse]
-            & (np.abs(modulus - 1.0) <= _tol.SCAN)
-            & (np.abs(values[inverse] - flat / modulus) <= _tol.EXACT)
-        )
-    own: dict[int, Phase] = {}
-    for i in np.flatnonzero(~ok):
+    num, den, snapped = _snap_phases(raw, max_den)
+    failed = np.flatnonzero(~snapped)
+    if failed.size:
+        x, y = divmod(int(failed[0]), raw.shape[1])
         try:
-            own[int(i)] = snap_phase(complex(flat[i]), max_den)
+            snap_phase(complex(raw[x, y]), max_den)
         except PhaseSnapError as exc:
-            x, y = divmod(int(i), raw.shape[1])
             raise MakeRepError(
                 f"scalar snap failed at ({x},{y}): matrices do not form a projective rep ({exc})"
             ) from exc
-    den = math.lcm(*(p.den for p in phases if p is not None), *(p.den for p in own.values()))
-    nums = np.array([p.num * (den // p.den) if p is not None else 0 for p in phases], dtype=np.int64)
-    num = nums[inverse]
-    for i, p in own.items():
-        num[i] = p.num * (den // p.den)
     return num.reshape(raw.shape), den
 
 

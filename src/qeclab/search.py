@@ -6,7 +6,7 @@ rely on.  Their max_order and max_dim replace the environment caps,
 max_group_order() and max_ambient_dim(16), in either direction; None keeps
 them.  The order cap is the one all_subgroups is given.
 
-The codes of one subgroup come from the constituent walk in codes
+The codes of one subgroup come from its exact constituents in codes
 (_constituent_phases); this module loops over subgroups and deduplicates.
 """
 
@@ -216,9 +216,10 @@ def q3_probe(
         for rho in _irreducible_constituents(res):
             if rho.dim != target:
                 continue
-            if _intertwiner_count(rho, res) != 1:
+            count = _intertwiner_count(rho, res)
+            if count != 1:
                 continue
-            code = clifford_code(model, sub, rho)
+            code = clifford_code(model, sub, rho, res, count)
             if not kept.add_if_new(code.projector()):
                 continue
             report = classify(model, code)

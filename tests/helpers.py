@@ -660,6 +660,61 @@ def kl_witness_per_row(code, channel, tol: float = 1e-8) -> tuple[int, int] | No
     return None
 
 
+def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray):
+    """Yield a basis of every nonzero joint eigenspace of matrices[g], g in gens,
+    inside the span of the orthonormal columns of basis.
+
+    Depth first: the eigenvalues of the first generator compressed to the
+    span are sorted by phase angle (angles within _tol.EXACT of a full turn
+    read as 0, angles within _tol.SCAN of the last one kept are merged), and
+    each branch intersects the span with a genuine eigenspace before the next
+    generator refines it.  Spurious compressed eigenvalues of noncommuting
+    generators die as empty intersections.  Branches come out in
+    lexicographic angle order, one generator after another.  This is the
+    eigenspace walk codes._constituent_phases made before its constituents
+    were read from exact characters, kept as their oracle.
+    """
+    from qeclab._linalg import compress, nullspace
+
+    if not gens:
+        yield basis
+        return
+    m = matrices[gens[0]]
+    angles = np.mod(np.angle(np.linalg.eigvals(compress(m, basis))) / (2 * np.pi), 1.0)
+    angles[angles > 1 - _tol.EXACT] = 0.0
+    chosen: list[float] = []
+    for a in sorted(angles):
+        if not chosen or a - chosen[-1] > _tol.SCAN:
+            chosen.append(a)
+    eye = np.eye(matrices.shape[1])
+    for a in chosen:
+        ns = nullspace((m - np.exp(2j * np.pi * a) * eye) @ basis)
+        if ns.shape[1]:
+            yield from _joint_eigenspaces(matrices, gens[1:], basis @ ns)
+
+
+def constituent_phases_oracle(model, sub) -> list:
+    """codes._constituent_phases by the eigenspace walk: f0 times the
+    character of each joint eigenspace of conj(f0) pi|H (_joint_eigenspaces
+    over the greedy generators), read on its first basis vector and
+    snapped entry by entry."""
+    from qeclab.cocycles import PhaseFunction, find_trivializing_phase
+
+    f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
+    if f0 is None:
+        return []
+    lin = model.rep.matrices[list(sub.members)] * f0.values.conj()[:, None, None]
+    gens = sub.as_group().greedy_generators()
+    out = []
+    for basis in _joint_eigenspaces(lin, gens, np.eye(model.dim, dtype=complex)):
+        v = basis[:, 0]
+        chi_values = np.einsum("a,xab,b->x", v.conj(), lin, v)
+        phases = [snap_phase_or_none(complex(z), len(sub)) for z in chi_values]
+        assert all(p is not None for p in phases)
+        out.append(f0.multiply(PhaseFunction(sub, phases, chi_values)))
+    return out
+
+
 def joint_eigenvectors_oracle(matrices: np.ndarray, gens: list[int]) -> list[np.ndarray]:
     """Bases of every nonzero joint eigenspace of the generator matrices,
     refined breadth first: one list of branches per generator."""

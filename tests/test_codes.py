@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     CATALOG_64,
+    _joint_eigenspaces,
     classify_flags_oracle,
     clifford_code_oracle,
     commutator_norms_oracle,
@@ -29,7 +30,6 @@ from qeclab.codes import (
     CodeError,
     CodeSpace,
     _code_action,
-    _joint_eigenspaces,
     _subgroup_generators,
     classify,
     clifford_code,
