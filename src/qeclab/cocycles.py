@@ -579,48 +579,23 @@ def _kernel_mod(rows: list[list[int]], r: int, modulus: int) -> np.ndarray:
     return np.array(combos, dtype=np.int64).reshape(len(combos), r) @ steps % modulus
 
 
-def _word_walk(group: FiniteGroup) -> tuple[list[int], np.ndarray, list[tuple[int, int, int]]]:
-    """The depth-first walk of the right Cayley graph that fixes the
-    trivializer's particular solution.
-
-    Returns the greedy generators, the word coefficients coeff (n x r,
-    coeff[x] counts each generator in one word for x, the identity empty
-    and each generator its own letter) and the tree edges (x, g, xg) in
-    visit order.  The walk starts from the identity and the generators,
-    takes the element reached last, and tries the generators in order.
-    """
-    n = group.order
-    mul = group.mul
-    gens = _greedy_generators(group)
-    coeff = np.zeros((n, len(gens)), dtype=np.int64)
-    known = np.zeros(n, dtype=bool)
-    e = group.identity
-    known[e] = True
-    for i, g in enumerate(gens):
-        known[g] = True
-        coeff[g, i] = 1
-    tree: list[tuple[int, int, int]] = []
-    queue = [e] + [g for g in gens]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = int(mul[x, g])
-            if not known[y]:
-                known[y] = True
-                coeff[y] = coeff[x] + coeff[g]
-                tree.append((x, g, y))
-                queue.append(y)
-    if not known.all():
-        raise RuntimeError("generator walk failed to cover the group")
-    return gens, coeff, tree
-
-
-def _edge_coefficients(group: FiniteGroup, gens: list[int], coeff: np.ndarray) -> np.ndarray:
-    """coeff[x] + coeff[g] - coeff[xg] on every Cayley edge (x, g), one row
+def _edge_system(group: FiniteGroup) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(gens, coeff, rows): the greedy generators; coeff (n x r), coeff[x]
+    counting each generator in the word for x along the group's cached
+    tree, the identity empty and each generator its own letter; and
+    coeff[x] + coeff[g] - coeff[xg] on every Cayley edge (x, g), one row
     per edge: the left side of df = sigma in the generator unknowns."""
+    walk = group._cayley_walk()
+    gens = _greedy_generators(group)
+    coeff = walk.path_sums((walk.tree[3][:, None] == gens).astype(np.int64))
     n, r = coeff.shape
-    ends = group.mul[:, gens]
-    return (coeff[:, None, :] + coeff[gens][None, :, :] - coeff[ends]).reshape(n * r, r)
+    rows = coeff[:, None, :] + coeff[gens][None, :, :] - coeff[group.mul[:, gens]]
+    return gens, coeff, rows.reshape(n * r, r)
+
+
+def _distinct_rows(a: np.ndarray) -> list[list[int]]:
+    """The distinct rows of an integer matrix, as int lists in lexicographic order."""
+    return [list(row) for row in sorted(set(map(tuple, a.tolist())))]
 
 
 def _linear_characters(group: FiniteGroup) -> tuple[np.ndarray, int]:
@@ -635,9 +610,9 @@ def _linear_characters(group: FiniteGroup) -> tuple[np.ndarray, int]:
     system mod e (_kernel_mod).  Every character of G lands in Z/e, since
     chi(x)^e = chi(x^e) = 1, so there is one row per character of G/[G, G].
     """
-    gens, coeff, _ = _word_walk(group)
+    gens, coeff, edges = _edge_system(group)
     e = group.exponent()
-    rows = sorted(set(map(tuple, (_edge_coefficients(group, gens, coeff) % e).tolist())))
+    rows = _distinct_rows(edges % e)
     values = _kernel_mod(rows, len(gens), e)
     values = values[sorted(range(len(values)), key=lambda j: values[j].tolist())]
     return values @ coeff.T % e, e
@@ -666,11 +641,14 @@ def find_trivializing_phase(
     trivializer is automatically valued in C_(m*exponent).  The first
     multiple that admits a solution gives the result.
 
-    With f(e) = sigma(e, e) and one unknown per greedy generator g, df =
-    sigma is imposed on the n*r Cayley edges (x, g) only.  For a cocycle
-    sigma that suffices: c = sigma - df is a cocycle with c(x, g) = 0, so
-    c(x, yg) = c(x, y) and c(x, e) = c(e, e) = f(e) - f(e) = 0 make c
-    vanish.  A table that is not a cocycle has no trivializer: None.
+    With f(e) = sigma(e, e) and one unknown per greedy generator g, every
+    other f(xg) = f(x) + f(g) - sigma(x, g) is summed down the group's
+    cached spanning tree (FiniteGroup._cayley_walk), which so fixes the
+    particular solution.  df = sigma is imposed on the n*r Cayley edges
+    (x, g) only.  For a cocycle sigma that suffices: c = sigma - df is a
+    cocycle with c(x, g) = 0, so c(x, yg) = c(x, y) and c(x, e) = c(e, e)
+    = f(e) - f(e) = 0 make c vanish.  A table that is not a cocycle has no
+    trivializer: None.
     """
     group = sigma.group
     if domain is not None and len(domain) != group.order:
@@ -685,33 +663,27 @@ def find_trivializing_phase(
             return None
     result_domain = domain if domain is not None else group.full_subgroup()
     n, r = group.order, len(gens)
-    _, coeff, tree = _word_walk(group)
+    _, coeff, cx = _edge_system(group)
     exponent = group.exponent()
     multiples = [k for k in (1, 2) if k <= exponent]
     if exponent > 2:
         multiples.append(exponent)
 
-    # one walk serves every multiple: sigma.num < den, so k * sigma.num is
-    # already reduced mod k * den and every constant below scales by k
-    const = np.zeros(n, dtype=np.int64)
-    const[group.identity] = t[group.identity, group.identity]  # df(1,1) = f(1)
-    for x, g, y in tree:
-        const[y] = const[x] + const[g] - t[x, g]
+    # const(xg) = const(x) - t(x, g) from const(1) = f(1) = t(1, 1), so
+    # const(g) = 0 (t(1, g) = t(1, 1) in a cocycle); it serves every multiple:
+    # sigma.num < den, so k * sigma.num is reduced mod k * den, and scales by k
+    walk = group._cayley_walk()
+    _, _, parents, steps = walk.tree
+    const = walk.path_sums(-t[parents, steps]) + t[group.identity, group.identity]
 
     # f(x) + f(g) - f(xg) = t(x, g) on every Cayley edge
     ends = group.mul[:, gens]
-    cx = _edge_coefficients(group, gens, coeff)
-    dv = (t[:, gens] - const[:, None] - const[gens][None, :] + const[ends]).reshape(n * r, 1)
+    dv = (t[:, gens] - const[:, None] + const[ends]).reshape(n * r, 1)
     for k in multiples:
         modulus = k * sigma.den
-        system = np.concatenate([cx % modulus, (k * dv) % modulus], axis=1)
-        # the distinct rows in lexicographic order, as np.unique(axis=0) returns them
-        system = system[np.lexsort(system.T[::-1])]
-        keep = np.ones(len(system), dtype=bool)
-        keep[1:] = (system[1:] != system[:-1]).any(axis=1)
-        system = system[keep]
-        rows = [list(map(int, row[:r])) for row in system]
-        rhs = [int(row[r]) for row in system]
+        system = _distinct_rows(np.concatenate([cx % modulus, (k * dv) % modulus], axis=1))
+        rows = [row[:r] for row in system]
+        rhs = [row[r] for row in system]
         u = _solve_mod(rows, rhs, modulus)
         if u is None:
             continue

@@ -17,14 +17,12 @@ lookup, and the subgroup's as_group(), validated by FiniteGroup._validate
 when first built, is shared by every caller of that member set.  The
 public constructor itself is not interned and always validates.
 
-Each FiniteGroup also keeps one breadth-first walk of its right Cayley
-graph over greedy_generators(), built on first use: the generators, the
-edge ends x * c for c in [identity, *gens], and the levels, with each
-element's parent and step, and the greatest word length.
-Group validation, Cocycle.verify, make_rep's cocycle fill and
-ProjectiveRep's edge check all read it, so the greedy closure runs once
-per group.  The trivializer keeps its own depth-first walk, whose visit
-order fixes its particular solution.
+Each FiniteGroup also keeps one walk of its right Cayley graph over
+greedy_generators(), built on first use: the generators, the edge ends
+x * c for c in [identity, *gens], and one depth-first spanning tree, which
+fixes the trivializer's particular solution.  Group validation,
+Cocycle.verify, the trivializer, the linear characters, make_rep's
+cocycle fill and ProjectiveRep's edge check all read it.
 """
 
 from __future__ import annotations
@@ -291,11 +289,9 @@ class FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class _CayleyWalk:
-    """One breadth-first walk of a group's right Cayley graph.
-
-    gens are the greedy generators and cols = [identity, *gens].  ends,
-    levels and length are built on first use, so a group that only reads
-    its generators keeps no more than them.
+    """One walk of a group's right Cayley graph: the greedy generators gens,
+    cols = [identity, *gens], and a depth-first spanning tree.  ends and
+    tree are built on first use: a group that only reads gens keeps no more.
     """
 
     mul: np.ndarray
@@ -309,35 +305,57 @@ class _CayleyWalk:
         return self.mul[:, self.cols]
 
     @functools.cached_property
+    def tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(order, offsets, parents, steps): the elements by depth, then
+        index; where each depth starts in order, and len(order) last; the
+        parent and step of each element of order, -1 at the identity."""
+        return _depth_first_tree(self.mul, self.gens, int(self.cols[0]))
+
+    @property
     def levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(elements, parents, steps) of each level: levels[d] holds the
-        elements of word length d in the generators, sorted, and each
-        element y = parent * step for the first (parent, step) reaching it,
-        parents in level order and steps in generator order.  The identity
-        at level 0 has parent and step -1."""
-        e = int(self.cols[0])
-        rows = self.ends[:, 1:].tolist()
-        seen = [False] * len(rows)
-        seen[e] = True
-        level = [e]
-        levels = [(self.cols[:1], np.full(1, -1, dtype=np.int64), np.full(1, -1, dtype=np.int64))]
-        while True:
-            reached: dict[int, tuple[int, int]] = {}
-            for x in level:
-                for g, y in zip(self.gens, rows[x]):
-                    if not seen[y]:
-                        seen[y] = True
-                        reached[y] = (x, g)
-            if not reached:
-                return levels
-            level = sorted(reached)
-            parents, steps = zip(*(reached[y] for y in level))
-            levels.append(tuple(np.array(v, dtype=np.int64) for v in (level, parents, steps)))
+        """(elements, parents, steps) of each depth, as views of tree."""
+        order, offsets, parents, steps = self.tree
+        bounds = offsets.tolist()
+        return [(order[a:b], parents[a:b], steps[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     @property
     def length(self) -> int:
-        """The greatest word length L in the generators."""
-        return len(self.levels) - 1
+        """The greatest tree depth L, the longest word along a tree path."""
+        return len(self.tree[1]) - 2
+
+    def path_sums(self, edge_values: np.ndarray) -> np.ndarray:
+        """The sum of edge_values over the tree path to each element, by
+        element; edge_values[i] is on the edge into order[i] (ignored at
+        the identity).  By pointer doubling: after k rounds each element
+        holds the sum over its 2^k nearest edges, so ceil(log2 L) rounds
+        reach every depth, where one array step per depth would take L.
+        """
+        order, _, parents, _ = self.tree
+        up, total = np.empty_like(order), np.empty_like(edge_values)
+        up[order], total[order] = parents, edge_values
+        up[order[0]], total[order[0]] = order[0], 0
+        for _ in range(max(self.length - 1, 0).bit_length()):
+            total, up = total + total[up], up[up]
+        return total
+
+
+def _depth_first_tree(mul: np.ndarray, gens: list[int], e: int):
+    """_CayleyWalk.tree: from the identity, the element reached last is
+    expanded, trying the generators in order, so each y is parent * step
+    for the first (parent, step) reaching it."""
+    rows = mul[:, gens].tolist()
+    depth, parent, step = [-1] * len(rows), [-1] * len(rows), [-1] * len(rows)
+    depth[e] = 0
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        for g, y in zip(gens, rows[x]):
+            if depth[y] < 0:
+                depth[y], parent[y], step[y] = depth[x] + 1, x, g
+                stack.append(y)
+    order = np.argsort(depth, kind="stable")
+    offsets = np.searchsorted(np.array(depth)[order], np.arange(max(depth) + 2))
+    return order, offsets, np.array(parent)[order], np.array(step)[order]
 
 
 class Subgroup:

@@ -75,6 +75,7 @@ class ProjectiveRep:
         if self.matrices.shape[0] != group.order or self.matrices.shape[1] != self.matrices.shape[2]:
             raise MakeRepError("need one square matrix per group element")
         self.dim = self.matrices.shape[1]
+        self._character: Character | None = None
         if validate:
             self._validate()
 
@@ -123,8 +124,12 @@ class ProjectiveRep:
         return self.matrices[x]
 
     def character(self) -> "Character":
-        values = np.einsum("naa->n", self.matrices)
-        return Character(self.group, values, self.cocycle)
+        """The traces tr pi(x), computed once per rep, with read-only values."""
+        if self._character is None:
+            values = np.einsum("naa->n", self.matrices)
+            values.flags.writeable = False
+            self._character = Character(self.group, values, self.cocycle)
+        return self._character
 
     def restrict(self, sub: Subgroup) -> "ProjectiveRep":
         mem = np.array(sub.members)
@@ -210,8 +215,8 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     with denominator at most 4|G|, but only on the rows x in {identity} and
     group.greedy_generators(): 1 + r rows of n instead of all n.  Every other
     row is filled exactly, as integer numerators mod the common denominator,
-    along a breadth-first walk of the right Cayley graph from those rows
-    (see _fill_cocycle): for a generator g,
+    down the group's cached spanning tree of the right Cayley graph from
+    those rows (see _fill_cocycle): for a generator g,
         sigma(xg, y) = sigma(x, gy) + sigma(g, y) - sigma(x, g)   (in turns),
     which is the cocycle identity sigma(x,g) sigma(xg,y) = sigma(x,gy)
     sigma(g,y).  The filled table is refused if any entry's reduced
@@ -230,24 +235,27 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
 
     The validation checks the n(r+1) Cayley edges (x, c), c in
     [identity, *gens], against delta = _tol.EXACT/(2L), where L is the
-    greatest word length in the generators (the group's cached walk), and
-    that bounds every pair.  Write D(x, y) for the Frobenius norm of
+    greatest depth of the group's cached spanning tree, and that bounds
+    every pair.  Write D(x, y) for the Frobenius norm of
     pi(x)pi(y) - sigma(x,y) pi(xy) and u = _tol.EXACT/2, and let D < delta
     on every edge.  Unitarity passed, so |pi(x)pi(x)* - 1| < _tol.EXACT and
     the operator norm of pi(x) is at most sqrt(1 + _tol.EXACT) <= 1 + u.
-    For y = y'g, with g a generator and y' one word letter shorter,
+    For y = y'g, with y' the parent and g the step of y on the tree,
         pi(x)pi(y')pi(g) = sigma(x,y') sigma(xy',g) pi(xy) + E1
                          = sigma(y',g) pi(x)pi(y) + E2,
     where |E1| <= (1 + u) D(x,y') + delta by the edge (xy', g), and
     |E2| <= (1 + u) delta by the edge (y', g).  The verified cocycle
     identity sigma(x,y') sigma(xy',g) = sigma(x,y) sigma(y',g) then gives
-    D(x,y) <= (1 + u) D(x,y') + (2 + u) delta, and induction from the edges
-    (x, g) gives D(x,y) < (2l - 1) delta (1 + u)^l for y of word length
-    l >= 1; (x, identity) is itself an edge.  With l <= L that is below
-    _tol.EXACT (2L - 1)/(2L) (1 + u)^L < _tol.EXACT, since (1 + u)^L <
-    2L/(2L - 1) for every L under 30,000, and L < n is far below that for
-    any order the table cap allows.  That leaves a margin of at least
-    _tol.EXACT/(3L) for the rounding of the computed norms.
+    D(x,y) <= (1 + u) D(x,y') + (2 + u) delta, and induction down the tree
+    from the edges (x, g) gives D(x,y) < (2l - 1) delta (1 + u)^l for y at
+    depth l >= 1; (x, identity) is itself an edge.  The induction follows
+    each element's tree word, so it holds for any spanning tree.  With
+    l <= L that is below _tol.EXACT (2L - 1)/(2L) (1 + u)^L < _tol.EXACT,
+    since (1 + u)^L < 2L/(2L - 1) for every L under 30,000, and L < n is
+    far below that for any order the table cap allows.  That leaves a
+    margin of at least _tol.EXACT/(3L) for the rounding of the computed
+    norms.  On permprod(genpauli:2,3) (order 384) L is 178, against a
+    greatest word length of 12, so delta is about 15 times stricter there.
     When an edge reaches delta, _validate checks every pair instead, so
     edges in [delta, _tol.EXACT) refuse nothing that the all-pairs check
     accepts.
@@ -281,10 +289,11 @@ def _fill_cocycle(group: FiniteGroup, gens: list[int], head: np.ndarray, den: in
     """The n x n numerator table from its rows at the identity and gens.
 
     head holds those rows, in that order, as numerators over den, and gens
-    are group.greedy_generators(): the first level of the group's cached
-    breadth-first walk.  Every deeper level is filled in one array
-    operation from each element's parent x and step g on the walk:
+    are group.greedy_generators(): depth 1 of the group's cached spanning
+    tree.  Every deeper level is filled in one array operation from each
+    element's parent x and step g on the tree:
     sigma(xg, .) = sigma(x, g .) + sigma(g, .) - sigma(x, g), mod den.
+    The fill is exact, so any spanning tree gives the same table.
     """
     walk = group._cayley_walk()
     mul = group.mul
@@ -296,7 +305,7 @@ def _fill_cocycle(group: FiniteGroup, gens: list[int], head: np.ndarray, den: in
 
 
 def _edge_tolerance(walk) -> float:
-    """delta = _tol.EXACT/(2L) for the walk's greatest word length L (see make_rep)."""
+    """delta = _tol.EXACT/(2L) for the walk's greatest tree depth L (see make_rep)."""
     return _tol.EXACT / (2 * max(1, walk.length))
 
 

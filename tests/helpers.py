@@ -383,6 +383,93 @@ def cayley_bfs_oracle(group: FiniteGroup) -> tuple[list[int], list[int], list[in
     return [depth[x] for x in range(n)], [parent[x] for x in range(n)], [step[x] for x in range(n)]
 
 
+def word_walk_oracle(group: FiniteGroup) -> tuple[list[int], np.ndarray, list[tuple[int, int, int]]]:
+    """The depth-first walk of the right Cayley graph that fixes the
+    trivializer's particular solution, one element at a time.
+
+    Returns the greedy generators, the word coefficients coeff (n x r,
+    coeff[x] counts each generator in one word for x, the identity empty
+    and each generator its own letter) and the tree edges (x, g, xg) in
+    visit order.  The walk starts from the identity and the generators,
+    takes the element reached last, and tries the generators in order.
+    """
+    n = group.order
+    mul = group.mul
+    gens = group.greedy_generators()
+    coeff = np.zeros((n, len(gens)), dtype=np.int64)
+    known = np.zeros(n, dtype=bool)
+    e = group.identity
+    known[e] = True
+    for i, g in enumerate(gens):
+        known[g] = True
+        coeff[g, i] = 1
+    tree: list[tuple[int, int, int]] = []
+    queue = [e] + [g for g in gens]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = int(mul[x, g])
+            if not known[y]:
+                known[y] = True
+                coeff[y] = coeff[x] + coeff[g]
+                tree.append((x, g, y))
+                queue.append(y)
+    assert known.all(), "generator walk failed to cover the group"
+    return gens, coeff, tree
+
+
+def _oracle_edge_rows(group: FiniteGroup, gens, coeff) -> np.ndarray:
+    n, r = coeff.shape
+    ends = group.mul[:, gens]
+    return (coeff[:, None, :] + coeff[gens][None, :, :] - coeff[ends]).reshape(n * r, r)
+
+
+def trivializer_systems_oracle(sigma) -> list[tuple[list[list[int]], list[int], int]]:
+    """The (rows, rhs, modulus) that find_trivializing_phase hands _solve_mod,
+    in call order, from word_walk_oracle with a per-edge constant loop and
+    np.unique(axis=0) for the distinct rows."""
+    from qeclab.cocycles import _solve_mod
+
+    group = sigma.group
+    if not sigma.verify():
+        return []
+    t = sigma.num
+    gens, coeff, tree = word_walk_oracle(group)
+    if group.is_abelian() and any(
+        (t[g, h] - t[h, g]) % sigma.den for g in gens for h in gens
+    ):
+        return []
+    n, r = coeff.shape
+    const = np.zeros(n, dtype=np.int64)
+    const[group.identity] = t[group.identity, group.identity]
+    for x, g, y in tree:
+        const[y] = const[x] + const[g] - t[x, g]
+    ends = group.mul[:, gens]
+    dv = (t[:, gens] - const[:, None] - const[gens][None, :] + const[ends]).reshape(n * r, 1)
+    exponent = group.exponent()
+    multiples = [k for k in (1, 2) if k <= exponent] + ([exponent] if exponent > 2 else [])
+    systems = []
+    for k in multiples:
+        modulus = k * sigma.den
+        full = np.concatenate(
+            [_oracle_edge_rows(group, gens, coeff) % modulus, (k * dv) % modulus], axis=1
+        )
+        distinct = np.unique(full, axis=0).tolist()
+        systems.append(([row[:r] for row in distinct], [row[r] for row in distinct], modulus))
+        if _solve_mod(*systems[-1]) is not None:
+            break
+    return systems
+
+
+def character_rows_oracle(group: FiniteGroup) -> tuple[list[list[int]], int, int]:
+    """The (rows, r, exp(G)) that _linear_characters hands _kernel_mod, from
+    word_walk_oracle and sorted(set(...))."""
+    gens, coeff, _ = word_walk_oracle(group)
+    e = group.exponent()
+    rows = sorted(set(map(tuple, (_oracle_edge_rows(group, gens, coeff) % e).tolist())))
+    return [list(row) for row in rows], len(gens), e
+
+
 def make_rep_full_snap(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     """make_rep by snapping all n^2 scalars, then validating every pair."""
     matrices = np.asarray(matrices, dtype=complex)

@@ -7,10 +7,15 @@ import pytest
 from helpers import (
     CATALOG_64,
     brute_force_trivializer,
+    character_rows_oracle,
+    relabeled_model,
     restricted_cocycle_table,
     trivializer_all_pairs,
     trivializer_per_multiple,
+    trivializer_systems_oracle,
 )
+
+from qeclab import cocycles
 
 from qeclab.cocycles import (
     Cocycle,
@@ -225,6 +230,44 @@ def test_trivializer_matches_the_per_multiple_loop(spec):
         _same_trivializer(
             find_trivializing_phase(sigma, domain=sub), trivializer_per_multiple(sigma, domain=sub)
         )
+
+
+def _tree_models():
+    spec = "prod(genpauli:2,genpauli:4)"
+    yield parse_model_spec(spec).model
+    yield relabeled_model(parse_model_spec(spec).model, seed=6)
+    yield parse_model_spec("xp:8").model
+
+
+@pytest.mark.parametrize("model", list(_tree_models()), ids=["enumerate", "relabeled", "xp8"])
+def test_solver_and_character_systems_match_the_word_walk_oracle(model, monkeypatch):
+    # the cached tree and the shared row dedup hand _solve_mod and
+    # _kernel_mod the very inputs the element-by-element walk gives
+    calls = []
+    solve, kernel = cocycles._solve_mod, cocycles._kernel_mod
+
+    def recording_solve(rows, rhs, modulus):
+        calls.append((rows, rhs, modulus))
+        return solve(rows, rhs, modulus)
+
+    def recording_kernel(rows, r, modulus):
+        calls.append((rows, r, modulus))
+        return kernel(rows, r, modulus)
+
+    monkeypatch.setattr(cocycles, "_solve_mod", recording_solve)
+    monkeypatch.setattr(cocycles, "_kernel_mod", recording_kernel)
+    solved = 0
+    for sub in model.group.all_subgroups():
+        sigma = model.cocycle.restrict(sub)
+        calls.clear()
+        find_trivializing_phase(sigma, domain=sub)
+        got = list(calls)
+        assert repr(got) == repr(trivializer_systems_oracle(sigma)), sub.members
+        solved += bool(got)
+        calls.clear()
+        cocycles._linear_characters(sub.as_group())
+        assert repr(calls) == repr([character_rows_oracle(sub.as_group())]), sub.members
+    assert solved > 0
 
 
 _SMALL_CATALOG = [spec for spec in CATALOG_64 if parse_model_spec(spec).model.group.order <= 32]

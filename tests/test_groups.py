@@ -18,6 +18,7 @@ from helpers import (
     random_subgroup,
     relabeled_model,
     symmetric_loop,
+    word_walk_oracle,
 )
 from qeclab import groups
 from qeclab.cli import parse_model_spec
@@ -413,18 +414,65 @@ def _walk_groups():
     yield relabeled_model(parse_model_spec("c2d2n:4").model, seed=4).group
 
 
+def _tree_by_element(walk):
+    """(depth, parent, step) per element, read from the walk's flat arrays."""
+    order, offsets, parents, steps = walk.tree
+    depth = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    n = len(order)
+    out = [np.empty(n, dtype=np.int64) for _ in range(3)]
+    for arr, values in zip(out, (depth, parents, steps)):
+        arr[order] = values
+    return [arr.tolist() for arr in out]
+
+
 @pytest.mark.parametrize("g", list(_walk_groups()), ids=lambda g: f"{g.label}-{g.order}")
 def test_cached_walk_matches_a_brute_force_bfs(g):
+    # what a breadth-first search pins of the cached walk: the generators,
+    # the edge columns and ends, and depths 0 and 1 of its tree; deeper, a
+    # tree depth is the length of one word, never below the BFS distance
     walk = g._cayley_walk()
     assert g._cayley_walk() is walk
     gens = g._closure(range(g.order))[1]
     assert walk.gens == gens == g.greedy_generators()
     assert walk.cols.tolist() == [g.identity, *gens]
     assert np.array_equal(walk.ends, g.mul[:, walk.cols])
-    depth, parent, step = cayley_bfs_oracle(g)
-    levels = [sorted(x for x in range(g.order) if depth[x] == d) for d in range(max(depth) + 1)]
-    assert [level.tolist() for level, _, _ in walk.levels] == levels
-    assert walk.length == max(depth)
+    bfs_depth, bfs_parent, bfs_step = cayley_bfs_oracle(g)
+    depth, parent, step = _tree_by_element(walk)
+    assert all(d >= b for d, b in zip(depth, bfs_depth))
+    assert [x for x in range(g.order) if depth[x] <= 1] == [
+        x for x in range(g.order) if bfs_depth[x] <= 1
+    ]
+    assert all(parent[x] == bfs_parent[x] and step[x] == bfs_step[x]
+               for x in range(g.order) if depth[x] <= 1)
+    assert walk.length == max(depth) >= max(bfs_depth)
+    _check_tree_against_the_word_walk(g)
+
+
+def _check_tree_against_the_word_walk(g):
+    from qeclab.cocycles import _edge_system
+
+    walk = g._cayley_walk()
+    gens, coeff, edges = word_walk_oracle(g)
+    assert walk.gens == gens
+    want_parent = [-1] * g.order
+    want_step = [-1] * g.order
+    want_depth = [0] * g.order
+    for x in gens:
+        want_parent[x], want_step[x], want_depth[x] = g.identity, x, 1
+    for x, s, y in edges:
+        want_parent[y], want_step[y], want_depth[y] = x, s, want_depth[x] + 1
+    depth, parent, step = _tree_by_element(walk)
+    assert (depth, parent, step) == (want_depth, want_parent, want_step)
+    order, offsets, _, _ = walk.tree
+    assert order.tolist() == sorted(range(g.order), key=lambda x: (want_depth[x], x))
+    assert offsets[-1] == g.order and walk.length == max(want_depth)
     for level, parents, steps in walk.levels:
-        assert parents.tolist() == [parent[y] for y in level]
-        assert steps.tolist() == [step[y] for y in level]
+        assert np.array_equal(g.mul[parents, steps], level) or level.tolist() == [g.identity]
+    got = _edge_system(g)[1]
+    assert got.dtype == coeff.dtype and np.array_equal(got, coeff)
+
+
+@pytest.mark.parametrize("spec", ["c2d2n:3", "oddfam:3"])
+def test_cached_tree_matches_the_word_walk_oracle_on_every_subgroup(spec):
+    for sub in parse_model_spec(spec).model.group.all_subgroups():
+        _check_tree_against_the_word_walk(sub.as_group())

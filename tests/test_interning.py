@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from helpers import CATALOG_64, relabeled_model
 
 from qeclab.cli import parse_model_spec
-from qeclab.cocycles import Cocycle, find_trivializing_phase
+from qeclab import groups
+from qeclab.cocycles import Cocycle, _linear_characters, find_trivializing_phase
 from qeclab.codes import classify
 from qeclab.groups import FiniteGroup, GroupValidationError, Subgroup, dihedral
 from qeclab.search import enumerate_weak_stabilizer_codes, q3_probe
@@ -168,3 +169,34 @@ def test_one_greedy_closure_per_group(monkeypatch):
     assert find_trivializing_phase(model.cocycle) is None
     assert model.cocycle.verify() and len(g.greedy_generators()) == 2
     assert [h for h in closed if h is g] == [g]
+
+
+def test_one_spanning_tree_per_group(monkeypatch):
+    # make_rep fills its cocycle down the tree and validates against its
+    # depth, and verify, two trivializer solves and the linear characters
+    # read the same tree: it is built once
+    built = []
+    tree = groups._depth_first_tree
+
+    def counted_tree(mul, gens, e):
+        built.append(mul)
+        return tree(mul, gens, e)
+
+    monkeypatch.setattr(groups, "_depth_first_tree", counted_tree)
+    model = relabeled_model(parse_model_spec("oddfam:3").model, seed=2)
+    g = model.group
+    assert model.cocycle.verify()
+    assert find_trivializing_phase(model.cocycle) is None
+    assert find_trivializing_phase(Cocycle.trivial(g)) is not None
+    chars, e = _linear_characters(g)
+    assert len(chars) == 4 and e == 6             # the dual of C2 x C2
+    assert [m for m in built if m is g.mul] == [g.mul]
+
+
+def test_the_character_is_computed_once_with_read_only_values():
+    rep = parse_model_spec("c2d2n:3").model.rep
+    chi = rep.character()
+    assert rep.character() is chi
+    assert np.allclose(chi.values, np.trace(rep.matrices, axis1=1, axis2=2), atol=1e-12)
+    with pytest.raises(ValueError):
+        chi.values[0] = 0
