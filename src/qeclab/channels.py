@@ -56,7 +56,7 @@ class KrausChannel:
             raise ChannelError("kraus must be a stack of ambient_dim square matrices")
         stacked = self.kraus.reshape(-1, self.ambient_dim)
         total = stacked.conj().T @ stacked
-        if frobenius(total - np.eye(self.ambient_dim)) > _tol.EXACT:
+        if not frobenius(total - np.eye(self.ambient_dim)) <= _tol.EXACT:   # NaN fails too
             raise ChannelError("kraus operators do not sum to the identity")
 
     def __len__(self) -> int:
@@ -115,6 +115,8 @@ def channel_from_model(model: ProjectiveErrorModel, p) -> KrausChannel:
     p = np.asarray(p, dtype=float)
     if p.shape != (model.group.order,):
         raise ChannelError("distribution length does not match the group order")
+    if not np.isfinite(p).all():
+        raise ChannelError("distribution has non-finite entries")
     if p.min() < 0:
         raise ChannelError("distribution has negative entries")
     if abs(p.sum() - 1.0) > _tol.DIST_SUM:

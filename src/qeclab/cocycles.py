@@ -108,7 +108,7 @@ def snap_phase(z: complex, max_den: int) -> Phase:
     Raises PhaseSnapError when |z| is not within _tol.SCAN of 1, or z/|z| is
     not within _tol.EXACT of exp(2*pi*i*p/q) for any q <= max_den.
     """
-    if abs(abs(z) - 1.0) > _tol.SCAN:
+    if not abs(abs(z) - 1.0) <= _tol.SCAN:   # NaN fails too
         raise PhaseSnapError(f"|z| = {abs(z)} is not 1")
     angle = Fraction(cmath.phase(z) / (2 * math.pi)).limit_denominator(max_den)
     candidate = Phase.from_fraction(angle)
@@ -587,9 +587,9 @@ def _edge_system(group: FiniteGroup) -> tuple[list[int], np.ndarray, np.ndarray]
     per edge: the left side of df = sigma in the generator unknowns."""
     walk = group._cayley_walk()
     gens = _greedy_generators(group)
-    coeff = walk.path_sums((walk.tree[3][:, None] == gens).astype(np.int64))
+    coeff = walk.path_sums((walk.tree[1][:, None] == gens).astype(np.int64))
     n, r = coeff.shape
-    rows = coeff[:, None, :] + coeff[gens][None, :, :] - coeff[group.mul[:, gens]]
+    rows = coeff[:, None, :] + coeff[gens][None, :, :] - coeff[walk.ends[:, 1:]]
     return gens, coeff, rows.reshape(n * r, r)
 
 
@@ -673,12 +673,11 @@ def find_trivializing_phase(
     # const(g) = 0 (t(1, g) = t(1, 1) in a cocycle); it serves every multiple:
     # sigma.num < den, so k * sigma.num is reduced mod k * den, and scales by k
     walk = group._cayley_walk()
-    _, _, parents, steps = walk.tree
-    const = walk.path_sums(-t[parents, steps]) + t[group.identity, group.identity]
+    parent, step, _ = walk.tree
+    const = walk.path_sums(-t[parent, step]) + t[group.identity, group.identity]
 
     # f(x) + f(g) - f(xg) = t(x, g) on every Cayley edge
-    ends = group.mul[:, gens]
-    dv = (t[:, gens] - const[:, None] + const[ends]).reshape(n * r, 1)
+    dv = (t[:, gens] - const[:, None] + const[walk.ends[:, 1:]]).reshape(n * r, 1)
     for k in multiples:
         modulus = k * sigma.den
         system = _distinct_rows(np.concatenate([cx % modulus, (k * dv) % modulus], axis=1))

@@ -102,7 +102,7 @@ class CodeSpace:
         if self.basis.shape[1] == 0:
             raise CodeError("code spaces must be nonzero")
         gram = self.basis.conj().T @ self.basis
-        if frobenius(gram - np.eye(self.dim)) > _tol.EXACT:
+        if not frobenius(gram - np.eye(self.dim)) <= _tol.EXACT:   # NaN fails too
             raise CodeError("basis columns are not orthonormal")
 
     @property

@@ -20,9 +20,11 @@ public constructor itself is not interned and always validates.
 Each FiniteGroup also keeps one walk of its right Cayley graph over
 greedy_generators(), built on first use: the generators, the edge ends
 x * c for c in [identity, *gens], and one depth-first spanning tree, which
-fixes the trivializer's particular solution.  Group validation,
+fixes the trivializer's particular solution.  The tree is stored by
+element (each one's parent, step and depth) and read one way, as sums of
+edge values down each element's tree path.  Group validation,
 Cocycle.verify, the trivializer, the linear characters, make_rep's
-cocycle fill and ProjectiveRep's edge check all read it.
+cocycle fill and ProjectiveRep's edge check all read the walk.
 """
 
 from __future__ import annotations
@@ -290,8 +292,9 @@ class FiniteGroup:
 @dataclass(frozen=True, eq=False)
 class _CayleyWalk:
     """One walk of a group's right Cayley graph: the greedy generators gens,
-    cols = [identity, *gens], and a depth-first spanning tree.  ends and
-    tree are built on first use: a group that only reads gens keeps no more.
+    cols = [identity, *gens], and a depth-first spanning tree stored by
+    element, which every reader takes through path_sums.  ends and tree
+    are built on first use: a group that only reads gens keeps no more.
     """
 
     mul: np.ndarray
@@ -305,35 +308,27 @@ class _CayleyWalk:
         return self.mul[:, self.cols]
 
     @functools.cached_property
-    def tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(order, offsets, parents, steps): the elements by depth, then
-        index; where each depth starts in order, and len(order) last; the
-        parent and step of each element of order, -1 at the identity."""
+    def tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(parent, step, depth), each indexed by element: y is
+        parent[y] * step[y], with step[y] a generator, depth[y] edges from
+        the identity, whose parent and step are -1."""
         return _depth_first_tree(self.mul, self.gens, int(self.cols[0]))
 
-    @property
-    def levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(elements, parents, steps) of each depth, as views of tree."""
-        order, offsets, parents, steps = self.tree
-        bounds = offsets.tolist()
-        return [(order[a:b], parents[a:b], steps[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-    @property
+    @functools.cached_property
     def length(self) -> int:
         """The greatest tree depth L, the longest word along a tree path."""
-        return len(self.tree[1]) - 2
+        return int(self.tree[2].max())
 
     def path_sums(self, edge_values: np.ndarray) -> np.ndarray:
         """The sum of edge_values over the tree path to each element, by
-        element; edge_values[i] is on the edge into order[i] (ignored at
-        the identity).  By pointer doubling: after k rounds each element
-        holds the sum over its 2^k nearest edges, so ceil(log2 L) rounds
-        reach every depth, where one array step per depth would take L.
+        element; edge_values[y] is on the edge into y (ignored at the
+        identity).  By pointer doubling: after k rounds each element holds
+        the sum over its 2^k nearest edges, so ceil(log2 L) rounds reach
+        every depth, where one array step per depth would take L.
         """
-        order, _, parents, _ = self.tree
-        up, total = np.empty_like(order), np.empty_like(edge_values)
-        up[order], total[order] = parents, edge_values
-        up[order[0]], total[order[0]] = order[0], 0
+        e = int(self.cols[0])
+        up, total = self.tree[0].copy(), edge_values.copy()
+        up[e], total[e] = e, 0
         for _ in range(max(self.length - 1, 0).bit_length()):
             total, up = total + total[up], up[up]
         return total
@@ -353,9 +348,7 @@ def _depth_first_tree(mul: np.ndarray, gens: list[int], e: int):
             if depth[y] < 0:
                 depth[y], parent[y], step[y] = depth[x] + 1, x, g
                 stack.append(y)
-    order = np.argsort(depth, kind="stable")
-    offsets = np.searchsorted(np.array(depth)[order], np.arange(max(depth) + 2))
-    return order, offsets, np.array(parent)[order], np.array(step)[order]
+    return np.array(parent), np.array(step), np.array(depth)
 
 
 class Subgroup:

@@ -83,42 +83,32 @@ class ProjectiveRep:
         """Unitarity, the cocycle identity, then pi(x)pi(y) = sigma(x,y) pi(xy)
         on the Cayley edges, and on every pair when an edge fails.
 
-        The edges are the pairs (x, c) with c in [identity, *gens] of the
-        group's cached walk.  When every edge deviates by less than
-        _edge_tolerance, every pair deviates by less than _tol.EXACT (see
-        make_rep for the bound), and the rep is accepted.  Otherwise every
-        pair is checked and the first failing x is named, so the verdict
-        and the error are those of the all-pairs check.  Its products come
-        block by block from _row_products, as transposed views that are
-        subtracted from the gathered block sigma(x,y) pi(xy), which stays
-        contiguous at [x, y, i, j].
+        The edges are the pairs (x, c) with c in walk.cols = [identity,
+        *gens] of the group's cached walk.  When every edge deviates by less
+        than _edge_tolerance, every pair deviates by less than _tol.EXACT
+        (see make_rep for the bound), and the rep is accepted.  Otherwise
+        every pair is checked and the first failing x is named, so the
+        verdict and the error are those of the all-pairs check.  Both are
+        _first_deviation scans, and every test is "not below the
+        tolerance", so a NaN fails it.
         """
         m = self.matrices
-        n, dim = m.shape[0], self.dim
         gram = m @ m.conj().transpose(0, 2, 1)
-        gram -= np.eye(dim)
-        if np.linalg.norm(gram, axis=(1, 2)).max() >= _tol.EXACT:
+        gram -= np.eye(self.dim)
+        if not np.linalg.norm(gram, axis=(1, 2)).max() < _tol.EXACT:
             worst = np.abs(gram).max()
             raise MakeRepError(f"matrices are not unitary (deviation {worst:.2e})")
         if not self.cocycle.verify():
             raise MakeRepError("cached cocycle violates the cocycle identity")
         walk = self.group._cayley_walk()
-        if _edge_deviation(m, self.cocycle, walk) < _edge_tolerance(walk):
+        sigma = self.cocycle
+        scales = np.exp(2j * np.pi * sigma.num[:, walk.cols] / sigma.den)
+        if _first_deviation(m, m[walk.cols], walk.ends, scales, _edge_tolerance(walk)) is None:
             return
-        phases = self.cocycle.to_complex_table()
-        mul = self.group.mul
-        for rows, products in _row_products(m):
-            diff = m[mul[rows]]
-            diff *= phases[rows, :, None, None]
-            diff -= products
-            parts = diff.view(np.float64).reshape(len(diff), n, -1)
-            devs = np.sqrt(np.einsum("xyk,xyk->xy", parts, parts)).max(axis=1)
-            bad = np.flatnonzero(devs >= _tol.EXACT)
-            if bad.size:
-                x = rows.start + int(bad[0])
-                raise MakeRepError(
-                    f"pi(x)pi(y) != sigma(x,y) pi(xy) at x={x} (deviation {devs[bad[0]]:.2e})"
-                )
+        failure = _first_deviation(m, m, self.group.mul, sigma.to_complex_table(), _tol.EXACT)
+        if failure is not None:
+            x, dev = failure
+            raise MakeRepError(f"pi(x)pi(y) != sigma(x,y) pi(xy) at x={x} (deviation {dev:.2e})")
 
     def matrix(self, x: int) -> np.ndarray:
         return self.matrices[x]
@@ -212,16 +202,17 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     """Build a rep from raw matrices, extracting the cocycle exactly.
 
     The scalar tr(pi(x) pi(y) pi(xy)^-1)/dim is snapped to a rational phase
-    with denominator at most 4|G|, but only on the rows x in {identity} and
-    group.greedy_generators(): 1 + r rows of n instead of all n.  Every other
-    row is filled exactly, as integer numerators mod the common denominator,
-    down the group's cached spanning tree of the right Cayley graph from
-    those rows (see _fill_cocycle): for a generator g,
-        sigma(xg, y) = sigma(x, gy) + sigma(g, y) - sigma(x, g)   (in turns),
-    which is the cocycle identity sigma(x,g) sigma(xg,y) = sigma(x,gy)
-    sigma(g,y).  The filled table is refused if any entry's reduced
-    denominator exceeds 4|G|, and is then validated by
-    ProjectiveRep._validate.
+    with denominator at most 4|G|, but only on the Cayley-edge columns
+    y = c in walk.cols = [identity, *gens] of the group's cached walk:
+    1 + r columns of n instead of all n, and the very edges that
+    ProjectiveRep._validate checks.  Every other entry is filled exactly,
+    as integer numerators mod the common denominator, by sums down the
+    walk's spanning tree (see _fill_cocycle): for a generator g,
+        sigma(x, y'g) = sigma(x, y') + sigma(xy', g) - sigma(y', g)   (in turns),
+    which is the cocycle identity sigma(x,y') sigma(xy',g) = sigma(x,y'g)
+    sigma(y',g), and sigma(x, e) = sigma(e, e) (the identity at y = z = e).
+    The filled table is refused if any entry's reduced denominator exceeds
+    4|G|, and is then validated by ProjectiveRep._validate.
 
     That cocycle is the one that snapping every scalar gives.  Suppose the
     validation accepts sigma'.  Then every pair deviates by less than
@@ -260,7 +251,7 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     edges in [delta, _tol.EXACT) refuse nothing that the all-pairs check
     accepts.
 
-    When the generator-row snap, the guard or the validation raises
+    When the edge-column snap, the guard or the validation raises
     MakeRepError, all n^2 scalars are snapped and that table is validated
     instead, so every error names the first failing (x, y) in row-major
     order.  Either way snap_phase runs once per group of scalars of one
@@ -271,11 +262,9 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     n = group.order
     if matrices.shape[0] != n:
         raise MakeRepError("need one matrix per group element")
-    gens = group.greedy_generators()
-    rows = [group.identity, *gens]
     try:
-        num, den = _snap_scalars(_raw_scalars(group, matrices, rows), 4 * n)
-        num = _fill_cocycle(group, gens, num, den)
+        num, den = _snap_scalars(_raw_scalars(group, matrices, edges=True), 4 * n)
+        num = _fill_cocycle(group, num, den)
         if (den // np.gcd(num, den)).max() > 4 * n:
             raise MakeRepError("filled cocycle has a denominator above 4|G|")
         return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
@@ -285,23 +274,27 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
 
 
-def _fill_cocycle(group: FiniteGroup, gens: list[int], head: np.ndarray, den: int) -> np.ndarray:
-    """The n x n numerator table from its rows at the identity and gens.
+def _fill_cocycle(group: FiniteGroup, edges: np.ndarray, den: int) -> np.ndarray:
+    """The n x n numerator table from its Cayley-edge columns.
 
-    head holds those rows, in that order, as numerators over den, and gens
-    are group.greedy_generators(): depth 1 of the group's cached spanning
-    tree.  Every deeper level is filled in one array operation from each
-    element's parent x and step g on the tree:
-    sigma(xg, .) = sigma(x, g .) + sigma(g, .) - sigma(x, g), mod den.
-    The fill is exact, so any spanning tree gives the same table.
+    edges[x, j] is sigma(x, walk.cols[j]) as a numerator over den, for the
+    group's cached walk.  For y on the tree with parent p and step g, the
+    column identity sigma(x, pg) = sigma(x, p) + sigma(xp, g) - sigma(p, g)
+    summed down the tree path to y, from sigma(x, e) = sigma(e, e), gives
+        sigma(x, y) = sigma(e, e) + sum over the path's edges (p, g) of
+                      [sigma(xp, g) - sigma(p, g)],   mod den,
+    every term an edge column: one walk.path_sums over the edge values,
+    laid out [y, x].  The fill is exact, so any spanning tree gives the
+    same table.
     """
     walk = group._cayley_walk()
-    mul = group.mul
-    num = np.empty((group.order, group.order), dtype=np.int64)
-    num[[group.identity, *gens]] = head
-    for level, x, g in walk.levels[2:]:
-        num[level] = (num[x[:, None], mul[g]] + num[g] - num[x, g][:, None]) % den
-    return num
+    parent, step, _ = walk.tree
+    column = np.zeros(group.order, dtype=np.int64)
+    column[walk.cols] = np.arange(len(walk.cols))
+    j = column[step]
+    values = edges[group.mul.T[parent], j[:, None]] - edges[parent, j][:, None]
+    sums = walk.path_sums(values) + edges[group.identity, 0]
+    return np.ascontiguousarray(sums.T % den)
 
 
 def _edge_tolerance(walk) -> float:
@@ -309,34 +302,42 @@ def _edge_tolerance(walk) -> float:
     return _tol.EXACT / (2 * max(1, walk.length))
 
 
-def _edge_deviation(m: np.ndarray, cocycle: Cocycle, walk) -> float:
-    """The largest |pi(x)pi(c) - sigma(x,c) pi(xc)| over the Cayley edges
-    (x, c), c in walk.cols, from the walk's cached ends.
+def _first_deviation(m, right, ends, scales, tol: float) -> tuple[int, float] | None:
+    """(x, deviation) for the first x whose largest
+    |pi(x) right[j] - scales[x, j] pi(ends[x, j])| over j is not below
+    tol, or None when there is no such x.
 
-    The sigma columns are gathered once, and each row block of edge ends
-    once, against the products of _row_products with pi(c) on the right.
+    (ends, right, scales) is an edge set: every pair, as (mul, pi, the
+    complex cocycle table), or the Cayley edges, as (walk.ends, pi(cols),
+    sigma on the cols).  Each row block of _row_products is gathered once
+    as scales * pi(ends), which stays contiguous at [x, j, i, k], and the
+    products, transposed views, are subtracted in place.  A NaN deviation
+    is not below tol, so it fails.
     """
-    scales = np.exp(2j * np.pi * cocycle.num[:, walk.cols] / cocycle.den)
-    worst = 0.0
-    for rows, products in _row_products(m, m[walk.cols]):
-        diff = m[walk.ends[rows]]
+    for rows, products in _row_products(m, right):
+        diff = m[ends[rows]]
         diff *= scales[rows, :, None, None]
         diff -= products
-        parts = diff.view(np.float64).reshape(-1, 2 * m.shape[1] ** 2)
-        worst = max(worst, float(np.einsum("ek,ek->e", parts, parts).max()))
-    return math.sqrt(worst)
+        parts = diff.view(np.float64).reshape(len(diff), ends.shape[1], -1)
+        devs = np.sqrt(np.einsum("xyk,xyk->xy", parts, parts).max(axis=1))
+        if not devs.max() < tol:
+            x = int(np.argmin(devs < tol))
+            return rows.start + x, float(devs[x])
+    return None
 
 
-def _raw_scalars(group: FiniteGroup, matrices: np.ndarray, rows=None) -> np.ndarray:
-    """tr(pi(x) pi(y) pi(xy)^*) / dim for x in rows (every x when None) and
-    every y, one row per x, from _row_products."""
+def _raw_scalars(group: FiniteGroup, matrices: np.ndarray, edges: bool = False) -> np.ndarray:
+    """tr(pi(x) pi(y) pi(xy)^*) / dim for every x, one row per x, and every y,
+    or y over the Cayley-edge columns walk.cols when edges is set; from
+    _row_products."""
     n, dim = matrices.shape[0], matrices.shape[1]
-    left, mul = (matrices, group.mul) if rows is None else (matrices[rows], group.mul[rows])
+    walk = group._cayley_walk()
+    right, ends = (matrices[walk.cols], walk.ends) if edges else (matrices, group.mul)
     flat_conj = matrices.reshape(n, -1).conj()
-    raw = np.empty((len(left), n), dtype=complex)
-    for block, products in _row_products(left, matrices):
-        flat = products.reshape(len(products), n, -1)
-        raw[block] = np.einsum("xyk,xyk->xy", flat, flat_conj[mul[block]]) / dim
+    raw = np.empty(ends.shape, dtype=complex)
+    for block, products in _row_products(matrices, right):
+        flat = products.reshape(len(products), len(right), -1)
+        raw[block] = np.einsum("xyk,xyk->xy", flat, flat_conj[ends[block]]) / dim
     return raw
 
 

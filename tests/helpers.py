@@ -477,6 +477,24 @@ def make_rep_full_snap(group: FiniteGroup, matrices, label: str = "pi") -> Proje
     return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
 
 
+def fill_cocycle_by_rows(group: FiniteGroup, head: np.ndarray, den: int) -> np.ndarray:
+    """The n x n numerator table from its rows at the identity and the
+    greedy generators (head, in that order, numerators over den), one depth
+    of the group's cached tree per array step: for x at depth >= 2 with
+    parent p and step g on the tree,
+    sigma(pg, .) = sigma(p, g .) + sigma(g, .) - sigma(p, g), mod den."""
+    walk = group._cayley_walk()
+    parent, step, depth = walk.tree
+    mul = group.mul
+    num = np.empty((group.order, group.order), dtype=np.int64)
+    num[[group.identity, *walk.gens]] = head
+    for d in range(2, walk.length + 1):
+        level = np.flatnonzero(depth == d)
+        p, g = parent[level], step[level]
+        num[level] = (num[p[:, None], mul[g]] + num[g] - num[p, g][:, None]) % den
+    return num
+
+
 def relabeled_model(model, seed: int):
     """The same model with its group elements renumbered by a seeded permutation."""
     g = model.group

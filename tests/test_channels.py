@@ -65,6 +65,29 @@ def test_channel_from_model_validates_distribution():
         channel_from_model(model, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", range(4))
+def test_channel_from_model_rejects_non_finite_entries(k, bad):
+    # a NaN fails every comparison, so it passed the sign and sum checks and
+    # was dropped from the support
+    p = [0.0, 0.5, 0.5, 0.0]
+    p[k] = bad
+    with pytest.raises(ChannelError, match="distribution has non-finite entries"):
+        channel_from_model(gen_pauli_model(2), p)
+
+
+@pytest.mark.parametrize("entry", [(0, 0, 0), (0, 1, 0), None])
+def test_kraus_channel_rejects_nan_operators(entry):
+    kraus = np.eye(2, dtype=complex)[None].copy()
+    if entry is None:
+        kraus[:] = np.nan
+    else:
+        kraus[entry] = np.nan
+    with pytest.raises(ChannelError, match="do not sum to the identity"):
+        KrausChannel(2, kraus)
+    KrausChannel(2, np.eye(2, dtype=complex)[None])
+
+
 def test_channel_support_restriction():
     model = gen_pauli_model(2)
     channel = channel_from_model(model, [0.25, 0.75, 0.0, 0.0])

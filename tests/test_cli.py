@@ -279,6 +279,14 @@ def test_code_file_failing_orthonormality_exits_one(capsys, tmp_path):
     assert "not orthonormal" in err
 
 
+def test_code_file_with_a_nan_basis_exits_one(capsys, tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "basis": [[[float("nan"), 0], [0, 0]]]}))
+    rc, _, err = run(capsys, "classify", "genpauli:2", "--code", str(path))
+    assert rc == 1
+    assert err.startswith("verification failure:") and "not orthonormal" in err
+
+
 def test_rep_file_without_a_matrix_list_is_usage_error(capsys, tmp_path):
     _malformed(
         capsys, tmp_path, '{"matrices": 5}',
@@ -322,3 +330,13 @@ def test_distribution_file_with_a_string_entry_is_usage_error(capsys, tmp_path):
 
 def test_distribution_file_of_the_wrong_length_is_usage_error(capsys, tmp_path):
     _malformed(capsys, tmp_path, "[1, 0]", "correct", "genpauli:2", "--code", "weak:1", "--dist", "FILE")
+
+
+def test_distribution_file_with_a_nan_entry_exits_one(capsys, tmp_path):
+    path = tmp_path / "dist.json"
+    path.write_text("[NaN, 0.5, 0.5, 0]")
+    rc, out, err = run(
+        capsys, "correct", "genpauli:2", "--code", "weak:1", "--dist", str(path)
+    )
+    assert rc == 1 and "PASS" not in out
+    assert err.startswith("verification failure:") and "distribution has non-finite entries" in err

@@ -78,6 +78,12 @@ def test_code_space_orthonormalizes():
     assert np.allclose(gram, np.eye(2))
 
 
+@pytest.mark.parametrize("basis", [[[np.nan], [0]], [[1], [np.nan]], [[np.nan, 0], [0, 1]]])
+def test_code_space_rejects_a_nan_basis(basis):
+    with pytest.raises(CodeError, match="not orthonormal"):
+        CodeSpace(2, basis)
+
+
 def test_code_space_rejects_zero():
     with pytest.raises(CodeError):
         CodeSpace.from_vectors(3, [[0, 0, 0]])

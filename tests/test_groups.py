@@ -415,14 +415,9 @@ def _walk_groups():
 
 
 def _tree_by_element(walk):
-    """(depth, parent, step) per element, read from the walk's flat arrays."""
-    order, offsets, parents, steps = walk.tree
-    depth = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    n = len(order)
-    out = [np.empty(n, dtype=np.int64) for _ in range(3)]
-    for arr, values in zip(out, (depth, parents, steps)):
-        arr[order] = values
-    return [arr.tolist() for arr in out]
+    """(depth, parent, step) per element, as lists read from the walk's arrays."""
+    parent, step, depth = walk.tree
+    return depth.tolist(), parent.tolist(), step.tolist()
 
 
 @pytest.mark.parametrize("g", list(_walk_groups()), ids=lambda g: f"{g.label}-{g.order}")
@@ -463,11 +458,10 @@ def _check_tree_against_the_word_walk(g):
         want_parent[y], want_step[y], want_depth[y] = x, s, want_depth[x] + 1
     depth, parent, step = _tree_by_element(walk)
     assert (depth, parent, step) == (want_depth, want_parent, want_step)
-    order, offsets, _, _ = walk.tree
-    assert order.tolist() == sorted(range(g.order), key=lambda x: (want_depth[x], x))
-    assert offsets[-1] == g.order and walk.length == max(want_depth)
-    for level, parents, steps in walk.levels:
-        assert np.array_equal(g.mul[parents, steps], level) or level.tolist() == [g.identity]
+    assert walk.length == max(want_depth)
+    below = np.arange(g.order) != g.identity
+    parents, steps = walk.tree[0][below], walk.tree[1][below]
+    assert np.array_equal(g.mul[parents, steps], np.flatnonzero(below))
     got = _edge_system(g)[1]
     assert got.dtype == coeff.dtype and np.array_equal(got, coeff)
 

@@ -1,3 +1,4 @@
+import json
 import re
 
 import functools
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     CATALOG_64,
     conjugate_rep_loop,
+    fill_cocycle_by_rows,
     first_product_failure,
     induce_loop,
     inertia_group_loop,
@@ -18,6 +20,7 @@ from helpers import (
     make_rep_full_snap,
     raw_scalar_table,
     raw_scalars_per_row,
+    relabeled_model,
     snap_each,
     validate_all_pairs,
 )
@@ -483,7 +486,7 @@ def test_product_check_names_first_failing_row(k, rows, monkeypatch):
         assert reported == pytest.approx(dev, rel=1e-2)
 
 
-# ------------------------------------------------ generator-row snapping
+# ------------------------------------------------ edge-column snapping
 
 
 @pytest.mark.parametrize("spec", CATALOG_64 + ["permprod(genpauli:2,3)"])
@@ -520,9 +523,30 @@ def test_make_rep_agrees_with_the_full_snap_on_twisted_reps(data):
     assert got == _cocycle_or_error(make_rep_full_snap, g, mats)
 
 
+@functools.lru_cache(maxsize=None)
+def _relabeled_catalog_model(spec, seed):
+    return relabeled_model(_catalog_model(spec), seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_make_rep_agrees_with_the_full_snap_on_relabeled_twisted_reps(data):
+    # a relabeled group has other greedy generators and a differently shaped
+    # tree, so other edge columns are snapped and other paths summed
+    spec = data.draw(st.sampled_from(CATALOG_64))
+    model = _relabeled_catalog_model(spec, data.draw(st.integers(1, 4)))
+    g = model.group
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 97, 131]))
+    nums = data.draw(st.lists(st.integers(0, den - 1), min_size=g.order, max_size=g.order))
+    f = PhaseFunction.exact(g.full_subgroup(), [Phase(k, den) for k in nums])
+    mats = model.rep.twist(f).matrices
+    got = _cocycle_or_error(make_rep, g, mats)
+    assert got == _cocycle_or_error(make_rep_full_snap, g, mats)
+
+
 def test_make_rep_refuses_a_filled_denominator_above_4n():
-    # sigma(g, g) = 1/12 and sigma(g, g^2) = 1/11 snap (12 = 4|G|), but the
-    # filled sigma(g^2, g^2) = 1/132 does not
+    # on the edge columns sigma(g, g) = 1/12 and sigma(g^2, g) = 1/11 snap
+    # (12 = 4|G|), but the filled sigma(g^2, g^2) = 1/132 does not
     g = cyclic(3)
     mats = np.exp(2j * np.pi * np.array([0, 23, 13]) / 396).reshape(3, 1, 1)
     assert g.greedy_generators() == [1]
@@ -531,9 +555,9 @@ def test_make_rep_refuses_a_filled_denominator_above_4n():
     with pytest.raises(MakeRepError, match=r"scalar snap failed at \(2,2\)"):
         make_rep_full_snap(g, mats)
     # without the guard the filled table would pass the all-pairs check
-    num, den = _snap_scalars(_raw_scalars(g, mats, [0, 1]), 4 * g.order)
-    filled = Cocycle(g, projreps._fill_cocycle(g, [1], num, den), den)
-    assert filled.phase(1, 1) == Phase(1, 12) and filled.phase(1, 2) == Phase(1, 11)
+    num, den = _snap_scalars(_raw_scalars(g, mats, edges=True), 4 * g.order)
+    filled = Cocycle(g, projreps._fill_cocycle(g, num, den), den)
+    assert filled.phase(1, 1) == Phase(1, 12) and filled.phase(2, 1) == Phase(1, 11)
     assert filled.phase(2, 2) == Phase(1, 132)
     ProjectiveRep(g, mats, filled, validate=True)
 
@@ -541,7 +565,7 @@ def test_make_rep_refuses_a_filled_denominator_above_4n():
 @pytest.mark.parametrize(
     "spec", ["pauli:3", "genpauli:3", "xp:9", "oddfam:3", "permprod(genpauli:2,3)"]
 )
-def test_make_rep_snaps_only_the_generator_rows(spec, monkeypatch):
+def test_make_rep_snaps_only_the_edge_columns(spec, monkeypatch):
     model = parse_model_spec(spec).model
     g, mats = model.group, model.rep.matrices
     shapes = []
@@ -553,7 +577,44 @@ def test_make_rep_snaps_only_the_generator_rows(spec, monkeypatch):
 
     monkeypatch.setattr(projreps, "_snap_scalars", recording_snap)
     assert make_rep(g, mats).cocycle == model.rep.cocycle
-    assert shapes == [(1 + len(g.greedy_generators()), g.order)]
+    twisted = model.rep.twist(_phase_with_a_nonzero_identity(g))
+    assert make_rep(g, twisted.matrices).cocycle == twisted.cocycle
+    assert shapes == [(g.order, 1 + len(g.greedy_generators()))] * 2
+
+
+def _phase_with_a_nonzero_identity(g, seed=0):
+    # df(e, e) = f(e), so the fill's sigma(e, e) term is not 0
+    nums = np.random.default_rng(seed).integers(0, 12, g.order)
+    nums[g.identity] = 5
+    return PhaseFunction.exact(g.full_subgroup(), [Phase(int(k), 12) for k in nums])
+
+
+def _fill_cases(case):
+    if case in ("c2d2n:3", "oddfam:3"):
+        model = _catalog_model(case)
+        return [model.cocycle.restrict(sub) for sub in model.group.all_subgroups()]
+    model = parse_model_spec("permprod(genpauli:2,3)").model
+    if case == "relabeled":
+        model = relabeled_model(model, seed=3)
+    return [model.cocycle]
+
+
+@pytest.mark.parametrize("case", ["c2d2n:3", "oddfam:3", "permprod(genpauli:2,3)", "relabeled"])
+def test_the_column_fill_rebuilds_every_cocycle_from_its_edge_columns(case):
+    # exact, so every restricted cocycle comes back from sigma(x, c), c in
+    # walk.cols, and agrees with the per-depth row fill from its rows
+    for restricted in _fill_cases(case):
+        g = restricted.group
+        walk = g._cayley_walk()
+        twist = coboundary(_phase_with_a_nonzero_identity(g))
+        for sigma in (restricted, restricted.multiply(twist)):
+            filled = projreps._fill_cocycle(g, sigma.num[:, walk.cols], sigma.den)
+            assert filled.dtype == np.int64 and filled.flags.c_contiguous
+            assert np.array_equal(filled, sigma.num)
+            head = sigma.num[[g.identity, *walk.gens]]
+            assert np.array_equal(fill_cocycle_by_rows(g, head, sigma.den), sigma.num)
+    if case == "permprod(genpauli:2,3)":
+        assert walk.length == 178                 # the deepest tree of the models
 
 
 # ------------------------------------------------ Cayley-edge validation
@@ -592,10 +653,13 @@ def test_edges_between_the_edge_tolerance_and_exact_are_accepted(spec):
     model = parse_model_spec(spec).model
     g, sigma = model.group, model.rep.cocycle
     walk = g._cayley_walk()
-    k = int(walk.levels[-1][0][-1])
+    depth = walk.tree[2]
+    k = int(np.flatnonzero(depth == depth.max())[-1])
     mats = _perturbed(model, k, 3e-10)
-    worst = projreps._edge_deviation(mats, sigma, walk)
-    assert projreps._edge_tolerance(walk) <= worst < _tol.EXACT
+    scales = sigma.to_complex_table()[:, walk.cols]
+    edges = (mats, mats[walk.cols], walk.ends, scales)
+    assert projreps._first_deviation(*edges, projreps._edge_tolerance(walk)) is not None
+    assert projreps._first_deviation(*edges, _tol.EXACT) is None
     validate_all_pairs(ProjectiveRep(g, mats, sigma, validate=False))
     ProjectiveRep(g, mats, sigma, validate=True)
     assert make_rep(g, mats).cocycle == sigma
@@ -620,3 +684,59 @@ def test_edge_validation_of_a_trivial_group():
     ProjectiveRep(g, np.eye(2, dtype=complex)[None], Cocycle.trivial(g))
     with pytest.raises(MakeRepError, match="at x=0"):
         ProjectiveRep(g, -np.eye(2, dtype=complex)[None], Cocycle.trivial(g))
+
+
+def _nan_placements(dim):
+    # a whole matrix, one real part, one imaginary part
+    yield lambda a: a.fill(np.nan)
+    yield lambda a: a.__setitem__((0, 0), complex(np.nan, 0.0))
+    yield lambda a: a.__setitem__((dim - 1, 0), complex(1.0, np.nan))
+
+
+@pytest.mark.parametrize("place", range(3))
+@pytest.mark.parametrize("k", range(4))
+def test_a_nan_matrix_fails_every_rep_check(k, place):
+    # NaN compares false with every tolerance, so each test must fail closed
+    model = gen_pauli_model(2)
+    g, sigma = model.group, model.rep.cocycle
+    mats = model.rep.matrices.copy()
+    list(_nan_placements(model.dim))[place](mats[k])
+    data = json.loads(json.dumps(ProjectiveRep(g, mats, sigma, validate=False).to_json()))
+    bare = {key: value for key, value in data.items() if key != "cocycle"}
+    for build in (
+        lambda: ProjectiveRep(g, mats, sigma),
+        lambda: ProjectiveRep.from_json(g, data),
+        lambda: ProjectiveRep.from_json(g, bare),
+        lambda: make_rep(g, mats),
+        lambda: make_rep_full_snap(g, mats),
+    ):
+        with pytest.raises(MakeRepError):
+            build()
+
+
+@pytest.mark.parametrize("edges", [False, True])
+def test_the_deviation_scan_fails_closed_on_nan(edges):
+    model = gen_pauli_model(3)
+    g, sigma, m = model.group, model.rep.cocycle, model.rep.matrices.copy()
+    walk = g._cayley_walk()
+    if edges:
+        scan = (m[walk.cols], walk.ends, sigma.to_complex_table()[:, walk.cols])
+    else:
+        scan = (m, g.mul, sigma.to_complex_table())
+    assert projreps._first_deviation(m, *scan, _tol.EXACT) is None
+    m[4, 1, 2] = np.nan
+    x, dev = projreps._first_deviation(m, *scan, _tol.EXACT)
+    assert np.isnan(dev) and x == min(x for x in range(g.order) if 4 in (x, *scan[1][x]))
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 3e-10, 1e-9, 1e-5])
+@pytest.mark.parametrize("spec", ["genpauli:2", "xp:6", "oddfam:3"])
+def test_finite_verdicts_match_the_all_pairs_oracle(spec, eps):
+    # validate_all_pairs keeps the ">= tolerance" form: on finite input the
+    # fail-closed tests give the same verdicts and the same errors
+    model = _catalog_model(spec)
+    g, sigma = model.group, model.rep.cocycle
+    for k in (0, g.order // 2, g.order - 1):
+        mats = _perturbed(model, k, eps)
+        want = _verdict(lambda: validate_all_pairs(ProjectiveRep(g, mats, sigma, validate=False)))
+        assert _verdict(lambda: ProjectiveRep(g, mats, sigma)) == want
