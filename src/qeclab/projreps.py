@@ -274,10 +274,10 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
 
 
-def _fill_cocycle(group: FiniteGroup, edges: np.ndarray, den: int) -> np.ndarray:
+def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarray:
     """The n x n numerator table from its Cayley-edge columns.
 
-    edges[x, j] is sigma(x, walk.cols[j]) as a numerator over den, for the
+    columns[x, j] is sigma(x, walk.cols[j]) as a numerator over den, for the
     group's cached walk.  For y on the tree with parent p and step g, the
     column identity sigma(x, pg) = sigma(x, p) + sigma(xp, g) - sigma(p, g)
     summed down the tree path to y, from sigma(x, e) = sigma(e, e), gives
@@ -292,8 +292,8 @@ def _fill_cocycle(group: FiniteGroup, edges: np.ndarray, den: int) -> np.ndarray
     column = np.zeros(group.order, dtype=np.int64)
     column[walk.cols] = np.arange(len(walk.cols))
     j = column[step]
-    values = edges[group.mul.T[parent], j[:, None]] - edges[parent, j][:, None]
-    sums = walk.path_sums(values) + edges[group.identity, 0]
+    values = columns[group.mul.T[parent], j[:, None]] - columns[parent, j][:, None]
+    sums = walk.path_sums(values) + columns[group.identity, 0]
     return np.ascontiguousarray(sums.T % den)
 
 
@@ -327,8 +327,8 @@ def _first_deviation(m, right, ends, scales, tol: float) -> tuple[int, float] | 
 
 
 def _raw_scalars(group: FiniteGroup, matrices: np.ndarray, edges: bool = False) -> np.ndarray:
-    """tr(pi(x) pi(y) pi(xy)^*) / dim for every x, one row per x, and every y,
-    or y over the Cayley-edge columns walk.cols when edges is set; from
+    """tr(pi(x) pi(y) pi(xy)^*) / dim, one row per x, for every y, or for y
+    over the Cayley-edge columns walk.cols when edges is set; from
     _row_products."""
     n, dim = matrices.shape[0], matrices.shape[1]
     walk = group._cayley_walk()
