@@ -204,10 +204,21 @@ class FiniteGroup:
         H drawn from one representative per cyclic subgroup, closing with H's
         own generators plus x.  This is complete: every subgroup is reached
         from the trivial one by adjoining one element at a time, and adjoining
-        x is the same as adjoining <x>.  Subgroups are kept as int bitmasks of
-        their members.  Guarded by the order cap since subgroup counts grow
-        quickly.  The result is sorted by (order, members), and every
-        subgroup in it is interned.
+        x is the same as adjoining <x> (Neubueser, Numer. Math. 2, 1960).
+
+        Once K = <H, x> is closed, the representatives that would close to K
+        again are covered and skipped for this H.  Take h in H and g with
+        <g> = <x>, and y = h*g.  Then <H, y> contains h^-1 * y = g, and
+        <H, g> contains h * g = y, so <H, y> = <H, g> = <H, x> = K; the
+        representative r of <y> has <r> = <y>, so <H, r> = K as well.  When
+        |K : H| is prime, every y in K outside H gives <H, y> = K, since
+        |<H, y> : H| > 1 divides |K : H| = |K : <H, y>| |<H, y> : H|, so all
+        of K is covered.  A skipped representative would only find K again,
+        so the subgroups found are those of the unpruned extension.
+
+        Subgroups are kept as int bitmasks of their members.  Guarded by the
+        order cap since subgroup counts grow quickly.  The result is sorted by
+        (order, members), and every subgroup in it is interned.
         """
         return [self._intern(members) for members in self._lattice(max_order)]
 
@@ -225,29 +236,40 @@ class FiniteGroup:
 
     def _cyclic_extensions(self) -> list[tuple[int, ...]]:
         e = self.identity
-        reps: list[tuple[int, list[int]]] = []
-        cyclic_seen = set()
-        for x, col in enumerate(self.mul.T.tolist()):
-            mask, y = 1 << e, x
+        columns = self.mul.T.tolist()   # columns[g][y] = y * g
+        # one representative x per cyclic subgroup, the least index, with the
+        # generators of <x>: x^k for k prime to the order of x
+        rep_of = [-1] * self.order
+        reps: list[tuple[int, list[int], list[int]]] = []
+        for x, col in enumerate(columns):
+            if rep_of[x] >= 0:
+                continue
+            powers, y = [], x
             while y != e:
-                mask |= 1 << y
+                powers.append(y)
                 y = col[y]
-            if mask not in cyclic_seen:
-                cyclic_seen.add(mask)
-                reps.append((x, col))
+            gens = [p for k, p in enumerate(powers, 1) if math.gcd(k, len(powers) + 1) == 1]
+            for g in gens or [e]:
+                rep_of[g] = x
+            reps.append((x, col, gens))
         found = {1 << e}
         queue = [([e], 1 << e, [])]
         for members, mask, cols in queue:   # grows while iterated: breadth first
-            # when |<H, x> : H| is prime, <H, y> = <H, x> for every y in
-            # <H, x> outside H, so those y need no closure of their own
+            # the representatives whose extension of H is a K already closed
+            # from H (see all_subgroups)
             covered = mask
-            for x, col in reps:
+            for x, col, gens in reps:
                 if covered >> x & 1:
                     continue
                 ext_members, ext_cols = list(members), cols + [col]
                 ext_mask = _extend_closure(ext_members, mask, ext_cols)
                 if _is_prime(len(ext_members) // len(members)):
                     covered |= ext_mask
+                else:
+                    for g in gens:
+                        g_col = columns[g]
+                        for h in members:
+                            covered |= 1 << rep_of[g_col[h]]
                 if ext_mask not in found:
                     found.add(ext_mask)
                     queue.append((ext_members, ext_mask, ext_cols))
@@ -330,7 +352,8 @@ class _CayleyWalk:
         up, total = self.tree[0].copy(), edge_values.copy()
         up[e], total[e] = e, 0
         for _ in range(max(self.length - 1, 0).bit_length()):
-            total, up = total + total[up], up[up]
+            total += total[up]
+            up = up[up]
         return total
 
 
@@ -365,10 +388,12 @@ class Subgroup:
         if parent.identity not in self._position:
             raise GroupValidationError("subgroup must contain the identity")
         mem = np.array(self.members)
-        products = parent.mul[np.ix_(mem, mem)]
-        if not np.all(np.isin(products, mem)):
+        # the membership mask, read again by is_normal
+        self._inside = inside = np.zeros(parent.order, dtype=bool)
+        inside[mem] = True
+        if not inside[parent.mul[np.ix_(mem, mem)]].all():
             raise GroupValidationError("member set is not closed under multiplication")
-        if not np.all(np.isin(parent.inv[mem], mem)):
+        if not inside[parent.inv[mem]].all():
             raise GroupValidationError("member set is not closed under inversion")
 
     def __len__(self) -> int:
@@ -400,11 +425,8 @@ class Subgroup:
     def is_normal(self) -> bool:
         if self._normal is None:
             g = self.parent
-            mem = np.array(self.members)
-            inside = np.zeros(g.order, dtype=bool)
-            inside[mem] = True
-            conjugates = g.mul[g.mul[:, mem], g.inv[:, None]]   # [x, h] = x h x^-1
-            self._normal = bool(inside[conjugates].all())
+            conjugates = g.mul[g.mul[:, list(self.members)], g.inv[:, None]]   # [x, h] = x h x^-1
+            self._normal = bool(self._inside[conjugates].all())
         return self._normal
 
     def is_abelian(self) -> bool:

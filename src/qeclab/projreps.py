@@ -292,9 +292,12 @@ def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarr
     column = np.zeros(group.order, dtype=np.int64)
     column[walk.cols] = np.arange(len(walk.cols))
     j = column[step]
-    values = columns[group.mul.T[parent], j[:, None]] - columns[parent, j][:, None]
-    sums = walk.path_sums(values) + columns[group.identity, 0]
-    return np.ascontiguousarray(sums.T % den)
+    values = columns[group.mul.T[parent], j[:, None]]
+    values -= columns[parent, j][:, None]
+    sums = walk.path_sums(values)
+    sums += columns[group.identity, 0]
+    sums %= den
+    return np.ascontiguousarray(sums.T)
 
 
 def _edge_tolerance(walk) -> float:

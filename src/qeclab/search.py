@@ -12,6 +12,9 @@ The codes of one subgroup come from its exact constituents in codes
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
 
 from . import _tol
@@ -62,36 +65,72 @@ def _check_caps(model: ProjectiveErrorModel, max_order: int | None, max_dim: int
     return max_order
 
 
+# Seed of the Hermitian matrix that orders each rank's kept projectors.
+_DEDUP_SEED = 7
+
+
 class _ProjectorSet:
     """Projectors kept so far, for dedup by Frobenius distance < _tol.DERIVED.
 
     Kept projectors are grouped by rank, round(tr p), in one buffer per
-    rank that doubles when full, so no call copies them all.  A new
-    projector is compared against the kept ones of its own rank in one
-    vectorized norm.  Skipping the other ranks is exact: for projectors P,
-    Q of ranks r != s, |P - Q|^2 = r + s - 2 tr(PQ) >= |r - s| >= 1, since
-    tr(PQ) <= min(r, s).
+    rank that doubles when full, so no call copies them all.  Skipping the
+    other ranks is exact: for projectors P, Q of ranks r != s,
+    |P - Q|^2 = r + s - 2 tr(PQ) >= |r - s| >= 1, since tr(PQ) <= min(r, s).
+
+    Within a rank, the kept projectors are also listed in increasing order
+    of v(Q) = Re tr(QA), for a fixed Hermitian A with |A|_F = 1 drawn from
+    _DEDUP_SEED.  By Cauchy-Schwarz,
+        |v(P) - v(Q)| <= |tr((P - Q)A)| <= |P - Q|_F |A|_F = |P - Q|_F,
+    so every duplicate Q of a new P has v(Q) within _tol.DERIVED of v(P).
+    Only the kept projectors in the window v(P) +- w, found by bisection,
+    are compared, in one vectorized norm: the same test as against the
+    whole rank, so the keep/drop decisions and the first witnesses are
+    those of comparing with every kept projector.
+
+    The window is widened by a rounding slack.  A computed value is a dot
+    product of 2 dim^2 real terms, so it is off by at most about
+    2 dim^2 u sum |A_ij| |P_ij| <= dim^2 eps |P|_F, with u = eps/2 the unit
+    roundoff.  A duplicate has |Q|_F < |P|_F + _tol.DERIVED, and the computed
+    norm and |A|_F are off by relative errors of order dim^2 eps.  So
+        w = _tol.DERIVED + 8 dim^2 eps (|P|_F + 1)
+    holds every duplicate with a fourfold margin.  At dim 16 the slack is
+    about 2e-12, against a window half-width of 1e-7.
     """
 
     def __init__(self, dim: int):
+        rng = np.random.default_rng(_DEDUP_SEED)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a += a.conj().T
+        self._a = a / np.linalg.norm(a)
+        self._slack = 8 * dim**2 * np.finfo(float).eps
         self._dim = dim
-        self._bufs: dict[int, np.ndarray] = {}
-        self._counts: dict[int, int] = {}
+        # rank -> [the kept projectors in one buffer that doubles when full,
+        #          their values v(Q) in increasing order, their slots in that order]
+        self._ranks: dict[int, list] = {}
+
+    def _value(self, p: np.ndarray) -> float:
+        """v(p) = Re tr(pA): vdot conjugates A, and conj(A_ij) = A_ji."""
+        return float(np.vdot(self._a, p).real)
 
     def add_if_new(self, p: np.ndarray) -> bool:
         """Keep p and return True unless a kept projector is within _tol.DERIVED of it."""
-        rank = round(np.trace(p).real)
-        count = self._counts.get(rank, 0)
-        if count:
-            buf = self._bufs[rank]
-            if (np.linalg.norm(buf[:count] - p, axis=(1, 2)) < _tol.DERIVED).any():
-                return False
-            if count == len(buf):
-                buf = self._bufs[rank] = np.concatenate([buf, np.empty_like(buf)])
-        else:
-            buf = self._bufs[rank] = np.empty((16, self._dim, self._dim), dtype=complex)
+        rank = round(float(p.trace().real))
+        kept = self._ranks.get(rank)
+        if kept is None:
+            kept = self._ranks[rank] = [np.empty((16, self._dim, self._dim), dtype=complex), [], []]
+        buf, values, slots = kept
+        v = self._value(p)
+        w = _tol.DERIVED + self._slack * (math.sqrt(np.vdot(p, p).real) + 1)
+        lo, hi = bisect.bisect_left(values, v - w), bisect.bisect_right(values, v + w)
+        if lo < hi and (np.linalg.norm(buf[slots[lo:hi]] - p, axis=(1, 2)) < _tol.DERIVED).any():
+            return False
+        count = len(slots)
+        if count == len(buf):
+            buf = kept[0] = np.concatenate([buf, np.empty_like(buf)])
         buf[count] = p
-        self._counts[rank] = count + 1
+        at = bisect.bisect_right(values, v, lo, hi)
+        values.insert(at, v)
+        slots.insert(at, count)
         return True
 
 

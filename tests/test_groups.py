@@ -273,6 +273,39 @@ def test_all_subgroups_counts_at_order_64(spec, count):
     assert len(g.all_subgroups()) == count
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SMALL_CATALOG), st.integers(0, 2**32 - 1))
+def test_all_subgroups_match_oracle_on_relabeled_groups(spec, seed):
+    # the coset cover skips representatives by their index, so a renumbering
+    # changes which pairs it skips, never the lattice
+    g = _relabeled(parse_model_spec(spec).model.group, seed)
+    assert [h.members for h in g.all_subgroups()] == lattice_oracle(g)
+
+
+@pytest.mark.parametrize(
+    "spec, bound, count",
+    [
+        # 4,146, 3,782 and 468 closures without the coset cover
+        ("prod(genpauli:2,genpauli:4)", 1700, 249),
+        ("c2d2n:8", 1100, 137),
+        ("genpauli:8", 200, 37),
+    ],
+)
+def test_covered_extensions_are_not_closed(spec, bound, count, monkeypatch):
+    g = parse_model_spec(spec).model.group
+    g = group_from_mul_table(g.mul)   # a fresh group, its lattice not yet built
+    closures = []
+
+    def counting(*args):
+        closures.append(1)
+        return extend(*args)
+
+    extend = groups._extend_closure
+    monkeypatch.setattr(groups, "_extend_closure", counting)
+    assert len(g.all_subgroups()) == count
+    assert 0 < len(closures) <= bound
+
+
 def test_all_subgroups_cap_checked_first():
     g = cyclic(65)
     with pytest.raises(ValueError, match="capped at order 64"):

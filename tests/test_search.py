@@ -168,6 +168,46 @@ def test_projector_set_matches_pairwise_dedup():
     assert sum(kept) == len(slow.kept) > 30
 
 
+def _edge_pair(kept, p, sign):
+    """q = p + sign t A, t just below _tol.DERIVED, with |p - q|_F below
+    _tol.DERIVED (a duplicate) but the computed v(q) - v(p) past it, or None.
+
+    Cauchy-Schwarz is tight along A, so |v(q) - v(p)| and |p - q|_F are both
+    about t; which one the rounding leaves larger varies with p and t.
+    """
+    for step in range(1, 200):
+        q = p + sign * (_tol.DERIVED - step * 1e-17) * kept._a
+        near = max(np.linalg.norm(p - q), np.linalg.norm(np.stack([q]) - p, axis=(1, 2))[0])
+        if near < _tol.DERIVED and abs(kept._value(q) - kept._value(p)) > _tol.DERIVED:
+            return q
+    return None
+
+
+def test_dedup_window_holds_a_duplicate_past_its_edge():
+    # two projectors within _tol.DERIVED whose values lie just over
+    # _tol.DERIVED apart, the kept one below or above the new one: only the
+    # rounding slack puts the kept one inside the new one's window
+    dim = 6
+    rng = np.random.default_rng(8)
+    pairs = {}
+    for _ in range(40):
+        k = int(rng.integers(1, dim))
+        vectors = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+        p = CodeSpace.from_vectors(dim, vectors).projector()
+        for sign in (1, -1):
+            q = _edge_pair(search._ProjectorSet(dim), p, sign)
+            if sign not in pairs and q is not None:
+                pairs[sign] = (p, q)
+        if len(pairs) == 2:
+            break
+    assert set(pairs) == {1, -1}
+    for p, q in pairs.values():
+        for stream in ([p, q], [q, p]):
+            fast, slow = search._ProjectorSet(dim), PairwiseDedup(dim)
+            assert [slow.add_if_new(x) for x in stream] == [True, False]
+            assert [fast.add_if_new(x) for x in stream] == [True, False]
+
+
 @pytest.mark.parametrize("spec", ["genpauli:8", "c2d2n:2", "oddfam:3"])
 def test_dedup_keeps_the_pairwise_choice(spec, monkeypatch):
     # the vectorized dedup keeps the same first witness, in the same order,
