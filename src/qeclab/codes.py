@@ -18,15 +18,17 @@ H are the (H, f0 chi) eigenspaces for the linear characters chi of H, read
 from a diagonal form of an integer system, whose multiplicity in
 conj(f0) pi|H is positive.  No eigenspace is walked and no value is snapped to find them.
 existence_phase takes the first and search.enumerate_weak_stabilizer_codes
-takes them all.  The action of L on an L-invariant code is
-ProjectiveRep.on_subspace of the restriction to L, which carries the
-restricted cocycle exactly, so it is never snapped afresh.
+takes them all.
 
 classify counts instead of building subspaces.  A code W lies in the (S, f)
 eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
 is weak (W = E), or rebuilt from a normal N, exactly when
 code_dimension_formula gives dim W; the weak witness |P_E - P_W| is
-sqrt(dim E - dim W).  The Clifford flag counts intertwiners by characters.
+sqrt(dim E - dim W).  The Clifford flag counts intertwiners by characters:
+the action of L on an L-invariant code is the compressed action C on L,
+and its character tr C = dim W * c is read from the scalars c = tr(C) / dim W
+that the stabilizer scan reads, so no representation of L is built for it
+(see _clifford_flag).
 
 The logical group, the stabilizer and the normal candidates are taken from
 the model group's interning table (see groups), so classify validates no
@@ -55,9 +57,10 @@ from .cocycles import (
 from .groups import Subgroup
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
-    MakeRepError,
     ProjectiveRep,
+    _character_count,
     _intertwiner_count,
+    _irreducible_character,
     _reynolds,
     inertia_group,
     is_irreducible,
@@ -271,8 +274,11 @@ def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction
 def code_dimension_formula(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseFunction) -> int:
     """Average of conj(f), read on the members of sub, against the model
     character, snapped to an integer: dim of the (sub, f) eigenspace when df
-    is the restricted cocycle."""
+    is the restricted cocycle.  f may live on a larger subgroup; CodeError
+    when it misses a member of sub."""
     members = list(sub.members)
+    if not all(x in f.domain for x in members):
+        raise CodeError("phase function is not defined on every member of the subgroup")
     chi = model.rep.character().values[members]
     values = f.values[[f.domain.position(x) for x in members]]
     total = np.sum(np.conj(values) * chi) / len(sub)
@@ -348,6 +354,8 @@ class _Action(NamedTuple):
 
 
 def _code_action(model: ProjectiveErrorModel, code: CodeSpace) -> _Action:
+    if code.ambient_dim != model.dim:
+        raise CodeError(f"code lives in dimension {code.ambient_dim}, model in {model.dim}")
     b, mats = code.basis, model.rep.matrices
     c = compress(mats, b)
     scalars, scalar_dev = scalar_deviation(c)
@@ -486,23 +494,37 @@ def _has_normal_reconstruction(
 def _clifford_flag(
     model: ProjectiveErrorModel, code: CodeSpace, logical: Subgroup, act: _Action
 ) -> tuple[bool, object]:
-    g = model.group
-    dim_v, dim_w = model.dim, code.dim
-    if (dim_w * g.order) % dim_v != 0 or len(logical) * dim_v != dim_w * g.order:
-        return False, (
-            f"|L| = {len(logical)} != (dim W / dim V)|G| = {dim_w * g.order / dim_v}"
-        )
+    """Whether W is a Clifford code for L: |L| = (dim W / dim V)|G|, W is
+    L-invariant, and the action rho of L on W is irreducible and occurs once
+    in pi|L.  Returns (flag, witness text).
+
+    rho(x) = C(x) = B* pi(x) B for x in L, and its character is read from the
+    code action: chi_rho(x) = tr C(x) = dim W * act.scalars[x].  No
+    representation of L is built or validated, and none needs to be.  Write
+    iota(x) = |(1 - BB*) pi(x) B| (act.inside), which is at most _tol.SCAN on
+    L once the invariance test passes.  For x, y in L,
+        rho(x)rho(y) - sigma(x,y)rho(xy)
+            = B* (pi(x)pi(y) - sigma(x,y)pi(xy)) B - B* pi(x) (1 - BB*) pi(y) B,
+    and B is an isometry and 1 - BB* a projector, so (Frobenius norms) rho's
+    deviation is at most pi's plus |(1 - BB*) pi(x)* B| iota(y).  pi(x)* is
+    a unit multiple of pi(x^-1) up to pi's own deviation, below _tol.EXACT,
+    so that product is below (iota(x^-1) + _tol.EXACT) iota(y) <
+    (_tol.SCAN + _tol.EXACT) _tol.SCAN = 1.1e-16.  The same split bounds
+    rho's unitarity deviation |rho(x)rho(x)* - 1| by pi's plus
+    |(1 - BB*) pi(x)* B|^2, below the same bound.  The restricted cocycle satisfies the cocycle
+    identity, as pi's does.  So validating rho against _tol.EXACT could fail
+    only if the model's rep deviated to within about 1e-16 of _tol.EXACT.
+    """
+    order, dim_v, dim_w = model.group.order, model.dim, code.dim
+    if len(logical) * dim_v != dim_w * order:
+        return False, f"|L| = {len(logical)} != (dim W / dim V)|G| = {dim_w * order / dim_v}"
     members = list(logical.members)
     if act.inside[members].max() > _tol.SCAN:
         return False, "code not invariant under the logical group"
-    res = restrict(model.rep, logical)
-    try:
-        rho = res.on_subspace(code.basis)
-    except MakeRepError as exc:
-        return False, f"restricted action is not a representation: {exc}"
-    if not is_irreducible(rho):
+    chi_rho = dim_w * act.scalars[members]
+    if not _irreducible_character(chi_rho):
         return False, "restricted action on the code is reducible"
-    if _intertwiner_count(rho, res) != 1:
+    if _character_count(chi_rho, model.rep.character().values[members]) != 1:
         return False, "restricted action does not have multiplicity one"
     return True, None
 

@@ -18,9 +18,9 @@ from . import _tol
 from ._linalg import compress, scalar_deviation
 from .cocycles import (
     Cocycle,
-    Phase,
     PhaseFunction,
     PhaseSnapError,
+    _phase_values,
     _snap_phases,
     coboundary,
     snap_phase,
@@ -410,8 +410,12 @@ def inner_product(c1: Character, c2: Character) -> complex:
 
 
 def is_irreducible(rep: ProjectiveRep) -> bool:
-    chi = rep.character()
-    return abs(inner_product(chi, chi) - 1) <= _tol.DERIVED
+    return _irreducible_character(rep.character().values)
+
+
+def _irreducible_character(chi: np.ndarray) -> bool:
+    """<chi, chi> = 1 to _tol.DERIVED: the irreducibility test on character values."""
+    return abs(complex(np.mean(chi * np.conj(chi))) - 1) <= _tol.DERIVED
 
 
 def is_projectively_faithful(rep: ProjectiveRep) -> bool:
@@ -470,7 +474,15 @@ def _reynolds(r1: ProjectiveRep, r2: ProjectiveRep, a: np.ndarray) -> np.ndarray
 
 def _intertwiner_count(r1: ProjectiveRep, r2: ProjectiveRep) -> int:
     """dim Hom(r1, r2) for reps with one cocycle: <chi_r1, chi_r2> as an integer."""
-    total = inner_product(r1.character(), r2.character())
+    if r1.cocycle != r2.cocycle:   # the cocycle compares the group orders too
+        raise ValueError("characters carry different cocycles")
+    return _character_count(r1.character().values, r2.character().values)
+
+
+def _character_count(chi1: np.ndarray, chi2: np.ndarray) -> int:
+    """<chi1, chi2> over character values of reps with one cocycle, as an
+    integer; RuntimeError when it is not one to _tol.DERIVED."""
+    total = complex(np.mean(chi1 * np.conj(chi2)))
     nearest = round(total.real)
     if abs(total - nearest) > _tol.DERIVED * max(1, nearest):
         raise RuntimeError(f"character count {total.real:.6f} is not an integer")
@@ -509,11 +521,11 @@ def induce(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> ProjectiveRep
     first); for x*s = r'*h the action is
     x.(s (x) v) = sigma(x,s) conj(sigma(r',h)) (r' (x) theta(h) v).
 
-    The scale of each block is read, by its integer numerator
-    sigma(x,s) - sigma(r',h) mod den, from a table of Phase(k, den) values,
-    so it is the exact Phase product, quarter turns included.  The result
-    is validated against sigma itself, on the Cayley edges as
-    ProjectiveRep._validate checks: no cocycle is snapped.
+    The scale of each block is read from its integer numerator
+    sigma(x,s) - sigma(r',h) mod den by cocycles._phase_values, bit for bit
+    as Phase(k, den).to_complex(), so it is the exact Phase product, quarter
+    turns included.  The result is validated against sigma itself, on the
+    Cayley edges as ProjectiveRep._validate checks: no cocycle is snapped.
     """
     g = sub.parent
     if sigma.group.order != g.order:
@@ -532,7 +544,7 @@ def induce(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> ProjectiveRep
     ri, hi = rep_pos[ends], h_pos[ends]
     den = sigma.den
     turns = (sigma.num[:, reps] - sigma.num[reps[ri], mem[hi]]) % den
-    scales = np.array([Phase(k, den).to_complex() for k in range(den)])[turns]
+    scales = _phase_values(turns, den)
     blocks = scales[:, :, None, None] * theta.matrices[hi]
     mats = np.zeros((n, q, dt, q, dt), dtype=complex)
     mats[np.arange(n)[:, None], ri, :, np.arange(q)[None, :], :] = blocks
@@ -543,10 +555,10 @@ def _conjugation(sub: Subgroup, x, sigma: Cocycle) -> tuple[np.ndarray, np.ndarr
     """theta^x(y) = s theta(z) on the members y of sub, z = x^-1 y x, as (pos, s).
 
     pos is the position of z in sub, -1 where z is not in sub.  The scale
-    s = sigma(x^-1, y) conj(sigma(z, x^-1)) is read, by its integer numerator
-    mod den, from a table of Phase(k, den) values as induce reads its scales,
-    so it is the exact Phase product.  x is one element or an array of them,
-    with one row of each result per element.
+    s = sigma(x^-1, y) conj(sigma(z, x^-1)) is read from its integer numerator
+    mod den as induce reads its scales, so it is the exact Phase product.  x
+    is one element or an array of them, with one row of each result per
+    element.
     """
     g = sub.parent
     mem = np.array(sub.members)
@@ -557,7 +569,7 @@ def _conjugation(sub: Subgroup, x, sigma: Cocycle) -> tuple[np.ndarray, np.ndarr
     pos[mem] = np.arange(len(mem))
     den = sigma.den
     turns = (sigma.num[xi][..., mem] - sigma.num[z, xi[..., None]]) % den
-    scales = np.array([Phase(k, den).to_complex() for k in range(den)])[turns]
+    scales = _phase_values(turns, den)
     return pos[z], scales
 
 
