@@ -12,11 +12,16 @@ remembered on the object, since the table it checked is the table the
 object keeps; a failing one is recomputed on every call.  restrict(sub) is
 computed once per (subgroup object, cocycle object), and its result lives
 on sub.as_group(), which interned subgroups share.  So the restriction of
-a model's cocycle to a library-built subgroup is one object, and
-ProjectiveRep.restrict, the pieces of on_subspace and
-find_trivializing_phase all verify it once between them.  Each distinct
-restricted cocycle is still verified in full once: only repeats of a
-check already passed on the same read-only table are dropped.
+a model's cocycle to a library-built subgroup is one object, and the
+constituent split of search (whose pieces keep the restriction's cocycle
+object) and find_trivializing_phase verify it once between them.  Each
+distinct restricted cocycle is still verified in full once: only repeats
+of a check already passed on the same read-only table are dropped.
+
+Facts that a construction already proves are read, not proved again: a
+stabilizer phase is snapped from the grid its cocycle puts it on
+(_snap_on_grid), and df = sigma is compared as integer numerators
+(_is_coboundary_of), with no Cocycle built for either side.
 """
 
 from __future__ import annotations
@@ -145,9 +150,10 @@ def _snap_phases(values, max_den: int) -> tuple[np.ndarray, int, np.ndarray]:
     nearest the entry's own angle, which is the candidate snap_phase takes
     and then tests as above.  Above 2^15 every entry is snapped alone.
 
-    The test runs entry by entry: from_complex sees a few entries at a
-    time, where the dozen numpy calls of an array test cost more than the
-    snaps the grouping saves.
+    The test runs entry by entry: make_rep's edge columns repeat a few
+    angles many times, and a snap per angle is cheap next to the array
+    work around it.  classify's stabilizer phases, whose denominators are
+    known in advance, are read by _snap_on_grid instead.
     """
     grouped = max_den <= _GROUPED_SNAP_MAX_DEN
     groups: dict[float, tuple[Phase | None, complex]] = {}
@@ -165,6 +171,60 @@ def _snap_phases(values, max_den: int) -> tuple[np.ndarray, int, np.ndarray]:
                     and abs(c - z / m) <= _tol.EXACT):
                 p = snap_phase_or_none(z, max_den)
         entries.append(p)
+    return _numerators(entries)
+
+
+def _snap_on_grid(values, max_den: int, grid: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """_snap_phases(values, max_den), read from the grid of turns k/grid.
+
+    Each entry z with ||z| - 1| <= _tol.SCAN is rounded to the nearest
+    k/grid of its angle, and Phase(k, grid), reduced to p/q, is kept when
+    q <= max_den <= 2^15 and |Phase(p, q).to_complex() - z/|z|| <= _tol.EXACT.
+    These are snap_phase's own two tests, written with its expressions, so
+    they decide as snap_phase decides.  Every other entry goes through
+    snap_phase alone, and no Fraction is built for a kept one.
+
+    A kept p/q is snap_phase's answer.  An entry passing the distance test
+    lies within _tol.EXACT of p/q on the circle, under 1.6e-10 of a turn.
+    Two fractions with denominators at most max_den lie at least
+    1/max_den^2 apart, 9.3e-10 of a turn for max_den = 2^15, over twice
+    that.  So p/q is the fraction nearest the entry's angle among those
+    with denominator at most max_den (up to a whole turn), which is the
+    candidate that snap_phase's limit_denominator returns and then tests
+    with the same expressions.  The grid decides only which candidate is
+    tried first, never the result.
+
+    classify passes grid = den * exp(G) for its stabilizer phases, with den
+    the model cocycle's denominator.  There a scalar c(x) of a stabilizer
+    element has c(x)^ord(x) equal to a product of cocycle values, the lemma
+    of find_trivializing_phase's docstring, so every exact c(x) lies on
+    that grid and none falls back.
+
+    The loop runs entry by entry: a stabilizer has a few dozen elements at
+    most, where the dozens of numpy calls of an array test cost more.
+    """
+    scale = grid / (2 * math.pi)
+    on_grid = max_den <= _GROUPED_SNAP_MAX_DEN
+    points: dict[int, tuple[Phase, complex]] = {}   # k -> (Phase(k, grid), its value)
+    entries: list[Phase | None] = []
+    for z in np.asarray(values, dtype=complex).ravel().tolist():
+        m = abs(z)
+        p = None
+        if on_grid and abs(m - 1.0) <= _tol.SCAN:   # NaN fails too
+            k = round(cmath.phase(z) * scale)
+            if k not in points:
+                point = Phase(k, grid)
+                points[k] = (point, point.to_complex())
+            p, c = points[k]
+            if p.den > max_den or not abs(c - z / m) <= _tol.EXACT:
+                p = None
+        entries.append(snap_phase_or_none(z, max_den) if p is None else p)
+    return _numerators(entries)
+
+
+def _numerators(entries: list[Phase | None]) -> tuple[np.ndarray, int, np.ndarray]:
+    """(numerators over the least common denominator, that denominator,
+    mask of the entries that are not None); a None entry has numerator 0."""
     den = math.lcm(1, *{p.den for p in entries if p is not None})
     num = np.array([0 if p is None else p.num * (den // p.den) for p in entries], dtype=np.int64)
     return num, den, np.array([p is not None for p in entries], dtype=bool)
@@ -227,7 +287,9 @@ class Cocycle:
         return self.den == 1
 
     def __eq__(self, other) -> bool:
-        return (
+        # the table is read-only, so an object equals itself without a scan:
+        # a restriction's constituents and intertwiners share its cocycle
+        return other is self or (
             isinstance(other, Cocycle)
             and self.group.order == other.group.order
             and self.den == other.den
@@ -451,6 +513,27 @@ def coboundary(f: PhaseFunction) -> Cocycle:
     group = f.domain.as_group()
     table = (num[:, None] + num[None, :] - num[group.mul]) % f.den
     return Cocycle(group, table, f.den)
+
+
+def _is_coboundary_of(f: PhaseFunction, sigma: Cocycle) -> bool:
+    """coboundary(f) == sigma, compared as integer numerators over lcm(f.den, sigma.den).
+
+    Cocycle equality compares canonical forms, each table reduced to its
+    least denominator, so it holds exactly when the two tables agree as
+    rationals mod 1.  That is what the numerators over the common
+    denominator compare, both in [0, den): coboundary's table reduced mod
+    den, and sigma's, which is reduced already.  Neither Cocycle is built.
+    The product table is f's domain's, as coboundary reads it.
+    """
+    if not f.is_exact:
+        raise ValueError("coboundary needs exact phase values")
+    mul = f.domain.as_group().mul
+    if mul.shape != sigma.num.shape:
+        return False
+    den = math.lcm(f.den, sigma.den)
+    num = f.num * (den // f.den)
+    table = (num[:, None] + num[None, :] - num[mul]) % den
+    return np.array_equal(table, sigma.num * (den // sigma.den))
 
 
 def _greedy_generators(group: FiniteGroup) -> list[int]:
@@ -688,7 +771,7 @@ def find_trivializing_phase(
             continue
         nums = (coeff @ np.array(u, dtype=np.int64) + k * const) % modulus
         f = PhaseFunction._from_num(result_domain, nums, modulus)
-        if coboundary(f) != Cocycle(group, sigma.num * k, modulus):
+        if not _is_coboundary_of(f, sigma):
             raise RuntimeError("solver produced a non-trivializing phase function")
         return f
     return None

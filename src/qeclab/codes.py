@@ -49,9 +49,10 @@ from ._linalg import compress, frobenius, nullspace, orthonormal_columns, scalar
 from .cocycles import (
     PhaseFunction,
     _greedy_generators,
+    _is_coboundary_of,
     _linear_characters,
     _phase_values,
-    coboundary,
+    _snap_on_grid,
     find_trivializing_phase,
 )
 from .groups import Subgroup
@@ -193,7 +194,7 @@ def _assert_projective_phase(model: ProjectiveErrorModel, sub: Subgroup, f: Phas
     # a nonzero joint eigenspace forces f to multiply like the cocycle does
     res = model.cocycle.restrict(sub)
     if f.is_exact:
-        if coboundary(f) != res:
+        if not _is_coboundary_of(f, res):
             raise RuntimeError("nonzero code with delta(f) != restricted cocycle")
         return
     got = np.multiply.outer(f.values, f.values)
@@ -374,11 +375,31 @@ def _logical(model: ProjectiveErrorModel, act: _Action) -> Subgroup:
 
 
 def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, PhaseFunction]:
-    keep = (act.scalar_dev < _tol.SCAN) & (np.abs(np.abs(act.scalars) - 1) < _tol.SCAN)
+    """S = the elements of L acting on W as a unimodular scalar, and f = the
+    scalars, snapped as PhaseFunction.from_complex snaps them.
+
+    S is read inside L: the scalar deviation and |c| are second order in
+    a tilt of W, the commutator norm first order, so on a code just off an
+    exact one an element can pass the first two tests after it has left L.
+    On exact codes the commutator test removes nothing.
+
+    The snap is cocycles._snap_on_grid on the grid den * exp(G), den the
+    model cocycle's denominator: a stabilizer phase has df = sigma|S, so
+    f(x)^ord(x) is a product of cocycle values and f(x) a
+    (den * ord(x))-th root of unity.  The reader returns snap_phase's
+    result on every entry, on the grid or off it, so f is from_complex's.
+    """
+    keep = (
+        (act.commutator < _tol.SCAN)
+        & (act.scalar_dev < _tol.SCAN)
+        & (np.abs(np.abs(act.scalars) - 1) < _tol.SCAN)
+    )
     members = np.flatnonzero(keep)
     sub = model.group._intern(members)
-    f = PhaseFunction.from_complex(sub, act.scalars[members], max_den=4 * model.group.order)
-    return sub, f
+    values = act.scalars[members]
+    grid = model.cocycle.den * model.group.exponent()
+    num, den, mask = _snap_on_grid(values, 4 * model.group.order, grid)
+    return sub, PhaseFunction._from_num(sub, num, den, mask, values)
 
 
 def _detectable(act: _Action) -> list[int]:
@@ -409,7 +430,8 @@ def logical_group(model: ProjectiveErrorModel, code: CodeSpace) -> Subgroup:
 def stabilizer_group(
     model: ProjectiveErrorModel, code: CodeSpace
 ) -> tuple[Subgroup, PhaseFunction]:
-    """Elements acting on the code as a unimodular scalar, with that scalar."""
+    """Elements of the logical group acting on the code as a unimodular
+    scalar, with that scalar."""
     return _stabilizer(model, _code_action(model, code))
 
 
@@ -501,8 +523,11 @@ def _clifford_flag(
     rho(x) = C(x) = B* pi(x) B for x in L, and its character is read from the
     code action: chi_rho(x) = tr C(x) = dim W * act.scalars[x].  No
     representation of L is built or validated, and none needs to be.  Write
-    iota(x) = |(1 - BB*) pi(x) B| (act.inside), which is at most _tol.SCAN on
-    L once the invariance test passes.  For x, y in L,
+    iota(x) = |(1 - BB*) pi(x) B| (act.inside).  W is L-invariant with no
+    test of its own: L is {x : act.commutator[x] < _tol.SCAN}, and
+    act.commutator[x] = hypot(iota(x), iota(x^-1)) >= iota(x), so iota is
+    below _tol.SCAN on L (a NaN commutator fails the test and leaves x
+    out of L).  For x, y in L,
         rho(x)rho(y) - sigma(x,y)rho(xy)
             = B* (pi(x)pi(y) - sigma(x,y)pi(xy)) B - B* pi(x) (1 - BB*) pi(y) B,
     and B is an isometry and 1 - BB* a projector, so (Frobenius norms) rho's
@@ -519,8 +544,6 @@ def _clifford_flag(
     if len(logical) * dim_v != dim_w * order:
         return False, f"|L| = {len(logical)} != (dim W / dim V)|G| = {dim_w * order / dim_v}"
     members = list(logical.members)
-    if act.inside[members].max() > _tol.SCAN:
-        return False, "code not invariant under the logical group"
     chi_rho = dim_w * act.scalars[members]
     if not _irreducible_character(chi_rho):
         return False, "restricted action on the code is reducible"

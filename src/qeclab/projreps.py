@@ -76,6 +76,9 @@ class ProjectiveRep:
             raise MakeRepError("need one square matrix per group element")
         self.dim = self.matrices.shape[1]
         self._character: Character | None = None
+        # the rep this one restricts, set by restrict; see _deviation_bounds
+        self._parent: ProjectiveRep | None = None
+        self._bounds: tuple[float, float] | None = None
         if validate:
             self._validate()
 
@@ -93,22 +96,26 @@ class ProjectiveRep:
         tolerance", so a NaN fails it.
         """
         m = self.matrices
-        gram = m @ m.conj().transpose(0, 2, 1)
-        gram -= np.eye(self.dim)
+        gram = _unitarity_deviation(m)
         if not np.linalg.norm(gram, axis=(1, 2)).max() < _tol.EXACT:
             worst = np.abs(gram).max()
             raise MakeRepError(f"matrices are not unitary (deviation {worst:.2e})")
         if not self.cocycle.verify():
             raise MakeRepError("cached cocycle violates the cocycle identity")
-        walk = self.group._cayley_walk()
-        sigma = self.cocycle
-        scales = np.exp(2j * np.pi * sigma.num[:, walk.cols] / sigma.den)
-        if _first_deviation(m, m[walk.cols], walk.ends, scales, _edge_tolerance(walk)) is None:
+        if _first_deviation(*self._edges(), _edge_tolerance(self.group._cayley_walk())) is None:
             return
-        failure = _first_deviation(m, m, self.group.mul, sigma.to_complex_table(), _tol.EXACT)
+        failure = _first_deviation(m, m, self.group.mul, self.cocycle.to_complex_table(), _tol.EXACT)
         if failure is not None:
             x, dev = failure
             raise MakeRepError(f"pi(x)pi(y) != sigma(x,y) pi(xy) at x={x} (deviation {dev:.2e})")
+
+    def _edges(self) -> tuple:
+        """(m, right, ends, scales) of the Cayley edges (x, c), c in walk.cols
+        of the group's cached walk, for _first_deviation and _row_deviations."""
+        walk = self.group._cayley_walk()
+        sigma = self.cocycle
+        scales = np.exp(2j * np.pi * sigma.num[:, walk.cols] / sigma.den)
+        return self.matrices, self.matrices[walk.cols], walk.ends, scales
 
     def matrix(self, x: int) -> np.ndarray:
         return self.matrices[x]
@@ -121,15 +128,48 @@ class ProjectiveRep:
             self._character = Character(self.group, values, self.cocycle)
         return self._character
 
+    def _deviation_bounds(self) -> tuple[float, float]:
+        """Upper bounds (u, d) on |pi(x)pi(x)* - 1|_F and on
+        D(x, y) = |pi(x)pi(y) - sigma(x,y)pi(xy)|_F over all x, y; NaN when
+        a deviation is, and d infinite when the cocycle fails its identity.
+
+        u is the largest unitarity deviation.  d comes from the largest
+        Cayley-edge deviation e by make_rep's depth induction, which holds
+        for any edge bound in place of delta:
+        D(x, y) <= (2l - 1) e (1 + v)^l for y at depth l, with
+        |pi(x)|_op <= sqrt(1 + u) = 1 + v.  So d = (2L - 1) e (1 + v)^L for
+        the greatest depth L, from n(r + 1) products instead of n^2.
+
+        Measured once, for the rep that a chain of restrict calls starts
+        from.  A restriction reads its parent's bounds: its matrices are
+        the parent's on the members of H and its cocycle the parent's on
+        pairs of members, so its deviations are some of the parent's.
+        """
+        if self._bounds is None:
+            if self._parent is not None:
+                self._bounds = self._parent._deviation_bounds()
+            else:
+                m = self.matrices
+                unit = float(np.linalg.norm(_unitarity_deviation(m), axis=(1, 2)).max())
+                pairs = math.inf
+                if self.cocycle.verify():
+                    edge = np.max([d.max() for _, d in _row_deviations(*self._edges())])
+                    depth = max(1, self.group._cayley_walk().length)
+                    pairs = float((2 * depth - 1) * edge * math.sqrt(1 + unit) ** depth)
+                self._bounds = (unit, pairs)
+        return self._bounds
+
     def restrict(self, sub: Subgroup) -> "ProjectiveRep":
         mem = np.array(sub.members)
-        return ProjectiveRep(
+        rep = ProjectiveRep(
             sub.as_group(),
             self.matrices[mem],
             self.cocycle.restrict(sub),
             label=f"{self.label}|H",
             validate=False,
         )
+        rep._parent = self
+        return rep
 
     def on_subspace(self, basis: np.ndarray) -> "ProjectiveRep":
         """The action basis* pi(x) basis on the span of orthonormal columns.
@@ -300,6 +340,13 @@ def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarr
     return np.ascontiguousarray(sums.T)
 
 
+def _unitarity_deviation(m: np.ndarray) -> np.ndarray:
+    """m(x) m(x)* - 1 for every matrix of a stack."""
+    gram = m @ m.conj().transpose(0, 2, 1)
+    gram -= np.eye(m.shape[1])
+    return gram
+
+
 def _edge_tolerance(walk) -> float:
     """delta = _tol.EXACT/(2L) for the walk's greatest tree depth L (see make_rep)."""
     return _tol.EXACT / (2 * max(1, walk.length))
@@ -317,16 +364,23 @@ def _first_deviation(m, right, ends, scales, tol: float) -> tuple[int, float] | 
     products, transposed views, are subtracted in place.  A NaN deviation
     is not below tol, so it fails.
     """
+    for rows, devs in _row_deviations(m, right, ends, scales):
+        if not devs.max() < tol:
+            x = int(np.argmin(devs < tol))
+            return rows.start + x, float(devs[x])
+    return None
+
+
+def _row_deviations(m, right, ends, scales):
+    """Yield (rows, devs) over the row blocks of _row_products, devs[x] the
+    largest |pi(x) right[j] - scales[x, j] pi(ends[x, j])| over j for x in
+    rows, in _first_deviation's edge-set convention."""
     for rows, products in _row_products(m, right):
         diff = m[ends[rows]]
         diff *= scales[rows, :, None, None]
         diff -= products
         parts = diff.view(np.float64).reshape(len(diff), ends.shape[1], -1)
-        devs = np.sqrt(np.einsum("xyk,xyk->xy", parts, parts).max(axis=1))
-        if not devs.max() < tol:
-            x = int(np.argmin(devs < tol))
-            return rows.start + x, float(devs[x])
-    return None
+        yield rows, np.sqrt(np.einsum("xyk,xyk->xy", parts, parts).max(axis=1))
 
 
 def _raw_scalars(group: FiniteGroup, matrices: np.ndarray, edges: bool = False) -> np.ndarray:

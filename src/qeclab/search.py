@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import _tol
-from ._linalg import orthonormal_columns
+from ._linalg import compress, orthonormal_columns
 from .cocycles import PhaseFunction
 from .codes import (
     CodeReport,
@@ -33,6 +33,7 @@ from .models import ProjectiveErrorModel, max_ambient_dim
 from .projreps import (
     MakeRepError,
     ProjectiveRep,
+    _edge_tolerance,
     _intertwiner_count,
     _reynolds,
     is_irreducible,
@@ -188,6 +189,71 @@ def _canonical_key(piece: ProjectiveRep) -> tuple:
     return (piece.dim, *steps.astype(np.int64).tolist())
 
 
+def _margins_hold(rep: ProjectiveRep) -> bool:
+    """Whether rep leaves the margins that _checked_piece's proof needs: its
+    cocycle verifies, |rep(x)rep(x)* - 1|_F < _tol.EXACT/2 for every x, and
+    every pair (x, y) deviates by less than delta/2, with delta =
+    _edge_tolerance(walk) the edge tolerance of ProjectiveRep._validate.
+    Read from rep._deviation_bounds(), which a restriction inherits, so a
+    model's rep is measured once for all of its subgroups.
+    """
+    unitarity, pairs = rep._deviation_bounds()
+    delta = _edge_tolerance(rep.group._cayley_walk())
+    return unitarity < _tol.EXACT / 2 and pairs < delta / 2 and rep.cocycle.verify()
+
+
+def _checked_piece(rep: ProjectiveRep, basis: np.ndarray) -> ProjectiveRep | None:
+    """rep.on_subspace(basis) without its validation, when the span of the
+    orthonormal columns B is invariant on the generators:
+    iota(c) = |(1 - BB*) rep(c) B|_F < delta/4 for every c in walk.cols =
+    [identity, *gens]; None otherwise.  When _margins_hold(rep), a piece
+    returned here is one that on_subspace accepts, so it is the same piece.
+
+    Write pi = rep, sigma its cocycle, P = BB*, rho(x) = B* pi(x) B, u =
+    _tol.EXACT/4, and D(x, y) for the Frobenius norm of
+    pi(x)pi(y) - sigma(x,y)pi(xy) (D_rho for rho).  The margins give
+    |pi(x)|_op^2 <= 1 + |pi(x)pi(x)* - 1|_F < 1 + _tol.EXACT/2, so
+    |pi(x)|_op < 1 + u, and D(x, y) < delta/2 on every pair.  on_subspace's
+    validation checks rho's unitarity against _tol.EXACT, sigma's identity,
+    and rho's edges against delta, and all three pass:
+    - Edges.  rho(x)rho(c) - sigma(x,c)rho(xc) is
+      B* (pi(x)pi(c) - sigma(x,c)pi(xc)) B - B* pi(x) (1 - P) pi(c) B, and
+      B is an isometry, so D_rho(x, c) <= D(x, c) + |pi(x)|_op iota(c)
+      < delta/2 + (1 + u) delta/4 < delta.  The all-pairs fallback is
+      never reached.
+    - Unitarity.  rho(x)* rho(x) - 1 is B* (pi(x)* pi(x) - 1) B minus
+      [(1 - P) pi(x) B]* [(1 - P) pi(x) B], and a square A has
+      |AA* - 1|_F = |A*A - 1|_F (AA* and A*A share their eigenvalues), so
+      rho's deviation is below _tol.EXACT/2 + iota(x)^2.  iota is bounded
+      on all of H by make_rep's depth induction over the cached tree: for
+      y = y'g with parent y' and step g, pi(y')pi(g) = sigma(y',g)pi(y) + M
+      with |M|_F = D(y', g) < delta/2, and (1 - P) pi(y') pi(g) B =
+      (1 - P) pi(y') B rho(g) + (1 - P) pi(y') (1 - P) pi(g) B, so
+      iota(y) <= (1 + u)(iota(y') + iota(g)) + delta/2
+              < (1 + u) iota(y') + delta.
+      From iota(e) < delta/4 that gives iota(y) < (l + 1) delta (1 + u)^l
+      at depth l <= L, at most (L + 1)/(2L) _tol.EXACT (1 + u)^L, about
+      _tol.EXACT.  So rho's deviation is below _tol.EXACT/2 + 1.1e-18.
+    - The cocycle is sigma, which verifies.
+    The same bound as _clifford_flag's (in codes) for the code's action,
+    with the invariance read on the generators here and carried to every
+    element by the induction.  Every margin is at least delta/4 =
+    _tol.EXACT/(8L), 2e-12 at the depth L = 63 of the deepest order-64
+    tree, far above the rounding of the computed norms.  Each test is
+    "below the tolerance", so a NaN fails it, and the piece then goes to
+    on_subspace.  The piece is built as on_subspace builds it, from
+    compress(rep.matrices, basis) and rep's cocycle object.
+    """
+    walk = rep.group._cayley_walk()
+    m = rep.matrices
+    action = compress(m, basis)
+    cols = walk.cols
+    iota = np.linalg.norm(m[cols] @ basis - basis @ action[cols], axis=(1, 2))
+    if not iota.max() < _edge_tolerance(walk) / 4:
+        return None
+    return ProjectiveRep(rep.group, action, rep.cocycle, validate=False)
+
+
 def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
     """Split a projective rep into irreducible invariant-subspace restrictions.
 
@@ -195,14 +261,19 @@ def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
     generically has one eigenvalue per irreducible constituent, counting
     copies of isomorphic ones separately (Dixon, Math. Comp. 61, 1993).
     Degenerate draws are detected by the per-piece irreducibility check
-    and retried with the next seed.  Pieces are rep.on_subspace, so they
-    keep the cocycle of rep, and they are returned sorted by
-    _canonical_key, so the order does not depend on the draw except among
-    isomorphic pieces.
+    and retried with the next seed.  Each piece is rep's action on an
+    eigenspace, kept with rep's cocycle.  When rep leaves the margins of
+    _margins_hold (checked once per split), a piece is accepted by
+    _checked_piece's invariance test on the generators, which implies that
+    rep.on_subspace would accept it; any other piece goes through
+    rep.on_subspace itself.  So the pieces, and every verdict, are those
+    of on_subspace.  They are returned sorted by _canonical_key, so the
+    order does not depend on the draw except among isomorphic pieces.
     """
     if is_irreducible(rep):
         return [rep]
     dim = rep.dim
+    margins = _margins_hold(rep)
     for attempt in range(_SPLIT_ATTEMPTS):
         evals, evecs = np.linalg.eigh(_commutant_element(rep, _SPLIT_SEED + attempt))
         pieces: list[ProjectiveRep] = []
@@ -212,10 +283,12 @@ def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
                 continue
             basis = orthonormal_columns(evecs[:, start:k])
             start = k
-            try:
-                piece = rep.on_subspace(basis)
-            except MakeRepError:
-                break
+            piece = _checked_piece(rep, basis) if margins else None
+            if piece is None:
+                try:
+                    piece = rep.on_subspace(basis)
+                except MakeRepError:
+                    break
             if not is_irreducible(piece):
                 break
             pieces.append(piece)

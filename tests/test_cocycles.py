@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from helpers import (
     trivializer_systems_oracle,
 )
 
-from qeclab import cocycles
+from qeclab import _tol, cocycles
 
 from qeclab.cocycles import (
     Cocycle,
@@ -346,3 +348,105 @@ def test_verify_agrees_with_full_scan(data):
         num[:, list(sigma.group.subgroup_generated([x]).members)] += delta
     bent = Cocycle(sigma.group, num, scale * sigma.den)
     assert bent.verify() == (bent.find_violation() is None)
+
+
+# -- construction facts: the stabilizer-phase grid and the integer df check --
+
+_GRIDS = [1, 2, 4, 6, 8, 12, 16, 24, 54, 64, 128, 256, 1024, 4096]
+_MAX_DENS = [1, 2, 4, 8, 16, 64, 144, 256, 4096, 2**15, 2**15 + 1]
+
+
+@st.composite
+def _grid_entries(draw, grid: int):
+    """A grid point k/grid or a point off the grid, either one nudged in
+    angle or in modulus, a point at snap_phase's distance tolerance, NaN,
+    or any complex number."""
+    kind = draw(st.sampled_from(["grid", "off", "angle", "modulus", "edge", "nan", "any"]))
+    if kind == "nan":
+        return complex(draw(st.sampled_from([np.nan, 1.0])), np.nan)
+    if kind == "any":
+        return complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+    den = grid if kind != "off" else draw(st.sampled_from([3, 5, 7, 9, 10, 48, 2**15 - 1]))
+    z = Phase(draw(st.integers(0, 4 * den)), den).to_complex()
+    if kind == "angle":
+        turns = draw(st.sampled_from([1e-17, 1e-12, 1e-10, 1e-6])) * draw(st.floats(-2, 2))
+        z *= np.exp(2j * np.pi * turns)
+    elif kind == "edge":
+        z *= np.exp(1j * _tol.EXACT * draw(st.floats(0.99, 1.01)))
+    elif kind == "modulus":
+        z *= 1 + draw(st.sampled_from([1e-15, 1e-9, 1e-8, 1e-3, 0.5])) * draw(st.floats(-1.5, 1.5))
+    return complex(z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grid_reader_matches_snap_phase_on_every_entry(data):
+    grid = data.draw(st.sampled_from(_GRIDS))
+    max_den = data.draw(st.sampled_from(_MAX_DENS))
+    values = data.draw(st.lists(_grid_entries(grid), max_size=12))
+    num, den, mask = cocycles._snap_on_grid(np.array(values, dtype=complex), max_den, grid)
+    want = [cocycles.snap_phase_or_none(z, max_den) for z in values]
+    assert mask.tolist() == [p is not None for p in want]
+    assert [Phase(int(k), den) if ok else None for k, ok in zip(num, mask)] == want
+    # and the numerators and denominator are _snap_phases', byte for byte
+    want_num, want_den, want_mask = cocycles._snap_phases(np.array(values, dtype=complex), max_den)
+    assert (den, num.tolist(), mask.tolist()) == (want_den, want_num.tolist(), want_mask.tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _model(spec):
+    return parse_model_spec(spec).model
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(spec):
+    return _model(spec).group.all_subgroups()
+
+
+# pauli:3's lattice (2,825 subgroups) is left out for time.
+_SMALL_CATALOG = [s for s in CATALOG_64 if s != "pauli:3"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_coboundary_check_matches_cocycle_equality(data):
+    spec = data.draw(st.sampled_from(_SMALL_CATALOG))
+    model, lattice = _model(spec), _lattice(spec)
+    sub = lattice[data.draw(st.integers(0, len(lattice) - 1))]
+    res = model.cocycle.restrict(sub)
+    f0 = find_trivializing_phase(res, domain=sub)
+    n = len(sub)
+    kind = data.draw(st.sampled_from(["trivializer", "character", "bent", "random"]))
+    if f0 is None or kind == "random":
+        den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24]))
+        nums = data.draw(st.lists(st.integers(0, den - 1), min_size=n, max_size=n))
+        f = PhaseFunction.exact(sub, [Phase(k, den) for k in nums])
+    elif kind == "trivializer":
+        f = f0
+    elif kind == "character":
+        chars, e = cocycles._linear_characters(sub.as_group())
+        chi = chars[data.draw(st.integers(0, len(chars) - 1))]
+        f = f0.multiply(PhaseFunction.exact(sub, [Phase(int(k), e) for k in chi]))
+    else:
+        x = data.draw(st.integers(0, n - 1))
+        bump = data.draw(st.integers(1, 2 * f0.den - 1))
+        nums = f0.num * 2
+        nums[x] += bump
+        f = PhaseFunction.exact(sub, [Phase(int(k), 2 * f0.den) for k in nums])
+    assert cocycles._is_coboundary_of(f, res) == (coboundary(f) == res)
+    if kind in ("trivializer", "character") and f0 is not None:
+        assert cocycles._is_coboundary_of(f, res)
+
+
+@pytest.mark.parametrize("spec", [*CATALOG_64, "permprod(genpauli:2,3)"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_cocycle_identity_holds_for_every_model(spec, data):
+    # the whole table by find_violation's scan over every (x, y, z), and
+    # its restriction to a drawn lattice subgroup of the order-64 models
+    model = _model(spec)
+    assert model.cocycle.find_violation() is None
+    if model.group.order <= 64:
+        lattice = _lattice(spec)
+        sub = lattice[data.draw(st.integers(0, len(lattice) - 1))]
+        assert model.cocycle.restrict(sub).find_violation() is None

@@ -853,3 +853,56 @@ def test_classify_is_invariant_under_twisting_by_quarter_turns(data):
     stab = before.stabilizer
     f_stab = PhaseFunction.exact(stab, [f.phases[x] for x in stab.members])
     assert after.stabilizer_phase.to_json() == before.stabilizer_phase.multiply(f_stab).to_json()
+
+
+def test_classify_reads_tilted_codes_without_raising():
+    # S is read inside L, so a code tilted just off a Clifford code keeps
+    # S <= L: every draw of the tilted-code property at eps 1e-7 and 1e-5,
+    # where reading S by the scalar tests alone left S outside L
+    cases = _clifford_code_cases()
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        model, code = cases[int(rng.integers(len(cases)))]
+        eps = (1e-7, 1e-5)[int(rng.integers(2))]
+        b = code.basis
+        r = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+        r -= b @ (b.conj().T @ r)
+        tilted = CodeSpace.from_vectors(model.dim, (b + eps * r / np.linalg.norm(r)).T)
+        report = classify(model, tilted)
+        assert set(report.stabilizer.members) <= set(report.logical.members)
+
+
+@pytest.mark.parametrize("spec", TWIST_SPECS)
+def test_invariance_norm_is_bounded_by_the_commutator_norm(spec):
+    # why _clifford_flag needs no invariance test of its own: on L the
+    # commutator is below _tol.SCAN, and inside never exceeds it
+    model, found = _enumerated(spec)
+    for code in found:
+        act = _code_action(model, code)
+        assert (act.inside <= act.commutator).all()
+
+
+def test_classify_builds_no_fraction_and_snaps_no_phase(monkeypatch):
+    # stabilizer phases are read from the grid den * exp(G), and delta(f)
+    # is compared as integers, on every enumerated code but pauli:3's
+    from qeclab import cocycles
+
+    enumerated = [_enumerated(spec) for spec in TWIST_SPECS]
+    calls = {"Fraction": 0, "snap_phase": 0}
+    raw_fraction, raw_snap = cocycles.Fraction, cocycles.snap_phase
+
+    def fraction(*args):
+        calls["Fraction"] += 1
+        return raw_fraction(*args)
+
+    def snap(*args):
+        calls["snap_phase"] += 1
+        return raw_snap(*args)
+
+    monkeypatch.setattr(cocycles, "Fraction", fraction)
+    monkeypatch.setattr(cocycles, "snap_phase", snap)
+    monkeypatch.setattr(projreps, "snap_phase", snap)
+    reports = [classify(model, code) for model, found in enumerated for code in found]
+    assert len(reports) == 4852 - 2467
+    assert all(r.stabilizer_phase.is_exact for r in reports)
+    assert calls == {"Fraction": 0, "snap_phase": 0}

@@ -740,3 +740,45 @@ def test_finite_verdicts_match_the_all_pairs_oracle(spec, eps):
         mats = _perturbed(model, k, eps)
         want = _verdict(lambda: validate_all_pairs(ProjectiveRep(g, mats, sigma, validate=False)))
         assert _verdict(lambda: ProjectiveRep(g, mats, sigma)) == want
+
+
+def _largest_pair_deviation(rep) -> float:
+    """max |pi(x)pi(y) - sigma(x,y)pi(xy)|_F over all pairs, one x at a time."""
+    m, sigma = rep.matrices, rep.cocycle.to_complex_table()
+    return max(
+        np.linalg.norm(m[x] @ m - sigma[x][:, None, None] * m[rep.group.mul[x]], axis=(1, 2)).max()
+        for x in range(rep.group.order)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_deviation_bounds_bound_every_pair_and_pass_to_restrictions(data):
+    # the pair bound comes from the Cayley edges by make_rep's induction; it
+    # stays an upper bound under random unitary noise of size up to 1e-10,
+    # and under the phase exp(i eps depth(x)), whose pair deviations exceed
+    # its edge deviations
+    model = parse_model_spec(data.draw(st.sampled_from(CATALOG_64[:12]))).model
+    m = model.rep.matrices
+    noise = data.draw(st.sampled_from([0.0, 1e-13, 1e-11, 1e-10]))
+    if data.draw(st.booleans()):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u, _ = np.linalg.qr(np.eye(model.dim) + noise * rng.normal(size=m.shape))
+        m = u @ m
+    else:
+        m = np.exp(1j * noise * model.group._cayley_walk().tree[2])[:, None, None] * m
+    rep = ProjectiveRep(model.group, m, model.cocycle, validate=False)
+    unitarity, pairs = rep._deviation_bounds()
+    gram = rep.matrices @ rep.matrices.conj().transpose(0, 2, 1) - np.eye(rep.dim)
+    assert unitarity == np.linalg.norm(gram, axis=(1, 2)).max()
+    assert _largest_pair_deviation(rep) <= pairs * (1 + 1e-12) + 1e-15
+    sub = model.group.all_subgroups()[data.draw(st.integers(0, 3))]
+    assert rep.restrict(sub)._deviation_bounds() == (unitarity, pairs)
+
+
+def test_deviation_bounds_are_infinite_for_a_table_that_is_not_a_cocycle():
+    model = gen_pauli_model(2)
+    num = model.cocycle.num.copy()
+    num[1, 2] += 1
+    rep = ProjectiveRep(model.group, model.rep.matrices, Cocycle(model.group, num, 2), validate=False)
+    assert rep._deviation_bounds()[1] == np.inf

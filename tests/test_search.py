@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CATALOG_64, PairwiseDedup, commutant_split_oracle, isotypic_projector
+from helpers import (
+    CATALOG_64,
+    PairwiseDedup,
+    commutant_split_oracle,
+    isotypic_projector,
+    relabeled_model,
+)
 
 from qeclab import _tol, codes, projreps, search
+from qeclab._linalg import orthonormal_columns
 from qeclab.cli import parse_model_spec
 from qeclab.codes import CodeSpace, clifford_code, code_dimension_formula, weak_stabilizer_code
 from qeclab.models import (
@@ -344,3 +351,80 @@ def test_q3_probe_candidate_order_is_pinned(spec):
     ]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _CANDIDATE_ORDER[spec]
+
+
+# -- pieces accepted by their generator invariance --------------------------
+
+
+@pytest.mark.parametrize("spec", ["oddfam:3", "genpauli:8"])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_constituent_pieces_run_no_rep_validation(monkeypatch, spec, seed):
+    # the model's margins hold, and every piece passes the generator check,
+    # so no split falls back to on_subspace's validation
+    model = _catalog_model(spec)
+    if seed is not None:
+        model = relabeled_model(model, seed)
+    restrictions = [restrict(model.rep, sub) for sub in model.group.all_subgroups()]
+    validated = []
+    raw = projreps.ProjectiveRep._validate
+
+    def counted(rep):
+        validated.append(rep)
+        raw(rep)
+
+    monkeypatch.setattr(projreps.ProjectiveRep, "_validate", counted)
+    splits = [search._irreducible_constituents(res) for res in restrictions]
+    assert sum(len(pieces) > 1 for pieces in splits) > 0
+    assert validated == []
+
+
+def _invariant_bases(res):
+    """An orthonormal basis of each isotypic component of a restriction."""
+    return [orthonormal_columns(isotypic_projector(res, piece))
+            for piece in search._irreducible_constituents(res)]
+
+
+def test_generator_check_accepts_invariant_and_refuses_tilted_subspaces():
+    model = _catalog_model("oddfam:3")
+    res, basis = next(
+        (res, basis)
+        for res in (restrict(model.rep, sub) for sub in model.group.all_subgroups())
+        for basis in _invariant_bases(res)
+        if basis.shape[1] < res.dim
+    )
+    assert search._margins_hold(res)
+    piece = search._checked_piece(res, basis)
+    want = res.on_subspace(basis)
+    assert np.array_equal(piece.matrices, want.matrices) and piece.cocycle is want.cocycle
+    r = np.random.default_rng(1).normal(size=basis.shape) + 0j
+    r -= basis @ (basis.conj().T @ r)
+    tilted = orthonormal_columns(basis + 1e-6 * r / np.linalg.norm(r))
+    assert search._checked_piece(res, tilted) is None
+
+
+_CENTRAL_64 = [s for s in CATALOG_64 if s != "pauli:3" and _catalog_model(s).is_central_type()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_generator_checked_piece_is_one_that_on_subspace_accepts(data):
+    # an invariant subspace tilted by eps: whenever the generator check
+    # accepts it, on_subspace accepts it too, with the same matrices
+    model = _catalog_model(data.draw(st.sampled_from(_CENTRAL_64)))
+    subs = model.group.all_subgroups()
+    res = restrict(model.rep, subs[data.draw(st.integers(0, len(subs) - 1))])
+    bases = _invariant_bases(res)
+    basis = bases[data.draw(st.integers(0, len(bases) - 1))]
+    if basis.shape[1] == res.dim:
+        return   # the whole space has no complement to tilt into
+    eps = data.draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-5, 1e-3, 0.1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r = rng.normal(size=basis.shape) + 1j * rng.normal(size=basis.shape)
+    r -= basis @ (basis.conj().T @ r)
+    tilted = orthonormal_columns(basis + eps * r / np.linalg.norm(r))
+    assert search._margins_hold(res)
+    piece = search._checked_piece(res, tilted)
+    if piece is not None:
+        want = res.on_subspace(tilted)
+        assert np.array_equal(piece.matrices, want.matrices)
+        assert piece.cocycle is want.cocycle and piece.group is want.group
