@@ -59,6 +59,7 @@ from .cocycles import Phase, PhaseFunction
 from .codes import (
     CodeError,
     CodeSpace,
+    _classify_orbits,
     classify,
     clifford_code,
     detectable_set,
@@ -554,7 +555,9 @@ def cmd_search(args) -> int:
         found = enumerate_weak_stabilizer_codes(
             model, max_order=args.max_order, max_dim=args.max_dim
         )
-        reports = [classify(model, code) for _, _, code in found]
+        reports = _classify_orbits(
+            model, [code for _, _, code in found], [(sub, f.values) for sub, f, _ in found]
+        )
         title = "weak stabilizer codes"
     for report in reports:
         print(json.dumps(report.to_json()))

@@ -34,6 +34,12 @@ The logical group, the stabilizer and the normal candidates are taken from
 the model group's interning table (see groups), so classify validates no
 member set that the subgroup lattice already holds, and their restricted
 cocycles are the ones the lattice's subgroups already carry.
+
+The error group moves codes to codes: pi(g)* pi(x) pi(g) = lambda_g(x)
+pi(g^-1 x g) for an exact phase lambda_g, so the report of pi(g)W follows
+from W's.  A batch of codes, each with the witness that built it, is
+classified once per orbit of G and transported to the other members
+(_classify_orbits); search and the CLI's search classify that way.
 """
 
 from __future__ import annotations
@@ -406,6 +412,11 @@ def _detectable(act: _Action) -> list[int]:
     return [int(x) for x in np.flatnonzero(act.scalar_dev < _tol.SCAN)]
 
 
+def _mixed(act: _Action) -> np.ndarray:
+    """The elements mapping W neither into W nor into its complement, in increasing order."""
+    return np.flatnonzero((act.inside >= _tol.SCAN) & (act.outside >= _tol.SCAN))
+
+
 def _partitioning(
     model: ProjectiveErrorModel,
     act: _Action,
@@ -413,7 +424,7 @@ def _partitioning(
     stab: Subgroup,
     detect: list[int],
 ) -> tuple[bool, int | None]:
-    bad = np.flatnonzero((act.inside >= _tol.SCAN) & (act.outside >= _tol.SCAN))
+    bad = _mixed(act)
     if bad.size:
         return False, int(bad[0])
     closed_form = (set(range(model.group.order)) - set(logical.members)) | set(stab.members)
@@ -552,9 +563,15 @@ def _clifford_flag(
     return True, None
 
 
-def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
-    """Compute the three group invariants and all classification flags."""
-    act = _code_action(model, code)
+def classify(
+    model: ProjectiveErrorModel, code: CodeSpace, _act: _Action | None = None
+) -> CodeReport:
+    """Compute the three group invariants and all classification flags.
+
+    _classify_orbits passes the code action it has just computed as the
+    private _act, positionally, as q3_probe passes clifford_code's.
+    """
+    act = _code_action(model, code) if _act is None else _act
     logical = _logical(model, act)
     stab, f = _stabilizer(model, act)
     detect = _detectable(act)
@@ -611,6 +628,187 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
         witnesses=witnesses,
         central_type_criterion=criterion,
     )
+
+
+class _Conjugation(NamedTuple):
+    """G acting by conjugation on itself and on pi, for every g and y:
+    x = g y g^-1 and the phase lambda_g(x) with
+    pi(g)* pi(x) pi(g) = lambda_g(x) pi(y).
+
+    pi(x)pi(g) = sigma(x,g) pi(xg) and pi(g)pi(y) = sigma(g,y) pi(gy), with
+    xg = gy, so lambda_g(x) = sigma(x,g) conj(sigma(g,y)), read from the
+    cocycle's integer numerators.  projreps._conjugation(sub, g, sigma)
+    reads the same phase at x, as sigma(g^-1, x) conj(sigma(y, g^-1)): the
+    two numerators agree mod sigma.den by the cocycle identity.  The two
+    tables have the size of the group's multiplication table.
+    """
+
+    elements: np.ndarray  # [g, y] -> x = g y g^-1
+    turns: np.ndarray     # [g, y] -> numerator of lambda_g(x) mod sigma.den
+    roots: np.ndarray     # k -> Phase(k, sigma.den).to_complex(), as _phase_values gives it
+
+
+def _conjugation(model: ProjectiveErrorModel) -> _Conjugation:
+    grp, sigma = model.group, model.cocycle
+    g, ys = np.arange(grp.order)[:, None], np.arange(grp.order)
+    xs = grp.mul[grp.mul[g, ys], grp.inv[g]]
+    turns = (sigma.num[xs, g] - sigma.num[g, ys]) % sigma.den
+    return _Conjugation(xs, turns, _phase_values(np.arange(sigma.den), sigma.den))
+
+
+def _transport(
+    model: ProjectiveErrorModel,
+    report: CodeReport,
+    mixed: np.ndarray,
+    code: CodeSpace,
+    g: int,
+    table: _Conjugation,
+) -> CodeReport:
+    """classify(model, code) for code = pi(g)W, read from W's report and _mixed set.
+
+    With B' = pi(g)B a basis of pi(g)W and y = g^-1 x g,
+    B'* pi(x) B' = lambda_g(x) B* pi(y) B (_Conjugation), and every basis of
+    a space gives the same _Action norms and scalars.  So each norm of
+    pi(g)W at x is W's at y and each scalar is W's times the unit
+    lambda_g(x): L, S, D and the mixed set are the g-conjugates of W's, the
+    stabilizer phase is f'(x) = lambda_g(x) f(y), exactly when f is exact,
+    and the dimension counts, normality tests and character counts behind
+    the flags, the criterion and the witness texts are equal.  The
+    partitioning witness is the least conjugated mixed element.  f' carries
+    the values lambda_g(x) f.values(y), W's measured scalars turned by the
+    exact phase, where classify would carry code's own measured scalars.
+    """
+    grp, sigma = model.group, model.cocycle
+    conj, turns = table.elements[g], table.turns[g]
+    f = report.stabilizer_phase
+    mem = np.array(report.stabilizer.members)
+    xs = conj[mem]
+    order = np.argsort(xs)
+    den = math.lcm(f.den, sigma.den)
+    num = f.num * (den // f.den) + turns[mem] * (den // sigma.den)
+    values = f.values * table.roots[turns[mem]]
+    stab = grp._intern(xs.tolist())
+    witnesses = dict(report.witnesses)
+    if "is_partitioning" in witnesses:
+        witnesses["is_partitioning"] = int(conj[mixed].min())
+    criterion = report.central_type_criterion
+    return CodeReport(
+        model=model,
+        code=code,
+        logical=grp._intern(conj[list(report.logical.members)].tolist()),
+        stabilizer=stab,
+        stabilizer_phase=PhaseFunction._from_num(stab, num[order], den, None, values[order]),
+        detectable=sorted(conj[report.detectable].tolist()),
+        flags=dict(report.flags),
+        witnesses=witnesses,
+        central_type_criterion=None if criterion is None else dict(criterion),
+    )
+
+
+def _on_grid(chis: np.ndarray) -> np.ndarray:
+    """The values of each chi along the last axis in steps of _tol.DERIVED,
+    real and imaginary parts interleaved: search._canonical_key's key of a
+    constituent, and the key of a witness."""
+    steps = np.rint(np.stack([chis.real, chis.imag], axis=-1) / _tol.DERIVED)
+    return steps.reshape(*chis.shape[:-1], -1).astype(np.int64)
+
+
+def _witness_orbits(
+    model: ProjectiveErrorModel, witnesses: list[tuple[Subgroup, np.ndarray]], table: _Conjugation
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Orbits of codes under W -> pi(g)W, read from their witnesses alone, as
+    (representative, [(member, g), ...]) with member's code pi(g) times the
+    representative's, representatives in increasing order.
+
+    A witness (H, chi) is a subgroup and a function on its members that fix
+    the code: its (H, chi) eigenspace for a phase function chi, or the
+    isotypic component of a multiplicity-one constituent of pi|H with
+    character chi.  Conjugating pi|H by pi(g) makes g.(H, chi) =
+    (gHg^-1, x -> lambda_g(x) chi(g^-1 x g)) a witness of pi(g)W.  Two
+    witnesses on one subgroup whose values agree on the _tol.DERIVED grid fix
+    the same code: the characters of distinct constituents, and distinct
+    phase functions, differ by far more.  So when the image of witness i
+    under a generator s of G is witness j, code j is pi(s) code i.
+
+    The images are gathered once per witness subgroup and generator, for all
+    witnesses on that subgroup together.  A breadth-first walk from each
+    witness not yet reached, in index order, composes g along its path.  An
+    image that is no witness in the list (its code was dropped as a
+    duplicate of another) is not followed, so an orbit may come out split;
+    each part is then classified on its own, and nothing depends on finding
+    a whole orbit.
+    """
+    grp = model.group
+    by_sub: dict[tuple[int, ...], list[int]] = {}
+    for i, (sub, _) in enumerate(witnesses):
+        by_sub.setdefault(sub.members, []).append(i)
+    chis = {members: np.array([witnesses[i][1] for i in idx]) for members, idx in by_sub.items()}
+    index: dict[tuple, int] = {}
+    for members, idx in by_sub.items():
+        for i, row in zip(idx, _on_grid(chis[members])):
+            index.setdefault((members, row.tobytes()), i)
+    gens = grp.greedy_generators()
+    conj = table.elements[gens]
+    lam = table.roots[table.turns[gens]]              # [k, y]: lambda_{s_k}(s_k y s_k^-1)
+    edges: list[list[tuple[int, int]]] = [[] for _ in witnesses]
+    for members, idx in by_sub.items():
+        mem = np.array(members)
+        xs = conj[:, mem]
+        order = np.argsort(xs, axis=1)                   # row k sorts s_k H s_k^-1
+        images = np.take_along_axis(xs, order, axis=1).tolist()
+        steps = _on_grid(chis[members][:, order] * np.take_along_axis(lam[:, mem], order, axis=1))
+        for k, s in enumerate(gens):
+            image = tuple(images[k])
+            if image not in by_sub:
+                continue
+            for i, row in zip(idx, steps[:, k]):
+                j = index.get((image, row.tobytes()))
+                if j is not None and j != i:
+                    edges[i].append((s, j))
+    reached = [False] * len(witnesses)
+    orbits = []
+    for rep in range(len(witnesses)):
+        if reached[rep]:
+            continue
+        reached[rep] = True
+        moved = {rep: grp.identity}
+        queue = [rep]
+        for i in queue:
+            for s, j in edges[i]:
+                if not reached[j]:
+                    reached[j] = True
+                    moved[j] = int(grp.mul[s, moved[i]])
+                    queue.append(j)
+        orbits.append((rep, [(j, moved[j]) for j in queue[1:]]))
+    return orbits
+
+
+def _classify_orbits(
+    model: ProjectiveErrorModel,
+    codes: list[CodeSpace],
+    witnesses: list[tuple[Subgroup, np.ndarray]],
+) -> list[CodeReport]:
+    """[classify(model, code) for code in codes], with classify run once per
+    orbit of _witness_orbits and each other member's report transported
+    from its representative's (_transport).
+
+    witnesses[i] is a witness (H, chi) that fixes codes[i] (see
+    _witness_orbits): (H, f.values) for an enumerated (H, f) eigenspace,
+    (H, chi_rho) for q3_probe's constituent rho.  A representative whose
+    stabilizer phase is not exact everywhere transports nothing, and its
+    members are classified directly.
+    """
+    table = _conjugation(model)
+    reports: list[CodeReport | None] = [None] * len(codes)
+    for rep, members in _witness_orbits(model, witnesses, table):
+        act = _code_action(model, codes[rep])
+        report = reports[rep] = classify(model, codes[rep], act)
+        if not report.stabilizer_phase.is_exact:
+            continue
+        mixed = _mixed(act)
+        for i, g in members:
+            reports[i] = _transport(model, report, mixed, codes[i], g, table)
+    return [classify(model, code) if r is None else r for code, r in zip(codes, reports)]
 
 
 def stabilizer_to_clifford(

@@ -21,10 +21,10 @@ from . import _tol
 from ._linalg import compress, orthonormal_columns
 from .cocycles import PhaseFunction
 from .codes import (
-    CodeReport,
     CodeSpace,
+    _classify_orbits,
     _constituent_phases,
-    classify,
+    _on_grid,
     clifford_code,
     weak_stabilizer_code,
 )
@@ -185,8 +185,7 @@ def _canonical_key(piece: ProjectiveRep) -> tuple:
     Constituents with one cocycle and equal characters are isomorphic, so
     only isomorphic pieces tie.
     """
-    steps = np.round(piece.character().values / _tol.DERIVED).view(np.float64)
-    return (piece.dim, *steps.astype(np.int64).tolist())
+    return (piece.dim, *_on_grid(piece.character().values).tolist())
 
 
 def _margins_hold(rep: ProjectiveRep) -> bool:
@@ -310,14 +309,16 @@ def q3_probe(
     Clifford-code report examined.  Both are in subgroup lattice order, and
     the constituents of one restriction in _canonical_key order.  Only
     isomorphic constituents tie, and they fail the multiplicity-one test,
-    so the order depends on no random draw.
+    so the order depends on no random draw.  The candidates are classified
+    once per orbit of the model group (codes._classify_orbits), each
+    witnessed by its constituent's subgroup and character.
     """
     if not model.is_central_type():
         raise SearchError("the probe only applies to central-type models")
     max_order = _check_caps(model, max_order, max_dim)
     g = model.group
-    hits: list[CodeReport] = []
-    candidates: list[CodeReport] = []
+    found: list[CodeSpace] = []
+    witnesses: list[tuple[Subgroup, np.ndarray]] = []
     kept = _ProjectorSet(model.dim)
     for sub in g.all_subgroups(max_order):
         index = sub.index()
@@ -332,13 +333,15 @@ def q3_probe(
             if count != 1:
                 continue
             code = clifford_code(model, sub, rho, res, count)
-            if not kept.add_if_new(code.projector()):
-                continue
-            report = classify(model, code)
-            candidates.append(report)
-            order_match = g.order == len(report.logical) * len(report.stabilizer)
-            if order_match and not report.stabilizer.is_normal():
-                hits.append(report)
+            if kept.add_if_new(code.projector()):
+                found.append(code)
+                witnesses.append((sub, rho.character().values))
+    candidates = _classify_orbits(model, found, witnesses)
+    hits = [
+        report for report in candidates
+        if g.order == len(report.logical) * len(report.stabilizer)
+        and not report.stabilizer.is_normal()
+    ]
     if return_candidates:
         return hits, candidates
     return hits

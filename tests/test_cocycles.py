@@ -450,3 +450,22 @@ def test_cocycle_identity_holds_for_every_model(spec, data):
         lattice = _lattice(spec)
         sub = lattice[data.draw(st.integers(0, len(lattice) - 1))]
         assert model.cocycle.restrict(sub).find_violation() is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_coboundary_round_trips(data):
+    # delta f is read back by the integer check on a drawn lattice subgroup,
+    # and twisting a model's rep by an exact f on G multiplies its cocycle
+    # by delta f
+    spec = data.draw(st.sampled_from(_SMALL_CATALOG))
+    model, lattice = _model(spec), _lattice(spec)
+    sub = lattice[data.draw(st.integers(0, len(lattice) - 1))]
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24]))
+    nums = data.draw(st.lists(st.integers(0, den - 1), min_size=len(sub), max_size=len(sub)))
+    f = PhaseFunction.exact(sub, [Phase(k, den) for k in nums])
+    assert cocycles._is_coboundary_of(f, coboundary(f))
+    n = model.group.order
+    nums = data.draw(st.lists(st.integers(0, den - 1), min_size=n, max_size=n))
+    f = PhaseFunction.exact(model.group.full_subgroup(), [Phase(k, den) for k in nums])
+    assert model.rep.twist(f).cocycle == model.rep.cocycle.multiply(coboundary(f))

@@ -1,0 +1,181 @@
+"""Classification transported along the error group's orbits.
+
+codes._classify_orbits runs classify once per orbit of W -> pi(g)W, found
+from the codes' witnesses, and transports the report to the rest of the
+orbit.  Every report must equal a direct classify, byte for byte in JSON.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import CATALOG_64, relabeled_model
+
+from qeclab import codes, projreps
+from qeclab.cli import parse_model_spec
+from qeclab.cocycles import _phase_values
+from qeclab.codes import CodeSpace, classify
+from qeclab.models import ProjectiveErrorModel
+from qeclab.projreps import ProjectiveRep
+from qeclab.search import enumerate_weak_stabilizer_codes, q3_probe
+
+
+@functools.cache
+def _model(spec, seed=None):
+    model = parse_model_spec(spec).model
+    return model if seed is None else relabeled_model(model, seed)
+
+
+@functools.cache
+def _enumerated(spec):
+    model = _model(spec)
+    return model, enumerate_weak_stabilizer_codes(model)
+
+
+def _json(reports):
+    return [r.to_json() for r in reports]
+
+
+def _count_actions(monkeypatch):
+    calls = []
+    raw = codes._code_action
+
+    def counted(model, code):
+        calls.append(code)
+        return raw(model, code)
+
+    monkeypatch.setattr(codes, "_code_action", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec, orbits", [("oddfam:3", 28), ("genpauli:8", 26)])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_q3_probe_classifies_one_code_per_orbit(monkeypatch, spec, orbits, seed):
+    model = _model(spec, seed)
+    calls = _count_actions(monkeypatch)
+    hits, candidates = q3_probe(model, return_candidates=True)
+    assert len(calls) == orbits
+    monkeypatch.undo()
+    assert _json(candidates) == _json(classify(model, r.code) for r in candidates)
+    assert _json(hits) == _json(classify(model, r.code) for r in hits)
+
+
+@pytest.mark.parametrize("spec, orbits", [("prod(genpauli:2,genpauli:4)", 98), ("oddfam:3", 20)])
+def test_enumerated_codes_classify_once_per_orbit(monkeypatch, spec, orbits):
+    model, found = _enumerated(spec)
+    batch = [code for _, _, code in found]
+    calls = _count_actions(monkeypatch)
+    reports = codes._classify_orbits(model, batch, [(sub, f.values) for sub, f, _ in found])
+    assert len(calls) == orbits
+    monkeypatch.undo()
+    assert _json(reports) == _json(classify(model, code) for code in batch)
+
+
+# pauli:3 is left out for time, as in test_codes.
+_SPECS = [s for s in CATALOG_64 if s != "pauli:3"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_transport_matches_classify_on_the_moved_code(data):
+    # W' = pi(g)W, with B' = pi(g)B as its basis: the transported report
+    # is classify's on W', stabilizer phase JSON included
+    model, found = _enumerated(data.draw(st.sampled_from(_SPECS)))
+    _, _, code = found[data.draw(st.integers(0, len(found) - 1))]
+    g = data.draw(st.integers(0, model.group.order - 1))
+    act = codes._code_action(model, code)
+    report = classify(model, code, act)
+    assert report.stabilizer_phase.is_exact
+    moved = CodeSpace(model.dim, model.rep.matrices[g] @ code.basis)
+    got = codes._transport(model, report, codes._mixed(act), moved, g, codes._conjugation(model))
+    want = classify(model, moved)
+    assert got.logical.members == want.logical.members
+    assert got.stabilizer.members == want.stabilizer.members
+    assert got.detectable == want.detectable
+    assert got.flags == want.flags
+    assert got.witnesses == want.witnesses
+    assert got.central_type_criterion == want.central_type_criterion
+    assert got.stabilizer_phase.to_json() == want.stabilizer_phase.to_json()
+    assert np.abs(got.stabilizer_phase.values - want.stabilizer_phase.values).max() < 1e-12
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("spec", ["oddfam:3", "c2d2n:2", "xp:8", "genpauli:4"])
+def test_conjugation_phase_is_projreps_theta_x_scale(spec):
+    # projreps._conjugation(sub, x, sigma) scales theta(z), z = x^-1 y x, by
+    # sigma(x^-1, y) conj(sigma(z, x^-1)); codes._conjugation's lambda_g at
+    # y = g z g^-1 is sigma(y, g) conj(sigma(g, z)).  The cocycle identity
+    # makes the two numerators equal mod den at x = g, and both are the
+    # scalar of pi(g)* pi(y) pi(g) = lambda pi(z)
+    model = _model(spec, 1)
+    grp, sigma, mats = model.group, model.cocycle, model.rep.matrices
+    table = codes._conjugation(model)
+    assert np.array_equal(table.roots, _phase_values(np.arange(sigma.den), sigma.den))
+    full = grp.full_subgroup()
+    for g in range(grp.order):
+        pos, scales = projreps._conjugation(full, g, sigma)
+        z = np.array(full.members)[pos]                     # z = g^-1 y g, y = 0..n-1
+        assert (table.elements[g, z] == np.arange(grp.order)).all()
+        turns = table.turns[g, z]
+        gi = grp.inv[g]
+        assert ((sigma.num[gi, np.arange(grp.order)] - sigma.num[z, gi]) % sigma.den == turns).all()
+        lam = table.roots[turns]
+        assert np.array_equal(scales, lam)
+        moved = mats[g].conj().T @ mats @ mats[g]
+        assert np.abs(moved - lam[:, None, None] * mats[z]).max() < 1e-12
+
+
+def test_batch_with_dropped_witnesses_matches_classify(monkeypatch):
+    # every third enumerated code is left out, so some orbits lose the
+    # witness that linked their members and come out split
+    model, found = _enumerated("prod(genpauli:2,genpauli:4)")
+    kept = [entry for i, entry in enumerate(found) if i % 3]
+    batch = [code for _, _, code in kept]
+    witnesses = [(sub, f.values) for sub, f, _ in kept]
+    orbits = codes._witness_orbits(model, witnesses, codes._conjugation(model))
+    assert sum(1 + len(members) for _, members in orbits) == len(batch)
+    calls = _count_actions(monkeypatch)
+    reports = codes._classify_orbits(model, batch, witnesses)
+    assert len(calls) == len(orbits) > 98
+    monkeypatch.undo()
+    assert _json(reports) == _json(classify(model, code) for code in batch)
+
+
+def _jittered(model, seed):
+    """model with pi(x) turned by a unit phase of 2e-9 to 6e-9 radians on
+    about half of its conjugacy classes other than {e}, one phase per class.
+    The rep stays unitary and keeps model's cocycle object, and lambda_g is
+    unchanged (the phases of x and g^-1 x g cancel), but the scalars of a
+    stabilizer meeting a turned class are no longer within _tol.EXACT of a
+    root of unity."""
+    rng = np.random.default_rng(seed)
+    grp = model.group
+    classes = codes._conjugation(model).elements.min(axis=0)      # least member of x's class
+    turned = {int(c): rng.uniform(2e-9, 6e-9) * rng.integers(2) for c in np.unique(classes)}
+    turned[grp.identity] = 0.0
+    angles = np.array([turned[int(c)] for c in classes])
+    mats = np.exp(1j * angles)[:, None, None] * model.rep.matrices
+    rep = ProjectiveRep(grp, mats, model.cocycle, label="jittered", validate=False)
+    return ProjectiveErrorModel(rep, label=model.label)
+
+
+def test_inexact_stabilizer_phases_are_classified_directly(monkeypatch):
+    # a code tilted off an exact one keeps exact phases once S is read
+    # inside L, so the inexact phases come from a rep turned off its cocycle;
+    # the orbits are those of the exact model's witnesses
+    model, found = _enumerated("oddfam:3")
+    jittered = _jittered(model, 0)
+    batch = [code for _, _, code in found]
+    witnesses = [(sub, f.values) for sub, f, _ in found]
+    direct = [classify(jittered, code) for code in batch]
+    inexact = sum(not r.stabilizer_phase.is_exact for r in direct)
+    assert 0 < inexact < len(batch)
+    orbits = codes._witness_orbits(jittered, witnesses, codes._conjugation(jittered))
+    calls = _count_actions(monkeypatch)
+    reports = codes._classify_orbits(jittered, batch, witnesses)
+    assert len(orbits) < len(calls) < len(batch)
+    monkeypatch.undo()
+    assert _json(reports) == _json(direct)
