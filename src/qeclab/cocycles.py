@@ -20,7 +20,7 @@ of a check already passed on the same read-only table are dropped.
 
 Facts that a construction already proves are read, not proved again: a
 stabilizer phase is snapped from the grid its cocycle puts it on
-(_snap_on_grid), and df = sigma is compared as integer numerators
+(_snap_phases with a grid), and df = sigma is compared as integer numerators
 (_is_coboundary_of), with no Cocycle built for either side.
 """
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,54 +135,20 @@ def snap_phase_or_none(z: complex, max_den: int) -> Phase | None:
 _GROUPED_SNAP_MAX_DEN = 2**15
 
 
-def _snap_phases(values, max_den: int) -> tuple[np.ndarray, int, np.ndarray]:
+def _snap_phases(
+    values, max_den: int, grid: int | None = None
+) -> tuple[np.ndarray, int, np.ndarray]:
     """snap_phase on every entry of a complex array, flattened in row-major
     order, as (numerators over one denominator, that denominator, mask of
     the entries that snapped); a failed entry has numerator 0.
 
-    Entries are grouped by their angle rounded to 2^-32 of a turn, and
-    snap_phase runs on the first entry of each group.  Every later entry is
-    checked against its group's phase p with snap_phase's own test, the
-    same float expressions, and an entry that fails it goes through
-    snap_phase alone.  The result is snap_phase's on every entry: an entry
-    passing the test lies within _tol.EXACT of p, under 1.6e-10 of a turn,
-    while two fractions with denominators at most q lie at least 1/q^2 of a
-    turn apart, over twice that for q <= 2^15.  So p is the fraction
-    nearest the entry's own angle, which is the candidate snap_phase takes
-    and then tests as above.  Above 2^15 every entry is snapped alone.
-
-    The test runs entry by entry: make_rep's edge columns repeat a few
-    angles many times, and a snap per angle is cheap next to the array
-    work around it.  classify's stabilizer phases, whose denominators are
-    known in advance, are read by _snap_on_grid instead.
-    """
-    grouped = max_den <= _GROUPED_SNAP_MAX_DEN
-    groups: dict[float, tuple[Phase | None, complex]] = {}
-    entries: list[Phase | None] = []
-    for z in np.asarray(values, dtype=complex).ravel().tolist():
-        # round(.., 0) keeps a NaN angle NaN, a group of its own
-        key = round(cmath.phase(z) * (2.0**32 / (2 * math.pi)), 0)
-        if key not in groups:
-            p = snap_phase_or_none(z, max_den)
-            groups[key] = (p, 0j if p is None else p.to_complex())
-        else:
-            p, c = groups[key]
-            m = abs(z)
-            if not (grouped and p is not None and abs(m - 1.0) <= _tol.SCAN
-                    and abs(c - z / m) <= _tol.EXACT):
-                p = snap_phase_or_none(z, max_den)
-        entries.append(p)
-    return _numerators(entries)
-
-
-def _snap_on_grid(values, max_den: int, grid: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """_snap_phases(values, max_den), read from the grid of turns k/grid.
-
-    Each entry z with ||z| - 1| <= _tol.SCAN is rounded to the nearest
-    k/grid of its angle, and Phase(k, grid), reduced to p/q, is kept when
-    q <= max_den <= 2^15 and |Phase(p, q).to_complex() - z/|z|| <= _tol.EXACT.
-    These are snap_phase's own two tests, written with its expressions, so
-    they decide as snap_phase decides.  Every other entry goes through
+    Each entry z with ||z| - 1| <= _tol.SCAN is grouped by its angle
+    rounded to k/grid of a turn (k/2^32 when no grid is given).  The
+    group's candidate p/q is Phase(k, grid) when a grid is given, and
+    otherwise snap_phase of the group's first entry.  An entry keeps p/q
+    when q <= max_den <= 2^15 and |Phase(p, q).to_complex() - z/|z|| <=
+    _tol.EXACT: snap_phase's own two tests, written with its expressions,
+    so they decide as snap_phase decides.  Every other entry goes through
     snap_phase alone, and no Fraction is built for a kept one.
 
     A kept p/q is snap_phase's answer.  An entry passing the distance test
@@ -191,38 +158,44 @@ def _snap_on_grid(values, max_den: int, grid: int) -> tuple[np.ndarray, int, np.
     that.  So p/q is the fraction nearest the entry's angle among those
     with denominator at most max_den (up to a whole turn), which is the
     candidate that snap_phase's limit_denominator returns and then tests
-    with the same expressions.  The grid decides only which candidate is
-    tried first, never the result.
+    with the same expressions.  The grouping decides only which candidate
+    is tried first, never the result.
 
+    make_rep passes no grid: its edge columns repeat a few angles many
+    times, and a snap per angle is cheap next to the array work around it.
     classify passes grid = den * exp(G) for its stabilizer phases, with den
     the model cocycle's denominator.  There a scalar c(x) of a stabilizer
     element has c(x)^ord(x) equal to a product of cocycle values, the lemma
     of find_trivializing_phase's docstring, so every exact c(x) lies on
-    that grid and none falls back.
+    that grid, none falls back, and no snap_phase runs.
 
-    The loop runs entry by entry: a stabilizer has a few dozen elements at
-    most, where the dozens of numpy calls of an array test cost more.
+    The loop runs entry by entry: the arrays are short or repeat few
+    angles, where the dozens of numpy calls of an array test cost more.
     """
-    scale = grid / (2 * math.pi)
-    on_grid = max_den <= _GROUPED_SNAP_MAX_DEN
-    points: dict[int, tuple[Phase, complex]] = {}   # k -> (Phase(k, grid), its value)
+    scale = (2**32 if grid is None else grid) / (2 * math.pi)
+    grouped = max_den <= _GROUPED_SNAP_MAX_DEN
+    groups: dict[int, tuple[Phase | None, complex]] = {}   # k -> (candidate, its value)
     entries: list[Phase | None] = []
     for z in np.asarray(values, dtype=complex).ravel().tolist():
         m = abs(z)
-        p = None
-        if on_grid and abs(m - 1.0) <= _tol.SCAN:   # NaN fails too
-            k = round(cmath.phase(z) * scale)
-            if k not in points:
-                point = Phase(k, grid)
-                points[k] = (point, point.to_complex())
-            p, c = points[k]
-            if p.den > max_den or not abs(c - z / m) <= _tol.EXACT:
-                p = None
-        entries.append(snap_phase_or_none(z, max_den) if p is None else p)
+        if not (grouped and abs(m - 1.0) <= _tol.SCAN):   # NaN fails too
+            entries.append(snap_phase_or_none(z, max_den))
+            continue
+        k = round(cmath.phase(z) * scale)
+        if k not in groups:
+            p = snap_phase_or_none(z, max_den) if grid is None else Phase(k, grid)
+            groups[k] = (p, 0j if p is None else p.to_complex())
+            if grid is None:   # the first entry's own snap
+                entries.append(p)
+                continue
+        p, c = groups[k]
+        if p is None or p.den > max_den or not abs(c - z / m) <= _tol.EXACT:
+            p = snap_phase_or_none(z, max_den)
+        entries.append(p)
     return _numerators(entries)
 
 
-def _numerators(entries: list[Phase | None]) -> tuple[np.ndarray, int, np.ndarray]:
+def _numerators(entries: Sequence[Phase | None]) -> tuple[np.ndarray, int, np.ndarray]:
     """(numerators over the least common denominator, that denominator,
     mask of the entries that are not None); a None entry has numerator 0."""
     den = math.lcm(1, *{p.den for p in entries if p is not None})
@@ -393,13 +366,9 @@ class PhaseFunction:
 
     def __init__(self, domain: Subgroup, phases: list[Phase | None], floats=None):
         phases = tuple(phases)
-        mask = np.array([p is not None for p in phases], dtype=bool)
+        num, den, mask = _numerators(phases)
         if floats is None and not mask.all():
             raise ValueError("inexact entries need explicit float values")
-        den = math.lcm(1, *(p.den for p in phases if p is not None))
-        num = np.array(
-            [p.num * (den // p.den) if p is not None else 0 for p in phases], dtype=np.int64
-        )
         self._set(domain, num, den, mask, floats)
         self._phases = phases
 

@@ -36,8 +36,8 @@ member set that the subgroup lattice already holds, and their restricted
 cocycles are the ones the lattice's subgroups already carry.
 
 The error group moves codes to codes: pi(g)* pi(x) pi(g) = lambda_g(x)
-pi(g^-1 x g) for an exact phase lambda_g, so the report of pi(g)W follows
-from W's.  A batch of codes, each with the witness that built it, is
+pi(g^-1 x g) for an exact phase lambda_g, tabulated for every (g, x) by
+projreps._conjugation_table, so the report of pi(g)W follows from W's.  A batch of codes, each with the witness that built it, is
 classified once per orbit of G and transported to the other members
 (_classify_orbits); search and the CLI's search classify that way.
 """
@@ -58,7 +58,7 @@ from .cocycles import (
     _is_coboundary_of,
     _linear_characters,
     _phase_values,
-    _snap_on_grid,
+    _snap_phases,
     find_trivializing_phase,
 )
 from .groups import Subgroup
@@ -66,6 +66,8 @@ from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     ProjectiveRep,
     _character_count,
+    _Conjugation,
+    _conjugation_table,
     _intertwiner_count,
     _irreducible_character,
     _reynolds,
@@ -389,7 +391,7 @@ def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, Ph
     exact one an element can pass the first two tests after it has left L.
     On exact codes the commutator test removes nothing.
 
-    The snap is cocycles._snap_on_grid on the grid den * exp(G), den the
+    The snap is cocycles._snap_phases on the grid den * exp(G), den the
     model cocycle's denominator: a stabilizer phase has df = sigma|S, so
     f(x)^ord(x) is a product of cocycle values and f(x) a
     (den * ord(x))-th root of unity.  The reader returns snap_phase's
@@ -404,7 +406,7 @@ def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, Ph
     sub = model.group._intern(members)
     values = act.scalars[members]
     grid = model.cocycle.den * model.group.exponent()
-    num, den, mask = _snap_on_grid(values, 4 * model.group.order, grid)
+    num, den, mask = _snap_phases(values, 4 * model.group.order, grid)
     return sub, PhaseFunction._from_num(sub, num, den, mask, values)
 
 
@@ -630,32 +632,6 @@ def classify(
     )
 
 
-class _Conjugation(NamedTuple):
-    """G acting by conjugation on itself and on pi, for every g and y:
-    x = g y g^-1 and the phase lambda_g(x) with
-    pi(g)* pi(x) pi(g) = lambda_g(x) pi(y).
-
-    pi(x)pi(g) = sigma(x,g) pi(xg) and pi(g)pi(y) = sigma(g,y) pi(gy), with
-    xg = gy, so lambda_g(x) = sigma(x,g) conj(sigma(g,y)), read from the
-    cocycle's integer numerators.  projreps._conjugation(sub, g, sigma)
-    reads the same phase at x, as sigma(g^-1, x) conj(sigma(y, g^-1)): the
-    two numerators agree mod sigma.den by the cocycle identity.  The two
-    tables have the size of the group's multiplication table.
-    """
-
-    elements: np.ndarray  # [g, y] -> x = g y g^-1
-    turns: np.ndarray     # [g, y] -> numerator of lambda_g(x) mod sigma.den
-    roots: np.ndarray     # k -> Phase(k, sigma.den).to_complex(), as _phase_values gives it
-
-
-def _conjugation(model: ProjectiveErrorModel) -> _Conjugation:
-    grp, sigma = model.group, model.cocycle
-    g, ys = np.arange(grp.order)[:, None], np.arange(grp.order)
-    xs = grp.mul[grp.mul[g, ys], grp.inv[g]]
-    turns = (sigma.num[xs, g] - sigma.num[g, ys]) % sigma.den
-    return _Conjugation(xs, turns, _phase_values(np.arange(sigma.den), sigma.den))
-
-
 def _transport(
     model: ProjectiveErrorModel,
     report: CodeReport,
@@ -667,13 +643,13 @@ def _transport(
     """classify(model, code) for code = pi(g)W, read from W's report and _mixed set.
 
     With B' = pi(g)B a basis of pi(g)W and y = g^-1 x g,
-    B'* pi(x) B' = lambda_g(x) B* pi(y) B (_Conjugation), and every basis of
-    a space gives the same _Action norms and scalars.  So each norm of
-    pi(g)W at x is W's at y and each scalar is W's times the unit
-    lambda_g(x): L, S, D and the mixed set are the g-conjugates of W's, the
-    stabilizer phase is f'(x) = lambda_g(x) f(y), exactly when f is exact,
-    and the dimension counts, normality tests and character counts behind
-    the flags, the criterion and the witness texts are equal.  The
+    B'* pi(x) B' = lambda_g(x) B* pi(y) B (table, projreps._Conjugation),
+    and every basis of a space gives the same _Action norms and scalars.
+    So each norm of pi(g)W at x is W's at y and each scalar is W's times
+    the unit lambda_g(x): L, S, D and the mixed set are the g-conjugates of
+    W's, the stabilizer phase is f'(x) = lambda_g(x) f(y), exactly when f is
+    exact, and the dimension counts, normality tests and character counts
+    behind the flags, the criterion and the witness texts are equal.  The
     partitioning witness is the least conjugated mixed element.  f' carries
     the values lambda_g(x) f.values(y), W's measured scalars turned by the
     exact phase, where classify would carry code's own measured scalars.
@@ -736,7 +712,7 @@ def _witness_orbits(
     image that is no witness in the list (its code was dropped as a
     duplicate of another) is not followed, so an orbit may come out split;
     each part is then classified on its own, and nothing depends on finding
-    a whole orbit.
+    a whole orbit.  table is projreps._conjugation_table(model.cocycle).
     """
     grp = model.group
     by_sub: dict[tuple[int, ...], list[int]] = {}
@@ -798,7 +774,7 @@ def _classify_orbits(
     stabilizer phase is not exact everywhere transports nothing, and its
     members are classified directly.
     """
-    table = _conjugation(model)
+    table = _conjugation_table(model.cocycle)
     reports: list[CodeReport | None] = [None] * len(codes)
     for rep, members in _witness_orbits(model, witnesses, table):
         act = _code_action(model, codes[rep])

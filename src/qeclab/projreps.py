@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -605,30 +606,50 @@ def induce(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> ProjectiveRep
     return ProjectiveRep(g, mats.reshape(n, q * dt, q * dt), sigma, label=f"Ind({theta.label})")
 
 
+class _Conjugation(NamedTuple):
+    """G acting by conjugation on itself and on pi, for every g and y:
+    x = g y g^-1 and the phase lambda_g(x) with
+    pi(g)* pi(x) pi(g) = lambda_g(x) pi(y).
+
+    pi(x)pi(g) = sigma(x,g) pi(xg) and pi(g)pi(y) = sigma(g,y) pi(gy), with
+    xg = gy, so lambda_g(x) = sigma(x,g) conj(sigma(g,y)), read from the
+    cocycle's integer numerators.  The two tables have the size of the
+    group's multiplication table.
+    """
+
+    elements: np.ndarray  # [g, y] -> x = g y g^-1
+    turns: np.ndarray     # [g, y] -> numerator of lambda_g(x) mod sigma.den
+    roots: np.ndarray     # k -> Phase(k, sigma.den).to_complex(), as _phase_values gives it
+
+
+def _conjugation_table(sigma: Cocycle) -> _Conjugation:
+    grp = sigma.group
+    g, ys = np.arange(grp.order)[:, None], np.arange(grp.order)
+    xs = grp.mul[grp.mul[g, ys], grp.inv[g]]
+    turns = (sigma.num[xs, g] - sigma.num[g, ys]) % sigma.den
+    return _Conjugation(xs, turns, _phase_values(np.arange(sigma.den), sigma.den))
+
+
 def _conjugation(sub: Subgroup, x, sigma: Cocycle) -> tuple[np.ndarray, np.ndarray]:
     """theta^x(y) = s theta(z) on the members y of sub, z = x^-1 y x, as (pos, s).
 
     pos is the position of z in sub, -1 where z is not in sub.  The scale
-    s = sigma(x^-1, y) conj(sigma(z, x^-1)) is read from its integer numerator
-    mod den as induce reads its scales, so it is the exact Phase product.  x
-    is one element or an array of them, with one row of each result per
-    element.
+    is s = lambda_x(y) of _conjugation_table, since pi(x)* pi(y) pi(x) =
+    s pi(z) is what makes theta^x a rep with theta's cocycle.  x is one
+    element or an array of them, with one row of each result per element.
     """
     g = sub.parent
     mem = np.array(sub.members)
     xs = np.asarray(x)
-    xi = g.inv[xs]
-    z = g.mul[g.mul[xi][..., mem], xs[..., None]]
+    table = _conjugation_table(sigma)
+    z = table.elements[g.inv[xs]][..., mem]
     pos = np.full(g.order, -1, dtype=np.int64)
     pos[mem] = np.arange(len(mem))
-    den = sigma.den
-    turns = (sigma.num[xi][..., mem] - sigma.num[z, xi[..., None]]) % den
-    scales = _phase_values(turns, den)
-    return pos[z], scales
+    return pos[z], table.roots[table.turns[xs[..., None], z]]
 
 
 def conjugate_rep(theta: ProjectiveRep, sub: Subgroup, x: int, sigma: Cocycle) -> ProjectiveRep:
-    """theta^x(y) = sigma(x^-1,y) conj(sigma(x^-1 y x, x^-1)) theta(x^-1 y x)."""
+    """theta^x(y) = lambda_x(y) theta(x^-1 y x), lambda as in _conjugation_table."""
     pos, scales = _conjugation(sub, x, sigma)
     if (pos < 0).any():
         raise ValueError("subgroup is not stable under conjugation by x")

@@ -384,7 +384,7 @@ def test_grid_reader_matches_snap_phase_on_every_entry(data):
     grid = data.draw(st.sampled_from(_GRIDS))
     max_den = data.draw(st.sampled_from(_MAX_DENS))
     values = data.draw(st.lists(_grid_entries(grid), max_size=12))
-    num, den, mask = cocycles._snap_on_grid(np.array(values, dtype=complex), max_den, grid)
+    num, den, mask = cocycles._snap_phases(np.array(values, dtype=complex), max_den, grid)
     want = [cocycles.snap_phase_or_none(z, max_den) for z in values]
     assert mask.tolist() == [p is not None for p in want]
     assert [Phase(int(k), den) if ok else None for k, ok in zip(num, mask)] == want

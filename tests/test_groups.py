@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -503,3 +504,54 @@ def _check_tree_against_the_word_walk(g):
 def test_cached_tree_matches_the_word_walk_oracle_on_every_subgroup(spec):
     for sub in parse_model_spec(spec).model.group.all_subgroups():
         _check_tree_against_the_word_walk(sub.as_group())
+
+
+# ------------------------------------------------ group axioms, by property
+
+
+def _small_groups(max_order: int):
+    """Every constructor on small drawn parameters, filtered to order <= max_order."""
+    factors = st.one_of(
+        st.integers(1, 8).map(cyclic),
+        st.integers(2, 4).map(dihedral),
+        st.integers(1, 3).map(symmetric),
+    )
+    return st.one_of(
+        st.integers(1, 12).map(cyclic),
+        st.integers(2, 8).map(dihedral),
+        st.sampled_from([3, 5]).map(inversion_semidirect),
+        st.integers(1, 5).map(symmetric),
+        st.tuples(factors, factors).map(lambda pair: direct_product(*pair)),
+        st.tuples(factors, st.integers(1, 3))
+        .filter(lambda bn: bn[0].order ** bn[1] * math.factorial(bn[1]) <= max_order)
+        .map(lambda bn: permutation_semidirect(*bn)),
+    ).filter(lambda g: g.order <= max_order)
+
+
+def _assert_group_axioms(mul, identity, inv):
+    # whole-array checks on the table alone: every product, the identity
+    # and the inverses, and (xy)z = x(yz) on all n^3 triples
+    n = len(mul)
+    idx = np.arange(n)
+    assert mul.shape == (n, n) and mul.min() >= 0 and mul.max() < n
+    assert (mul[identity] == idx).all() and (mul[:, identity] == idx).all()
+    assert (mul[idx, inv] == identity).all() and (mul[inv, idx] == identity).all()
+    assert (mul[mul, :] == mul[idx[:, None, None], mul[None, :, :]]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_small_groups(120))
+def test_every_constructor_satisfies_the_group_axioms(g):
+    _assert_group_axioms(g.mul, g.identity, g.inv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relabeled_table_satisfies_the_group_axioms(data):
+    g = data.draw(_small_groups(64))
+    perm = np.array(data.draw(st.permutations(range(g.order))))   # new i is old perm[i]
+    pos = np.argsort(perm)
+    h = group_from_mul_table(pos[g.mul[np.ix_(perm, perm)]])
+    assert h.identity == pos[g.identity]
+    assert (h.inv == pos[g.inv[perm]]).all()
+    _assert_group_axioms(h.mul, h.identity, h.inv)

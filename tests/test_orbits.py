@@ -90,7 +90,8 @@ def test_transport_matches_classify_on_the_moved_code(data):
     report = classify(model, code, act)
     assert report.stabilizer_phase.is_exact
     moved = CodeSpace(model.dim, model.rep.matrices[g] @ code.basis)
-    got = codes._transport(model, report, codes._mixed(act), moved, g, codes._conjugation(model))
+    table = codes._conjugation_table(model.cocycle)
+    got = codes._transport(model, report, codes._mixed(act), moved, g, table)
     want = classify(model, moved)
     assert got.logical.members == want.logical.members
     assert got.stabilizer.members == want.stabilizer.members
@@ -106,13 +107,14 @@ def test_transport_matches_classify_on_the_moved_code(data):
 @pytest.mark.parametrize("spec", ["oddfam:3", "c2d2n:2", "xp:8", "genpauli:4"])
 def test_conjugation_phase_is_projreps_theta_x_scale(spec):
     # projreps._conjugation(sub, x, sigma) scales theta(z), z = x^-1 y x, by
-    # sigma(x^-1, y) conj(sigma(z, x^-1)); codes._conjugation's lambda_g at
-    # y = g z g^-1 is sigma(y, g) conj(sigma(g, z)).  The cocycle identity
-    # makes the two numerators equal mod den at x = g, and both are the
-    # scalar of pi(g)* pi(y) pi(g) = lambda pi(z)
+    # the pull-back of projreps._conjugation_table's lambda_g at
+    # y = g z g^-1, sigma(y, g) conj(sigma(g, z)).  The cocycle identity
+    # makes its numerator equal sigma(x^-1, y) conj(sigma(z, x^-1))'s mod
+    # den at x = g, and both are the scalar of
+    # pi(g)* pi(y) pi(g) = lambda pi(z)
     model = _model(spec, 1)
     grp, sigma, mats = model.group, model.cocycle, model.rep.matrices
-    table = codes._conjugation(model)
+    table = codes._conjugation_table(model.cocycle)
     assert np.array_equal(table.roots, _phase_values(np.arange(sigma.den), sigma.den))
     full = grp.full_subgroup()
     for g in range(grp.order):
@@ -135,7 +137,7 @@ def test_batch_with_dropped_witnesses_matches_classify(monkeypatch):
     kept = [entry for i, entry in enumerate(found) if i % 3]
     batch = [code for _, _, code in kept]
     witnesses = [(sub, f.values) for sub, f, _ in kept]
-    orbits = codes._witness_orbits(model, witnesses, codes._conjugation(model))
+    orbits = codes._witness_orbits(model, witnesses, codes._conjugation_table(model.cocycle))
     assert sum(1 + len(members) for _, members in orbits) == len(batch)
     calls = _count_actions(monkeypatch)
     reports = codes._classify_orbits(model, batch, witnesses)
@@ -153,7 +155,8 @@ def _jittered(model, seed):
     root of unity."""
     rng = np.random.default_rng(seed)
     grp = model.group
-    classes = codes._conjugation(model).elements.min(axis=0)      # least member of x's class
+    # the least member of x's conjugacy class
+    classes = codes._conjugation_table(model.cocycle).elements.min(axis=0)
     turned = {int(c): rng.uniform(2e-9, 6e-9) * rng.integers(2) for c in np.unique(classes)}
     turned[grp.identity] = 0.0
     angles = np.array([turned[int(c)] for c in classes])
@@ -173,7 +176,7 @@ def test_inexact_stabilizer_phases_are_classified_directly(monkeypatch):
     direct = [classify(jittered, code) for code in batch]
     inexact = sum(not r.stabilizer_phase.is_exact for r in direct)
     assert 0 < inexact < len(batch)
-    orbits = codes._witness_orbits(jittered, witnesses, codes._conjugation(jittered))
+    orbits = codes._witness_orbits(jittered, witnesses, codes._conjugation_table(jittered.cocycle))
     calls = _count_actions(monkeypatch)
     reports = codes._classify_orbits(jittered, batch, witnesses)
     assert len(orbits) < len(calls) < len(batch)

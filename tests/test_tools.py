@@ -1,7 +1,10 @@
-"""tools/source_lines.py, whose per-module line counts CHANGES.md quotes."""
+"""tools/source_lines.py, whose per-module line counts CHANGES.md quotes, and
+a source check that each top-level name of qeclab is defined in one module."""
 
+import ast
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,3 +24,28 @@ def test_source_line_classes_sum_to_each_module_length():
         *classes, total = rows[path.name]
         assert sum(classes) == total == len(path.read_text().splitlines()), path.name
     assert rows["total"] == [sum(rows[p.name][k] for p in modules) for k in range(5)]
+
+
+def _top_level_names(tree):
+    """Names a module defines at its top level: functions, classes and assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_no_top_level_name_is_defined_in_two_modules():
+    # one implementation per concept: a helper needed in two modules is
+    # imported from one, not written twice (__all__ is every module's own)
+    owners = defaultdict(set)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in _top_level_names(ast.parse(path.read_text())):
+            owners[name].add(path.name)
+    twice = {name: sorted(mods) for name, mods in owners.items() if len(mods) > 1}
+    twice.pop("__all__", None)
+    assert twice == {}
