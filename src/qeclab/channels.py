@@ -6,13 +6,15 @@ the two Frobenius distances agree.  kl_correctable forms K B once and then
 B* K_i* K_j B for a block of rows i and every j with one matrix product; a
 block holds at most _PRODUCT_BLOCK_ENTRIES complex entries (one row at
 least), the bound projreps uses for its products.  KrausChannel.apply works
-on stacks of states under the same bound, so verify_recovery sends its whole
-test set through both channels in one call each.
+on stacks of states under the same bound.
 
-The recovery construction diagonalizes the Gram matrix M of the compressed
-products P K_i* K_j P = M_ij P, rotates the Kraus operators by its
-eigenvectors, and polar-decomposes each rotated operator on the code; the
-completion projector keeps the channel trace preserving.
+The recovery is read off the stack K B as well.  build_recovery takes one
+thin SVD of it, whose right singular vectors are the code isometries of the
+Kraus operators rotated to diagonalize the Gram matrix M of the compressed
+products P K_i* K_j P = M_ij P; the completion projector keeps the channel
+trace preserving.  verify_recovery forms the channel's images of the w^2
+matrix units from K B with one product, sends only those through the
+recovery, and obtains every other code state's output by linearity.
 """
 
 from __future__ import annotations
@@ -180,21 +182,27 @@ def kl_correctable(code: CodeSpace, channel: KrausChannel) -> KLResult:
 
 
 def build_recovery(code: CodeSpace, channel: KrausChannel) -> KrausChannel:
-    """The canonical Knill-Laflamme recovery channel."""
+    """The canonical Knill-Laflamme recovery channel.
+
+    With F = (K B) as an (n, d w) matrix and F = U S V* its thin SVD, the
+    Gram matrix M_ij = tr(B* K_i* K_j B) / w of P K_i* K_j P = M_ij P is
+    conj(F) F^T / w = conj(U) (S^2 / w) U^T.  Its eigenpairs are
+    (s_k^2 / w, conj(u_k)), and the Kraus operators rotated by them,
+    F_k = sum_i conj(u_ik) K_i, have P F_k* F_l P = (s_k^2 / w) delta_kl P
+    and F_k B = s_k (row k of V*).  Polar-decomposed on the code, each
+    direction with s_k^2 / w >= GRAM_FLOOR gives the isometry
+    sqrt(w) (row k of V*) as a (d, w) matrix, with no Gram matrix formed.
+    A degenerate singular value leaves the basis of its space free, and
+    every choice gives the same channel.
+    """
     result = kl_correctable(code, channel)
     if not result.ok:
         raise ChannelError(f"channel is not correctable on this code, witness pair {result.witness}")
     kb = _code_products(code, channel)
     n, dim, w = kb.shape
-    flat = kb.reshape(n, dim * w)
-    # m[i,j] with P K_i* K_j P = m[i,j] P, read off as tr(B* K_i* K_j B)/dim W
-    gram = flat.conj() @ flat.T / w
-    evals, evecs = np.linalg.eigh(gram)
-    keep = evals >= _tol.GRAM_FLOOR
-    # F_k = sum_i u_ik K_i gives P F_k* F_l P = (U* M U)_kl P = d_k delta_kl P,
-    # and F_k B is the same rotation of the K_i B
-    rotated = (evecs[:, keep].T @ flat).reshape(-1, dim, w)
-    isometries = rotated / np.sqrt(evals[keep])[:, None, None]
+    _, s, vh = np.linalg.svd(kb.reshape(n, dim * w), full_matrices=False)
+    keep = s * s / w >= _tol.GRAM_FLOOR
+    isometries = np.sqrt(w) * vh[keep].reshape(-1, dim, w)
     ops = code.basis @ isometries.conj().transpose(0, 2, 1)
     ranges = isometries.transpose(1, 0, 2).reshape(dim, -1)
     completion = np.eye(dim, dtype=complex) - ranges @ ranges.conj().T
@@ -213,16 +221,29 @@ def verify_recovery(
     """Max deviation of recovery(channel(rho)) from rho over code test states.
 
     The test set is every matrix unit |b_i><b_j| over the code basis, in
-    row-major order, then n_random seeded random code states.  The whole set
-    is stacked and sent through channel.apply and recovery.apply once each.
+    row-major order, then n_random seeded random code states.  The channel's
+    image of |b_i><b_j| is sum_x (K_x b_i)(K_x b_j)*, so all w^2 images are
+    blocks of one (w d, n) @ (n, w d) product of the columns of K B, and
+    only they go through recovery.apply.  A random state B u u* B* is
+    sum_ij u_i conj(u_j) |b_i><b_j| and R(N(.)) is linear, so its output is
+    the same combination of the units' outputs: one (n_random, w^2) @
+    (w^2, d^2) product.  Each output is compared with its state as formed
+    directly.
     """
     b = code.basis
     d, w = b.shape
     units = np.einsum("ai,bj->ijab", b, b.conj()).reshape(w * w, d, d)
     rng = np.random.default_rng(seed)
     draws = rng.normal(size=(n_random, 2, w))  # real then imaginary part, state by state
-    v = draws[:, 0] + 1j * draws[:, 1]
-    v = (v / np.linalg.norm(v, axis=1, keepdims=True)) @ b.T
+    u = draws[:, 0] + 1j * draws[:, 1]
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    v = u @ b.T
     states = np.concatenate([units, v[:, :, None] * v.conj()[:, None, :]])
-    out = recovery.apply(channel.apply(states))
+    kb = _code_products(code, channel)
+    cols = kb.transpose(2, 1, 0).reshape(w * d, -1)  # row (i, a) is entry a of K_x b_i over x
+    images = (cols @ cols.conj().T).reshape(w, d, w, d).transpose(0, 2, 1, 3)
+    unit_out = recovery.apply(images.reshape(w * w, d, d))
+    coeffs = (u[:, :, None] * u.conj()[:, None, :]).reshape(n_random, w * w)
+    random_out = (coeffs @ unit_out.reshape(w * w, d * d)).reshape(n_random, d, d)
+    out = np.concatenate([unit_out, random_out])
     return float(np.linalg.norm(out - states, axis=(1, 2)).max())

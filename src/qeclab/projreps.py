@@ -185,7 +185,11 @@ class ProjectiveRep:
         return ProjectiveRep(self.group, compress(self.matrices, basis), self.cocycle)
 
     def twist(self, f: PhaseFunction) -> "ProjectiveRep":
-        """Multiply by a phase function on the whole group; the cocycle picks up df."""
+        """Multiply by a phase function on the whole group; the cocycle picks up df.
+
+        f(e) != 1 is allowed: the result then has pi(e) = f(e) 1 and
+        sigma(e, e) = f(e), an unnormalized cocycle that character() refuses.
+        """
         if len(f.domain) != self.group.order:
             raise ValueError("twist needs a phase function on the whole group")
         if not f.is_exact:
@@ -607,24 +611,27 @@ def induce(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> ProjectiveRep
 
 
 class _Conjugation(NamedTuple):
-    """G acting by conjugation on itself and on pi, for every g and y:
-    x = g y g^-1 and the phase lambda_g(x) with
+    """G acting by conjugation on itself and on pi, for each g of some rows
+    and every y: x = g y g^-1 and the phase lambda_g(x) with
     pi(g)* pi(x) pi(g) = lambda_g(x) pi(y).
 
     pi(x)pi(g) = sigma(x,g) pi(xg) and pi(g)pi(y) = sigma(g,y) pi(gy), with
     xg = gy, so lambda_g(x) = sigma(x,g) conj(sigma(g,y)), read from the
-    cocycle's integer numerators.  The two tables have the size of the
-    group's multiplication table.
+    cocycle's integer numerators.  Row r of both tables belongs to the r-th
+    g asked for; with every g they have the size of the group's
+    multiplication table.
     """
 
-    elements: np.ndarray  # [g, y] -> x = g y g^-1
-    turns: np.ndarray     # [g, y] -> numerator of lambda_g(x) mod sigma.den
+    elements: np.ndarray  # [r, y] -> x = g y g^-1
+    turns: np.ndarray     # [r, y] -> numerator of lambda_g(x) mod sigma.den
     roots: np.ndarray     # k -> Phase(k, sigma.den).to_complex(), as _phase_values gives it
 
 
-def _conjugation_table(sigma: Cocycle) -> _Conjugation:
+def _conjugation_table(sigma: Cocycle, rows=None) -> _Conjugation:
+    """The rows g of _Conjugation, every g of the group when rows is None."""
     grp = sigma.group
-    g, ys = np.arange(grp.order)[:, None], np.arange(grp.order)
+    g = np.arange(grp.order) if rows is None else np.asarray(rows, dtype=np.int64)
+    g, ys = g[:, None], np.arange(grp.order)
     xs = grp.mul[grp.mul[g, ys], grp.inv[g]]
     turns = (sigma.num[xs, g] - sigma.num[g, ys]) % sigma.den
     return _Conjugation(xs, turns, _phase_values(np.arange(sigma.den), sigma.den))
@@ -636,16 +643,21 @@ def _conjugation(sub: Subgroup, x, sigma: Cocycle) -> tuple[np.ndarray, np.ndarr
     pos is the position of z in sub, -1 where z is not in sub.  The scale
     is s = lambda_x(y) of _conjugation_table, since pi(x)* pi(y) pi(x) =
     s pi(z) is what makes theta^x a rep with theta's cocycle.  x is one
-    element or an array of them, with one row of each result per element.
+    element or an array of them, with one row of each result per element;
+    only the table rows of the x and their inverses are built.
     """
     g = sub.parent
     mem = np.array(sub.members)
     xs = np.asarray(x)
-    table = _conjugation_table(sigma)
-    z = table.elements[g.inv[xs]][..., mem]
+    flat = xs.ravel()
+    rows, at = np.unique(np.concatenate([g.inv[flat], flat]), return_inverse=True)
+    table = _conjugation_table(sigma, rows)
+    z = table.elements[at[: flat.size]][:, mem]
     pos = np.full(g.order, -1, dtype=np.int64)
     pos[mem] = np.arange(len(mem))
-    return pos[z], table.roots[table.turns[xs[..., None], z]]
+    scales = table.roots[table.turns[at[flat.size :, None], z]]
+    shape = xs.shape + (len(mem),)
+    return pos[z].reshape(shape), scales.reshape(shape)
 
 
 def conjugate_rep(theta: ProjectiveRep, sub: Subgroup, x: int, sigma: Cocycle) -> ProjectiveRep:

@@ -729,6 +729,30 @@ def kraus_apply_oracle(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("xab,bc,xdc->ad", kraus, rho, kraus.conj())
 
 
+def build_recovery_gram_oracle(code, channel) -> np.ndarray:
+    """The Kraus operators of the Knill-Laflamme recovery, from the Gram
+    matrix m[i,j] = tr(B* K_i* K_j B) / w and its eigh: the Kraus operators
+    rotated by the eigenvectors of eigenvalues >= GRAM_FLOOR, each scaled to
+    an isometry on the code, then the completion projector."""
+    b = code.basis
+    d, w = b.shape
+    kb = np.einsum("xab,bk->xak", channel.kraus, b)
+    flat = kb.reshape(len(kb), d * w)
+    gram = flat.conj() @ flat.T / w
+    evals, evecs = np.linalg.eigh(gram)
+    keep = evals >= _tol.GRAM_FLOOR
+    isometries = (evecs[:, keep].T @ flat).reshape(-1, d, w) / np.sqrt(evals[keep])[:, None, None]
+    ops = [b @ iso.conj().T for iso in isometries]
+    completion = np.eye(d) - sum(iso @ iso.conj().T for iso in isometries)
+    return np.array(ops + [completion])
+
+
+def superoperator(kraus: np.ndarray) -> np.ndarray:
+    """sum_x K_x (x) conj(K_x): equal for two Kraus stacks of the same channel."""
+    d = kraus.shape[1]
+    return np.einsum("xab,xcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
+
+
 def verify_recovery_oracle(code, channel, recovery, n_random: int = 20, seed: int = 7) -> float:
     """Max ||R(E(rho)) - rho||_F over the matrix units, then the seeded random
     code states, applying both channels to one state at a time."""

@@ -1,9 +1,18 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import kl_witness_per_row, kraus_apply_oracle, verify_recovery_oracle
+from helpers import (
+    build_recovery_gram_oracle,
+    kl_witness_per_row,
+    kraus_apply_oracle,
+    superoperator,
+    verify_recovery_oracle,
+)
 from qeclab import _tol, channels
 from qeclab._linalg import scalar_deviation
 from qeclab.channels import (
@@ -17,7 +26,13 @@ from qeclab.channels import (
 )
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import PhaseFunction
-from qeclab.codes import CodeSpace, detectable_set, stabilizer_code
+from qeclab.codes import (
+    CodeSpace,
+    detectable_set,
+    existence_phase,
+    stabilizer_code,
+    weak_stabilizer_code,
+)
 from qeclab.models import gen_pauli_model, product_model
 
 
@@ -411,3 +426,96 @@ def test_verify_recovery_memory_stays_within_blocks():
     assert deviation <= 1e-7
     assert peak < 4 * block_bytes + 6 * stack_bytes
     assert peak < 256 * 21 * 16 * 16 * 16 / 10
+
+
+# -- the recovery against the Gram-eigh construction ---------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _model(spec):
+    return parse_model_spec(spec).model
+
+
+def _correctable_support(g, detectable, order, limit):
+    # greedy: x^-1 y detectable for every x, y taken
+    support = []
+    for x in order:
+        if all(g.mul[g.inv[x], y] in detectable and g.mul[g.inv[y], x] in detectable
+               for y in support):
+            support.append(int(x))
+            if len(support) == limit:
+                break
+    return support
+
+
+@st.composite
+def correctable_pairs(draw):
+    """A code of dimension 1, 2 or 4 and a channel of the model correctable on it.
+
+    The code is a random complex subspace (a line when w = 1) or a weak
+    stabilizer code; the support is taken greedily in a random order, and
+    its weights are equal or random, so Gram eigenvalues repeat or not.
+    """
+    model = _model(draw(st.sampled_from(["pauli:2", "genpauli:4", "permprod(genpauli:2,3)"])))
+    g = model.group
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        code = _random_code(model.dim, draw(st.sampled_from([1, 2, 4])), rng)
+    else:
+        gens = draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=2))
+        sub = g.subgroup_generated(gens)
+        f = existence_phase(model, sub) if sub.is_abelian() else None
+        assume(f is not None)
+        code = weak_stabilizer_code(model, sub, f)
+        assume(code.dim in (1, 2, 4))
+    detectable = set(detectable_set(model, code))
+    limit = draw(st.sampled_from([1, 2, 4, 16, 64]))
+    support = _correctable_support(g, detectable, rng.permutation(g.order), limit)
+    p = np.zeros(g.order)
+    p[support] = 1.0 if draw(st.booleans()) else rng.uniform(0.5, 1.5, size=len(support))
+    return code, channel_from_model(model, p / p.sum())
+
+
+@settings(max_examples=100, deadline=None)
+@given(correctable_pairs())
+def test_recovery_is_the_gram_eigh_channel(pair):
+    # the SVD directions span the same spaces as the Gram eigenvectors, so
+    # the operator count agrees and the two Kraus stacks are one channel
+    code, channel = pair
+    assert kl_correctable(code, channel)
+    recovery = build_recovery(code, channel)
+    want = build_recovery_gram_oracle(code, channel)
+    assert len(recovery) == len(want)
+    assert np.abs(superoperator(recovery.kraus) - superoperator(want)).max() < 1e-12
+    got = verify_recovery(code, channel, recovery, n_random=5)
+    assert abs(got - verify_recovery_oracle(code, channel, recovery, n_random=5)) < 1e-12
+    assert got <= 1e-7
+
+
+def test_recovery_counts_no_eigh_and_one_apply_on_the_units(monkeypatch):
+    # build_recovery needs no Gram eigh, and verify_recovery sends only the
+    # w^2 unit images through the recovery and nothing through the channel
+    model = parse_model_spec("permprod(genpauli:2,3)").model
+    d = model.dim
+    rng = np.random.default_rng(12)
+    calls, eighs = [], []
+    apply, eigh = KrausChannel.apply, np.linalg.eigh
+
+    def counting_apply(self, rho):
+        calls.append((self, np.shape(rho)))
+        return apply(self, rho)
+
+    def counting_eigh(*args, **kwargs):
+        eighs.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(KrausChannel, "apply", counting_apply)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for w, size in ((1, None), (2, 1), (4, 1)):
+        code = _random_code(d, w, rng)
+        channel = _random_channel(model, rng, size)
+        recovery = build_recovery(code, channel)
+        assert eighs == [] and calls == []
+        assert verify_recovery(code, channel, recovery) <= 1e-7
+        assert [(c is recovery, shape) for c, shape in calls] == [(True, (w * w, d, d))]
+        calls.clear()

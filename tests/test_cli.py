@@ -129,6 +129,18 @@ def test_correct_uniform_on_bell(capsys):
     assert "PASS" in out
 
 
+def test_correct_uniform_on_bell_pins_the_recovery(capsys):
+    # the 16 Kraus operators span four directions on the code, and the
+    # recovery is one operator per direction plus the completion projector
+    rc, out, _ = run(capsys, "correct", "pauli:2", "--code", "weak:10,5",
+                     "--dist", "uniform")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "correctable: yes (16 Kraus operators)"
+    assert lines[1].startswith("recovery: 5 operators, max deviation ")
+    assert lines[2].startswith("PASS: ")
+
+
 def test_correct_uncorrectable_exits_one(capsys):
     rc, out, _ = run(capsys, "correct", "genpauli:2", "--code", "weak:0",
                      "--dist", "uniform")

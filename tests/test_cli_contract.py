@@ -109,6 +109,23 @@ def test_construction_exit_code(capsys, files, argv, rc):
     assert run(capsys, files, argv)[0] == rc
 
 
+# the printed recovery operator count and verdict of every correct case above
+RECOVERY_PINS = {
+    "correct permprod(genpauli:2,2) --code dicke --dist point:0": (2, "PASS"),
+}
+
+
+def test_correct_cases_pin_the_recovery_count_and_verdict(capsys, files):
+    cases = [argv for argv, _ in CODE_FORMS if argv[0] == "correct"]
+    assert [" ".join(argv) for argv in cases] == list(RECOVERY_PINS)
+    for argv in cases:
+        count, verdict = RECOVERY_PINS[" ".join(argv)]
+        _, out = run(capsys, files, argv)
+        lines = out.splitlines()
+        assert lines[1].startswith(f"recovery: {count} operators, max deviation ")
+        assert lines[2].startswith(f"{verdict}: ")
+
+
 def _weak(spec, gens, phases=None, build=weak_stabilizer_code):
     model = parse_model_spec(spec).model
     sub = model.group.subgroup_generated(gens)

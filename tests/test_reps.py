@@ -136,6 +136,23 @@ def test_twist_changes_cocycle_by_coboundary():
     assert lhs == rhs
 
 
+def test_twist_by_a_phase_off_one_at_the_identity_is_unnormalized():
+    # twist takes f(e) != 1, as make_rep's fill tests need: then pi(e) =
+    # f(e) 1 and sigma(e, e) = f(e), and the character refuses the rep
+    model = gen_pauli_model(2)
+    g = model.group
+    f = PhaseFunction.exact(
+        g.full_subgroup(),
+        [Phase(1, 4) if x == g.identity else Phase(0, 1) for x in range(g.order)],
+    )
+    twisted = model.rep.twist(f)
+    assert np.array_equal(twisted.matrices[g.identity], 1j * np.eye(2))
+    assert twisted.cocycle.phase(g.identity, g.identity) == Phase(1, 4)
+    assert twisted.cocycle == model.rep.cocycle.multiply(coboundary(f))
+    with pytest.raises(ValueError, match="character value at the identity must be the dimension"):
+        twisted.character()
+
+
 def test_rep_json_round_trip():
     model = dihedral_xp_model(3)
     back = ProjectiveRep.from_json(model.group, model.rep.to_json())
@@ -294,6 +311,20 @@ def test_conjugate_rep_refuses_an_element_outside_the_normalizer():
         conjugate_rep(theta, sub, x, model.cocycle)
     with pytest.raises(ValueError, match="not stable under conjugation by x"):
         conjugate_rep_loop(theta, sub, x, model.cocycle)
+
+
+@pytest.mark.parametrize("spec", ["permprod(genpauli:2,3)", "c2d2n:3"])
+def test_conjugation_table_rows_are_rows_of_the_full_table(spec):
+    # _conjugation builds only the rows of its x and their inverses
+    sigma = parse_model_spec(spec).model.cocycle
+    n = sigma.group.order
+    full = projreps._conjugation_table(sigma)
+    rng = np.random.default_rng(5)
+    for rows in ([0], [n - 1, 3, 3], rng.permutation(n)[:7], np.arange(n)):
+        part = projreps._conjugation_table(sigma, rows)
+        assert np.array_equal(part.elements, full.elements[rows])
+        assert np.array_equal(part.turns, full.turns[rows])
+        assert np.array_equal(part.roots, full.roots)
 
 
 def test_d4_table_matches_reference():
