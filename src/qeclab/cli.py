@@ -90,7 +90,7 @@ from .models import (
     product_model,
 )
 from .projreps import MakeRepError, ProjectiveRep
-from .search import enumerate_weak_stabilizer_codes, q3_probe
+from .search import _enumerate, q3_probe
 
 
 class UsageError(ValueError):
@@ -548,16 +548,11 @@ def cmd_search(args) -> int:
     parsed = parse_model_spec(args.spec)
     model = parsed.model
     if args.q3:
-        hits = q3_probe(model, max_order=args.max_order, max_dim=args.max_dim)
-        reports = hits
+        reports = q3_probe(model, max_order=args.max_order, max_dim=args.max_dim)
         title = "q3 probe hits"
     else:
-        found = enumerate_weak_stabilizer_codes(
-            model, max_order=args.max_order, max_dim=args.max_dim
-        )
-        reports = _classify_orbits(
-            model, [code for _, _, code in found], [(sub, f.values) for sub, f, _ in found]
-        )
+        found, witnesses = _enumerate(model, args.max_order, args.max_dim)
+        reports = _classify_orbits(model, [code for _, _, code in found], witnesses)
         title = "weak stabilizer codes"
     for report in reports:
         print(json.dumps(report.to_json()))

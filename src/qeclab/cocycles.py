@@ -329,12 +329,17 @@ class Cocycle:
         """Restriction to a subgroup, indexed by the subgroup's own numbering.
 
         Built once per (sub, self) and kept on sub; its group is
-        sub.as_group().
+        sub.as_group().  It is marked verified when self verifies (one
+        memoized check of self): sub.as_group()'s table is G's cut to the
+        members, so the identity s(x,y)s(xy,z) = s(x,yz)s(y,z) at (x, y, z)
+        in H^3 is the parent's at the same elements, and the identities on
+        H^3 are a subset of those on G^3.
         """
         hit = sub._restrictions.get(id(self))
         if hit is None:
             mem = np.array(sub.members)
             hit = (self, Cocycle(sub.as_group(), self.num[np.ix_(mem, mem)], self.den))
+            hit[1]._verified = self.verify()
             sub._restrictions[id(self)] = hit   # holding self keeps its id unique
         return hit[1]
 

@@ -12,7 +12,7 @@ needs no product of its own: its blocks (1 - P) pi(x) P and P pi(x) (1 - P)
 are orthogonal, and pi(x)* is a unit multiple of pi(x^-1), so the second
 has the norm of the first at x^-1.
 
-Constituents are found here only (_constituent_phases), in exact
+Constituents are found here only (_constituents), in exact
 arithmetic: with f0 a trivializer of the restricted cocycle, the codes on
 H are the (H, f0 chi) eigenspaces for the linear characters chi of H, read
 from a diagonal form of an integer system, whose multiplicity in
@@ -221,8 +221,9 @@ def stabilizer_code(
     return weak_stabilizer_code(model, sub, f)
 
 
-def _constituent_phases(model: ProjectiveErrorModel, sub: Subgroup):
-    """Yield every phase function f on sub with a nonzero code, one per constituent.
+def _constituents(model: ProjectiveErrorModel, sub: Subgroup):
+    """The phase functions f on sub with a nonzero code, as (numerators
+    [k, |H|], their one denominator, the code dimensions [k]).
 
     With f0 a trivializer of the restricted cocycle, the admissible f are
     exactly f0 chi for the linear characters chi of sub: df = sigma|H = df0
@@ -231,16 +232,16 @@ def _constituent_phases(model: ProjectiveErrorModel, sub: Subgroup):
     the multiplicity m_chi = (1/|H|) sum_h conj(f0 chi)(h) chi_pi(h), the
     average code_dimension_formula snaps, snapped to an integer here too.
     The characters are exact (cocycles._linear_characters), so f0 chi is
-    built from integer numerators.  It is yielded for every chi with
-    m_chi > 0, in lexicographic order of chi's values on the greedy
-    generators of sub.as_group(): the order of the joint eigenspace walk
-    (see existence_phase).  Yields nothing when the restricted cocycle is
-    not a coboundary, and raises CodeError when a multiplicity is not a
+    read in integer numerators.  Every chi with m_chi > 0 is listed, in
+    lexicographic order of chi's values on the greedy generators of
+    sub.as_group(): the order of the joint eigenspace walk (see
+    existence_phase).  Lists none when the restricted cocycle is not a
+    coboundary, and raises CodeError when a multiplicity is not a
     non-negative integer.
     """
     f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
     if f0 is None:
-        return
+        return np.zeros((0, len(sub)), dtype=np.int64), 1, np.zeros(0, dtype=np.int64)
     chars, e = _linear_characters(sub.as_group())
     chi_pi = model.rep.character().values[list(sub.members)]
     totals = np.exp(-2j * np.pi * chars / e) @ (f0.values.conj() * chi_pi) / len(sub)
@@ -250,6 +251,12 @@ def _constituent_phases(model: ProjectiveErrorModel, sub: Subgroup):
         raise CodeError(f"constituent multiplicity gave a non-integer value {totals[bad[0]]}")
     den = math.lcm(f0.den, e)
     nums = (f0.num * (den // f0.den) + chars[counts > 0] * (den // e)) % den
+    return nums, den, counts[counts > 0].astype(np.int64)
+
+
+def _constituent_phases(model: ProjectiveErrorModel, sub: Subgroup):
+    """Yield the phase functions of _constituents, one per constituent, in its order."""
+    nums, den, _ = _constituents(model, sub)
     for num, values in zip(nums, _phase_values(nums, den)):
         yield PhaseFunction._from_num(sub, num, den, floats=values)
 
@@ -709,10 +716,14 @@ def _witness_orbits(
     The images are gathered once per witness subgroup and generator, for all
     witnesses on that subgroup together.  A breadth-first walk from each
     witness not yet reached, in index order, composes g along its path.  An
-    image that is no witness in the list (its code was dropped as a
-    duplicate of another) is not followed, so an orbit may come out split;
-    each part is then classified on its own, and nothing depends on finding
-    a whole orbit.  table is projreps._conjugation_table(model.cocycle).
+    image that is no witness in the list is not followed.  The orbits are
+    whole when every witness is its code's maximal witness (S, f_S) and the
+    list holds every code of an orbit, as qeclab search passes them: g
+    carries W's maximal witness to pi(g)W's, which is then in the list.
+    On a partial list, or with witnesses that another witness of the same
+    code replaced, an orbit may come out split; each part is then
+    classified on its own, and nothing depends on finding a whole orbit.
+    table is projreps._conjugation_table(model.cocycle).
     """
     grp = model.group
     by_sub: dict[tuple[int, ...], list[int]] = {}
@@ -769,8 +780,8 @@ def _classify_orbits(
     from its representative's (_transport).
 
     witnesses[i] is a witness (H, chi) that fixes codes[i] (see
-    _witness_orbits): (H, f.values) for an enumerated (H, f) eigenspace,
-    (H, chi_rho) for q3_probe's constituent rho.  A representative whose
+    _witness_orbits): the maximal witness (S, f_S.values) of an enumerated
+    code, (H, chi_rho) for q3_probe's constituent rho.  A representative whose
     stabilizer phase is not exact everywhere transports nothing, and its
     members are classified directly.
     """

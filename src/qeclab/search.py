@@ -7,23 +7,24 @@ max_group_order() and max_ambient_dim(16), in either direction; None keeps
 them.  The order cap is the one all_subgroups is given.
 
 The codes of one subgroup come from its exact constituents in codes
-(_constituent_phases); this module loops over subgroups and deduplicates.
+(_constituents); this module loops over subgroups.  Deduplication is exact
+and compares no projector: enumerate keys each code by its maximal witness
+(S, f_S), read from characters and confirmed in integers
+(_maximal_witnesses), and q3_probe's candidates are distinct by
+construction (see there).
 """
 
 from __future__ import annotations
-
-import bisect
-import math
 
 import numpy as np
 
 from . import _tol
 from ._linalg import compress, orthonormal_columns
-from .cocycles import PhaseFunction
+from .cocycles import PhaseFunction, _phase_values
 from .codes import (
     CodeSpace,
     _classify_orbits,
-    _constituent_phases,
+    _constituents,
     _on_grid,
     clifford_code,
     weak_stabilizer_code,
@@ -66,73 +67,107 @@ def _check_caps(model: ProjectiveErrorModel, max_order: int | None, max_dim: int
     return max_order
 
 
-# Seed of the Hermitian matrix that orders each rank's kept projectors.
-_DEDUP_SEED = 7
+def _maximal_witnesses(model, sub, nums, den, values, dims, table, grid):
+    """The maximal witness (S, f_S) of the (sub, f) code for each row f =
+    nums[i] / den of codes._constituents, valued values[i], of dimension
+    dims[i], as f_S's numerators over grid = sigma.den * exp(G), -1 off S,
+    [k, |G|].  RuntimeError when a key fails its confirmation.
+    table[h, x] = sigma(h, x) chi_pi(hx) = tr(pi(h) pi(x)).
 
+    Let W be the code, d = dims[i] its dimension, S = {x : pi(x) acts on W
+    as a scalar} and f_S that scalar.  Then H <= S, f_S|H = f and W <=
+    W(S, f_S) <= W(H, f) = W, so W = W(S, f_S): the key fixes the code,
+    and the code fixes its key.  h -> conj(f(h)) pi(h) is a linear rep of H
+    (df = sigma|H), and W's projector P is its average, so
+        T(x) = tr(P pi(x)) = (1/|H|) sum_h conj(f(h)) sigma(h, x) chi_pi(hx),
+    row i of conj(F) @ table[H].  T(x) = tr(P pi(x) P) is the trace of a
+    contraction of the d-dimensional W, so |T(x)| <= d, with equality
+    exactly when pi(x) maps W onto itself as a unimodular scalar c, that is
+    x in S, and then T(x) = d f_S(x).  f_S has df_S = sigma|S, so f_S lies
+    on the grid, as in codes._stabilizer.
 
-class _ProjectorSet:
-    """Projectors kept so far, for dedup by Frobenius distance < _tol.DERIVED.
+    Read S' = {x : |T(x)| >= d - _tol.DERIVED}, and f' the grid point
+    nearest T(x)/d on S'.  The computed T(x) is off by the deviation of the
+    model's character from the exact one, under sqrt(dim V) _tol.EXACT for
+    matrices that hold to _tol.EXACT, plus a rounding of order
+    dim V * eps: together under 1e-8 at dim 16.  So rounding cannot push
+    an element of S below the threshold: S <= S'.  And f' = f_S on S, as
+    T(x)/d is off f_S(x) by under 1e-8, far below half a grid step, pi/grid
+    radians.  Each key is then confirmed:
+    (a) H <= S' and f'|H = f, compared as numerators;
+    (b) S' is closed under products and df' = sigma|S', as integers over
+        the grid;
+    (c) code_dimension_formula's average of conj(f') chi_pi over S' is d.
+    By (b) S' is a subgroup (closed, finite, holding H) and f' an admissible
+    phase, so the average in (c) is the dimension of the (S', f')
+    eigenspace E, an integer that a rounding under 1/2 cannot move.  By (a)
+    E <= W(H, f) = W, and by (c) E = W, so every x in S' acts on W as the
+    scalar f'(x): S' <= S.  With S <= S', (S', f') is (S, f_S) exactly.  A
+    false member x of S', outside S, would give S' <= S, so it fails the
+    confirmation, and the search raises rather than keep a wrong key.
 
-    Kept projectors are grouped by rank, round(tr p), in one buffer per
-    rank that doubles when full, so no call copies them all.  Skipping the
-    other ranks is exact: for projectors P, Q of ranks r != s,
-    |P - Q|^2 = r + s - 2 tr(PQ) >= |r - s| >= 1, since tr(PQ) <= min(r, s).
-
-    Within a rank, the kept projectors are also listed in increasing order
-    of v(Q) = Re tr(QA), for a fixed Hermitian A with |A|_F = 1 drawn from
-    _DEDUP_SEED.  By Cauchy-Schwarz,
-        |v(P) - v(Q)| <= |tr((P - Q)A)| <= |P - Q|_F |A|_F = |P - Q|_F,
-    so every duplicate Q of a new P has v(Q) within _tol.DERIVED of v(P).
-    Only the kept projectors in the window v(P) +- w, found by bisection,
-    are compared, in one vectorized norm: the same test as against the
-    whole rank, so the keep/drop decisions and the first witnesses are
-    those of comparing with every kept projector.
-
-    The window is widened by a rounding slack.  A computed value is a dot
-    product of 2 dim^2 real terms, so it is off by at most about
-    2 dim^2 u sum |A_ij| |P_ij| <= dim^2 eps |P|_F, with u = eps/2 the unit
-    roundoff.  A duplicate has |Q|_F < |P|_F + _tol.DERIVED, and the computed
-    norm and |A|_F are off by relative errors of order dim^2 eps.  So
-        w = _tol.DERIVED + 8 dim^2 eps (|P|_F + 1)
-    holds every duplicate with a fourfold margin.  At dim 16 the slack is
-    about 2e-12, against a window half-width of 1e-7.
+    Where (a) holds with |S'| = |H|, S' is H and f' is f, so (b) and (c)
+    hold by construction: f = f0 chi has df = sigma|H (f0 is a checked
+    trivializer, chi an exact character), and the average in (c) is the
+    multiplicity that _constituents read as d.  The rows with a larger S'
+    are tested further, together, on the union u of their S'.
     """
+    g, sigma = model.group, model.cocycle
+    mem = list(sub.members)
+    traces = values.conj() @ table[mem] / len(sub)
+    inside = np.abs(traces) >= dims[:, None] - _tol.DERIVED
+    num = np.where(inside, np.rint(np.angle(traces) * (grid / (2 * np.pi))).astype(int) % grid, -1)
+    # (a) on every row, as num / grid = nums / den mod 1
+    ok = inside[:, mem].all() and ((num[:, mem] * den - nums * grid) % (grid * den) == 0).all()
+    wide = np.flatnonzero(inside.sum(axis=1) > len(sub))
+    if ok and wide.size:   # (b) and (c) on the rows whose S' is larger than H
+        ins, read = inside[wide], num[wide]
+        u = np.flatnonzero(ins.any(axis=0))
+        mul = g.mul[np.ix_(u, u)]
+        cobound = (read[:, u, None] + read[:, None, u] - read[:, mul]) % grid
+        wrong = ~ins[:, mul] | (cobound != sigma.num[np.ix_(u, u)] * (grid // sigma.den))
+        conj_f = np.where(ins[:, u], _phase_values(read[:, u], grid).conj(), 0)
+        average = conj_f @ model.rep.character().values[u] / ins.sum(axis=1)
+        closed = not (ins[:, u, None] & ins[:, None, u] & wrong).any()
+        ok = closed and (np.abs(average - dims[wide]) <= _tol.DERIVED).all()
+    if not ok:
+        raise RuntimeError("a maximal witness failed its confirmation")
+    return num
 
-    def __init__(self, dim: int):
-        rng = np.random.default_rng(_DEDUP_SEED)
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a += a.conj().T
-        self._a = a / np.linalg.norm(a)
-        self._slack = 8 * dim**2 * np.finfo(float).eps
-        self._dim = dim
-        # rank -> [the kept projectors in one buffer that doubles when full,
-        #          their values v(Q) in increasing order, their slots in that order]
-        self._ranks: dict[int, list] = {}
 
-    def _value(self, p: np.ndarray) -> float:
-        """v(p) = Re tr(pA): vdot conjugates A, and conj(A_ij) = A_ji."""
-        return float(np.vdot(self._a, p).real)
+def _enumerate(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None):
+    """(enumerate_weak_stabilizer_codes, each code's maximal witness
+    (S, f_S.values) for codes._classify_orbits).
 
-    def add_if_new(self, p: np.ndarray) -> bool:
-        """Keep p and return True unless a kept projector is within _tol.DERIVED of it."""
-        rank = round(float(p.trace().real))
-        kept = self._ranks.get(rank)
-        if kept is None:
-            kept = self._ranks[rank] = [np.empty((16, self._dim, self._dim), dtype=complex), [], []]
-        buf, values, slots = kept
-        v = self._value(p)
-        w = _tol.DERIVED + self._slack * (math.sqrt(np.vdot(p, p).real) + 1)
-        lo, hi = bisect.bisect_left(values, v - w), bisect.bisect_right(values, v + w)
-        if lo < hi and (np.linalg.norm(buf[slots[lo:hi]] - p, axis=(1, 2)) < _tol.DERIVED).any():
-            return False
-        count = len(slots)
-        if count == len(buf):
-            buf = kept[0] = np.concatenate([buf, np.empty_like(buf)])
-        buf[count] = p
-        at = bisect.bisect_right(values, v, lo, hi)
-        values.insert(at, v)
-        slots.insert(at, count)
-        return True
+    A code is built only for a key (_maximal_witnesses) not seen before.
+    No projector is formed and no random number is drawn.
+    """
+    max_order = _check_caps(model, max_order, max_dim)
+    g, sigma = model.group, model.cocycle
+    grid = sigma.den * g.exponent()
+    table = sigma.to_complex_table() * model.rep.character().values[g.mul]
+    found, witnesses, seen = [], [], set()
+    for sub in g.all_subgroups(max_order):
+        nums, den, dims = _constituents(model, sub)
+        if not len(dims):
+            continue
+        values = _phase_values(nums, den)
+        num = _maximal_witnesses(model, sub, nums, den, values, dims, table, grid)
+        for i in range(len(dims)):
+            if num[i].tobytes() in seen:
+                continue
+            seen.add(num[i].tobytes())
+            f = PhaseFunction._from_num(sub, nums[i], den, floats=values[i])
+            code = weak_stabilizer_code(model, sub, f)
+            if code is None:
+                raise RuntimeError("constituent with an empty code space")
+            found.append((sub, f, code))
+            members = np.flatnonzero(num[i] >= 0)
+            if len(members) == len(sub):
+                witnesses.append((sub, values[i]))
+            else:
+                witnesses.append((g._intern(members), _phase_values(num[i, members], grid)))
+    return found, witnesses
 
 
 def enumerate_weak_stabilizer_codes(
@@ -145,20 +180,10 @@ def enumerate_weak_stabilizer_codes(
     For each subgroup the trivializing phase fixes the coset of admissible
     phase functions; the 1-dimensional constituents of the untwisted
     restriction supply exactly the members of that coset with nonzero code.
-    Deduplicated by projector, first witness kept, subgroups in order.
+    Deduplicated by maximal witness (_maximal_witnesses), which is exact:
+    first witness kept, subgroups in order.
     """
-    max_order = _check_caps(model, max_order, max_dim)
-    g = model.group
-    results: list[tuple[Subgroup, PhaseFunction, CodeSpace]] = []
-    kept = _ProjectorSet(model.dim)
-    for sub in g.all_subgroups(max_order):
-        for f in _constituent_phases(model, sub):
-            code = weak_stabilizer_code(model, sub, f)
-            if code is None:
-                raise RuntimeError("constituent with an empty code space")
-            if kept.add_if_new(code.projector()):
-                results.append((sub, f, code))
-    return results
+    return _enumerate(model, max_order, max_dim)[0]
 
 
 _SPLIT_SEED = 11
@@ -312,14 +337,26 @@ def q3_probe(
     so the order depends on no random draw.  The candidates are classified
     once per orbit of the model group (codes._classify_orbits), each
     witnessed by its constituent's subgroup and character.
+
+    No candidate repeats a code, so none is deduplicated.  A candidate
+    (H, rho) has <rho, pi|H> = 1 and dim rho [G:H] = dim pi.  By Frobenius
+    reciprocity the intertwiner from rho into pi|H gives a nonzero map
+    Ind_H^G rho -> pi, onto since pi is irreducible (a model's rep is), and
+    an isomorphism since the dimensions agree.  So V is the direct sum of
+    the blocks pi(t)W over the cosets tH, and pi(x)W meets W in 0 for x
+    outside H: the logical group L(W) is H.  The code W therefore fixes
+    its witness (H, chi_rho): H = L(W), and chi_rho is the character of
+    H's action on W.  Two candidates on different subgroups have different
+    logical groups, and two on one subgroup are non-isomorphic
+    constituents, since isomorphic ones would make the multiplicity at
+    least 2; their characters differ, and so do their codes.  The witness
+    of pi(g)W is g's image of W's, so the orbits are whole.
     """
     if not model.is_central_type():
         raise SearchError("the probe only applies to central-type models")
     max_order = _check_caps(model, max_order, max_dim)
     g = model.group
-    found: list[CodeSpace] = []
-    witnesses: list[tuple[Subgroup, np.ndarray]] = []
-    kept = _ProjectorSet(model.dim)
+    found, witnesses = [], []
     for sub in g.all_subgroups(max_order):
         index = sub.index()
         if model.dim % index != 0:
@@ -332,10 +369,8 @@ def q3_probe(
             count = _intertwiner_count(rho, res)
             if count != 1:
                 continue
-            code = clifford_code(model, sub, rho, res, count)
-            if kept.add_if_new(code.projector()):
-                found.append(code)
-                witnesses.append((sub, rho.character().values))
+            found.append(clifford_code(model, sub, rho, res, count))
+            witnesses.append((sub, rho.character().values))
     candidates = _classify_orbits(model, found, witnesses)
     hits = [
         report for report in candidates

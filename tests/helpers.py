@@ -283,6 +283,22 @@ class PairwiseDedup:
         return True
 
 
+def pairwise_enumerated(model) -> tuple[list, int]:
+    """enumerate_weak_stabilizer_codes with each code's projector compared to
+    every kept one (PairwiseDedup), as (found, codes built).  The codes are
+    the package's own, one per constituent, so only the dedup differs."""
+    from qeclab.codes import _constituent_phases, weak_stabilizer_code
+
+    kept, found, built = PairwiseDedup(model.dim), [], 0
+    for sub in model.group.all_subgroups():
+        for f in _constituent_phases(model, sub):
+            code = weak_stabilizer_code(model, sub, f)
+            built += 1
+            if kept.add_if_new(code.projector()):
+                found.append((sub, f, code))
+    return found, built
+
+
 # -- the per-element loops that the projreps stacks replaced -----------------
 
 

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import pairwise_enumerated
+
 import qeclab
 from qeclab.cli import main, parse_group_spec, parse_model_spec
+from qeclab.codes import classify
 
 
 def run(capsys, *argv):
@@ -188,6 +191,19 @@ def test_search_json_lines(capsys):
         report = json.loads(line)
         assert "flags" in report and "code" in report
     assert any("weak stabilizer codes" in l for l in lines)
+
+
+def test_search_stdout_matches_the_pairwise_oracle(capsys):
+    # each JSON line is classify's report of the code that comparing
+    # projectors pairwise keeps, in order, and the count follows
+    spec = "permprod(genpauli:2,2)"
+    rc, out, _ = run(capsys, "search", spec)
+    model = parse_model_spec(spec).model
+    found, built = pairwise_enumerated(model)
+    want = [json.dumps(classify(model, code).to_json()) for _, _, code in found]
+    assert rc == 0 and (len(want), built) == (95, 169)
+    lines = out.splitlines()
+    assert lines[: len(want) + 2] == want + ["", f"weak stabilizer codes for {spec}: 95"]
 
 
 def test_search_q3_flag(capsys):

@@ -5,17 +5,19 @@ from the codes' witnesses, and transports the report to the rest of the
 orbit.  Every report must equal a direct classify, byte for byte in JSON.
 """
 
+import contextlib
 import functools
+import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import CATALOG_64, relabeled_model
 
-from qeclab import codes, projreps
-from qeclab.cli import parse_model_spec
+from qeclab import cli, codes, projreps, search
+from qeclab.cli import main, parse_model_spec
 from qeclab.cocycles import _phase_values
 from qeclab.codes import CodeSpace, classify
 from qeclab.models import ProjectiveErrorModel
@@ -144,6 +146,51 @@ def test_batch_with_dropped_witnesses_matches_classify(monkeypatch):
     assert len(calls) == len(orbits) > 98
     monkeypatch.undo()
     assert _json(reports) == _json(classify(model, code) for code in batch)
+
+
+@functools.cache
+def _search_orbits(spec):
+    """(|G|, one list per _classify_orbits call of `qeclab search spec`, and
+    of `--q3` on a central-type model, of (|L|, orbit size) per orbit)."""
+    calls = []
+    raw = codes._classify_orbits
+
+    def classify_orbits(model, batch, witnesses):
+        reports = raw(model, batch, witnesses)
+        table = codes._conjugation_table(model.cocycle)
+        calls.append([
+            (len(reports[rep].logical), 1 + len(members))
+            for rep, members in codes._witness_orbits(model, witnesses, table)
+        ])
+        return reports
+
+    argvs = [["search", spec]]
+    if _model(spec).is_central_type():
+        argvs.append(["search", spec, "--q3"])
+    with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
+        m.setattr(cli, "_classify_orbits", classify_orbits)
+        m.setattr(search, "_classify_orbits", classify_orbits)
+        assert all(main(argv) == 0 for argv in argvs)
+    assert len(calls) == len(argvs)
+    return _model(spec).group.order, calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_SPECS))
+@example("permprod(genpauli:2,2)")
+def test_search_orbits_satisfy_orbit_stabilizer(spec):
+    # the logical group L of a code is its stabilizer under W -> pi(g)W, so
+    # a whole orbit has |L| |orbit| = |G|; a split orbit falls short
+    order, calls = _search_orbits(spec)
+    for orbits in calls:
+        assert all(logical * size == order for logical, size in orbits)
+
+
+def test_search_forms_whole_orbits_on_permprod():
+    # 95 codes, of which the witnesses (H, f) leave 74 duplicates unlisted:
+    # maximal witnesses link every orbit
+    order, [orbits] = _search_orbits("permprod(genpauli:2,2)")
+    assert len(orbits) == 22 and sum(size for _, size in orbits) == 95
 
 
 def _jittered(model, seed):

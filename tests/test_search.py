@@ -12,6 +12,7 @@ from helpers import (
     PairwiseDedup,
     commutant_split_oracle,
     isotypic_projector,
+    pairwise_enumerated,
     relabeled_model,
 )
 
@@ -135,102 +136,69 @@ def _witnesses(found):
     return [(sub.members, f.phases, code.projector()) for sub, f, code in found]
 
 
-def _summary(report):
-    out = report.to_json()
-    out.pop("code")
-    return out
-
-
-def test_projector_set_matches_pairwise_dedup():
-    rng = np.random.default_rng(3)
-    lines = [
-        CodeSpace.from_vectors(4, rng.normal(size=4) + 1j * rng.normal(size=4)).projector()
-        for _ in range(40)
-    ]
-    stream = [lines[i] + 1e-9 * rng.normal() for i in rng.integers(0, 40, size=300)]
-    fast, slow = search._ProjectorSet(4), PairwiseDedup(4)
-    assert [fast.add_if_new(p) for p in stream] == [slow.add_if_new(p) for p in stream]
-
-    # projectors of every rank 1..5 in dimension 6, plus same-rank near
-    # duplicates inside (5e-8) and outside (3e-7) the 1e-7 cut
-    codes = [
-        CodeSpace.from_vectors(6, rng.normal(size=(k, 6)) + 1j * rng.normal(size=(k, 6)))
-        for k in rng.integers(1, 6, size=30)
-    ]
-    assert {c.dim for c in codes} == {1, 2, 3, 4, 5}
-    projectors = [c.projector() for c in codes]
-
-    def perturbed(p, size):
-        a = rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)
-        h = a + a.conj().T
-        return p + size * h / np.linalg.norm(h)
-
-    stream = [projectors[i] + 1e-9 * rng.normal() for i in rng.integers(0, 30, size=200)]
-    stream += [perturbed(p, 5e-8) for p in projectors[:10]]
-    stream += [perturbed(p, 3e-7) for p in projectors[10:20]]
-    stream = [stream[i] for i in rng.permutation(len(stream))]
-    fast, slow = search._ProjectorSet(6), PairwiseDedup(6)
-    kept = [fast.add_if_new(p) for p in stream]
-    assert kept == [slow.add_if_new(p) for p in stream]
-    assert sum(kept) == len(slow.kept) > 30
-
-
-def _edge_pair(kept, p, sign):
-    """q = p + sign t A, t just below _tol.DERIVED, with |p - q|_F below
-    _tol.DERIVED (a duplicate) but the computed v(q) - v(p) past it, or None.
-
-    Cauchy-Schwarz is tight along A, so |v(q) - v(p)| and |p - q|_F are both
-    about t; which one the rounding leaves larger varies with p and t.
-    """
-    for step in range(1, 200):
-        q = p + sign * (_tol.DERIVED - step * 1e-17) * kept._a
-        near = max(np.linalg.norm(p - q), np.linalg.norm(np.stack([q]) - p, axis=(1, 2))[0])
-        if near < _tol.DERIVED and abs(kept._value(q) - kept._value(p)) > _tol.DERIVED:
-            return q
-    return None
-
-
-def test_dedup_window_holds_a_duplicate_past_its_edge():
-    # two projectors within _tol.DERIVED whose values lie just over
-    # _tol.DERIVED apart, the kept one below or above the new one: only the
-    # rounding slack puts the kept one inside the new one's window
-    dim = 6
-    rng = np.random.default_rng(8)
-    pairs = {}
-    for _ in range(40):
-        k = int(rng.integers(1, dim))
-        vectors = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
-        p = CodeSpace.from_vectors(dim, vectors).projector()
-        for sign in (1, -1):
-            q = _edge_pair(search._ProjectorSet(dim), p, sign)
-            if sign not in pairs and q is not None:
-                pairs[sign] = (p, q)
-        if len(pairs) == 2:
-            break
-    assert set(pairs) == {1, -1}
-    for p, q in pairs.values():
-        for stream in ([p, q], [q, p]):
-            fast, slow = search._ProjectorSet(dim), PairwiseDedup(dim)
-            assert [slow.add_if_new(x) for x in stream] == [True, False]
-            assert [fast.add_if_new(x) for x in stream] == [True, False]
-
-
-@pytest.mark.parametrize("spec", ["genpauli:8", "c2d2n:2", "oddfam:3"])
-def test_dedup_keeps_the_pairwise_choice(spec, monkeypatch):
-    # the vectorized dedup keeps the same first witness, in the same order,
-    # as comparing with each kept projector in turn
-    model = parse_model_spec(spec).model
+@pytest.mark.parametrize(
+    "spec, seed, dropped",
+    [
+        ("genpauli:8", None, 0),
+        ("c2d2n:2", None, 0),
+        ("oddfam:3", None, 0),
+        ("permprod(genpauli:2,2)", None, 74),
+        ("prod(genpauli:2,genpauli:4)", 3, 0),
+    ],
+    ids=["genpauli:8", "c2d2n:2", "oddfam:3", "permprod(genpauli:2,2)",
+         "prod(genpauli:2,genpauli:4)-relabeled"],
+)
+def test_dedup_keeps_the_pairwise_choice(spec, seed, dropped):
+    # the maximal-witness key keeps the same first witness, in the same
+    # order, as comparing each code's projector with every kept one
+    model = _catalog_model(spec)
+    if seed is not None:
+        model = relabeled_model(model, seed)
     found = enumerate_weak_stabilizer_codes(model)
-    hits, candidates = q3_probe(model, return_candidates=True)
-    monkeypatch.setattr(search, "_ProjectorSet", PairwiseDedup)
-    want_found = enumerate_weak_stabilizer_codes(model)
-    want_hits, want_candidates = q3_probe(model, return_candidates=True)
-    assert len(found) == len(want_found) > 16
-    for (s1, f1, p1), (s2, f2, p2) in zip(_witnesses(found), _witnesses(want_found)):
+    want, built = pairwise_enumerated(model)
+    assert built - len(want) == dropped
+    assert len(found) == len(want) > 16
+    for (s1, f1, p1), (s2, f2, p2) in zip(_witnesses(found), _witnesses(want)):
         assert s1 == s2 and f1 == f2
         assert np.abs(p1 - p2).max() < 1e-12
-    assert [_summary(r) for r in hits] == [_summary(r) for r in want_hits]
-    assert [_summary(r) for r in candidates] == [_summary(r) for r in want_candidates]
+
+
+@pytest.mark.parametrize("spec", ["c2d2n:2", "oddfam:3", "genpauli:8"])
+def test_q3_probe_candidates_are_distinct_codes(spec):
+    # q3_probe drops no candidate: each code is new to the pairwise dedup
+    _, candidates = q3_probe(_catalog_model(spec), return_candidates=True)
+    kept = PairwiseDedup(_catalog_model(spec).dim)
+    assert all(kept.add_if_new(r.code.projector()) for r in candidates)
+
+
+def test_enumerate_and_q3_build_no_projector_and_draw_nothing(monkeypatch):
+    # enumerate keys codes by exact maximal witnesses: it builds one code
+    # per kept key, forms no projector and draws no random number; q3_probe
+    # forms no projector either (its commutant split draws seeded numbers)
+    model = _catalog_model("permprod(genpauli:2,2)")
+    calls = {"projector": 0, "weak_stabilizer_code": 0}
+    raw_weak = search.weak_stabilizer_code
+
+    def projector(code):
+        calls["projector"] += 1
+        raise AssertionError("projector formed during the search")
+
+    def weak(*args):
+        calls["weak_stabilizer_code"] += 1
+        return raw_weak(*args)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("random number drawn during the enumeration")
+
+    monkeypatch.setattr(CodeSpace, "projector", projector)
+    monkeypatch.setattr(search, "weak_stabilizer_code", weak)
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", no_rng)
+        found = enumerate_weak_stabilizer_codes(model)
+    assert len(found) == calls["weak_stabilizer_code"] == 95
+    hits, candidates = q3_probe(_catalog_model("oddfam:3"), return_candidates=True)
+    assert (len(hits), len(candidates)) == (48, 115)
+    assert calls["projector"] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """tools/source_lines.py, whose per-module line counts CHANGES.md quotes, and
-a source check that each top-level name of qeclab is defined in one module."""
+source checks that each top-level name of qeclab is defined in one module and
+that no module imports a name it never uses."""
 
 import ast
 import subprocess
@@ -49,3 +50,25 @@ def test_no_top_level_name_is_defined_in_two_modules():
     twice = {name: sorted(mods) for name, mods in owners.items() if len(mods) > 1}
     twice.pop("__all__", None)
     assert twice == {}
+
+
+def _unused_imports(tree):
+    """Names a module imports (other than from __future__) that it never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names to re-export them, so it is left out
+    unused = {
+        path.name: _unused_imports(ast.parse(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
