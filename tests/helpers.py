@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from qeclab.cocycles import Cocycle, Phase, snap_phase_or_none
+from qeclab.codes import _constituent_phases, weak_stabilizer_code
 from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
 from qeclab.models import ProjectiveErrorModel
 from qeclab import _tol
@@ -287,8 +288,6 @@ def pairwise_enumerated(model) -> tuple[list, int]:
     """enumerate_weak_stabilizer_codes with each code's projector compared to
     every kept one (PairwiseDedup), as (found, codes built).  The codes are
     the package's own, one per constituent, so only the dedup differs."""
-    from qeclab.codes import _constituent_phases, weak_stabilizer_code
-
     kept, found, built = PairwiseDedup(model.dim), [], 0
     for sub in model.group.all_subgroups():
         for f in _constituent_phases(model, sub):

@@ -16,7 +16,7 @@ from helpers import (
     relabeled_model,
 )
 
-from qeclab import _tol, codes, projreps, search
+from qeclab import _tol, cocycles, codes, projreps, search
 from qeclab._linalg import orthonormal_columns
 from qeclab.cli import parse_model_spec
 from qeclab.codes import CodeSpace, clifford_code, code_dimension_formula, weak_stabilizer_code
@@ -163,6 +163,25 @@ def test_dedup_keeps_the_pairwise_choice(spec, seed, dropped):
         assert np.abs(p1 - p2).max() < 1e-12
 
 
+@pytest.mark.parametrize("spec", ["genpauli:4", "permprod(genpauli:2,2)"])
+def test_a_false_stabilizer_member_fails_the_confirmation(spec):
+    # a trace table whose column x is the identity's reads |T(x)| = d, so x
+    # joins every S'; outside the true S it must fail the confirmation
+    model = _catalog_model(spec)
+    g, sigma = model.group, model.cocycle
+    table = sigma.to_complex_table() * model.rep.character().values[g.mul]
+    grid = sigma.den * g.exponent()
+    sub = next(s for s in g.all_subgroups() if len(s) == 2)
+    nums, den, dims = codes._constituents(model, sub)
+    values = cocycles._phase_values(nums, den)
+    num = search._maximal_witnesses(model, sub, nums, den, values, dims, table, grid)
+    x = next(x for x in range(g.order) if (num[:, x] < 0).all())
+    forged = table.copy()
+    forged[:, x] = table[:, g.identity]
+    with pytest.raises(RuntimeError, match="failed its confirmation"):
+        search._maximal_witnesses(model, sub, nums, den, values, dims, forged, grid)
+
+
 @pytest.mark.parametrize("spec", ["c2d2n:2", "oddfam:3", "genpauli:8"])
 def test_q3_probe_candidates_are_distinct_codes(spec):
     # q3_probe drops no candidate: each code is new to the pairwise dedup
@@ -176,15 +195,14 @@ def test_enumerate_and_q3_build_no_projector_and_draw_nothing(monkeypatch):
     # per kept key, forms no projector and draws no random number; q3_probe
     # forms no projector either (its commutant split draws seeded numbers)
     model = _catalog_model("permprod(genpauli:2,2)")
-    calls = {"projector": 0, "weak_stabilizer_code": 0}
+    built = []
     raw_weak = search.weak_stabilizer_code
 
     def projector(code):
-        calls["projector"] += 1
         raise AssertionError("projector formed during the search")
 
     def weak(*args):
-        calls["weak_stabilizer_code"] += 1
+        built.append(args)
         return raw_weak(*args)
 
     def no_rng(*args, **kwargs):
@@ -195,10 +213,9 @@ def test_enumerate_and_q3_build_no_projector_and_draw_nothing(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(np.random, "default_rng", no_rng)
         found = enumerate_weak_stabilizer_codes(model)
-    assert len(found) == calls["weak_stabilizer_code"] == 95
+    assert len(found) == len(built) == 95
     hits, candidates = q3_probe(_catalog_model("oddfam:3"), return_candidates=True)
     assert (len(hits), len(candidates)) == (48, 115)
-    assert calls["projector"] == 0
 
 
 @pytest.mark.parametrize(
