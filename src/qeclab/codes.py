@@ -37,9 +37,13 @@ cocycles are the ones the lattice's subgroups already carry.
 
 The error group moves codes to codes: pi(g)* pi(x) pi(g) = lambda_g(x)
 pi(g^-1 x g) for an exact phase lambda_g, tabulated for every (g, x) by
-projreps._conjugation_table, so the report of pi(g)W follows from W's.  A batch of codes, each with the witness that built it, is
-classified once per orbit of G and transported to the other members
-(_classify_orbits); search and the CLI's search classify that way.
+projreps._conjugation_table, so the report of pi(g)W follows from W's.  A
+batch of codes, each with a witness that fixes it, is classified once per
+orbit of G and transported to the other members (_classify_orbits);
+search and the CLI's search classify that way.  The orbits, and the g
+that moves each representative to each member, come from the witnesses
+alone, one gather over G per representative (_witness_orbits); they are
+whole on any list of code-invariant witnesses.
 """
 
 from __future__ import annotations
@@ -692,8 +696,8 @@ def _on_grid(chis: np.ndarray) -> np.ndarray:
     """The values of each chi along the last axis in steps of _tol.DERIVED,
     real and imaginary parts interleaved: search._canonical_key's key of a
     constituent, and the key of a witness."""
-    steps = np.rint(np.stack([chis.real, chis.imag], axis=-1) / _tol.DERIVED)
-    return steps.reshape(*chis.shape[:-1], -1).astype(np.int64)
+    parts = np.ascontiguousarray(chis, dtype=np.complex128).view(np.float64)
+    return np.rint(parts / _tol.DERIVED).astype(np.int64)
 
 
 def _witness_orbits(
@@ -710,63 +714,54 @@ def _witness_orbits(
     (gHg^-1, x -> lambda_g(x) chi(g^-1 x g)) a witness of pi(g)W.  Two
     witnesses on one subgroup whose values agree on the _tol.DERIVED grid fix
     the same code: the characters of distinct constituents, and distinct
-    phase functions, differ by far more.  So when the image of witness i
-    under a generator s of G is witness j, code j is pi(s) code i.
+    phase functions, differ by far more.  So when the image of a
+    representative's witness under g is witness j, code j is pi(g) times
+    the representative's code.
 
-    The images are gathered once per witness subgroup and generator, for all
-    witnesses on that subgroup together.  A breadth-first walk from each
-    witness not yet reached, in index order, composes g along its path.  An
-    image that is no witness in the list is not followed.  The orbits are
-    whole when every witness is its code's maximal witness (S, f_S) and the
-    list holds every code of an orbit, as qeclab search passes them: g
-    carries W's maximal witness to pi(g)W's, which is then in the list.
-    On a partial list, or with witnesses that another witness of the same
-    code replaced, an orbit may come out split; each part is then
+    Each witness not yet reached, in index order, is a representative: its
+    images under every g of G are gathered at once and looked up in one
+    index of the listed witnesses, and each witness not yet reached that an
+    image hits joins the orbit with the least such g.  A key is the int64
+    members of the subgroup followed by the grid values, so its length
+    3|H| fixes |H| and keys of different subgroups cannot collide.  Every g
+    is tried, so a member is reached directly, with no chain through other
+    listed witnesses.
+
+    When every witness is a code invariant, one that the code alone
+    determines, g carries W's witness to pi(g)W's, so every listed member
+    of the orbit is reached and the orbits are whole on any sub-list of the
+    codes.  The maximal witness (S, f_S) of an enumerated code is one: S is
+    the set of x that act on W as a scalar and f_S that scalar.  So is
+    q3_probe's (H, chi_rho), as L(W) = H there and chi_rho is the
+    character of L's action on W.  A witness (H, f) with H below the
+    stabilizer is not, and its orbits may come out split; each part is then
     classified on its own, and nothing depends on finding a whole orbit.
     table is projreps._conjugation_table(model.cocycle).
     """
-    grp = model.group
-    by_sub: dict[tuple[int, ...], list[int]] = {}
-    for i, (sub, _) in enumerate(witnesses):
-        by_sub.setdefault(sub.members, []).append(i)
-    chis = {members: np.array([witnesses[i][1] for i in idx]) for members, idx in by_sub.items()}
-    index: dict[tuple, int] = {}
-    for members, idx in by_sub.items():
-        for i, row in zip(idx, _on_grid(chis[members])):
-            index.setdefault((members, row.tobytes()), i)
-    gens = grp.greedy_generators()
-    conj = table.elements[gens]
-    lam = table.roots[table.turns[gens]]              # [k, y]: lambda_{s_k}(s_k y s_k^-1)
-    edges: list[list[tuple[int, int]]] = [[] for _ in witnesses]
-    for members, idx in by_sub.items():
-        mem = np.array(members)
-        xs = conj[:, mem]
-        order = np.argsort(xs, axis=1)                   # row k sorts s_k H s_k^-1
-        images = np.take_along_axis(xs, order, axis=1).tolist()
-        steps = _on_grid(chis[members][:, order] * np.take_along_axis(lam[:, mem], order, axis=1))
-        for k, s in enumerate(gens):
-            image = tuple(images[k])
-            if image not in by_sub:
-                continue
-            for i, row in zip(idx, steps[:, k]):
-                j = index.get((image, row.tobytes()))
-                if j is not None and j != i:
-                    edges[i].append((s, j))
+    index: dict[bytes, int] = {}
+    for i, (sub, chi) in enumerate(witnesses):
+        key = np.concatenate([sub.members, _on_grid(chi)], dtype=np.int64)
+        index.setdefault(key.tobytes(), i)
+    gs = np.arange(len(table.elements))[:, None]
     reached = [False] * len(witnesses)
     orbits = []
-    for rep in range(len(witnesses)):
+    for rep, (sub, chi) in enumerate(witnesses):
         if reached[rep]:
             continue
         reached[rep] = True
-        moved = {rep: grp.identity}
-        queue = [rep]
-        for i in queue:
-            for s, j in edges[i]:
-                if not reached[j]:
-                    reached[j] = True
-                    moved[j] = int(grp.mul[s, moved[i]])
-                    queue.append(j)
-        orbits.append((rep, [(j, moved[j]) for j in queue[1:]]))
+        mem = np.array(sub.members)
+        order = np.argsort(table.elements[:, mem], axis=1)   # row g sorts gHg^-1
+        ys = mem[order]
+        turned = chi[order] * table.roots[table.turns[gs, ys]]
+        keys = np.concatenate([table.elements[gs, ys], _on_grid(turned)], axis=1, dtype=np.int64)
+        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))   # one key per g
+        members = []
+        for g, key in enumerate(rows.ravel().tolist()):
+            j = index.get(key)
+            if j is not None and not reached[j]:
+                reached[j] = True
+                members.append((j, g))
+        orbits.append((rep, members))
     return orbits
 
 
@@ -781,7 +776,9 @@ def _classify_orbits(
 
     witnesses[i] is a witness (H, chi) that fixes codes[i] (see
     _witness_orbits): the maximal witness (S, f_S.values) of an enumerated
-    code, (H, chi_rho) for q3_probe's constituent rho.  A representative whose
+    code, (H, chi_rho) for q3_probe's constituent rho.  Both are code
+    invariants, so each orbit met by the batch is classified once, however
+    many of its codes the batch leaves out.  A representative whose
     stabilizer phase is not exact everywhere transports nothing, and its
     members are classified directly.
     """

@@ -153,6 +153,7 @@ def _enumerate(model: ProjectiveErrorModel, max_order: int | None, max_dim: int 
             continue
         values = _phase_values(nums, den)
         num = _maximal_witnesses(model, sub, nums, den, values, dims, table, grid)
+        phases = _phase_values(num % grid, grid)      # f_S's values, read on S only
         for i in range(len(dims)):
             if num[i].tobytes() in seen:
                 continue
@@ -163,10 +164,7 @@ def _enumerate(model: ProjectiveErrorModel, max_order: int | None, max_dim: int 
                 raise RuntimeError("constituent with an empty code space")
             found.append((sub, f, code))
             members = np.flatnonzero(num[i] >= 0)
-            if len(members) == len(sub):
-                witnesses.append((sub, values[i]))
-            else:
-                witnesses.append((g._intern(members), _phase_values(num[i, members], grid)))
+            witnesses.append((g._intern(members.tolist()), phases[i, members]))
     return found, witnesses
 
 
@@ -349,8 +347,10 @@ def q3_probe(
     H's action on W.  Two candidates on different subgroups have different
     logical groups, and two on one subgroup are non-isomorphic
     constituents, since isomorphic ones would make the multiplicity at
-    least 2; their characters differ, and so do their codes.  The witness
-    of pi(g)W is g's image of W's, so the orbits are whole.
+    least 2; their characters differ, and so do their codes.  So
+    (H, chi_rho) is a code invariant: g carries W's witness to pi(g)W's,
+    and codes._witness_orbits finds each orbit whole, every member reached
+    from its representative by one g.
     """
     if not model.is_central_type():
         raise SearchError("the probe only applies to central-type models")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import CATALOG_64, relabeled_model
 
-from qeclab import cli, codes, projreps, search
+from qeclab import _tol, cli, codes, projreps, search
 from qeclab.cli import main, parse_model_spec
 from qeclab.cocycles import _phase_values
 from qeclab.codes import CodeSpace, classify
@@ -133,8 +133,9 @@ def test_conjugation_phase_is_projreps_theta_x_scale(spec):
 
 
 def test_batch_with_dropped_witnesses_matches_classify(monkeypatch):
-    # every third enumerated code is left out, so some orbits lose the
-    # witness that linked their members and come out split
+    # every third enumerated code is left out; each member is reached from
+    # its representative by one g, so the kept codes form one part per
+    # orbit they meet
     model, found = _enumerated("prod(genpauli:2,genpauli:4)")
     kept = [entry for i, entry in enumerate(found) if i % 3]
     batch = [code for _, _, code in kept]
@@ -143,7 +144,7 @@ def test_batch_with_dropped_witnesses_matches_classify(monkeypatch):
     assert sum(1 + len(members) for _, members in orbits) == len(batch)
     calls = _count_actions(monkeypatch)
     reports = codes._classify_orbits(model, batch, witnesses)
-    assert len(calls) == len(orbits) > 98
+    assert len(calls) == len(orbits) == 97
     monkeypatch.undo()
     assert _json(reports) == _json(classify(model, code) for code in batch)
 
@@ -191,6 +192,117 @@ def test_search_forms_whole_orbits_on_permprod():
     # maximal witnesses link every orbit
     order, [orbits] = _search_orbits("permprod(genpauli:2,2)")
     assert len(orbits) == 22 and sum(size for _, size in orbits) == 95
+
+
+def _on_grid_by_stack(chis):
+    steps = np.rint(np.stack([chis.real, chis.imag], axis=-1) / _tol.DERIVED)
+    return steps.reshape(*chis.shape[:-1], -1).astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_on_grid_interleaves_real_and_imaginary_parts(seed):
+    rng = np.random.default_rng(seed)
+    full = rng.normal(size=(6, 10)) + 1j * rng.normal(size=(6, 10))
+    for chis in [full[2], full, full[:, ::3], full[1::2, 2:7], full.T, full[:, 4]]:
+        got = codes._on_grid(chis)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _on_grid_by_stack(chis))
+    assert codes._on_grid(full[:0]).shape == (0, 20)
+
+
+@functools.cache
+def _q3_batch(spec):
+    """(model, candidates, witnesses) of the _classify_orbits call of
+    q3_probe(model, return_candidates=True)."""
+    model = _model(spec)
+    batches = []
+    raw = codes._classify_orbits
+
+    def classify_orbits(model, batch, witnesses):
+        batches.append((batch, witnesses))
+        return raw(model, batch, witnesses)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_classify_orbits", classify_orbits)
+        q3_probe(model, return_candidates=True)
+    [(batch, witnesses)] = batches
+    return model, batch, witnesses
+
+
+_CENTRAL_SPECS = [s for s in _SPECS if _model(s).is_central_type()]
+
+
+@pytest.mark.parametrize("spec", _CENTRAL_SPECS)
+def test_q3_witnesses_are_code_invariants(spec):
+    # a candidate (H, rho) has pi = Ind rho, so L(W) = H, and pi(h) acts on
+    # W as a scalar exactly where |chi_rho(h)| = dim rho
+    model, batch, witnesses = _q3_batch(spec)
+    for code, (sub, chi) in zip(batch, witnesses):
+        report = classify(model, code)
+        assert report.logical.members == sub.members
+        assert abs(chi[sub.members.index(model.group.identity)] - code.dim) < _tol.DERIVED
+        scalar = np.abs(np.abs(chi) - code.dim) < _tol.DERIVED
+        assert report.stabilizer.members == tuple(np.array(sub.members)[scalar].tolist())
+
+
+@functools.cache
+def _whole_batches(spec):
+    """[(model, codes, witnesses, direct classify JSON, orbit label of each
+    code)] for search._enumerate's codes and maximal witnesses and, on a
+    central-type model, for q3_probe's candidates.  The labels are
+    _witness_orbits' parts on the whole batch, proven to be orbits: each
+    member is pi(g) times its representative, and each part has [G:L]
+    distinct codes, which is all of the representative's orbit."""
+    model = _model(spec)
+    found, witnesses = search._enumerate(model, None, None)
+    batches = [([code for _, _, code in found], witnesses)]
+    if model.is_central_type():
+        batches.append(_q3_batch(spec)[1:])
+    out = []
+    table = codes._conjugation_table(model.cocycle)
+    for batch, wits in batches:
+        direct = _json(classify(model, code) for code in batch)
+        label = [None] * len(batch)
+        for rep, members in codes._witness_orbits(model, wits, table):
+            assert len(direct[rep]["logical"]) * (1 + len(members)) == model.group.order
+            for i in [rep] + [j for j, _ in members]:
+                label[i] = rep
+            for j, g in members:
+                assert _moved_projector_deviation(model, batch, rep, j, g) < 1e-9
+        out.append((model, batch, wits, direct, label))
+    return out
+
+
+def _moved_projector_deviation(model, batch, rep, j, g):
+    moved = model.rep.matrices[g] @ batch[rep].basis
+    return np.linalg.norm(batch[j].projector() - moved @ moved.conj().T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_SPECS), st.lists(st.booleans(), min_size=1, max_size=12))
+@example("oddfam:3", [False, True, True])
+@example("prod(genpauli:2,genpauli:4)", [False, True, True])
+def test_orbits_are_whole_on_sub_lists_of_invariant_witnesses(spec, pattern):
+    # code i is kept when pattern[i % len(pattern)]: the parts of the kept
+    # codes are the orbits they meet, each member reached by one g
+    for model, batch, wits, direct, label in _whole_batches(spec):
+        kept = [i for i in range(len(batch)) if pattern[i % len(pattern)]]
+        sub_batch = [batch[i] for i in kept]
+        table = codes._conjugation_table(model.cocycle)
+        orbits = codes._witness_orbits(model, [wits[i] for i in kept], table)
+        parts = {}
+        for rep, members in orbits:
+            part = sorted(kept[i] for i in [rep, *(j for j, _ in members)])
+            assert part[0] == kept[rep]
+            parts[label[kept[rep]]] = part
+            for j, g in members:
+                assert _moved_projector_deviation(model, sub_batch, rep, j, g) < 1e-9
+        met = {}
+        for i in kept:
+            met.setdefault(label[i], []).append(i)
+        assert len(orbits) == len(parts) == len(met) and parts == met
+        reports = codes._classify_orbits(model, sub_batch, [wits[i] for i in kept])
+        assert _json(reports) == [direct[i] for i in kept]
 
 
 def _jittered(model, seed):
