@@ -312,8 +312,6 @@ def clifford_code(
     model: ProjectiveErrorModel,
     sub: Subgroup,
     rho: ProjectiveRep,
-    _res: ProjectiveRep | None = None,
-    _count: int | None = None,
 ) -> CodeSpace:
     """Image of the unique intertwiner from rho into the restricted action.
 
@@ -328,18 +326,17 @@ def clifford_code(
     least 1/sqrt(dim V dim rho), nonzero, and no draw decides the result.
     It is checked to intertwine on every x before its image is taken.
 
-    q3_probe passes the restriction of pi and its count, which it has just
-    made, as the private _res and _count, positionally so that a wrapper
-    taking *args still sees them; without them both are computed here.
+    search.q3_probe takes the same space from the eigenspace that split
+    rho off pi|H, with the same checks (see there).
     """
     if not is_irreducible(rho):
         raise CodeError("clifford_code: the small representation must be irreducible")
-    res = restrict(model.rep, sub) if _res is None else _res
+    res = restrict(model.rep, sub)
     if rho.cocycle != res.cocycle:
         raise CodeError(
             "clifford_code: the small representation's cocycle must equal the restricted cocycle"
         )
-    count = _intertwiner_count(rho, res) if _count is None else _count
+    count = _intertwiner_count(rho, res)
     if count != 1:
         raise CodeError(
             f"clifford_code: need multiplicity one, got intertwiner space of dim {count}"

@@ -296,26 +296,26 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     edges in [delta, _tol.EXACT) refuse nothing that the all-pairs check
     accepts.
 
-    When the edge-column snap, the guard or the validation raises
-    MakeRepError, all n^2 scalars are snapped and that table is validated
-    instead, so every error names the first failing (x, y) in row-major
-    order.  Either way snap_phase runs once per group of scalars of one
-    angle, and every scalar is then checked against its group's phase (see
-    cocycles._snap_phases).
+    Snapping all n^2 scalars would decide no differently: when it and its
+    validation succeed, the edge scalars snap to the same phases, whose
+    fill is that cocycle, so this path accepts the same cocycle; and when
+    this path accepts, that is the cocycle every scalar snaps to, as shown
+    above.  A snap failure names the first failing edge (x, y), y in
+    walk.cols, in row-major order over the edge columns; snap_phase runs
+    once per group of scalars of one angle, and every scalar is then
+    checked against its group's phase (see cocycles._snap_phases).  A
+    filled entry above the guard names the first such (x, y).
     """
     matrices = np.asarray(matrices, dtype=complex)
     n = group.order
     if matrices.shape[0] != n:
         raise MakeRepError("need one matrix per group element")
-    try:
-        num, den = _snap_scalars(_raw_scalars(group, matrices, edges=True), 4 * n)
-        num = _fill_cocycle(group, num, den)
-        if (den // np.gcd(num, den)).max() > 4 * n:
-            raise MakeRepError("filled cocycle has a denominator above 4|G|")
-        return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
-    except MakeRepError:
-        pass
-    num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * n)
+    num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * n, group._cayley_walk().cols)
+    num = _fill_cocycle(group, num, den)
+    over = np.flatnonzero(den // np.gcd(num, den) > 4 * n)
+    if over.size:
+        x, y = divmod(int(over[0]), n)
+        raise MakeRepError(f"filled cocycle has a denominator above 4|G| at ({x},{y})")
     return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
 
 
@@ -388,13 +388,13 @@ def _row_deviations(m, right, ends, scales):
         yield rows, np.sqrt(np.einsum("xyk,xyk->xy", parts, parts).max(axis=1))
 
 
-def _raw_scalars(group: FiniteGroup, matrices: np.ndarray, edges: bool = False) -> np.ndarray:
-    """tr(pi(x) pi(y) pi(xy)^*) / dim, one row per x, for every y, or for y
-    over the Cayley-edge columns walk.cols when edges is set; from
+def _raw_scalars(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
+    """tr(pi(x) pi(y) pi(xy)^*) / dim, one row per x, for y over the
+    Cayley-edge columns walk.cols of the group's cached walk; from
     _row_products."""
     n, dim = matrices.shape[0], matrices.shape[1]
     walk = group._cayley_walk()
-    right, ends = (matrices[walk.cols], walk.ends) if edges else (matrices, group.mul)
+    right, ends = matrices[walk.cols], walk.ends
     flat_conj = matrices.reshape(n, -1).conj()
     raw = np.empty(ends.shape, dtype=complex)
     for block, products in _row_products(matrices, right):
@@ -424,19 +424,22 @@ def _row_products(m: np.ndarray, right: np.ndarray | None = None):
         yield slice(a, a + len(block)), products.transpose(0, 2, 1, 3)
 
 
-def _snap_scalars(raw: np.ndarray, max_den: int) -> tuple[np.ndarray, int]:
-    """snap_phase on every entry of raw, as numerators over one denominator.
+def _snap_scalars(raw: np.ndarray, max_den: int, cols) -> tuple[np.ndarray, int]:
+    """snap_phase on every entry of raw, as numerators over one denominator;
+    raw[x, j] is the scalar of the pair (x, cols[j]).
 
     The entries are snapped by groups (cocycles._snap_phases), which gives
     snap_phase's result on every entry.  When an entry fails, the first in
-    row-major order raises MakeRepError with snap_phase's reason.
+    row-major order raises MakeRepError naming its pair, with snap_phase's
+    reason.
     """
     num, den, snapped = _snap_phases(raw, max_den)
     failed = np.flatnonzero(~snapped)
     if failed.size:
-        x, y = divmod(int(failed[0]), raw.shape[1])
+        x, j = divmod(int(failed[0]), raw.shape[1])
+        y = int(cols[j])
         try:
-            snap_phase(complex(raw[x, y]), max_den)
+            snap_phase(complex(raw[x, j]), max_den)
         except PhaseSnapError as exc:
             raise MakeRepError(
                 f"scalar snap failed at ({x},{y}): matrices do not form a projective rep ({exc})"

@@ -19,14 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import _tol
-from ._linalg import compress, orthonormal_columns
+from ._linalg import compress
 from .cocycles import PhaseFunction, _phase_values
 from .codes import (
     CodeSpace,
     _classify_orbits,
     _constituents,
     _on_grid,
-    clifford_code,
     weak_stabilizer_code,
 )
 from .groups import Subgroup, max_group_order
@@ -276,34 +275,41 @@ def _checked_piece(rep: ProjectiveRep, basis: np.ndarray) -> ProjectiveRep | Non
     return ProjectiveRep(rep.group, action, rep.cocycle, validate=False)
 
 
-def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
-    """Split a projective rep into irreducible invariant-subspace restrictions.
+def _split_constituents(rep: ProjectiveRep) -> list[tuple[ProjectiveRep, np.ndarray]]:
+    """Split a projective rep into irreducible invariant-subspace restrictions,
+    as (piece, B) pairs: B the orthonormal columns spanning the piece's
+    subspace, and the piece rep's action B* rep(x) B on it.
 
     A random Hermitian element of the commutant (_commutant_element)
     generically has one eigenvalue per irreducible constituent, counting
     copies of isomorphic ones separately (Dixon, Math. Comp. 61, 1993).
     Degenerate draws are detected by the per-piece irreducibility check
-    and retried with the next seed.  Each piece is rep's action on an
+    and retried with the next seed.  B is a block of eigh's eigenvectors,
+    used as it is, with no second orthonormalization: |B*B - 1|_F is a
+    rounding of order dim * eps (under 3e-15 on the order-64 models), which
+    _checked_piece's margins, at least delta/4 = 2e-12 at order 64, and
+    CodeSpace's _tol.EXACT cover.  Each piece is rep's action on an
     eigenspace, kept with rep's cocycle.  When rep leaves the margins of
     _margins_hold (checked once per split), a piece is accepted by
     _checked_piece's invariance test on the generators, which implies that
     rep.on_subspace would accept it; any other piece goes through
     rep.on_subspace itself.  So the pieces, and every verdict, are those
     of on_subspace.  They are returned sorted by _canonical_key, so the
-    order does not depend on the draw except among isomorphic pieces.
+    order does not depend on the draw except among isomorphic pieces.  An
+    irreducible rep is its own piece, with B = 1.
     """
     if is_irreducible(rep):
-        return [rep]
+        return [(rep, np.eye(rep.dim, dtype=complex))]
     dim = rep.dim
     margins = _margins_hold(rep)
     for attempt in range(_SPLIT_ATTEMPTS):
         evals, evecs = np.linalg.eigh(_commutant_element(rep, _SPLIT_SEED + attempt))
-        pieces: list[ProjectiveRep] = []
+        pieces: list[tuple[ProjectiveRep, np.ndarray]] = []
         start = 0
         for k in range(1, dim + 1):
             if k < dim and evals[k] - evals[k - 1] < _tol.EIGENGAP * max(1.0, abs(evals[k])):
                 continue
-            basis = orthonormal_columns(evecs[:, start:k])
+            basis = evecs[:, start:k]
             start = k
             piece = _checked_piece(rep, basis) if margins else None
             if piece is None:
@@ -313,10 +319,15 @@ def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
                     break
             if not is_irreducible(piece):
                 break
-            pieces.append(piece)
+            pieces.append((piece, basis))
         else:
-            return sorted(pieces, key=_canonical_key)
+            return sorted(pieces, key=lambda pair: _canonical_key(pair[0]))
     raise RuntimeError("commutant sampling failed to split the representation")
+
+
+def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
+    """The pieces of _split_constituents, without their bases."""
+    return [piece for piece, _ in _split_constituents(rep)]
 
 
 def q3_probe(
@@ -351,6 +362,22 @@ def q3_probe(
     (H, chi_rho) is a code invariant: g carries W's witness to pi(g)W's,
     and codes._witness_orbits finds each orbit whole, every member reached
     from its representative by one g.
+
+    Each candidate's code is the split basis B of its constituent
+    (_split_constituents), with no second construction.  rho = B* pi|H B
+    on a span that pi|H leaves invariant, so pi(h)B = B rho(h): the
+    inclusion B is an intertwiner from rho into pi|H.  As <rho, pi|H> = 1,
+    Hom(rho, pi|H) is spanned by B, so the image of the one intertwiner,
+    the rho-isotypic component of pi|H that codes.clifford_code builds, is
+    span(B).  Every check of clifford_code holds here:
+    - rho is irreducible: the split checks every piece;
+    - rho has the restriction's cocycle: the piece keeps its cocycle object;
+    - multiplicity one: _intertwiner_count(rho, pi|H) == 1;
+    - [G:H] dim rho = dim V: the target filter;
+    - the intertwiner test on every h in H, with t = B:
+      |pi(h)B - B rho(h)|_F <= _tol.SCAN sqrt(dim rho) = _tol.SCAN |B|_F,
+      clifford_code's bound, and RuntimeError otherwise;
+    - injectivity: B has orthonormal columns.
     """
     if not model.is_central_type():
         raise SearchError("the probe only applies to central-type models")
@@ -363,13 +390,13 @@ def q3_probe(
             continue
         target = model.dim // index
         res = restrict(model.rep, sub)
-        for rho in _irreducible_constituents(res):
-            if rho.dim != target:
+        for rho, basis in _split_constituents(res):
+            if rho.dim != target or _intertwiner_count(rho, res) != 1:
                 continue
-            count = _intertwiner_count(rho, res)
-            if count != 1:
-                continue
-            found.append(clifford_code(model, sub, rho, res, count))
+            moved = np.linalg.norm(res.matrices @ basis - basis @ rho.matrices, axis=(1, 2))
+            if not moved.max() <= _tol.SCAN * np.sqrt(rho.dim):
+                raise RuntimeError("q3_probe: a split basis is not an intertwiner")
+            found.append(CodeSpace(model.dim, basis))
             witnesses.append((sub, rho.character().values))
     candidates = _classify_orbits(model, found, witnesses)
     hits = [

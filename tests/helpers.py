@@ -19,7 +19,6 @@ from qeclab import _tol
 from qeclab.projreps import (
     MakeRepError,
     ProjectiveRep,
-    _raw_scalars,
     _row_products,
     _snap_scalars,
     make_rep,
@@ -321,15 +320,17 @@ def kron_hom_basis(r1, r2) -> list[np.ndarray]:
 
 
 def raw_scalars_per_row(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
-    """tr(pi(x) pi(y) pi(xy)^*) / dim, one matmul pi(x) @ [pi(0) ... pi(n-1)]
-    per row."""
+    """tr(pi(x) pi(y) pi(xy)^*) / dim for y over the Cayley-edge columns
+    walk.cols, one matmul pi(x) @ [pi(c) for c in walk.cols] per row."""
     n, dim = group.order, matrices.shape[1]
-    wide = matrices.transpose(1, 0, 2).reshape(dim, n * dim)
+    walk = group._cayley_walk()
+    r = len(walk.cols)
+    wide = matrices[walk.cols].transpose(1, 0, 2).reshape(dim, r * dim)
     flat_conj = matrices.reshape(n, -1).conj()
-    raw = np.empty((n, n), dtype=complex)
+    raw = np.empty((n, r), dtype=complex)
     for x in range(n):
-        products = (matrices[x] @ wide).reshape(dim, n, dim).transpose(1, 0, 2).reshape(n, -1)
-        raw[x] = np.einsum("yk,yk->y", products, flat_conj[group.mul[x]]) / dim
+        products = (matrices[x] @ wide).reshape(dim, r, dim).transpose(1, 0, 2).reshape(r, -1)
+        raw[x] = np.einsum("yk,yk->y", products, flat_conj[walk.ends[x]]) / dim
     return raw
 
 
@@ -488,7 +489,8 @@ def character_rows_oracle(group: FiniteGroup) -> tuple[list[list[int]], int, int
 def make_rep_full_snap(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     """make_rep by snapping all n^2 scalars, then validating every pair."""
     matrices = np.asarray(matrices, dtype=complex)
-    num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * group.order)
+    n = group.order
+    num, den = _snap_scalars(raw_scalar_table(group, matrices), 4 * n, range(n))
     return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
 
 

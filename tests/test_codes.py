@@ -621,21 +621,25 @@ def test_clifford_code_matches_the_hom_space_oracle():
 
 @pytest.mark.parametrize("spec", ["c2d2n:2", "oddfam:3"])
 def test_clifford_code_matches_the_oracle_on_every_probe_pair(spec):
-    # every (H, rho) that q3_probe passes to clifford_code
-    from qeclab.search import _irreducible_constituents
+    # every (H, rho) that q3_probe makes a candidate of, in its order; the
+    # candidate's code, its split basis, is clifford_code's space
+    from qeclab.search import _irreducible_constituents, q3_probe
 
     model = parse_model_spec(spec).model
-    pairs = 0
-    for sub in model.group.all_subgroups():
-        res = projreps.restrict(model.rep, sub)
-        for rho in _irreducible_constituents(res):
-            if sub.index() * rho.dim != model.dim or projreps._intertwiner_count(rho, res) != 1:
-                continue
-            got = clifford_code(model, sub, rho)
-            want = clifford_code_oracle(model, sub, rho)
-            assert np.linalg.norm(got.projector() - want.projector()) < _tol.DERIVED
-            pairs += 1
-    assert pairs > 40
+    pairs = [
+        (sub, rho)
+        for sub in model.group.all_subgroups()
+        for res in [projreps.restrict(model.rep, sub)]
+        for rho in _irreducible_constituents(res)
+        if sub.index() * rho.dim == model.dim and projreps._intertwiner_count(rho, res) == 1
+    ]
+    candidates = q3_probe(model, return_candidates=True)[1]
+    assert len(pairs) == len(candidates) > 40
+    for (sub, rho), report in zip(pairs, candidates):
+        got = clifford_code(model, sub, rho)
+        want = clifford_code_oracle(model, sub, rho)
+        assert np.linalg.norm(got.projector() - want.projector()) < _tol.DERIVED
+        assert np.abs(report.code.projector() - got.projector()).max() < 1e-11
 
 
 # Positions, in enumerate order, of the 19 of the 147 codes of c2d2n:8 that
@@ -843,6 +847,34 @@ def test_classify_is_invariant_under_twisting_by_quarter_turns(data):
     stab = before.stabilizer
     f_stab = PhaseFunction.exact(stab, [f.phases[x] for x in stab.members])
     assert after.stabilizer_phase.to_json() == before.stabilizer_phase.multiply(f_stab).to_json()
+
+
+@functools.cache
+def _enumerated_witnesses(spec):
+    model = parse_model_spec(spec).model
+    return model, enumerate_weak_stabilizer_codes(model)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_code_dimension_is_invariant_under_twisting(data):
+    # pi'(x) = phi(x) pi(x) with phi exact and phi(e) = 1 has the cocycle
+    # sigma dphi, and pi(h)v = f(h)v exactly when pi'(h)v = f(h)phi(h)v: the
+    # (H, f) code of M is the (H, f phi|H) code of M', of the same dimension
+    model, found = _enumerated_witnesses(data.draw(st.sampled_from(TWIST_SPECS)))
+    g = model.group
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
+    nums = data.draw(st.lists(st.integers(0, den - 1), min_size=g.order, max_size=g.order))
+    nums[g.identity] = 0
+    phi = PhaseFunction.exact(g.full_subgroup(), [Phase(k, den) for k in nums])
+    twisted = ProjectiveErrorModel(model.rep.twist(phi), label=model.label)
+    for sub, f, code in found:
+        f_twisted = f.multiply(PhaseFunction.exact(sub, [phi.phases[x] for x in sub.members]))
+        dim = code_dimension_formula(twisted, sub, f_twisted)
+        assert dim == code_dimension_formula(model, sub, f) == code.dim
+        again = weak_stabilizer_code(twisted, sub, f_twisted)
+        assert np.abs(again.projector() - code.projector()).max() < 1e-12
+    assert len(enumerate_weak_stabilizer_codes(twisted)) == len(found)
 
 
 def test_classify_reads_tilted_codes_without_raising():

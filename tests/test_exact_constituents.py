@@ -18,7 +18,7 @@ from helpers import (
 )
 from test_codes import WALK_SPECS
 
-from qeclab import _tol, cocycles, codes, projreps, search
+from qeclab import _tol, cocycles, codes, projreps
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import (
     Cocycle,
@@ -34,7 +34,7 @@ from qeclab.cocycles import (
     snap_phase_or_none,
 )
 from qeclab.groups import cyclic
-from qeclab.search import enumerate_weak_stabilizer_codes, q3_probe
+from qeclab.search import enumerate_weak_stabilizer_codes
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,33 +246,3 @@ def test_snap_phase_reports_the_distance_it_tested():
         snap_phase(z, 4)
     reported = float(re.search(r"is (\S+) away", str(info.value)).group(1))
     assert reported == abs(1 - z / abs(z))
-
-
-# ------------------------------------------------ one count per Clifford candidate
-
-
-def test_q3_probe_hands_clifford_code_its_restriction_and_count(monkeypatch):
-    model = parse_model_spec("oddfam:3").model
-    raw = search.clifford_code
-    passed = []
-
-    def clifford(*args):
-        passed.append(args[3:])
-        return raw(*args)
-
-    monkeypatch.setattr(search, "clifford_code", clifford)
-    hits, candidates = q3_probe(model, return_candidates=True)
-    assert (len(hits), len(candidates)) == (48, 115)
-    assert passed and all(res is not None and count == 1 for res, count in passed)
-    monkeypatch.undo()
-    sub, rho = next(
-        (sub, rho)
-        for sub in model.group.all_subgroups()
-        if model.dim % sub.index() == 0
-        for rho in search._irreducible_constituents(projreps.restrict(model.rep, sub))
-        if rho.dim * sub.index() == model.dim
-        and projreps._intertwiner_count(rho, projreps.restrict(model.rep, sub)) == 1
-    )
-    res = projreps.restrict(model.rep, sub)
-    direct = codes.clifford_code(model, sub, rho)
-    assert direct.basis.tobytes() == codes.clifford_code(model, sub, rho, res, 1).basis.tobytes()

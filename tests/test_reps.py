@@ -360,21 +360,26 @@ def test_make_rep_snaps_like_snap_phase_per_entry(spec):
     each = snap_each(raw, 4 * g.order)
     assert all(p is not None for row in each for p in row)
     want = Cocycle.from_phases(g, each)
-    num, den = _snap_scalars(raw, 4 * g.order)
+    num, den = _snap_scalars(raw, 4 * g.order, range(g.order))
     assert Cocycle(g, num, den) == want
     assert make_rep(g, mats).cocycle == want
 
 
-def _first_snap_failure(group, mats):
-    each = snap_each(raw_scalar_table(group, mats), 4 * group.order)
-    return next((x, y) for x, row in enumerate(each) for y, p in enumerate(row) if p is None)
+def _first_edge_snap_failure(group, mats):
+    # make_rep snaps only the Cayley-edge columns y in walk.cols, and names
+    # the first failing pair (x, y) in row-major order over them
+    cols = group._cayley_walk().cols
+    each = snap_each(raw_scalar_table(group, mats)[:, cols], 4 * group.order)
+    return next((x, int(cols[j])) for x, row in enumerate(each) for j, p in enumerate(row) if p is None)
 
 
 def test_make_rep_names_first_failing_scalar():
     model = gen_pauli_model(3)
     mats = model.rep.matrices.copy()
     mats[4] = mats[4] * np.exp(1e-6j)        # still unitary, off by a small phase
-    x, y = _first_snap_failure(model.group, mats)
+    x, y = _first_edge_snap_failure(model.group, mats)
+    cols = model.group._cayley_walk().cols.tolist()
+    assert y != cols.index(y)                # the error names the element, not its column
     with pytest.raises(MakeRepError, match=rf"scalar snap failed at \({x},{y}\)"):
         make_rep(model.group, mats)
 
@@ -383,7 +388,7 @@ def test_make_rep_rejects_non_unitary_matrix():
     model = gen_pauli_model(3)
     mats = model.rep.matrices.copy()
     mats[5, 0, :] *= 1.001
-    x, y = _first_snap_failure(model.group, mats)
+    x, y = _first_edge_snap_failure(model.group, mats)
     with pytest.raises(MakeRepError, match=rf"scalar snap failed at \({x},{y}\)"):
         make_rep(model.group, mats)
     # a non-unitary matrix whose scalar snaps reaches the unitarity check
@@ -469,7 +474,7 @@ def test_raw_scalars_match_per_row_loop(spec):
     g, mats = model.group, model.rep.matrices
     raw = _raw_scalars(g, mats)
     assert raw.tobytes() == raw_scalars_per_row(g, mats).tobytes()
-    assert np.abs(raw - raw_scalar_table(g, mats)).max() < 1e-12
+    assert np.abs(raw - raw_scalar_table(g, mats)[:, g._cayley_walk().cols]).max() < 1e-12
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7, 40])
@@ -504,7 +509,8 @@ def test_product_check_names_first_failing_row(k, rows, monkeypatch):
         monkeypatch.setattr(projreps, "_PRODUCT_BLOCK_ENTRIES", rows * g.order * model.dim**2)
     mats = model.rep.matrices.copy()
     mats[k] = _unitary_near_identity(model.dim, 1e-5, seed=k) @ mats[k]
-    assert _snap_scalars(_raw_scalars(g, mats), 4 * g.order)[1] == model.rep.cocycle.den
+    cols = g._cayley_walk().cols
+    assert _snap_scalars(_raw_scalars(g, mats), 4 * g.order, cols)[1] == model.rep.cocycle.den
     x, dev = first_product_failure(g, mats, model.rep.cocycle)
     pattern = rf"pi\(x\)pi\(y\) != sigma\(x,y\) pi\(xy\) at x={x} \(deviation ([0-9.e+-]+)\)"
     for build in (
@@ -532,26 +538,26 @@ def _catalog_model(spec):
     return parse_model_spec(spec).model
 
 
-def _cocycle_or_error(build, group, mats):
+def _cocycle_or_none(build, group, mats):
     try:
         return build(group, mats).cocycle
-    except MakeRepError as exc:
-        return str(exc)
+    except MakeRepError:
+        return None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_make_rep_agrees_with_the_full_snap_on_twisted_reps(data):
     # denominators 97 and 131 exceed 4|G| on most catalog groups, so both
-    # paths must then raise the same error
+    # paths must then raise
     model = _catalog_model(data.draw(st.sampled_from(CATALOG_64)))
     g = model.group
     den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 97, 131]))
     nums = data.draw(st.lists(st.integers(0, den - 1), min_size=g.order, max_size=g.order))
     f = PhaseFunction.exact(g.full_subgroup(), [Phase(k, den) for k in nums])
     mats = model.rep.twist(f).matrices
-    got = _cocycle_or_error(make_rep, g, mats)
-    assert got == _cocycle_or_error(make_rep_full_snap, g, mats)
+    got = _cocycle_or_none(make_rep, g, mats)
+    assert got == _cocycle_or_none(make_rep_full_snap, g, mats)
 
 
 @functools.lru_cache(maxsize=None)
@@ -571,8 +577,8 @@ def test_make_rep_agrees_with_the_full_snap_on_relabeled_twisted_reps(data):
     nums = data.draw(st.lists(st.integers(0, den - 1), min_size=g.order, max_size=g.order))
     f = PhaseFunction.exact(g.full_subgroup(), [Phase(k, den) for k in nums])
     mats = model.rep.twist(f).matrices
-    got = _cocycle_or_error(make_rep, g, mats)
-    assert got == _cocycle_or_error(make_rep_full_snap, g, mats)
+    got = _cocycle_or_none(make_rep, g, mats)
+    assert got == _cocycle_or_none(make_rep_full_snap, g, mats)
 
 
 def test_make_rep_refuses_a_filled_denominator_above_4n():
@@ -581,12 +587,12 @@ def test_make_rep_refuses_a_filled_denominator_above_4n():
     g = cyclic(3)
     mats = np.exp(2j * np.pi * np.array([0, 23, 13]) / 396).reshape(3, 1, 1)
     assert g.greedy_generators() == [1]
-    with pytest.raises(MakeRepError, match=r"scalar snap failed at \(2,2\)"):
+    with pytest.raises(MakeRepError, match=r"denominator above 4\|G\| at \(2,2\)"):
         make_rep(g, mats)
     with pytest.raises(MakeRepError, match=r"scalar snap failed at \(2,2\)"):
         make_rep_full_snap(g, mats)
     # without the guard the filled table would pass the all-pairs check
-    num, den = _snap_scalars(_raw_scalars(g, mats, edges=True), 4 * g.order)
+    num, den = _snap_scalars(_raw_scalars(g, mats), 4 * g.order, g._cayley_walk().cols)
     filled = Cocycle(g, projreps._fill_cocycle(g, num, den), den)
     assert filled.phase(1, 1) == Phase(1, 12) and filled.phase(2, 1) == Phase(1, 11)
     assert filled.phase(2, 2) == Phase(1, 132)
@@ -602,9 +608,9 @@ def test_make_rep_snaps_only_the_edge_columns(spec, monkeypatch):
     shapes = []
     snap = projreps._snap_scalars
 
-    def recording_snap(raw, max_den):
+    def recording_snap(raw, max_den, cols):
         shapes.append(raw.shape)
-        return snap(raw, max_den)
+        return snap(raw, max_den, cols)
 
     monkeypatch.setattr(projreps, "_snap_scalars", recording_snap)
     assert make_rep(g, mats).cocycle == model.rep.cocycle

@@ -16,7 +16,7 @@ from helpers import (
     relabeled_model,
 )
 
-from qeclab import _tol, cocycles, codes, projreps, search
+from qeclab import _linalg, _tol, cocycles, codes, projreps, search
 from qeclab._linalg import orthonormal_columns
 from qeclab.cli import parse_model_spec
 from qeclab.codes import CodeSpace, clifford_code, code_dimension_formula, weak_stabilizer_code
@@ -245,12 +245,18 @@ def test_constituents_of_order_two_restrictions(spec):
 
 
 def test_q3_probe_builds_no_hom_space(monkeypatch):
-    # the commutant and the Clifford intertwiner are Reynolds averages, counts
-    # come from characters, and classify rebuilds no eigenspace; neither
-    # search nor codes binds hom_space, so every call goes through projreps
+    # the commutant is a Reynolds average, counts come from characters, each
+    # candidate's code is the eigenspace that split its constituent off, and
+    # classify rebuilds no eigenspace; search binds none of hom_space,
+    # clifford_code and orthonormal_columns, so every call goes through the
+    # patched modules
     model = parse_model_spec("oddfam:3").model
-    raw_hom, raw_clifford, raw_weak = projreps.hom_space, search.clifford_code, codes.weak_stabilizer_code
-    calls = {"commutant": 0, "intertwiner": 0, "clifford_code": 0, "weak_stabilizer_code": 0}
+    raw_hom, raw_clifford, raw_weak = projreps.hom_space, codes.clifford_code, codes.weak_stabilizer_code
+    raw_orthonormal = _linalg.orthonormal_columns
+    calls = {
+        "commutant": 0, "intertwiner": 0, "clifford_code": 0, "weak_stabilizer_code": 0,
+        "orthonormal_columns": 0,
+    }
 
     def hom(r1, r2):
         calls["commutant" if r1 is r2 else "intertwiner"] += 1
@@ -264,15 +270,42 @@ def test_q3_probe_builds_no_hom_space(monkeypatch):
         calls["weak_stabilizer_code"] += 1
         return raw_weak(*args)
 
+    def orthonormal(*args):
+        calls["orthonormal_columns"] += 1
+        return raw_orthonormal(*args)
+
     assert not hasattr(search, "hom_space") and not hasattr(codes, "hom_space")
+    assert not hasattr(search, "clifford_code") and not hasattr(search, "orthonormal_columns")
     monkeypatch.setattr(projreps, "hom_space", hom)
-    monkeypatch.setattr(search, "clifford_code", clifford)
+    monkeypatch.setattr(codes, "clifford_code", clifford)
     monkeypatch.setattr(codes, "weak_stabilizer_code", weak)
+    monkeypatch.setattr(_linalg, "orthonormal_columns", orthonormal)
+    monkeypatch.setattr(codes, "orthonormal_columns", orthonormal)
     hits, candidates = q3_probe(model, return_candidates=True)
     assert (len(hits), len(candidates)) == (48, 115)
     assert calls["weak_stabilizer_code"] == 0
     assert calls["commutant"] == calls["intertwiner"] == 0
-    assert calls["clifford_code"] >= len(candidates)
+    assert calls["clifford_code"] == calls["orthonormal_columns"] == 0
+
+
+@pytest.mark.parametrize("spec", ["c2d2n:2", "oddfam:3"])
+def test_a_split_basis_tilted_off_invariance_fails_the_intertwiner_test(spec, monkeypatch):
+    # q3_probe keeps each candidate's split basis B as its code after
+    # checking pi(h)B = B rho(h) on every h; an orthonormal B tilted off
+    # the invariant span, with its piece kept, must make it raise
+    raw = search._split_constituents
+    rng = np.random.default_rng(0)
+
+    def tilted(rep):
+        out = []
+        for piece, basis in raw(rep):
+            noise = rng.normal(size=basis.shape) + 1j * rng.normal(size=basis.shape)
+            out.append((piece, orthonormal_columns(basis + 1e-6 * noise)))
+        return out
+
+    monkeypatch.setattr(search, "_split_constituents", tilted)
+    with pytest.raises(RuntimeError, match="split basis is not an intertwiner"):
+        q3_probe(_catalog_model(spec))
 
 
 @pytest.mark.parametrize("spec", ["genpauli:4", "oddfam:3", "c2d2n:2", "xp:9", "xp:15"])
