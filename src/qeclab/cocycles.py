@@ -501,13 +501,18 @@ def _is_coboundary_of(f: PhaseFunction, sigma: Cocycle) -> bool:
     """
     if not f.is_exact:
         raise ValueError("coboundary needs exact phase values")
-    mul = f.domain.as_group().mul
+    return bool(_coboundary_rows(f.num[None], f.den, f.domain.as_group().mul, sigma)[0])
+
+
+def _coboundary_rows(num: np.ndarray, den: int, mul: np.ndarray, sigma: Cocycle) -> np.ndarray:
+    """_is_coboundary_of for each row of num [k, n], the numerators over den
+    of a phase function on the group whose product table is mul."""
     if mul.shape != sigma.num.shape:
-        return False
-    den = math.lcm(f.den, sigma.den)
-    num = f.num * (den // f.den)
-    table = (num[:, None] + num[None, :] - num[mul]) % den
-    return np.array_equal(table, sigma.num * (den // sigma.den))
+        return np.zeros(len(num), dtype=bool)
+    common = math.lcm(den, sigma.den)
+    num = num * (common // den)
+    table = (num[:, :, None] + num[:, None, :] - num[:, mul]) % common
+    return (table == sigma.num * (common // sigma.den)).all(axis=(1, 2))
 
 
 def _greedy_generators(group: FiniteGroup) -> list[int]:

@@ -18,7 +18,9 @@ H are the (H, f0 chi) eigenspaces for the linear characters chi of H, read
 from a diagonal form of an integer system, whose multiplicity in
 conj(f0) pi|H is positive.  No eigenspace is walked and no value is snapped to find them.
 existence_phase takes the first and search.enumerate_weak_stabilizer_codes
-takes them all.
+takes them all.  A (H, f) code is built as the 1-eigenspace of the average
+(1/|H|) sum_h conj(f(h)) pi(h), for many phase rows of one subgroup at once
+(_eigenspaces); weak_stabilizer_code is its one-row case.
 
 classify counts instead of building subspaces.  A code W lies in the (S, f)
 eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
@@ -55,11 +57,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import compress, frobenius, nullspace, orthonormal_columns, scalar_deviation
+from ._linalg import compress, frobenius, orthonormal_columns, scalar_deviation
 from .cocycles import (
     PhaseFunction,
-    _greedy_generators,
-    _is_coboundary_of,
+    _coboundary_rows,
     _linear_characters,
     _phase_values,
     _snap_phases,
@@ -125,6 +126,14 @@ class CodeSpace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @classmethod
+    def _checked(cls, ambient_dim: int, basis: np.ndarray) -> "CodeSpace":
+        """The code on a complex basis whose orthonormality the caller has
+        tested as __post_init__ tests it (codes._eigenspaces)."""
+        code = cls.__new__(cls)
+        code.ambient_dim, code.basis = ambient_dim, basis
+        return code
+
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
@@ -161,58 +170,117 @@ class CodeSpace:
         return f"CodeSpace(dim {self.dim} in {self.ambient_dim})"
 
 
-def _subgroup_generators(sub: Subgroup) -> list[int]:
-    """Generators of the subgroup as parent-group element indices."""
-    inner = _greedy_generators(sub.as_group())
-    if not inner:
-        inner = [sub.as_group().identity]
-    return [sub.members[i] for i in inner]
-
-
 def weak_stabilizer_code(
     model: ProjectiveErrorModel, sub: Subgroup, f: PhaseFunction
 ) -> CodeSpace | None:
-    """Joint eigenspace {v : pi(x) v = f(x) v for all x in the subgroup}.
+    """Joint eigenspace F = {v : pi(x) v = f(x) v for all x in the subgroup}.
 
-    Computed over a generating set as E, then checked on the whole subgroup.
-    Returns None when E is zero, and also when E fails the check, because
-    the full space F is zero then.  A nonzero v in F gives f(x) f(y) v =
-    pi(x) pi(y) v = sigma(x,y) f(xy) v, so df = sigma|H.  Then every u in E
-    has pi(x) u = f(x) u, by induction on the length of x as a word in the
-    generators (H is finite, so no inverses are needed): pi(e) u =
-    sigma(e,e) u = f(e) u (both identities at x = y = e), and pi(yg) u =
-    pi(y) pi(g) u / sigma(y,g) = f(y) f(g) u / sigma(y,g) = f(yg) u.  So
-    E = F, and E passes the check.
+    The one-row case of _eigenspaces: the eigenvectors of the average
+    P = (1/|H|) sum_h conj(f(h)) pi(h) whose eigenvalues exceed 1/2, checked
+    on the whole subgroup.  Returns None when there are none, and also when
+    they fail the check, because F is zero then.  A nonzero v in F gives
+    f(x) f(y) v = pi(x) pi(y) v = sigma(x,y) f(xy) v, so df = sigma|H.
+    Then h -> conj(f(h)) pi(h) is a unitary linear rep of H, and P is the
+    orthogonal projector onto its invariant vectors, which are F (see
+    _eigenspaces), so the eigenvectors span F and pass the check.
+    RuntimeError when a nonzero code has df != sigma|H.
     """
     if f.domain is not sub and tuple(f.domain.members) != tuple(sub.members):
         raise CodeError("phase function domain does not match the subgroup")
-    eye = np.eye(model.dim, dtype=complex)
-    mats = model.rep.matrices
-    gens = _subgroup_generators(sub)
-    basis = nullspace(np.vstack([mats[x] - f.value_at(x) * eye for x in gens]))
-    if basis.shape[1] == 0:
-        return None
-    all_values = np.array([f.value_at(x) for x in sub.members])
-    resid = np.einsum("xab,bk->xak", mats[list(sub.members)], basis)
-    resid = resid - all_values[:, None, None] * basis[None, :, :]
-    if np.abs(resid).max() > _tol.SCAN:
-        return None
-    code = CodeSpace(model.dim, basis)
-    _assert_projective_phase(model, sub, f)
-    return code
+    exact = (f.num[None], f.den) if f.is_exact else None
+    return _eigenspaces(model, sub, f.values[None], exact)[0]
+
+
+def _eigenspaces(
+    model: ProjectiveErrorModel,
+    sub: Subgroup,
+    values: np.ndarray,
+    exact: tuple[np.ndarray, int] | None = None,
+    dims: np.ndarray | None = None,
+) -> list[CodeSpace | None]:
+    """The (sub, f_i) joint eigenspace W_i, or None where it is zero, for
+    each row f_i of values [k, |H|], f_i's values on sub's members in order.
+    exact is (numerators [k, |H|], their one denominator) when every row is
+    exact; dims [k], when given, are the dimensions the caller expects, and
+    RuntimeError is raised on a row whose rank differs.
+
+    When df_i = sigma|H, h -> conj(f_i(h)) pi(h) is a unitary linear rep of
+    H: conj(f_i(x) f_i(y)) pi(x) pi(y) = conj(f_i(xy)) pi(xy).  Its average
+        P_i = (1/|H|) sum_h conj(f_i(h)) pi(h)
+    is then the orthogonal projector onto its invariant vectors (Knill,
+    "Group representations, error bases and quantum codes", 1996): each
+    term times P_i is P_i, so P_i^2 = P_i and the image of P_i is
+    invariant, and P_i* = P_i, the sum over h^-1 of the adjoint terms.  The
+    invariant vectors are W_i, and P_i fixes each of them, so P_i is the
+    orthogonal projector onto W_i, with eigenvalues 0 and 1.  The computed
+    P_i is off the exact one by the model's deviation from an exact rep and
+    a rounding, together far below 1/2 (under 1e-8 for matrices that hold to
+    _tol.EXACT), so the eigenvectors of the eigenvalues above 1/2 are an
+    orthonormal basis B_i of W_i, and their count is dim W_i.  When
+    df_i != sigma|H, W_i is zero (see weak_stabilizer_code), and whatever
+    eigenvectors P_i gives fail the check below.
+
+    Every row is checked, in one product each over the whole batch:
+    |pi(h) B_i - f_i(h) B_i| <= _tol.SCAN entrywise on every h (None
+    otherwise); CodeSpace's orthonormality test on each B_i (CodeError
+    otherwise); and df_i = sigma|H on every nonzero code, as integer
+    numerators (cocycles._coboundary_rows) when exact is given and to
+    _tol.DERIVED on the floats otherwise (RuntimeError otherwise).
+
+    Row i's bytes do not depend on the other rows: P_i is one row-vector
+    product against pi|H flattened, as a stacked matmul makes it for each
+    row on its own, and the stacked eigh decomposes each P_i on its own.
+    So a batch gives each row the basis weak_stabilizer_code gives it.
+    """
+    mem = list(sub.members)
+    n, k = model.dim, len(values)
+    mats = model.rep.matrices[mem]
+    flat = mats.reshape(len(mem), n * n)
+    proj = (values.conj()[:, None, :] @ flat).reshape(k, n, n) / len(mem)
+    evals, evecs = np.linalg.eigh(proj)
+    ranks = (evals > 0.5).sum(axis=1)
+    if dims is not None and (ranks != dims).any():
+        raise RuntimeError("an eigenspace's rank differs from its expected dimension")
+    bases = [np.ascontiguousarray(v[:, n - r :]) for v, r in zip(evecs, ranks)]
+    cat = np.concatenate(bases, axis=1)
+    row = np.repeat(np.arange(k), ranks)
+    resid = np.abs(mats @ cat - values[row].T[:, None, :] * cat).max(axis=(0, 1), initial=0.0)
+    ortho = np.abs(cat.conj().T @ cat - np.eye(len(row))) ** 2 * (row[:, None] == row[None, :])
+    ortho = np.sqrt(np.bincount(row, ortho.sum(axis=1), minlength=k))
+    projective = _projective_rows(model, sub, values, exact)
+    codes: list[CodeSpace | None] = []
+    for i, end in enumerate(np.cumsum(ranks)):
+        cols = slice(end - ranks[i], end)
+        if ranks[i] == 0 or not (resid[cols] <= _tol.SCAN).all():
+            codes.append(None)
+            continue
+        if not ortho[i] <= _tol.EXACT:   # NaN fails too
+            raise CodeError("basis columns are not orthonormal")
+        if not projective[i]:
+            raise RuntimeError("nonzero code with delta(f) != restricted cocycle")
+        codes.append(CodeSpace._checked(n, bases[i]))
+    return codes
+
+
+def _projective_rows(
+    model: ProjectiveErrorModel, sub: Subgroup, values: np.ndarray, exact: tuple[np.ndarray, int] | None
+) -> np.ndarray:
+    """Whether df = sigma|H for each row f of values [k, |H|] on sub's members:
+    compared as integer numerators when exact = (numerators, denominator)
+    is given, to _tol.DERIVED on the floats otherwise."""
+    res = model.cocycle.restrict(sub)
+    mul = sub.as_group().mul
+    if exact is not None:
+        return _coboundary_rows(*exact, mul, res)
+    got = values[:, :, None] * values[:, None, :]
+    expected = res.to_complex_table() * values[:, mul]
+    return np.abs(got - expected).max(axis=(1, 2)) <= _tol.DERIVED
 
 
 def _assert_projective_phase(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseFunction) -> None:
     # a nonzero joint eigenspace forces f to multiply like the cocycle does
-    res = model.cocycle.restrict(sub)
-    if f.is_exact:
-        if not _is_coboundary_of(f, res):
-            raise RuntimeError("nonzero code with delta(f) != restricted cocycle")
-        return
-    got = np.multiply.outer(f.values, f.values)
-    h = sub.as_group()
-    expected = res.to_complex_table() * f.values[h.mul]
-    if np.abs(got - expected).max() > _tol.DERIVED:
+    exact = (f.num[None], f.den) if f.is_exact else None
+    if not _projective_rows(model, sub, f.values[None], exact)[0]:
         raise RuntimeError("nonzero code with delta(f) != restricted cocycle")
 
 
@@ -387,7 +455,7 @@ def _code_action(model: ProjectiveErrorModel, code: CodeSpace) -> _Action:
 
 
 def _logical(model: ProjectiveErrorModel, act: _Action) -> Subgroup:
-    return model.group._intern(np.flatnonzero(act.commutator < _tol.SCAN))
+    return model.group._intern(tuple(np.flatnonzero(act.commutator < _tol.SCAN).tolist()))
 
 
 def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, PhaseFunction]:
@@ -411,7 +479,7 @@ def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, Ph
         & (np.abs(np.abs(act.scalars) - 1) < _tol.SCAN)
     )
     members = np.flatnonzero(keep)
-    sub = model.group._intern(members)
+    sub = model.group._intern(tuple(members.tolist()))
     values = act.scalars[members]
     grid = model.cocycle.den * model.group.exponent()
     num, den, mask = _snap_phases(values, 4 * model.group.order, grid)
@@ -671,7 +739,7 @@ def _transport(
     den = math.lcm(f.den, sigma.den)
     num = f.num * (den // f.den) + turns[mem] * (den // sigma.den)
     values = f.values * table.roots[turns[mem]]
-    stab = grp._intern(xs.tolist())
+    stab = grp._intern(tuple(xs[order].tolist()))
     witnesses = dict(report.witnesses)
     if "is_partitioning" in witnesses:
         witnesses["is_partitioning"] = int(conj[mixed].min())
@@ -679,7 +747,7 @@ def _transport(
     return CodeReport(
         model=model,
         code=code,
-        logical=grp._intern(conj[list(report.logical.members)].tolist()),
+        logical=grp._intern(tuple(np.sort(conj[list(report.logical.members)]).tolist())),
         stabilizer=stab,
         stabilizer_phase=PhaseFunction._from_num(stab, num[order], den, None, values[order]),
         detectable=sorted(conj[report.detectable].tolist()),

@@ -171,12 +171,18 @@ class FiniteGroup:
     # -- subgroups ---------------------------------------------------------
 
     def _intern(self, members) -> "Subgroup":
-        """The interned Subgroup on a member set, validated on first use."""
-        key = tuple(sorted({int(m) for m in members}))
-        sub = self._interned.get(key)
+        """The interned Subgroup on a member set, validated on first use.
+
+        A tuple is looked up as it is first: the table's keys are sorted
+        tuples of distinct ints, so a tuple equal to one is that member set.
+        Callers holding sorted indices pass tuple(indices.tolist())."""
+        sub = self._interned.get(members) if isinstance(members, tuple) else None
         if sub is None:
-            sub = Subgroup(self, key)
-            self._interned[key] = sub
+            key = tuple(sorted({int(m) for m in members}))
+            sub = self._interned.get(key)
+            if sub is None:
+                sub = Subgroup(self, key)
+                self._interned[key] = sub
         return sub
 
     def subgroup(self, members) -> "Subgroup":

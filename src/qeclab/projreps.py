@@ -685,7 +685,7 @@ def inertia_group(theta: ProjectiveRep, sub: Subgroup, sigma: Cocycle) -> Subgro
     pos, scales = _conjugation(sub, np.arange(g.order), sigma)
     normalizes = (pos >= 0).all(axis=1)
     same = np.abs(scales * chi[pos] - chi).max(axis=1) <= _tol.DERIVED
-    return g._intern(np.flatnonzero(normalizes & same))
+    return g._intern(tuple(np.flatnonzero(normalizes & same).tolist()))
 
 
 def frobenius_dims(theta: ProjectiveRep, sub: Subgroup, pi: ProjectiveRep) -> tuple[int, int]:

@@ -7,11 +7,12 @@ max_group_order() and max_ambient_dim(16), in either direction; None keeps
 them.  The order cap is the one all_subgroups is given.
 
 The codes of one subgroup come from its exact constituents in codes
-(_constituents); this module loops over subgroups.  Deduplication is exact
-and compares no projector: enumerate keys each code by its maximal witness
-(S, f_S), read from characters and confirmed in integers
-(_maximal_witnesses), and q3_probe's candidates are distinct by
-construction (see there).
+(_constituents), and its new ones are built together, one projector
+average and one stacked eigh per subgroup (codes._eigenspaces); this
+module loops over subgroups.  Deduplication is exact and compares no
+projector: enumerate keys each code by its maximal witness (S, f_S), read
+from characters and confirmed in integers (_maximal_witnesses), and
+q3_probe's candidates are distinct by construction (see there).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .codes import (
     CodeSpace,
     _classify_orbits,
     _constituents,
+    _eigenspaces,
     _on_grid,
-    weak_stabilizer_code,
 )
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
@@ -134,36 +135,52 @@ def _maximal_witnesses(model, sub, nums, den, values, dims, table, grid):
     return num
 
 
-def _enumerate(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None):
-    """(enumerate_weak_stabilizer_codes, each code's maximal witness
-    (S, f_S.values) for codes._classify_orbits).
+def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None):
+    """(enumerate_weak_stabilizer_codes, each code's maximal witness key:
+    f_S's numerators over sigma.den * exp(G), -1 off S, one row per code).
 
-    A code is built only for a key (_maximal_witnesses) not seen before.
-    No projector is formed and no random number is drawn.
+    A code is built only for a key (_maximal_witnesses) not seen before, and
+    the new rows of one subgroup are built together (codes._eigenspaces).
+    No projector is formed to compare codes, and no random number is drawn.
     """
     max_order = _check_caps(model, max_order, max_dim)
     g, sigma = model.group, model.cocycle
     grid = sigma.den * g.exponent()
     table = sigma.to_complex_table() * model.rep.character().values[g.mul]
-    found, witnesses, seen = [], [], set()
+    found, keys, seen = [], [], set()
     for sub in g.all_subgroups(max_order):
         nums, den, dims = _constituents(model, sub)
         if not len(dims):
             continue
         values = _phase_values(nums, den)
         num = _maximal_witnesses(model, sub, nums, den, values, dims, table, grid)
-        phases = _phase_values(num % grid, grid)      # f_S's values, read on S only
-        for i in range(len(dims)):
-            if num[i].tobytes() in seen:
-                continue
-            seen.add(num[i].tobytes())
-            f = PhaseFunction._from_num(sub, nums[i], den, floats=values[i])
-            code = weak_stabilizer_code(model, sub, f)
+        new = []
+        for i, key in enumerate(num):
+            if key.tobytes() not in seen:
+                seen.add(key.tobytes())
+                new.append(i)
+        if not new:
+            continue
+        built = _eigenspaces(model, sub, values[new], (nums[new], den), dims[new])
+        for i, code in zip(new, built):
             if code is None:
                 raise RuntimeError("constituent with an empty code space")
-            found.append((sub, f, code))
-            members = np.flatnonzero(num[i] >= 0)
-            witnesses.append((g._intern(members.tolist()), phases[i, members]))
+            found.append((sub, PhaseFunction._from_num(sub, nums[i], den, floats=values[i]), code))
+            keys.append(num[i])
+    return found, keys
+
+
+def _enumerate(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None):
+    """(enumerate_weak_stabilizer_codes, each code's maximal witness
+    (S, f_S.values) for codes._classify_orbits), as qeclab search reads them.
+    The witnesses are built from _enumerate_codes' keys here only."""
+    found, keys = _enumerate_codes(model, max_order, max_dim)
+    g = model.group
+    grid = model.cocycle.den * g.exponent()
+    witnesses = []
+    for key in keys:
+        members = np.flatnonzero(key >= 0)
+        witnesses.append((g._intern(tuple(members.tolist())), _phase_values(key[members], grid)))
     return found, witnesses
 
 
@@ -180,7 +197,7 @@ def enumerate_weak_stabilizer_codes(
     Deduplicated by maximal witness (_maximal_witnesses), which is exact:
     first witness kept, subgroups in order.
     """
-    return _enumerate(model, max_order, max_dim)[0]
+    return _enumerate_codes(model, max_order, max_dim)[0]
 
 
 _SPLIT_SEED = 11

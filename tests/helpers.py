@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from qeclab._linalg import nullspace
 from qeclab.cocycles import Cocycle, Phase, snap_phase_or_none
 from qeclab.codes import _constituent_phases, weak_stabilizer_code
 from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
@@ -268,6 +269,27 @@ def partitioning_oracle(model, code) -> tuple[bool, int | None]:
     inside, outside = partition_norms_oracle(model, code)
     bad = np.flatnonzero((inside >= TOL_MEMBERSHIP) & (outside >= TOL_MEMBERSHIP))
     return (False, int(bad[0])) if bad.size else (True, None)
+
+
+def subgroup_generators(sub: Subgroup) -> list[int]:
+    """Generators of the subgroup as parent-group element indices: the greedy
+    generators of sub.as_group(), or its identity when it has none."""
+    inner = sub.as_group().greedy_generators() or [sub.as_group().identity]
+    return [sub.members[i] for i in inner]
+
+
+def weak_code_nullspace_oracle(model, sub, f) -> np.ndarray | None:
+    """The (sub, f) joint eigenspace basis from the generator stack: the
+    nullspace of pi(g) - f(g) stacked over subgroup_generators, or None when
+    it is zero or some member x moves it off f(x) by more than TOL_MEMBERSHIP."""
+    mats, eye = model.rep.matrices, np.eye(model.dim)
+    gens = subgroup_generators(sub)
+    basis = nullspace(np.vstack([mats[x] - f.value_at(x) * eye for x in gens]))
+    if basis.shape[1] == 0:
+        return None
+    values = np.array([f.value_at(x) for x in sub.members])
+    resid = mats[list(sub.members)] @ basis - values[:, None, None] * basis
+    return None if np.abs(resid).max() > TOL_MEMBERSHIP else basis
 
 
 class PairwiseDedup:

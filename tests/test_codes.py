@@ -23,17 +23,21 @@ from helpers import (
     partitioning_oracle,
     relabeled_model,
     stabilizer_oracle,
+    subgroup_generators,
+    weak_code_nullspace_oracle,
 )
 
 from qeclab import _tol, codes, projreps
 from qeclab._linalg import nullspace
 from qeclab.cli import _dicke_subgroup, parse_model_spec
-from qeclab.cocycles import Phase, PhaseFunction, coboundary, find_trivializing_phase
+from qeclab.cocycles import Phase, PhaseFunction, _phase_values, coboundary, find_trivializing_phase
 from qeclab.codes import (
     CodeError,
     CodeSpace,
     _code_action,
-    _subgroup_generators,
+    _constituent_phases,
+    _constituents,
+    _eigenspaces,
     classify,
     clifford_code,
     code_dimension_formula,
@@ -155,7 +159,7 @@ def test_weak_code_none_when_generator_space_fails_the_check():
     g = model.group
     sub = g.subgroup_generated([1])
     f = existence_phase(model, sub)
-    (gen,) = _subgroup_generators(sub)
+    (gen,) = subgroup_generators(sub)
     square = g.mul[gen, gen]
     assert nullspace(model.rep.matrices[gen] - f.value_at(gen) * np.eye(3)).shape[1] > 0
     for x in (g.identity, square):
@@ -875,6 +879,80 @@ def test_code_dimension_is_invariant_under_twisting(data):
         again = weak_stabilizer_code(twisted, sub, f_twisted)
         assert np.abs(again.projector() - code.projector()).max() < 1e-12
     assert len(enumerate_weak_stabilizer_codes(twisted)) == len(found)
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_enumerated_codes_match_the_one_row_build_and_the_nullspace_oracle(spec):
+    # each subgroup's codes are built in one batch (codes._eigenspaces): a
+    # code's bytes are those weak_stabilizer_code builds alone, and its
+    # projector is the generator-stack nullspace's
+    model, found = _enumerated_witnesses(spec)
+    for sub, f, code in found:
+        assert weak_stabilizer_code(model, sub, f).basis.tobytes() == code.basis.tobytes()
+        oracle = weak_code_nullspace_oracle(model, sub, f)
+        assert np.abs(code.projector() - oracle @ oracle.conj().T).max() < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["genpauli:4", "xp:6", "c2d2n:2", "oddfam:3", "permprod(genpauli:2,2)"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["constituent", "turned", "one", "random"]),
+)
+def test_weak_code_agrees_with_the_nullspace_oracle_on_drawn_pairs(spec, seed, kind):
+    # admissible f give the oracle's code; a constituent turned at one
+    # element, the constant 1 and random phases (wrong coboundaries among
+    # them) give None on both sides or the same code
+    model, _ = _enumerated_witnesses(spec)
+    rng = np.random.default_rng(seed)
+    subs = model.group.all_subgroups()
+    sub = subs[int(rng.integers(len(subs)))]
+    phases = list(_constituent_phases(model, sub))
+    if kind in ("constituent", "turned") and phases:
+        f = phases[int(rng.integers(len(phases)))]
+        if kind == "turned":
+            turned = list(f.phases)
+            x = int(rng.integers(len(sub)))
+            turned[x] = turned[x] * Phase(1, 3)
+            f = PhaseFunction.exact(sub, turned)
+    elif kind == "random":
+        f = PhaseFunction.exact(sub, [Phase(int(k), 4) for k in rng.integers(0, 4, len(sub))])
+    else:
+        f = PhaseFunction.constant_one(sub)
+    got, want = weak_stabilizer_code(model, sub, f), weak_code_nullspace_oracle(model, sub, f)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.abs(got.projector() - want @ want.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["oddfam:3", "permprod(genpauli:2,2)", "genpauli:4"])
+def test_eigenspaces_refuse_a_forged_row(spec):
+    # on every subgroup with two constituents or more, each row's rank is
+    # held to its dimension, and each nonzero row's delta(f) to sigma|H
+    model, _ = _enumerated_witnesses(spec)
+    e = model.group.identity
+    tried = 0
+    for sub in model.group.all_subgroups():
+        nums, den, dims = _constituents(model, sub)
+        if len(dims) < 2:
+            continue
+        tried += 1
+        values = _phase_values(nums, den)
+        built = _eigenspaces(model, sub, values, (nums, den), dims)
+        assert [code.dim for code in built] == dims.tolist()
+        floats = _eigenspaces(model, sub, values, None, dims)
+        assert [a.basis.tobytes() for a in built] == [b.basis.tobytes() for b in floats]
+        for j in range(len(dims)):
+            off = dims.copy()
+            off[j] += 1
+            with pytest.raises(RuntimeError, match="rank"):
+                _eigenspaces(model, sub, values, (nums, den), off)
+            # f_j(e) forged half a step off 0 over 2 den: delta(f_j)(e, e) != 0
+            forged = 2 * nums
+            forged[j, sub.position(e)] += 1
+            with pytest.raises(RuntimeError, match="delta"):
+                _eigenspaces(model, sub, values, (forged, 2 * den), dims)
+    assert tried
 
 
 def test_classify_reads_tilted_codes_without_raising():

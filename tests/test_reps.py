@@ -480,11 +480,13 @@ def test_raw_scalars_match_per_row_loop(spec):
 @pytest.mark.parametrize("rows", [1, 3, 7, 40])
 @pytest.mark.parametrize("spec", ["genpauli:5", "oddfam:3"])
 def test_raw_scalars_do_not_depend_on_the_row_blocks(spec, rows, monkeypatch):
-    # partial last blocks included: 25 and 54 rows are no multiple of 3, 7 or 40
+    # partial last blocks included: 25 and 54 rows are no multiple of 3, 7 or 40;
+    # _raw_scalars multiplies against the 1 + r Cayley-edge columns only
     model = parse_model_spec(spec).model
     g, mats = model.group, model.rep.matrices
-    monkeypatch.setattr(projreps, "_PRODUCT_BLOCK_ENTRIES", rows * g.order * model.dim**2)
-    assert len(list(projreps._row_products(mats))) == -(-g.order // rows)
+    cols = g._cayley_walk().cols
+    monkeypatch.setattr(projreps, "_PRODUCT_BLOCK_ENTRIES", rows * len(cols) * model.dim**2)
+    assert len(list(projreps._row_products(mats, mats[cols]))) == -(-g.order // rows)
     assert _raw_scalars(g, mats).tobytes() == raw_scalars_per_row(g, mats).tobytes()
     assert make_rep(g, mats).cocycle == model.rep.cocycle
 

@@ -192,28 +192,29 @@ def test_q3_probe_candidates_are_distinct_codes(spec):
 
 def test_enumerate_and_q3_build_no_projector_and_draw_nothing(monkeypatch):
     # enumerate keys codes by exact maximal witnesses: it builds one code
-    # per kept key, forms no projector and draws no random number; q3_probe
-    # forms no projector either (its commutant split draws seeded numbers)
+    # per kept key, in one codes._eigenspaces row each, forms no dedup
+    # projector and draws no random number; q3_probe forms no projector
+    # either (its commutant split draws seeded numbers)
     model = _catalog_model("permprod(genpauli:2,2)")
-    built = []
-    raw_weak = search.weak_stabilizer_code
+    rows = []
+    raw_eigenspaces = search._eigenspaces
 
     def projector(code):
         raise AssertionError("projector formed during the search")
 
-    def weak(*args):
-        built.append(args)
-        return raw_weak(*args)
+    def eigenspaces(model, sub, values, *args):
+        rows.append(len(values))
+        return raw_eigenspaces(model, sub, values, *args)
 
     def no_rng(*args, **kwargs):
         raise AssertionError("random number drawn during the enumeration")
 
     monkeypatch.setattr(CodeSpace, "projector", projector)
-    monkeypatch.setattr(search, "weak_stabilizer_code", weak)
+    monkeypatch.setattr(search, "_eigenspaces", eigenspaces)
     with monkeypatch.context() as m:
         m.setattr(np.random, "default_rng", no_rng)
         found = enumerate_weak_stabilizer_codes(model)
-    assert len(found) == len(built) == 95
+    assert len(found) == sum(rows) == 95
     hits, candidates = q3_probe(_catalog_model("oddfam:3"), return_candidates=True)
     assert (len(hits), len(candidates)) == (48, 115)
 
