@@ -31,8 +31,33 @@ def orthonormal_columns(b: np.ndarray) -> np.ndarray:
 
 
 def compress(matrices: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """basis* M basis for each matrix M of a stack: the action on a subspace."""
+    """basis* M basis for each matrix M of a stack: the action on a subspace.
+
+    matrices may be one d x d matrix or a stack of any leading shape.  The
+    product is numpy's, (basis* M) basis, whose bytes ProjectiveRep.on_subspace
+    keeps; compressed_action reads the same C with flat products instead,
+    which round differently in the last bits.
+    """
     return basis.conj().T @ matrices @ basis
+
+
+def compressed_action(
+    matrices: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C, |M B - B C|_F, |C|_F) for each matrix M of a stack of n, with
+    B = basis (d x w) and C = B* M B.
+
+    One flat product Y = M B over all n d rows of the stack, in place of a
+    batched product over n small matrices, and then two more over the n w
+    rows of Y^T: C^T = Y^T conj(B), and the residual, read transposed as
+    Y^T - C^T B^T.
+    """
+    n, (d, w) = len(matrices), basis.shape
+    yt = (matrices.reshape(n * d, d) @ basis).reshape(n, d, w).transpose(0, 2, 1).reshape(n * w, d)
+    ct = yt @ basis.conj()
+    inside = np.linalg.norm((yt - ct @ basis.T).reshape(n, w * d), axis=1)
+    outside = np.linalg.norm(ct.reshape(n, w * w), axis=1)
+    return np.ascontiguousarray(ct.reshape(n, w, w).swapaxes(1, 2)), inside, outside
 
 
 def scalar_deviation(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,10 +4,11 @@ Subspace equality is projector Frobenius distance < _tol.DERIVED, which is
 basis independent.  Membership scans use _tol.SCAN.
 
 The action of the model on a code is computed once per code, on its basis B
-(P = B B*).  B is an isometry, so |P pi(x) P| and |pi(x) P - P pi(x) P| are
-the norms of the compressed action C = B* pi(x) B and of pi(x) B - B C, and
-the logical group, stabilizer, detectable set, partitioning test and Clifford
-invariance test are all read from such norms.  The commutator [P, pi(x)]
+(P = B B*), from flat products over the whole group
+(_linalg.compressed_action).  B is an isometry, so |P pi(x) P| and
+|pi(x) P - P pi(x) P| are the norms of the compressed action C = B* pi(x) B
+and of pi(x) B - B C, and the logical group, stabilizer, detectable set,
+partitioning test and Clifford invariance test are all read from such norms.  The commutator [P, pi(x)]
 needs no product of its own: its blocks (1 - P) pi(x) P and P pi(x) (1 - P)
 are orthogonal, and pi(x)* is a unit multiple of pi(x^-1), so the second
 has the norm of the first at x^-1.
@@ -57,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import compress, frobenius, orthonormal_columns, scalar_deviation
+from ._linalg import compressed_action, frobenius, orthonormal_columns, scalar_deviation
 from .cocycles import (
     PhaseFunction,
     _coboundary_rows,
@@ -66,7 +67,7 @@ from .cocycles import (
     _snap_phases,
     find_trivializing_phase,
 )
-from .groups import Subgroup
+from .groups import GroupValidationError, Subgroup
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     ProjectiveRep,
@@ -441,31 +442,79 @@ class _Action(NamedTuple):
 def _code_action(model: ProjectiveErrorModel, code: CodeSpace) -> _Action:
     if code.ambient_dim != model.dim:
         raise CodeError(f"code lives in dimension {code.ambient_dim}, model in {model.dim}")
-    b, mats = code.basis, model.rep.matrices
-    c = compress(mats, b)
+    c, inside, outside = compressed_action(model.rep.matrices, code.basis)
     scalars, scalar_dev = scalar_deviation(c)
-    inside = np.linalg.norm(mats @ b - b @ c, axis=(1, 2))
     return _Action(
         commutator=np.hypot(inside, inside[model.group.inv]),
         scalars=scalars,
         scalar_dev=scalar_dev,
         inside=inside,
-        outside=np.linalg.norm(c, axis=(1, 2)),
+        outside=outside,
     )
 
 
 def _logical(model: ProjectiveErrorModel, act: _Action) -> Subgroup:
-    return model.group._intern(tuple(np.flatnonzero(act.commutator < _tol.SCAN).tolist()))
+    """L = {x : act.commutator[x] < _tol.SCAN}, closed under products.
+
+    The set is read from floats, so on a code just off an exact one, with
+    commutator norms at the threshold, a product of two kept elements can
+    fall just above it.  Such a set is closed by _close_logical before it is
+    interned; on a set that is already a subgroup nothing changes.
+    """
+    members = tuple(np.flatnonzero(act.commutator < _tol.SCAN).tolist())
+    try:
+        return model.group._intern(members)
+    except GroupValidationError:
+        return model.group._intern(_close_logical(model, act.commutator, members))
 
 
-def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, PhaseFunction]:
-    """S = the elements of L acting on W as a unimodular scalar, and f = the
-    scalars, snapped as PhaseFunction.from_complex snaps them.
+def _close_logical(
+    model: ProjectiveErrorModel, comm: np.ndarray, members: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The subgroup generated by members, each product z = xy taken only
+    within c(z) <= (1 + _tol.EXACT)(c(x) + c(y)) + 2 _tol.EXACT, c = comm.
+
+    The bound holds for every x, y.  Write iota(x) = |(1 - P) pi(x) B|_F,
+    so that c(x) = hypot(iota(x), iota(x^-1)), and D = pi(x)pi(y) -
+    sigma(x,y) pi(xy).  Then
+        (1 - P) pi(xy) B = conj(sigma(x,y)) (1 - P) (pi(x)(P + 1 - P)pi(y) - D) B,
+    and B* pi(y) B and (1 - P) pi(x) have operator norm at most that of
+    pi, below 1 + u with u = _tol.EXACT/2, while |D|_F < _tol.EXACT (see
+    projreps.make_rep).  So iota(xy) <= (1 + u)(iota(x) + iota(y)) +
+    _tol.EXACT, the same for (xy)^-1 = y^-1 x^-1, and the triangle
+    inequality in the plane gives c(xy) <= (1 + u)(c(x) + c(y)) +
+    sqrt(2) _tol.EXACT; the rest of the margin covers the rounding of the
+    computed norms.  A product breaking it shows norms that no unitary
+    projective action gives, and raises CodeError.
+    """
+    group, inside = model.group, np.zeros(model.group.order, dtype=bool)
+    inside[list(members)] = True
+    gens = np.array(members)
+    while True:
+        mem = np.flatnonzero(inside)
+        prod = group.mul[np.ix_(mem, gens)]
+        new = ~inside[prod]
+        if not new.any():
+            return tuple(mem.tolist())
+        bound = (1 + _tol.EXACT) * (comm[mem][:, None] + comm[gens]) + 2 * _tol.EXACT
+        if not (comm[prod][new] <= bound[new]).all():
+            raise CodeError("commutator norms of the logical group break the product bound")
+        inside[prod[new]] = True
+
+
+def _stabilizer(
+    model: ProjectiveErrorModel, act: _Action, logical: Subgroup
+) -> tuple[Subgroup, PhaseFunction]:
+    """S = the elements of L = logical acting on W as a unimodular scalar,
+    and f = the scalars, snapped as PhaseFunction.from_complex snaps them.
 
     S is read inside L: the scalar deviation and |c| are second order in
     a tilt of W, the commutator norm first order, so on a code just off an
     exact one an element can pass the first two tests after it has left L.
-    On exact codes the commutator test removes nothing.
+    It is read inside L as _logical closed it, not inside the set that
+    passed the commutator test, so S is L's subgroup of elements passing
+    the scalar tests even where the closure added to L.  On exact codes
+    L is that set, and restricting to it removes nothing.
 
     The snap is cocycles._snap_phases on the grid den * exp(G), den the
     model cocycle's denominator: a stabilizer phase has df = sigma|S, so
@@ -474,7 +523,7 @@ def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, Ph
     result on every entry, on the grid or off it, so f is from_complex's.
     """
     keep = (
-        (act.commutator < _tol.SCAN)
+        logical._inside
         & (act.scalar_dev < _tol.SCAN)
         & (np.abs(np.abs(act.scalars) - 1) < _tol.SCAN)
     )
@@ -487,7 +536,7 @@ def _stabilizer(model: ProjectiveErrorModel, act: _Action) -> tuple[Subgroup, Ph
 
 
 def _detectable(act: _Action) -> list[int]:
-    return [int(x) for x in np.flatnonzero(act.scalar_dev < _tol.SCAN)]
+    return np.flatnonzero(act.scalar_dev < _tol.SCAN).tolist()
 
 
 def _mixed(act: _Action) -> np.ndarray:
@@ -495,18 +544,11 @@ def _mixed(act: _Action) -> np.ndarray:
     return np.flatnonzero((act.inside >= _tol.SCAN) & (act.outside >= _tol.SCAN))
 
 
-def _partitioning(
-    model: ProjectiveErrorModel,
-    act: _Action,
-    logical: Subgroup,
-    stab: Subgroup,
-    detect: list[int],
-) -> tuple[bool, int | None]:
+def _partitioning(act: _Action, logical: Subgroup, stab: Subgroup) -> tuple[bool, int | None]:
     bad = _mixed(act)
     if bad.size:
         return False, int(bad[0])
-    closed_form = (set(range(model.group.order)) - set(logical.members)) | set(stab.members)
-    if set(detect) != closed_form:
+    if not np.array_equal(act.scalar_dev < _tol.SCAN, ~logical._inside | stab._inside):
         raise RuntimeError("partitioning code whose detectable set is not the closed form")
     return True, None
 
@@ -521,7 +563,8 @@ def stabilizer_group(
 ) -> tuple[Subgroup, PhaseFunction]:
     """Elements of the logical group acting on the code as a unimodular
     scalar, with that scalar."""
-    return _stabilizer(model, _code_action(model, code))
+    act = _code_action(model, code)
+    return _stabilizer(model, act, _logical(model, act))
 
 
 def detectable_set(model: ProjectiveErrorModel, code: CodeSpace) -> list[int]:
@@ -540,9 +583,8 @@ def is_partitioning(
     stabilizer).
     """
     act = _code_action(model, code)
-    return _partitioning(
-        model, act, _logical(model, act), _stabilizer(model, act)[0], _detectable(act)
-    )
+    logical = _logical(model, act)
+    return _partitioning(act, logical, _stabilizer(model, act, logical)[0])
 
 
 @dataclass(eq=False)
@@ -651,7 +693,7 @@ def classify(
     """
     act = _code_action(model, code) if _act is None else _act
     logical = _logical(model, act)
-    stab, f = _stabilizer(model, act)
+    stab, f = _stabilizer(model, act, logical)
     detect = _detectable(act)
     witnesses: dict[str, object] = {}
 
@@ -686,7 +728,7 @@ def classify(
         elif not is_stab:
             witnesses["is_stabilizer"] = "no normal subgroup of the stabilizer rebuilds the code"
 
-    is_part, part_witness = _partitioning(model, act, logical, stab, detect)
+    is_part, part_witness = _partitioning(act, logical, stab)
     if not is_part:
         witnesses["is_partitioning"] = part_witness
 

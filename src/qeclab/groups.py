@@ -13,9 +13,13 @@ is validated by the public constructor Subgroup(parent, members), and is
 stored only once that succeeds, so a set that fails is never cached.  No
 check is lost: a Subgroup never changes its parent or members after
 construction, so the closure check made once holds for every later
-lookup, and the subgroup's as_group(), validated by FiniteGroup._validate
-when first built, is shared by every caller of that member set.  The
-public constructor itself is not interned and always validates.
+lookup, and the subgroup's as_group(), built when first asked for, is
+shared by every caller of that member set.  as_group() does not run
+FiniteGroup._validate: its table is cut from a validated parent along a
+member set the Subgroup constructor has checked closed, which proves the
+axioms (see Subgroup.as_group).  The public constructors, FiniteGroup(...)
+and group_from_mul_table, validate every table they are given, and the
+public Subgroup constructor is not interned and always validates.
 
 Each FiniteGroup also keeps one walk of its right Cayley graph over
 greedy_generators(), built on first use: the generators, the edge ends
@@ -92,6 +96,20 @@ class FiniteGroup:
         if self.element_names is not None and len(self.element_names) != self.order:
             raise GroupValidationError("element_names length mismatch")
         self._validate()
+
+    @classmethod
+    def _from_valid_table(
+        cls, order: int, mul: np.ndarray, identity: int, inv: np.ndarray,
+        label: str, element_names: list[str] | None,
+    ) -> "FiniteGroup":
+        """A group on int64 tables already known to satisfy the axioms,
+        built without _validate; Subgroup.as_group is its one caller and
+        holds the proof."""
+        group = cls.__new__(cls)
+        group.order, group.mul, group.identity, group.inv = order, mul, identity, inv
+        group.label, group.element_names = label, element_names
+        group._interned = {}   # the other caches default to None on the class
+        return group
 
     def _validate(self) -> None:
         n = self.order
@@ -222,6 +240,17 @@ class FiniteGroup:
         of K is covered.  A skipped representative would only find K again,
         so the subgroups found are those of the unpruned extension.
 
+        When x normalizes H, that is when x g x^-1 lies in H for each
+        generator g adjoined to reach H (then x H x^-1 <= H, and equality
+        holds by counting), K = <H, x> is closed under x's column alone.  In
+        an abelian G every x does.  Then H<x> is a subgroup, so K = H<x> is
+        the union of the cosets H x^k, k < m, for m the least k >= 1 with
+        x^k in H (H x^m = H, so later powers repeat these cosets).  These m
+        cosets are distinct: H x^i = H x^j with i < j < m would put x^(j-i)
+        in H, with 0 < j - i < m.  Closing H under right multiplication by x
+        reaches exactly this union, so H's own generator columns are not
+        needed.  Any other x is closed under H's generators plus x.
+
         Subgroups are kept as int bitmasks of their members.  Guarded by the
         order cap since subgroup counts grow quickly.  The result is sorted by
         (order, members), and every subgroup in it is interned.
@@ -258,16 +287,24 @@ class FiniteGroup:
             for g in gens or [e]:
                 rep_of[g] = x
             reps.append((x, col, gens))
+        inv, abelian = self.inv.tolist(), self.is_abelian()
         found = {1 << e}
+        # (members, mask, the generators adjoined to reach H)
         queue = [([e], 1 << e, [])]
-        for members, mask, cols in queue:   # grows while iterated: breadth first
-            # the representatives whose extension of H is a K already closed
+        for members, mask, adjoined in queue:   # grows while iterated: breadth first
+            # the representatives whose extension of H is a K already built
             # from H (see all_subgroups)
             covered = mask
             for x, col, gens in reps:
                 if covered >> x & 1:
                     continue
-                ext_members, ext_cols = list(members), cols + [col]
+                ext_members = list(members)
+                # x normalizes H (x g x^-1 in H for each adjoined g): K = H<x>
+                # is closed under x's column alone
+                if abelian or all(mask >> columns[inv[x]][columns[g][x]] & 1 for g in adjoined):
+                    ext_cols = [col]
+                else:
+                    ext_cols = [columns[g] for g in adjoined] + [col]
                 ext_mask = _extend_closure(ext_members, mask, ext_cols)
                 if _is_prime(len(ext_members) // len(members)):
                     covered |= ext_mask
@@ -278,7 +315,7 @@ class FiniteGroup:
                             covered |= 1 << rep_of[g_col[h]]
                 if ext_mask not in found:
                     found.add(ext_mask)
-                    queue.append((ext_members, ext_mask, ext_cols))
+                    queue.append((ext_members, ext_mask, adjoined + [x]))
         lattice = [tuple(sorted(members)) for members, _, _ in queue]
         lattice.sort(key=lambda m: (len(m), m))
         return lattice
@@ -445,6 +482,15 @@ class Subgroup:
 
         Element i of the result is self.members[i]; the member order is
         preserved so phase tables restricted through this map stay aligned.
+
+        The table is not validated again, because the axioms follow from
+        what is already proved.  The parent's table satisfies them: it
+        passed FiniteGroup._validate, or is itself such a cut, by induction.
+        __init__ checked that the members hold the identity and are closed
+        under products and inverses.  So the cut table has entries in range
+        (closure), is associative because the parent's products are, and
+        has the parent's identity and inverses, relabeled by the same lookup
+        as its entries.
         """
         if self._as_group is None:
             mem = np.array(self.members)
@@ -455,9 +501,8 @@ class Subgroup:
             identity = int(lookup[self.parent.identity])
             inv = lookup[self.parent.inv[mem]]
             names = [self.parent.name_of(m) for m in self.members]
-            self._as_group = FiniteGroup(
-                n, mul, identity, inv,
-                label=f"{self.parent.label}>sub{n}", element_names=names,
+            self._as_group = FiniteGroup._from_valid_table(
+                n, mul, identity, inv, f"{self.parent.label}>sub{n}", names
             )
         return self._as_group
 

@@ -180,6 +180,42 @@ def lattice_oracle(group: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(seen, key=lambda s: (len(s), s))
 
 
+def coset_lattice_oracle(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """lattice_oracle with each closure taken on a boolean mask, one all-pairs
+    product table per round, and adjoining to each subgroup H one element per
+    right coset Hx, the least: <H, hx> = <H, x> for h in H.  Fast enough for
+    every order-64 model, and checked against lattice_oracle where that runs.
+    """
+    mul = group.mul
+
+    def closure(mask):
+        while True:
+            mem = np.flatnonzero(mask)
+            grown = mask.copy()
+            grown[mul[np.ix_(mem, mem)]] = True
+            if np.array_equal(grown, mask):
+                return tuple(mem.tolist())
+            mask = grown
+
+    trivial = (group.identity,)
+    seen = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new_frontier = []
+        for sub in frontier:
+            for x in np.unique(mul[list(sub)].min(axis=0)).tolist():
+                if x in sub:
+                    continue
+                mask = np.zeros(group.order, dtype=bool)
+                mask[list(sub)] = mask[x] = True
+                closed = closure(mask)
+                if closed not in seen:
+                    seen.add(closed)
+                    new_frontier.append(closed)
+        frontier = new_frontier
+    return sorted(seen, key=lambda s: (len(s), s))
+
+
 # -- per-function references for make_rep, the code scans and dedup ----------
 #
 # The direct forms, one einsum per quantity and one snap_phase per table

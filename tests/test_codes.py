@@ -689,6 +689,27 @@ def _assert_action_matches_projector_form(model, code):
         assert np.abs(getattr(act, name) - values).max() < 1e-12, name
 
 
+@pytest.mark.parametrize("spec", ["xp:15", "c2d2n:3", "prod(genpauli:2,genpauli:4)"])
+def test_code_action_matches_the_batched_products(spec):
+    # the flat products of compressed_action against numpy's batched ones
+    model = parse_model_spec(spec).model
+    mats = model.rep.matrices
+    for _, _, code in enumerate_weak_stabilizer_codes(model):
+        act, b = _code_action(model, code), code.basis
+        c = b.conj().T @ mats @ b
+        scalars = np.trace(c, axis1=1, axis2=2) / code.dim
+        inside = np.linalg.norm(mats @ b - b @ c, axis=(1, 2))
+        want = {
+            "commutator": np.hypot(inside, inside[model.group.inv]),
+            "scalars": scalars,
+            "scalar_dev": np.linalg.norm(c - scalars[:, None, None] * np.eye(code.dim), axis=(1, 2)),
+            "inside": inside,
+            "outside": np.linalg.norm(c, axis=(1, 2)),
+        }
+        for name, values in want.items():
+            assert np.abs(getattr(act, name) - values).max() < 1e-13, name
+
+
 # pauli:3 is left out for time, as in test_classify_matches_per_function_formulas.
 @pytest.mark.parametrize("spec", [s for s in CATALOG_64 if s != "pauli:3"])
 def test_code_action_matches_projector_form_on_enumerated_codes(spec):
@@ -953,6 +974,41 @@ def test_eigenspaces_refuse_a_forged_row(spec):
             with pytest.raises(RuntimeError, match="delta"):
                 _eigenspaces(model, sub, values, (forged, 2 * den), dims)
     assert tried
+
+
+def test_classify_closes_the_logical_group_of_codes_tilted_at_the_threshold():
+    # tilted by 1e-8, about _tol.SCAN, the commutator norms of L sit at the
+    # threshold and the elements below it need not form a group: 14 of these
+    # 200 draws raised GroupValidationError before L was closed, and 14 close
+    # L (a count that rests on the last bits of the products, so only its
+    # sign is asserted)
+    model = parse_model_spec("xp:15").model
+    found = [c for _, _, c in enumerate_weak_stabilizer_codes(model) if c.dim < model.dim]
+    rng = np.random.default_rng(0)
+    closed = 0
+    for _ in range(200):
+        b = found[int(rng.integers(len(found)))].basis
+        r = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+        r -= b @ (b.conj().T @ r)
+        tilted = CodeSpace.from_vectors(model.dim, (b + 1e-8 * r / np.linalg.norm(r)).T)
+        report = classify(model, tilted)
+        below = np.flatnonzero(_code_action(model, tilted).commutator < _tol.SCAN).tolist()
+        assert set(below) <= set(report.logical.members)
+        assert set(report.stabilizer.members) <= set(report.logical.members)
+        closed += tuple(below) != report.logical.members
+    assert closed > 0
+
+
+def test_logical_closure_refuses_a_product_over_the_bound():
+    model = parse_model_spec("xp:15").model
+    g = model.group
+    x = next(x for x in range(g.order) if g.element_order(x) == 3)
+    x2 = int(g.mul[x, x])
+    comm = np.zeros(g.order)
+    assert codes._close_logical(model, comm, (g.identity, x)) == tuple(sorted({g.identity, x, x2}))
+    comm[x2] = 1.0   # x x pulled in, with a norm no unitary action gives
+    with pytest.raises(CodeError, match="product bound"):
+        codes._close_logical(model, comm, (g.identity, x))
 
 
 def test_classify_reads_tilted_codes_without_raising():

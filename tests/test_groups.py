@@ -10,6 +10,7 @@ from helpers import (
     CATALOG_64,
     cayley_bfs_oracle,
     closure_oracle,
+    coset_lattice_oracle,
     coset_representatives_loop,
     dihedral_loop,
     inversion_semidirect_loop,
@@ -286,7 +287,7 @@ def test_all_subgroups_match_oracle_on_relabeled_groups(spec, seed):
 @pytest.mark.parametrize(
     "spec, bound, count",
     [
-        # 4,146, 3,782 and 468 closures without the coset cover
+        # 4,146, 3,782 and 468 extensions without the coset cover
         ("prod(genpauli:2,genpauli:4)", 1700, 249),
         ("c2d2n:8", 1100, 137),
         ("genpauli:8", 200, 37),
@@ -295,16 +296,20 @@ def test_all_subgroups_match_oracle_on_relabeled_groups(spec, seed):
 def test_covered_extensions_are_not_closed(spec, bound, count, monkeypatch):
     g = parse_model_spec(spec).model.group
     g = group_from_mul_table(g.mul)   # a fresh group, its lattice not yet built
-    closures = []
-
-    def counting(*args):
-        closures.append(1)
-        return extend(*args)
-
+    built = {"one column": 0, "more columns": 0}
     extend = groups._extend_closure
-    monkeypatch.setattr(groups, "_extend_closure", counting)
+
+    def counted(members, mask, cols):
+        built["one column" if len(cols) == 1 else "more columns"] += 1
+        return extend(members, mask, cols)
+
+    monkeypatch.setattr(groups, "_extend_closure", counted)
     assert len(g.all_subgroups()) == count
-    assert 0 < len(closures) <= bound
+    # every extension built is one closure; in an abelian group every x
+    # normalizes H, so each is closed under x's column alone
+    assert 0 < sum(built.values()) <= bound
+    if g.is_abelian():
+        assert built["more columns"] == 0
 
 
 def test_all_subgroups_cap_checked_first():
@@ -555,3 +560,23 @@ def test_relabeled_table_satisfies_the_group_axioms(data):
     assert h.identity == pos[g.identity]
     assert (h.inv == pos[g.inv[perm]]).all()
     _assert_group_axioms(h.mul, h.identity, h.inv)
+
+
+_NAMED_GROUPS = {"dihedral(6)": lambda: dihedral(6), "symmetric(4)": lambda: symmetric(4)}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    CATALOG_64 + ["relabeled dihedral(6)", "relabeled symmetric(4)", "relabeled oddfam:3"],
+)
+def test_all_subgroups_match_the_coset_oracle(spec):
+    # one-column closures (x normalizing H) and closures under H's
+    # generators (the rest) mix in the nonabelian groups; relabeling moves
+    # which x the extensions meet first
+    name = spec.removeprefix("relabeled ")
+    g = _NAMED_GROUPS.get(name, lambda: parse_model_spec(name).model.group)()
+    g = _relabeled(g, seed=3) if spec != name else group_from_mul_table(g.mul)
+    want = coset_lattice_oracle(g)
+    assert [h.members for h in g.all_subgroups()] == want
+    if g.order <= 36:
+        assert want == lattice_oracle(g)

@@ -3,9 +3,12 @@
 The library interns the subgroups it builds in their parent group, so each
 member set is validated once and its as_group() and restricted cocycles
 are shared.  The counters here pin that: a search followed by classify
-validates exactly the lattice, and no cocycle runs its identity check
-twice.  The public Subgroup constructor keeps validating every call.
+checks exactly the lattice's member sets, validates none of their
+as_group() tables, and no cocycle runs its identity check twice.  The
+public Subgroup and group constructors keep validating every call.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -18,7 +21,13 @@ from qeclab.cli import parse_model_spec
 from qeclab import groups
 from qeclab.cocycles import Cocycle, _linear_characters, find_trivializing_phase
 from qeclab.codes import classify
-from qeclab.groups import FiniteGroup, GroupValidationError, Subgroup, dihedral
+from qeclab.groups import (
+    FiniteGroup,
+    GroupValidationError,
+    Subgroup,
+    dihedral,
+    group_from_mul_table,
+)
 from qeclab.search import enumerate_weak_stabilizer_codes, q3_probe
 
 
@@ -62,13 +71,61 @@ def test_search_and_classify_validate_each_lattice_subgroup_once(monkeypatch):
     reports = [classify(model, code) for _, _, code in found]
     lattice = model.group.all_subgroups()
     assert len(found) == 515
-    assert counters.subgroups == counters.validations - built == len(lattice) == 249
+    # lattice cuts build their as_group() tables without a validation (see
+    # Subgroup.as_group); test_every_lattice_cut_passes_the_validation runs it
+    assert counters.subgroups == len(lattice) == 249
+    assert counters.validations == built
     # the model cocycle is checked once, when the model is built, and every
     # restriction inherits its verdict without a check of its own
     assert len(counters.checked) == 1 and counters.checked[0] is model.cocycle
     # classify's subgroups are the lattice's objects
     ids = {id(sub) for sub in lattice}
     assert all(id(r.logical) in ids and id(r.stabilizer) in ids for r in reports)
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_every_lattice_cut_passes_the_validation(spec, monkeypatch):
+    # Light's test still covers every as_group() table, run here by hand
+    g = parse_model_spec(spec).model.group
+    lattice = g.all_subgroups()
+    counters = _Counters(monkeypatch)
+    for sub in lattice:
+        sub.as_group()._validate()
+    assert counters.validations == len(lattice)
+    # the unvalidated build sets every attribute the public one sets
+    cut = lattice[-1].as_group()
+    public = FiniteGroup(cut.order, cut.mul, cut.identity, cut.inv, cut.label, cut.element_names)
+    assert vars(cut).keys() == vars(public).keys()
+    assert counters.validations == len(lattice) + 1
+
+
+def _intercalate_swapped(mul: np.ndarray, e: int) -> np.ndarray:
+    """mul with one 2 x 2 latin subsquare a b / b a swapped, off the
+    identity's row and column and off the cells holding the identity, so
+    the table keeps its identity and inverses."""
+    n = len(mul)
+    for x, x2, y in itertools.product(range(n), repeat=3):
+        if e in (x, x2, y) or x >= x2 or e in (mul[x, y], mul[x2, y]):
+            continue
+        y2 = int(np.flatnonzero(mul[x] == mul[x2, y])[0])
+        if y2 != e and mul[x2, y2] == mul[x, y]:
+            out = mul.copy()
+            out[x, y], out[x2, y2] = mul[x, y2], mul[x2, y]
+            out[x, y2], out[x2, y] = mul[x, y], mul[x2, y2]
+            return out
+    raise AssertionError("no intercalate off the identity")
+
+
+def test_public_constructors_validate_a_cut_table(monkeypatch):
+    g = parse_model_spec("genpauli:4").model.group
+    sub = next(h for h in g.all_subgroups() if len(h) == 8)
+    cut = sub.as_group()
+    counters = _Counters(monkeypatch)
+    FiniteGroup(cut.order, cut.mul, cut.identity, cut.inv)
+    group_from_mul_table(cut.mul)
+    assert counters.validations == 2
+    with pytest.raises(GroupValidationError, match="not associative"):
+        group_from_mul_table(_intercalate_swapped(cut.mul, cut.identity))
 
 
 def test_q3_probe_validates_each_lattice_subgroup_at_most_once(monkeypatch):
