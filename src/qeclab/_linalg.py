@@ -1,4 +1,11 @@
-"""Shared dense linear algebra helpers."""
+"""Shared dense linear algebra helpers.
+
+compressed_action is the one product B* M B in qeclab: every reading of
+an operator's action on a subspace (the code action in codes, a piece of
+search's constituent split, ProjectiveRep.on_subspace, the
+Knill-Laflamme scalar in channels) goes through it, so the same subspace
+gives the same bytes to each reader.
+"""
 
 from __future__ import annotations
 
@@ -30,17 +37,6 @@ def orthonormal_columns(b: np.ndarray) -> np.ndarray:
     return u[:, :rank]
 
 
-def compress(matrices: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """basis* M basis for each matrix M of a stack: the action on a subspace.
-
-    matrices may be one d x d matrix or a stack of any leading shape.  The
-    product is numpy's, (basis* M) basis, whose bytes ProjectiveRep.on_subspace
-    keeps; compressed_action reads the same C with flat products instead,
-    which round differently in the last bits.
-    """
-    return basis.conj().T @ matrices @ basis
-
-
 def compressed_action(
     matrices: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -51,6 +47,24 @@ def compressed_action(
     batched product over n small matrices, and then two more over the n w
     rows of Y^T: C^T = Y^T conj(B), and the residual, read transposed as
     Y^T - C^T B^T.
+
+    The residual is iota(x) = |(1 - P) M(x) B|_F with P = B B*, and it
+    bounds how far x -> C(x) is from a representation.  Let the stack be a
+    projective rep pi with cocycle sigma, B an isometry, and rho(x) = C(x).
+    Inserting 1 = P + (1 - P) between two factors gives
+        rho(x)rho(y) - sigma(x,y)rho(xy)
+            = B* (pi(x)pi(y) - sigma(x,y)pi(xy)) B - [(1 - P) pi(x)* B]* [(1 - P) pi(y) B],
+        rho(x)* rho(x) - 1 = B* (pi(x)* pi(x) - 1) B - [(1 - P) pi(x) B]* [(1 - P) pi(x) B],
+    and B is an isometry and 1 - P a projector, so (Frobenius norms) rho's
+    pair deviation is at most pi's plus |(1 - P) pi(x)* B| iota(y), and its
+    unitarity deviation at most pi's plus iota(x)^2 (a square A has
+    |AA* - 1|_F = |A*A - 1|_F).  pi(x)* is a unit multiple of pi(x^-1) up
+    to pi's own deviation, below _tol.EXACT, so with iota below _tol.SCAN
+    on every x both excesses are below (_tol.SCAN + _tol.EXACT) _tol.SCAN
+    = 1.1e-16: rho is a projective rep with pi's cocycle that validating
+    against _tol.EXACT accepts unless pi itself deviates to within about
+    1e-16 of _tol.EXACT.  codes._clifford_flag and
+    search._split_constituents read their actions by this lemma.
     """
     n, (d, w) = len(matrices), basis.shape
     yt = (matrices.reshape(n * d, d) @ basis).reshape(n, d, w).transpose(0, 2, 1).reshape(n * w, d)

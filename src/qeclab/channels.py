@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tol
-from ._linalg import compress, frobenius, scalar_deviation
+from ._linalg import compressed_action, frobenius, scalar_deviation
 from .codes import CodeSpace
 from .models import ProjectiveErrorModel
 from .projreps import _PRODUCT_BLOCK_ENTRIES
@@ -133,7 +133,7 @@ def kl_detectable(code: CodeSpace, x: np.ndarray) -> complex | None:
     x = np.asarray(x, dtype=complex)
     if x.shape != (code.ambient_dim, code.ambient_dim):
         raise ChannelError("operator dimension does not match the code")
-    c, dev = scalar_deviation(compress(x, code.basis))
+    c, dev = scalar_deviation(compressed_action(x[None], code.basis)[0][0])
     if dev < _tol.SCAN:
         return complex(c)
     return None

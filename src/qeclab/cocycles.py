@@ -516,7 +516,8 @@ def _coboundary_rows(num: np.ndarray, den: int, mul: np.ndarray, sigma: Cocycle)
 
 
 def _greedy_generators(group: FiniteGroup) -> list[int]:
-    """FiniteGroup.greedy_generators, under the name codes and search import."""
+    """FiniteGroup.greedy_generators, called by this module's trivializer
+    systems under one module-level name, which bench/spans.py traces."""
     return group.greedy_generators()
 
 

@@ -540,11 +540,37 @@ def _detectable(act: _Action) -> list[int]:
 
 
 def _mixed(act: _Action) -> np.ndarray:
-    """The elements mapping W neither into W nor into its complement, in increasing order."""
-    return np.flatnonzero((act.inside >= _tol.SCAN) & (act.outside >= _tol.SCAN))
+    """The elements mapping W neither into W nor into its complement, in
+    increasing order: commutator and |C| both at least _tol.SCAN."""
+    return np.flatnonzero((act.commutator >= _tol.SCAN) & (act.outside >= _tol.SCAN))
 
 
 def _partitioning(act: _Action, logical: Subgroup, stab: Subgroup) -> tuple[bool, int | None]:
+    """(True, None) when no element is mixed (_mixed), else (False, the
+    first mixed element).  A partitioning code's detectable set D =
+    {x : act.scalar_dev[x] < _tol.SCAN} is then the closed form
+    (G minus L) plus S, and RuntimeError guards that.
+
+    Every x is exactly one of: in L, mixed, or outside L and detectable.
+    The mixed test and L read the one commutator norm, so with
+    iota(x) = act.inside[x] = |(1 - P) pi(x) B|, c = act.scalars[x],
+    sd = act.scalar_dev[x] and w = dim W:
+    - An element z that _close_logical adds to the threshold set has
+      commutator at least _tol.SCAN, and by its product bound a commutator
+      below about |G| 1.2e-8 (1 + _tol.EXACT)^|G|, far below 1 at any
+      order the caps allow.  So |C|^2 = |pi(z)B|^2 - iota(z)^2, with
+      |pi(z)B|^2 within sqrt(w) _tol.EXACT of w by pi's unitarity, is about
+      w >= 1, and z is mixed.  With nothing mixed, L is the threshold set.
+    - x outside L then has commutator at least _tol.SCAN, so, not being
+      mixed, |C| < _tol.SCAN, and sd = |C - c 1| <= |C| < _tol.SCAN
+      (c 1 is C's orthogonal projection onto the scalars): x is in D.
+    - x in L has iota(x) < _tol.SCAN.  C = c 1 + (C - c 1) splits
+      orthogonally, so w |c|^2 = |pi(x)B|^2 - iota^2 - sd^2 and
+      1 - |c| <= (iota^2 + sd^2 + sqrt(w) _tol.EXACT)/w, while
+      |c| <= |pi(x)|_op < 1 + _tol.EXACT/2.  So sd < _tol.SCAN puts |c|
+      within 1e-9 + 2e-16 of 1, and x in S (_stabilizer's tests): x in L
+      is in D exactly when it is in S.
+    """
     bad = _mixed(act)
     if bad.size:
         return False, int(bad[0])
@@ -653,23 +679,20 @@ def _clifford_flag(
 
     rho(x) = C(x) = B* pi(x) B for x in L, and its character is read from the
     code action: chi_rho(x) = tr C(x) = dim W * act.scalars[x].  No
-    representation of L is built or validated, and none needs to be.  Write
-    iota(x) = |(1 - BB*) pi(x) B| (act.inside).  W is L-invariant with no
-    test of its own: L is {x : act.commutator[x] < _tol.SCAN}, and
-    act.commutator[x] = hypot(iota(x), iota(x^-1)) >= iota(x), so iota is
-    below _tol.SCAN on L (a NaN commutator fails the test and leaves x
-    out of L).  For x, y in L,
-        rho(x)rho(y) - sigma(x,y)rho(xy)
-            = B* (pi(x)pi(y) - sigma(x,y)pi(xy)) B - B* pi(x) (1 - BB*) pi(y) B,
-    and B is an isometry and 1 - BB* a projector, so (Frobenius norms) rho's
-    deviation is at most pi's plus |(1 - BB*) pi(x)* B| iota(y).  pi(x)* is
-    a unit multiple of pi(x^-1) up to pi's own deviation, below _tol.EXACT,
-    so that product is below (iota(x^-1) + _tol.EXACT) iota(y) <
-    (_tol.SCAN + _tol.EXACT) _tol.SCAN = 1.1e-16.  The same split bounds
-    rho's unitarity deviation |rho(x)rho(x)* - 1| by pi's plus
-    |(1 - BB*) pi(x)* B|^2, below the same bound.  The restricted cocycle satisfies the cocycle
-    identity, as pi's does.  So validating rho against _tol.EXACT could fail
-    only if the model's rep deviated to within about 1e-16 of _tol.EXACT.
+    representation of L is built or validated, and none needs to be.  W is
+    L-invariant with no test of its own: L is {x : act.commutator[x] <
+    _tol.SCAN}, closed by _close_logical, and act.commutator[x] =
+    hypot(iota(x), iota(x^-1)) >= iota(x), with iota(x) = act.inside[x] =
+    |(1 - BB*) pi(x) B|.  So iota is below _tol.SCAN on the elements that
+    passed the test (a NaN commutator fails it and leaves x out of L), and
+    below |G| 1.2e-8 on those the closure added, by its product bound
+    (1.99e-8 was the largest on xp:15 codes tilted by 1e-8).  By
+    _linalg.compressed_action's lemma, rho's pair and unitarity deviations
+    then exceed pi's by under 1.1e-16, or (|G| 1.2e-8)^2 + |G| 1.2e-17,
+    6e-13 at order 64, where the closure added elements; and the
+    restricted cocycle satisfies the cocycle identity, as pi's does.  So
+    validating rho against _tol.EXACT could fail only if the model's rep
+    deviated to within that margin of _tol.EXACT.
     """
     order, dim_v, dim_w = model.group.order, model.dim, code.dim
     if len(logical) * dim_v != dim_w * order:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import compress, scalar_deviation
+from ._linalg import compressed_action, scalar_deviation
 from .cocycles import (
     Cocycle,
     PhaseFunction,
@@ -77,9 +77,6 @@ class ProjectiveRep:
             raise MakeRepError("need one square matrix per group element")
         self.dim = self.matrices.shape[1]
         self._character: Character | None = None
-        # the rep this one restricts, set by restrict; see _deviation_bounds
-        self._parent: ProjectiveRep | None = None
-        self._bounds: tuple[float, float] | None = None
         if validate:
             self._validate()
 
@@ -112,7 +109,7 @@ class ProjectiveRep:
 
     def _edges(self) -> tuple:
         """(m, right, ends, scales) of the Cayley edges (x, c), c in walk.cols
-        of the group's cached walk, for _first_deviation and _row_deviations."""
+        of the group's cached walk, for _first_deviation."""
         walk = self.group._cayley_walk()
         sigma = self.cocycle
         scales = np.exp(2j * np.pi * sigma.num[:, walk.cols] / sigma.den)
@@ -129,48 +126,15 @@ class ProjectiveRep:
             self._character = Character(self.group, values, self.cocycle)
         return self._character
 
-    def _deviation_bounds(self) -> tuple[float, float]:
-        """Upper bounds (u, d) on |pi(x)pi(x)* - 1|_F and on
-        D(x, y) = |pi(x)pi(y) - sigma(x,y)pi(xy)|_F over all x, y; NaN when
-        a deviation is, and d infinite when the cocycle fails its identity.
-
-        u is the largest unitarity deviation.  d comes from the largest
-        Cayley-edge deviation e by make_rep's depth induction, which holds
-        for any edge bound in place of delta:
-        D(x, y) <= (2l - 1) e (1 + v)^l for y at depth l, with
-        |pi(x)|_op <= sqrt(1 + u) = 1 + v.  So d = (2L - 1) e (1 + v)^L for
-        the greatest depth L, from n(r + 1) products instead of n^2.
-
-        Measured once, for the rep that a chain of restrict calls starts
-        from.  A restriction reads its parent's bounds: its matrices are
-        the parent's on the members of H and its cocycle the parent's on
-        pairs of members, so its deviations are some of the parent's.
-        """
-        if self._bounds is None:
-            if self._parent is not None:
-                self._bounds = self._parent._deviation_bounds()
-            else:
-                m = self.matrices
-                unit = float(np.linalg.norm(_unitarity_deviation(m), axis=(1, 2)).max())
-                pairs = math.inf
-                if self.cocycle.verify():
-                    edge = np.max([d.max() for _, d in _row_deviations(*self._edges())])
-                    depth = max(1, self.group._cayley_walk().length)
-                    pairs = float((2 * depth - 1) * edge * math.sqrt(1 + unit) ** depth)
-                self._bounds = (unit, pairs)
-        return self._bounds
-
     def restrict(self, sub: Subgroup) -> "ProjectiveRep":
         mem = np.array(sub.members)
-        rep = ProjectiveRep(
+        return ProjectiveRep(
             sub.as_group(),
             self.matrices[mem],
             self.cocycle.restrict(sub),
             label=f"{self.label}|H",
             validate=False,
         )
-        rep._parent = self
-        return rep
 
     def on_subspace(self, basis: np.ndarray) -> "ProjectiveRep":
         """The action basis* pi(x) basis on the span of orthonormal columns.
@@ -180,9 +144,11 @@ class ProjectiveRep:
         snap would need this cocycle's denominator, which can exceed 4|G|.
         The validation reads the Cayley edges, and every pair only when an
         edge fails (see _validate).  Raises MakeRepError when the subspace
-        is not invariant.
+        is not invariant.  The action is _linalg.compressed_action's, so a
+        piece of search._split_constituents on the same basis has the same
+        matrices.
         """
-        return ProjectiveRep(self.group, compress(self.matrices, basis), self.cocycle)
+        return ProjectiveRep(self.group, compressed_action(self.matrices, basis)[0], self.cocycle)
 
     def twist(self, f: PhaseFunction) -> "ProjectiveRep":
         """Multiply by a phase function on the whole group; the cocycle picks up df.
@@ -369,23 +335,16 @@ def _first_deviation(m, right, ends, scales, tol: float) -> tuple[int, float] | 
     products, transposed views, are subtracted in place.  A NaN deviation
     is not below tol, so it fails.
     """
-    for rows, devs in _row_deviations(m, right, ends, scales):
-        if not devs.max() < tol:
-            x = int(np.argmin(devs < tol))
-            return rows.start + x, float(devs[x])
-    return None
-
-
-def _row_deviations(m, right, ends, scales):
-    """Yield (rows, devs) over the row blocks of _row_products, devs[x] the
-    largest |pi(x) right[j] - scales[x, j] pi(ends[x, j])| over j for x in
-    rows, in _first_deviation's edge-set convention."""
     for rows, products in _row_products(m, right):
         diff = m[ends[rows]]
         diff *= scales[rows, :, None, None]
         diff -= products
         parts = diff.view(np.float64).reshape(len(diff), ends.shape[1], -1)
-        yield rows, np.sqrt(np.einsum("xyk,xyk->xy", parts, parts).max(axis=1))
+        devs = np.sqrt(np.einsum("xyk,xyk->xy", parts, parts).max(axis=1))
+        if not devs.max() < tol:
+            x = int(np.argmin(devs < tol))
+            return rows.start + x, float(devs[x])
+    return None
 
 
 def _raw_scalars(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:

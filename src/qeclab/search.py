@@ -13,6 +13,14 @@ module loops over subgroups.  Deduplication is exact and compares no
 projector: enumerate keys each code by its maximal witness (S, f_S), read
 from characters and confirmed in integers (_maximal_witnesses), and
 q3_probe's candidates are distinct by construction (see there).
+
+q3_probe splits each restriction pi|H into irreducible pieces on the
+eigenspaces of a random commutant element (_split_constituents).  A piece
+is accepted by the rule classify applies to a code: the action C = B* pi B
+and the invariance norms |(1 - BB*) pi(x) B| come from one
+_linalg.compressed_action, every norm must be below _tol.SCAN, and the
+lemma stated there makes C a projective rep with pi's cocycle, so no piece
+is validated again.  A candidate's code is its piece's basis B.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _tol
-from ._linalg import compress
+from ._linalg import compressed_action
 from .cocycles import PhaseFunction, _phase_values
 from .codes import (
     CodeSpace,
@@ -32,9 +40,7 @@ from .codes import (
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
 from .projreps import (
-    MakeRepError,
     ProjectiveRep,
-    _edge_tolerance,
     _intertwiner_count,
     _reynolds,
     is_irreducible,
@@ -227,71 +233,6 @@ def _canonical_key(piece: ProjectiveRep) -> tuple:
     return (piece.dim, *_on_grid(piece.character().values).tolist())
 
 
-def _margins_hold(rep: ProjectiveRep) -> bool:
-    """Whether rep leaves the margins that _checked_piece's proof needs: its
-    cocycle verifies, |rep(x)rep(x)* - 1|_F < _tol.EXACT/2 for every x, and
-    every pair (x, y) deviates by less than delta/2, with delta =
-    _edge_tolerance(walk) the edge tolerance of ProjectiveRep._validate.
-    Read from rep._deviation_bounds(), which a restriction inherits, so a
-    model's rep is measured once for all of its subgroups.
-    """
-    unitarity, pairs = rep._deviation_bounds()
-    delta = _edge_tolerance(rep.group._cayley_walk())
-    return unitarity < _tol.EXACT / 2 and pairs < delta / 2 and rep.cocycle.verify()
-
-
-def _checked_piece(rep: ProjectiveRep, basis: np.ndarray) -> ProjectiveRep | None:
-    """rep.on_subspace(basis) without its validation, when the span of the
-    orthonormal columns B is invariant on the generators:
-    iota(c) = |(1 - BB*) rep(c) B|_F < delta/4 for every c in walk.cols =
-    [identity, *gens]; None otherwise.  When _margins_hold(rep), a piece
-    returned here is one that on_subspace accepts, so it is the same piece.
-
-    Write pi = rep, sigma its cocycle, P = BB*, rho(x) = B* pi(x) B, u =
-    _tol.EXACT/4, and D(x, y) for the Frobenius norm of
-    pi(x)pi(y) - sigma(x,y)pi(xy) (D_rho for rho).  The margins give
-    |pi(x)|_op^2 <= 1 + |pi(x)pi(x)* - 1|_F < 1 + _tol.EXACT/2, so
-    |pi(x)|_op < 1 + u, and D(x, y) < delta/2 on every pair.  on_subspace's
-    validation checks rho's unitarity against _tol.EXACT, sigma's identity,
-    and rho's edges against delta, and all three pass:
-    - Edges.  rho(x)rho(c) - sigma(x,c)rho(xc) is
-      B* (pi(x)pi(c) - sigma(x,c)pi(xc)) B - B* pi(x) (1 - P) pi(c) B, and
-      B is an isometry, so D_rho(x, c) <= D(x, c) + |pi(x)|_op iota(c)
-      < delta/2 + (1 + u) delta/4 < delta.  The all-pairs fallback is
-      never reached.
-    - Unitarity.  rho(x)* rho(x) - 1 is B* (pi(x)* pi(x) - 1) B minus
-      [(1 - P) pi(x) B]* [(1 - P) pi(x) B], and a square A has
-      |AA* - 1|_F = |A*A - 1|_F (AA* and A*A share their eigenvalues), so
-      rho's deviation is below _tol.EXACT/2 + iota(x)^2.  iota is bounded
-      on all of H by make_rep's depth induction over the cached tree: for
-      y = y'g with parent y' and step g, pi(y')pi(g) = sigma(y',g)pi(y) + M
-      with |M|_F = D(y', g) < delta/2, and (1 - P) pi(y') pi(g) B =
-      (1 - P) pi(y') B rho(g) + (1 - P) pi(y') (1 - P) pi(g) B, so
-      iota(y) <= (1 + u)(iota(y') + iota(g)) + delta/2
-              < (1 + u) iota(y') + delta.
-      From iota(e) < delta/4 that gives iota(y) < (l + 1) delta (1 + u)^l
-      at depth l <= L, at most (L + 1)/(2L) _tol.EXACT (1 + u)^L, about
-      _tol.EXACT.  So rho's deviation is below _tol.EXACT/2 + 1.1e-18.
-    - The cocycle is sigma, which verifies.
-    The same bound as _clifford_flag's (in codes) for the code's action,
-    with the invariance read on the generators here and carried to every
-    element by the induction.  Every margin is at least delta/4 =
-    _tol.EXACT/(8L), 2e-12 at the depth L = 63 of the deepest order-64
-    tree, far above the rounding of the computed norms.  Each test is
-    "below the tolerance", so a NaN fails it, and the piece then goes to
-    on_subspace.  The piece is built as on_subspace builds it, from
-    compress(rep.matrices, basis) and rep's cocycle object.
-    """
-    walk = rep.group._cayley_walk()
-    m = rep.matrices
-    action = compress(m, basis)
-    cols = walk.cols
-    iota = np.linalg.norm(m[cols] @ basis - basis @ action[cols], axis=(1, 2))
-    if not iota.max() < _edge_tolerance(walk) / 4:
-        return None
-    return ProjectiveRep(rep.group, action, rep.cocycle, validate=False)
-
-
 def _split_constituents(rep: ProjectiveRep) -> list[tuple[ProjectiveRep, np.ndarray]]:
     """Split a projective rep into irreducible invariant-subspace restrictions,
     as (piece, B) pairs: B the orthonormal columns spanning the piece's
@@ -300,25 +241,24 @@ def _split_constituents(rep: ProjectiveRep) -> list[tuple[ProjectiveRep, np.ndar
     A random Hermitian element of the commutant (_commutant_element)
     generically has one eigenvalue per irreducible constituent, counting
     copies of isomorphic ones separately (Dixon, Math. Comp. 61, 1993).
-    Degenerate draws are detected by the per-piece irreducibility check
-    and retried with the next seed.  B is a block of eigh's eigenvectors,
-    used as it is, with no second orthonormalization: |B*B - 1|_F is a
-    rounding of order dim * eps (under 3e-15 on the order-64 models), which
-    _checked_piece's margins, at least delta/4 = 2e-12 at order 64, and
-    CodeSpace's _tol.EXACT cover.  Each piece is rep's action on an
-    eigenspace, kept with rep's cocycle.  When rep leaves the margins of
-    _margins_hold (checked once per split), a piece is accepted by
-    _checked_piece's invariance test on the generators, which implies that
-    rep.on_subspace would accept it; any other piece goes through
-    rep.on_subspace itself.  So the pieces, and every verdict, are those
-    of on_subspace.  They are returned sorted by _canonical_key, so the
-    order does not depend on the draw except among isomorphic pieces.  An
+    Each eigenspace B, a block of eigh's eigenvectors used as it is
+    (|B*B - 1|_F is a rounding of order dim * eps, under 3e-15 on the
+    order-64 models), is read once by _linalg.compressed_action, as
+    codes.classify reads a code: the span is accepted as invariant when
+    iota(x) = |(1 - BB*) rep(x) B|_F is below _tol.SCAN on every x, and
+    the piece is then ProjectiveRep(C) with rep's cocycle object, with no
+    validation of its own.  compressed_action's lemma bounds the piece's
+    deviations by rep's plus 1.1e-16, so ProjectiveRep.on_subspace, which
+    builds the same matrices, would accept it.  A degenerate draw merges
+    constituents, or leaves a span that is not invariant; either fails a
+    test (iota, then irreducibility), and the split retries with the next
+    seed.  The pieces are returned sorted by _canonical_key, so the order
+    does not depend on the draw except among isomorphic pieces.  An
     irreducible rep is its own piece, with B = 1.
     """
     if is_irreducible(rep):
         return [(rep, np.eye(rep.dim, dtype=complex))]
     dim = rep.dim
-    margins = _margins_hold(rep)
     for attempt in range(_SPLIT_ATTEMPTS):
         evals, evecs = np.linalg.eigh(_commutant_element(rep, _SPLIT_SEED + attempt))
         pieces: list[tuple[ProjectiveRep, np.ndarray]] = []
@@ -328,23 +268,16 @@ def _split_constituents(rep: ProjectiveRep) -> list[tuple[ProjectiveRep, np.ndar
                 continue
             basis = evecs[:, start:k]
             start = k
-            piece = _checked_piece(rep, basis) if margins else None
-            if piece is None:
-                try:
-                    piece = rep.on_subspace(basis)
-                except MakeRepError:
-                    break
+            action, inside, _ = compressed_action(rep.matrices, basis)
+            if not inside.max() < _tol.SCAN:
+                break
+            piece = ProjectiveRep(rep.group, action, rep.cocycle, validate=False)
             if not is_irreducible(piece):
                 break
             pieces.append((piece, basis))
         else:
             return sorted(pieces, key=lambda pair: _canonical_key(pair[0]))
     raise RuntimeError("commutant sampling failed to split the representation")
-
-
-def _irreducible_constituents(rep: ProjectiveRep) -> list[ProjectiveRep]:
-    """The pieces of _split_constituents, without their bases."""
-    return [piece for piece, _ in _split_constituents(rep)]
 
 
 def q3_probe(

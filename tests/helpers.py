@@ -301,9 +301,11 @@ def commutator_norms_oracle(model, code) -> np.ndarray:
 
 
 def partitioning_oracle(model, code) -> tuple[bool, int | None]:
-    """(flag, first element mapping W neither into W nor into its complement)."""
-    inside, outside = partition_norms_oracle(model, code)
-    bad = np.flatnonzero((inside >= TOL_MEMBERSHIP) & (outside >= TOL_MEMBERSHIP))
+    """(flag, first element mapping W neither into W nor into its complement:
+    |P pi - pi P| and |P pi P| both at least the membership tolerance)."""
+    _, outside = partition_norms_oracle(model, code)
+    comm = commutator_norms_oracle(model, code)
+    bad = np.flatnonzero((comm >= TOL_MEMBERSHIP) & (outside >= TOL_MEMBERSHIP))
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
@@ -878,13 +880,11 @@ def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray)
     eigenspace walk codes._constituent_phases made before its constituents
     were read from exact characters, kept as their oracle.
     """
-    from qeclab._linalg import compress, nullspace
-
     if not gens:
         yield basis
         return
     m = matrices[gens[0]]
-    angles = np.mod(np.angle(np.linalg.eigvals(compress(m, basis))) / (2 * np.pi), 1.0)
+    angles = np.mod(np.angle(np.linalg.eigvals(basis.conj().T @ m @ basis)) / (2 * np.pi), 1.0)
     angles[angles > 1 - _tol.EXACT] = 0.0
     chosen: list[float] = []
     for a in sorted(angles):
@@ -1243,6 +1243,13 @@ def commutant_split_oracle(rep, seed: int = 11, attempts: int = 8) -> list:
         else:
             return pieces
     raise RuntimeError("commutant sampling failed to split the representation")
+
+
+def irreducible_constituents(rep) -> list:
+    """The pieces of search._split_constituents, without their bases."""
+    from qeclab.search import _split_constituents
+
+    return [piece for piece, _ in _split_constituents(rep)]
 
 
 def isotypic_projector(rep, piece) -> np.ndarray:

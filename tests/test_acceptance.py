@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from helpers import eigenspace_dim, linear_characters, random_subgroup
+from helpers import eigenspace_dim, irreducible_constituents, linear_characters, random_subgroup
 
 from qeclab.channels import build_recovery, channel_from_model, kl_correctable, verify_recovery
 from qeclab.cocycles import PhaseFunction, find_trivializing_phase
@@ -30,7 +30,6 @@ from qeclab.models import (
     product_model,
 )
 from qeclab.projreps import frobenius_dims, mackey_character_defect
-from qeclab.search import _irreducible_constituents
 
 
 def _stamp(n, ok, detail):
@@ -270,7 +269,7 @@ def test_criterion_09_frobenius_and_mackey_samples():
     while frobenius_checked < 10:
         model = pool[frobenius_checked % len(pool)]
         sub = random_subgroup(model.group, rng)
-        pieces = _irreducible_constituents(model.rep.restrict(sub))
+        pieces = irreducible_constituents(model.rep.restrict(sub))
         theta = pieces[int(rng.integers(0, len(pieces)))]
         lhs, rhs = frobenius_dims(theta, sub, model.rep)
         assert abs(lhs - rhs) < 1e-7, (model.label, sub.members)

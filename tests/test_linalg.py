@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from qeclab._linalg import compress, compressed_action
+from qeclab._linalg import compressed_action
 from qeclab.cli import parse_model_spec
 
 
@@ -31,7 +31,3 @@ def test_compressed_action_matches_the_batched_products(n, w):
     assert np.abs(c - c_want).max() < 1e-13
     assert np.abs(inside - np.linalg.norm(m @ b - b @ c_want, axis=(1, 2))).max() < 1e-13
     assert np.abs(outside - np.linalg.norm(c_want, axis=(1, 2))).max() < 1e-13
-    assert np.abs(compress(m, b) - c_want).max() < 1e-13
-    # one d x d matrix, as channels.kl_detectable passes it
-    assert compress(m[0], b).shape == (w, w)
-    assert np.abs(compress(m[0], b) - c_want[0]).max() < 1e-13

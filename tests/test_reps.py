@@ -15,6 +15,7 @@ from helpers import (
     first_product_failure,
     induce_loop,
     inertia_group_loop,
+    irreducible_constituents,
     kron_hom_basis,
     mackey_defect_loop,
     make_rep_full_snap,
@@ -26,6 +27,7 @@ from helpers import (
 )
 
 from qeclab import _tol, codes, projreps, search
+from qeclab._linalg import compressed_action
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
 from qeclab.groups import cyclic, dihedral
@@ -175,7 +177,7 @@ def test_on_subspace_keeps_the_cocycle_where_make_rep_fails(spec, snap_failures)
         basis = _pi_x_eigenvector(res)
         piece = res.on_subspace(basis)
         assert piece.cocycle == res.cocycle
-        assert piece.matrices.tobytes() == (basis.conj().T @ res.matrices @ basis).tobytes()
+        assert piece.matrices.tobytes() == compressed_action(res.matrices, basis)[0].tobytes()
         try:
             make_rep(res.group, piece.matrices)
         except MakeRepError:
@@ -273,7 +275,7 @@ def test_conjugation_matches_the_per_member_loops(spec):
     model = parse_model_spec(spec).model
     g, sigma = model.group, model.cocycle
     for sub in g.all_subgroups():
-        theta = search._irreducible_constituents(model.rep.restrict(sub))[0]
+        theta = irreducible_constituents(model.rep.restrict(sub))[0]
         inertia = inertia_group(theta, sub, sigma)
         assert list(inertia.members) == inertia_group_loop(theta, sub, sigma)
         for x in range(g.order):
@@ -306,7 +308,7 @@ def test_conjugate_rep_refuses_an_element_outside_the_normalizer():
         for x in range(g.order)
         if not _normalizes(g, sub, x)
     )
-    theta = search._irreducible_constituents(model.rep.restrict(sub))[0]
+    theta = irreducible_constituents(model.rep.restrict(sub))[0]
     with pytest.raises(ValueError, match="not stable under conjugation by x"):
         conjugate_rep(theta, sub, x, model.cocycle)
     with pytest.raises(ValueError, match="not stable under conjugation by x"):
@@ -410,7 +412,7 @@ def _hom_pairs(model, subgroups=4):
     for sub in subs[::step] + [subs[-1]]:
         res = model.rep.restrict(sub)
         yield res, res
-        for rho in search._irreducible_constituents(res):
+        for rho in irreducible_constituents(res):
             yield rho, res
 
 
@@ -448,7 +450,7 @@ def test_hom_space_into_a_restriction_and_frobenius_dims(data):
     model = _catalog_model(data.draw(st.sampled_from(_catalog_specs_up_to_32())))
     sub = data.draw(st.sampled_from(model.group.all_subgroups()))
     res = model.rep.restrict(sub)
-    theta = data.draw(st.sampled_from(search._irreducible_constituents(res)))
+    theta = data.draw(st.sampled_from(irreducible_constituents(res)))
     _assert_hom_basis(theta, res, hom_space(theta, res))
     count = _intertwiner_count(theta, res)
     assert frobenius_dims(theta, sub, model.rep) == (count, count)
@@ -461,7 +463,7 @@ def test_induce_matches_the_phase_loop(data):
     # included, so the matrices agree bit for bit
     model = _catalog_model(data.draw(st.sampled_from(CATALOG_64)))
     sub = data.draw(st.sampled_from(model.group.all_subgroups()))
-    theta = data.draw(st.sampled_from(search._irreducible_constituents(model.rep.restrict(sub))))
+    theta = data.draw(st.sampled_from(irreducible_constituents(model.rep.restrict(sub))))
     got = induce(theta, sub, model.cocycle)
     want = induce_loop(theta, sub, model.cocycle)
     assert np.array_equal(got.matrices, want.matrices)
@@ -779,45 +781,3 @@ def test_finite_verdicts_match_the_all_pairs_oracle(spec, eps):
         mats = _perturbed(model, k, eps)
         want = _verdict(lambda: validate_all_pairs(ProjectiveRep(g, mats, sigma, validate=False)))
         assert _verdict(lambda: ProjectiveRep(g, mats, sigma)) == want
-
-
-def _largest_pair_deviation(rep) -> float:
-    """max |pi(x)pi(y) - sigma(x,y)pi(xy)|_F over all pairs, one x at a time."""
-    m, sigma = rep.matrices, rep.cocycle.to_complex_table()
-    return max(
-        np.linalg.norm(m[x] @ m - sigma[x][:, None, None] * m[rep.group.mul[x]], axis=(1, 2)).max()
-        for x in range(rep.group.order)
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_deviation_bounds_bound_every_pair_and_pass_to_restrictions(data):
-    # the pair bound comes from the Cayley edges by make_rep's induction; it
-    # stays an upper bound under random unitary noise of size up to 1e-10,
-    # and under the phase exp(i eps depth(x)), whose pair deviations exceed
-    # its edge deviations
-    model = parse_model_spec(data.draw(st.sampled_from(CATALOG_64[:12]))).model
-    m = model.rep.matrices
-    noise = data.draw(st.sampled_from([0.0, 1e-13, 1e-11, 1e-10]))
-    if data.draw(st.booleans()):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        u, _ = np.linalg.qr(np.eye(model.dim) + noise * rng.normal(size=m.shape))
-        m = u @ m
-    else:
-        m = np.exp(1j * noise * model.group._cayley_walk().tree[2])[:, None, None] * m
-    rep = ProjectiveRep(model.group, m, model.cocycle, validate=False)
-    unitarity, pairs = rep._deviation_bounds()
-    gram = rep.matrices @ rep.matrices.conj().transpose(0, 2, 1) - np.eye(rep.dim)
-    assert unitarity == np.linalg.norm(gram, axis=(1, 2)).max()
-    assert _largest_pair_deviation(rep) <= pairs * (1 + 1e-12) + 1e-15
-    sub = model.group.all_subgroups()[data.draw(st.integers(0, 3))]
-    assert rep.restrict(sub)._deviation_bounds() == (unitarity, pairs)
-
-
-def test_deviation_bounds_are_infinite_for_a_table_that_is_not_a_cocycle():
-    model = gen_pauli_model(2)
-    num = model.cocycle.num.copy()
-    num[1, 2] += 1
-    rep = ProjectiveRep(model.group, model.rep.matrices, Cocycle(model.group, num, 2), validate=False)
-    assert rep._deviation_bounds()[1] == np.inf

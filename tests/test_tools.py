@@ -1,6 +1,7 @@
 """tools/source_lines.py, whose per-module line counts CHANGES.md quotes, and
-source checks that each top-level name of qeclab is defined in one module and
-that no module imports a name it never uses."""
+source checks that each top-level name of qeclab is defined in one module,
+that no module imports a name it never uses, and that every private function
+is used in the package."""
 
 import ast
 import subprocess
@@ -72,3 +73,31 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private_functions(tree):
+    """Functions and methods named with one leading underscore."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node.name
+
+
+def _references(tree):
+    """Names a module reads, attributes it looks up, and names it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_function_is_referenced_in_the_package():
+    # a private helper that only tests or the benchmark call is dead code of
+    # the package: tests wrap what they need in tests/helpers.py
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    defined = {name for tree in trees for name in _private_functions(tree)}
+    referenced = {name for tree in trees for name in _references(tree)}
+    assert sorted(defined - referenced) == []
