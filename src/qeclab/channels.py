@@ -2,7 +2,7 @@
 
 Knill-Laflamme tests work on the code basis B, an isometry with P = B B*:
 P X P = c P holds exactly when B* X B = c I_w, with c = tr(B* X B) / w, and
-the two Frobenius distances agree.  kl_correctable forms K B once and then
+the two Frobenius distances agree.  kl_correctable forms K B and then
 B* K_i* K_j B for a block of rows i and every j with one matrix product; a
 block holds at most _PRODUCT_BLOCK_ENTRIES complex entries (one row at
 least), the bound projreps uses for its products.  KrausChannel.apply works
@@ -15,6 +15,17 @@ products P K_i* K_j P = M_ij P; the completion projector keeps the channel
 trace preserving.  verify_recovery forms the channel's images of the w^2
 matrix units from K B with one product, sends only those through the
 recovery, and obtains every other code state's output by linearity.
+
+K B and the verdict are formed once per (code, channel): a channel keeps a
+record of the last code basis it met, keyed by the basis bytes, holding K B
+and, once tested, the KLResult.  So kl_correctable, build_recovery (whose
+precondition is the same test) and verify_recovery, called in turn on one
+code, test all pairs once and multiply once.  The record cannot go stale:
+both are functions of K and B alone, the channel holds a private read-only
+copy of K, and B is compared byte for byte on every call, so a code whose
+basis changed, or another code, misses the record and is formed afresh,
+while a CodeSpace with equal basis bytes is the same code and is served
+the same K B and verdict.
 """
 
 from __future__ import annotations
@@ -53,13 +64,15 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self) -> None:
-        self.kraus = np.asarray(self.kraus, dtype=complex)
+        self.kraus = np.array(self.kraus, dtype=complex)   # a copy the record can trust
         if self.kraus.ndim != 3 or self.kraus.shape[1:] != (self.ambient_dim, self.ambient_dim):
             raise ChannelError("kraus must be a stack of ambient_dim square matrices")
         stacked = self.kraus.reshape(-1, self.ambient_dim)
         total = stacked.conj().T @ stacked
         if not frobenius(total - np.eye(self.ambient_dim)) <= _tol.EXACT:   # NaN fails too
             raise ChannelError("kraus operators do not sum to the identity")
+        self.kraus.flags.writeable = False
+        self._record: list | None = None   # [basis bytes, K B, KLResult or None]
 
     def __len__(self) -> int:
         return self.kraus.shape[0]
@@ -150,23 +163,31 @@ class KLResult:
         return self.ok
 
 
-def _code_products(code: CodeSpace, channel: KrausChannel) -> np.ndarray:
-    """The stack K_x B of every Kraus operator times the code basis, (n, d, w)."""
+def _record(code: CodeSpace, channel: KrausChannel) -> list:
+    """The channel's record [basis bytes, K B, KLResult or None] for this
+    code, formed afresh when the channel last met another basis (see the
+    module docstring)."""
     if channel.ambient_dim != code.ambient_dim:
         raise ChannelError("channel dimension does not match the code")
+    key = code.basis.tobytes()
+    if channel._record is None or channel._record[0] != key:
+        channel._record = [key, _code_products(code, channel), None]
+    return channel._record
+
+
+def _code_products(code: CodeSpace, channel: KrausChannel) -> np.ndarray:
+    """The stack K_x B of every Kraus operator times the code basis, (n, d, w)."""
     return channel.kraus @ code.basis
 
 
-def kl_correctable(code: CodeSpace, channel: KrausChannel) -> KLResult:
-    """All-pairs test P K_i* K_j P = c_ij P; the witness is the first bad pair
-    in row-major order.
+def _all_pairs(kb: np.ndarray) -> KLResult:
+    """The Knill-Laflamme test on the stack K B.
 
     Rows i are taken in blocks of at most _PRODUCT_BLOCK_ENTRIES entries of
     B* K_i* K_j B over every j (one row at least); each block is one
     (rows w, d) @ (d, n w) product and one scalar test, and the first block
     with a bad pair ends the search.
     """
-    kb = _code_products(code, channel)
     n, d, w = kb.shape
     right = kb.transpose(1, 0, 2).reshape(d, n * w)  # column (j, l) is K_j B e_l
     rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * w * w))
@@ -179,6 +200,23 @@ def kl_correctable(code: CodeSpace, channel: KrausChannel) -> KLResult:
             i, j = divmod(int(bad[0]), n)
             return KLResult(False, (a + i, j))
     return KLResult(True, None)
+
+
+def _verdict(record: list) -> KLResult:
+    """The record's KLResult, running the all-pairs test if it has none."""
+    if record[2] is None:
+        record[2] = _all_pairs(record[1])
+    return record[2]
+
+
+def kl_correctable(code: CodeSpace, channel: KrausChannel) -> KLResult:
+    """All-pairs test P K_i* K_j P = c_ij P; the witness is the first bad pair
+    in row-major order.
+
+    The test runs once per (code, channel); a repeated call reads the
+    channel's record (see the module docstring).
+    """
+    return _verdict(_record(code, channel))
 
 
 def build_recovery(code: CodeSpace, channel: KrausChannel) -> KrausChannel:
@@ -194,11 +232,17 @@ def build_recovery(code: CodeSpace, channel: KrausChannel) -> KrausChannel:
     sqrt(w) (row k of V*) as a (d, w) matrix, with no Gram matrix formed.
     A degenerate singular value leaves the basis of its space free, and
     every choice gives the same channel.
+
+    The precondition is kl_correctable's test, read from the channel's
+    record with K B (see the module docstring): after kl_correctable on the
+    same code neither the test nor K B is formed again, and a channel never
+    tested is tested here in full.
     """
-    result = kl_correctable(code, channel)
+    record = _record(code, channel)
+    result = _verdict(record)
     if not result.ok:
         raise ChannelError(f"channel is not correctable on this code, witness pair {result.witness}")
-    kb = _code_products(code, channel)
+    kb = record[1]
     n, dim, w = kb.shape
     _, s, vh = np.linalg.svd(kb.reshape(n, dim * w), full_matrices=False)
     keep = s * s / w >= _tol.GRAM_FLOOR
@@ -228,7 +272,9 @@ def verify_recovery(
     sum_ij u_i conj(u_j) |b_i><b_j| and R(N(.)) is linear, so its output is
     the same combination of the units' outputs: one (n_random, w^2) @
     (w^2, d^2) product.  Each output is compared with its state as formed
-    directly.
+    directly.  K B is the one in the channel's record (see the module
+    docstring), formed by an earlier kl_correctable or build_recovery on
+    the same code, or here if there was none.
     """
     b = code.basis
     d, w = b.shape
@@ -239,7 +285,7 @@ def verify_recovery(
     u = u / np.linalg.norm(u, axis=1, keepdims=True)
     v = u @ b.T
     states = np.concatenate([units, v[:, :, None] * v.conj()[:, None, :]])
-    kb = _code_products(code, channel)
+    kb = _record(code, channel)[1]
     cols = kb.transpose(2, 1, 0).reshape(w * d, -1)  # row (i, a) is entry a of K_x b_i over x
     images = (cols @ cols.conj().T).reshape(w, d, w, d).transpose(0, 2, 1, 3)
     unit_out = recovery.apply(images.reshape(w * w, d, d))

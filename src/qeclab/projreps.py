@@ -307,7 +307,9 @@ def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarr
     values -= columns[parent, j][:, None]
     sums = walk.path_sums(values)
     sums += columns[group.identity, 0]
-    sums %= den
+    # sums mod den, as % gives it for den > 0 (negative sums too); numpy's
+    # int64 // is several times faster than its int64 % on a full table
+    sums -= (sums // den) * den
     return np.ascontiguousarray(sums.T)
 
 

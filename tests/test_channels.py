@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from qeclab.codes import (
     weak_stabilizer_code,
 )
 from qeclab.models import gen_pauli_model, product_model
+from qeclab.search import enumerate_weak_stabilizer_codes
 
 
 def _two_qubit_pauli():
@@ -521,3 +523,139 @@ def test_recovery_counts_no_eigh_and_one_apply_on_the_units(monkeypatch):
         assert verify_recovery(code, channel, recovery) <= 1e-7
         assert [(c is recovery, shape) for c, shape in calls] == [(True, (w * w, d, d))]
         calls.clear()
+
+
+# -- the channel's record: one test and one K B per (code, channel) -----------
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    raw = getattr(channels, name)
+
+    def counted(*args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(channels, name, counted)
+    return calls
+
+
+def test_kl_build_verify_test_and_multiply_once(monkeypatch):
+    model = _two_qubit_pauli()
+    tests = _counting(monkeypatch, "_all_pairs")
+    products = _counting(monkeypatch, "_code_products")
+    code = _bell(model)
+    channel = channel_from_model(model, np.full(16, 1 / 16))
+    assert kl_correctable(code, channel)
+    recovery = build_recovery(code, channel)
+    assert verify_recovery(code, channel, recovery) < 1e-10
+    assert kl_correctable(code, channel)
+    assert (len(tests), len(products)) == (1, 1)
+    # a channel never tested gets the full test inside build_recovery, once
+    fresh = channel_from_model(model, np.full(16, 1 / 16))
+    recovery = build_recovery(code, fresh)
+    assert verify_recovery(code, fresh, recovery) < 1e-10
+    assert (len(tests), len(products)) == (2, 2)
+
+
+def test_build_recovery_on_a_fresh_channel_names_kl_correctables_witness():
+    half, channel = _late_witness_channel()
+    fresh = KrausChannel(4, channel.kraus)
+    witness = kl_correctable(half, channel).witness
+    assert witness == (382, 383)
+    with pytest.raises(ChannelError, match=rf"witness pair \({witness[0]}, {witness[1]}\)$"):
+        build_recovery(half, fresh)
+
+
+def test_interleaved_codes_are_never_served_each_others_verdict(monkeypatch):
+    model = _two_qubit_pauli()
+    channel = channel_from_model(model, np.full(16, 1 / 16))
+    bell = _bell(model)
+    half = CodeSpace.from_vectors(4, [[1, 0, 0, 0], [0, 0, 0, 1]])
+    want = {id(bell): kl_correctable(bell, KrausChannel(4, channel.kraus)),
+            id(half): kl_correctable(half, KrausChannel(4, channel.kraus))}
+    assert want[id(bell)] and not want[id(half)]
+    for code in (bell, half, bell, half, half, bell):
+        assert kl_correctable(code, channel) == want[id(code)]
+        if want[id(code)]:
+            assert verify_recovery(code, channel, build_recovery(code, channel)) < 1e-10
+        else:
+            with pytest.raises(ChannelError, match=re.escape(str(want[id(code)].witness))):
+                build_recovery(code, channel)
+    # the last code met was bell: another CodeSpace with equal basis bytes is
+    # the same code, and reads the record
+    tests = _counting(monkeypatch, "_all_pairs")
+    products = _counting(monkeypatch, "_code_products")
+    twin = CodeSpace(4, bell.basis.copy())
+    assert kl_correctable(twin, channel) == want[id(bell)]
+    assert verify_recovery(twin, channel, build_recovery(twin, channel)) < 1e-10
+    assert (tests, products) == ([], [])
+    assert kl_correctable(half, channel) == want[id(half)]
+    assert (len(tests), len(products)) == (1, 1)
+
+
+def test_channel_keeps_a_read_only_copy_of_its_kraus_operators():
+    kraus = np.array([np.eye(2, dtype=complex)])
+    channel = KrausChannel(2, kraus)
+    with pytest.raises(ValueError):
+        channel.kraus[0, 0, 0] = 2
+    assert channel.kraus is not kraus and kraus.flags.writeable
+    kraus[0, 0, 0] = 2
+    assert channel.kraus[0, 0, 0] == 1
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_all_pairs_witness_under_blocks_on_fresh_channels(monkeypatch, rows):
+    # kl_correctable answers a repeated (code, channel) from the record, so
+    # each block size (None: the default) is run on fresh channels
+    rng = np.random.default_rng(9)
+    big = parse_model_spec("permprod(genpauli:2,3)").model
+    cases = [_late_witness_channel()]
+    for w in (1, 2, 4):
+        code = _random_code(big.dim, w, rng)
+        cases += [(code, _random_channel(big, rng, size)) for size in (1, 2, 40, None)]
+    for code, channel in cases:
+        witness = kl_witness_per_row(code, channel)
+        if rows is not None:
+            monkeypatch.setattr(channels, "_PRODUCT_BLOCK_ENTRIES", rows * len(channel) * code.dim**2)
+        result = kl_correctable(code, KrausChannel(code.ambient_dim, channel.kraus))
+        assert result.witness == witness and bool(result) == (witness is None)
+
+
+@functools.lru_cache(maxsize=None)
+def _weak_codes(spec):
+    return [code for _, _, code in enumerate_weak_stabilizer_codes(_model(spec))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["genpauli:4", "prod(genpauli:2,genpauli:3)", "oddfam:3"]),
+       st.integers(0, 2**32 - 1))
+def test_kl_verdict_matches_the_detectable_set_oracle(spec, seed):
+    # the bench correct oracle: correctable exactly when x^-1 y is detectable
+    # for all x, y of the support, and every correctable channel recovers
+    model = _model(spec)
+    g = model.group
+    rng = np.random.default_rng(seed)
+    # every channel is correctable on a line, so lines are drawn a quarter
+    # of the time; half the supports get an element that breaks them
+    lines = rng.random() < 0.25
+    codes = [c for c in _weak_codes(spec) if (c.dim == 1) == lines]
+    code = codes[int(rng.integers(len(codes)))]
+    detectable = set(detectable_set(model, code))
+    support = _correctable_support(g, detectable, rng.permutation(g.order), int(rng.integers(1, 17)))
+    breaking = [z for z in range(g.order)
+                if any(g.mul[g.inv[y], z] not in detectable for y in support)]
+    if breaking and rng.random() < 0.5:
+        support.append(int(rng.choice(breaking)))
+    p = np.zeros(g.order)
+    p[support] = rng.uniform(0.5, 1.5, size=len(support))
+    channel = channel_from_model(model, p / p.sum())
+    support = np.flatnonzero(p)
+    oracle = all(g.mul[g.inv[x], y] in detectable for x in support for y in support)
+    result = kl_correctable(code, channel)
+    assert bool(result) == oracle
+    if oracle:
+        assert verify_recovery(code, channel, build_recovery(code, channel)) <= 1e-7
+    else:
+        with pytest.raises(ChannelError, match=re.escape(str(result.witness))):
+            build_recovery(code, channel)
