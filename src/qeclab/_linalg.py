@@ -13,6 +13,15 @@ import numpy as np
 
 from . import _tol
 
+# Most entries in one row block of an O(n^2) pass: 256 KiB of complex
+# pi(x) pi(y) or K B products (projreps, channels), or 128 KiB of int64
+# table entries (groups._row_blocks, for group validation, the cocycle
+# identity and make_rep's fill).  A block and its temporaries stay in
+# cache; 1 MiB blocks made make_rep's checks slower than one row at a time
+# on order-54 and order-64 reps.  Each module that blocks a pass imports
+# the name, so a test can shrink its blocks alone.
+_PRODUCT_BLOCK_ENTRIES = 2**14
+
 
 def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of a."""

@@ -5,8 +5,8 @@ P X P = c P holds exactly when B* X B = c I_w, with c = tr(B* X B) / w, and
 the two Frobenius distances agree.  kl_correctable forms K B and then
 B* K_i* K_j B for a block of rows i and every j with one matrix product; a
 block holds at most _PRODUCT_BLOCK_ENTRIES complex entries (one row at
-least), the bound projreps uses for its products.  KrausChannel.apply works
-on stacks of states under the same bound.
+least), the bound _linalg sets for projreps' products as well.
+KrausChannel.apply works on stacks of states under the same bound.
 
 The recovery is read off the stack K B as well.  build_recovery takes one
 thin SVD of it, whose right singular vectors are the code isometries of the
@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tol
-from ._linalg import compressed_action, frobenius, scalar_deviation
+from ._linalg import _PRODUCT_BLOCK_ENTRIES, compressed_action, frobenius, scalar_deviation
 from .codes import CodeSpace
 from .models import ProjectiveErrorModel
-from .projreps import _PRODUCT_BLOCK_ENTRIES
 
 __all__ = [
     "ChannelError",

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _tol
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _row_blocks
 
 __all__ = [
     "Phase",
@@ -234,7 +234,8 @@ class Cocycle:
         num = np.asarray(num, dtype=np.int64) % den
         g = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
         self.den = den // g
-        self.num = num // g
+        num //= g   # num is this object's copy
+        self.num = num
         self.num.flags.writeable = False
         self._verified = False
         if self.num.shape != (group.order, group.order):
@@ -304,15 +305,16 @@ class Cocycle:
         group algebra (e_x e_y = s(x,y) e_xy): the identity at (x, y, z)
         says (e_x e_y) e_z = e_x (e_y e_z), and the z for which it holds for
         all x, y are closed under products, so they are the whole group
-        once they contain a generating set.
+        once they contain a generating set.  Rows x run in row blocks
+        (groups._row_blocks).
         """
         mul = self.group.mul
         s = self.num
         for z in self.group.greedy_generators():
-            left = s + s[:, z][mul]                      # s(x,y) + s(xy,z)
-            right = s[:, mul[:, z]] + s[:, z]            # s(x,yz) + s(y,z)
-            if np.any((left - right) % self.den):
-                return False
+            for x in _row_blocks(len(s)):
+                # s(x,y) + s(xy,z) - s(x,yz) - s(y,z)
+                if np.any((s[x] + s[:, z][mul[x]] - s[x][:, mul[:, z]] - s[:, z]) % self.den):
+                    return False
         return True
 
     def multiply(self, other: "Cocycle") -> "Cocycle":

@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import _PRODUCT_BLOCK_ENTRIES
+
 __all__ = [
     "FiniteGroup",
     "Subgroup",
@@ -124,10 +126,11 @@ class FiniteGroup:
         # Light's test: the elements a with (x*a)*y == x*(a*y) for all x, y
         # are closed under multiplication, so checking a set that reaches every
         # element by right multiplication from the identity proves the table
-        # associative.
+        # associative.  Rows x run in the group's row blocks.
         for g in self.greedy_generators():
-            if not np.array_equal(mul[mul[:, g]], mul[:, mul[g]]):
-                raise GroupValidationError("multiplication table is not associative")
+            for x in _row_blocks(n):
+                if not np.array_equal(mul[mul[x, g]], mul[x][:, mul[g]]):
+                    raise GroupValidationError("multiplication table is not associative")
 
     def _closure(self, candidates) -> tuple[list[int], list[int]]:
         """Close {identity} under right multiplication, adjoining in turn each
@@ -632,24 +635,40 @@ def permutation_semidirect(base: FiniteGroup, n: int) -> FiniteGroup:
 
 
 def group_from_mul_table(mul, label: str = "G", element_names: list[str] | None = None) -> FiniteGroup:
-    """Build a group from a bare table, locating identity and inverses."""
+    """Build a group from a bare table, locating identity and inverses.
+
+    An identity e has 0 e = 0 and e 0 = 0, so only such e are tried; the
+    inverse of x is the one e in its row, read in row blocks.
+    """
     mul = np.asarray(mul, dtype=np.int64)
     n = mul.shape[0]
     idx = np.arange(n)
     identity = None
-    for e in range(n):
-        if np.array_equal(mul[e], idx) and np.array_equal(mul[:, e], idx):
-            identity = e
-            break
+    if mul.shape == (n, n) and n:
+        for e in np.flatnonzero((mul[0] == 0) & (mul[:, 0] == 0)).tolist():
+            if np.array_equal(mul[e], idx) and np.array_equal(mul[:, e], idx):
+                identity = e
+                break
     if identity is None:
         raise GroupValidationError("table has no identity element")
-    inv = np.zeros(n, dtype=np.int64)
-    for x in range(n):
-        hits = np.where(mul[x] == identity)[0]
-        if len(hits) != 1 or mul[hits[0], x] != identity:
+    inv = np.empty(n, dtype=np.int64)
+    for x in _row_blocks(n):
+        hits = mul[x] == identity
+        if not np.all(np.count_nonzero(hits, axis=1) == 1):
             raise GroupValidationError("table has no two-sided inverse for some element")
-        inv[x] = hits[0]
+        inv[x] = hits.argmax(axis=1)
+    if not np.all(mul[inv, idx] == identity):
+        raise GroupValidationError("table has no two-sided inverse for some element")
     return FiniteGroup(n, mul, identity, inv, label=label, element_names=element_names)
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """The rows of an n x n table in order, in blocks of at most
+    _PRODUCT_BLOCK_ENTRIES entries (one row at least): the blocks of the
+    O(|G|^2) table passes of groups, cocycles and projreps.  An order up to
+    128 is one block."""
+    rows = max(1, _PRODUCT_BLOCK_ENTRIES // max(n, 1))
+    return [slice(a, a + rows) for a in range(0, n, rows)]
 
 
 def _extend_closure(members: list[int], mask: int, cols: list[list[int]]) -> int:

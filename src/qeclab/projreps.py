@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import compressed_action, scalar_deviation
+from ._linalg import _PRODUCT_BLOCK_ENTRIES, compressed_action, scalar_deviation
 from .cocycles import (
     Cocycle,
     PhaseFunction,
@@ -26,7 +26,7 @@ from .cocycles import (
     coboundary,
     snap_phase,
 )
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _row_blocks
 
 __all__ = [
     "ProjectiveRep",
@@ -47,11 +47,6 @@ __all__ = [
     "frobenius_dims",
     "mackey_character_defect",
 ]
-
-# Most complex entries (256 KiB) in one block of pi(x) pi(y) products.  A
-# block and its temporaries stay in cache; 1 MiB blocks made make_rep's
-# checks slower than one row at a time on order-54 and order-64 reps.
-_PRODUCT_BLOCK_ENTRIES = 2**14
 
 
 class MakeRepError(ValueError):
@@ -223,7 +218,9 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     which is the cocycle identity sigma(x,y') sigma(xy',g) = sigma(x,y'g)
     sigma(y',g), and sigma(x, e) = sigma(e, e) (the identity at y = z = e).
     The filled table is refused if any entry's reduced denominator exceeds
-    4|G|, and is then validated by ProjectiveRep._validate.
+    4|G|, and is then validated by ProjectiveRep._validate.  The guard runs
+    only when den > 4|G|, over row blocks: a reduced denominator divides
+    den, so it cannot exceed 4|G| otherwise.
 
     That cocycle is the one that snapping every scalar gives.  Suppose the
     validation accepts sigma'.  Then every pair deviates by less than
@@ -278,11 +275,15 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
         raise MakeRepError("need one matrix per group element")
     num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * n, group._cayley_walk().cols)
     num = _fill_cocycle(group, num, den)
-    over = np.flatnonzero(den // np.gcd(num, den) > 4 * n)
-    if over.size:
-        x, y = divmod(int(over[0]), n)
-        raise MakeRepError(f"filled cocycle has a denominator above 4|G| at ({x},{y})")
-    return ProjectiveRep(group, matrices, Cocycle(group, num, den), label=label)
+    if den > 4 * n:
+        for rows in _row_blocks(n):
+            over = np.flatnonzero(den // np.gcd(num[rows], den) > 4 * n)
+            if over.size:
+                x, y = divmod(rows.start * n + int(over[0]), n)
+                raise MakeRepError(f"filled cocycle has a denominator above 4|G| at ({x},{y})")
+    sigma = Cocycle(group, num, den)
+    del num   # sigma holds its own copy: free the filled table before validating
+    return ProjectiveRep(group, matrices, sigma, label=label)
 
 
 def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarray:
@@ -296,21 +297,28 @@ def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarr
                       [sigma(xp, g) - sigma(p, g)],   mod den,
     every term an edge column: one walk.path_sums over the edge values,
     laid out [y, x].  The fill is exact, so any spanning tree gives the
-    same table.
+    same table.  The tree walk sums along y alone, so the x are filled in
+    blocks of at most _PRODUCT_BLOCK_ENTRIES entries, each written into
+    one table allocated up front; every entry is the same integer sum.
     """
     walk = group._cayley_walk()
     parent, step, _ = walk.tree
-    column = np.zeros(group.order, dtype=np.int64)
+    n = group.order
+    column = np.zeros(n, dtype=np.int64)
     column[walk.cols] = np.arange(len(walk.cols))
     j = column[step]
-    values = columns[group.mul.T[parent], j[:, None]]
-    values -= columns[parent, j][:, None]
-    sums = walk.path_sums(values)
-    sums += columns[group.identity, 0]
-    # sums mod den, as % gives it for den > 0 (negative sums too); numpy's
-    # int64 // is several times faster than its int64 % on a full table
-    sums -= (sums // den) * den
-    return np.ascontiguousarray(sums.T)
+    into = columns[parent, j][:, None]          # sigma(p, g) on the edge into y
+    table = np.empty((n, n), dtype=np.int64)
+    for x in _row_blocks(n):
+        values = columns[group.mul.T[parent, x], j[:, None]]
+        values -= into
+        sums = walk.path_sums(values)
+        sums += columns[group.identity, 0]
+        # sums mod den, as % gives it for den > 0 (negative sums too);
+        # numpy's int64 // is several times faster than its int64 %
+        sums -= (sums // den) * den
+        table[x] = sums.T
+    return table
 
 
 def _unitarity_deviation(m: np.ndarray) -> np.ndarray:

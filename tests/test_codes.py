@@ -1056,6 +1056,58 @@ def test_partitioning_codes_tilted_near_the_threshold_keep_the_closed_form(spec,
             assert (comm[list(report.logical.members)] < _tol.SCAN).all()
 
 
+# Draws per model and tilt of the sweep below: 35 models at 4 tilts
+TILT_DRAWS = 30
+
+
+@pytest.mark.parametrize("eps", [1e-9, 5e-9, 1e-8, 1e-7])
+def test_tilted_codes_of_every_catalog_model_never_raise_runtime_error(eps):
+    # the sweep over every catalog model (but pauli:3, for time) of the
+    # five-model test above: no tilt near the threshold reaches classify's
+    # closed-form RuntimeError, or any other
+    for k, spec in enumerate(TWIST_SPECS):
+        model, found = _enumerated(spec)
+        found = [code for code in found if code.dim < model.dim]
+        rng = np.random.default_rng([k, int(eps * 1e9)])
+        for _ in range(min(TILT_DRAWS, len(found))):
+            b = found[int(rng.integers(len(found)))].basis
+            r = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+            r -= b @ (b.conj().T @ r)
+            classify(model, CodeSpace.from_vectors(model.dim, (b + eps * r / np.linalg.norm(r)).T))
+
+
+# Models of order at most 16 and dimension at most 4, so every product
+# model has order at most 256 and dimension at most 16.
+PRODUCT_FACTORS = ["genpauli:2", "genpauli:3", "pauli:1", "xp:3", "xp:5", "c2d2n:2", "genpauli:4"]
+
+
+def _product_factor(spec):
+    model, found = _enumerated(spec)
+    return model, [code for code in found if code.dim < model.dim] or found
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_product_code_groups_are_the_products_of_the_factor_groups(data):
+    # L(W1 x W2) = L(W1) x L(W2) and S(W1 x W2) = S(W1) x S(W2) on the
+    # direct product, element (x, y) at x |G2| + y; product_code raises when
+    # its own check disagrees, and classify reads both groups afresh here
+    m1, found1 = _product_factor(data.draw(st.sampled_from(PRODUCT_FACTORS)))
+    m2, found2 = _product_factor(data.draw(st.sampled_from(PRODUCT_FACTORS)))
+    w1 = found1[data.draw(st.integers(0, len(found1) - 1))]
+    w2 = found2[data.draw(st.integers(0, len(found2) - 1))]
+    model, code = product_code(m1, w1, m2, w2)
+    assert code.dim == w1.dim * w2.dim
+    r1, r2, report = classify(m1, w1), classify(m2, w2), classify(model, code)
+    n2 = m2.group.order
+
+    def product(a, b):
+        return sorted(x * n2 + y for x in a.members for y in b.members)
+
+    assert list(report.logical.members) == product(r1.logical, r2.logical)
+    assert list(report.stabilizer.members) == product(r1.stabilizer, r2.stabilizer)
+
+
 @pytest.mark.parametrize("spec", TWIST_SPECS)
 def test_invariance_norm_is_bounded_by_the_commutator_norm(spec):
     # why _clifford_flag needs no invariance test of its own: on L the
