@@ -21,7 +21,12 @@ of a check already passed on the same read-only table are dropped.
 Facts that a construction already proves are read, not proved again: a
 stabilizer phase is snapped from the grid its cocycle puts it on
 (_snap_phases with a grid), and df = sigma is compared as integer numerators
-(_is_coboundary_of), with no Cocycle built for either side.
+(_is_coboundary_of), with no Cocycle built for either side.  That
+comparison is made where a phase enters from outside the construction that
+proves it: on the solver's output (find_trivializing_phase), on a caller's
+f (codes.weak_stabilizer_code) and on search's maximal witness keys.  The
+phases f0 chi of an enumeration and a classified code's stabilizer phase
+are proved admissible instead (codes._eigenspaces, codes._stabilizer).
 """
 
 from __future__ import annotations
@@ -346,10 +351,9 @@ class Cocycle:
         return hit[1]
 
     def to_json(self) -> dict:
-        table = [
-            [[self.phase(x, y).num, self.phase(x, y).den] for y in range(self.group.order)]
-            for x in range(self.group.order)
-        ]
+        """Each entry as [num, den] reduced, as self.phase(x, y) reduces it."""
+        g = np.gcd(self.num, self.den)
+        table = np.stack([self.num // g, self.den // g], axis=-1).tolist()
         return {"order": self.group.order, "table": table}
 
     @classmethod

@@ -21,7 +21,10 @@ conj(f0) pi|H is positive.  No eigenspace is walked and no value is snapped to f
 existence_phase takes the first and search.enumerate_weak_stabilizer_codes
 takes them all.  A (H, f) code is built as the 1-eigenspace of the average
 (1/|H|) sum_h conj(f(h)) pi(h), for many phase rows of one subgroup at once
-(_eigenspaces); weak_stabilizer_code is its one-row case.
+(_eigenspaces); weak_stabilizer_code is its one-row case.  df = sigma|H is
+tested there on the caller's f only: the rows f0 chi of _constituents are
+admissible by construction, and the stabilizer phase classify reads is
+proved admissible in _stabilizer's docstring, so neither is tested again.
 
 classify counts instead of building subspaces.  A code W lies in the (S, f)
 eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
@@ -184,25 +187,36 @@ def weak_stabilizer_code(
     Then h -> conj(f(h)) pi(h) is a unitary linear rep of H, and P is the
     orthogonal projector onto its invariant vectors, which are F (see
     _eigenspaces), so the eigenvectors span F and pass the check.
-    RuntimeError when a nonzero code has df != sigma|H.
+
+    f is the caller's, so df = sigma|H is tested on a nonzero code, as
+    integer numerators (cocycles._coboundary_rows) when f is exact and to
+    _tol.DERIVED on the floats otherwise: RuntimeError when it fails.
     """
     if f.domain is not sub and tuple(f.domain.members) != tuple(sub.members):
         raise CodeError("phase function domain does not match the subgroup")
-    exact = (f.num[None], f.den) if f.is_exact else None
-    return _eigenspaces(model, sub, f.values[None], exact)[0]
+    code = _eigenspaces(model, sub, f.values[None])[0]
+    if code is None:
+        return None
+    res, mul = model.cocycle.restrict(sub), sub.as_group().mul
+    if f.is_exact:
+        projective = _coboundary_rows(f.num[None], f.den, mul, res)[0]
+    else:
+        v = f.values
+        projective = np.abs(v[:, None] * v - res.to_complex_table() * v[mul]).max() <= _tol.DERIVED
+    if not projective:
+        raise RuntimeError("nonzero code with delta(f) != restricted cocycle")
+    return code
 
 
 def _eigenspaces(
     model: ProjectiveErrorModel,
     sub: Subgroup,
     values: np.ndarray,
-    exact: tuple[np.ndarray, int] | None = None,
     dims: np.ndarray | None = None,
 ) -> list[CodeSpace | None]:
     """The (sub, f_i) joint eigenspace W_i, or None where it is zero, for
     each row f_i of values [k, |H|], f_i's values on sub's members in order.
-    exact is (numerators [k, |H|], their one denominator) when every row is
-    exact; dims [k], when given, are the dimensions the caller expects, and
+    dims [k], when given, are the dimensions the caller expects, and
     RuntimeError is raised on a row whose rank differs.
 
     When df_i = sigma|H, h -> conj(f_i(h)) pi(h) is a unitary linear rep of
@@ -217,16 +231,21 @@ def _eigenspaces(
     P_i is off the exact one by the model's deviation from an exact rep and
     a rounding, together far below 1/2 (under 1e-8 for matrices that hold to
     _tol.EXACT), so the eigenvectors of the eigenvalues above 1/2 are an
-    orthonormal basis B_i of W_i, and their count is dim W_i.  When
-    df_i != sigma|H, W_i is zero (see weak_stabilizer_code), and whatever
-    eigenvectors P_i gives fail the check below.
+    orthonormal basis B_i of W_i, and their count is dim W_i.
+
+    df_i = sigma|H is not tested here.  Where it fails W_i is zero, and the
+    eigenvectors P_i gives fail the check below unless f_i is within about
+    _tol.SCAN of an admissible row, so a caller tests it unless its rows
+    are admissible by construction.  weak_stabilizer_code, whose f comes
+    from outside, tests it on the code it gets back.
+    search._enumerate_codes does not: its rows f0 chi are admissible, f0 a
+    trivializer that find_trivializing_phase has checked and chi an exact
+    linear character.
 
     Every row is checked, in one product each over the whole batch:
     |pi(h) B_i - f_i(h) B_i| <= _tol.SCAN entrywise on every h (None
-    otherwise); CodeSpace's orthonormality test on each B_i (CodeError
-    otherwise); and df_i = sigma|H on every nonzero code, as integer
-    numerators (cocycles._coboundary_rows) when exact is given and to
-    _tol.DERIVED on the floats otherwise (RuntimeError otherwise).
+    otherwise), and CodeSpace's orthonormality test on each B_i (CodeError
+    otherwise).
 
     Row i's bytes do not depend on the other rows: P_i is one row-vector
     product against pi|H flattened, as a stacked matmul makes it for each
@@ -248,7 +267,6 @@ def _eigenspaces(
     resid = np.abs(mats @ cat - values[row].T[:, None, :] * cat).max(axis=(0, 1), initial=0.0)
     ortho = np.abs(cat.conj().T @ cat - np.eye(len(row))) ** 2 * (row[:, None] == row[None, :])
     ortho = np.sqrt(np.bincount(row, ortho.sum(axis=1), minlength=k))
-    projective = _projective_rows(model, sub, values, exact)
     codes: list[CodeSpace | None] = []
     for i, end in enumerate(np.cumsum(ranks)):
         cols = slice(end - ranks[i], end)
@@ -257,32 +275,8 @@ def _eigenspaces(
             continue
         if not ortho[i] <= _tol.EXACT:   # NaN fails too
             raise CodeError("basis columns are not orthonormal")
-        if not projective[i]:
-            raise RuntimeError("nonzero code with delta(f) != restricted cocycle")
         codes.append(CodeSpace._checked(n, bases[i]))
     return codes
-
-
-def _projective_rows(
-    model: ProjectiveErrorModel, sub: Subgroup, values: np.ndarray, exact: tuple[np.ndarray, int] | None
-) -> np.ndarray:
-    """Whether df = sigma|H for each row f of values [k, |H|] on sub's members:
-    compared as integer numerators when exact = (numerators, denominator)
-    is given, to _tol.DERIVED on the floats otherwise."""
-    res = model.cocycle.restrict(sub)
-    mul = sub.as_group().mul
-    if exact is not None:
-        return _coboundary_rows(*exact, mul, res)
-    got = values[:, :, None] * values[:, None, :]
-    expected = res.to_complex_table() * values[:, mul]
-    return np.abs(got - expected).max(axis=(1, 2)) <= _tol.DERIVED
-
-
-def _assert_projective_phase(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseFunction) -> None:
-    # a nonzero joint eigenspace forces f to multiply like the cocycle does
-    exact = (f.num[None], f.den) if f.is_exact else None
-    if not _projective_rows(model, sub, f.values[None], exact)[0]:
-        raise RuntimeError("nonzero code with delta(f) != restricted cocycle")
 
 
 def stabilizer_code(
@@ -471,8 +465,9 @@ def _logical(model: ProjectiveErrorModel, act: _Action) -> Subgroup:
 def _close_logical(
     model: ProjectiveErrorModel, comm: np.ndarray, members: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """The subgroup generated by members, each product z = xy taken only
-    within c(z) <= (1 + _tol.EXACT)(c(x) + c(y)) + 2 _tol.EXACT, c = comm.
+    """The subgroup generated by members (FiniteGroup._closure), refused
+    unless every product z = xy of two of its elements has
+    c(z) <= (1 + _tol.EXACT)(c(x) + c(y)) + 2 _tol.EXACT, c = comm.
 
     The bound holds for every x, y.  Write iota(x) = |(1 - P) pi(x) B|_F,
     so that c(x) = hypot(iota(x), iota(x^-1)), and D = pi(x)pi(y) -
@@ -485,21 +480,14 @@ def _close_logical(
     inequality in the plane gives c(xy) <= (1 + u)(c(x) + c(y)) +
     sqrt(2) _tol.EXACT; the rest of the margin covers the rounding of the
     computed norms.  A product breaking it shows norms that no unitary
-    projective action gives, and raises CodeError.
+    projective action gives, and raises CodeError.  It is tested on all
+    pairs of the closed set at once.
     """
-    group, inside = model.group, np.zeros(model.group.order, dtype=bool)
-    inside[list(members)] = True
-    gens = np.array(members)
-    while True:
-        mem = np.flatnonzero(inside)
-        prod = group.mul[np.ix_(mem, gens)]
-        new = ~inside[prod]
-        if not new.any():
-            return tuple(mem.tolist())
-        bound = (1 + _tol.EXACT) * (comm[mem][:, None] + comm[gens]) + 2 * _tol.EXACT
-        if not (comm[prod][new] <= bound[new]).all():
-            raise CodeError("commutator norms of the logical group break the product bound")
-        inside[prod[new]] = True
+    closed = np.sort(model.group._closure(members)[0])
+    bound = (1 + _tol.EXACT) * (comm[closed][:, None] + comm[closed]) + 2 * _tol.EXACT
+    if not (comm[model.group.mul[np.ix_(closed, closed)]] <= bound).all():
+        raise CodeError("commutator norms of the logical group break the product bound")
+    return tuple(closed.tolist())
 
 
 def _stabilizer(
@@ -521,6 +509,27 @@ def _stabilizer(
     f(x)^ord(x) is a product of cocycle values and f(x) a
     (den * ord(x))-th root of unity.  The reader returns snap_phase's
     result on every entry, on the grid or off it, so f is from_complex's.
+
+    df = sigma|S then holds with no test of its own.  S is interned, so it
+    is a subgroup.  For x, y in S write C(x) = c_x 1 + E_x, with |E_x|_F =
+    act.scalar_dev[x] < _tol.SCAN and ||c_x| - 1| < _tol.SCAN, and
+    w = dim W.  By _linalg.compressed_action's lemma |C(x)C(y) -
+    sigma(x,y)C(xy)|_F exceeds pi's pair deviation, below _tol.EXACT, by
+    about iota(x^-1) iota(y), under 1e-10 as iota is below |G| 1.2e-8 on L
+    (see _partitioning) and |G| < 800.  So
+        eps = |c_x c_y - sigma(x,y) c_xy| < (_tol.EXACT + 3.01 _tol.SCAN)/sqrt(w),
+    under 3.2e-8 and far below _tol.DERIVED, to which the floats of an
+    inexact f would be compared.  Chained along x, x^2, ..., x^ord(x) = e,
+    with pi(e) = 1, it puts c_x within 7e-8 radians of a point of the grid.
+    An exact entry has a denominator at most 4|G| and lies within
+    _tol.EXACT of c_x/|c_x|, and such a fraction and a grid point coincide
+    or lie 2 pi/(4|G| grid) radians apart, so it is that grid point
+    whenever 4|G| grid < 8.8e7 (at most 65,536 on the catalog models, on
+    c2d2n:8).  Then f(x)f(y)conj(sigma(x,y)f(xy)) is a grid-th root of
+    unity within eps + 3.03(_tol.EXACT + _tol.SCAN) < 7e-8 of 1, nearer
+    than any other, so it is 1: df = sigma|S in integers wherever f is
+    exact.  tests/test_codes.py pins both on every enumerated code and on
+    the codes of its tilt sweep.
     """
     keep = (
         logical._inside
@@ -720,7 +729,6 @@ def classify(
     detect = _detectable(act)
     witnesses: dict[str, object] = {}
 
-    _assert_projective_phase(model, stab, f)
     extra = code_dimension_formula(model, stab, f) - code.dim
     is_weak = extra == 0
     if not is_weak:

@@ -148,13 +148,16 @@ class ProjectiveRep:
     def twist(self, f: PhaseFunction) -> "ProjectiveRep":
         """Multiply by a phase function on the whole group; the cocycle picks up df.
 
-        f(e) != 1 is allowed: the result then has pi(e) = f(e) 1 and
-        sigma(e, e) = f(e), an unnormalized cocycle that character() refuses.
+        f(e) != 1 raises ValueError: the result would have pi(e) = f(e) 1 and
+        sigma(e, e) = f(e), an unnormalized rep that character() and
+        ProjectiveErrorModel refuse.
         """
         if len(f.domain) != self.group.order:
             raise ValueError("twist needs a phase function on the whole group")
         if not f.is_exact:
             raise ValueError("twist needs exact phases")
+        if f.num[f.domain.position(self.group.identity)]:
+            raise ValueError("twist needs f(e) = 1")
         delta = coboundary(f)
         return ProjectiveRep(
             self.group,

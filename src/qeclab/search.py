@@ -14,6 +14,14 @@ projector: enumerate keys each code by its maximal witness (S, f_S), read
 from characters and confirmed in integers (_maximal_witnesses), and
 q3_probe's candidates are distinct by construction (see there).
 
+df = sigma|H is tested where a phase enters from outside, and proved
+where the library builds it.  codes.weak_stabilizer_code tests the caller's
+f; cocycles.find_trivializing_phase tests the solver's trivializer f0;
+and each maximal witness key is confirmed in integers (_maximal_witnesses).
+The rows f0 chi that _enumerate_codes hands to codes._eigenspaces are
+admissible by construction and are not tested again, and a classified
+code's stabilizer phase is proved admissible in codes._stabilizer.
+
 q3_probe splits each restriction pi|H into irreducible pieces on the
 eigenspaces of a random commutant element (_split_constituents).  A piece
 is accepted by the rule classify applies to a code: the action C = B* pi B
@@ -39,13 +47,7 @@ from .codes import (
 )
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
-from .projreps import (
-    ProjectiveRep,
-    _intertwiner_count,
-    _reynolds,
-    is_irreducible,
-    restrict,
-)
+from .projreps import ProjectiveRep, _reynolds, is_irreducible, restrict
 
 __all__ = [
     "SearchError",
@@ -146,7 +148,8 @@ def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim
     f_S's numerators over sigma.den * exp(G), -1 off S, one row per code).
 
     A code is built only for a key (_maximal_witnesses) not seen before, and
-    the new rows of one subgroup are built together (codes._eigenspaces).
+    the new rows of one subgroup are built together (codes._eigenspaces),
+    with no df = sigma|H test: each row f0 chi is admissible by construction.
     No projector is formed to compare codes, and no random number is drawn.
     """
     max_order = _check_caps(model, max_order, max_dim)
@@ -167,7 +170,7 @@ def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim
                 new.append(i)
         if not new:
             continue
-        built = _eigenspaces(model, sub, values[new], (nums[new], den), dims[new])
+        built = _eigenspaces(model, sub, values[new], dims[new])
         for i, code in zip(new, built):
             if code is None:
                 raise RuntimeError("constituent with an empty code space")
@@ -322,8 +325,12 @@ def q3_probe(
     span(B).  Every check of clifford_code holds here:
     - rho is irreducible: the split checks every piece;
     - rho has the restriction's cocycle: the piece keeps its cocycle object;
-    - multiplicity one: _intertwiner_count(rho, pi|H) == 1;
-    - [G:H] dim rho = dim V: the target filter;
+    - multiplicity one and [G:H] dim rho = dim V: the target filter,
+      dim rho = target = dim V / [G:H] = |H| / dim V, since |G| = dim V^2.
+      pi is irreducible, so sum_G |chi_pi|^2 = |G| = chi_pi(e)^2 and chi_pi
+      vanishes off e (a nice error basis, Klappenecker and Roetteler I).
+      So <rho, pi|H> = dim rho dim V / |H| = dim rho / target, which is 1
+      exactly when dim rho = target;
     - the intertwiner test on every h in H, with t = B:
       |pi(h)B - B rho(h)|_F <= _tol.SCAN sqrt(dim rho) = _tol.SCAN |B|_F,
       clifford_code's bound, and RuntimeError otherwise;
@@ -341,7 +348,7 @@ def q3_probe(
         target = model.dim // index
         res = restrict(model.rep, sub)
         for rho, basis in _split_constituents(res):
-            if rho.dim != target or _intertwiner_count(rho, res) != 1:
+            if rho.dim != target:
                 continue
             moved = np.linalg.norm(res.matrices @ basis - basis @ rho.matrices, axis=(1, 2))
             if not moved.max() <= _tol.SCAN * np.sqrt(rho.dim):

@@ -468,4 +468,9 @@ def test_coboundary_round_trips(data):
     n = model.group.order
     nums = data.draw(st.lists(st.integers(0, den - 1), min_size=n, max_size=n))
     f = PhaseFunction.exact(model.group.full_subgroup(), [Phase(k, den) for k in nums])
+    if nums[model.group.identity]:   # twist refuses f(e) != 1; try f / f(e) too
+        with pytest.raises(ValueError, match=r"f\(e\) = 1"):
+            model.rep.twist(f)
+        nums = [k - nums[model.group.identity] for k in nums]
+        f = PhaseFunction.exact(model.group.full_subgroup(), [Phase(k, den) for k in nums])
     assert model.rep.twist(f).cocycle == model.rep.cocycle.multiply(coboundary(f))

@@ -28,7 +28,7 @@ from helpers import (
     weak_code_nullspace_oracle,
 )
 
-from qeclab import _tol, codes, projreps
+from qeclab import _tol, cocycles, codes, projreps
 from qeclab._linalg import nullspace
 from qeclab.cli import _dicke_subgroup, parse_model_spec
 from qeclab.cocycles import Phase, PhaseFunction, _phase_values, coboundary, find_trivializing_phase
@@ -950,7 +950,10 @@ def test_weak_code_agrees_with_the_nullspace_oracle_on_drawn_pairs(spec, seed, k
 @pytest.mark.parametrize("spec", ["oddfam:3", "permprod(genpauli:2,2)", "genpauli:4"])
 def test_eigenspaces_refuse_a_forged_row(spec):
     # on every subgroup with two constituents or more, each row's rank is
-    # held to its dimension, and each nonzero row's delta(f) to sigma|H
+    # held to its dimension by _eigenspaces, and a caller's f with delta(f)
+    # != sigma|H by weak_stabilizer_code: each constituent with one entry
+    # turned by 1e-9 of a turn still passes the eigenvector check, so only
+    # the integer delta test refuses it
     model, _ = _enumerated_witnesses(spec)
     e = model.group.identity
     tried = 0
@@ -960,20 +963,17 @@ def test_eigenspaces_refuse_a_forged_row(spec):
             continue
         tried += 1
         values = _phase_values(nums, den)
-        built = _eigenspaces(model, sub, values, (nums, den), dims)
+        built = _eigenspaces(model, sub, values, dims)
         assert [code.dim for code in built] == dims.tolist()
-        floats = _eigenspaces(model, sub, values, None, dims)
-        assert [a.basis.tobytes() for a in built] == [b.basis.tobytes() for b in floats]
-        for j in range(len(dims)):
+        for j, f in enumerate(_constituent_phases(model, sub)):
             off = dims.copy()
             off[j] += 1
             with pytest.raises(RuntimeError, match="rank"):
-                _eigenspaces(model, sub, values, (nums, den), off)
-            # f_j(e) forged half a step off 0 over 2 den: delta(f_j)(e, e) != 0
-            forged = 2 * nums
-            forged[j, sub.position(e)] += 1
+                _eigenspaces(model, sub, values, off)
+            turned = list(f.phases)
+            turned[sub.position(e)] = turned[sub.position(e)] * Phase(1, 10**9)
             with pytest.raises(RuntimeError, match="delta"):
-                _eigenspaces(model, sub, values, (forged, 2 * den), dims)
+                weak_stabilizer_code(model, sub, PhaseFunction.exact(sub, turned))
     assert tried
 
 
@@ -1064,7 +1064,8 @@ TILT_DRAWS = 30
 def test_tilted_codes_of_every_catalog_model_never_raise_runtime_error(eps):
     # the sweep over every catalog model (but pauli:3, for time) of the
     # five-model test above: no tilt near the threshold reaches classify's
-    # closed-form RuntimeError, or any other
+    # closed-form RuntimeError, or any other, and each stabilizer phase,
+    # read from scalars up to eps off the grid, is admissible
     for k, spec in enumerate(TWIST_SPECS):
         model, found = _enumerated(spec)
         found = [code for code in found if code.dim < model.dim]
@@ -1073,7 +1074,30 @@ def test_tilted_codes_of_every_catalog_model_never_raise_runtime_error(eps):
             b = found[int(rng.integers(len(found)))].basis
             r = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
             r -= b @ (b.conj().T @ r)
-            classify(model, CodeSpace.from_vectors(model.dim, (b + eps * r / np.linalg.norm(r)).T))
+            tilted = CodeSpace.from_vectors(model.dim, (b + eps * r / np.linalg.norm(r)).T)
+            assert _stabilizer_phase_is_admissible(model, classify(model, tilted))
+
+
+def _stabilizer_phase_is_admissible(model, report):
+    # delta(f) = sigma|S as integer numerators when f is exact, and to
+    # _tol.DERIVED on the floats otherwise
+    stab, f = report.stabilizer, report.stabilizer_phase
+    res, mul = model.cocycle.restrict(stab), stab.as_group().mul
+    if f.is_exact:
+        return bool(cocycles._coboundary_rows(f.num[None], f.den, mul, res)[0])
+    v = f.values
+    return np.abs(v[:, None] * v - res.to_complex_table() * v[mul]).max() <= _tol.DERIVED
+
+
+@pytest.mark.parametrize("spec", TWIST_SPECS)
+def test_classify_stabilizer_phases_of_enumerated_codes_are_admissible(spec):
+    # classify tests no delta(f) = sigma|S: _stabilizer's docstring proves
+    # it, and every enumerated code's phase is exact and passes in integers
+    model, found = _enumerated(spec)
+    for code in found:
+        report = classify(model, code)
+        assert report.stabilizer_phase.is_exact
+        assert _stabilizer_phase_is_admissible(model, report)
 
 
 # Models of order at most 16 and dimension at most 4, so every product

@@ -138,21 +138,24 @@ def test_twist_changes_cocycle_by_coboundary():
     assert lhs == rhs
 
 
-def test_twist_by_a_phase_off_one_at_the_identity_is_unnormalized():
-    # twist takes f(e) != 1, as make_rep's fill tests need: then pi(e) =
-    # f(e) 1 and sigma(e, e) = f(e), and the character refuses the rep
+def test_twist_refuses_a_phase_off_one_at_the_identity():
+    # f(e) != 1 would give pi(e) = f(e) 1 and sigma(e, e) = f(e), an
+    # unnormalized rep that the character refuses, so twist refuses f; the
+    # make_rep fill tests build such matrices as f.values * matrices
     model = gen_pauli_model(2)
     g = model.group
     f = PhaseFunction.exact(
         g.full_subgroup(),
         [Phase(1, 4) if x == g.identity else Phase(0, 1) for x in range(g.order)],
     )
-    twisted = model.rep.twist(f)
-    assert np.array_equal(twisted.matrices[g.identity], 1j * np.eye(2))
-    assert twisted.cocycle.phase(g.identity, g.identity) == Phase(1, 4)
-    assert twisted.cocycle == model.rep.cocycle.multiply(coboundary(f))
+    with pytest.raises(ValueError, match=r"twist needs f\(e\) = 1"):
+        model.rep.twist(f)
+    mats = f.values[:, None, None] * model.rep.matrices
+    assert np.array_equal(mats[g.identity], 1j * np.eye(2))
+    unnormalized = ProjectiveRep(g, mats, model.rep.cocycle.multiply(coboundary(f)))
+    assert unnormalized.cocycle.phase(g.identity, g.identity) == Phase(1, 4)
     with pytest.raises(ValueError, match="character value at the identity must be the dimension"):
-        twisted.character()
+        unnormalized.character()
 
 
 def test_rep_json_round_trip():
@@ -559,7 +562,7 @@ def test_make_rep_agrees_with_the_full_snap_on_twisted_reps(data):
     den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 97, 131]))
     nums = data.draw(st.lists(st.integers(0, den - 1), min_size=g.order, max_size=g.order))
     f = PhaseFunction.exact(g.full_subgroup(), [Phase(k, den) for k in nums])
-    mats = model.rep.twist(f).matrices
+    mats = f.values[:, None, None] * model.rep.matrices
     got = _cocycle_or_none(make_rep, g, mats)
     assert got == _cocycle_or_none(make_rep_full_snap, g, mats)
 
@@ -580,7 +583,7 @@ def test_make_rep_agrees_with_the_full_snap_on_relabeled_twisted_reps(data):
     den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 97, 131]))
     nums = data.draw(st.lists(st.integers(0, den - 1), min_size=g.order, max_size=g.order))
     f = PhaseFunction.exact(g.full_subgroup(), [Phase(k, den) for k in nums])
-    mats = model.rep.twist(f).matrices
+    mats = f.values[:, None, None] * model.rep.matrices
     got = _cocycle_or_none(make_rep, g, mats)
     assert got == _cocycle_or_none(make_rep_full_snap, g, mats)
 
@@ -618,8 +621,9 @@ def test_make_rep_snaps_only_the_edge_columns(spec, monkeypatch):
 
     monkeypatch.setattr(projreps, "_snap_scalars", recording_snap)
     assert make_rep(g, mats).cocycle == model.rep.cocycle
-    twisted = model.rep.twist(_phase_with_a_nonzero_identity(g))
-    assert make_rep(g, twisted.matrices).cocycle == twisted.cocycle
+    f = _phase_with_a_nonzero_identity(g)
+    twisted = make_rep(g, f.values[:, None, None] * mats).cocycle
+    assert twisted == model.rep.cocycle.multiply(coboundary(f))
     assert shapes == [(g.order, 1 + len(g.greedy_generators()))] * 2
 
 

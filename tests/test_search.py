@@ -335,6 +335,28 @@ def _catalog_model(spec):
     return parse_model_spec(spec).model
 
 
+def test_central_type_pieces_of_the_target_dimension_occur_once():
+    # q3_probe reads multiplicity one from dim rho = target: on a central-type
+    # model chi_pi vanishes off e, so <rho, pi|H> = dim rho / target.  Every
+    # central-type catalog model but pauli:3 (for time)
+    central = [s for s in CATALOG_64 if s != "pauli:3" and _catalog_model(s).is_central_type()]
+    assert len(central) == 14
+    pieces = 0
+    for spec in central:
+        model = _catalog_model(spec)
+        chi = model.rep.character().values
+        assert np.abs(np.delete(chi, model.group.identity)).max() < _tol.EXACT
+        for sub in model.group.all_subgroups():
+            if model.dim % sub.index():
+                continue
+            res = restrict(model.rep, sub)
+            for rho, _ in search._split_constituents(res):
+                if rho.dim == model.dim // sub.index():
+                    assert _intertwiner_count(rho, res) == 1
+                    pieces += 1
+    assert pieces
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_reynolds_element_commutes_and_pieces_are_irreducible(data):
