@@ -23,6 +23,11 @@ from . import _tol
 _PRODUCT_BLOCK_ENTRIES = 2**14
 
 
+def complex_json(a: np.ndarray) -> list:
+    """a as nested lists with each complex entry written [re, im]."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of a."""
     a = np.asarray(a, dtype=complex)

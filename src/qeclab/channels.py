@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tol
-from ._linalg import _PRODUCT_BLOCK_ENTRIES, compressed_action, frobenius, scalar_deviation
+from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compressed_action, frobenius, scalar_deviation
 from .codes import CodeSpace
 from .models import ProjectiveErrorModel
 
@@ -106,12 +106,7 @@ class KrausChannel:
         return out.reshape(rho.shape)
 
     def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "kraus": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in k] for k in self.kraus
-            ],
-        }
+        return {"ambient_dim": self.ambient_dim, "kraus": complex_json(self.kraus)}
 
     @classmethod
     def from_json(cls, data: dict) -> "KrausChannel":

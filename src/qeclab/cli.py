@@ -304,7 +304,7 @@ def _fmt_complex(z: complex, nd: int = 9) -> str:
 def _group_json(group: FiniteGroup) -> dict:
     return {
         "order": group.order,
-        "mul": [[int(v) for v in row] for row in group.mul],
+        "mul": group.mul.tolist(),
         "identity": group.identity,
         "label": group.label,
     }

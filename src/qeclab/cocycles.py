@@ -208,6 +208,12 @@ def _numerators(entries: Sequence[Phase | None]) -> tuple[np.ndarray, int, np.nd
     return num, den, np.array([p is not None for p in entries], dtype=bool)
 
 
+def _reduced_pairs(num: np.ndarray, den: int) -> list:
+    """Each numerator k in [0, den) as [k, den] reduced, as Phase(k, den) reduces it."""
+    g = np.gcd(num, den)
+    return np.stack([num // g, den // g], axis=-1).tolist()
+
+
 _QUARTER_TURN_VALUES = np.array([_EXACT_QUARTER_TURNS[q] for q in ((0, 1), (1, 4), (1, 2), (3, 4))])
 
 
@@ -352,9 +358,7 @@ class Cocycle:
 
     def to_json(self) -> dict:
         """Each entry as [num, den] reduced, as self.phase(x, y) reduces it."""
-        g = np.gcd(self.num, self.den)
-        table = np.stack([self.num // g, self.den // g], axis=-1).tolist()
-        return {"order": self.group.order, "table": table}
+        return {"order": self.group.order, "table": _reduced_pairs(self.num, self.den)}
 
     @classmethod
     def from_json(cls, group: FiniteGroup, data: dict) -> "Cocycle":
@@ -457,14 +461,11 @@ class PhaseFunction:
         )
 
     def to_json(self) -> dict:
-        out = {}
-        for i, member in enumerate(self.domain.members):
-            p = self.phases[i]
-            if p is not None:
-                out[str(member)] = [p.num, p.den]
-            else:
-                out[str(member)] = {"re": self.values[i].real, "im": self.values[i].imag}
-        return out
+        """Exact entries as reduced [num, den], as self.phases reduces them,
+        and inexact ones as {"re", "im"}."""
+        pairs = _reduced_pairs(self.num, self.den)
+        cells = zip(self.domain.members, pairs, self.exact_mask.tolist(), self.values.tolist())
+        return {str(x): pair if ok else {"re": v.real, "im": v.imag} for x, pair, ok, v in cells}
 
     @classmethod
     def from_json(cls, domain: Subgroup, data: dict) -> "PhaseFunction":

@@ -7,11 +7,11 @@ The action of the model on a code is computed once per code, on its basis B
 (P = B B*), from flat products over the whole group
 (_linalg.compressed_action).  B is an isometry, so |P pi(x) P| and
 |pi(x) P - P pi(x) P| are the norms of the compressed action C = B* pi(x) B
-and of pi(x) B - B C, and the logical group, stabilizer, detectable set,
-partitioning test and Clifford invariance test are all read from such norms.  The commutator [P, pi(x)]
-needs no product of its own: its blocks (1 - P) pi(x) P and P pi(x) (1 - P)
-are orthogonal, and pi(x)* is a unit multiple of pi(x^-1), so the second
-has the norm of the first at x^-1.
+and of pi(x) B - B C, and the logical group, stabilizer, detectable set
+and partitioning test are all read from such norms.  The commutator
+[P, pi(x)] needs no product of its own: its blocks (1 - P) pi(x) P and
+P pi(x) (1 - P) are orthogonal, and pi(x)* is a unit multiple of
+pi(x^-1), so the second has the norm of the first at x^-1.
 
 Constituents are found here only (_constituents), in exact
 arithmetic: with f0 a trivializer of the restricted cocycle, the codes on
@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import compressed_action, frobenius, orthonormal_columns, scalar_deviation
+from ._linalg import complex_json, compressed_action, frobenius, orthonormal_columns, scalar_deviation
 from .cocycles import (
     PhaseFunction,
     _coboundary_rows,
@@ -155,13 +155,7 @@ class CodeSpace:
         return frobenius(self.projector() - other.projector()) < _tol.DERIVED
 
     def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "basis": [
-                [[float(z.real), float(z.imag)] for z in self.basis[:, k]]
-                for k in range(self.dim)
-            ],
-        }
+        return {"ambient_dim": self.ambient_dim, "basis": complex_json(self.basis.T)}
 
     @classmethod
     def from_json(cls, data: dict) -> "CodeSpace":
@@ -721,7 +715,7 @@ def classify(
     """Compute the three group invariants and all classification flags.
 
     _classify_orbits passes the code action it has just computed as the
-    private _act, positionally, as q3_probe passes clifford_code's.
+    private _act, positionally; q3_probe classifies through _classify_orbits.
     """
     act = _code_action(model, code) if _act is None else _act
     logical = _logical(model, act)

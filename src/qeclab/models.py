@@ -5,10 +5,15 @@ irreducible linear representation, a ProjectiveErrorModel wraps a
 projectively faithful irreducible projective representation.  The fixed
 primitive root of unity is always exp(2*pi*i/n), which keeps characters and
 cocycle tables byte-stable across runs.
+
+Every catalog rep is a table of generator words: the element with
+mixed-radix digits d = (d_0, d_1, ...), first digit most significant, acts
+by g_0^d_0 g_1^d_1 ..., multiplied left to right (see _words).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -133,16 +138,20 @@ class ProjectiveErrorModel:
         return self.group.order == self.dim**2
 
 
+def _words(radices: tuple[int, ...], gens) -> np.ndarray:
+    """One matrix per digit tuple d in mixed radix, first digit most
+    significant: gens[0]^d_0 @ gens[1]^d_1 @ ..., multiplied left to right."""
+    powers = [[np.linalg.matrix_power(g, k) for k in range(r)] for r, g in zip(radices, gens)]
+    return np.array([functools.reduce(np.matmul, word) for word in itertools.product(*powers)])
+
+
 def gen_pauli_model(n: int) -> ProjectiveErrorModel:
     """Generalized Pauli model on Z_n x Z_n: pi(a,b) = X_n^a Z_n^b, dim n."""
     if n < 1:
         raise ModelError("need n >= 1")
     group = direct_product(cyclic(n), cyclic(n))
     group.label = f"Z{n}xZ{n}"
-    x, z = clock_shift(n)
-    xp = [np.linalg.matrix_power(x, a) for a in range(n)]
-    zp = [np.linalg.matrix_power(z, b) for b in range(n)]
-    mats = np.array([xp[g // n] @ zp[g % n] for g in range(n * n)])
+    mats = _words((n, n), clock_shift(n))
     return ProjectiveErrorModel(make_rep(group, mats, label="genpauli"), label=f"genpauli:{n}")
 
 
@@ -150,12 +159,8 @@ def dihedral_xp_model(n: int) -> ProjectiveErrorModel:
     """XP model on the dihedral group of order 2n: pi(b^k a^l) = X^k P^l."""
     if n < 2:
         raise ModelError("need n >= 2")
-    group = dihedral(n)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    p = np.diag([1, zeta(n)])
-    pp = [np.linalg.matrix_power(p, l) for l in range(n)]
-    mats = np.array([np.linalg.matrix_power(x, g // n) @ pp[g % n] for g in range(2 * n)])
-    return ProjectiveErrorModel(make_rep(group, mats, label="xp"), label=f"xp:{n}")
+    mats = _words((2, n), [np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1, zeta(n)])])
+    return ProjectiveErrorModel(make_rep(dihedral(n), mats, label="xp"), label=f"xp:{n}")
 
 
 def product_model(m1: ProjectiveErrorModel, m2: ProjectiveErrorModel) -> ProjectiveErrorModel:
@@ -192,17 +197,11 @@ def perm_product_model(model: ProjectiveErrorModel, n: int) -> ProjectiveErrorMo
             "raise QECLAB_MAX_DIM to override"
         )
     group = permutation_semidirect(model.group, n)
-    perms = list(itertools.permutations(range(n)))
-    tuples = list(itertools.product(range(model.group.order), repeat=n))
-    perm_mats = [_tensor_permutation_matrix(p, model.dim) for p in perms]
-    dim = model.dim**n
-    mats = np.zeros((group.order, dim, dim), dtype=complex)
-    for vi, xs in enumerate(tuples):
-        tens = np.eye(1, dtype=complex)
-        for xj in xs:
-            tens = np.kron(tens, model.rep.matrices[xj])
-        for si in range(len(perms)):
-            mats[vi * len(perms) + si] = tens @ perm_mats[si]
+    perms = itertools.permutations(range(n))
+    perm_mats = np.array([_tensor_permutation_matrix(p, model.dim) for p in perms])
+    # kron of the stacks is the stack of kron products, tuples in mixed radix
+    tens = functools.reduce(np.kron, [model.rep.matrices] * n)
+    mats = (tens[:, None] @ perm_mats[None]).reshape(group.order, *perm_mats.shape[1:])
     return ProjectiveErrorModel(
         make_rep(group, mats, label="permprod"), label=f"permprod({model.label},{n})"
     )
@@ -222,23 +221,11 @@ def family_c2_x_d2n(n: int) -> tuple[ProjectiveErrorModel, Subgroup, ProjectiveR
     eye2 = np.eye(2, dtype=complex)
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
     p = np.diag([1, zeta(2 * n)])
-    swap = np.kron(flip, eye2)
-    xx = np.kron(eye2, flip)
-    pm = np.kron(np.diag([1.0, -1.0]), p)
-    d_order = 4 * n
-    pmp = [np.linalg.matrix_power(pm, m) for m in range(2 * n)]
-    mats = np.zeros((group.order, 4, 4), dtype=complex)
-    for g in range(group.order):
-        k, rest = divmod(g, d_order)
-        l, m = divmod(rest, 2 * n)
-        mats[g] = np.linalg.matrix_power(swap, k) @ np.linalg.matrix_power(xx, l) @ pmp[m]
+    gens = [np.kron(flip, eye2), np.kron(eye2, flip), np.kron(np.diag([1.0, -1.0]), p)]
+    mats = _words((2, 2, 2 * n), gens)
     model = ProjectiveErrorModel(make_rep(group, mats, label="c2d2n"), label=f"c2d2n:{n}")
-    sub = Subgroup(group, range(d_order))
-    pp = [np.linalg.matrix_power(p, m) for m in range(2 * n)]
-    rho_mats = np.array(
-        [np.linalg.matrix_power(flip, h // (2 * n)) @ pp[h % (2 * n)] for h in range(d_order)]
-    )
-    rho = make_rep(sub.as_group(), rho_mats, label="rho")
+    sub = Subgroup(group, range(4 * n))
+    rho = make_rep(sub.as_group(), _words((2, 2 * n), [flip, p]), label="rho")
     return model, sub, rho
 
 
@@ -257,38 +244,12 @@ def family_odd(n: int) -> tuple[ProjectiveErrorModel, Subgroup, ProjectiveRep]:
     c = np.fliplr(np.eye(n, dtype=complex))
     eye2 = np.eye(2, dtype=complex)
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    xx = np.kron(eye2, x)
-    zz = np.kron(eye2, z)
-    cc = np.kron(np.diag([1.0, -1.0]), c)
-    sw = np.kron(flip, np.eye(n, dtype=complex))
-    xxp = [np.linalg.matrix_power(xx, a) for a in range(n)]
-    zzp = [np.linalg.matrix_power(zz, b) for b in range(n)]
-    mats = np.zeros((group.order, 2 * n, 2 * n), dtype=complex)
-    for g in range(group.order):
-        li, d = divmod(g, 2)
-        a = li // (2 * n)
-        b = (li // 2) % n
-        cpow = li % 2
-        m = xxp[a] @ zzp[b]
-        if cpow:
-            m = m @ cc
-        if d:
-            m = m @ sw
-        mats[g] = m
+    doubled = [np.kron(eye2, x), np.kron(eye2, z), np.kron(np.diag([1.0, -1.0]), c)]
+    swap = np.kron(flip, np.eye(n, dtype=complex))
+    mats = _words((n, n, 2, 2), [*doubled, swap])
     model = ProjectiveErrorModel(make_rep(group, mats, label="oddfam"), label=f"oddfam:{n}")
     sub = Subgroup(group, [2 * l for l in range(lgroup.order)])
-    xp = [np.linalg.matrix_power(x, a) for a in range(n)]
-    zp = [np.linalg.matrix_power(z, b) for b in range(n)]
-    rho_mats = np.zeros((lgroup.order, n, n), dtype=complex)
-    for li in range(lgroup.order):
-        a = li // (2 * n)
-        b = (li // 2) % n
-        cpow = li % 2
-        m = xp[a] @ zp[b]
-        if cpow:
-            m = m @ c
-        rho_mats[li] = m
-    rho = make_rep(sub.as_group(), rho_mats, label="rho")
+    rho = make_rep(sub.as_group(), _words((n, n, 2), [x, z, c]), label="rho")
     return model, sub, rho
 
 
@@ -372,26 +333,14 @@ def d4_character_table() -> dict[str, list[complex]]:
     model = dihedral_xp_model(4)
     group = model.group
 
-    def linear_rep(a_val: complex, b_val: complex) -> np.ndarray:
-        return np.array(
-            [[[a_val ** (g % 4) * b_val ** (g // 4)]] for g in range(8)], dtype=complex
-        )
-
-    a5 = np.array([[0, -1], [1, 0]], dtype=complex)
-    b5 = np.array([[1, 0], [0, -1]], dtype=complex)
-    rho5 = np.array(
-        [
-            np.linalg.matrix_power(b5, g // 4) @ np.linalg.matrix_power(a5, g % 4)
-            for g in range(8)
-        ]
-    )
+    # b^k a^l is element 4k + l; the linear reps send a and b to signs
     reps = {
-        "rho1": make_rep(group, linear_rep(1, 1)),
-        "rho2": make_rep(group, linear_rep(1, -1)),
-        "rho3": make_rep(group, linear_rep(-1, 1)),
-        "rho4": make_rep(group, linear_rep(-1, -1)),
-        "rho5": make_rep(group, rho5),
+        f"rho{i}": make_rep(group, _words((2, 4), [[[b]], [[a]]]))
+        for i, (a, b) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)], start=1)
     }
+    b5 = np.array([[1, 0], [0, -1]], dtype=complex)
+    a5 = np.array([[0, -1], [1, 0]], dtype=complex)
+    reps["rho5"] = make_rep(group, _words((2, 4), [b5, a5]))
     rho3_phases = PhaseFunction.exact(
         group.full_subgroup(),
         [Phase(0, 1) if g % 4 % 2 == 0 else Phase(1, 2) for g in range(8)],

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import _PRODUCT_BLOCK_ENTRIES, compressed_action, scalar_deviation
+from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compressed_action, scalar_deviation
 from .cocycles import (
     Cocycle,
     PhaseFunction,
@@ -168,14 +168,10 @@ class ProjectiveRep:
         )
 
     def to_json(self) -> dict:
-        mats = [
-            [[[float(v.real), float(v.imag)] for v in row] for row in m]
-            for m in self.matrices
-        ]
         return {
             "order": self.group.order,
             "dim": self.dim,
-            "matrices": mats,
+            "matrices": complex_json(self.matrices),
             "cocycle": self.cocycle.to_json(),
         }
 

@@ -1104,6 +1104,131 @@ def em_from_pem_loop(pem, sigma_prime, f, n):
     return ErrorModel(make_rep(egroup, mats, label="lambda"), label=f"em({pem.label})")
 
 
+def gen_pauli_matrices_loop(n: int) -> np.ndarray:
+    """gen_pauli_model's matrices, X^a Z^b one element at a time."""
+    from qeclab.models import clock_shift
+
+    x, z = clock_shift(n)
+    xp = [np.linalg.matrix_power(x, a) for a in range(n)]
+    zp = [np.linalg.matrix_power(z, b) for b in range(n)]
+    return np.array([xp[g // n] @ zp[g % n] for g in range(n * n)])
+
+
+def dihedral_xp_matrices_loop(n: int) -> np.ndarray:
+    """dihedral_xp_model's matrices, X^k P^l one element at a time."""
+    from qeclab.models import zeta
+
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    p = np.diag([1, zeta(n)])
+    pp = [np.linalg.matrix_power(p, l) for l in range(n)]
+    return np.array([np.linalg.matrix_power(x, g // n) @ pp[g % n] for g in range(2 * n)])
+
+
+def family_c2_x_d2n_loop(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """family_c2_x_d2n's model and rho matrices, one element at a time."""
+    from qeclab.models import zeta
+
+    eye2 = np.eye(2, dtype=complex)
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    p = np.diag([1, zeta(2 * n)])
+    swap = np.kron(flip, eye2)
+    xx = np.kron(eye2, flip)
+    pm = np.kron(np.diag([1.0, -1.0]), p)
+    d_order = 4 * n
+    pmp = [np.linalg.matrix_power(pm, m) for m in range(2 * n)]
+    mats = np.zeros((2 * d_order, 4, 4), dtype=complex)
+    for g in range(2 * d_order):
+        k, rest = divmod(g, d_order)
+        l, m = divmod(rest, 2 * n)
+        mats[g] = np.linalg.matrix_power(swap, k) @ np.linalg.matrix_power(xx, l) @ pmp[m]
+    pp = [np.linalg.matrix_power(p, m) for m in range(2 * n)]
+    rho = np.array(
+        [np.linalg.matrix_power(flip, h // (2 * n)) @ pp[h % (2 * n)] for h in range(d_order)]
+    )
+    return mats, rho
+
+
+def family_odd_loop(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """family_odd's model and rho matrices, one element at a time, skipping
+    the identity factors C^0 and swap^0."""
+    from qeclab.models import clock_shift
+
+    x, z = clock_shift(n)
+    c = np.fliplr(np.eye(n, dtype=complex))
+    eye2 = np.eye(2, dtype=complex)
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    xx, zz = np.kron(eye2, x), np.kron(eye2, z)
+    cc = np.kron(np.diag([1.0, -1.0]), c)
+    sw = np.kron(flip, np.eye(n, dtype=complex))
+    lorder = 2 * n * n
+    mats = np.zeros((2 * lorder, 2 * n, 2 * n), dtype=complex)
+    rho = np.zeros((lorder, n, n), dtype=complex)
+    for li in range(lorder):
+        a, b, cpow = li // (2 * n), (li // 2) % n, li % 2
+        m = np.linalg.matrix_power(xx, a) @ np.linalg.matrix_power(zz, b)
+        r = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+        if cpow:
+            m, r = m @ cc, r @ c
+        mats[2 * li], mats[2 * li + 1] = m, m @ sw
+        rho[li] = r
+    return mats, rho
+
+
+def perm_product_matrices_loop(model, n: int) -> np.ndarray:
+    """perm_product_model's matrices: one Kronecker chain per tuple, times
+    each tensor-factor permutation."""
+    from qeclab.models import _tensor_permutation_matrix
+
+    perms = list(itertools.permutations(range(n)))
+    perm_mats = [_tensor_permutation_matrix(p, model.dim) for p in perms]
+    dim = model.dim**n
+    mats = np.zeros((model.group.order**n * len(perms), dim, dim), dtype=complex)
+    for vi, xs in enumerate(itertools.product(range(model.group.order), repeat=n)):
+        tens = np.eye(1, dtype=complex)
+        for xj in xs:
+            tens = np.kron(tens, model.rep.matrices[xj])
+        for si in range(len(perms)):
+            mats[vi * len(perms) + si] = tens @ perm_mats[si]
+    return mats
+
+
+def d4_rep_matrices_loop() -> list[np.ndarray]:
+    """The five ordinary reps of d4_character_table, in its order: entries
+    a^l b^k of the linear reps, and b5^k a5^l, for element 4k + l."""
+
+    def linear_rep(a_val, b_val):
+        return np.array(
+            [[[a_val ** (g % 4) * b_val ** (g // 4)]] for g in range(8)], dtype=complex
+        )
+
+    a5 = np.array([[0, -1], [1, 0]], dtype=complex)
+    b5 = np.array([[1, 0], [0, -1]], dtype=complex)
+    rho5 = np.array(
+        [np.linalg.matrix_power(b5, g // 4) @ np.linalg.matrix_power(a5, g % 4) for g in range(8)]
+    )
+    return [linear_rep(1, 1), linear_rep(1, -1), linear_rep(-1, 1), linear_rep(-1, -1), rho5]
+
+
+def complex_json_loop(a) -> list:
+    """Nested lists of [re, im], one Python float pair per entry."""
+    if np.ndim(a) == 0:
+        return [float(a.real), float(a.imag)]
+    return [complex_json_loop(row) for row in a]
+
+
+def phase_function_json_loop(f) -> dict:
+    """PhaseFunction.to_json entry by entry: [num, den] of each exact Phase,
+    {"re", "im"} of each inexact value."""
+    out = {}
+    for i, member in enumerate(f.domain.members):
+        p = f.phases[i]
+        if p is not None:
+            out[str(member)] = [p.num, p.den]
+        else:
+            out[str(member)] = {"re": f.values[i].real, "im": f.values[i].imag}
+    return out
+
+
 def tensor_permutation_matrix_loop(perm: tuple[int, ...], dim: int) -> np.ndarray:
     """The tensor-factor permutation unitary, one basis vector at a time."""
     n = len(perm)

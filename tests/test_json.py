@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CATALOG_64
+from helpers import CATALOG_64, complex_json_loop, phase_function_json_loop
 
 from qeclab.channels import KrausChannel, channel_from_model
 from qeclab.cli import parse_model_spec
@@ -179,3 +179,24 @@ def test_rep_json_without_cocycle_still_loads():
     back = ProjectiveRep.from_json(model.group, data)
     assert np.array_equal(back.matrices, model.rep.matrices)
     assert back.cocycle == model.rep.cocycle
+
+
+def test_json_writers_match_the_entry_loops():
+    model = _model("oddfam:3")
+    sub = model.group.full_subgroup()
+    # exact entries over den 12, to be reduced, and some that fail to snap
+    turns = np.arange(len(sub)) / 12
+    turns[::5] += 0.01
+    f = PhaseFunction.from_complex(sub, np.exp(2j * np.pi * turns), max_den=12)
+    assert not f.is_exact and f.exact_mask.any() and f.den == 12
+    assert json.dumps(f.to_json()) == json.dumps(phase_function_json_loop(f))
+    neg = complex(-0.0, -0.0)
+    code = CodeSpace(2, np.array([[1.0, neg], [neg, -1.0]]))
+    channel = KrausChannel(2, np.array([[[1.0, neg], [neg, 1.0]]]))
+    writers = [(code, code.basis.T, "basis"), (channel, channel.kraus, "kraus")]
+    writers.append((model.rep, model.rep.matrices, "matrices"))
+    for obj, arr, key in writers:
+        parts = np.concatenate([arr.real.ravel(), arr.imag.ravel()])
+        assert np.signbit(parts[parts == 0]).any()   # a -0.0 is written as such
+        want = complex_json_loop(arr)
+        assert json.dumps(obj.to_json()[key]) == json.dumps(want)

@@ -3,7 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import em_from_pem_loop, tensor_permutation_matrix_loop
+from helpers import (
+    d4_rep_matrices_loop,
+    dihedral_xp_matrices_loop,
+    em_from_pem_loop,
+    family_c2_x_d2n_loop,
+    family_odd_loop,
+    gen_pauli_matrices_loop,
+    perm_product_matrices_loop,
+    tensor_permutation_matrix_loop,
+)
+
+from qeclab import models
 
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
@@ -13,6 +24,7 @@ from qeclab.models import (
     ModelError,
     ProjectiveErrorModel,
     _tensor_permutation_matrix,
+    d4_character_table,
     dihedral_xp_model,
     em_from_pem,
     family_c2_x_d2n,
@@ -124,6 +136,61 @@ def test_tensor_permutation_matrix_matches_digit_loop():
                 want = tensor_permutation_matrix_loop(perm, dim)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (perm, dim)
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_generator_words_match_the_element_loops():
+    for n in range(1, 9):
+        _same_bytes(gen_pauli_model(n).rep.matrices, gen_pauli_matrices_loop(n))
+    for n in range(2, 16):
+        _same_bytes(dihedral_xp_model(n).rep.matrices, dihedral_xp_matrices_loop(n))
+    for n in range(2, 9):
+        model, _, rho = family_c2_x_d2n(n)
+        want, want_rho = family_c2_x_d2n_loop(n)
+        _same_bytes(model.rep.matrices, want)
+        _same_bytes(rho.matrices, want_rho)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [("genpauli:2", 1), ("genpauli:2", 2), ("genpauli:2", 3), ("genpauli:3", 2),
+     ("genpauli:4", 2), ("xp:4", 2)],
+)
+def test_perm_product_kronecker_stack_matches_the_tuple_loop(spec, n):
+    base = parse_model_spec(spec).model
+    _same_bytes(perm_product_model(base, n).rep.matrices, perm_product_matrices_loop(base, n))
+
+
+def test_d4_reps_match_the_element_loop(monkeypatch):
+    built = []
+
+    def spy(group, mats, *args, **kwargs):
+        rep = make_rep(group, mats, *args, **kwargs)
+        built.append(rep.matrices)
+        return rep
+
+    monkeypatch.setattr(models, "make_rep", spy)
+    d4_character_table()
+    want = d4_rep_matrices_loop()
+    assert len(built) == 1 + len(want)   # the first is the XP model's rep
+    for got, w in zip(built[1:], want):
+        _same_bytes(got, w)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_family_odd_words_differ_from_the_loop_only_in_signed_zeros(n):
+    # the words multiply by C^0 and swap^0, which the loop skips; that may
+    # flip the sign of a zero entry and of nothing else
+    model, _, rho = family_odd(n)
+    for got, want in zip((model.rep.matrices, rho.matrices), family_odd_loop(n)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        g, w = got.view(np.float64).ravel(), want.view(np.float64).ravel()
+        differ = g.view(np.uint64) != w.view(np.uint64)
+        assert np.all(g[differ] == 0) and np.all(w[differ] == 0)
 
 
 def test_family_c2_x_d2n_shape():
