@@ -522,6 +522,12 @@ def _coboundary_rows(num: np.ndarray, den: int, mul: np.ndarray, sigma: Cocycle)
     return (table == sigma.num * (common // sigma.den)).all(axis=(1, 2))
 
 
+def _pairing_defects(sigma: Cocycle, elements) -> np.ndarray:
+    """[i, j]: elements[i] and [j] commute and beta = sigma(x, y) / sigma(y, x) != 1."""
+    mul, t = sigma.group.mul[np.ix_(elements, elements)], sigma.num[np.ix_(elements, elements)]
+    return (mul == mul.T) & ((t - t.T) % sigma.den != 0)
+
+
 def _greedy_generators(group: FiniteGroup) -> list[int]:
     """FiniteGroup.greedy_generators, called by this module's trivializer
     systems under one module-level name, which bench/spans.py traces."""
@@ -694,22 +700,18 @@ def find_trivializing_phase(
 ) -> PhaseFunction | None:
     """A phase function f with (df) = sigma, or None when none exists.
 
-    On an abelian group the answer is read off first: sigma is a coboundary
-    exactly when its commutator pairing beta(x, y) = sigma(x, y) /
-    sigma(y, x) is 1 (Kleppner, "Multipliers on abelian groups", Math.
-    Ann. 158, 1965).  beta is bimultiplicative, so it is 1 everywhere once
-    it is 1 on pairs of greedy generators: a generator pair with
-    sigma(g_i, g_j) != sigma(g_j, g_i) returns None without a solve.
-    Otherwise, and on every non-abelian group, f is solved for as follows,
-    so a trivializer found is the same phase for phase with or without the
-    pairing test.
+    A commuting pair x, y with beta(x, y) = sigma(x, y) / sigma(y, x) != 1
+    rules f out (_pairing_defects, the one test; search's lattice reads it).
+    On an abelian group beta = 1 suffices (Kleppner, "Multipliers on abelian
+    groups", Math. Ann. 158, 1965) and beta is bimultiplicative, so a
+    defective pair of greedy generators returns None without a solve.  Else
+    f is solved for as below, so the test changes no trivializer found.
 
-    A trivializer valued in C_m (m the cocycle denominator) need not exist
-    even when one valued in finer roots of unity does, so denominators k*m
-    are searched for k = 1, 2 and then k = exp(H), the group exponent.  The
-    last step is conclusive: df = sigma forces f^m to be a character, so any
-    trivializer is automatically valued in C_(m*exponent).  The first
-    multiple that admits a solution gives the result.
+    A trivializer valued in C_m (m the cocycle denominator) may need finer
+    roots of unity, so denominators k*m are searched for k = 1, 2 and then
+    k = exp(H), the first that admits a solution giving f.  The last step is
+    conclusive: df = sigma makes f^m a character, so every trivializer is
+    valued in C_(m*exponent).
 
     With f(e) = sigma(e, e) and one unknown per greedy generator g, every
     other f(xg) = f(x) + f(g) - sigma(x, g) is summed down the group's
@@ -727,10 +729,8 @@ def find_trivializing_phase(
         return None
     t = sigma.num
     gens = _greedy_generators(group)
-    if group.is_abelian():
-        pairs = t[np.ix_(gens, gens)]
-        if ((pairs - pairs.T) % sigma.den).any():
-            return None
+    if group.is_abelian() and _pairing_defects(sigma, gens).any():
+        return None
     result_domain = domain if domain is not None else group.full_subgroup()
     n, r = group.order, len(gens)
     _, coeff, cx = _edge_system(group)

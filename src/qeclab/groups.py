@@ -257,22 +257,37 @@ class FiniteGroup:
         Subgroups are kept as int bitmasks of their members.  Guarded by the
         order cap since subgroup counts grow quickly.  The result is sorted by
         (order, members), and every subgroup in it is interned.
+
+        Given bad, bad[x] the int bitmask of the y that commute with x with
+        beta(x, y) = sigma(x, y) / sigma(y, x) != 1 for a cocycle sigma
+        (cocycles._pairing_defects), _lattice lists only the subgroups with
+        no such pair.  That family is closed under taking subgroups, and each
+        member K != 1 is <H, x> for a member H < K, so an extension that
+        enqueues members only reaches them all; a covered x only rebuilds a K
+        already closed from H.  On abelian G, beta is bimultiplicative with
+        beta(x, x) = 1, so <H, x> is a member exactly when x pairs trivially
+        with H, and any other x is skipped unclosed.  On other G each K is
+        closed, kept in found, and enqueued when no member's mask meets K.
         """
         return [self._intern(members) for members in self._lattice(max_order)]
 
-    def _lattice(self, max_order: int | None = None) -> list[tuple[int, ...]]:
-        """The sorted member tuples of all_subgroups, built once per group."""
+    def _lattice(self, max_order: int | None = None, bad=None) -> list[tuple[int, ...]]:
+        """The sorted member tuples of all_subgroups, built once per group;
+        given bad, those of the subgroups with no defective pair (see
+        all_subgroups), built afresh and not kept."""
         cap = max_order if max_order is not None else max_group_order()
         if self.order > cap:
             raise ValueError(
                 f"subgroup enumeration capped at order {cap} (group has {self.order}); "
                 "raise QECLAB_MAX_ORDER to override"
             )
+        if bad is not None:
+            return self._cyclic_extensions(bad)
         if self._lattice_members is None:
             self._lattice_members = self._cyclic_extensions()
         return self._lattice_members
 
-    def _cyclic_extensions(self) -> list[tuple[int, ...]]:
+    def _cyclic_extensions(self, bad=None) -> list[tuple[int, ...]]:
         e = self.identity
         columns = self.mul.T.tolist()   # columns[g][y] = y * g
         # one representative x per cyclic subgroup, the least index, with the
@@ -299,7 +314,7 @@ class FiniteGroup:
             # from H (see all_subgroups)
             covered = mask
             for x, col, gens in reps:
-                if covered >> x & 1:
+                if covered >> x & 1 or abelian and bad and bad[x] & mask:
                     continue
                 ext_members = list(members)
                 # x normalizes H (x g x^-1 in H for each adjoined g): K = H<x>
@@ -318,7 +333,8 @@ class FiniteGroup:
                             covered |= 1 << rep_of[g_col[h]]
                 if ext_mask not in found:
                     found.add(ext_mask)
-                    queue.append((ext_members, ext_mask, adjoined + [x]))
+                    if abelian or not (bad and any(bad[k] & ext_mask for k in ext_members)):
+                        queue.append((ext_members, ext_mask, adjoined + [x]))
         lattice = [tuple(sorted(members)) for members, _, _ in queue]
         lattice.sort(key=lambda m: (len(m), m))
         return lattice

@@ -4,7 +4,17 @@ Both entry points refuse oversized inputs instead of truncating: a partial
 enumeration would silently break the completeness claims downstream tests
 rely on.  Their max_order and max_dim replace the environment caps,
 max_group_order() and max_ambient_dim(16), in either direction; None keeps
-them.  The order cap is the one all_subgroups is given.
+them.  The order cap is the one the subgroup lattice is built under
+(FiniteGroup._lattice, pruned or not).
+
+enumerate visits only the subgroups H with no commuting pair x, y of
+nontrivial pairing beta(x, y) = sigma(x, y) / sigma(y, x): a trivializer f
+gives beta(x, y) = 1 on every such pair, so no other H carries a code.  The
+test (cocycles._pairing_defects) prunes the lattice as it is built, so a
+rejected H is never interned, restricted or solved.  It is exact on
+abelian H (Kleppner, Math. Ann. 158, 1965) but only necessary on others
+(Moravec, Amer. J. Math. 134, 2012), so every survivor is still solved.
+q3_probe walks the full lattice: a Clifford code needs no admissible phase.
 
 The codes of one subgroup come from its exact constituents in codes
 (_constituents), and its new ones are built together, one projector
@@ -37,7 +47,7 @@ import numpy as np
 
 from . import _tol
 from ._linalg import compressed_action
-from .cocycles import PhaseFunction, _phase_values
+from .cocycles import PhaseFunction, _pairing_defects, _phase_values
 from .codes import (
     CodeSpace,
     _classify_orbits,
@@ -147,9 +157,11 @@ def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim
     """(enumerate_weak_stabilizer_codes, each code's maximal witness key:
     f_S's numerators over sigma.den * exp(G), -1 off S, one row per code).
 
-    A code is built only for a key (_maximal_witnesses) not seen before, and
-    the new rows of one subgroup are built together (codes._eigenspaces),
-    with no df = sigma|H test: each row f0 chi is admissible by construction.
+    Subgroups come from the pruned lattice, in all_subgroups order (see the
+    module docstring).  A code is built only for a key (_maximal_witnesses)
+    not seen before, and the new rows of one subgroup are built together
+    (codes._eigenspaces), with no df = sigma|H test: each row f0 chi is
+    admissible by construction.
     No projector is formed to compare codes, and no random number is drawn.
     """
     max_order = _check_caps(model, max_order, max_dim)
@@ -157,7 +169,10 @@ def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim
     grid = sigma.den * g.exponent()
     table = sigma.to_complex_table() * model.rep.character().values[g.mul]
     found, keys, seen = [], [], set()
-    for sub in g.all_subgroups(max_order):
+    bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+           for row in _pairing_defects(sigma, range(g.order))]
+    for members in g._lattice(max_order, bad):
+        sub = g._intern(members)
         nums, den, dims = _constituents(model, sub)
         if not len(dims):
             continue
@@ -200,8 +215,9 @@ def enumerate_weak_stabilizer_codes(
 ) -> list[tuple[Subgroup, PhaseFunction, CodeSpace]]:
     """Every weak stabilizer code of the model, one (H, f) witness per space.
 
-    For each subgroup the trivializing phase fixes the coset of admissible
-    phase functions; the 1-dimensional constituents of the untwisted
+    For each subgroup that passes the commuting-pair test (see the module
+    docstring) the trivializing phase fixes the coset of admissible phase
+    functions; the 1-dimensional constituents of the untwisted
     restriction supply exactly the members of that coset with nonzero code.
     Deduplicated by maximal witness (_maximal_witnesses), which is exact:
     first witness kept, subgroups in order.

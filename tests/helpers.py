@@ -12,8 +12,9 @@ import itertools
 import numpy as np
 
 from qeclab._linalg import nullspace
-from qeclab.cocycles import Cocycle, Phase, snap_phase_or_none
-from qeclab.codes import _constituent_phases, weak_stabilizer_code
+from qeclab import search
+from qeclab.cocycles import Cocycle, Phase, PhaseFunction, _phase_values, snap_phase_or_none
+from qeclab.codes import _constituent_phases, _constituents, _eigenspaces, weak_stabilizer_code
 from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
 from qeclab.models import ProjectiveErrorModel
 from qeclab import _tol
@@ -355,6 +356,34 @@ def pairwise_enumerated(model) -> tuple[list, int]:
             if kept.add_if_new(code.projector()):
                 found.append((sub, f, code))
     return found, built
+
+
+def enumerate_codes_loop(model) -> tuple[list, list]:
+    """search._enumerate_codes as it looped over every subgroup of
+    all_subgroups(), before the lattice was pruned to the subgroups with no
+    commuting pair of nontrivial pairing: (found, keys)."""
+    g, sigma = model.group, model.cocycle
+    grid = sigma.den * g.exponent()
+    table = sigma.to_complex_table() * model.rep.character().values[g.mul]
+    found, keys, seen = [], [], set()
+    for sub in g.all_subgroups():
+        nums, den, dims = _constituents(model, sub)
+        if not len(dims):
+            continue
+        values = _phase_values(nums, den)
+        num = search._maximal_witnesses(model, sub, nums, den, values, dims, table, grid)
+        new = []
+        for i, key in enumerate(num):
+            if key.tobytes() not in seen:
+                seen.add(key.tobytes())
+                new.append(i)
+        if not new:
+            continue
+        built = _eigenspaces(model, sub, values[new], dims[new])
+        for i, code in zip(new, built):
+            found.append((sub, PhaseFunction._from_num(sub, nums[i], den, floats=values[i]), code))
+            keys.append(num[i])
+    return found, keys
 
 
 # -- the per-element loops that the projreps stacks replaced -----------------

@@ -11,6 +11,7 @@ from helpers import (
     CATALOG_64,
     PairwiseDedup,
     commutant_split_oracle,
+    enumerate_codes_loop,
     irreducible_constituents,
     isotypic_projector,
     pairwise_enumerated,
@@ -86,6 +87,91 @@ def test_enumerate_default_cap_is_the_environment_cap(monkeypatch):
     monkeypatch.setenv("QECLAB_MAX_ORDER", "72")
     model = parse_model_spec("xp:36").model
     assert len(enumerate_weak_stabilizer_codes(model)) == 75
+
+
+def _visited(model):
+    """(the member tuples of the subgroups _enumerate_codes solves on, in
+    order; its (found, keys))."""
+    visited = []
+
+    def constituents(model, sub):
+        visited.append(sub.members)
+        return codes._constituents(model, sub)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_constituents", constituents)
+        return visited, search._enumerate_codes(model, None, None)
+
+
+def _admissible_subgroups(model):
+    sigma = model.cocycle
+    return [
+        sub.members for sub in model.group.all_subgroups()
+        if cocycles.find_trivializing_phase(sigma.restrict(sub), domain=sub) is not None
+    ]
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_enumeration_visits_the_subgroups_with_a_trivializer(spec):
+    # the commuting-pair test is exact on abelian subgroups and only
+    # necessary on others, yet no catalog subgroup passes it without a
+    # trivializer: pauli:3 keeps 514 of 2,825, c2d2n:8 61 of 137
+    model = parse_model_spec(spec).model
+    assert _visited(model)[0] == _admissible_subgroups(model)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(["genpauli:8", "pauli:3", "c2d2n:8", "oddfam:3", "xp:12"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_enumeration_visits_the_same_family_on_relabeled_groups(spec, seed):
+    # abelian (genpauli:8, pauli:3) and non-abelian groups: a renumbering
+    # changes which representatives the extension tries, never the family
+    model = relabeled_model(_catalog_model(spec), seed)
+    assert _visited(model)[0] == _admissible_subgroups(model)
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_enumeration_matches_the_unpruned_loop(spec):
+    model = parse_model_spec(spec).model
+    found, keys = search._enumerate_codes(model, None, None)
+    want, want_keys = enumerate_codes_loop(model)
+    assert len(found) == len(want) == len(keys) == len(want_keys)
+    for (s1, f1, c1), (s2, f2, c2) in zip(found, want):
+        assert s1 is s2 and f1.den == f2.den and np.array_equal(f1.num, f2.num)
+        assert c1.basis.tobytes() == c2.basis.tobytes()
+    assert all(np.array_equal(k1, k2) for k1, k2 in zip(keys, want_keys))
+
+
+@pytest.mark.parametrize("spec", ["prod(genpauli:2,genpauli:4)", "c2d2n:8", "oddfam:3"])
+def test_enumeration_interns_only_the_subgroups_it_visits(spec):
+    # the rejected subgroups never get a Subgroup, and the full lattice is
+    # neither built nor kept
+    model = parse_model_spec(spec).model
+    g = model.group
+    visited, _ = _visited(model)
+    assert g._lattice_members is None
+    assert set(g._interned) <= set(visited) < set(g._lattice())
+
+
+@pytest.mark.parametrize("spec", ["oddfam:3", "genpauli:8"])
+def test_q3_probe_walks_the_full_lattice(spec, monkeypatch):
+    # a Clifford code needs no admissible phase, so q3_probe restricts pi to
+    # every subgroup whose index divides dim pi, admissible or not
+    model = parse_model_spec(spec).model
+    walked = []
+
+    def restrict_counted(rep, sub):
+        walked.append(sub)
+        return restrict(rep, sub)
+
+    monkeypatch.setattr(search, "restrict", restrict_counted)
+    q3_probe(model)
+    g = model.group
+    assert walked == [h for h in g.all_subgroups() if model.dim % h.index() == 0]
+    admissible = set(_admissible_subgroups(model))
+    assert any(h.members not in admissible for h in walked)
 
 
 def test_q3_probe_rejects_non_central_type():
