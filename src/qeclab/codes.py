@@ -46,10 +46,10 @@ pi(g^-1 x g) for an exact phase lambda_g, tabulated for every (g, x) by
 projreps._conjugation_table, so the report of pi(g)W follows from W's.  A
 batch of codes, each with a witness that fixes it, is classified once per
 orbit of G and transported to the other members (_classify_orbits);
-search and the CLI's search classify that way.  The orbits, and the g
-that moves each representative to each member, come from the witnesses
-alone, one gather over G per representative (_witness_orbits); they are
-whole on any list of code-invariant witnesses.
+qeclab search classifies the enumerated codes that way.  The orbits, and
+the g that moves each representative to each member, come from the
+witnesses alone, one gather over G per representative (_witness_orbits);
+they are whole on any list of code-invariant witnesses.
 """
 
 from __future__ import annotations
@@ -354,10 +354,13 @@ def code_dimension_formula(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseF
     is the restricted cocycle.  f may live on a larger subgroup; CodeError
     when it misses a member of sub."""
     members = list(sub.members)
-    if not all(x in f.domain for x in members):
+    if f.domain is sub:
+        values = f.values
+    elif all(x in f.domain for x in members):
+        values = f.values[[f.domain.position(x) for x in members]]
+    else:
         raise CodeError("phase function is not defined on every member of the subgroup")
     chi = model.rep.character().values[members]
-    values = f.values[[f.domain.position(x) for x in members]]
     total = np.sum(np.conj(values) * chi) / len(sub)
     nearest = round(total.real)
     if abs(total - nearest) > _tol.DERIVED or nearest < 0:
@@ -709,24 +712,49 @@ def _clifford_flag(
     return True, None
 
 
+def _weak_flag(
+    model: ProjectiveErrorModel, stab: Subgroup, f: PhaseFunction, dim_w: int, witnesses: dict
+) -> bool:
+    """Whether the (S, f_S) eigenspace has the code's dimension dim_w, with
+    the witness |P_E - P_W| = sqrt(dim E - dim W) put in witnesses otherwise."""
+    extra = code_dimension_formula(model, stab, f) - dim_w
+    if extra:
+        witnesses["is_weak_stabilizer"] = f"projector distance {np.sqrt(extra):.3e}"
+    return extra == 0
+
+
+def _central_criterion(
+    model: ProjectiveErrorModel, logical: Subgroup, stab: Subgroup, is_weak: bool, witnesses: dict
+) -> tuple[bool, dict[str, bool]]:
+    """(is_stabilizer, the criterion) of a Clifford code on a central-type
+    model: weak exactly when |G| = |L| |S| (RuntimeError where the direct
+    test disagrees), and a stabilizer code when weak with S normal; the
+    is_stabilizer witness is put in witnesses when it fails."""
+    crit_weak = model.group.order == len(logical) * len(stab)
+    if crit_weak != is_weak:
+        raise RuntimeError("central-type weak stabilizer criterion disagrees with the direct test")
+    is_stab = is_weak and stab.is_normal()
+    if not is_stab:
+        witnesses["is_stabilizer"] = (
+            "stabilizer group is not normal" if is_weak else "not a weak stabilizer code"
+        )
+    return is_stab, {"is_weak_stabilizer": crit_weak, "is_stabilizer": is_stab}
+
+
 def classify(
     model: ProjectiveErrorModel, code: CodeSpace, _act: _Action | None = None
 ) -> CodeReport:
     """Compute the three group invariants and all classification flags.
 
     _classify_orbits passes the code action it has just computed as the
-    private _act, positionally; q3_probe classifies through _classify_orbits.
+    private _act, positionally.
     """
     act = _code_action(model, code) if _act is None else _act
     logical = _logical(model, act)
     stab, f = _stabilizer(model, act, logical)
     detect = _detectable(act)
     witnesses: dict[str, object] = {}
-
-    extra = code_dimension_formula(model, stab, f) - code.dim
-    is_weak = extra == 0
-    if not is_weak:
-        witnesses["is_weak_stabilizer"] = f"projector distance {np.sqrt(extra):.3e}"
+    is_weak = _weak_flag(model, stab, f, code.dim, witnesses)
 
     is_cliff, cliff_witness = _clifford_flag(model, code, logical, act)
     if not is_cliff:
@@ -735,17 +763,7 @@ def classify(
     central = model.is_central_type()
     criterion: dict[str, bool] | None = None
     if central and is_cliff:
-        crit_weak = model.group.order == len(logical) * len(stab)
-        if crit_weak != is_weak:
-            raise RuntimeError(
-                "central-type weak stabilizer criterion disagrees with the direct test"
-            )
-        is_stab = is_weak and stab.is_normal()
-        criterion = {"is_weak_stabilizer": crit_weak, "is_stabilizer": is_stab}
-        if not is_stab and is_weak:
-            witnesses["is_stabilizer"] = "stabilizer group is not normal"
-        elif not is_stab:
-            witnesses["is_stabilizer"] = "not a weak stabilizer code"
+        is_stab, criterion = _central_criterion(model, logical, stab, is_weak, witnesses)
     else:
         is_stab = is_weak and _has_normal_reconstruction(model, code, stab, f)
         if not is_weak:
@@ -864,10 +882,10 @@ def _witness_orbits(
     of the orbit is reached and the orbits are whole on any sub-list of the
     codes.  The maximal witness (S, f_S) of an enumerated code is one: S is
     the set of x that act on W as a scalar and f_S that scalar.  So is
-    q3_probe's (H, chi_rho), as L(W) = H there and chi_rho is the
-    character of L's action on W.  A witness (H, f) with H below the
-    stabilizer is not, and its orbits may come out split; each part is then
-    classified on its own, and nothing depends on finding a whole orbit.
+    (L, chi) for chi the character of L's action on W.  A witness (H, f)
+    with H below the stabilizer is not, and its orbits may come out split;
+    each part is then classified on its own, and nothing depends on finding
+    a whole orbit.
     table is projreps._conjugation_table(model.cocycle).
     """
     index: dict[bytes, int] = {}
@@ -907,12 +925,11 @@ def _classify_orbits(
     from its representative's (_transport).
 
     witnesses[i] is a witness (H, chi) that fixes codes[i] (see
-    _witness_orbits): the maximal witness (S, f_S.values) of an enumerated
-    code, (H, chi_rho) for q3_probe's constituent rho.  Both are code
-    invariants, so each orbit met by the batch is classified once, however
-    many of its codes the batch leaves out.  A representative whose
-    stabilizer phase is not exact everywhere transports nothing, and its
-    members are classified directly.
+    _witness_orbits), such as the maximal witness (S, f_S.values) of an
+    enumerated code.  That is a code invariant, so each orbit met by the
+    batch is classified once, however many of its codes the batch leaves
+    out.  A representative whose stabilizer phase is not exact everywhere
+    transports nothing, and its members are classified directly.
     """
     table = _conjugation_table(model.cocycle)
     reports: list[CodeReport | None] = [None] * len(codes)

@@ -14,7 +14,9 @@ test (cocycles._pairing_defects) prunes the lattice as it is built, so a
 rejected H is never interned, restricted or solved.  It is exact on
 abelian H (Kleppner, Math. Ann. 158, 1965) but only necessary on others
 (Moravec, Amer. J. Math. 134, 2012), so every survivor is still solved.
-q3_probe walks the full lattice: a Clifford code needs no admissible phase.
+A Clifford code needs no admissible phase, so q3_probe does not use this
+test; asked for hits only, it skips the subgroups whose every subgroup is
+normal in G instead, and all of them on a Dedekind G (see there).
 
 The codes of one subgroup come from its exact constituents in codes
 (_constituents), and its new ones are built together, one projector
@@ -38,22 +40,32 @@ is accepted by the rule classify applies to a code: the action C = B* pi B
 and the invariance norms |(1 - BB*) pi(x) B| come from one
 _linalg.compressed_action, every norm must be below _tol.SCAN, and the
 lemma stated there makes C a projective rep with pi's cocycle, so no piece
-is validated again.  A candidate's code is its piece's basis B.
+is validated again.  A candidate's code is its piece's basis B, and its
+report is read from the piece in closed form (_clifford_reports): pi is
+induced from the piece, so no action of G on the code is computed, no
+orbit is formed and no report is transported.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from . import _tol
-from ._linalg import compressed_action
-from .cocycles import PhaseFunction, _pairing_defects, _phase_values
+from ._linalg import compressed_action, scalar_deviation
+from .cocycles import PhaseFunction, _pairing_defects, _phase_values, _snap_phases
 from .codes import (
+    CodeError,
+    CodeReport,
     CodeSpace,
-    _classify_orbits,
+    _central_criterion,
     _constituents,
     _eigenspaces,
     _on_grid,
+    _weak_flag,
+    classify,
 )
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
@@ -229,17 +241,29 @@ _SPLIT_SEED = 11
 _SPLIT_ATTEMPTS = 8
 
 
+@functools.lru_cache(maxsize=64)
+def _hermitian_draw(dim: int, seed: int) -> np.ndarray:
+    """A + A* for a complex Gaussian A drawn from default_rng(seed), read-only.
+
+    It depends on (dim, seed) alone, and every split asks for the same few
+    seeds, so each pair is drawn once.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = a + a.conj().T
+    a.flags.writeable = False
+    return a
+
+
 def _commutant_element(rep: ProjectiveRep, seed: int) -> np.ndarray:
     """A random Hermitian element of the commutant of rep, seeded.
 
-    The Reynolds average of a Gaussian Hermitian A (projreps._reynolds):
-    the cocycle cancels, so it commutes with every rep(x), and it is the
-    orthogonal projection of A, so it is a Gaussian Hermitian element of
-    the commutant.
+    The Reynolds average of a Gaussian Hermitian A (projreps._reynolds,
+    A from _hermitian_draw): the cocycle cancels, so it commutes with every
+    rep(x), and it is the orthogonal projection of A, so it is a Gaussian
+    Hermitian element of the commutant.
     """
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-    t = _reynolds(rep, rep, a + a.conj().T)
+    t = _reynolds(rep, rep, _hermitian_draw(rep.dim, seed))
     return (t + t.conj().T) / 2
 
 
@@ -299,6 +323,93 @@ def _split_constituents(rep: ProjectiveRep) -> list[tuple[ProjectiveRep, np.ndar
     raise RuntimeError("commutant sampling failed to split the representation")
 
 
+def _normal_cyclic(g) -> np.ndarray:
+    """For each element x, whether <x> is normal in g: every conjugate y x y^-1
+    is a power of x."""
+    xs = np.arange(g.order)
+    powers = np.zeros((g.order, g.order), dtype=bool)   # [x, z]: z in <x>
+    power = np.full(g.order, g.identity)
+    for _ in range(g.exponent()):
+        power = g.mul[power, xs]
+        powers[xs, power] = True
+    conjugates = g.mul[g.mul, g.inv[:, None]]           # [y, x] = y x y^-1
+    return powers[xs, conjugates].all(axis=0)
+
+
+def _clifford_reports(model, batch, only_hits):
+    """classify's report of each candidate's code, read from its piece (see
+    q3_probe); with only_hits, of the pieces whose S makes a hit only.
+
+    batch lists (H, pi|H, kept) for subgroups H of one order, kept the
+    (rho, B) pieces of pi|H with dim rho = |H| / dim pi, so every piece has
+    one shape.  RuntimeError when a B fails the intertwiner test, one
+    product per H, and CodeError when a B fails CodeSpace's orthonormality
+    test.  A piece whose stabilizer phase does not snap is classified
+    directly.
+    """
+    g, d = model.group, model.dim
+    subs = [sub for sub, _, kept in batch for _ in kept]
+    rhos = np.stack([rho.matrices for *_, kept in batch for rho, _ in kept])     # [piece, h, t, t]
+    bases = np.stack([basis for *_, kept in batch for _, basis in kept])         # [piece, d, t]
+    n, t = rhos.shape[1:3]
+    first = 0
+    for _, res, kept in batch:
+        k = len(kept)
+        own = slice(first, first + k)
+        first += k
+        moved = (res.matrices.reshape(n * d, d) @ bases[own].transpose(1, 0, 2).reshape(d, k * t))
+        moved = moved.reshape(n, d, k, t) - (bases[own, None] @ rhos[own]).transpose(1, 2, 0, 3)
+        if not np.linalg.norm(moved, axis=(1, 3)).max() <= _tol.SCAN * np.sqrt(t):
+            raise RuntimeError("q3_probe: a split basis is not an intertwiner")
+    gram = bases.conj().transpose(0, 2, 1) @ bases - np.eye(t)
+    if not np.linalg.norm(gram, axis=(1, 2)).max() <= _tol.EXACT:   # NaN fails too
+        raise CodeError("basis columns are not orthonormal")
+    scalars, deviation = scalar_deviation(rhos)
+    inside = (deviation < _tol.SCAN) & (np.abs(np.abs(scalars) - 1) < _tol.SCAN)
+    members = np.array([sub.members for sub in subs])[inside]
+    ends = np.cumsum(inside.sum(axis=1)).tolist()
+    stabs = [g._intern(tuple(members[a:b].tolist())) for a, b in zip([0, *ends], ends)]
+    picked = [
+        i for i, stab in enumerate(stabs)
+        if not only_hits or (g.order == n * len(stab) and not stab.is_normal())
+    ]
+    if not picked:
+        return []
+    values = scalars[picked][inside[picked]]                       # each piece's c on S, in turn
+    num, den, mask = _snap_phases(values, 4 * g.order, model.cocycle.den * g.exponent())
+    reports = []
+    end = 0
+    for i in picked:
+        sub, stab = subs[i], stabs[i]
+        cut = slice(end, end + len(stab))
+        end = cut.stop
+        code = CodeSpace._checked(d, bases[i])
+        if not mask[cut].all():
+            reports.append(classify(model, code))
+            continue
+        f = PhaseFunction._from_num(stab, num[cut], den, None, values[cut])
+        witnesses: dict[str, object] = {}
+        is_weak = _weak_flag(model, stab, f, t, witnesses)
+        is_stab, criterion = _central_criterion(model, sub, stab, is_weak, witnesses)
+        reports.append(CodeReport(
+            model=model,
+            code=code,
+            logical=sub,
+            stabilizer=stab,
+            stabilizer_phase=f,
+            detectable=np.flatnonzero(~sub._inside | stab._inside).tolist(),
+            flags={
+                "is_stabilizer": is_stab,
+                "is_weak_stabilizer": is_weak,
+                "is_clifford": True,
+                "is_partitioning": True,
+            },
+            witnesses=witnesses,
+            central_type_criterion=criterion,
+        ))
+    return reports
+
+
 def q3_probe(
     model: ProjectiveErrorModel,
     max_order: int | None = None,
@@ -312,9 +423,11 @@ def q3_probe(
     Clifford-code report examined.  Both are in subgroup lattice order, and
     the constituents of one restriction in _canonical_key order.  Only
     isomorphic constituents tie, and they fail the multiplicity-one test,
-    so the order depends on no random draw.  The candidates are classified
-    once per orbit of the model group (codes._classify_orbits), each
-    witnessed by its constituent's subgroup and character.
+    so the order depends on no random draw.  Each report is the one
+    codes.classify gives the candidate's code, read from its constituent
+    with no action of G on the code (_clifford_reports; proof below).
+    The pieces of all subgroups of one order have one shape, so their
+    reports are read together, subgroup order by subgroup order.
 
     No candidate repeats a code, so none is deduplicated.  A candidate
     (H, rho) has <rho, pi|H> = 1 and dim rho [G:H] = dim pi.  By Frobenius
@@ -322,15 +435,11 @@ def q3_probe(
     Ind_H^G rho -> pi, onto since pi is irreducible (a model's rep is), and
     an isomorphism since the dimensions agree.  So V is the direct sum of
     the blocks pi(t)W over the cosets tH, and pi(x)W meets W in 0 for x
-    outside H: the logical group L(W) is H.  The code W therefore fixes
-    its witness (H, chi_rho): H = L(W), and chi_rho is the character of
-    H's action on W.  Two candidates on different subgroups have different
-    logical groups, and two on one subgroup are non-isomorphic
-    constituents, since isomorphic ones would make the multiplicity at
-    least 2; their characters differ, and so do their codes.  So
-    (H, chi_rho) is a code invariant: g carries W's witness to pi(g)W's,
-    and codes._witness_orbits finds each orbit whole, every member reached
-    from its representative by one g.
+    outside H: the logical group L(W) is H.  Two candidates on different
+    subgroups have different logical groups, and two on one subgroup are
+    non-isomorphic constituents, since isomorphic ones would make the
+    multiplicity at least 2; their characters differ, and so do their
+    codes.
 
     Each candidate's code is the split basis B of its constituent
     (_split_constituents), with no second construction.  rho = B* pi|H B
@@ -349,29 +458,74 @@ def q3_probe(
       exactly when dim rho = target;
     - the intertwiner test on every h in H, with t = B:
       |pi(h)B - B rho(h)|_F <= _tol.SCAN sqrt(dim rho) = _tol.SCAN |B|_F,
-      clifford_code's bound, and RuntimeError otherwise;
-    - injectivity: B has orthonormal columns.
+      clifford_code's bound, and RuntimeError otherwise.  It runs on all
+      kept pieces of H as one product;
+    - injectivity: B has orthonormal columns, tested as CodeSpace tests
+      them (CodeError otherwise).
+
+    The report, field by field, with W = span(B), w = dim rho and C(x) =
+    B* pi(x) B, the compressed action classify reads:
+    - logical = H, shown above.
+    - For x outside H, pi(x)W lies in the block xH, orthogonal to W, so
+      C(x) = 0: x maps W into its complement and acts on W as the scalar 0.
+      For h in H, pi(h)W = W.  So no element is mixed (is_partitioning,
+      with no witness), and the detectable set, the x with C(x) scalar, is
+      (G minus H) plus the h where C(h) = rho(h) is a scalar.  rho(h) is
+      unitary, so such a scalar is unimodular, and those h are the
+      stabilizer S: detectable = (G minus H) + S, the closed form that
+      codes._partitioning asserts.
+    - S and f_S: C(h) for h in H is rho(h), the compression the split read
+      with _linalg.compressed_action, the reader classify uses.  So S is
+      read by codes._stabilizer's own rule, scalar deviation and
+      ||c| - 1| both below _tol.SCAN, on _linalg.scalar_deviation(rho),
+      and f_S is snapped as there, on the grid sigma.den exp(G) with
+      denominators up to 4|G|, one _snap_phases call for all pieces of
+      one subgroup order.  _stabilizer's proof of df_S = sigma|S holds as
+      it stands.  A piece with an entry that fails to snap is classified
+      directly.
+    - is_clifford: |L| dim V = |H| dim V = w |G|, rho is irreducible and
+      occurs once in pi|H, as listed above.  So the flag holds with no
+      witness, and classify's central-type branch applies: is_weak is
+      code_dimension_formula(S, f_S) = w, with its witness text, it must
+      agree with |G| = |H| |S| (RuntimeError otherwise), and is_stabilizer
+      is is_weak and S normal in G.
+
+    With return_candidates=False only hits are built.  A hit needs S not
+    normal in G.  Call G Dedekind when every subgroup is normal; that holds
+    when every cyclic subgroup <x> is (_normal_cyclic), since a subgroup is
+    generated by its cyclic subgroups and a product of normal subgroups is
+    normal.  Then no S fails, and the probe returns before it builds the
+    lattice.  Otherwise a subgroup H all of whose members x have <x> normal
+    is generated by normal cyclic subgroups, so each subgroup of H is
+    normal, S among them, and H is skipped.  On every other H a piece's
+    report is built only when its S, read as above, makes |G| = |H| |S|
+    and is not normal.  return_candidates=True walks every H whose index
+    divides dim pi.
     """
     if not model.is_central_type():
         raise SearchError("the probe only applies to central-type models")
     max_order = _check_caps(model, max_order, max_dim)
     g = model.group
-    found, witnesses = [], []
-    for sub in g.all_subgroups(max_order):
-        index = sub.index()
-        if model.dim % index != 0:
+    if return_candidates:
+        subs = g.all_subgroups(max_order)
+    else:
+        normal = _normal_cyclic(g)
+        if normal.all():
+            return []
+        subs = [sub for sub in g.all_subgroups(max_order) if not normal[sub._inside].all()]
+    candidates = []
+    for order, same_order in itertools.groupby(subs, key=len):   # subs are sorted by order
+        if model.dim * order % g.order != 0:
             continue
-        target = model.dim // index
-        res = restrict(model.rep, sub)
-        for rho, basis in _split_constituents(res):
-            if rho.dim != target:
-                continue
-            moved = np.linalg.norm(res.matrices @ basis - basis @ rho.matrices, axis=(1, 2))
-            if not moved.max() <= _tol.SCAN * np.sqrt(rho.dim):
-                raise RuntimeError("q3_probe: a split basis is not an intertwiner")
-            found.append(CodeSpace(model.dim, basis))
-            witnesses.append((sub, rho.character().values))
-    candidates = _classify_orbits(model, found, witnesses)
+        target = model.dim * order // g.order   # dim pi / [G:H]
+        batch = []
+        for sub in same_order:
+            res = restrict(model.rep, sub)
+            kept = [(rho, basis) for rho, basis in _split_constituents(res) if rho.dim == target]
+            if kept:
+                batch.append((sub, res, kept))
+        if batch:
+            candidates += _clifford_reports(model, batch, not return_candidates)
     hits = [
         report for report in candidates
         if g.order == len(report.logical) * len(report.stabilizer)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import CATALOG_64, relabeled_model
 
-from qeclab import _tol, cli, codes, projreps, search
+from qeclab import _linalg, _tol, cli, codes, projreps, search
 from qeclab.cli import main, parse_model_spec
 from qeclab.cocycles import _phase_values
 from qeclab.codes import CodeSpace, classify
@@ -53,14 +53,27 @@ def _count_actions(monkeypatch):
     return calls
 
 
+def _q3_witnesses(model, reports):
+    """(L, the character of L's action on the code) of each q3_probe report."""
+    witnesses = []
+    for r in reports:
+        action = _linalg.compressed_action(model.rep.matrices[list(r.logical.members)], r.code.basis)[0]
+        witnesses.append((r.logical, np.trace(action, axis1=1, axis2=2)))
+    return witnesses
+
+
 @pytest.mark.parametrize("spec, orbits", [("oddfam:3", 28), ("genpauli:8", 26)])
 @pytest.mark.parametrize("seed", [None, 3])
 def test_q3_probe_classifies_one_code_per_orbit(monkeypatch, spec, orbits, seed):
+    # each report is read from its constituent: no code action at all, and
+    # the candidates still fall into the same orbits of W -> pi(g)W
     model = _model(spec, seed)
     calls = _count_actions(monkeypatch)
     hits, candidates = q3_probe(model, return_candidates=True)
-    assert len(calls) == orbits
+    assert len(calls) == 0
     monkeypatch.undo()
+    table = codes._conjugation_table(model.cocycle)
+    assert len(codes._witness_orbits(model, _q3_witnesses(model, candidates), table)) == orbits
     assert _json(candidates) == _json(classify(model, r.code) for r in candidates)
     assert _json(hits) == _json(classify(model, r.code) for r in hits)
 
@@ -149,31 +162,38 @@ def test_batch_with_dropped_witnesses_matches_classify(monkeypatch):
     assert _json(reports) == _json(classify(model, code) for code in batch)
 
 
+def _orbit_sizes(model, logicals, witnesses):
+    """(|L|, orbit size) per orbit of _witness_orbits on a batch's witnesses,
+    logicals[i] the logical group of code i."""
+    table = codes._conjugation_table(model.cocycle)
+    return [
+        (len(logicals[rep]), 1 + len(members))
+        for rep, members in codes._witness_orbits(model, witnesses, table)
+    ]
+
+
 @functools.cache
 def _search_orbits(spec):
-    """(|G|, one list per _classify_orbits call of `qeclab search spec`, and
-    of `--q3` on a central-type model, of (|L|, orbit size) per orbit)."""
+    """(|G|, one list per batch of (|L|, orbit size) per orbit: the
+    _classify_orbits call of `qeclab search spec` and, on a central-type
+    model, q3_probe's candidates with their (L, chi) witnesses)."""
     calls = []
     raw = codes._classify_orbits
 
     def classify_orbits(model, batch, witnesses):
         reports = raw(model, batch, witnesses)
-        table = codes._conjugation_table(model.cocycle)
-        calls.append([
-            (len(reports[rep].logical), 1 + len(members))
-            for rep, members in codes._witness_orbits(model, witnesses, table)
-        ])
+        calls.append(_orbit_sizes(model, [r.logical for r in reports], witnesses))
         return reports
 
-    argvs = [["search", spec]]
-    if _model(spec).is_central_type():
-        argvs.append(["search", spec, "--q3"])
     with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
         m.setattr(cli, "_classify_orbits", classify_orbits)
-        m.setattr(search, "_classify_orbits", classify_orbits)
-        assert all(main(argv) == 0 for argv in argvs)
-    assert len(calls) == len(argvs)
-    return _model(spec).group.order, calls
+        assert main(["search", spec]) == 0
+    assert len(calls) == 1
+    model = _model(spec)
+    if model.is_central_type():
+        _, _, witnesses = _q3_batch(spec)
+        calls.append(_orbit_sizes(model, [sub for sub, _ in witnesses], witnesses))
+    return model.group.order, calls
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,21 +232,11 @@ def test_on_grid_interleaves_real_and_imaginary_parts(seed):
 
 @functools.cache
 def _q3_batch(spec):
-    """(model, candidates, witnesses) of the _classify_orbits call of
+    """(model, candidate codes, (L, chi) witnesses) of
     q3_probe(model, return_candidates=True)."""
     model = _model(spec)
-    batches = []
-    raw = codes._classify_orbits
-
-    def classify_orbits(model, batch, witnesses):
-        batches.append((batch, witnesses))
-        return raw(model, batch, witnesses)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "_classify_orbits", classify_orbits)
-        q3_probe(model, return_candidates=True)
-    [(batch, witnesses)] = batches
-    return model, batch, witnesses
+    _, candidates = q3_probe(model, return_candidates=True)
+    return model, [r.code for r in candidates], _q3_witnesses(model, candidates)
 
 
 _CENTRAL_SPECS = [s for s in _SPECS if _model(s).is_central_type()]

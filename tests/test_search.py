@@ -21,7 +21,13 @@ from helpers import (
 from qeclab import _linalg, _tol, cocycles, codes, projreps, search
 from qeclab._linalg import orthonormal_columns
 from qeclab.cli import parse_model_spec
-from qeclab.codes import CodeSpace, clifford_code, code_dimension_formula, weak_stabilizer_code
+from qeclab.codes import (
+    CodeSpace,
+    classify,
+    clifford_code,
+    code_dimension_formula,
+    weak_stabilizer_code,
+)
 from qeclab.models import (
     family_c2_x_d2n,
     gen_pauli_model,
@@ -29,6 +35,11 @@ from qeclab.models import (
 )
 from qeclab.projreps import _intertwiner_count, inner_product, is_irreducible, restrict
 from qeclab.search import SearchError, enumerate_weak_stabilizer_codes, q3_probe
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_model(spec):
+    return parse_model_spec(spec).model
 
 
 def test_enumerate_qubit_pauli_count():
@@ -155,11 +166,7 @@ def test_enumeration_interns_only_the_subgroups_it_visits(spec):
     assert set(g._interned) <= set(visited) < set(g._lattice())
 
 
-@pytest.mark.parametrize("spec", ["oddfam:3", "genpauli:8"])
-def test_q3_probe_walks_the_full_lattice(spec, monkeypatch):
-    # a Clifford code needs no admissible phase, so q3_probe restricts pi to
-    # every subgroup whose index divides dim pi, admissible or not
-    model = parse_model_spec(spec).model
+def _counted_restrict(monkeypatch):
     walked = []
 
     def restrict_counted(rep, sub):
@@ -167,11 +174,115 @@ def test_q3_probe_walks_the_full_lattice(spec, monkeypatch):
         return restrict(rep, sub)
 
     monkeypatch.setattr(search, "restrict", restrict_counted)
-    q3_probe(model)
+    return walked
+
+
+@pytest.mark.parametrize("spec", ["oddfam:3", "genpauli:8"])
+def test_q3_probe_walks_the_full_lattice(spec, monkeypatch):
+    # a Clifford code needs no admissible phase, so q3_probe with every
+    # candidate asked for restricts pi to every subgroup whose index divides
+    # dim pi, admissible or not (the hits-only call prunes by normality)
+    model = parse_model_spec(spec).model
+    walked = _counted_restrict(monkeypatch)
+    q3_probe(model, return_candidates=True)
     g = model.group
     assert walked == [h for h in g.all_subgroups() if model.dim % h.index() == 0]
     admissible = set(_admissible_subgroups(model))
     assert any(h.members not in admissible for h in walked)
+
+
+# central-type CATALOG_64 models with a non-normal cyclic subgroup, and how
+# many subgroups of index dividing dim pi the hits-only probe skips; the
+# other 13 are Dedekind
+_PRUNED = {"c2d2n:2": (23, 4), "oddfam:3": (44, 5)}
+_CENTRAL_ALL = [s for s in CATALOG_64 if _catalog_model(s).is_central_type()]
+
+
+@functools.lru_cache(maxsize=None)
+def _q3_full(spec):
+    """q3_probe(return_candidates=True) on a fresh model of spec."""
+    return q3_probe(parse_model_spec(spec).model, return_candidates=True)
+
+
+@pytest.mark.parametrize("spec", _CENTRAL_ALL)
+def test_q3_reports_equal_classify_on_every_candidate(spec):
+    # each report is read from its constituent (search._clifford_reports);
+    # classify reads the same code from its action on the whole group
+    hits, candidates = _q3_full(spec)
+    model = candidates[0].model
+    assert [r.to_json() for r in candidates] == [classify(model, r.code).to_json() for r in candidates]
+    assert all(r.flags["is_clifford"] and r.flags["is_partitioning"] for r in candidates)
+
+
+def test_q3_census_of_normal_cyclic_subgroups():
+    dedekind = [s for s in _CENTRAL_ALL if search._normal_cyclic(_catalog_model(s).group).all()]
+    assert len(_CENTRAL_ALL) == 15 and sorted(set(_CENTRAL_ALL) - set(dedekind)) == sorted(_PRUNED)
+    for spec, (walked, skipped) in _PRUNED.items():
+        model = _catalog_model(spec)
+        normal = search._normal_cyclic(model.group)
+        subs = [h for h in model.group.all_subgroups() if model.dim % h.index() == 0]
+        assert (len(subs), sum(normal[h._inside].all() for h in subs)) == (walked, skipped)
+
+
+@pytest.mark.parametrize("spec", _CENTRAL_ALL)
+def test_pruned_q3_hits_equal_the_full_walk(spec):
+    # the hits-only call skips Dedekind groups and subgroups whose cyclic
+    # subgroups are all normal, and builds reports for hits only
+    hits = q3_probe(parse_model_spec(spec).model)
+    assert [r.to_json() for r in hits] == [r.to_json() for r in _q3_full(spec)[0]]
+
+
+@pytest.mark.parametrize("spec", sorted(_PRUNED))
+def test_pruned_q3_skips_the_subgroups_of_normal_cyclic_members(spec, monkeypatch):
+    # and builds a report for each hit only
+    want = [r.to_json() for r in _q3_full(spec)[0]]
+    model = parse_model_spec(spec).model
+    walked = _counted_restrict(monkeypatch)
+    built = []
+    raw = search.CodeReport
+
+    def report(**fields):
+        built.append(fields["code"])
+        return raw(**fields)
+
+    monkeypatch.setattr(search, "CodeReport", report)
+    hits = q3_probe(model)
+    assert hits and [r.to_json() for r in hits] == want
+    total, skipped = _PRUNED[spec]
+    assert len(walked) == total - skipped
+    assert len(built) == len(hits)
+
+
+def test_q3_probe_on_a_dedekind_group_builds_no_lattice(monkeypatch):
+    # every cyclic subgroup of pauli:3's abelian group is normal, so no
+    # stabilizer can fail to be normal and the probe returns at once
+    model = parse_model_spec("pauli:3").model
+    walked = _counted_restrict(monkeypatch)
+    assert q3_probe(model) == []
+    assert model.group._lattice_members is None and walked == []
+
+
+def test_commutant_draws_are_cached_read_only_and_unchanged(monkeypatch):
+    # A + A* depends on (dim, seed) alone; the cached draw is the fresh one,
+    # byte for byte, and the split reads the same pieces with or without it
+    def fresh(dim, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return a + a.conj().T
+
+    for dim, seed in [(2, 11), (8, 12), (16, 2**16)]:
+        got = search._hermitian_draw(dim, seed)
+        assert not got.flags.writeable and got is search._hermitian_draw(dim, seed)
+        assert got.tobytes() == fresh(dim, seed).tobytes()
+    model = _catalog_model("oddfam:3")
+    restrictions = [restrict(model.rep, h) for h in model.group.all_subgroups()]
+    cached = [search._split_constituents(res) for res in restrictions]
+    monkeypatch.setattr(search, "_hermitian_draw", fresh)
+    for res, pieces in zip(restrictions, cached):
+        again = search._split_constituents(res)
+        assert len(again) == len(pieces)
+        for (p1, b1), (p2, b2) in zip(pieces, again):
+            assert p1.matrices.tobytes() == p2.matrices.tobytes() and b1.tobytes() == b2.tobytes()
 
 
 def test_q3_probe_rejects_non_central_type():
@@ -414,11 +525,6 @@ def test_constituents_match_the_commutant_svd_split(spec):
             copies = sum(search._canonical_key(p) == search._canonical_key(piece) for p in got)
             assert abs(np.trace(projector) - piece.dim * copies) < _tol.DERIVED
             assert _intertwiner_count(piece, res) == copies
-
-
-@functools.lru_cache(maxsize=None)
-def _catalog_model(spec):
-    return parse_model_spec(spec).model
 
 
 def test_central_type_pieces_of_the_target_dimension_occur_once():
