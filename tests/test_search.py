@@ -572,7 +572,8 @@ def test_reynolds_element_commutes_and_pieces_are_irreducible(data):
 # _canonical_key.  A change here is a change of q3_probe's candidate order.
 _CANDIDATE_ORDER = {
     "c2d2n:2": "aab8ca39611bf8b48fcebdfb355e84fb2dd50d5270f18387f5477de0d57ae993",
-    "oddfam:3": "ad0a1fc283c3eba6566748f68ffbe12b8ef5ce93f4e5ea831a9e0ed220a2d4c8",
+    "genpauli:8": "9c9f7e6e09ccfc0b78085334c619b813267057148ed2af526283ab8e0e90d2b9",
+    "oddfam:3":"ad0a1fc283c3eba6566748f68ffbe12b8ef5ce93f4e5ea831a9e0ed220a2d4c8",
 }
 
 
