@@ -1,10 +1,11 @@
 """Shared dense linear algebra helpers.
 
 compressed_action is the one product B* M B in qeclab: every reading of
-an operator's action on a subspace (the code action in codes, a piece of
-search's constituent split, ProjectiveRep.on_subspace, the
-Knill-Laflamme scalar in channels) goes through it, so the same subspace
-gives the same bytes to each reader.
+an operator's action on a subspace (the code action in codes,
+ProjectiveRep.on_subspace, the Knill-Laflamme scalar in channels, and the
+pieces of search's constituent split, diagonal blocks of one compression by
+a whole eigenvector matrix) goes through it, so the same basis gives the
+same bytes to each reader.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def compressed_action(
     matrices: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, |M B - B C|_F, |C|_F) for each matrix M of a stack of n, with
-    B = basis (d x w) and C = B* M B.
+    B = basis (d x w) and C = B* M B.  Leading batch axes, matrices
+    [..., n, d, d] and basis [..., d, w], pair each stack with its own basis.
 
     One flat product Y = M B over all n d rows of the stack, in place of a
     batched product over n small matrices, and then two more over the n w
@@ -78,14 +80,27 @@ def compressed_action(
     = 1.1e-16: rho is a projective rep with pi's cocycle that validating
     against _tol.EXACT accepts unless pi itself deviates to within about
     1e-16 of _tol.EXACT.  codes._clifford_flag and
-    search._split_constituents read their actions by this lemma.
+    search._split_restrictions read their actions by this lemma.
+
+    Block lemma: let V = [B, R] be square with columns J = B, and
+    E = V*V - 1.  The blocks of C_V = V* M V on J's columns are B* M B, the
+    action above, and R* M B, and iota(x) is |R* M B|_F up to a term linear
+    in |E|_2: with Q = 1 - P, R* M B = (R* B)(B* M B) + R* Q M B and
+    R R* = 1 - P + (V V* - 1), so
+        |R* M B| <= |E| |B* M B| + |R| iota,  iota <= |R| |R* M B| + |E| |M B|,
+    with |R|_2^2 <= 1 + |E|_2 (|V V* - 1|_2 = |E|_2 for square V).  So one
+    compression by V gives every column block's action, its invariance
+    residual and its trace at once.  search._split_restrictions reads its
+    pieces so, with V an eigenvector matrix of eigh, |E| of order d eps.
     """
-    n, (d, w) = len(matrices), basis.shape
-    yt = (matrices.reshape(n * d, d) @ basis).reshape(n, d, w).transpose(0, 2, 1).reshape(n * w, d)
+    *batch, n, d, _ = matrices.shape
+    w = basis.shape[-1]
+    yt = (matrices.reshape(*batch, n * d, d) @ basis).reshape(*batch, n, d, w)
+    yt = yt.swapaxes(-2, -1).reshape(*batch, n * w, d)
     ct = yt @ basis.conj()
-    inside = np.linalg.norm((yt - ct @ basis.T).reshape(n, w * d), axis=1)
-    outside = np.linalg.norm(ct.reshape(n, w * w), axis=1)
-    return np.ascontiguousarray(ct.reshape(n, w, w).swapaxes(1, 2)), inside, outside
+    inside = np.linalg.norm((yt - ct @ basis.swapaxes(-2, -1)).reshape(*batch, n, w * d), axis=-1)
+    outside = np.linalg.norm(ct.reshape(*batch, n, w * w), axis=-1)
+    return np.ascontiguousarray(ct.reshape(*batch, n, w, w).swapaxes(-2, -1)), inside, outside
 
 
 def scalar_deviation(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

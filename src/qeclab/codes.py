@@ -411,7 +411,7 @@ def clifford_code(
     a, b = np.unravel_index(np.argmax(diag), diag.shape)
     unit = np.zeros((model.dim, rho.dim), dtype=complex)
     unit[a, b] = 1.0
-    t = _reynolds(rho, res, unit)
+    t = _reynolds(m, r, unit)
     if np.linalg.norm(r @ t - t @ m, axis=(1, 2)).max() > _tol.SCAN * frobenius(t):
         raise RuntimeError("clifford_code: the averaged map is not an intertwiner")
     basis = orthonormal_columns(t)

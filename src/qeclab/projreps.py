@@ -139,9 +139,11 @@ class ProjectiveRep:
         snap would need this cocycle's denominator, which can exceed 4|G|.
         The validation reads the Cayley edges, and every pair only when an
         edge fails (see _validate).  Raises MakeRepError when the subspace
-        is not invariant.  The action is _linalg.compressed_action's, so a
-        piece of search._split_constituents on the same basis has the same
-        matrices.
+        is not invariant.  The action is _linalg.compressed_action's B* pi B.
+        A piece of search._split_restrictions on the same basis B is the
+        diagonal block of that function's compression by the whole
+        eigenvector matrix, the same B* pi B formed in one wider product, so
+        its matrices agree with these to rounding.
         """
         return ProjectiveRep(self.group, compressed_action(self.matrices, basis)[0], self.cocycle)
 
@@ -440,12 +442,13 @@ def inner_product(c1: Character, c2: Character) -> complex:
 
 
 def is_irreducible(rep: ProjectiveRep) -> bool:
-    return _irreducible_character(rep.character().values)
+    return bool(_irreducible_character(rep.character().values))
 
 
-def _irreducible_character(chi: np.ndarray) -> bool:
-    """<chi, chi> = 1 to _tol.DERIVED: the irreducibility test on character values."""
-    return abs(complex(np.mean(chi * np.conj(chi))) - 1) <= _tol.DERIVED
+def _irreducible_character(chi: np.ndarray) -> np.ndarray:
+    """<chi, chi> = 1 to _tol.DERIVED: the irreducibility test on character
+    values, along the last axis, one verdict per character of a stack."""
+    return np.abs(np.mean(chi * np.conj(chi), axis=-1) - 1) <= _tol.DERIVED
 
 
 def is_projectively_faithful(rep: ProjectiveRep) -> bool:
@@ -486,20 +489,25 @@ def hom_space(r1: ProjectiveRep, r2: ProjectiveRep) -> list[np.ndarray]:
     return basis
 
 
-def _reynolds(r1: ProjectiveRep, r2: ProjectiveRep, a: np.ndarray) -> np.ndarray:
-    """(1/n) sum_x r2(x) a r1(x)*: the orthogonal projection of a onto Hom(r1, r2).
+def _reynolds(m1: np.ndarray, m2: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(1/n) sum_x r2(x) a r1(x)*, the orthogonal projection of a onto
+    Hom(r1, r2), from the matrices m1 [..., n, d1, d1] and m2 [..., n, d2, d2]
+    of two reps with one cocycle, which the caller checks.  Leading stack
+    axes average each entry of the stack on its own.
 
     For reps with one cocycle sigma, r2(y) T r1(y)* = T for every y, because
     r2(y) r2(x) = sigma(y,x) r2(yx), r1(x)* r1(y)* = conj(sigma(y,x)) r1(yx)*
     and x -> yx permutes the group (Serre, Linear Representations of Finite
     Groups, 2.6).  The map fixes every intertwiner and is a mean of unitary
     maps, so it is the orthogonal projector onto Hom(r1, r2).  hom_space
-    diagonalizes the same map written as a matrix.
+    diagonalizes the same map written as a matrix.  It is one
+    (d2, n d1) @ (n d1, d1) product per stack entry:
+    sum_(x, j) (r2(x) a)[i, j] conj(r1(x))[b, j].
     """
-    if r1.cocycle != r2.cocycle:
-        raise ValueError("cocycle mismatch")
-    m1 = r1.matrices
-    return np.tensordot(r2.matrices @ a, m1.conj(), axes=([0, 2], [0, 2])) / len(m1)
+    *stack, n, d1, _ = m1.shape
+    left = np.swapaxes(m2 @ a, -3, -2).reshape(*stack, m2.shape[-1], n * d1)
+    right = np.swapaxes(m1.conj(), -2, -1).reshape(*stack, n * d1, d1)
+    return left @ right / n
 
 
 def _intertwiner_count(r1: ProjectiveRep, r2: ProjectiveRep) -> int:

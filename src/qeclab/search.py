@@ -35,12 +35,17 @@ admissible by construction and are not tested again, and a classified
 code's stabilizer phase is proved admissible in codes._stabilizer.
 
 q3_probe splits each restriction pi|H into irreducible pieces on the
-eigenspaces of a random commutant element (_split_constituents).  A piece
-is accepted by the rule classify applies to a code: the action C = B* pi B
-and the invariance norms |(1 - BB*) pi(x) B| come from one
-_linalg.compressed_action, every norm must be below _tol.SCAN, and the
-lemma stated there makes C a projective rep with pi's cocycle, so no piece
-is validated again.  A candidate's code is its piece's basis B, and its
+eigenspaces of a random commutant element (_split_restrictions), all
+subgroups of one order together: one Reynolds average, one eigh and one
+compression by the whole eigenvector matrix V per block of them, read
+from pi's own stack with no restricted rep built.  A piece on columns B
+of V is accepted by the rule classify applies to a code: its action
+C = B* pi B is a diagonal block of V* pi V, its invariance norms
+|(1 - BB*) pi(x) B| are the norms of the rest of its column block
+(_linalg.compressed_action's block lemma), every norm must be below
+_tol.SCAN, and the lemma stated there makes C a projective rep with pi's
+cocycle, so no piece is validated again.  A candidate's code is its
+piece's basis B, and its
 report is read from the piece in closed form (_clifford_reports): pi is
 induced from the piece, so no action of G on the code is computed, no
 orbit is formed and no report is transported.
@@ -54,7 +59,7 @@ import itertools
 import numpy as np
 
 from . import _tol
-from ._linalg import compressed_action, scalar_deviation
+from ._linalg import _PRODUCT_BLOCK_ENTRIES, compressed_action, scalar_deviation
 from .cocycles import PhaseFunction, _pairing_defects, _phase_values, _snap_phases
 from .codes import (
     CodeError,
@@ -69,7 +74,7 @@ from .codes import (
 )
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
-from .projreps import ProjectiveRep, _reynolds, is_irreducible, restrict
+from .projreps import _irreducible_character, _reynolds
 
 __all__ = [
     "SearchError",
@@ -255,72 +260,116 @@ def _hermitian_draw(dim: int, seed: int) -> np.ndarray:
     return a
 
 
-def _commutant_element(rep: ProjectiveRep, seed: int) -> np.ndarray:
-    """A random Hermitian element of the commutant of rep, seeded.
+def _commutant_elements(mats: np.ndarray, seed: int) -> np.ndarray:
+    """A random Hermitian element of the commutant of each restriction in a
+    stack mats[i] = pi|H_i, [k, |H|, d, d], seeded.
 
-    The Reynolds average of a Gaussian Hermitian A (projreps._reynolds,
-    A from _hermitian_draw): the cocycle cancels, so it commutes with every
-    rep(x), and it is the orthogonal projection of A, so it is a Gaussian
-    Hermitian element of the commutant.
+    The Reynolds average of one Gaussian Hermitian A over each H
+    (projreps._reynolds, A from _hermitian_draw): the cocycle cancels,
+    so it commutes with every pi(h), and it is the orthogonal projection of
+    A onto the commutant, so it is a Gaussian Hermitian element of it.
     """
-    t = _reynolds(rep, rep, _hermitian_draw(rep.dim, seed))
-    return (t + t.conj().T) / 2
+    t = _reynolds(mats, mats, _hermitian_draw(mats.shape[-1], seed))
+    return (t + t.conj().swapaxes(-2, -1)) / 2
 
 
-def _canonical_key(piece: ProjectiveRep) -> tuple:
-    """(dim, character values on H, to a grid of _tol.DERIVED): no split basis enters.
+def _canonical_key(dim: int, chi: np.ndarray) -> tuple:
+    """(dim, character values on H, to a grid of _tol.DERIVED) of a piece:
+    no split basis enters.
 
     Constituents with one cocycle and equal characters are isomorphic, so
     only isomorphic pieces tie.
     """
-    return (piece.dim, *_on_grid(piece.character().values).tolist())
+    return (dim, *_on_grid(chi).tolist())
 
 
-def _split_constituents(rep: ProjectiveRep) -> list[tuple[ProjectiveRep, np.ndarray]]:
-    """Split a projective rep into irreducible invariant-subspace restrictions,
-    as (piece, B) pairs: B the orthonormal columns spanning the piece's
-    subspace, and the piece rep's action B* rep(x) B on it.
+def _split_restrictions(matrices: np.ndarray, members) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Split each restriction pi|H into irreducible invariant-subspace
+    restrictions.  matrices is pi's stack and each row of members the
+    members of one H, all of one order; a rep's own stack with members
+    [range(n)] splits that rep.  For each H, the list of (C, B) pieces: B
+    the orthonormal columns spanning the piece's subspace, and C[h] =
+    B* pi(h) B its action, h in members' order.
 
-    A random Hermitian element of the commutant (_commutant_element)
-    generically has one eigenvalue per irreducible constituent, counting
-    copies of isomorphic ones separately (Dixon, Math. Comp. 61, 1993).
-    Each eigenspace B, a block of eigh's eigenvectors used as it is
-    (|B*B - 1|_F is a rounding of order dim * eps, under 3e-15 on the
-    order-64 models), is read once by _linalg.compressed_action, as
-    codes.classify reads a code: the span is accepted as invariant when
-    iota(x) = |(1 - BB*) rep(x) B|_F is below _tol.SCAN on every x, and
-    the piece is then ProjectiveRep(C) with rep's cocycle object, with no
-    validation of its own.  compressed_action's lemma bounds the piece's
-    deviations by rep's plus 1.1e-16, so ProjectiveRep.on_subspace, which
-    builds the same matrices, would accept it.  A degenerate draw merges
-    constituents, or leaves a span that is not invariant; either fails a
-    test (iota, then irreducibility), and the split retries with the next
-    seed.  The pieces are returned sorted by _canonical_key, so the order
-    does not depend on the draw except among isomorphic pieces.  An
-    irreducible rep is its own piece, with B = 1.
+    A random Hermitian element of the commutant of pi|H
+    (_commutant_elements) generically has one eigenvalue per irreducible
+    constituent, counting copies of isomorphic ones separately (Dixon,
+    Math. Comp. 61, 1993).  Each cluster of eigh's eigenvalues, cut where
+    neighbours differ by _tol.EIGENGAP relative, gives a block B of the
+    eigenvector matrix V, used as it is.  Every piece of H is read from
+    one _linalg.compressed_action of V, by its block lemma: the piece's
+    action is the diagonal block of C_V = V* pi V on B's columns, its
+    invariance residual iota(h) = |(1 - BB*) pi(h) B|_F is the norm of the
+    rest of its column block, up to V's unitarity defect |V*V - 1|, a
+    rounding of order dim * eps (under 3e-15 on the order-64 models), and
+    its character is the block trace.  A piece is accepted as
+    codes.classify accepts a code, with iota below _tol.SCAN on every h,
+    and then as irreducible, <chi, chi> = 1, one test for every piece.
+    compressed_action's lemma bounds an accepted piece's deviations by
+    pi's plus 1.1e-16, so ProjectiveRep.on_subspace would accept it with
+    pi|H's cocycle, and no piece is validated again.  A degenerate draw
+    merges constituents, or leaves a span that is not invariant; either
+    fails a test, and that H alone is split again with the next seed
+    (RuntimeError after _SPLIT_ATTEMPTS).  The pieces of each H are sorted
+    by _canonical_key, so the order does not depend on the draw except
+    among isomorphic pieces.  An irreducible pi|H is its own piece, with
+    B = 1.
+
+    Subgroups of one order have one shape, so they are split together:
+    one Reynolds average, one eigh and one compression per block of at
+    most _PRODUCT_BLOCK_ENTRIES entries of pi|H.  Each step acts on each H
+    alone, so neither the blocks nor a retry change any H's pieces.
     """
-    if is_irreducible(rep):
-        return [(rep, np.eye(rep.dim, dtype=complex))]
-    dim = rep.dim
+    members = np.asarray(members)
+    rows = max(1, _PRODUCT_BLOCK_ENTRIES // matrices[members[0]].size)
+    pieces = []
+    for a in range(0, len(members), rows):
+        pieces += _split_block(matrices[members[a:a + rows]])
+    return pieces
+
+
+def _split_block(mats: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """_split_restrictions on one block, mats[i] = pi|H_i: draws with
+    successive seeds, each on the H no earlier draw split."""
+    irreducible = _irreducible_character(np.einsum("knaa->kn", mats))
+    pieces = [[(m, np.eye(len(m[0]), dtype=complex))] if irr else None
+              for m, irr in zip(mats, irreducible)]
+    todo = np.flatnonzero(~irreducible)
     for attempt in range(_SPLIT_ATTEMPTS):
-        evals, evecs = np.linalg.eigh(_commutant_element(rep, _SPLIT_SEED + attempt))
-        pieces: list[tuple[ProjectiveRep, np.ndarray]] = []
-        start = 0
-        for k in range(1, dim + 1):
-            if k < dim and evals[k] - evals[k - 1] < _tol.EIGENGAP * max(1.0, abs(evals[k])):
-                continue
-            basis = evecs[:, start:k]
-            start = k
-            action, inside, _ = compressed_action(rep.matrices, basis)
-            if not inside.max() < _tol.SCAN:
-                break
-            piece = ProjectiveRep(rep.group, action, rep.cocycle, validate=False)
-            if not is_irreducible(piece):
-                break
-            pieces.append((piece, basis))
-        else:
-            return sorted(pieces, key=lambda pair: _canonical_key(pair[0]))
-    raise RuntimeError("commutant sampling failed to split the representation")
+        if todo.size:
+            for i, got in zip(todo, _split_draw(mats[todo], _SPLIT_SEED + attempt)):
+                pieces[i] = got
+            todo = np.array([i for i in todo if pieces[i] is None], dtype=int)
+    if todo.size:
+        raise RuntimeError("commutant sampling failed to split the representation")
+    return pieces
+
+
+def _split_draw(mats: np.ndarray, seed: int) -> list:
+    """The sorted pieces of each pi|H_i = mats[i] read from one seeded draw
+    (see _split_restrictions), or None where a piece fails a test."""
+    k, n, d, _ = mats.shape
+    evals, evecs = np.linalg.eigh(_commutant_elements(mats, seed))
+    merged = np.diff(evals, axis=1) < _tol.EIGENGAP * np.maximum(1.0, np.abs(evals[:, 1:]))
+    starts = np.insert(~merged, 0, True, axis=1)   # [i, a]: a cluster of H_i starts at column a
+    c = compressed_action(mats, evecs)[0]                         # [i, h, a, b]
+    cluster = np.cumsum(starts, axis=1)
+    off = cluster[:, None, :, None] != cluster[:, None, None, :]
+    columns = np.where(off, np.abs(c) ** 2, 0.0).sum(axis=2)      # [i, h, b], off its block
+    first = np.flatnonzero(starts)                                # pieces, flat over [i, a]
+    iota = np.sqrt(np.add.reduceat(columns.swapaxes(1, 2).reshape(k * d, n), first))
+    chis = np.add.reduceat(c.diagonal(0, 2, 3).swapaxes(1, 2).reshape(k * d, n), first)
+    ok = (iota.max(axis=1) < _tol.SCAN) & _irreducible_character(chis)
+    row, start = np.divmod(first, d)
+    stop = np.append(first[1:], k * d) - row * d
+    failed = set(row[~ok].tolist())
+    split: list = [None if i in failed else [] for i in range(k)]
+    for p, (i, a, b) in enumerate(zip(row.tolist(), start.tolist(), stop.tolist())):
+        if split[i] is not None:
+            key = _canonical_key(b - a, chis[p])
+            split[i].append((key, c[i, :, a:b, a:b].copy(), evecs[i, :, a:b]))
+    return [got and [(action, basis) for _, action, basis in sorted(got, key=lambda t: t[0])]
+            for got in split]
 
 
 def _normal_cyclic(g) -> np.ndarray:
@@ -340,24 +389,25 @@ def _clifford_reports(model, batch, only_hits):
     """classify's report of each candidate's code, read from its piece (see
     q3_probe); with only_hits, of the pieces whose S makes a hit only.
 
-    batch lists (H, pi|H, kept) for subgroups H of one order, kept the
-    (rho, B) pieces of pi|H with dim rho = |H| / dim pi, so every piece has
-    one shape.  RuntimeError when a B fails the intertwiner test, one
+    batch lists (H, kept) for subgroups H of one order, kept the (rho, B)
+    pieces of pi|H (_split_restrictions) with dim rho = |H| / dim pi, so
+    every piece has one shape.  RuntimeError when a B fails the intertwiner test, one
     product per H, and CodeError when a B fails CodeSpace's orthonormality
     test.  A piece whose stabilizer phase does not snap is classified
     directly.
     """
     g, d = model.group, model.dim
-    subs = [sub for sub, _, kept in batch for _ in kept]
-    rhos = np.stack([rho.matrices for *_, kept in batch for rho, _ in kept])     # [piece, h, t, t]
-    bases = np.stack([basis for *_, kept in batch for _, basis in kept])         # [piece, d, t]
+    subs = [sub for sub, kept in batch for _ in kept]
+    rhos = np.stack([rho for _, kept in batch for rho, _ in kept])       # [piece, h, t, t]
+    bases = np.stack([basis for _, kept in batch for _, basis in kept])  # [piece, d, t]
     n, t = rhos.shape[1:3]
     first = 0
-    for _, res, kept in batch:
+    for sub, kept in batch:
         k = len(kept)
         own = slice(first, first + k)
         first += k
-        moved = (res.matrices.reshape(n * d, d) @ bases[own].transpose(1, 0, 2).reshape(d, k * t))
+        res = model.rep.matrices[list(sub.members)]
+        moved = (res.reshape(n * d, d) @ bases[own].transpose(1, 0, 2).reshape(d, k * t))
         moved = moved.reshape(n, d, k, t) - (bases[own, None] @ rhos[own]).transpose(1, 2, 0, 3)
         if not np.linalg.norm(moved, axis=(1, 3)).max() <= _tol.SCAN * np.sqrt(t):
             raise RuntimeError("q3_probe: a split basis is not an intertwiner")
@@ -442,14 +492,15 @@ def q3_probe(
     codes.
 
     Each candidate's code is the split basis B of its constituent
-    (_split_constituents), with no second construction.  rho = B* pi|H B
+    (_split_restrictions), with no second construction.  rho = B* pi|H B
     on a span that pi|H leaves invariant, so pi(h)B = B rho(h): the
     inclusion B is an intertwiner from rho into pi|H.  As <rho, pi|H> = 1,
     Hom(rho, pi|H) is spanned by B, so the image of the one intertwiner,
     the rho-isotypic component of pi|H that codes.clifford_code builds, is
     span(B).  Every check of clifford_code holds here:
     - rho is irreducible: the split checks every piece;
-    - rho has the restriction's cocycle: the piece keeps its cocycle object;
+    - rho has the restriction's cocycle: compressed_action's lemma, by
+      which the split accepts the piece;
     - multiplicity one and [G:H] dim rho = dim V: the target filter,
       dim rho = target = dim V / [G:H] = |H| / dim V, since |G| = dim V^2.
       pi is irreducible, so sum_G |chi_pi|^2 = |G| = chi_pi(e)^2 and chi_pi
@@ -518,12 +569,10 @@ def q3_probe(
         if model.dim * order % g.order != 0:
             continue
         target = model.dim * order // g.order   # dim pi / [G:H]
-        batch = []
-        for sub in same_order:
-            res = restrict(model.rep, sub)
-            kept = [(rho, basis) for rho, basis in _split_constituents(res) if rho.dim == target]
-            if kept:
-                batch.append((sub, res, kept))
+        same_order = list(same_order)
+        split = _split_restrictions(model.rep.matrices, [sub.members for sub in same_order])
+        kept = [[(rho, b) for rho, b in pieces if b.shape[1] == target] for pieces in split]
+        batch = [(sub, pieces) for sub, pieces in zip(same_order, kept) if pieces]
         if batch:
             candidates += _clifford_reports(model, batch, not return_candidates)
     hits = [

@@ -1400,10 +1400,49 @@ def commutant_split_oracle(rep, seed: int = 11, attempts: int = 8) -> list:
 
 
 def irreducible_constituents(rep) -> list:
-    """The pieces of search._split_constituents, without their bases."""
-    from qeclab.search import _split_constituents
+    """The pieces of search._split_restrictions on rep's own stack, as reps
+    with rep's cocycle object, without their bases."""
+    members = [range(len(rep.matrices))]
+    return [
+        ProjectiveRep(rep.group, action, rep.cocycle, validate=False)
+        for action, _ in search._split_restrictions(rep.matrices, members)[0]
+    ]
 
-    return [piece for piece, _ in _split_constituents(rep)]
+
+def split_restriction_oracle(model, sub) -> tuple[int | None, list]:
+    """The per-subgroup split that search._split_restrictions stacks:
+    restrict, projreps._reynolds of the seeded draw, eigh, and one
+    compressed_action per eigenvalue cluster, retried with the next seed.
+
+    (attempt, pieces): the attempt that split pi|H (None when pi|H is
+    irreducible), and its pieces as (bounds, basis, action, key), bounds the
+    cluster's column range in the eigenvector matrix, sorted by key.
+    """
+    from qeclab._linalg import compressed_action
+    from qeclab.projreps import _reynolds, is_irreducible, restrict
+
+    res = restrict(model.rep, sub)
+    d = res.dim
+    if is_irreducible(res):
+        key = search._canonical_key(d, res.character().values)
+        return None, [((0, d), np.eye(d, dtype=complex), res.matrices, key)]
+    for attempt in range(search._SPLIT_ATTEMPTS):
+        t = _reynolds(res.matrices, res.matrices, search._hermitian_draw(d, search._SPLIT_SEED + attempt))
+        evals, evecs = np.linalg.eigh((t + t.conj().T) / 2)
+        pieces, start = [], 0
+        for k in range(1, d + 1):
+            if k < d and evals[k] - evals[k - 1] < _tol.EIGENGAP * max(1.0, abs(evals[k])):
+                continue
+            basis = evecs[:, start:k]
+            action, inside, _ = compressed_action(res.matrices, basis)
+            chi = np.einsum("naa->n", action)
+            if not (inside.max() < _tol.SCAN and abs(np.mean(chi * chi.conj()) - 1) <= _tol.DERIVED):
+                break
+            pieces.append(((start, k), basis, action, search._canonical_key(k - start, chi)))
+            start = k
+        else:
+            return attempt, sorted(pieces, key=lambda piece: piece[3])
+    raise RuntimeError("commutant sampling failed to split the representation")
 
 
 def isotypic_projector(rep, piece) -> np.ndarray:

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from helpers import (
     isotypic_projector,
     pairwise_enumerated,
     relabeled_model,
+    split_restriction_oracle,
 )
 
 from qeclab import _linalg, _tol, cocycles, codes, projreps, search
@@ -33,7 +35,7 @@ from qeclab.models import (
     gen_pauli_model,
     product_model,
 )
-from qeclab.projreps import _intertwiner_count, inner_product, is_irreducible, restrict
+from qeclab.projreps import _intertwiner_count, _reynolds, inner_product, is_irreducible, restrict
 from qeclab.search import SearchError, enumerate_weak_stabilizer_codes, q3_probe
 
 
@@ -166,29 +168,47 @@ def test_enumeration_interns_only_the_subgroups_it_visits(spec):
     assert set(g._interned) <= set(visited) < set(g._lattice())
 
 
-def _counted_restrict(monkeypatch):
+def _counted_splits(monkeypatch):
+    """The member tuples of every subgroup q3_probe splits, in order."""
     walked = []
+    raw = search._split_restrictions
 
-    def restrict_counted(rep, sub):
-        walked.append(sub)
-        return restrict(rep, sub)
+    def split_counted(matrices, members):
+        walked.extend(tuple(row) for row in members)
+        return raw(matrices, members)
 
-    monkeypatch.setattr(search, "restrict", restrict_counted)
+    monkeypatch.setattr(search, "_split_restrictions", split_counted)
     return walked
+
+
+def _key(piece):
+    """search._canonical_key of a piece rep."""
+    return search._canonical_key(piece.dim, piece.character().values)
+
+
+def _order_stacks(model, subs=None):
+    """The subgroups (all_subgroups by default) in lists of one order."""
+    subs = model.group.all_subgroups() if subs is None else subs
+    return [list(same) for _, same in itertools.groupby(subs, key=len)]
+
+
+def _split_stacks(model, stacks):
+    """search._split_restrictions of each stack."""
+    return [search._split_restrictions(model.rep.matrices, [h.members for h in same]) for same in stacks]
 
 
 @pytest.mark.parametrize("spec", ["oddfam:3", "genpauli:8"])
 def test_q3_probe_walks_the_full_lattice(spec, monkeypatch):
     # a Clifford code needs no admissible phase, so q3_probe with every
-    # candidate asked for restricts pi to every subgroup whose index divides
+    # candidate asked for splits pi|H on every subgroup whose index divides
     # dim pi, admissible or not (the hits-only call prunes by normality)
     model = parse_model_spec(spec).model
-    walked = _counted_restrict(monkeypatch)
+    walked = _counted_splits(monkeypatch)
     q3_probe(model, return_candidates=True)
     g = model.group
-    assert walked == [h for h in g.all_subgroups() if model.dim % h.index() == 0]
+    assert walked == [h.members for h in g.all_subgroups() if model.dim % h.index() == 0]
     admissible = set(_admissible_subgroups(model))
-    assert any(h.members not in admissible for h in walked)
+    assert any(members not in admissible for members in walked)
 
 
 # central-type CATALOG_64 models with a non-normal cyclic subgroup, and how
@@ -237,7 +257,7 @@ def test_pruned_q3_skips_the_subgroups_of_normal_cyclic_members(spec, monkeypatc
     # and builds a report for each hit only
     want = [r.to_json() for r in _q3_full(spec)[0]]
     model = parse_model_spec(spec).model
-    walked = _counted_restrict(monkeypatch)
+    walked = _counted_splits(monkeypatch)
     built = []
     raw = search.CodeReport
 
@@ -257,7 +277,7 @@ def test_q3_probe_on_a_dedekind_group_builds_no_lattice(monkeypatch):
     # every cyclic subgroup of pauli:3's abelian group is normal, so no
     # stabilizer can fail to be normal and the probe returns at once
     model = parse_model_spec("pauli:3").model
-    walked = _counted_restrict(monkeypatch)
+    walked = _counted_splits(monkeypatch)
     assert q3_probe(model) == []
     assert model.group._lattice_members is None and walked == []
 
@@ -275,14 +295,15 @@ def test_commutant_draws_are_cached_read_only_and_unchanged(monkeypatch):
         assert not got.flags.writeable and got is search._hermitian_draw(dim, seed)
         assert got.tobytes() == fresh(dim, seed).tobytes()
     model = _catalog_model("oddfam:3")
-    restrictions = [restrict(model.rep, h) for h in model.group.all_subgroups()]
-    cached = [search._split_constituents(res) for res in restrictions]
+    stacks = _order_stacks(model)
+    cached = [pieces for split in _split_stacks(model, stacks) for pieces in split]
     monkeypatch.setattr(search, "_hermitian_draw", fresh)
-    for res, pieces in zip(restrictions, cached):
-        again = search._split_constituents(res)
-        assert len(again) == len(pieces)
-        for (p1, b1), (p2, b2) in zip(pieces, again):
-            assert p1.matrices.tobytes() == p2.matrices.tobytes() and b1.tobytes() == b2.tobytes()
+    again = [pieces for split in _split_stacks(model, stacks) for pieces in split]
+    assert len(again) == len(cached) == len(model.group.all_subgroups())
+    for pieces, other in zip(cached, again):
+        assert len(other) == len(pieces)
+        for (p1, b1), (p2, b2) in zip(pieces, other):
+            assert p1.tobytes() == p2.tobytes() and b1.tobytes() == b2.tobytes()
 
 
 def test_q3_probe_rejects_non_central_type():
@@ -492,17 +513,19 @@ def test_a_split_basis_tilted_off_invariance_fails_the_intertwiner_test(spec, mo
     # q3_probe keeps each candidate's split basis B as its code after
     # checking pi(h)B = B rho(h) on every h; an orthonormal B tilted off
     # the invariant span, with its piece kept, must make it raise
-    raw = search._split_constituents
+    raw = search._split_restrictions
     rng = np.random.default_rng(0)
 
-    def tilted(rep):
+    def tilted(matrices, members):
         out = []
-        for piece, basis in raw(rep):
-            noise = rng.normal(size=basis.shape) + 1j * rng.normal(size=basis.shape)
-            out.append((piece, orthonormal_columns(basis + 1e-6 * noise)))
+        for pieces in raw(matrices, members):
+            out.append([])
+            for piece, basis in pieces:
+                noise = rng.normal(size=basis.shape) + 1j * rng.normal(size=basis.shape)
+                out[-1].append((piece, orthonormal_columns(basis + 1e-6 * noise)))
         return out
 
-    monkeypatch.setattr(search, "_split_constituents", tilted)
+    monkeypatch.setattr(search, "_split_restrictions", tilted)
     with pytest.raises(RuntimeError, match="split basis is not an intertwiner"):
         q3_probe(_catalog_model(spec))
 
@@ -516,13 +539,13 @@ def test_constituents_match_the_commutant_svd_split(spec):
     for sub in model.group.all_subgroups():
         res = restrict(model.rep, sub)
         got = irreducible_constituents(res)
-        want = sorted(commutant_split_oracle(res), key=search._canonical_key)
-        assert [search._canonical_key(p) for p in got] == [search._canonical_key(p) for p in want]
+        want = sorted(commutant_split_oracle(res), key=_key)
+        assert [_key(p) for p in got] == [_key(p) for p in want]
         for piece, other in zip(got, want):
             assert piece.cocycle == other.cocycle == res.cocycle
             projector = isotypic_projector(res, piece)
             assert np.linalg.norm(projector - isotypic_projector(res, other)) < _tol.DERIVED
-            copies = sum(search._canonical_key(p) == search._canonical_key(piece) for p in got)
+            copies = sum(_key(p) == _key(piece) for p in got)
             assert abs(np.trace(projector) - piece.dim * copies) < _tol.DERIVED
             assert _intertwiner_count(piece, res) == copies
 
@@ -538,14 +561,16 @@ def test_central_type_pieces_of_the_target_dimension_occur_once():
         model = _catalog_model(spec)
         chi = model.rep.character().values
         assert np.abs(np.delete(chi, model.group.identity)).max() < _tol.EXACT
-        for sub in model.group.all_subgroups():
-            if model.dim % sub.index():
-                continue
-            res = restrict(model.rep, sub)
-            for rho, _ in search._split_constituents(res):
-                if rho.dim == model.dim // sub.index():
-                    assert _intertwiner_count(rho, res) == 1
-                    pieces += 1
+        subs = [h for h in model.group.all_subgroups() if model.dim % h.index() == 0]
+        stacks = _order_stacks(model, subs)
+        for same, split in zip(stacks, _split_stacks(model, stacks)):
+            for sub, split_pieces in zip(same, split):
+                res = restrict(model.rep, sub)
+                for action, _ in split_pieces:
+                    rho = projreps.ProjectiveRep(res.group, action, res.cocycle, validate=False)
+                    if rho.dim == model.dim // sub.index():
+                        assert _intertwiner_count(rho, res) == 1
+                        pieces += 1
     assert pieces
 
 
@@ -556,14 +581,14 @@ def test_reynolds_element_commutes_and_pieces_are_irreducible(data):
     g = model.group
     gens = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=2))
     res = restrict(model.rep, g.subgroup_generated(gens))
-    t = search._commutant_element(res, data.draw(st.integers(0, 2**16)))
+    t = search._commutant_elements(res.matrices[None], data.draw(st.integers(0, 2**16)))[0]
     assert np.abs(t - t.conj().T).max() == 0
     commutators = res.matrices @ t - t @ res.matrices
     assert np.linalg.norm(commutators, axis=(1, 2)).max() < _tol.SCAN * max(1.0, np.linalg.norm(t))
     pieces = irreducible_constituents(res)
     assert sum(piece.dim for piece in pieces) == res.dim
     assert all(is_irreducible(piece) and piece.cocycle == res.cocycle for piece in pieces)
-    keys = [search._canonical_key(piece) for piece in pieces]
+    keys = [_key(piece) for piece in pieces]
     assert keys == sorted(keys)
 
 
@@ -595,22 +620,23 @@ def test_q3_probe_candidate_order_is_pinned(spec):
 @pytest.mark.parametrize("seed", [None, 3])
 def test_constituent_pieces_run_no_rep_validation(monkeypatch, spec, seed):
     # every piece is accepted by compressed_action's invariance norms, so no
-    # split runs a rep validation
+    # split runs a rep validation; the split reads pi's own stack, so it
+    # builds no rep at all
     model = _catalog_model(spec)
     if seed is not None:
         model = relabeled_model(model, seed)
-    restrictions = [restrict(model.rep, sub) for sub in model.group.all_subgroups()]
-    validated = []
-    raw = projreps.ProjectiveRep._validate
+    stacks = _order_stacks(model)
+    built = []
+    raw = projreps.ProjectiveRep.__init__
 
-    def counted(rep):
-        validated.append(rep)
-        raw(rep)
+    def counted(rep, *args, **kwargs):
+        built.append(rep)
+        raw(rep, *args, **kwargs)
 
-    monkeypatch.setattr(projreps.ProjectiveRep, "_validate", counted)
-    splits = [irreducible_constituents(res) for res in restrictions]
+    monkeypatch.setattr(projreps.ProjectiveRep, "__init__", counted)
+    splits = [pieces for split in _split_stacks(model, stacks) for pieces in split]
     assert sum(len(pieces) > 1 for pieces in splits) > 0
-    assert validated == []
+    assert built == []
 
 
 def _invariant_bases(res):
@@ -650,3 +676,136 @@ def test_a_piece_the_split_accepts_is_one_that_on_subspace_accepts(data):
     if inside.max() < _tol.SCAN:
         want = res.on_subspace(tilted)
         assert np.array_equal(action, want.matrices) and want.cocycle is res.cocycle
+
+
+# -- the stacked split of all subgroups of one order --------------------------
+
+
+def _q3_stacks(model):
+    """q3_probe's stacks: the subgroups of index dividing dim pi, by order."""
+    return _order_stacks(model, [h for h in model.group.all_subgroups() if model.dim % h.index() == 0])
+
+
+@pytest.mark.parametrize("spec", _CENTRAL_ALL)
+def test_stacked_split_equals_the_per_subgroup_split(spec):
+    # restrict, Reynolds, eigh and one compression per cluster, subgroup by
+    # subgroup (helpers.split_restriction_oracle), against the stacked pass
+    # on every subgroup q3_probe splits: the same commutant elements and
+    # cluster bounds, byte-equal bases, equal keys, and actions to rounding
+    model = _catalog_model(spec)
+    stacks = _q3_stacks(model)
+    for same, split in zip(stacks, _split_stacks(model, stacks)):
+        mats = model.rep.matrices[np.array([h.members for h in same])]
+        elements = {}   # seed -> the commutant elements of the whole stack
+        for i, (sub, pieces) in enumerate(zip(same, split)):
+            attempt, want = split_restriction_oracle(model, sub)
+            assert [search._canonical_key(b.shape[1], np.einsum("naa->n", c)) for c, b in pieces] == [
+                key for *_, key in want]
+            if attempt is not None:
+                seed = search._SPLIT_SEED + attempt
+                res = restrict(model.rep, sub)
+                t = _reynolds(res.matrices, res.matrices, search._hermitian_draw(model.dim, seed))
+                if seed not in elements:
+                    elements[seed] = search._commutant_elements(mats, seed)
+                stacked = elements[seed][i]
+                assert stacked.tobytes() == ((t + t.conj().T) / 2).tobytes()
+                vectors = np.linalg.eigh(stacked)[1]
+            for (action, basis), ((a, b), want_basis, want_action, _) in zip(pieces, want):
+                assert basis.tobytes() == want_basis.tobytes()
+                if attempt is not None:
+                    assert basis.tobytes() == vectors[:, a:b].tobytes()
+                assert np.abs(action - want_action).max() < 1e-12
+
+
+def test_the_stacked_split_is_blocked_and_the_blocks_change_no_byte(monkeypatch):
+    # a bound of a few entries splits one subgroup per block; q3_probe's
+    # reports are the same bytes
+    want = _q3_full("oddfam:3")
+    blocks = []
+    raw = search._split_block
+
+    def counted(mats):
+        blocks.append(len(mats))
+        return raw(mats)
+
+    monkeypatch.setattr(search, "_split_block", counted)
+    q3_probe(_catalog_model("oddfam:3"), return_candidates=True)
+    assert max(blocks) > 1
+    blocks.clear()
+    monkeypatch.setattr(search, "_PRODUCT_BLOCK_ENTRIES", 4)
+    hits, candidates = q3_probe(parse_model_spec("oddfam:3").model, return_candidates=True)
+    assert set(blocks) == {1}
+    assert [r.to_json() for r in candidates] == [r.to_json() for r in want[1]]
+    assert [r.to_json() for r in hits] == [r.to_json() for r in want[0]]
+
+
+def test_a_degenerate_first_draw_retries_only_its_subgroups(monkeypatch):
+    # the first draw is the Reynolds average over an order-6 subgroup K:
+    # it commutes with pi(K), so it splits some restrictions too coarsely.
+    # Only the subgroups it fails are drawn again, the others keep their
+    # pieces byte for byte (the per-subgroup split with the same draws),
+    # and every key is that of an unpatched split
+    model = _catalog_model("oddfam:3")
+    stacks = _order_stacks(model)
+    unpatched = _split_stacks(model, stacks)
+    big = restrict(model.rep, next(h for h in model.group.all_subgroups() if len(h) == 6))
+    t = _reynolds(big.matrices, big.matrices, search._hermitian_draw(model.dim, search._SPLIT_SEED))
+    first = (t + t.conj().T) / 2
+    raw_draw, raw_split = search._hermitian_draw, search._split_draw
+    monkeypatch.setattr(
+        search, "_hermitian_draw", lambda dim, seed: first if seed == search._SPLIT_SEED else raw_draw(dim, seed))
+    owner = {model.rep.matrices[list(h.members)].tobytes(): h.members for h in model.group.all_subgroups()}
+    drawn = {}
+
+    def split_draw(mats, seed):
+        drawn.setdefault(seed, []).extend(owner[m.tobytes()] for m in mats)
+        return raw_split(mats, seed)
+
+    monkeypatch.setattr(search, "_split_draw", split_draw)
+    patched = _split_stacks(model, stacks)
+    attempts = {h.members: split_restriction_oracle(model, h) for same in stacks for h in same}
+    retried = [m for m, (attempt, _) in attempts.items() if attempt]
+    assert 0 < len(retried) < len(drawn[search._SPLIT_SEED])
+    assert sorted(drawn[search._SPLIT_SEED + 1]) == sorted(retried)
+    for same, split, other in zip(stacks, patched, unpatched):
+        for sub, pieces, unpatched_pieces in zip(same, split, other):
+            _, want = attempts[sub.members]
+            assert [b.tobytes() for _, b in pieces] == [b.tobytes() for _, b, *_ in want]
+            keys = [search._canonical_key(b.shape[1], np.einsum("naa->n", c)) for c, b in pieces]
+            assert keys == [search._canonical_key(b.shape[1], np.einsum("naa->n", c))
+                            for c, b in unpatched_pieces]
+
+
+def test_all_degenerate_draws_fail_the_split(monkeypatch):
+    model = _catalog_model("oddfam:3")
+    monkeypatch.setattr(search, "_hermitian_draw", lambda dim, seed: np.eye(dim, dtype=complex))
+    with pytest.raises(RuntimeError, match="commutant sampling failed"):
+        _split_stacks(model, _q3_stacks(model))
+
+
+def test_q3_probe_builds_no_restricted_rep(monkeypatch):
+    # the split and the reports read pi's own stack: no ProjectiveRep, no
+    # restricted cocycle and no subgroup-as-group is built per subgroup
+    built = {"rep": 0, "cocycle": 0, "group": 0}
+    raw_rep, raw_cocycle, raw_group = (
+        projreps.ProjectiveRep.__init__, cocycles.Cocycle.restrict, search.Subgroup.as_group)
+
+    def rep(*args, **kwargs):
+        built["rep"] += 1
+        raw_rep(*args, **kwargs)
+
+    def cocycle(*args):
+        built["cocycle"] += 1
+        return raw_cocycle(*args)
+
+    def group(*args):
+        built["group"] += 1
+        return raw_group(*args)
+
+    model = parse_model_spec("oddfam:3").model
+    monkeypatch.setattr(projreps.ProjectiveRep, "__init__", rep)
+    monkeypatch.setattr(cocycles.Cocycle, "restrict", cocycle)
+    monkeypatch.setattr(search.Subgroup, "as_group", group)
+    hits, candidates = q3_probe(model, return_candidates=True)
+    assert (len(hits), len(candidates)) == (48, 115)
+    assert built == {"rep": 0, "cocycle": 0, "group": 0}
