@@ -1,11 +1,13 @@
 """Shared dense linear algebra helpers.
 
-compressed_action is the one product B* M B in qeclab: every reading of
-an operator's action on a subspace (the code action in codes,
+compression is the one product B* M B in qeclab: every reading of an
+operator's action on a subspace (the code action in codes,
 ProjectiveRep.on_subspace, the Knill-Laflamme scalar in channels, and the
 pieces of search's constituent split, diagonal blocks of one compression by
 a whole eigenvector matrix) goes through it, so the same basis gives the
-same bytes to each reader.
+same bytes to each reader.  compressed_action adds the invariance residual
+and |C| to it, which only the code action in codes reads; the other
+readers take compression's C alone.
 """
 
 from __future__ import annotations
@@ -21,6 +23,15 @@ from . import _tol
 # cache; 1 MiB blocks made make_rep's checks slower than one row at a time
 # on order-54 and order-64 reps.  Each module that blocks a pass imports
 # the name, so a test can shrink its blocks alone.
+# What a block counts, per pass of search:
+# - the constituent split counts the gathered pi|H stack alone.  Its
+#   Reynolds average and its compression hold temporaries of the same
+#   size (pi|H A and its reshaped copy, the conjugated stack, the flat
+#   products and C, the float |C|^2 mask), and a block peaked at 4.1-4.2
+#   times its gather under tracemalloc on the bench q3 models;
+# - the q3 intertwiner test counts, per piece, the gathered pi|H (n d^2
+#   entries) and the products pi(h)B and B rho(h) (n d t each), the
+#   residual formed in place: its temporaries are counted.
 _PRODUCT_BLOCK_ENTRIES = 2**14
 
 
@@ -50,6 +61,18 @@ def orthonormal_columns(b: np.ndarray) -> np.ndarray:
     cutoff = _tol.SCAN * (s[0] if len(s) else 0.0)
     rank = int(np.sum(s > cutoff))
     return u[:, :rank]
+
+
+def compression(matrices: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C, Y^T, C^T): C = B* M B, contiguous, and the flat transposed
+    products it is read from, laid out as compressed_action states.  A
+    reader of the action alone takes C and forms no norm."""
+    *batch, n, d, _ = matrices.shape
+    w = basis.shape[-1]
+    yt = (matrices.reshape(*batch, n * d, d) @ basis).reshape(*batch, n, d, w)
+    yt = yt.swapaxes(-2, -1).reshape(*batch, n * w, d)
+    ct = yt @ basis.conj()
+    return np.ascontiguousarray(ct.reshape(*batch, n, w, w).swapaxes(-2, -1)), yt, ct
 
 
 def compressed_action(
@@ -91,16 +114,13 @@ def compressed_action(
     with |R|_2^2 <= 1 + |E|_2 (|V V* - 1|_2 = |E|_2 for square V).  So one
     compression by V gives every column block's action, its invariance
     residual and its trace at once.  search._split_restrictions reads its
-    pieces so, with V an eigenvector matrix of eigh, |E| of order d eps.
+    pieces so, from compression's C alone, with V an eigenvector matrix of
+    eigh, |E| of order d eps.
     """
-    *batch, n, d, _ = matrices.shape
-    w = basis.shape[-1]
-    yt = (matrices.reshape(*batch, n * d, d) @ basis).reshape(*batch, n, d, w)
-    yt = yt.swapaxes(-2, -1).reshape(*batch, n * w, d)
-    ct = yt @ basis.conj()
-    inside = np.linalg.norm((yt - ct @ basis.swapaxes(-2, -1)).reshape(*batch, n, w * d), axis=-1)
-    outside = np.linalg.norm(ct.reshape(*batch, n, w * w), axis=-1)
-    return np.ascontiguousarray(ct.reshape(*batch, n, w, w).swapaxes(-2, -1)), inside, outside
+    c, yt, ct = compression(matrices, basis)
+    inside = np.linalg.norm((yt - ct @ basis.swapaxes(-2, -1)).reshape(*c.shape[:-2], -1), axis=-1)
+    outside = np.linalg.norm(ct.reshape(*c.shape[:-2], -1), axis=-1)
+    return c, inside, outside
 
 
 def scalar_deviation(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

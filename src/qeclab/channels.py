@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tol
-from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compressed_action, frobenius, scalar_deviation
+from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compression, frobenius, scalar_deviation
 from .codes import CodeSpace
 from .models import ProjectiveErrorModel
 
@@ -140,7 +140,7 @@ def kl_detectable(code: CodeSpace, x: np.ndarray) -> complex | None:
     x = np.asarray(x, dtype=complex)
     if x.shape != (code.ambient_dim, code.ambient_dim):
         raise ChannelError("operator dimension does not match the code")
-    c, dev = scalar_deviation(compressed_action(x[None], code.basis)[0][0])
+    c, dev = scalar_deviation(compression(x[None], code.basis)[0][0])
     if dev < _tol.SCAN:
         return complex(c)
     return None

@@ -26,14 +26,16 @@ comparison is made where a phase enters from outside the construction that
 proves it: on the solver's output (find_trivializing_phase), on a caller's
 f (codes.weak_stabilizer_code) and on search's maximal witness keys.  The
 phases f0 chi of an enumeration and a classified code's stabilizer phase
-are proved admissible instead (codes._eigenspaces, codes._stabilizer).
+are proved admissible instead (codes._eigenspaces, codes._stabilizers).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,6 +115,11 @@ class Phase:
         return f"Phase({self.num}/{self.den})"
 
 
+# A fraction num/den of a turn, reduced as Phase reduces it, with no Phase
+# built; Phase.to_complex reads it as it reads a Phase.
+_Turn = namedtuple("_Turn", "num den")
+
+
 def snap_phase(z: complex, max_den: int) -> Phase:
     """Match a unimodular complex number to an exact rational phase.
 
@@ -149,8 +156,9 @@ def _snap_phases(
 
     Each entry z with ||z| - 1| <= _tol.SCAN is grouped by its angle
     rounded to k/grid of a turn (k/2^32 when no grid is given).  The
-    group's candidate p/q is Phase(k, grid) when a grid is given, and
-    otherwise snap_phase of the group's first entry.  An entry keeps p/q
+    group's candidate p/q is k/grid reduced as Phase(k, grid) reduces it
+    when a grid is given, carried as a _Turn of two ints, and otherwise
+    snap_phase of the group's first entry.  An entry keeps p/q
     when q <= max_den <= 2^15 and |Phase(p, q).to_complex() - z/|z|| <=
     _tol.EXACT: snap_phase's own two tests, written with its expressions,
     so they decide as snap_phase decides.  Every other entry goes through
@@ -179,8 +187,8 @@ def _snap_phases(
     """
     scale = (2**32 if grid is None else grid) / (2 * math.pi)
     grouped = max_den <= _GROUPED_SNAP_MAX_DEN
-    groups: dict[int, tuple[Phase | None, complex]] = {}   # k -> (candidate, its value)
-    entries: list[Phase | None] = []
+    groups: dict[int, tuple[Phase | _Turn | None, complex]] = {}   # k -> (candidate, its value)
+    entries: list[Phase | _Turn | None] = []
     for z in np.asarray(values, dtype=complex).ravel().tolist():
         m = abs(z)
         if not (grouped and abs(m - 1.0) <= _tol.SCAN):   # NaN fails too
@@ -188,11 +196,13 @@ def _snap_phases(
             continue
         k = round(cmath.phase(z) * scale)
         if k not in groups:
-            p = snap_phase_or_none(z, max_den) if grid is None else Phase(k, grid)
-            groups[k] = (p, 0j if p is None else p.to_complex())
             if grid is None:   # the first entry's own snap
+                p = snap_phase_or_none(z, max_den)
+                groups[k] = (p, 0j if p is None else p.to_complex())
                 entries.append(p)
                 continue
+            p = _Turn(k % grid // math.gcd(k, grid), grid // math.gcd(k, grid))   # as Phase(k, grid)
+            groups[k] = (p, Phase.to_complex(p))
         p, c = groups[k]
         if p is None or p.den > max_den or not abs(c - z / m) <= _tol.EXACT:
             p = snap_phase_or_none(z, max_den)
@@ -200,7 +210,7 @@ def _snap_phases(
     return _numerators(entries)
 
 
-def _numerators(entries: Sequence[Phase | None]) -> tuple[np.ndarray, int, np.ndarray]:
+def _numerators(entries: Sequence[Phase | _Turn | None]) -> tuple[np.ndarray, int, np.ndarray]:
     """(numerators over the least common denominator, that denominator,
     mask of the entries that are not None); a None entry has numerator 0."""
     den = math.lcm(1, *{p.den for p in entries if p is not None})
@@ -387,7 +397,7 @@ class PhaseFunction:
         self._set(domain, num, den, mask, floats)
         self._phases = phases
 
-    def _set(self, domain: Subgroup, num: np.ndarray, den: int, mask: np.ndarray, floats) -> None:
+    def _set(self, domain: Subgroup, num: np.ndarray, den: int, mask: np.ndarray, floats) -> PhaseFunction:
         if len(num) != len(domain):
             raise ValueError("value count does not match subgroup order")
         self.domain = domain
@@ -397,6 +407,7 @@ class PhaseFunction:
         self.exact_mask = mask
         self.values = _phase_values(num, den) if floats is None else np.asarray(floats, dtype=complex)
         self._phases: tuple[Phase | None, ...] | None = None
+        return self
 
     @classmethod
     def _from_num(
@@ -404,14 +415,30 @@ class PhaseFunction:
     ) -> "PhaseFunction":
         """The function with numerators num over den, reduced to the least
         denominator; exact everywhere when mask is None, and valued by
-        _phase_values when floats is None."""
-        if mask is None:
-            mask = np.ones(len(num), dtype=bool)
+        _phase_values when floats is None.  _runs with one run."""
+        return cls._runs([domain], num, den, mask, floats)[0]
+
+    @classmethod
+    def _runs(cls, domains: list[Subgroup], num, den: int, mask=None, floats=None) -> list[PhaseFunction]:
+        """_from_num on each domain in turn, read from consecutive runs of
+        num, mask and floats, one run of each domain's size, with one gcd
+        reduction for all runs: each run is reduced to the least
+        denominator of its exact entries.  _phase_values reduces each entry
+        itself, so values read before the reduction are its values after.
+        One run keeps the arrays it is given, as no slice of them is taken:
+        a function built alone holds no view of a larger array."""
         num = np.asarray(num, dtype=np.int64) % den
-        g = math.gcd(int(np.gcd.reduce(num[mask], initial=0)), den)
-        f = cls.__new__(cls)
-        f._set(domain, num // g, den // g, mask, floats)
-        return f
+        mask = np.ones(len(num), dtype=bool) if mask is None else mask
+        if len(domains) == 1:
+            g = math.gcd(int(np.gcd.reduce(num[mask], initial=0)), den)
+            return [cls.__new__(cls)._set(domains[0], num // g, den // g, mask, floats)]
+        floats = _phase_values(num, den) if floats is None else floats
+        sizes = [len(domain) for domain in domains]
+        cuts = [0, *itertools.accumulate(sizes)]
+        g = np.gcd(np.gcd.reduceat(num * mask, cuts[:-1]), den)
+        num = num // np.repeat(g, sizes)
+        return [cls.__new__(cls)._set(domain, num[a:b], q, mask[a:b], floats[a:b])
+                for domain, a, b, q in zip(domains, cuts, cuts[1:], (den // g).tolist())]
 
     @classmethod
     def constant_one(cls, domain: Subgroup) -> "PhaseFunction":
@@ -425,8 +452,7 @@ class PhaseFunction:
     def from_complex(cls, domain: Subgroup, values, max_den: int) -> "PhaseFunction":
         """snap_phase on every value (see _snap_phases); entries that fail are inexact."""
         values = np.asarray(values, dtype=complex)
-        num, den, mask = _snap_phases(values, max_den)
-        return cls._from_num(domain, num, den, mask, values)
+        return cls._from_num(domain, *_snap_phases(values, max_den), values)
 
     @property
     def phases(self) -> tuple[Phase | None, ...]:
@@ -655,18 +681,24 @@ def _kernel_mod(rows: list[list[int]], r: int, modulus: int) -> np.ndarray:
     return np.array(combos, dtype=np.int64).reshape(len(combos), r) @ steps % modulus
 
 
+@functools.lru_cache(maxsize=1)
 def _edge_system(group: FiniteGroup) -> tuple[list[int], np.ndarray, np.ndarray]:
     """(gens, coeff, rows): the greedy generators; coeff (n x r), coeff[x]
     counting each generator in the word for x along the group's cached
     tree, the identity empty and each generator its own letter; and
     coeff[x] + coeff[g] - coeff[xg] on every Cayley edge (x, g), one row
-    per edge: the left side of df = sigma in the generator unknowns."""
+    per edge: the left side of df = sigma in the generator unknowns.
+
+    Kept for the last group asked (groups hash by identity): codes'
+    _constituents solves for a trivializer and then lists the linear
+    characters on one group, and both read this system, so it is built
+    once per group.  No more is kept, as a lattice's groups live on."""
     walk = group._cayley_walk()
     gens = _greedy_generators(group)
     coeff = walk.path_sums((walk.tree[1][:, None] == gens).astype(np.int64))
-    n, r = coeff.shape
-    rows = coeff[:, None, :] + coeff[gens][None, :, :] - coeff[walk.ends[:, 1:]]
-    return gens, coeff, rows.reshape(n * r, r)
+    rows = (coeff[:, None] + coeff[gens][None] - coeff[walk.ends[:, 1:]]).reshape(coeff.size, len(gens))
+    coeff.flags.writeable = rows.flags.writeable = False   # every reader shares them
+    return gens, coeff, rows
 
 
 def _distinct_rows(a: np.ndarray) -> list[list[int]]:
@@ -728,12 +760,11 @@ def find_trivializing_phase(
     if not sigma.verify():
         return None
     t = sigma.num
-    gens = _greedy_generators(group)
+    gens, coeff, cx = _edge_system(group)
     if group.is_abelian() and _pairing_defects(sigma, gens).any():
         return None
     result_domain = domain if domain is not None else group.full_subgroup()
     n, r = group.order, len(gens)
-    _, coeff, cx = _edge_system(group)
     exponent = group.exponent()
     multiples = [k for k in (1, 2) if k <= exponent]
     if exponent > 2:

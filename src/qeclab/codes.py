@@ -24,7 +24,7 @@ takes them all.  A (H, f) code is built as the 1-eigenspace of the average
 (_eigenspaces); weak_stabilizer_code is its one-row case.  df = sigma|H is
 tested there on the caller's f only: the rows f0 chi of _constituents are
 admissible by construction, and the stabilizer phase classify reads is
-proved admissible in _stabilizer's docstring, so neither is tested again.
+proved admissible in _stabilizers' docstring, so neither is tested again.
 
 classify counts instead of building subspaces.  A code W lies in the (S, f)
 eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
@@ -54,6 +54,7 @@ they are whole on any list of code-invariant witnesses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -66,7 +67,6 @@ from .cocycles import (
     PhaseFunction,
     _coboundary_rows,
     _linear_characters,
-    _phase_values,
     _snap_phases,
     find_trivializing_phase,
 )
@@ -291,7 +291,8 @@ def _constituents(model: ProjectiveErrorModel, sub: Subgroup):
     makes f / f0 a homomorphism to T.  The (sub, f0 chi) code is the chi
     eigenspace of the linear rep x -> conj(f0(x)) pi(x), so its dimension is
     the multiplicity m_chi = (1/|H|) sum_h conj(f0 chi)(h) chi_pi(h), the
-    average code_dimension_formula snaps, snapped to an integer here too.
+    average code_dimension_formula snaps, counted for every chi at once by
+    the same integer test (_dimension_counts).
     The characters are exact (cocycles._linear_characters), so f0 chi is
     read in integer numerators.  Every chi with m_chi > 0 is listed, in
     lexicographic order of chi's values on the greedy generators of
@@ -304,22 +305,17 @@ def _constituents(model: ProjectiveErrorModel, sub: Subgroup):
     if f0 is None:
         return np.zeros((0, len(sub)), dtype=np.int64), 1, np.zeros(0, dtype=np.int64)
     chars, e = _linear_characters(sub.as_group())
-    chi_pi = model.rep.character().values[list(sub.members)]
-    totals = np.exp(-2j * np.pi * chars / e) @ (f0.values.conj() * chi_pi) / len(sub)
-    counts = np.rint(totals.real)
-    bad = np.flatnonzero((np.abs(totals - counts) > _tol.DERIVED) | (counts < 0))
-    if bad.size:
-        raise CodeError(f"constituent multiplicity gave a non-integer value {totals[bad[0]]}")
+    rows = (f0.values * np.exp(2j * np.pi * chars / e)).ravel()   # f0 chi, character after character
+    counts = np.array(_dimension_counts(model, np.tile(sub.members, len(chars)), rows, [len(sub)] * len(chars)))
     den = math.lcm(f0.den, e)
     nums = (f0.num * (den // f0.den) + chars[counts > 0] * (den // e)) % den
-    return nums, den, counts[counts > 0].astype(np.int64)
+    return nums, den, counts[counts > 0]
 
 
 def _constituent_phases(model: ProjectiveErrorModel, sub: Subgroup):
     """Yield the phase functions of _constituents, one per constituent, in its order."""
     nums, den, _ = _constituents(model, sub)
-    for num, values in zip(nums, _phase_values(nums, den)):
-        yield PhaseFunction._from_num(sub, num, den, floats=values)
+    yield from PhaseFunction._runs([sub] * len(nums), nums.ravel(), den)
 
 
 def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction | None:
@@ -348,24 +344,32 @@ def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction
     return next(_constituent_phases(model, sub), None)
 
 
+def _dimension_counts(model: ProjectiveErrorModel, members, values, sizes: list[int]) -> list[int]:
+    """code_dimension_formula of each run of sizes[i] members of a subgroup,
+    f's values on them in values, run after run: one segment sum of
+    conj(f) chi_pi over all runs, each snapped to an integer, and
+    CodeError where one is not within _tol.DERIVED of a non-negative
+    integer.  Rounding cannot move an exact count that far.  The test
+    reads Python numbers: a single count, classify's, costs no array
+    operation beyond the sum."""
+    chi = model.rep.character().values[members]
+    totals = (np.add.reduceat(np.conj(values) * chi, [0, *itertools.accumulate(sizes[:-1])]) / sizes).tolist()
+    counts = [round(z.real) for z in totals]
+    bad = [z for z, count in zip(totals, counts) if abs(z - count) > _tol.DERIVED or count < 0]
+    if bad:
+        raise CodeError(f"dimension formula gave a non-integer value {bad[0]}")
+    return counts
+
+
 def code_dimension_formula(model: ProjectiveErrorModel, sub: Subgroup, f: PhaseFunction) -> int:
     """Average of conj(f), read on the members of sub, against the model
     character, snapped to an integer: dim of the (sub, f) eigenspace when df
     is the restricted cocycle.  f may live on a larger subgroup; CodeError
     when it misses a member of sub."""
-    members = list(sub.members)
-    if f.domain is sub:
-        values = f.values
-    elif all(x in f.domain for x in members):
-        values = f.values[[f.domain.position(x) for x in members]]
-    else:
+    if f.domain is not sub and not all(x in f.domain for x in sub.members):
         raise CodeError("phase function is not defined on every member of the subgroup")
-    chi = model.rep.character().values[members]
-    total = np.sum(np.conj(values) * chi) / len(sub)
-    nearest = round(total.real)
-    if abs(total - nearest) > _tol.DERIVED or nearest < 0:
-        raise CodeError(f"dimension formula gave a non-integer value {total}")
-    return int(nearest)
+    values = f.values if f.domain is sub else f.values[[f.domain.position(x) for x in sub.members]]
+    return _dimension_counts(model, list(sub.members), values, [len(sub)])[0]
 
 
 def clifford_code(
@@ -487,11 +491,16 @@ def _close_logical(
     return tuple(closed.tolist())
 
 
-def _stabilizer(
-    model: ProjectiveErrorModel, act: _Action, logical: Subgroup
-) -> tuple[Subgroup, PhaseFunction]:
-    """S = the elements of L = logical acting on W as a unimodular scalar,
-    and f = the scalars, snapped as PhaseFunction.from_complex snaps them.
+def _stabilizers(
+    model: ProjectiveErrorModel, members: np.ndarray, scalars: np.ndarray, deviation: np.ndarray
+) -> tuple[list[Subgroup], list[PhaseFunction]]:
+    """(S, f) of each of k codes W, from the elements tested for it (a row
+    of members, [k, m]) and, on each, the scalar c = tr(C)/dim W and
+    |C - c 1| of its action C (rows of scalars and deviation): S = the
+    tested elements acting on W as a unimodular scalar, and f = the
+    scalars, snapped as PhaseFunction.from_complex snaps them.  The tested
+    elements are W's logical group L (H = L for search's q3 pieces).  One
+    snap and one PhaseFunction._runs serve all k codes.
 
     S is read inside L: the scalar deviation and |c| are second order in
     a tilt of W, the commutator norm first order, so on a code just off an
@@ -509,11 +518,12 @@ def _stabilizer(
 
     df = sigma|S then holds with no test of its own.  S is interned, so it
     is a subgroup.  For x, y in S write C(x) = c_x 1 + E_x, with |E_x|_F =
-    act.scalar_dev[x] < _tol.SCAN and ||c_x| - 1| < _tol.SCAN, and
+    deviation[x] < _tol.SCAN and ||c_x| - 1| < _tol.SCAN, and
     w = dim W.  By _linalg.compressed_action's lemma |C(x)C(y) -
     sigma(x,y)C(xy)|_F exceeds pi's pair deviation, below _tol.EXACT, by
     about iota(x^-1) iota(y), under 1e-10 as iota is below |G| 1.2e-8 on L
-    (see _partitioning) and |G| < 800.  So
+    (see _partitioning; on a q3 piece L = H, where the split tests iota
+    below _tol.SCAN) and |G| < 800.  So
         eps = |c_x c_y - sigma(x,y) c_xy| < (_tol.EXACT + 3.01 _tol.SCAN)/sqrt(w),
     under 3.2e-8 and far below _tol.DERIVED, to which the floats of an
     inexact f would be compared.  Chained along x, x^2, ..., x^ord(x) = e,
@@ -528,17 +538,21 @@ def _stabilizer(
     exact.  tests/test_codes.py pins both on every enumerated code and on
     the codes of its tilt sweep.
     """
-    keep = (
-        logical._inside
-        & (act.scalar_dev < _tol.SCAN)
-        & (np.abs(np.abs(act.scalars) - 1) < _tol.SCAN)
-    )
-    members = np.flatnonzero(keep)
-    sub = model.group._intern(tuple(members.tolist()))
-    values = act.scalars[members]
+    keep = (deviation < _tol.SCAN) & (np.abs(np.abs(scalars) - 1) < _tol.SCAN)
+    flat = members[keep].tolist()
+    ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
+    stabs = [model.group._intern(tuple(flat[a:b])) for a, b in zip([0, *ends], ends)]
+    values = scalars[keep]
     grid = model.cocycle.den * model.group.exponent()
     num, den, mask = _snap_phases(values, 4 * model.group.order, grid)
-    return sub, PhaseFunction._from_num(sub, num, den, mask, values)
+    return stabs, PhaseFunction._runs(stabs, num, den, mask, values)
+
+
+def _stabilizer(model: ProjectiveErrorModel, act: _Action, logical: Subgroup) -> tuple[Subgroup, PhaseFunction]:
+    """_stabilizers of one code, from its action and its logical group."""
+    mem = np.flatnonzero(logical._inside)[None]
+    (stab,), (f,) = _stabilizers(model, mem, act.scalars[mem], act.scalar_dev[mem])
+    return stab, f
 
 
 def _detectable(act: _Action) -> list[int]:
@@ -574,7 +588,7 @@ def _partitioning(act: _Action, logical: Subgroup, stab: Subgroup) -> tuple[bool
       orthogonally, so w |c|^2 = |pi(x)B|^2 - iota^2 - sd^2 and
       1 - |c| <= (iota^2 + sd^2 + sqrt(w) _tol.EXACT)/w, while
       |c| <= |pi(x)|_op < 1 + _tol.EXACT/2.  So sd < _tol.SCAN puts |c|
-      within 1e-9 + 2e-16 of 1, and x in S (_stabilizer's tests): x in L
+      within 1e-9 + 2e-16 of 1, and x in S (_stabilizers' tests): x in L
       is in D exactly when it is in S.
     """
     bad = _mixed(act)
@@ -712,12 +726,10 @@ def _clifford_flag(
     return True, None
 
 
-def _weak_flag(
-    model: ProjectiveErrorModel, stab: Subgroup, f: PhaseFunction, dim_w: int, witnesses: dict
-) -> bool:
-    """Whether the (S, f_S) eigenspace has the code's dimension dim_w, with
-    the witness |P_E - P_W| = sqrt(dim E - dim W) put in witnesses otherwise."""
-    extra = code_dimension_formula(model, stab, f) - dim_w
+def _weak_flag(extra: int, witnesses: dict) -> bool:
+    """Whether the (S, f_S) eigenspace E has the code W's dimension, from
+    extra = dim E - dim W (code_dimension_formula's count less dim W), with
+    the witness |P_E - P_W| = sqrt(extra) put in witnesses otherwise."""
     if extra:
         witnesses["is_weak_stabilizer"] = f"projector distance {np.sqrt(extra):.3e}"
     return extra == 0
@@ -754,7 +766,7 @@ def classify(
     stab, f = _stabilizer(model, act, logical)
     detect = _detectable(act)
     witnesses: dict[str, object] = {}
-    is_weak = _weak_flag(model, stab, f, code.dim, witnesses)
+    is_weak = _weak_flag(code_dimension_formula(model, stab, f) - code.dim, witnesses)
 
     is_cliff, cliff_witness = _clifford_flag(model, code, logical, act)
     if not is_cliff:

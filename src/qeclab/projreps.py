@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compressed_action, scalar_deviation
+from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compression, scalar_deviation
 from .cocycles import (
     Cocycle,
     PhaseFunction,
@@ -139,13 +139,13 @@ class ProjectiveRep:
         snap would need this cocycle's denominator, which can exceed 4|G|.
         The validation reads the Cayley edges, and every pair only when an
         edge fails (see _validate).  Raises MakeRepError when the subspace
-        is not invariant.  The action is _linalg.compressed_action's B* pi B.
+        is not invariant.  The action is _linalg.compression's B* pi B.
         A piece of search._split_restrictions on the same basis B is the
         diagonal block of that function's compression by the whole
         eigenvector matrix, the same B* pi B formed in one wider product, so
         its matrices agree with these to rounding.
         """
-        return ProjectiveRep(self.group, compressed_action(self.matrices, basis)[0], self.cocycle)
+        return ProjectiveRep(self.group, compression(self.matrices, basis)[0], self.cocycle)
 
     def twist(self, f: PhaseFunction) -> "ProjectiveRep":
         """Multiply by a phase function on the whole group; the cocycle picks up df.

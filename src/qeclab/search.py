@@ -32,7 +32,7 @@ f; cocycles.find_trivializing_phase tests the solver's trivializer f0;
 and each maximal witness key is confirmed in integers (_maximal_witnesses).
 The rows f0 chi that _enumerate_codes hands to codes._eigenspaces are
 admissible by construction and are not tested again, and a classified
-code's stabilizer phase is proved admissible in codes._stabilizer.
+code's stabilizer phase is proved admissible in codes._stabilizers.
 
 q3_probe splits each restriction pi|H into irreducible pieces on the
 eigenspaces of a random commutant element (_split_restrictions), all
@@ -45,10 +45,15 @@ C = B* pi B is a diagonal block of V* pi V, its invariance norms
 (_linalg.compressed_action's block lemma), every norm must be below
 _tol.SCAN, and the lemma stated there makes C a projective rep with pi's
 cocycle, so no piece is validated again.  A candidate's code is its
-piece's basis B, and its
-report is read from the piece in closed form (_clifford_reports): pi is
-induced from the piece, so no action of G on the code is computed, no
-orbit is formed and no report is transported.
+piece's basis B, and its report is read from the piece in closed form
+(_clifford_reports): pi is induced from the piece, so no action of G on
+the code is computed, no orbit is formed and no report is transported.
+The reports of one subgroup order are read from whole arrays over all
+its kept pieces: one blocked intertwiner product, one orthonormality
+test, one stabilizer reader (codes._stabilizers: one snap and one gcd
+reduction), one segment sum for the dimension counts
+(codes._dimension_counts) and one boolean array for the detectable sets,
+so each piece only builds its objects.
 """
 
 from __future__ import annotations
@@ -59,16 +64,18 @@ import itertools
 import numpy as np
 
 from . import _tol
-from ._linalg import _PRODUCT_BLOCK_ENTRIES, compressed_action, scalar_deviation
-from .cocycles import PhaseFunction, _pairing_defects, _phase_values, _snap_phases
+from ._linalg import _PRODUCT_BLOCK_ENTRIES, compression, scalar_deviation
+from .cocycles import PhaseFunction, _pairing_defects, _phase_values
 from .codes import (
     CodeError,
     CodeReport,
     CodeSpace,
     _central_criterion,
     _constituents,
+    _dimension_counts,
     _eigenspaces,
     _on_grid,
+    _stabilizers,
     _weak_flag,
     classify,
 )
@@ -119,7 +126,7 @@ def _maximal_witnesses(model, sub, nums, den, values, dims, table, grid):
     contraction of the d-dimensional W, so |T(x)| <= d, with equality
     exactly when pi(x) maps W onto itself as a unimodular scalar c, that is
     x in S, and then T(x) = d f_S(x).  f_S has df_S = sigma|S, so f_S lies
-    on the grid, as in codes._stabilizer.
+    on the grid, as in codes._stabilizers.
 
     Read S' = {x : |T(x)| >= d - _tol.DERIVED}, and f' the grid point
     nearest T(x)/d on S'.  The computed T(x) is off by the deviation of the
@@ -203,11 +210,11 @@ def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim
         if not new:
             continue
         built = _eigenspaces(model, sub, values[new], dims[new])
-        for i, code in zip(new, built):
-            if code is None:
-                raise RuntimeError("constituent with an empty code space")
-            found.append((sub, PhaseFunction._from_num(sub, nums[i], den, floats=values[i]), code))
-            keys.append(num[i])
+        if any(code is None for code in built):
+            raise RuntimeError("constituent with an empty code space")
+        phases = PhaseFunction._runs([sub] * len(new), nums[new].ravel(), den, None, values[new].ravel())
+        found += zip([sub] * len(new), phases, built)
+        keys += list(num[new])
     return found, keys
 
 
@@ -297,7 +304,7 @@ def _split_restrictions(matrices: np.ndarray, members) -> list[list[tuple[np.nda
     Math. Comp. 61, 1993).  Each cluster of eigh's eigenvalues, cut where
     neighbours differ by _tol.EIGENGAP relative, gives a block B of the
     eigenvector matrix V, used as it is.  Every piece of H is read from
-    one _linalg.compressed_action of V, by its block lemma: the piece's
+    one _linalg.compression of V, by compressed_action's block lemma: the piece's
     action is the diagonal block of C_V = V* pi V on B's columns, its
     invariance residual iota(h) = |(1 - BB*) pi(h) B|_F is the norm of the
     rest of its column block, up to V's unitarity defect |V*V - 1|, a
@@ -352,7 +359,7 @@ def _split_draw(mats: np.ndarray, seed: int) -> list:
     evals, evecs = np.linalg.eigh(_commutant_elements(mats, seed))
     merged = np.diff(evals, axis=1) < _tol.EIGENGAP * np.maximum(1.0, np.abs(evals[:, 1:]))
     starts = np.insert(~merged, 0, True, axis=1)   # [i, a]: a cluster of H_i starts at column a
-    c = compressed_action(mats, evecs)[0]                         # [i, h, a, b]
+    c = compression(mats, evecs)[0]                               # [i, h, a, b]
     cluster = np.cumsum(starts, axis=1)
     off = cluster[:, None, :, None] != cluster[:, None, None, :]
     columns = np.where(off, np.abs(c) ** 2, 0.0).sum(axis=2)      # [i, h, b], off its block
@@ -385,69 +392,62 @@ def _normal_cyclic(g) -> np.ndarray:
     return powers[xs, conjugates].all(axis=0)
 
 
-def _clifford_reports(model, batch, only_hits):
+def _clifford_reports(model, kept, only_hits):
     """classify's report of each candidate's code, read from its piece (see
     q3_probe); with only_hits, of the pieces whose S makes a hit only.
 
-    batch lists (H, kept) for subgroups H of one order, kept the (rho, B)
-    pieces of pi|H (_split_restrictions) with dim rho = |H| / dim pi, so
-    every piece has one shape.  RuntimeError when a B fails the intertwiner test, one
-    product per H, and CodeError when a B fails CodeSpace's orthonormality
-    test.  A piece whose stabilizer phase does not snap is classified
-    directly.
+    kept lists (H, rho, B) for the pieces (rho, B) of pi|H
+    (_split_restrictions) with dim rho = |H| / dim pi, for subgroups H of
+    one order, so every piece has one shape.  RuntimeError when a B fails the
+    intertwiner test, one product per block of pieces, and CodeError when
+    a B fails CodeSpace's orthonormality test.  Every piece's S and f_S
+    are read together (codes._stabilizers).  A kept piece whose stabilizer
+    phase does not snap is classified directly; the dimension counts
+    (codes._dimension_counts) and detectable sets of the others are read
+    together too, so each piece only builds its objects.
     """
     g, d = model.group, model.dim
-    subs = [sub for sub, kept in batch for _ in kept]
-    rhos = np.stack([rho for _, kept in batch for rho, _ in kept])       # [piece, h, t, t]
-    bases = np.stack([basis for _, kept in batch for _, basis in kept])  # [piece, d, t]
-    n, t = rhos.shape[1:3]
-    first = 0
-    for sub, kept in batch:
-        k = len(kept)
-        own = slice(first, first + k)
-        first += k
-        res = model.rep.matrices[list(sub.members)]
-        moved = (res.reshape(n * d, d) @ bases[own].transpose(1, 0, 2).reshape(d, k * t))
-        moved = moved.reshape(n, d, k, t) - (bases[own, None] @ rhos[own]).transpose(1, 2, 0, 3)
-        if not np.linalg.norm(moved, axis=(1, 3)).max() <= _tol.SCAN * np.sqrt(t):
+    subs, rhos, bases = zip(*kept)
+    rhos, bases = np.stack(rhos), np.stack(bases)        # [piece, h, t, t], [piece, d, t]
+    k, n, t = rhos.shape[:3]
+    members = np.array([sub.members for sub in subs])                     # [piece, h]
+    beside = rhos.transpose(0, 2, 1, 3).reshape(k, t, n * t)             # rho(h) side by side
+    rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * d * (d + 2 * t)))
+    for a in range(0, k, rows):
+        b = bases[a:a + rows]
+        moved = (model.rep.matrices[members[a:a + rows]].reshape(-1, n * d, d) @ b).reshape(-1, n, d, t)
+        moved -= (b @ beside[a:a + rows]).reshape(-1, d, n, t).swapaxes(1, 2)   # pi(h)B - B rho(h)
+        if not np.linalg.norm(moved, axis=(2, 3)).max() <= _tol.SCAN * np.sqrt(t):   # NaN fails too
             raise RuntimeError("q3_probe: a split basis is not an intertwiner")
     gram = bases.conj().transpose(0, 2, 1) @ bases - np.eye(t)
     if not np.linalg.norm(gram, axis=(1, 2)).max() <= _tol.EXACT:   # NaN fails too
         raise CodeError("basis columns are not orthonormal")
-    scalars, deviation = scalar_deviation(rhos)
-    inside = (deviation < _tol.SCAN) & (np.abs(np.abs(scalars) - 1) < _tol.SCAN)
-    members = np.array([sub.members for sub in subs])[inside]
-    ends = np.cumsum(inside.sum(axis=1)).tolist()
-    stabs = [g._intern(tuple(members[a:b].tolist())) for a, b in zip([0, *ends], ends)]
+    stabs, phases = _stabilizers(model, members, *scalar_deviation(rhos))
     picked = [
         i for i, stab in enumerate(stabs)
         if not only_hits or (g.order == n * len(stab) and not stab.is_normal())
     ]
-    if not picked:
-        return []
-    values = scalars[picked][inside[picked]]                       # each piece's c on S, in turn
-    num, den, mask = _snap_phases(values, 4 * g.order, model.cocycle.den * g.exponent())
-    reports = []
-    end = 0
-    for i in picked:
-        sub, stab = subs[i], stabs[i]
-        cut = slice(end, end + len(stab))
-        end = cut.stop
-        code = CodeSpace._checked(d, bases[i])
-        if not mask[cut].all():
-            reports.append(classify(model, code))
-            continue
-        f = PhaseFunction._from_num(stab, num[cut], den, None, values[cut])
+    closed = [i for i in picked if phases[i].is_exact]
+    if not closed:   # the hits-only probe often picks no piece of an order
+        return [classify(model, CodeSpace._checked(d, bases[i])) for i in picked]
+    values = np.concatenate([phases[i].values for i in closed])
+    sizes = [len(stabs[i]) for i in closed]
+    dims = _dimension_counts(model, [x for i in closed for x in stabs[i].members], values, sizes)
+    detect = ~np.array([subs[i]._inside for i in closed]) | np.array([stabs[i]._inside for i in closed])
+    cols = np.nonzero(detect)[1].tolist()            # (G minus H) + S, row by row
+    cuts = np.cumsum(detect.sum(axis=1)).tolist()
+    reports = {}
+    for i, dim, a, b in zip(closed, dims, [0, *cuts], cuts):
         witnesses: dict[str, object] = {}
-        is_weak = _weak_flag(model, stab, f, t, witnesses)
-        is_stab, criterion = _central_criterion(model, sub, stab, is_weak, witnesses)
-        reports.append(CodeReport(
+        is_weak = _weak_flag(dim - t, witnesses)
+        is_stab, criterion = _central_criterion(model, subs[i], stabs[i], is_weak, witnesses)
+        reports[i] = CodeReport(
             model=model,
-            code=code,
-            logical=sub,
-            stabilizer=stab,
-            stabilizer_phase=f,
-            detectable=np.flatnonzero(~sub._inside | stab._inside).tolist(),
+            code=CodeSpace._checked(d, bases[i]),
+            logical=subs[i],
+            stabilizer=stabs[i],
+            stabilizer_phase=phases[i],
+            detectable=cols[a:b],
             flags={
                 "is_stabilizer": is_stab,
                 "is_weak_stabilizer": is_weak,
@@ -456,8 +456,8 @@ def _clifford_reports(model, batch, only_hits):
             },
             witnesses=witnesses,
             central_type_criterion=criterion,
-        ))
-    return reports
+        )
+    return [reports[i] if i in reports else classify(model, CodeSpace._checked(d, bases[i])) for i in picked]
 
 
 def q3_probe(
@@ -509,8 +509,9 @@ def q3_probe(
       exactly when dim rho = target;
     - the intertwiner test on every h in H, with t = B:
       |pi(h)B - B rho(h)|_F <= _tol.SCAN sqrt(dim rho) = _tol.SCAN |B|_F,
-      clifford_code's bound, and RuntimeError otherwise.  It runs on all
-      kept pieces of H as one product;
+      clifford_code's bound, and RuntimeError otherwise.  It runs on the
+      kept pieces of every subgroup of one order together, one product per
+      order block (_clifford_reports);
     - injectivity: B has orthonormal columns, tested as CodeSpace tests
       them (CodeError otherwise).
 
@@ -526,18 +527,20 @@ def q3_probe(
       stabilizer S: detectable = (G minus H) + S, the closed form that
       codes._partitioning asserts.
     - S and f_S: C(h) for h in H is rho(h), the compression the split read
-      with _linalg.compressed_action, the reader classify uses.  So S is
-      read by codes._stabilizer's own rule, scalar deviation and
-      ||c| - 1| both below _tol.SCAN, on _linalg.scalar_deviation(rho),
-      and f_S is snapped as there, on the grid sigma.den exp(G) with
-      denominators up to 4|G|, one _snap_phases call for all pieces of
-      one subgroup order.  _stabilizer's proof of df_S = sigma|S holds as
-      it stands.  A piece with an entry that fails to snap is classified
-      directly.
+      with _linalg.compression, whose C classify's compressed_action
+      reads too.  So S and f_S are read by codes._stabilizers, classify's
+      reader, on _linalg.scalar_deviation(rho): scalar deviation and
+      ||c| - 1| both below _tol.SCAN, f_S snapped on the grid
+      sigma.den exp(G) with denominators up to 4|G|, one snap and one gcd
+      reduction for all pieces of one subgroup order.  Its proof of
+      df_S = sigma|S holds as it stands.  A piece with an entry that fails
+      to snap is classified directly.
     - is_clifford: |L| dim V = |H| dim V = w |G|, rho is irreducible and
       occurs once in pi|H, as listed above.  So the flag holds with no
       witness, and classify's central-type branch applies: is_weak is
-      code_dimension_formula(S, f_S) = w, with its witness text, it must
+      code_dimension_formula(S, f_S) = w, counted for all pieces of one
+      order in one segment sum (codes._dimension_counts, classify's
+      integer test) with codes._weak_flag's witness text, it must
       agree with |G| = |H| |S| (RuntimeError otherwise), and is_stabilizer
       is is_weak and S normal in G.
 
@@ -571,10 +574,10 @@ def q3_probe(
         target = model.dim * order // g.order   # dim pi / [G:H]
         same_order = list(same_order)
         split = _split_restrictions(model.rep.matrices, [sub.members for sub in same_order])
-        kept = [[(rho, b) for rho, b in pieces if b.shape[1] == target] for pieces in split]
-        batch = [(sub, pieces) for sub, pieces in zip(same_order, kept) if pieces]
-        if batch:
-            candidates += _clifford_reports(model, batch, not return_candidates)
+        kept = [(sub, rho, b) for sub, pieces in zip(same_order, split)
+                for rho, b in pieces if b.shape[1] == target]
+        if kept:
+            candidates += _clifford_reports(model, kept, not return_candidates)
     hits = [
         report for report in candidates
         if g.order == len(report.logical) * len(report.stabilizer)

@@ -474,3 +474,24 @@ def test_coboundary_round_trips(data):
         nums = [k - nums[model.group.identity] for k in nums]
         f = PhaseFunction.exact(model.group.full_subgroup(), [Phase(k, den) for k in nums])
     assert model.rep.twist(f).cocycle == model.rep.cocycle.multiply(coboundary(f))
+
+
+def test_the_edge_system_is_built_once_per_group(monkeypatch):
+    # on the bench enumerate model each pruned subgroup is solved for a
+    # trivializer and then its linear characters are listed; both read one
+    # edge system (cocycles._edge_system), built once per group: each build
+    # calls _greedy_generators once, and the second read is a cache hit
+    from qeclab.search import enumerate_weak_stabilizer_codes
+
+    built = []
+    raw = cocycles._greedy_generators
+
+    def counted(group):
+        built.append(group)
+        return raw(group)
+
+    monkeypatch.setattr(cocycles, "_greedy_generators", counted)
+    cocycles._edge_system.cache_clear()
+    enumerate_weak_stabilizer_codes(parse_model_spec("prod(genpauli:2,genpauli:4)").model)
+    info = cocycles._edge_system.cache_info()
+    assert len({id(group) for group in built}) == len(built) == info.misses == info.hits == 98

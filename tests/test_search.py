@@ -739,6 +739,74 @@ def test_the_stacked_split_is_blocked_and_the_blocks_change_no_byte(monkeypatch)
     assert [r.to_json() for r in hits] == [r.to_json() for r in want[0]]
 
 
+def test_the_stacked_intertwiner_test_is_blocked_and_the_blocks_change_no_byte(monkeypatch):
+    # pi(h)B - B rho(h) is formed for every kept piece of one subgroup order
+    # in blocks under _PRODUCT_BLOCK_ENTRIES, and its Frobenius norms are
+    # the one 4-axis norm over axes (2, 3) that q3_probe takes; a bound of
+    # a few entries puts one piece in each block, and the reports are the
+    # same bytes
+    want = _q3_full("oddfam:3")
+    blocks = []
+    raw = np.linalg.norm
+
+    def norm(x, *args, **kwargs):
+        if np.ndim(x) == 4 and kwargs.get("axis") == (2, 3):
+            blocks.append(len(x))
+        return raw(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    q3_probe(_catalog_model("oddfam:3"), return_candidates=True)
+    assert max(blocks) > 1 and sum(blocks) == len(want[1])
+    blocks.clear()
+    monkeypatch.setattr(search, "_PRODUCT_BLOCK_ENTRIES", 4)
+    hits, candidates = q3_probe(parse_model_spec("oddfam:3").model, return_candidates=True)
+    assert set(blocks) == {1} and len(blocks) == len(want[1])
+    assert [r.to_json() for r in candidates] == [r.to_json() for r in want[1]]
+    assert [r.to_json() for r in hits] == [r.to_json() for r in want[0]]
+
+
+@pytest.mark.parametrize("spec", _CENTRAL_ALL)
+def test_the_batched_dimension_count_is_code_dimension_formula(spec, monkeypatch):
+    # q3_probe counts dim E of every candidate's (S, f_S) eigenspace in one
+    # segment sum per subgroup order (codes._dimension_counts); each count
+    # is code_dimension_formula's on the report's S and f_S
+    counts = []
+    raw = search._dimension_counts
+
+    def counted(*args):
+        got = raw(*args)
+        counts.extend(got)
+        return got
+
+    monkeypatch.setattr(search, "_dimension_counts", counted)
+    model = _catalog_model(spec)
+    _, candidates = q3_probe(model, return_candidates=True)
+    assert counts == [code_dimension_formula(model, r.stabilizer, r.stabilizer_phase) for r in candidates]
+
+
+def test_a_forged_non_integer_count_raises_the_dimension_formula_error(monkeypatch):
+    # one stabilizer phase scaled by 0.7 makes its count 0.7 times an
+    # integer: the batched count raises the CodeError that
+    # code_dimension_formula raises on the same S and f_S, text and value
+    model = _catalog_model("oddfam:3")
+    raw = search._stabilizers
+    forged = []
+
+    def forge(*args):
+        stabs, phases = raw(*args)
+        f = phases[-1]
+        phases[-1] = cocycles.PhaseFunction._from_num(f.domain, f.num, f.den, None, f.values * 0.7)
+        forged.append((stabs[-1], phases[-1]))
+        return stabs, phases
+
+    monkeypatch.setattr(search, "_stabilizers", forge)
+    with pytest.raises(codes.CodeError, match="dimension formula gave a non-integer value") as got:
+        q3_probe(model, return_candidates=True)
+    with pytest.raises(codes.CodeError) as want:
+        code_dimension_formula(model, *forged[-1])
+    assert str(got.value) == str(want.value)
+
+
 def test_a_degenerate_first_draw_retries_only_its_subgroups(monkeypatch):
     # the first draw is the Reynolds average over an order-6 subgroup K:
     # it commutes with pi(K), so it splits some restrictions too coarsely.
