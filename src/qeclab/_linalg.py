@@ -31,7 +31,10 @@ from . import _tol
 #   times its gather under tracemalloc on the bench q3 models;
 # - the q3 intertwiner test counts, per piece, the gathered pi|H (n d^2
 #   entries) and the products pi(h)B and B rho(h) (n d t each), the
-#   residual formed in place: its temporaries are counted.
+#   residual formed in place: its temporaries are counted;
+# - the code action of search's enumerated codes whose stabilizer is not
+#   normal counts, per code of dimension w, pi B, its transposed copy and
+#   the residual (n d w entries each) and C (n w^2).
 _PRODUCT_BLOCK_ENTRIES = 2**14
 
 
@@ -67,9 +70,10 @@ def compression(matrices: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np
     """(C, Y^T, C^T): C = B* M B, contiguous, and the flat transposed
     products it is read from, laid out as compressed_action states.  A
     reader of the action alone takes C and forms no norm."""
-    *batch, n, d, _ = matrices.shape
+    *lead, n, d, _ = matrices.shape
+    batch = tuple(lead) or basis.shape[:-2]
     w = basis.shape[-1]
-    yt = (matrices.reshape(*batch, n * d, d) @ basis).reshape(*batch, n, d, w)
+    yt = (matrices.reshape(*lead, n * d, d) @ basis).reshape(*batch, n, d, w)
     yt = yt.swapaxes(-2, -1).reshape(*batch, n * w, d)
     ct = yt @ basis.conj()
     return np.ascontiguousarray(ct.reshape(*batch, n, w, w).swapaxes(-2, -1)), yt, ct
@@ -80,7 +84,9 @@ def compressed_action(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, |M B - B C|_F, |C|_F) for each matrix M of a stack of n, with
     B = basis (d x w) and C = B* M B.  Leading batch axes, matrices
-    [..., n, d, d] and basis [..., d, w], pair each stack with its own basis.
+    [..., n, d, d] and basis [..., d, w], pair each stack with its own basis,
+    and broadcast: one stack [n, d, d] against bases [k, d, w] is read
+    without a copy of the stack per basis.
 
     One flat product Y = M B over all n d rows of the stack, in place of a
     batched product over n small matrices, and then two more over the n w

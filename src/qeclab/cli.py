@@ -59,7 +59,6 @@ from .cocycles import Phase, PhaseFunction
 from .codes import (
     CodeError,
     CodeSpace,
-    _classify_orbits,
     classify,
     clifford_code,
     detectable_set,
@@ -90,7 +89,7 @@ from .models import (
     product_model,
 )
 from .projreps import MakeRepError, ProjectiveRep
-from .search import _enumerate, q3_probe
+from .search import _enumerate_codes, _key_reports, q3_probe
 
 
 class UsageError(ValueError):
@@ -551,8 +550,8 @@ def cmd_search(args) -> int:
         reports = q3_probe(model, max_order=args.max_order, max_dim=args.max_dim)
         title = "q3 probe hits"
     else:
-        found, witnesses = _enumerate(model, args.max_order, args.max_dim)
-        reports = _classify_orbits(model, [code for _, _, code in found], witnesses)
+        found, keys = _enumerate_codes(model, args.max_order, args.max_dim)
+        reports = _key_reports(model, found, keys)
         title = "weak stabilizer codes"
     for report in reports:
         print(json.dumps(report.to_json()))

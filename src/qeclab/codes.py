@@ -34,22 +34,15 @@ sqrt(dim E - dim W).  The Clifford flag counts intertwiners by characters:
 the action of L on an L-invariant code is the compressed action C on L,
 and its character tr C = dim W * c is read from the scalars c = tr(C) / dim W
 that the stabilizer scan reads, so no representation of L is built for it
-(see _clifford_flag).
+(see _clifford_flag).  classify reads L, S, f_S, D and the partitioning
+test from the code action and hands them to _report, which sets the flags
+and witnesses; search reads the same invariants of an enumerated code from
+its maximal witness key and hands them to the same _report.
 
-The logical group, the stabilizer and the normal candidates are taken from
-the model group's interning table (see groups), so classify validates no
-member set that the subgroup lattice already holds, and their restricted
-cocycles are the ones the lattice's subgroups already carry.
-
-The error group moves codes to codes: pi(g)* pi(x) pi(g) = lambda_g(x)
-pi(g^-1 x g) for an exact phase lambda_g, tabulated for every (g, x) by
-projreps._conjugation_table, so the report of pi(g)W follows from W's.  A
-batch of codes, each with a witness that fixes it, is classified once per
-orbit of G and transported to the other members (_classify_orbits);
-qeclab search classifies the enumerated codes that way.  The orbits, and
-the g that moves each representative to each member, come from the
-witnesses alone, one gather over G per representative (_witness_orbits);
-they are whole on any list of code-invariant witnesses.
+The logical group and the stabilizer are taken from the model group's
+interning table (see groups), so classify validates no member set that the
+subgroup lattice already holds, and their restricted cocycles are the ones
+the lattice's subgroups already carry.
 """
 
 from __future__ import annotations
@@ -75,8 +68,6 @@ from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     ProjectiveRep,
     _character_count,
-    _Conjugation,
-    _conjugation_table,
     _intertwiner_count,
     _irreducible_character,
     _reynolds,
@@ -437,10 +428,16 @@ class _Action(NamedTuple):
 def _code_action(model: ProjectiveErrorModel, code: CodeSpace) -> _Action:
     if code.ambient_dim != model.dim:
         raise CodeError(f"code lives in dimension {code.ambient_dim}, model in {model.dim}")
-    c, inside, outside = compressed_action(model.rep.matrices, code.basis)
+    return _actions(model, code.basis)
+
+
+def _actions(model: ProjectiveErrorModel, bases: np.ndarray) -> _Action:
+    """_code_action of a stack of code bases [..., d, w], each field with the
+    stack's leading axes: one compressed_action against pi's own stack."""
+    c, inside, outside = compressed_action(model.rep.matrices, bases)
     scalars, scalar_dev = scalar_deviation(c)
     return _Action(
-        commutator=np.hypot(inside, inside[model.group.inv]),
+        commutator=np.hypot(inside, inside[..., model.group.inv]),
         scalars=scalars,
         scalar_dev=scalar_dev,
         inside=inside,
@@ -679,49 +676,50 @@ def _has_normal_reconstruction(
 ) -> bool:
     """Whether a normal-in-G N <= stab has an (N, f|N) eigenspace of the code's dimension.
 
-    The candidates N are the subgroups of stab.as_group(), mapped to G and
-    taken from G's interning table, which holds them already once G's
-    lattice has been built.
+    W lies in the (N, f|N) eigenspace E_N of every N <= S, and E_N shrinks
+    as N grows.  Every normal N <= S lies in the core of S, the largest
+    normal subgroup of G inside S: the x of S whose every conjugate is in S.
+    So W <= E_core <= E_N, and the core has dim E_core = dim W whenever some
+    normal N does: one dimension count, on the core.
     """
-    for inner in sorted(stab.as_group()._lattice(), key=len, reverse=True):
-        sub = model.group._intern(stab.members[i] for i in inner)
-        if sub.is_normal() and code_dimension_formula(model, sub, f) == code.dim:
-            return True
-    return False
+    g, mem = model.group, np.array(stab.members)
+    core = stab._inside[g.mul[g.mul[:, mem], g.inv[:, None]]].all(axis=0)   # [y, s] -> y s y^-1
+    return _dimension_counts(model, mem[core], f.values[core], [int(core.sum())])[0] == code.dim
 
 
 def _clifford_flag(
-    model: ProjectiveErrorModel, code: CodeSpace, logical: Subgroup, act: _Action
+    model: ProjectiveErrorModel, dim_w: int, logical: Subgroup, chi_rho: np.ndarray
 ) -> tuple[bool, object]:
     """Whether W is a Clifford code for L: |L| = (dim W / dim V)|G|, W is
     L-invariant, and the action rho of L on W is irreducible and occurs once
     in pi|L.  Returns (flag, witness text).
 
-    rho(x) = C(x) = B* pi(x) B for x in L, and its character is read from the
-    code action: chi_rho(x) = tr C(x) = dim W * act.scalars[x].  No
-    representation of L is built or validated, and none needs to be.  W is
-    L-invariant with no test of its own: L is {x : act.commutator[x] <
-    _tol.SCAN}, closed by _close_logical, and act.commutator[x] =
-    hypot(iota(x), iota(x^-1)) >= iota(x), with iota(x) = act.inside[x] =
-    |(1 - BB*) pi(x) B|.  So iota is below _tol.SCAN on the elements that
-    passed the test (a NaN commutator fails it and leaves x out of L), and
-    below |G| 1.2e-8 on those the closure added, by its product bound
-    (1.99e-8 was the largest on xp:15 codes tilted by 1e-8).  By
-    _linalg.compressed_action's lemma, rho's pair and unitarity deviations
-    then exceed pi's by under 1.1e-16, or (|G| 1.2e-8)^2 + |G| 1.2e-17,
-    6e-13 at order 64, where the closure added elements; and the
-    restricted cocycle satisfies the cocycle identity, as pi's does.  So
-    validating rho against _tol.EXACT could fail only if the model's rep
-    deviated to within that margin of _tol.EXACT.
+    rho(x) = C(x) = B* pi(x) B for x in L, and chi_rho is its character on
+    L's members in order, tr C(x) = tr(P pi(x)): classify reads it from its
+    code action as dim W times the scalars c of _Action, and search's key
+    reader from the code's maximal witness.  No representation of L is
+    built or validated, and none needs to be.  W is L-invariant with no
+    test of its own.  search's L is the set of x with pi(x)W = W exactly.
+    classify's L is {x : act.commutator[x] < _tol.SCAN}, closed by
+    _close_logical, and act.commutator[x] = hypot(iota(x), iota(x^-1)) >=
+    iota(x), with iota(x) = act.inside[x] = |(1 - BB*) pi(x) B|.  So iota is
+    below _tol.SCAN on the elements that passed the test (a NaN commutator
+    fails it and leaves x out of L), and below |G| 1.2e-8 on those the
+    closure added, by its product bound (1.99e-8 was the largest on xp:15
+    codes tilted by 1e-8).  By _linalg.compressed_action's lemma, rho's
+    pair and unitarity deviations then exceed pi's by under 1.1e-16, or
+    (|G| 1.2e-8)^2 + |G| 1.2e-17, 6e-13 at order 64, where the closure
+    added elements; and the restricted cocycle satisfies the cocycle
+    identity, as pi's does.  So validating rho against _tol.EXACT could
+    fail only if the model's rep deviated to within that margin of
+    _tol.EXACT.
     """
-    order, dim_v, dim_w = model.group.order, model.dim, code.dim
+    order, dim_v = model.group.order, model.dim
     if len(logical) * dim_v != dim_w * order:
         return False, f"|L| = {len(logical)} != (dim W / dim V)|G| = {dim_w * order / dim_v}"
-    members = list(logical.members)
-    chi_rho = dim_w * act.scalars[members]
     if not _irreducible_character(chi_rho):
         return False, "restricted action on the code is reducible"
-    if _character_count(chi_rho, model.rep.character().values[members]) != 1:
+    if _character_count(chi_rho, model.rep.character().values[logical._inside]) != 1:
         return False, "restricted action does not have multiplicity one"
     return True, None
 
@@ -753,28 +751,29 @@ def _central_criterion(
     return is_stab, {"is_weak_stabilizer": crit_weak, "is_stabilizer": is_stab}
 
 
-def classify(
-    model: ProjectiveErrorModel, code: CodeSpace, _act: _Action | None = None
+def _report(
+    model: ProjectiveErrorModel,
+    code: CodeSpace,
+    logical: Subgroup,
+    stab: Subgroup,
+    f: PhaseFunction,
+    detect: list[int],
+    chi_rho: np.ndarray,
+    partitioning: tuple[bool, int | None],
+    is_weak: bool,
+    witnesses: dict,
 ) -> CodeReport:
-    """Compute the three group invariants and all classification flags.
-
-    _classify_orbits passes the code action it has just computed as the
-    private _act, positionally.
-    """
-    act = _code_action(model, code) if _act is None else _act
-    logical = _logical(model, act)
-    stab, f = _stabilizer(model, act, logical)
-    detect = _detectable(act)
-    witnesses: dict[str, object] = {}
-    is_weak = _weak_flag(code_dimension_formula(model, stab, f) - code.dim, witnesses)
-
-    is_cliff, cliff_witness = _clifford_flag(model, code, logical, act)
+    """classify's report from the invariants of a code: L, S, f_S, D, the
+    character chi_rho of L's action on the code (_clifford_flag), the
+    _partitioning verdict and is_weak, whose witness witnesses holds.  The
+    Clifford, stabilizer and partitioning flags and their witnesses are
+    set here, for classify and for search's key reader alike."""
+    is_cliff, cliff_witness = _clifford_flag(model, code.dim, logical, chi_rho)
     if not is_cliff:
         witnesses["is_clifford"] = cliff_witness
 
-    central = model.is_central_type()
     criterion: dict[str, bool] | None = None
-    if central and is_cliff:
+    if model.is_central_type() and is_cliff:
         is_stab, criterion = _central_criterion(model, logical, stab, is_weak, witnesses)
     else:
         is_stab = is_weak and _has_normal_reconstruction(model, code, stab, f)
@@ -783,7 +782,7 @@ def classify(
         elif not is_stab:
             witnesses["is_stabilizer"] = "no normal subgroup of the stabilizer rebuilds the code"
 
-    is_part, part_witness = _partitioning(act, logical, stab)
+    is_part, part_witness = partitioning
     if not is_part:
         witnesses["is_partitioning"] = part_witness
 
@@ -805,155 +804,18 @@ def classify(
     )
 
 
-def _transport(
-    model: ProjectiveErrorModel,
-    report: CodeReport,
-    mixed: np.ndarray,
-    code: CodeSpace,
-    g: int,
-    table: _Conjugation,
-) -> CodeReport:
-    """classify(model, code) for code = pi(g)W, read from W's report and _mixed set.
-
-    With B' = pi(g)B a basis of pi(g)W and y = g^-1 x g,
-    B'* pi(x) B' = lambda_g(x) B* pi(y) B (table, projreps._Conjugation),
-    and every basis of a space gives the same _Action norms and scalars.
-    So each norm of pi(g)W at x is W's at y and each scalar is W's times
-    the unit lambda_g(x): L, S, D and the mixed set are the g-conjugates of
-    W's, the stabilizer phase is f'(x) = lambda_g(x) f(y), exactly when f is
-    exact, and the dimension counts, normality tests and character counts
-    behind the flags, the criterion and the witness texts are equal.  The
-    partitioning witness is the least conjugated mixed element.  f' carries
-    the values lambda_g(x) f.values(y), W's measured scalars turned by the
-    exact phase, where classify would carry code's own measured scalars.
-    """
-    grp, sigma = model.group, model.cocycle
-    conj, turns = table.elements[g], table.turns[g]
-    f = report.stabilizer_phase
-    mem = np.array(report.stabilizer.members)
-    xs = conj[mem]
-    order = np.argsort(xs)
-    den = math.lcm(f.den, sigma.den)
-    num = f.num * (den // f.den) + turns[mem] * (den // sigma.den)
-    values = f.values * table.roots[turns[mem]]
-    stab = grp._intern(tuple(xs[order].tolist()))
-    witnesses = dict(report.witnesses)
-    if "is_partitioning" in witnesses:
-        witnesses["is_partitioning"] = int(conj[mixed].min())
-    criterion = report.central_type_criterion
-    return CodeReport(
-        model=model,
-        code=code,
-        logical=grp._intern(tuple(np.sort(conj[list(report.logical.members)]).tolist())),
-        stabilizer=stab,
-        stabilizer_phase=PhaseFunction._from_num(stab, num[order], den, None, values[order]),
-        detectable=sorted(conj[report.detectable].tolist()),
-        flags=dict(report.flags),
-        witnesses=witnesses,
-        central_type_criterion=None if criterion is None else dict(criterion),
+def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
+    """Compute the three group invariants and all classification flags."""
+    act = _code_action(model, code)
+    logical = _logical(model, act)
+    stab, f = _stabilizer(model, act, logical)
+    witnesses: dict[str, object] = {}
+    is_weak = _weak_flag(code_dimension_formula(model, stab, f) - code.dim, witnesses)
+    chi_rho = code.dim * act.scalars[logical._inside]
+    return _report(
+        model, code, logical, stab, f, _detectable(act), chi_rho,
+        _partitioning(act, logical, stab), is_weak, witnesses,
     )
-
-
-def _on_grid(chis: np.ndarray) -> np.ndarray:
-    """The values of each chi along the last axis in steps of _tol.DERIVED,
-    real and imaginary parts interleaved: search._canonical_key's key of a
-    constituent, and the key of a witness."""
-    parts = np.ascontiguousarray(chis, dtype=np.complex128).view(np.float64)
-    return np.rint(parts / _tol.DERIVED).astype(np.int64)
-
-
-def _witness_orbits(
-    model: ProjectiveErrorModel, witnesses: list[tuple[Subgroup, np.ndarray]], table: _Conjugation
-) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Orbits of codes under W -> pi(g)W, read from their witnesses alone, as
-    (representative, [(member, g), ...]) with member's code pi(g) times the
-    representative's, representatives in increasing order.
-
-    A witness (H, chi) is a subgroup and a function on its members that fix
-    the code: its (H, chi) eigenspace for a phase function chi, or the
-    isotypic component of a multiplicity-one constituent of pi|H with
-    character chi.  Conjugating pi|H by pi(g) makes g.(H, chi) =
-    (gHg^-1, x -> lambda_g(x) chi(g^-1 x g)) a witness of pi(g)W.  Two
-    witnesses on one subgroup whose values agree on the _tol.DERIVED grid fix
-    the same code: the characters of distinct constituents, and distinct
-    phase functions, differ by far more.  So when the image of a
-    representative's witness under g is witness j, code j is pi(g) times
-    the representative's code.
-
-    Each witness not yet reached, in index order, is a representative: its
-    images under every g of G are gathered at once and looked up in one
-    index of the listed witnesses, and each witness not yet reached that an
-    image hits joins the orbit with the least such g.  A key is the int64
-    members of the subgroup followed by the grid values, so its length
-    3|H| fixes |H| and keys of different subgroups cannot collide.  Every g
-    is tried, so a member is reached directly, with no chain through other
-    listed witnesses.
-
-    When every witness is a code invariant, one that the code alone
-    determines, g carries W's witness to pi(g)W's, so every listed member
-    of the orbit is reached and the orbits are whole on any sub-list of the
-    codes.  The maximal witness (S, f_S) of an enumerated code is one: S is
-    the set of x that act on W as a scalar and f_S that scalar.  So is
-    (L, chi) for chi the character of L's action on W.  A witness (H, f)
-    with H below the stabilizer is not, and its orbits may come out split;
-    each part is then classified on its own, and nothing depends on finding
-    a whole orbit.
-    table is projreps._conjugation_table(model.cocycle).
-    """
-    index: dict[bytes, int] = {}
-    for i, (sub, chi) in enumerate(witnesses):
-        key = np.concatenate([sub.members, _on_grid(chi)], dtype=np.int64)
-        index.setdefault(key.tobytes(), i)
-    gs = np.arange(len(table.elements))[:, None]
-    reached = [False] * len(witnesses)
-    orbits = []
-    for rep, (sub, chi) in enumerate(witnesses):
-        if reached[rep]:
-            continue
-        reached[rep] = True
-        mem = np.array(sub.members)
-        order = np.argsort(table.elements[:, mem], axis=1)   # row g sorts gHg^-1
-        ys = mem[order]
-        turned = chi[order] * table.roots[table.turns[gs, ys]]
-        keys = np.concatenate([table.elements[gs, ys], _on_grid(turned)], axis=1, dtype=np.int64)
-        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))   # one key per g
-        members = []
-        for g, key in enumerate(rows.ravel().tolist()):
-            j = index.get(key)
-            if j is not None and not reached[j]:
-                reached[j] = True
-                members.append((j, g))
-        orbits.append((rep, members))
-    return orbits
-
-
-def _classify_orbits(
-    model: ProjectiveErrorModel,
-    codes: list[CodeSpace],
-    witnesses: list[tuple[Subgroup, np.ndarray]],
-) -> list[CodeReport]:
-    """[classify(model, code) for code in codes], with classify run once per
-    orbit of _witness_orbits and each other member's report transported
-    from its representative's (_transport).
-
-    witnesses[i] is a witness (H, chi) that fixes codes[i] (see
-    _witness_orbits), such as the maximal witness (S, f_S.values) of an
-    enumerated code.  That is a code invariant, so each orbit met by the
-    batch is classified once, however many of its codes the batch leaves
-    out.  A representative whose stabilizer phase is not exact everywhere
-    transports nothing, and its members are classified directly.
-    """
-    table = _conjugation_table(model.cocycle)
-    reports: list[CodeReport | None] = [None] * len(codes)
-    for rep, members in _witness_orbits(model, witnesses, table):
-        act = _code_action(model, codes[rep])
-        report = reports[rep] = classify(model, codes[rep], act)
-        if not report.stabilizer_phase.is_exact:
-            continue
-        mixed = _mixed(act)
-        for i, g in members:
-            reports[i] = _transport(model, report, mixed, codes[i], g, table)
-    return [classify(model, code) if r is None else r for code, r in zip(codes, reports)]
 
 
 def stabilizer_to_clifford(

@@ -24,7 +24,12 @@ average and one stacked eigh per subgroup (codes._eigenspaces); this
 module loops over subgroups.  Deduplication is exact and compares no
 projector: enumerate keys each code by its maximal witness (S, f_S), read
 from characters and confirmed in integers (_maximal_witnesses), and
-q3_probe's candidates are distinct by construction (see there).
+q3_probe's candidates are distinct by construction (see there).  qeclab
+search reads each enumerated code's report from the same key
+(_key_reports): S and f_S are the key, L is the set of g that fix it, and
+the detectable set of a code whose S is normal is (G minus L) + S, so the
+only float action it computes is one stacked code action per code
+dimension for the codes whose S is not normal.
 
 df = sigma|H is tested where a phase enters from outside, and proved
 where the library builds it.  codes.weak_stabilizer_code tests the caller's
@@ -47,7 +52,7 @@ _tol.SCAN, and the lemma stated there makes C a projective rep with pi's
 cocycle, so no piece is validated again.  A candidate's code is its
 piece's basis B, and its report is read from the piece in closed form
 (_clifford_reports): pi is induced from the piece, so no action of G on
-the code is computed, no orbit is formed and no report is transported.
+the code is computed.
 The reports of one subgroup order are read from whole arrays over all
 its kept pieces: one blocked intertwiner product, one orthonormality
 test, one stabilizer reader (codes._stabilizers: one snap and one gcd
@@ -70,18 +75,22 @@ from .codes import (
     CodeError,
     CodeReport,
     CodeSpace,
+    _Action,
+    _actions,
     _central_criterion,
     _constituents,
+    _detectable,
     _dimension_counts,
     _eigenspaces,
-    _on_grid,
+    _partitioning,
+    _report,
     _stabilizers,
     _weak_flag,
     classify,
 )
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
-from .projreps import _irreducible_character, _reynolds
+from .projreps import _conjugation_table, _irreducible_character, _reynolds
 
 __all__ = [
     "SearchError",
@@ -191,7 +200,7 @@ def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim
     max_order = _check_caps(model, max_order, max_dim)
     g, sigma = model.group, model.cocycle
     grid = sigma.den * g.exponent()
-    table = sigma.to_complex_table() * model.rep.character().values[g.mul]
+    table = _trace_table(model)
     found, keys, seen = [], [], set()
     bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in _pairing_defects(sigma, range(g.order))]
@@ -218,18 +227,89 @@ def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim
     return found, keys
 
 
-def _enumerate(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None):
-    """(enumerate_weak_stabilizer_codes, each code's maximal witness
-    (S, f_S.values) for codes._classify_orbits), as qeclab search reads them.
-    The witnesses are built from _enumerate_codes' keys here only."""
-    found, keys = _enumerate_codes(model, max_order, max_dim)
+def _trace_table(model: ProjectiveErrorModel) -> np.ndarray:
+    """[h, x] -> tr(pi(h) pi(x)) = sigma(h, x) chi_pi(hx), for every (h, x)."""
     g = model.group
-    grid = model.cocycle.den * g.exponent()
-    witnesses = []
-    for key in keys:
-        members = np.flatnonzero(key >= 0)
-        witnesses.append((g._intern(tuple(members.tolist())), _phase_values(key[members], grid)))
-    return found, witnesses
+    return model.cocycle.to_complex_table() * model.rep.character().values[g.mul]
+
+
+def _key_reports(model: ProjectiveErrorModel, found, keys) -> list[CodeReport]:
+    """classify(model, code) for each code of _enumerate_codes(...) = (found,
+    keys), read from its maximal witness key (S, f_S), as qeclab search
+    prints them.  Each field is one classify reads from the code action,
+    and codes._report sets the flags and witnesses from them as it does for
+    classify.
+
+    - S and f_S are the key, which _maximal_witnesses has confirmed in
+      integers.  classify's S and f_S are the same: x acts on W as a
+      unimodular scalar exactly on S, and f_S is that scalar.
+    - is_weak holds with no witness: W = W(S, f_S) (_maximal_witnesses).
+    - L = {g : pi(g)W = W}, the inertia group of the key.  pi(g) maps the
+      code with key (S, f_S) to the code with key (gSg^-1, x ->
+      lambda_g(x) f_S(g^-1 x g)), lambda_g from projreps._conjugation_table,
+      and equal keys are equal codes, so L is the set of g that fix the key:
+      f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every y in S, read in
+      integers over the key's grid (off S the key is -1, so this holds only
+      for g normalizing S).  One table serves every code, and the test is
+      one gather per distinct S.
+    - The character of L's action on W (codes._clifford_flag) is
+      T(x) = tr(P pi(x)) = (1/|S|) sum_s conj(f_S(s)) sigma(s, x)
+      chi_pi(sx), P = W's projector as the average over S: one product of
+      every code's f_S against _trace_table.
+    - is_stabilizer is codes._report's, from the invariants above.
+    - When S is normal in G, every x outside L maps W onto W(S, x.f_S),
+      another eigenspace of S, orthogonal to W: x is detectable with scalar
+      0 and maps W into its complement.  An x in L maps W onto W, and acts
+      on it as a scalar exactly when x is in S.  So no element is mixed and
+      D = (G minus L) + S, with no float action.
+    - When S is not normal, an x outside N_G(S) can be mixed, so D and the
+      partitioning test are classify's own (codes._detectable and
+      codes._partitioning), read from the code action, stacked over the
+      codes of one dimension (codes._actions), blocked under
+      _PRODUCT_BLOCK_ENTRIES.  _partitioning's closed-form RuntimeError then
+      also checks the key's L.
+    """
+    if not found:
+        return []
+    g, sigma = model.group, model.cocycle
+    grid = sigma.den * g.exponent()
+    keys = np.array(keys)
+    on_s = keys >= 0
+    stabs = [g._intern(tuple(row.tolist())) for row in map(np.flatnonzero, on_s)]
+    values = np.zeros(keys.shape, dtype=complex)                  # f_S, 0 off S
+    values[on_s] = _phase_values(keys[on_s], grid)
+    phases = PhaseFunction._runs(stabs, keys[on_s], grid, None, values[on_s])
+    traces = values.conj() @ _trace_table(model) / on_s.sum(axis=1, keepdims=True)   # T(x) = tr(P pi(x))
+    conj = _conjugation_table(sigma)
+    turns = conj.turns * (grid // sigma.den)
+    logicals = [None] * len(keys)
+    rows_of: dict[Subgroup, list[int]] = {}
+    for i, stab in enumerate(stabs):
+        rows_of.setdefault(stab, []).append(i)
+    for stab, rows in rows_of.items():
+        mem = list(stab.members)
+        key = keys[rows]
+        fixed = (key[:, conj.elements[:, mem]] == (key[:, None, mem] + turns[:, mem]) % grid).all(axis=2)
+        for i, row in zip(rows, fixed):
+            logicals[i] = g._intern(tuple(np.flatnonzero(row).tolist()))
+    codes = [code for _, _, code in found]
+    parts = {i: (np.flatnonzero(~logicals[i]._inside | stab._inside).tolist(), (True, None))
+             for i, stab in enumerate(stabs) if stab.is_normal()}
+    acted = sorted((i for i in range(len(codes)) if i not in parts), key=lambda i: codes[i].dim)
+    for w, same_dim in itertools.groupby(acted, key=lambda i: codes[i].dim):
+        same_dim = list(same_dim)
+        step = max(1, _PRODUCT_BLOCK_ENTRIES // (g.order * w * (3 * model.dim + w)))
+        for a in range(0, len(same_dim), step):
+            block = same_dim[a:a + step]
+            acts = _actions(model, np.stack([codes[i].basis for i in block]))
+            for j, i in enumerate(block):
+                act = _Action(*(field[j] for field in acts))
+                parts[i] = _detectable(act), _partitioning(act, logicals[i], stabs[i])
+    return [
+        _report(model, code, logicals[i], stabs[i], phases[i], parts[i][0],
+                traces[i, logicals[i]._inside], parts[i][1], True, {})
+        for i, code in enumerate(codes)
+    ]
 
 
 def enumerate_weak_stabilizer_codes(
@@ -280,14 +360,14 @@ def _commutant_elements(mats: np.ndarray, seed: int) -> np.ndarray:
     return (t + t.conj().swapaxes(-2, -1)) / 2
 
 
-def _canonical_key(dim: int, chi: np.ndarray) -> tuple:
-    """(dim, character values on H, to a grid of _tol.DERIVED) of a piece:
-    no split basis enters.
-
-    Constituents with one cocycle and equal characters are isomorphic, so
-    only isomorphic pieces tie.
-    """
-    return (dim, *_on_grid(chi).tolist())
+def _on_grid(chis: np.ndarray) -> np.ndarray:
+    """The values of each chi along the last axis in steps of _tol.DERIVED,
+    real and imaginary parts interleaved.  A piece's canonical key is its
+    dimension followed by its character's row (_split_draw): no split basis
+    enters, and constituents with one cocycle and equal characters are
+    isomorphic, so only isomorphic pieces tie."""
+    parts = np.ascontiguousarray(chis, dtype=np.complex128).view(np.float64)
+    return np.rint(parts / _tol.DERIVED).astype(np.int64)
 
 
 def _split_restrictions(matrices: np.ndarray, members) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -318,9 +398,9 @@ def _split_restrictions(matrices: np.ndarray, members) -> list[list[tuple[np.nda
     merges constituents, or leaves a span that is not invariant; either
     fails a test, and that H alone is split again with the next seed
     (RuntimeError after _SPLIT_ATTEMPTS).  The pieces of each H are sorted
-    by _canonical_key, so the order does not depend on the draw except
-    among isomorphic pieces.  An irreducible pi|H is its own piece, with
-    B = 1.
+    by canonical key (_on_grid), so the order does not depend on the draw
+    except among isomorphic pieces.  An irreducible pi|H is its own piece,
+    with B = 1.
 
     Subgroups of one order have one shape, so they are split together:
     one Reynolds average, one eigh and one compression per block of at
@@ -371,10 +451,10 @@ def _split_draw(mats: np.ndarray, seed: int) -> list:
     stop = np.append(first[1:], k * d) - row * d
     failed = set(row[~ok].tolist())
     split: list = [None if i in failed else [] for i in range(k)]
-    for p, (i, a, b) in enumerate(zip(row.tolist(), start.tolist(), stop.tolist())):
+    grid = _on_grid(chis).tolist()                                # one row per piece
+    for i, a, b, chi in zip(row.tolist(), start.tolist(), stop.tolist(), grid):
         if split[i] is not None:
-            key = _canonical_key(b - a, chis[p])
-            split[i].append((key, c[i, :, a:b, a:b].copy(), evecs[i, :, a:b]))
+            split[i].append(((b - a, *chi), c[i, :, a:b, a:b].copy(), evecs[i, :, a:b]))
     return [got and [(action, basis) for _, action, basis in sorted(got, key=lambda t: t[0])]
             for got in split]
 
@@ -471,7 +551,7 @@ def q3_probe(
 
     Returns the list of hits; with return_candidates=True also returns every
     Clifford-code report examined.  Both are in subgroup lattice order, and
-    the constituents of one restriction in _canonical_key order.  Only
+    the constituents of one restriction in canonical key order (_on_grid).  Only
     isomorphic constituents tie, and they fail the multiplicity-one test,
     so the order depends on no random draw.  Each report is the one
     codes.classify gives the candidate's code, read from its constituent

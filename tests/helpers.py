@@ -1409,6 +1409,13 @@ def irreducible_constituents(rep) -> list:
     ]
 
 
+def canonical_key(dim: int, chi: np.ndarray) -> tuple:
+    """(dim, character values on H, to a grid of _tol.DERIVED) of a piece:
+    the key search._split_draw sorts the pieces of one restriction by, read
+    from one _on_grid of all of a draw's characters."""
+    return (dim, *search._on_grid(chi).tolist())
+
+
 def split_restriction_oracle(model, sub) -> tuple[int | None, list]:
     """The per-subgroup split that search._split_restrictions stacks:
     restrict, projreps._reynolds of the seeded draw, eigh, and one
@@ -1424,7 +1431,7 @@ def split_restriction_oracle(model, sub) -> tuple[int | None, list]:
     res = restrict(model.rep, sub)
     d = res.dim
     if is_irreducible(res):
-        key = search._canonical_key(d, res.character().values)
+        key = canonical_key(d, res.character().values)
         return None, [((0, d), np.eye(d, dtype=complex), res.matrices, key)]
     for attempt in range(search._SPLIT_ATTEMPTS):
         t = _reynolds(res.matrices, res.matrices, search._hermitian_draw(d, search._SPLIT_SEED + attempt))
@@ -1438,7 +1445,7 @@ def split_restriction_oracle(model, sub) -> tuple[int | None, list]:
             chi = np.einsum("naa->n", action)
             if not (inside.max() < _tol.SCAN and abs(np.mean(chi * chi.conj()) - 1) <= _tol.DERIVED):
                 break
-            pieces.append(((start, k), basis, action, search._canonical_key(k - start, chi)))
+            pieces.append(((start, k), basis, action, canonical_key(k - start, chi)))
             start = k
         else:
             return attempt, sorted(pieces, key=lambda piece: piece[3])

@@ -34,6 +34,18 @@ def test_compressed_action_matches_the_batched_products(n, w):
     assert np.abs(outside - np.linalg.norm(c_want, axis=(1, 2))).max() < 1e-13
 
 
+@pytest.mark.parametrize("w", [1, 3, 8])
+def test_one_stack_against_a_stack_of_bases_is_each_basis_alone(w):
+    # the stack broadcasts against bases [k, d, w], with no copy of it per
+    # basis, and each basis gets the bytes it gets alone
+    m = _stack(64)
+    bases = np.stack([_basis(8, w, seed=s) for s in range(5)])
+    got = compressed_action(m, bases)
+    for k, b in enumerate(bases):
+        for stacked, alone in zip(got, compressed_action(m, b)):
+            assert stacked[k].tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("layout", ["contiguous", "transposed", "rows_fastest"])
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
 def test_scalar_deviation_matches_trace_and_norm(w, layout):

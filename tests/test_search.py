@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     CATALOG_64,
     PairwiseDedup,
+    canonical_key,
     commutant_split_oracle,
     enumerate_codes_loop,
     irreducible_constituents,
@@ -157,6 +158,54 @@ def test_enumeration_matches_the_unpruned_loop(spec):
     assert all(np.array_equal(k1, k2) for k1, k2 in zip(keys, want_keys))
 
 
+@pytest.mark.parametrize("spec, seed", [(spec, None) for spec in CATALOG_64] + [("c2d2n:3", 5)])
+def test_key_reports_equal_classify_on_every_enumerated_code(spec, seed):
+    # qeclab search reads each report from the code's maximal witness key
+    # (search._key_reports), classify from the code's action: L is the set
+    # of g fixing the key, S and f_S are the key, and D and the
+    # partitioning test need the action only where S is not normal
+    model = parse_model_spec(spec).model
+    if seed is not None:
+        model = relabeled_model(model, seed)
+        assert not model.group.is_abelian()
+    found, keys = search._enumerate_codes(model, None, None)
+    reports = search._key_reports(model, found, keys)
+    assert [r.to_json() for r in reports] == [classify(model, code).to_json() for _, _, code in found]
+    if seed is not None:
+        assert 0 < sum(not r.stabilizer.is_normal() for r in reports) < len(reports)
+
+
+def test_the_key_reports_action_is_blocked_and_the_blocks_change_no_report(monkeypatch):
+    # the codes whose S is not normal get one stacked action per block of
+    # one code dimension; blocks of one code give the same reports
+    model = parse_model_spec("c2d2n:3").model
+    found, keys = search._enumerate_codes(model, None, None)
+    stacks = []
+    raw = codes._actions
+    monkeypatch.setattr(
+        search, "_actions", lambda model, bases: stacks.append(len(bases)) or raw(model, bases)
+    )
+    want = [r.to_json() for r in search._key_reports(model, found, keys)]
+    acted = sum(stacks)
+    assert max(stacks) > 1 and 0 < acted < len(found)
+    stacks.clear()
+    monkeypatch.setattr(search, "_PRODUCT_BLOCK_ENTRIES", 1)
+    assert [r.to_json() for r in search._key_reports(model, found, keys)] == want
+    assert stacks == [1] * acted
+
+
+def test_key_reports_act_on_no_code_when_every_stabilizer_is_normal(monkeypatch):
+    model = parse_model_spec("pauli:2").model
+    found, keys = search._enumerate_codes(model, None, None)
+    calls = []
+    for module in (codes, _linalg):
+        monkeypatch.setattr(module, "compressed_action", lambda *args: calls.append(args))
+    monkeypatch.setattr(codes, "_code_action", lambda *args: calls.append(args))
+    reports = search._key_reports(model, found, keys)
+    assert not calls and len(reports) == len(found) == 91
+    assert all(r.stabilizer.is_normal() for r in reports)
+
+
 @pytest.mark.parametrize("spec", ["prod(genpauli:2,genpauli:4)", "c2d2n:8", "oddfam:3"])
 def test_enumeration_interns_only_the_subgroups_it_visits(spec):
     # the rejected subgroups never get a Subgroup, and the full lattice is
@@ -182,8 +231,8 @@ def _counted_splits(monkeypatch):
 
 
 def _key(piece):
-    """search._canonical_key of a piece rep."""
-    return search._canonical_key(piece.dim, piece.character().values)
+    """canonical_key of a piece rep."""
+    return canonical_key(piece.dim, piece.character().values)
 
 
 def _order_stacks(model, subs=None):
@@ -594,7 +643,7 @@ def test_reynolds_element_commutes_and_pieces_are_irreducible(data):
 
 # sha256 of the candidates' (logical, stabilizer, stabilizer phase) in order:
 # subgroups in lattice order, constituents of one restriction by
-# _canonical_key.  A change here is a change of q3_probe's candidate order.
+# canonical key.  A change here is a change of q3_probe's candidate order.
 _CANDIDATE_ORDER = {
     "c2d2n:2": "aab8ca39611bf8b48fcebdfb355e84fb2dd50d5270f18387f5477de0d57ae993",
     "genpauli:8": "9c9f7e6e09ccfc0b78085334c619b813267057148ed2af526283ab8e0e90d2b9",
@@ -699,7 +748,7 @@ def test_stacked_split_equals_the_per_subgroup_split(spec):
         elements = {}   # seed -> the commutant elements of the whole stack
         for i, (sub, pieces) in enumerate(zip(same, split)):
             attempt, want = split_restriction_oracle(model, sub)
-            assert [search._canonical_key(b.shape[1], np.einsum("naa->n", c)) for c, b in pieces] == [
+            assert [canonical_key(b.shape[1], np.einsum("naa->n", c)) for c, b in pieces] == [
                 key for *_, key in want]
             if attempt is not None:
                 seed = search._SPLIT_SEED + attempt
@@ -839,8 +888,8 @@ def test_a_degenerate_first_draw_retries_only_its_subgroups(monkeypatch):
         for sub, pieces, unpatched_pieces in zip(same, split, other):
             _, want = attempts[sub.members]
             assert [b.tobytes() for _, b in pieces] == [b.tobytes() for _, b, *_ in want]
-            keys = [search._canonical_key(b.shape[1], np.einsum("naa->n", c)) for c, b in pieces]
-            assert keys == [search._canonical_key(b.shape[1], np.einsum("naa->n", c))
+            keys = [canonical_key(b.shape[1], np.einsum("naa->n", c)) for c, b in pieces]
+            assert keys == [canonical_key(b.shape[1], np.einsum("naa->n", c))
                             for c, b in unpatched_pieces]
 
 
