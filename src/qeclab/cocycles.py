@@ -23,10 +23,12 @@ stabilizer phase is snapped from the grid its cocycle puts it on
 (_snap_phases with a grid), and df = sigma is compared as integer numerators
 (_is_coboundary_of), with no Cocycle built for either side.  That
 comparison is made where a phase enters from outside the construction that
-proves it: on the solver's output (find_trivializing_phase), on a caller's
-f (codes.weak_stabilizer_code) and on search's maximal witness keys.  The
-phases f0 chi of an enumeration and a classified code's stabilizer phase
-are proved admissible instead (codes._eigenspaces, codes._stabilizers).
+proves it: on a trivializer, solved for (find_trivializing_phase) or read
+by cyclic extension on an abelian subgroup (_cyclic_extension, which
+builds no restricted Cocycle), on a caller's f (codes.weak_stabilizer_code)
+and on search's maximal witness keys.  The phases f0 chi of an enumeration
+and a classified code's stabilizer phase are proved admissible instead
+(codes._eigenspaces, codes._stabilizers).
 """
 
 from __future__ import annotations
@@ -690,9 +692,10 @@ def _edge_system(group: FiniteGroup) -> tuple[list[int], np.ndarray, np.ndarray]
     per edge: the left side of df = sigma in the generator unknowns.
 
     Kept for the last group asked (groups hash by identity): codes'
-    _constituents solves for a trivializer and then lists the linear
-    characters on one group, and both read this system, so it is built
-    once per group.  No more is kept, as a lattice's groups live on."""
+    _constituents, on a non-abelian subgroup, solves for a trivializer and
+    then lists the linear characters on one group, and both read this
+    system, so it is built once per group.  No more is kept, as a lattice's
+    groups live on."""
     walk = group._cayley_walk()
     gens = _greedy_generators(group)
     coeff = walk.path_sums((walk.tree[1][:, None] == gens).astype(np.int64))
@@ -724,6 +727,89 @@ def _linear_characters(group: FiniteGroup) -> tuple[np.ndarray, int]:
     values = _kernel_mod(rows, len(gens), e)
     values = values[sorted(range(len(values)), key=lambda j: values[j].tolist())]
     return values @ coeff.T % e, e
+
+
+def _cyclic_extension(sigma: Cocycle, members) -> tuple[np.ndarray, int, np.ndarray, int] | None:
+    """(f0, M, chars, e) on an abelian subgroup H of sigma's group, given by
+    its sorted members, read from sigma's integer table by cyclic extension
+    (Neubueser, Numer. Math. 2, 1960): f0 a trivializer of sigma|H as
+    numerators over M, reduced, and every linear character of H as rows of
+    numerators over e = exp(H), in _linear_characters' order; each on the
+    members in order.  None when beta != 1 on a pair of H's greedy
+    generators (see find_trivializing_phase), as no trivializer exists then.
+    No restricted cocycle, subgroup group or integer system is built.
+
+    Walk H's greedy generators x (its members in order, each kept when it
+    lies outside the subgroup K its predecessors generate), with m the
+    least m >= 1 with x^m in K; H abelian makes K<x> the m cosets K x^j.
+    Given f on K with df = sigma|K, df = sigma on K<x> forces
+        f(x^j) = a_j + j c,  a_0 = sigma(e, e),  a_(j+1) = a_j - sigma(x^j, x),
+        f(k x^j) = f(k) + f(x^j) - sigma(k, x^j),
+    with c = f(x), and x^m in K asks m c = f(x^m) - a_m.  In numerators
+    over M, at first the least denominator of sigma|H, c is the least
+    solution mod M; only when gcd(m, M) does not divide the right side is M
+    refined to mM, where c exists.  So f0 depends on sigma|H alone.
+    A solution always gives a trivializer of sigma|K<x>: beta = 1 on the
+    abelian H makes sigma|H a coboundary (Kleppner, Math. Ann. 158, 1965),
+    and a trivializer F of it is f chi on K for a character chi of K, which
+    extends to K<x>, so F / chi extends f and solves the equation; any two
+    solutions differ by a character of the cyclic K<x> / K.  The result is
+    still tested, df0 = sigma|H in integers (RuntimeError otherwise), as
+    find_trivializing_phase tests its own.  df0 = sigma makes sigma.den f0
+    a character, so the reduced M divides sigma.den exp(H).
+
+    The characters are the case sigma = 0 over M = e: every solution c of
+    m c = chi(x^m) mod e, the m values c0 + s e / m in increasing order, so
+    rows come out in lexicographic order of their values on the greedy
+    generators, which are sub.as_group()'s.  exp(H) is the lcm of the
+    generators' orders, as H is abelian.
+    """
+    g, den = sigma.group, sigma.den
+    mem = np.asarray(members)
+    mul = np.searchsorted(mem, g.mul[mem[:, None], mem])   # H's own table, on positions in mem
+    t = sigma.num[mem[:, None], mem]
+    q = math.gcd(int(np.gcd.reduce(t, axis=None)), den)   # sigma|H over its least denominator
+    t, den = t // q, den // q
+    rows, ident = mul.tolist(), int(np.searchsorted(mem, g.identity))
+    built, where = [ident], {ident: 0}   # H's elements in the order the cosets add them
+    steps, gens, e = [], [], 1
+    for x in range(len(mem)):
+        if x in where:
+            continue
+        powers, y = [ident], x
+        while y not in where:
+            powers.append(y)
+            y = rows[y][x]
+        e, size = math.lcm(e, g.element_order(int(mem[x]))), len(built)
+        steps.append((size, powers, where[y]))
+        gens.append(x)
+        for p in powers[1:]:
+            for k in built[:size]:
+                where[rows[k][p]] = len(built)
+                built.append(rows[k][p])
+    tab = t.tolist()
+    if any((tab[x][y] - tab[y][x]) % den for x in gens for y in gens):   # beta != 1
+        return None
+    f, modulus, chars = [tab[ident][ident]], den, [[0]]
+    for size, powers, top in steps:
+        m = len(powers)
+        a = list(itertools.accumulate((-tab[p][powers[1]] for p in powers), initial=tab[ident][ident]))
+        if (f[top] - a[m] * (modulus // den)) % math.gcd(m, modulus):
+            modulus, f = modulus * m, [v * m for v in f]
+        q, scale = math.gcd(m, modulus), modulus // den
+        c = (f[top] - a[m] * scale) % modulus // q * pow(m // q, -1, modulus // q) % (modulus // q)
+        f = [(v + (a[j] - tab[k][p]) * scale + j * c) % modulus
+             for j, p in enumerate(powers) for v, k in zip(f, built[:size])]
+        chars = [[(v + j * c) % e for j in range(m) for v in chi]
+                 for chi in chars for c in range(chi[top] // m, e, e // m)]
+    order = sorted(range(len(built)), key=built.__getitem__)
+    f, chars = np.array(f, dtype=np.int64)[order], np.array(chars, dtype=np.int64)[:, order]
+    common = math.lcm(modulus, den)
+    wide = f * (common // modulus)
+    if ((wide[:, None] + wide - wide[mul] - t * (common // den)) % common).any():
+        raise RuntimeError("cyclic extension produced a non-trivializing phase function")
+    q = math.gcd(int(np.gcd.reduce(f)), modulus)
+    return f // q, modulus // q, chars, e
 
 
 def find_trivializing_phase(

@@ -15,16 +15,20 @@ pi(x^-1), so the second has the norm of the first at x^-1.
 
 Constituents are found here only (_constituents), in exact
 arithmetic: with f0 a trivializer of the restricted cocycle, the codes on
-H are the (H, f0 chi) eigenspaces for the linear characters chi of H, read
-from a diagonal form of an integer system, whose multiplicity in
-conj(f0) pi|H is positive.  No eigenspace is walked and no value is snapped to find them.
-existence_phase takes the first and search.enumerate_weak_stabilizer_codes
-takes them all.  A (H, f) code is built as the 1-eigenspace of the average
-(1/|H|) sum_h conj(f(h)) pi(h), for many phase rows of one subgroup at once
-(_eigenspaces); weak_stabilizer_code is its one-row case.  df = sigma|H is
-tested there on the caller's f only: the rows f0 chi of _constituents are
-admissible by construction, and the stabilizer phase classify reads is
-proved admissible in _stabilizers' docstring, so neither is tested again.
+H are the (H, f0 chi) eigenspaces for the linear characters chi of H
+whose multiplicity in conj(f0) pi|H is positive.  On abelian H, f0 and the
+characters are read by cyclic extension from the model cocycle's integer
+table (cocycles._cyclic_extension); on others f0 is solved for and the
+characters read from a diagonal form of an integer system.  No eigenspace
+is walked and no value is snapped to find them.  existence_phase takes the
+first and search.enumerate_weak_stabilizer_codes takes them all, for all
+subgroups of one order at once.  A (H, f) code is built as the
+1-eigenspace of the average (1/|H|) sum_h conj(f(h)) pi(h), for many rows
+(H, f) of one subgroup order at once (_eigenspaces); weak_stabilizer_code
+is its one-row case.  df = sigma|H is tested there on the caller's f only:
+the rows f0 chi of _constituents are admissible by construction, and the
+stabilizer phase classify reads is proved admissible in _stabilizers'
+docstring, so neither is tested again.
 
 classify counts instead of building subspaces.  A code W lies in the (S, f)
 eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
@@ -48,18 +52,20 @@ the lattice's subgroups already carry.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _tol
-from ._linalg import complex_json, compressed_action, frobenius, orthonormal_columns, scalar_deviation
+from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compressed_action, frobenius
+from ._linalg import orthonormal_columns, scalar_deviation
 from .cocycles import (
     PhaseFunction,
     _coboundary_rows,
+    _cyclic_extension,
     _linear_characters,
+    _phase_values,
     _snap_phases,
     find_trivializing_phase,
 )
@@ -179,7 +185,7 @@ def weak_stabilizer_code(
     """
     if f.domain is not sub and tuple(f.domain.members) != tuple(sub.members):
         raise CodeError("phase function domain does not match the subgroup")
-    code = _eigenspaces(model, sub, f.values[None])[0]
+    code = _eigenspaces(model, np.array([sub.members]), f.values[None])[0]
     if code is None:
         return None
     res, mul = model.cocycle.restrict(sub), sub.as_group().mul
@@ -195,18 +201,20 @@ def weak_stabilizer_code(
 
 def _eigenspaces(
     model: ProjectiveErrorModel,
-    sub: Subgroup,
+    members: np.ndarray,
     values: np.ndarray,
     dims: np.ndarray | None = None,
 ) -> list[CodeSpace | None]:
-    """The (sub, f_i) joint eigenspace W_i, or None where it is zero, for
-    each row f_i of values [k, |H|], f_i's values on sub's members in order.
-    dims [k], when given, are the dimensions the caller expects, and
-    RuntimeError is raised on a row whose rank differs.
+    """The (H_i, f_i) joint eigenspace W_i, or None where it is zero, for
+    each row i: members[i] the members of a subgroup H_i, values[i] f_i's
+    values on them, the H_i all of one order.  dims [k], when given, are
+    the dimensions the caller expects, and RuntimeError is raised on a row
+    whose rank differs.
 
-    When df_i = sigma|H, h -> conj(f_i(h)) pi(h) is a unitary linear rep of
-    H: conj(f_i(x) f_i(y)) pi(x) pi(y) = conj(f_i(xy)) pi(xy).  Its average
-        P_i = (1/|H|) sum_h conj(f_i(h)) pi(h)
+    When df_i = sigma|H_i, h -> conj(f_i(h)) pi(h) is a unitary linear rep
+    of H_i: conj(f_i(x) f_i(y)) pi(x) pi(y) = conj(f_i(xy)) pi(xy).  Its
+    average
+        P_i = (1/|H_i|) sum_h conj(f_i(h)) pi(h)
     is then the orthogonal projector onto its invariant vectors (Knill,
     "Group representations, error bases and quantum codes", 1996): each
     term times P_i is P_i, so P_i^2 = P_i and the image of P_i is
@@ -218,49 +226,52 @@ def _eigenspaces(
     _tol.EXACT), so the eigenvectors of the eigenvalues above 1/2 are an
     orthonormal basis B_i of W_i, and their count is dim W_i.
 
-    df_i = sigma|H is not tested here.  Where it fails W_i is zero, and the
-    eigenvectors P_i gives fail the check below unless f_i is within about
-    _tol.SCAN of an admissible row, so a caller tests it unless its rows
-    are admissible by construction.  weak_stabilizer_code, whose f comes
-    from outside, tests it on the code it gets back.
+    df_i = sigma|H_i is not tested here.  Where it fails W_i is zero, and
+    the eigenvectors P_i gives fail the check below unless f_i is within
+    about _tol.SCAN of an admissible row, so a caller tests it unless its
+    rows are admissible by construction.  weak_stabilizer_code, whose f
+    comes from outside, tests it on the code it gets back.
     search._enumerate_codes does not: its rows f0 chi are admissible, f0 a
-    trivializer that find_trivializing_phase has checked and chi an exact
-    linear character.
+    trivializer whose df0 = sigma|H has been tested in integers and chi an
+    exact linear character (_constituents).
 
-    Every row is checked, in one product each over the whole batch:
-    |pi(h) B_i - f_i(h) B_i| <= _tol.SCAN entrywise on every h (None
-    otherwise), and CodeSpace's orthonormality test on each B_i (CodeError
-    otherwise).
+    Every row is checked: |pi(h) B_i - f_i(h) B_i| <= _tol.SCAN entrywise
+    on every h (None otherwise), and CodeSpace's orthonormality test on each
+    B_i (CodeError otherwise), both read on the last w eigenvectors of every
+    P_i of a block, w its largest rank, and kept on B_i's columns.
 
-    Row i's bytes do not depend on the other rows: P_i is one row-vector
-    product against pi|H flattened, as a stacked matmul makes it for each
-    row on its own, and the stacked eigh decomposes each P_i on its own.
-    So a batch gives each row the basis weak_stabilizer_code gives it.
+    Rows run in blocks whose gathered stack pi|H_i, [rows, |H|, d, d], and
+    the three temporaries of the check, each at most that size, hold at
+    most _PRODUCT_BLOCK_ENTRIES entries together (one row at least): each
+    block takes one gather, one stacked product for the averages, one
+    stacked eigh and one product for the check.  Row i's bytes depend on
+    neither the other rows nor the blocks: P_i is one row-vector product
+    against pi|H_i flattened, as a stacked matmul makes it for each row on
+    its own, and the stacked eigh decomposes each P_i on its own.  So every
+    row gets the basis weak_stabilizer_code gives it.
     """
-    mem = list(sub.members)
-    n, k = model.dim, len(values)
-    mats = model.rep.matrices[mem]
-    flat = mats.reshape(len(mem), n * n)
-    proj = (values.conj()[:, None, :] @ flat).reshape(k, n, n) / len(mem)
-    evals, evecs = np.linalg.eigh(proj)
-    ranks = (evals > 0.5).sum(axis=1)
-    if dims is not None and (ranks != dims).any():
-        raise RuntimeError("an eigenspace's rank differs from its expected dimension")
-    bases = [np.ascontiguousarray(v[:, n - r :]) for v, r in zip(evecs, ranks)]
-    cat = np.concatenate(bases, axis=1)
-    row = np.repeat(np.arange(k), ranks)
-    resid = np.abs(mats @ cat - values[row].T[:, None, :] * cat).max(axis=(0, 1), initial=0.0)
-    ortho = np.abs(cat.conj().T @ cat - np.eye(len(row))) ** 2 * (row[:, None] == row[None, :])
-    ortho = np.sqrt(np.bincount(row, ortho.sum(axis=1), minlength=k))
+    n, (k, m) = model.dim, members.shape
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * m * n * n))
     codes: list[CodeSpace | None] = []
-    for i, end in enumerate(np.cumsum(ranks)):
-        cols = slice(end - ranks[i], end)
-        if ranks[i] == 0 or not (resid[cols] <= _tol.SCAN).all():
-            codes.append(None)
-            continue
-        if not ortho[i] <= _tol.EXACT:   # NaN fails too
-            raise CodeError("basis columns are not orthonormal")
-        codes.append(CodeSpace._checked(n, bases[i]))
+    for a in range(0, k, step):
+        f = values[a:a + step]
+        mats = model.rep.matrices[members[a:a + step]]                    # [b, |H|, d, d]
+        proj = (f.conj()[:, None, :] @ mats.reshape(len(f), m, n * n)).reshape(-1, n, n) / m
+        evals, evecs = np.linalg.eigh(proj)
+        ranks = (evals > 0.5).sum(axis=1)
+        if dims is not None and (ranks != dims[a:a + step]).any():
+            raise RuntimeError("an eigenspace's rank differs from its expected dimension")
+        w = max(ranks.max(), 1)
+        tops = evecs[:, None, :, n - w:]           # the last w columns: each B_i, and left of it
+        top = np.arange(w) >= w - ranks[:, None]   # [b, column]: in B_i
+        resid = np.abs(mats @ tops - f[:, :, None, None] * tops).max(axis=(1, 2))
+        held = (ranks > 0) & ((resid <= _tol.SCAN) | ~top).all(axis=1)
+        gram = np.abs(tops[:, 0].conj().swapaxes(1, 2) @ tops[:, 0] - np.eye(w)) ** 2
+        ortho = np.sqrt((gram * (top[:, :, None] & top[:, None, :])).sum(axis=(1, 2)))
+        for v, r, ok, dev in zip(evecs, ranks.tolist(), held.tolist(), ortho.tolist()):
+            if ok and not dev <= _tol.EXACT:   # NaN fails too
+                raise CodeError("basis columns are not orthonormal")
+            codes.append(CodeSpace._checked(n, np.ascontiguousarray(v[:, n - r:])) if ok else None)
     return codes
 
 
@@ -273,40 +284,59 @@ def stabilizer_code(
     return weak_stabilizer_code(model, sub, f)
 
 
-def _constituents(model: ProjectiveErrorModel, sub: Subgroup):
-    """The phase functions f on sub with a nonzero code, as (numerators
-    [k, |H|], their one denominator, the code dimensions [k]).
+def _constituents(model: ProjectiveErrorModel, subs: list[Subgroup]):
+    """The phase functions f with a nonzero code on each subgroup of subs,
+    all of one order, as (owner [k], the index in subs of each row's
+    subgroup; numerators [k, |H|] over grid = sigma.den exp(G); grid; the
+    code dimensions [k]).
 
-    With f0 a trivializer of the restricted cocycle, the admissible f are
-    exactly f0 chi for the linear characters chi of sub: df = sigma|H = df0
-    makes f / f0 a homomorphism to T.  The (sub, f0 chi) code is the chi
+    With f0 a trivializer of the restricted cocycle, the admissible f on H
+    are exactly f0 chi for the linear characters chi of H: df = sigma|H =
+    df0 makes f / f0 a homomorphism to T.  The (H, f0 chi) code is the chi
     eigenspace of the linear rep x -> conj(f0(x)) pi(x), so its dimension is
     the multiplicity m_chi = (1/|H|) sum_h conj(f0 chi)(h) chi_pi(h), the
-    average code_dimension_formula snaps, counted for every chi at once by
-    the same integer test (_dimension_counts).
-    The characters are exact (cocycles._linear_characters), so f0 chi is
-    read in integer numerators.  Every chi with m_chi > 0 is listed, in
-    lexicographic order of chi's values on the greedy generators of
-    sub.as_group(): the order of the joint eigenspace walk (see
-    existence_phase).  Lists none when the restricted cocycle is not a
-    coboundary, and raises CodeError when a multiplicity is not a
-    non-negative integer.
+    average code_dimension_formula snaps, counted for every chi of every H
+    in one segment sum, by the same integer test (_dimension_counts).
+    On abelian H, f0 and the characters are read by cyclic extension from
+    sigma's integer table (cocycles._cyclic_extension), with no restricted
+    cocycle or subgroup group built; on others f0 is solved for
+    (find_trivializing_phase) and the characters are read from a diagonal
+    form (cocycles._linear_characters).  Both are exact, so f0 chi is read
+    in integer numerators; df0 = sigma|H makes sigma.den f0 a character of
+    H, so f0, like chi, lies on the grid.  The rows of one H list every chi
+    with m_chi > 0, in lexicographic order of chi's values on the greedy
+    generators of sub.as_group(): the order of the joint eigenspace walk
+    (see existence_phase).  An H whose restricted cocycle is not a
+    coboundary lists none, and CodeError is raised when a multiplicity is
+    not a non-negative integer.
     """
-    f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
-    if f0 is None:
-        return np.zeros((0, len(sub)), dtype=np.int64), 1, np.zeros(0, dtype=np.int64)
-    chars, e = _linear_characters(sub.as_group())
-    rows = (f0.values * np.exp(2j * np.pi * chars / e)).ravel()   # f0 chi, character after character
-    counts = np.array(_dimension_counts(model, np.tile(sub.members, len(chars)), rows, [len(sub)] * len(chars)))
-    den = math.lcm(f0.den, e)
-    nums = (f0.num * (den // f0.den) + chars[counts > 0] * (den // e)) % den
-    return nums, den, counts[counts > 0]
+    g, sigma = model.group, model.cocycle
+    grid = sigma.den * g.exponent()
+    owner, rows = [], [np.zeros((0, len(subs[0])), dtype=np.int64)]
+    for i, sub in enumerate(subs):
+        if sub.is_abelian():
+            got = _cyclic_extension(sigma, sub.members)
+        else:
+            f0 = find_trivializing_phase(sigma.restrict(sub), domain=sub)
+            got = None if f0 is None else (f0.num, f0.den, *_linear_characters(sub.as_group()))
+        if got is not None:
+            f0, den, chars, e = got
+            rows.append((f0 * (grid // den) + chars * (grid // e)) % grid)
+            owner += [i] * len(chars)
+    nums, owner = np.concatenate(rows), np.array(owner, dtype=int)
+    if not len(owner):
+        return owner, nums, grid, owner
+    members = np.array([sub.members for sub in subs])[owner]
+    counts = np.array(_dimension_counts(
+        model, members.ravel(), _phase_values(nums, grid).ravel(), [len(subs[0])] * len(nums)
+    ), dtype=np.int64)
+    return owner[counts > 0], nums[counts > 0], grid, counts[counts > 0]
 
 
 def _constituent_phases(model: ProjectiveErrorModel, sub: Subgroup):
-    """Yield the phase functions of _constituents, one per constituent, in its order."""
-    nums, den, _ = _constituents(model, sub)
-    yield from PhaseFunction._runs([sub] * len(nums), nums.ravel(), den)
+    """Yield the phase functions of _constituents on sub, one per constituent, in its order."""
+    _, nums, grid, _ = _constituents(model, [sub])
+    yield from PhaseFunction._runs([sub] * len(nums), nums.ravel(), grid)
 
 
 def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction | None:
@@ -314,10 +344,12 @@ def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction
 
     Needs the subgroup abelian and the restricted cocycle a coboundary.  The
     choice among the 1-dimensional constituents is deterministic: it is the
-    first one _constituent_phases yields, the lowest phase angle of each
+    first one _constituent_phases yields, with f0 the trivializer that
+    _constituents reads by cyclic extension (cocycles._cyclic_extension),
+    which depends on sigma|H alone, and the lowest phase angle of each
     generator g_1, ..., g_r of sub.as_group() in turn.
 
-    That is the choice the joint eigenspace walk made, which split the
+    That is the choice the joint eigenspace walk makes, which splits the
     space by the eigenvalues of conj(f0) pi(g_1), then of g_2 within each
     eigenspace, and so on, taking angles in [0, 1) in increasing order.  A
     nonzero joint eigenspace with angles (a_1, ..., a_r) is acted on by
@@ -328,7 +360,7 @@ def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction
     so increasing angle, generator after generator, is lexicographic order
     of (u_1, ..., u_r), the order of _linear_characters.  Two characters
     differ on some generator by at least 1/e of a turn, far above the
-    walk's merging tolerance _tol.SCAN, so the walk kept every one apart.
+    walk's merging tolerance _tol.SCAN, so the walk keeps every one apart.
     """
     if not sub.is_abelian():
         return None
@@ -497,7 +529,9 @@ def _stabilizers(
     tested elements acting on W as a unimodular scalar, and f = the
     scalars, snapped as PhaseFunction.from_complex snaps them.  The tested
     elements are W's logical group L (H = L for search's q3 pieces).  One
-    snap and one PhaseFunction._runs serve all k codes.
+    snap and one PhaseFunction._runs serve all k codes.  One code may pass
+    its members, scalars and deviation as single rows, [m], and then no
+    segment bookkeeping is done (_stabilizer, classify's reader).
 
     S is read inside L: the scalar deviation and |c| are second order in
     a tilt of W, the commutator norm first order, so on a code just off an
@@ -536,9 +570,12 @@ def _stabilizers(
     the codes of its tilt sweep.
     """
     keep = (deviation < _tol.SCAN) & (np.abs(np.abs(scalars) - 1) < _tol.SCAN)
-    flat = members[keep].tolist()
-    ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
-    stabs = [model.group._intern(tuple(flat[a:b])) for a, b in zip([0, *ends], ends)]
+    if members.ndim == 1:   # one code (_stabilizer): no segments
+        stabs = [model.group._intern(tuple(members[keep].tolist()))]
+    else:
+        flat = members[keep].tolist()
+        ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
+        stabs = [model.group._intern(tuple(flat[a:b])) for a, b in zip([0, *ends], ends)]
     values = scalars[keep]
     grid = model.cocycle.den * model.group.exponent()
     num, den, mask = _snap_phases(values, 4 * model.group.order, grid)
@@ -546,8 +583,10 @@ def _stabilizers(
 
 
 def _stabilizer(model: ProjectiveErrorModel, act: _Action, logical: Subgroup) -> tuple[Subgroup, PhaseFunction]:
-    """_stabilizers of one code, from its action and its logical group."""
-    mem = np.flatnonzero(logical._inside)[None]
+    """_stabilizers of one code, from its action and its logical group, with
+    the members as one row: the same snap and PhaseFunction._runs, and no
+    segment of a batch built."""
+    mem = np.flatnonzero(logical._inside)
     (stab,), (f,) = _stabilizers(model, mem, act.scalars[mem], act.scalar_dev[mem])
     return stab, f
 
@@ -682,9 +721,9 @@ def _has_normal_reconstruction(
     So W <= E_core <= E_N, and the core has dim E_core = dim W whenever some
     normal N does: one dimension count, on the core.
     """
-    g, mem = model.group, np.array(stab.members)
-    core = stab._inside[g.mul[g.mul[:, mem], g.inv[:, None]]].all(axis=0)   # [y, s] -> y s y^-1
-    return _dimension_counts(model, mem[core], f.values[core], [int(core.sum())])[0] == code.dim
+    core = stab._core_mask()   # read once per S (groups.Subgroup)
+    members = np.array(stab.members)[core]
+    return _dimension_counts(model, members, f.values[core], [len(members)])[0] == code.dim
 
 
 def _clifford_flag(

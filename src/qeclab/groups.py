@@ -269,18 +269,20 @@ class FiniteGroup:
         with H, and any other x is skipped unclosed.  On other G each K is
         closed, kept in found, and enqueued when no member's mask meets K.
         """
-        return [self._intern(members) for members in self._lattice(max_order)]
-
-    def _lattice(self, max_order: int | None = None, bad=None) -> list[tuple[int, ...]]:
-        """The sorted member tuples of all_subgroups, built once per group;
-        given bad, those of the subgroups with no defective pair (see
-        all_subgroups), built afresh and not kept."""
         cap = max_order if max_order is not None else max_group_order()
         if self.order > cap:
             raise ValueError(
                 f"subgroup enumeration capped at order {cap} (group has {self.order}); "
                 "raise QECLAB_MAX_ORDER to override"
             )
+        return [self._intern(members) for members in self._lattice()]
+
+    def _lattice(self, bad=None) -> list[tuple[int, ...]]:
+        """The sorted member tuples of all_subgroups, built once per group;
+        given bad, those of the subgroups with no defective pair (see
+        all_subgroups), built afresh and not kept.  No order cap is checked
+        here: all_subgroups checks its own, and search checks the search
+        caps (search._check_caps) before it builds a lattice."""
         if bad is not None:
             return self._cyclic_extensions(bad)
         if self._lattice_members is None:
@@ -445,6 +447,7 @@ class Subgroup:
         self._position = {m: i for i, m in enumerate(self.members)}
         self._as_group: FiniteGroup | None = None
         self._normal: bool | None = None
+        self._core: np.ndarray | None = None
         # id(cocycle) -> (cocycle, its restriction here), kept by Cocycle.restrict
         self._restrictions: dict = {}
         if parent.identity not in self._position:
@@ -486,10 +489,18 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         if self._normal is None:
+            self._normal = bool(self._core_mask().all())
+        return self._normal
+
+    def _core_mask(self) -> np.ndarray:
+        """[i]: members[i] lies in the core of the subgroup, the largest
+        normal subgroup of the parent inside it, that is every conjugate
+        x h x^-1 of h = members[i] is a member.  Read once per subgroup."""
+        if self._core is None:
             g = self.parent
             conjugates = g.mul[g.mul[:, list(self.members)], g.inv[:, None]]   # [x, h] = x h x^-1
-            self._normal = bool(self._inside[conjugates].all())
-        return self._normal
+            self._core = self._inside[conjugates].all(axis=0)
+        return self._core
 
     def is_abelian(self) -> bool:
         mem = np.array(self.members)

@@ -4,8 +4,9 @@ Both entry points refuse oversized inputs instead of truncating: a partial
 enumeration would silently break the completeness claims downstream tests
 rely on.  Their max_order and max_dim replace the environment caps,
 max_group_order() and max_ambient_dim(16), in either direction; None keeps
-them.  The order cap is the one the subgroup lattice is built under
-(FiniteGroup._lattice, pruned or not).
+them.  The caps are checked once, before any lattice is built
+(_check_caps); the lattice (FiniteGroup._lattice, pruned or not) checks
+none of its own.
 
 enumerate visits only the subgroups H with no commuting pair x, y of
 nontrivial pairing beta(x, y) = sigma(x, y) / sigma(y, x): a trivializer f
@@ -13,19 +14,25 @@ gives beta(x, y) = 1 on every such pair, so no other H carries a code.  The
 test (cocycles._pairing_defects) prunes the lattice as it is built, so a
 rejected H is never interned, restricted or solved.  It is exact on
 abelian H (Kleppner, Math. Ann. 158, 1965) but only necessary on others
-(Moravec, Amer. J. Math. 134, 2012), so every survivor is still solved.
-A Clifford code needs no admissible phase, so q3_probe does not use this
-test; asked for hits only, it skips the subgroups whose every subgroup is
-normal in G instead, and all of them on a Dedekind G (see there).
+(Moravec, Amer. J. Math. 134, 2012), so every non-abelian survivor is
+still solved.  On an abelian survivor the trivializer is read by cyclic
+extension with no solve (cocycles._cyclic_extension).  A Clifford code
+needs no admissible phase, so q3_probe does not use this test; asked for
+hits only, it skips the subgroups whose every subgroup is normal in G
+instead, and all of them on a Dedekind G (see there).
 
-The codes of one subgroup come from its exact constituents in codes
-(_constituents), and its new ones are built together, one projector
-average and one stacked eigh per subgroup (codes._eigenspaces); this
-module loops over subgroups.  Deduplication is exact and compares no
-projector: enumerate keys each code by its maximal witness (S, f_S), read
-from characters and confirmed in integers (_maximal_witnesses), and
-q3_probe's candidates are distinct by construction (see there).  qeclab
-search reads each enumerated code's report from the same key
+enumerate works one subgroup order at a time, as q3_probe does: the
+pruned lattice is sorted by (order, members), and the rows (H, f) of every
+subgroup of one order are read together from whole arrays.  Their exact
+constituents and one segment sum of their dimensions come from codes
+(_constituents), their keys from one blocked trace product
+(_maximal_witnesses), and the codes of the new keys from one blocked
+projector average and stacked eigh (codes._eigenspaces) and one
+PhaseFunction._runs.  Deduplication is exact and compares no projector:
+enumerate keys each code by its maximal witness (S, f_S), read from
+characters and confirmed in integers, and keeps the first key in lattice
+order; q3_probe's candidates are distinct by construction (see there).
+qeclab search reads each enumerated code's report from the same key
 (_key_reports): S and f_S are the key, L is the set of g that fix it, and
 the detectable set of a code whose S is normal is (G minus L) + S, so the
 only float action it computes is one stacked code action per code
@@ -33,11 +40,12 @@ dimension for the codes whose S is not normal.
 
 df = sigma|H is tested where a phase enters from outside, and proved
 where the library builds it.  codes.weak_stabilizer_code tests the caller's
-f; cocycles.find_trivializing_phase tests the solver's trivializer f0;
-and each maximal witness key is confirmed in integers (_maximal_witnesses).
-The rows f0 chi that _enumerate_codes hands to codes._eigenspaces are
-admissible by construction and are not tested again, and a classified
-code's stabilizer phase is proved admissible in codes._stabilizers.
+f; every trivializer f0 is tested in integers where it is made, by the
+cyclic extension or by cocycles.find_trivializing_phase; and each maximal
+witness key is confirmed in integers (_maximal_witnesses).  The rows
+f0 chi that _enumerate_codes hands to codes._eigenspaces are admissible by
+construction and are not tested again, and a classified code's stabilizer
+phase is proved admissible in codes._stabilizers.
 
 q3_probe splits each restriction pi|H into irreducible pieces on the
 eigenspaces of a random commutant element (_split_restrictions), all
@@ -103,8 +111,10 @@ class SearchError(ValueError):
     """Raised when an input exceeds the search caps."""
 
 
-def _check_caps(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None) -> int:
-    """Raise SearchError past either cap (None: the environment's); return the order cap."""
+def _check_caps(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None) -> None:
+    """Raise SearchError past either cap (None: the environment's).  It is
+    the one cap check of a search: the lattice is then built with no check
+    of its own (FiniteGroup._lattice)."""
     if max_order is None:
         max_order = max_group_order()
     if max_dim is None:
@@ -115,13 +125,13 @@ def _check_caps(model: ProjectiveErrorModel, max_order: int | None, max_dim: int
         )
     if model.dim > max_dim:
         raise SearchError(f"ambient dimension {model.dim} exceeds the search cap {max_dim}")
-    return max_order
 
 
-def _maximal_witnesses(model, sub, nums, den, values, dims, table, grid):
-    """The maximal witness (S, f_S) of the (sub, f) code for each row f =
-    nums[i] / den of codes._constituents, valued values[i], of dimension
-    dims[i], as f_S's numerators over grid = sigma.den * exp(G), -1 off S,
+def _maximal_witnesses(model, members, nums, values, dims, table, grid):
+    """The maximal witness (S, f_S) of the (H_i, f_i) code for each row i
+    of codes._constituents: members[i] the members of H_i (all of one
+    order), f_i = nums[i] / grid, valued values[i], of dimension dims[i].
+    Each key is f_S's numerators over grid = sigma.den * exp(G), -1 off S,
     [k, |G|].  RuntimeError when a key fails its confirmation.
     table[h, x] = sigma(h, x) chi_pi(hx) = tr(pi(h) pi(x)).
 
@@ -131,11 +141,12 @@ def _maximal_witnesses(model, sub, nums, den, values, dims, table, grid):
     and the code fixes its key.  h -> conj(f(h)) pi(h) is a linear rep of H
     (df = sigma|H), and W's projector P is its average, so
         T(x) = tr(P pi(x)) = (1/|H|) sum_h conj(f(h)) sigma(h, x) chi_pi(hx),
-    row i of conj(F) @ table[H].  T(x) = tr(P pi(x) P) is the trace of a
-    contraction of the d-dimensional W, so |T(x)| <= d, with equality
-    exactly when pi(x) maps W onto itself as a unimodular scalar c, that is
-    x in S, and then T(x) = d f_S(x).  f_S has df_S = sigma|S, so f_S lies
-    on the grid, as in codes._stabilizers.
+    row i of conj(F) @ table / |H|, F the rows f_i put on G with 0 off H_i.
+    T(x) = tr(P pi(x) P) is the trace of a contraction of the
+    d-dimensional W, so |T(x)| <= d, with equality exactly when pi(x) maps
+    W onto itself as a unimodular scalar c, that is x in S, and then T(x) =
+    d f_S(x).  f_S has df_S = sigma|S, so f_S lies on the grid, as in
+    codes._stabilizers.
 
     Read S' = {x : |T(x)| >= d - _tol.DERIVED}, and f' the grid point
     nearest T(x)/d on S'.  The computed T(x) is off by the deviation of the
@@ -158,32 +169,48 @@ def _maximal_witnesses(model, sub, nums, den, values, dims, table, grid):
     confirmation, and the search raises rather than keep a wrong key.
 
     Where (a) holds with |S'| = |H|, S' is H and f' is f, so (b) and (c)
-    hold by construction: f = f0 chi has df = sigma|H (f0 is a checked
+    hold by construction: f = f0 chi has df = sigma|H (f0 a tested
     trivializer, chi an exact character), and the average in (c) is the
     multiplicity that _constituents read as d.  The rows with a larger S'
     are tested further, together, on the union u of their S'.
+
+    Rows run in blocks whose [rows, |G|] tables, F, T and the two float
+    tables read from T, hold at most _PRODUCT_BLOCK_ENTRIES entries
+    together, and the rows with a larger S' in blocks of at most that many
+    entries of each [rows, |u|, |u|] table; each row's key is read from its
+    row alone.
     """
     g, sigma = model.group, model.cocycle
-    mem = list(sub.members)
-    traces = values.conj() @ table[mem] / len(sub)
-    inside = np.abs(traces) >= dims[:, None] - _tol.DERIVED
-    num = np.where(inside, np.rint(np.angle(traces) * (grid / (2 * np.pi))).astype(int) % grid, -1)
-    # (a) on every row, as num / grid = nums / den mod 1
-    ok = inside[:, mem].all() and ((num[:, mem] * den - nums * grid) % (grid * den) == 0).all()
-    wide = np.flatnonzero(inside.sum(axis=1) > len(sub))
-    if ok and wide.size:   # (b) and (c) on the rows whose S' is larger than H
-        ins, read = inside[wide], num[wide]
-        u = np.flatnonzero(ins.any(axis=0))
-        mul = g.mul[np.ix_(u, u)]
-        cobound = (read[:, u, None] + read[:, None, u] - read[:, mul]) % grid
-        wrong = ~ins[:, mul] | (cobound != sigma.num[np.ix_(u, u)] * (grid // sigma.den))
-        conj_f = np.where(ins[:, u], _phase_values(read[:, u], grid).conj(), 0)
-        average = conj_f @ model.rep.character().values[u] / ins.sum(axis=1)
-        closed = not (ins[:, u, None] & ins[:, None, u] & wrong).any()
-        ok = closed and (np.abs(average - dims[wide]) <= _tol.DERIVED).all()
-    if not ok:
-        raise RuntimeError("a maximal witness failed its confirmation")
-    return num
+    k, m = members.shape
+    chi = model.rep.character().values
+    keys = np.empty((k, g.order), dtype=np.int64)
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * g.order))
+    for a in range(0, k, step):
+        mem = members[a:a + step]
+        at = np.arange(len(mem))[:, None]
+        f = np.zeros((len(mem), g.order), dtype=complex)
+        f[at, mem] = values[a:a + step]
+        traces = f.conj() @ table / m
+        inside = np.abs(traces) >= dims[a:a + step, None] - _tol.DERIVED
+        num = np.where(inside, np.rint(np.angle(traces) * (grid / (2 * np.pi))).astype(int) % grid, -1)
+        # (a) on every row, as num / grid = nums / grid mod 1
+        ok = inside[at, mem].all() and ((num[at, mem] - nums[a:a + step]) % grid == 0).all()
+        wide = np.flatnonzero(inside.sum(axis=1) > m)
+        if ok and wide.size:   # (b) and (c) on the rows whose S' is larger than H
+            u = np.flatnonzero(inside[wide].any(axis=0))
+            mul, rows = g.mul[np.ix_(u, u)], max(1, _PRODUCT_BLOCK_ENTRIES // u.size**2)
+            for part in np.split(wide, range(rows, wide.size, rows)):
+                ins, read = inside[part], num[part]
+                cobound = (read[:, u, None] + read[:, None, u] - read[:, mul]) % grid
+                wrong = ~ins[:, mul] | (cobound != sigma.num[np.ix_(u, u)] * (grid // sigma.den))
+                conj_f = np.where(ins[:, u], _phase_values(read[:, u], grid).conj(), 0)
+                average = conj_f @ chi[u] / ins.sum(axis=1)
+                closed = not (ins[:, u, None] & ins[:, None, u] & wrong).any()
+                ok = ok and closed and (np.abs(average - dims[a + part]) <= _tol.DERIVED).all()
+        if not ok:
+            raise RuntimeError("a maximal witness failed its confirmation")
+        keys[a:a + step] = num
+    return keys
 
 
 def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None):
@@ -191,39 +218,41 @@ def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim
     f_S's numerators over sigma.den * exp(G), -1 off S, one row per code).
 
     Subgroups come from the pruned lattice, in all_subgroups order (see the
-    module docstring).  A code is built only for a key (_maximal_witnesses)
-    not seen before, and the new rows of one subgroup are built together
-    (codes._eigenspaces), with no df = sigma|H test: each row f0 chi is
-    admissible by construction.
-    No projector is formed to compare codes, and no random number is drawn.
+    module docstring), one subgroup order at a time.  The rows of every
+    subgroup of one order are read together: their constituents and one
+    segment sum of their dimensions (codes._constituents), their keys
+    (_maximal_witnesses), then the dedup in lattice order, and the codes of
+    the new keys (codes._eigenspaces) and their phases (one
+    PhaseFunction._runs), with no df = sigma|H test: each row f0 chi is
+    admissible by construction.  A code is built only for a key not seen
+    before.  No projector is formed to compare codes, and no random number
+    is drawn.
     """
-    max_order = _check_caps(model, max_order, max_dim)
+    _check_caps(model, max_order, max_dim)
     g, sigma = model.group, model.cocycle
-    grid = sigma.den * g.exponent()
     table = _trace_table(model)
     found, keys, seen = [], [], set()
     bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in _pairing_defects(sigma, range(g.order))]
-    for members in g._lattice(max_order, bad):
-        sub = g._intern(members)
-        nums, den, dims = _constituents(model, sub)
-        if not len(dims):
-            continue
-        values = _phase_values(nums, den)
-        num = _maximal_witnesses(model, sub, nums, den, values, dims, table, grid)
-        new = []
+    for _, same_order in itertools.groupby(g._lattice(bad), key=len):   # sorted by order
+        subs = [g._intern(members) for members in same_order]
+        owner, nums, grid, dims = _constituents(model, subs)
+        members = np.array([sub.members for sub in subs])[owner]
+        values = _phase_values(nums, grid)
+        num, new = _maximal_witnesses(model, members, nums, values, dims, table, grid), []
         for i, key in enumerate(num):
             if key.tobytes() not in seen:
                 seen.add(key.tobytes())
                 new.append(i)
         if not new:
             continue
-        built = _eigenspaces(model, sub, values[new], dims[new])
+        keys += list(num[new])
+        built = _eigenspaces(model, members[new], values[new], dims[new])
         if any(code is None for code in built):
             raise RuntimeError("constituent with an empty code space")
-        phases = PhaseFunction._runs([sub] * len(new), nums[new].ravel(), den, None, values[new].ravel())
-        found += zip([sub] * len(new), phases, built)
-        keys += list(num[new])
+        domains = [subs[i] for i in owner[new]]
+        phases = PhaseFunction._runs(domains, nums[new].ravel(), grid, None, values[new].ravel())
+        found += zip(domains, phases, built)
     return found, keys
 
 
@@ -638,15 +667,15 @@ def q3_probe(
     """
     if not model.is_central_type():
         raise SearchError("the probe only applies to central-type models")
-    max_order = _check_caps(model, max_order, max_dim)
+    _check_caps(model, max_order, max_dim)
     g = model.group
     if return_candidates:
-        subs = g.all_subgroups(max_order)
+        subs = [g._intern(members) for members in g._lattice()]
     else:
         normal = _normal_cyclic(g)
         if normal.all():
             return []
-        subs = [sub for sub in g.all_subgroups(max_order) if not normal[sub._inside].all()]
+        subs = [sub for sub in map(g._intern, g._lattice()) if not normal[sub._inside].all()]
     candidates = []
     for order, same_order in itertools.groupby(subs, key=len):   # subs are sorted by order
         if model.dim * order % g.order != 0:

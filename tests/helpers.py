@@ -8,13 +8,14 @@ own higher-level machinery, so the tests compare two code paths.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from qeclab._linalg import nullspace
 from qeclab import search
 from qeclab.cocycles import Cocycle, Phase, PhaseFunction, _phase_values, snap_phase_or_none
-from qeclab.codes import _constituent_phases, _constituents, _eigenspaces, weak_stabilizer_code
+from qeclab.codes import CodeSpace, _constituent_phases, _constituents, weak_stabilizer_code
 from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
 from qeclab.models import ProjectiveErrorModel
 from qeclab import _tol
@@ -359,19 +360,24 @@ def pairwise_enumerated(model) -> tuple[list, int]:
 
 
 def enumerate_codes_loop(model) -> tuple[list, list]:
-    """search._enumerate_codes as it looped over every subgroup of
-    all_subgroups(), before the lattice was pruned to the subgroups with no
-    commuting pair of nontrivial pairing: (found, keys)."""
+    """search._enumerate_codes one subgroup at a time, over every subgroup
+    of all_subgroups(), as it ran before the lattice was pruned and the rows
+    of one subgroup order were read together: (found, keys).  Each key is
+    read from the subgroup's own trace product, S' = {|T(x)| >= d -
+    _tol.DERIVED} with f' on the grid, with no confirmation, and the new
+    codes of one subgroup from one projector average of its rows against
+    pi|H flattened and one stacked eigh."""
     g, sigma = model.group, model.cocycle
-    grid = sigma.den * g.exponent()
+    grid, n = sigma.den * g.exponent(), model.dim
     table = sigma.to_complex_table() * model.rep.character().values[g.mul]
     found, keys, seen = [], [], set()
     for sub in g.all_subgroups():
-        nums, den, dims = _constituents(model, sub)
-        if not len(dims):
-            continue
+        _, nums, den, dims = _constituents(model, [sub])
+        mem = list(sub.members)
         values = _phase_values(nums, den)
-        num = search._maximal_witnesses(model, sub, nums, den, values, dims, table, grid)
+        traces = values.conj() @ table[mem] / len(mem)
+        inside = np.abs(traces) >= dims[:, None] - _tol.DERIVED
+        num = np.where(inside, np.rint(np.angle(traces) * (grid / (2 * np.pi))).astype(int) % grid, -1)
         new = []
         for i, key in enumerate(num):
             if key.tobytes() not in seen:
@@ -379,8 +385,12 @@ def enumerate_codes_loop(model) -> tuple[list, list]:
                 new.append(i)
         if not new:
             continue
-        built = _eigenspaces(model, sub, values[new], dims[new])
-        for i, code in zip(new, built):
+        flat = model.rep.matrices[mem].reshape(len(mem), n * n)
+        proj = (values[new].conj()[:, None, :] @ flat).reshape(len(new), n, n) / len(mem)
+        for i, evals, evecs in zip(new, *np.linalg.eigh(proj)):
+            rank = int((evals > 0.5).sum())
+            assert rank == dims[i]
+            code = CodeSpace(n, np.ascontiguousarray(evecs[:, n - rank:]))
             found.append((sub, PhaseFunction._from_num(sub, nums[i], den, floats=values[i]), code))
             keys.append(num[i])
     return found, keys
@@ -926,14 +936,61 @@ def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray)
             yield from _joint_eigenspaces(matrices, gens[1:], basis @ ns)
 
 
+def extension_trivializer(model, sub):
+    """The trivializer f0 that codes._constituents takes on an abelian sub,
+    element by element in Fractions mod 1, or None when it fails
+    df = sigma|H.  Along sub's greedy generators x, with m the least m with
+    x^m in the part K already built, f(x) = c is the least multiple of 1/M
+    with f(x^m) as K has it, where f(x^(j+1)) = f(x^j) + c - sigma(x^j, x);
+    M starts at the least denominator of sigma|H and is multiplied by m when
+    no multiple of 1/M serves.  Then f(k x^j) = f(k) + f(x^j) - sigma(k, x^j)."""
+    from fractions import Fraction
+
+    g, sigma = model.group, model.cocycle
+    mem, e = list(sub.members), model.group.identity
+    s = {(x, y): Fraction(int(sigma.num[x, y]), sigma.den) for x in mem for y in mem}
+    modulus = math.lcm(*(q.denominator for q in s.values()))
+    f = {e: s[e, e]}
+    for x in mem:
+        if x in f:
+            continue
+        powers, y = [e], x
+        while y not in f:
+            powers.append(y)
+            y = int(g.mul[y, x])
+
+        def walk(c):
+            out = [f[e]]
+            for p in powers:
+                out.append(out[-1] + c - s[p, x])
+            return out
+
+        for grid in (modulus, modulus * len(powers)):
+            c = next((Fraction(k, grid) for k in range(grid) if (walk(Fraction(k, grid))[-1] - f[y]) % 1 == 0), None)
+            if c is not None:
+                modulus = grid
+                break
+        along = walk(c)
+        for k in list(f):
+            for j, p in enumerate(powers[1:], 1):
+                f[int(g.mul[k, p])] = (f[k] + along[j] - s[k, p]) % 1
+    if any((f[x] + f[y] - f[int(g.mul[x, y])] - s[x, y]) % 1 for x in mem for y in mem):
+        return None
+    return PhaseFunction(sub, [Phase.from_fraction(f[x]) for x in mem])
+
+
 def constituent_phases_oracle(model, sub) -> list:
     """codes._constituent_phases by the eigenspace walk: f0 times the
     character of each joint eigenspace of conj(f0) pi|H (_joint_eigenspaces
     over the greedy generators), read on its first basis vector and
-    snapped entry by entry."""
+    snapped entry by entry.  f0 is extension_trivializer's on abelian H and
+    the solver's on others, as in codes._constituents."""
     from qeclab.cocycles import PhaseFunction, find_trivializing_phase
 
-    f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
+    if sub.is_abelian():
+        f0 = extension_trivializer(model, sub)
+    else:
+        f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
     if f0 is None:
         return []
     lin = model.rep.matrices[list(sub.members)] * f0.values.conj()[:, None, None]
@@ -978,13 +1035,13 @@ def joint_eigenvectors_oracle(matrices: np.ndarray, gens: list[int]) -> list[np.
 def existence_phase_oracle(model, sub):
     """existence_phase by eig: per generator, keep the eigenvectors of the
     lowest phase angle, orthonormalized, then read the character of the
-    first joint eigenvector."""
+    first joint eigenvector, with f0 from extension_trivializer."""
     from qeclab._linalg import orthonormal_columns
-    from qeclab.cocycles import PhaseFunction, find_trivializing_phase
+    from qeclab.cocycles import PhaseFunction
 
     if not sub.is_abelian():
         return None
-    f0 = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
+    f0 = extension_trivializer(model, sub)
     if f0 is None:
         return None
     h = sub.as_group()

@@ -477,10 +477,12 @@ def test_coboundary_round_trips(data):
 
 
 def test_the_edge_system_is_built_once_per_group(monkeypatch):
-    # on the bench enumerate model each pruned subgroup is solved for a
-    # trivializer and then its linear characters are listed; both read one
-    # edge system (cocycles._edge_system), built once per group: each build
-    # calls _greedy_generators once, and the second read is a cache hit
+    # a non-abelian pruned subgroup is solved for a trivializer and then its
+    # linear characters are listed; both read one edge system
+    # (cocycles._edge_system), built once per group: each build calls
+    # _greedy_generators once, and the second read is a cache hit.  An
+    # abelian one reads neither (cocycles._cyclic_extension): oddfam:3 has
+    # 24 non-abelian survivors of 52, the bench enumerate model none of 98
     from qeclab.search import enumerate_weak_stabilizer_codes
 
     built = []
@@ -491,7 +493,9 @@ def test_the_edge_system_is_built_once_per_group(monkeypatch):
         return raw(group)
 
     monkeypatch.setattr(cocycles, "_greedy_generators", counted)
-    cocycles._edge_system.cache_clear()
-    enumerate_weak_stabilizer_codes(parse_model_spec("prod(genpauli:2,genpauli:4)").model)
-    info = cocycles._edge_system.cache_info()
-    assert len({id(group) for group in built}) == len(built) == info.misses == info.hits == 98
+    for spec, solved in [("oddfam:3", 24), ("prod(genpauli:2,genpauli:4)", 0)]:
+        built.clear()
+        cocycles._edge_system.cache_clear()
+        enumerate_weak_stabilizer_codes(parse_model_spec(spec).model)
+        info = cocycles._edge_system.cache_info()
+        assert len({id(group) for group in built}) == len(built) == info.misses == info.hits == solved

@@ -905,7 +905,7 @@ def test_code_dimension_is_invariant_under_twisting(data):
 
 @pytest.mark.parametrize("spec", CATALOG_64)
 def test_enumerated_codes_match_the_one_row_build_and_the_nullspace_oracle(spec):
-    # each subgroup's codes are built in one batch (codes._eigenspaces): a
+    # the codes of one subgroup order are built in blocks (codes._eigenspaces): a
     # code's bytes are those weak_stabilizer_code builds alone, and its
     # projector is the generator-stack nullspace's
     model, found = _enumerated_witnesses(spec)
@@ -958,18 +958,18 @@ def test_eigenspaces_refuse_a_forged_row(spec):
     e = model.group.identity
     tried = 0
     for sub in model.group.all_subgroups():
-        nums, den, dims = _constituents(model, sub)
+        _, nums, den, dims = _constituents(model, [sub])
         if len(dims) < 2:
             continue
         tried += 1
-        values = _phase_values(nums, den)
-        built = _eigenspaces(model, sub, values, dims)
+        values, rows = _phase_values(nums, den), np.array([sub.members] * len(dims))
+        built = _eigenspaces(model, rows, values, dims)
         assert [code.dim for code in built] == dims.tolist()
         for j, f in enumerate(_constituent_phases(model, sub)):
             off = dims.copy()
             off[j] += 1
             with pytest.raises(RuntimeError, match="rank"):
-                _eigenspaces(model, sub, values, off)
+                _eigenspaces(model, rows, values, off)
             turned = list(f.phases)
             turned[sub.position(e)] = turned[sub.position(e)] * Phase(1, 10**9)
             with pytest.raises(RuntimeError, match="delta"):
@@ -1098,6 +1098,35 @@ def test_classify_stabilizer_phases_of_enumerated_codes_are_admissible(spec):
         report = classify(model, code)
         assert report.stabilizer_phase.is_exact
         assert _stabilizer_phase_is_admissible(model, report)
+
+
+@pytest.mark.parametrize("spec", ["c2d2n:3", "oddfam:3", "prod(genpauli:2,genpauli:4)"])
+def test_the_one_code_stabilizer_is_the_batched_reader_on_one_row(spec):
+    # classify reads S and f_S through the one-row path of _stabilizers,
+    # with no segment bookkeeping; a batch of one row gives the same
+    # subgroup object and phases, to the byte
+    model, found = _enumerated(spec)
+    for code in found:
+        act = _code_action(model, code)
+        logical = codes._logical(model, act)
+        stab, f = codes._stabilizer(model, act, logical)
+        mem = np.flatnonzero(logical._inside)[None]
+        (stab_b,), (f_b,) = codes._stabilizers(model, mem, act.scalars[mem], act.scalar_dev[mem])
+        assert stab is stab_b and f.den == f_b.den
+        assert f.num.tobytes() == f_b.num.tobytes() and f.values.tobytes() == f_b.values.tobytes()
+        assert np.array_equal(f.exact_mask, f_b.exact_mask)
+
+
+@pytest.mark.parametrize("spec", ["c2d2n:3", "oddfam:3", "permprod(genpauli:2,2)"])
+def test_the_core_is_read_once_per_subgroup(spec):
+    # the core of S, the members whose every conjugate is a member, is read
+    # once and kept on the interned subgroup; is_normal reads it too
+    g = parse_model_spec(spec).model.group
+    for sub in g.all_subgroups():
+        core = sub._core_mask()
+        want = [all(g.conjugate(x, h) in sub for x in range(g.order)) for h in sub.members]
+        assert core.tolist() == want and sub._core_mask() is core
+        assert sub.is_normal() == all(want)
 
 
 # Models of order at most 16 and dimension at most 4, so every product

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     CATALOG_64,
     constituent_phases_oracle,
+    extension_trivializer,
     relabeled_model,
     trivializer_all_pairs,
 )
@@ -95,6 +96,44 @@ def test_constituents_match_the_eigenspace_walk(spec, seed):
             assert np.abs(a.values - b.values).max() <= 1e-12
         found += len(got)
     assert found > 0
+
+
+def _survivors(model):
+    """The subgroups search._enumerate_codes visits: the pruned lattice."""
+    g = model.group
+    bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+           for row in cocycles._pairing_defects(model.cocycle, range(g.order))]
+    return [g._intern(members) for members in g._lattice(bad)]
+
+
+@pytest.mark.parametrize(
+    "spec, seed", [(spec, None) for spec in CATALOG_64] + [("prod(genpauli:2,genpauli:4)", 7)]
+)
+def test_cyclic_extension_trivializes_and_lists_the_characters(spec, seed):
+    # on every abelian subgroup the enumeration visits, f0 read by cyclic
+    # extension from the model's table has df0 = sigma|H in integers and is
+    # extension_trivializer's, element by element, and the characters are
+    # _linear_characters', row for row
+    model = _model(spec, seed)
+    abelian = [sub for sub in _survivors(model) if sub.is_abelian()]
+    assert abelian
+    for sub in abelian:
+        f0, den, chars, e = cocycles._cyclic_extension(model.cocycle, sub.members)
+        assert cocycles._coboundary_rows(f0[None], den, sub.as_group().mul, model.cocycle.restrict(sub))[0]
+        assert PhaseFunction._from_num(sub, f0, den).phases == extension_trivializer(model, sub).phases
+        want, e_want = _linear_characters(sub.as_group())
+        assert e == e_want and np.array_equal(chars, want), sub.members
+
+
+@pytest.mark.parametrize("spec, seed", [("genpauli:6", None), ("c2d2n:5", None), ("pauli:2", 3)])
+def test_cyclic_extension_finds_a_trivializer_exactly_when_the_solver_does(spec, seed):
+    # on every abelian subgroup, pruned or not: None exactly when the
+    # solver finds none, which the pairing of two generators decides
+    model = _model(spec, seed)
+    for sub in _abelian_subgroups(spec, seed):
+        got = cocycles._cyclic_extension(model.cocycle, sub.members)
+        want = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
+        assert (got is None) == (want is None) == _pairing_obstructs(model.cocycle.restrict(sub))
 
 
 @pytest.mark.parametrize("spec, seed", [("c2d2n:3", None), ("oddfam:3", 2), ("pauli:3", 9)])

@@ -21,7 +21,7 @@ from helpers import (
     split_restriction_oracle,
 )
 
-from qeclab import _linalg, _tol, cocycles, codes, projreps, search
+from qeclab import _linalg, _tol, cocycles, codes, groups, projreps, search
 from qeclab._linalg import orthonormal_columns
 from qeclab.cli import parse_model_spec
 from qeclab.codes import (
@@ -108,9 +108,9 @@ def _visited(model):
     order; its (found, keys))."""
     visited = []
 
-    def constituents(model, sub):
-        visited.append(sub.members)
-        return codes._constituents(model, sub)
+    def constituents(model, subs):
+        visited.extend(sub.members for sub in subs)
+        return codes._constituents(model, subs)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_constituents", constituents)
@@ -146,16 +146,79 @@ def test_enumeration_visits_the_same_family_on_relabeled_groups(spec, seed):
     assert _visited(model)[0] == _admissible_subgroups(model)
 
 
+def _same_codes(got, want):
+    """Two (found, keys) lists of search._enumerate_codes' form agree in
+    order: subgroup objects, phases to the bytes, basis bytes and keys."""
+    (found, keys), (found_want, keys_want) = got, want
+    assert len(found) == len(found_want) == len(keys) == len(keys_want)
+    for (s1, f1, c1), (s2, f2, c2) in zip(found, found_want):
+        assert s1 is s2 and f1.den == f2.den and np.array_equal(f1.num, f2.num)
+        assert f1.values.tobytes() == f2.values.tobytes()
+        assert c1.basis.tobytes() == c2.basis.tobytes()
+    assert all(np.array_equal(k1, k2) for k1, k2 in zip(keys, keys_want))
+
+
 @pytest.mark.parametrize("spec", CATALOG_64)
 def test_enumeration_matches_the_unpruned_loop(spec):
+    # the rows of one subgroup order are read and built together; the loop
+    # reads each subgroup of the unpruned lattice alone, with its own
+    # projector average and eigh, and gets the same codes to the byte
     model = parse_model_spec(spec).model
-    found, keys = search._enumerate_codes(model, None, None)
-    want, want_keys = enumerate_codes_loop(model)
-    assert len(found) == len(want) == len(keys) == len(want_keys)
-    for (s1, f1, c1), (s2, f2, c2) in zip(found, want):
-        assert s1 is s2 and f1.den == f2.den and np.array_equal(f1.num, f2.num)
-        assert c1.basis.tobytes() == c2.basis.tobytes()
-    assert all(np.array_equal(k1, k2) for k1, k2 in zip(keys, want_keys))
+    _same_codes(search._enumerate_codes(model, None, None), enumerate_codes_loop(model))
+
+
+def test_enumeration_matches_the_unpruned_loop_on_a_relabeled_model():
+    model = relabeled_model(parse_model_spec("c2d2n:3").model, 5)
+    assert not model.group.is_abelian()
+    _same_codes(search._enumerate_codes(model, None, None), enumerate_codes_loop(model))
+
+
+@pytest.mark.parametrize("spec", ["pauli:2", "c2d2n:3", "oddfam:3"])
+def test_the_per_order_build_is_blocked_and_the_blocks_change_no_byte(spec, monkeypatch):
+    # every gather of pi's stack in the enumeration (codes._eigenspaces)
+    # holds at most _PRODUCT_BLOCK_ENTRIES entries, yet a block holds more
+    # than one row; blocks of one row, in the eigenspace build and in the
+    # witness reader, give the same codes, phases and keys to the byte
+    model = parse_model_spec(spec).model
+    want = search._enumerate_codes(model, None, None)
+    gathers = []
+
+    class Recording(np.ndarray):
+        def __getitem__(self, index):
+            got = np.asarray(super().__getitem__(index))
+            if isinstance(index, np.ndarray):
+                gathers.append(got.shape)
+            return got
+
+    monkeypatch.setattr(model.rep, "matrices", model.rep.matrices.view(Recording))
+    _same_codes(search._enumerate_codes(model, None, None), want)
+    assert gathers and max(np.prod(shape) for shape in gathers) <= _linalg._PRODUCT_BLOCK_ENTRIES
+    assert max(shape[0] for shape in gathers) > 1
+    gathers.clear()
+    for module in (codes, search):
+        monkeypatch.setattr(module, "_PRODUCT_BLOCK_ENTRIES", 1)
+    _same_codes(search._enumerate_codes(model, None, None), want)
+    assert {shape[0] for shape in gathers} == {1} and len(gathers) == len(want[0])
+
+
+def test_the_search_checks_the_order_cap_once(monkeypatch):
+    # search._check_caps raises SearchError before any lattice is built, and
+    # the lattice checks no cap of its own; all_subgroups keeps its own
+    # ValueError, checked before it builds the lattice
+    monkeypatch.delenv("QECLAB_MAX_ORDER", raising=False)
+    lattices = []
+    raw = groups.FiniteGroup._lattice
+    monkeypatch.setattr(groups.FiniteGroup, "_lattice", lambda self, bad=None: lattices.append(bad) or raw(self, bad))
+    model = parse_model_spec("xp:36").model   # order 72
+    with pytest.raises(SearchError, match="exceeds the search cap 64"):
+        enumerate_weak_stabilizer_codes(model)
+    with pytest.raises(SearchError, match="exceeds the search cap 64"):
+        q3_probe(parse_model_spec("genpauli:9").model)
+    with pytest.raises(ValueError, match="capped at order 64"):
+        model.group.all_subgroups()
+    assert lattices == []
+    assert len(enumerate_weak_stabilizer_codes(model, max_order=72)) == 75
+    assert len(lattices) == 1 and lattices[0] is not None
 
 
 @pytest.mark.parametrize("spec, seed", [(spec, None) for spec in CATALOG_64] + [("c2d2n:3", 5)])
@@ -440,14 +503,14 @@ def test_a_false_stabilizer_member_fails_the_confirmation(spec):
     table = sigma.to_complex_table() * model.rep.character().values[g.mul]
     grid = sigma.den * g.exponent()
     sub = next(s for s in g.all_subgroups() if len(s) == 2)
-    nums, den, dims = codes._constituents(model, sub)
-    values = cocycles._phase_values(nums, den)
-    num = search._maximal_witnesses(model, sub, nums, den, values, dims, table, grid)
+    _, nums, den, dims = codes._constituents(model, [sub])
+    values, rows = cocycles._phase_values(nums, den), np.array([sub.members] * len(dims))
+    num = search._maximal_witnesses(model, rows, nums, values, dims, table, grid)
     x = next(x for x in range(g.order) if (num[:, x] < 0).all())
     forged = table.copy()
     forged[:, x] = table[:, g.identity]
     with pytest.raises(RuntimeError, match="failed its confirmation"):
-        search._maximal_witnesses(model, sub, nums, den, values, dims, forged, grid)
+        search._maximal_witnesses(model, rows, nums, values, dims, forged, grid)
 
 
 @pytest.mark.parametrize("spec", ["c2d2n:2", "oddfam:3", "genpauli:8"])
