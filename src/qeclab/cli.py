@@ -89,7 +89,7 @@ from .models import (
     product_model,
 )
 from .projreps import MakeRepError, ProjectiveRep
-from .search import _enumerate_codes, _key_reports, q3_probe
+from .search import enumerate_weak_stabilizer_codes, q3_probe
 
 
 class UsageError(ValueError):
@@ -550,8 +550,8 @@ def cmd_search(args) -> int:
         reports = q3_probe(model, max_order=args.max_order, max_dim=args.max_dim)
         title = "q3 probe hits"
     else:
-        found, keys = _enumerate_codes(model, args.max_order, args.max_dim)
-        reports = _key_reports(model, found, keys)
+        found = enumerate_weak_stabilizer_codes(model, args.max_order, args.max_dim)
+        reports = [classify(model, code) for _, _, code in found]
         title = "weak stabilizer codes"
     for report in reports:
         print(json.dumps(report.to_json()))

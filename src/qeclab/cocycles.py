@@ -536,18 +536,19 @@ def _is_coboundary_of(f: PhaseFunction, sigma: Cocycle) -> bool:
     """
     if not f.is_exact:
         raise ValueError("coboundary needs exact phase values")
-    return bool(_coboundary_rows(f.num[None], f.den, f.domain.as_group().mul, sigma)[0])
+    return bool(_coboundary_rows(f.num[None], f.den, f.domain.as_group().mul, sigma.num, sigma.den)[0])
 
 
-def _coboundary_rows(num: np.ndarray, den: int, mul: np.ndarray, sigma: Cocycle) -> np.ndarray:
+def _coboundary_rows(num: np.ndarray, den: int, mul: np.ndarray, snum: np.ndarray, sden: int) -> np.ndarray:
     """_is_coboundary_of for each row of num [k, n], the numerators over den
-    of a phase function on the group whose product table is mul."""
-    if mul.shape != sigma.num.shape:
+    of a phase function on the group whose product table is mul, against
+    the cocycle table snum / sden on that group, numerators in [0, sden)."""
+    if mul.shape != snum.shape:
         return np.zeros(len(num), dtype=bool)
-    common = math.lcm(den, sigma.den)
+    common = math.lcm(den, sden)
     num = num * (common // den)
     table = (num[:, :, None] + num[:, None, :] - num[:, mul]) % common
-    return (table == sigma.num * (common // sigma.den)).all(axis=(1, 2))
+    return (table == snum * (common // sden)).all(axis=(1, 2))
 
 
 def _pairing_defects(sigma: Cocycle, elements) -> np.ndarray:

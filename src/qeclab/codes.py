@@ -39,9 +39,9 @@ the action of L on an L-invariant code is the compressed action C on L,
 and its character tr C = dim W * c is read from the scalars c = tr(C) / dim W
 that the stabilizer scan reads, so no representation of L is built for it
 (see _clifford_flag).  classify reads L, S, f_S, D and the partitioning
-test from the code action and hands them to _report, which sets the flags
-and witnesses; search reads the same invariants of an enumerated code from
-its maximal witness key and hands them to the same _report.
+test from the code action, or on an enumerated code from its maximal
+witness key (search._key_reports), and hands them to _report, which sets
+the flags and witnesses.
 
 The logical group and the stabilizer are taken from the model group's
 interning table (see groups), so classify validates no member set that the
@@ -73,7 +73,7 @@ from .groups import GroupValidationError, Subgroup
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     ProjectiveRep,
-    _character_count,
+    _integer_count,
     _intertwiner_count,
     _irreducible_character,
     _reynolds,
@@ -108,10 +108,13 @@ class CodeError(ValueError):
 
 @dataclass(eq=False)
 class CodeSpace:
-    """A nonzero subspace given by orthonormal basis columns."""
+    """A nonzero subspace given by orthonormal basis columns.  _source is
+    None but on codes of search.enumerate_weak_stabilizer_codes (see
+    classify)."""
 
     ambient_dim: int
     basis: np.ndarray
+    _source: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.basis = np.asarray(self.basis, dtype=complex)
@@ -181,19 +184,21 @@ def weak_stabilizer_code(
 
     f is the caller's, so df = sigma|H is tested on a nonzero code, as
     integer numerators (cocycles._coboundary_rows) when f is exact and to
-    _tol.DERIVED on the floats otherwise: RuntimeError when it fails.
+    _tol.DERIVED on the floats otherwise, on tables cut from G's (as in
+    cocycles._cyclic_extension): RuntimeError when it fails.
     """
     if f.domain is not sub and tuple(f.domain.members) != tuple(sub.members):
         raise CodeError("phase function domain does not match the subgroup")
     code = _eigenspaces(model, np.array([sub.members]), f.values[None])[0]
     if code is None:
         return None
-    res, mul = model.cocycle.restrict(sub), sub.as_group().mul
+    sigma, mem = model.cocycle, np.asarray(sub.members)
+    mul = np.searchsorted(mem, model.group.mul[np.ix_(mem, mem)])   # H's own table, on positions
     if f.is_exact:
-        projective = _coboundary_rows(f.num[None], f.den, mul, res)[0]
+        projective = _coboundary_rows(f.num[None], f.den, mul, sigma.num[np.ix_(mem, mem)], sigma.den)[0]
     else:
-        v = f.values
-        projective = np.abs(v[:, None] * v - res.to_complex_table() * v[mul]).max() <= _tol.DERIVED
+        v, res = f.values, _phase_values(sigma.num[np.ix_(mem, mem)], sigma.den)
+        projective = np.abs(v[:, None] * v - res * v[mul]).max() <= _tol.DERIVED
     if not projective:
         raise RuntimeError("nonzero code with delta(f) != restricted cocycle")
     return code
@@ -230,10 +235,11 @@ def _eigenspaces(
     the eigenvectors P_i gives fail the check below unless f_i is within
     about _tol.SCAN of an admissible row, so a caller tests it unless its
     rows are admissible by construction.  weak_stabilizer_code, whose f
-    comes from outside, tests it on the code it gets back.
-    search._enumerate_codes does not: its rows f0 chi are admissible, f0 a
-    trivializer whose df0 = sigma|H has been tested in integers and chi an
-    exact linear character (_constituents).
+    comes from outside, tests it on the code it gets back.  The
+    enumeration (search.enumerate_weak_stabilizer_codes) does not: its
+    rows f0 chi are admissible, f0 a trivializer whose df0 = sigma|H has
+    been tested in integers and chi an exact linear character
+    (_constituents).
 
     Every row is checked: |pi(h) B_i - f_i(h) B_i| <= _tol.SCAN entrywise
     on every h (None otherwise), and CodeSpace's orthonormality test on each
@@ -727,11 +733,12 @@ def _has_normal_reconstruction(
 
 
 def _clifford_flag(
-    model: ProjectiveErrorModel, dim_w: int, logical: Subgroup, chi_rho: np.ndarray
+    model: ProjectiveErrorModel, dim_w: int, size: int, irreducible: bool, total: complex
 ) -> tuple[bool, object]:
     """Whether W is a Clifford code for L: |L| = (dim W / dim V)|G|, W is
     L-invariant, and the action rho of L on W is irreducible and occurs once
-    in pi|L.  Returns (flag, witness text).
+    in pi|L.  Returns (flag, witness text) from |L| = size, chi_rho's
+    irreducibility and total = <chi_rho, chi_pi|L> (_integer_count).
 
     rho(x) = C(x) = B* pi(x) B for x in L, and chi_rho is its character on
     L's members in order, tr C(x) = tr(P pi(x)): classify reads it from its
@@ -754,11 +761,11 @@ def _clifford_flag(
     _tol.EXACT.
     """
     order, dim_v = model.group.order, model.dim
-    if len(logical) * dim_v != dim_w * order:
-        return False, f"|L| = {len(logical)} != (dim W / dim V)|G| = {dim_w * order / dim_v}"
-    if not _irreducible_character(chi_rho):
+    if size * dim_v != dim_w * order:
+        return False, f"|L| = {size} != (dim W / dim V)|G| = {dim_w * order / dim_v}"
+    if not irreducible:
         return False, "restricted action on the code is reducible"
-    if _character_count(chi_rho, model.rep.character().values[logical._inside]) != 1:
+    if _integer_count(total) != 1:
         return False, "restricted action does not have multiplicity one"
     return True, None
 
@@ -797,17 +804,16 @@ def _report(
     stab: Subgroup,
     f: PhaseFunction,
     detect: list[int],
-    chi_rho: np.ndarray,
+    clifford: tuple[bool, object],
     partitioning: tuple[bool, int | None],
     is_weak: bool,
     witnesses: dict,
 ) -> CodeReport:
     """classify's report from the invariants of a code: L, S, f_S, D, the
-    character chi_rho of L's action on the code (_clifford_flag), the
-    _partitioning verdict and is_weak, whose witness witnesses holds.  The
-    Clifford, stabilizer and partitioning flags and their witnesses are
-    set here, for classify and for search's key reader alike."""
-    is_cliff, cliff_witness = _clifford_flag(model, code.dim, logical, chi_rho)
+    _clifford_flag and _partitioning verdicts and is_weak, whose witness
+    witnesses holds.  The stabilizer flag and every witness are set here,
+    for the action path and search's key reader alike."""
+    is_cliff, cliff_witness = clifford
     if not is_cliff:
         witnesses["is_clifford"] = cliff_witness
 
@@ -844,17 +850,50 @@ def _report(
 
 
 def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
-    """Compute the three group invariants and all classification flags."""
+    """Compute the three group invariants and all classification flags.
+
+    An enumerated code, on the model object it was enumerated on, gets the
+    same CodeReport on every call, read from its maximal witness key with
+    all of its enumeration's on the first (_Enumeration).  Any other code,
+    copies included, is classified from its action."""
+    if isinstance(code._source, _Enumeration) and code._source.model is model:
+        code._source.read()
+    if isinstance(code._source, CodeReport) and code._source.model is model:
+        return code._source
     act = _code_action(model, code)
     logical = _logical(model, act)
     stab, f = _stabilizer(model, act, logical)
     witnesses: dict[str, object] = {}
     is_weak = _weak_flag(code_dimension_formula(model, stab, f) - code.dim, witnesses)
-    chi_rho = code.dim * act.scalars[logical._inside]
+    chi_rho, chi_pi = code.dim * act.scalars[logical._inside], model.rep.character().values[logical._inside]
+    clifford = (len(logical), _irreducible_character(chi_rho), complex(np.mean(chi_rho * np.conj(chi_pi))))
     return _report(
-        model, code, logical, stab, f, _detectable(act), chi_rho,
+        model, code, logical, stab, f, _detectable(act), _clifford_flag(model, code.dim, *clifford),
         _partitioning(act, logical, stab), is_weak, witnesses,
     )
+
+
+class _Enumeration:
+    """One search.enumerate_weak_stabilizer_codes call, which each of its
+    codes points to as code._source, with one (codes, keys [k, |G|]) chunk
+    per subgroup order.  read() points each code to its report instead,
+    from reader(model, codes, keys), dropping each chunk once read."""
+
+    def __init__(self, model: ProjectiveErrorModel, reader):
+        self.model, self.reader, self.chunks = model, reader, []
+
+    def add(self, codes: list[CodeSpace], keys: np.ndarray) -> None:
+        for code in codes:
+            code.basis.flags.writeable = False   # so no report goes stale
+            code._source = self
+        self.chunks.append((codes, keys))
+
+    def read(self) -> None:
+        while self.chunks:
+            codes, keys = self.chunks[0]
+            for code, report in zip(codes, self.reader(self.model, codes, keys)):
+                code._source = report
+            del self.chunks[0]
 
 
 def stabilizer_to_clifford(

@@ -520,7 +520,11 @@ def _intertwiner_count(r1: ProjectiveRep, r2: ProjectiveRep) -> int:
 def _character_count(chi1: np.ndarray, chi2: np.ndarray) -> int:
     """<chi1, chi2> over character values of reps with one cocycle, as an
     integer; RuntimeError when it is not one to _tol.DERIVED."""
-    total = complex(np.mean(chi1 * np.conj(chi2)))
+    return _integer_count(complex(np.mean(chi1 * np.conj(chi2))))
+
+
+def _integer_count(total: complex) -> int:
+    """_character_count from the inner product total."""
     nearest = round(total.real)
     if abs(total - nearest) > _tol.DERIVED * max(1, nearest):
         raise RuntimeError(f"character count {total.real:.6f} is not an integer")

@@ -32,18 +32,17 @@ PhaseFunction._runs.  Deduplication is exact and compares no projector:
 enumerate keys each code by its maximal witness (S, f_S), read from
 characters and confirmed in integers, and keeps the first key in lattice
 order; q3_probe's candidates are distinct by construction (see there).
-qeclab search reads each enumerated code's report from the same key
+codes.classify reads every report of an enumeration from the same keys
 (_key_reports): S and f_S are the key, L is the set of g that fix it, and
-the detectable set of a code whose S is normal is (G minus L) + S, so the
-only float action it computes is one stacked code action per code
-dimension for the codes whose S is not normal.
+D = (G minus L) + S where S is normal, so it acts only on the codes whose
+S is not normal.
 
 df = sigma|H is tested where a phase enters from outside, and proved
 where the library builds it.  codes.weak_stabilizer_code tests the caller's
 f; every trivializer f0 is tested in integers where it is made, by the
 cyclic extension or by cocycles.find_trivializing_phase; and each maximal
 witness key is confirmed in integers (_maximal_witnesses).  The rows
-f0 chi that _enumerate_codes hands to codes._eigenspaces are admissible by
+f0 chi that enumerate hands to codes._eigenspaces are admissible by
 construction and are not tested again, and a classified code's stabilizer
 phase is proved admissible in codes._stabilizers.
 
@@ -86,10 +85,12 @@ from .codes import (
     _Action,
     _actions,
     _central_criterion,
+    _clifford_flag,
     _constituents,
     _detectable,
     _dimension_counts,
     _eigenspaces,
+    _Enumeration,
     _partitioning,
     _report,
     _stabilizers,
@@ -132,7 +133,8 @@ def _maximal_witnesses(model, members, nums, values, dims, table, grid):
     of codes._constituents: members[i] the members of H_i (all of one
     order), f_i = nums[i] / grid, valued values[i], of dimension dims[i].
     Each key is f_S's numerators over grid = sigma.den * exp(G), -1 off S,
-    [k, |G|].  RuntimeError when a key fails its confirmation.
+    [k, |G|], in the least integer type that holds -grid.  RuntimeError
+    when a key fails its confirmation.
     table[h, x] = sigma(h, x) chi_pi(hx) = tr(pi(h) pi(x)).
 
     Let W be the code, d = dims[i] its dimension, S = {x : pi(x) acts on W
@@ -183,7 +185,7 @@ def _maximal_witnesses(model, members, nums, values, dims, table, grid):
     g, sigma = model.group, model.cocycle
     k, m = members.shape
     chi = model.rep.character().values
-    keys = np.empty((k, g.order), dtype=np.int64)
+    keys = np.empty((k, g.order), dtype=np.min_scalar_type(-grid))
     step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * g.order))
     for a in range(0, k, step):
         mem = members[a:a + step]
@@ -213,118 +215,82 @@ def _maximal_witnesses(model, members, nums, values, dims, table, grid):
     return keys
 
 
-def _enumerate_codes(model: ProjectiveErrorModel, max_order: int | None, max_dim: int | None):
-    """(enumerate_weak_stabilizer_codes, each code's maximal witness key:
-    f_S's numerators over sigma.den * exp(G), -1 off S, one row per code).
-
-    Subgroups come from the pruned lattice, in all_subgroups order (see the
-    module docstring), one subgroup order at a time.  The rows of every
-    subgroup of one order are read together: their constituents and one
-    segment sum of their dimensions (codes._constituents), their keys
-    (_maximal_witnesses), then the dedup in lattice order, and the codes of
-    the new keys (codes._eigenspaces) and their phases (one
-    PhaseFunction._runs), with no df = sigma|H test: each row f0 chi is
-    admissible by construction.  A code is built only for a key not seen
-    before.  No projector is formed to compare codes, and no random number
-    is drawn.
-    """
-    _check_caps(model, max_order, max_dim)
-    g, sigma = model.group, model.cocycle
-    table = _trace_table(model)
-    found, keys, seen = [], [], set()
-    bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-           for row in _pairing_defects(sigma, range(g.order))]
-    for _, same_order in itertools.groupby(g._lattice(bad), key=len):   # sorted by order
-        subs = [g._intern(members) for members in same_order]
-        owner, nums, grid, dims = _constituents(model, subs)
-        members = np.array([sub.members for sub in subs])[owner]
-        values = _phase_values(nums, grid)
-        num, new = _maximal_witnesses(model, members, nums, values, dims, table, grid), []
-        for i, key in enumerate(num):
-            if key.tobytes() not in seen:
-                seen.add(key.tobytes())
-                new.append(i)
-        if not new:
-            continue
-        keys += list(num[new])
-        built = _eigenspaces(model, members[new], values[new], dims[new])
-        if any(code is None for code in built):
-            raise RuntimeError("constituent with an empty code space")
-        domains = [subs[i] for i in owner[new]]
-        phases = PhaseFunction._runs(domains, nums[new].ravel(), grid, None, values[new].ravel())
-        found += zip(domains, phases, built)
-    return found, keys
-
-
 def _trace_table(model: ProjectiveErrorModel) -> np.ndarray:
     """[h, x] -> tr(pi(h) pi(x)) = sigma(h, x) chi_pi(hx), for every (h, x)."""
-    g = model.group
-    return model.cocycle.to_complex_table() * model.rep.character().values[g.mul]
+    return model.cocycle.to_complex_table() * model.rep.character().values[model.group.mul]
 
 
-def _key_reports(model: ProjectiveErrorModel, found, keys) -> list[CodeReport]:
-    """classify(model, code) for each code of _enumerate_codes(...) = (found,
-    keys), read from its maximal witness key (S, f_S), as qeclab search
-    prints them.  Each field is one classify reads from the code action,
-    and codes._report sets the flags and witnesses from them as it does for
-    classify.
+def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.ndarray):
+    """codes.classify's report of each code of one codes._Enumeration
+    chunk, from its key (S, f_S): f_S's numerators over sigma.den exp(G),
+    -1 off S.  Each field is one the action path reads, and _report sets
+    the flags and witnesses.
 
-    - S and f_S are the key, which _maximal_witnesses has confirmed in
-      integers.  classify's S and f_S are the same: x acts on W as a
-      unimodular scalar exactly on S, and f_S is that scalar.
-    - is_weak holds with no witness: W = W(S, f_S) (_maximal_witnesses).
-    - L = {g : pi(g)W = W}, the inertia group of the key.  pi(g) maps the
-      code with key (S, f_S) to the code with key (gSg^-1, x ->
-      lambda_g(x) f_S(g^-1 x g)), lambda_g from projreps._conjugation_table,
-      and equal keys are equal codes, so L is the set of g that fix the key:
-      f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every y in S, read in
-      integers over the key's grid (off S the key is -1, so this holds only
-      for g normalizing S).  One table serves every code, and the test is
-      one gather per distinct S.
-    - The character of L's action on W (codes._clifford_flag) is
-      T(x) = tr(P pi(x)) = (1/|S|) sum_s conj(f_S(s)) sigma(s, x)
-      chi_pi(sx), P = W's projector as the average over S: one product of
-      every code's f_S against _trace_table.
-    - is_stabilizer is codes._report's, from the invariants above.
+    - S and f_S are the key, confirmed in integers (_maximal_witnesses):
+      x acts on W as a unimodular scalar exactly on S, and f_S is that
+      scalar.  is_weak holds with no witness, as W = W(S, f_S).
+    - L = {g : pi(g)W = W}.  pi(g) maps the code with key (S, f_S) to the
+      code with key (gSg^-1, x -> lambda_g(x) f_S(g^-1 x g)), lambda_g from
+      projreps._conjugation_table, and equal keys are equal codes, so L is
+      the set of g with f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every
+      y in S, read in integers (off S the key is -1, so only g normalizing
+      S pass): one gather per distinct S.
+    - The character of L on W is T(x) = tr(P pi(x)) = (1/|S|) sum_s
+      conj(f_S(s)) sigma(s, x) chi_pi(sx), P the average over S: rows of
+      conj(F) @ _trace_table, F the f_S put on G.  The two tests of
+      codes._clifford_flag run once for the codes of one |L| in a block.
     - When S is normal in G, every x outside L maps W onto W(S, x.f_S),
-      another eigenspace of S, orthogonal to W: x is detectable with scalar
-      0 and maps W into its complement.  An x in L maps W onto W, and acts
-      on it as a scalar exactly when x is in S.  So no element is mixed and
-      D = (G minus L) + S, with no float action.
-    - When S is not normal, an x outside N_G(S) can be mixed, so D and the
-      partitioning test are classify's own (codes._detectable and
-      codes._partitioning), read from the code action, stacked over the
-      codes of one dimension (codes._actions), blocked under
-      _PRODUCT_BLOCK_ENTRIES.  _partitioning's closed-form RuntimeError then
-      also checks the key's L.
+      another eigenspace of S, orthogonal to W, and x in L acts on W as a
+      scalar exactly when x is in S.  So no element is mixed and
+      D = (G minus L) + S, with no float action.  When S is not normal, D
+      and the partitioning test are the action path's (codes._detectable
+      and _partitioning, whose RuntimeError then also checks L), read from
+      one stacked action per code dimension (codes._actions).
+
+    Every step runs in blocks under _PRODUCT_BLOCK_ENTRIES, no [k, |G|]
+    float table is formed, and each table of G is freed before the next
+    step.
     """
-    if not found:
-        return []
     g, sigma = model.group, model.cocycle
-    grid = sigma.den * g.exponent()
-    keys = np.array(keys)
-    on_s = keys >= 0
+    grid, k, on_s = sigma.den * g.exponent(), len(codes), keys >= 0
     stabs = [g._intern(tuple(row.tolist())) for row in map(np.flatnonzero, on_s)]
-    values = np.zeros(keys.shape, dtype=complex)                  # f_S, 0 off S
-    values[on_s] = _phase_values(keys[on_s], grid)
-    phases = PhaseFunction._runs(stabs, keys[on_s], grid, None, values[on_s])
-    traces = values.conj() @ _trace_table(model) / on_s.sum(axis=1, keepdims=True)   # T(x) = tr(P pi(x))
-    conj = _conjugation_table(sigma)
-    turns = conj.turns * (grid // sigma.den)
-    logicals = [None] * len(keys)
-    rows_of: dict[Subgroup, list[int]] = {}
+    nums = keys[on_s].astype(np.int64)
+    values = _phase_values(nums, grid)                            # f_S, run after run
+    phases = PhaseFunction._runs(stabs, nums, grid, None, values)
+    conj, logicals, rows_of = _conjugation_table(sigma), [None] * k, {}
     for i, stab in enumerate(stabs):
         rows_of.setdefault(stab, []).append(i)
     for stab, rows in rows_of.items():
         mem = list(stab.members)
-        key = keys[rows]
-        fixed = (key[:, conj.elements[:, mem]] == (key[:, None, mem] + turns[:, mem]) % grid).all(axis=2)
-        for i, row in zip(rows, fixed):
-            logicals[i] = g._intern(tuple(np.flatnonzero(row).tolist()))
-    codes = [code for _, _, code in found]
+        moved = conj.turns[:, mem] * (grid // sigma.den)
+        step = max(1, _PRODUCT_BLOCK_ENTRIES // (3 * g.order * len(mem)))   # the gather and both sides
+        for a in range(0, len(rows), step):
+            key = keys[rows[a:a + step]]
+            fixed = (key[:, conj.elements[:, mem]] == (key[:, None, mem] + moved) % grid).all(axis=2)
+            for i, row in zip(rows[a:a + step], fixed):
+                logicals[i] = g._intern(tuple(np.flatnonzero(row).tolist()))
+    del conj, rows_of, nums   # every table of one step is freed before the next
+    chi, table, clifford = model.rep.character().values, _trace_table(model), [None] * k
+    cuts = [0, *itertools.accumulate(len(stab) for stab in stabs)]
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * g.order))   # F and T, half the bound
+    for a in range(0, k, step):
+        block = range(a, min(a + step, k))
+        f = np.zeros((len(block), g.order), dtype=complex)
+        f[on_s[a:a + step]] = values[cuts[a]:cuts[block.stop]].conj()
+        traces = f @ table                                        # T(x) = tr(P pi(x))
+        traces /= [[len(stabs[i])] for i in block]
+        by_order = sorted(block, key=lambda i: len(logicals[i]))
+        for size, same in itertools.groupby(by_order, key=lambda i: len(logicals[i])):
+            same = np.array(list(same))
+            r, x = np.nonzero([logicals[i]._inside for i in same])
+            chis, chi_pi = traces[same[r] - a, x].reshape(-1, size), chi[x].reshape(-1, size)
+            totals = np.mean(chis * np.conj(chi_pi), axis=-1).tolist()
+            for i, irreducible, total in zip(same.tolist(), _irreducible_character(chis).tolist(), totals):
+                clifford[i] = _clifford_flag(model, codes[i].dim, size, irreducible, total)
+    del table, f, traces, on_s, cuts
     parts = {i: (np.flatnonzero(~logicals[i]._inside | stab._inside).tolist(), (True, None))
              for i, stab in enumerate(stabs) if stab.is_normal()}
-    acted = sorted((i for i in range(len(codes)) if i not in parts), key=lambda i: codes[i].dim)
+    acted = sorted((i for i in range(k) if i not in parts), key=lambda i: codes[i].dim)
     for w, same_dim in itertools.groupby(acted, key=lambda i: codes[i].dim):
         same_dim = list(same_dim)
         step = max(1, _PRODUCT_BLOCK_ENTRIES // (g.order * w * (3 * model.dim + w)))
@@ -332,11 +298,10 @@ def _key_reports(model: ProjectiveErrorModel, found, keys) -> list[CodeReport]:
             block = same_dim[a:a + step]
             acts = _actions(model, np.stack([codes[i].basis for i in block]))
             for j, i in enumerate(block):
-                act = _Action(*(field[j] for field in acts))
+                act = _Action(*(stack[j] for stack in acts))
                 parts[i] = _detectable(act), _partitioning(act, logicals[i], stabs[i])
     return [
-        _report(model, code, logicals[i], stabs[i], phases[i], parts[i][0],
-                traces[i, logicals[i]._inside], parts[i][1], True, {})
+        _report(model, code, logicals[i], stabs[i], phases[i], parts[i][0], clifford[i], parts[i][1], True, {})
         for i, code in enumerate(codes)
     ]
 
@@ -354,8 +319,42 @@ def enumerate_weak_stabilizer_codes(
     restriction supply exactly the members of that coset with nonzero code.
     Deduplicated by maximal witness (_maximal_witnesses), which is exact:
     first witness kept, subgroups in order.
+
+    Subgroups come from the pruned lattice, one subgroup order at a time,
+    whose rows are read together: their constituents (codes._constituents),
+    keys (_maximal_witnesses), the dedup in lattice order, and the codes of
+    the new keys (codes._eigenspaces) and their phases (one
+    PhaseFunction._runs), with no df = sigma|H test: each row f0 chi is
+    admissible by construction.  No projector is formed and no random
+    number drawn.  Each order's codes and keys go to one codes._Enumeration,
+    from which codes.classify reads their reports.
     """
-    return _enumerate_codes(model, max_order, max_dim)[0]
+    _check_caps(model, max_order, max_dim)
+    g, sigma = model.group, model.cocycle
+    table = _trace_table(model)
+    found, record, seen = [], _Enumeration(model, _key_reports), set()
+    bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+           for row in _pairing_defects(sigma, range(g.order))]
+    for _, same_order in itertools.groupby(g._lattice(bad), key=len):   # sorted by order
+        subs = [g._intern(members) for members in same_order]
+        owner, nums, grid, dims = _constituents(model, subs)
+        members = np.array([sub.members for sub in subs])[owner]
+        values = _phase_values(nums, grid)
+        num, new = _maximal_witnesses(model, members, nums, values, dims, table, grid), []
+        for i, key in enumerate(num):
+            if key.tobytes() not in seen:
+                seen.add(key.tobytes())
+                new.append(i)
+        if not new:
+            continue
+        built = _eigenspaces(model, members[new], values[new], dims[new])
+        if any(code is None for code in built):
+            raise RuntimeError("constituent with an empty code space")
+        record.add(built, num[new])
+        domains = [subs[i] for i in owner[new]]
+        phases = PhaseFunction._runs(domains, nums[new].ravel(), grid, None, values[new].ravel())
+        found += zip(domains, phases, built)
+    return found
 
 
 _SPLIT_SEED = 11

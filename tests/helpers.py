@@ -360,9 +360,10 @@ def pairwise_enumerated(model) -> tuple[list, int]:
 
 
 def enumerate_codes_loop(model) -> tuple[list, list]:
-    """search._enumerate_codes one subgroup at a time, over every subgroup
-    of all_subgroups(), as it ran before the lattice was pruned and the rows
-    of one subgroup order were read together: (found, keys).  Each key is
+    """search.enumerate_weak_stabilizer_codes one subgroup at a time, over
+    every subgroup of all_subgroups(), as it ran before the lattice was
+    pruned and the rows of one subgroup order were read together: (found,
+    keys).  Each key is
     read from the subgroup's own trace product, S' = {|T(x)| >= d -
     _tol.DERIVED} with f' on the grid, with no confirmation, and the new
     codes of one subgroup from one projector average of its rows against

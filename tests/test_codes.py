@@ -486,9 +486,12 @@ def test_central_type_criterion_never_contradicts():
 # pauli:3 is left out: its 2467 codes take half a minute to classify and check.
 @pytest.mark.parametrize("spec", [s for s in CATALOG_64 if s != "pauli:3"])
 def test_classify_matches_per_function_formulas(spec):
+    # on both paths: an enumerated code's report is read from its maximal
+    # witness key, and an untagged copy's from its action
     model = parse_model_spec(spec).model
     assert model.group.order <= 64
-    for _, _, code in enumerate_weak_stabilizer_codes(model):
+    found = [code for _, _, code in enumerate_weak_stabilizer_codes(model)]
+    for code in found + [CodeSpace(model.dim, code.basis.copy()) for code in found]:
         report = classify(model, code)
         logical = logical_oracle(model, code)
         stab, phases = stabilizer_oracle(model, code)
@@ -977,6 +980,38 @@ def test_eigenspaces_refuse_a_forged_row(spec):
     assert tried
 
 
+def test_weak_stabilizer_code_tests_delta_on_tables_cut_from_the_group(monkeypatch):
+    # the caller's f is tested on H's product table and sigma|H cut from
+    # G's, with no restricted cocycle or subgroup group built; a forged
+    # nonzero code with delta(f) != sigma|H raises one RuntimeError on the
+    # exact path and on the float path, and an admissible f passes both
+    model = parse_model_spec("c2d2n:3").model
+    subs = [h for h in model.group.all_subgroups() if h.is_abelian() and len(h) > 1]
+    built = []
+    monkeypatch.setattr(cocycles.Cocycle, "restrict", lambda *args: built.append(args))
+    monkeypatch.setattr(type(subs[0]), "as_group", lambda *args: built.append(args))
+    tried = 0
+    for sub in subs:
+        f = existence_phase(model, sub)
+        if f is None:
+            continue
+        tried += 1
+        turned = list(f.phases)
+        turned[-1] = turned[-1] * Phase(1, 3)
+        bad = PhaseFunction.exact(sub, turned)
+        floats = [PhaseFunction._from_num(sub, g.num, g.den, np.zeros(len(sub), dtype=bool), g.values)
+                  for g in (f, bad)]
+        code = weak_stabilizer_code(model, sub, f)
+        assert code is not None and not floats[0].is_exact
+        assert weak_stabilizer_code(model, sub, floats[0]).basis.tobytes() == code.basis.tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(codes, "_eigenspaces", lambda *args: [code])
+            for forged in (bad, floats[1]):
+                with pytest.raises(RuntimeError, match="nonzero code with delta"):
+                    weak_stabilizer_code(model, sub, forged)
+    assert tried and built == []
+
+
 def test_classify_closes_the_logical_group_of_codes_tilted_at_the_threshold():
     # tilted by 1e-8, about _tol.SCAN, the commutator norms of L sit at the
     # threshold and the elements below it need not form a group: 14 of these
@@ -1084,7 +1119,7 @@ def _stabilizer_phase_is_admissible(model, report):
     stab, f = report.stabilizer, report.stabilizer_phase
     res, mul = model.cocycle.restrict(stab), stab.as_group().mul
     if f.is_exact:
-        return bool(cocycles._coboundary_rows(f.num[None], f.den, mul, res)[0])
+        return bool(cocycles._coboundary_rows(f.num[None], f.den, mul, res.num, res.den)[0])
     v = f.values
     return np.abs(v[:, None] * v - res.to_complex_table() * v[mul]).max() <= _tol.DERIVED
 

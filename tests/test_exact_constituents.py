@@ -99,7 +99,7 @@ def test_constituents_match_the_eigenspace_walk(spec, seed):
 
 
 def _survivors(model):
-    """The subgroups search._enumerate_codes visits: the pruned lattice."""
+    """The subgroups search.enumerate_weak_stabilizer_codes visits: the pruned lattice."""
     g = model.group
     bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in cocycles._pairing_defects(model.cocycle, range(g.order))]
@@ -119,7 +119,8 @@ def test_cyclic_extension_trivializes_and_lists_the_characters(spec, seed):
     assert abelian
     for sub in abelian:
         f0, den, chars, e = cocycles._cyclic_extension(model.cocycle, sub.members)
-        assert cocycles._coboundary_rows(f0[None], den, sub.as_group().mul, model.cocycle.restrict(sub))[0]
+        res = model.cocycle.restrict(sub)
+        assert cocycles._coboundary_rows(f0[None], den, sub.as_group().mul, res.num, res.den)[0]
         assert PhaseFunction._from_num(sub, f0, den).phases == extension_trivializer(model, sub).phases
         want, e_want = _linear_characters(sub.as_group())
         assert e == e_want and np.array_equal(chars, want), sub.members

@@ -103,8 +103,17 @@ def test_enumerate_default_cap_is_the_environment_cap(monkeypatch):
     assert len(enumerate_weak_stabilizer_codes(model)) == 75
 
 
+def _enumerated(model):
+    """(enumerate_weak_stabilizer_codes(model), each code's maximal witness
+    key), the keys read from the enumeration's record before any report is
+    asked for."""
+    found = enumerate_weak_stabilizer_codes(model)
+    chunks = found[0][2]._source.chunks if found else []
+    return found, [key for _, keys in chunks for key in keys]
+
+
 def _visited(model):
-    """(the member tuples of the subgroups _enumerate_codes solves on, in
+    """(the member tuples of the subgroups the enumeration solves on, in
     order; its (found, keys))."""
     visited = []
 
@@ -114,7 +123,7 @@ def _visited(model):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_constituents", constituents)
-        return visited, search._enumerate_codes(model, None, None)
+        return visited, _enumerated(model)
 
 
 def _admissible_subgroups(model):
@@ -147,7 +156,7 @@ def test_enumeration_visits_the_same_family_on_relabeled_groups(spec, seed):
 
 
 def _same_codes(got, want):
-    """Two (found, keys) lists of search._enumerate_codes' form agree in
+    """Two (found, keys) lists of _enumerated's form agree in
     order: subgroup objects, phases to the bytes, basis bytes and keys."""
     (found, keys), (found_want, keys_want) = got, want
     assert len(found) == len(found_want) == len(keys) == len(keys_want)
@@ -164,13 +173,13 @@ def test_enumeration_matches_the_unpruned_loop(spec):
     # reads each subgroup of the unpruned lattice alone, with its own
     # projector average and eigh, and gets the same codes to the byte
     model = parse_model_spec(spec).model
-    _same_codes(search._enumerate_codes(model, None, None), enumerate_codes_loop(model))
+    _same_codes(_enumerated(model), enumerate_codes_loop(model))
 
 
 def test_enumeration_matches_the_unpruned_loop_on_a_relabeled_model():
     model = relabeled_model(parse_model_spec("c2d2n:3").model, 5)
     assert not model.group.is_abelian()
-    _same_codes(search._enumerate_codes(model, None, None), enumerate_codes_loop(model))
+    _same_codes(_enumerated(model), enumerate_codes_loop(model))
 
 
 @pytest.mark.parametrize("spec", ["pauli:2", "c2d2n:3", "oddfam:3"])
@@ -180,7 +189,7 @@ def test_the_per_order_build_is_blocked_and_the_blocks_change_no_byte(spec, monk
     # than one row; blocks of one row, in the eigenspace build and in the
     # witness reader, give the same codes, phases and keys to the byte
     model = parse_model_spec(spec).model
-    want = search._enumerate_codes(model, None, None)
+    want = _enumerated(model)
     gathers = []
 
     class Recording(np.ndarray):
@@ -191,13 +200,13 @@ def test_the_per_order_build_is_blocked_and_the_blocks_change_no_byte(spec, monk
             return got
 
     monkeypatch.setattr(model.rep, "matrices", model.rep.matrices.view(Recording))
-    _same_codes(search._enumerate_codes(model, None, None), want)
+    _same_codes(_enumerated(model), want)
     assert gathers and max(np.prod(shape) for shape in gathers) <= _linalg._PRODUCT_BLOCK_ENTRIES
     assert max(shape[0] for shape in gathers) > 1
     gathers.clear()
     for module in (codes, search):
         monkeypatch.setattr(module, "_PRODUCT_BLOCK_ENTRIES", 1)
-    _same_codes(search._enumerate_codes(model, None, None), want)
+    _same_codes(_enumerated(model), want)
     assert {shape[0] for shape in gathers} == {1} and len(gathers) == len(want[0])
 
 
@@ -221,19 +230,27 @@ def test_the_search_checks_the_order_cap_once(monkeypatch):
     assert len(lattices) == 1 and lattices[0] is not None
 
 
+def _copy(model, code):
+    """An untagged copy of an enumerated code, which classify reads from its action."""
+    copy = CodeSpace(model.dim, code.basis.copy())
+    assert copy._source is None and code._source is not None
+    return copy
+
+
 @pytest.mark.parametrize("spec, seed", [(spec, None) for spec in CATALOG_64] + [("c2d2n:3", 5)])
 def test_key_reports_equal_classify_on_every_enumerated_code(spec, seed):
-    # qeclab search reads each report from the code's maximal witness key
-    # (search._key_reports), classify from the code's action: L is the set
-    # of g fixing the key, S and f_S are the key, and D and the
+    # classify reads each enumerated code's report from its maximal witness
+    # key (search._key_reports), and an untagged copy's from its action: L
+    # is the set of g fixing the key, S and f_S are the key, and D and the
     # partitioning test need the action only where S is not normal
     model = parse_model_spec(spec).model
     if seed is not None:
         model = relabeled_model(model, seed)
         assert not model.group.is_abelian()
-    found, keys = search._enumerate_codes(model, None, None)
-    reports = search._key_reports(model, found, keys)
-    assert [r.to_json() for r in reports] == [classify(model, code).to_json() for _, _, code in found]
+    found = enumerate_weak_stabilizer_codes(model)
+    reports = [classify(model, code) for _, _, code in found]
+    copies = [_copy(model, code) for _, _, code in found]
+    assert [r.to_json() for r in reports] == [classify(model, copy).to_json() for copy in copies]
     if seed is not None:
         assert 0 < sum(not r.stabilizer.is_normal() for r in reports) < len(reports)
 
@@ -242,31 +259,128 @@ def test_the_key_reports_action_is_blocked_and_the_blocks_change_no_report(monke
     # the codes whose S is not normal get one stacked action per block of
     # one code dimension; blocks of one code give the same reports
     model = parse_model_spec("c2d2n:3").model
-    found, keys = search._enumerate_codes(model, None, None)
     stacks = []
     raw = codes._actions
-    monkeypatch.setattr(
-        search, "_actions", lambda model, bases: stacks.append(len(bases)) or raw(model, bases)
-    )
-    want = [r.to_json() for r in search._key_reports(model, found, keys)]
+    monkeypatch.setattr(search, "_actions", lambda m, bases: stacks.append(len(bases)) or raw(m, bases))
+    found = enumerate_weak_stabilizer_codes(model)
+    want = [classify(model, code).to_json() for _, _, code in found]
     acted = sum(stacks)
     assert max(stacks) > 1 and 0 < acted < len(found)
     stacks.clear()
+    found = enumerate_weak_stabilizer_codes(model)
     monkeypatch.setattr(search, "_PRODUCT_BLOCK_ENTRIES", 1)
-    assert [r.to_json() for r in search._key_reports(model, found, keys)] == want
+    assert [classify(model, code).to_json() for _, _, code in found] == want
     assert stacks == [1] * acted
 
 
 def test_key_reports_act_on_no_code_when_every_stabilizer_is_normal(monkeypatch):
     model = parse_model_spec("pauli:2").model
-    found, keys = search._enumerate_codes(model, None, None)
+    found = enumerate_weak_stabilizer_codes(model)
     calls = []
     for module in (codes, _linalg):
         monkeypatch.setattr(module, "compressed_action", lambda *args: calls.append(args))
     monkeypatch.setattr(codes, "_code_action", lambda *args: calls.append(args))
-    reports = search._key_reports(model, found, keys)
+    reports = [classify(model, code) for _, _, code in found]
     assert not calls and len(reports) == len(found) == 91
     assert all(r.stabilizer.is_normal() for r in reports)
+
+
+def _counted_key_reports(monkeypatch):
+    """The number of codes of each search._key_reports call, in order, for
+    the enumerations made after it is installed."""
+    calls = []
+    raw = search._key_reports
+
+    def counted(model, chunk, *rest):
+        calls.append(len(chunk))
+        return raw(model, chunk, *rest)
+
+    monkeypatch.setattr(search, "_key_reports", counted)
+    return calls
+
+
+def test_classify_reads_an_enumeration_in_one_batch(monkeypatch):
+    # the first classify of an enumerated code reads every report of its
+    # enumeration, one reader call per subgroup order, and points each code
+    # to its report; the other 514 calls are lookups, and a repeated call
+    # returns the same report object
+    model = parse_model_spec("prod(genpauli:2,genpauli:4)").model
+    calls = _counted_key_reports(monkeypatch)
+    found = enumerate_weak_stabilizer_codes(model)
+    record = found[0][2]._source
+    chunks = [len(chunk) for chunk, _ in record.chunks]
+    assert calls == [] and all(code._source is record for _, _, code in found)
+    reports = [classify(model, code) for _, _, code in found]
+    assert len(reports) == 515 and calls == chunks and len(chunks) > 1
+    assert record.chunks == [] and [code._source for _, _, code in found] == reports
+    assert all(classify(model, code) is report for (_, _, code), report in zip(found, reports))
+    assert calls == chunks
+
+
+def test_enumeration_alone_builds_no_report(monkeypatch):
+    built = []
+    raw = codes.CodeReport.__post_init__
+    monkeypatch.setattr(codes.CodeReport, "__post_init__", lambda report: built.append(report) or raw(report))
+    calls = _counted_key_reports(monkeypatch)
+    found = enumerate_weak_stabilizer_codes(parse_model_spec("c2d2n:3").model)
+    assert found and built == [] and calls == []
+
+
+def test_classify_on_another_model_object_takes_the_action_path(monkeypatch):
+    # the record serves only the model object the codes were enumerated on:
+    # an equal model parsed again, or a relabeling, is classified from the
+    # code's action, and the equal model gets the key path's report
+    model = parse_model_spec("c2d2n:3").model
+    calls = _counted_key_reports(monkeypatch)
+    found = enumerate_weak_stabilizer_codes(model)
+    actions = []
+    raw = codes._code_action
+    monkeypatch.setattr(codes, "_code_action", lambda *args: actions.append(args) or raw(*args))
+    again, relabeled = parse_model_spec("c2d2n:3").model, relabeled_model(model, 5)
+    got = [classify(again, code).to_json() for _, _, code in found]
+    for _, _, code in found[::9]:
+        classify(relabeled, code)
+    assert calls == [] and len(actions) == len(found) + len(found[::9])
+    assert got == [classify(model, code).to_json() for _, _, code in found]
+    assert calls and len(actions) == len(found) + len(found[::9])
+
+
+def test_enumerated_bases_are_read_only():
+    model = parse_model_spec("c2d2n:3").model
+    found = enumerate_weak_stabilizer_codes(model)
+    for _, _, code in found:
+        assert not code.basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            code.basis[0, 0] = 0
+    copy = _copy(model, found[0][2])
+    copy.basis[0, 0] = copy.basis[0, 0]
+
+
+@pytest.mark.parametrize("spec", ["prod(genpauli:2,genpauli:4)", "c2d2n:3"])
+def test_a_shrunk_block_changes_no_key_report(spec, monkeypatch):
+    # every trace product of the key reader runs in blocks under
+    # _PRODUCT_BLOCK_ENTRIES: more than one row of a chunk by default, one
+    # row each at a bound of one entry, and the reports are the same
+    model = parse_model_spec(spec).model
+    rows = []
+    raw = search._trace_table
+
+    class Recording(np.ndarray):
+        def __rmatmul__(self, other):
+            rows.append(len(other))
+            return np.asarray(other) @ np.asarray(self)
+
+    found = enumerate_weak_stabilizer_codes(model)
+    with monkeypatch.context() as m:   # the enumeration's own trace products are not counted
+        m.setattr(search, "_trace_table", lambda model: raw(model).view(Recording))
+        want = [classify(model, code).to_json() for _, _, code in found]
+    assert max(rows) > 1 and max(rows) * model.group.order * 2 <= _linalg._PRODUCT_BLOCK_ENTRIES
+    rows.clear()
+    found = enumerate_weak_stabilizer_codes(model)
+    monkeypatch.setattr(search, "_trace_table", lambda model: raw(model).view(Recording))
+    monkeypatch.setattr(search, "_PRODUCT_BLOCK_ENTRIES", 1)
+    assert [classify(model, code).to_json() for _, _, code in found] == want
+    assert set(rows) == {1} and len(rows) == len(found)
 
 
 @pytest.mark.parametrize("spec", ["prod(genpauli:2,genpauli:4)", "c2d2n:8", "oddfam:3"])
