@@ -805,9 +805,7 @@ def _cyclic_extension(sigma: Cocycle, members) -> tuple[np.ndarray, int, np.ndar
                  for chi in chars for c in range(chi[top] // m, e, e // m)]
     order = sorted(range(len(built)), key=built.__getitem__)
     f, chars = np.array(f, dtype=np.int64)[order], np.array(chars, dtype=np.int64)[:, order]
-    common = math.lcm(modulus, den)
-    wide = f * (common // modulus)
-    if ((wide[:, None] + wide - wide[mul] - t * (common // den)) % common).any():
+    if not _coboundary_rows(f[None], modulus, mul, t, den)[0]:
         raise RuntimeError("cyclic extension produced a non-trivializing phase function")
     q = math.gcd(int(np.gcd.reduce(f)), modulus)
     return f // q, modulus // q, chars, e

@@ -40,8 +40,9 @@ and its character tr C = dim W * c is read from the scalars c = tr(C) / dim W
 that the stabilizer scan reads, so no representation of L is built for it
 (see _clifford_flag).  classify reads L, S, f_S, D and the partitioning
 test from the code action, or on an enumerated code from its maximal
-witness key (search._key_reports), and hands them to _report, which sets
-the flags and witnesses.
+witness key (_key_reports, which search._maximal_witnesses confirms), and
+hands them to _report, which sets the flags and witnesses.  _report builds
+every CodeReport: search's q3 pieces hand it their invariants too.
 
 The logical group and the stabilizer are taken from the model group's
 interning table (see groups), so classify validates no member set that the
@@ -73,6 +74,7 @@ from .groups import GroupValidationError, Subgroup
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     ProjectiveRep,
+    _conjugation_table,
     _integer_count,
     _intertwiner_count,
     _irreducible_character,
@@ -535,9 +537,8 @@ def _stabilizers(
     tested elements acting on W as a unimodular scalar, and f = the
     scalars, snapped as PhaseFunction.from_complex snaps them.  The tested
     elements are W's logical group L (H = L for search's q3 pieces).  One
-    snap and one PhaseFunction._runs serve all k codes.  One code may pass
-    its members, scalars and deviation as single rows, [m], and then no
-    segment bookkeeping is done (_stabilizer, classify's reader).
+    snap and one PhaseFunction._runs serve all k codes; classify's one code
+    is a batch of one row (_stabilizer).
 
     S is read inside L: the scalar deviation and |c| are second order in
     a tilt of W, the commutator norm first order, so on a code just off an
@@ -576,12 +577,9 @@ def _stabilizers(
     the codes of its tilt sweep.
     """
     keep = (deviation < _tol.SCAN) & (np.abs(np.abs(scalars) - 1) < _tol.SCAN)
-    if members.ndim == 1:   # one code (_stabilizer): no segments
-        stabs = [model.group._intern(tuple(members[keep].tolist()))]
-    else:
-        flat = members[keep].tolist()
-        ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
-        stabs = [model.group._intern(tuple(flat[a:b])) for a, b in zip([0, *ends], ends)]
+    flat = members[keep].tolist()
+    ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
+    stabs = [model.group._intern(tuple(flat[a:b])) for a, b in zip([0, *ends], ends)]
     values = scalars[keep]
     grid = model.cocycle.den * model.group.exponent()
     num, den, mask = _snap_phases(values, 4 * model.group.order, grid)
@@ -589,10 +587,9 @@ def _stabilizers(
 
 
 def _stabilizer(model: ProjectiveErrorModel, act: _Action, logical: Subgroup) -> tuple[Subgroup, PhaseFunction]:
-    """_stabilizers of one code, from its action and its logical group, with
-    the members as one row: the same snap and PhaseFunction._runs, and no
-    segment of a batch built."""
-    mem = np.flatnonzero(logical._inside)
+    """_stabilizers of one code, from its action and its logical group, its
+    members passed as one row, [1, |L|]."""
+    mem = np.flatnonzero(logical._inside)[None]
     (stab,), (f,) = _stabilizers(model, mem, act.scalars[mem], act.scalar_dev[mem])
     return stab, f
 
@@ -742,10 +739,11 @@ def _clifford_flag(
 
     rho(x) = C(x) = B* pi(x) B for x in L, and chi_rho is its character on
     L's members in order, tr C(x) = tr(P pi(x)): classify reads it from its
-    code action as dim W times the scalars c of _Action, and search's key
-    reader from the code's maximal witness.  No representation of L is
-    built or validated, and none needs to be.  W is L-invariant with no
-    test of its own.  search's L is the set of x with pi(x)W = W exactly.
+    code action as dim W times the scalars c of _Action, and the key
+    reader (_key_reports) from the code's maximal witness.  No
+    representation of L is built or validated, and none needs to be.  W is
+    L-invariant with no test of its own.  The key reader's L is the set of
+    x with pi(x)W = W exactly.
     classify's L is {x : act.commutator[x] < _tol.SCAN}, closed by
     _close_logical, and act.commutator[x] = hypot(iota(x), iota(x^-1)) >=
     iota(x), with iota(x) = act.inside[x] = |(1 - BB*) pi(x) B|.  So iota is
@@ -770,33 +768,6 @@ def _clifford_flag(
     return True, None
 
 
-def _weak_flag(extra: int, witnesses: dict) -> bool:
-    """Whether the (S, f_S) eigenspace E has the code W's dimension, from
-    extra = dim E - dim W (code_dimension_formula's count less dim W), with
-    the witness |P_E - P_W| = sqrt(extra) put in witnesses otherwise."""
-    if extra:
-        witnesses["is_weak_stabilizer"] = f"projector distance {np.sqrt(extra):.3e}"
-    return extra == 0
-
-
-def _central_criterion(
-    model: ProjectiveErrorModel, logical: Subgroup, stab: Subgroup, is_weak: bool, witnesses: dict
-) -> tuple[bool, dict[str, bool]]:
-    """(is_stabilizer, the criterion) of a Clifford code on a central-type
-    model: weak exactly when |G| = |L| |S| (RuntimeError where the direct
-    test disagrees), and a stabilizer code when weak with S normal; the
-    is_stabilizer witness is put in witnesses when it fails."""
-    crit_weak = model.group.order == len(logical) * len(stab)
-    if crit_weak != is_weak:
-        raise RuntimeError("central-type weak stabilizer criterion disagrees with the direct test")
-    is_stab = is_weak and stab.is_normal()
-    if not is_stab:
-        witnesses["is_stabilizer"] = (
-            "stabilizer group is not normal" if is_weak else "not a weak stabilizer code"
-        )
-    return is_stab, {"is_weak_stabilizer": crit_weak, "is_stabilizer": is_stab}
-
-
 def _report(
     model: ProjectiveErrorModel,
     code: CodeSpace,
@@ -806,27 +777,38 @@ def _report(
     detect: list[int],
     clifford: tuple[bool, object],
     partitioning: tuple[bool, int | None],
-    is_weak: bool,
-    witnesses: dict,
+    extra: int,
 ) -> CodeReport:
     """classify's report from the invariants of a code: L, S, f_S, D, the
-    _clifford_flag and _partitioning verdicts and is_weak, whose witness
-    witnesses holds.  The stabilizer flag and every witness are set here,
-    for the action path and search's key reader alike."""
+    _clifford_flag and _partitioning verdicts and extra = dim E - dim W, E
+    the (S, f_S) eigenspace.  Every CodeReport is built here: classify's
+    action path, the key reader (_key_reports) and search's q3 pieces.
+
+    W is weak exactly when extra = 0, with the witness |P_E - P_W| =
+    sqrt(extra) otherwise.  A Clifford code on a central-type model is weak
+    exactly when |G| = |L| |S| (RuntimeError where that criterion disagrees
+    with extra) and a stabilizer code when weak with S normal; any other
+    weak code is a stabilizer code when a normal subgroup of S rebuilds it
+    (_has_normal_reconstruction).
+    """
+    witnesses: dict[str, object] = {}
+    is_weak = extra == 0
+    if not is_weak:
+        witnesses["is_weak_stabilizer"] = f"projector distance {np.sqrt(extra):.3e}"
     is_cliff, cliff_witness = clifford
     if not is_cliff:
         witnesses["is_clifford"] = cliff_witness
-
-    criterion: dict[str, bool] | None = None
-    if model.is_central_type() and is_cliff:
-        is_stab, criterion = _central_criterion(model, logical, stab, is_weak, witnesses)
-    else:
-        is_stab = is_weak and _has_normal_reconstruction(model, code, stab, f)
-        if not is_weak:
-            witnesses["is_stabilizer"] = "not a weak stabilizer code"
-        elif not is_stab:
-            witnesses["is_stabilizer"] = "no normal subgroup of the stabilizer rebuilds the code"
-
+    central = model.is_central_type() and is_cliff
+    if central and (model.group.order == len(logical) * len(stab)) != is_weak:
+        raise RuntimeError("central-type weak stabilizer criterion disagrees with the direct test")
+    is_stab = is_weak and (stab.is_normal() if central else _has_normal_reconstruction(model, code, stab, f))
+    if not is_weak:
+        witnesses["is_stabilizer"] = "not a weak stabilizer code"
+    elif not is_stab:
+        witnesses["is_stabilizer"] = (
+            "stabilizer group is not normal" if central
+            else "no normal subgroup of the stabilizer rebuilds the code"
+        )
     is_part, part_witness = partitioning
     if not is_part:
         witnesses["is_partitioning"] = part_witness
@@ -845,7 +827,7 @@ def _report(
             "is_partitioning": is_part,
         },
         witnesses=witnesses,
-        central_type_criterion=criterion,
+        central_type_criterion={"is_weak_stabilizer": is_weak, "is_stabilizer": is_stab} if central else None,
     )
 
 
@@ -863,24 +845,115 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
     act = _code_action(model, code)
     logical = _logical(model, act)
     stab, f = _stabilizer(model, act, logical)
-    witnesses: dict[str, object] = {}
-    is_weak = _weak_flag(code_dimension_formula(model, stab, f) - code.dim, witnesses)
+    extra = code_dimension_formula(model, stab, f) - code.dim
     chi_rho, chi_pi = code.dim * act.scalars[logical._inside], model.rep.character().values[logical._inside]
     clifford = (len(logical), _irreducible_character(chi_rho), complex(np.mean(chi_rho * np.conj(chi_pi))))
     return _report(
         model, code, logical, stab, f, _detectable(act), _clifford_flag(model, code.dim, *clifford),
-        _partitioning(act, logical, stab), is_weak, witnesses,
+        _partitioning(act, logical, stab), extra,
     )
+
+
+def _trace_table(model: ProjectiveErrorModel) -> np.ndarray:
+    """[h, x] -> tr(pi(h) pi(x)) = sigma(h, x) chi_pi(hx), for every (h, x)."""
+    return model.cocycle.to_complex_table() * model.rep.character().values[model.group.mul]
+
+
+def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.ndarray):
+    """classify's report of each code of one _Enumeration chunk, from its
+    key (S, f_S): f_S's numerators over sigma.den exp(G), -1 off S.  Each
+    field is one the action path reads, and _report sets the flags and
+    witnesses.
+
+    - S and f_S are the key, confirmed in integers
+      (search._maximal_witnesses): x acts on W as a unimodular scalar
+      exactly on S, and f_S is that scalar.  W is weak with no witness, as
+      W = W(S, f_S), so extra = 0.
+    - L = {g : pi(g)W = W}.  pi(g) maps the code with key (S, f_S) to the
+      code with key (gSg^-1, x -> lambda_g(x) f_S(g^-1 x g)), lambda_g from
+      projreps._conjugation_table, and equal keys are equal codes, so L is
+      the set of g with f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every
+      y in S, read in integers (off S the key is -1, so only g normalizing
+      S pass): one gather per distinct S.
+    - The character of L on W is T(x) = tr(P pi(x)) = (1/|S|) sum_s
+      conj(f_S(s)) sigma(s, x) chi_pi(sx), P the average over S: rows of
+      conj(F) @ _trace_table, F the f_S put on G.  The two tests of
+      _clifford_flag run once for the codes of one |L| in a block.
+    - When S is normal in G, every x outside L maps W onto W(S, x.f_S),
+      another eigenspace of S, orthogonal to W, and x in L acts on W as a
+      scalar exactly when x is in S.  So no element is mixed and
+      D = (G minus L) + S, with no float action.  When S is not normal, D
+      and the partitioning test are the action path's (_detectable and
+      _partitioning, whose RuntimeError then also checks L), read from one
+      stacked action per code dimension (_actions).
+
+    Every step runs in blocks under _PRODUCT_BLOCK_ENTRIES, no [k, |G|]
+    float table is formed, and each table of G is freed before the next
+    step.
+    """
+    g, sigma = model.group, model.cocycle
+    grid, k, on_s = sigma.den * g.exponent(), len(codes), keys >= 0
+    stabs = [g._intern(tuple(row.tolist())) for row in map(np.flatnonzero, on_s)]
+    nums = keys[on_s].astype(np.int64)
+    values = _phase_values(nums, grid)                            # f_S, run after run
+    phases = PhaseFunction._runs(stabs, nums, grid, None, values)
+    conj, logicals, rows_of = _conjugation_table(sigma), [None] * k, {}
+    for i, stab in enumerate(stabs):
+        rows_of.setdefault(stab, []).append(i)
+    for stab, rows in rows_of.items():
+        mem = list(stab.members)
+        moved = conj.turns[:, mem] * (grid // sigma.den)
+        step = max(1, _PRODUCT_BLOCK_ENTRIES // (3 * g.order * len(mem)))   # the gather and both sides
+        for a in range(0, len(rows), step):
+            key = keys[rows[a:a + step]]
+            fixed = (key[:, conj.elements[:, mem]] == (key[:, None, mem] + moved) % grid).all(axis=2)
+            for i, row in zip(rows[a:a + step], fixed):
+                logicals[i] = g._intern(tuple(np.flatnonzero(row).tolist()))
+    del conj, rows_of, nums   # every table of one step is freed before the next
+    chi, table, clifford = model.rep.character().values, _trace_table(model), [None] * k
+    cuts = [0, *itertools.accumulate(len(stab) for stab in stabs)]
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * g.order))   # F and T, half the bound
+    for a in range(0, k, step):
+        block = range(a, min(a + step, k))
+        f = np.zeros((len(block), g.order), dtype=complex)
+        f[on_s[a:a + step]] = values[cuts[a]:cuts[block.stop]].conj()
+        traces = f @ table                                        # T(x) = tr(P pi(x))
+        traces /= [[len(stabs[i])] for i in block]
+        by_order = sorted(block, key=lambda i: len(logicals[i]))
+        for size, same in itertools.groupby(by_order, key=lambda i: len(logicals[i])):
+            same = np.array(list(same))
+            r, x = np.nonzero([logicals[i]._inside for i in same])
+            chis, chi_pi = traces[same[r] - a, x].reshape(-1, size), chi[x].reshape(-1, size)
+            totals = np.mean(chis * np.conj(chi_pi), axis=-1).tolist()
+            for i, irreducible, total in zip(same.tolist(), _irreducible_character(chis).tolist(), totals):
+                clifford[i] = _clifford_flag(model, codes[i].dim, size, irreducible, total)
+    del table, f, traces, on_s, cuts
+    parts = {i: (np.flatnonzero(~logicals[i]._inside | stab._inside).tolist(), (True, None))
+             for i, stab in enumerate(stabs) if stab.is_normal()}
+    acted = sorted((i for i in range(k) if i not in parts), key=lambda i: codes[i].dim)
+    for w, same_dim in itertools.groupby(acted, key=lambda i: codes[i].dim):
+        same_dim = list(same_dim)
+        step = max(1, _PRODUCT_BLOCK_ENTRIES // (g.order * w * (3 * model.dim + w)))
+        for a in range(0, len(same_dim), step):
+            block = same_dim[a:a + step]
+            acts = _actions(model, np.stack([codes[i].basis for i in block]))
+            for j, i in enumerate(block):
+                act = _Action(*(stack[j] for stack in acts))
+                parts[i] = _detectable(act), _partitioning(act, logicals[i], stabs[i])
+    return [
+        _report(model, code, logicals[i], stabs[i], phases[i], parts[i][0], clifford[i], parts[i][1], 0)
+        for i, code in enumerate(codes)
+    ]
 
 
 class _Enumeration:
     """One search.enumerate_weak_stabilizer_codes call, which each of its
     codes points to as code._source, with one (codes, keys [k, |G|]) chunk
     per subgroup order.  read() points each code to its report instead,
-    from reader(model, codes, keys), dropping each chunk once read."""
+    from _key_reports(model, codes, keys), dropping each chunk once read."""
 
-    def __init__(self, model: ProjectiveErrorModel, reader):
-        self.model, self.reader, self.chunks = model, reader, []
+    def __init__(self, model: ProjectiveErrorModel):
+        self.model, self.chunks = model, []
 
     def add(self, codes: list[CodeSpace], keys: np.ndarray) -> None:
         for code in codes:
@@ -891,7 +964,7 @@ class _Enumeration:
     def read(self) -> None:
         while self.chunks:
             codes, keys = self.chunks[0]
-            for code, report in zip(codes, self.reader(self.model, codes, keys)):
+            for code, report in zip(codes, _key_reports(self.model, codes, keys)):
                 code._source = report
             del self.chunks[0]
 

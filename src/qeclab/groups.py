@@ -370,9 +370,10 @@ class FiniteGroup:
 
     def _left_cosets(self, sub: "Subgroup") -> tuple[np.ndarray, np.ndarray]:
         """The minimal elements of the left cosets xH in increasing order, and
-        the minimal element of the coset of each x."""
+        the minimal element of the coset of each x: x is the least of its
+        coset exactly when mins[x] = x."""
         mins = self.mul[:, list(sub.members)].min(axis=1)
-        return np.unique(mins), mins
+        return np.flatnonzero(mins == np.arange(self.order)), mins
 
 
 @dataclass(frozen=True, eq=False)

@@ -633,8 +633,10 @@ def _conjugation(sub: Subgroup, x, sigma: Cocycle) -> tuple[np.ndarray, np.ndarr
     mem = np.array(sub.members)
     xs = np.asarray(x)
     flat = xs.ravel()
-    rows, at = np.unique(np.concatenate([g.inv[flat], flat]), return_inverse=True)
-    table = _conjugation_table(sigma, rows)
+    both = np.concatenate([g.inv[flat], flat])
+    built = np.zeros(g.order, dtype=bool)
+    built[both] = True   # the table rows built; cumsum - 1 is each one's row
+    table, at = _conjugation_table(sigma, np.flatnonzero(built)), (np.cumsum(built) - 1)[both]
     z = table.elements[at[: flat.size]][:, mem]
     pos = np.full(g.order, -1, dtype=np.int64)
     pos[mem] = np.arange(len(mem))

@@ -33,9 +33,10 @@ enumerate keys each code by its maximal witness (S, f_S), read from
 characters and confirmed in integers, and keeps the first key in lattice
 order; q3_probe's candidates are distinct by construction (see there).
 codes.classify reads every report of an enumeration from the same keys
-(_key_reports): S and f_S are the key, L is the set of g that fix it, and
-D = (G minus L) + S where S is normal, so it acts only on the codes whose
-S is not normal.
+(codes._key_reports): S and f_S are the key, L is the set of g that fix
+it, and D = (G minus L) + S where S is normal, so it acts only on the
+codes whose S is not normal.  search builds no report itself: it hands
+codes the invariants it reads, and codes._report builds every CodeReport.
 
 df = sigma|H is tested where a phase enters from outside, and proved
 where the library builds it.  codes.weak_stabilizer_code tests the caller's
@@ -65,7 +66,7 @@ its kept pieces: one blocked intertwiner product, one orthonormality
 test, one stabilizer reader (codes._stabilizers: one snap and one gcd
 reduction), one segment sum for the dimension counts
 (codes._dimension_counts) and one boolean array for the detectable sets,
-so each piece only builds its objects.
+so each piece only hands its invariants to codes._report.
 """
 
 from __future__ import annotations
@@ -80,26 +81,19 @@ from ._linalg import _PRODUCT_BLOCK_ENTRIES, compression, scalar_deviation
 from .cocycles import PhaseFunction, _pairing_defects, _phase_values
 from .codes import (
     CodeError,
-    CodeReport,
     CodeSpace,
-    _Action,
-    _actions,
-    _central_criterion,
-    _clifford_flag,
     _constituents,
-    _detectable,
     _dimension_counts,
     _eigenspaces,
     _Enumeration,
-    _partitioning,
     _report,
     _stabilizers,
-    _weak_flag,
+    _trace_table,
     classify,
 )
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
-from .projreps import _conjugation_table, _irreducible_character, _reynolds
+from .projreps import _irreducible_character, _reynolds
 
 __all__ = [
     "SearchError",
@@ -215,97 +209,6 @@ def _maximal_witnesses(model, members, nums, values, dims, table, grid):
     return keys
 
 
-def _trace_table(model: ProjectiveErrorModel) -> np.ndarray:
-    """[h, x] -> tr(pi(h) pi(x)) = sigma(h, x) chi_pi(hx), for every (h, x)."""
-    return model.cocycle.to_complex_table() * model.rep.character().values[model.group.mul]
-
-
-def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.ndarray):
-    """codes.classify's report of each code of one codes._Enumeration
-    chunk, from its key (S, f_S): f_S's numerators over sigma.den exp(G),
-    -1 off S.  Each field is one the action path reads, and _report sets
-    the flags and witnesses.
-
-    - S and f_S are the key, confirmed in integers (_maximal_witnesses):
-      x acts on W as a unimodular scalar exactly on S, and f_S is that
-      scalar.  is_weak holds with no witness, as W = W(S, f_S).
-    - L = {g : pi(g)W = W}.  pi(g) maps the code with key (S, f_S) to the
-      code with key (gSg^-1, x -> lambda_g(x) f_S(g^-1 x g)), lambda_g from
-      projreps._conjugation_table, and equal keys are equal codes, so L is
-      the set of g with f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every
-      y in S, read in integers (off S the key is -1, so only g normalizing
-      S pass): one gather per distinct S.
-    - The character of L on W is T(x) = tr(P pi(x)) = (1/|S|) sum_s
-      conj(f_S(s)) sigma(s, x) chi_pi(sx), P the average over S: rows of
-      conj(F) @ _trace_table, F the f_S put on G.  The two tests of
-      codes._clifford_flag run once for the codes of one |L| in a block.
-    - When S is normal in G, every x outside L maps W onto W(S, x.f_S),
-      another eigenspace of S, orthogonal to W, and x in L acts on W as a
-      scalar exactly when x is in S.  So no element is mixed and
-      D = (G minus L) + S, with no float action.  When S is not normal, D
-      and the partitioning test are the action path's (codes._detectable
-      and _partitioning, whose RuntimeError then also checks L), read from
-      one stacked action per code dimension (codes._actions).
-
-    Every step runs in blocks under _PRODUCT_BLOCK_ENTRIES, no [k, |G|]
-    float table is formed, and each table of G is freed before the next
-    step.
-    """
-    g, sigma = model.group, model.cocycle
-    grid, k, on_s = sigma.den * g.exponent(), len(codes), keys >= 0
-    stabs = [g._intern(tuple(row.tolist())) for row in map(np.flatnonzero, on_s)]
-    nums = keys[on_s].astype(np.int64)
-    values = _phase_values(nums, grid)                            # f_S, run after run
-    phases = PhaseFunction._runs(stabs, nums, grid, None, values)
-    conj, logicals, rows_of = _conjugation_table(sigma), [None] * k, {}
-    for i, stab in enumerate(stabs):
-        rows_of.setdefault(stab, []).append(i)
-    for stab, rows in rows_of.items():
-        mem = list(stab.members)
-        moved = conj.turns[:, mem] * (grid // sigma.den)
-        step = max(1, _PRODUCT_BLOCK_ENTRIES // (3 * g.order * len(mem)))   # the gather and both sides
-        for a in range(0, len(rows), step):
-            key = keys[rows[a:a + step]]
-            fixed = (key[:, conj.elements[:, mem]] == (key[:, None, mem] + moved) % grid).all(axis=2)
-            for i, row in zip(rows[a:a + step], fixed):
-                logicals[i] = g._intern(tuple(np.flatnonzero(row).tolist()))
-    del conj, rows_of, nums   # every table of one step is freed before the next
-    chi, table, clifford = model.rep.character().values, _trace_table(model), [None] * k
-    cuts = [0, *itertools.accumulate(len(stab) for stab in stabs)]
-    step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * g.order))   # F and T, half the bound
-    for a in range(0, k, step):
-        block = range(a, min(a + step, k))
-        f = np.zeros((len(block), g.order), dtype=complex)
-        f[on_s[a:a + step]] = values[cuts[a]:cuts[block.stop]].conj()
-        traces = f @ table                                        # T(x) = tr(P pi(x))
-        traces /= [[len(stabs[i])] for i in block]
-        by_order = sorted(block, key=lambda i: len(logicals[i]))
-        for size, same in itertools.groupby(by_order, key=lambda i: len(logicals[i])):
-            same = np.array(list(same))
-            r, x = np.nonzero([logicals[i]._inside for i in same])
-            chis, chi_pi = traces[same[r] - a, x].reshape(-1, size), chi[x].reshape(-1, size)
-            totals = np.mean(chis * np.conj(chi_pi), axis=-1).tolist()
-            for i, irreducible, total in zip(same.tolist(), _irreducible_character(chis).tolist(), totals):
-                clifford[i] = _clifford_flag(model, codes[i].dim, size, irreducible, total)
-    del table, f, traces, on_s, cuts
-    parts = {i: (np.flatnonzero(~logicals[i]._inside | stab._inside).tolist(), (True, None))
-             for i, stab in enumerate(stabs) if stab.is_normal()}
-    acted = sorted((i for i in range(k) if i not in parts), key=lambda i: codes[i].dim)
-    for w, same_dim in itertools.groupby(acted, key=lambda i: codes[i].dim):
-        same_dim = list(same_dim)
-        step = max(1, _PRODUCT_BLOCK_ENTRIES // (g.order * w * (3 * model.dim + w)))
-        for a in range(0, len(same_dim), step):
-            block = same_dim[a:a + step]
-            acts = _actions(model, np.stack([codes[i].basis for i in block]))
-            for j, i in enumerate(block):
-                act = _Action(*(stack[j] for stack in acts))
-                parts[i] = _detectable(act), _partitioning(act, logicals[i], stabs[i])
-    return [
-        _report(model, code, logicals[i], stabs[i], phases[i], parts[i][0], clifford[i], parts[i][1], True, {})
-        for i, code in enumerate(codes)
-    ]
-
-
 def enumerate_weak_stabilizer_codes(
     model: ProjectiveErrorModel,
     max_order: int | None = None,
@@ -332,7 +235,7 @@ def enumerate_weak_stabilizer_codes(
     _check_caps(model, max_order, max_dim)
     g, sigma = model.group, model.cocycle
     table = _trace_table(model)
-    found, record, seen = [], _Enumeration(model, _key_reports), set()
+    found, record, seen = [], _Enumeration(model), set()
     bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in _pairing_defects(sigma, range(g.order))]
     for _, same_order in itertools.groupby(g._lattice(bad), key=len):   # sorted by order
@@ -512,7 +415,8 @@ def _clifford_reports(model, kept, only_hits):
     are read together (codes._stabilizers).  A kept piece whose stabilizer
     phase does not snap is classified directly; the dimension counts
     (codes._dimension_counts) and detectable sets of the others are read
-    together too, so each piece only builds its objects.
+    together too, and codes._report builds each piece's report with the
+    Clifford and partitioning flags (True, None) and extra = dim E - dim W.
     """
     g, d = model.group, model.dim
     subs, rhos, bases = zip(*kept)
@@ -544,27 +448,11 @@ def _clifford_reports(model, kept, only_hits):
     detect = ~np.array([subs[i]._inside for i in closed]) | np.array([stabs[i]._inside for i in closed])
     cols = np.nonzero(detect)[1].tolist()            # (G minus H) + S, row by row
     cuts = np.cumsum(detect.sum(axis=1)).tolist()
-    reports = {}
-    for i, dim, a, b in zip(closed, dims, [0, *cuts], cuts):
-        witnesses: dict[str, object] = {}
-        is_weak = _weak_flag(dim - t, witnesses)
-        is_stab, criterion = _central_criterion(model, subs[i], stabs[i], is_weak, witnesses)
-        reports[i] = CodeReport(
-            model=model,
-            code=CodeSpace._checked(d, bases[i]),
-            logical=subs[i],
-            stabilizer=stabs[i],
-            stabilizer_phase=phases[i],
-            detectable=cols[a:b],
-            flags={
-                "is_stabilizer": is_stab,
-                "is_weak_stabilizer": is_weak,
-                "is_clifford": True,
-                "is_partitioning": True,
-            },
-            witnesses=witnesses,
-            central_type_criterion=criterion,
-        )
+    reports = {
+        i: _report(model, CodeSpace._checked(d, bases[i]), subs[i], stabs[i], phases[i], cols[a:b],
+                   (True, None), (True, None), dim - t)
+        for i, dim, a, b in zip(closed, dims, [0, *cuts], cuts)
+    }
     return [reports[i] if i in reports else classify(model, CodeSpace._checked(d, bases[i])) for i in picked]
 
 
@@ -648,9 +536,10 @@ def q3_probe(
       witness, and classify's central-type branch applies: is_weak is
       code_dimension_formula(S, f_S) = w, counted for all pieces of one
       order in one segment sum (codes._dimension_counts, classify's
-      integer test) with codes._weak_flag's witness text, it must
-      agree with |G| = |H| |S| (RuntimeError otherwise), and is_stabilizer
-      is is_weak and S normal in G.
+      integer test) and handed to codes._report as extra = dim E - w, which
+      sets the witness text; it must agree with |G| = |H| |S|
+      (RuntimeError otherwise), and is_stabilizer is is_weak and S normal
+      in G.
 
     With return_candidates=False only hits are built.  A hit needs S not
     normal in G.  Call G Dedekind when every subgroup is normal; that holds

@@ -1137,9 +1137,8 @@ def test_classify_stabilizer_phases_of_enumerated_codes_are_admissible(spec):
 
 @pytest.mark.parametrize("spec", ["c2d2n:3", "oddfam:3", "prod(genpauli:2,genpauli:4)"])
 def test_the_one_code_stabilizer_is_the_batched_reader_on_one_row(spec):
-    # classify reads S and f_S through the one-row path of _stabilizers,
-    # with no segment bookkeeping; a batch of one row gives the same
-    # subgroup object and phases, to the byte
+    # classify reads S and f_S through _stabilizers on a batch of one row,
+    # [1, |L|]: the same subgroup object and phases, to the byte
     model, found = _enumerated(spec)
     for code in found:
         act = _code_action(model, code)

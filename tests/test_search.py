@@ -2,6 +2,10 @@ import functools
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +244,7 @@ def _copy(model, code):
 @pytest.mark.parametrize("spec, seed", [(spec, None) for spec in CATALOG_64] + [("c2d2n:3", 5)])
 def test_key_reports_equal_classify_on_every_enumerated_code(spec, seed):
     # classify reads each enumerated code's report from its maximal witness
-    # key (search._key_reports), and an untagged copy's from its action: L
+    # key (codes._key_reports), and an untagged copy's from its action: L
     # is the set of g fixing the key, S and f_S are the key, and D and the
     # partitioning test need the action only where S is not normal
     model = parse_model_spec(spec).model
@@ -261,14 +265,14 @@ def test_the_key_reports_action_is_blocked_and_the_blocks_change_no_report(monke
     model = parse_model_spec("c2d2n:3").model
     stacks = []
     raw = codes._actions
-    monkeypatch.setattr(search, "_actions", lambda m, bases: stacks.append(len(bases)) or raw(m, bases))
+    monkeypatch.setattr(codes, "_actions", lambda m, bases: stacks.append(len(bases)) or raw(m, bases))
     found = enumerate_weak_stabilizer_codes(model)
     want = [classify(model, code).to_json() for _, _, code in found]
     acted = sum(stacks)
     assert max(stacks) > 1 and 0 < acted < len(found)
     stacks.clear()
     found = enumerate_weak_stabilizer_codes(model)
-    monkeypatch.setattr(search, "_PRODUCT_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(codes, "_PRODUCT_BLOCK_ENTRIES", 1)
     assert [classify(model, code).to_json() for _, _, code in found] == want
     assert stacks == [1] * acted
 
@@ -286,16 +290,16 @@ def test_key_reports_act_on_no_code_when_every_stabilizer_is_normal(monkeypatch)
 
 
 def _counted_key_reports(monkeypatch):
-    """The number of codes of each search._key_reports call, in order, for
+    """The number of codes of each codes._key_reports call, in order, for
     the enumerations made after it is installed."""
     calls = []
-    raw = search._key_reports
+    raw = codes._key_reports
 
     def counted(model, chunk, *rest):
         calls.append(len(chunk))
         return raw(model, chunk, *rest)
 
-    monkeypatch.setattr(search, "_key_reports", counted)
+    monkeypatch.setattr(codes, "_key_reports", counted)
     return calls
 
 
@@ -363,7 +367,7 @@ def test_a_shrunk_block_changes_no_key_report(spec, monkeypatch):
     # row each at a bound of one entry, and the reports are the same
     model = parse_model_spec(spec).model
     rows = []
-    raw = search._trace_table
+    raw = codes._trace_table
 
     class Recording(np.ndarray):
         def __rmatmul__(self, other):
@@ -372,13 +376,13 @@ def test_a_shrunk_block_changes_no_key_report(spec, monkeypatch):
 
     found = enumerate_weak_stabilizer_codes(model)
     with monkeypatch.context() as m:   # the enumeration's own trace products are not counted
-        m.setattr(search, "_trace_table", lambda model: raw(model).view(Recording))
+        m.setattr(codes, "_trace_table", lambda model: raw(model).view(Recording))
         want = [classify(model, code).to_json() for _, _, code in found]
     assert max(rows) > 1 and max(rows) * model.group.order * 2 <= _linalg._PRODUCT_BLOCK_ENTRIES
     rows.clear()
     found = enumerate_weak_stabilizer_codes(model)
-    monkeypatch.setattr(search, "_trace_table", lambda model: raw(model).view(Recording))
-    monkeypatch.setattr(search, "_PRODUCT_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(codes, "_trace_table", lambda model: raw(model).view(Recording))
+    monkeypatch.setattr(codes, "_PRODUCT_BLOCK_ENTRIES", 1)
     assert [classify(model, code).to_json() for _, _, code in found] == want
     assert set(rows) == {1} and len(rows) == len(found)
 
@@ -485,13 +489,13 @@ def test_pruned_q3_skips_the_subgroups_of_normal_cyclic_members(spec, monkeypatc
     model = parse_model_spec(spec).model
     walked = _counted_splits(monkeypatch)
     built = []
-    raw = search.CodeReport
+    raw = codes.CodeReport
 
     def report(**fields):
         built.append(fields["code"])
         return raw(**fields)
 
-    monkeypatch.setattr(search, "CodeReport", report)
+    monkeypatch.setattr(codes, "CodeReport", report)
     hits = q3_probe(model)
     assert hits and [r.to_json() for r in hits] == want
     total, skipped = _PRUNED[spec]
@@ -1103,3 +1107,35 @@ def test_q3_probe_builds_no_restricted_rep(monkeypatch):
     hits, candidates = q3_probe(model, return_candidates=True)
     assert (len(hits), len(candidates)) == (48, 115)
     assert built == {"rep": 0, "cocycle": 0, "group": 0}
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+from qeclab import PhaseFunction, classify, em_from_pem, enumerate_weak_stabilizer_codes, gen_pauli_model
+from qeclab import pem_from_em, product_model, q3_probe, stabilizer_to_clifford
+from qeclab.cli import parse_model_spec
+model = parse_model_spec("c2d2n:3").model
+for _, _, code in enumerate_weak_stabilizer_codes(model):
+    classify(model, code)
+q3_probe(parse_model_spec("oddfam:3").model, return_candidates=True)
+model.group.coset_representatives(model.group.subgroup_generated([1]))
+base = gen_pauli_model(2)
+pem_from_em(em_from_pem(base, base.cocycle, PhaseFunction.constant_one(base.group.full_subgroup()), n=2))
+two = product_model(base, base)
+sub = two.group.subgroup_generated([10, 5])   # XX and ZZ: the Bell code
+stabilizer_to_clifford(two, sub, PhaseFunction.constant_one(sub))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_library_paths_never_load_numpy_ma():
+    # np.unique imports numpy.ma on its first call; the enumeration,
+    # classify, q3_probe, cosets (quotient) and inertia groups read their
+    # sets from boolean masks instead, so none of them loads it
+    src = str(Path(search.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert run.stdout == "False\n"

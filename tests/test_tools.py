@@ -101,3 +101,25 @@ def test_every_private_function_is_referenced_in_the_package():
     defined = {name for tree in trees for name in _private_functions(tree)}
     referenced = {name for tree in trees for name in _references(tree)}
     assert sorted(defined - referenced) == []
+
+
+def _report_constructions(tree):
+    """The names of the top-level functions in which CodeReport(...) is called."""
+    for node in tree.body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "CodeReport":
+                    yield getattr(node, "name", None)
+
+
+def test_every_code_report_is_built_in_codes_report():
+    # one implementation of a code's classification: classify's action path,
+    # its key reader and search's q3 pieces all hand their invariants to
+    # codes._report, which alone sets the flags and witnesses
+    built = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _report_constructions(ast.parse(path.read_text()))
+    }
+    assert built == {("codes.py", "_report")}
