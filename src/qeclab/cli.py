@@ -48,6 +48,7 @@ import sys
 import numpy as np
 
 from . import _tol
+from ._linalg import complex_json
 from .channels import (
     build_recovery,
     channel_from_model,
@@ -310,12 +311,14 @@ def _group_json(group: FiniteGroup) -> dict:
 
 
 def _model_json(model: ProjectiveErrorModel) -> dict:
-    sigma = model.cocycle
+    """The model with its cocycle written once, at the top level: "rep" is
+    ProjectiveRep.to_json with no "cocycle" key, which from_json re-snaps."""
+    rep = model.rep
     return {
         "label": model.label,
         "group": _group_json(model.group),
-        "rep": model.rep.to_json(),
-        "cocycle": sigma.to_json(),
+        "rep": {"order": rep.group.order, "dim": rep.dim, "matrices": complex_json(rep.matrices)},
+        "cocycle": model.cocycle.to_json(),
         "central_type": model.is_central_type(),
     }
 

@@ -39,10 +39,12 @@ the action of L on an L-invariant code is the compressed action C on L,
 and its character tr C = dim W * c is read from the scalars c = tr(C) / dim W
 that the stabilizer scan reads, so no representation of L is built for it
 (see _clifford_flag).  classify reads L, S, f_S, D and the partitioning
-test from the code action, or on an enumerated code from its maximal
-witness key (_key_reports, which search._maximal_witnesses confirms), and
-hands them to _report, which sets the flags and witnesses.  _report builds
-every CodeReport: search's q3 pieces hand it their invariants too.
+test from the code action and hands them to _report, which sets the flags
+and witnesses.  An enumerated code needs no action: the enumeration reads
+its report from its maximal witness key (_key_reports, which
+search._maximal_witnesses confirms) as it builds the code, and classify
+returns that report.  _report builds every CodeReport: the key reader and
+search's q3 pieces hand it their invariants too.
 
 The logical group and the stabilizer are taken from the model group's
 interning table (see groups), so classify validates no member set that the
@@ -74,7 +76,6 @@ from .groups import GroupValidationError, Subgroup
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     ProjectiveRep,
-    _conjugation_table,
     _integer_count,
     _intertwiner_count,
     _irreducible_character,
@@ -111,8 +112,9 @@ class CodeError(ValueError):
 @dataclass(eq=False)
 class CodeSpace:
     """A nonzero subspace given by orthonormal basis columns.  _source is
-    None but on codes of search.enumerate_weak_stabilizer_codes (see
-    classify)."""
+    None but on codes of search.enumerate_weak_stabilizer_codes, which
+    attaches each code's report there as it builds the code, and makes the
+    basis read-only so that no report goes stale (see classify)."""
 
     ambient_dim: int
     basis: np.ndarray
@@ -834,13 +836,12 @@ def _report(
 def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
     """Compute the three group invariants and all classification flags.
 
-    An enumerated code, on the model object it was enumerated on, gets the
-    same CodeReport on every call, read from its maximal witness key with
-    all of its enumeration's on the first (_Enumeration).  Any other code,
-    copies included, is classified from its action."""
-    if isinstance(code._source, _Enumeration) and code._source.model is model:
-        code._source.read()
-    if isinstance(code._source, CodeReport) and code._source.model is model:
+    An enumerated code, on the model object it was enumerated on, carries
+    its report (code._source), which the enumeration read from its maximal
+    witness key (_key_reports) as it built the code: every call returns
+    that object.  Any other code, copies included, is classified from its
+    action."""
+    if code._source is not None and code._source.model is model:
         return code._source
     act = _code_action(model, code)
     logical = _logical(model, act)
@@ -859,11 +860,13 @@ def _trace_table(model: ProjectiveErrorModel) -> np.ndarray:
     return model.cocycle.to_complex_table() * model.rep.character().values[model.group.mul]
 
 
-def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.ndarray):
-    """classify's report of each code of one _Enumeration chunk, from its
-    key (S, f_S): f_S's numerators over sigma.den exp(G), -1 off S.  Each
-    field is one the action path reads, and _report sets the flags and
-    witnesses.
+def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.ndarray, table, conj):
+    """classify's report of each code of one subgroup order of
+    search.enumerate_weak_stabilizer_codes, from its key (S, f_S): f_S's
+    numerators over sigma.den exp(G), -1 off S.  table is _trace_table(model)
+    and conj projreps._conjugation_table(model.cocycle), both built once
+    per enumeration.  Each field is one the action path reads, and _report
+    sets the flags and witnesses.
 
     - S and f_S are the key, confirmed in integers
       (search._maximal_witnesses): x acts on W as a unimodular scalar
@@ -871,13 +874,13 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
       W = W(S, f_S), so extra = 0.
     - L = {g : pi(g)W = W}.  pi(g) maps the code with key (S, f_S) to the
       code with key (gSg^-1, x -> lambda_g(x) f_S(g^-1 x g)), lambda_g from
-      projreps._conjugation_table, and equal keys are equal codes, so L is
-      the set of g with f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every
-      y in S, read in integers (off S the key is -1, so only g normalizing
-      S pass): one gather per distinct S.
+      conj, and equal keys are equal codes, so L is the set of g with
+      f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every y in S, read in
+      integers (off S the key is -1, so only g normalizing S pass): one
+      gather per distinct S.
     - The character of L on W is T(x) = tr(P pi(x)) = (1/|S|) sum_s
       conj(f_S(s)) sigma(s, x) chi_pi(sx), P the average over S: rows of
-      conj(F) @ _trace_table, F the f_S put on G.  The two tests of
+      conj(F) @ table, F the f_S put on G.  The two tests of
       _clifford_flag run once for the codes of one |L| in a block.
     - When S is normal in G, every x outside L maps W onto W(S, x.f_S),
       another eigenspace of S, orthogonal to W, and x in L acts on W as a
@@ -887,9 +890,8 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
       _partitioning, whose RuntimeError then also checks L), read from one
       stacked action per code dimension (_actions).
 
-    Every step runs in blocks under _PRODUCT_BLOCK_ENTRIES, no [k, |G|]
-    float table is formed, and each table of G is freed before the next
-    step.
+    Every step runs in blocks under _PRODUCT_BLOCK_ENTRIES, and no
+    [k, |G|] float table is formed.
     """
     g, sigma = model.group, model.cocycle
     grid, k, on_s = sigma.den * g.exponent(), len(codes), keys >= 0
@@ -897,7 +899,7 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     nums = keys[on_s].astype(np.int64)
     values = _phase_values(nums, grid)                            # f_S, run after run
     phases = PhaseFunction._runs(stabs, nums, grid, None, values)
-    conj, logicals, rows_of = _conjugation_table(sigma), [None] * k, {}
+    logicals, rows_of = [None] * k, {}
     for i, stab in enumerate(stabs):
         rows_of.setdefault(stab, []).append(i)
     for stab, rows in rows_of.items():
@@ -909,8 +911,7 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
             fixed = (key[:, conj.elements[:, mem]] == (key[:, None, mem] + moved) % grid).all(axis=2)
             for i, row in zip(rows[a:a + step], fixed):
                 logicals[i] = g._intern(tuple(np.flatnonzero(row).tolist()))
-    del conj, rows_of, nums   # every table of one step is freed before the next
-    chi, table, clifford = model.rep.character().values, _trace_table(model), [None] * k
+    chi, clifford = model.rep.character().values, [None] * k
     cuts = [0, *itertools.accumulate(len(stab) for stab in stabs)]
     step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * g.order))   # F and T, half the bound
     for a in range(0, k, step):
@@ -927,7 +928,6 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
             totals = np.mean(chis * np.conj(chi_pi), axis=-1).tolist()
             for i, irreducible, total in zip(same.tolist(), _irreducible_character(chis).tolist(), totals):
                 clifford[i] = _clifford_flag(model, codes[i].dim, size, irreducible, total)
-    del table, f, traces, on_s, cuts
     parts = {i: (np.flatnonzero(~logicals[i]._inside | stab._inside).tolist(), (True, None))
              for i, stab in enumerate(stabs) if stab.is_normal()}
     acted = sorted((i for i in range(k) if i not in parts), key=lambda i: codes[i].dim)
@@ -944,29 +944,6 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
         _report(model, code, logicals[i], stabs[i], phases[i], parts[i][0], clifford[i], parts[i][1], 0)
         for i, code in enumerate(codes)
     ]
-
-
-class _Enumeration:
-    """One search.enumerate_weak_stabilizer_codes call, which each of its
-    codes points to as code._source, with one (codes, keys [k, |G|]) chunk
-    per subgroup order.  read() points each code to its report instead,
-    from _key_reports(model, codes, keys), dropping each chunk once read."""
-
-    def __init__(self, model: ProjectiveErrorModel):
-        self.model, self.chunks = model, []
-
-    def add(self, codes: list[CodeSpace], keys: np.ndarray) -> None:
-        for code in codes:
-            code.basis.flags.writeable = False   # so no report goes stale
-            code._source = self
-        self.chunks.append((codes, keys))
-
-    def read(self) -> None:
-        while self.chunks:
-            codes, keys = self.chunks[0]
-            for code, report in zip(codes, _key_reports(self.model, codes, keys)):
-                code._source = report
-            del self.chunks[0]
 
 
 def stabilizer_to_clifford(

@@ -32,11 +32,13 @@ PhaseFunction._runs.  Deduplication is exact and compares no projector:
 enumerate keys each code by its maximal witness (S, f_S), read from
 characters and confirmed in integers, and keeps the first key in lattice
 order; q3_probe's candidates are distinct by construction (see there).
-codes.classify reads every report of an enumeration from the same keys
-(codes._key_reports): S and f_S are the key, L is the set of g that fix
-it, and D = (G minus L) + S where S is normal, so it acts only on the
-codes whose S is not normal.  search builds no report itself: it hands
-codes the invariants it reads, and codes._report builds every CodeReport.
+enumerate reads the reports of each order's new codes from the same keys
+as it builds the codes (codes._key_reports), and attaches each to its
+code, where codes.classify finds it: S and f_S are the key, L is the set
+of g that fix it, and D = (G minus L) + S where S is normal, so only the
+codes whose S is not normal are acted on.  search builds no report
+itself: it hands codes the invariants it reads, and codes._report builds
+every CodeReport.
 
 df = sigma|H is tested where a phase enters from outside, and proved
 where the library builds it.  codes.weak_stabilizer_code tests the caller's
@@ -85,15 +87,14 @@ from .codes import (
     _constituents,
     _dimension_counts,
     _eigenspaces,
-    _Enumeration,
+    _key_reports,
     _report,
     _stabilizers,
     _trace_table,
-    classify,
 )
 from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
-from .projreps import _irreducible_character, _reynolds
+from .projreps import _conjugation_table, _irreducible_character, _reynolds
 
 __all__ = [
     "SearchError",
@@ -229,13 +230,15 @@ def enumerate_weak_stabilizer_codes(
     the new keys (codes._eigenspaces) and their phases (one
     PhaseFunction._runs), with no df = sigma|H test: each row f0 chi is
     admissible by construction.  No projector is formed and no random
-    number drawn.  Each order's codes and keys go to one codes._Enumeration,
-    from which codes.classify reads their reports.
+    number drawn.  Each order's new codes get their reports from their keys
+    (codes._key_reports, on the trace and conjugation tables built once
+    here), each attached as code._source, which codes.classify returns, and
+    a read-only basis, so that no report goes stale.
     """
     _check_caps(model, max_order, max_dim)
     g, sigma = model.group, model.cocycle
-    table = _trace_table(model)
-    found, record, seen = [], _Enumeration(model), set()
+    table, conj = _trace_table(model), _conjugation_table(sigma)
+    found, seen = [], set()
     bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in _pairing_defects(sigma, range(g.order))]
     for _, same_order in itertools.groupby(g._lattice(bad), key=len):   # sorted by order
@@ -253,7 +256,9 @@ def enumerate_weak_stabilizer_codes(
         built = _eigenspaces(model, members[new], values[new], dims[new])
         if any(code is None for code in built):
             raise RuntimeError("constituent with an empty code space")
-        record.add(built, num[new])
+        for code, report in zip(built, _key_reports(model, built, num[new], table, conj)):
+            code.basis.flags.writeable = False
+            code._source = report
         domains = [subs[i] for i in owner[new]]
         phases = PhaseFunction._runs(domains, nums[new].ravel(), grid, None, values[new].ravel())
         found += zip(domains, phases, built)
@@ -412,11 +417,12 @@ def _clifford_reports(model, kept, only_hits):
     one order, so every piece has one shape.  RuntimeError when a B fails the
     intertwiner test, one product per block of pieces, and CodeError when
     a B fails CodeSpace's orthonormality test.  Every piece's S and f_S
-    are read together (codes._stabilizers).  A kept piece whose stabilizer
-    phase does not snap is classified directly; the dimension counts
-    (codes._dimension_counts) and detectable sets of the others are read
-    together too, and codes._report builds each piece's report with the
-    Clifford and partitioning flags (True, None) and extra = dim E - dim W.
+    are read together (codes._stabilizers), and RuntimeError is raised
+    when a picked piece's stabilizer phase does not snap, which its proof
+    there rules out.  The dimension counts (codes._dimension_counts) and
+    detectable sets are read together too, and codes._report builds each
+    piece's report with the Clifford and partitioning flags (True, None)
+    and extra = dim E - dim W.
     """
     g, d = model.group, model.dim
     subs, rhos, bases = zip(*kept)
@@ -439,21 +445,21 @@ def _clifford_reports(model, kept, only_hits):
         i for i, stab in enumerate(stabs)
         if not only_hits or (g.order == n * len(stab) and not stab.is_normal())
     ]
-    closed = [i for i in picked if phases[i].is_exact]
-    if not closed:   # the hits-only probe often picks no piece of an order
-        return [classify(model, CodeSpace._checked(d, bases[i])) for i in picked]
-    values = np.concatenate([phases[i].values for i in closed])
-    sizes = [len(stabs[i]) for i in closed]
-    dims = _dimension_counts(model, [x for i in closed for x in stabs[i].members], values, sizes)
-    detect = ~np.array([subs[i]._inside for i in closed]) | np.array([stabs[i]._inside for i in closed])
+    if not picked:   # the hits-only probe often picks no piece of an order
+        return []
+    if not all(phases[i].is_exact for i in picked):
+        raise RuntimeError("q3_probe: a stabilizer phase failed to snap")
+    values = np.concatenate([phases[i].values for i in picked])
+    sizes = [len(stabs[i]) for i in picked]
+    dims = _dimension_counts(model, [x for i in picked for x in stabs[i].members], values, sizes)
+    detect = ~np.array([subs[i]._inside for i in picked]) | np.array([stabs[i]._inside for i in picked])
     cols = np.nonzero(detect)[1].tolist()            # (G minus H) + S, row by row
     cuts = np.cumsum(detect.sum(axis=1)).tolist()
-    reports = {
-        i: _report(model, CodeSpace._checked(d, bases[i]), subs[i], stabs[i], phases[i], cols[a:b],
-                   (True, None), (True, None), dim - t)
-        for i, dim, a, b in zip(closed, dims, [0, *cuts], cuts)
-    }
-    return [reports[i] if i in reports else classify(model, CodeSpace._checked(d, bases[i])) for i in picked]
+    return [
+        _report(model, CodeSpace._checked(d, bases[i]), subs[i], stabs[i], phases[i], cols[a:b],
+                (True, None), (True, None), dim - t)
+        for i, dim, a, b in zip(picked, dims, [0, *cuts], cuts)
+    ]
 
 
 def q3_probe(
@@ -528,9 +534,9 @@ def q3_probe(
       reader, on _linalg.scalar_deviation(rho): scalar deviation and
       ||c| - 1| both below _tol.SCAN, f_S snapped on the grid
       sigma.den exp(G) with denominators up to 4|G|, one snap and one gcd
-      reduction for all pieces of one subgroup order.  Its proof of
-      df_S = sigma|S holds as it stands.  A piece with an entry that fails
-      to snap is classified directly.
+      reduction for all pieces of one subgroup order.  Its proof that
+      every entry snaps, and of df_S = sigma|S, holds as it stands, so a
+      piece with an entry that fails to snap raises RuntimeError.
     - is_clifford: |L| dim V = |H| dim V = w |G|, rho is irreducible and
       occurs once in pi|H, as listed above.  So the flag holds with no
       witness, and classify's central-type branch applies: is_weak is

@@ -11,6 +11,7 @@ from helpers import pairwise_enumerated
 import qeclab
 from qeclab.cli import main, parse_group_spec, parse_model_spec
 from qeclab.codes import classify
+from qeclab.projreps import ProjectiveRep
 
 
 def run(capsys, *argv):
@@ -58,6 +59,18 @@ def test_model_command_json(capsys):
     assert data["central_type"] is True
     assert len(data["rep"]["matrices"]) == 4
     assert "cocycle" in data
+
+
+@pytest.mark.parametrize("spec", ["pauli:2", "oddfam:3"])
+def test_model_json_writes_the_cocycle_once(spec, capsys):
+    # the nested rep carries no cocycle key; read back, it is snapped to the
+    # top-level cocycle
+    rc, out, _ = run(capsys, "model", spec, "--json")
+    data = json.loads(out)
+    model = parse_model_spec(spec).model
+    assert rc == 0 and sorted(data["rep"]) == ["dim", "matrices", "order"]
+    rep = ProjectiveRep.from_json(model.group, data["rep"])
+    assert rep.cocycle.to_json() == data["cocycle"] == model.cocycle.to_json()
 
 
 def test_model_usage_error(capsys):

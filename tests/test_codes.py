@@ -1135,22 +1135,6 @@ def test_classify_stabilizer_phases_of_enumerated_codes_are_admissible(spec):
         assert _stabilizer_phase_is_admissible(model, report)
 
 
-@pytest.mark.parametrize("spec", ["c2d2n:3", "oddfam:3", "prod(genpauli:2,genpauli:4)"])
-def test_the_one_code_stabilizer_is_the_batched_reader_on_one_row(spec):
-    # classify reads S and f_S through _stabilizers on a batch of one row,
-    # [1, |L|]: the same subgroup object and phases, to the byte
-    model, found = _enumerated(spec)
-    for code in found:
-        act = _code_action(model, code)
-        logical = codes._logical(model, act)
-        stab, f = codes._stabilizer(model, act, logical)
-        mem = np.flatnonzero(logical._inside)[None]
-        (stab_b,), (f_b,) = codes._stabilizers(model, mem, act.scalars[mem], act.scalar_dev[mem])
-        assert stab is stab_b and f.den == f_b.den
-        assert f.num.tobytes() == f_b.num.tobytes() and f.values.tobytes() == f_b.values.tobytes()
-        assert np.array_equal(f.exact_mask, f_b.exact_mask)
-
-
 @pytest.mark.parametrize("spec", ["c2d2n:3", "oddfam:3", "permprod(genpauli:2,2)"])
 def test_the_core_is_read_once_per_subgroup(spec):
     # the core of S, the members whose every conjugate is a member, is read

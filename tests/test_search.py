@@ -109,11 +109,21 @@ def test_enumerate_default_cap_is_the_environment_cap(monkeypatch):
 
 def _enumerated(model):
     """(enumerate_weak_stabilizer_codes(model), each code's maximal witness
-    key), the keys read from the enumeration's record before any report is
-    asked for."""
-    found = enumerate_weak_stabilizer_codes(model)
-    chunks = found[0][2]._source.chunks if found else []
-    return found, [key for _, keys in chunks for key in keys]
+    key), the keys read from search._maximal_witnesses, the first of each
+    in order."""
+    read, raw = [], search._maximal_witnesses
+
+    def witnesses(*args):
+        read.extend(keys := raw(*args))
+        return keys
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_maximal_witnesses", witnesses)
+        found = enumerate_weak_stabilizer_codes(model)
+    first = {}
+    for key in read:
+        first.setdefault(key.tobytes(), key)
+    return found, list(first.values())
 
 
 def _visited(model):
@@ -271,71 +281,68 @@ def test_the_key_reports_action_is_blocked_and_the_blocks_change_no_report(monke
     acted = sum(stacks)
     assert max(stacks) > 1 and 0 < acted < len(found)
     stacks.clear()
-    found = enumerate_weak_stabilizer_codes(model)
     monkeypatch.setattr(codes, "_PRODUCT_BLOCK_ENTRIES", 1)
+    found = enumerate_weak_stabilizer_codes(model)
     assert [classify(model, code).to_json() for _, _, code in found] == want
     assert stacks == [1] * acted
 
 
 def test_key_reports_act_on_no_code_when_every_stabilizer_is_normal(monkeypatch):
     model = parse_model_spec("pauli:2").model
-    found = enumerate_weak_stabilizer_codes(model)
     calls = []
     for module in (codes, _linalg):
         monkeypatch.setattr(module, "compressed_action", lambda *args: calls.append(args))
     monkeypatch.setattr(codes, "_code_action", lambda *args: calls.append(args))
+    found = enumerate_weak_stabilizer_codes(model)
     reports = [classify(model, code) for _, _, code in found]
     assert not calls and len(reports) == len(found) == 91
     assert all(r.stabilizer.is_normal() for r in reports)
 
 
 def _counted_key_reports(monkeypatch):
-    """The number of codes of each codes._key_reports call, in order, for
-    the enumerations made after it is installed."""
+    """The number of codes of each codes._key_reports call the enumeration
+    makes, in order, for the enumerations made after it is installed."""
     calls = []
-    raw = codes._key_reports
+    raw = search._key_reports
 
     def counted(model, chunk, *rest):
         calls.append(len(chunk))
         return raw(model, chunk, *rest)
 
-    monkeypatch.setattr(codes, "_key_reports", counted)
+    monkeypatch.setattr(search, "_key_reports", counted)
     return calls
 
 
-def test_classify_reads_an_enumeration_in_one_batch(monkeypatch):
-    # the first classify of an enumerated code reads every report of its
-    # enumeration, one reader call per subgroup order, and points each code
-    # to its report; the other 514 calls are lookups, and a repeated call
-    # returns the same report object
+def test_the_enumeration_reads_the_reports_of_each_order_in_one_batch(monkeypatch):
+    # one key reader call per subgroup order that has new codes, on the
+    # codes of that order, each of which then holds its report
     model = parse_model_spec("prod(genpauli:2,genpauli:4)").model
     calls = _counted_key_reports(monkeypatch)
     found = enumerate_weak_stabilizer_codes(model)
-    record = found[0][2]._source
-    chunks = [len(chunk) for chunk, _ in record.chunks]
-    assert calls == [] and all(code._source is record for _, _, code in found)
+    orders = [len(list(same)) for _, same in itertools.groupby(found, key=lambda row: len(row[0]))]
+    assert len(found) == 515 and calls == orders and len(orders) > 1
+    assert all(isinstance(code._source, codes.CodeReport) for _, _, code in found)
+
+
+def test_classify_returns_the_report_the_enumeration_attached(monkeypatch):
+    # the 515 classify calls read no key and act on no code: each returns
+    # the report attached to its code, the same object on every call
+    model = parse_model_spec("prod(genpauli:2,genpauli:4)").model
+    found = enumerate_weak_stabilizer_codes(model)
+    calls, actions = _counted_key_reports(monkeypatch), []
+    monkeypatch.setattr(codes, "_code_action", lambda *args: actions.append(args))
     reports = [classify(model, code) for _, _, code in found]
-    assert len(reports) == 515 and calls == chunks and len(chunks) > 1
-    assert record.chunks == [] and [code._source for _, _, code in found] == reports
+    assert len(reports) == 515 and calls == [] and actions == []
+    assert all(report is code._source for (_, _, code), report in zip(found, reports))
     assert all(classify(model, code) is report for (_, _, code), report in zip(found, reports))
-    assert calls == chunks
-
-
-def test_enumeration_alone_builds_no_report(monkeypatch):
-    built = []
-    raw = codes.CodeReport.__post_init__
-    monkeypatch.setattr(codes.CodeReport, "__post_init__", lambda report: built.append(report) or raw(report))
-    calls = _counted_key_reports(monkeypatch)
-    found = enumerate_weak_stabilizer_codes(parse_model_spec("c2d2n:3").model)
-    assert found and built == [] and calls == []
 
 
 def test_classify_on_another_model_object_takes_the_action_path(monkeypatch):
-    # the record serves only the model object the codes were enumerated on:
-    # an equal model parsed again, or a relabeling, is classified from the
-    # code's action, and the equal model gets the key path's report
+    # the attached report serves only the model object the codes were
+    # enumerated on: an equal model parsed again, or a relabeling, is
+    # classified from the code's action, and the equal model gets the
+    # attached report's JSON
     model = parse_model_spec("c2d2n:3").model
-    calls = _counted_key_reports(monkeypatch)
     found = enumerate_weak_stabilizer_codes(model)
     actions = []
     raw = codes._code_action
@@ -344,9 +351,8 @@ def test_classify_on_another_model_object_takes_the_action_path(monkeypatch):
     got = [classify(again, code).to_json() for _, _, code in found]
     for _, _, code in found[::9]:
         classify(relabeled, code)
-    assert calls == [] and len(actions) == len(found) + len(found[::9])
-    assert got == [classify(model, code).to_json() for _, _, code in found]
-    assert calls and len(actions) == len(found) + len(found[::9])
+    want = [classify(model, code).to_json() for _, _, code in found]
+    assert got == want and len(actions) == len(found) + len(found[::9])
 
 
 def test_enumerated_bases_are_read_only():
@@ -363,39 +369,43 @@ def test_enumerated_bases_are_read_only():
 @pytest.mark.parametrize("spec", ["prod(genpauli:2,genpauli:4)", "c2d2n:3"])
 def test_a_shrunk_block_changes_no_key_report(spec, monkeypatch):
     # every trace product of the key reader runs in blocks under
-    # _PRODUCT_BLOCK_ENTRIES: more than one row of a chunk by default, one
-    # row each at a bound of one entry, and the reports are the same
+    # _PRODUCT_BLOCK_ENTRIES: more than one row of an order's codes by
+    # default, one row each at a bound of one entry, and the reports are
+    # the same
     model = parse_model_spec(spec).model
     rows = []
-    raw = codes._trace_table
+    raw = search._key_reports
 
     class Recording(np.ndarray):
         def __rmatmul__(self, other):
             rows.append(len(other))
             return np.asarray(other) @ np.asarray(self)
 
+    def recorded(model, chunk, keys, table, conj):   # the enumeration's own trace products are not counted
+        return raw(model, chunk, keys, table.view(Recording), conj)
+
+    monkeypatch.setattr(search, "_key_reports", recorded)
     found = enumerate_weak_stabilizer_codes(model)
-    with monkeypatch.context() as m:   # the enumeration's own trace products are not counted
-        m.setattr(codes, "_trace_table", lambda model: raw(model).view(Recording))
-        want = [classify(model, code).to_json() for _, _, code in found]
+    want = [classify(model, code).to_json() for _, _, code in found]
     assert max(rows) > 1 and max(rows) * model.group.order * 2 <= _linalg._PRODUCT_BLOCK_ENTRIES
     rows.clear()
-    found = enumerate_weak_stabilizer_codes(model)
-    monkeypatch.setattr(codes, "_trace_table", lambda model: raw(model).view(Recording))
     monkeypatch.setattr(codes, "_PRODUCT_BLOCK_ENTRIES", 1)
+    found = enumerate_weak_stabilizer_codes(model)
     assert [classify(model, code).to_json() for _, _, code in found] == want
     assert set(rows) == {1} and len(rows) == len(found)
 
 
 @pytest.mark.parametrize("spec", ["prod(genpauli:2,genpauli:4)", "c2d2n:8", "oddfam:3"])
 def test_enumeration_interns_only_the_subgroups_it_visits(spec):
-    # the rejected subgroups never get a Subgroup, and the full lattice is
-    # neither built nor kept
+    # the rejected subgroups never get a Subgroup unless one is some
+    # report's logical group, and the full lattice is neither built nor kept
     model = parse_model_spec(spec).model
     g = model.group
-    visited, _ = _visited(model)
+    visited, (found, _) = _visited(model)
+    logicals = {code._source.logical.members for _, _, code in found}
     assert g._lattice_members is None
-    assert set(g._interned) <= set(visited) < set(g._lattice())
+    assert set(g._interned) <= set(visited) | logicals
+    assert set(visited) < set(g._lattice())
 
 
 def _counted_splits(monkeypatch):
@@ -462,6 +472,33 @@ def test_q3_reports_equal_classify_on_every_candidate(spec):
     model = candidates[0].model
     assert [r.to_json() for r in candidates] == [classify(model, r.code).to_json() for r in candidates]
     assert all(r.flags["is_clifford"] and r.flags["is_partitioning"] for r in candidates)
+
+
+@pytest.mark.parametrize("spec", _CENTRAL_ALL)
+def test_q3_probe_acts_on_no_code(spec, monkeypatch):
+    # every candidate's stabilizer phase snaps (codes._stabilizers' proof),
+    # so no piece falls back to classify's action path
+    actions = []
+    raw = codes._code_action
+    monkeypatch.setattr(codes, "_code_action", lambda *args: actions.append(args) or raw(*args))
+    _, candidates = q3_probe(_catalog_model(spec), return_candidates=True)
+    assert candidates and actions == []
+
+
+def test_q3_probe_raises_on_a_stabilizer_phase_that_fails_to_snap(monkeypatch):
+    # a piece whose stabilizer phase is not exact contradicts the proof in
+    # codes._stabilizers, so the probe raises rather than classify it
+    raw = cocycles._snap_phases
+
+    def one_unsnapped(values, max_den, grid=None):
+        num, den, mask = raw(values, max_den, grid)
+        mask = mask.copy()
+        mask[-1] = False
+        return num, den, mask
+
+    monkeypatch.setattr(codes, "_snap_phases", one_unsnapped)
+    with pytest.raises(RuntimeError, match="failed to snap"):
+        q3_probe(parse_model_spec("oddfam:3").model)
 
 
 def test_q3_census_of_normal_cyclic_subgroups():
