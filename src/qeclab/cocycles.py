@@ -24,7 +24,7 @@ stabilizer phase is snapped from the grid its cocycle puts it on
 (_is_coboundary_of), with no Cocycle built for either side.  That
 comparison is made where a phase enters from outside the construction that
 proves it: on a trivializer, solved for (find_trivializing_phase) or read
-by cyclic extension on an abelian subgroup (_cyclic_extension, which
+by cyclic extension on abelian subgroups (_cyclic_extensions, which
 builds no restricted Cocycle), on a caller's f (codes.weak_stabilizer_code)
 and on search's maximal witness keys.  The phases f0 chi of an enumeration
 and a classified code's stabilizer phase are proved admissible instead
@@ -542,12 +542,13 @@ def _is_coboundary_of(f: PhaseFunction, sigma: Cocycle) -> bool:
 def _coboundary_rows(num: np.ndarray, den: int, mul: np.ndarray, snum: np.ndarray, sden: int) -> np.ndarray:
     """_is_coboundary_of for each row of num [k, n], the numerators over den
     of a phase function on the group whose product table is mul, against
-    the cocycle table snum / sden on that group, numerators in [0, sden)."""
-    if mul.shape != snum.shape:
+    the cocycle table snum / sden on that group, numerators in [0, sden);
+    mul and snum are [n, n], or [k, n, n] with a group for each row."""
+    if mul.shape[-2:] != snum.shape[-2:]:
         return np.zeros(len(num), dtype=bool)
     common = math.lcm(den, sden)
     num = num * (common // den)
-    table = (num[:, :, None] + num[:, None, :] - num[:, mul]) % common
+    table = (num[:, :, None] + num[:, None, :] - num[np.arange(len(num))[:, None, None], mul]) % common
     return (table == snum * (common // sden)).all(axis=(1, 2))
 
 
@@ -730,15 +731,20 @@ def _linear_characters(group: FiniteGroup) -> tuple[np.ndarray, int]:
     return values @ coeff.T % e, e
 
 
-def _cyclic_extension(sigma: Cocycle, members) -> tuple[np.ndarray, int, np.ndarray, int] | None:
-    """(f0, M, chars, e) on an abelian subgroup H of sigma's group, given by
-    its sorted members, read from sigma's integer table by cyclic extension
-    (Neubueser, Numer. Math. 2, 1960): f0 a trivializer of sigma|H as
-    numerators over M, reduced, and every linear character of H as rows of
-    numerators over e = exp(H), in _linear_characters' order; each on the
-    members in order.  None when beta != 1 on a pair of H's greedy
-    generators (see find_trivializing_phase), as no trivializer exists then.
-    No restricted cocycle, subgroup group or integer system is built.
+def _cyclic_extensions(sigma: Cocycle, members: np.ndarray):
+    """The trivializers and linear characters of b abelian subgroups H of
+    sigma's group, all of one order h, given by their sorted members [b, h],
+    read from sigma's integer table by cyclic extension (Neubueser, Numer.
+    Math. 2, 1960).  Returns (ok [b], f0 [b', h], M [b'], chars [b', h, h],
+    e [b']) on the b' rows with ok: f0 a trivializer of sigma|H as
+    numerators over M, reduced, and chars every linear character of H as
+    rows of numerators over e = exp(H), in _linear_characters' order; each
+    on the members in order.  A row fails ok when beta != 1 on a pair of
+    H's greedy generators (see find_trivializing_phase), as no trivializer
+    exists then.  No restricted cocycle, subgroup group or integer system
+    is built: H's product tables are read on positions from one [b, |G|]
+    position table, sigma|H is gathered once for the block, and each row's
+    coset walk runs on Python lists.
 
     Walk H's greedy generators x (its members in order, each kept when it
     lies outside the subgroup K its predecessors generate), with m the
@@ -754,61 +760,72 @@ def _cyclic_extension(sigma: Cocycle, members) -> tuple[np.ndarray, int, np.ndar
     abelian H makes sigma|H a coboundary (Kleppner, Math. Ann. 158, 1965),
     and a trivializer F of it is f chi on K for a character chi of K, which
     extends to K<x>, so F / chi extends f and solves the equation; any two
-    solutions differ by a character of the cyclic K<x> / K.  The result is
-    still tested, df0 = sigma|H in integers (RuntimeError otherwise), as
-    find_trivializing_phase tests its own.  df0 = sigma makes sigma.den f0
+    solutions differ by a character of the cyclic K<x> / K.  Every result
+    is still tested, df0 = sigma|H in integers (RuntimeError otherwise), as
+    find_trivializing_phase tests its own: all rows at once, on the common
+    grid sigma.den |H|, which every M divides before its reduction (the
+    least denominator divides sigma.den, and the refinements multiply it by
+    coset counts whose product divides |H|).  df0 = sigma makes sigma.den f0
     a character, so the reduced M divides sigma.den exp(H).
 
     The characters are the case sigma = 0 over M = e: every solution c of
     m c = chi(x^m) mod e, the m values c0 + s e / m in increasing order, so
     rows come out in lexicographic order of their values on the greedy
-    generators, which are sub.as_group()'s.  exp(H) is the lcm of the
-    generators' orders, as H is abelian.
+    generators, which are sub.as_group()'s; an abelian H has |H| of them.
+    exp(H) is the lcm of the generators' orders, as H is abelian.
     """
-    g, den = sigma.group, sigma.den
-    mem = np.asarray(members)
-    mul = np.searchsorted(mem, g.mul[mem[:, None], mem])   # H's own table, on positions in mem
-    t = sigma.num[mem[:, None], mem]
-    q = math.gcd(int(np.gcd.reduce(t, axis=None)), den)   # sigma|H over its least denominator
-    t, den = t // q, den // q
-    rows, ident = mul.tolist(), int(np.searchsorted(mem, g.identity))
-    built, where = [ident], {ident: 0}   # H's elements in the order the cosets add them
-    steps, gens, e = [], [], 1
-    for x in range(len(mem)):
-        if x in where:
+    g, (b, h) = sigma.group, members.shape
+    pos = np.zeros((b, g.order), dtype=np.int64)   # [i, x]: x's position among row i's members
+    pos[np.arange(b)[:, None], members] = np.arange(h)   # and mul holds H's tables on positions
+    mul = np.take_along_axis(pos[:, None], g.mul[members[:, :, None], members[:, None, :]], axis=2)
+    t = sigma.num[members[:, :, None], members[:, None, :]]
+    q = np.gcd(np.gcd.reduce(t, axis=(1, 2)), sigma.den)   # sigma|H over its least denominator
+    ok, walks = [], [([*range(h)], [0] * h, 1, [[0] * h] * h, 1)]   # row 0 keeps the shapes; dropped
+    for rows, tab, den, ident in zip(mul.tolist(), (t // q[:, None, None]).tolist(),
+                                     (sigma.den // q).tolist(), pos[:, g.identity].tolist()):
+        built, where = [ident], {ident: 0}   # H's elements in the order the cosets add them
+        steps, gens, e = [], [], 1
+        for x in range(h):
+            if x in where:
+                continue
+            powers, y, z, order = [ident], x, x, 1
+            while y not in where:
+                powers.append(y)
+                y = rows[y][x]
+            while z != ident:
+                z, order = rows[z][x], order + 1
+            e, size = math.lcm(e, order), len(built)
+            steps.append((size, powers, where[y]))
+            gens.append(x)
+            for p in powers[1:]:
+                for k in built[:size]:
+                    where[rows[k][p]] = len(built)
+                    built.append(rows[k][p])
+        ok.append(not any((tab[x][y] - tab[y][x]) % den for x in gens for y in gens))   # beta = 1
+        if not ok[-1]:
             continue
-        powers, y = [ident], x
-        while y not in where:
-            powers.append(y)
-            y = rows[y][x]
-        e, size = math.lcm(e, g.element_order(int(mem[x]))), len(built)
-        steps.append((size, powers, where[y]))
-        gens.append(x)
-        for p in powers[1:]:
-            for k in built[:size]:
-                where[rows[k][p]] = len(built)
-                built.append(rows[k][p])
-    tab = t.tolist()
-    if any((tab[x][y] - tab[y][x]) % den for x in gens for y in gens):   # beta != 1
-        return None
-    f, modulus, chars = [tab[ident][ident]], den, [[0]]
-    for size, powers, top in steps:
-        m = len(powers)
-        a = list(itertools.accumulate((-tab[p][powers[1]] for p in powers), initial=tab[ident][ident]))
-        if (f[top] - a[m] * (modulus // den)) % math.gcd(m, modulus):
-            modulus, f = modulus * m, [v * m for v in f]
-        q, scale = math.gcd(m, modulus), modulus // den
-        c = (f[top] - a[m] * scale) % modulus // q * pow(m // q, -1, modulus // q) % (modulus // q)
-        f = [(v + (a[j] - tab[k][p]) * scale + j * c) % modulus
-             for j, p in enumerate(powers) for v, k in zip(f, built[:size])]
-        chars = [[(v + j * c) % e for j in range(m) for v in chi]
-                 for chi in chars for c in range(chi[top] // m, e, e // m)]
-    order = sorted(range(len(built)), key=built.__getitem__)
-    f, chars = np.array(f, dtype=np.int64)[order], np.array(chars, dtype=np.int64)[:, order]
-    if not _coboundary_rows(f[None], modulus, mul, t, den)[0]:
+        f, modulus, chars = [tab[ident][ident]], den, [[0]]
+        for size, powers, top in steps:
+            m = len(powers)
+            a = list(itertools.accumulate((-tab[p][powers[1]] for p in powers), initial=tab[ident][ident]))
+            if (f[top] - a[m] * (modulus // den)) % math.gcd(m, modulus):
+                modulus, f = modulus * m, [v * m for v in f]
+            r, scale = math.gcd(m, modulus), modulus // den
+            c = (f[top] - a[m] * scale) % modulus // r * pow(m // r, -1, modulus // r) % (modulus // r)
+            f = [(v + (a[j] - tab[k][p]) * scale + j * c) % modulus
+                 for j, p in enumerate(powers) for v, k in zip(f, built[:size])]
+            chars = [[(v + j * c) % e for j in range(m) for v in chi]
+                     for chi in chars for c in range(chi[top] // m, e, e // m)]
+        walks.append((built, f, modulus, chars, e))
+    ok = np.array(ok, dtype=bool)
+    built, f, modulus, chars, e = (np.array(col, dtype=np.int64)[1:] for col in zip(*walks))
+    order = np.argsort(built, axis=1)   # walk order -> member order
+    f, chars = np.take_along_axis(f, order, axis=1), np.take_along_axis(chars, order[:, None], axis=2)
+    common = sigma.den * h
+    if not _coboundary_rows(f * (common // modulus)[:, None], common, mul[ok], t[ok], sigma.den).all():
         raise RuntimeError("cyclic extension produced a non-trivializing phase function")
-    q = math.gcd(int(np.gcd.reduce(f)), modulus)
-    return f // q, modulus // q, chars, e
+    q = np.gcd(np.gcd.reduce(f, axis=1), modulus)
+    return ok, f // q[:, None], modulus // q, chars, e
 
 
 def find_trivializing_phase(

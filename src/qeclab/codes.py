@@ -13,16 +13,16 @@ and partitioning test are all read from such norms.  The commutator
 P pi(x) (1 - P) are orthogonal, and pi(x)* is a unit multiple of
 pi(x^-1), so the second has the norm of the first at x^-1.
 
-Constituents are found here only (_constituents), in exact
-arithmetic: with f0 a trivializer of the restricted cocycle, the codes on
-H are the (H, f0 chi) eigenspaces for the linear characters chi of H
-whose multiplicity in conj(f0) pi|H is positive.  On abelian H, f0 and the
-characters are read by cyclic extension from the model cocycle's integer
-table (cocycles._cyclic_extension); on others f0 is solved for and the
-characters read from a diagonal form of an integer system.  No eigenspace
-is walked and no value is snapped to find them.  existence_phase takes the
-first and search.enumerate_weak_stabilizer_codes takes them all, for all
-subgroups of one order at once.  A (H, f) code is built as the
+Constituents are found here only (_constituents), in exact arithmetic: with
+f0 a trivializer of the restricted cocycle, the codes on H are the (H, f0
+chi) eigenspaces for the linear characters chi of H whose multiplicity in
+conj(f0) pi|H is positive.  On abelian H, f0 and the characters are read by
+cyclic extension from the model cocycle's integer table, all subgroups of
+one order together (cocycles._cyclic_extensions); on others f0 is solved
+for and the characters read from a diagonal form of an integer system.  No
+eigenspace is walked and no value is snapped to find them.  existence_phase
+takes the first and search.enumerate_weak_stabilizer_codes takes them all,
+for all subgroups of one order at once.  A (H, f) code is built as the
 1-eigenspace of the average (1/|H|) sum_h conj(f(h)) pi(h), for many rows
 (H, f) of one subgroup order at once (_eigenspaces); weak_stabilizer_code
 is its one-row case.  df = sigma|H is tested there on the caller's f only:
@@ -66,13 +66,13 @@ from ._linalg import orthonormal_columns, scalar_deviation
 from .cocycles import (
     PhaseFunction,
     _coboundary_rows,
-    _cyclic_extension,
+    _cyclic_extensions,
     _linear_characters,
     _phase_values,
     _snap_phases,
     find_trivializing_phase,
 )
-from .groups import GroupValidationError, Subgroup
+from .groups import GroupValidationError, Subgroup, _read_cores
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     ProjectiveRep,
@@ -189,7 +189,7 @@ def weak_stabilizer_code(
     f is the caller's, so df = sigma|H is tested on a nonzero code, as
     integer numerators (cocycles._coboundary_rows) when f is exact and to
     _tol.DERIVED on the floats otherwise, on tables cut from G's (as in
-    cocycles._cyclic_extension): RuntimeError when it fails.
+    cocycles._cyclic_extensions): RuntimeError when it fails.
     """
     if f.domain is not sub and tuple(f.domain.members) != tuple(sub.members):
         raise CodeError("phase function domain does not match the subgroup")
@@ -254,7 +254,8 @@ def _eigenspaces(
     the three temporaries of the check, each at most that size, hold at
     most _PRODUCT_BLOCK_ENTRIES entries together (one row at least): each
     block takes one gather, one stacked product for the averages, one
-    stacked eigh and one product for the check.  Row i's bytes depend on
+    stacked eigh and one product for the check, and the bases of each rank
+    are sliced from one contiguous copy.  Row i's bytes depend on
     neither the other rows nor the blocks: P_i is one row-vector product
     against pi|H_i flattened, as a stacked matmul makes it for each row on
     its own, and the stacked eigh decomposes each P_i on its own.  So every
@@ -278,10 +279,13 @@ def _eigenspaces(
         held = (ranks > 0) & ((resid <= _tol.SCAN) | ~top).all(axis=1)
         gram = np.abs(tops[:, 0].conj().swapaxes(1, 2) @ tops[:, 0] - np.eye(w)) ** 2
         ortho = np.sqrt((gram * (top[:, :, None] & top[:, None, :])).sum(axis=(1, 2)))
-        for v, r, ok, dev in zip(evecs, ranks.tolist(), held.tolist(), ortho.tolist()):
-            if ok and not dev <= _tol.EXACT:   # NaN fails too
-                raise CodeError("basis columns are not orthonormal")
-            codes.append(CodeSpace._checked(n, np.ascontiguousarray(v[:, n - r:])) if ok else None)
+        if (held & ~(ortho <= _tol.EXACT)).any():   # NaN fails too
+            raise CodeError("basis columns are not orthonormal")
+        # each rank's bases, sliced from one contiguous array, taken in row order
+        bases = {r: iter(np.ascontiguousarray(evecs[held & (ranks == r), :, n - r:]))
+                 for r in set(ranks.tolist())}
+        codes += [CodeSpace._checked(n, next(bases[r])) if ok else None
+                  for r, ok in zip(ranks.tolist(), held.tolist())]
     return codes
 
 
@@ -307,13 +311,14 @@ def _constituents(model: ProjectiveErrorModel, subs: list[Subgroup]):
     the multiplicity m_chi = (1/|H|) sum_h conj(f0 chi)(h) chi_pi(h), the
     average code_dimension_formula snaps, counted for every chi of every H
     in one segment sum, by the same integer test (_dimension_counts).
-    On abelian H, f0 and the characters are read by cyclic extension from
-    sigma's integer table (cocycles._cyclic_extension), with no restricted
-    cocycle or subgroup group built; on others f0 is solved for
-    (find_trivializing_phase) and the characters are read from a diagonal
-    form (cocycles._linear_characters).  Both are exact, so f0 chi is read
-    in integer numerators; df0 = sigma|H makes sigma.den f0 a character of
-    H, so f0, like chi, lies on the grid.  The rows of one H list every chi
+    Which H are abelian is read for the whole block from one [b, |H|, |H|]
+    gather of G's table.  The abelian ones are read together by cyclic
+    extension (cocycles._cyclic_extensions, where the proof is); on the
+    others f0 is solved for (find_trivializing_phase) and the characters
+    are read from a diagonal form (cocycles._linear_characters).  Both are
+    exact, so f0 chi is read in integer numerators; df0 = sigma|H makes
+    sigma.den f0 a character of H, so f0, like chi, lies on the grid.  Rows
+    come in the order of subs, and the rows of one H list every chi
     with m_chi > 0, in lexicographic order of chi's values on the greedy
     generators of sub.as_group(): the order of the joint eigenspace walk
     (see existence_phase).  An H whose restricted cocycle is not a
@@ -321,24 +326,23 @@ def _constituents(model: ProjectiveErrorModel, subs: list[Subgroup]):
     not a non-negative integer.
     """
     g, sigma = model.group, model.cocycle
-    grid = sigma.den * g.exponent()
-    owner, rows = [], [np.zeros((0, len(subs[0])), dtype=np.int64)]
-    for i, sub in enumerate(subs):
-        if sub.is_abelian():
-            got = _cyclic_extension(sigma, sub.members)
-        else:
-            f0 = find_trivializing_phase(sigma.restrict(sub), domain=sub)
-            got = None if f0 is None else (f0.num, f0.den, *_linear_characters(sub.as_group()))
-        if got is not None:
-            f0, den, chars, e = got
-            rows.append((f0 * (grid // den) + chars * (grid // e)) % grid)
-            owner += [i] * len(chars)
-    nums, owner = np.concatenate(rows), np.array(owner, dtype=int)
+    grid, members = sigma.den * g.exponent(), np.array([sub.members for sub in subs])
+    prods = g.mul[members[:, :, None], members[:, None, :]]
+    abelian = (prods == prods.swapaxes(1, 2)).all(axis=(1, 2))
+    ok, f0, den, chars, e = _cyclic_extensions(sigma, members[abelian])
+    nums = (f0[:, None] * (grid // den)[:, None, None] + chars * (grid // e)[:, None, None]) % grid
+    rows = dict(zip(np.flatnonzero(abelian)[ok].tolist(), nums))   # index in subs -> its rows f0 chi
+    for i in np.flatnonzero(~abelian).tolist():
+        f0 = find_trivializing_phase(sigma.restrict(subs[i]), domain=subs[i])
+        if f0 is not None:
+            chars, e = _linear_characters(subs[i].as_group())
+            rows[i] = (f0.num * (grid // f0.den) + chars * (grid // e)) % grid
+    owner = np.array([i for i in sorted(rows) for _ in rows[i]], dtype=int)
     if not len(owner):
-        return owner, nums, grid, owner
-    members = np.array([sub.members for sub in subs])[owner]
+        return owner, np.zeros((0, members.shape[1]), dtype=np.int64), grid, owner
+    nums = np.concatenate([rows[i] for i in sorted(rows)])
     counts = np.array(_dimension_counts(
-        model, members.ravel(), _phase_values(nums, grid).ravel(), [len(subs[0])] * len(nums)
+        model, members[owner].ravel(), _phase_values(nums, grid).ravel(), [members.shape[1]] * len(nums)
     ), dtype=np.int64)
     return owner[counts > 0], nums[counts > 0], grid, counts[counts > 0]
 
@@ -355,7 +359,7 @@ def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction
     Needs the subgroup abelian and the restricted cocycle a coboundary.  The
     choice among the 1-dimensional constituents is deterministic: it is the
     first one _constituent_phases yields, with f0 the trivializer that
-    _constituents reads by cyclic extension (cocycles._cyclic_extension),
+    _constituents reads by cyclic extension (cocycles._cyclic_extensions),
     which depends on sigma|H alone, and the lowest phase angle of each
     generator g_1, ..., g_r of sub.as_group() in turn.
 
@@ -530,6 +534,15 @@ def _close_logical(
     return tuple(closed.tolist())
 
 
+def _member_rows(mask: np.ndarray, members: np.ndarray | None = None) -> list[list[int]]:
+    """The entries of members [k, m] where the mask [k, m] holds, row by
+    row, as int lists; the column indices where it holds when members is
+    None.  One gather and one tolist serve every row, cut at the row counts."""
+    flat = (np.nonzero(mask)[1] if members is None else members[mask]).tolist()
+    ends = list(itertools.accumulate(mask.sum(axis=1).tolist()))
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def _stabilizers(
     model: ProjectiveErrorModel, members: np.ndarray, scalars: np.ndarray, deviation: np.ndarray
 ) -> tuple[list[Subgroup], list[PhaseFunction]]:
@@ -579,9 +592,7 @@ def _stabilizers(
     the codes of its tilt sweep.
     """
     keep = (deviation < _tol.SCAN) & (np.abs(np.abs(scalars) - 1) < _tol.SCAN)
-    flat = members[keep].tolist()
-    ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
-    stabs = [model.group._intern(tuple(flat[a:b])) for a, b in zip([0, *ends], ends)]
+    stabs = [model.group._intern(tuple(row)) for row in _member_rows(keep, members)]
     values = scalars[keep]
     grid = model.cocycle.den * model.group.exponent()
     num, den, mask = _snap_phases(values, 4 * model.group.order, grid)
@@ -689,11 +700,9 @@ class CodeReport:
     central_type_criterion: dict[str, bool] | None = None
 
     def __post_init__(self) -> None:
-        lset = set(self.logical.members)
-        sset = set(self.stabilizer.members)
-        if not sset <= lset:
+        if not all(map(self.logical._inside.__getitem__, self.stabilizer.members)):
             raise RuntimeError("stabilizer group not contained in logical group")
-        if not sset <= set(self.detectable):
+        if not set(self.detectable).issuperset(self.stabilizer.members):
             raise RuntimeError("stabilizer group not contained in detectable set")
 
     def to_json(self) -> dict:
@@ -869,15 +878,16 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     sets the flags and witnesses.
 
     - S and f_S are the key, confirmed in integers
-      (search._maximal_witnesses): x acts on W as a unimodular scalar
-      exactly on S, and f_S is that scalar.  W is weak with no witness, as
-      W = W(S, f_S), so extra = 0.
+      (search._maximal_witnesses, where the proof is): x acts on W as a
+      unimodular scalar exactly on S, and f_S is that scalar.  W is weak
+      with no witness, as W = W(S, f_S), so extra = 0.
     - L = {g : pi(g)W = W}.  pi(g) maps the code with key (S, f_S) to the
       code with key (gSg^-1, x -> lambda_g(x) f_S(g^-1 x g)), lambda_g from
       conj, and equal keys are equal codes, so L is the set of g with
       f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every y in S, read in
       integers (off S the key is -1, so only g normalizing S pass): one
-      gather per distinct S.
+      gather for the codes of one |S|, per block, in the least integer
+      type that holds twice the grid.
     - The character of L on W is T(x) = tr(P pi(x)) = (1/|S|) sum_s
       conj(f_S(s)) sigma(s, x) chi_pi(sx), P the average over S: rows of
       conj(F) @ table, F the f_S put on G.  The two tests of
@@ -885,51 +895,55 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     - When S is normal in G, every x outside L maps W onto W(S, x.f_S),
       another eigenspace of S, orthogonal to W, and x in L acts on W as a
       scalar exactly when x is in S.  So no element is mixed and
-      D = (G minus L) + S, with no float action.  When S is not normal, D
-      and the partitioning test are the action path's (_detectable and
-      _partitioning, whose RuntimeError then also checks L), read from one
-      stacked action per code dimension (_actions).
+      D = (G minus L) + S, with no float action, read for all such codes
+      from one stacked mask.  When S is not normal, D and the partitioning
+      test are the action path's (_detectable and _partitioning, whose
+      RuntimeError then also checks L), read from one stacked action per
+      code dimension (_actions).
 
-    Every step runs in blocks under _PRODUCT_BLOCK_ENTRIES, and no
-    [k, |G|] float table is formed.
+    S, L and D are read from [k, |G|] masks with one nonzero per mask
+    (_member_rows), and the normality of every distinct S at once
+    (groups._read_cores).  Every step runs in blocks under
+    _PRODUCT_BLOCK_ENTRIES, and no [k, |G|] float table is formed.
     """
     g, sigma = model.group, model.cocycle
     grid, k, on_s = sigma.den * g.exponent(), len(codes), keys >= 0
-    stabs = [g._intern(tuple(row.tolist())) for row in map(np.flatnonzero, on_s)]
+    stabs = [g._intern(tuple(row)) for row in _member_rows(on_s)]
+    _read_cores(stabs)
     nums = keys[on_s].astype(np.int64)
     values = _phase_values(nums, grid)                            # f_S, run after run
     phases = PhaseFunction._runs(stabs, nums, grid, None, values)
-    logicals, rows_of = [None] * k, {}
-    for i, stab in enumerate(stabs):
-        rows_of.setdefault(stab, []).append(i)
-    for stab, rows in rows_of.items():
-        mem = list(stab.members)
-        moved = conj.turns[:, mem] * (grid // sigma.den)
-        step = max(1, _PRODUCT_BLOCK_ENTRIES // (3 * g.order * len(mem)))   # the gather and both sides
+    sizes, on_l, small = on_s.sum(axis=1), np.empty(on_s.shape, dtype=bool), np.min_scalar_type(-2 * grid)
+    wide, turns = keys.astype(small), (conj.turns * (grid // sigma.den)).astype(small)
+    for size in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == size)
+        mem = np.nonzero(on_s[rows])[1].reshape(-1, size)          # each code's S
+        step = max(1, _PRODUCT_BLOCK_ENTRIES // (3 * g.order * size))   # the gather and both sides
         for a in range(0, len(rows), step):
-            key = keys[rows[a:a + step]]
-            fixed = (key[:, conj.elements[:, mem]] == (key[:, None, mem] + moved) % grid).all(axis=2)
-            for i, row in zip(rows[a:a + step], fixed):
-                logicals[i] = g._intern(tuple(np.flatnonzero(row).tolist()))
-    chi, clifford = model.rep.character().values, [None] * k
-    cuts = [0, *itertools.accumulate(len(stab) for stab in stabs)]
+            r, m = rows[a:a + step], mem[a:a + step]
+            key, at = wide[r], np.arange(len(r))[:, None]
+            moved = (key[at, m] + turns[:, m]) % grid                    # [g, code, y]
+            on_l[r] = (key[at, conj.elements[:, m]] == moved).all(axis=2).T
+    logicals = [g._intern(tuple(row)) for row in _member_rows(on_l)]
+    chi, clifford, l_sizes = model.rep.character().values, [None] * k, on_l.sum(axis=1)
+    cuts = [0, *itertools.accumulate(sizes.tolist())]
     step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * g.order))   # F and T, half the bound
     for a in range(0, k, step):
-        block = range(a, min(a + step, k))
-        f = np.zeros((len(block), g.order), dtype=complex)
-        f[on_s[a:a + step]] = values[cuts[a]:cuts[block.stop]].conj()
+        b = min(a + step, k)
+        f = np.zeros((b - a, g.order), dtype=complex)
+        f[on_s[a:b]] = values[cuts[a]:cuts[b]].conj()
         traces = f @ table                                        # T(x) = tr(P pi(x))
-        traces /= [[len(stabs[i])] for i in block]
-        by_order = sorted(block, key=lambda i: len(logicals[i]))
-        for size, same in itertools.groupby(by_order, key=lambda i: len(logicals[i])):
-            same = np.array(list(same))
-            r, x = np.nonzero([logicals[i]._inside for i in same])
-            chis, chi_pi = traces[same[r] - a, x].reshape(-1, size), chi[x].reshape(-1, size)
-            totals = np.mean(chis * np.conj(chi_pi), axis=-1).tolist()
-            for i, irreducible, total in zip(same.tolist(), _irreducible_character(chis).tolist(), totals):
-                clifford[i] = _clifford_flag(model, codes[i].dim, size, irreducible, total)
-    parts = {i: (np.flatnonzero(~logicals[i]._inside | stab._inside).tolist(), (True, None))
-             for i, stab in enumerate(stabs) if stab.is_normal()}
+        traces /= sizes[a:b, None]
+        for size in set(l_sizes[a:b].tolist()):
+            same = np.flatnonzero(l_sizes[a:b] == size)
+            x = np.nonzero(on_l[a + same])[1].reshape(-1, size)   # each code's L
+            chis = traces[same[:, None], x]
+            totals = np.mean(chis * np.conj(chi[x]), axis=-1).tolist()
+            for i, irred, total in zip((same + a).tolist(), _irreducible_character(chis).tolist(), totals):
+                clifford[i] = _clifford_flag(model, codes[i].dim, size, irred, total)
+    normal = np.array([stab.is_normal() for stab in stabs], dtype=bool)
+    parts = {i: (row, (True, None))
+             for i, row in zip(np.flatnonzero(normal).tolist(), _member_rows(~on_l[normal] | on_s[normal]))}
     acted = sorted((i for i in range(k) if i not in parts), key=lambda i: codes[i].dim)
     for w, same_dim in itertools.groupby(acted, key=lambda i: codes[i].dim):
         same_dim = list(same_dim)

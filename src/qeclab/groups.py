@@ -444,29 +444,32 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members):
         self.parent = parent
-        self.members: tuple[int, ...] = tuple(sorted(set(int(m) for m in members)))
-        self._position = {m: i for i, m in enumerate(self.members)}
+        self.members: tuple[int, ...] = tuple(sorted(set(map(int, members))))
+        self._position: dict[int, int] | None = None   # built by the first position()
         self._as_group: FiniteGroup | None = None
         self._normal: bool | None = None
         self._core: np.ndarray | None = None
         # id(cocycle) -> (cocycle, its restriction here), kept by Cocycle.restrict
         self._restrictions: dict = {}
-        if parent.identity not in self._position:
-            raise GroupValidationError("subgroup must contain the identity")
-        mem = np.array(self.members)
-        # the membership mask, read again by is_normal
+        if self.members and not 0 <= self.members[0] <= self.members[-1] < parent.order:
+            raise GroupValidationError("subgroup members must be elements of the group")
+        # the membership mask, which every check reads, as do membership
+        # tests, is_normal and the codes
+        mem = np.array(self.members, dtype=np.intp)
         self._inside = inside = np.zeros(parent.order, dtype=bool)
         inside[mem] = True
-        if not inside[parent.mul[np.ix_(mem, mem)]].all():
+        if not inside[parent.identity]:
+            raise GroupValidationError("subgroup must contain the identity")
+        if not inside[parent.mul.take(mem, axis=0).take(mem, axis=1)].all():
             raise GroupValidationError("member set is not closed under multiplication")
-        if not inside[parent.inv[mem]].all():
+        if not inside[parent.inv.take(mem)].all():
             raise GroupValidationError("member set is not closed under inversion")
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __contains__(self, x: int) -> bool:
-        return int(x) in self._position
+        return 0 <= (x := int(x)) < self.parent.order and bool(self._inside[x])
 
     def __eq__(self, other) -> bool:
         return (
@@ -483,6 +486,8 @@ class Subgroup:
 
     def position(self, parent_index: int) -> int:
         """Index of a parent element inside this subgroup's own numbering."""
+        if self._position is None:
+            self._position = {m: i for i, m in enumerate(self.members)}
         return self._position[int(parent_index)]
 
     def index(self) -> int:
@@ -496,11 +501,10 @@ class Subgroup:
     def _core_mask(self) -> np.ndarray:
         """[i]: members[i] lies in the core of the subgroup, the largest
         normal subgroup of the parent inside it, that is every conjugate
-        x h x^-1 of h = members[i] is a member.  Read once per subgroup."""
+        x h x^-1 of h = members[i] is a member.  Read once per subgroup
+        (_read_cores)."""
         if self._core is None:
-            g = self.parent
-            conjugates = g.mul[g.mul[:, list(self.members)], g.inv[:, None]]   # [x, h] = x h x^-1
-            self._core = self._inside[conjugates].all(axis=0)
+            _read_cores([self])
         return self._core
 
     def is_abelian(self) -> bool:
@@ -536,6 +540,22 @@ class Subgroup:
                 n, mul, identity, inv, f"{self.parent.label}>sub{n}", names
             )
         return self._as_group
+
+
+def _read_cores(subs: list[Subgroup]) -> None:
+    """Subgroup._core_mask of every subgroup of subs, all of one parent,
+    where it is not read yet: the subgroups of each order together, from
+    one gather of their members' conjugates per block of at most
+    _PRODUCT_BLOCK_ENTRIES entries."""
+    todo = sorted({id(sub): sub for sub in subs if sub._core is None}.values(), key=len)
+    for size, same in itertools.groupby(todo, key=len):
+        same, g = list(same), todo[0].parent
+        step = max(1, _PRODUCT_BLOCK_ENTRIES // (g.order * size))
+        for block in (same[a:a + step] for a in range(0, len(same), step)):
+            conjugates = g.mul[g.mul[:, [sub.members for sub in block]], g.inv[:, None, None]]   # x h x^-1
+            inside = np.array([sub._inside for sub in block])[np.arange(len(block))[:, None], conjugates]
+            for sub, core in zip(block, inside.all(axis=0)):
+                sub._core = core
 
 
 # -- constructors ------------------------------------------------------------

@@ -16,7 +16,7 @@ rejected H is never interned, restricted or solved.  It is exact on
 abelian H (Kleppner, Math. Ann. 158, 1965) but only necessary on others
 (Moravec, Amer. J. Math. 134, 2012), so every non-abelian survivor is
 still solved.  On an abelian survivor the trivializer is read by cyclic
-extension with no solve (cocycles._cyclic_extension).  A Clifford code
+extension with no solve (cocycles._cyclic_extensions).  A Clifford code
 needs no admissible phase, so q3_probe does not use this test; asked for
 hits only, it skips the subgroups whose every subgroup is normal in G
 instead, and all of them on a Dedekind G (see there).
@@ -88,6 +88,7 @@ from .codes import (
     _dimension_counts,
     _eigenspaces,
     _key_reports,
+    _member_rows,
     _report,
     _stabilizers,
     _trace_table,
@@ -247,9 +248,9 @@ def enumerate_weak_stabilizer_codes(
         members = np.array([sub.members for sub in subs])[owner]
         values = _phase_values(nums, grid)
         num, new = _maximal_witnesses(model, members, nums, values, dims, table, grid), []
-        for i, key in enumerate(num):
-            if key.tobytes() not in seen:
-                seen.add(key.tobytes())
+        for i, key in enumerate(num.view(f"V{num.itemsize * g.order}").ravel().tolist()):   # bytes per row
+            if key not in seen:
+                seen.add(key)
                 new.append(i)
         if not new:
             continue
@@ -453,12 +454,10 @@ def _clifford_reports(model, kept, only_hits):
     sizes = [len(stabs[i]) for i in picked]
     dims = _dimension_counts(model, [x for i in picked for x in stabs[i].members], values, sizes)
     detect = ~np.array([subs[i]._inside for i in picked]) | np.array([stabs[i]._inside for i in picked])
-    cols = np.nonzero(detect)[1].tolist()            # (G minus H) + S, row by row
-    cuts = np.cumsum(detect.sum(axis=1)).tolist()
     return [
-        _report(model, CodeSpace._checked(d, bases[i]), subs[i], stabs[i], phases[i], cols[a:b],
+        _report(model, CodeSpace._checked(d, bases[i]), subs[i], stabs[i], phases[i], cols,
                 (True, None), (True, None), dim - t)
-        for i, dim, a, b in zip(picked, dims, [0, *cuts], cuts)
+        for i, dim, cols in zip(picked, dims, _member_rows(detect))   # (G minus H) + S
     ]
 
 

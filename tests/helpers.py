@@ -14,7 +14,14 @@ import numpy as np
 
 from qeclab._linalg import nullspace
 from qeclab import search
-from qeclab.cocycles import Cocycle, Phase, PhaseFunction, _phase_values, snap_phase_or_none
+from qeclab.cocycles import (
+    Cocycle,
+    Phase,
+    PhaseFunction,
+    _cyclic_extensions,
+    _phase_values,
+    snap_phase_or_none,
+)
 from qeclab.codes import CodeSpace, _constituent_phases, _constituents, weak_stabilizer_code
 from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
 from qeclab.models import ProjectiveErrorModel
@@ -935,6 +942,13 @@ def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray)
         ns = nullspace((m - np.exp(2j * np.pi * a) * eye) @ basis)
         if ns.shape[1]:
             yield from _joint_eigenspaces(matrices, gens[1:], basis @ ns)
+
+
+def cyclic_extension(sigma, members):
+    """cocycles._cyclic_extensions on one abelian subgroup, given by its
+    sorted members: (f0, M, chars, e), or None when no trivializer exists."""
+    ok, f0, den, chars, e = _cyclic_extensions(sigma, np.asarray(members)[None])
+    return (f0[0], int(den[0]), chars[0], int(e[0])) if ok[0] else None
 
 
 def extension_trivializer(model, sub):

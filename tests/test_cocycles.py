@@ -481,7 +481,7 @@ def test_the_edge_system_is_built_once_per_group(monkeypatch):
     # linear characters are listed; both read one edge system
     # (cocycles._edge_system), built once per group: each build calls
     # _greedy_generators once, and the second read is a cache hit.  An
-    # abelian one reads neither (cocycles._cyclic_extension): oddfam:3 has
+    # abelian one reads neither (cocycles._cyclic_extensions): oddfam:3 has
     # 24 non-abelian survivors of 52, the bench enumerate model none of 98
     from qeclab.search import enumerate_weak_stabilizer_codes
 

@@ -3,6 +3,7 @@ Cayley-edge system, integer phase functions and the grouped snap."""
 
 import fractions
 import functools
+import itertools
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     CATALOG_64,
     constituent_phases_oracle,
+    cyclic_extension,
     extension_trivializer,
     relabeled_model,
     trivializer_all_pairs,
@@ -118,12 +120,50 @@ def test_cyclic_extension_trivializes_and_lists_the_characters(spec, seed):
     abelian = [sub for sub in _survivors(model) if sub.is_abelian()]
     assert abelian
     for sub in abelian:
-        f0, den, chars, e = cocycles._cyclic_extension(model.cocycle, sub.members)
+        f0, den, chars, e = cyclic_extension(model.cocycle, sub.members)
         res = model.cocycle.restrict(sub)
         assert cocycles._coboundary_rows(f0[None], den, sub.as_group().mul, res.num, res.den)[0]
         assert PhaseFunction._from_num(sub, f0, den).phases == extension_trivializer(model, sub).phases
         want, e_want = _linear_characters(sub.as_group())
         assert e == e_want and np.array_equal(chars, want), sub.members
+
+
+@pytest.mark.parametrize(
+    "spec, seed", [(spec, None) for spec in CATALOG_64] + [("prod(genpauli:2,genpauli:4)", 7)]
+)
+def test_a_block_of_cyclic_extensions_gives_each_row_its_own(spec, seed):
+    # the abelian subgroups of one order in one block, as codes._constituents
+    # reads them, pruned or not: each row gets the f0, M, chars and e it gets
+    # alone, and fails exactly when it fails alone
+    model = _model(spec, seed)
+    visited = {sub.members for sub in _survivors(model)}
+    for _, same in itertools.groupby(_abelian_subgroups(spec, seed), key=len):
+        same = list(same)
+        ok, f0, den, chars, e = cocycles._cyclic_extensions(model.cocycle, np.array([s.members for s in same]))
+        alone = [cyclic_extension(model.cocycle, sub.members) for sub in same]
+        assert ok.tolist() == [got is not None for got in alone]
+        assert all(ok[i] for i, sub in enumerate(same) if sub.members in visited)
+        for row, got in zip(zip(f0, den.tolist(), chars, e.tolist()), [got for got in alone if got is not None]):
+            assert np.array_equal(row[0], got[0]) and row[1] == got[1], spec
+            assert np.array_equal(row[2], got[2]) and row[3] == got[3], spec
+
+
+def test_a_forged_table_fails_the_trivializer_test_in_a_block():
+    # sigma moved at (x, x), x in H but no greedy generator of H: the walk
+    # never reads that entry, so f0 is read as before and df0 != sigma|H
+    # there, which the block's one integer test catches
+    model = _model("genpauli:4", None)
+    g, sigma = model.group, model.cocycle
+    block = [sub for sub in _survivors(model) if len(sub) == 4 and sub.is_abelian()]
+    members = np.array([sub.members for sub in block])
+    assert cocycles._cyclic_extensions(sigma, members)[0].all()
+    sub = next(sub for sub in block if sub.as_group().exponent() == 2)
+    skip = {sub.position(g.identity), *sub.as_group().greedy_generators()}
+    x = next(m for i, m in enumerate(sub.members) if i not in skip)
+    num = sigma.num.copy()
+    num[x, x] = (num[x, x] + 1) % sigma.den
+    with pytest.raises(RuntimeError, match="non-trivializing"):
+        cocycles._cyclic_extensions(Cocycle(g, num, sigma.den), members)
 
 
 @pytest.mark.parametrize("spec, seed", [("genpauli:6", None), ("c2d2n:5", None), ("pauli:2", 3)])
@@ -132,7 +172,7 @@ def test_cyclic_extension_finds_a_trivializer_exactly_when_the_solver_does(spec,
     # solver finds none, which the pairing of two generators decides
     model = _model(spec, seed)
     for sub in _abelian_subgroups(spec, seed):
-        got = cocycles._cyclic_extension(model.cocycle, sub.members)
+        got = cyclic_extension(model.cocycle, sub.members)
         want = find_trivializing_phase(model.cocycle.restrict(sub), domain=sub)
         assert (got is None) == (want is None) == _pairing_obstructs(model.cocycle.restrict(sub))
 

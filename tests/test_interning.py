@@ -162,6 +162,31 @@ def test_public_constructor_validates_and_failures_are_not_interned():
     assert any(sub is rot for sub in g.all_subgroups())
 
 
+def test_subgroup_refuses_sets_without_the_identity_or_inverses():
+    g = dihedral(4)                               # rotations a^l are 0..3
+    with pytest.raises(GroupValidationError):
+        Subgroup(g, [2])                          # a^2 alone: closed only with the identity
+    with pytest.raises(GroupValidationError):
+        Subgroup(g, [g.identity, 1])              # a without a^-1 = a^3
+    with pytest.raises(GroupValidationError):
+        g.subgroup([1, 2, 3])                     # <a> minus the identity
+    for outside in ([-1, g.identity], [g.identity, g.order]):   # no index wraps or overruns
+        with pytest.raises(GroupValidationError):
+            Subgroup(g, outside)
+    assert len(Subgroup(g, [g.identity, 1, 2, 3])) == 4
+
+
+def test_subgroup_membership_and_positions_are_read_on_members_only():
+    g = dihedral(4)
+    sub = Subgroup(g, [0, 2])
+    assert 0 in sub and 2 in sub and np.int64(2) in sub
+    assert 1 not in sub and -1 not in sub and g.order not in sub and g.order - 2 not in sub
+    assert [sub.position(x) for x in (0, np.int64(2))] == [0, 1]
+    for x in (1, -1, g.order, g.order + 2):
+        with pytest.raises(KeyError):
+            sub.position(x)
+
+
 def test_only_a_passed_verify_is_remembered(monkeypatch):
     model = parse_model_spec("genpauli:4").model
     good = Cocycle(model.group, model.cocycle.num, model.cocycle.den)

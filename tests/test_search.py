@@ -880,6 +880,32 @@ def test_q3_probe_candidate_order_is_pinned(spec):
     assert digest == _CANDIDATE_ORDER[spec]
 
 
+# sha256 of every enumerated code's report in enumeration order: code
+# dimension, L, S, f_S as reduced [num, den], D, flags and witnesses.  The
+# floats (the basis) are left out, so every BLAS build agrees.  c2d2n:3 has
+# codes whose S is not normal, and oddfam:3 solves for its trivializers.
+_ENUMERATED_REPORTS = {
+    "c2d2n:3": "89fd742de18579efd1212f1e29f34db3915f4b141a98c1b1277c61b2928cea4e",
+    "oddfam:3": "1a07983af6f235e3c568afd7897f45a33ba545555cf20865cf4ef363d47e5c74",
+    "pauli:3": "b3cf6813cb9659fbf4e0ea7cb6bc1f43b674bcf2925d7646e0e9ca016959e7e0",
+    "prod(genpauli:2,genpauli:4)": "c0f8d8d77ddc68809edff339ea23ef73f682a24a6db4e6a456d6e2a1936fc0bc",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_ENUMERATED_REPORTS))
+def test_enumerated_reports_are_pinned(spec):
+    model = parse_model_spec(spec).model
+    rows = []
+    for _, _, code in enumerate_weak_stabilizer_codes(model):
+        r = codes.classify(model, code)
+        rows.append([
+            code.dim, list(r.logical.members), list(r.stabilizer.members), r.stabilizer_phase.to_json(),
+            sorted(r.detectable), r.flags, r.witnesses,
+        ])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _ENUMERATED_REPORTS[spec]
+
+
 # -- pieces accepted by their invariance norms ------------------------------
 
 
