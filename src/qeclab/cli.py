@@ -623,9 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="enumerate codes or run the q3 probe")
     sp.add_argument("spec")
-    sp.add_argument("--q3", action="store_true")
-    sp.add_argument("--max-order", type=int, default=None)
-    sp.add_argument("--max-dim", type=int, default=None)
+    sp.add_argument("--q3", action="store_true", help="list the Clifford codes whose stabilizer S meets "
+                    "|G| = |L||S| without being normal (central-type models only)")
+    sp.add_argument("--max-order", type=int, help="group order cap (default: QECLAB_MAX_ORDER, or 64)")
+    sp.add_argument("--max-dim", type=int, help="ambient dimension cap (default: QECLAB_MAX_DIM, or 16)")
     sp.set_defaults(fn=cmd_search)
     return p
 

@@ -17,9 +17,8 @@ abelian H (Kleppner, Math. Ann. 158, 1965) but only necessary on others
 (Moravec, Amer. J. Math. 134, 2012), so every non-abelian survivor is
 still solved.  On an abelian survivor the trivializer is read by cyclic
 extension with no solve (cocycles._cyclic_extensions).  A Clifford code
-needs no admissible phase, so q3_probe does not use this test; asked for
-hits only, it skips the subgroups whose every subgroup is normal in G
-instead, and all of them on a Dedekind G (see there).
+needs no admissible phase, so q3_probe walks the unpruned lattice, with
+the one early exit its docstring proves.
 
 enumerate works one subgroup order at a time, as q3_probe does: the
 pruned lattice is sorted by (order, members), and the rows (H, f) of every
@@ -396,22 +395,9 @@ def _split_draw(mats: np.ndarray, seed: int) -> list:
             for got in split]
 
 
-def _normal_cyclic(g) -> np.ndarray:
-    """For each element x, whether <x> is normal in g: every conjugate y x y^-1
-    is a power of x."""
-    xs = np.arange(g.order)
-    powers = np.zeros((g.order, g.order), dtype=bool)   # [x, z]: z in <x>
-    power = np.full(g.order, g.identity)
-    for _ in range(g.exponent()):
-        power = g.mul[power, xs]
-        powers[xs, power] = True
-    conjugates = g.mul[g.mul, g.inv[:, None]]           # [y, x] = y x y^-1
-    return powers[xs, conjugates].all(axis=0)
-
-
-def _clifford_reports(model, kept, only_hits):
+def _clifford_reports(model, kept):
     """classify's report of each candidate's code, read from its piece (see
-    q3_probe); with only_hits, of the pieces whose S makes a hit only.
+    q3_probe).
 
     kept lists (H, rho, B) for the pieces (rho, B) of pi|H
     (_split_restrictions) with dim rho = |H| / dim pi, for subgroups H of
@@ -419,13 +405,13 @@ def _clifford_reports(model, kept, only_hits):
     intertwiner test, one product per block of pieces, and CodeError when
     a B fails CodeSpace's orthonormality test.  Every piece's S and f_S
     are read together (codes._stabilizers), and RuntimeError is raised
-    when a picked piece's stabilizer phase does not snap, which its proof
-    there rules out.  The dimension counts (codes._dimension_counts) and
-    detectable sets are read together too, and codes._report builds each
-    piece's report with the Clifford and partitioning flags (True, None)
-    and extra = dim E - dim W.
+    when a stabilizer phase does not snap, which its proof there rules
+    out.  The dimension counts (codes._dimension_counts) and detectable
+    sets are read together too, and codes._report builds each piece's
+    report with the Clifford and partitioning flags (True, None) and
+    extra = dim E - dim W.
     """
-    g, d = model.group, model.dim
+    d = model.dim
     subs, rhos, bases = zip(*kept)
     rhos, bases = np.stack(rhos), np.stack(bases)        # [piece, h, t, t], [piece, d, t]
     k, n, t = rhos.shape[:3]
@@ -442,23 +428,15 @@ def _clifford_reports(model, kept, only_hits):
     if not np.linalg.norm(gram, axis=(1, 2)).max() <= _tol.EXACT:   # NaN fails too
         raise CodeError("basis columns are not orthonormal")
     stabs, phases = _stabilizers(model, members, *scalar_deviation(rhos))
-    picked = [
-        i for i, stab in enumerate(stabs)
-        if not only_hits or (g.order == n * len(stab) and not stab.is_normal())
-    ]
-    if not picked:   # the hits-only probe often picks no piece of an order
-        return []
-    if not all(phases[i].is_exact for i in picked):
+    if not all(phase.is_exact for phase in phases):
         raise RuntimeError("q3_probe: a stabilizer phase failed to snap")
-    values = np.concatenate([phases[i].values for i in picked])
-    sizes = [len(stabs[i]) for i in picked]
-    dims = _dimension_counts(model, [x for i in picked for x in stabs[i].members], values, sizes)
-    detect = ~np.array([subs[i]._inside for i in picked]) | np.array([stabs[i]._inside for i in picked])
+    values = np.concatenate([phase.values for phase in phases])
+    dims = _dimension_counts(model, [x for s in stabs for x in s.members], values, [len(s) for s in stabs])
+    detect = ~np.array([sub._inside for sub in subs]) | np.array([stab._inside for stab in stabs])
     return [
-        _report(model, CodeSpace._checked(d, bases[i]), subs[i], stabs[i], phases[i], cols,
-                (True, None), (True, None), dim - t)
-        for i, dim, cols in zip(picked, dims, _member_rows(detect))   # (G minus H) + S
-    ]
+        _report(model, CodeSpace._checked(d, b), sub, stab, f, cols, (True, None), (True, None), dim - t)
+        for sub, b, stab, f, dim, cols in zip(subs, bases, stabs, phases, dims, _member_rows(detect))
+    ]   # detectable = (G minus H) + S
 
 
 def q3_probe(
@@ -546,31 +524,19 @@ def q3_probe(
       (RuntimeError otherwise), and is_stabilizer is is_weak and S normal
       in G.
 
-    With return_candidates=False only hits are built.  A hit needs S not
-    normal in G.  Call G Dedekind when every subgroup is normal; that holds
-    when every cyclic subgroup <x> is (_normal_cyclic), since a subgroup is
-    generated by its cyclic subgroups and a product of normal subgroups is
-    normal.  Then no S fails, and the probe returns before it builds the
-    lattice.  Otherwise a subgroup H all of whose members x have <x> normal
-    is generated by normal cyclic subgroups, so each subgroup of H is
-    normal, S among them, and H is skipped.  On every other H a piece's
-    report is built only when its S, read as above, makes |G| = |H| |S|
-    and is not normal.  return_candidates=True walks every H whose index
-    divides dim pi.
+    Every H whose index divides dim pi is walked, and the hits are the
+    candidates with |G| = |H| |S| and S not normal in G.  On an abelian G
+    every subgroup is normal, so a call for hits only returns [] before it
+    builds the lattice.
     """
     if not model.is_central_type():
         raise SearchError("the probe only applies to central-type models")
     _check_caps(model, max_order, max_dim)
     g = model.group
-    if return_candidates:
-        subs = [g._intern(members) for members in g._lattice()]
-    else:
-        normal = _normal_cyclic(g)
-        if normal.all():
-            return []
-        subs = [sub for sub in map(g._intern, g._lattice()) if not normal[sub._inside].all()]
+    if not return_candidates and g.is_abelian():
+        return []
     candidates = []
-    for order, same_order in itertools.groupby(subs, key=len):   # subs are sorted by order
+    for order, same_order in itertools.groupby(map(g._intern, g._lattice()), key=len):   # sorted by order
         if model.dim * order % g.order != 0:
             continue
         target = model.dim * order // g.order   # dim pi / [G:H]
@@ -579,7 +545,7 @@ def q3_probe(
         kept = [(sub, rho, b) for sub, pieces in zip(same_order, split)
                 for rho, b in pieces if b.shape[1] == target]
         if kept:
-            candidates += _clifford_reports(model, kept, not return_candidates)
+            candidates += _clifford_reports(model, kept)
     hits = [
         report for report in candidates
         if g.order == len(report.logical) * len(report.stabilizer)

@@ -439,9 +439,8 @@ def _split_stacks(model, stacks):
 
 @pytest.mark.parametrize("spec", ["oddfam:3", "genpauli:8"])
 def test_q3_probe_walks_the_full_lattice(spec, monkeypatch):
-    # a Clifford code needs no admissible phase, so q3_probe with every
-    # candidate asked for splits pi|H on every subgroup whose index divides
-    # dim pi, admissible or not (the hits-only call prunes by normality)
+    # a Clifford code needs no admissible phase, so q3_probe splits pi|H on
+    # every subgroup whose index divides dim pi, admissible or not
     model = parse_model_spec(spec).model
     walked = _counted_splits(monkeypatch)
     q3_probe(model, return_candidates=True)
@@ -451,10 +450,6 @@ def test_q3_probe_walks_the_full_lattice(spec, monkeypatch):
     assert any(members not in admissible for members in walked)
 
 
-# central-type CATALOG_64 models with a non-normal cyclic subgroup, and how
-# many subgroups of index dividing dim pi the hits-only probe skips; the
-# other 13 are Dedekind
-_PRUNED = {"c2d2n:2": (23, 4), "oddfam:3": (44, 5)}
 _CENTRAL_ALL = [s for s in CATALOG_64 if _catalog_model(s).is_central_type()]
 
 
@@ -501,48 +496,42 @@ def test_q3_probe_raises_on_a_stabilizer_phase_that_fails_to_snap(monkeypatch):
         q3_probe(parse_model_spec("oddfam:3").model)
 
 
-def test_q3_census_of_normal_cyclic_subgroups():
-    dedekind = [s for s in _CENTRAL_ALL if search._normal_cyclic(_catalog_model(s).group).all()]
-    assert len(_CENTRAL_ALL) == 15 and sorted(set(_CENTRAL_ALL) - set(dedekind)) == sorted(_PRUNED)
-    for spec, (walked, skipped) in _PRUNED.items():
-        model = _catalog_model(spec)
-        normal = search._normal_cyclic(model.group)
-        subs = [h for h in model.group.all_subgroups() if model.dim % h.index() == 0]
-        assert (len(subs), sum(normal[h._inside].all() for h in subs)) == (walked, skipped)
+def test_q3_central_type_catalog_groups_that_are_not_abelian():
+    # the hits-only probe walks these two and returns [] on the other 13
+    nonabelian = [s for s in _CENTRAL_ALL if not _catalog_model(s).group.is_abelian()]
+    assert len(_CENTRAL_ALL) == 15 and nonabelian == ["c2d2n:2", "oddfam:3"]
 
 
 @pytest.mark.parametrize("spec", _CENTRAL_ALL)
 def test_pruned_q3_hits_equal_the_full_walk(spec):
-    # the hits-only call skips Dedekind groups and subgroups whose cyclic
-    # subgroups are all normal, and builds reports for hits only
+    # the hits-only call walks the same candidates, and returns [] at once
+    # on an abelian group
     hits = q3_probe(parse_model_spec(spec).model)
     assert [r.to_json() for r in hits] == [r.to_json() for r in _q3_full(spec)[0]]
 
 
-@pytest.mark.parametrize("spec", sorted(_PRUNED))
-def test_pruned_q3_skips_the_subgroups_of_normal_cyclic_members(spec, monkeypatch):
-    # and builds a report for each hit only
-    want = [r.to_json() for r in _q3_full(spec)[0]]
+@pytest.mark.parametrize("spec", _CENTRAL_ALL)
+def test_q3_hits_are_the_enumerated_weak_clifford_codes_with_s_not_normal(spec):
+    # on a nice error basis a Clifford code is weak exactly when |G| = |L||S|
+    # (Klappenecker and Roetteler), so the probe's hits are the enumerated
+    # weak codes that are Clifford with S not normal; the two paths order
+    # them differently (L's lattice order, the first witness's), so both
+    # are compared sorted
+    def fields(report):
+        return json.dumps({k: v for k, v in report.to_json().items() if k != "code"}, sort_keys=True)
+
+    hits = q3_probe(parse_model_spec(spec).model)
     model = parse_model_spec(spec).model
-    walked = _counted_splits(monkeypatch)
-    built = []
-    raw = codes.CodeReport
-
-    def report(**fields):
-        built.append(fields["code"])
-        return raw(**fields)
-
-    monkeypatch.setattr(codes, "CodeReport", report)
-    hits = q3_probe(model)
-    assert hits and [r.to_json() for r in hits] == want
-    total, skipped = _PRUNED[spec]
-    assert len(walked) == total - skipped
-    assert len(built) == len(hits)
+    weak = [classify(model, code) for _, _, code in enumerate_weak_stabilizer_codes(model)]
+    want = [r for r in weak if r.flags["is_clifford"] and not r.stabilizer.is_normal()]
+    assert sorted(map(fields, hits)) == sorted(map(fields, want))
+    assert all(any(h.code.equals(r.code) for r in want) for h in hits)
+    assert len(hits) == {"c2d2n:2": 16, "oddfam:3": 48}.get(spec, 0)
 
 
 def test_q3_probe_on_a_dedekind_group_builds_no_lattice(monkeypatch):
-    # every cyclic subgroup of pauli:3's abelian group is normal, so no
-    # stabilizer can fail to be normal and the probe returns at once
+    # every subgroup of pauli:3's abelian group is normal, so no stabilizer
+    # can fail to be normal and the probe returns at once
     model = parse_model_spec("pauli:3").model
     walked = _counted_splits(monkeypatch)
     assert q3_probe(model) == []
