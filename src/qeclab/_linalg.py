@@ -16,26 +16,22 @@ import numpy as np
 
 from . import _tol
 
-# Most entries in one row block of an O(n^2) pass: 256 KiB of complex
-# pi(x) pi(y) or K B products (projreps, channels), or 128 KiB of int64
-# table entries (groups._row_blocks, for group validation, the cocycle
-# identity and make_rep's fill).  A block and its temporaries stay in
-# cache; 1 MiB blocks made make_rep's checks slower than one row at a time
-# on order-54 and order-64 reps.  Each module that blocks a pass imports
-# the name, so a test can shrink its blocks alone.
-# What a block counts, per pass of search:
-# - the constituent split counts the gathered pi|H stack alone.  Its
-#   Reynolds average and its compression hold temporaries of the same
-#   size (pi|H A and its reshaped copy, the conjugated stack, the flat
-#   products and C, the float |C|^2 mask), and a block peaked at 4.1-4.2
-#   times its gather under tracemalloc on the bench q3 models;
-# - the q3 intertwiner test counts, per piece, the gathered pi|H (n d^2
-#   entries) and the products pi(h)B and B rho(h) (n d t each), the
-#   residual formed in place: its temporaries are counted;
-# - the code action of search's enumerated codes whose stabilizer is not
-#   normal counts, per code of dimension w, pi B, its transposed copy and
-#   the residual (n d w entries each) and C (n w^2).
+# Most entries in one row block of a blocked pass: 256 KiB of complex
+# entries (pi(x) pi(y) or K B products, say), or 128 KiB of int64 table
+# entries.  A block and its temporaries stay in cache; 1 MiB blocks made
+# make_rep's checks slower than one row at a time on order-54 and order-64
+# reps.  Every blocked pass takes its rows from _blocks, and states at its
+# call what one row holds.
 _PRODUCT_BLOCK_ENTRIES = 2**14
+
+
+def _blocks(count: int, per_row: int) -> list[slice]:
+    """Consecutive slices of range(count), in order, each of at most
+    _PRODUCT_BLOCK_ENTRIES // per_row rows (one row at least), per_row being
+    the entries one row of the pass holds; the last stops at count.  An
+    n x n table pass, per_row n, is one block for n up to 128."""
+    rows = max(1, _PRODUCT_BLOCK_ENTRIES // max(per_row, 1))
+    return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
 
 
 def complex_json(a: np.ndarray) -> list:

@@ -3,10 +3,9 @@
 Knill-Laflamme tests work on the code basis B, an isometry with P = B B*:
 P X P = c P holds exactly when B* X B = c I_w, with c = tr(B* X B) / w, and
 the two Frobenius distances agree.  kl_correctable forms K B and then
-B* K_i* K_j B for a block of rows i and every j with one matrix product; a
-block holds at most _PRODUCT_BLOCK_ENTRIES complex entries (one row at
-least), the bound _linalg sets for projreps' products as well.
-KrausChannel.apply works on stacks of states under the same bound.
+B* K_i* K_j B for a block of rows i and every j with one matrix product,
+one row i holding its n w^2 entries (_linalg._blocks).  KrausChannel.apply
+works on blocks of operators and of states.
 
 The recovery is read off the stack K B as well.  build_recovery takes one
 thin SVD of it, whose right singular vectors are the code isometries of the
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tol
-from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compression, frobenius, scalar_deviation
+from ._linalg import _blocks, complex_json, compression, frobenius, scalar_deviation
 from .codes import CodeSpace
 from .models import ProjectiveErrorModel
 
@@ -79,11 +78,11 @@ class KrausChannel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """sum_x K_x rho K_x* for one state (d, d) or each state of a stack (s, d, d).
 
-        Operators and states are taken in blocks: m operators stacked as one
-        (m d, d) matrix multiply a block of states, and the products, regrouped
-        as (d, m d) matrices, multiply the stacked K_x*.  No temporary holds
-        more than _PRODUCT_BLOCK_ENTRIES complex entries (one operator and one
-        state at least).
+        Operators and states are taken in blocks (_linalg._blocks): m
+        operators stacked as one (m d, d) matrix multiply a block of states,
+        and the products, regrouped as (d, m d) matrices, multiply the
+        stacked K_x*.  One operator holds d^2 entries, and one state's
+        products m d^2.
         """
         rho = np.asarray(rho)
         d = self.ambient_dim
@@ -91,18 +90,16 @@ class KrausChannel:
             raise ChannelError("states must be one d x d matrix or a stack of them")
         states = rho.reshape(-1, d, d)
         out = np.zeros(states.shape, dtype=complex)
-        ops = min(len(self), max(1, _PRODUCT_BLOCK_ENTRIES // (d * d)))
-        for a in range(0, len(self), ops):
-            k = self.kraus[a : a + ops]
+        for ops in _blocks(len(self), d * d):
+            k = self.kraus[ops]
             m = len(k)
             left = k.reshape(m * d, d)
             right = k.conj().transpose(0, 2, 1).reshape(m * d, d)
-            rows = max(1, _PRODUCT_BLOCK_ENTRIES // (m * d * d))
-            for t in range(0, len(states), rows):
+            for rows in _blocks(len(states), m * d * d):
                 # row (x, a) of left @ state is row a of K_x state
-                kr = left @ states[t : t + rows]
+                kr = left @ states[rows]
                 kr = kr.reshape(-1, m, d, d).transpose(0, 2, 1, 3).reshape(-1, d, m * d)
-                out[t : t + rows] += kr @ right
+                out[rows] += kr @ right
         return out.reshape(rho.shape)
 
     def to_json(self) -> dict:
@@ -177,22 +174,21 @@ def _code_products(code: CodeSpace, channel: KrausChannel) -> np.ndarray:
 def _all_pairs(kb: np.ndarray) -> KLResult:
     """The Knill-Laflamme test on the stack K B.
 
-    Rows i are taken in blocks of at most _PRODUCT_BLOCK_ENTRIES entries of
-    B* K_i* K_j B over every j (one row at least); each block is one
+    Rows i are taken in blocks (_linalg._blocks), row i holding
+    B* K_i* K_j B over every j, n w^2 entries; each block is one
     (rows w, d) @ (d, n w) product and one scalar test, and the first block
     with a bad pair ends the search.
     """
     n, d, w = kb.shape
     right = kb.transpose(1, 0, 2).reshape(d, n * w)  # column (j, l) is K_j B e_l
-    rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * w * w))
-    for a in range(0, n, rows):
-        left = kb[a : a + rows].conj().transpose(0, 2, 1).reshape(-1, d)
+    for rows in _blocks(n, n * w * w):
+        left = kb[rows].conj().transpose(0, 2, 1).reshape(-1, d)
         blocks = (left @ right).reshape(-1, w, n, w).transpose(0, 2, 1, 3)
         _, dev = scalar_deviation(blocks)
         bad = np.flatnonzero(~(dev < _tol.SCAN))
         if bad.size:
             i, j = divmod(int(bad[0]), n)
-            return KLResult(False, (a + i, j))
+            return KLResult(False, (rows.start + i, j))
     return KLResult(True, None)
 
 

@@ -45,7 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _tol
-from .groups import FiniteGroup, Subgroup, _row_blocks
+from ._linalg import _blocks
+from .groups import FiniteGroup, Subgroup
 
 __all__ = [
     "Phase",
@@ -328,13 +329,13 @@ class Cocycle:
         group algebra (e_x e_y = s(x,y) e_xy): the identity at (x, y, z)
         says (e_x e_y) e_z = e_x (e_y e_z), and the z for which it holds for
         all x, y are closed under products, so they are the whole group
-        once they contain a generating set.  Rows x run in row blocks
-        (groups._row_blocks).
+        once they contain a generating set.  Rows x run in blocks of table
+        rows (_linalg._blocks).
         """
         mul = self.group.mul
         s = self.num
         for z in self.group.greedy_generators():
-            for x in _row_blocks(len(s)):
+            for x in _blocks(len(s), len(s)):
                 # s(x,y) + s(xy,z) - s(x,yz) - s(y,z)
                 if np.any((s[x] + s[:, z][mul[x]] - s[x][:, mul[:, z]] - s[:, z]) % self.den):
                     return False

@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compressed_action, frobenius
+from ._linalg import _blocks, complex_json, compressed_action, frobenius
 from ._linalg import orthonormal_columns, scalar_deviation
 from .cocycles import (
     PhaseFunction,
@@ -250,27 +250,25 @@ def _eigenspaces(
     B_i (CodeError otherwise), both read on the last w eigenvectors of every
     P_i of a block, w its largest rank, and kept on B_i's columns.
 
-    Rows run in blocks whose gathered stack pi|H_i, [rows, |H|, d, d], and
-    the three temporaries of the check, each at most that size, hold at
-    most _PRODUCT_BLOCK_ENTRIES entries together (one row at least): each
-    block takes one gather, one stacked product for the averages, one
-    stacked eigh and one product for the check, and the bases of each rank
-    are sliced from one contiguous copy.  Row i's bytes depend on
-    neither the other rows nor the blocks: P_i is one row-vector product
-    against pi|H_i flattened, as a stacked matmul makes it for each row on
-    its own, and the stacked eigh decomposes each P_i on its own.  So every
-    row gets the basis weak_stabilizer_code gives it.
+    Rows run in blocks (_linalg._blocks), row i holding its gathered
+    pi|H_i, |H| d^2 entries, and the three temporaries of the check, each
+    at most that size: each block takes one gather, one stacked product
+    for the averages, one stacked eigh and one product for the check, and
+    the bases of each rank are sliced from one contiguous copy.  Row i's
+    bytes depend on neither the other rows nor the blocks: P_i is one
+    row-vector product against pi|H_i flattened, as a stacked matmul makes
+    it for each row on its own, and the stacked eigh decomposes each P_i on
+    its own.  So every row gets the basis weak_stabilizer_code gives it.
     """
     n, (k, m) = model.dim, members.shape
-    step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * m * n * n))
     codes: list[CodeSpace | None] = []
-    for a in range(0, k, step):
-        f = values[a:a + step]
-        mats = model.rep.matrices[members[a:a + step]]                    # [b, |H|, d, d]
+    for rows in _blocks(k, 4 * m * n * n):
+        f = values[rows]
+        mats = model.rep.matrices[members[rows]]                          # [b, |H|, d, d]
         proj = (f.conj()[:, None, :] @ mats.reshape(len(f), m, n * n)).reshape(-1, n, n) / m
         evals, evecs = np.linalg.eigh(proj)
         ranks = (evals > 0.5).sum(axis=1)
-        if dims is not None and (ranks != dims[a:a + step]).any():
+        if dims is not None and (ranks != dims[rows]).any():
             raise RuntimeError("an eigenspace's rank differs from its expected dimension")
         w = max(ranks.max(), 1)
         tops = evecs[:, None, :, n - w:]           # the last w columns: each B_i, and left of it
@@ -903,8 +901,9 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
 
     S, L and D are read from [k, |G|] masks with one nonzero per mask
     (_member_rows), and the normality of every distinct S at once
-    (groups._read_cores).  Every step runs in blocks under
-    _PRODUCT_BLOCK_ENTRIES, and no [k, |G|] float table is formed.
+    (groups._read_cores).  Every step runs in blocks of codes
+    (_linalg._blocks), what one code holds noted at each step, and no
+    [k, |G|] float table is formed.
     """
     g, sigma = model.group, model.cocycle
     grid, k, on_s = sigma.den * g.exponent(), len(codes), keys >= 0
@@ -918,18 +917,16 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     for size in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == size)
         mem = np.nonzero(on_s[rows])[1].reshape(-1, size)          # each code's S
-        step = max(1, _PRODUCT_BLOCK_ENTRIES // (3 * g.order * size))   # the gather and both sides
-        for a in range(0, len(rows), step):
-            r, m = rows[a:a + step], mem[a:a + step]
+        for block in _blocks(len(rows), 3 * g.order * size):   # the gather and both sides
+            r, m = rows[block], mem[block]
             key, at = wide[r], np.arange(len(r))[:, None]
             moved = (key[at, m] + turns[:, m]) % grid                    # [g, code, y]
             on_l[r] = (key[at, conj.elements[:, m]] == moved).all(axis=2).T
     logicals = [g._intern(tuple(row)) for row in _member_rows(on_l)]
     chi, clifford, l_sizes = model.rep.character().values, [None] * k, on_l.sum(axis=1)
     cuts = [0, *itertools.accumulate(sizes.tolist())]
-    step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * g.order))   # F and T, half the bound
-    for a in range(0, k, step):
-        b = min(a + step, k)
+    for block in _blocks(k, 4 * g.order):   # F and T, half the bound
+        a, b = block.start, block.stop
         f = np.zeros((b - a, g.order), dtype=complex)
         f[on_s[a:b]] = values[cuts[a]:cuts[b]].conj()
         traces = f @ table                                        # T(x) = tr(P pi(x))
@@ -947,9 +944,10 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     acted = sorted((i for i in range(k) if i not in parts), key=lambda i: codes[i].dim)
     for w, same_dim in itertools.groupby(acted, key=lambda i: codes[i].dim):
         same_dim = list(same_dim)
-        step = max(1, _PRODUCT_BLOCK_ENTRIES // (g.order * w * (3 * model.dim + w)))
-        for a in range(0, len(same_dim), step):
-            block = same_dim[a:a + step]
+        # per code: pi B, its transposed copy and the residual (|G| d w
+        # entries each) and C (|G| w^2)
+        for rows in _blocks(len(same_dim), g.order * w * (3 * model.dim + w)):
+            block = same_dim[rows]
             acts = _actions(model, np.stack([codes[i].basis for i in block]))
             for j, i in enumerate(block):
                 act = _Action(*(stack[j] for stack in acts))

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import _PRODUCT_BLOCK_ENTRIES
+from ._linalg import _blocks
 
 __all__ = [
     "FiniteGroup",
@@ -105,8 +105,9 @@ class FiniteGroup:
         label: str, element_names: list[str] | None,
     ) -> "FiniteGroup":
         """A group on int64 tables already known to satisfy the axioms,
-        built without _validate; Subgroup.as_group is its one caller and
-        holds the proof."""
+        built without _validate.  Its two callers hold the proofs:
+        Subgroup.as_group cuts a validated table, and direct_product takes
+        the componentwise product of two validated tables."""
         group = cls.__new__(cls)
         group.order, group.mul, group.identity, group.inv = order, mul, identity, inv
         group.label, group.element_names = label, element_names
@@ -126,9 +127,9 @@ class FiniteGroup:
         # Light's test: the elements a with (x*a)*y == x*(a*y) for all x, y
         # are closed under multiplication, so checking a set that reaches every
         # element by right multiplication from the identity proves the table
-        # associative.  Rows x run in the group's row blocks.
+        # associative.  Rows x run in blocks of table rows.
         for g in self.greedy_generators():
-            for x in _row_blocks(n):
+            for x in _blocks(n, n):
                 if not np.array_equal(mul[mul[x, g]], mul[x][:, mul[g]]):
                     raise GroupValidationError("multiplication table is not associative")
 
@@ -545,13 +546,12 @@ class Subgroup:
 def _read_cores(subs: list[Subgroup]) -> None:
     """Subgroup._core_mask of every subgroup of subs, all of one parent,
     where it is not read yet: the subgroups of each order together, from
-    one gather of their members' conjugates per block of at most
-    _PRODUCT_BLOCK_ENTRIES entries."""
+    one gather of their members' conjugates per block (_linalg._blocks), a
+    subgroup's row holding its |G| |H| conjugates."""
     todo = sorted({id(sub): sub for sub in subs if sub._core is None}.values(), key=len)
     for size, same in itertools.groupby(todo, key=len):
         same, g = list(same), todo[0].parent
-        step = max(1, _PRODUCT_BLOCK_ENTRIES // (g.order * size))
-        for block in (same[a:a + step] for a in range(0, len(same), step)):
+        for block in (same[rows] for rows in _blocks(len(same), g.order * size)):
             conjugates = g.mul[g.mul[:, [sub.members for sub in block]], g.inv[:, None, None]]   # x h x^-1
             inside = np.array([sub._inside for sub in block])[np.arange(len(block))[:, None], conjugates]
             for sub, core in zip(block, inside.all(axis=0)):
@@ -606,7 +606,14 @@ def dihedral(n: int) -> FiniteGroup:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """Direct product; element (x, y) has index x*|G2| + y."""
+    """Direct product; element (x, y) has index x*|G2| + y.
+
+    The table is not validated again.  The factors are groups: each passed
+    FiniteGroup._validate or was built from such tables by Subgroup.as_group
+    or here, by induction.  The componentwise product of two groups is a
+    group, associative because each component is, with identity (e1, e2)
+    and (x^-1, y^-1) the inverse of (x, y).
+    """
     n1, n2 = g1.order, g2.order
     _check_table_size(n1 * n2)
     x1, y1 = np.divmod(np.arange(n1 * n2), n2)
@@ -614,9 +621,8 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     identity = g1.identity * n2 + g2.identity
     inv = g1.inv[x1] * n2 + g2.inv[y1]
     names = [f"({g1.name_of(x)}|{g2.name_of(y)})" for x, y in zip(x1, y1)]
-    return FiniteGroup(
-        n1 * n2, mul, int(identity), inv,
-        label=f"{g1.label}x{g2.label}", element_names=names,
+    return FiniteGroup._from_valid_table(
+        n1 * n2, mul, int(identity), inv, f"{g1.label}x{g2.label}", names
     )
 
 
@@ -700,7 +706,7 @@ def group_from_mul_table(mul, label: str = "G", element_names: list[str] | None 
     if identity is None:
         raise GroupValidationError("table has no identity element")
     inv = np.empty(n, dtype=np.int64)
-    for x in _row_blocks(n):
+    for x in _blocks(n, n):
         hits = mul[x] == identity
         if not np.all(np.count_nonzero(hits, axis=1) == 1):
             raise GroupValidationError("table has no two-sided inverse for some element")
@@ -708,15 +714,6 @@ def group_from_mul_table(mul, label: str = "G", element_names: list[str] | None 
     if not np.all(mul[inv, idx] == identity):
         raise GroupValidationError("table has no two-sided inverse for some element")
     return FiniteGroup(n, mul, identity, inv, label=label, element_names=element_names)
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """The rows of an n x n table in order, in blocks of at most
-    _PRODUCT_BLOCK_ENTRIES entries (one row at least): the blocks of the
-    O(|G|^2) table passes of groups, cocycles and projreps.  An order up to
-    128 is one block."""
-    rows = max(1, _PRODUCT_BLOCK_ENTRIES // max(n, 1))
-    return [slice(a, a + rows) for a in range(0, n, rows)]
 
 
 def _extend_closure(members: list[int], mask: int, cols: list[list[int]]) -> int:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import _PRODUCT_BLOCK_ENTRIES, complex_json, compression, scalar_deviation
+from ._linalg import _blocks, complex_json, compression, scalar_deviation
 from .cocycles import (
     Cocycle,
     PhaseFunction,
@@ -26,7 +26,7 @@ from .cocycles import (
     coboundary,
     snap_phase,
 )
-from .groups import FiniteGroup, Subgroup, _row_blocks
+from .groups import FiniteGroup, Subgroup
 
 __all__ = [
     "ProjectiveRep",
@@ -277,7 +277,7 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * n, group._cayley_walk().cols)
     num = _fill_cocycle(group, num, den)
     if den > 4 * n:
-        for rows in _row_blocks(n):
+        for rows in _blocks(n, n):
             over = np.flatnonzero(den // np.gcd(num[rows], den) > 4 * n)
             if over.size:
                 x, y = divmod(rows.start * n + int(over[0]), n)
@@ -299,8 +299,9 @@ def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarr
     every term an edge column: one walk.path_sums over the edge values,
     laid out [y, x].  The fill is exact, so any spanning tree gives the
     same table.  The tree walk sums along y alone, so the x are filled in
-    blocks of at most _PRODUCT_BLOCK_ENTRIES entries, each written into
-    one table allocated up front; every entry is the same integer sum.
+    blocks (_linalg._blocks), row x holding its n entries, each block
+    written into one table allocated up front; every entry is the same
+    integer sum.
     """
     walk = group._cayley_walk()
     parent, step, _ = walk.tree
@@ -310,7 +311,7 @@ def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarr
     j = column[step]
     into = columns[parent, j][:, None]          # sigma(p, g) on the edge into y
     table = np.empty((n, n), dtype=np.int64)
-    for x in _row_blocks(n):
+    for x in _blocks(n, n):
         values = columns[group.mul.T[parent, x], j[:, None]]
         values -= into
         sums = walk.path_sums(values)
@@ -380,18 +381,17 @@ def _row_products(m: np.ndarray, right: np.ndarray | None = None):
     Each block is one matmul: the rows (x, i) of the block against right
     stacked as one d x (n d) matrix, [k, (y, j)] = right[y][k, j], give
     m[x] @ right[y] at [x, i, y, j], yielded as a transposed view indexed
-    [x, y, i, j].  A block holds at most _PRODUCT_BLOCK_ENTRIES complex
-    entries (one row at least), so the products are formed in few calls
-    without holding all of them at once.
+    [x, y, i, j].  Row x holds its n d^2 complex products
+    (_linalg._blocks), so the products are formed in few calls without
+    holding all of them at once.
     """
     right = m if right is None else right
     n, dim = right.shape[0], right.shape[1]
     wide = right.transpose(1, 0, 2).reshape(dim, n * dim)
-    rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * dim * dim))
-    for a in range(0, len(m), rows):
-        block = m[a : a + rows]
+    for rows in _blocks(len(m), n * dim * dim):
+        block = m[rows]
         products = (block.reshape(-1, dim) @ wide).reshape(len(block), dim, n, dim)
-        yield slice(a, a + len(block)), products.transpose(0, 2, 1, 3)
+        yield rows, products.transpose(0, 2, 1, 3)
 
 
 def _snap_scalars(raw: np.ndarray, max_den: int, cols) -> tuple[np.ndarray, int]:

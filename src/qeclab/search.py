@@ -78,7 +78,7 @@ import itertools
 import numpy as np
 
 from . import _tol
-from ._linalg import _PRODUCT_BLOCK_ENTRIES, compression, scalar_deviation
+from ._linalg import _blocks, compression, scalar_deviation
 from .cocycles import PhaseFunction, _pairing_defects, _phase_values
 from .codes import (
     CodeError,
@@ -171,42 +171,40 @@ def _maximal_witnesses(model, members, nums, values, dims, table, grid):
     multiplicity that _constituents read as d.  The rows with a larger S'
     are tested further, together, on the union u of their S'.
 
-    Rows run in blocks whose [rows, |G|] tables, F, T and the two float
-    tables read from T, hold at most _PRODUCT_BLOCK_ENTRIES entries
-    together, and the rows with a larger S' in blocks of at most that many
-    entries of each [rows, |u|, |u|] table; each row's key is read from its
-    row alone.
+    Rows run in blocks (_linalg._blocks), a row holding |G| entries of each
+    of F, T and the two float tables read from T, and the rows with a
+    larger S' in blocks of their own, a row holding |u|^2 entries of each
+    [rows, |u|, |u|] table; each row's key is read from its row alone.
     """
     g, sigma = model.group, model.cocycle
     k, m = members.shape
     chi = model.rep.character().values
     keys = np.empty((k, g.order), dtype=np.min_scalar_type(-grid))
-    step = max(1, _PRODUCT_BLOCK_ENTRIES // (4 * g.order))
-    for a in range(0, k, step):
-        mem = members[a:a + step]
+    for block in _blocks(k, 4 * g.order):
+        mem = members[block]
         at = np.arange(len(mem))[:, None]
         f = np.zeros((len(mem), g.order), dtype=complex)
-        f[at, mem] = values[a:a + step]
+        f[at, mem] = values[block]
         traces = f.conj() @ table / m
-        inside = np.abs(traces) >= dims[a:a + step, None] - _tol.DERIVED
+        inside = np.abs(traces) >= dims[block, None] - _tol.DERIVED
         num = np.where(inside, np.rint(np.angle(traces) * (grid / (2 * np.pi))).astype(int) % grid, -1)
         # (a) on every row, as num / grid = nums / grid mod 1
-        ok = inside[at, mem].all() and ((num[at, mem] - nums[a:a + step]) % grid == 0).all()
+        ok = inside[at, mem].all() and ((num[at, mem] - nums[block]) % grid == 0).all()
         wide = np.flatnonzero(inside.sum(axis=1) > m)
         if ok and wide.size:   # (b) and (c) on the rows whose S' is larger than H
             u = np.flatnonzero(inside[wide].any(axis=0))
-            mul, rows = g.mul[np.ix_(u, u)], max(1, _PRODUCT_BLOCK_ENTRIES // u.size**2)
-            for part in np.split(wide, range(rows, wide.size, rows)):
+            mul = g.mul[np.ix_(u, u)]
+            for part in (wide[rows] for rows in _blocks(wide.size, u.size**2)):
                 ins, read = inside[part], num[part]
                 cobound = (read[:, u, None] + read[:, None, u] - read[:, mul]) % grid
                 wrong = ~ins[:, mul] | (cobound != sigma.num[np.ix_(u, u)] * (grid // sigma.den))
                 conj_f = np.where(ins[:, u], _phase_values(read[:, u], grid).conj(), 0)
                 average = conj_f @ chi[u] / ins.sum(axis=1)
                 closed = not (ins[:, u, None] & ins[:, None, u] & wrong).any()
-                ok = ok and closed and (np.abs(average - dims[a + part]) <= _tol.DERIVED).all()
+                ok = ok and closed and (np.abs(average - dims[block.start + part]) <= _tol.DERIVED).all()
         if not ok:
             raise RuntimeError("a maximal witness failed its confirmation")
-        keys[a:a + step] = num
+        keys[block] = num
     return keys
 
 
@@ -339,15 +337,18 @@ def _split_restrictions(matrices: np.ndarray, members) -> list[list[tuple[np.nda
     with B = 1.
 
     Subgroups of one order have one shape, so they are split together:
-    one Reynolds average, one eigh and one compression per block of at
-    most _PRODUCT_BLOCK_ENTRIES entries of pi|H.  Each step acts on each H
-    alone, so neither the blocks nor a retry change any H's pieces.
+    one Reynolds average, one eigh and one compression per block
+    (_linalg._blocks), a row counting its gathered pi|H alone, |H| d^2
+    entries: the average and the compression hold temporaries of that size
+    (pi|H A and its reshaped copy, the conjugated stack, the flat products
+    and C, the float |C|^2 mask), and a block peaked at 4.1-4.2 times its
+    gather under tracemalloc on the bench q3 models.  Each step acts on
+    each H alone, so neither the blocks nor a retry change any H's pieces.
     """
     members = np.asarray(members)
-    rows = max(1, _PRODUCT_BLOCK_ENTRIES // matrices[members[0]].size)
     pieces = []
-    for a in range(0, len(members), rows):
-        pieces += _split_block(matrices[members[a:a + rows]])
+    for rows in _blocks(len(members), matrices[members[0]].size):
+        pieces += _split_block(matrices[members[rows]])
     return pieces
 
 
@@ -417,11 +418,12 @@ def _clifford_reports(model, kept):
     k, n, t = rhos.shape[:3]
     members = np.array([sub.members for sub in subs])                     # [piece, h]
     beside = rhos.transpose(0, 2, 1, 3).reshape(k, t, n * t)             # rho(h) side by side
-    rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * d * (d + 2 * t)))
-    for a in range(0, k, rows):
-        b = bases[a:a + rows]
-        moved = (model.rep.matrices[members[a:a + rows]].reshape(-1, n * d, d) @ b).reshape(-1, n, d, t)
-        moved -= (b @ beside[a:a + rows]).reshape(-1, d, n, t).swapaxes(1, 2)   # pi(h)B - B rho(h)
+    # per piece: the gathered pi|H (n d^2 entries) and the products pi(h)B and
+    # B rho(h) (n d t each), the residual formed in place
+    for rows in _blocks(k, n * d * (d + 2 * t)):
+        b = bases[rows]
+        moved = (model.rep.matrices[members[rows]].reshape(-1, n * d, d) @ b).reshape(-1, n, d, t)
+        moved -= (b @ beside[rows]).reshape(-1, d, n, t).swapaxes(1, 2)   # pi(h)B - B rho(h)
         if not np.linalg.norm(moved, axis=(2, 3)).max() <= _tol.SCAN * np.sqrt(t):   # NaN fails too
             raise RuntimeError("q3_probe: a split basis is not an intertwiner")
     gram = bases.conj().transpose(0, 2, 1) @ bases - np.eye(t)

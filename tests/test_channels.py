@@ -14,7 +14,7 @@ from helpers import (
     superoperator,
     verify_recovery_oracle,
 )
-from qeclab import _tol, channels
+from qeclab import _linalg, _tol, channels
 from qeclab._linalg import scalar_deviation
 from qeclab.channels import (
     ChannelError,
@@ -324,8 +324,8 @@ def test_apply_matches_three_operand_oracle(spec, monkeypatch):
         # default blocks (256 + 128 operators at 384), one operator and one
         # state per block, and room for five d x d products: five states per
         # block for one operator, 76 blocks of five and one of four at 384
-        for entries in (channels._PRODUCT_BLOCK_ENTRIES, 1, 5 * d * d):
-            monkeypatch.setattr(channels, "_PRODUCT_BLOCK_ENTRIES", entries)
+        for entries in (_linalg._PRODUCT_BLOCK_ENTRIES, 1, 5 * d * d):
+            monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", entries)
             one = channel.apply(stack[0])
             assert one.shape == (d, d)
             assert np.abs(one - want[0]).max() < 1e-12
@@ -395,11 +395,11 @@ def test_kl_correctable_matches_per_row_loop_under_blocks(monkeypatch):
     want = [kl_witness_per_row(code, channel) for code, channel in cases]
     assert want[0] == (382, 383)
     assert want[-1] is None and max(len(ch) for _, ch in cases) == 384
-    default = channels._PRODUCT_BLOCK_ENTRIES
+    default = _linalg._PRODUCT_BLOCK_ENTRIES
     for rows in (1, 3, None):
         for (code, channel), witness in zip(cases, want):
             entries = default if rows is None else rows * len(channel) * code.dim**2
-            monkeypatch.setattr(channels, "_PRODUCT_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", entries)
             result = kl_correctable(code, channel)
             assert result.witness == witness
             assert bool(result) == (witness is None)
@@ -417,7 +417,7 @@ def test_verify_recovery_memory_stays_within_blocks():
     channel = channel_from_model(model, np.full(256, 1 / 256))
     code = _random_code(16, 1, rng)
     recovery = build_recovery(code, channel)
-    block_bytes = channels._PRODUCT_BLOCK_ENTRIES * 16
+    block_bytes = _linalg._PRODUCT_BLOCK_ENTRIES * 16
     stack_bytes = 21 * 16 * 16 * 16
     tracemalloc.start()
     try:
@@ -617,7 +617,7 @@ def test_all_pairs_witness_under_blocks_on_fresh_channels(monkeypatch, rows):
     for code, channel in cases:
         witness = kl_witness_per_row(code, channel)
         if rows is not None:
-            monkeypatch.setattr(channels, "_PRODUCT_BLOCK_ENTRIES", rows * len(channel) * code.dim**2)
+            monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", rows * len(channel) * code.dim**2)
         result = kl_correctable(code, KrausChannel(code.ambient_dim, channel.kraus))
         assert result.witness == witness and bool(result) == (witness is None)
 

@@ -9,6 +9,7 @@ public Subgroup and group constructors keep validating every call.
 """
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +98,37 @@ def test_every_lattice_cut_passes_the_validation(spec, monkeypatch):
     public = FiniteGroup(cut.order, cut.mul, cut.identity, cut.inv, cut.label, cut.element_names)
     assert vars(cut).keys() == vars(public).keys()
     assert counters.validations == len(lattice) + 1
+
+
+def test_every_direct_product_passes_the_validation(monkeypatch):
+    # direct_product builds its table without a validation, through
+    # FiniteGroup._from_valid_table; Light's test still covers every product
+    # the catalog builds, run here by hand, and the unvalidated build sets
+    # every attribute, with the same values, that the public one sets
+    built = []
+    raw = FiniteGroup._from_valid_table.__func__
+
+    def recorded(cls, *args):
+        group = raw(cls, *args)
+        if sys._getframe(1).f_code is groups.direct_product.__code__:
+            built.append(group)
+        return group
+
+    monkeypatch.setattr(FiniteGroup, "_from_valid_table", classmethod(recorded))
+    for spec in CATALOG_64:
+        parse_model_spec(spec)
+    assert len(built) >= len(CATALOG_64) // 2
+    counters = _Counters(monkeypatch)
+    for group in built:
+        public = FiniteGroup(group.order, group.mul, group.identity, group.inv, group.label, group.element_names)
+        group._validate()
+        assert vars(group).keys() == vars(public).keys()
+        assert (group.order, group.identity, group.label, group.element_names) == (
+            public.order, public.identity, public.label, public.element_names)
+        for table in ("mul", "inv"):
+            mine, theirs = getattr(group, table), getattr(public, table)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    assert counters.validations == 2 * len(built)
 
 
 def _intercalate_swapped(mul: np.ndarray, e: int) -> np.ndarray:

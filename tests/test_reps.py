@@ -26,7 +26,7 @@ from helpers import (
     validate_all_pairs,
 )
 
-from qeclab import _tol, codes, projreps, search
+from qeclab import _linalg, _tol, codes, projreps, search
 from qeclab._linalg import compressed_action
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
@@ -490,7 +490,7 @@ def test_raw_scalars_do_not_depend_on_the_row_blocks(spec, rows, monkeypatch):
     model = parse_model_spec(spec).model
     g, mats = model.group, model.rep.matrices
     cols = g._cayley_walk().cols
-    monkeypatch.setattr(projreps, "_PRODUCT_BLOCK_ENTRIES", rows * len(cols) * model.dim**2)
+    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", rows * len(cols) * model.dim**2)
     assert len(list(projreps._row_products(mats, mats[cols]))) == -(-g.order // rows)
     assert _raw_scalars(g, mats).tobytes() == raw_scalars_per_row(g, mats).tobytes()
     assert make_rep(g, mats).cocycle == model.rep.cocycle
@@ -513,7 +513,7 @@ def test_product_check_names_first_failing_row(k, rows, monkeypatch):
     model = gen_pauli_model(3)
     g = model.group
     if rows is not None:
-        monkeypatch.setattr(projreps, "_PRODUCT_BLOCK_ENTRIES", rows * g.order * model.dim**2)
+        monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", rows * g.order * model.dim**2)
     mats = model.rep.matrices.copy()
     mats[k] = _unitary_near_identity(model.dim, 1e-5, seed=k) @ mats[k]
     cols = g._cayley_walk().cols

@@ -1,11 +1,11 @@
 """The O(|G|^2) table passes of model construction, run in row blocks.
 
 Group validation (groups), the cocycle identity (cocycles), and make_rep's
-cocycle fill and denominator guard (projreps) all take their row blocks
-from groups._row_blocks, under groups._PRODUCT_BLOCK_ENTRIES.  Shrinking it
-to one row or a few rows must leave every table, verdict and error text as
-the default block gives them, and at order 384 the passes must stay within
-a fixed memory budget.
+cocycle fill and denominator guard (projreps) all take their rows from
+_linalg._blocks, one row holding the |G| entries of one table row.
+Shrinking _linalg._PRODUCT_BLOCK_ENTRIES to one row or a few rows must
+leave every table, verdict and error text as the default block gives them,
+and at order 384 the passes must stay within a fixed memory budget.
 """
 
 import functools
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import CATALOG_64, relabeled_model
-from qeclab import _linalg, channels, groups, projreps
+from qeclab import _linalg, groups, projreps
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Cocycle
 from qeclab.groups import GroupValidationError, group_from_mul_table
@@ -34,24 +34,41 @@ def _model(spec):
 def _block(monkeypatch, rows, n):
     """Table passes in blocks of `rows` rows of n entries, or the default."""
     if rows is not None:
-        monkeypatch.setattr(groups, "_PRODUCT_BLOCK_ENTRIES", rows * n)
+        monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", rows * n)
 
 
 def test_the_bound_is_defined_once():
-    for module in (groups, projreps, channels):
-        assert module._PRODUCT_BLOCK_ENTRIES is _linalg._PRODUCT_BLOCK_ENTRIES
-    # orders up to 128 fill one block, so they run one pass as before
+    # only _linalg names the bound (tests/test_tools.py); orders up to 128
+    # fill one block, so they run one pass as before
     assert 128 * 128 == _linalg._PRODUCT_BLOCK_ENTRIES
-    assert groups._row_blocks(128) == [slice(0, 128)]
-    assert len(groups._row_blocks(129)) == 2
+    assert _linalg._blocks(128, 128) == [slice(0, 128)]
+    assert len(_linalg._blocks(129, 129)) == 2
+
+
+def _covers_in_order(count, per_row, entries):
+    """_blocks(count, per_row) under a bound of entries: consecutive
+    clamped slices of range(count), each of one row or at most entries."""
+    blocks = _linalg._blocks(count, per_row)
+    assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+    assert all(b.stop <= count for b in blocks)
+    assert all(b.stop - b.start == 1 or (b.stop - b.start) * per_row <= entries for b in blocks)
+    return blocks
 
 
 @pytest.mark.parametrize("n, entries", [(0, 10), (7, 1), (10, 30), (10, 39), (10, 40), (5, 100)])
 def test_row_blocks_cover_the_rows_in_order(n, entries, monkeypatch):
-    monkeypatch.setattr(groups, "_PRODUCT_BLOCK_ENTRIES", entries)
-    blocks = groups._row_blocks(n)
-    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
-    assert all(len(range(n)[b]) == 1 or len(range(n)[b]) * n <= entries for b in blocks)
+    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", entries)
+    _covers_in_order(n, n, entries)
+
+
+def test_blocks_of_rows_of_any_width(monkeypatch):
+    # per_row apart from count: no rows give no block, a row wider than the
+    # bound is a block of its own, and the last stop is clamped to count
+    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", 100)
+    assert _covers_in_order(0, 7, 100) == []
+    assert _covers_in_order(3, 101, 100) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert _covers_in_order(10, 30, 100) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
+    assert _covers_in_order(5, 0, 100) == [slice(0, 5)]
 
 
 @pytest.mark.parametrize("rows", ROWS)

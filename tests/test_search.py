@@ -218,8 +218,7 @@ def test_the_per_order_build_is_blocked_and_the_blocks_change_no_byte(spec, monk
     assert gathers and max(np.prod(shape) for shape in gathers) <= _linalg._PRODUCT_BLOCK_ENTRIES
     assert max(shape[0] for shape in gathers) > 1
     gathers.clear()
-    for module in (codes, search):
-        monkeypatch.setattr(module, "_PRODUCT_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", 1)
     _same_codes(_enumerated(model), want)
     assert {shape[0] for shape in gathers} == {1} and len(gathers) == len(want[0])
 
@@ -281,7 +280,7 @@ def test_the_key_reports_action_is_blocked_and_the_blocks_change_no_report(monke
     acted = sum(stacks)
     assert max(stacks) > 1 and 0 < acted < len(found)
     stacks.clear()
-    monkeypatch.setattr(codes, "_PRODUCT_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", 1)
     found = enumerate_weak_stabilizer_codes(model)
     assert [classify(model, code).to_json() for _, _, code in found] == want
     assert stacks == [1] * acted
@@ -389,7 +388,7 @@ def test_a_shrunk_block_changes_no_key_report(spec, monkeypatch):
     want = [classify(model, code).to_json() for _, _, code in found]
     assert max(rows) > 1 and max(rows) * model.group.order * 2 <= _linalg._PRODUCT_BLOCK_ENTRIES
     rows.clear()
-    monkeypatch.setattr(codes, "_PRODUCT_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", 1)
     found = enumerate_weak_stabilizer_codes(model)
     assert [classify(model, code).to_json() for _, _, code in found] == want
     assert set(rows) == {1} and len(rows) == len(found)
@@ -1014,7 +1013,7 @@ def test_the_stacked_split_is_blocked_and_the_blocks_change_no_byte(monkeypatch)
     q3_probe(_catalog_model("oddfam:3"), return_candidates=True)
     assert max(blocks) > 1
     blocks.clear()
-    monkeypatch.setattr(search, "_PRODUCT_BLOCK_ENTRIES", 4)
+    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", 4)
     hits, candidates = q3_probe(parse_model_spec("oddfam:3").model, return_candidates=True)
     assert set(blocks) == {1}
     assert [r.to_json() for r in candidates] == [r.to_json() for r in want[1]]
@@ -1040,7 +1039,7 @@ def test_the_stacked_intertwiner_test_is_blocked_and_the_blocks_change_no_byte(m
     q3_probe(_catalog_model("oddfam:3"), return_candidates=True)
     assert max(blocks) > 1 and sum(blocks) == len(want[1])
     blocks.clear()
-    monkeypatch.setattr(search, "_PRODUCT_BLOCK_ENTRIES", 4)
+    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", 4)
     hits, candidates = q3_probe(parse_model_spec("oddfam:3").model, return_candidates=True)
     assert set(blocks) == {1} and len(blocks) == len(want[1])
     assert [r.to_json() for r in candidates] == [r.to_json() for r in want[1]]

@@ -1,7 +1,7 @@
 """tools/source_lines.py, whose per-module line counts CHANGES.md quotes, and
 source checks that each top-level name of qeclab is defined in one module,
-that no module imports a name it never uses, and that every private function
-is used in the package."""
+that no module imports a name it never uses, that every private function
+is used in the package, and that only _linalg names the row-block bound."""
 
 import ast
 import subprocess
@@ -123,3 +123,25 @@ def test_every_code_report_is_built_in_codes_report():
         for name in _report_constructions(ast.parse(path.read_text()))
     }
     assert built == {("codes.py", "_report")}
+
+
+def _block_bound_uses(tree):
+    """Each node naming _PRODUCT_BLOCK_ENTRIES: a Name, an attribute or an
+    import alias."""
+    for node in ast.walk(tree):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, ast.alias):
+            names = {node.name, node.asname}
+        if "_PRODUCT_BLOCK_ENTRIES" in names:
+            yield node
+
+
+def test_the_block_bound_is_named_in_linalg_only():
+    # one block policy: every blocked pass takes its rows from
+    # _linalg._blocks, so no other module reads or imports the bound
+    named = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(_block_bound_uses(ast.parse(path.read_text())))
+    }
+    assert named == {"_linalg.py"}
