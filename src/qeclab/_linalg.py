@@ -104,7 +104,7 @@ def compressed_action(
     on every x both excesses are below (_tol.SCAN + _tol.EXACT) _tol.SCAN
     = 1.1e-16: rho is a projective rep with pi's cocycle that validating
     against _tol.EXACT accepts unless pi itself deviates to within about
-    1e-16 of _tol.EXACT.  codes._clifford_flag and
+    1e-16 of _tol.EXACT.  codes._clifford_flags and
     search._split_restrictions read their actions by this lemma.
 
     Block lemma: let V = [B, R] be square with columns J = B, and

@@ -23,12 +23,13 @@ for and the characters read from a diagonal form of an integer system.  No
 eigenspace is walked and no value is snapped to find them.  existence_phase
 takes the first and search.enumerate_weak_stabilizer_codes takes them all,
 for all subgroups of one order at once.  A (H, f) code is built as the
-1-eigenspace of the average (1/|H|) sum_h conj(f(h)) pi(h), for many rows
-(H, f) of one subgroup order at once (_eigenspaces); weak_stabilizer_code
-is its one-row case.  df = sigma|H is tested there on the caller's f only:
-the rows f0 chi of _constituents are admissible by construction, and the
-stabilizer phase classify reads is proved admissible in _stabilizers'
-docstring, so neither is tested again.
+image of the average P = (1/|H|) sum_h conj(f(h)) pi(h), an orthogonal
+projector, its basis read by pivoted Cholesky of P with no eigh, for many
+rows (H, f) of one subgroup order at once (_eigenspaces);
+weak_stabilizer_code is its one-row case.  df = sigma|H is tested there
+on the caller's f only: the rows f0 chi of _constituents are admissible
+by construction, and the stabilizer phase classify reads is proved
+admissible in _stabilizers' docstring, so neither is tested again.
 
 classify counts instead of building subspaces.  A code W lies in the (S, f)
 eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
@@ -38,13 +39,14 @@ sqrt(dim E - dim W).  The Clifford flag counts intertwiners by characters:
 the action of L on an L-invariant code is the compressed action C on L,
 and its character tr C = dim W * c is read from the scalars c = tr(C) / dim W
 that the stabilizer scan reads, so no representation of L is built for it
-(see _clifford_flag).  classify reads L, S, f_S, D and the partitioning
+(see _clifford_flags).  classify reads L, S, f_S, D and the partitioning
 test from the code action and hands them to _report, which sets the flags
 and witnesses.  An enumerated code needs no action: the enumeration reads
 its report from its maximal witness key (_key_reports, which
 search._maximal_witnesses confirms) as it builds the code, and classify
-returns that report.  _report builds every CodeReport: the key reader and
-search's q3 pieces hand it their invariants too.
+returns that report.  _report builds every CodeReport, a list of codes
+at a time: the key reader and search's q3 pieces hand it their
+invariants too.
 
 The logical group and the stabilizer are taken from the model group's
 interning table (see groups), so classify validates no member set that the
@@ -76,7 +78,7 @@ from .groups import GroupValidationError, Subgroup, _read_cores
 from .models import ProjectiveErrorModel, product_model
 from .projreps import (
     ProjectiveRep,
-    _integer_count,
+    _integer_counts,
     _intertwiner_count,
     _irreducible_character,
     _reynolds,
@@ -177,14 +179,17 @@ def weak_stabilizer_code(
 ) -> CodeSpace | None:
     """Joint eigenspace F = {v : pi(x) v = f(x) v for all x in the subgroup}.
 
-    The one-row case of _eigenspaces: the eigenvectors of the average
-    P = (1/|H|) sum_h conj(f(h)) pi(h) whose eigenvalues exceed 1/2, checked
-    on the whole subgroup.  Returns None when there are none, and also when
-    they fail the check, because F is zero then.  A nonzero v in F gives
-    f(x) f(y) v = pi(x) pi(y) v = sigma(x,y) f(xy) v, so df = sigma|H.
-    Then h -> conj(f(h)) pi(h) is a unitary linear rep of H, and P is the
-    orthogonal projector onto its invariant vectors, which are F (see
-    _eigenspaces), so the eigenvectors span F and pass the check.
+    The one-row case of _eigenspaces: tr P steps of pivoted Cholesky on the
+    average P = (1/|H|) sum_h conj(f(h)) pi(h), each taking the column
+    R e_p / sqrt(R_pp) of the pivot p and removing it from R = P, checked on
+    the whole subgroup.  Returns None when tr P rounds to 0 or below, when a
+    pivot falls short, and when the columns fail the check, because F is
+    zero then.  A nonzero v in F gives f(x) f(y) v = pi(x) pi(y) v =
+    sigma(x,y) f(xy) v, so df = sigma|H.  Then h -> conj(f(h)) pi(h) is a
+    unitary linear rep of H, and P is the orthogonal projector onto its
+    invariant vectors, which are F (see _eigenspaces), so the columns are an
+    orthonormal basis of F and pass the check.  On a monomial model each
+    column is the coset-sum state of one H-orbit of basis indices.
 
     f is the caller's, so df = sigma|H is tested on a nonzero code, as
     integer numerators (cocycles._coboundary_rows) when f is exact and to
@@ -229,58 +234,93 @@ def _eigenspaces(
     term times P_i is P_i, so P_i^2 = P_i and the image of P_i is
     invariant, and P_i* = P_i, the sum over h^-1 of the adjoint terms.  The
     invariant vectors are W_i, and P_i fixes each of them, so P_i is the
-    orthogonal projector onto W_i, with eigenvalues 0 and 1.  The computed
-    P_i is off the exact one by the model's deviation from an exact rep and
-    a rounding, together far below 1/2 (under 1e-8 for matrices that hold to
-    _tol.EXACT), so the eigenvectors of the eigenvalues above 1/2 are an
-    orthonormal basis B_i of W_i, and their count is dim W_i.
+    orthogonal projector onto W_i, and its rank w_i = tr P_i is dim W_i.
+    The computed P_i is off the exact one by the model's deviation from an
+    exact rep and a rounding, together far below 1/2 (under 1e-8 for
+    matrices that hold to _tol.EXACT), so w_i is the nearest integer to its
+    computed trace.
+
+    B_i is read from P_i by pivoted Cholesky, with no eigh: starting from
+    R = P_i, w_i steps each take the pivot p, the least index whose
+    diagonal entry (its real part) is within _tol.EXACT of the largest,
+    the column b = R e_p / sqrt(R_pp), and R <- R - b b*.  While R is the
+    orthogonal projector onto a subspace U of W_i of dimension r > 0,
+    R e_p lies in U with |R e_p|^2 = e_p* R* R e_p = R_pp, so b is a unit
+    vector of U, R - b b* is the orthogonal projector onto U minus b, and
+    R_pp >= tr R / d = r / d.  So the w_i columns b are an orthonormal
+    basis B_i of W_i.  A pivot below 1/(2d) shows that P_i is no projector
+    of rank w_i, so W_i is zero (see below) and the row is None.
+
+    On a monomial model, pi(x) e_j = v_x(j) e_{p_x(j)} with v_x(j)
+    unimodular (every catalog model, in its given basis), P_i e_j lies on
+    the H_i-orbit O of j, so P_i is block diagonal over the orbits.
+    P_i pi(h) = f_i(h) P_i gives the columns of one orbit equal norms, and
+    |P_i e_j|^2 is the diagonal entry, so the diagonal is constant on O;
+    the block is a projector of trace at most 1 (Frobenius reciprocity
+    from the stabilizer of j), so it is 0 or u u* with |u_j|^2 = 1/|O|.
+    Each step then takes the smallest remaining orbit, least index first,
+    with p its least index, and b = sqrt|O| conj(u_p) u is the orbit's
+    coset-sum state (Gottesman, arXiv:quant-ph/9705052): entries of modulus
+    1/sqrt|O| on O, real and positive at p.  No test detects a monomial
+    model: these are the bases the steps give on one.
 
     df_i = sigma|H_i is not tested here.  Where it fails W_i is zero, and
-    the eigenvectors P_i gives fail the check below unless f_i is within
-    about _tol.SCAN of an admissible row, so a caller tests it unless its
-    rows are admissible by construction.  weak_stabilizer_code, whose f
-    comes from outside, tests it on the code it gets back.  The
-    enumeration (search.enumerate_weak_stabilizer_codes) does not: its
-    rows f0 chi are admissible, f0 a trivializer whose df0 = sigma|H has
-    been tested in integers and chi an exact linear character
-    (_constituents).
+    the columns P_i gives fail the check below unless f_i is within about
+    _tol.SCAN of an admissible row, so a caller tests it unless its rows
+    are admissible by construction.  weak_stabilizer_code, whose f comes
+    from outside, tests it on the code it gets back.  The enumeration
+    (search.enumerate_weak_stabilizer_codes) does not: its rows f0 chi are
+    admissible, f0 a trivializer whose df0 = sigma|H has been tested in
+    integers and chi an exact linear character (_constituents).
 
     Every row is checked: |pi(h) B_i - f_i(h) B_i| <= _tol.SCAN entrywise
     on every h (None otherwise), and CodeSpace's orthonormality test on each
-    B_i (CodeError otherwise), both read on the last w eigenvectors of every
-    P_i of a block, w its largest rank, and kept on B_i's columns.
+    B_i (CodeError otherwise), both read on the w columns of every row of
+    a block, w its largest rank, and kept on B_i's columns.
 
     Rows run in blocks (_linalg._blocks), row i holding its gathered
-    pi|H_i, |H| d^2 entries, and the three temporaries of the check, each
-    at most that size: each block takes one gather, one stacked product
-    for the averages, one stacked eigh and one product for the check, and
-    the bases of each rank are sliced from one contiguous copy.  Row i's
-    bytes depend on neither the other rows nor the blocks: P_i is one
-    row-vector product against pi|H_i flattened, as a stacked matmul makes
-    it for each row on its own, and the stacked eigh decomposes each P_i on
-    its own.  So every row gets the basis weak_stabilizer_code gives it.
+    pi|H_i, |H| d^2 entries, the three temporaries of the check, |H| d w
+    entries each with w the largest expected rank, and P_i and B_i.  Each
+    block takes one gather, one stacked product for the averages, w_i steps
+    on all its rows at once and one product for the check.  Row i's bytes
+    depend on neither the other rows nor the blocks: P_i is one row-vector
+    product against pi|H_i flattened, as a stacked matmul makes it for each
+    row on its own, and each step acts on each row on its own, entry by
+    entry.  So every row gets the basis weak_stabilizer_code gives it.
     """
     n, (k, m) = model.dim, members.shape
+    w = n if dims is None else int(dims.max(initial=1))
     codes: list[CodeSpace | None] = []
-    for rows in _blocks(k, 4 * m * n * n):
+    for rows in _blocks(k, m * n * (n + 3 * w) + 2 * n * n):
         f = values[rows]
+        at = np.arange(len(f))
         mats = model.rep.matrices[members[rows]]                          # [b, |H|, d, d]
-        proj = (f.conj()[:, None, :] @ mats.reshape(len(f), m, n * n)).reshape(-1, n, n) / m
-        evals, evecs = np.linalg.eigh(proj)
-        ranks = (evals > 0.5).sum(axis=1)
+        rest = (f.conj()[:, None, :] @ mats.reshape(len(f), m, n * n)).reshape(-1, n, n) / m
+        ranks = np.rint(rest.trace(axis1=1, axis2=2).real).astype(int)   # rest: P_i, then R
         if dims is not None and (ranks != dims[rows]).any():
             raise RuntimeError("an eigenspace's rank differs from its expected dimension")
-        w = max(ranks.max(), 1)
-        tops = evecs[:, None, :, n - w:]           # the last w columns: each B_i, and left of it
-        top = np.arange(w) >= w - ranks[:, None]   # [b, column]: in B_i
-        resid = np.abs(mats @ tops - f[:, :, None, None] * tops).max(axis=(1, 2))
-        held = (ranks > 0) & ((resid <= _tol.SCAN) | ~top).all(axis=1)
-        gram = np.abs(tops[:, 0].conj().swapaxes(1, 2) @ tops[:, 0] - np.eye(w)) ** 2
-        ortho = np.sqrt((gram * (top[:, :, None] & top[:, None, :])).sum(axis=(1, 2)))
-        if (held & ~(ortho <= _tol.EXACT)).any():   # NaN fails too
+        top = max(ranks.max(), 1)
+        basis, short = np.zeros((len(f), n, top), dtype=complex), np.zeros(len(f), dtype=bool)
+        for j in range(top):
+            diag = rest.diagonal(0, 1, 2).real
+            p = (diag >= diag.max(axis=1, keepdims=True) - _tol.EXACT).argmax(axis=1)
+            pivot, due = diag[at, p], j < ranks
+            live = due & (pivot >= 0.5 / n)
+            short |= due ^ live
+            # a row past its rank or short of a pivot takes the zero column
+            basis[:, :, j] = col = rest[at, :, p] / np.sqrt(np.where(live, pivot, np.inf))[:, None]
+            rest -= col[:, :, None] * col[:, None, :].conj()
+        cols = np.arange(top)
+        kept = cols < ranks[:, None]               # [b, column]: in B_i, the other columns zero
+        moved = (mats.reshape(len(f), m * n, n) @ basis).reshape(-1, m, n, top)
+        moved -= f[:, :, None, None] * basis[:, None]                    # pi(h) B_i - f_i(h) B_i
+        held = (ranks > 0) & ~short & ((np.abs(moved).max(axis=(1, 2)) <= _tol.SCAN) | ~kept).all(axis=1)
+        gram = basis.conj().swapaxes(1, 2) @ basis
+        gram[:, cols, cols] -= kept                # B_i* B_i - 1 on B_i's columns, zero off them
+        if (held & ~(np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))) <= _tol.EXACT)).any():   # NaN fails too
             raise CodeError("basis columns are not orthonormal")
         # each rank's bases, sliced from one contiguous array, taken in row order
-        bases = {r: iter(np.ascontiguousarray(evecs[held & (ranks == r), :, n - r:]))
+        bases = {r: iter(np.ascontiguousarray(basis[held & (ranks == r), :, :r]))
                  for r in set(ranks.tolist())}
         codes += [CodeSpace._checked(n, next(bases[r])) if ok else None
                   for r, ok in zip(ranks.tolist(), held.tolist())]
@@ -541,6 +581,19 @@ def _member_rows(mask: np.ndarray, members: np.ndarray | None = None) -> list[li
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
+def _distinct_subgroups(group, mask: np.ndarray) -> tuple[list[Subgroup], list[int]]:
+    """The interned subgroups on the distinct rows of a [k, |G|] mask, in
+    order of first row, and the index among them of each row's: rows are
+    told apart by their packed bytes, and each distinct one is read and
+    interned once, unchecked, as the key reader proves each row a subgroup
+    (groups.Subgroup._from_valid)."""
+    packed = np.packbits(mask, axis=1)
+    index: dict[bytes, int] = {}
+    which = [index.setdefault(row, len(index)) for row in packed.view(f"V{packed.shape[1]}").ravel().tolist()]
+    firsts = np.unique(which, return_index=True)[1]
+    return [group._intern(tuple(row), valid=True) for row in _member_rows(mask[firsts])], which
+
+
 def _stabilizers(
     model: ProjectiveErrorModel, members: np.ndarray, scalars: np.ndarray, deviation: np.ndarray
 ) -> tuple[list[Subgroup], list[PhaseFunction]]:
@@ -703,6 +756,16 @@ class CodeReport:
         if not set(self.detectable).issuperset(self.stabilizer.members):
             raise RuntimeError("stabilizer group not contained in detectable set")
 
+    @classmethod
+    def _checked(cls, *fields) -> "CodeReport":
+        """The report on its fields, in order, whose S <= L and S <= D the
+        caller has tested as __post_init__ tests them (codes._report, for
+        the key reader)."""
+        report = cls.__new__(cls)
+        (report.model, report.code, report.logical, report.stabilizer, report.stabilizer_phase,
+         report.detectable, report.flags, report.witnesses, report.central_type_criterion) = fields
+        return report
+
     def to_json(self) -> dict:
         out = {
             "model": self.model.label,
@@ -738,13 +801,16 @@ def _has_normal_reconstruction(
     return _dimension_counts(model, members, f.values[core], [len(members)])[0] == code.dim
 
 
-def _clifford_flag(
-    model: ProjectiveErrorModel, dim_w: int, size: int, irreducible: bool, total: complex
-) -> tuple[bool, object]:
+def _clifford_flags(
+    model: ProjectiveErrorModel, dims, sizes, irreducible, totals
+) -> list[tuple[bool, object]]:
     """Whether W is a Clifford code for L: |L| = (dim W / dim V)|G|, W is
     L-invariant, and the action rho of L on W is irreducible and occurs once
-    in pi|L.  Returns (flag, witness text) from |L| = size, chi_rho's
-    irreducibility and total = <chi_rho, chi_pi|L> (_integer_count).
+    in pi|L.  Returns (flag, witness text) for each code i of arrays of
+    dim W = dims[i], |L| = sizes[i], chi_rho's irreducibility
+    irreducible[i] and totals[i] = <chi_rho, chi_pi|L>, each test read for
+    all codes at once: the count (projreps._integer_counts, RuntimeError
+    where it is not an integer) on the codes that pass the first two.
 
     rho(x) = C(x) = B* pi(x) B for x in L, and chi_rho is its character on
     L's members in order, tr C(x) = tr(P pi(x)): classify reads it from its
@@ -768,76 +834,81 @@ def _clifford_flag(
     _tol.EXACT.
     """
     order, dim_v = model.group.order, model.dim
-    if size * dim_v != dim_w * order:
-        return False, f"|L| = {size} != (dim W / dim V)|G| = {dim_w * order / dim_v}"
-    if not irreducible:
-        return False, "restricted action on the code is reducible"
-    if _integer_count(total) != 1:
-        return False, "restricted action does not have multiplicity one"
-    return True, None
+    dims, sizes, irreducible = np.asarray(dims), np.asarray(sizes), np.asarray(irreducible)
+    fits = sizes * dim_v == dims * order
+    once = fits & irreducible
+    once[once] = _integer_counts(np.asarray(totals)[once]) == 1
+    return [
+        (True, None) if one
+        else (False, f"|L| = {size} != (dim W / dim V)|G| = {dim_w * order / dim_v}") if not fit
+        else (False, "restricted action on the code is reducible") if not irred
+        else (False, "restricted action does not have multiplicity one")
+        for one, fit, irred, size, dim_w in zip(
+            once.tolist(), fits.tolist(), irreducible.tolist(), sizes.tolist(), dims.tolist())
+    ]
 
 
 def _report(
     model: ProjectiveErrorModel,
-    code: CodeSpace,
-    logical: Subgroup,
-    stab: Subgroup,
-    f: PhaseFunction,
-    detect: list[int],
-    clifford: tuple[bool, object],
-    partitioning: tuple[bool, int | None],
-    extra: int,
-) -> CodeReport:
-    """classify's report from the invariants of a code: L, S, f_S, D, the
-    _clifford_flag and _partitioning verdicts and extra = dim E - dim W, E
-    the (S, f_S) eigenspace.  Every CodeReport is built here: classify's
-    action path, the key reader (_key_reports) and search's q3 pieces.
+    codes: list[CodeSpace],
+    logicals: list[Subgroup],
+    stabs: list[Subgroup],
+    phases: list[PhaseFunction],
+    detects: list[list[int]],
+    clifford: list[tuple[bool, object]],
+    partitioning: list[tuple[bool, int | None]],
+    extras: list[int],
+    normal: list[bool],
+    contained: bool = False,
+) -> list[CodeReport]:
+    """classify's reports of codes from their invariants, one entry of each
+    list per code: L, S, f_S, D, the _clifford_flags and _partitioning
+    verdicts, extra = dim E - dim W, E the (S, f_S) eigenspace, and whether
+    S is normal in G.  Every CodeReport is built here: classify's action
+    path, the key reader (_key_reports) and search's q3 pieces.  contained
+    says that the caller has tested S <= L and S <= D for every code, as
+    the key reader does with one mask operation, so no report tests them
+    again (CodeReport._checked).
 
     W is weak exactly when extra = 0, with the witness |P_E - P_W| =
     sqrt(extra) otherwise.  A Clifford code on a central-type model is weak
     exactly when |G| = |L| |S| (RuntimeError where that criterion disagrees
     with extra) and a stabilizer code when weak with S normal; any other
-    weak code is a stabilizer code when a normal subgroup of S rebuilds it
-    (_has_normal_reconstruction).
+    weak code is a stabilizer code when a normal subgroup of S rebuilds it:
+    S itself when S is normal, as then E = W, and otherwise
+    _has_normal_reconstruction.
     """
-    witnesses: dict[str, object] = {}
-    is_weak = extra == 0
-    if not is_weak:
-        witnesses["is_weak_stabilizer"] = f"projector distance {np.sqrt(extra):.3e}"
-    is_cliff, cliff_witness = clifford
-    if not is_cliff:
-        witnesses["is_clifford"] = cliff_witness
-    central = model.is_central_type() and is_cliff
-    if central and (model.group.order == len(logical) * len(stab)) != is_weak:
-        raise RuntimeError("central-type weak stabilizer criterion disagrees with the direct test")
-    is_stab = is_weak and (stab.is_normal() if central else _has_normal_reconstruction(model, code, stab, f))
-    if not is_weak:
-        witnesses["is_stabilizer"] = "not a weak stabilizer code"
-    elif not is_stab:
-        witnesses["is_stabilizer"] = (
-            "stabilizer group is not normal" if central
-            else "no normal subgroup of the stabilizer rebuilds the code"
+    central_type, order, reports = model.is_central_type(), model.group.order, []
+    rows = zip(codes, logicals, stabs, phases, detects, clifford, partitioning, extras, normal)
+    for code, logical, stab, f, detect, (is_cliff, cliff_witness), (is_part, part_witness), extra, is_normal in rows:
+        witnesses: dict[str, object] = {}
+        is_weak = extra == 0
+        if not is_weak:
+            witnesses["is_weak_stabilizer"] = f"projector distance {np.sqrt(extra):.3e}"
+        if not is_cliff:
+            witnesses["is_clifford"] = cliff_witness
+        central = central_type and is_cliff
+        if central and (order == len(logical) * len(stab)) != is_weak:
+            raise RuntimeError("central-type weak stabilizer criterion disagrees with the direct test")
+        is_stab = is_weak and (is_normal or not central and _has_normal_reconstruction(model, code, stab, f))
+        if not is_weak:
+            witnesses["is_stabilizer"] = "not a weak stabilizer code"
+        elif not is_stab:
+            witnesses["is_stabilizer"] = (
+                "stabilizer group is not normal" if central
+                else "no normal subgroup of the stabilizer rebuilds the code"
+            )
+        if not is_part:
+            witnesses["is_partitioning"] = part_witness
+        fields = (
+            model, code, logical, stab, f, detect,
+            {"is_stabilizer": is_stab, "is_weak_stabilizer": is_weak, "is_clifford": is_cliff,
+             "is_partitioning": is_part},
+            witnesses,
+            {"is_weak_stabilizer": is_weak, "is_stabilizer": is_stab} if central else None,
         )
-    is_part, part_witness = partitioning
-    if not is_part:
-        witnesses["is_partitioning"] = part_witness
-
-    return CodeReport(
-        model=model,
-        code=code,
-        logical=logical,
-        stabilizer=stab,
-        stabilizer_phase=f,
-        detectable=detect,
-        flags={
-            "is_stabilizer": is_stab,
-            "is_weak_stabilizer": is_weak,
-            "is_clifford": is_cliff,
-            "is_partitioning": is_part,
-        },
-        witnesses=witnesses,
-        central_type_criterion={"is_weak_stabilizer": is_weak, "is_stabilizer": is_stab} if central else None,
-    )
+        reports.append(CodeReport._checked(*fields) if contained else CodeReport(*fields))
+    return reports
 
 
 def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
@@ -855,11 +926,12 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
     stab, f = _stabilizer(model, act, logical)
     extra = code_dimension_formula(model, stab, f) - code.dim
     chi_rho, chi_pi = code.dim * act.scalars[logical._inside], model.rep.character().values[logical._inside]
-    clifford = (len(logical), _irreducible_character(chi_rho), complex(np.mean(chi_rho * np.conj(chi_pi))))
+    clifford = _clifford_flags(model, [code.dim], [len(logical)], _irreducible_character(chi_rho[None]),
+                               [np.mean(chi_rho * np.conj(chi_pi))])
     return _report(
-        model, code, logical, stab, f, _detectable(act), _clifford_flag(model, code.dim, *clifford),
-        _partitioning(act, logical, stab), extra,
-    )
+        model, [code], [logical], [stab], [f], [_detectable(act)], clifford,
+        [_partitioning(act, logical, stab)], [extra], [stab.is_normal()],
+    )[0]
 
 
 def _trace_table(model: ProjectiveErrorModel) -> np.ndarray:
@@ -883,32 +955,41 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
       code with key (gSg^-1, x -> lambda_g(x) f_S(g^-1 x g)), lambda_g from
       conj, and equal keys are equal codes, so L is the set of g with
       f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every y in S, read in
-      integers (off S the key is -1, so only g normalizing S pass): one
-      gather for the codes of one |S|, per block, in the least integer
-      type that holds twice the grid.
+      integers (off S the key is -1, so only g normalizing S pass).  A g
+      centralizing S passes exactly when lambda_g is 1 on S, whatever
+      f_S, so that part is read once per distinct S; the other g are read
+      per code, in one gather for the codes of one |S| per block, in the
+      least integer type that holds twice the grid.
     - The character of L on W is T(x) = tr(P pi(x)) = (1/|S|) sum_s
-      conj(f_S(s)) sigma(s, x) chi_pi(sx), P the average over S: rows of
-      conj(F) @ table, F the f_S put on G.  The two tests of
-      _clifford_flag run once for the codes of one |L| in a block.
+      conj(f_S(s)) sigma(s, x) chi_pi(sx), P the average over S, read on L
+      only: conj(f_S) @ table[S, L] / |S| for the codes of one (|S|, |L|)
+      in a block, with their irreducibility and multiplicity, and the
+      verdicts of all codes in one _clifford_flags.
     - When S is normal in G, every x outside L maps W onto W(S, x.f_S),
       another eigenspace of S, orthogonal to W, and x in L acts on W as a
       scalar exactly when x is in S.  So no element is mixed and
-      D = (G minus L) + S, with no float action, read for all such codes
-      from one stacked mask.  When S is not normal, D and the partitioning
-      test are the action path's (_detectable and _partitioning, whose
-      RuntimeError then also checks L), read from one stacked action per
-      code dimension (_actions).
+      D = (G minus L) + S, with no float action.  When S is not normal, D
+      and the partitioning test are the action path's (_detectable and
+      _partitioning, whose RuntimeError then also checks L), read from one
+      stacked action per code dimension (_actions).
 
-    S, L and D are read from [k, |G|] masks with one nonzero per mask
-    (_member_rows), and the normality of every distinct S at once
-    (groups._read_cores).  Every step runs in blocks of codes
-    (_linalg._blocks), what one code holds noted at each step, and no
-    [k, |G|] float table is formed.
+    S and L are interned once per distinct mask, unchecked
+    (_distinct_subgroups: S is a confirmed key's support and L the
+    stabilizer of W under G), and the normality of every distinct S read
+    at once (groups._read_cores).
+    D is one [k, |G|] mask, read with one nonzero (_member_rows), and
+    S <= L and S <= D are tested for all codes on the masks, so _report
+    builds the reports with no test per code.  Every step runs in blocks
+    of codes (_linalg._blocks), what one code holds noted at each step,
+    and no [k, |G|] float table is formed.
     """
     g, sigma = model.group, model.cocycle
     grid, k, on_s = sigma.den * g.exponent(), len(codes), keys >= 0
-    stabs = [g._intern(tuple(row)) for row in _member_rows(on_s)]
-    _read_cores(stabs)
+    distinct, which = _distinct_subgroups(g, on_s)
+    _read_cores(distinct)
+    which = np.array(which)
+    normal = np.array([stab.is_normal() for stab in distinct], dtype=bool)[which]
+    stabs = [distinct[i] for i in which.tolist()]
     nums = keys[on_s].astype(np.int64)
     values = _phase_values(nums, grid)                            # f_S, run after run
     phases = PhaseFunction._runs(stabs, nums, grid, None, values)
@@ -917,45 +998,57 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     for size in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == size)
         mem = np.nonzero(on_s[rows])[1].reshape(-1, size)          # each code's S
-        for block in _blocks(len(rows), 3 * g.order * size):   # the gather and both sides
-            r, m = rows[block], mem[block]
-            key, at = wide[r], np.arange(len(r))[:, None]
-            moved = (key[at, m] + turns[:, m]) % grid                    # [g, code, y]
-            on_l[r] = (key[at, conj.elements[:, m]] == moved).all(axis=2).T
-    logicals = [g._intern(tuple(row)) for row in _member_rows(on_l)]
-    chi, clifford, l_sizes = model.rep.character().values, [None] * k, on_l.sum(axis=1)
-    cuts = [0, *itertools.accumulate(sizes.tolist())]
-    for block in _blocks(k, 4 * g.order):   # F and T, half the bound
-        a, b = block.start, block.stop
-        f = np.zeros((b - a, g.order), dtype=complex)
-        f[on_s[a:b]] = values[cuts[a]:cuts[b]].conj()
-        traces = f @ table                                        # T(x) = tr(P pi(x))
-        traces /= sizes[a:b, None]
-        for size in set(l_sizes[a:b].tolist()):
-            same = np.flatnonzero(l_sizes[a:b] == size)
-            x = np.nonzero(on_l[a + same])[1].reshape(-1, size)   # each code's L
-            chis = traces[same[:, None], x]
-            totals = np.mean(chis * np.conj(chi[x]), axis=-1).tolist()
-            for i, irred, total in zip((same + a).tolist(), _irreducible_character(chis).tolist(), totals):
-                clifford[i] = _clifford_flag(model, codes[i].dim, size, irred, total)
-    normal = np.array([stab.is_normal() for stab in stabs], dtype=bool)
-    parts = {i: (row, (True, None))
-             for i, row in zip(np.flatnonzero(normal).tolist(), _member_rows(~on_l[normal] | on_s[normal]))}
-    acted = sorted((i for i in range(k) if i not in parts), key=lambda i: codes[i].dim)
-    for w, same_dim in itertools.groupby(acted, key=lambda i: codes[i].dim):
+        # a g centralizing S passes exactly when lambda_g is 1 on S, whatever
+        # f_S: read once per distinct S, and per code only on the other g
+        _, first, own = np.unique(which[rows], return_index=True, return_inverse=True)
+        fixed = (conj.elements[:, mem[first]] == mem[first]).all(axis=2)   # [g, distinct S]
+        verdict = (fixed & (turns[:, mem[first]] == 0).all(axis=2))[:, own]
+        moving = np.flatnonzero(~fixed.all(axis=1))
+        elements, moving_turns = conj.elements[moving], turns[moving]
+        # per code, |S| entries per moving g of the gathered indices (8
+        # bytes) and of the two gathered sides and their sum (small ints),
+        # counted at their byte size against the bound's 16-byte entries
+        for block in _blocks(len(rows), moving.size * size * (8 + 3 * small.itemsize) // 16):
+            key, m, at = wide[rows[block]], mem[block], np.arange(block.stop - block.start)[:, None]
+            moved = (key[at, m] + moving_turns[:, m]) % grid             # [g, code, y]
+            verdict[moving, block] = (key[at, elements[:, m]] == moved).all(axis=2)
+        on_l[rows] = verdict.T
+    distinct, which = _distinct_subgroups(g, on_l)
+    logicals = [distinct[i] for i in which]
+    chi, l_sizes = model.rep.character().values, on_l.sum(axis=1)
+    irreducible, totals = np.empty(k, dtype=bool), np.empty(k, dtype=complex)
+    starts, flat = np.cumsum(sizes) - sizes, table.ravel()       # each code's run in values
+    for size, l_size in set(zip(sizes.tolist(), l_sizes.tolist())):
+        rows = np.flatnonzero((sizes == size) & (l_sizes == l_size))
+        s_mem = np.nonzero(on_s[rows])[1].reshape(-1, size, 1) * g.order   # each code's S, as rows of table
+        l_mem = np.nonzero(on_l[rows])[1].reshape(-1, l_size)               # each code's L
+        f = values[starts[rows, None] + np.arange(size)].conj()[:, None]
+        # per code: the table on S x L and its indices (|S| |L| entries
+        # each), T on L and its products
+        for block in _blocks(len(rows), (2 * size + 3) * l_size):
+            chis = (f[block] @ flat.take(s_mem[block] + l_mem[block, None]))[:, 0] / size   # T on L
+            totals[rows[block]] = np.mean(chis * np.conj(chi[l_mem[block]]), axis=-1)
+            irreducible[rows[block]] = _irreducible_character(chis)
+    dims = np.array([code.dim for code in codes])
+    clifford = _clifford_flags(model, dims, l_sizes, irreducible, totals)
+    detect, parts = ~on_l | on_s, [(True, None)] * k            # D where S is normal
+    acted = sorted(np.flatnonzero(~normal).tolist(), key=dims.__getitem__)
+    for w, same_dim in itertools.groupby(acted, key=dims.__getitem__):
         same_dim = list(same_dim)
         # per code: pi B, its transposed copy and the residual (|G| d w
         # entries each) and C (|G| w^2)
         for rows in _blocks(len(same_dim), g.order * w * (3 * model.dim + w)):
             block = same_dim[rows]
             acts = _actions(model, np.stack([codes[i].basis for i in block]))
+            detect[block] = acts.scalar_dev < _tol.SCAN                 # _detectable
             for j, i in enumerate(block):
-                act = _Action(*(stack[j] for stack in acts))
-                parts[i] = _detectable(act), _partitioning(act, logicals[i], stabs[i])
-    return [
-        _report(model, code, logicals[i], stabs[i], phases[i], parts[i][0], clifford[i], parts[i][1], 0)
-        for i, code in enumerate(codes)
-    ]
+                parts[i] = _partitioning(_Action(*(stack[j] for stack in acts)), logicals[i], stabs[i])
+    if (on_s & ~on_l).any():
+        raise RuntimeError("stabilizer group not contained in logical group")
+    if (on_s & ~detect).any():
+        raise RuntimeError("stabilizer group not contained in detectable set")
+    return _report(model, codes, logicals, stabs, phases, _member_rows(detect), clifford, parts, [0] * k,
+                   normal.tolist(), contained=True)
 
 
 def stabilizer_to_clifford(

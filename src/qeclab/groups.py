@@ -192,14 +192,19 @@ class FiniteGroup:
 
     # -- subgroups ---------------------------------------------------------
 
-    def _intern(self, members) -> "Subgroup":
+    def _intern(self, members, valid: bool = False) -> "Subgroup":
         """The interned Subgroup on a member set, validated on first use.
 
         A tuple is looked up as it is first: the table's keys are sorted
         tuples of distinct ints, so a tuple equal to one is that member set.
-        Callers holding sorted indices pass tuple(indices.tolist())."""
+        Callers holding sorted indices pass tuple(indices.tolist()).  valid
+        says that members is such a tuple and a subgroup by construction,
+        so a first use builds it with no check (Subgroup._from_valid, whose
+        docstring names the callers and their proofs)."""
         sub = self._interned.get(members) if isinstance(members, tuple) else None
-        if sub is None:
+        if sub is None and valid:
+            sub = self._interned[members] = Subgroup._from_valid(self, members)
+        elif sub is None:
             key = tuple(sorted({int(m) for m in members}))
             sub = self._interned.get(key)
             if sub is None:
@@ -276,7 +281,7 @@ class FiniteGroup:
                 f"subgroup enumeration capped at order {cap} (group has {self.order}); "
                 "raise QECLAB_MAX_ORDER to override"
             )
-        return [self._intern(members) for members in self._lattice()]
+        return [self._intern(members, valid=True) for members in self._lattice()]
 
     def _lattice(self, bad=None) -> list[tuple[int, ...]]:
         """The sorted member tuples of all_subgroups, built once per group;
@@ -465,6 +470,29 @@ class Subgroup:
             raise GroupValidationError("member set is not closed under multiplication")
         if not inside[parent.inv.take(mem)].all():
             raise GroupValidationError("member set is not closed under inversion")
+
+    @classmethod
+    def _from_valid(cls, parent: FiniteGroup, members: tuple[int, ...]) -> "Subgroup":
+        """The subgroup on a sorted tuple of distinct members known to be a
+        subgroup, built without __init__'s checks.  A nonempty subset of a
+        finite group closed under products is a subgroup, and the callers
+        hold the proofs:
+        - every member set of the lattice (FiniteGroup._lattice, interned by
+          all_subgroups and by search's walks) is a closure of the trivial
+          subgroup under adjoined elements (_extend_closure);
+        - codes._key_reports' S is a confirmed key's support, H itself or a
+          set that search._maximal_witnesses tested closed in integers, and
+          its L is the stabilizer {g : pi(g)W = W} of the code under the
+          action of G on subspaces.
+        tests/test_interning.py runs __init__'s checks on every subgroup these
+        callers build on the catalog models."""
+        sub = cls.__new__(cls)
+        sub.parent, sub.members = parent, members
+        sub._position = sub._as_group = sub._normal = sub._core = None
+        sub._restrictions = {}
+        sub._inside = np.zeros(parent.order, dtype=bool)
+        sub._inside[list(members)] = True
+        return sub
 
     def __len__(self) -> int:
         return len(self.members)

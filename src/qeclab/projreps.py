@@ -520,15 +520,19 @@ def _intertwiner_count(r1: ProjectiveRep, r2: ProjectiveRep) -> int:
 def _character_count(chi1: np.ndarray, chi2: np.ndarray) -> int:
     """<chi1, chi2> over character values of reps with one cocycle, as an
     integer; RuntimeError when it is not one to _tol.DERIVED."""
-    return _integer_count(complex(np.mean(chi1 * np.conj(chi2))))
+    return int(_integer_counts(np.mean(chi1 * np.conj(chi2), keepdims=True))[0])
 
 
-def _integer_count(total: complex) -> int:
-    """_character_count from the inner product total."""
-    nearest = round(total.real)
-    if abs(total - nearest) > _tol.DERIVED * max(1, nearest):
-        raise RuntimeError(f"character count {total.real:.6f} is not an integer")
-    return nearest
+def _integer_counts(totals: np.ndarray) -> np.ndarray:
+    """The nearest integer to each inner product of an array, int64;
+    RuntimeError on the first that is not within _tol.DERIVED (relative
+    above 1) of it: _character_count's test, and codes._clifford_flags'
+    on many codes at once."""
+    nearest = np.rint(totals.real)
+    bad = ~(np.abs(totals - nearest) <= _tol.DERIVED * np.maximum(1, nearest))   # NaN fails too
+    if bad.any():
+        raise RuntimeError(f"character count {totals.real[bad][0]:.6f} is not an integer")
+    return nearest.astype(np.int64)
 
 
 def restrict(rep: ProjectiveRep, sub: Subgroup) -> ProjectiveRep:

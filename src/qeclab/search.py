@@ -26,11 +26,15 @@ subgroup of one order are read together from whole arrays.  Their exact
 constituents and one segment sum of their dimensions come from codes
 (_constituents), their keys from one blocked trace product
 (_maximal_witnesses), and the codes of the new keys from one blocked
-projector average and stacked eigh (codes._eigenspaces) and one
-PhaseFunction._runs.  Deduplication is exact and compares no projector:
-enumerate keys each code by its maximal witness (S, f_S), read from
-characters and confirmed in integers, and keeps the first key in lattice
-order; q3_probe's candidates are distinct by construction (see there).
+projector average and its pivoted Cholesky, with no eigh
+(codes._eigenspaces, where the proof is): a code's basis is read from
+its projector P as the columns R e_p / sqrt(R_pp) of successive pivots
+p, R the part of P not yet taken, so on a monomial model each column is
+the coset-sum state of one H-orbit of basis indices.  Deduplication is
+exact and compares no projector: enumerate keys each code by its
+maximal witness (S, f_S), read from characters and confirmed in
+integers, and keeps the first key in lattice order; q3_probe's
+candidates are distinct by construction (see there).
 enumerate reads the reports of each order's new codes from the same keys
 as it builds the codes (codes._key_reports), and attaches each to its
 code, where codes.classify finds it: S and f_S are the key, L is the set
@@ -92,7 +96,7 @@ from .codes import (
     _stabilizers,
     _trace_table,
 )
-from .groups import Subgroup, max_group_order
+from .groups import Subgroup, _read_cores, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
 from .projreps import _conjugation_table, _irreducible_character, _reynolds
 
@@ -225,10 +229,12 @@ def enumerate_weak_stabilizer_codes(
     Subgroups come from the pruned lattice, one subgroup order at a time,
     whose rows are read together: their constituents (codes._constituents),
     keys (_maximal_witnesses), the dedup in lattice order, and the codes of
-    the new keys (codes._eigenspaces) and their phases (one
-    PhaseFunction._runs), with no df = sigma|H test: each row f0 chi is
-    admissible by construction.  No projector is formed and no random
-    number drawn.  Each order's new codes get their reports from their keys
+    the new keys (codes._eigenspaces), with no df = sigma|H test: each row
+    f0 chi is admissible by construction.  A code's f is its report's
+    stabilizer phase where the key's S is H itself, as the key agrees
+    with f on H (confirmation (a)); the other phases come from one
+    PhaseFunction._runs.  No two projectors are compared and no random
+    number is drawn.  Each order's new codes get their reports from their keys
     (codes._key_reports, on the trace and conjugation tables built once
     here), each attached as code._source, which codes.classify returns, and
     a read-only basis, so that no report goes stale.
@@ -240,7 +246,7 @@ def enumerate_weak_stabilizer_codes(
     bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in _pairing_defects(sigma, range(g.order))]
     for _, same_order in itertools.groupby(g._lattice(bad), key=len):   # sorted by order
-        subs = [g._intern(members) for members in same_order]
+        subs = [g._intern(members, valid=True) for members in same_order]
         owner, nums, grid, dims = _constituents(model, subs)
         members = np.array([sub.members for sub in subs])[owner]
         values = _phase_values(nums, grid)
@@ -254,11 +260,18 @@ def enumerate_weak_stabilizer_codes(
         built = _eigenspaces(model, members[new], values[new], dims[new])
         if any(code is None for code in built):
             raise RuntimeError("constituent with an empty code space")
-        for code, report in zip(built, _key_reports(model, built, num[new], table, conj)):
+        reports = _key_reports(model, built, num[new], table, conj)
+        for code, report in zip(built, reports):
             code.basis.flags.writeable = False
             code._source = report
         domains = [subs[i] for i in owner[new]]
-        phases = PhaseFunction._runs(domains, nums[new].ravel(), grid, None, values[new].ravel())
+        # where S is H itself, the report's f_S is f: the key agrees with f on H
+        phases = [r.stabilizer_phase if r.stabilizer is h else None for r, h in zip(reports, domains)]
+        rest = [i for i, f in enumerate(phases) if f is None]
+        at = np.array(new)[rest]
+        for i, f in zip(rest, PhaseFunction._runs([domains[i] for i in rest], nums[at].ravel(), grid,
+                                                  None, values[at].ravel())):
+            phases[i] = f
         found += zip(domains, phases, built)
     return found
 
@@ -432,13 +445,15 @@ def _clifford_reports(model, kept):
     stabs, phases = _stabilizers(model, members, *scalar_deviation(rhos))
     if not all(phase.is_exact for phase in phases):
         raise RuntimeError("q3_probe: a stabilizer phase failed to snap")
+    _read_cores(stabs)
     values = np.concatenate([phase.values for phase in phases])
     dims = _dimension_counts(model, [x for s in stabs for x in s.members], values, [len(s) for s in stabs])
     detect = ~np.array([sub._inside for sub in subs]) | np.array([stab._inside for stab in stabs])
-    return [
-        _report(model, CodeSpace._checked(d, b), sub, stab, f, cols, (True, None), (True, None), dim - t)
-        for sub, b, stab, f, dim, cols in zip(subs, bases, stabs, phases, dims, _member_rows(detect))
-    ]   # detectable = (G minus H) + S
+    return _report(
+        model, [CodeSpace._checked(d, b) for b in bases], subs, stabs, phases,
+        _member_rows(detect), [(True, None)] * k, [(True, None)] * k, [dim - t for dim in dims],
+        [stab.is_normal() for stab in stabs],
+    )   # detectable = (G minus H) + S
 
 
 def q3_probe(
@@ -538,11 +553,11 @@ def q3_probe(
     if not return_candidates and g.is_abelian():
         return []
     candidates = []
-    for order, same_order in itertools.groupby(map(g._intern, g._lattice()), key=len):   # sorted by order
+    for order, same_order in itertools.groupby(g._lattice(), key=len):   # sorted by order
         if model.dim * order % g.order != 0:
             continue
         target = model.dim * order // g.order   # dim pi / [G:H]
-        same_order = list(same_order)
+        same_order = [g._intern(members, valid=True) for members in same_order]
         split = _split_restrictions(model.rep.matrices, [sub.members for sub in same_order])
         kept = [(sub, rho, b) for sub, pieces in zip(same_order, split)
                 for rho, b in pieces if b.shape[1] == target]

@@ -366,6 +366,44 @@ def pairwise_enumerated(model) -> tuple[list, int]:
     return found, built
 
 
+def pivoted_cholesky_basis(proj: np.ndarray, rank: int) -> np.ndarray:
+    """codes._eigenspaces' basis of one projector, read one matrix at a
+    time: rank steps, each taking the least index p whose diagonal (real
+    part) is within _tol.EXACT of the largest, b = R e_p / sqrt(R_pp) and
+    R <- R - b b*, starting from R = proj."""
+    rest, cols = proj.copy(), []
+    for _ in range(rank):
+        diag = rest.diagonal().real
+        p = int(np.flatnonzero(diag >= diag.max() - _tol.EXACT)[0])
+        col = rest[:, p] / np.sqrt(diag[p])
+        rest -= np.outer(col, col.conj())
+        cols.append(col)
+    return np.ascontiguousarray(np.stack(cols, axis=1))
+
+
+def eigh_code_basis(proj: np.ndarray) -> np.ndarray:
+    """The basis codes._eigenspaces read before its pivoted Cholesky: the
+    eigenvectors of proj whose eigenvalues exceed 1/2, from eigh."""
+    evals, evecs = np.linalg.eigh(proj)
+    return evecs[:, len(evals) - int((evals > 0.5).sum()):]
+
+
+def code_projector(model, sub: Subgroup, values: np.ndarray) -> np.ndarray:
+    """(1/|H|) sum_h conj(f(h)) pi(h), f's values on sub's members in values."""
+    flat = model.rep.matrices[list(sub.members)].reshape(len(sub), -1)
+    return (values.conj() @ flat).reshape(model.dim, model.dim) / len(sub)
+
+
+def conjugated_model(model, seed: int):
+    """The model with pi(x) replaced by U pi(x) U*, U a seeded random
+    unitary (QR of a complex Gaussian): the same group and cocycle, and in
+    general no basis vector maps to a multiple of a basis vector."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(model.dim,) * 2) + 1j * rng.normal(size=(model.dim,) * 2))
+    rep = make_rep(model.group, u @ model.rep.matrices @ u.conj().T, label=model.rep.label)
+    return ProjectiveErrorModel(rep, label=model.label)
+
+
 def enumerate_codes_loop(model) -> tuple[list, list]:
     """search.enumerate_weak_stabilizer_codes one subgroup at a time, over
     every subgroup of all_subgroups(), as it ran before the lattice was
@@ -374,7 +412,7 @@ def enumerate_codes_loop(model) -> tuple[list, list]:
     read from the subgroup's own trace product, S' = {|T(x)| >= d -
     _tol.DERIVED} with f' on the grid, with no confirmation, and the new
     codes of one subgroup from one projector average of its rows against
-    pi|H flattened and one stacked eigh."""
+    pi|H flattened and, row by row, pivoted_cholesky_basis."""
     g, sigma = model.group, model.cocycle
     grid, n = sigma.den * g.exponent(), model.dim
     table = sigma.to_complex_table() * model.rep.character().values[g.mul]
@@ -395,10 +433,9 @@ def enumerate_codes_loop(model) -> tuple[list, list]:
             continue
         flat = model.rep.matrices[mem].reshape(len(mem), n * n)
         proj = (values[new].conj()[:, None, :] @ flat).reshape(len(new), n, n) / len(mem)
-        for i, evals, evecs in zip(new, *np.linalg.eigh(proj)):
-            rank = int((evals > 0.5).sum())
-            assert rank == dims[i]
-            code = CodeSpace(n, np.ascontiguousarray(evecs[:, n - rank:]))
+        for i, p in zip(new, proj):
+            assert round(np.trace(p).real) == dims[i]
+            code = CodeSpace(n, pivoted_cholesky_basis(p, int(dims[i])))
             found.append((sub, PhaseFunction._from_num(sub, nums[i], den, floats=values[i]), code))
             keys.append(num[i])
     return found, keys

@@ -1181,7 +1181,7 @@ def test_product_code_groups_are_the_products_of_the_factor_groups(data):
 
 @pytest.mark.parametrize("spec", TWIST_SPECS)
 def test_invariance_norm_is_bounded_by_the_commutator_norm(spec):
-    # why _clifford_flag needs no invariance test of its own: on L the
+    # why _clifford_flags needs no invariance test of its own: on L the
     # commutator is below _tol.SCAN, and inside never exceeds it
     model, found = _enumerated(spec)
     for code in found:

@@ -1,9 +1,10 @@
 """One Subgroup per member set, one restricted cocycle per subgroup.
 
 The library interns the subgroups it builds in their parent group, so each
-member set is validated once and its as_group() and restricted cocycles
-are shared.  The counters here pin that: a search followed by classify
-checks exactly the lattice's member sets, validates none of their
+member set is built once and its as_group() and restricted cocycles are
+shared.  The counters here pin that: a search followed by classify builds
+exactly the lattice's member sets, unchecked where the construction proves
+them subgroups (their checks run here by hand), validates none of their
 as_group() tables, and no cocycle runs its identity check twice.  The
 public Subgroup and group constructors keep validating every call.
 """
@@ -33,7 +34,8 @@ from qeclab.search import enumerate_weak_stabilizer_codes, q3_probe
 
 
 class _Counters:
-    """Subgroup constructions, group validations and the cocycles whose
+    """Subgroup constructions (checked by __init__ or built unchecked by
+    Subgroup._from_valid), group validations and the cocycles whose
     identity check ran, one entry per run (the objects are kept, so no id
     is reused while counting)."""
 
@@ -42,10 +44,15 @@ class _Counters:
         self.validations = 0
         self.checked: list[Cocycle] = []
         init, validate, holds = Subgroup.__init__, FiniteGroup._validate, Cocycle._identity_holds
+        from_valid = Subgroup._from_valid.__func__
 
         def counted_init(sub, *args, **kwargs):
             self.subgroups += 1
             init(sub, *args, **kwargs)
+
+        def counted_from_valid(cls, *args):
+            self.subgroups += 1
+            return from_valid(cls, *args)
 
         def counted_validate(group):
             self.validations += 1
@@ -56,6 +63,7 @@ class _Counters:
             return holds(sigma)
 
         monkeypatch.setattr(Subgroup, "__init__", counted_init)
+        monkeypatch.setattr(Subgroup, "_from_valid", classmethod(counted_from_valid))
         monkeypatch.setattr(FiniteGroup, "_validate", counted_validate)
         monkeypatch.setattr(Cocycle, "_identity_holds", counted_holds)
 
@@ -73,7 +81,9 @@ def test_search_and_classify_validate_each_lattice_subgroup_once(monkeypatch):
     lattice = model.group.all_subgroups()
     assert len(found) == 515
     # lattice cuts build their as_group() tables without a validation (see
-    # Subgroup.as_group); test_every_lattice_cut_passes_the_validation runs it
+    # Subgroup.as_group); test_every_lattice_cut_passes_the_validation runs it.
+    # Each lattice subgroup is built once, unchecked (Subgroup._from_valid);
+    # test_every_unchecked_subgroup_passes_the_validation runs the checks
     assert counters.subgroups == len(lattice) == 249
     assert counters.validations == built
     # the model cocycle is checked once, when the model is built, and every
@@ -129,6 +139,34 @@ def test_every_direct_product_passes_the_validation(monkeypatch):
             mine, theirs = getattr(group, table), getattr(public, table)
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
     assert counters.validations == 2 * len(built)
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_every_unchecked_subgroup_passes_the_validation(spec, monkeypatch):
+    # the lattice's member sets and the key reader's S and L are built with
+    # no check (Subgroup._from_valid); __init__'s checks still cover every
+    # one that a search, classify, the q3 probe and all_subgroups build, run
+    # here by hand, and the unchecked build sets every attribute, with the
+    # same members and mask, that the public one sets
+    built = []
+    raw = Subgroup._from_valid.__func__
+
+    def recorded(cls, *args):
+        built.append(raw(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(Subgroup, "_from_valid", classmethod(recorded))
+    model = parse_model_spec(spec).model
+    for _, _, code in enumerate_weak_stabilizer_codes(model):
+        classify(model, code)
+    if model.is_central_type():
+        q3_probe(model, return_candidates=True)
+    model.group.all_subgroups()
+    assert built
+    for sub in built:
+        public = Subgroup(sub.parent, sub.members)
+        assert vars(sub).keys() == vars(public).keys()
+        assert sub.members == public.members and sub._inside.tobytes() == public._inside.tobytes()
 
 
 def _intercalate_swapped(mul: np.ndarray, e: int) -> np.ndarray:

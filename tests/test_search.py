@@ -16,7 +16,10 @@ from helpers import (
     CATALOG_64,
     PairwiseDedup,
     canonical_key,
+    code_projector,
     commutant_split_oracle,
+    conjugated_model,
+    eigh_code_basis,
     enumerate_codes_loop,
     irreducible_constituents,
     isotypic_projector,
@@ -185,7 +188,8 @@ def _same_codes(got, want):
 def test_enumeration_matches_the_unpruned_loop(spec):
     # the rows of one subgroup order are read and built together; the loop
     # reads each subgroup of the unpruned lattice alone, with its own
-    # projector average and eigh, and gets the same codes to the byte
+    # projector average and pivoted Cholesky one matrix at a time
+    # (pivoted_cholesky_basis), and gets the same codes to the byte
     model = parse_model_spec(spec).model
     _same_codes(_enumerated(model), enumerate_codes_loop(model))
 
@@ -194,6 +198,73 @@ def test_enumeration_matches_the_unpruned_loop_on_a_relabeled_model():
     model = relabeled_model(parse_model_spec("c2d2n:3").model, 5)
     assert not model.group.is_abelian()
     _same_codes(_enumerated(model), enumerate_codes_loop(model))
+
+
+def _eigh_projector_gaps(model):
+    """The largest entry of |P - P_eigh| over the enumerated codes, P_eigh
+    from the eigh oracle's basis of the same (H, f) average."""
+    found = enumerate_weak_stabilizer_codes(model)
+    assert found
+    gaps = []
+    for sub, f, code in found:
+        want = eigh_code_basis(code_projector(model, sub, f.values))
+        gaps.append(np.abs(code.projector() - want @ want.conj().T).max())
+    return max(gaps)
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_enumerated_projectors_are_the_eigh_oracles(spec):
+    # the pivoted Cholesky basis spans what the eigenvectors of eigenvalue
+    # above 1/2 span
+    assert _eigh_projector_gaps(_catalog_model(spec)) < 1e-12
+
+
+@pytest.mark.parametrize("make, monomial", [(lambda m: relabeled_model(m, 7), True),
+                                             (lambda m: conjugated_model(m, 3), False)],
+                         ids=["relabeled", "conjugated"])
+def test_enumerated_projectors_are_the_eigh_oracles_off_the_catalog_basis(make, monomial):
+    # a relabeled model, and one conjugated by a random unitary, where the
+    # columns of the pi(x) are no longer multiples of basis vectors
+    base = _catalog_model("c2d2n:3")
+    model = make(base)
+    assert np.allclose(np.abs(model.rep.matrices).max(axis=1), 1) == monomial
+    assert _eigh_projector_gaps(model) < 1e-12
+    assert len(enumerate_weak_stabilizer_codes(model)) == len(enumerate_weak_stabilizer_codes(base))
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_enumerated_bases_are_coset_states_on_monomial_models(spec):
+    # pi(x) e_j = v_x(j) e_{p_x(j)} on every catalog model: each basis
+    # column lies on one H-orbit O of basis indices, with entries of
+    # modulus 1/sqrt|O| there, real and positive at the orbit's least index
+    model = _catalog_model(spec)
+    mats = model.rep.matrices
+    moved = np.abs(mats).argmax(axis=1)                       # [x, j] -> p_x(j)
+    assert np.allclose(np.abs(mats[np.arange(len(mats))[:, None], moved, np.arange(model.dim)]), 1)
+    for sub, _, code in enumerate_weak_stabilizer_codes(model):
+        orbits = moved[list(sub.members)]                     # [h, j] -> p_h(j)
+        for col in code.basis.T:
+            support = np.flatnonzero(np.abs(col) > 1e-6)
+            orbit = np.unique(orbits[:, support[0]])
+            assert np.array_equal(support, orbit)
+            assert np.abs(np.abs(col[orbit]) - 1 / np.sqrt(len(orbit))).max() < 1e-12
+            assert np.abs(col[np.setdiff1d(np.arange(model.dim), orbit)]).max(initial=0) < 1e-12
+            assert abs(col[orbit[0]].imag) < 1e-12 and col[orbit[0]].real > 0
+
+
+def test_the_enumeration_and_the_one_row_build_make_no_eigh_call(monkeypatch):
+    eighs, eigh = [], np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        eighs.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for spec in ("c2d2n:3", "oddfam:3", "prod(genpauli:2,genpauli:4)"):
+        model = parse_model_spec(spec).model
+        for sub, f, code in enumerate_weak_stabilizer_codes(model):
+            assert weak_stabilizer_code(model, sub, f).basis.tobytes() == code.basis.tobytes()
+    assert eighs == []
 
 
 @pytest.mark.parametrize("spec", ["pauli:2", "c2d2n:3", "oddfam:3"])
@@ -870,12 +941,45 @@ def test_q3_probe_candidate_order_is_pinned(spec):
 
 # sha256 of every enumerated code's report in enumeration order: code
 # dimension, L, S, f_S as reduced [num, den], D, flags and witnesses.  The
-# floats (the basis) are left out, so every BLAS build agrees.  c2d2n:3 has
-# codes whose S is not normal, and oddfam:3 solves for its trivializers.
+# floats (the basis) are left out, so every BLAS build agrees.  Every
+# CATALOG_64 model is pinned: c2d2n:3 has codes whose S is not normal, and
+# oddfam:3 solves for its trivializers.
 _ENUMERATED_REPORTS = {
-    "c2d2n:3": "89fd742de18579efd1212f1e29f34db3915f4b141a98c1b1277c61b2928cea4e",
-    "oddfam:3": "1a07983af6f235e3c568afd7897f45a33ba545555cf20865cf4ef363d47e5c74",
+    "genpauli:2": "c2951b642e88e6749883fdc0dff36105352781a65ba177d81f1d20f6da0ecef6",
+    "genpauli:3": "06817dbef3d59c09ff8087dff59572704dd66d9663dddd680d7efe10b63254c0",
+    "genpauli:4": "12026582b6338f214db74a358719a29d04183721c2d8638252880880e627e665",
+    "genpauli:5": "18c390836eab4fbb88202a5715ecad5b5230e6d5654767b308a564e305ed7b1b",
+    "genpauli:6": "3c1cf5921d06ff57edb5bd46903b1003e17be85902f79c5194610cffe69fdfef",
+    "genpauli:7": "a162af55ac0415aff57fcac3404977bcfbd2a71877d3ec92dbcab3067fddde6a",
+    "genpauli:8": "2c93b0242987eccebe36d56876c4a1955d0adb97ce3f53bbbc36b624325b5d64",
+    "pauli:1": "c2951b642e88e6749883fdc0dff36105352781a65ba177d81f1d20f6da0ecef6",
+    "pauli:2": "e30fdafadb19c2aa832deffafe4e62a2a7ea1ea659eb0d43556dc0ca496f2123",
     "pauli:3": "b3cf6813cb9659fbf4e0ea7cb6bc1f43b674bcf2925d7646e0e9ca016959e7e0",
+    "xp:2": "c2951b642e88e6749883fdc0dff36105352781a65ba177d81f1d20f6da0ecef6",
+    "xp:3": "0324507da591ce7b644875ca6482dfd370b573b454536afb2a74c23fac43fa43",
+    "xp:4": "41cf05ff99ae3e702923cbd1a8533ca196d9f05ebb47007fdcff26d3d3307c59",
+    "xp:5": "2e493f80eda34a55bf275c3c2328e22d2c4b10b7a2942f98f72fe42becf163b5",
+    "xp:6": "8badada1702d550cbca8d64a980c159e16e0f341e4cc5653c05778c8ccefb0e8",
+    "xp:7": "50234bc1fe43b0eb399976cf3ecf959b39969971af8799b0312df4819d0086e7",
+    "xp:8": "9ed54c1863b32b548ebe7594a79a124cda24f83bd1dcc908271bd738dd00af17",
+    "xp:9": "2eecfdf1e0f4aba863730571f7f1607c640a40fdf9919f377b72ecc601b5d2e6",
+    "xp:10": "a813090499e0e9761f4c916a045e45d9473159a686a8e8c5ef5506c100bd4c0b",
+    "xp:11": "1bf2daa373c1a0fb51a45f769b12ca7fe1582fface433ee9f9e29c89a4a58d5b",
+    "xp:12": "ed417301a23e5042d05f6b7b302447d1657fe4b38ef23d69787c17074c579ae2",
+    "xp:13": "d8bdff75b1169674d0e69f8855294dcf04447adc80cefe06690f89915d49a438",
+    "xp:14": "e99f6a1bd1115dcc0e26546befe20df6a18826f60aeaae7a804a716ef05a4c38",
+    "xp:15": "063c1044cb54e3adc0eb29a9ad9d21d9446c0293e2a432792da6bcafc9d2613b",
+    "xp:16": "386dd36caba34120c60c88742f65a3796096ba000dacd78abb7da656a7d73109",
+    "c2d2n:2": "ea82d0679faad4eb732812fbc724170d2985ad1525c1492d1331b23a5bb642ed",
+    "c2d2n:3": "89fd742de18579efd1212f1e29f34db3915f4b141a98c1b1277c61b2928cea4e",
+    "c2d2n:4": "e2ebf2d3e355d1bfa9e34bc77128b96c90ee11c4af4e1e9462d05e1b4142cd32",
+    "c2d2n:5": "5569daaddab158eb778f306aa04fceb152801aa001d1bb17301264c81456168d",
+    "c2d2n:6": "f447b08b9ec9f4be132378dadfef8526e375b6c7d6119b5a3cce4ad38ee4e0e2",
+    "c2d2n:7": "636e7670e0f2dada4762ed646c7945b7a66a845d0db25eb4955d422d6e763fc7",
+    "c2d2n:8": "6d4406a58c6adb46e043622a4cf7aa9412d289bf684a3163910dba6eb7efb026",
+    "oddfam:3": "1a07983af6f235e3c568afd7897f45a33ba545555cf20865cf4ef363d47e5c74",
+    "permprod(genpauli:2,2)": "41bc333824ade31c9868b5359f4829e69f71c4fd166a07566f075fbb9348237e",
+    "prod(genpauli:2,genpauli:3)": "07063fe575c5981e3802977aae66ee788408d9ae9dcb3734579bb1e0295d730d",
     "prod(genpauli:2,genpauli:4)": "c0f8d8d77ddc68809edff339ea23ef73f682a24a6db4e6a456d6e2a1936fc0bc",
 }
 
