@@ -39,6 +39,17 @@ def complex_json(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
+def complex_from_json(data, ndim: int) -> np.ndarray:
+    """complex_json's inverse for an ndim-axis array, bit for bit, signed
+    zeros included: the [re, im] pairs as float64, viewed as complex.
+    ValueError unless data is a rectangular nest of real numbers, ndim + 1
+    deep, whose last axis has length 2 (so none is empty)."""
+    a = np.array(data)   # ValueError on a ragged nest
+    if a.dtype.kind not in "iuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+        raise ValueError(f"expected {ndim} axes of [re, im] pairs of numbers, got shape {a.shape} of {a.dtype}")
+    return np.ascontiguousarray(a, dtype=np.float64).view(complex)[..., 0]
+
+
 def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of a."""
     a = np.asarray(a, dtype=complex)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tol
-from ._linalg import _blocks, complex_json, compression, frobenius, scalar_deviation
+from ._linalg import _blocks, complex_from_json, complex_json, compression, frobenius, scalar_deviation
 from .codes import CodeSpace
 from .models import ProjectiveErrorModel
 
@@ -107,10 +107,7 @@ class KrausChannel:
 
     @classmethod
     def from_json(cls, data: dict) -> "KrausChannel":
-        mats = np.array(
-            [[[complex(re, im) for re, im in row] for row in k] for k in data["kraus"]]
-        )
-        return cls(int(data["ambient_dim"]), mats)
+        return cls(int(data["ambient_dim"]), complex_from_json(data["kraus"], 3))
 
     def __repr__(self) -> str:
         return f"KrausChannel({len(self)} operators on dim {self.ambient_dim})"

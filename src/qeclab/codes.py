@@ -42,8 +42,9 @@ that the stabilizer scan reads, so no representation of L is built for it
 (see _clifford_flags).  classify reads L, S, f_S, D and the partitioning
 test from the code action and hands them to _report, which sets the flags
 and witnesses.  An enumerated code needs no action: the enumeration reads
-its report from its maximal witness key (_key_reports, which
-search._maximal_witnesses confirms) as it builds the code, and classify
+its report from its maximal witness key and its trace row T(x) =
+tr(P pi(x)) (_key_reports; both come from search._maximal_witnesses,
+which confirms the key and forms T) as it builds the code, and classify
 returns that report.  _report builds every CodeReport, a list of codes
 at a time: the key reader and search's q3 pieces hand it their
 invariants too.
@@ -63,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import _blocks, complex_json, compressed_action, frobenius
+from ._linalg import _blocks, complex_from_json, complex_json, compressed_action, frobenius
 from ._linalg import orthonormal_columns, scalar_deviation
 from .cocycles import (
     PhaseFunction,
@@ -165,10 +166,7 @@ class CodeSpace:
 
     @classmethod
     def from_json(cls, data: dict) -> "CodeSpace":
-        d = int(data["ambient_dim"])
-        cols = [np.array([complex(re, im) for re, im in col]) for col in data["basis"]]
-        basis = np.stack(cols, axis=1)
-        return cls(d, basis)
+        return cls(int(data["ambient_dim"]), np.ascontiguousarray(complex_from_json(data["basis"], 2).T))
 
     def __repr__(self) -> str:
         return f"CodeSpace(dim {self.dim} in {self.ambient_dim})"
@@ -815,7 +813,8 @@ def _clifford_flags(
     rho(x) = C(x) = B* pi(x) B for x in L, and chi_rho is its character on
     L's members in order, tr C(x) = tr(P pi(x)): classify reads it from its
     code action as dim W times the scalars c of _Action, and the key
-    reader (_key_reports) from the code's maximal witness.  No
+    reader (_key_reports) from the code's trace row, formed with its
+    maximal witness (search._maximal_witnesses, where T is stated).  No
     representation of L is built or validated, and none needs to be.  W is
     L-invariant with no test of its own.  The key reader's L is the set of
     x with pi(x)W = W exactly.
@@ -934,17 +933,13 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
     )[0]
 
 
-def _trace_table(model: ProjectiveErrorModel) -> np.ndarray:
-    """[h, x] -> tr(pi(h) pi(x)) = sigma(h, x) chi_pi(hx), for every (h, x)."""
-    return model.cocycle.to_complex_table() * model.rep.character().values[model.group.mul]
-
-
-def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.ndarray, table, conj):
+def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.ndarray, traces, conj):
     """classify's report of each code of one subgroup order of
     search.enumerate_weak_stabilizer_codes, from its key (S, f_S): f_S's
-    numerators over sigma.den exp(G), -1 off S.  table is _trace_table(model)
-    and conj projreps._conjugation_table(model.cocycle), both built once
-    per enumeration.  Each field is one the action path reads, and _report
+    numerators over sigma.den exp(G), -1 off S, and its trace row
+    traces[i, x] = T(x) = tr(P pi(x)), both from search._maximal_witnesses.
+    conj is projreps._conjugation_table(model.cocycle), built once per
+    enumeration.  Each field is one the action path reads, and _report
     sets the flags and witnesses.
 
     - S and f_S are the key, confirmed in integers
@@ -960,11 +955,10 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
       f_S, so that part is read once per distinct S; the other g are read
       per code, in one gather for the codes of one |S| per block, in the
       least integer type that holds twice the grid.
-    - The character of L on W is T(x) = tr(P pi(x)) = (1/|S|) sum_s
-      conj(f_S(s)) sigma(s, x) chi_pi(sx), P the average over S, read on L
-      only: conj(f_S) @ table[S, L] / |S| for the codes of one (|S|, |L|)
-      in a block, with their irreducibility and multiplicity, and the
-      verdicts of all codes in one _clifford_flags.
+    - The character of L on W is T on L (search._maximal_witnesses, where
+      T is formed), read for the codes of one |L| together, with their
+      irreducibility and multiplicity, and the verdicts of all codes in
+      one _clifford_flags.
     - When S is normal in G, every x outside L maps W onto W(S, x.f_S),
       another eigenspace of S, orthogonal to W, and x in L acts on W as a
       scalar exactly when x is in S.  So no element is mixed and
@@ -979,9 +973,9 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     at once (groups._read_cores).
     D is one [k, |G|] mask, read with one nonzero (_member_rows), and
     S <= L and S <= D are tested for all codes on the masks, so _report
-    builds the reports with no test per code.  Every step runs in blocks
-    of codes (_linalg._blocks), what one code holds noted at each step,
-    and no [k, |G|] float table is formed.
+    builds the reports with no test per code.  The blocked steps take
+    their codes from _linalg._blocks, what one code holds noted at each,
+    and the one [k, |G|] float table held is traces.
     """
     g, sigma = model.group, model.cocycle
     grid, k, on_s = sigma.den * g.exponent(), len(codes), keys >= 0
@@ -990,9 +984,7 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     which = np.array(which)
     normal = np.array([stab.is_normal() for stab in distinct], dtype=bool)[which]
     stabs = [distinct[i] for i in which.tolist()]
-    nums = keys[on_s].astype(np.int64)
-    values = _phase_values(nums, grid)                            # f_S, run after run
-    phases = PhaseFunction._runs(stabs, nums, grid, None, values)
+    phases = PhaseFunction._runs(stabs, keys[on_s].astype(np.int64), grid)
     sizes, on_l, small = on_s.sum(axis=1), np.empty(on_s.shape, dtype=bool), np.min_scalar_type(-2 * grid)
     wide, turns = keys.astype(small), (conj.turns * (grid // sigma.den)).astype(small)
     for size in set(sizes.tolist()):
@@ -1017,18 +1009,12 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     logicals = [distinct[i] for i in which]
     chi, l_sizes = model.rep.character().values, on_l.sum(axis=1)
     irreducible, totals = np.empty(k, dtype=bool), np.empty(k, dtype=complex)
-    starts, flat = np.cumsum(sizes) - sizes, table.ravel()       # each code's run in values
-    for size, l_size in set(zip(sizes.tolist(), l_sizes.tolist())):
-        rows = np.flatnonzero((sizes == size) & (l_sizes == l_size))
-        s_mem = np.nonzero(on_s[rows])[1].reshape(-1, size, 1) * g.order   # each code's S, as rows of table
+    for l_size in set(l_sizes.tolist()):
+        rows = np.flatnonzero(l_sizes == l_size)
         l_mem = np.nonzero(on_l[rows])[1].reshape(-1, l_size)               # each code's L
-        f = values[starts[rows, None] + np.arange(size)].conj()[:, None]
-        # per code: the table on S x L and its indices (|S| |L| entries
-        # each), T on L and its products
-        for block in _blocks(len(rows), (2 * size + 3) * l_size):
-            chis = (f[block] @ flat.take(s_mem[block] + l_mem[block, None]))[:, 0] / size   # T on L
-            totals[rows[block]] = np.mean(chis * np.conj(chi[l_mem[block]]), axis=-1)
-            irreducible[rows[block]] = _irreducible_character(chis)
+        chis = traces[rows[:, None], l_mem]                                  # T on L
+        totals[rows] = np.mean(chis * np.conj(chi[l_mem]), axis=-1)
+        irreducible[rows] = _irreducible_character(chis)
     dims = np.array([code.dim for code in codes])
     clifford = _clifford_flags(model, dims, l_sizes, irreducible, totals)
     detect, parts = ~on_l | on_s, [(True, None)] * k            # D where S is normal

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _tol
-from ._linalg import _blocks, complex_json, compression, scalar_deviation
+from ._linalg import _blocks, complex_from_json, complex_json, compression, scalar_deviation
 from .cocycles import (
     Cocycle,
     PhaseFunction,
@@ -180,9 +180,7 @@ class ProjectiveRep:
     @classmethod
     def from_json(cls, group: FiniteGroup, data: dict) -> "ProjectiveRep":
         """Read to_json's form; files without a "cocycle" key are snapped by make_rep."""
-        mats = np.array(
-            [[[complex(v[0], v[1]) for v in row] for row in m] for m in data["matrices"]]
-        )
+        mats = complex_from_json(data["matrices"], 3)
         if "cocycle" not in data:
             return make_rep(group, mats)
         return cls(group, mats, Cocycle.from_json(group, data["cocycle"]))
@@ -511,22 +509,18 @@ def _reynolds(m1: np.ndarray, m2: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _intertwiner_count(r1: ProjectiveRep, r2: ProjectiveRep) -> int:
-    """dim Hom(r1, r2) for reps with one cocycle: <chi_r1, chi_r2> as an integer."""
+    """dim Hom(r1, r2) for reps with one cocycle: <chi_r1, chi_r2> as an
+    integer; RuntimeError when it is not one to _tol.DERIVED."""
     if r1.cocycle != r2.cocycle:   # the cocycle compares the group orders too
         raise ValueError("characters carry different cocycles")
-    return _character_count(r1.character().values, r2.character().values)
-
-
-def _character_count(chi1: np.ndarray, chi2: np.ndarray) -> int:
-    """<chi1, chi2> over character values of reps with one cocycle, as an
-    integer; RuntimeError when it is not one to _tol.DERIVED."""
+    chi1, chi2 = r1.character().values, r2.character().values
     return int(_integer_counts(np.mean(chi1 * np.conj(chi2), keepdims=True))[0])
 
 
 def _integer_counts(totals: np.ndarray) -> np.ndarray:
     """The nearest integer to each inner product of an array, int64;
     RuntimeError on the first that is not within _tol.DERIVED (relative
-    above 1) of it: _character_count's test, and codes._clifford_flags'
+    above 1) of it: _intertwiner_count's test, and codes._clifford_flags'
     on many codes at once."""
     nearest = np.rint(totals.real)
     bad = ~(np.abs(totals - nearest) <= _tol.DERIVED * np.maximum(1, nearest))   # NaN fails too

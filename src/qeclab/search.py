@@ -24,8 +24,8 @@ enumerate works one subgroup order at a time, as q3_probe does: the
 pruned lattice is sorted by (order, members), and the rows (H, f) of every
 subgroup of one order are read together from whole arrays.  Their exact
 constituents and one segment sum of their dimensions come from codes
-(_constituents), their keys from one blocked trace product
-(_maximal_witnesses), and the codes of the new keys from one blocked
+(_constituents), their keys and trace rows from one blocked trace
+product (_maximal_witnesses), and the codes of the new keys from one blocked
 projector average and its pivoted Cholesky, with no eigh
 (codes._eigenspaces, where the proof is): a code's basis is read from
 its projector P as the columns R e_p / sqrt(R_pp) of successive pivots
@@ -36,9 +36,10 @@ maximal witness (S, f_S), read from characters and confirmed in
 integers, and keeps the first key in lattice order; q3_probe's
 candidates are distinct by construction (see there).
 enumerate reads the reports of each order's new codes from the same keys
-as it builds the codes (codes._key_reports), and attaches each to its
-code, where codes.classify finds it: S and f_S are the key, L is the set
-of g that fix it, and D = (G minus L) + S where S is normal, so only the
+and trace rows as it builds the codes (codes._key_reports), and attaches
+each to its code, where codes.classify finds it: S and f_S are the key, L
+is the set of g that fix it, its character on the code is the trace row
+on L, and D = (G minus L) + S where S is normal, so only the
 codes whose S is not normal are acted on.  search builds no report
 itself: it hands codes the invariants it reads, and codes._report builds
 every CodeReport.
@@ -94,7 +95,6 @@ from .codes import (
     _member_rows,
     _report,
     _stabilizers,
-    _trace_table,
 )
 from .groups import Subgroup, _read_cores, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
@@ -128,13 +128,20 @@ def _check_caps(model: ProjectiveErrorModel, max_order: int | None, max_dim: int
 
 
 def _maximal_witnesses(model, members, nums, values, dims, table, grid):
-    """The maximal witness (S, f_S) of the (H_i, f_i) code for each row i
-    of codes._constituents: members[i] the members of H_i (all of one
-    order), f_i = nums[i] / grid, valued values[i], of dimension dims[i].
-    Each key is f_S's numerators over grid = sigma.den * exp(G), -1 off S,
-    [k, |G|], in the least integer type that holds -grid.  RuntimeError
-    when a key fails its confirmation.
+    """(keys, T): the maximal witness (S, f_S) of the (H_i, f_i) code for
+    each row i of codes._constituents, and the code's trace row T.
+    members[i] are the members of H_i (all of one order), f_i = nums[i] /
+    grid, valued values[i], of dimension dims[i].  Each key is f_S's
+    numerators over grid = sigma.den * exp(G), -1 off S, [k, |G|], in the
+    least integer type that holds -grid, and T is [k, |G|] complex.
+    RuntimeError when a key fails its confirmation.
     table[h, x] = sigma(h, x) chi_pi(hx) = tr(pi(h) pi(x)).
+
+    T is formed here only: codes._key_reports reads the character of L's
+    action on W from it, T on L, as rho(x) = B* pi(x) B has trace
+    tr(P pi(x)) = T(x).  W(S, f_S) = W, proved below, so the average over
+    S that the code's key names gives the same P as the one over H formed
+    here.
 
     Let W be the code, d = dims[i] its dimension, S = {x : pi(x) acts on W
     as a scalar} and f_S that scalar.  Then H <= S, f_S|H = f and W <=
@@ -142,7 +149,7 @@ def _maximal_witnesses(model, members, nums, values, dims, table, grid):
     and the code fixes its key.  h -> conj(f(h)) pi(h) is a linear rep of H
     (df = sigma|H), and W's projector P is its average, so
         T(x) = tr(P pi(x)) = (1/|H|) sum_h conj(f(h)) sigma(h, x) chi_pi(hx),
-    row i of conj(F) @ table / |H|, F the rows f_i put on G with 0 off H_i.
+    row i of conj(f_i) @ table[H_i] / |H|.
     T(x) = tr(P pi(x) P) is the trace of a contraction of the
     d-dimensional W, so |T(x)| <= d, with equality exactly when pi(x) maps
     W onto itself as a unimodular scalar c, that is x in S, and then T(x) =
@@ -175,23 +182,24 @@ def _maximal_witnesses(model, members, nums, values, dims, table, grid):
     multiplicity that _constituents read as d.  The rows with a larger S'
     are tested further, together, on the union u of their S'.
 
-    Rows run in blocks (_linalg._blocks), a row holding |G| entries of each
-    of F, T and the two float tables read from T, and the rows with a
-    larger S' in blocks of their own, a row holding |u|^2 entries of each
-    [rows, |u|, |u|] table; each row's key is read from its row alone.
+    Rows run in blocks (_linalg._blocks), a row holding |H| |G| entries of
+    table[H_i] and |G| of each of T and the two tables read from T, and
+    the rows with a larger S' in blocks of their own, a row holding |u|^2
+    entries of each [rows, |u|, |u|] table.  Each row's T is a product of
+    its own and its key is read from its row alone, so neither depends on
+    the blocks.
     """
     g, sigma = model.group, model.cocycle
     k, m = members.shape
     chi = model.rep.character().values
     keys = np.empty((k, g.order), dtype=np.min_scalar_type(-grid))
-    for block in _blocks(k, 4 * g.order):
+    traces = np.empty((k, g.order), dtype=complex)
+    for block in _blocks(k, (m + 3) * g.order):
         mem = members[block]
         at = np.arange(len(mem))[:, None]
-        f = np.zeros((len(mem), g.order), dtype=complex)
-        f[at, mem] = values[block]
-        traces = f.conj() @ table / m
-        inside = np.abs(traces) >= dims[block, None] - _tol.DERIVED
-        num = np.where(inside, np.rint(np.angle(traces) * (grid / (2 * np.pi))).astype(int) % grid, -1)
+        t = traces[block] = (values[block].conj()[:, None] @ table[mem])[:, 0] / m   # one product per row
+        inside = np.abs(t) >= dims[block, None] - _tol.DERIVED
+        num = np.where(inside, np.rint(np.angle(t) * (grid / (2 * np.pi))).astype(int) % grid, -1)
         # (a) on every row, as num / grid = nums / grid mod 1
         ok = inside[at, mem].all() and ((num[at, mem] - nums[block]) % grid == 0).all()
         wide = np.flatnonzero(inside.sum(axis=1) > m)
@@ -209,7 +217,7 @@ def _maximal_witnesses(model, members, nums, values, dims, table, grid):
         if not ok:
             raise RuntimeError("a maximal witness failed its confirmation")
         keys[block] = num
-    return keys
+    return keys, traces
 
 
 def enumerate_weak_stabilizer_codes(
@@ -235,14 +243,15 @@ def enumerate_weak_stabilizer_codes(
     with f on H (confirmation (a)); the other phases come from one
     PhaseFunction._runs.  No two projectors are compared and no random
     number is drawn.  Each order's new codes get their reports from their keys
-    (codes._key_reports, on the trace and conjugation tables built once
-    here), each attached as code._source, which codes.classify returns, and
-    a read-only basis, so that no report goes stale.
+    and trace rows (codes._key_reports, on the conjugation table built once
+    here, as the trace table is), each attached as code._source, which
+    codes.classify returns, and a read-only basis, so that no report goes
+    stale.
     """
     _check_caps(model, max_order, max_dim)
     g, sigma = model.group, model.cocycle
-    table, conj = _trace_table(model), _conjugation_table(sigma)
-    found, seen = [], set()
+    table = sigma.to_complex_table() * model.rep.character().values[g.mul]   # tr(pi(h) pi(x))
+    conj, found, seen = _conjugation_table(sigma), [], set()
     bad = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in _pairing_defects(sigma, range(g.order))]
     for _, same_order in itertools.groupby(g._lattice(bad), key=len):   # sorted by order
@@ -250,17 +259,18 @@ def enumerate_weak_stabilizer_codes(
         owner, nums, grid, dims = _constituents(model, subs)
         members = np.array([sub.members for sub in subs])[owner]
         values = _phase_values(nums, grid)
-        num, new = _maximal_witnesses(model, members, nums, values, dims, table, grid), []
+        (num, traces), new = _maximal_witnesses(model, members, nums, values, dims, table, grid), []
         for i, key in enumerate(num.view(f"V{num.itemsize * g.order}").ravel().tolist()):   # bytes per row
             if key not in seen:
                 seen.add(key)
                 new.append(i)
         if not new:
             continue
+        traces = traces[new]   # the new codes' rows only, before the bases are built
         built = _eigenspaces(model, members[new], values[new], dims[new])
         if any(code is None for code in built):
             raise RuntimeError("constituent with an empty code space")
-        reports = _key_reports(model, built, num[new], table, conj)
+        reports = _key_reports(model, built, num[new], traces, conj)
         for code, report in zip(built, reports):
             code.basis.flags.writeable = False
             code._source = report

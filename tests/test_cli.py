@@ -335,6 +335,18 @@ def test_rep_file_without_a_matrix_list_is_usage_error(capsys, tmp_path):
     )
 
 
+def test_rep_file_with_a_three_entry_pair_is_usage_error(capsys, tmp_path):
+    # each entry is an [re, im] pair: a third number is refused, not dropped,
+    # as the code and channel readers refuse it
+    data = parse_model_spec("genpauli:2").model.rep.to_json()
+    argv = ["code", "clifford", "genpauli:2", "--subgroup", "1,2", "--rho"]
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, *argv, str(path))[0] == 0
+    data["matrices"] = [[[[*pair, 7.0] for pair in row] for row in m] for m in data["matrices"]]
+    _malformed(capsys, tmp_path, json.dumps(data), *argv, "FILE")
+
+
 _TRIVIAL_TABLE = [[[0, 1]] * 4 for _ in range(4)]
 _BROKEN_TABLE = [row if x != 1 else [[0, 1], [1, 2], [0, 1], [0, 1]] for x, row in enumerate(_TRIVIAL_TABLE)]
 

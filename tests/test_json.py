@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import CATALOG_64, complex_json_loop, phase_function_json_loop
 
+from qeclab._linalg import complex_from_json, complex_json
 from qeclab.channels import KrausChannel, channel_from_model
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
@@ -179,6 +180,32 @@ def test_rep_json_without_cocycle_still_loads():
     back = ProjectiveRep.from_json(model.group, data)
     assert np.array_equal(back.matrices, model.rep.matrices)
     assert back.cocycle == model.rep.cocycle
+
+
+def test_the_complex_reader_inverts_the_writer_bit_for_bit():
+    # complex_from_json is complex_json's one inverse: every bit of each
+    # entry comes back, signed zeros and the rounding of each float included
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    a[0, 0, 0], a[1, 2, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    back = complex_from_json(json.loads(json.dumps(complex_json(a))), 3)
+    assert back.shape == a.shape and back.tobytes() == a.tobytes()
+    assert np.signbit(back[0, 0, 0].real) and np.signbit(back[1, 2, 1].imag)
+    assert np.array_equal(complex_from_json([[1, 2], [3, -4]], 1), [1 + 2j, 3 - 4j])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[], [[]], [[1, 2, 7.0]], [[1]], 5, [[1, 2], [3]], [[[1, 2]], [3, 4]], [["1", "2"]], [[None, 1]],
+     [1, 2], [[[1, 2]]]],
+    ids=["empty", "empty-pair", "three-entry", "one-entry", "scalar", "ragged", "ragged-depth",
+         "strings", "null", "too-shallow", "too-deep"],
+)
+def test_the_complex_reader_refuses_what_is_not_pairs(data):
+    # a one-axis array is [[re, im], ...]; anything else is refused
+    assert complex_from_json([[1, 2]], 1).shape == (1,)
+    with pytest.raises(ValueError):
+        complex_from_json(data, 1)
 
 
 def test_json_writers_match_the_entry_loops():

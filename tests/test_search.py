@@ -112,21 +112,23 @@ def test_enumerate_default_cap_is_the_environment_cap(monkeypatch):
 
 def _enumerated(model):
     """(enumerate_weak_stabilizer_codes(model), each code's maximal witness
-    key), the keys read from search._maximal_witnesses, the first of each
-    in order."""
+    key, each code's trace row), the keys and rows read from
+    search._maximal_witnesses, those of the first row of each key in
+    order."""
     read, raw = [], search._maximal_witnesses
 
     def witnesses(*args):
-        read.extend(keys := raw(*args))
-        return keys
+        keys, traces = got = raw(*args)
+        read.extend(zip(keys, traces))
+        return got
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_maximal_witnesses", witnesses)
         found = enumerate_weak_stabilizer_codes(model)
     first = {}
-    for key in read:
-        first.setdefault(key.tobytes(), key)
-    return found, list(first.values())
+    for key, row in read:
+        first.setdefault(key.tobytes(), (key, row))
+    return found, [key for key, _ in first.values()], [row for _, row in first.values()]
 
 
 def _visited(model):
@@ -173,9 +175,9 @@ def test_enumeration_visits_the_same_family_on_relabeled_groups(spec, seed):
 
 
 def _same_codes(got, want):
-    """Two (found, keys) lists of _enumerated's form agree in
+    """Two (found, keys, ...) lists of _enumerated's form agree in
     order: subgroup objects, phases to the bytes, basis bytes and keys."""
-    (found, keys), (found_want, keys_want) = got, want
+    (found, keys, *_), (found_want, keys_want, *_) = got, want
     assert len(found) == len(found_want) == len(keys) == len(keys_want)
     for (s1, f1, c1), (s2, f2, c2) in zip(found, found_want):
         assert s1 is s2 and f1.den == f2.den and np.array_equal(f1.num, f2.num)
@@ -272,7 +274,8 @@ def test_the_per_order_build_is_blocked_and_the_blocks_change_no_byte(spec, monk
     # every gather of pi's stack in the enumeration (codes._eigenspaces)
     # holds at most _PRODUCT_BLOCK_ENTRIES entries, yet a block holds more
     # than one row; blocks of one row, in the eigenspace build and in the
-    # witness reader, give the same codes, phases and keys to the byte
+    # witness reader, give the same codes, phases, keys and trace rows to
+    # the byte
     model = parse_model_spec(spec).model
     want = _enumerated(model)
     gathers = []
@@ -290,7 +293,9 @@ def test_the_per_order_build_is_blocked_and_the_blocks_change_no_byte(spec, monk
     assert max(shape[0] for shape in gathers) > 1
     gathers.clear()
     monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", 1)
-    _same_codes(_enumerated(model), want)
+    got = _enumerated(model)
+    _same_codes(got, want)
+    assert [row.tobytes() for row in got[2]] == [row.tobytes() for row in want[2]]
     assert {shape[0] for shape in gathers} == {1} and len(gathers) == len(want[0])
 
 
@@ -337,6 +342,28 @@ def test_key_reports_equal_classify_on_every_enumerated_code(spec, seed):
     assert [r.to_json() for r in reports] == [classify(model, copy).to_json() for copy in copies]
     if seed is not None:
         assert 0 < sum(not r.stabilizer.is_normal() for r in reports) < len(reports)
+
+
+@pytest.mark.parametrize("spec", ["genpauli:4", "pauli:2", "xp:9", "c2d2n:3", "oddfam:3",
+                                  "permprod(genpauli:2,2)", "prod(genpauli:2,genpauli:4)"])
+def test_the_key_readers_trace_rows_are_the_code_action_traces(spec, monkeypatch):
+    # the key reader reads L's character on W from the rows the witness
+    # pass formed, T(x) = tr(P pi(x)) from the average over H; the code
+    # action on the built basis, tr(B* pi(x) B), agrees on each code's L
+    model = _catalog_model(spec)
+    handed, raw = [], search._key_reports
+
+    def recorded(model, built, keys, traces, conj):
+        handed.extend(zip(built, traces))
+        return raw(model, built, keys, traces, conj)
+
+    monkeypatch.setattr(search, "_key_reports", recorded)
+    found = enumerate_weak_stabilizer_codes(model)
+    assert [code for code, _ in handed] == [code for _, _, code in found]
+    for code, row in handed:
+        logical, b = list(code._source.logical.members), code.basis
+        action = np.trace(b.conj().T @ model.rep.matrices[logical] @ b, axis1=1, axis2=2)
+        assert np.abs(row[logical] - action).max() < 1e-12
 
 
 def test_the_key_reports_action_is_blocked_and_the_blocks_change_no_report(monkeypatch):
@@ -436,42 +463,13 @@ def test_enumerated_bases_are_read_only():
     copy.basis[0, 0] = copy.basis[0, 0]
 
 
-@pytest.mark.parametrize("spec", ["prod(genpauli:2,genpauli:4)", "c2d2n:3"])
-def test_a_shrunk_block_changes_no_key_report(spec, monkeypatch):
-    # every trace product of the key reader runs in blocks under
-    # _PRODUCT_BLOCK_ENTRIES: more than one row of an order's codes by
-    # default, one row each at a bound of one entry, and the reports are
-    # the same
-    model = parse_model_spec(spec).model
-    rows = []
-    raw = search._key_reports
-
-    class Recording(np.ndarray):
-        def __rmatmul__(self, other):
-            rows.append(len(other))
-            return np.asarray(other) @ np.asarray(self)
-
-    def recorded(model, chunk, keys, table, conj):   # the enumeration's own trace products are not counted
-        return raw(model, chunk, keys, table.view(Recording), conj)
-
-    monkeypatch.setattr(search, "_key_reports", recorded)
-    found = enumerate_weak_stabilizer_codes(model)
-    want = [classify(model, code).to_json() for _, _, code in found]
-    assert max(rows) > 1 and max(rows) * model.group.order * 2 <= _linalg._PRODUCT_BLOCK_ENTRIES
-    rows.clear()
-    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", 1)
-    found = enumerate_weak_stabilizer_codes(model)
-    assert [classify(model, code).to_json() for _, _, code in found] == want
-    assert set(rows) == {1} and len(rows) == len(found)
-
-
 @pytest.mark.parametrize("spec", ["prod(genpauli:2,genpauli:4)", "c2d2n:8", "oddfam:3"])
 def test_enumeration_interns_only_the_subgroups_it_visits(spec):
     # the rejected subgroups never get a Subgroup unless one is some
     # report's logical group, and the full lattice is neither built nor kept
     model = parse_model_spec(spec).model
     g = model.group
-    visited, (found, _) = _visited(model)
+    visited, (found, *_) = _visited(model)
     logicals = {code._source.logical.members for _, _, code in found}
     assert g._lattice_members is None
     assert set(g._interned) <= set(visited) | logicals
@@ -719,7 +717,7 @@ def test_a_false_stabilizer_member_fails_the_confirmation(spec):
     sub = next(s for s in g.all_subgroups() if len(s) == 2)
     _, nums, den, dims = codes._constituents(model, [sub])
     values, rows = cocycles._phase_values(nums, den), np.array([sub.members] * len(dims))
-    num = search._maximal_witnesses(model, rows, nums, values, dims, table, grid)
+    num, _ = search._maximal_witnesses(model, rows, nums, values, dims, table, grid)
     x = next(x for x in range(g.order) if (num[:, x] < 0).all())
     forged = table.copy()
     forged[:, x] = table[:, g.identity]

@@ -1,7 +1,8 @@
 """tools/source_lines.py, whose per-module line counts CHANGES.md quotes, and
 source checks that each top-level name of qeclab is defined in one module,
 that no module imports a name it never uses, that every private function
-is used in the package, and that only _linalg names the row-block bound."""
+is used in the package, that only _linalg names the row-block bound, and
+that only search builds and reads the trace table."""
 
 import ast
 import subprocess
@@ -145,3 +146,30 @@ def test_the_block_bound_is_named_in_linalg_only():
         if any(_block_bound_uses(ast.parse(path.read_text())))
     }
     assert named == {"_linalg.py"}
+
+
+def _trace_table_uses(tree):
+    """Each node that builds or reads the trace table tr(pi(h) pi(x)) =
+    sigma(h, x) chi_pi(hx): a character's values read at a group's product
+    table (X.character().values[g.mul]), or a product @ table."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and getattr(node.slice, "attr", None) == "mul":
+            values = node.value
+            func = getattr(getattr(values, "value", None), "func", None)
+            if getattr(values, "attr", None) == "values" and getattr(func, "attr", None) == "character":
+                yield node
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            if getattr(node.right, "id", None) == "table":
+                yield node
+
+
+def test_the_trace_table_is_built_and_read_in_search_only():
+    # one T pass: the enumeration forms each code's trace row T(x) =
+    # tr(P pi(x)) with its key (search._maximal_witnesses), and the key
+    # reader reads L's character from those rows, with no table of its own
+    named = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(_trace_table_uses(ast.parse(path.read_text())))
+    }
+    assert named == {"search.py"}
