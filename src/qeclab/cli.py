@@ -79,6 +79,7 @@ from .groups import (
 )
 from .models import (
     D4_COLUMN_NAMES,
+    ModelError,
     ProjectiveErrorModel,
     d4_character_table,
     d4_expected_table,
@@ -162,18 +163,24 @@ _SPECS = {
 
 
 def _parse_spec(spec: str, kind: str):
+    """The group or model a spec names; a ModelError while building it (a
+    family parameter out of range, a product over the dimension cap) is a
+    UsageError naming the spec."""
     nodes, leaves = _SPECS[kind]
     s = spec.strip()
     name, paren, inner = s.partition("(")
-    if paren and name in nodes and inner.endswith(")"):
-        args = _split_args(inner[:-1])
-        if len(args) != 2:
-            raise UsageError(f"{name} takes two arguments: {spec!r}")
-        return nodes[name](*args)
     head, sep, tail = s.partition(":")
-    if not sep or head not in leaves:
-        raise UsageError(f"unknown {kind} spec {spec!r}")
-    return leaves[head](_int(tail))
+    try:
+        if paren and name in nodes and inner.endswith(")"):
+            args = _split_args(inner[:-1])
+            if len(args) != 2:
+                raise UsageError(f"{name} takes two arguments: {spec!r}")
+            return nodes[name](*args)
+        if not sep or head not in leaves:
+            raise UsageError(f"unknown {kind} spec {spec!r}")
+        return leaves[head](_int(tail))
+    except ModelError as exc:
+        raise UsageError(f"{kind} spec {spec!r}: {exc}") from None
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:

@@ -39,15 +39,19 @@ sqrt(dim E - dim W).  The Clifford flag counts intertwiners by characters:
 the action of L on an L-invariant code is the compressed action C on L,
 and its character tr C = dim W * c is read from the scalars c = tr(C) / dim W
 that the stabilizer scan reads, so no representation of L is built for it
-(see _clifford_flags).  classify reads L, S, f_S, D and the partitioning
-test from the code action and hands them to _report, which sets the flags
-and witnesses.  An enumerated code needs no action: the enumeration reads
-its report from its maximal witness key and its trace row T(x) =
+(see _clifford_flags).  classify reads L, S, f_S, D and the first mixed
+element from the code action and hands them to _report, which sets the
+flags and witnesses.  An enumerated code needs no action: the enumeration
+reads its report from its maximal witness key and its trace row T(x) =
 tr(P pi(x)) (_key_reports; both come from search._maximal_witnesses,
 which confirms the key and forms T) as it builds the code, and classify
 returns that report.  _report builds every CodeReport, a list of codes
 at a time: the key reader and search's q3 pieces hand it their
-invariants too.
+invariants too.  It alone tests S <= L, S <= D and a partitioning code's
+closed form D = (G minus L) + S, on the masks of the whole list, and sets
+the partitioning verdict.  logical_group, stabilizer_group and
+is_partitioning return fields of classify's report; detectable_set is
+the one-threshold read of the code action.
 
 The logical group and the stabilizer are taken from the model group's
 interning table (see groups), so classify validates no member set that the
@@ -602,7 +606,7 @@ def _stabilizers(
     scalars, snapped as PhaseFunction.from_complex snaps them.  The tested
     elements are W's logical group L (H = L for search's q3 pieces).  One
     snap and one PhaseFunction._runs serve all k codes; classify's one code
-    is a batch of one row (_stabilizer).
+    is a batch of one row.
 
     S is read inside L: the scalar deviation and |c| are second order in
     a tilt of W, the commutator norm first order, so on a code just off an
@@ -624,7 +628,7 @@ def _stabilizers(
     w = dim W.  By _linalg.compressed_action's lemma |C(x)C(y) -
     sigma(x,y)C(xy)|_F exceeds pi's pair deviation, below _tol.EXACT, by
     about iota(x^-1) iota(y), under 1e-10 as iota is below |G| 1.2e-8 on L
-    (see _partitioning; on a q3 piece L = H, where the split tests iota
+    (see _report; on a q3 piece L = H, where the split tests iota
     below _tol.SCAN) and |G| < 800.  So
         eps = |c_x c_y - sigma(x,y) c_xy| < (_tol.EXACT + 3.01 _tol.SCAN)/sqrt(w),
     under 3.2e-8 and far below _tol.DERIVED, to which the floats of an
@@ -648,75 +652,32 @@ def _stabilizers(
     return stabs, PhaseFunction._runs(stabs, num, den, mask, values)
 
 
-def _stabilizer(model: ProjectiveErrorModel, act: _Action, logical: Subgroup) -> tuple[Subgroup, PhaseFunction]:
-    """_stabilizers of one code, from its action and its logical group, its
-    members passed as one row, [1, |L|]."""
-    mem = np.flatnonzero(logical._inside)[None]
-    (stab,), (f,) = _stabilizers(model, mem, act.scalars[mem], act.scalar_dev[mem])
-    return stab, f
-
-
-def _detectable(act: _Action) -> list[int]:
-    return np.flatnonzero(act.scalar_dev < _tol.SCAN).tolist()
-
-
-def _mixed(act: _Action) -> np.ndarray:
-    """The elements mapping W neither into W nor into its complement, in
-    increasing order: commutator and |C| both at least _tol.SCAN."""
-    return np.flatnonzero((act.commutator >= _tol.SCAN) & (act.outside >= _tol.SCAN))
-
-
-def _partitioning(act: _Action, logical: Subgroup, stab: Subgroup) -> tuple[bool, int | None]:
-    """(True, None) when no element is mixed (_mixed), else (False, the
-    first mixed element).  A partitioning code's detectable set D =
-    {x : act.scalar_dev[x] < _tol.SCAN} is then the closed form
-    (G minus L) plus S, and RuntimeError guards that.
-
-    Every x is exactly one of: in L, mixed, or outside L and detectable.
-    The mixed test and L read the one commutator norm, so with
-    iota(x) = act.inside[x] = |(1 - P) pi(x) B|, c = act.scalars[x],
-    sd = act.scalar_dev[x] and w = dim W:
-    - An element z that _close_logical adds to the threshold set has
-      commutator at least _tol.SCAN, and by its product bound a commutator
-      below about |G| 1.2e-8 (1 + _tol.EXACT)^|G|, far below 1 at any
-      order the caps allow.  So |C|^2 = |pi(z)B|^2 - iota(z)^2, with
-      |pi(z)B|^2 within sqrt(w) _tol.EXACT of w by pi's unitarity, is about
-      w >= 1, and z is mixed.  With nothing mixed, L is the threshold set.
-    - x outside L then has commutator at least _tol.SCAN, so, not being
-      mixed, |C| < _tol.SCAN, and sd = |C - c 1| <= |C| < _tol.SCAN
-      (c 1 is C's orthogonal projection onto the scalars): x is in D.
-    - x in L has iota(x) < _tol.SCAN.  C = c 1 + (C - c 1) splits
-      orthogonally, so w |c|^2 = |pi(x)B|^2 - iota^2 - sd^2 and
-      1 - |c| <= (iota^2 + sd^2 + sqrt(w) _tol.EXACT)/w, while
-      |c| <= |pi(x)|_op < 1 + _tol.EXACT/2.  So sd < _tol.SCAN puts |c|
-      within 1e-9 + 2e-16 of 1, and x in S (_stabilizers' tests): x in L
-      is in D exactly when it is in S.
-    """
-    bad = _mixed(act)
-    if bad.size:
-        return False, int(bad[0])
-    if not np.array_equal(act.scalar_dev < _tol.SCAN, ~logical._inside | stab._inside):
-        raise RuntimeError("partitioning code whose detectable set is not the closed form")
-    return True, None
+def _first_mixed(act: _Action) -> np.ndarray:
+    """The first element mapping W neither into W nor into its complement
+    (commutator and |C| both at least _tol.SCAN), -1 where none is, on
+    act's leading axes."""
+    mixed = (act.commutator >= _tol.SCAN) & (act.outside >= _tol.SCAN)
+    return np.where(mixed.any(axis=-1), mixed.argmax(axis=-1), -1)
 
 
 def logical_group(model: ProjectiveErrorModel, code: CodeSpace) -> Subgroup:
-    """Elements whose action commutes with the code projector."""
-    return _logical(model, _code_action(model, code))
+    """Elements whose action commutes with the code projector: classify's L."""
+    return classify(model, code).logical
 
 
 def stabilizer_group(
     model: ProjectiveErrorModel, code: CodeSpace
 ) -> tuple[Subgroup, PhaseFunction]:
     """Elements of the logical group acting on the code as a unimodular
-    scalar, with that scalar."""
-    act = _code_action(model, code)
-    return _stabilizer(model, act, _logical(model, act))
+    scalar, with that scalar: classify's S and f_S."""
+    report = classify(model, code)
+    return report.stabilizer, report.stabilizer_phase
 
 
 def detectable_set(model: ProjectiveErrorModel, code: CodeSpace) -> list[int]:
-    """Elements acting as any scalar (including zero) on the code."""
-    return _detectable(_code_action(model, code))
+    """Elements acting as any scalar (including zero) on the code,
+    read from the code action alone: classify's D, by one threshold."""
+    return np.flatnonzero(_code_action(model, code).scalar_dev < _tol.SCAN).tolist()
 
 
 def is_partitioning(
@@ -725,13 +686,12 @@ def is_partitioning(
     """Whether every element maps the code into itself or into its complement.
 
     Returns (flag, witness); the witness is the first element breaking the
-    dichotomy.  When the flag holds, the detectable set is cross-checked
-    against its closed form (complement of the logical group, plus the
-    stabilizer).
+    dichotomy.  It is classify's verdict, and when the flag holds classify
+    has cross-checked the detectable set against its closed form
+    (complement of the logical group, plus the stabilizer; see _report).
     """
-    act = _code_action(model, code)
-    logical = _logical(model, act)
-    return _partitioning(act, logical, _stabilizer(model, act, logical)[0])
+    report = classify(model, code)
+    return report.flags["is_partitioning"], report.witnesses.get("is_partitioning")
 
 
 @dataclass(eq=False)
@@ -757,8 +717,8 @@ class CodeReport:
     @classmethod
     def _checked(cls, *fields) -> "CodeReport":
         """The report on its fields, in order, whose S <= L and S <= D the
-        caller has tested as __post_init__ tests them (codes._report, for
-        the key reader)."""
+        caller has tested as __post_init__ tests them (codes._report, on
+        the masks of a whole batch)."""
         report = cls.__new__(cls)
         (report.model, report.code, report.logical, report.stabilizer, report.stabilizer_phase,
          report.detectable, report.flags, report.witnesses, report.central_type_criterion) = fields
@@ -853,33 +813,64 @@ def _report(
     logicals: list[Subgroup],
     stabs: list[Subgroup],
     phases: list[PhaseFunction],
-    detects: list[list[int]],
+    detect: np.ndarray,
+    mixed: np.ndarray,
     clifford: list[tuple[bool, object]],
-    partitioning: list[tuple[bool, int | None]],
     extras: list[int],
-    normal: list[bool],
-    contained: bool = False,
 ) -> list[CodeReport]:
-    """classify's reports of codes from their invariants, one entry of each
-    list per code: L, S, f_S, D, the _clifford_flags and _partitioning
-    verdicts, extra = dim E - dim W, E the (S, f_S) eigenspace, and whether
-    S is normal in G.  Every CodeReport is built here: classify's action
-    path, the key reader (_key_reports) and search's q3 pieces.  contained
-    says that the caller has tested S <= L and S <= D for every code, as
-    the key reader does with one mask operation, so no report tests them
-    again (CodeReport._checked).
+    """classify's reports of k codes from their invariants, one entry of
+    each list per code: L, S, f_S, the _clifford_flags verdict and extra =
+    dim E - dim W, E the (S, f_S) eigenspace; D is a [k, |G|] mask and
+    mixed [k] each code's first mixed element (_first_mixed), -1 where
+    none is.  Every CodeReport is built here: classify's action path, the
+    key reader (_key_reports) and search's q3 pieces.  S <= L and S <= D
+    are tested for the whole batch on the masks (RuntimeError otherwise),
+    so no report tests them again (CodeReport._checked).
+
+    A code with no mixed element is partitioning, and its D is then the
+    closed form (G minus L) plus S: RuntimeError where the mask differs.
+    Every x is exactly one of: in L, mixed, or outside L and detectable.
+    On classify's action path the mixed test and L read the one commutator
+    norm, so with iota(x) = act.inside[x] = |(1 - P) pi(x) B|,
+    c = act.scalars[x], sd = act.scalar_dev[x] and w = dim W:
+    - An element z that _close_logical adds to the threshold set has
+      commutator at least _tol.SCAN, and by its product bound a commutator
+      below about |G| 1.2e-8 (1 + _tol.EXACT)^|G|, far below 1 at any
+      order the caps allow.  So |C|^2 = |pi(z)B|^2 - iota(z)^2, with
+      |pi(z)B|^2 within sqrt(w) _tol.EXACT of w by pi's unitarity, is about
+      w >= 1, and z is mixed.  With nothing mixed, L is the threshold set.
+    - x outside L then has commutator at least _tol.SCAN, so, not being
+      mixed, |C| < _tol.SCAN, and sd = |C - c 1| <= |C| < _tol.SCAN
+      (c 1 is C's orthogonal projection onto the scalars): x is in D.
+    - x in L has iota(x) < _tol.SCAN.  C = c 1 + (C - c 1) splits
+      orthogonally, so w |c|^2 = |pi(x)B|^2 - iota^2 - sd^2 and
+      1 - |c| <= (iota^2 + sd^2 + sqrt(w) _tol.EXACT)/w, while
+      |c| <= |pi(x)|_op < 1 + _tol.EXACT/2.  So sd < _tol.SCAN puts |c|
+      within 1e-9 + 2e-16 of 1, and x in S (_stabilizers' tests): x in L
+      is in D exactly when it is in S.
+    The key reader's codes with S normal and search's q3 pieces have no
+    mixed element and hand over the closed form as D, by their own proofs
+    (there).
 
     W is weak exactly when extra = 0, with the witness |P_E - P_W| =
     sqrt(extra) otherwise.  A Clifford code on a central-type model is weak
     exactly when |G| = |L| |S| (RuntimeError where that criterion disagrees
-    with extra) and a stabilizer code when weak with S normal; any other
-    weak code is a stabilizer code when a normal subgroup of S rebuilds it:
-    S itself when S is normal, as then E = W, and otherwise
-    _has_normal_reconstruction.
+    with extra) and a stabilizer code when weak with S normal in G, read
+    for every S at once (groups._read_cores); any other weak code is a
+    stabilizer code when a normal subgroup of S rebuilds it: S itself when
+    S is normal, as then E = W, and otherwise _has_normal_reconstruction.
     """
+    on_l, on_s = np.array([sub._inside for sub in logicals]), np.array([stab._inside for stab in stabs])
+    if (on_s & ~on_l).any():
+        raise RuntimeError("stabilizer group not contained in logical group")
+    if (on_s & ~detect).any():
+        raise RuntimeError("stabilizer group not contained in detectable set")
+    if (detect != (~on_l | on_s))[mixed < 0].any():
+        raise RuntimeError("partitioning code whose detectable set is not the closed form")
+    _read_cores(stabs)
     central_type, order, reports = model.is_central_type(), model.group.order, []
-    rows = zip(codes, logicals, stabs, phases, detects, clifford, partitioning, extras, normal)
-    for code, logical, stab, f, detect, (is_cliff, cliff_witness), (is_part, part_witness), extra, is_normal in rows:
+    rows = zip(codes, logicals, stabs, phases, _member_rows(detect), clifford, mixed.tolist(), extras)
+    for code, logical, stab, f, detectable, (is_cliff, cliff_witness), first, extra in rows:
         witnesses: dict[str, object] = {}
         is_weak = extra == 0
         if not is_weak:
@@ -889,7 +880,7 @@ def _report(
         central = central_type and is_cliff
         if central and (order == len(logical) * len(stab)) != is_weak:
             raise RuntimeError("central-type weak stabilizer criterion disagrees with the direct test")
-        is_stab = is_weak and (is_normal or not central and _has_normal_reconstruction(model, code, stab, f))
+        is_stab = is_weak and (stab.is_normal() or not central and _has_normal_reconstruction(model, code, stab, f))
         if not is_weak:
             witnesses["is_stabilizer"] = "not a weak stabilizer code"
         elif not is_stab:
@@ -897,16 +888,15 @@ def _report(
                 "stabilizer group is not normal" if central
                 else "no normal subgroup of the stabilizer rebuilds the code"
             )
-        if not is_part:
-            witnesses["is_partitioning"] = part_witness
-        fields = (
-            model, code, logical, stab, f, detect,
+        if first >= 0:
+            witnesses["is_partitioning"] = first
+        reports.append(CodeReport._checked(
+            model, code, logical, stab, f, detectable,
             {"is_stabilizer": is_stab, "is_weak_stabilizer": is_weak, "is_clifford": is_cliff,
-             "is_partitioning": is_part},
+             "is_partitioning": first < 0},
             witnesses,
             {"is_weak_stabilizer": is_weak, "is_stabilizer": is_stab} if central else None,
-        )
-        reports.append(CodeReport._checked(*fields) if contained else CodeReport(*fields))
+        ))
     return reports
 
 
@@ -917,20 +907,19 @@ def classify(model: ProjectiveErrorModel, code: CodeSpace) -> CodeReport:
     its report (code._source), which the enumeration read from its maximal
     witness key (_key_reports) as it built the code: every call returns
     that object.  Any other code, copies included, is classified from its
-    action."""
+    action: S and f_S by _stabilizers on one row, L's members."""
     if code._source is not None and code._source.model is model:
         return code._source
     act = _code_action(model, code)
     logical = _logical(model, act)
-    stab, f = _stabilizer(model, act, logical)
+    mem = np.flatnonzero(logical._inside)[None]                           # [1, |L|]
+    (stab,), (f,) = _stabilizers(model, mem, act.scalars[mem], act.scalar_dev[mem])
     extra = code_dimension_formula(model, stab, f) - code.dim
-    chi_rho, chi_pi = code.dim * act.scalars[logical._inside], model.rep.character().values[logical._inside]
-    clifford = _clifford_flags(model, [code.dim], [len(logical)], _irreducible_character(chi_rho[None]),
-                               [np.mean(chi_rho * np.conj(chi_pi))])
-    return _report(
-        model, [code], [logical], [stab], [f], [_detectable(act)], clifford,
-        [_partitioning(act, logical, stab)], [extra], [stab.is_normal()],
-    )[0]
+    chi_rho, chi_pi = code.dim * act.scalars[mem], model.rep.character().values[mem]
+    clifford = _clifford_flags(model, [code.dim], [len(logical)], _irreducible_character(chi_rho),
+                               np.mean(chi_rho * np.conj(chi_pi), axis=1))
+    return _report(model, [code], [logical], [stab], [f], (act.scalar_dev < _tol.SCAN)[None],
+                   _first_mixed(act)[None], clifford, [extra])[0]
 
 
 def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.ndarray, traces, conj):
@@ -963,26 +952,25 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
       another eigenspace of S, orthogonal to W, and x in L acts on W as a
       scalar exactly when x is in S.  So no element is mixed and
       D = (G minus L) + S, with no float action.  When S is not normal, D
-      and the partitioning test are the action path's (_detectable and
-      _partitioning, whose RuntimeError then also checks L), read from one
-      stacked action per code dimension (_actions).
+      and the first mixed element are the action path's (detectable_set's
+      threshold and _first_mixed), read from one stacked action per code
+      dimension (_actions).  _report tests S <= L, S <= D and, on every
+      code with no mixed element, the closed form, so that test checks L
+      too.
 
     S and L are interned once per distinct mask, unchecked
     (_distinct_subgroups: S is a confirmed key's support and L the
     stabilizer of W under G), and the normality of every distinct S read
-    at once (groups._read_cores).
-    D is one [k, |G|] mask, read with one nonzero (_member_rows), and
-    S <= L and S <= D are tested for all codes on the masks, so _report
-    builds the reports with no test per code.  The blocked steps take
-    their codes from _linalg._blocks, what one code holds noted at each,
-    and the one [k, |G|] float table held is traces.
+    at once (groups._read_cores).  D is one [k, |G|] mask, handed to
+    _report whole.  The blocked steps take their codes from
+    _linalg._blocks, what one code holds noted at each, and the one
+    [k, |G|] float table held is traces.
     """
     g, sigma = model.group, model.cocycle
     grid, k, on_s = sigma.den * g.exponent(), len(codes), keys >= 0
     distinct, which = _distinct_subgroups(g, on_s)
     _read_cores(distinct)
     which = np.array(which)
-    normal = np.array([stab.is_normal() for stab in distinct], dtype=bool)[which]
     stabs = [distinct[i] for i in which.tolist()]
     phases = PhaseFunction._runs(stabs, keys[on_s].astype(np.int64), grid)
     sizes, on_l, small = on_s.sum(axis=1), np.empty(on_s.shape, dtype=bool), np.min_scalar_type(-2 * grid)
@@ -1017,8 +1005,8 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
         irreducible[rows] = _irreducible_character(chis)
     dims = np.array([code.dim for code in codes])
     clifford = _clifford_flags(model, dims, l_sizes, irreducible, totals)
-    detect, parts = ~on_l | on_s, [(True, None)] * k            # D where S is normal
-    acted = sorted(np.flatnonzero(~normal).tolist(), key=dims.__getitem__)
+    detect, mixed = ~on_l | on_s, np.full(k, -1)                 # D where S is normal
+    acted = sorted((i for i, stab in enumerate(stabs) if not stab.is_normal()), key=dims.__getitem__)
     for w, same_dim in itertools.groupby(acted, key=dims.__getitem__):
         same_dim = list(same_dim)
         # per code: pi B, its transposed copy and the residual (|G| d w
@@ -1026,15 +1014,8 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
         for rows in _blocks(len(same_dim), g.order * w * (3 * model.dim + w)):
             block = same_dim[rows]
             acts = _actions(model, np.stack([codes[i].basis for i in block]))
-            detect[block] = acts.scalar_dev < _tol.SCAN                 # _detectable
-            for j, i in enumerate(block):
-                parts[i] = _partitioning(_Action(*(stack[j] for stack in acts)), logicals[i], stabs[i])
-    if (on_s & ~on_l).any():
-        raise RuntimeError("stabilizer group not contained in logical group")
-    if (on_s & ~detect).any():
-        raise RuntimeError("stabilizer group not contained in detectable set")
-    return _report(model, codes, logicals, stabs, phases, _member_rows(detect), clifford, parts, [0] * k,
-                   normal.tolist(), contained=True)
+            detect[block], mixed[block] = acts.scalar_dev < _tol.SCAN, _first_mixed(acts)
+    return _report(model, codes, logicals, stabs, phases, detect, mixed, clifford, [0] * k)
 
 
 def stabilizer_to_clifford(

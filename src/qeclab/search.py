@@ -41,8 +41,10 @@ each to its code, where codes.classify finds it: S and f_S are the key, L
 is the set of g that fix it, its character on the code is the trace row
 on L, and D = (G minus L) + S where S is normal, so only the
 codes whose S is not normal are acted on.  search builds no report
-itself: it hands codes the invariants it reads, and codes._report builds
-every CodeReport.
+itself: it hands codes the invariants it reads, D as a mask and each
+code's first mixed element, and codes._report builds every CodeReport,
+tests S <= L, S <= D and the partitioning closed form, and sets the
+partitioning verdict.
 
 df = sigma|H is tested where a phase enters from outside, and proved
 where the library builds it.  codes.weak_stabilizer_code tests the caller's
@@ -72,7 +74,9 @@ its kept pieces: one blocked intertwiner product, one orthonormality
 test, one stabilizer reader (codes._stabilizers: one snap and one gcd
 reduction), one segment sum for the dimension counts
 (codes._dimension_counts) and one boolean array for the detectable sets,
-so each piece only hands its invariants to codes._report.
+so each piece only hands its invariants to codes._report, which tests
+the containments and the closed form and reads the normality of S for
+all of them.
 """
 
 from __future__ import annotations
@@ -92,11 +96,10 @@ from .codes import (
     _dimension_counts,
     _eigenspaces,
     _key_reports,
-    _member_rows,
     _report,
     _stabilizers,
 )
-from .groups import Subgroup, _read_cores, max_group_order
+from .groups import Subgroup, max_group_order
 from .models import ProjectiveErrorModel, max_ambient_dim
 from .projreps import _conjugation_table, _irreducible_character, _reynolds
 
@@ -432,8 +435,8 @@ def _clifford_reports(model, kept):
     when a stabilizer phase does not snap, which its proof there rules
     out.  The dimension counts (codes._dimension_counts) and detectable
     sets are read together too, and codes._report builds each piece's
-    report with the Clifford and partitioning flags (True, None) and
-    extra = dim E - dim W.
+    report with the Clifford flag (True, None), no mixed element and
+    extra = dim E - dim W, and tests the containments and closed form.
     """
     d = model.dim
     subs, rhos, bases = zip(*kept)
@@ -455,15 +458,13 @@ def _clifford_reports(model, kept):
     stabs, phases = _stabilizers(model, members, *scalar_deviation(rhos))
     if not all(phase.is_exact for phase in phases):
         raise RuntimeError("q3_probe: a stabilizer phase failed to snap")
-    _read_cores(stabs)
     values = np.concatenate([phase.values for phase in phases])
     dims = _dimension_counts(model, [x for s in stabs for x in s.members], values, [len(s) for s in stabs])
     detect = ~np.array([sub._inside for sub in subs]) | np.array([stab._inside for stab in stabs])
     return _report(
         model, [CodeSpace._checked(d, b) for b in bases], subs, stabs, phases,
-        _member_rows(detect), [(True, None)] * k, [(True, None)] * k, [dim - t for dim in dims],
-        [stab.is_normal() for stab in stabs],
-    )   # detectable = (G minus H) + S
+        detect, np.full(k, -1), [(True, None)] * k, [dim - t for dim in dims],
+    )   # detectable = (G minus H) + S, and no element mixed
 
 
 def q3_probe(
@@ -531,7 +532,7 @@ def q3_probe(
       (G minus H) plus the h where C(h) = rho(h) is a scalar.  rho(h) is
       unitary, so such a scalar is unimodular, and those h are the
       stabilizer S: detectable = (G minus H) + S, the closed form that
-      codes._partitioning asserts.
+      codes._report asserts.
     - S and f_S: C(h) for h in H is rho(h), the compression the split read
       with _linalg.compression, whose C classify's compressed_action
       reads too.  So S and f_S are read by codes._stabilizers, classify's

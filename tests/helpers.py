@@ -1411,13 +1411,16 @@ def _rebuilds(model, sub, f, p) -> bool:
 def classify_flags_oracle(model, code) -> tuple[dict, dict]:
     """classify's weak, stabilizer and Clifford flags and witnesses, from
     rebuilt (S, f) and (N, f|N) eigenspaces compared by projector and from
-    the length of kron_hom_basis bases."""
-    from qeclab.codes import logical_group, stabilizer_group, weak_stabilizer_code
+    the length of kron_hom_basis bases.  L is logical_oracle's set closed
+    under products, S stabilizer_oracle's set inside L, and f the snapped
+    compressed scalars on S: none is read from classify."""
     from qeclab.projreps import MakeRepError, is_irreducible, restrict
 
     g, mats, p = model.group, model.rep.matrices, code.projector()
-    logical = logical_group(model, code)
-    stab, f = stabilizer_group(model, code)
+    logical = g.subgroup_generated(logical_oracle(model, code))
+    stab = g.subgroup([x for x in stabilizer_oracle(model, code)[0] if x in logical])
+    scalars, _ = compressed_scalars_oracle(model, code)
+    f = PhaseFunction.from_complex(stab, scalars[list(stab.members)], 4 * g.order)
     flags, witnesses = {}, {}
 
     rebuilt = weak_stabilizer_code(model, stab, f)

@@ -79,6 +79,22 @@ def test_model_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["pauli:0", "genpauli:0", "xp:1", "c2d2n:1", "oddfam:4", "permprod(genpauli:2,0)"]
+)
+def test_out_of_range_family_parameters_are_usage_errors(capsys, spec):
+    # the models' own range checks raise ModelError; the parser names the spec
+    rc, out, err = run(capsys, "model", spec)
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and "need" in err
+
+
+def test_a_product_over_the_dimension_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QECLAB_MAX_DIM", "8")
+    rc, _, err = run(capsys, "search", "prod(genpauli:3,genpauli:3)")
+    assert rc == 2 and "'prod(genpauli:3,genpauli:3)'" in err and "exceeds cap 8" in err
+
+
 def test_code_weak_and_classify_round_trip(tmp_path, capsys):
     out_file = tmp_path / "code.json"
     rc, out, _ = run(

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 
@@ -520,6 +521,58 @@ def test_public_scans_match_per_function_formulas():
     line = CodeSpace.from_vectors(6, np.arange(6) + 1j)
     assert is_partitioning(model, line) == partitioning_oracle(model, line)
     assert not partitioning_oracle(model, line)[0]
+
+
+def test_public_scans_are_views_of_classify():
+    # logical_group, stabilizer_group and is_partitioning return the fields
+    # of classify's report: on an enumerated code, its attached report's
+    model = parse_model_spec("c2d2n:3").model
+    found = enumerate_weak_stabilizer_codes(model)
+    reports = [classify(model, code) for _, _, code in found]
+    assert {r.flags["is_partitioning"] for r in reports} == {False, True}
+    for (_, _, code), report in zip(found, reports):
+        assert logical_group(model, code) is report.logical
+        stab, f = stabilizer_group(model, code)
+        assert stab is report.stabilizer and f is report.stabilizer_phase
+        ok, witness = is_partitioning(model, code)
+        assert ok is report.flags["is_partitioning"] and witness is report.witnesses.get("is_partitioning")
+
+
+def _report_batch(report, logical=None, detect=None):
+    """codes._report's arguments for the one code of a weak code's classify
+    report: D as a [1, |G|] mask, its first mixed element, -1 when there is
+    none; logical and detect replace L and D."""
+    mask = np.zeros((1, report.model.group.order), dtype=bool)
+    mask[0, report.detectable] = True
+    return (
+        report.model, [report.code], [logical or report.logical], [report.stabilizer],
+        [report.stabilizer_phase], mask if detect is None else detect,
+        np.array([report.witnesses.get("is_partitioning", -1)]),
+        [(report.flags["is_clifford"], report.witnesses.get("is_clifford"))], [0],
+    )
+
+
+def test_the_report_batch_tests_containment_and_the_closed_form_on_masks():
+    # one bit flipped in L's mask, or in D's, is caught by codes._report
+    model = parse_model_spec("c2d2n:3").model
+    reports = (classify(model, code) for _, _, code in enumerate_weak_stabilizer_codes(model))
+    report = next(r for r in reports if r.flags["is_partitioning"] and 1 < len(r.stabilizer) < len(r.logical))
+    assert codes._report(*_report_batch(report))[0].to_json() == report.to_json()
+    x = report.stabilizer.members[-1]                      # in S, not the identity
+    logical = copy.copy(report.logical)
+    logical._inside = logical._inside.copy()
+    logical._inside[x] = False
+    with pytest.raises(RuntimeError, match="stabilizer group not contained in logical group"):
+        codes._report(*_report_batch(report, logical=logical))
+    detect = _report_batch(report)[5]
+    detect[0, x] = False
+    with pytest.raises(RuntimeError, match="stabilizer group not contained in detectable set"):
+        codes._report(*_report_batch(report, detect=detect))
+    y = next(y for y in report.logical.members if y not in report.stabilizer)   # in L, not in S
+    detect = _report_batch(report)[5]
+    detect[0, y] = True
+    with pytest.raises(RuntimeError, match="partitioning code whose detectable set is not the closed form"):
+        codes._report(*_report_batch(report, detect=detect))
 
 
 # ------------------------------------------ flags by counting against rebuilt eigenspaces
@@ -1069,7 +1122,7 @@ def test_classify_reads_tilted_codes_without_raising():
 @pytest.mark.parametrize("eps", [1e-9, 5e-9, 1e-8, 1e-7])
 def test_partitioning_codes_tilted_near_the_threshold_keep_the_closed_form(spec, eps):
     # the mixed set and L read the one commutator norm, so every element is
-    # in L, mixed, or detectable outside L (_partitioning): 200 seeded draws
+    # in L, mixed, or detectable outside L (codes._report): 200 seeded draws
     # tilted by eps along a random complement direction never raise.  Reading
     # the mixed set from the one-sided norm raised the closed-form
     # RuntimeError at 5e-9 on 15 prod(genpauli:2,genpauli:4) draws, 8 c2d2n:3
@@ -1126,7 +1179,7 @@ def _stabilizer_phase_is_admissible(model, report):
 
 @pytest.mark.parametrize("spec", TWIST_SPECS)
 def test_classify_stabilizer_phases_of_enumerated_codes_are_admissible(spec):
-    # classify tests no delta(f) = sigma|S: _stabilizer's docstring proves
+    # classify tests no delta(f) = sigma|S: _stabilizers' docstring proves
     # it, and every enumerated code's phase is exact and passes in integers
     model, found = _enumerated(spec)
     for code in found:

@@ -105,11 +105,14 @@ def test_every_private_function_is_referenced_in_the_package():
 
 
 def _report_constructions(tree):
-    """The names of the top-level functions in which CodeReport(...) is called."""
+    """The names of the top-level functions in which CodeReport(...) or
+    CodeReport._checked(...) is called."""
     for node in tree.body:
         for call in ast.walk(node):
             if isinstance(call, ast.Call):
                 func = call.func
+                if isinstance(func, ast.Attribute) and func.attr == "_checked":
+                    func = func.value
                 if getattr(func, "id", getattr(func, "attr", None)) == "CodeReport":
                     yield getattr(node, "name", None)
 
