@@ -17,3 +17,6 @@ DIST_SUM = 1e-12
 GRAM_FLOOR = 1e-12
 # relative gap between commutant eigenvalues of distinct constituents
 EIGENGAP = 1e-6
+# margin from SCAN and EXACT where numpy's abs and division stand in for
+# Python's: they differ by a few units in the last place near 1, ~1e-16
+SNAP_GUARD = 1e-12

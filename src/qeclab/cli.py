@@ -70,6 +70,7 @@ from .codes import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    TableSizeError,
     cyclic,
     dihedral,
     direct_product,
@@ -81,11 +82,13 @@ from .models import (
     D4_COLUMN_NAMES,
     ModelError,
     ProjectiveErrorModel,
+    _c2_x_d2n_code,
+    _c2_x_d2n_model,
+    _odd_code,
+    _odd_model,
     d4_character_table,
     d4_expected_table,
     dihedral_xp_model,
-    family_c2_x_d2n,
-    family_odd,
     gen_pauli_model,
     perm_product_model,
     product_model,
@@ -123,22 +126,24 @@ def _split_args(s: str) -> list[str]:
 class ParsedModel:
     """A model plus the extra structure some spec families carry."""
 
-    def __init__(self, model, family=None, dicke_count=None):
+    def __init__(self, model, family_of=None, dicke_count=None):
         self.model: ProjectiveErrorModel = model
-        # (subgroup, rep) pair for the built-in Clifford code families
-        self.family: tuple[Subgroup, ProjectiveRep] | None = family
+        # builds the family's (subgroup, rep) pair from the model
+        self._family_of = family_of
         # permprod copy count, for the symmetric-subspace construction
         self.dicke_count: int | None = dicke_count
+
+    @functools.cached_property
+    def family(self) -> tuple[Subgroup, ProjectiveRep] | None:
+        """The (subgroup, rep) pair of a built-in Clifford code family, on
+        the model's own group, built when first read."""
+        return None if self._family_of is None else self._family_of(self.model)
 
 
 def _pauli(n: int) -> ProjectiveErrorModel:
     if n < 1:
         raise UsageError("pauli:N needs N >= 1")
     return functools.reduce(product_model, [gen_pauli_model(2) for _ in range(n)])
-
-
-def _family(model, sub, rho) -> ParsedModel:
-    return ParsedModel(model, family=(sub, rho))
 
 
 # spec kind -> (the name(<a>,<b>) nodes, the head:N leaves)
@@ -156,16 +161,17 @@ _SPECS = {
         {"genpauli": lambda n: ParsedModel(gen_pauli_model(n)),
          "pauli": lambda n: ParsedModel(_pauli(n)),
          "xp": lambda n: ParsedModel(dihedral_xp_model(n)),
-         "c2d2n": lambda n: _family(*family_c2_x_d2n(n)),
-         "oddfam": lambda n: _family(*family_odd(n))},
+         "c2d2n": lambda n: ParsedModel(_c2_x_d2n_model(n), family_of=_c2_x_d2n_code),
+         "oddfam": lambda n: ParsedModel(_odd_model(n), family_of=_odd_code)},
     ),
 }
 
 
 def _parse_spec(spec: str, kind: str):
-    """The group or model a spec names; a ModelError while building it (a
-    family parameter out of range, a product over the dimension cap) is a
-    UsageError naming the spec."""
+    """The group or model a spec names; a ModelError or TableSizeError while
+    building it (a family parameter out of range, a product over the
+    dimension cap, a group table over the size cap) is a UsageError naming
+    the spec."""
     nodes, leaves = _SPECS[kind]
     s = spec.strip()
     name, paren, inner = s.partition("(")
@@ -179,7 +185,7 @@ def _parse_spec(spec: str, kind: str):
         if not sep or head not in leaves:
             raise UsageError(f"unknown {kind} spec {spec!r}")
         return leaves[head](_int(tail))
-    except ModelError as exc:
+    except (ModelError, TableSizeError) as exc:
         raise UsageError(f"{kind} spec {spec!r}: {exc}") from None
 
 

@@ -37,7 +37,6 @@ import cmath
 import functools
 import itertools
 import math
-from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,11 +117,6 @@ class Phase:
         return f"Phase({self.num}/{self.den})"
 
 
-# A fraction num/den of a turn, reduced as Phase reduces it, with no Phase
-# built; Phase.to_complex reads it as it reads a Phase.
-_Turn = namedtuple("_Turn", "num den")
-
-
 def snap_phase(z: complex, max_den: int) -> Phase:
     """Match a unimodular complex number to an exact rational phase.
 
@@ -146,8 +140,8 @@ def snap_phase_or_none(z: complex, max_den: int) -> Phase | None:
         return None
 
 
-# Largest max_den for which _snap_phases snaps by groups (see there).
-_GROUPED_SNAP_MAX_DEN = 2**15
+# Largest max_den for which _snap_phases snaps on arrays (see there).
+_ARRAY_SNAP_MAX_DEN = 2**15
 
 
 def _snap_phases(
@@ -157,63 +151,88 @@ def _snap_phases(
     order, as (numerators over one denominator, that denominator, mask of
     the entries that snapped); a failed entry has numerator 0.
 
-    Each entry z with ||z| - 1| <= _tol.SCAN is grouped by its angle
-    rounded to k/grid of a turn (k/2^32 when no grid is given).  The
-    group's candidate p/q is k/grid reduced as Phase(k, grid) reduces it
-    when a grid is given, carried as a _Turn of two ints, and otherwise
-    snap_phase of the group's first entry.  An entry keeps p/q
-    when q <= max_den <= 2^15 and |Phase(p, q).to_complex() - z/|z|| <=
-    _tol.EXACT: snap_phase's own two tests, written with its expressions,
-    so they decide as snap_phase decides.  Every other entry goes through
-    snap_phase alone, and no Fraction is built for a kept one.
+    An entry z is kept by array steps when max_den <= 2^15,
+    ||z| - 1| < _tol.SCAN - g and |Phase(p, q).to_complex() - z/|z|| <
+    _tol.EXACT - g for its candidate p/q, reduced, with q <= max_den:
+    snap_phase's own two tests, with a guard g = _tol.SNAP_GUARD far above
+    the last-bit differences between numpy's abs and division and Python's.
+    Every other entry, failing, non-finite or within g of a tolerance, goes
+    through snap_phase alone, so each verdict is snap_phase's.
 
-    A kept p/q is snap_phase's answer.  An entry passing the distance test
-    lies within _tol.EXACT of p/q on the circle, under 1.6e-10 of a turn.
-    Two fractions with denominators at most max_den lie at least
-    1/max_den^2 apart, 9.3e-10 of a turn for max_den = 2^15, over twice
-    that.  So p/q is the fraction nearest the entry's angle among those
-    with denominator at most max_den (up to a whole turn), which is the
-    candidate that snap_phase's limit_denominator returns and then tests
-    with the same expressions.  The grouping decides only which candidate
-    is tried first, never the result.
+    A kept p/q is snap_phase's answer.  A kept entry lies within _tol.EXACT
+    of p/q on the circle, under 1.6e-10 of a turn.  Two fractions with
+    denominators at most max_den lie at least 1/max_den^2 apart, 9.3e-10 of
+    a turn for max_den = 2^15, over twice that.  So p/q is the fraction
+    nearest the entry's angle among those with denominator at most max_den
+    (up to a whole turn), which is the candidate that snap_phase's
+    limit_denominator returns and then tests with the same expressions.
+    How the candidate was found decides only which entries fall back,
+    never a result.  make_rep, codes._stabilizers and q3_probe rely on
+    this argument.
 
-    make_rep passes no grid: its edge columns repeat a few angles many
-    times, and a snap per angle is cheap next to the array work around it.
-    classify passes grid = den * exp(G) for its stabilizer phases, with den
-    the model cocycle's denominator.  There a scalar c(x) of a stabilizer
-    element has c(x)^ord(x) equal to a product of cocycle values, the lemma
-    of find_trivializing_phase's docstring, so every exact c(x) lies on
-    that grid, none falls back, and no snap_phase runs.
-
-    The loop runs entry by entry: the arrays are short or repeat few
-    angles, where the dozens of numpy calls of an array test cost more.
+    With a grid the candidate is the nearest grid point rint(t grid)/grid
+    reduced, t the entry's angle in turns.  classify and q3_probe pass
+    grid = den * exp(G) for their stabilizer phases, with den the model
+    cocycle's denominator.  There a scalar c(x) of a stabilizer element has
+    c(x)^ord(x) equal to a product of cocycle values, the lemma of
+    find_trivializing_phase's docstring, so every exact c(x) lies on that
+    grid and none falls back.  With no grid (make_rep, whose edge columns
+    repeat a few angles many times) the entries are grouped by their angle
+    rounded to 2^-32 of a turn, and each group's candidate is p/q for the
+    least q <= max_den with |q t - p| <= q _tol.EXACT/pi, p = rint(q t), t
+    the angle of the group's first entry: one [groups, max_den] search in
+    row blocks (_linalg._blocks).  That bound is twice a kept entry's
+    distance, 1.6e-10 of a turn, and the two together stay under the
+    spacing above, so when a group's first entry is kept its fraction is
+    the only one to pass, and the least q finds it reduced.
     """
-    scale = (2**32 if grid is None else grid) / (2 * math.pi)
-    grouped = max_den <= _GROUPED_SNAP_MAX_DEN
-    groups: dict[int, tuple[Phase | _Turn | None, complex]] = {}   # k -> (candidate, its value)
-    entries: list[Phase | _Turn | None] = []
-    for z in np.asarray(values, dtype=complex).ravel().tolist():
-        m = abs(z)
-        if not (grouped and abs(m - 1.0) <= _tol.SCAN):   # NaN fails too
-            entries.append(snap_phase_or_none(z, max_den))
-            continue
-        k = round(cmath.phase(z) * scale)
-        if k not in groups:
-            if grid is None:   # the first entry's own snap
-                p = snap_phase_or_none(z, max_den)
-                groups[k] = (p, 0j if p is None else p.to_complex())
-                entries.append(p)
-                continue
-            p = _Turn(k % grid // math.gcd(k, grid), grid // math.gcd(k, grid))   # as Phase(k, grid)
-            groups[k] = (p, Phase.to_complex(p))
-        p, c = groups[k]
-        if p is None or p.den > max_den or not abs(c - z / m) <= _tol.EXACT:
-            p = snap_phase_or_none(z, max_den)
-        entries.append(p)
-    return _numerators(entries)
+    z = np.asarray(values, dtype=complex).ravel()
+    num = np.zeros(len(z), dtype=np.int64)
+    den = np.ones(len(z), dtype=np.int64)
+    mask = np.zeros(len(z), dtype=bool)
+    if max_den <= _ARRAY_SNAP_MAX_DEN:
+        modulus = np.abs(z)
+        near = np.flatnonzero(np.abs(modulus - 1) < _tol.SCAN - _tol.SNAP_GUARD)   # not NaN
+        unit = z[near] / modulus[near]
+        turns = np.angle(unit) / (2 * math.pi)
+        if grid is None:
+            # bare np.unique imports numpy.ma; these return flags do not
+            keys = np.rint(turns * 2.0**32).astype(np.int64)
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            p, q = _least_fractions(turns[first], max_den)
+            p, q = p[inverse], q[inverse]
+        else:
+            p, q = np.rint(turns * grid).astype(np.int64), np.int64(grid)
+        g = np.gcd(p, q)
+        p, q = p // g % (q // g), q // g
+        distance = np.abs(_phase_values(p, q) - unit)
+        kept = (q <= max_den) & (distance < _tol.EXACT - _tol.SNAP_GUARD)
+        at = near[kept]
+        num[at], den[at], mask[at] = p[kept], q[kept], True
+    for i in np.flatnonzero(~mask).tolist():
+        phase = snap_phase_or_none(complex(z[i]), max_den)
+        if phase is not None:
+            num[i], den[i], mask[i] = phase.num, phase.den, True
+    common = math.lcm(*set(den.tolist()))
+    return num * (common // den), common, mask
 
 
-def _numerators(entries: Sequence[Phase | _Turn | None]) -> tuple[np.ndarray, int, np.ndarray]:
+def _least_fractions(turns: np.ndarray, max_den: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rint(q t), q) for each angle t in turns, q the least denominator up
+    to max_den with |q t - rint(q t)| <= q _tol.EXACT/pi, or max_den + 1
+    where there is none (see _snap_phases)."""
+    dens = np.arange(1, max_den + 1)
+    bound = dens * (_tol.EXACT / math.pi)
+    q = np.empty(len(turns), dtype=np.int64)
+    for rows in _blocks(len(turns), max_den):
+        scaled = np.multiply.outer(turns[rows], dens)
+        hits = np.abs(scaled - np.rint(scaled)) <= bound
+        first = hits.argmax(axis=1)
+        q[rows] = np.where(hits[np.arange(len(first)), first], first + 1, max_den + 1)
+    return np.rint(turns * q).astype(np.int64), q
+
+
+def _numerators(entries: Sequence[Phase | None]) -> tuple[np.ndarray, int, np.ndarray]:
     """(numerators over the least common denominator, that denominator,
     mask of the entries that are not None); a None entry has numerator 0."""
     den = math.lcm(1, *{p.den for p in entries if p is not None})

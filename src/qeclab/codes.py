@@ -620,7 +620,8 @@ def _stabilizers(
     model cocycle's denominator: a stabilizer phase has df = sigma|S, so
     f(x)^ord(x) is a product of cocycle values and f(x) a
     (den * ord(x))-th root of unity.  The reader returns snap_phase's
-    result on every entry, on the grid or off it, so f is from_complex's.
+    result on every entry, on the grid or off it (the proof is in its
+    docstring), so f is from_complex's.
 
     df = sigma|S then holds with no test of its own.  S is interned, so it
     is a subgroup.  For x, y in S write C(x) = c_x 1 + E_x, with |E_x|_F =

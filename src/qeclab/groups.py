@@ -70,6 +70,11 @@ class GroupValidationError(ValueError):
     """Raised when a multiplication table fails the group axioms."""
 
 
+class TableSizeError(ValueError):
+    """Raised, before any allocation, for an order whose multiplication
+    table exceeds the size cap."""
+
+
 @dataclass(eq=False)
 class FiniteGroup:
     """A finite group given by its full multiplication table.
@@ -593,7 +598,7 @@ def _check_table_size(order: int) -> None:
     """Refuse, before any allocation, an order whose table exceeds the cap."""
     nbytes = order * order * np.dtype(np.int64).itemsize
     if nbytes > _MAX_TABLE_BYTES:
-        raise ValueError(
+        raise TableSizeError(
             f"a group of order {order} needs a {nbytes / 2**20:.0f} MiB multiplication "
             f"table, over the {_MAX_TABLE_BYTES // 2**20} MiB cap"
         )

@@ -140,9 +140,16 @@ class ProjectiveErrorModel:
 
 def _words(radices: tuple[int, ...], gens) -> np.ndarray:
     """One matrix per digit tuple d in mixed radix, first digit most
-    significant: gens[0]^d_0 @ gens[1]^d_1 @ ..., multiplied left to right."""
-    powers = [[np.linalg.matrix_power(g, k) for k in range(r)] for r, g in zip(radices, gens)]
-    return np.array([functools.reduce(np.matmul, word) for word in itertools.product(*powers)])
+    significant: gens[0]^d_0 @ gens[1]^d_1 @ ..., multiplied left to right,
+    as one batched product per radix: the words of the first i digits,
+    each times every power of gens[i], are the words of i + 1 digits."""
+    words = None
+    for r, g in zip(radices, gens):
+        powers = np.array([np.linalg.matrix_power(g, k) for k in range(r)])
+        if words is not None:
+            powers = (words[:, None] @ powers).reshape(-1, *powers.shape[1:])
+        words = powers
+    return words
 
 
 def gen_pauli_model(n: int) -> ProjectiveErrorModel:
@@ -159,8 +166,13 @@ def dihedral_xp_model(n: int) -> ProjectiveErrorModel:
     """XP model on the dihedral group of order 2n: pi(b^k a^l) = X^k P^l."""
     if n < 2:
         raise ModelError("need n >= 2")
-    mats = _words((2, n), [np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1, zeta(n)])])
+    mats = _words((2, n), _xp_generators(n))
     return ProjectiveErrorModel(make_rep(dihedral(n), mats, label="xp"), label=f"xp:{n}")
+
+
+def _xp_generators(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and the phase gate P = diag(1, zeta(n)) on C^2."""
+    return np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1, zeta(n)])
 
 
 def product_model(m1: ProjectiveErrorModel, m2: ProjectiveErrorModel) -> ProjectiveErrorModel:
@@ -214,19 +226,28 @@ def family_c2_x_d2n(n: int) -> tuple[ProjectiveErrorModel, Subgroup, ProjectiveR
     diagonal phase on the 2n-th root of unity.  Returns the model, the
     D_2n-factor subgroup L, and the XP representation rho of L.
     """
+    model = _c2_x_d2n_model(n)
+    return (model, *_c2_x_d2n_code(model))
+
+
+def _c2_x_d2n_model(n: int) -> ProjectiveErrorModel:
+    """family_c2_x_d2n's model alone."""
     if n < 2:
         raise ModelError("need n >= 2")
     group = direct_product(cyclic(2), dihedral(2 * n))
     group.label = f"C2xD{2 * n}"
     eye2 = np.eye(2, dtype=complex)
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    p = np.diag([1, zeta(2 * n)])
+    flip, p = _xp_generators(2 * n)
     gens = [np.kron(flip, eye2), np.kron(eye2, flip), np.kron(np.diag([1.0, -1.0]), p)]
     mats = _words((2, 2, 2 * n), gens)
-    model = ProjectiveErrorModel(make_rep(group, mats, label="c2d2n"), label=f"c2d2n:{n}")
-    sub = Subgroup(group, range(4 * n))
-    rho = make_rep(sub.as_group(), _words((2, 2 * n), [flip, p]), label="rho")
-    return model, sub, rho
+    return ProjectiveErrorModel(make_rep(group, mats, label="c2d2n"), label=f"c2d2n:{n}")
+
+
+def _c2_x_d2n_code(model: ProjectiveErrorModel) -> tuple[Subgroup, ProjectiveRep]:
+    """family_c2_x_d2n's (L, rho) on the group of its model, of order 8n."""
+    n = model.group.order // 8
+    sub = Subgroup(model.group, range(4 * n))
+    return sub, make_rep(sub.as_group(), _words((2, 2 * n), _xp_generators(2 * n)), label="rho")
 
 
 def family_odd(n: int) -> tuple[ProjectiveErrorModel, Subgroup, ProjectiveRep]:
@@ -235,22 +256,35 @@ def family_odd(n: int) -> tuple[ProjectiveErrorModel, Subgroup, ProjectiveRep]:
     rho(a,b,c) = X^a Z^b C^c with C the anti-diagonal flip; pi doubles every
     block, with the sign flip on C and the swap as the extra Z_2 generator.
     """
+    model = _odd_model(n)
+    return (model, *_odd_code(model))
+
+
+def _odd_model(n: int) -> ProjectiveErrorModel:
+    """family_odd's model alone."""
     if n < 3 or n % 2 == 0:
         raise ModelError("need odd n >= 3")
-    lgroup = inversion_semidirect(n)
-    group = direct_product(lgroup, cyclic(2))
+    group = direct_product(inversion_semidirect(n), cyclic(2))
     group.label = f"((C{n}xC{n}):C2)xC2"
-    x, z = clock_shift(n)
-    c = np.fliplr(np.eye(n, dtype=complex))
+    x, z, c = _odd_generators(n)
     eye2 = np.eye(2, dtype=complex)
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
     doubled = [np.kron(eye2, x), np.kron(eye2, z), np.kron(np.diag([1.0, -1.0]), c)]
     swap = np.kron(flip, np.eye(n, dtype=complex))
     mats = _words((n, n, 2, 2), [*doubled, swap])
-    model = ProjectiveErrorModel(make_rep(group, mats, label="oddfam"), label=f"oddfam:{n}")
-    sub = Subgroup(group, [2 * l for l in range(lgroup.order)])
-    rho = make_rep(sub.as_group(), _words((n, n, 2), [x, z, c]), label="rho")
-    return model, sub, rho
+    return ProjectiveErrorModel(make_rep(group, mats, label="oddfam"), label=f"oddfam:{n}")
+
+
+def _odd_code(model: ProjectiveErrorModel) -> tuple[Subgroup, ProjectiveRep]:
+    """family_odd's (L, rho) on the group of its model, of dim 2n."""
+    n = model.dim // 2
+    sub = Subgroup(model.group, range(0, model.group.order, 2))
+    return sub, make_rep(sub.as_group(), _words((n, n, 2), _odd_generators(n)), label="rho")
+
+
+def _odd_generators(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho's X, Z and the anti-diagonal flip C on C^n."""
+    return (*clock_shift(n), np.fliplr(np.eye(n, dtype=complex)))
 
 
 def pem_from_em(em: ErrorModel) -> ProjectiveErrorModel:

@@ -262,11 +262,12 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     validation succeed, the edge scalars snap to the same phases, whose
     fill is that cocycle, so this path accepts the same cocycle; and when
     this path accepts, that is the cocycle every scalar snaps to, as shown
-    above.  A snap failure names the first failing edge (x, y), y in
-    walk.cols, in row-major order over the edge columns; snap_phase runs
-    once per group of scalars of one angle, and every scalar is then
-    checked against its group's phase (see cocycles._snap_phases).  A
-    filled entry above the guard names the first such (x, y).
+    above.  The edge scalars are snapped by array steps
+    (cocycles._snap_phases, whose docstring proves that each kept phase is
+    snap_phase's), and a snap failure names the first failing edge (x, y),
+    y in walk.cols, in row-major order over the edge columns, with
+    snap_phase's reason.  A filled entry above the guard names the first
+    such (x, y).
     """
     matrices = np.asarray(matrices, dtype=complex)
     n = group.order
@@ -394,13 +395,9 @@ def _row_products(m: np.ndarray, right: np.ndarray | None = None):
 
 def _snap_scalars(raw: np.ndarray, max_den: int, cols) -> tuple[np.ndarray, int]:
     """snap_phase on every entry of raw, as numerators over one denominator;
-    raw[x, j] is the scalar of the pair (x, cols[j]).
-
-    The entries are snapped by groups (cocycles._snap_phases), which gives
-    snap_phase's result on every entry.  When an entry fails, the first in
-    row-major order raises MakeRepError naming its pair, with snap_phase's
-    reason.
-    """
+    raw[x, j] is the scalar of the pair (x, cols[j]).  When an entry fails,
+    the first in row-major order raises MakeRepError naming its pair, with
+    snap_phase's reason."""
     num, den, snapped = _snap_phases(raw, max_den)
     failed = np.flatnonzero(~snapped)
     if failed.size:

@@ -9,8 +9,10 @@ import pytest
 from helpers import pairwise_enumerated
 
 import qeclab
+from qeclab import models
 from qeclab.cli import main, parse_group_spec, parse_model_spec
 from qeclab.codes import classify
+from qeclab.models import family_c2_x_d2n, family_odd
 from qeclab.projreps import ProjectiveRep
 
 
@@ -93,6 +95,24 @@ def test_a_product_over_the_dimension_cap_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("QECLAB_MAX_DIM", "8")
     rc, _, err = run(capsys, "search", "prod(genpauli:3,genpauli:3)")
     assert rc == 2 and "'prod(genpauli:3,genpauli:3)'" in err and "exceeds cap 8" in err
+
+
+@pytest.mark.parametrize("spec, family", [("oddfam:3", family_odd), ("c2d2n:2", family_c2_x_d2n)])
+def test_a_family_spec_builds_its_code_rep_when_first_read(spec, family, monkeypatch):
+    # parsing builds the model's rep alone; parsed.family builds (L, rho)
+    # once, on the model's own group, as the library family function does
+    calls = []
+    raw = models.make_rep
+    monkeypatch.setattr(models, "make_rep", lambda *a, **k: calls.append(a[0]) or raw(*a, **k))
+    parsed = parse_model_spec(spec)
+    assert calls == [parsed.model.group]
+    sub, rho = parsed.family
+    assert len(calls) == 2 and parsed.family[1] is rho
+    assert sub.parent is parsed.model.group and rho.group is sub.as_group()
+    _, want_sub, want_rho = family(int(spec.split(":")[1]))
+    assert sub.members == want_sub.members
+    assert rho.matrices.tobytes() == want_rho.matrices.tobytes()
+    assert rho.cocycle == want_rho.cocycle
 
 
 def test_code_weak_and_classify_round_trip(tmp_path, capsys):

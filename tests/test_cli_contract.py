@@ -19,6 +19,7 @@ from qeclab.codes import (
     stabilizer_code,
     weak_stabilizer_code,
 )
+from qeclab.groups import GroupValidationError
 from qeclab.models import family_c2_x_d2n
 
 # the members of the family subgroup of c2d2n:2, used as its generators
@@ -228,3 +229,21 @@ def test_a_failed_claim_prints_fail_and_exits_one(capsys, monkeypatch):
     assert rc == 1
     failed = [line for line in lines if not line.startswith("PASS: ")]
     assert len(failed) == 1 and failed[0].startswith("FAIL: clifford=true")
+
+
+def test_a_group_table_over_the_size_cap_is_a_usage_error(capsys):
+    # the table cap is met while the spec is built, before any allocation
+    assert main(["model", "permprod(genpauli:2,5)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: model spec 'permprod(genpauli:2,5)': ")
+    assert "over the 256 MiB cap" in err
+
+
+def test_a_group_validation_error_while_parsing_is_a_verification_failure(capsys, monkeypatch):
+    # only the size cap is a usage error; a table failing the group axioms is not
+    def invalid(n):
+        raise GroupValidationError("multiplication table is not associative")
+
+    monkeypatch.setattr(cli, "gen_pauli_model", invalid)
+    assert main(["model", "genpauli:2"]) == 1
+    assert capsys.readouterr().err.startswith("verification failure: multiplication table")

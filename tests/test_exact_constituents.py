@@ -5,6 +5,7 @@ import fractions
 import functools
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,70 @@ def test_grouped_snap_rounds_as_snap_phase_does(max_den, rep, z):
     assert snap_phase_or_none(rep, max_den) is not None
     assert snap_phase_or_none(z, max_den) is None
     assert _snap_phases(np.array([rep, z]), max_den)[2].tolist() == [True, False]
+
+
+def _first_failing_edge(group, mats) -> str:
+    """make_rep's error text, from snap_phase on each edge scalar in
+    row-major order over the edge columns."""
+    cols = group._cayley_walk().cols
+    raw = projreps._raw_scalars(group, mats)
+    failed = []
+    for x, j in itertools.product(range(group.order), range(len(cols))):
+        try:
+            snap_phase(complex(raw[x, j]), 4 * group.order)
+        except PhaseSnapError as exc:
+            failed.append(f"scalar snap failed at ({x},{int(cols[j])}): "
+                          f"matrices do not form a projective rep ({exc})")
+    assert len(failed) >= 2
+    return failed[0]
+
+
+@pytest.mark.parametrize("spec, scaled, turned", [
+    ("genpauli:3", 4, 7), ("genpauli:3", 7, 4), ("xp:4", 5, 2), ("oddfam:3", 11, 30),
+    ("c2d2n:2", 3, 9), ("genpauli:2", 1, 3),
+])
+def test_make_rep_names_the_first_of_two_bad_edges_as_snap_phase_does(spec, scaled, turned):
+    # one matrix off in modulus, one turned by an angle off every grid:
+    # the error names the first failing edge with snap_phase's reason
+    model = parse_model_spec(spec).model
+    mats = model.rep.matrices.copy()
+    mats[scaled] *= 1.001
+    mats[turned] *= np.exp(0.1j)
+    want = _first_failing_edge(model.group, mats)
+    with pytest.raises(projreps.MakeRepError) as info:
+        projreps.make_rep(model.group, mats)
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("grid", [None, 8])
+def test_snap_of_non_finite_and_rim_entries_is_snap_phase_s_with_no_warning(grid):
+    # NaN, inf and |z| = 1 +- _tol.SCAN (and just past it) fall back to
+    # snap_phase; no numpy warning is raised on the way
+    bad = [complex(np.nan, 0), complex(1, np.nan), complex(np.nan, np.nan), complex(np.inf, 0),
+           complex(-np.inf, np.inf), complex(0, -np.inf), 0j, complex(1e300, 1e300)]
+    past = [(1 + s * _tol.SCAN * (1 + 1e-6)) * Phase(p, 8).to_complex()
+            for s in (1, -1) for p in (0, 1, 3, 6)]
+    rim = [(1 + s * _tol.SCAN) * Phase(p, 8).to_complex() for s in (1, -1) for p in (0, 1, 3, 6)]
+    values = np.array(bad + past + rim + [Phase(1, 8).to_complex()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        num, den, mask = _snap_phases(values, 64, grid)
+    want = [snap_phase_or_none(complex(z), 64) for z in values]
+    assert [Phase(int(k), den) if ok else None for k, ok in zip(num, mask)] == want
+    assert not mask[: len(bad) + len(past)].any() and mask[-1]
+
+
+@pytest.mark.parametrize("grid", [1, 2, 4, 6, 8, 12, 64, 96])
+def test_grid_snap_of_negative_angles_and_half_turns_is_snap_phase_s(grid):
+    # every grid point at a negative angle too, and the half turn reached
+    # from both sides (np.angle gives +pi and -pi, so k = +-grid/2)
+    halves = [complex(-1, 0.0), complex(-1, -0.0), complex(-1, 1e-17), complex(-1, -1e-17)]
+    assert [np.angle(z) for z in halves[:2]] == [np.pi, -np.pi]
+    values = np.concatenate([np.exp(2j * np.pi * np.arange(-grid, grid + 1) / grid), halves])
+    for max_den in sorted({1, max(1, grid // 2), grid, 2 * grid}):
+        num, den, mask = _snap_phases(values, max_den, grid)
+        want = [snap_phase_or_none(complex(z), max_den) for z in values]
+        assert [Phase(int(k), den) if ok else None for k, ok in zip(num, mask)] == want
 
 
 def test_grouped_snap_snaps_each_entry_past_2_to_15():

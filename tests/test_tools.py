@@ -1,10 +1,12 @@
 """tools/source_lines.py, whose per-module line counts CHANGES.md quotes, and
 source checks that each top-level name of qeclab is defined in one module,
 that no module imports a name it never uses, that every private function
-is used in the package, that only _linalg names the row-block bound, and
-that only search builds and reads the trace table."""
+is used in the package, that only _linalg names the row-block bound, that
+only search builds and reads the trace table, and that building models and
+searching them imports no numpy.ma."""
 
 import ast
+import os
 import subprocess
 import sys
 from collections import defaultdict
@@ -176,3 +178,24 @@ def test_the_trace_table_is_built_and_read_in_search_only():
         if any(_trace_table_uses(ast.parse(path.read_text())))
     }
     assert named == {"search.py"}
+
+
+def test_building_and_searching_models_leaves_numpy_ma_unimported():
+    # a bare np.unique imports numpy.ma, about 1 MB of resident memory that
+    # bench peak_rss_mb would read; model building and both searches use
+    # none, in a fresh interpreter
+    script = (
+        "import sys\n"
+        "from qeclab.cli import parse_model_spec\n"
+        "from qeclab.search import enumerate_weak_stabilizer_codes, q3_probe\n"
+        "for spec in ('prod(genpauli:2,genpauli:4)', 'oddfam:3', 'genpauli:8'):\n"
+        "    model = parse_model_spec(spec).model\n"
+        "    assert enumerate_weak_stabilizer_codes(model)\n"
+        "    q3_probe(model, return_candidates=True)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    ).stdout
+    assert out.strip() == "False"
