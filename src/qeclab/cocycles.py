@@ -10,13 +10,14 @@ own numerator array and marks it read-only, so writing into Cocycle.num
 raises ValueError.  That makes two memos safe.  A successful verify() is
 remembered on the object, since the table it checked is the table the
 object keeps; a failing one is recomputed on every call.  restrict(sub) is
-computed once per (subgroup object, cocycle object), and its result lives
-on sub.as_group(), which interned subgroups share.  So the restriction of
-a model's cocycle to a library-built subgroup is one object, and the
-constituent split of search (whose pieces keep the restriction's cocycle
-object) and find_trivializing_phase verify it once between them.  Each
-distinct restricted cocycle is still verified in full once: only repeats
-of a check already passed on the same read-only table are dropped.
+computed once per (subgroup object, cocycle object) and kept on sub, which
+interned subgroups share, with the verdict of the parent's one verify
+(Cocycle.restrict proves it holds).  So the restriction of a model's cocycle to a library-built
+subgroup is one object, shared by its readers: the non-abelian branch of
+codes._constituents, ProjectiveRep.restrict (through codes.clifford_code,
+codes.stabilizer_to_clifford, projreps.frobenius_dims and
+projreps.mackey_character_defect) and projreps.induce.  search's
+constituent split reads pi's matrix stack and builds no restriction.
 
 Facts that a construction already proves are read, not proved again: a
 stabilizer phase is snapped from the grid its cocycle puts it on
@@ -290,9 +291,8 @@ class Cocycle:
 
     @classmethod
     def from_phases(cls, group: FiniteGroup, table: list[list[Phase]]) -> "Cocycle":
-        den = math.lcm(*(p.den for row in table for p in row))
-        num = np.array([[p.num * (den // p.den) for p in row] for row in table], dtype=np.int64)
-        return cls(group, num, den)
+        num, den, _ = _numerators([p for row in table for p in row])
+        return cls(group, num.reshape(np.shape(table)), den)   # a ragged table raises as np.array does
 
     def phase(self, x: int, y: int) -> Phase:
         return Phase(int(self.num[x, y]), self.den)
@@ -432,23 +432,16 @@ class PhaseFunction:
         return self
 
     @classmethod
-    def _from_num(
-        cls, domain: Subgroup, num: np.ndarray, den: int, mask: np.ndarray | None = None, floats=None
-    ) -> "PhaseFunction":
-        """The function with numerators num over den, reduced to the least
-        denominator; exact everywhere when mask is None, and valued by
-        _phase_values when floats is None.  _runs with one run."""
-        return cls._runs([domain], num, den, mask, floats)[0]
-
-    @classmethod
     def _runs(cls, domains: list[Subgroup], num, den: int, mask=None, floats=None) -> list[PhaseFunction]:
-        """_from_num on each domain in turn, read from consecutive runs of
-        num, mask and floats, one run of each domain's size, with one gcd
-        reduction for all runs: each run is reduced to the least
-        denominator of its exact entries.  _phase_values reduces each entry
-        itself, so values read before the reduction are its values after.
-        One run keeps the arrays it is given, as no slice of them is taken:
-        a function built alone holds no view of a larger array."""
+        """The function with numerators num over den on each domain in turn,
+        read from consecutive runs of num, mask and floats, one run of each
+        domain's size: exact everywhere when mask is None, and valued by
+        _phase_values when floats is None.  One gcd reduction serves all
+        runs: each run is reduced to the least denominator of its exact
+        entries.  _phase_values reduces each entry itself, so values read
+        before the reduction are its values after.  One run keeps the arrays
+        it is given, as no slice of them is taken: a function built alone
+        holds no view of a larger array."""
         num = np.asarray(num, dtype=np.int64) % den
         mask = np.ones(len(num), dtype=bool) if mask is None else mask
         if len(domains) == 1:
@@ -474,7 +467,7 @@ class PhaseFunction:
     def from_complex(cls, domain: Subgroup, values, max_den: int) -> "PhaseFunction":
         """snap_phase on every value (see _snap_phases); entries that fail are inexact."""
         values = np.asarray(values, dtype=complex)
-        return cls._from_num(domain, *_snap_phases(values, max_den), values)
+        return cls._runs([domain], *_snap_phases(values, max_den), values)[0]
 
     @property
     def phases(self) -> tuple[Phase | None, ...]:
@@ -501,12 +494,12 @@ class PhaseFunction:
         den = math.lcm(self.den, other.den)
         num = self.num * (den // self.den) + other.num * (den // other.den)
         mask = self.exact_mask & other.exact_mask
-        return PhaseFunction._from_num(self.domain, num, den, mask, self.values * other.values)
+        return PhaseFunction._runs([self.domain], num, den, mask, self.values * other.values)[0]
 
     def conjugate(self) -> "PhaseFunction":
-        return PhaseFunction._from_num(
-            self.domain, -self.num, self.den, self.exact_mask, np.conj(self.values)
-        )
+        return PhaseFunction._runs(
+            [self.domain], -self.num, self.den, self.exact_mask, np.conj(self.values)
+        )[0]
 
     def to_json(self) -> dict:
         """Exact entries as reduced [num, den], as self.phases reduces them,
@@ -910,7 +903,7 @@ def find_trivializing_phase(
         if u is None:
             continue
         nums = (coeff @ np.array(u, dtype=np.int64) + k * const) % modulus
-        f = PhaseFunction._from_num(result_domain, nums, modulus)
+        f = PhaseFunction._runs([result_domain], nums, modulus)[0]
         if not _is_coboundary_of(f, sigma):
             raise RuntimeError("solver produced a non-trivializing phase function")
         return f

@@ -1,62 +1,24 @@
 """Code constructions, the logical/stabilizer/detectable scans, and classification.
 
 Subspace equality is projector Frobenius distance < _tol.DERIVED, which is
-basis independent.  Membership scans use _tol.SCAN.
-
-The action of the model on a code is computed once per code, on its basis B
-(P = B B*), from flat products over the whole group
-(_linalg.compressed_action).  B is an isometry, so |P pi(x) P| and
-|pi(x) P - P pi(x) P| are the norms of the compressed action C = B* pi(x) B
-and of pi(x) B - B C, and the logical group, stabilizer, detectable set
-and partitioning test are all read from such norms.  The commutator
-[P, pi(x)] needs no product of its own: its blocks (1 - P) pi(x) P and
-P pi(x) (1 - P) are orthogonal, and pi(x)* is a unit multiple of
-pi(x^-1), so the second has the norm of the first at x^-1.
-
-Constituents are found here only (_constituents), in exact arithmetic: with
-f0 a trivializer of the restricted cocycle, the codes on H are the (H, f0
-chi) eigenspaces for the linear characters chi of H whose multiplicity in
-conj(f0) pi|H is positive.  On abelian H, f0 and the characters are read by
-cyclic extension from the model cocycle's integer table, all subgroups of
-one order together (cocycles._cyclic_extensions); on others f0 is solved
-for and the characters read from a diagonal form of an integer system.  No
-eigenspace is walked and no value is snapped to find them.  existence_phase
-takes the first and search.enumerate_weak_stabilizer_codes takes them all,
-for all subgroups of one order at once.  A (H, f) code is built as the
-image of the average P = (1/|H|) sum_h conj(f(h)) pi(h), an orthogonal
-projector, its basis read by pivoted Cholesky of P with no eigh, for many
-rows (H, f) of one subgroup order at once (_eigenspaces);
-weak_stabilizer_code is its one-row case.  df = sigma|H is tested there
-on the caller's f only: the rows f0 chi of _constituents are admissible
-by construction, and the stabilizer phase classify reads is proved
-admissible in _stabilizers' docstring, so neither is tested again.
-
-classify counts instead of building subspaces.  A code W lies in the (S, f)
-eigenspace E of its stabilizer and in the (N, f|N) one of every N <= S, so W
-is weak (W = E), or rebuilt from a normal N, exactly when
-code_dimension_formula gives dim W; the weak witness |P_E - P_W| is
-sqrt(dim E - dim W).  The Clifford flag counts intertwiners by characters:
-the action of L on an L-invariant code is the compressed action C on L,
-and its character tr C = dim W * c is read from the scalars c = tr(C) / dim W
-that the stabilizer scan reads, so no representation of L is built for it
-(see _clifford_flags).  classify reads L, S, f_S, D and the first mixed
-element from the code action and hands them to _report, which sets the
-flags and witnesses.  An enumerated code needs no action: the enumeration
-reads its report from its maximal witness key and its trace row T(x) =
-tr(P pi(x)) (_key_reports; both come from search._maximal_witnesses,
-which confirms the key and forms T) as it builds the code, and classify
-returns that report.  _report builds every CodeReport, a list of codes
-at a time: the key reader and search's q3 pieces hand it their
-invariants too.  It alone tests S <= L, S <= D and a partitioning code's
-closed form D = (G minus L) + S, on the masks of the whole list, and sets
-the partitioning verdict.  logical_group, stabilizer_group and
-is_partitioning return fields of classify's report; detectable_set is
-the one-threshold read of the code action.
-
-The logical group and the stabilizer are taken from the model group's
-interning table (see groups), so classify validates no member set that the
-subgroup lattice already holds, and their restricted cocycles are the ones
-the lattice's subgroups already carry.
+basis independent.  Membership scans use _tol.SCAN.  Each proof is stated
+once, by the function that owns it:
+- _constituents: the admissible phases f0 chi of each subgroup and their
+  code dimensions, in exact arithmetic;
+- _eigenspaces: a (H, f) code's basis, by pivoted Cholesky of its
+  projector with no eigh (weak_stabilizer_code is its one-row case);
+- _actions: the norms of the model's action on a code, from one
+  compressed action per code (_linalg.compressed_action);
+- _close_logical: the product bound on classify's L, and the iota bound
+  it gives;
+- _stabilizers: S and f_S from the action, and df_S = sigma|S;
+- _clifford_flags: the Clifford flag from characters, no rep of L built;
+- _key_reports: an enumerated code's report from its maximal witness key;
+- _report: every CodeReport, the containments S <= L, S <= D and the
+  partitioning closed form D = (G minus L) + S.
+Elsewhere: the maximal witness key and trace row T in
+search._maximal_witnesses, a q3 candidate's report in search.q3_probe, and
+the least denominator of a snapped phase in cocycles._snap_phases.
 """
 
 from __future__ import annotations
@@ -179,19 +141,9 @@ class CodeSpace:
 def weak_stabilizer_code(
     model: ProjectiveErrorModel, sub: Subgroup, f: PhaseFunction
 ) -> CodeSpace | None:
-    """Joint eigenspace F = {v : pi(x) v = f(x) v for all x in the subgroup}.
-
-    The one-row case of _eigenspaces: tr P steps of pivoted Cholesky on the
-    average P = (1/|H|) sum_h conj(f(h)) pi(h), each taking the column
-    R e_p / sqrt(R_pp) of the pivot p and removing it from R = P, checked on
-    the whole subgroup.  Returns None when tr P rounds to 0 or below, when a
-    pivot falls short, and when the columns fail the check, because F is
-    zero then.  A nonzero v in F gives f(x) f(y) v = pi(x) pi(y) v =
-    sigma(x,y) f(xy) v, so df = sigma|H.  Then h -> conj(f(h)) pi(h) is a
-    unitary linear rep of H, and P is the orthogonal projector onto its
-    invariant vectors, which are F (see _eigenspaces), so the columns are an
-    orthonormal basis of F and pass the check.  On a monomial model each
-    column is the coset-sum state of one H-orbit of basis indices.
+    """Joint eigenspace F = {v : pi(x) v = f(x) v for all x in the subgroup},
+    None when F is zero: the one-row case of _eigenspaces, where the basis
+    is proved.
 
     f is the caller's, so df = sigma|H is tested on a nonzero code, as
     integer numerators (cocycles._coboundary_rows) when f is exact and to
@@ -519,7 +471,12 @@ def _code_action(model: ProjectiveErrorModel, code: CodeSpace) -> _Action:
 
 def _actions(model: ProjectiveErrorModel, bases: np.ndarray) -> _Action:
     """_code_action of a stack of code bases [..., d, w], each field with the
-    stack's leading axes: one compressed_action against pi's own stack."""
+    stack's leading axes: one compressed_action against pi's own stack.
+    B is an isometry, so |P pi(x) P| and |pi(x) P - P pi(x) P| are |C| and
+    |pi(x) B - B C|.  The commutator [P, pi(x)] needs no product of its
+    own: its blocks (1 - P) pi(x) P and P pi(x) (1 - P) are orthogonal, and
+    pi(x)* is a unit multiple of pi(x^-1), so the second has the norm of
+    the first at x^-1."""
     c, inside, outside = compressed_action(model.rep.matrices, bases)
     scalars, scalar_dev = scalar_deviation(c)
     return _Action(
@@ -566,6 +523,12 @@ def _close_logical(
     computed norms.  A product breaking it shows norms that no unitary
     projective action gives, and raises CodeError.  It is tested on all
     pairs of the closed set at once.
+
+    The iota bound: every element of L is a product of at most |G|
+    elements of the threshold set, each with c < _tol.SCAN, so the bound
+    chained along the product puts c, and so iota, below
+    |G| (_tol.SCAN + 2 _tol.EXACT)(1 + _tol.EXACT)^|G|, about |G| 1.2e-8,
+    on all of L (1.99e-8 was the largest on xp:15 codes tilted by 1e-8).
     """
     closed = np.sort(model.group._closure(members)[0])
     bound = (1 + _tol.EXACT) * (comm[closed][:, None] + comm[closed]) + 2 * _tol.EXACT
@@ -628,8 +591,8 @@ def _stabilizers(
     deviation[x] < _tol.SCAN and ||c_x| - 1| < _tol.SCAN, and
     w = dim W.  By _linalg.compressed_action's lemma |C(x)C(y) -
     sigma(x,y)C(xy)|_F exceeds pi's pair deviation, below _tol.EXACT, by
-    about iota(x^-1) iota(y), under 1e-10 as iota is below |G| 1.2e-8 on L
-    (see _report; on a q3 piece L = H, where the split tests iota
+    about iota(x^-1) iota(y), under 1e-10 by the iota bound on L
+    (_close_logical; on a q3 piece L = H, where the split tests iota
     below _tol.SCAN) and |G| < 800.  So
         eps = |c_x c_y - sigma(x,y) c_xy| < (_tol.EXACT + 3.01 _tol.SCAN)/sqrt(w),
     under 3.2e-8 and far below _tol.DERIVED, to which the floats of an
@@ -777,20 +740,16 @@ def _clifford_flags(
     reader (_key_reports) from the code's trace row, formed with its
     maximal witness (search._maximal_witnesses, where T is stated).  No
     representation of L is built or validated, and none needs to be.  W is
-    L-invariant with no test of its own.  The key reader's L is the set of
-    x with pi(x)W = W exactly.
-    classify's L is {x : act.commutator[x] < _tol.SCAN}, closed by
-    _close_logical, and act.commutator[x] = hypot(iota(x), iota(x^-1)) >=
-    iota(x), with iota(x) = act.inside[x] = |(1 - BB*) pi(x) B|.  So iota is
-    below _tol.SCAN on the elements that passed the test (a NaN commutator
-    fails it and leaves x out of L), and below |G| 1.2e-8 on those the
-    closure added, by its product bound (1.99e-8 was the largest on xp:15
-    codes tilted by 1e-8).  By _linalg.compressed_action's lemma, rho's
-    pair and unitarity deviations then exceed pi's by under 1.1e-16, or
-    (|G| 1.2e-8)^2 + |G| 1.2e-17, 6e-13 at order 64, where the closure
-    added elements; and the restricted cocycle satisfies the cocycle
-    identity, as pi's does.  So validating rho against _tol.EXACT could
-    fail only if the model's rep deviated to within that margin of
+    L-invariant with no test of its own: the key reader's L is the set of
+    x with pi(x)W = W exactly, and on classify's L iota(x) =
+    |(1 - BB*) pi(x) B| <= act.commutator[x] is below _tol.SCAN where x
+    passed the threshold (a NaN fails it) and under the iota bound of
+    _close_logical where the closure added x.  By
+    _linalg.compressed_action's lemma, rho's pair and unitarity deviations
+    then exceed pi's by under 1.1e-16, or 6e-13 at order 64 where the
+    closure added elements, and the restricted cocycle satisfies the
+    cocycle identity, as pi's does.  So validating rho against _tol.EXACT
+    could fail only if the model's rep deviated to within that margin of
     _tol.EXACT.
     """
     order, dim_v = model.group.order, model.dim
@@ -835,9 +794,8 @@ def _report(
     norm, so with iota(x) = act.inside[x] = |(1 - P) pi(x) B|,
     c = act.scalars[x], sd = act.scalar_dev[x] and w = dim W:
     - An element z that _close_logical adds to the threshold set has
-      commutator at least _tol.SCAN, and by its product bound a commutator
-      below about |G| 1.2e-8 (1 + _tol.EXACT)^|G|, far below 1 at any
-      order the caps allow.  So |C|^2 = |pi(z)B|^2 - iota(z)^2, with
+      commutator at least _tol.SCAN, and by its iota bound one far below 1
+      at any order the caps allow.  So |C|^2 = |pi(z)B|^2 - iota(z)^2, with
       |pi(z)B|^2 within sqrt(w) _tol.EXACT of w by pi's unitarity, is about
       w >= 1, and z is mixed.  With nothing mixed, L is the threshold set.
     - x outside L then has commutator at least _tol.SCAN, so, not being
@@ -854,7 +812,7 @@ def _report(
     (there).
 
     W is weak exactly when extra = 0, with the witness |P_E - P_W| =
-    sqrt(extra) otherwise.  A Clifford code on a central-type model is weak
+    sqrt(extra) otherwise, as W <= E.  A Clifford code on a central-type model is weak
     exactly when |G| = |L| |S| (RuntimeError where that criterion disagrees
     with extra) and a stabilizer code when weak with S normal in G, read
     for every S at once (groups._read_cores); any other weak code is a
@@ -927,43 +885,32 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     """classify's report of each code of one subgroup order of
     search.enumerate_weak_stabilizer_codes, from its key (S, f_S): f_S's
     numerators over sigma.den exp(G), -1 off S, and its trace row
-    traces[i, x] = T(x) = tr(P pi(x)), both from search._maximal_witnesses.
-    conj is projreps._conjugation_table(model.cocycle), built once per
-    enumeration.  Each field is one the action path reads, and _report
-    sets the flags and witnesses.
+    traces[i, x] = T(x) = tr(P pi(x)), both from search._maximal_witnesses,
+    which proves them.  conj is projreps._conjugation_table(model.cocycle),
+    built once per enumeration.  Each field is one the action path reads,
+    and _report sets the flags and witnesses.
 
-    - S and f_S are the key, confirmed in integers
-      (search._maximal_witnesses, where the proof is): x acts on W as a
-      unimodular scalar exactly on S, and f_S is that scalar.  W is weak
-      with no witness, as W = W(S, f_S), so extra = 0.
+    - S and f_S are the key, and W = W(S, f_S) is weak: extra = 0.
     - L = {g : pi(g)W = W}.  pi(g) maps the code with key (S, f_S) to the
       code with key (gSg^-1, x -> lambda_g(x) f_S(g^-1 x g)), lambda_g from
       conj, and equal keys are equal codes, so L is the set of g with
       f_S(g y g^-1) = lambda_g(g y g^-1) f_S(y) for every y in S, read in
-      integers (off S the key is -1, so only g normalizing S pass).  A g
-      centralizing S passes exactly when lambda_g is 1 on S, whatever
-      f_S, so that part is read once per distinct S; the other g are read
-      per code, in one gather for the codes of one |S| per block, in the
+      integers (off S the key is -1, so only g normalizing S pass), in the
       least integer type that holds twice the grid.
-    - The character of L on W is T on L (search._maximal_witnesses, where
-      T is formed), read for the codes of one |L| together, with their
-      irreducibility and multiplicity, and the verdicts of all codes in
-      one _clifford_flags.
+    - The character of L on W is T on L, read for the codes of one |L|
+      together, and the verdicts of all codes in one _clifford_flags.
     - When S is normal in G, every x outside L maps W onto W(S, x.f_S),
       another eigenspace of S, orthogonal to W, and x in L acts on W as a
       scalar exactly when x is in S.  So no element is mixed and
       D = (G minus L) + S, with no float action.  When S is not normal, D
       and the first mixed element are the action path's (detectable_set's
       threshold and _first_mixed), read from one stacked action per code
-      dimension (_actions).  _report tests S <= L, S <= D and, on every
-      code with no mixed element, the closed form, so that test checks L
-      too.
+      dimension (_actions).  _report's closed-form test, on every code
+      with no mixed element, checks L too.
 
     S and L are interned once per distinct mask, unchecked
-    (_distinct_subgroups: S is a confirmed key's support and L the
-    stabilizer of W under G), and the normality of every distinct S read
-    at once (groups._read_cores).  D is one [k, |G|] mask, handed to
-    _report whole.  The blocked steps take their codes from
+    (_distinct_subgroups), and the normality of every distinct S read at
+    once (groups._read_cores).  The blocked steps take their codes from
     _linalg._blocks, what one code holds noted at each, and the one
     [k, |G|] float table held is traces.
     """

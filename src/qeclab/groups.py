@@ -9,17 +9,16 @@ private table from sorted member tuple to Subgroup, and all_subgroups,
 subgroup, trivial_subgroup, full_subgroup, subgroup_generated, center
 (and the logical groups, stabilizers and inertia groups of codes and
 projreps) return the table's object.  A member set missing from the table
-is validated by the public constructor Subgroup(parent, members), and is
-stored only once that succeeds, so a set that fails is never cached.  No
-check is lost: a Subgroup never changes its parent or members after
-construction, so the closure check made once holds for every later
-lookup, and the subgroup's as_group(), built when first asked for, is
-shared by every caller of that member set.  as_group() does not run
-FiniteGroup._validate: its table is cut from a validated parent along a
-member set the Subgroup constructor has checked closed, which proves the
-axioms (see Subgroup.as_group).  The public constructors, FiniteGroup(...)
-and group_from_mul_table, validate every table they are given, and the
-public Subgroup constructor is not interned and always validates.
+is validated by the public constructor Subgroup(parent, members), or built
+unchecked where its caller proves it a subgroup (Subgroup._from_valid
+names the proofs), and is stored only once that succeeds, so a set that
+fails is never cached.  A Subgroup never changes its parent or members,
+so a check made once holds for every later lookup, and its as_group(),
+built when first asked for and not validated again (Subgroup.as_group
+proves the axioms), is shared by every caller of that member set.  The
+public constructors, FiniteGroup(...) and group_from_mul_table, validate
+every table they are given, and the public Subgroup constructor is not
+interned and always validates.
 
 Each FiniteGroup also keeps one walk of its right Cayley graph over
 greedy_generators(), built on first use: the generators, the edge ends
@@ -294,13 +293,8 @@ class FiniteGroup:
         all_subgroups), built afresh and not kept.  No order cap is checked
         here: all_subgroups checks its own, and search checks the search
         caps (search._check_caps) before it builds a lattice."""
-        if bad is not None:
-            return self._cyclic_extensions(bad)
-        if self._lattice_members is None:
-            self._lattice_members = self._cyclic_extensions()
-        return self._lattice_members
-
-    def _cyclic_extensions(self, bad=None) -> list[tuple[int, ...]]:
+        if bad is None and self._lattice_members is not None:
+            return self._lattice_members
         e = self.identity
         columns = self.mul.T.tolist()   # columns[g][y] = y * g
         # one representative x per cyclic subgroup, the least index, with the
@@ -350,6 +344,8 @@ class FiniteGroup:
                         queue.append((ext_members, ext_mask, adjoined + [x]))
         lattice = [tuple(sorted(members)) for members, _, _ in queue]
         lattice.sort(key=lambda m: (len(m), m))
+        if bad is None:
+            self._lattice_members = lattice
         return lattice
 
     def quotient(self, normal: "Subgroup") -> tuple["FiniteGroup", np.ndarray]:
@@ -454,21 +450,11 @@ class Subgroup:
     """A subgroup of a FiniteGroup, stored as a sorted member list."""
 
     def __init__(self, parent: FiniteGroup, members):
-        self.parent = parent
-        self.members: tuple[int, ...] = tuple(sorted(set(map(int, members))))
-        self._position: dict[int, int] | None = None   # built by the first position()
-        self._as_group: FiniteGroup | None = None
-        self._normal: bool | None = None
-        self._core: np.ndarray | None = None
-        # id(cocycle) -> (cocycle, its restriction here), kept by Cocycle.restrict
-        self._restrictions: dict = {}
-        if self.members and not 0 <= self.members[0] <= self.members[-1] < parent.order:
+        members = tuple(sorted(set(map(int, members))))
+        if members and not 0 <= members[0] <= members[-1] < parent.order:
             raise GroupValidationError("subgroup members must be elements of the group")
-        # the membership mask, which every check reads, as do membership
-        # tests, is_normal and the codes
-        mem = np.array(self.members, dtype=np.intp)
-        self._inside = inside = np.zeros(parent.order, dtype=bool)
-        inside[mem] = True
+        self._fill(parent, members)
+        mem, inside = np.array(members, dtype=np.intp), self._inside
         if not inside[parent.identity]:
             raise GroupValidationError("subgroup must contain the identity")
         if not inside[parent.mul.take(mem, axis=0).take(mem, axis=1)].all():
@@ -492,12 +478,20 @@ class Subgroup:
         tests/test_interning.py runs __init__'s checks on every subgroup these
         callers build on the catalog models."""
         sub = cls.__new__(cls)
-        sub.parent, sub.members = parent, members
-        sub._position = sub._as_group = sub._normal = sub._core = None
-        sub._restrictions = {}
-        sub._inside = np.zeros(parent.order, dtype=bool)
-        sub._inside[list(members)] = True
+        sub._fill(parent, members)
         return sub
+
+    def _fill(self, parent: FiniteGroup, members: tuple[int, ...]) -> None:
+        """Both constructors' one field setter, on sorted distinct in-range members."""
+        self.parent, self.members = parent, members
+        # caches built on first use: position(), as_group(), is_normal(), _core_mask()
+        self._position = self._as_group = self._normal = self._core = None
+        # id(cocycle) -> (cocycle, its restriction here), kept by Cocycle.restrict
+        self._restrictions: dict = {}
+        # the membership mask, which every check reads, as do membership
+        # tests, is_normal and the codes
+        self._inside = np.zeros(parent.order, dtype=bool)
+        self._inside[list(members)] = True
 
     def __len__(self) -> int:
         return len(self.members)

@@ -175,13 +175,15 @@ def _xp_generators(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1, zeta(n)])
 
 
+def _check_dim(dim: int) -> None:
+    """ModelError when a product's ambient dimension exceeds the cap."""
+    if dim > (cap := max_ambient_dim()):
+        raise ModelError(f"ambient dimension {dim} exceeds cap {cap}; raise QECLAB_MAX_DIM to override")
+
+
 def product_model(m1: ProjectiveErrorModel, m2: ProjectiveErrorModel) -> ProjectiveErrorModel:
     """Tensor product model on the direct product group."""
-    if m1.dim * m2.dim > max_ambient_dim():
-        raise ModelError(
-            f"ambient dimension {m1.dim * m2.dim} exceeds cap {max_ambient_dim()}; "
-            "raise QECLAB_MAX_DIM to override"
-        )
+    _check_dim(m1.dim * m2.dim)
     rep = tensor(m1.rep, m2.rep)
     return ProjectiveErrorModel(rep, label=f"prod({m1.label},{m2.label})")
 
@@ -203,11 +205,7 @@ def perm_product_model(model: ProjectiveErrorModel, n: int) -> ProjectiveErrorMo
     """n-fold tensor power with simultaneous permutation action of S_n."""
     if n < 1:
         raise ModelError("need n >= 1")
-    if model.dim**n > max_ambient_dim():
-        raise ModelError(
-            f"ambient dimension {model.dim ** n} exceeds cap {max_ambient_dim()}; "
-            "raise QECLAB_MAX_DIM to override"
-        )
+    _check_dim(model.dim**n)
     group = permutation_semidirect(model.group, n)
     perms = itertools.permutations(range(n))
     perm_mats = np.array([_tensor_permutation_matrix(p, model.dim) for p in perms])
@@ -343,8 +341,6 @@ D4_COLUMN_NAMES = ["1", "a", "a^3", "a^2", "b", "a^2 b", "a b", "a^3 b"]
 # group element indices for those columns in the dihedral(4) numbering
 # (a^j b = b a^{-j}):
 _D4_COLUMNS = [0, 1, 3, 2, 4, 6, 7, 5]
-
-_D4_ROW_NAMES = ["rho1", "rho2", "rho3", "rho4", "rho5", "chi1", "chi2"]
 
 
 def d4_expected_table() -> dict[str, list[complex]]:

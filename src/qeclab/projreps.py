@@ -89,7 +89,8 @@ class ProjectiveRep:
         tolerance", so a NaN fails it.
         """
         m = self.matrices
-        gram = _unitarity_deviation(m)
+        gram = m @ m.conj().transpose(0, 2, 1)   # m(x) m(x)* - 1 on every matrix
+        gram -= np.eye(m.shape[1])
         if not np.linalg.norm(gram, axis=(1, 2)).max() < _tol.EXACT:
             worst = np.abs(gram).max()
             raise MakeRepError(f"matrices are not unitary (deviation {worst:.2e})")
@@ -223,13 +224,10 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
 
     That cocycle is the one that snapping every scalar gives.  Suppose the
     validation accepts sigma'.  Then every pair deviates by less than
-    _tol.EXACT (below), so every raw scalar lies within
-    _tol.EXACT/sqrt(dim) of sigma'(x, y), and the denominator guard puts
-    sigma' among the phases of denominator at most 4|G|.  Distinct such
-    phases lie at least 2*pi/(16 n^2) apart on the circle, more than twice
-    _tol.EXACT (1e-9) for every order n below 14,000, so no scalar lies
-    within tolerance of two of them, and snapping each scalar returns
-    sigma'.
+    _tol.EXACT (below), so every raw scalar lies within _tol.EXACT of
+    sigma'(x, y), a phase of denominator at most 4|G| by the guard, and
+    snapping it returns sigma'(x, y) (the spacing argument of
+    cocycles._snap_phases, for 4|G| <= 2^15 by the table cap).
 
     The validation checks the n(r+1) Cayley edges (x, c), c in
     [identity, *gens], against delta = _tol.EXACT/(2L), where L is the
@@ -262,12 +260,10 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     validation succeed, the edge scalars snap to the same phases, whose
     fill is that cocycle, so this path accepts the same cocycle; and when
     this path accepts, that is the cocycle every scalar snaps to, as shown
-    above.  The edge scalars are snapped by array steps
-    (cocycles._snap_phases, whose docstring proves that each kept phase is
-    snap_phase's), and a snap failure names the first failing edge (x, y),
-    y in walk.cols, in row-major order over the edge columns, with
-    snap_phase's reason.  A filled entry above the guard names the first
-    such (x, y).
+    above.  The edge scalars are snapped by cocycles._snap_phases, and a
+    snap failure names the first failing edge (x, y), y in walk.cols, in
+    row-major order over the edge columns, with snap_phase's reason.  A
+    filled entry above the guard names the first such (x, y).
     """
     matrices = np.asarray(matrices, dtype=complex)
     n = group.order
@@ -320,13 +316,6 @@ def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarr
         sums -= (sums // den) * den
         table[x] = sums.T
     return table
-
-
-def _unitarity_deviation(m: np.ndarray) -> np.ndarray:
-    """m(x) m(x)* - 1 for every matrix of a stack."""
-    gram = m @ m.conj().transpose(0, 2, 1)
-    gram -= np.eye(m.shape[1])
-    return gram
 
 
 def _edge_tolerance(walk) -> float:
@@ -506,12 +495,11 @@ def _reynolds(m1: np.ndarray, m2: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _intertwiner_count(r1: ProjectiveRep, r2: ProjectiveRep) -> int:
-    """dim Hom(r1, r2) for reps with one cocycle: <chi_r1, chi_r2> as an
-    integer; RuntimeError when it is not one to _tol.DERIVED."""
-    if r1.cocycle != r2.cocycle:   # the cocycle compares the group orders too
-        raise ValueError("characters carry different cocycles")
-    chi1, chi2 = r1.character().values, r2.character().values
-    return int(_integer_counts(np.mean(chi1 * np.conj(chi2), keepdims=True))[0])
+    """dim Hom(r1, r2) for reps with one cocycle: inner_product of their
+    characters as an integer; RuntimeError when it is not one to
+    _tol.DERIVED.  Its callers (hom_space, codes.clifford_code and
+    mackey_character_defect) compare the groups and cocycles first."""
+    return int(_integer_counts(np.array([inner_product(r1.character(), r2.character())]))[0])
 
 
 def _integer_counts(totals: np.ndarray) -> np.ndarray:

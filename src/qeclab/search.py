@@ -5,78 +5,20 @@ enumeration would silently break the completeness claims downstream tests
 rely on.  Their max_order and max_dim replace the environment caps,
 max_group_order() and max_ambient_dim(16), in either direction; None keeps
 them.  The caps are checked once, before any lattice is built
-(_check_caps); the lattice (FiniteGroup._lattice, pruned or not) checks
-none of its own.
-
-enumerate visits only the subgroups H with no commuting pair x, y of
-nontrivial pairing beta(x, y) = sigma(x, y) / sigma(y, x): a trivializer f
-gives beta(x, y) = 1 on every such pair, so no other H carries a code.  The
-test (cocycles._pairing_defects) prunes the lattice as it is built, so a
-rejected H is never interned, restricted or solved.  It is exact on
-abelian H (Kleppner, Math. Ann. 158, 1965) but only necessary on others
-(Moravec, Amer. J. Math. 134, 2012), so every non-abelian survivor is
-still solved.  On an abelian survivor the trivializer is read by cyclic
-extension with no solve (cocycles._cyclic_extensions).  A Clifford code
-needs no admissible phase, so q3_probe walks the unpruned lattice, with
-the one early exit its docstring proves.
-
-enumerate works one subgroup order at a time, as q3_probe does: the
-pruned lattice is sorted by (order, members), and the rows (H, f) of every
-subgroup of one order are read together from whole arrays.  Their exact
-constituents and one segment sum of their dimensions come from codes
-(_constituents), their keys and trace rows from one blocked trace
-product (_maximal_witnesses), and the codes of the new keys from one blocked
-projector average and its pivoted Cholesky, with no eigh
-(codes._eigenspaces, where the proof is): a code's basis is read from
-its projector P as the columns R e_p / sqrt(R_pp) of successive pivots
-p, R the part of P not yet taken, so on a monomial model each column is
-the coset-sum state of one H-orbit of basis indices.  Deduplication is
-exact and compares no projector: enumerate keys each code by its
-maximal witness (S, f_S), read from characters and confirmed in
-integers, and keeps the first key in lattice order; q3_probe's
-candidates are distinct by construction (see there).
-enumerate reads the reports of each order's new codes from the same keys
-and trace rows as it builds the codes (codes._key_reports), and attaches
-each to its code, where codes.classify finds it: S and f_S are the key, L
-is the set of g that fix it, its character on the code is the trace row
-on L, and D = (G minus L) + S where S is normal, so only the
-codes whose S is not normal are acted on.  search builds no report
-itself: it hands codes the invariants it reads, D as a mask and each
-code's first mixed element, and codes._report builds every CodeReport,
-tests S <= L, S <= D and the partitioning closed form, and sets the
-partitioning verdict.
-
-df = sigma|H is tested where a phase enters from outside, and proved
-where the library builds it.  codes.weak_stabilizer_code tests the caller's
-f; every trivializer f0 is tested in integers where it is made, by the
-cyclic extension or by cocycles.find_trivializing_phase; and each maximal
-witness key is confirmed in integers (_maximal_witnesses).  The rows
-f0 chi that enumerate hands to codes._eigenspaces are admissible by
-construction and are not tested again, and a classified code's stabilizer
-phase is proved admissible in codes._stabilizers.
-
-q3_probe splits each restriction pi|H into irreducible pieces on the
-eigenspaces of a random commutant element (_split_restrictions), all
-subgroups of one order together: one Reynolds average, one eigh and one
-compression by the whole eigenvector matrix V per block of them, read
-from pi's own stack with no restricted rep built.  A piece on columns B
-of V is accepted by the rule classify applies to a code: its action
-C = B* pi B is a diagonal block of V* pi V, its invariance norms
-|(1 - BB*) pi(x) B| are the norms of the rest of its column block
-(_linalg.compressed_action's block lemma), every norm must be below
-_tol.SCAN, and the lemma stated there makes C a projective rep with pi's
-cocycle, so no piece is validated again.  A candidate's code is its
-piece's basis B, and its report is read from the piece in closed form
-(_clifford_reports): pi is induced from the piece, so no action of G on
-the code is computed.
-The reports of one subgroup order are read from whole arrays over all
-its kept pieces: one blocked intertwiner product, one orthonormality
-test, one stabilizer reader (codes._stabilizers: one snap and one gcd
-reduction), one segment sum for the dimension counts
-(codes._dimension_counts) and one boolean array for the detectable sets,
-so each piece only hands its invariants to codes._report, which tests
-the containments and the closed form and reads the normality of S for
-all of them.
+(_check_caps).  Both walk the lattice one subgroup order at a time, the
+rows of one order read together from whole arrays, and build no
+CodeReport themselves (codes._report builds every one).  Each proof is
+stated once, by the function that owns it:
+- enumerate_weak_stabilizer_codes: the commuting-pair pruning;
+- _maximal_witnesses: the maximal witness key (S, f_S), confirmed in
+  integers, which makes the dedup exact, and the trace row T;
+- codes._eigenspaces: a code's basis, with no eigh;
+- codes._key_reports: an enumerated code's report from its key and T;
+- _split_restrictions: the irreducible pieces of pi|H and their tests;
+- q3_probe: a candidate's Clifford report, read from its piece
+  (_clifford_reports), and the probe's early exit;
+- codes._report: the partitioning closed form;
+- cocycles._snap_phases: the least denominator of a snapped phase.
 """
 
 from __future__ import annotations
@@ -230,26 +172,25 @@ def enumerate_weak_stabilizer_codes(
 ) -> list[tuple[Subgroup, PhaseFunction, CodeSpace]]:
     """Every weak stabilizer code of the model, one (H, f) witness per space.
 
-    For each subgroup that passes the commuting-pair test (see the module
-    docstring) the trivializing phase fixes the coset of admissible phase
-    functions; the 1-dimensional constituents of the untwisted
-    restriction supply exactly the members of that coset with nonzero code.
-    Deduplicated by maximal witness (_maximal_witnesses), which is exact:
-    first witness kept, subgroups in order.
+    Only the subgroups H with no commuting pair x, y of nontrivial pairing
+    beta(x, y) = sigma(x, y) / sigma(y, x) are visited: a trivializer f
+    gives beta(x, y) = 1 on every such pair, so no other H carries a code.
+    The test (cocycles._pairing_defects) prunes the lattice as it is built
+    (FiniteGroup._lattice), so a rejected H is never interned, restricted
+    or solved.  It is exact on abelian H (Kleppner, Math. Ann. 158, 1965)
+    but only necessary on others (Moravec, Amer. J. Math. 134, 2012), so
+    every non-abelian survivor is still solved (codes._constituents).
 
-    Subgroups come from the pruned lattice, one subgroup order at a time,
-    whose rows are read together: their constituents (codes._constituents),
-    keys (_maximal_witnesses), the dedup in lattice order, and the codes of
-    the new keys (codes._eigenspaces), with no df = sigma|H test: each row
-    f0 chi is admissible by construction.  A code's f is its report's
-    stabilizer phase where the key's S is H itself, as the key agrees
-    with f on H (confirmation (a)); the other phases come from one
-    PhaseFunction._runs.  No two projectors are compared and no random
-    number is drawn.  Each order's new codes get their reports from their keys
-    and trace rows (codes._key_reports, on the conjugation table built once
-    here, as the trace table is), each attached as code._source, which
-    codes.classify returns, and a read-only basis, so that no report goes
-    stale.
+    The rows (H, f) of one subgroup order are read together: the
+    admissible f with a nonzero code (codes._constituents), their keys and
+    trace rows (_maximal_witnesses), the dedup, which keeps the first of
+    each key in lattice order and compares no projector, and the codes of
+    the new keys (codes._eigenspaces).  A code's f is its report's
+    stabilizer phase where the key's S is H itself, as the key agrees with
+    f on H (confirmation (a)).  Each new code's report, read from its key
+    and trace row (codes._key_reports), is attached as code._source, which
+    codes.classify returns, and its basis made read-only so that no report
+    goes stale.  No random number is drawn.
     """
     _check_caps(model, max_order, max_dim)
     g, sigma = model.group, model.cocycle
@@ -423,20 +364,14 @@ def _split_draw(mats: np.ndarray, seed: int) -> list:
 
 
 def _clifford_reports(model, kept):
-    """classify's report of each candidate's code, read from its piece (see
-    q3_probe).
+    """classify's report of each candidate's code, read from its piece in
+    closed form: q3_probe proves it field by field.
 
     kept lists (H, rho, B) for the pieces (rho, B) of pi|H
     (_split_restrictions) with dim rho = |H| / dim pi, for subgroups H of
-    one order, so every piece has one shape.  RuntimeError when a B fails the
-    intertwiner test, one product per block of pieces, and CodeError when
-    a B fails CodeSpace's orthonormality test.  Every piece's S and f_S
-    are read together (codes._stabilizers), and RuntimeError is raised
-    when a stabilizer phase does not snap, which its proof there rules
-    out.  The dimension counts (codes._dimension_counts) and detectable
-    sets are read together too, and codes._report builds each piece's
-    report with the Clifford flag (True, None), no mixed element and
-    extra = dim E - dim W, and tests the containments and closed form.
+    one order, so every piece has one shape.  RuntimeError when a B fails
+    the intertwiner test or a stabilizer phase does not snap, and
+    CodeError when a B fails CodeSpace's orthonormality test.
     """
     d = model.dim
     subs, rhos, bases = zip(*kept)
@@ -482,9 +417,8 @@ def q3_probe(
     isomorphic constituents tie, and they fail the multiplicity-one test,
     so the order depends on no random draw.  Each report is the one
     codes.classify gives the candidate's code, read from its constituent
-    with no action of G on the code (_clifford_reports; proof below).
-    The pieces of all subgroups of one order have one shape, so their
-    reports are read together, subgroup order by subgroup order.
+    with no action of G on the code (_clifford_reports; proof below), for
+    all subgroups of one order together.
 
     No candidate repeats a code, so none is deduplicated.  A candidate
     (H, rho) has <rho, pi|H> = 1 and dim rho [G:H] = dim pi.  By Frobenius
@@ -516,9 +450,7 @@ def q3_probe(
       exactly when dim rho = target;
     - the intertwiner test on every h in H, with t = B:
       |pi(h)B - B rho(h)|_F <= _tol.SCAN sqrt(dim rho) = _tol.SCAN |B|_F,
-      clifford_code's bound, and RuntimeError otherwise.  It runs on the
-      kept pieces of every subgroup of one order together, one product per
-      order block (_clifford_reports);
+      clifford_code's bound, and RuntimeError otherwise;
     - injectivity: B has orthonormal columns, tested as CodeSpace tests
       them (CodeError otherwise).
 
@@ -538,21 +470,20 @@ def q3_probe(
       reads too.  So S and f_S are read by codes._stabilizers, classify's
       reader, on _linalg.scalar_deviation(rho): scalar deviation and
       ||c| - 1| both below _tol.SCAN, f_S snapped on the grid
-      sigma.den exp(G) with denominators up to 4|G|, one snap and one gcd
-      reduction for all pieces of one subgroup order.  Its proof that
+      sigma.den exp(G) with denominators up to 4|G|.  Its proof that
       every entry snaps, and of df_S = sigma|S, holds as it stands, so a
       piece with an entry that fails to snap raises RuntimeError.
     - is_clifford: |L| dim V = |H| dim V = w |G|, rho is irreducible and
       occurs once in pi|H, as listed above.  So the flag holds with no
       witness, and classify's central-type branch applies: is_weak is
-      code_dimension_formula(S, f_S) = w, counted for all pieces of one
-      order in one segment sum (codes._dimension_counts, classify's
-      integer test) and handed to codes._report as extra = dim E - w, which
-      sets the witness text; it must agree with |G| = |H| |S|
+      code_dimension_formula(S, f_S) = w, counted by classify's integer
+      test (codes._dimension_counts) and handed to codes._report as
+      extra = dim E - w, which sets the witness text; it must agree with |G| = |H| |S|
       (RuntimeError otherwise), and is_stabilizer is is_weak and S normal
       in G.
 
-    Every H whose index divides dim pi is walked, and the hits are the
+    Every H of the unpruned lattice whose index divides dim pi is walked
+    (a Clifford code needs no admissible phase), and the hits are the
     candidates with |G| = |H| |S| and S not normal in G.  On an abelian G
     every subgroup is normal, so a call for hits only returns [] before it
     builds the lattice.

@@ -436,7 +436,7 @@ def enumerate_codes_loop(model) -> tuple[list, list]:
         for i, p in zip(new, proj):
             assert round(np.trace(p).real) == dims[i]
             code = CodeSpace(n, pivoted_cholesky_basis(p, int(dims[i])))
-            found.append((sub, PhaseFunction._from_num(sub, nums[i], den, floats=values[i]), code))
+            found.append((sub, PhaseFunction._runs([sub], nums[i], den, floats=values[i])[0], code))
             keys.append(num[i])
     return found, keys
 

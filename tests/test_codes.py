@@ -1052,7 +1052,7 @@ def test_weak_stabilizer_code_tests_delta_on_tables_cut_from_the_group(monkeypat
         turned = list(f.phases)
         turned[-1] = turned[-1] * Phase(1, 3)
         bad = PhaseFunction.exact(sub, turned)
-        floats = [PhaseFunction._from_num(sub, g.num, g.den, np.zeros(len(sub), dtype=bool), g.values)
+        floats = [PhaseFunction._runs([sub], g.num, g.den, np.zeros(len(sub), dtype=bool), g.values)[0]
                   for g in (f, bad)]
         code = weak_stabilizer_code(model, sub, f)
         assert code is not None and not floats[0].is_exact

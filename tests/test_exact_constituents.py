@@ -124,7 +124,7 @@ def test_cyclic_extension_trivializes_and_lists_the_characters(spec, seed):
         f0, den, chars, e = cyclic_extension(model.cocycle, sub.members)
         res = model.cocycle.restrict(sub)
         assert cocycles._coboundary_rows(f0[None], den, sub.as_group().mul, res.num, res.den)[0]
-        assert PhaseFunction._from_num(sub, f0, den).phases == extension_trivializer(model, sub).phases
+        assert PhaseFunction._runs([sub], f0, den)[0].phases == extension_trivializer(model, sub).phases
         want, e_want = _linear_characters(sub.as_group())
         assert e == e_want and np.array_equal(chars, want), sub.members
 

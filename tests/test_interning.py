@@ -354,3 +354,18 @@ def test_the_character_is_computed_once_with_read_only_values():
     assert np.allclose(chi.values, np.trace(rep.matrices, axis1=1, axis2=2), atol=1e-12)
     with pytest.raises(ValueError):
         chi.values[0] = 0
+
+
+@pytest.mark.parametrize("spec", ["pauli:2", "c2d2n:3", "oddfam:3"])
+def test_the_checked_and_unchecked_subgroup_constructors_set_the_same_fields(spec):
+    # a field added to one constructor and missed by the other shows here
+    g = parse_model_spec(spec).model.group
+    for members in g._lattice():
+        checked, unchecked = Subgroup(g, members), Subgroup._from_valid(g, members)
+        assert sorted(vars(checked)) == sorted(vars(unchecked))
+        for name, value in vars(checked).items():
+            other = getattr(unchecked, name)
+            if name == "_inside":
+                assert value.dtype == other.dtype and np.array_equal(value, other)
+            else:
+                assert value is other or value == other, name

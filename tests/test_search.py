@@ -1178,7 +1178,7 @@ def test_a_forged_non_integer_count_raises_the_dimension_formula_error(monkeypat
     def forge(*args):
         stabs, phases = raw(*args)
         f = phases[-1]
-        phases[-1] = cocycles.PhaseFunction._from_num(f.domain, f.num, f.den, None, f.values * 0.7)
+        phases[-1] = cocycles.PhaseFunction._runs([f.domain], f.num, f.den, None, f.values * 0.7)[0]
         forged.append((stabs[-1], phases[-1]))
         return stabs, phases
 

@@ -1,7 +1,8 @@
 """tools/source_lines.py, whose per-module line counts CHANGES.md quotes, and
 source checks that each top-level name of qeclab is defined in one module,
 that no module imports a name it never uses, that every private function
-is used in the package, that only _linalg names the row-block bound, that
+and every private top-level name is used in the package, that only _linalg
+names the row-block bound, that
 only search builds and reads the trace table, and that building models and
 searching them imports no numpy.ma."""
 
@@ -89,7 +90,7 @@ def _private_functions(tree):
 def _references(tree):
     """Names a module reads, attributes it looks up, and names it imports."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -102,6 +103,16 @@ def test_every_private_function_is_referenced_in_the_package():
     # the package: tests wrap what they need in tests/helpers.py
     trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
     defined = {name for tree in trees for name in _private_functions(tree)}
+    referenced = {name for tree in trees for name in _references(tree)}
+    assert sorted(defined - referenced) == []
+
+
+def test_every_private_top_level_name_is_read_in_the_package():
+    # a private constant or class bound at a module's top level that nothing
+    # reads is dead code, as an unused private function is
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    defined = {name for tree in trees for name in _top_level_names(tree)
+               if name.startswith("_") and not name.startswith("__")}
     referenced = {name for tree in trees for name in _references(tree)}
     assert sorted(defined - referenced) == []
 
