@@ -29,7 +29,9 @@ def _blocks(count: int, per_row: int) -> list[slice]:
     """Consecutive slices of range(count), in order, each of at most
     _PRODUCT_BLOCK_ENTRIES // per_row rows (one row at least), per_row being
     the entries one row of the pass holds; the last stops at count.  An
-    n x n table pass, per_row n, is one block for n up to 128."""
+    n x n table pass, per_row n, is one block for n up to 128.  A function
+    of several passes blocks each by what its own row holds, not all by the
+    largest (codes._eigenspaces, search._maximal_witnesses)."""
     rows = max(1, _PRODUCT_BLOCK_ENTRIES // max(per_row, 1))
     return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
 

@@ -416,17 +416,16 @@ class PhaseFunction:
         num, den, mask = _numerators(phases)
         if floats is None and not mask.all():
             raise ValueError("inexact entries need explicit float values")
+        num.setflags(write=False)
         self._set(domain, num, den, mask, floats)
         self._phases = phases
 
     def _set(self, domain: Subgroup, num: np.ndarray, den: int, mask: np.ndarray, floats) -> PhaseFunction:
+        """The fields, num read-only already: __init__ and _runs freeze one
+        array for all the functions they build."""
         if len(num) != len(domain):
             raise ValueError("value count does not match subgroup order")
-        self.domain = domain
-        self.num = num
-        self.num.flags.writeable = False
-        self.den = den
-        self.exact_mask = mask
+        self.domain, self.num, self.den, self.exact_mask = domain, num, den, mask
         self.values = _phase_values(num, den) if floats is None else np.asarray(floats, dtype=complex)
         self._phases: tuple[Phase | None, ...] | None = None
         return self
@@ -441,17 +440,22 @@ class PhaseFunction:
         entries.  _phase_values reduces each entry itself, so values read
         before the reduction are its values after.  One run keeps the arrays
         it is given, as no slice of them is taken: a function built alone
-        holds no view of a larger array."""
+        holds no view of a larger array.  The reduced numerators are one
+        array made read-only once, so each run's slice is too: setting
+        ndarray.flags per function took 0.8 us, a third of its cost."""
         num = np.asarray(num, dtype=np.int64) % den
         mask = np.ones(len(num), dtype=bool) if mask is None else mask
         if len(domains) == 1:
             g = math.gcd(int(np.gcd.reduce(num[mask], initial=0)), den)
-            return [cls.__new__(cls)._set(domains[0], num // g, den // g, mask, floats)]
+            num = num // g
+            num.setflags(write=False)
+            return [cls.__new__(cls)._set(domains[0], num, den // g, mask, floats)]
         floats = _phase_values(num, den) if floats is None else floats
         sizes = [len(domain) for domain in domains]
         cuts = [0, *itertools.accumulate(sizes)]
         g = np.gcd(np.gcd.reduceat(num * mask, cuts[:-1]), den)
         num = num // np.repeat(g, sizes)
+        num.setflags(write=False)   # and so every run, a view of it
         return [cls.__new__(cls)._set(domain, num[a:b], q, mask[a:b], floats[a:b])
                 for domain, a, b, q in zip(domains, cuts, cuts[1:], (den // g).tolist())]
 
@@ -753,89 +757,102 @@ def _cyclic_extensions(sigma: Cocycle, members: np.ndarray):
     numerators over M, reduced, and chars every linear character of H as
     rows of numerators over e = exp(H), in _linear_characters' order; each
     on the members in order.  A row fails ok when beta != 1 on a pair of
-    H's greedy generators (see find_trivializing_phase), as no trivializer
+    the generators x below (see find_trivializing_phase), as no trivializer
     exists then.  No restricted cocycle, subgroup group or integer system
-    is built: H's product tables are read on positions from one [b, |G|]
-    position table, sigma|H is gathered once for the block, and each row's
-    coset walk runs on Python lists.
+    is built: H's product and cocycle tables are gathered on positions,
+    [b, h, h], once, and each step below is a few gathers and scatters on
+    [b, h] arrays, all rows at once.
 
-    Walk H's greedy generators x (its members in order, each kept when it
-    lies outside the subgroup K its predecessors generate), with m the
-    least m >= 1 with x^m in K; H abelian makes K<x> the m cosets K x^j.
-    Given f on K with df = sigma|K, df = sigma on K<x> forces
+    Each step takes on every row the least position x outside the subgroup
+    K built so far, at first {e}, reads x's powers up to the identity, m
+    the least m >= 1 with x^m in K, and adds the m cosets K x^j, whose
+    union is K<x> as H is abelian.  So the x are H's greedy generators, |K| at least doubles, and
+    there are at most log2 h steps; a row whose K is H already sits a step
+    out, and rows with different m share a step.  Given f on K with
+    df = sigma|K, df = sigma on K<x> forces
         f(x^j) = a_j + j c,  a_0 = sigma(e, e),  a_(j+1) = a_j - sigma(x^j, x),
         f(k x^j) = f(k) + f(x^j) - sigma(k, x^j),
     with c = f(x), and x^m in K asks m c = f(x^m) - a_m.  In numerators
     over M, at first the least denominator of sigma|H, c is the least
-    solution mod M; only when gcd(m, M) does not divide the right side is M
-    refined to mM, where c exists.  So f0 depends on sigma|H alone.
-    A solution always gives a trivializer of sigma|K<x>: beta = 1 on the
-    abelian H makes sigma|H a coboundary (Kleppner, Math. Ann. 158, 1965),
-    and a trivializer F of it is f chi on K for a character chi of K, which
-    extends to K<x>, so F / chi extends f and solves the equation; any two
-    solutions differ by a character of the cyclic K<x> / K.  Every result
-    is still tested, df0 = sigma|H in integers (RuntimeError otherwise), as
-    find_trivializing_phase tests its own: all rows at once, on the common
-    grid sigma.den |H|, which every M divides before its reduction (the
-    least denominator divides sigma.den, and the refinements multiply it by
-    coset counts whose product divides |H|).  df0 = sigma makes sigma.den f0
-    a character, so the reduced M divides sigma.den exp(H).
+    solution mod M: with r = gcd(m, M), N = M / r and R the right side over
+    r, it is (R + s N) / (m / r) for the one s < m / r that makes it an
+    integer, as m / r is prime to N.  Only when r does not divide the right
+    side is M refined to mM, where c exists.  So f0 depends on sigma|H
+    alone.  A solution always gives a trivializer of sigma|K<x>: beta = 1
+    on the abelian H makes sigma|H a coboundary (Kleppner, Math. Ann. 158,
+    1965), and a trivializer F of it is f chi on K for a character chi of
+    K, which extends to K<x>, so F / chi extends f and solves the equation;
+    any two solutions differ by a character of the cyclic K<x> / K.  Every
+    result is still tested, df0 = sigma|H in integers (RuntimeError
+    otherwise), as find_trivializing_phase tests its own: all rows at once,
+    on the common grid sigma.den |H|, which every M divides before its
+    reduction (the least denominator divides sigma.den, and the refinements
+    multiply it by coset counts whose product divides |H|).  df0 = sigma
+    makes sigma.den f0 a character, so the reduced M divides
+    sigma.den exp(H).
 
-    The characters are the case sigma = 0 over M = e: every solution c of
-    m c = chi(x^m) mod e, the m values c0 + s e / m in increasing order, so
-    rows come out in lexicographic order of their values on the greedy
-    generators, which are sub.as_group()'s; an abelian H has |H| of them.
+    The characters are the case sigma = 0 over M = e.  Every y in H is
+    x_1^j_1 ... x_s^j_s with j_t < m_t in one way, its coordinates, so
+    chi(y) = sum_t j_t c_t mod e, where c_t = chi(x_t) is one of the m_t
+    solutions of m_t c = chi(x_t^m_t) mod e, c0 + u e / m_t in increasing
+    order of u.  Character n takes the u_t-th, where u_1 u_2 ... u_s is n
+    in mixed radix m_1, ..., m_s, u_1 most significant, so the rows come
+    out in lexicographic order of their values on the generators, which
+    are sub.as_group()'s greedy ones; an abelian H has |H| of them.
     exp(H) is the lcm of the generators' orders, as H is abelian.
+
+    Each gather and scatter reads and writes the entries of its own row,
+    so every row gets the results it gets alone.
     """
     g, (b, h) = sigma.group, members.shape
+    at = np.arange(b)
     pos = np.zeros((b, g.order), dtype=np.int64)   # [i, x]: x's position among row i's members
-    pos[np.arange(b)[:, None], members] = np.arange(h)   # and mul holds H's tables on positions
-    mul = np.take_along_axis(pos[:, None], g.mul[members[:, :, None], members[:, None, :]], axis=2)
+    pos[at[:, None], members] = np.arange(h)   # and mul holds H's tables on positions
+    mul = pos[at[:, None, None], g.mul[members[:, :, None], members[:, None, :]]]
     t = sigma.num[members[:, :, None], members[:, None, :]]
     q = np.gcd(np.gcd.reduce(t, axis=(1, 2)), sigma.den)   # sigma|H over its least denominator
-    ok, walks = [], [([*range(h)], [0] * h, 1, [[0] * h] * h, 1)]   # row 0 keeps the shapes; dropped
-    for rows, tab, den, ident in zip(mul.tolist(), (t // q[:, None, None]).tolist(),
-                                     (sigma.den // q).tolist(), pos[:, g.identity].tolist()):
-        built, where = [ident], {ident: 0}   # H's elements in the order the cosets add them
-        steps, gens, e = [], [], 1
-        for x in range(h):
-            if x in where:
-                continue
-            powers, y, z, order = [ident], x, x, 1
-            while y not in where:
-                powers.append(y)
-                y = rows[y][x]
-            while z != ident:
-                z, order = rows[z][x], order + 1
-            e, size = math.lcm(e, order), len(built)
-            steps.append((size, powers, where[y]))
-            gens.append(x)
-            for p in powers[1:]:
-                for k in built[:size]:
-                    where[rows[k][p]] = len(built)
-                    built.append(rows[k][p])
-        ok.append(not any((tab[x][y] - tab[y][x]) % den for x in gens for y in gens))   # beta = 1
-        if not ok[-1]:
-            continue
-        f, modulus, chars = [tab[ident][ident]], den, [[0]]
-        for size, powers, top in steps:
-            m = len(powers)
-            a = list(itertools.accumulate((-tab[p][powers[1]] for p in powers), initial=tab[ident][ident]))
-            if (f[top] - a[m] * (modulus // den)) % math.gcd(m, modulus):
-                modulus, f = modulus * m, [v * m for v in f]
-            r, scale = math.gcd(m, modulus), modulus // den
-            c = (f[top] - a[m] * scale) % modulus // r * pow(m // r, -1, modulus // r) % (modulus // r)
-            f = [(v + (a[j] - tab[k][p]) * scale + j * c) % modulus
-                 for j, p in enumerate(powers) for v, k in zip(f, built[:size])]
-            chars = [[(v + j * c) % e for j in range(m) for v in chi]
-                     for chi in chars for c in range(chi[top] // m, e, e // m)]
-        walks.append((built, f, modulus, chars, e))
-    ok = np.array(ok, dtype=bool)
-    built, f, modulus, chars, e = (np.array(col, dtype=np.int64)[1:] for col in zip(*walks))
-    order = np.argsort(built, axis=1)   # walk order -> member order
-    f, chars = np.take_along_axis(f, order, axis=1), np.take_along_axis(chars, order[:, None], axis=2)
-    common = sigma.den * h
-    if not _coboundary_rows(f * (common // modulus)[:, None], common, mul[ok], t[ok], sigma.den).all():
+    tab, den, one = t // q[:, None, None], sigma.den // q, pos[:, g.identity]
+    inside, a0 = one[:, None] == np.arange(h), tab[at, one, one]   # K, [b, h], and sigma(e, e)
+    f = np.where(inside, a0[:, None], 0)                   # on K, over modulus
+    e, modulus, ok, steps = np.ones(b, dtype=np.int64), den, np.ones(b, dtype=bool), []
+    while not inside.all():
+        live = ~inside.all(axis=1)
+        x = np.where(live, (~inside).argmax(axis=1), one)
+        powers = [one, x]   # x^j, until every row is back at e
+        while (powers[-1] != one).any():
+            powers.append(mul[at, powers[-1], x])
+        powers = np.array(powers).T
+        m = inside[at[:, None], powers[:, 1:]].argmax(axis=1) + 1
+        e = np.lcm(e, (powers[:, 1:] == one[:, None]).argmax(axis=1) + 1)
+        top, shift = powers[at, m], tab[at[:, None], powers, x[:, None]]
+        a = a0[:, None] - np.cumsum(shift, axis=1) + shift   # a_j
+        rhs = f[at, top] - a[at, m] * (modulus // den)
+        times = np.where(rhs % np.gcd(m, modulus) != 0, m, 1)   # M refined to mM: f and the right side too
+        f, modulus, rhs = f * times[:, None], modulus * times, rhs * times
+        scale, r = modulus // den, np.gcd(m, modulus)
+        c = rhs % modulus // r   # R, the solution where m / r = 1
+        if (m > r).any():
+            v = c[:, None] + np.arange((m // r).max()) * (modulus // r)[:, None]
+            c = v[at, (v % (m // r)[:, None] == 0).argmax(axis=1)] // (m // r)
+        rows, k, j = np.nonzero((inside & live[:, None])[:, :, None] & (np.arange(m.max()) < m[:, None, None]))
+        p = powers[rows, j]
+        to = mul[rows, k, p]
+        f[rows, to] = (f[rows, k] + (a[rows, j] - tab[rows, k, p]) * scale[rows] + j * c[rows]) % modulus[rows]
+        for y, lived, *_, coords in steps:   # beta = 1 on each pair of generators, and y's coordinates
+            ok &= ~(live & lived) | ((tab[at, x, y] - tab[at, y, x]) % den == 0)
+            coords[rows, to] = coords[rows, k]
+        coords = np.zeros((b, h), dtype=np.int64)
+        coords[rows, to], inside[rows, to] = j, True
+        steps.append((x, live, m, top, coords))
+    chars, done = np.zeros((b, h, h), dtype=np.int64), 1
+    for *_, m, top, coords in steps:
+        done = done * m
+        digit = np.arange(h) // (h // done)[:, None] % m[:, None]            # u_t of each character
+        c = chars[at, :, top] // m[:, None] + digit * (e // m)[:, None]   # chi(x_t)
+        chars = (chars + c[:, :, None] * coords[:, None]) % e[:, None, None]
+    if not ok.all():
+        f, modulus, chars, e, mul, t = (col[ok] for col in (f, modulus, chars, e, mul, t))
+    if not _coboundary_rows(f * (sigma.den * h // modulus)[:, None], sigma.den * h, mul, t, sigma.den).all():
         raise RuntimeError("cyclic extension produced a non-trivializing phase function")
     q = np.gcd(np.gcd.reduce(f, axis=1), modulus)
     return ok, f // q[:, None], modulus // q, chars, e

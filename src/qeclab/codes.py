@@ -17,8 +17,11 @@ once, by the function that owns it:
 - _report: every CodeReport, the containments S <= L, S <= D and the
   partitioning closed form D = (G minus L) + S.
 Elsewhere: the maximal witness key and trace row T in
-search._maximal_witnesses, a q3 candidate's report in search.q3_probe, and
-the least denominator of a snapped phase in cocycles._snap_phases.
+search._maximal_witnesses, a q3 candidate's report in search.q3_probe,
+the trivializer and characters of an abelian H in
+cocycles._cyclic_extensions, the least denominator of a snapped phase in
+cocycles._snap_phases, and the block rule, each pass blocked by what its
+own row holds, in _linalg._blocks.
 """
 
 from __future__ import annotations
@@ -229,56 +232,61 @@ def _eigenspaces(
 
     Every row is checked: |pi(h) B_i - f_i(h) B_i| <= _tol.SCAN entrywise
     on every h (None otherwise), and CodeSpace's orthonormality test on each
-    B_i (CodeError otherwise), both read on the w columns of every row of
-    a block, w its largest rank, and kept on B_i's columns.
+    B_i (CodeError otherwise), both read on the w columns of every row, w
+    the largest rank, and kept on B_i's columns.
 
-    Rows run in blocks (_linalg._blocks), row i holding its gathered
-    pi|H_i, |H| d^2 entries, the three temporaries of the check, |H| d w
-    entries each with w the largest expected rank, and P_i and B_i.  Each
-    block takes one gather, one stacked product for the averages, w_i steps
-    on all its rows at once and one product for the check.  Row i's bytes
-    depend on neither the other rows nor the blocks: P_i is one row-vector
-    product against pi|H_i flattened, as a stacked matmul makes it for each
-    row on its own, and each step acts on each row on its own, entry by
-    entry.  So every row gets the basis weak_stabilizer_code gives it.
+    Three passes, each in blocks of what its own row holds (_linalg._blocks):
+    P_i from the gathered pi|H_i, |H| d^2 + d^2 entries; the w steps and the
+    orthonormality test on R and B_i, d^2 + d w; and the invariance check on
+    a second gather of pi|H_i and the products pi(h) B_i and f_i(h) B_i,
+    |H| d (d + 2w).  The P_i of all rows are held between the first two,
+    k d^2 entries, no more than the search's [k, |G|] trace rows, as an
+    irreducible model has d^2 <= |G|.  Row i's bytes depend on neither the other rows nor the
+    blocks: P_i is one row-vector product against pi|H_i flattened, as a
+    stacked matmul makes it for each row on its own, and each step acts on
+    each row on its own, entry by entry.  So every row gets the basis
+    weak_stabilizer_code gives it.
     """
     n, (k, m) = model.dim, members.shape
-    w = n if dims is None else int(dims.max(initial=1))
-    codes: list[CodeSpace | None] = []
-    for rows in _blocks(k, m * n * (n + 3 * w) + 2 * n * n):
-        f = values[rows]
-        at = np.arange(len(f))
-        mats = model.rep.matrices[members[rows]]                          # [b, |H|, d, d]
-        rest = (f.conj()[:, None, :] @ mats.reshape(len(f), m, n * n)).reshape(-1, n, n) / m
-        ranks = np.rint(rest.trace(axis1=1, axis2=2).real).astype(int)   # rest: P_i, then R
-        if dims is not None and (ranks != dims[rows]).any():
-            raise RuntimeError("an eigenspace's rank differs from its expected dimension")
-        top = max(ranks.max(), 1)
-        basis, short = np.zeros((len(f), n, top), dtype=complex), np.zeros(len(f), dtype=bool)
+    rest = np.empty((k, n, n), dtype=complex)                            # P_i, then R
+    for rows in _blocks(k, m * n * n + n * n):   # the gathered pi|H_i and P_i
+        mats = model.rep.matrices[members[rows]].reshape(-1, m, n * n)
+        rest[rows] = (values[rows].conj()[:, None, :] @ mats).reshape(-1, n, n) / m
+    ranks = np.rint(rest.trace(axis1=1, axis2=2).real).astype(int)
+    if dims is not None and (ranks != dims).any():
+        raise RuntimeError("an eigenspace's rank differs from its expected dimension")
+    top = max(ranks.max(initial=0), 1)
+    basis, held, orthonormal = np.zeros((k, n, top), dtype=complex), ranks > 0, np.empty(k, dtype=bool)
+    cols = np.arange(top)
+    kept = cols < ranks[:, None]                 # [k, column]: in B_i, the other columns zero
+    for rows in _blocks(k, n * n + n * top):   # R and B_i
+        r, b, rank, short = rest[rows], basis[rows], ranks[rows], ~held[rows]   # r, b views
+        at = np.arange(len(r))
         for j in range(top):
-            diag = rest.diagonal(0, 1, 2).real
+            diag = r.diagonal(0, 1, 2).real
             p = (diag >= diag.max(axis=1, keepdims=True) - _tol.EXACT).argmax(axis=1)
-            pivot, due = diag[at, p], j < ranks
+            pivot, due = diag[at, p], j < rank
             live = due & (pivot >= 0.5 / n)
             short |= due ^ live
             # a row past its rank or short of a pivot takes the zero column
-            basis[:, :, j] = col = rest[at, :, p] / np.sqrt(np.where(live, pivot, np.inf))[:, None]
-            rest -= col[:, :, None] * col[:, None, :].conj()
-        cols = np.arange(top)
-        kept = cols < ranks[:, None]               # [b, column]: in B_i, the other columns zero
-        moved = (mats.reshape(len(f), m * n, n) @ basis).reshape(-1, m, n, top)
-        moved -= f[:, :, None, None] * basis[:, None]                    # pi(h) B_i - f_i(h) B_i
-        held = (ranks > 0) & ~short & ((np.abs(moved).max(axis=(1, 2)) <= _tol.SCAN) | ~kept).all(axis=1)
-        gram = basis.conj().swapaxes(1, 2) @ basis
-        gram[:, cols, cols] -= kept                # B_i* B_i - 1 on B_i's columns, zero off them
-        if (held & ~(np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))) <= _tol.EXACT)).any():   # NaN fails too
-            raise CodeError("basis columns are not orthonormal")
-        # each rank's bases, sliced from one contiguous array, taken in row order
-        bases = {r: iter(np.ascontiguousarray(basis[held & (ranks == r), :, :r]))
-                 for r in set(ranks.tolist())}
-        codes += [CodeSpace._checked(n, next(bases[r])) if ok else None
-                  for r, ok in zip(ranks.tolist(), held.tolist())]
-    return codes
+            b[:, :, j] = col = r[at, :, p] / np.sqrt(np.where(live, pivot, np.inf))[:, None]
+            r -= col[:, :, None] * col[:, None, :].conj()
+        held[rows] = ~short
+        gram = b.conj().swapaxes(1, 2) @ b
+        gram[:, cols, cols] -= kept[rows]        # B_i* B_i - 1 on B_i's columns, zero off them
+        orthonormal[rows] = np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))) <= _tol.EXACT   # NaN fails too
+    for rows in _blocks(k, m * n * (n + 2 * top)):   # the gathered pi|H_i, pi(h) B_i and f_i(h) B_i
+        b = basis[rows]
+        moved = (model.rep.matrices[members[rows]].reshape(-1, m * n, n) @ b).reshape(-1, m, n, top)
+        moved -= values[rows][:, :, None, None] * b[:, None]                # pi(h) B_i - f_i(h) B_i
+        # |.| of each column laid out contiguous: numpy's max over a short kept axis is slow
+        moved = np.ascontiguousarray(np.abs(moved).reshape(-1, m * n, top).swapaxes(1, 2))
+        held[rows] &= ((moved.max(axis=2) <= _tol.SCAN) | ~kept[rows]).all(axis=1)
+    if (held & ~orthonormal).any():
+        raise CodeError("basis columns are not orthonormal")
+    # each rank's bases, sliced from one contiguous array, taken in row order
+    bases = {r: iter(np.ascontiguousarray(basis[held & (ranks == r), :, :r])) for r in set(ranks.tolist())}
+    return [CodeSpace._checked(n, next(bases[r])) if ok else None for r, ok in zip(ranks.tolist(), held.tolist())]
 
 
 def stabilizer_code(
@@ -340,9 +348,12 @@ def _constituents(model: ProjectiveErrorModel, subs: list[Subgroup]):
 
 
 def _constituent_phases(model: ProjectiveErrorModel, sub: Subgroup):
-    """Yield the phase functions of _constituents on sub, one per constituent, in its order."""
+    """Yield the phase functions of _constituents on sub, one per constituent,
+    in its order, each built when it is asked for (existence_phase asks for
+    the first alone).  A run built alone has its batch's bytes (_runs)."""
     _, nums, grid, _ = _constituents(model, [sub])
-    yield from PhaseFunction._runs([sub] * len(nums), nums.ravel(), grid)
+    for num in nums:
+        yield PhaseFunction._runs([sub], num, grid)[0]
 
 
 def existence_phase(model: ProjectiveErrorModel, sub: Subgroup) -> PhaseFunction | None:
@@ -541,7 +552,7 @@ def _member_rows(mask: np.ndarray, members: np.ndarray | None = None) -> list[li
     """The entries of members [k, m] where the mask [k, m] holds, row by
     row, as int lists; the column indices where it holds when members is
     None.  One gather and one tolist serve every row, cut at the row counts."""
-    flat = (np.nonzero(mask)[1] if members is None else members[mask]).tolist()
+    flat = (np.flatnonzero(mask) % mask.shape[1] if members is None else members[mask]).tolist()
     ends = list(itertools.accumulate(mask.sum(axis=1).tolist()))
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
@@ -566,7 +577,8 @@ def _stabilizers(
     of members, [k, m]) and, on each, the scalar c = tr(C)/dim W and
     |C - c 1| of its action C (rows of scalars and deviation): S = the
     tested elements acting on W as a unimodular scalar, and f = the
-    scalars, snapped as PhaseFunction.from_complex snaps them.  The tested
+    scalars, snapped as PhaseFunction.from_complex snaps them with
+    max_den = max(4|G|, grid), grid below.  The tested
     elements are W's logical group L (H = L for search's q3 pieces).  One
     snap and one PhaseFunction._runs serve all k codes; classify's one code
     is a batch of one row.
@@ -582,9 +594,12 @@ def _stabilizers(
     The snap is cocycles._snap_phases on the grid den * exp(G), den the
     model cocycle's denominator: a stabilizer phase has df = sigma|S, so
     f(x)^ord(x) is a product of cocycle values and f(x) a
-    (den * ord(x))-th root of unity.  The reader returns snap_phase's
-    result on every entry, on the grid or off it (the proof is in its
-    docstring), so f is from_complex's.
+    (den * ord(x))-th root of unity, whose reduced denominator divides the
+    grid.  The bound max_den = max(4|G|, grid) reaches every grid point,
+    where 4|G| alone would not once the grid passes it (order-4 sub-models
+    of c2d2n:6 have grid 24).  The reader returns snap_phase's result on
+    every entry, on the grid or off it (the proof is in its docstring), so
+    f is from_complex's.
 
     df = sigma|S then holds with no test of its own.  S is interned, so it
     is a subgroup.  For x, y in S write C(x) = c_x 1 + E_x, with |E_x|_F =
@@ -598,21 +613,24 @@ def _stabilizers(
     under 3.2e-8 and far below _tol.DERIVED, to which the floats of an
     inexact f would be compared.  Chained along x, x^2, ..., x^ord(x) = e,
     with pi(e) = 1, it puts c_x within 7e-8 radians of a point of the grid.
-    An exact entry has a denominator at most 4|G| and lies within
+    An exact entry has a denominator at most max_den and lies within
     _tol.EXACT of c_x/|c_x|, and such a fraction and a grid point coincide
-    or lie 2 pi/(4|G| grid) radians apart, so it is that grid point
-    whenever 4|G| grid < 8.8e7 (at most 65,536 on the catalog models, on
-    c2d2n:8).  Then f(x)f(y)conj(sigma(x,y)f(xy)) is a grid-th root of
-    unity within eps + 3.03(_tol.EXACT + _tol.SCAN) < 7e-8 of 1, nearer
-    than any other, so it is 1: df = sigma|S in integers wherever f is
-    exact.  tests/test_codes.py pins both on every enumerated code and on
-    the codes of its tilt sweep.
+    or lie at least 2 pi/(max_den grid) radians apart, so it is that grid
+    point whenever max_den grid < 8.8e7.  That product is 4|G| grid, at
+    most 65,536, on the catalog models (on c2d2n:8), where grid <= 4|G|;
+    on a larger grid it is grid^2, under 8.8e7 for every grid under 9,380.
+    Then f(x)f(y)conj(sigma(x,y)f(xy)) is a grid-th root of unity within
+    eps + 3.03(_tol.EXACT + _tol.SCAN) < 7e-8 of 1, nearer than any other,
+    so it is 1: df = sigma|S in integers wherever f is exact.
+    tests/test_codes.py pins both on every enumerated code and on the codes
+    of its tilt sweep, and tests/test_submodels.py the reports on
+    sub-models whose grid passes 4|G|.
     """
     keep = (deviation < _tol.SCAN) & (np.abs(np.abs(scalars) - 1) < _tol.SCAN)
     stabs = [model.group._intern(tuple(row)) for row in _member_rows(keep, members)]
     values = scalars[keep]
     grid = model.cocycle.den * model.group.exponent()
-    num, den, mask = _snap_phases(values, 4 * model.group.order, grid)
+    num, den, mask = _snap_phases(values, max(4 * model.group.order, grid), grid)
     return stabs, PhaseFunction._runs(stabs, num, den, mask, values)
 
 
@@ -925,7 +943,7 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     wide, turns = keys.astype(small), (conj.turns * (grid // sigma.den)).astype(small)
     for size in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == size)
-        mem = np.nonzero(on_s[rows])[1].reshape(-1, size)          # each code's S
+        mem = (np.flatnonzero(on_s[rows]) % g.order).reshape(-1, size)   # each code's S
         # a g centralizing S passes exactly when lambda_g is 1 on S, whatever
         # f_S: read once per distinct S, and per code only on the other g
         _, first, own = np.unique(which[rows], return_index=True, return_inverse=True)
@@ -947,7 +965,7 @@ def _key_reports(model: ProjectiveErrorModel, codes: list[CodeSpace], keys: np.n
     irreducible, totals = np.empty(k, dtype=bool), np.empty(k, dtype=complex)
     for l_size in set(l_sizes.tolist()):
         rows = np.flatnonzero(l_sizes == l_size)
-        l_mem = np.nonzero(on_l[rows])[1].reshape(-1, l_size)               # each code's L
+        l_mem = (np.flatnonzero(on_l[rows]) % g.order).reshape(-1, l_size)   # each code's L
         chis = traces[rows[:, None], l_mem]                                  # T on L
         totals[rows] = np.mean(chis * np.conj(chi[l_mem]), axis=-1)
         irreducible[rows] = _irreducible_character(chis)

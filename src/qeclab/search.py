@@ -18,7 +18,10 @@ stated once, by the function that owns it:
 - q3_probe: a candidate's Clifford report, read from its piece
   (_clifford_reports), and the probe's early exit;
 - codes._report: the partitioning closed form;
-- cocycles._snap_phases: the least denominator of a snapped phase.
+- cocycles._cyclic_extensions: f0 and the characters of each abelian H;
+- cocycles._snap_phases: the least denominator of a snapped phase;
+- _linalg._blocks: the block rule, each pass blocked by what its own row
+  holds.
 """
 
 from __future__ import annotations
@@ -127,41 +130,44 @@ def _maximal_witnesses(model, members, nums, values, dims, table, grid):
     multiplicity that _constituents read as d.  The rows with a larger S'
     are tested further, together, on the union u of their S'.
 
-    Rows run in blocks (_linalg._blocks), a row holding |H| |G| entries of
-    table[H_i] and |G| of each of T and the two tables read from T, and
-    the rows with a larger S' in blocks of their own, a row holding |u|^2
-    entries of each [rows, |u|, |u|] table.  Each row's T is a product of
-    its own and its key is read from its row alone, so neither depends on
-    the blocks.
+    Three passes, each in blocks of what its own row holds
+    (_linalg._blocks): T from the gathered table[H_i], (|H| + 1) |G|
+    entries; S', f' and (a) from T, |G| of each of |T|, the mask and the
+    numerators; and (b) and (c) on the rows with a larger S', |u|^2 of each
+    [rows, |u|, |u|] table.  Each row's T is a product of its own and its
+    key is read from its row alone, so neither depends on the blocks.
     """
     g, sigma = model.group, model.cocycle
     k, m = members.shape
     chi = model.rep.character().values
     keys = np.empty((k, g.order), dtype=np.min_scalar_type(-grid))
     traces = np.empty((k, g.order), dtype=complex)
-    for block in _blocks(k, (m + 3) * g.order):
-        mem = members[block]
+    for rows in _blocks(k, (m + 1) * g.order):   # the gathered table[H_i] and T
+        traces[rows] = (values[rows].conj()[:, None] @ table[members[rows]])[:, 0] / m   # one product per row
+    wide = np.zeros(k, dtype=bool)   # the rows whose S' is larger than H
+    for block in _blocks(k, 3 * g.order):   # |T|, S' and the numerators
+        t, mem = traces[block], members[block]
         at = np.arange(len(mem))[:, None]
-        t = traces[block] = (values[block].conj()[:, None] @ table[mem])[:, 0] / m   # one product per row
         inside = np.abs(t) >= dims[block, None] - _tol.DERIVED
-        num = np.where(inside, np.rint(np.angle(t) * (grid / (2 * np.pi))).astype(int) % grid, -1)
+        num = np.full(t.shape, -1)   # an angle only on S'
+        num[inside] = np.rint(np.angle(t[inside]) * (grid / (2 * np.pi))).astype(int) % grid
         # (a) on every row, as num / grid = nums / grid mod 1
-        ok = inside[at, mem].all() and ((num[at, mem] - nums[block]) % grid == 0).all()
-        wide = np.flatnonzero(inside.sum(axis=1) > m)
-        if ok and wide.size:   # (b) and (c) on the rows whose S' is larger than H
-            u = np.flatnonzero(inside[wide].any(axis=0))
-            mul = g.mul[np.ix_(u, u)]
-            for part in (wide[rows] for rows in _blocks(wide.size, u.size**2)):
-                ins, read = inside[part], num[part]
-                cobound = (read[:, u, None] + read[:, None, u] - read[:, mul]) % grid
-                wrong = ~ins[:, mul] | (cobound != sigma.num[np.ix_(u, u)] * (grid // sigma.den))
-                conj_f = np.where(ins[:, u], _phase_values(read[:, u], grid).conj(), 0)
-                average = conj_f @ chi[u] / ins.sum(axis=1)
-                closed = not (ins[:, u, None] & ins[:, None, u] & wrong).any()
-                ok = ok and closed and (np.abs(average - dims[block.start + part]) <= _tol.DERIVED).all()
-        if not ok:
+        if not (inside[at, mem].all() and ((num[at, mem] - nums[block]) % grid == 0).all()):
             raise RuntimeError("a maximal witness failed its confirmation")
         keys[block] = num
+        wide[block] = inside.sum(axis=1) > m
+    wide = np.flatnonzero(wide)
+    u = np.flatnonzero((keys[wide] >= 0).any(axis=0))   # (b) and (c) on those rows, on the union of their S'
+    mul = g.mul[np.ix_(u, u)]
+    for part in (wide[rows] for rows in _blocks(wide.size, u.size**2)):
+        ins, read = keys[part] >= 0, keys[part].astype(int)
+        cobound = (read[:, u, None] + read[:, None, u] - read[:, mul]) % grid
+        wrong = ~ins[:, mul] | (cobound != sigma.num[np.ix_(u, u)] * (grid // sigma.den))
+        conj_f = np.where(ins[:, u], _phase_values(read[:, u], grid).conj(), 0)
+        average = conj_f @ chi[u] / ins.sum(axis=1)
+        closed = not (ins[:, u, None] & ins[:, None, u] & wrong).any()
+        if not (closed and (np.abs(average - dims[part]) <= _tol.DERIVED).all()):
+            raise RuntimeError("a maximal witness failed its confirmation")
     return keys, traces
 
 
@@ -216,7 +222,7 @@ def enumerate_weak_stabilizer_codes(
             raise RuntimeError("constituent with an empty code space")
         reports = _key_reports(model, built, num[new], traces, conj)
         for code, report in zip(built, reports):
-            code.basis.flags.writeable = False
+            code.basis.setflags(write=False)
             code._source = report
         domains = [subs[i] for i in owner[new]]
         # where S is H itself, the report's f_S is f: the key agrees with f on H
@@ -470,9 +476,10 @@ def q3_probe(
       reads too.  So S and f_S are read by codes._stabilizers, classify's
       reader, on _linalg.scalar_deviation(rho): scalar deviation and
       ||c| - 1| both below _tol.SCAN, f_S snapped on the grid
-      sigma.den exp(G) with denominators up to 4|G|.  Its proof that
-      every entry snaps, and of df_S = sigma|S, holds as it stands, so a
-      piece with an entry that fails to snap raises RuntimeError.
+      sigma.den exp(G) with denominators up to max(4|G|, grid).  Its
+      proof that every entry snaps, and of df_S = sigma|S, holds as it
+      stands, so a piece with an entry that fails to snap raises
+      RuntimeError.
     - is_clifford: |L| dim V = |H| dim V = w |G|, rho is irreducible and
       occurs once in pi|H, as listed above.  So the flag holds with no
       witness, and classify's central-type branch applies: is_weak is

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from qeclab._linalg import nullspace
-from qeclab import search
+from qeclab import cocycles, search
 from qeclab.cocycles import (
     Cocycle,
     Phase,
@@ -24,7 +24,7 @@ from qeclab.cocycles import (
 )
 from qeclab.codes import CodeSpace, _constituent_phases, _constituents, weak_stabilizer_code
 from qeclab.groups import FiniteGroup, Subgroup, group_from_mul_table
-from qeclab.models import ProjectiveErrorModel
+from qeclab.models import ModelError, ProjectiveErrorModel
 from qeclab import _tol
 from qeclab.projreps import (
     MakeRepError,
@@ -242,6 +242,33 @@ CATALOG_64 = (
     + ["oddfam:3", "permprod(genpauli:2,2)", "prod(genpauli:2,genpauli:3)",
        "prod(genpauli:2,genpauli:4)"]
 )
+
+
+def submodels(spec: str, limit: int, order: int | None = None) -> list[ProjectiveErrorModel]:
+    """The first limit sub-models of a model spec, in lattice order, on
+    subgroups of the given order only when one is given.  Each irreducible
+    piece rho of pi|H (search._split_restrictions, whose draws are seeded)
+    of dimension at least 2 gives the model make_rep(H.as_group(), rho),
+    kept when it is projectively faithful.  Their cocycle denominators can
+    be large next to |G|, which no catalog model shows."""
+    from qeclab.cli import parse_model_spec
+
+    model, found = parse_model_spec(spec).model, []
+    for size, same in itertools.groupby(model.group.all_subgroups(), key=len):
+        if order not in (None, size):
+            continue
+        same = list(same)
+        for sub, pieces in zip(same, search._split_restrictions(model.rep.matrices, [s.members for s in same])):
+            for rho, _ in pieces:
+                if rho.shape[1] < 2:
+                    continue
+                try:
+                    found.append(ProjectiveErrorModel(make_rep(sub.as_group(), rho), label=f"{spec}|{sub.members}"))
+                except ModelError:   # not projectively faithful
+                    continue
+                if len(found) == limit:
+                    return found
+    return found
 
 
 def raw_scalar_table(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
@@ -979,6 +1006,64 @@ def _joint_eigenspaces(matrices: np.ndarray, gens: list[int], basis: np.ndarray)
         ns = nullspace((m - np.exp(2j * np.pi * a) * eye) @ basis)
         if ns.shape[1]:
             yield from _joint_eigenspaces(matrices, gens[1:], basis @ ns)
+
+
+def cyclic_extensions_oracle(sigma, members):
+    """cocycles._cyclic_extensions as a per-row coset walk on Python lists:
+    the walk it made before its steps were read on arrays, kept as its
+    oracle.  Same arguments and the same (ok, f0, M, chars, e)."""
+    g, (b, h) = sigma.group, members.shape
+    pos = np.zeros((b, g.order), dtype=np.int64)   # [i, x]: x's position among row i's members
+    pos[np.arange(b)[:, None], members] = np.arange(h)   # and mul holds H's tables on positions
+    mul = np.take_along_axis(pos[:, None], g.mul[members[:, :, None], members[:, None, :]], axis=2)
+    t = sigma.num[members[:, :, None], members[:, None, :]]
+    q = np.gcd(np.gcd.reduce(t, axis=(1, 2)), sigma.den)   # sigma|H over its least denominator
+    ok, walks = [], [([*range(h)], [0] * h, 1, [[0] * h] * h, 1)]   # row 0 keeps the shapes; dropped
+    for rows, tab, den, ident in zip(mul.tolist(), (t // q[:, None, None]).tolist(),
+                                     (sigma.den // q).tolist(), pos[:, g.identity].tolist()):
+        built, where = [ident], {ident: 0}   # H's elements in the order the cosets add them
+        steps, gens, e = [], [], 1
+        for x in range(h):
+            if x in where:
+                continue
+            powers, y, z, order = [ident], x, x, 1
+            while y not in where:
+                powers.append(y)
+                y = rows[y][x]
+            while z != ident:
+                z, order = rows[z][x], order + 1
+            e, size = math.lcm(e, order), len(built)
+            steps.append((size, powers, where[y]))
+            gens.append(x)
+            for p in powers[1:]:
+                for k in built[:size]:
+                    where[rows[k][p]] = len(built)
+                    built.append(rows[k][p])
+        ok.append(not any((tab[x][y] - tab[y][x]) % den for x in gens for y in gens))   # beta = 1
+        if not ok[-1]:
+            continue
+        f, modulus, chars = [tab[ident][ident]], den, [[0]]
+        for size, powers, top in steps:
+            m = len(powers)
+            a = list(itertools.accumulate((-tab[p][powers[1]] for p in powers), initial=tab[ident][ident]))
+            if (f[top] - a[m] * (modulus // den)) % math.gcd(m, modulus):
+                modulus, f = modulus * m, [v * m for v in f]
+            r, scale = math.gcd(m, modulus), modulus // den
+            c = (f[top] - a[m] * scale) % modulus // r * pow(m // r, -1, modulus // r) % (modulus // r)
+            f = [(v + (a[j] - tab[k][p]) * scale + j * c) % modulus
+                 for j, p in enumerate(powers) for v, k in zip(f, built[:size])]
+            chars = [[(v + j * c) % e for j in range(m) for v in chi]
+                     for chi in chars for c in range(chi[top] // m, e, e // m)]
+        walks.append((built, f, modulus, chars, e))
+    ok = np.array(ok, dtype=bool)
+    built, f, modulus, chars, e = (np.array(col, dtype=np.int64)[1:] for col in zip(*walks))
+    order = np.argsort(built, axis=1)   # walk order -> member order
+    f, chars = np.take_along_axis(f, order, axis=1), np.take_along_axis(chars, order[:, None], axis=2)
+    common = sigma.den * h
+    if not cocycles._coboundary_rows(f * (common // modulus)[:, None], common, mul[ok], t[ok], sigma.den).all():
+        raise RuntimeError("cyclic extension produced a non-trivializing phase function")
+    q = np.gcd(np.gcd.reduce(f, axis=1), modulus)
+    return ok, f // q[:, None], modulus // q, chars, e
 
 
 def cyclic_extension(sigma, members):

@@ -16,6 +16,7 @@ from helpers import (
     CATALOG_64,
     constituent_phases_oracle,
     cyclic_extension,
+    cyclic_extensions_oracle,
     extension_trivializer,
     relabeled_model,
     trivializer_all_pairs,
@@ -147,6 +148,19 @@ def test_a_block_of_cyclic_extensions_gives_each_row_its_own(spec, seed):
         for row, got in zip(zip(f0, den.tolist(), chars, e.tolist()), [got for got in alone if got is not None]):
             assert np.array_equal(row[0], got[0]) and row[1] == got[1], spec
             assert np.array_equal(row[2], got[2]) and row[3] == got[3], spec
+
+
+@pytest.mark.parametrize("spec", CATALOG_64)
+def test_cyclic_extensions_are_the_per_row_walk_to_the_byte(spec):
+    # every abelian subgroup, pruned or not, one block per order: the array
+    # steps give the per-row coset walk's ok, f0, M, chars and e, dtypes,
+    # shapes and row order included
+    model = _model(spec)
+    for _, same in itertools.groupby(_abelian_subgroups(spec, None), key=len):
+        members = np.array([sub.members for sub in same])
+        got = cocycles._cyclic_extensions(model.cocycle, members)
+        want = cyclic_extensions_oracle(model.cocycle, members)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [(a.dtype, a.shape, a.tobytes()) for a in want]
 
 
 def test_a_forged_table_fails_the_trivializer_test_in_a_block():

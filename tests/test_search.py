@@ -275,7 +275,8 @@ def test_the_per_order_build_is_blocked_and_the_blocks_change_no_byte(spec, monk
     # holds at most _PRODUCT_BLOCK_ENTRIES entries, yet a block holds more
     # than one row; blocks of one row, in the eigenspace build and in the
     # witness reader, give the same codes, phases, keys and trace rows to
-    # the byte
+    # the byte, with two gathers per code: one for P_i, one for the
+    # invariance check
     model = parse_model_spec(spec).model
     want = _enumerated(model)
     gathers = []
@@ -296,7 +297,32 @@ def test_the_per_order_build_is_blocked_and_the_blocks_change_no_byte(spec, monk
     got = _enumerated(model)
     _same_codes(got, want)
     assert [row.tobytes() for row in got[2]] == [row.tobytes() for row in want[2]]
-    assert {shape[0] for shape in gathers} == {1} and len(gathers) == len(want[0])
+    assert {shape[0] for shape in gathers} == {1} and len(gathers) == 2 * len(want[0])
+
+
+@pytest.mark.parametrize("spec", ["prod(genpauli:2,genpauli:4)", "oddfam:3"])
+@pytest.mark.parametrize("entries", [1, 2000])
+def test_every_pass_of_the_enumeration_is_blocked_by_its_own_rows(spec, entries, monkeypatch):
+    # each pass blocks by what its own row holds (_linalg._blocks): the
+    # gathers of pi|H_i for P_i and for the invariance check, the pivot
+    # steps, table[H_i] for T and the key read.  Blocks of one row, and of a
+    # few rows, give the default run's keys, trace rows, bases and
+    # cyclic extension rows, byte for byte
+    model = _catalog_model(spec)
+
+    def run():
+        rows, raw = [], codes._cyclic_extensions
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(codes, "_cyclic_extensions", lambda *args: rows.append(raw(*args)) or rows[-1])
+            got = _enumerated(model)
+        return got, [[a.tobytes() for a in row] for row in rows]
+
+    want, want_rows = run()
+    monkeypatch.setattr(_linalg, "_PRODUCT_BLOCK_ENTRIES", entries)
+    got, got_rows = run()
+    _same_codes(got, want)
+    assert [row.tobytes() for row in got[2]] == [row.tobytes() for row in want[2]]
+    assert got_rows == want_rows and len(got_rows) > 1
 
 
 def test_the_search_checks_the_order_cap_once(monkeypatch):
