@@ -221,7 +221,8 @@ def _snap_phases(
 def _least_fractions(turns: np.ndarray, max_den: int) -> tuple[np.ndarray, np.ndarray]:
     """(rint(q t), q) for each angle t in turns, q the least denominator up
     to max_den with |q t - rint(q t)| <= q _tol.EXACT/pi, or max_den + 1
-    where there is none (see _snap_phases)."""
+    where there is none (see _snap_phases).  projreps.make_rep's monomial
+    read takes these candidates as they are."""
     dens = np.arange(1, max_den + 1)
     bound = dens * (_tol.EXACT / math.pi)
     q = np.empty(len(turns), dtype=np.int64)

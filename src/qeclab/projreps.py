@@ -1,8 +1,9 @@
 """Projective representations of finite groups as explicit matrix tables.
 
 A projective representation keeps one unitary per group element together
-with its exactly-snapped cocycle, so pi(x)pi(y) = sigma(x,y) pi(xy) holds
-to _tol.EXACT with sigma a table of exact rational phases.  Restriction,
+with its exact cocycle, read in integers from a monomial stack and snapped
+otherwise (make_rep), so pi(x)pi(y) = sigma(x,y) pi(xy) holds to
+_tol.EXACT with sigma a table of exact rational phases.  Restriction,
 induction, tensor products, conjugates, and inertia groups all stay at the
 level of concrete matrices.
 """
@@ -21,6 +22,7 @@ from .cocycles import (
     Cocycle,
     PhaseFunction,
     PhaseSnapError,
+    _least_fractions,
     _phase_values,
     _snap_phases,
     coboundary,
@@ -207,13 +209,48 @@ class Character:
 def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     """Build a rep from raw matrices, extracting the cocycle exactly.
 
-    The scalar tr(pi(x) pi(y) pi(xy)^-1)/dim is snapped to a rational phase
-    with denominator at most 4|G|, but only on the Cayley-edge columns
-    y = c in walk.cols = [identity, *gens] of the group's cached walk:
-    1 + r columns of n instead of all n, and the very edges that
-    ProjectiveRep._validate checks.  Every other entry is filled exactly,
-    as integer numerators mod the common denominator, by sums down the
-    walk's spanning tree (see _fill_cocycle): for a generator g,
+    A monomial stack has its cocycle read in integers; every other stack,
+    and a monomial one whose read is refused, has it snapped from floats.
+    Either way the cocycle sigma' is then validated by
+    ProjectiveRep._validate, and make_rep returns what the snap path alone
+    returns: the same cocycle, or the same MakeRepError.
+
+    The read (_monomial_read) takes a stack with one nonzero entry in each
+    column, exact zeros elsewhere and the entries' rows forming a
+    permutation: pi(x) e_j = v(x, j) e_{p_x(j)}.  It reads each distinct
+    angle of v as a fraction of denominator at most 4|G|, so
+    v(x, j) ~ zeta_N^a(x, j) with N their common denominator, and is
+    refused unless every angle has such a fraction and N <= 4|G|.  How near
+    v lies to zeta_N^a is the validation's to decide.  Write Pi(x) for the
+    matrices with the entries zeta_N^a.  The candidate is read from column
+    0,
+        sigma'(x, y) = a(y, 0) + a(x, p_y(0)) - a(xy, 0)   mod N,
+    and _monomial_edges_hold checks, on the Cayley edges (x, c) with c in
+    walk.cols = [identity, *gens] of the group's cached walk, that
+    p_x p_c = p_xc and a(c, j) + a(x, p_c(j)) - a(xc, j) = sigma'(x, c)
+    mod N for every j.  When it fails, the read is refused.
+
+    Integer edge lemma: when the check passes, Pi is an exact projective
+    rep with cocycle sigma', so sigma' satisfies the cocycle identity and
+    is marked verified, and the O(n^2 r) Cocycle._identity_holds scan does
+    not run.  The check says Pi(x) Pi(c) = zeta^sigma'(x,c) Pi(xc) on every
+    edge.  Induction down y's tree word then makes Pi(x) Pi(y) a multiple
+    of Pi(xy) for every x: for y = y'g with g a generator,
+    zeta^sigma'(y', g) Pi(x) Pi(y) = Pi(x) Pi(y') Pi(g), which is a
+    multiple of Pi(xy') Pi(g) and so of Pi(xy).  Applied to e_0,
+    Pi(x) Pi(y) e_0 = zeta^(a(y, 0) + a(x, p_y(0))) e_{p_x p_y(0)} and
+    Pi(xy) e_0 = zeta^a(xy, 0) e_{p_xy(0)}, so the multiple is
+    zeta^sigma'(x, y).  Every Pi(x) is invertible, so the two ways of
+    multiplying Pi(x) Pi(y) Pi(z) give the identity mod N.  The read's N
+    is at most 4|G|, so the guard below has nothing to check on it.
+
+    The snap path snaps the scalar tr(pi(x) pi(y) pi(xy)^-1)/dim to a
+    rational phase with denominator at most 4|G|, but only on the
+    Cayley-edge columns y = c in walk.cols: 1 + r columns of n instead of
+    all n, and the very edges that ProjectiveRep._validate checks.  Every
+    other entry is filled exactly, as integer numerators mod the common
+    denominator, by sums down the walk's spanning tree (see _fill_cocycle):
+    for a generator g,
         sigma(x, y'g) = sigma(x, y') + sigma(xy', g) - sigma(y', g)   (in turns),
     which is the cocycle identity sigma(x,y') sigma(xy',g) = sigma(x,y'g)
     sigma(y',g), and sigma(x, e) = sigma(e, e) (the identity at y = z = e).
@@ -222,12 +259,16 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     only when den > 4|G|, over row blocks: a reduced denominator divides
     den, so it cannot exceed 4|G| otherwise.
 
-    That cocycle is the one that snapping every scalar gives.  Suppose the
-    validation accepts sigma'.  Then every pair deviates by less than
-    _tol.EXACT (below), so every raw scalar lies within _tol.EXACT of
-    sigma'(x, y), a phase of denominator at most 4|G| by the guard, and
-    snapping it returns sigma'(x, y) (the spacing argument of
-    cocycles._snap_phases, for 4|G| <= 2^15 by the table cap).
+    Candidate lemma: any sigma' that the validation and the guard accept
+    is the cocycle that snapping every scalar gives.  Every pair then
+    deviates by less than _tol.EXACT (below), so every raw scalar lies
+    within _tol.EXACT of sigma'(x, y), a phase of denominator at most 4|G|
+    by the guard, and snapping it returns sigma'(x, y) (the spacing
+    argument of cocycles._snap_phases, for 4|G| <= 2^15 by the table cap).
+    So when the read is accepted, the snap path's edge scalars snap to
+    sigma', whose fill is sigma', and it accepts sigma' too.  When the
+    read's rep fails the validation, the snap path runs from the start, so
+    every error is the snap path's.
 
     The validation checks the n(r+1) Cayley edges (x, c), c in
     [identity, *gens], against delta = _tol.EXACT/(2L), where L is the
@@ -258,17 +299,27 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
 
     Snapping all n^2 scalars would decide no differently: when it and its
     validation succeed, the edge scalars snap to the same phases, whose
-    fill is that cocycle, so this path accepts the same cocycle; and when
-    this path accepts, that is the cocycle every scalar snaps to, as shown
-    above.  The edge scalars are snapped by cocycles._snap_phases, and a
-    snap failure names the first failing edge (x, y), y in walk.cols, in
-    row-major order over the edge columns, with snap_phase's reason.  A
-    filled entry above the guard names the first such (x, y).
+    fill is that cocycle, so the snap path accepts the same cocycle; and
+    when the snap path accepts, that is the cocycle every scalar snaps to,
+    by the candidate lemma.  The edge scalars are snapped by
+    cocycles._snap_phases, and a snap failure names the first failing edge
+    (x, y), y in walk.cols, in row-major order over the edge columns, with
+    snap_phase's reason.  A filled entry above the guard names the first
+    such (x, y).
     """
     matrices = np.asarray(matrices, dtype=complex)
     n = group.order
     if matrices.shape[0] != n:
         raise MakeRepError("need one matrix per group element")
+    read = _monomial_read(matrices, 4 * n)
+    if read is not None and _monomial_edges_hold(group, *read):
+        p, a, den = read
+        sigma = Cocycle(group, _monomial_table(group, p, a), den)
+        sigma._verified = True   # the integer edge lemma
+        try:
+            return ProjectiveRep(group, matrices, sigma, label=label)
+        except MakeRepError:
+            pass   # the snap path decides, with its own error
     num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * n, group._cayley_walk().cols)
     num = _fill_cocycle(group, num, den)
     if den > 4 * n:
@@ -280,6 +331,66 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     sigma = Cocycle(group, num, den)
     del num   # sigma holds its own copy: free the filled table before validating
     return ProjectiveRep(group, matrices, sigma, label=label)
+
+
+def _monomial_read(matrices: np.ndarray, max_den: int) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(p, a, N) with matrices[x] e_j near zeta_N^a[x, j] e_{p[x, j]}, p and a
+    [n, dim] integer arrays and N <= max_den, or None when the stack is not
+    monomial with such entries (see make_rep).
+
+    Only the distinct entry angles are read, each as its least fraction
+    (cocycles._least_fractions); the entries' moduli, and how near they lie
+    to zeta_N^a, are left to ProjectiveRep._validate.
+    """
+    if matrices.ndim != 3 or matrices.size == 0:
+        return None
+    nonzero = matrices != 0
+    if not ((nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=2) == 1).all()):
+        return None
+    p = nonzero.argmax(axis=1)
+    # each column's one entry, exactly: the other terms are zeros;
+    # bare np.unique imports numpy.ma, this return flag does not
+    turns, inverse = np.unique(np.angle(matrices.sum(axis=1)) / (2 * math.pi), return_inverse=True)
+    if not np.isfinite(turns).all():
+        return None
+    num, den = _least_fractions(turns, max_den)   # den max_den + 1 where none is near
+    common = math.lcm(*set(den.tolist()))
+    if common > max_den:
+        return None
+    return p, (num * (common // den) % common)[inverse.reshape(p.shape)], common
+
+
+def _monomial_edges_hold(group: FiniteGroup, p: np.ndarray, a: np.ndarray, den: int) -> bool:
+    """Whether p_x p_c = p_xc, and a(c, j) + a(x, p_c(j)) - a(xc, j) mod den
+    is one value over j, on every Cayley edge (x, c), c in walk.cols of the
+    group's cached walk: the integer edge check of make_rep.  Rows x run in
+    blocks, row x holding its (1 + r) dim edge entries (_linalg._blocks)."""
+    walk = group._cayley_walk()
+    pc, ac = p[walk.cols], a[walk.cols]
+    for x in _blocks(len(p), pc.size):
+        ends = walk.ends[x]
+        if not np.array_equal(p[x][:, pc], p[ends]):
+            return False
+        sums = a[x][:, pc] + ac
+        sums -= a[ends]
+        sums -= sums[:, :, :1]
+        if np.any(sums % den):
+            return False
+    return True
+
+
+def _monomial_table(group: FiniteGroup, p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The numerators a(y, 0) + a(x, p_y(0)) - a(xy, 0) over N of make_rep's
+    read, unreduced (Cocycle reduces them), x in row blocks of n entries."""
+    n = group.order
+    start, to = a[:, 0], p[:, 0]
+    table = np.empty((n, n), dtype=np.int64)
+    for x in _blocks(n, n):
+        sums = a[x][:, to]
+        sums += start
+        sums -= start[group.mul[x]]
+        table[x] = sums
+    return table
 
 
 def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarray:

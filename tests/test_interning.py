@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CATALOG_64, relabeled_model
+from helpers import CATALOG_64, conjugated_model, relabeled_model
 
 from qeclab.cli import parse_model_spec
-from qeclab import groups
+from qeclab import groups, projreps
 from qeclab.cocycles import Cocycle, _linear_characters, find_trivializing_phase
 from qeclab.codes import classify
 from qeclab.groups import (
@@ -35,16 +35,18 @@ from qeclab.search import enumerate_weak_stabilizer_codes, q3_probe
 
 class _Counters:
     """Subgroup constructions (checked by __init__ or built unchecked by
-    Subgroup._from_valid), group validations and the cocycles whose
+    Subgroup._from_valid), group validations, the cocycles whose
     identity check ran, one entry per run (the objects are kept, so no id
-    is reused while counting)."""
+    is reused while counting), and make_rep's integer edge checks."""
 
     def __init__(self, monkeypatch):
         self.subgroups = 0
         self.validations = 0
         self.checked: list[Cocycle] = []
+        self.edge_checks = 0
         init, validate, holds = Subgroup.__init__, FiniteGroup._validate, Cocycle._identity_holds
         from_valid = Subgroup._from_valid.__func__
+        edges_hold = projreps._monomial_edges_hold
 
         def counted_init(sub, *args, **kwargs):
             self.subgroups += 1
@@ -62,10 +64,15 @@ class _Counters:
             self.checked.append(sigma)
             return holds(sigma)
 
+        def counted_edges(*args):
+            self.edge_checks += 1
+            return edges_hold(*args)
+
         monkeypatch.setattr(Subgroup, "__init__", counted_init)
         monkeypatch.setattr(Subgroup, "_from_valid", classmethod(counted_from_valid))
         monkeypatch.setattr(FiniteGroup, "_validate", counted_validate)
         monkeypatch.setattr(Cocycle, "_identity_holds", counted_holds)
+        monkeypatch.setattr(projreps, "_monomial_edges_hold", counted_edges)
 
     def checked_once_each(self) -> bool:
         return len({id(c) for c in self.checked}) == len(self.checked)
@@ -86,12 +93,22 @@ def test_search_and_classify_validate_each_lattice_subgroup_once(monkeypatch):
     # test_every_unchecked_subgroup_passes_the_validation runs the checks
     assert counters.subgroups == len(lattice) == 249
     assert counters.validations == built
-    # the model cocycle is checked once, when the model is built, and every
-    # restriction inherits its verdict without a check of its own
-    assert len(counters.checked) == 1 and counters.checked[0] is model.cocycle
+    # the model's stack is monomial, so its cocycle is proved once, by
+    # make_rep's integer edge check, with no identity scan, and every
+    # restriction inherits that verdict without a check of its own
+    assert counters.edge_checks == 1 and counters.checked == []
     # classify's subgroups are the lattice's objects
     ids = {id(sub) for sub in lattice}
     assert all(id(r.logical) in ids and id(r.stabilizer) in ids for r in reports)
+    # control: a conjugated copy is not monomial, so its cocycle is checked
+    # once by the identity scan when it is built, and never again
+    conjugated = conjugated_model(model, seed=3)
+    found = enumerate_weak_stabilizer_codes(conjugated)
+    for _, _, code in found:
+        classify(conjugated, code)
+    assert len(found) == 515
+    assert counters.edge_checks == 1
+    assert len(counters.checked) == 1 and counters.checked[0] is conjugated.cocycle
 
 
 @pytest.mark.parametrize("spec", CATALOG_64)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     CATALOG_64,
     conjugate_rep_loop,
+    conjugated_model,
     fill_cocycle_by_rows,
     first_product_failure,
     induce_loop,
@@ -29,7 +30,7 @@ from helpers import (
 from qeclab import _linalg, _tol, codes, projreps, search
 from qeclab._linalg import compressed_action
 from qeclab.cli import parse_model_spec
-from qeclab.cocycles import Cocycle, Phase, PhaseFunction, coboundary
+from qeclab.cocycles import Cocycle, Phase, PhaseFunction, _least_fractions, coboundary
 from qeclab.groups import cyclic, dihedral
 from qeclab.models import (
     d4_character_table,
@@ -610,7 +611,8 @@ def test_make_rep_refuses_a_filled_denominator_above_4n():
     "spec", ["pauli:3", "genpauli:3", "xp:9", "oddfam:3", "permprod(genpauli:2,3)"]
 )
 def test_make_rep_snaps_only_the_edge_columns(spec, monkeypatch):
-    model = parse_model_spec(spec).model
+    # a conjugated copy is not monomial, so make_rep snaps its cocycle
+    model = conjugated_model(parse_model_spec(spec).model, seed=1)
     g, mats = model.group, model.rep.matrices
     shapes = []
     snap = projreps._snap_scalars
@@ -660,6 +662,161 @@ def test_the_column_fill_rebuilds_every_cocycle_from_its_edge_columns(case):
             assert np.array_equal(fill_cocycle_by_rows(g, head, sigma.den), sigma.num)
     if case == "permprod(genpauli:2,3)":
         assert walk.length == 178                 # the deepest tree of the models
+
+
+# ------------------------------------------------ the monomial read
+
+
+_MONOMIAL_SPECS = CATALOG_64 + ["permprod(genpauli:2,3)"]
+
+
+def _without_the_read(monkeypatch):
+    monkeypatch.setattr(projreps, "_monomial_read", lambda matrices, max_den: None)
+
+
+def _outcome(group, mats):
+    """make_rep's cocycle as (den, numerator bytes), or its error text."""
+    try:
+        sigma = make_rep(group, mats).cocycle
+    except MakeRepError as exc:
+        return str(exc)
+    return sigma.den, sigma.num.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spec", _MONOMIAL_SPECS)
+def test_make_rep_reads_every_monomial_model_without_a_snap(spec, seed, monkeypatch):
+    model = _relabeled_catalog_model(spec, seed)
+    g, mats = model.group, model.rep.matrices
+    full = make_rep_full_snap(g, mats).cocycle
+    want = (full.den, full.num.tobytes())
+    read = projreps._monomial_read(mats, 4 * g.order)
+    assert read is not None
+    p, a, den = read
+    # the integer edge check and Light's scan agree on the read's cocycle
+    assert projreps._monomial_edges_hold(g, p, a, den)
+    assert Cocycle(g, projreps._monomial_table(g, p, a), den)._identity_holds()
+
+    def refused(*args):
+        raise AssertionError("a monomial stack was snapped")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(projreps, "_snap_scalars", refused)
+        assert _outcome(g, mats) == want
+    _without_the_read(monkeypatch)
+    assert _outcome(g, mats) == want
+
+
+@pytest.mark.parametrize("spec", _MONOMIAL_SPECS)
+def test_a_conjugated_model_takes_the_snap_path(spec, monkeypatch):
+    model = conjugated_model(_catalog_model(spec), seed=2)
+    g, mats = model.group, model.rep.matrices
+    assert projreps._monomial_read(mats, 4 * g.order) is None
+    snaps = []
+    snap = projreps._snap_scalars
+    monkeypatch.setattr(projreps, "_snap_scalars", lambda *args: snaps.append(1) or snap(*args))
+    assert make_rep(g, mats).cocycle == _catalog_model(spec).cocycle
+    assert snaps == [1]
+
+
+def _perturbed_monomial(data, model):
+    """(kind, the model's stack perturbed) for a kind of perturbation:
+    - rotate: one entry rotated by eps;
+    - scale: one entry scaled;
+    - exchange: the rows of two columns' entries exchanged in one matrix,
+      still a permutation, which the edge check refuses;
+    - share: one column's entry moved into another's row, no permutation;
+    - flip: one entry times an exact root of the model's denominator, which
+      the edge check refuses;
+    - tilt: every matrix rotated by +-theta, theta under _tol.EXACT, so each
+      entry's angle is read as its fraction but a product can be 3 theta off;
+    - twist: exact phases of denominator 97 or 131 on the whole group."""
+    g, dim = model.group, model.dim
+    mats = model.rep.matrices.copy()
+    x = data.draw(st.integers(0, g.order - 1))
+    j, k = data.draw(st.permutations(range(dim)))[:2]
+    rows = np.flatnonzero(mats[x, :, j])[0], np.flatnonzero(mats[x, :, k])[0]
+    kind = data.draw(st.sampled_from(["rotate", "scale", "exchange", "share", "flip", "tilt", "twist"]))
+    if kind == "rotate":
+        mats[x, rows[0], j] *= np.exp(1j * data.draw(st.floats(1e-12, 1e-3)))
+    elif kind == "scale":
+        mats[x, rows[0], j] *= 1 + data.draw(st.sampled_from([1e-13, 1e-11, 1e-9, 1e-6, 1e-3, 1.0]))
+    elif kind == "exchange":
+        mats[x, rows[::-1], [j, k]] = mats[x, rows, [j, k]]
+        mats[x, rows, [j, k]] = 0
+    elif kind == "share":
+        mats[x, rows[1], j] = mats[x, rows[0], j]
+        mats[x, rows[0], j] = 0
+    elif kind == "flip":
+        den = model.cocycle.den
+        mats[x, rows[0], j] *= Phase(data.draw(st.integers(1, den - 1)), den).to_complex()
+    elif kind == "tilt":
+        theta = data.draw(st.floats(1e-10, 0.99e-9))
+        signs = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=g.order, max_size=g.order)))
+        mats *= np.exp(1j * theta * signs)[:, None, None]
+    else:
+        den = data.draw(st.sampled_from([97, 131]))
+        nums = data.draw(st.lists(st.integers(0, den - 1), min_size=g.order, max_size=g.order))
+        mats = PhaseFunction.exact(g.full_subgroup(), [Phase(n, den) for n in nums]).values[:, None, None] * mats
+    return kind, mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_make_rep_with_the_read_agrees_with_the_snap_path_on_perturbed_stacks(data):
+    # every cocycle and every error text is the snap path's alone
+    model = _catalog_model(data.draw(st.sampled_from(CATALOG_64)))
+    g = model.group
+    kind, mats = _perturbed_monomial(data, model)
+    read = projreps._monomial_read(mats, 4 * g.order)
+    if kind == "share":
+        assert read is None
+    if kind in ("exchange", "flip"):
+        assert read is not None and not projreps._monomial_edges_hold(g, *read)
+    got = _outcome(g, mats)
+    with pytest.MonkeyPatch.context() as patched:
+        _without_the_read(patched)
+        assert got == _outcome(g, mats)
+
+
+def _primes(count):
+    return [p for p in range(2, 1000) if all(p % q for q in range(2, p))][:count]
+
+
+@pytest.mark.parametrize("order, turns, where", [
+    # denominators 11 and 12 (4|G| = 12), in common 132, sigma(g, g)'s too
+    (3, [0, 1 / 11, 1 / 12], (1, 1)),
+    # one prime per element, their product far past int64
+    (20, [1 / p for p in _primes(20)], (2, 1)),
+])
+def test_the_read_refuses_a_common_denominator_above_4n(order, turns, where):
+    # every entry's angle is a fraction of denominator at most 4|G|, but not
+    # their common denominator, and the snap path refuses the stack
+    g = cyclic(order)
+    assert _least_fractions(np.array(turns), 4 * order)[1].max() <= 4 * order
+    mats = np.exp(2j * np.pi * np.array(turns)).reshape(order, 1, 1)
+    assert projreps._monomial_read(mats, 4 * g.order) is None
+    with pytest.raises(MakeRepError, match=rf"scalar snap failed at \({where[0]},{where[1]}\)"):
+        make_rep(g, mats)
+
+
+def test_a_read_that_fails_the_validation_gets_the_snap_paths_error():
+    # every entry's angle is read as its fraction and the read passes the
+    # edge check, but some pi(x) pi(c) pi(xc)^* is 3 theta off its phase,
+    # beyond _tol.EXACT: the read's rep fails the validation, and the error
+    # is the snap path's
+    model = gen_pauli_model(3)
+    g = model.group
+    signs = np.where(np.arange(g.order) % 3 == 2, -1, 1)
+    mats = model.rep.matrices * np.exp(0.9e-9j * signs)[:, None, None]
+    p, a, den = projreps._monomial_read(mats, 4 * g.order)
+    assert projreps._monomial_edges_hold(g, p, a, den)
+    sigma = Cocycle(g, projreps._monomial_table(g, p, a), den)
+    assert sigma == model.cocycle
+    with pytest.raises(MakeRepError, match=r"pi\(x\)pi\(y\) != sigma"):
+        ProjectiveRep(g, mats, sigma)
+    with pytest.raises(MakeRepError, match="scalar snap failed at"):
+        make_rep(g, mats)
 
 
 # ------------------------------------------------ Cayley-edge validation
