@@ -63,6 +63,16 @@ class PhaseSnapError(ValueError):
     """A complex number could not be matched to a rational phase."""
 
 
+class _DenominatorOverflow(PhaseSnapError):
+    """_snap_phases' denominators have no common multiple below its
+    max_common; index is the first entry at which their running lcm reaches
+    it, and mask marks the entries that snapped."""
+
+    def __init__(self, max_common: int, index: int, mask: np.ndarray):
+        super().__init__(f"the snapped phases have no common denominator below {max_common}")
+        self.index, self.mask = index, mask
+
+
 _EXACT_QUARTER_TURNS = {
     (0, 1): 1 + 0j,
     (1, 2): -1 + 0j,
@@ -146,7 +156,7 @@ _ARRAY_SNAP_MAX_DEN = 2**15
 
 
 def _snap_phases(
-    values, max_den: int, grid: int | None = None
+    values, max_den: int, grid: int | None = None, max_common: int = 2**63
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """snap_phase on every entry of a complex array, flattened in row-major
     order, as (numerators over one denominator, that denominator, mask of
@@ -169,7 +179,9 @@ def _snap_phases(
     limit_denominator returns and then tests with the same expressions.
     How the candidate was found decides only which entries fall back,
     never a result.  make_rep, codes._stabilizers and q3_probe rely on
-    this argument.
+    this argument.  Denominators whose lcm reaches max_common, at most
+    2^63, raise _DenominatorOverflow: no int64 numerator table holds them
+    at 2^63, and a caller that sums numerators passes a lower bound.
 
     With a grid the candidate is the nearest grid point rint(t grid)/grid
     reduced, t the entry's angle in turns.  classify and q3_probe pass
@@ -215,6 +227,10 @@ def _snap_phases(
         if phase is not None:
             num[i], den[i], mask[i] = phase.num, phase.den, True
     common = math.lcm(*set(den.tolist()))
+    if common >= max_common:   # refused before the int64 cast below
+        running = itertools.accumulate(den.tolist(), math.lcm)
+        index = next(i for i, m in enumerate(running) if m >= max_common)
+        raise _DenominatorOverflow(max_common, index, mask)
     return num * (common // den), common, mask
 
 

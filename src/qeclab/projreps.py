@@ -22,6 +22,7 @@ from .cocycles import (
     Cocycle,
     PhaseFunction,
     PhaseSnapError,
+    _DenominatorOverflow,
     _least_fractions,
     _phase_values,
     _snap_phases,
@@ -79,7 +80,9 @@ class ProjectiveRep:
 
     def _validate(self) -> None:
         """Unitarity, the cocycle identity, then pi(x)pi(y) = sigma(x,y) pi(xy)
-        on the Cayley edges, and on every pair when an edge fails.
+        on the Cayley edges, and on every pair when an edge fails.  make_rep
+        skips it on a monomial read whose entries lie near their roots of
+        unity, where its entry lemma shows that this check accepts.
 
         The edges are the pairs (x, c) with c in walk.cols = [identity,
         *gens] of the group's cached walk.  When every edge deviates by less
@@ -211,9 +214,10 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
 
     A monomial stack has its cocycle read in integers; every other stack,
     and a monomial one whose read is refused, has it snapped from floats.
-    Either way the cocycle sigma' is then validated by
-    ProjectiveRep._validate, and make_rep returns what the snap path alone
-    returns: the same cocycle, or the same MakeRepError.
+    A read is accepted only when its entries lie near their roots of
+    unity (the entry lemma below); the snap path's cocycle sigma' is
+    validated by ProjectiveRep._validate.  Either way make_rep returns what
+    the snap path alone returns: the same cocycle, or the same MakeRepError.
 
     The read (_monomial_read) takes a stack with one nonzero entry in each
     column, exact zeros elsewhere and the entries' rows forming a
@@ -221,7 +225,7 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     angle of v as a fraction of denominator at most 4|G|, so
     v(x, j) ~ zeta_N^a(x, j) with N their common denominator, and is
     refused unless every angle has such a fraction and N <= 4|G|.  How near
-    v lies to zeta_N^a is the validation's to decide.  Write Pi(x) for the
+    v lies to zeta_N^a is the entry test's to decide.  Write Pi(x) for the
     matrices with the entries zeta_N^a.  The candidate is read from column
     0,
         sigma'(x, y) = a(y, 0) + a(x, p_y(0)) - a(xy, 0)   mod N,
@@ -244,6 +248,25 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     multiplying Pi(x) Pi(y) Pi(z) give the identity mod N.  The read's N
     is at most 4|G|, so the guard below has nothing to check on it.
 
+    Entry lemma: write v(x, j) = zeta^a(x, j) + e(x, j) for the entries
+    of pi, and eps = _tol.EXACT/(4 sqrt(d)) with d the dimension.  When
+    every |e(x, j)| <= eps (_entries_near_roots; a NaN fails it), the rep is
+    built with no float check, since ProjectiveRep._validate would accept
+    it; otherwise the read is refused.  pi has exact zeros off its permutation, as Pi has, because the
+    read demands them.  So pi(x) pi(x)* is diagonal with entries |v|^2,
+    and ||v|^2 - 1| <= 2 eps + eps^2: every unitarity deviation is at most
+    sqrt(d)(2 eps + eps^2) < 0.51 _tol.EXACT.  For every pair (x, y), not
+    only the edges, column j of pi(x)pi(y) - sigma'(x,y) pi(xy) has one
+    nonzero entry, since Pi(x) Pi(y) = zeta^sigma'(x,y) Pi(xy) exactly by
+    the integer edge lemma; it is
+        zeta^a(x, p_y(j)) e(y, j) + e(x, p_y(j)) zeta^a(y, j)
+            + e(x, p_y(j)) e(y, j) - zeta^sigma'(x,y) e(xy, j),
+    so every pair deviates by at most sqrt(d)(3 eps + eps^2) <
+    0.76 _tol.EXACT.  _validate therefore accepts, through its edges or
+    its all-pairs check, with a margin of at least 0.24 _tol.EXACT for
+    the rounding of its products, and the candidate lemma below holds as
+    stated.
+
     The snap path snaps the scalar tr(pi(x) pi(y) pi(xy)^-1)/dim to a
     rational phase with denominator at most 4|G|, but only on the
     Cayley-edge columns y = c in walk.cols: 1 + r columns of n instead of
@@ -254,10 +277,13 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
         sigma(x, y'g) = sigma(x, y') + sigma(xy', g) - sigma(y', g)   (in turns),
     which is the cocycle identity sigma(x,y') sigma(xy',g) = sigma(x,y'g)
     sigma(y',g), and sigma(x, e) = sigma(e, e) (the identity at y = z = e).
-    The filled table is refused if any entry's reduced denominator exceeds
-    4|G|, and is then validated by ProjectiveRep._validate.  The guard runs
-    only when den > 4|G|, over row blocks: a reduced denominator divides
-    den, so it cannot exceed 4|G| otherwise.
+    The edge scalars' common denominator den is refused unless
+    den (L + 2) < 2^63, L the tree's greatest depth, so that the fill's
+    int64 sums cannot wrap (see _fill_cocycle).  The filled table is
+    refused if any entry's reduced denominator exceeds 4|G|, and is then
+    validated by ProjectiveRep._validate.  The guard runs only when
+    den > 4|G|, over row blocks: a reduced denominator divides den, so it
+    cannot exceed 4|G| otherwise.
 
     Candidate lemma: any sigma' that the validation and the guard accept
     is the cocycle that snapping every scalar gives.  Every pair then
@@ -266,9 +292,10 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     by the guard, and snapping it returns sigma'(x, y) (the spacing
     argument of cocycles._snap_phases, for 4|G| <= 2^15 by the table cap).
     So when the read is accepted, the snap path's edge scalars snap to
-    sigma', whose fill is sigma', and it accepts sigma' too.  When the
-    read's rep fails the validation, the snap path runs from the start, so
-    every error is the snap path's.
+    sigma', whose fill is sigma', and it accepts sigma' too (sigma''s
+    common denominator is at most 4|G|, far below the fill's bound).  When
+    the read is refused, the snap path runs from the start, so every error
+    is the snap path's.
 
     The validation checks the n(r+1) Cayley edges (x, c), c in
     [identity, *gens], against delta = _tol.EXACT/(2L), where L is the
@@ -304,8 +331,9 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
     by the candidate lemma.  The edge scalars are snapped by
     cocycles._snap_phases, and a snap failure names the first failing edge
     (x, y), y in walk.cols, in row-major order over the edge columns, with
-    snap_phase's reason.  A filled entry above the guard names the first
-    such (x, y).
+    snap_phase's reason; with none failing, a common denominator past the
+    fill's bound names the first edge at which the running lcm reaches it.
+    A filled entry above the guard names the first such (x, y).
     """
     matrices = np.asarray(matrices, dtype=complex)
     n = group.order
@@ -316,11 +344,10 @@ def make_rep(group: FiniteGroup, matrices, label: str = "pi") -> ProjectiveRep:
         p, a, den = read
         sigma = Cocycle(group, _monomial_table(group, p, a), den)
         sigma._verified = True   # the integer edge lemma
-        try:
-            return ProjectiveRep(group, matrices, sigma, label=label)
-        except MakeRepError:
-            pass   # the snap path decides, with its own error
-    num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * n, group._cayley_walk().cols)
+        if _entries_near_roots(matrices, p, a, den):   # the entry lemma
+            return ProjectiveRep(group, matrices, sigma, label=label, validate=False)
+    walk = group._cayley_walk()
+    num, den = _snap_scalars(_raw_scalars(group, matrices), 4 * n, walk.cols, 2**63 // (walk.length + 2))
     num = _fill_cocycle(group, num, den)
     if den > 4 * n:
         for rows in _blocks(n, n):
@@ -339,8 +366,8 @@ def _monomial_read(matrices: np.ndarray, max_den: int) -> tuple[np.ndarray, np.n
     monomial with such entries (see make_rep).
 
     Only the distinct entry angles are read, each as its least fraction
-    (cocycles._least_fractions); the entries' moduli, and how near they lie
-    to zeta_N^a, are left to ProjectiveRep._validate.
+    (cocycles._least_fractions); how near the entries lie to zeta_N^a is
+    left to make_rep's entry test.
     """
     if matrices.ndim != 3 or matrices.size == 0:
         return None
@@ -358,6 +385,16 @@ def _monomial_read(matrices: np.ndarray, max_den: int) -> tuple[np.ndarray, np.n
     if common > max_den:
         return None
     return p, (num * (common // den) % common)[inverse.reshape(p.shape)], common
+
+
+def _entries_near_roots(matrices: np.ndarray, p: np.ndarray, a: np.ndarray, den: int) -> bool:
+    """Whether every entry v(x, j) = matrices[x, p[x, j], j] of a read lies
+    within _tol.EXACT/(4 sqrt(dim)) of zeta_den^a[x, j]: the entry test of
+    make_rep, on the n dim entries alone.  A NaN fails it."""
+    n, dim = p.shape
+    entries = matrices[np.arange(n)[:, None], p, np.arange(dim)]
+    distance = np.abs(entries - _phase_values(np.arange(den), den)[a])
+    return bool((distance <= _tol.EXACT / (4 * math.sqrt(dim))).all())
 
 
 def _monomial_edges_hold(group: FiniteGroup, p: np.ndarray, a: np.ndarray, den: int) -> bool:
@@ -407,7 +444,9 @@ def _fill_cocycle(group: FiniteGroup, columns: np.ndarray, den: int) -> np.ndarr
     same table.  The tree walk sums along y alone, so the x are filled in
     blocks (_linalg._blocks), row x holding its n entries, each block
     written into one table allocated up front; every entry is the same
-    integer sum.
+    integer sum.  Each edge value lies in (-den, den), so every partial
+    sum, and every sum with sigma(e, e), lies within den (L + 1) of 0, L =
+    walk.length: make_rep refuses den (L + 2) >= 2^63 before the fill.
     """
     walk = group._cayley_walk()
     parent, step, _ = walk.tree
@@ -493,22 +532,34 @@ def _row_products(m: np.ndarray, right: np.ndarray | None = None):
         yield rows, products.transpose(0, 2, 1, 3)
 
 
-def _snap_scalars(raw: np.ndarray, max_den: int, cols) -> tuple[np.ndarray, int]:
-    """snap_phase on every entry of raw, as numerators over one denominator;
-    raw[x, j] is the scalar of the pair (x, cols[j]).  When an entry fails,
-    the first in row-major order raises MakeRepError naming its pair, with
-    snap_phase's reason."""
-    num, den, snapped = _snap_phases(raw, max_den)
+def _snap_scalars(raw: np.ndarray, max_den: int, cols, max_common: int = 2**63) -> tuple[np.ndarray, int]:
+    """snap_phase on every entry of raw, as numerators over one denominator
+    below max_common; raw[x, j] is the scalar of the pair (x, cols[j]).
+    When an entry fails, the first in row-major order raises MakeRepError
+    naming its pair, with snap_phase's reason.  When none fails but the
+    denominators have no common multiple below max_common, the pair named
+    is the first at which their running lcm in row-major order reaches it
+    (cocycles._DenominatorOverflow)."""
+
+    def refuse(at: int, exc: PhaseSnapError):
+        x, j = divmod(at, raw.shape[1])
+        raise MakeRepError(
+            f"scalar snap failed at ({x},{int(cols[j])}): matrices do not form a projective rep ({exc})"
+        ) from exc
+
+    overflow = None
+    try:
+        num, den, snapped = _snap_phases(raw, max_den, max_common=max_common)
+    except _DenominatorOverflow as exc:
+        overflow, snapped = exc, exc.mask
     failed = np.flatnonzero(~snapped)
     if failed.size:
-        x, j = divmod(int(failed[0]), raw.shape[1])
-        y = int(cols[j])
         try:
-            snap_phase(complex(raw[x, j]), max_den)
+            snap_phase(complex(raw.flat[failed[0]]), max_den)
         except PhaseSnapError as exc:
-            raise MakeRepError(
-                f"scalar snap failed at ({x},{y}): matrices do not form a projective rep ({exc})"
-            ) from exc
+            refuse(int(failed[0]), exc)
+    if overflow is not None:
+        refuse(overflow.index, overflow)
     return num.reshape(raw.shape), den
 
 

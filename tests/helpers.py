@@ -683,6 +683,27 @@ def fill_cocycle_by_rows(group: FiniteGroup, head: np.ndarray, den: int) -> np.n
     return num
 
 
+# Edge steps 1/q, -1/q for q = 16 and each odd prime up to 47: on a group
+# of order 64 each snaps (q <= 4|G|), and their lcm, about 4.9e18, lies
+# in [2^62, 2^63).
+WIDE_LCM_STEPS = [s for q in (16, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) for s in (1 / q, -1 / q)]
+
+
+def power_step_stack(group: FiniteGroup, steps) -> np.ndarray:
+    """A 1-dim stack exp(2 pi i phi) on a cyclic group of order n that its
+    first greedy generator g generates: phi(1) = phi(g) = 0 and
+    phi(g^(k+1)) = phi(g^k) - steps[k - 1] for 1 <= k <= n - 2, with 0
+    past the end of steps.  Its Cayley-edge scalar on g,
+    sigma(g^k, g) = phi(g^k) + phi(g) - phi(g^(k+1)), is steps[k - 1] for
+    1 <= k <= n - 2, 0 at k = 0 and phi(g^(n-1)) at k = n - 1."""
+    n, g = group.order, group.greedy_generators()[0]
+    phi, y = np.zeros(n), g
+    for step in [*steps, *[0] * (n - 2 - len(steps))]:
+        phi[group.mul[y, g]] = phi[y] - step
+        y = group.mul[y, g]
+    return np.exp(2j * np.pi * phi).reshape(n, 1, 1)
+
+
 def relabeled_model(model, seed: int):
     """The same model with its group elements renumbered by a seeded permutation."""
     g = model.group

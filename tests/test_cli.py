@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import pairwise_enumerated
+from helpers import WIDE_LCM_STEPS, pairwise_enumerated, power_step_stack
 
 import qeclab
 from qeclab import models
@@ -404,6 +404,21 @@ def test_rep_file_failing_validation_exits_one(capsys, tmp_path, data, message):
     )
     assert rc == 1
     assert not err.startswith("usage error:") and message in err
+
+
+def test_rep_file_whose_snapped_denominators_would_wrap_exits_one(capsys, tmp_path):
+    # make_rep's snap path refuses a common denominator that its int64 fill
+    # cannot hold with a MakeRepError, not an OverflowError traceback
+    g = parse_model_spec("xp:64").model.group
+    x = next(x for x in range(g.order) if g.element_order(x) == 64)
+    sub = g.subgroup_generated([x]).as_group()
+    assert sub.greedy_generators() == [sub.greedy_generators()[0]]   # one generator: it generates sub
+    stack = power_step_stack(sub, WIDE_LCM_STEPS)
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"matrices": [[[[z.real, z.imag]]] for z in stack[:, 0, 0]]}))
+    rc, _, err = run(capsys, "code", "clifford", "xp:64", "--subgroup", str(x), "--rho", str(path))
+    assert rc == 1
+    assert err.startswith("verification failure: scalar snap failed at") and "no common denominator" in err
 
 
 def test_distribution_file_that_is_a_map_is_usage_error(capsys, tmp_path):

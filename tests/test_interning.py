@@ -343,9 +343,10 @@ def test_one_greedy_closure_per_group(monkeypatch):
 
 
 def test_one_spanning_tree_per_group(monkeypatch):
-    # make_rep fills its cocycle down the tree and validates against its
-    # depth, and verify, two trivializer solves and the linear characters
-    # read the same tree: it is built once
+    # make_rep builds no tree on a monomial stack: the read, the integer
+    # edge check and the entry test need none (the snap path fills down the
+    # tree, and the dense validation reads its depth); two trivializer
+    # solves and the linear characters read the same tree: it is built once
     built = []
     tree = groups._depth_first_tree
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import re
 
 import functools
@@ -19,7 +21,9 @@ from helpers import (
     irreducible_constituents,
     kron_hom_basis,
     mackey_defect_loop,
+    WIDE_LCM_STEPS,
     make_rep_full_snap,
+    power_step_stack,
     raw_scalar_table,
     raw_scalars_per_row,
     relabeled_model,
@@ -27,11 +31,11 @@ from helpers import (
     validate_all_pairs,
 )
 
-from qeclab import _linalg, _tol, codes, projreps, search
+from qeclab import _linalg, _tol, codes, groups, projreps, search
 from qeclab._linalg import compressed_action
 from qeclab.cli import parse_model_spec
 from qeclab.cocycles import Cocycle, Phase, PhaseFunction, _least_fractions, coboundary
-from qeclab.groups import cyclic, dihedral
+from qeclab.groups import cyclic, dihedral, group_from_mul_table
 from qeclab.models import (
     d4_character_table,
     d4_expected_table,
@@ -617,9 +621,9 @@ def test_make_rep_snaps_only_the_edge_columns(spec, monkeypatch):
     shapes = []
     snap = projreps._snap_scalars
 
-    def recording_snap(raw, max_den, cols):
+    def recording_snap(raw, *args):
         shapes.append(raw.shape)
-        return snap(raw, max_den, cols)
+        return snap(raw, *args)
 
     monkeypatch.setattr(projreps, "_snap_scalars", recording_snap)
     assert make_rep(g, mats).cocycle == model.rep.cocycle
@@ -817,6 +821,94 @@ def test_a_read_that_fails_the_validation_gets_the_snap_paths_error():
         ProjectiveRep(g, mats, sigma)
     with pytest.raises(MakeRepError, match="scalar snap failed at"):
         make_rep(g, mats)
+
+
+def test_a_failed_edge_is_named_before_a_common_denominator_overflow():
+    # each edge scalar sigma(g^k, g) snaps to 1/p for a new odd prime p, so
+    # the read refuses the stack and the snapped denominators pass 2^63 at
+    # p = 53; the closing edge (19, 1) snaps to nothing, and it is named
+    g = cyclic(20)
+    primes = [p for p in range(3, 80) if all(p % q for q in range(2, p))]
+    mats = power_step_stack(g, [1 / p for p in primes[:18]])
+    assert projreps._monomial_read(mats, 4 * g.order) is None
+    bare = {"matrices": _linalg.complex_json(mats)}
+    for build in (lambda: make_rep(g, mats), lambda: ProjectiveRep.from_json(g, bare)):
+        with pytest.raises(MakeRepError, match=r"scalar snap failed at \(19,1\).*away from nearest phase"):
+            build()
+
+
+def test_a_common_denominator_that_would_wrap_the_fill_is_a_make_rep_error():
+    # every edge scalar snaps, and their common denominator lies in
+    # [2^62, 2^63): an int64 numerator table holds it, but the fill's sums
+    # down the 63-deep tree would wrap, so the snap path refuses it first,
+    # naming the edge at which the running lcm reaches 2^63 // (63 + 2)
+    g = cyclic(64)
+    dens = [round(1 / abs(s)) for s in WIDE_LCM_STEPS]
+    assert 2**62 <= math.lcm(*dens) < 2**63 and g._cayley_walk().length == 63
+    mats = power_step_stack(g, WIDE_LCM_STEPS)
+    assert projreps._monomial_read(mats, 4 * g.order) is None
+    limit = 2**63 // 65
+    k = 1 + next(i for i, m in enumerate(itertools.accumulate(dens, math.lcm)) if m >= limit)
+    bare = {"matrices": _linalg.complex_json(mats)}
+    for build in (lambda: make_rep(g, mats), lambda: ProjectiveRep.from_json(g, bare)):
+        with pytest.raises(MakeRepError, match=rf"scalar snap failed at \({k},1\).*below {limit}\)"):
+            build()
+
+
+# ------------------------------------------------ the entry test
+
+
+def _forbidden(name):
+    def raiser(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return raiser
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spec", _MONOMIAL_SPECS)
+def test_make_rep_validates_every_monomial_model_by_its_entries(spec, seed, monkeypatch):
+    model = _relabeled_catalog_model(spec, seed)
+    g = group_from_mul_table(model.group.mul)   # no walk or tree built yet
+    mats = model.rep.matrices
+    with monkeypatch.context() as patched:
+        patched.setattr(ProjectiveRep, "_validate", _forbidden("_validate"))
+        patched.setattr(projreps, "_first_deviation", _forbidden("_first_deviation"))
+        patched.setattr(groups, "_depth_first_tree", _forbidden("_depth_first_tree"))
+        sigma = make_rep(g, mats).cocycle
+    ProjectiveRep(g, mats, sigma)   # the dense check accepts the same stack
+    full = make_rep_full_snap(g, mats).cocycle
+    assert (sigma.den, sigma.num.tobytes()) == (full.den, full.num.tobytes())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_the_entry_test_decides_as_the_dense_check(data):
+    # one entry rotated by t about its root of unity, or made NaN or inf:
+    # the entry test accepts exactly when t <= eps, and every cocycle and
+    # error text equals those of make_rep without it
+    model = _catalog_model(data.draw(st.sampled_from(CATALOG_64)))
+    g, mats = model.group, model.rep.matrices.copy()
+    eps = _tol.EXACT / (4 * np.sqrt(model.dim))
+    x, j = data.draw(st.integers(0, g.order - 1)), data.draw(st.integers(0, model.dim - 1))
+    row = np.flatnonzero(mats[x, :, j])[0]
+    t = data.draw(st.sampled_from([eps / 2, eps * (1 - 1e-4), eps * (1 + 1e-4), 3e-10, 2e-9, 1e-5, "nan", "inf"]))
+    if isinstance(t, str):
+        mats[x, row, j] = complex(float(t), 0.0)
+    else:
+        mats[x, row, j] *= np.exp(1j * t)
+    read = projreps._monomial_read(mats, 4 * g.order)
+    if not isinstance(t, str) and t < eps:
+        assert read is not None and projreps._monomial_edges_hold(g, *read)
+        assert projreps._entries_near_roots(mats, *read)
+    elif read is not None:
+        assert not projreps._entries_near_roots(mats, *read)
+    # the dense products of an inf entry with exact zeros are NaN, which
+    # numpy reports; the MakeRepError is what is compared
+    with np.errstate(invalid="ignore" if t == "inf" else "raise"):
+        got = _outcome(g, mats)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(projreps, "_entries_near_roots", lambda *args: False)
+            assert got == _outcome(g, mats)
 
 
 # ------------------------------------------------ Cayley-edge validation

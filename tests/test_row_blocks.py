@@ -204,10 +204,12 @@ def test_a_cocycle_keeps_its_own_read_only_table():
 # Peak memory above the start, less the memory kept, of building the
 # relabeled order-384 model's group and rep.  A full int64 table of order
 # 384 is 1.125 MiB.  Measured with the blocked passes: 0.33 MiB for
-# group_from_mul_table (its row blocks) and 1.29 MiB for make_rep, which is
-# set by its O(|G| dim^2) complex stacks, 0.375 MiB each, in the unitarity
-# check and the raw scalars.  Before the passes were blocked the two read
-# 2.46 MiB and 6.06 MiB.
+# group_from_mul_table (its row blocks) and 1.17 MiB for make_rep, which on
+# this monomial stack is set by the read's numerator table, one full table
+# that Cocycle copies as it reduces it; the unitarity check and the raw
+# scalars, with their O(|G| dim^2) complex stacks of 0.375 MiB each, do
+# not run.  Before the passes were blocked the two read 2.46 MiB and
+# 6.06 MiB.
 GROUP_BUDGET = 2**19            # 0.5 MiB
 MAKE_REP_BUDGET = 3 * 2**19     # 1.5 MiB
 

@@ -3,8 +3,8 @@ source checks that each top-level name of qeclab is defined in one module,
 that no module imports a name it never uses, that every private function
 and every private top-level name is used in the package, that only _linalg
 names the row-block bound, that
-only search builds and reads the trace table, and that building models and
-searching them imports no numpy.ma."""
+only search builds and reads the trace table, that building models and
+searching them imports no numpy.ma, and tools/bench_pairs.py's summary."""
 
 import ast
 import os
@@ -210,3 +210,38 @@ def test_building_and_searching_models_leaves_numpy_ma_unimported():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     ).stdout
     assert out.strip() == "False"
+
+
+def _bench_pairs():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(wall, setup, attempted=6, failed=0):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": setup, "unit": "s"}}
+    return {"correct": True, "attempted": attempted, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summarizes_canned_result_lines():
+    # medians, inclusive quartiles of the parent, ratio and lower count per
+    # metric, then the operation counts; no bench run
+    pairs = [
+        (_result(1.0, 4.0), _result(0.9, 3.0)),
+        (_result(2.0, 5.0), _result(2.5, 4.0)),
+        (_result(3.0, 6.0), _result(2.0, 5.0)),
+        (_result(4.0, 7.0), _result(3.0, 6.0)),
+        (_result(5.0, 8.0), _result(5.0, 7.0, failed=1)),
+    ]
+    lines = _bench_pairs().summarize(pairs).splitlines()
+    assert lines[0].split() == ["metric", "parent", "parent", "IQR", "change", "ratio", "lower"]
+    assert lines[1].split() == ["wall_s", "3", "2", "-", "4", "2.5", "0.8333", "3/5"]
+    assert lines[2].split() == ["setup_s", "6", "5", "-", "7", "5", "0.8333", "5/5"]
+    assert lines[3:] == [
+        "parent: attempted 30, failed 0",
+        "change: attempted 30, failed 1",
+        "pairs whose attempted/failed differ: [4]",
+    ]
